@@ -13,7 +13,13 @@ COVER_FLOOR ?= 86.0
 ## enough to mutate past the seed corpus, short enough for every CI run.
 FUZZ_SMOKE_TIME ?= 10s
 
-.PHONY: check build vet lint test test-differential cover fuzz-smoke bench bench-scale bench-sync bench-wal scale-smoke
+## GOB_FREE are the package trees where every concept has exactly one
+## encoding, the internal/wire binary layout (DESIGN.md §14): `make lint`
+## fails if encoding/gob is imported anywhere under them, tests included, and
+## `make loc` reports their size separately.
+GOB_FREE := internal/transport internal/wire internal/persist/wal internal/filter internal/routing
+
+.PHONY: check build vet lint loc test test-differential cover fuzz-smoke bench bench-scale bench-sync bench-wal scale-smoke
 
 ## check is the tier-1 verification gate: every PR must leave it green.
 ## test-differential re-runs the engine-equivalence tests on their own so a
@@ -42,6 +48,16 @@ vet:
 lint:
 	$(GO) build -o bin/dtnlint ./cmd/dtnlint
 	./bin/dtnlint -cache .dtnlint-cache ./...
+	@if grep -rl --include='*.go' '"encoding/gob"' $(GOB_FREE); then \
+		echo 'lint: encoding/gob imported under a gob-free tree (files above; DESIGN.md §14)'; exit 1; fi
+
+## loc prints the Go line counts the ROADMAP tracks — non-test and test,
+## testdata excluded — for the single-encoding trees and for the whole repo.
+loc:
+	@count() { find $$1 -name '*.go' -not -path '*/testdata/*' $$2 -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
+	printf '%-24s %8s %8s\n' tree non-test test; \
+	printf '%-24s %8d %8d\n' 'single-encoding trees' $$(count '$(GOB_FREE)' -not) $$(count '$(GOB_FREE)'); \
+	printf '%-24s %8d %8d\n' 'whole repo' $$(count . -not) $$(count .)
 
 test:
 	$(GO) test -race ./...
@@ -62,9 +78,9 @@ cover:
 			printf "coverage %.1f%% is below the %.1f%% floor\n", $$3, floor; exit 1 } }'
 
 ## fuzz-smoke runs each native fuzz target briefly against the
-## parse-hostile surfaces — the transport's frame/gob stream, the v3 binary
-## frame bodies (internal/wire), the vclock knowledge codec, and the WAL's
-## crash-recovery readers — complementing the static dtnlint pass with
+## parse-hostile surfaces — the transport's frame stream, the frame bodies
+## (internal/wire), the vclock knowledge codec, and the WAL's crash-recovery
+## readers — complementing the static dtnlint pass with
 ## dynamic checking. Seed corpora live under each package's testdata/fuzz
 ## (regenerate with `go test -tags corpusgen -run WriteFuzzCorpus`; for the
 ## WAL, `WAL_GEN_CORPUS=1 go test -run TestGenerateFuzzCorpus
@@ -99,11 +115,10 @@ bench:
 bench-scale:
 	$(GO) test -run xxx -bench 'BenchmarkScale' -benchtime 3x -timeout 30m -benchmem ./internal/emu/
 
-## bench-sync measures the knowledge-frame bytes each sync request
-## representation ships at 10k+ known versions — exact v1 frame, protocol-v2
-## Bloom digest, and recurring-pair delta — plus the protocol-v3 binary frame
-## codec against the gob stream it replaced, with allocation stats. Results
-## are recorded in BENCH_sync.json; refresh the file when the knowledge
+## bench-sync measures the knowledge-frame bytes each sync request mode
+## ships at 10k+ known versions — exact frame, Bloom digest, and
+## recurring-pair delta — plus the sync-response frame codec, with allocation
+## stats. Results are recorded in BENCH_sync.json; refresh the file when the knowledge
 ## codec, digest sizing, delta protocol, or frame codec changes. The >=5x
 ## reduction the file reports is pinned as a regular test by
 ## TestKnowledgeFrameReduction.

@@ -7,16 +7,16 @@
 // replicated state, which the differential and crash-restart tests would
 // only catch indirectly, if at all.
 //
-// The analyzer flags item.Transient (or any type containing it) at three
+// The analyzer flags item.Transient (or any type containing it) at four
 // serialization boundaries:
 //
-//   - arguments to (*encoding/gob.Encoder).Encode — the legacy wire and
-//     snapshot encoding the transport and persist layers use;
+//   - arguments to (*encoding/gob.Encoder).Encode — the snapshot encoding
+//     the persist layer uses;
 //   - gob.Register / gob.RegisterName arguments — registering a
 //     transient-bearing type declares the intent to ship it;
 //   - arguments to the binary codec's Append* entry points (any package
-//     with a "wire" import-path segment) — since protocol v3 these, not
-//     gob, are how values reach wire frames and WAL records;
+//     with a "wire" import-path segment) — the only way values reach
+//     transport frames and WAL records;
 //   - struct types declared in a transport package whose fields contain
 //     item.Transient — frame structs are the wire contract.
 //

@@ -9,9 +9,6 @@
 package filter
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"sort"
 	"strings"
 
@@ -135,29 +132,6 @@ func (f *Addresses) Len() int { return len(f.addrs) }
 // String implements Filter.
 func (f *Addresses) String() string {
 	return "addr(" + strings.Join(f.List(), ",") + ")"
-}
-
-// GobEncode implements gob.GobEncoder so address filters can travel inside
-// wire-encoded sync requests: the address set is encoded as its sorted list.
-func (f *Addresses) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f.List()); err != nil {
-		return nil, fmt.Errorf("filter: encode addresses: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (f *Addresses) GobDecode(data []byte) error {
-	var addrs []string
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&addrs); err != nil {
-		return fmt.Errorf("filter: decode addresses: %w", err)
-	}
-	f.addrs = make(map[string]struct{}, len(addrs))
-	for _, a := range addrs {
-		f.addrs[a] = struct{}{}
-	}
-	return nil
 }
 
 // Or selects items matching any member filter.

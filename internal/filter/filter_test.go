@@ -1,10 +1,7 @@
 package filter
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -167,47 +164,5 @@ func TestPropCoversImpliesMatchContainment(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAddressesGobRoundTrip(t *testing.T) {
-	in := NewAddresses("user:b", "user:a")
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	var out Addresses
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in.List(), out.List()) {
-		t.Errorf("round trip = %v, want %v", out.List(), in.List())
-	}
-	if !out.Match(msgTo("user:a")) {
-		t.Error("decoded filter does not match")
-	}
-}
-
-func TestAddressesGobDecodeGarbage(t *testing.T) {
-	var f Addresses
-	if err := f.GobDecode([]byte{0x01, 0x02}); err == nil {
-		t.Error("garbage should fail to decode")
-	}
-}
-
-func TestFilterInterfaceViaGob(t *testing.T) {
-	gob.Register(&Addresses{})
-	gob.Register(All{})
-	var buf bytes.Buffer
-	var in Filter = NewAddresses("x")
-	if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-		t.Fatal(err)
-	}
-	var out Filter
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Match(msgTo("x")) {
-		t.Error("interface-encoded filter lost behavior")
 	}
 }

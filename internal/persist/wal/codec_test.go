@@ -1,9 +1,9 @@
 package wal
 
-// Tests for the binary record codec migration: the encode-side framing
-// limit (an oversized record must fail the append, not poison recovery),
-// and mixed-encoding recovery (logs and segments holding any mix of legacy
-// gob records and binary records replay to identical state).
+// Tests for the record codec's edges: the encode-side framing limit (an
+// oversized record must fail the append, not poison recovery), and the
+// readers' treatment of CRC-valid records they must not accept — a
+// malformed body, a retired record kind, a damaged manifest.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"replidtn/internal/item"
+	"replidtn/internal/replica"
 )
 
 // withMaxRecordLen lowers the frame limit for the duration of the test so
@@ -88,198 +89,89 @@ func TestOversizedAppendFailsBeforeWrite(t *testing.T) {
 	}
 }
 
-// TestEncodeRecordRejectsOversized pins the limit on both writers: the
-// legacy gob framer and the binary back-patching framer.
+// TestEncodeRecordRejectsOversized pins the limit on the record framer:
+// one byte over fails, exactly at the limit passes.
 func TestEncodeRecordRejectsOversized(t *testing.T) {
 	withMaxRecordLen(t, 64)
-	if _, err := encodeRecord(recMeta, walMeta{ID: "x", PolicyState: make([]byte, 128)}); !errors.Is(err, errRecordTooLarge) {
-		t.Errorf("encodeRecord: err = %v, want errRecordTooLarge", err)
-	}
-	if _, err := appendRecord(nil, recBatch, make([]byte, 65)); !errors.Is(err, errRecordTooLarge) {
-		t.Errorf("appendRecord: err = %v, want errRecordTooLarge", err)
-	}
 	if _, err := appendMetaRecord(nil, walMeta{ID: "x", PolicyState: make([]byte, 128)}); !errors.Is(err, errRecordTooLarge) {
 		t.Errorf("appendMetaRecord: err = %v, want errRecordTooLarge", err)
 	}
-	// At the limit exactly: fine.
-	if _, err := appendRecord(nil, recBatch, make([]byte, 63)); err != nil {
-		t.Errorf("appendRecord at limit: %v", err)
+	if _, err := frameRecord(recBatch, make([]byte, 64)); !errors.Is(err, errRecordTooLarge) {
+		t.Errorf("over the limit: err = %v, want errRecordTooLarge", err)
+	}
+	if _, err := frameRecord(recBatch, make([]byte, 63)); err != nil {
+		t.Errorf("at the limit: %v", err)
 	}
 }
 
-// transcodeLog rewrites binary records as legacy gob records. Every
-// legacyEvery-th record (starting with the first) is transcoded; the rest
-// stay binary, so legacyEvery=1 yields a pure old-format log and larger
-// values an interleaved one.
-func transcodeLog(t testing.TB, data []byte, legacyEvery int) []byte {
-	t.Helper()
-	var out []byte
-	idx, off := 0, 0
-	for off < len(data) {
-		rec, next, ok := readRecord(data, off)
-		if !ok {
-			t.Fatalf("transcode: invalid record at offset %d", off)
-		}
-		if idx%legacyEvery != 0 {
-			out = append(out, data[off:next]...)
-			idx++
-			off = next
-			continue
-		}
-		var frame []byte
-		var err error
-		switch rec.kind {
-		case recMetaBin:
-			m, derr := decodeMeta(rec)
-			if derr != nil {
-				t.Fatalf("transcode meta: %v", derr)
-			}
-			frame, err = encodeRecord(recMeta, m)
-		case recBatchBin:
-			muts, derr := decodeBatch(rec)
-			if derr != nil {
-				t.Fatalf("transcode batch: %v", derr)
-			}
-			frame, err = encodeRecord(recBatch, muts)
-		case recPutBin:
-			e, derr := decodePut(rec)
-			if derr != nil {
-				t.Fatalf("transcode put: %v", derr)
-			}
-			frame, err = encodeRecord(recPut, &e)
-		case recRemoveBin:
-			id, derr := decodeRemove(rec)
-			if derr != nil {
-				t.Fatalf("transcode remove: %v", derr)
-			}
-			frame, err = encodeRecord(recRemove, id)
-		default:
-			out = append(out, data[off:next]...)
-			idx++
-			off = next
-			continue
-		}
+// TestRetiredRecordKindIsCorruption: record kinds 1–4 (the gob bodies) are
+// gone. A CRC-valid record of such a kind was fully written, so it is not a
+// truncatable tail — both readers must refuse it as corruption, exactly like
+// any other kind they do not expect.
+func TestRetiredRecordKindIsCorruption(t *testing.T) {
+	log := buildLogBytes(t)
+	seg, err := appendMetaRecord(nil, walMeta{ID: "node-a"}) // a minimal valid segment
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind := uint8(1); kind <= 4; kind++ {
+		retired, err := frameRecord(kind, []byte("gob body"))
 		if err != nil {
-			t.Fatalf("transcode encode: %v", err)
+			t.Fatal(err)
 		}
-		out = append(out, frame...)
-		idx++
-		off = next
-	}
-	return out
-}
-
-// TestMixedEncodingLogReplay proves recovery reads old-format (gob),
-// new-format (binary), and interleaved logs to identical state — the
-// property that lets existing logs replay across the codec migration.
-func TestMixedEncodingLogReplay(t *testing.T) {
-	binaryLog := buildLogBytes(t)
-	st := newRecState()
-	if _, err := st.replayLog(binaryLog); err != nil {
-		t.Fatalf("binary log: %v", err)
-	}
-	want, err := st.snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, every := range map[string]int{"all-gob": 1, "alternating": 2, "sparse-gob": 3} {
-		t.Run(name, func(t *testing.T) {
-			mixed := transcodeLog(t, binaryLog, every)
-			st := newRecState()
-			if truncated, err := st.replayLog(mixed); err != nil || truncated {
-				t.Fatalf("mixed log: truncated=%v err=%v", truncated, err)
-			}
-			got, err := st.snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := DiffSnapshots(want, got); d != "" {
-				t.Errorf("mixed-encoding replay diverged: %s", d)
-			}
-		})
+		if _, err := newRecState().replayLog(append(append([]byte(nil), log...), retired...)); !errors.Is(err, errCorrupt) {
+			t.Errorf("log reader on kind %d: err = %v, want errCorrupt", kind, err)
+		}
+		if err := newRecState().replaySegment(append(append([]byte(nil), seg...), retired...)); !errors.Is(err, errCorrupt) {
+			t.Errorf("segment reader on kind %d: err = %v, want errCorrupt", kind, err)
+		}
 	}
 }
 
-// buildSegmentBytes runs the scripted workload with aggressive flushing and
-// returns the bytes of a manifest segment.
-func buildSegmentBytes(t *testing.T) []byte {
-	t.Helper()
+// TestDamagedManifestFailsOpen: the manifest is one CRC'd record, so a
+// flipped bit, a cut, trailing junk, or a valid record of another kind in
+// its place all fail Open loudly instead of silently starting from nothing.
+func TestDamagedManifestFailsOpen(t *testing.T) {
 	fsys := NewMemFS()
-	env := newScriptEnv(t)
-	db, err := Open(fsys, Options{FlushEvery: 4})
+	openAttached(t, fsys, Options{}, func() *replica.Replica { return newScriptEnv(t).r })
+	good, err := fsys.ReadFile(manifestName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Load(); !errors.Is(err, ErrNoState) {
-		t.Fatalf("load: %v", err)
-	}
-	if err := db.Attach(env.r); err != nil {
-		t.Fatalf("attach: %v", err)
-	}
-	env.runScript(0, scriptSteps)
-	if err := db.Err(); err != nil {
-		t.Fatalf("workload poisoned: %v", err)
-	}
-	man, ok, err := readManifest(fsys)
-	if err != nil || !ok || len(man.Segments) == 0 {
-		t.Fatalf("manifest: ok=%v err=%v segments=%d", ok, err, len(man.Segments))
-	}
-	data, err := fsys.ReadFile(man.Segments[len(man.Segments)-1])
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-1] ^= 0x01
+	meta, err := appendMetaRecord(nil, walMeta{ID: "node-a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
-}
-
-// TestMixedEncodingSegmentReplay is the segment-side counterpart: a segment
-// holding gob records (or a mix) replays to the same state as its binary
-// form, under the segment reader's strict personality.
-func TestMixedEncodingSegmentReplay(t *testing.T) {
-	binarySeg := buildSegmentBytes(t)
-	st := newRecState()
-	if err := st.replaySegment(binarySeg); err != nil {
-		t.Fatalf("binary segment: %v", err)
+	for name, data := range map[string][]byte{
+		"bit flip":      flipped,
+		"cut":           good[:len(good)-2],
+		"trailing junk": append(append([]byte(nil), good...), 0),
+		"wrong kind":    meta,
+		"empty":         {},
+	} {
+		if err := rewrite(fsys, manifestName, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(fsys, Options{}); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: Open = %v, want errCorrupt", name, err)
+		}
 	}
-	want, err := st.snapshot()
-	if err != nil {
+	if err := rewrite(fsys, manifestName, good); err != nil {
 		t.Fatal(err)
 	}
-	for name, every := range map[string]int{"all-gob": 1, "alternating": 2} {
-		t.Run(name, func(t *testing.T) {
-			mixed := transcodeLog(t, binarySeg, every)
-			st := newRecState()
-			if err := st.replaySegment(mixed); err != nil {
-				t.Fatalf("mixed segment: %v", err)
-			}
-			got, err := st.snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := DiffSnapshots(want, got); d != "" {
-				t.Errorf("mixed-encoding segment replay diverged: %s", d)
-			}
-		})
+	if _, err := Open(fsys, Options{}); err != nil {
+		t.Errorf("restored manifest: %v", err)
 	}
 }
 
-// TestBinaryRecordsSmallerThanGob sanity-checks the migration's point: the
-// binary form of a real workload's log is meaningfully smaller than gob's.
-func TestBinaryRecordsSmallerThanGob(t *testing.T) {
-	binaryLog := buildLogBytes(t)
-	gobLog := transcodeLog(t, binaryLog, 1)
-	if len(binaryLog) >= len(gobLog) {
-		t.Errorf("binary log %d B, gob log %d B — no win", len(binaryLog), len(gobLog))
-	}
-	t.Logf("log bytes: binary %d, gob %d (%.1f%%)", len(binaryLog), len(gobLog),
-		100*float64(len(binaryLog))/float64(len(gobLog)))
-}
-
-// TestCorruptBinaryRecordFailsLoudly pins the reader personality for the
-// new kinds: a CRC-valid frame with a malformed binary body is corruption,
-// not a truncatable tail (the CRC passed, so the frame was fully written).
-func TestCorruptBinaryRecordFailsLoudly(t *testing.T) {
+// TestCorruptRecordBodyFailsLoudly pins the reader personality: a CRC-valid
+// frame with a malformed body is corruption, not a truncatable tail (the CRC
+// passed, so the frame was fully written).
+func TestCorruptRecordBodyFailsLoudly(t *testing.T) {
 	valid := buildLogBytes(t)
-	// Find a binary batch record, truncate its body by one byte, and re-frame
+	// Find a batch record, truncate its body by one byte, and re-frame
 	// it so the CRC still validates: the record now decodes as a frame but
 	// its body is malformed.
 	off := 0
@@ -289,9 +181,9 @@ func TestCorruptBinaryRecordFailsLoudly(t *testing.T) {
 		if !ok {
 			t.Fatalf("invalid record at offset %d", off)
 		}
-		if rec.kind == recBatchBin {
+		if rec.kind == recBatch {
 			var err error
-			badFrame, err = appendRecord(nil, rec.kind, rec.payload[:len(rec.payload)-1])
+			badFrame, err = frameRecord(rec.kind, rec.payload[:len(rec.payload)-1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,12 +192,12 @@ func TestCorruptBinaryRecordFailsLoudly(t *testing.T) {
 		off = next
 	}
 	if badFrame == nil {
-		t.Fatal("no binary batch record in scripted log")
+		t.Fatal("no batch record in scripted log")
 	}
 	bad := append(append([]byte(nil), valid...), badFrame...)
 	st := newRecState()
 	if _, err := st.replayLog(bad); err == nil {
-		t.Error("log reader replayed a malformed binary record")
+		t.Error("log reader replayed a malformed record")
 	} else if !strings.Contains(err.Error(), "corrupt") {
 		t.Errorf("log reader error not marked corrupt: %v", err)
 	}

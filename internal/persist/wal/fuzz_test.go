@@ -4,12 +4,12 @@ package wal
 // path is the one place the WAL parses bytes it did not just write — a crash
 // can hand it literally anything the filesystem kept — so the contract under
 // fuzzing is: never panic, never over-allocate on a hostile length field, and
-// keep the two readers' personalities straight (the log reader truncates
-// unverifiable tails, the segment reader fails loudly). Seeds cover the
-// interesting boundaries: a real multi-record log in each encoding era
-// (binary, legacy gob, interleaved), torn tails at every kind of cut,
-// bit-flipped CRCs, an oversized length prefix (the PR 7 digest lesson), and
-// a CRC-valid frame with a malformed binary body. The checked-in corpus
+// keep the readers' personalities straight (the log reader truncates
+// unverifiable tails, the segment and manifest readers fail loudly). Seeds
+// cover the interesting boundaries: a real multi-record log, torn tails at
+// every kind of cut, bit-flipped CRCs, an oversized length prefix (the PR 7
+// digest lesson), CRC-valid frames with a malformed body or a retired record
+// kind, and a manifest, whole and damaged. The checked-in corpus
 // under testdata/fuzz mirrors these so CI fuzz smoke always starts from
 // them; regenerate with WAL_GEN_CORPUS=1.
 
@@ -65,23 +65,38 @@ func fuzzSeeds(tb testing.TB) map[string][]byte {
 	oversize := make([]byte, recordHeaderLen+4)
 	binary.LittleEndian.PutUint32(oversize[0:4], maxRecordLen+1)
 	zeroLen := make([]byte, recordHeaderLen+4)
-	// A CRC-valid frame whose binary body is malformed (bad codec version):
-	// the decodable-but-corrupt case the mixed-format readers must reject.
-	badBody, err := appendRecord(nil, recBatchBin, []byte{0xff, 0xff, 0xff})
+	// CRC-valid frames the readers must still reject: a malformed body (bad
+	// codec version) and a retired gob-era record kind.
+	badBody, err := frameRecord(recBatch, []byte{0xff, 0xff, 0xff})
 	if err != nil {
 		tb.Fatalf("frame bad-body seed: %v", err)
 	}
+	retired, err := frameRecord(2, []byte("gob body"))
+	if err != nil {
+		tb.Fatalf("frame retired-kind seed: %v", err)
+	}
+	fsys := NewMemFS()
+	if err := commitManifest(fsys, manifest{Segments: []string{segName(1), segName(2)}, Log: logName(3)}); err != nil {
+		tb.Fatalf("manifest seed: %v", err)
+	}
+	man, err := fsys.ReadFile(manifestName)
+	if err != nil {
+		tb.Fatalf("manifest seed: %v", err)
+	}
+	damagedMan := append([]byte(nil), man...)
+	damagedMan[len(damagedMan)-1] ^= 0x01
 	return map[string][]byte{
-		"valid":      valid,
-		"legacy-gob": transcodeLog(tb, valid, 1),
-		"mixed":      transcodeLog(tb, valid, 2),
-		"flip-crc":   flipCRC,
-		"mid-record": midRecord,
-		"mid-header": midHeader,
-		"oversize":   oversize,
-		"zero-len":   zeroLen,
-		"bad-body":   append(append([]byte(nil), valid...), badBody...),
-		"empty":      nil,
+		"valid":            valid,
+		"flip-crc":         flipCRC,
+		"mid-record":       midRecord,
+		"mid-header":       midHeader,
+		"oversize":         oversize,
+		"zero-len":         zeroLen,
+		"bad-body":         append(append([]byte(nil), valid...), badBody...),
+		"retired-kind":     append(append([]byte(nil), valid...), retired...),
+		"manifest":         man,
+		"damaged-manifest": damagedMan,
+		"empty":            nil,
 	}
 }
 
@@ -104,6 +119,8 @@ func FuzzWALReplay(f *testing.F) {
 		// the only acceptable outcome besides success is an error.
 		st2 := newRecState()
 		_ = st2.replaySegment(data) //lint:allow errdiscard -- the fuzz property on hostile input is "errors, never panics"; the error value itself carries no invariant
+		// The manifest reader: exactly one valid manifest record or an error.
+		_, _ = decodeManifest(data) //lint:allow errdiscard -- same property: errors, never panics
 	})
 }
 

@@ -1,11 +1,12 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
+
+	"replidtn/internal/wire"
+	"replidtn/internal/wire/prim"
 )
 
 // The manifest is the DB's root pointer: the one file naming which segment
@@ -15,21 +16,18 @@ import (
 // always sees either the old or the new file set, never a mix — and because
 // new segments and the new log are created and fsynced before the manifest
 // rename, the referenced files are always fully durable by the time any
-// manifest names them.
+// manifest names them. The file is a single recManifest record in the
+// shared framing (record.go), so a torn or foreign file fails its CRC.
 
 const (
-	manifestName    = "MANIFEST"
-	manifestTmp     = "MANIFEST.tmp"
-	segPrefix       = "seg-"
-	logPrefix       = "wal-"
-	manifestMagic   = "replidtn-wal"
-	manifestVersion = 1
+	manifestName = "MANIFEST"
+	manifestTmp  = "MANIFEST.tmp"
+	segPrefix    = "seg-"
+	logPrefix    = "wal-"
 )
 
 // manifest is the on-disk root structure.
 type manifest struct {
-	Magic   string
-	Version int
 	// Segments are replayed in order; later segments overwrite earlier ones.
 	Segments []string
 	// Log is the live log generation, replayed after the segments.
@@ -50,32 +48,45 @@ func readManifest(fsys FS) (man manifest, ok bool, err error) {
 		}
 		return manifest{}, false, fmt.Errorf("wal: read manifest: %w", err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&man); err != nil {
-		return manifest{}, false, fmt.Errorf("wal: decode manifest: %w", err)
+	man, err = decodeManifest(data)
+	return man, err == nil, err
+}
+
+// decodeManifest parses the manifest file's bytes: exactly one CRC-valid
+// recManifest record.
+func decodeManifest(data []byte) (manifest, error) {
+	rec, next, ok := readRecord(data, 0)
+	if !ok || next != len(data) || rec.kind != recManifest {
+		return manifest{}, fmt.Errorf("%w: manifest is not one valid manifest record", errCorrupt)
 	}
-	if man.Magic != manifestMagic {
-		return manifest{}, false, errors.New("wal: not a replidtn wal manifest")
+	body, err := checkCodecVersion(rec.payload)
+	if err != nil {
+		return manifest{}, err
 	}
-	if man.Version != manifestVersion {
-		return manifest{}, false, fmt.Errorf("wal: manifest version %d, want %d", man.Version, manifestVersion)
+	d := prim.NewDecoder(body)
+	man := manifest{Segments: d.Strings(), Log: d.String()}
+	if err := d.Finish(); err != nil {
+		return manifest{}, fmt.Errorf("%w: manifest: %v", errCorrupt, err)
 	}
-	return man, true, nil
+	return man, nil
 }
 
 // commitManifest atomically replaces the manifest and makes it — and every
 // file created since the last directory sync — durable.
 func commitManifest(fsys FS, man manifest) error {
-	man.Magic = manifestMagic
-	man.Version = manifestVersion
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(man); err != nil {
-		return fmt.Errorf("wal: encode manifest: %w", err)
+	buf, start := beginRecord(nil, recManifest)
+	buf = append(buf, wire.CodecVersion)
+	buf = prim.AppendStrings(buf, man.Segments)
+	buf = prim.AppendString(buf, man.Log)
+	buf, err := finishRecord(buf, start)
+	if err != nil {
+		return err
 	}
 	f, err := fsys.Create(manifestTmp)
 	if err != nil {
 		return fmt.Errorf("wal: create manifest temp: %w", err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close() //lint:allow errdiscard -- the write error already aborts the commit; the close failure on the doomed temp file adds nothing
 		return fmt.Errorf("wal: write manifest temp: %w", err)
 	}

@@ -1,9 +1,7 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -13,14 +11,15 @@ import (
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire"
+	"replidtn/internal/wire/prim"
 )
 
-// Record framing, shared by the live log and segment files:
+// Record framing, shared by the live log, segment files and the manifest:
 //
 //	length  uint32 LE   bytes that follow the 8-byte header (kind + payload)
 //	crc     uint32 LE   IEEE CRC-32 over kind + payload
 //	kind    uint8       record discriminator
-//	payload             record body: gob (kinds 1–4) or internal/wire (5–8)
+//	payload             record body in the internal/wire binary codec
 //
 // The length field lets a reader skip to the next record without decoding;
 // the CRC catches torn and bit-flipped records. A live log may legitimately
@@ -28,29 +27,22 @@ import (
 // truncates at the first frame that does not check out; segment files were
 // fully written and fsynced before the manifest referenced them, so the same
 // condition there is corruption and fails recovery loudly.
-//
-// The record kind discriminates the payload encoding as well as the payload
-// type: kinds 1–4 are the original gob bodies, kinds 5–8 the internal/wire
-// binary bodies. Current builds write only the binary kinds; recovery accepts
-// both, so logs and segments written before the migration replay unchanged.
 
-// Record kinds.
+// Record kinds. Values 1–4 were the retired gob bodies and are never
+// reassigned: a CRC-valid record of such a kind is corruption, like any
+// other kind its file does not expect.
 const (
-	// recMeta carries a gob walMeta: the replica-level durable state outside
-	// the store (identity, counters, knowledge, policy state). Legacy.
-	recMeta = 1
-	// recBatch carries one gob-encoded []replica.Mutation batch. Legacy.
-	recBatch = 2
-	// recPut carries one gob store.EntrySnapshot (segment files). Legacy.
-	recPut = 3
-	// recRemove carries one gob item.ID (segment files). Legacy.
-	recRemove = 4
-	// recMetaBin, recBatchBin, recPutBin, recRemoveBin are the same bodies in
-	// the internal/wire binary codec — what current builds write.
-	recMetaBin   = 5
-	recBatchBin  = 6
-	recPutBin    = 7
-	recRemoveBin = 8
+	// recMeta carries a walMeta: the replica-level durable state outside the
+	// store (identity, counters, knowledge, policy state).
+	recMeta = 5
+	// recBatch carries one journaled []replica.Mutation batch (live log).
+	recBatch = 6
+	// recPut carries one store.EntrySnapshot (segment files).
+	recPut = 7
+	// recRemove carries one item.ID (segment files).
+	recRemove = 8
+	// recManifest carries the manifest (the MANIFEST file's only record).
+	recManifest = 9
 )
 
 // recordHeaderLen is the fixed frame header size (length + crc).
@@ -92,24 +84,6 @@ type walMeta struct {
 	Epoch       uint64
 }
 
-// appendRecord frames kind+payload onto buf and returns the extended slice.
-// An oversized payload is rejected here, before the caller can write it: a
-// frame the reader would refuse must never reach the log.
-//
-//dtn:hotpath
-func appendRecord(buf []byte, kind uint8, payload []byte) ([]byte, error) {
-	if uint64(len(payload))+1 > uint64(maxRecordLen) {
-		return nil, recordTooLargeError(kind, len(payload))
-	}
-	var hdr [recordHeaderLen + 1]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)+1))
-	hdr[8] = kind
-	crc := crc32.Update(crc32.Checksum(hdr[8:9], crcTable), crcTable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...), nil
-}
-
 // beginRecord reserves a frame header plus kind byte on buf, so a binary
 // body can be appended in place — no intermediate payload slice. The caller
 // must finish the frame with finishRecord, passing the returned start offset.
@@ -121,8 +95,9 @@ func beginRecord(buf []byte, kind uint8) ([]byte, int) {
 	return buf, start
 }
 
-// finishRecord back-patches the length and CRC of the frame opened at start,
-// enforcing the same encode-side size limit as appendRecord.
+// finishRecord back-patches the length and CRC of the frame opened at start.
+// An oversized body is rejected here, before the caller can write it: a
+// frame the reader would refuse must never reach the log.
 //
 //dtn:hotpath
 func finishRecord(buf []byte, start int) ([]byte, error) {
@@ -135,12 +110,12 @@ func finishRecord(buf []byte, start int) ([]byte, error) {
 	return buf, nil
 }
 
-// appendBatchRecord frames one journaled mutation batch as a binary record,
+// appendBatchRecord frames one journaled mutation batch as a record,
 // appending straight into buf — the append hot path's zero-allocation writer.
 //
 //dtn:hotpath
 func appendBatchRecord(buf []byte, muts []replica.Mutation) ([]byte, error) {
-	buf, start := beginRecord(buf, recBatchBin)
+	buf, start := beginRecord(buf, recBatch)
 	buf, err := wire.AppendMutations(buf, muts) //lint:allow transientleak -- MutPut snapshots persist to this host's own WAL: a restart restores the same host, so its per-copy transient state legitimately survives (DESIGN.md §10)
 	if err != nil {
 		return nil, err
@@ -155,54 +130,40 @@ func recordTooLargeError(kind uint8, payloadLen int) error {
 		errRecordTooLarge, kind, payloadLen, maxRecordLen-1)
 }
 
-// appendMetaRecord frames a walMeta as a binary record.
+// appendMetaRecord frames a walMeta as a record.
 func appendMetaRecord(buf []byte, m walMeta) ([]byte, error) {
-	buf, start := beginRecord(buf, recMetaBin)
+	buf, start := beginRecord(buf, recMeta)
 	buf = append(buf, wire.CodecVersion)
-	buf = wire.AppendString(buf, string(m.ID))
-	buf = wire.AppendUvarint(buf, m.Seq)
-	buf = wire.AppendStrings(buf, m.Own)
+	buf = prim.AppendString(buf, string(m.ID))
+	buf = prim.AppendUvarint(buf, m.Seq)
+	buf = prim.AppendStrings(buf, m.Own)
 	// Nil FilterAddrs means "the filter is not an address filter and survives
 	// restarts via configuration" — distinct from an empty address filter, so
 	// the nil-aware encoding is load-bearing here.
-	buf = wire.AppendStrings(buf, m.FilterAddrs)
-	buf = wire.AppendBytes(buf, m.Knowledge)
-	buf = wire.AppendUvarint(buf, m.NextArrival)
-	buf = wire.AppendBytes(buf, m.PolicyState)
-	buf = wire.AppendUvarint(buf, m.Epoch)
+	buf = prim.AppendStrings(buf, m.FilterAddrs)
+	buf = prim.AppendBytes(buf, m.Knowledge)
+	buf = prim.AppendUvarint(buf, m.NextArrival)
+	buf = prim.AppendBytes(buf, m.PolicyState)
+	buf = prim.AppendUvarint(buf, m.Epoch)
 	return finishRecord(buf, start)
 }
 
-// appendPutRecord frames one stored-entry snapshot as a binary record
-// (segment files).
+// appendPutRecord frames one stored-entry snapshot as a record (segment
+// files).
 func appendPutRecord(buf []byte, e *store.EntrySnapshot) ([]byte, error) {
-	buf, start := beginRecord(buf, recPutBin)
+	buf, start := beginRecord(buf, recPut)
 	buf = append(buf, wire.CodecVersion)
 	//lint:allow transientleak -- WAL records restore the same host after a crash, so per-copy transient state (spray allowances, hop budgets) legitimately survives; nothing here crosses to another replica
 	buf = wire.AppendEntrySnapshot(buf, e)
 	return finishRecord(buf, start)
 }
 
-// appendRemoveRecord frames one removed item ID as a binary record
-// (segment files).
+// appendRemoveRecord frames one removed item ID as a record (segment files).
 func appendRemoveRecord(buf []byte, id item.ID) ([]byte, error) {
-	buf, start := beginRecord(buf, recRemoveBin)
+	buf, start := beginRecord(buf, recRemove)
 	buf = append(buf, wire.CodecVersion)
 	buf = wire.AppendItemID(buf, id)
 	return finishRecord(buf, start)
-}
-
-// encodeRecord gobs body and frames it as one legacy record of the given
-// kind. Current builds no longer write gob records; this writer remains so
-// the mixed-encoding recovery tests can produce byte-authentic old-format
-// logs and segments.
-func encodeRecord(kind uint8, body any) ([]byte, error) {
-	var payload bytes.Buffer
-	//lint:allow transientleak -- WAL records restore the same host after a crash, so per-copy transient state (spray allowances, hop budgets) legitimately survives; nothing here crosses to another replica
-	if err := gob.NewEncoder(&payload).Encode(body); err != nil {
-		return nil, fmt.Errorf("wal: encode record kind %d: %w", kind, err)
-	}
-	return appendRecord(nil, kind, payload.Bytes())
 }
 
 // record is one decoded frame.
@@ -232,19 +193,11 @@ func readRecord(data []byte, off int) (rec record, next int, ok bool) {
 	return record{kind: body[0], payload: body[1:]}, off + recordHeaderLen + int(length), true
 }
 
-// decodeBody gob-decodes a legacy record payload into out.
-func decodeBody(payload []byte, out any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
-		return fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	return nil
-}
-
 // checkCodecVersion strips and validates the leading codec-version byte of a
-// binary record payload.
+// record payload.
 func checkCodecVersion(payload []byte) ([]byte, error) {
 	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: empty binary payload", errCorrupt)
+		return nil, fmt.Errorf("%w: empty payload", errCorrupt)
 	}
 	if payload[0] != wire.CodecVersion {
 		return nil, fmt.Errorf("%w: codec version %d, want %d", errCorrupt, payload[0], wire.CodecVersion)
@@ -252,15 +205,9 @@ func checkCodecVersion(payload []byte) ([]byte, error) {
 	return payload[1:], nil
 }
 
-// decodeMeta, decodeBatch, decodePut, decodeRemove decode the typed bodies,
-// dispatching on the record kind between the legacy gob and the binary
-// layouts.
+// decodeMeta, decodeBatch, decodePut, decodeRemove decode the typed bodies.
 func decodeMeta(rec record) (walMeta, error) {
 	var m walMeta
-	if rec.kind == recMeta {
-		err := decodeBody(rec.payload, &m)
-		return m, err
-	}
 	body, err := checkCodecVersion(rec.payload)
 	if err != nil {
 		return m, err
@@ -281,11 +228,6 @@ func decodeMeta(rec record) (walMeta, error) {
 }
 
 func decodeBatch(rec record) ([]replica.Mutation, error) {
-	if rec.kind == recBatch {
-		var b []replica.Mutation
-		err := decodeBody(rec.payload, &b)
-		return b, err
-	}
 	muts, err := wire.DecodeMutations(rec.payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: batch: %v", errCorrupt, err)
@@ -295,13 +237,6 @@ func decodeBatch(rec record) ([]replica.Mutation, error) {
 
 func decodePut(rec record) (store.EntrySnapshot, error) {
 	var e store.EntrySnapshot
-	if rec.kind == recPut {
-		err := decodeBody(rec.payload, &e)
-		if err == nil && e.Item == nil {
-			return e, fmt.Errorf("%w: put record without item", errCorrupt)
-		}
-		return e, err
-	}
 	body, err := checkCodecVersion(rec.payload)
 	if err != nil {
 		return e, err
@@ -318,11 +253,6 @@ func decodePut(rec record) (store.EntrySnapshot, error) {
 }
 
 func decodeRemove(rec record) (item.ID, error) {
-	if rec.kind == recRemove {
-		var id item.ID
-		err := decodeBody(rec.payload, &id)
-		return id, err
-	}
 	body, err := checkCodecVersion(rec.payload)
 	if err != nil {
 		return item.ID{}, err

@@ -24,6 +24,13 @@ func mustSnapshot(t testing.TB, r *replica.Replica) *replica.Snapshot {
 	return snap
 }
 
+// frameRecord frames an arbitrary kind and payload as one CRC-valid record,
+// for feeding the readers frames no writer produces.
+func frameRecord(kind uint8, payload []byte) ([]byte, error) {
+	buf, start := beginRecord(nil, kind)
+	return finishRecord(append(buf, payload...), start)
+}
+
 // scriptEnv is the deterministic workload harness: a journaled replica under
 // test plus a peer that feeds it sync batches, so the script covers every
 // mutation kind — creates, updates, tombstones, batch application with

@@ -673,12 +673,12 @@ func (st *recState) replaySegment(data []byte) error {
 		if !ok {
 			return fmt.Errorf("%w: segment damaged at offset %d", errCorrupt, off)
 		}
-		if first && rec.kind != recMeta && rec.kind != recMetaBin {
+		if first && rec.kind != recMeta {
 			return fmt.Errorf("%w: segment does not start with a meta record", errCorrupt)
 		}
 		first = false
 		switch rec.kind {
-		case recMeta, recMetaBin:
+		case recMeta:
 			m, err := decodeMeta(rec)
 			if err != nil {
 				return err
@@ -686,13 +686,13 @@ func (st *recState) replaySegment(data []byte) error {
 			if err := st.setMeta(m); err != nil {
 				return err
 			}
-		case recPut, recPutBin:
+		case recPut:
 			e, err := decodePut(rec)
 			if err != nil {
 				return err
 			}
 			st.entries[e.Item.ID] = e
-		case recRemove, recRemoveBin:
+		case recRemove:
 			id, err := decodeRemove(rec)
 			if err != nil {
 				return err
@@ -724,7 +724,7 @@ func (st *recState) replayLog(data []byte) (truncated bool, err error) {
 			return true, nil // torn tail: drop data[off:]
 		}
 		switch rec.kind {
-		case recMeta, recMetaBin:
+		case recMeta:
 			m, derr := decodeMeta(rec)
 			if derr != nil {
 				return false, derr
@@ -732,7 +732,7 @@ func (st *recState) replayLog(data []byte) (truncated bool, err error) {
 			if derr := st.setMeta(m); derr != nil {
 				return false, derr
 			}
-		case recBatch, recBatchBin:
+		case recBatch:
 			muts, derr := decodeBatch(rec)
 			if derr != nil {
 				return false, derr

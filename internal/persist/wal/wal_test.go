@@ -2,12 +2,15 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"replidtn/internal/item"
 	"replidtn/internal/obs"
 	"replidtn/internal/replica"
+	"replidtn/internal/routing/prophet"
+	"replidtn/internal/vclock"
 )
 
 // openAttached opens a DB on fsys, loads (tolerating first boot), restores
@@ -148,6 +151,45 @@ func TestCleanCloseRecovers(t *testing.T) {
 	}
 	fsys.Crash()
 
+	db2, err := Open(fsys, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	got, err := db2.Load()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if d := DiffSnapshots(want, got); d != "" {
+		t.Fatalf("recovered state differs: %s", d)
+	}
+}
+
+// TestProphetStateSurvivesCloseReopen: routing-policy state is checkpointed
+// by Close and compared byte-wise by DiffSnapshots, so a PROPHET replica's
+// recovered snapshot must equal its live one across close → reopen — which
+// needs the policy to serialize identical state to identical bytes.
+func TestProphetStateSurvivesCloseReopen(t *testing.T) {
+	clock := func() int64 { return 1000 }
+	build := func(id string) *replica.Replica {
+		return replica.New(replica.Config{
+			ID: vclock.ReplicaID(id), OwnAddresses: []string{"addr:" + id},
+			Policy: prophet.New(prophet.DefaultParams(), clock, "addr:"+id),
+		})
+	}
+	fsys := NewMemFS()
+	db, r := openAttached(t, fsys, Options{}, func() *replica.Replica { return build("a") })
+	for i := 0; i < 20; i++ {
+		peer := build(fmt.Sprintf("p%02d", i))
+		peer.CreateItem(item.Metadata{Destinations: []string{"addr:a"}}, []byte("hi"))
+		replica.Encounter(peer, r, 0)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	want := mustSnapshot(t, r)
+	if len(want.PolicyState) == 0 {
+		t.Fatal("scenario built no policy state")
+	}
 	db2, err := Open(fsys, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)

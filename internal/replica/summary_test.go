@@ -1,8 +1,6 @@
 package replica
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,58 +10,6 @@ import (
 	"replidtn/internal/routing/epidemic"
 	"replidtn/internal/vclock"
 )
-
-// wireBatchItem builds a batch item with trace-realistic metadata (address
-// lengths, timestamps, transient routing state) and a payload of the given
-// size, for measuring real encoded frame costs.
-func wireBatchItem(n uint64, payload int) BatchItem {
-	return BatchItem{
-		Item: &item.Item{
-			ID:      item.ID{Creator: "bus07", Num: n},
-			Version: vclock.Version{Replica: "bus07", Seq: n},
-			Meta: item.Metadata{
-				Source:       "user:17",
-				Destinations: []string{"user:42"},
-				Kind:         "message",
-				Created:      86400 + int64(n),
-				Expires:      86400 + int64(n) + 43200,
-			},
-			Payload: make([]byte, payload),
-		},
-		Transient: item.Transient{item.FieldTTL: 7},
-	}
-}
-
-// TestMetadataOverheadCoversEncodedFrame pins the byte-budget model to the
-// wire: itemWireBytes charges payload + metadataOverhead per batch item, and
-// budgets overrun if that underestimates what the transport actually encodes.
-// The test gob-encodes responses differing by exactly one item and checks the
-// marginal cost — steady-state, after gob's one-time type descriptors are
-// paid — never exceeds the constant, with and without payload.
-func TestMetadataOverheadCoversEncodedFrame(t *testing.T) {
-	encoded := func(n, payload int) int {
-		resp := &SyncResponse{SourceID: "bus07"}
-		for i := 0; i < n; i++ {
-			resp.Items = append(resp.Items, wireBatchItem(uint64(i+1), payload))
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Len()
-	}
-	for _, payload := range []int{0, 100, 1000} {
-		marginal := encoded(9, payload) - encoded(8, payload)
-		overhead := marginal - payload
-		if overhead > metadataOverhead {
-			t.Errorf("payload %d: encoded marginal item overhead %dB exceeds metadataOverhead=%d — byte budgets underestimate",
-				payload, overhead, metadataOverhead)
-		}
-		if overhead <= 0 {
-			t.Errorf("payload %d: marginal overhead %dB not positive — measurement broken", payload, overhead)
-		}
-	}
-}
 
 // summaryScenario drives one randomized twin build: identical item creation
 // and encounter order, with summary mode on or off at every replica. The

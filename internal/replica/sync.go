@@ -434,9 +434,9 @@ func (r *Replica) recordApplyLocked(batchLen int, st ApplyStats) {
 // implies an item budget of MaxBytes/metadataOverhead (+1 for the
 // at-least-one exception) — the bound selectorLimit uses to keep streaming
 // batch assembly O(candidates · log K). The value must not underestimate the
-// transport's real per-item framing or byte budgets overrun: the steady-state
-// marginal cost of one gob-encoded batch item with trace-realistic metadata
-// measures 76–80 bytes beyond its payload (see
+// transport's real per-item framing or byte budgets overrun: the marginal
+// cost of one batch item with trace-realistic metadata in a sync-response
+// frame measures 71–72 bytes beyond its payload (see
 // TestMetadataOverheadCoversEncodedFrame), so 96 leaves headroom for an
 // extra destination or transient field.
 const metadataOverhead = 96

@@ -1,0 +1,90 @@
+package maxprop
+
+import (
+	"fmt"
+
+	"replidtn/internal/vclock"
+	"replidtn/internal/wire/prim"
+)
+
+// Requests and persisted state are written in the internal/wire layout (maps
+// sorted by key), so identical state always serializes to identical bytes.
+
+func appendRow(buf []byte, row Row) []byte {
+	buf = prim.AppendMap(buf, row.Probabilities, prim.AppendFloat64)
+	return prim.AppendVarint(buf, row.Updated)
+}
+
+// readTable decodes a meeting-probability table, rejecting row values
+// outside [0, 1]: path costs are sums of 1 − f, so a forged probability
+// above 1 would make a path through the forger look cheaper than free.
+func readTable(d *prim.Decoder) map[vclock.ReplicaID]Row {
+	return prim.ReadMap[vclock.ReplicaID](d, func() Row {
+		return Row{
+			Probabilities: prim.ReadMap[vclock.ReplicaID](d, d.Prob),
+			Updated:       d.Varint(),
+		}
+	})
+}
+
+func appendHome(buf []byte, h Home) []byte {
+	buf = prim.AppendString(buf, string(h.Node))
+	return prim.AppendVarint(buf, h.Updated)
+}
+
+func readHomes(d *prim.Decoder) map[string]Home {
+	return prim.ReadMap[string](d, func() Home {
+		return Home{Node: vclock.ReplicaID(d.String()), Updated: d.Varint()}
+	})
+}
+
+// AppendBinary appends the request: From, OwnAddresses, the table, then the
+// address homes.
+func (r *Request) AppendBinary(buf []byte) []byte {
+	buf = prim.AppendString(buf, string(r.From))
+	buf = prim.AppendStrings(buf, r.OwnAddresses)
+	buf = prim.AppendMap(buf, r.Table, appendRow)
+	return prim.AppendMap(buf, r.Homes, appendHome)
+}
+
+// DecodeRequest decodes a request written by AppendBinary.
+func DecodeRequest(data []byte) (*Request, error) {
+	d := prim.NewDecoder(data)
+	req := &Request{
+		From:         vclock.ReplicaID(d.String()),
+		OwnAddresses: d.Strings(),
+		Table:        readTable(d),
+		Homes:        readHomes(d),
+	}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("maxprop: decode request: %w", err)
+	}
+	return req, nil
+}
+
+// stateVersion is the first byte of the persisted state document.
+const stateVersion = 1
+
+// SnapshotState implements routing.Persistent: the raw meeting weights, the
+// learned probability table, and the address-home beliefs.
+func (p *Policy) SnapshotState() ([]byte, error) {
+	buf := prim.AppendMap([]byte{stateVersion}, p.weights, prim.AppendFloat64)
+	buf = prim.AppendMap(buf, p.table, appendRow)
+	return prim.AppendMap(buf, p.homes, appendHome), nil
+}
+
+// RestoreState implements routing.Persistent.
+func (p *Policy) RestoreState(data []byte) error {
+	d := prim.NewDecoder(data)
+	if v := d.Byte(); d.Err() == nil && v != stateVersion {
+		d.Fail(fmt.Errorf("state version %d, want %d", v, stateVersion))
+	}
+	weights := prim.ReadMap[vclock.ReplicaID](d, d.Float64)
+	table := readTable(d)
+	homes := readHomes(d)
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("maxprop: restore state: %w", err)
+	}
+	p.weights, p.table, p.homes = weights, table, homes
+	return nil
+}

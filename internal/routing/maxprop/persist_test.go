@@ -1,6 +1,8 @@
 package maxprop
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -37,11 +39,56 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotStateDeterministic: identical state serializes to identical
+// bytes (see the PROPHET twin).
+func TestSnapshotStateDeterministic(t *testing.T) {
+	clk := &simClock{}
+	a := New("a", 3, clk.now, "addr:a")
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("p%02d", i)
+		a.ProcessReq(rid(id), reqFrom(New(rid(id), 3, clk.now, "addr:"+id)))
+	}
+	first, err := a.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		again, err := a.SnapshotState()
+		if err != nil || !bytes.Equal(first, again) {
+			t.Fatalf("snapshot %d of identical state differs (err %v)", i, err)
+		}
+	}
+	restored := New("a", 3, clk.now, "addr:a")
+	if err := restored.RestoreState(first); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := restored.SnapshotState(); !bytes.Equal(first, again) {
+		t.Error("restored state re-serializes to different bytes")
+	}
+}
+
 func TestRestoreRejectsGarbage(t *testing.T) {
 	clk := &simClock{}
-	p := New("a", 3, clk.now)
-	if err := p.RestoreState([]byte{0x01, 0x02}); err == nil {
-		t.Error("garbage state should fail to restore")
+	a := New("a", 3, clk.now, "addr:a")
+	a.ProcessReq("b", reqFrom(New("b", 3, clk.now, "addr:b")))
+	good, err := a.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"garbage":        {0x01, 0x02},
+		"empty":          nil,
+		"future version": append([]byte{stateVersion + 1}, good[1:]...),
+		"cut":            good[:len(good)-3],
+		"trailing":       append(append([]byte(nil), good...), 0),
+	} {
+		p := New("a", 3, clk.now)
+		if err := p.RestoreState(data); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+		if len(p.OwnRow()) != 0 || len(p.homes) != 0 {
+			t.Errorf("%s: failed restore left state behind", name)
+		}
 	}
 }
 

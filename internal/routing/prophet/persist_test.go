@@ -1,8 +1,12 @@
 package prophet
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"replidtn/internal/vclock"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -29,11 +33,58 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotStateDeterministic: identical state serializes to identical
+// bytes — wal.DiffSnapshots compares PolicyState byte-wise, and the WAL meta
+// record embeds it. (gob walked the maps in random order: 50 of 50 snapshots
+// of this 20-partner state differed.)
+func TestSnapshotStateDeterministic(t *testing.T) {
+	clk := &simClock{}
+	a := newPolicy(clk, "addr:a")
+	for i := 0; i < 20; i++ {
+		peer := newPolicy(clk, fmt.Sprintf("addr:p%02d", i))
+		a.ProcessReq(vclock.ReplicaID(fmt.Sprintf("p%02d", i)), reqFrom(peer))
+	}
+	first, err := a.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		again, err := a.SnapshotState()
+		if err != nil || !bytes.Equal(first, again) {
+			t.Fatalf("snapshot %d of identical state differs (err %v)", i, err)
+		}
+	}
+	restored := newPolicy(clk, "addr:a")
+	if err := restored.RestoreState(first); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := restored.SnapshotState(); !bytes.Equal(first, again) {
+		t.Error("restored state re-serializes to different bytes")
+	}
+}
+
 func TestRestoreRejectsGarbage(t *testing.T) {
 	clk := &simClock{}
-	p := newPolicy(clk, "addr:a")
-	if err := p.RestoreState([]byte("not gob")); err == nil {
-		t.Error("garbage state should fail to restore")
+	a := newPolicy(clk, "addr:a")
+	a.ProcessReq("b", reqFrom(newPolicy(clk, "addr:b")))
+	good, err := a.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"garbage":        []byte("not a state document"),
+		"empty":          nil,
+		"future version": append([]byte{stateVersion + 1}, good[1:]...),
+		"cut":            good[:len(good)-3],
+		"trailing":       append(append([]byte(nil), good...), 0),
+	} {
+		p := newPolicy(clk, "addr:a")
+		if err := p.RestoreState(data); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+		if len(p.Vector()) != 0 {
+			t.Errorf("%s: failed restore left state behind", name)
+		}
 	}
 }
 

@@ -19,19 +19,11 @@ import (
 // seed matters most: it is what lets mutation reach the deep protocol path
 // (hello → sync request → reverse response) instead of dying on frame one.
 func TestWriteFuzzCorpus(t *testing.T) {
-	transcript := validClientTranscript(t)
-	seeds := map[string][]byte{
-		"seed-empty":           {},
-		"seed-garbage":         []byte("not a gob stream"),
-		"seed-truncated-hello": transcript[:8],
-		"seed-valid":           transcript,
-		"seed-valid-v3":        validClientTranscriptV3(t),
-	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzServeConn")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for name, seed := range seeds {
+	for name, seed := range serveConnSeeds(t) {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
-	"encoding/gob"
 	"net"
 	"strings"
 	"sync"
@@ -14,14 +12,14 @@ import (
 	"replidtn/internal/replica"
 )
 
-// Regression tests for the v3 per-frame wire cap: a frame whose length
+// Regression tests for the per-frame wire cap: a frame whose length
 // prefix exceeds MaxWireBytes must be rejected before the body is buffered
 // (decode side, both roles), and a local batch too large for the cap must
 // fail the encounter before anything reaches the connection (encode side,
 // both roles).
 
 // TestServeRejectsOversizedFrameHeader: a peer that completes the hello
-// exchange at v3 and then claims a frame bigger than the server's wire cap
+// exchange and then claims a frame bigger than the server's wire cap
 // is cut off on the length prefix alone — before the server buffers a single
 // body byte — and counted as a validation rejection.
 func TestServeRejectsOversizedFrameHeader(t *testing.T) {
@@ -37,24 +35,13 @@ func TestServeRejectsOversizedFrameHeader(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := netDial(addr.String())
+	w, err := openHostile(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := encodeHello(conn, hello{Version: protocolBaseVersion, ID: "evil", Max: protocolVersion}); err != nil {
-		t.Fatal(err)
-	}
-	var peer hello
-	if err := gob.NewDecoder(conn).Decode(&peer); err != nil {
-		t.Fatalf("read server hello: %v", err)
-	}
-	// A frame header claiming 1 GiB against a 4 KiB cap, with no body behind
-	// it: if the server tried to buffer the body it would block until the
-	// deadline instead of failing fast on the prefix.
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], 1<<30)
-	if _, err := conn.Write(hdr[:]); err != nil {
+	defer w.conn.Close()
+	// A frame header claiming 1 GiB against a 4 KiB cap.
+	if _, err := w.conn.Write(hugeHeader); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -90,20 +77,17 @@ func TestDialerRejectsOversizedFrameHeader(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		var h hello
-		if err := dec.Decode(&h); err != nil {
+		w := newWireIO(conn, 0)
+		if _, err := w.readHello(); err != nil {
 			served <- err
 			return
 		}
-		if err := gob.NewEncoder(conn).Encode(hello{Version: protocolBaseVersion, ID: "fake", Max: protocolVersion}); err != nil {
+		if err := w.writeHello("fake"); err != nil {
 			served <- err
 			return
 		}
 		// Ignore the dialer's leg-1 request; answer with a hostile header.
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], 1<<30)
-		_, err = conn.Write(hdr[:])
+		_, err = conn.Write(hugeHeader)
 		served <- err
 	}()
 

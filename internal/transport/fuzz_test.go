@@ -2,13 +2,11 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
-	"replidtn/internal/filter"
 	"replidtn/internal/item"
 	"replidtn/internal/replica"
 	"replidtn/internal/vclock"
@@ -25,6 +23,13 @@ type byteConn struct {
 	r bytes.Reader
 }
 
+// replay returns a byteConn whose peer sends exactly data.
+func replay(data []byte) *byteConn {
+	c := &byteConn{}
+	c.r.Reset(data)
+	return c
+}
+
 func (c *byteConn) Read(p []byte) (int, error)         { return c.r.Read(p) }
 func (c *byteConn) Write(p []byte) (int, error)        { return len(p), nil }
 func (c *byteConn) Close() error                       { return nil }
@@ -39,8 +44,23 @@ type fuzzAddr struct{}
 func (fuzzAddr) Network() string { return "fuzz" }
 func (fuzzAddr) String() string  { return "fuzz" }
 
+// serveConnSeeds builds the seed inputs, shared by the fuzz target and the
+// corpus generator so the checked-in files never drift from f.Add.
+func serveConnSeeds(tb testing.TB) map[string][]byte {
+	transcript := validClientTranscript(tb)
+	return map[string][]byte{
+		"seed-empty":            {},
+		"seed-garbage":          []byte("not a frame stream"),
+		"seed-truncated-hello":  transcript[:8],
+		"seed-bad-magic":        rawHello("GOB!", protocolVersion, "peer"),
+		"seed-version-mismatch": rawHello(helloMagic, protocolVersion+1, "peer"),
+		"seed-oversized-id":     rawHello(helloMagic, protocolVersion, strings.Repeat("x", 300)),
+		"seed-valid":            transcript,
+	}
+}
+
 // FuzzServeConn feeds arbitrary bytes to the server side of an encounter:
-// the gob stream is the system's outermost parse-hostile surface, reachable
+// the frame stream is the system's outermost parse-hostile surface, reachable
 // by anyone who can dial the TCP port. The invariant under test is that a
 // hostile or corrupt client transcript can never panic the handler — every
 // malformed frame must surface as an error, applied transactionally (nothing
@@ -50,11 +70,9 @@ func (fuzzAddr) String() string  { return "fuzz" }
 // client transcript, so mutation explores the deep protocol path (hello →
 // request → reverse response), not just first-frame rejections.
 func FuzzServeConn(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("not a gob stream"))
-	f.Add(validClientTranscript(f)[:8]) // truncated mid-hello
-	f.Add(validClientTranscript(f))
-	f.Add(validClientTranscriptV3(f))
+	for _, seed := range serveConnSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := replica.New(replica.Config{ID: "srv", OwnAddresses: []string{"addr:srv"}})
 		r.CreateItem(item.Metadata{
@@ -63,11 +81,9 @@ func FuzzServeConn(f *testing.F) {
 		srv := NewServer(r, 4)
 		srv.MaxWireBytes = 1 << 20
 
-		conn := &byteConn{}
-		conn.r.Reset(data)
 		// The only acceptable outcomes are a clean return or a protocol
 		// error; a panic fails the run.
-		_ = srv.serveConn(conn)
+		_ = srv.serveConn(replay(data))
 
 		// Whatever the transcript did, the replica must remain internally
 		// consistent: a usable knowledge structure and a servable store.
@@ -81,71 +97,19 @@ func FuzzServeConn(f *testing.F) {
 }
 
 // validClientTranscript builds the full byte stream an honest dialer sends
-// during one encounter: hello, sync request, reverse sync response — one
-// continuous gob stream, exactly as Encounter would produce against a peer
-// holding one message.
+// during one encounter: hello, sync request, reverse sync response, exactly
+// as Encounter would produce against a peer holding one message.
 func validClientTranscript(f testing.TB) []byte {
 	f.Helper()
-	registerWireTypes()
 	peer := replica.New(replica.Config{ID: "peer", OwnAddresses: []string{"addr:peer"}})
 	it := peer.CreateItem(item.Metadata{
 		Source: "addr:peer", Destinations: []string{"addr:srv"}, Kind: "message",
 	}, []byte("from peer"))
 
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(hello{Version: protocolBaseVersion, ID: "peer"}); err != nil {
-		f.Fatal(err)
-	}
-	req := peer.MakeSyncRequest(4)
-	if err := enc.Encode(req); err != nil {
-		f.Fatal(err)
-	}
-	know := vclock.NewKnowledge()
-	know.Add(it.Version)
-	resp := &replica.SyncResponse{
-		SourceID: "peer",
-		Items: []replica.BatchItem{{
-			Item:      it,
-			Transient: item.Transient{}.Set(item.FieldHops, 1),
-		}},
-		LearnedKnowledge: know,
-	}
-	if err := enc.Encode(resp); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// validClientTranscriptV3 is the protocol-v3 counterpart: a Max-advertising
-// gob hello followed by binary frames for the sync request and the reverse
-// response, exactly as a v3 dialer produces them. Seeding it lets mutation
-// explore the binary frame decoder behind the negotiation, not just the
-// legacy gob path.
-func validClientTranscriptV3(f testing.TB) []byte {
-	f.Helper()
-	registerWireTypes()
-	peer := replica.New(replica.Config{ID: "peer", OwnAddresses: []string{"addr:peer"}})
-	it := peer.CreateItem(item.Metadata{
-		Source: "addr:peer", Destinations: []string{"addr:srv"}, Kind: "message",
-	}, []byte("from peer"))
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(hello{Version: protocolBaseVersion, ID: "peer", Max: protocolVersion}); err != nil {
-		f.Fatal(err)
-	}
-	appendFrame := func(msgType byte, body []byte) {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)+1))
-		buf.Write(hdr[:])
-		buf.WriteByte(msgType)
-		buf.Write(body)
-	}
 	reqBody, err := wire.AppendSyncRequest(nil, peer.MakeSyncRequest(4))
 	if err != nil {
 		f.Fatal(err)
 	}
-	appendFrame(frameSyncRequest, reqBody)
 	know := vclock.NewKnowledge()
 	know.Add(it.Version)
 	resp := &replica.SyncResponse{
@@ -160,32 +124,41 @@ func validClientTranscriptV3(f testing.TB) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	appendFrame(frameSyncResponse, respBody)
-	return buf.Bytes()
+	return bytes.Join([][]byte{
+		rawHello(helloMagic, protocolVersion, "peer"),
+		rawFrame(frameSyncRequest, reqBody),
+		rawFrame(frameSyncResponse, respBody),
+	}, nil)
 }
 
 // TestServeConnRejectsMalformedFrames pins the validation layer the fuzzer
-// exercises probabilistically: structurally malformed frames that gob
-// decodes happily — nil knowledge, negative budgets, nil batch items — must
-// be rejected at the transport boundary with nothing applied, because the
-// replica's in-process contract assumes they cannot occur.
+// exercises probabilistically: structurally malformed frames that the wire
+// codec decodes happily — no knowledge frame, negative budgets, a knowledge
+// demand smuggling items — must be rejected at the transport boundary with
+// nothing applied, because the replica's in-process contract assumes they
+// cannot occur.
 func TestServeConnRejectsMalformedFrames(t *testing.T) {
+	evilItem := &item.Item{
+		ID:      item.ID{Creator: "evil", Num: 1},
+		Version: vclock.Version{Replica: "evil", Seq: 1},
+		Meta:    item.Metadata{Destinations: []string{"addr:srv"}, Kind: "message"},
+	}
 	cases := []struct {
 		name string
 		req  *replica.SyncRequest
 		resp *replica.SyncResponse
 	}{
-		{name: "nil knowledge", req: &replica.SyncRequest{TargetID: "evil"}},
+		{name: "no knowledge frame", req: &replica.SyncRequest{TargetID: "evil"}},
 		{name: "negative max items", req: &replica.SyncRequest{
 			TargetID: "evil", Knowledge: vclock.NewKnowledge(), MaxItems: -1,
 		}},
 		{name: "negative max bytes", req: &replica.SyncRequest{
 			TargetID: "evil", Knowledge: vclock.NewKnowledge(), MaxBytes: -1,
 		}},
-		{name: "nil batch item", req: &replica.SyncRequest{
-			TargetID: "evil", Knowledge: vclock.NewKnowledge(), Filter: filter.All{},
+		{name: "knowledge demand with items", req: &replica.SyncRequest{
+			TargetID: "evil", Knowledge: vclock.NewKnowledge(),
 		}, resp: &replica.SyncResponse{
-			SourceID: "evil", Items: []replica.BatchItem{{Item: nil}},
+			SourceID: "evil", NeedKnowledge: true, Items: []replica.BatchItem{{Item: evilItem}},
 		}},
 	}
 	for _, tc := range cases {
@@ -201,42 +174,31 @@ func TestServeConnRejectsMalformedFrames(t *testing.T) {
 			}
 			defer srv.Close()
 
-			conn, err := netDial(addr.String())
+			w, err := openHostile(addr.String())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer conn.Close()
-			enc := gob.NewEncoder(conn)
-			dec := gob.NewDecoder(conn)
-			if err := enc.Encode(hello{Version: protocolBaseVersion, ID: "evil"}); err != nil {
-				t.Fatal(err)
-			}
-			var peerHello hello
-			if err := dec.Decode(&peerHello); err != nil {
-				t.Fatal(err)
-			}
-			if err := enc.Encode(tc.req); err != nil {
+			defer w.conn.Close()
+			if err := w.writeRequest(tc.req); err != nil {
 				t.Fatal(err)
 			}
 			if tc.resp != nil {
 				// The request was valid; walk the protocol to the reverse
 				// leg and deliver the malformed response there.
-				var legResp replica.SyncResponse
-				if err := dec.Decode(&legResp); err != nil {
+				if _, err := w.readResponse(); err != nil {
 					t.Fatal(err)
 				}
-				var revReq replica.SyncRequest
-				if err := dec.Decode(&revReq); err != nil {
+				if _, err := w.readRequest(); err != nil {
 					t.Fatal(err)
 				}
-				if err := enc.Encode(tc.resp); err != nil {
+				if err := w.writeResponse(tc.resp); err != nil {
 					t.Fatal(err)
 				}
 			}
 			select {
 			case err := <-errc:
-				if err == nil {
-					t.Fatal("server accepted malformed frame")
+				if errClass(err) != "validation" {
+					t.Fatalf("server error %v is class %q, want validation", err, errClass(err))
 				}
 			case <-time.After(3 * time.Second):
 				t.Fatal("server reported no protocol error")

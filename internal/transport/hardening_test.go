@@ -1,7 +1,9 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -10,11 +12,18 @@ import (
 	"replidtn/internal/item"
 	"replidtn/internal/obs"
 	"replidtn/internal/replica"
+	"replidtn/internal/routing"
+	"replidtn/internal/routing/maxprop"
+	"replidtn/internal/routing/prophet"
+	"replidtn/internal/vclock"
+	"replidtn/internal/wire"
+	"replidtn/internal/wire/prim"
 )
 
-// TestDialerOversizedBatchRejected mirrors the server-side oversized-gob test
-// on the dialing side: a listener shipping a batch past the dialer's
-// wire-byte cap fails the encounter mid-decode with nothing applied.
+// TestDialerOversizedBatchRejected mirrors the server-side oversized-batch
+// test on the dialing side: a listener shipping a batch past the dialer's
+// wire-byte cap fails the encounter on the frame's length prefix with nothing
+// applied.
 func TestDialerOversizedBatchRejected(t *testing.T) {
 	big := replica.New(replica.Config{ID: "big", OwnAddresses: []string{"addr:big"}})
 	big.CreateItem(item.Metadata{
@@ -184,29 +193,18 @@ func TestMetricsClassifyValidationRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := netDial(addr.String())
+	w, err := openHostile(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(hello{Version: protocolBaseVersion, ID: "evil"}); err != nil {
-		t.Fatal(err)
-	}
-	var reply hello
-	if err := dec.Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
+	defer w.conn.Close()
 	// A sync request with no knowledge must be rejected before the replica:
 	// the server hangs up without sending a sync response.
-	if err := enc.Encode(&replica.SyncRequest{TargetID: "evil"}); err != nil {
+	if err := w.writeRequest(&replica.SyncRequest{TargetID: "evil"}); err != nil {
 		t.Fatal(err)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var resp replica.SyncResponse
-	if err := dec.Decode(&resp); err == nil {
-		t.Error("expected the server to drop the malformed request")
+	if err := expectClosed(w.conn); err != nil {
+		t.Error(err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -243,5 +241,83 @@ func TestMetricsCountDialRetries(t *testing.T) {
 	}
 	if got := m.EncounterErrors.Value(); got != 3 {
 		t.Errorf("EncounterErrors = %d, want 3 (one per attempt)", got)
+	}
+}
+
+// TestHostileRoutingStateRejected: routing state is multiplied into the
+// receiver's own tables (PROPHET's transitive update, MaxProp's path costs),
+// so a request whose probabilities are not probabilities — +Inf, NaN, 1e300,
+// negative — or whose map count is forged past the frame's bytes must die in
+// the decoder as a validation error, before ProcessReq sees any of it.
+func TestHostileRoutingStateRejected(t *testing.T) {
+	now := func() int64 { return 0 }
+	newProphet := func() routing.Policy { return prophet.New(prophet.DefaultParams(), now, "addr:a") }
+	newMaxProp := func() routing.Policy { return maxprop.New("a", 3, now, "addr:a") }
+	prophetReq := func(p float64) *prophet.Request {
+		return &prophet.Request{
+			From: "evil", OwnAddresses: []string{"addr:evil"},
+			Predictability: map[string]float64{"addr:z": p},
+		}
+	}
+	maxpropReq := func(p float64) *maxprop.Request {
+		return &maxprop.Request{From: "evil", Table: map[vclock.ReplicaID]maxprop.Row{
+			"evil": {Probabilities: map[vclock.ReplicaID]float64{"z": p}, Updated: 1},
+		}}
+	}
+	// A PROPHET body claiming 2^21 vector entries with none behind the count.
+	forgedCount := append(prim.AppendStrings(prim.AppendString(nil, "evil"), nil), 0x80, 0x80, 0x80, 0x01)
+	cases := []struct {
+		name    string
+		policy  func() routing.Policy
+		routing routing.Request
+		splice  []byte // when set, replaces the encoded routing body
+	}{
+		{name: "prophet +Inf", policy: newProphet, routing: prophetReq(math.Inf(1))},
+		{name: "prophet NaN", policy: newProphet, routing: prophetReq(math.NaN())},
+		{name: "prophet 1e300", policy: newProphet, routing: prophetReq(1e300)},
+		{name: "prophet negative", policy: newProphet, routing: prophetReq(-0.5)},
+		{name: "maxprop row above 1", policy: newMaxProp, routing: maxpropReq(1.5)},
+		{name: "maxprop row NaN", policy: newMaxProp, routing: maxpropReq(math.NaN())},
+		{name: "forged map count", policy: newProphet, routing: prophetReq(0.5), splice: forgedCount},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}, Policy: tc.policy()})
+			before, err := a.PolicyState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := wire.AppendSyncRequest(nil, &replica.SyncRequest{
+				TargetID: "evil", Knowledge: vclock.NewKnowledge(), Routing: tc.routing,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.splice != nil {
+				honest := tc.routing.(*prophet.Request).AppendBinary(nil)
+				at := bytes.Index(body, honest)
+				if at < 4 {
+					t.Fatal("routing body not found in the encoded request")
+				}
+				spliced := binary.LittleEndian.AppendUint32(body[:at-4:at-4], uint32(len(tc.splice)))
+				body = append(append(spliced, tc.splice...), body[at+len(honest):]...)
+			}
+			srv := NewServer(a, 0)
+			srv.Metrics = &obs.TransportMetrics{}
+			transcript := append(rawHello(helloMagic, protocolVersion, "evil"), rawFrame(frameSyncRequest, body)...)
+			if err := srv.serveConn(replay(transcript)); errClass(err) != "validation" {
+				t.Errorf("server error %v is class %q, want validation", err, errClass(err))
+			}
+			if got := srv.Metrics.ValidationRejected.Value(); got != 1 {
+				t.Errorf("ValidationRejected = %d, want 1", got)
+			}
+			after, err := a.PolicyState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Error("rejected request still changed the policy's routing state")
+			}
+		})
 	}
 }

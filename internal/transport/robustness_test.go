@@ -1,9 +1,9 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -50,7 +50,7 @@ func TestServerSurvivesGarbageConnections(t *testing.T) {
 				conn.Write(buf)
 			case 1: // immediate disconnect
 			case 2: // valid hello then garbage
-				encodeHello(conn, hello{Version: protocolBaseVersion, ID: "x"})
+				conn.Write(rawHello(helloMagic, protocolVersion, "x"))
 				conn.Write([]byte{0xde, 0xad, 0xbe, 0xef})
 			}
 		}()
@@ -119,25 +119,25 @@ func TestGarbageNeverPanics(t *testing.T) {
 	}
 }
 
-// chokeWriter forwards writes to a connection until its limit is exhausted,
+// chokeConn forwards writes to a connection until its limit is exhausted,
 // then fails mid-write — the wire sees a prefix of a valid frame, exactly
 // what a link dying mid-batch produces.
-type chokeWriter struct {
-	conn  net.Conn
+type chokeConn struct {
+	net.Conn
 	limit int // -1 = unlimited
 }
 
-func (c *chokeWriter) Write(p []byte) (int, error) {
+func (c *chokeConn) Write(p []byte) (int, error) {
 	if c.limit < 0 {
-		return c.conn.Write(p)
+		return c.Conn.Write(p)
 	}
 	if len(p) > c.limit {
-		c.conn.Write(p[:c.limit])
+		c.Conn.Write(p[:c.limit])
 		c.limit = 0
 		return 0, errTruncated
 	}
 	c.limit -= len(p)
-	return c.conn.Write(p)
+	return c.Conn.Write(p)
 }
 
 var errTruncated = errors.New("link died mid-frame")
@@ -166,26 +166,24 @@ func TestTruncatedBatchAppliesNothing(t *testing.T) {
 		}
 		defer conn.Close()
 		// Speak the protocol honestly up to the batch, then die mid-frame.
-		cw := &chokeWriter{conn: conn, limit: -1}
-		enc := gob.NewEncoder(cw)
-		dec := gob.NewDecoder(conn)
-		var h hello
-		if err := dec.Decode(&h); err != nil {
+		cc := &chokeConn{Conn: conn, limit: -1}
+		w := newWireIO(cc, 0)
+		if _, err := w.readHello(); err != nil {
 			served <- err
 			return
 		}
-		if err := enc.Encode(hello{Version: protocolBaseVersion, ID: "peer"}); err != nil {
+		if err := w.writeHello("peer"); err != nil {
 			served <- err
 			return
 		}
-		var req replica.SyncRequest
-		if err := dec.Decode(&req); err != nil {
+		req, err := w.readRequest()
+		if err != nil {
 			served <- err
 			return
 		}
-		resp := peer.HandleSyncRequest(&req)
-		cw.limit = 20 // the batch frame is cut after 20 bytes
-		if err := enc.Encode(resp); err != errTruncated {
+		resp := peer.HandleSyncRequest(req)
+		cc.limit = 20 // the batch frame is cut after 20 bytes
+		if err := w.writeResponse(resp); err != errTruncated {
 			served <- fmt.Errorf("expected truncation, got %v", err)
 			return
 		}
@@ -385,10 +383,8 @@ func TestEncounterRetryNotOnProtocolError(t *testing.T) {
 			mu.Lock()
 			accepts++
 			mu.Unlock()
-			dec := gob.NewDecoder(conn)
-			var h hello
-			dec.Decode(&h)
-			gob.NewEncoder(conn).Encode(hello{Version: 99, ID: "zeta"})
+			conn.Write(rawHello(helloMagic, 99, "zeta"))
+			io.Copy(io.Discard, conn) // hold the line until the dialer hangs up
 			conn.Close()
 		}
 	}()

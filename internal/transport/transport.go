@@ -4,135 +4,56 @@
 //
 // One connection carries one encounter, mirroring the emulated protocol: a
 // hello exchange, then two synchronizations with alternating source/target
-// roles. Hellos are always gob-encoded — gob's self-describing framing is
-// what lets every protocol generation parse them — and on encounters
-// negotiated at version 3 or above the sync messages that follow switch to
-// explicit length-prefixed binary frames (internal/wire), with the wire-byte
-// cap enforced per frame on both sides. Older encounters keep speaking pure
-// gob, bit-identical to previous builds.
+// roles. Every message, the hello included, is a length-prefixed binary frame
+// (bodies in the internal/wire encoding), and the wire-byte cap is enforced
+// per frame on both sides. There is one protocol: a peer whose hello carries
+// a different version byte is refused.
 package transport
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"syscall"
 	"time"
 
-	"replidtn/internal/filter"
 	"replidtn/internal/obs"
 	"replidtn/internal/replica"
-	"replidtn/internal/routing"
-	"replidtn/internal/routing/maxprop"
-	"replidtn/internal/routing/prophet"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire"
+	"replidtn/internal/wire/prim"
 )
 
-// protocolVersion is the highest protocol this build speaks. Version 2 adds
-// the compact knowledge summary mode (Bloom digests, delta knowledge, and
-// the NeedKnowledge fallback round; see internal/replica/summary.go).
-// Version 3 replaces gob with length-prefixed binary frames (internal/wire)
-// for every post-hello message and enforces MaxWireBytes per frame instead
-// of cumulatively per connection.
-const protocolVersion = 3
+// protocolVersion is the one protocol this build speaks, carried as a single
+// byte in the hello. Versions 1–3 were the retired gob-hello generations; a
+// mismatch is refused, never negotiated.
+const protocolVersion = 4
 
-// protocolBaseVersion is the version every build has ever required in the
-// hello's Version field. It never changes: version 1 peers validate
-// Version == 1 and know nothing of the Max field, so capability negotiation
-// rides in Max while Version stays pinned at the base.
-const protocolBaseVersion = 1
+// helloMagic opens every hello body, so a stray connection from some other
+// protocol is refused on its first frame.
+const helloMagic = "RDTN"
+
+// maxHelloFrame caps the hello frame (type byte, magic, version byte, and the
+// length-prefixed replica ID, which gets 256 bytes) on both sides. The hello
+// arrives before anything about the peer is known, so its cap is fixed and
+// small rather than MaxWireBytes: a hostile first frame cannot make this
+// side allocate more than this.
+const maxHelloFrame = int64(1 + len(helloMagic) + 1 + 2 + 256)
 
 // defaultIOTimeout bounds one connection's total I/O when the server does not
 // configure its own limit: a peer that stalls (slow-loris, dead link) is cut
 // off rather than pinning a handler goroutine.
 const defaultIOTimeout = 30 * time.Second
 
-// defaultMaxWireBytes bounds the bytes read from one connection — on both the
-// serving and the dialing side — when no explicit limit is configured, so an
-// adversarial or broken peer cannot make the other end buffer unbounded gob
-// input.
+// defaultMaxWireBytes bounds each frame read from or written to a connection
+// — on both the serving and the dialing side — when no explicit limit is
+// configured, so an adversarial or broken peer cannot make the other end
+// buffer unbounded input.
 const defaultMaxWireBytes = 64 << 20
-
-// registerOnce installs the concrete filter and routing-request types that
-// travel inside interface-typed sync request fields.
-var registerOnce sync.Once
-
-func registerWireTypes() {
-	registerOnce.Do(func() {
-		gob.Register(filter.All{})
-		gob.Register(filter.None{})
-		gob.Register(&filter.Addresses{})
-		gob.Register(&filter.Or{})
-		gob.Register(filter.Kind{})
-		gob.Register(&prophet.Request{})
-		gob.Register(&maxprop.Request{})
-	})
-}
-
-// RegisterRequestType makes an additional routing-policy request type
-// encodable on the wire; custom policies call this once at startup.
-func RegisterRequestType(req routing.Request) {
-	registerWireTypes()
-	gob.Register(req)
-}
-
-// hello opens each connection in both directions. Version is always
-// protocolBaseVersion — the compatibility floor old peers hard-check — and
-// Max, when nonzero, advertises the highest version the sender speaks; the
-// encounter runs at the minimum of both sides' ceilings. Old builds omit
-// Max when encoding (the field does not exist) and ignore it when decoding
-// (gob drops unknown fields), and a v1-pinned new build omits it too (gob
-// elides zero fields), making its hello byte-identical to an old build's —
-// so every pairing of old and new interoperates.
-type hello struct {
-	Version int
-	ID      vclock.ReplicaID
-	Max     int
-}
-
-// effectiveMax clamps a configured protocol ceiling into [1, protocolVersion];
-// 0 (unset) selects the build's maximum.
-func effectiveMax(configured int) int {
-	if configured <= 0 || configured > protocolVersion {
-		return protocolVersion
-	}
-	return configured
-}
-
-// localHello builds our hello frame for the given ceiling.
-func localHello(id vclock.ReplicaID, max int) hello {
-	h := hello{Version: protocolBaseVersion, ID: id}
-	if max > protocolBaseVersion {
-		h.Max = max
-	}
-	return h
-}
-
-// negotiate returns the version an encounter runs at: the minimum of our
-// ceiling and the peer's advertised one (absent Max means a v1-only peer).
-func negotiate(ourMax int, peer hello) int {
-	peerMax := peer.Max
-	if peerMax < protocolBaseVersion {
-		peerMax = protocolBaseVersion
-	}
-	if peerMax < ourMax {
-		return peerMax
-	}
-	return ourMax
-}
-
-// done closes an encounter: the listener acknowledges that it applied the
-// reverse batch, making the exchange synchronous for the dialer.
-type done struct {
-	Applied int
-}
 
 // Server accepts encounters for one replica. The zero value is not usable;
 // call NewServer.
@@ -145,17 +66,13 @@ type Server struct {
 	// IOTimeout bounds each connection's total I/O time; 0 selects the
 	// 30-second default. Set before Listen.
 	IOTimeout time.Duration
-	// MaxWireBytes bounds the bytes read from one connection; 0 selects the
-	// 64 MiB default. A peer exceeding it fails mid-decode and the
-	// connection is dropped with nothing applied. Set before Listen.
+	// MaxWireBytes bounds each frame of a connection; 0 selects the 64 MiB
+	// default. A peer exceeding it is rejected on the frame's length prefix
+	// and the connection is dropped with nothing applied. Set before Listen.
 	MaxWireBytes int64
 	// Metrics, when set before Listen, receives served-encounter counters,
 	// wire accounting, and sync spans. Nil disables instrumentation.
 	Metrics *obs.TransportMetrics
-	// MaxProtocol pins the highest protocol version this server negotiates
-	// (for staged rollouts and downgrade tests); 0 selects the build's
-	// maximum. Set before Listen.
-	MaxProtocol int
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -166,7 +83,6 @@ type Server struct {
 // NewServer wraps a replica. maxItems bounds each served synchronization
 // batch (0 = unlimited).
 func NewServer(r *replica.Replica, maxItems int) *Server {
-	registerWireTypes()
 	return &Server{replica: r, maxItems: maxItems}
 }
 
@@ -231,32 +147,15 @@ func (e *validationError) Unwrap() error { return e.err }
 var errVersionMismatch = errors.New("protocol version mismatch")
 
 // validateRequest rejects structurally malformed sync requests before they
-// reach the replica. gob happily decodes a frame with fields omitted or
-// forged, and the replica's in-process contract (a knowledge frame present,
-// non-negative budgets) must not be enforceable by a hostile peer's byte
-// stream: a nil knowledge would panic HandleSyncRequest, and a negative
-// MaxItems would bypass the server's batch clamp. The version rule: a v1
-// encounter carries exactly an exact-knowledge frame; a v2 encounter carries
-// exactly one of exact knowledge, digest, or delta.
-func validateRequest(req *replica.SyncRequest, ver int) error {
-	frames := 0
-	if req.Knowledge != nil {
-		frames++
-	}
-	if req.Digest != nil {
-		frames++
-	}
-	if req.Delta != nil {
-		frames++
-	}
-	if ver < 2 && (req.Digest != nil || req.Delta != nil) {
-		return &validationError{errors.New("summary knowledge frame on a v1 encounter")}
-	}
-	if ver < 2 && req.Knowledge == nil {
-		return &validationError{errors.New("sync request missing knowledge")}
-	}
-	if ver >= 2 && frames != 1 {
-		return &validationError{fmt.Errorf("sync request carries %d knowledge frames, want exactly 1", frames)}
+// reach the replica. A frame can decode with fields omitted or forged, and
+// the replica's in-process contract (a knowledge frame present, non-negative
+// budgets) must not be enforceable by a hostile peer's byte stream: a missing
+// knowledge frame would panic HandleSyncRequest, and a negative MaxItems
+// would bypass the server's batch clamp. (The wire layout tags one knowledge
+// form per request, so "none" is the only miscount a frame can express.)
+func validateRequest(req *replica.SyncRequest) error {
+	if req.Knowledge == nil && req.Digest == nil && req.Delta == nil {
+		return &validationError{errors.New("sync request without a knowledge frame")}
 	}
 	if req.MaxItems < 0 || req.MaxBytes < 0 {
 		return &validationError{fmt.Errorf("sync request with negative budget (items %d, bytes %d)", req.MaxItems, req.MaxBytes)}
@@ -265,22 +164,12 @@ func validateRequest(req *replica.SyncRequest, ver int) error {
 }
 
 // validateResponse rejects structurally malformed sync responses before
-// ApplyBatch, which documents that it is only ever handed complete, valid
-// batches: a nil item pointer in a decoded batch would panic it. A
-// NeedKnowledge demand is a v2 frame and carries no items by contract.
-func validateResponse(resp *replica.SyncResponse, ver int) error {
-	if resp.NeedKnowledge {
-		if ver < 2 {
-			return &validationError{errors.New("knowledge demand on a v1 encounter")}
-		}
-		if len(resp.Items) > 0 {
-			return &validationError{fmt.Errorf("knowledge demand carrying %d items", len(resp.Items))}
-		}
-	}
-	for i := range resp.Items {
-		if resp.Items[i].Item == nil {
-			return &validationError{fmt.Errorf("batch item %d missing item", i)}
-		}
+// ApplyBatch: a NeedKnowledge demand carries no items by contract. (Every
+// decoded batch item has its item — the wire decoder fails the frame
+// otherwise.)
+func validateResponse(resp *replica.SyncResponse) error {
+	if resp.NeedKnowledge && len(resp.Items) > 0 {
+		return &validationError{fmt.Errorf("knowledge demand carrying %d items", len(resp.Items))}
 	}
 	return nil
 }
@@ -298,28 +187,18 @@ func (c countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// countingWriter counts bytes pushed through it into *n.
-type countingWriter struct {
-	w io.Writer
-	n *int64
-}
-
-func (c countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	*c.n += int64(n)
-	return n, err
-}
-
-// Binary frame layout for v3+ encounters: a uint32 little-endian length
-// (covering the type byte and body, so always >= 1), a message-type byte,
-// and the body in the internal/wire encoding. The length is checked against
-// the wire-byte cap before any body allocation on the read side and after
-// assembly on the write side, so an oversized frame is rejected by both the
-// producer and the consumer.
+// Frame layout, for every message of a connection: a uint32 little-endian
+// length (covering the type byte and body, so always >= 1), a message-type
+// byte, and the body. The hello body is magic, version byte, replica ID; the
+// others are internal/wire encodings. The length is checked against the
+// frame's cap before any body allocation on the read side and after assembly
+// on the write side, so an oversized frame is rejected by both the producer
+// and the consumer.
 const (
 	frameSyncRequest  = 1
 	frameSyncResponse = 2
 	frameDone         = 3
+	frameHello        = 4
 )
 
 // maxFrameScratch caps the encode/decode scratch buffers retained across
@@ -327,21 +206,13 @@ const (
 // the connection.
 const maxFrameScratch = 4 << 20
 
-// wireIO bundles one encounter connection's codecs with the wire-byte cap
-// and frame/byte accounting the metrics hooks report. Hellos always travel
-// as gob; after negotiation, upgrade switches the sync messages to binary
-// frames when the encounter version is 3 or higher. Both codecs share one
-// buffered reader — bufio.Reader implements io.ByteReader, so gob reads
-// through it without stacking a second buffer, and bytes it read ahead
-// remain available to the frame decoder after the upgrade.
+// wireIO frames one encounter connection's messages, enforcing the
+// MaxWireBytes cap per frame and keeping the frame/byte accounting the
+// metrics hooks report.
 type wireIO struct {
-	enc   *gob.Encoder
-	dec   *gob.Decoder
+	conn  net.Conn
 	br    *bufio.Reader
-	lr    *io.LimitedReader
-	out   countingWriter
-	ver   int   // negotiated encounter version; 0 until upgrade
-	limit int64 // the MaxWireBytes cap: cumulative for gob, per-frame for v3
+	limit int64 // the MaxWireBytes cap, applied to each frame
 
 	rbuf, wbuf          []byte
 	bytesIn, bytesOut   int64
@@ -349,104 +220,60 @@ type wireIO struct {
 }
 
 func newWireIO(conn net.Conn, limit int64) *wireIO {
-	w := &wireIO{limit: limit}
-	w.out = countingWriter{w: conn, n: &w.bytesOut}
-	w.lr = &io.LimitedReader{R: countingReader{r: conn, n: &w.bytesIn}, N: limit}
-	w.br = bufio.NewReader(w.lr)
-	w.enc = gob.NewEncoder(w.out)
-	w.dec = gob.NewDecoder(w.br)
+	if limit <= 0 {
+		limit = defaultMaxWireBytes
+	}
+	w := &wireIO{conn: conn, limit: limit}
+	w.br = bufio.NewReader(countingReader{r: conn, n: &w.bytesIn})
 	return w
 }
 
-// upgrade records the negotiated version once the hello exchange settles.
-// From version 3 on, the cumulative read cap gob needed is lifted and the
-// same limit is enforced on each frame instead — a long-lived connection may
-// move any number of frames, none larger than MaxWireBytes.
-func (w *wireIO) upgrade(ver int) {
-	w.ver = ver
-	if ver >= 3 {
-		w.lr.N = math.MaxInt64
-	}
+// beginFrame starts a frame of the given type in the reusable scratch
+// buffer; the body is appended to the returned slice and handed to
+// writeFrame.
+func (w *wireIO) beginFrame(msgType byte) []byte {
+	return append(w.wbuf[:0], 0, 0, 0, 0, msgType)
 }
 
-func (w *wireIO) encode(v any) error {
-	if w.ver >= 3 {
-		return w.encodeFrame(v)
-	}
-	if err := w.enc.Encode(v); err != nil {
-		return err
-	}
-	w.framesOut++
-	return nil
-}
-
-// encodeFrame assembles one binary frame in the reusable scratch buffer and
-// writes it in a single Write. The per-frame cap is checked after assembly,
-// before anything reaches the connection: a local batch too large for the
-// negotiated limit fails the encounter cleanly instead of feeding the peer a
-// frame it is bound to reject.
-func (w *wireIO) encodeFrame(v any) error {
-	buf := append(w.wbuf[:0], 0, 0, 0, 0)
-	var err error
-	switch v := v.(type) {
-	case *replica.SyncRequest:
-		buf = append(buf, frameSyncRequest)
-		buf, err = wire.AppendSyncRequest(buf, v)
-	case *replica.SyncResponse:
-		buf = append(buf, frameSyncResponse)
-		buf, err = wire.AppendSyncResponse(buf, v) //lint:allow transientleak -- BatchItem.Transient is the policy-mediated transmit copy built by transmitTransient: an explicit field of the wire protocol, not a leak of host-local state
-	case done:
-		buf = append(buf, frameDone)
-		buf = wire.AppendDone(buf, v.Applied)
-	default:
-		return fmt.Errorf("transport: unframeable message type %T", v)
-	}
+// writeFrame back-patches the length of a frame begun with beginFrame and
+// writes it in a single Write. The cap is checked after assembly, before
+// anything reaches the connection: a local batch too large for the limit
+// fails the encounter cleanly instead of feeding the peer a frame it is
+// bound to reject.
+func (w *wireIO) writeFrame(buf []byte, limit int64) error {
 	w.wbuf = buf
 	if cap(w.wbuf) > maxFrameScratch {
 		w.wbuf = nil
 	}
-	if err != nil {
-		return err
-	}
 	length := len(buf) - 4
-	if int64(length) > w.limit {
-		return fmt.Errorf("transport: outgoing frame of %d bytes exceeds the %d-byte wire limit", length, w.limit)
+	if int64(length) > limit {
+		return fmt.Errorf("transport: outgoing frame of %d bytes exceeds the %d-byte wire limit", length, limit)
 	}
 	binary.LittleEndian.PutUint32(buf[:4], uint32(length))
-	if _, err := w.out.Write(buf); err != nil {
+	n, err := w.conn.Write(buf)
+	w.bytesOut += int64(n)
+	if err != nil {
 		return err
 	}
 	w.framesOut++
 	return nil
 }
 
-func (w *wireIO) decode(v any) error {
-	if w.ver >= 3 {
-		return w.decodeFrame(v)
-	}
-	if err := w.dec.Decode(v); err != nil {
-		return err
-	}
-	w.framesIn++
-	return nil
-}
-
-// decodeFrame reads one binary frame. The length prefix is validated against
-// the per-frame cap before the body is buffered, so a hostile peer cannot
-// make this side allocate past MaxWireBytes; a frame that decodes but fails
-// the wire codec is a validation error, counted with the other structural
-// rejections.
-func (w *wireIO) decodeFrame(v any) error {
+// readFrame reads one frame of the wanted type and returns its body, which
+// aliases the scratch buffer until the next read. The length prefix is
+// validated against the cap before the body is buffered, so a hostile peer
+// cannot make this side allocate past it.
+func (w *wireIO) readFrame(want byte, limit int64) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(w.br, hdr[:]); err != nil {
-		return err
+		return nil, err
 	}
 	length := binary.LittleEndian.Uint32(hdr[:])
 	if length == 0 {
-		return &validationError{errors.New("empty wire frame")}
+		return nil, &validationError{errors.New("empty wire frame")}
 	}
-	if int64(length) > w.limit {
-		return &validationError{fmt.Errorf("incoming frame of %d bytes exceeds the %d-byte wire limit", length, w.limit)}
+	if int64(length) > limit {
+		return nil, &validationError{fmt.Errorf("incoming frame of %d bytes exceeds the %d-byte wire limit", length, limit)}
 	}
 	if cap(w.rbuf) < int(length) {
 		w.rbuf = make([]byte, length)
@@ -456,42 +283,90 @@ func (w *wireIO) decodeFrame(v any) error {
 		w.rbuf = nil
 	}
 	if _, err := io.ReadFull(w.br, buf); err != nil {
-		return err
+		return nil, err
 	}
-	msgType, body := buf[0], buf[1:]
-	switch v := v.(type) {
-	case *replica.SyncRequest:
-		if msgType != frameSyncRequest {
-			return &validationError{fmt.Errorf("frame type %d, want sync request", msgType)}
-		}
-		req, err := wire.DecodeSyncRequest(body)
-		if err != nil {
-			return &validationError{err}
-		}
-		*v = *req
-	case *replica.SyncResponse:
-		if msgType != frameSyncResponse {
-			return &validationError{fmt.Errorf("frame type %d, want sync response", msgType)}
-		}
-		resp, err := wire.DecodeSyncResponse(body)
-		if err != nil {
-			return &validationError{err}
-		}
-		*v = *resp
-	case *done:
-		if msgType != frameDone {
-			return &validationError{fmt.Errorf("frame type %d, want done", msgType)}
-		}
-		applied, err := wire.DecodeDone(body)
-		if err != nil {
-			return &validationError{err}
-		}
-		v.Applied = applied
-	default:
-		return fmt.Errorf("transport: unframeable message type %T", v)
+	if buf[0] != want {
+		return nil, &validationError{fmt.Errorf("frame type %d, want %d", buf[0], want)}
 	}
 	w.framesIn++
-	return nil
+	return buf[1:], nil
+}
+
+// writeHello opens our side of the connection.
+func (w *wireIO) writeHello(id vclock.ReplicaID) error {
+	buf := append(w.beginFrame(frameHello), helloMagic...)
+	buf = append(buf, protocolVersion)
+	return w.writeFrame(prim.AppendString(buf, string(id)), maxHelloFrame)
+}
+
+// readHello reads the peer's hello and returns its replica ID. Wrong magic
+// or a different version byte is errVersionMismatch: there is nothing to
+// negotiate, the peer is refused.
+func (w *wireIO) readHello() (vclock.ReplicaID, error) {
+	body, err := w.readFrame(frameHello, maxHelloFrame)
+	if err != nil {
+		return "", err
+	}
+	if len(body) <= len(helloMagic) || string(body[:len(helloMagic)]) != helloMagic {
+		return "", fmt.Errorf("hello without the %q magic: %w", helloMagic, errVersionMismatch)
+	}
+	if ver := body[len(helloMagic)]; ver != protocolVersion {
+		return "", fmt.Errorf("protocol version %d, want %d: %w", ver, protocolVersion, errVersionMismatch)
+	}
+	d := prim.NewDecoder(body[len(helloMagic)+1:])
+	id := vclock.ReplicaID(d.String())
+	if err := d.Finish(); err != nil {
+		return "", &validationError{err}
+	}
+	return id, nil
+}
+
+func (w *wireIO) writeRequest(req *replica.SyncRequest) error {
+	buf, err := wire.AppendSyncRequest(w.beginFrame(frameSyncRequest), req)
+	if err != nil {
+		return err
+	}
+	return w.writeFrame(buf, w.limit)
+}
+
+func (w *wireIO) writeResponse(resp *replica.SyncResponse) error {
+	//lint:allow transientleak -- BatchItem.Transient is the policy-mediated transmit copy built by transmitTransient (e.g. a halved spray allowance): an explicit field of the wire protocol, not a leak of host-local state
+	buf, err := wire.AppendSyncResponse(w.beginFrame(frameSyncResponse), resp)
+	if err != nil {
+		return err
+	}
+	return w.writeFrame(buf, w.limit)
+}
+
+func (w *wireIO) writeDone(applied int) error {
+	return w.writeFrame(wire.AppendDone(w.beginFrame(frameDone), applied), w.limit)
+}
+
+// readMessage reads one frame of the wanted type, decodes its body and
+// applies the structural rules. A frame that arrives whole but fails either
+// is a validation error, counted with the other rejections of a hostile peer.
+func readMessage[T any](w *wireIO, want byte, decode func([]byte) (T, error), validate func(T) error) (msg T, err error) {
+	body, err := w.readFrame(want, w.limit)
+	if err != nil {
+		return msg, err
+	}
+	if msg, err = decode(body); err != nil {
+		return msg, &validationError{err}
+	}
+	return msg, validate(msg)
+}
+
+func (w *wireIO) readRequest() (*replica.SyncRequest, error) {
+	return readMessage(w, frameSyncRequest, wire.DecodeSyncRequest, validateRequest)
+}
+
+func (w *wireIO) readResponse() (*replica.SyncResponse, error) {
+	return readMessage(w, frameSyncResponse, wire.DecodeSyncResponse, validateResponse)
+}
+
+func (w *wireIO) readDone() error {
+	_, err := readMessage(w, frameDone, wire.DecodeDone, func(int) error { return nil })
+	return err
 }
 
 // errClass buckets an encounter error for spans and counters: "" (success),
@@ -546,82 +421,68 @@ func record(m *obs.TransportMetrics, span obs.SyncSpan, w *wireIO, start time.Ti
 	m.Spans.Record(span)
 }
 
-// serveBatch runs one directed synchronization as the source side: decode
-// the peer's request, serve it, and — when the replica demands exact
-// knowledge for an unservable summary frame — run the single fallback round
-// before shipping the batch. Both encounter roles serve one leg with it.
-func serveBatch(w *wireIO, r *replica.Replica, maxItems, ver int) (*replica.SyncResponse, error) {
-	var req replica.SyncRequest
-	if err := w.decode(&req); err != nil {
+// serveBatch runs one directed synchronization as the source side: read the
+// peer's request, serve it, and — when the replica demands exact knowledge
+// for an unservable summary frame — run the single fallback round before
+// shipping the batch. Both encounter roles serve one leg with it.
+func serveBatch(w *wireIO, r *replica.Replica, maxItems int) (*replica.SyncResponse, error) {
+	req, err := w.readRequest()
+	if err != nil {
 		return nil, fmt.Errorf("read sync request: %w", err)
 	}
-	if err := validateRequest(&req, ver); err != nil {
-		return nil, err
-	}
-	clampItems(&req, maxItems)
-	resp := r.HandleSyncRequest(&req)
+	clampItems(req, maxItems)
+	resp := r.HandleSyncRequest(req)
 	if resp.NeedKnowledge {
-		if err := w.encode(resp); err != nil {
+		if err := w.writeResponse(resp); err != nil {
 			return nil, fmt.Errorf("write knowledge demand: %w", err)
 		}
-		var retry replica.SyncRequest
-		if err := w.decode(&retry); err != nil {
+		retry, err := w.readRequest()
+		if err != nil {
 			return nil, fmt.Errorf("read fallback request: %w", err)
-		}
-		if err := validateRequest(&retry, ver); err != nil {
-			return nil, err
 		}
 		if retry.Knowledge == nil {
 			// One fallback round, maximum: the retry must be exact. A peer
 			// looping summary frames would otherwise pin this handler.
 			return nil, &validationError{errors.New("fallback request without exact knowledge")}
 		}
-		clampItems(&retry, maxItems)
-		resp = r.HandleSyncRequest(&retry)
+		clampItems(retry, maxItems)
+		resp = r.HandleSyncRequest(retry)
 	}
-	//lint:allow transientleak -- BatchItem.Transient is the policy-mediated transmit copy built by transmitTransient (e.g. a halved spray allowance): an explicit field of the wire protocol, not a leak of host-local state
-	if err := w.encode(resp); err != nil {
+	if err := w.writeResponse(resp); err != nil {
 		return nil, fmt.Errorf("write sync response: %w", err)
 	}
 	return resp, nil
 }
 
 // pullBatch runs one directed synchronization as the target side: send our
-// request (summary form when negotiated and enabled), retry once with exact
-// knowledge if the source demands it, and apply the batch. The returned
-// SyncResult carries knowledge-frame byte accounting like the in-process
-// session drivers'.
-func pullBatch(w *wireIO, r *replica.Replica, peer vclock.ReplicaID, maxItems, ver int) (res replica.SyncResult, err error) {
+// request (a digest or delta summary when the replica has summaries enabled,
+// exact knowledge otherwise), retry once with exact knowledge if the source
+// demands it, and apply the batch. The returned SyncResult carries
+// knowledge-frame byte accounting like the in-process session drivers'.
+func pullBatch(w *wireIO, r *replica.Replica, peer vclock.ReplicaID, maxItems int) (res replica.SyncResult, err error) {
 	var req *replica.SyncRequest
-	if ver >= 2 && r.SummariesEnabled() {
+	if r.SummariesEnabled() {
 		req = r.MakeSummaryRequest(peer, maxItems)
 	} else {
 		req = r.MakeSyncRequest(maxItems)
 	}
 	res.KnowledgeBytes = req.KnowledgeWireBytes()
-	if err := w.encode(req); err != nil {
+	if err := w.writeRequest(req); err != nil {
 		return res, fmt.Errorf("write sync request: %w", err)
 	}
-	var resp replica.SyncResponse
-	if err := w.decode(&resp); err != nil {
+	resp, err := w.readResponse()
+	if err != nil {
 		return res, fmt.Errorf("read sync response: %w", err)
-	}
-	if err := validateResponse(&resp, ver); err != nil {
-		return res, err
 	}
 	if resp.NeedKnowledge {
 		res.Fallback = true
 		retry := r.MakeFallbackRequest(peer, maxItems, req.Routing)
 		res.KnowledgeBytes += retry.KnowledgeWireBytes()
-		if err := w.encode(retry); err != nil {
+		if err := w.writeRequest(retry); err != nil {
 			return res, fmt.Errorf("write fallback request: %w", err)
 		}
-		resp = replica.SyncResponse{}
-		if err := w.decode(&resp); err != nil {
+		if resp, err = w.readResponse(); err != nil {
 			return res, fmt.Errorf("read fallback response: %w", err)
-		}
-		if err := validateResponse(&resp, ver); err != nil {
-			return res, err
 		}
 		if resp.NeedKnowledge {
 			// An exact frame is always servable; a second demand is hostile.
@@ -629,9 +490,9 @@ func pullBatch(w *wireIO, r *replica.Replica, peer vclock.ReplicaID, maxItems, v
 		}
 	}
 	res.Sent = len(resp.Items)
-	res.SentBytes = replica.BatchBytes(&resp)
+	res.SentBytes = replica.BatchBytes(resp)
 	res.Truncated = resp.Truncated
-	res.Apply = r.ApplyBatch(&resp)
+	res.Apply = r.ApplyBatch(resp)
 	return res, nil
 }
 
@@ -653,11 +514,7 @@ func (s *Server) serveConn(conn net.Conn) (err error) {
 		timeout = defaultIOTimeout
 	}
 	_ = conn.SetDeadline(time.Now().Add(timeout))
-	limit := s.MaxWireBytes
-	if limit <= 0 {
-		limit = defaultMaxWireBytes
-	}
-	w := newWireIO(conn, limit)
+	w := newWireIO(conn, s.MaxWireBytes)
 
 	span := obs.SyncSpan{Peer: conn.RemoteAddr().String(), Role: obs.RoleServe}
 	if s.Metrics != nil {
@@ -666,35 +523,29 @@ func (s *Server) serveConn(conn net.Conn) (err error) {
 		defer func() { record(s.Metrics, span, w, start, err) }()
 	}
 
-	max := effectiveMax(s.MaxProtocol)
-	var peer hello
-	if err := w.decode(&peer); err != nil {
+	peer, err := w.readHello()
+	if err != nil {
 		return fmt.Errorf("transport: read hello: %w", err)
 	}
-	if peer.Version != protocolBaseVersion {
-		return fmt.Errorf("transport: protocol version %d, want %d: %w", peer.Version, protocolBaseVersion, errVersionMismatch)
-	}
-	ver := negotiate(max, peer)
-	span.Peer = string(peer.ID)
-	if err := w.encode(localHello(s.replica.ID(), max)); err != nil {
+	span.Peer = string(peer)
+	if err := w.writeHello(s.replica.ID()); err != nil {
 		return fmt.Errorf("transport: write hello: %w", err)
 	}
-	w.upgrade(ver)
 
 	// Leg 1: we are the source; the dialer pulls from us.
-	resp, err := serveBatch(w, s.replica, s.maxItems, ver)
+	resp, err := serveBatch(w, s.replica, s.maxItems)
 	if err != nil {
 		return fmt.Errorf("transport: %w", err)
 	}
 	span.ItemsSent = len(resp.Items)
 
 	// Leg 2: roles alternate; we pull from the dialer.
-	res, err := pullBatch(w, s.replica, peer.ID, s.maxItems, ver)
+	res, err := pullBatch(w, s.replica, peer, s.maxItems)
 	if err != nil {
 		return fmt.Errorf("transport: %w", err)
 	}
 	span.ItemsApplied = res.Apply.Stored + res.Apply.Relayed + res.Apply.Tombstones
-	if err := w.encode(done{Applied: span.ItemsApplied}); err != nil {
+	if err := w.writeDone(span.ItemsApplied); err != nil {
 		return fmt.Errorf("transport: write done: %w", err)
 	}
 	return nil
@@ -724,17 +575,14 @@ type DialOptions struct {
 	// Backoff is the wait before the first retry, doubling per attempt;
 	// 0 selects 50ms.
 	Backoff time.Duration
-	// MaxWireBytes bounds the bytes read from the connection, mirroring
+	// MaxWireBytes bounds each frame of the connection, mirroring
 	// Server.MaxWireBytes on the dialing side; 0 selects the 64 MiB default.
-	// A listener exceeding it fails the encounter mid-decode with nothing
-	// applied.
+	// A listener exceeding it fails the encounter on the frame's length
+	// prefix with nothing applied.
 	MaxWireBytes int64
 	// Metrics, when set, receives dialed-encounter counters, wire
 	// accounting, and sync spans. Nil disables instrumentation.
 	Metrics *obs.TransportMetrics
-	// MaxProtocol pins the highest protocol version this dialer negotiates,
-	// mirroring Server.MaxProtocol; 0 selects the build's maximum.
-	MaxProtocol int
 }
 
 // Encounter dials addr and performs a full encounter (two syncs with
@@ -748,7 +596,6 @@ func Encounter(r *replica.Replica, addr string, maxItems int, timeout time.Durat
 // metrics sink). The Retries/Backoff fields are ignored here; use
 // EncounterRetry for transient-failure retries.
 func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.Duration, opts DialOptions) (out replica.EncounterResult, err error) {
-	registerWireTypes()
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		if opts.Metrics != nil {
@@ -762,11 +609,7 @@ func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.D
 	}
 	defer conn.Close() //lint:allow errdiscard -- teardown after the encounter committed or failed transactionally; the exchange's own errors are already returned to the caller
 	_ = conn.SetDeadline(time.Now().Add(timeout))
-	limit := opts.MaxWireBytes
-	if limit <= 0 {
-		limit = defaultMaxWireBytes
-	}
-	w := newWireIO(conn, limit)
+	w := newWireIO(conn, opts.MaxWireBytes)
 
 	span := obs.SyncSpan{Peer: addr, Role: obs.RoleDial}
 	if opts.Metrics != nil {
@@ -775,38 +618,31 @@ func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.D
 		defer func() { record(opts.Metrics, span, w, start, err) }()
 	}
 
-	max := effectiveMax(opts.MaxProtocol)
-	if err := w.encode(localHello(r.ID(), max)); err != nil {
+	if err := w.writeHello(r.ID()); err != nil {
 		return out, fmt.Errorf("transport: write hello: %w", err)
 	}
-	var peer hello
-	if err := w.decode(&peer); err != nil {
+	peer, err := w.readHello()
+	if err != nil {
 		return out, fmt.Errorf("transport: read hello: %w", err)
 	}
-	if peer.Version != protocolBaseVersion {
-		return out, fmt.Errorf("transport: protocol version %d, want %d: %w", peer.Version, protocolBaseVersion, errVersionMismatch)
-	}
-	ver := negotiate(max, peer)
-	span.Peer = string(peer.ID)
-	w.upgrade(ver)
+	span.Peer = string(peer)
 
 	// Leg 1: we are the target and pull from the listener.
-	out.BtoA, err = pullBatch(w, r, peer.ID, maxItems, ver)
+	out.BtoA, err = pullBatch(w, r, peer, maxItems)
 	if err != nil {
 		return out, fmt.Errorf("transport: %w", err)
 	}
 	span.ItemsApplied = out.BtoA.Apply.Stored + out.BtoA.Apply.Relayed + out.BtoA.Apply.Tombstones
 
 	// Leg 2: serve the listener's pull.
-	resp, err := serveBatch(w, r, maxItems, ver)
+	resp, err := serveBatch(w, r, maxItems)
 	if err != nil {
 		return out, fmt.Errorf("transport: %w", err)
 	}
 	span.ItemsSent = len(resp.Items)
 	out.AtoB.Sent = len(resp.Items)
 	out.AtoB.Truncated = resp.Truncated
-	var fin done
-	if err := w.decode(&fin); err != nil {
+	if err := w.readDone(); err != nil {
 		return out, fmt.Errorf("transport: read done: %w", err)
 	}
 	return out, nil

@@ -204,24 +204,6 @@ func TestConcurrentEncounters(t *testing.T) {
 	}
 }
 
-func TestVersionMismatchRejected(t *testing.T) {
-	a := node(t, "a", "addr:a")
-	addr, _ := serve(t, a, 0)
-	conn, err := netDial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := encodeHello(conn, hello{Version: 99, ID: "evil"}); err != nil {
-		t.Fatal(err)
-	}
-	// The server drops the connection without a hello reply; reading the
-	// reply should fail quickly.
-	if err := expectClosed(conn); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCloseIsIdempotentAndBlocksListen(t *testing.T) {
 	a := node(t, "a", "addr:a")
 	srv := NewServer(a, 0)

@@ -85,8 +85,7 @@ func (k *Knowledge) DiffSince(old *Knowledge) *Knowledge {
 //
 //	uvarint epoch   uvarint gen   knowledge encoding (see codec.go)
 
-// MarshalBinary implements encoding.BinaryMarshaler so a Delta can travel
-// inside gob-encoded sync requests, like Knowledge does.
+// MarshalBinary implements encoding.BinaryMarshaler.
 func (d *Delta) MarshalBinary() ([]byte, error) {
 	return d.AppendBinary(nil)
 }

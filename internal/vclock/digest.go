@@ -150,8 +150,7 @@ func hashVersion(v Version) (h1, h2 uint64) {
 // Base entries are sorted by replica ID so equal digests encode to equal
 // bytes. An empty exception set encodes count = k = nWords = 0.
 
-// MarshalBinary implements encoding.BinaryMarshaler so a Digest can travel
-// inside gob-encoded sync requests, like Knowledge does.
+// MarshalBinary implements encoding.BinaryMarshaler.
 func (d *Digest) MarshalBinary() ([]byte, error) {
 	return d.AppendBinary(nil)
 }

@@ -246,14 +246,14 @@ func (k *Knowledge) String() string {
 	return b.String()
 }
 
-// knowledgeDoc is the wire representation used for gob encoding.
+// knowledgeDoc is the document form the binary codec (codec.go) encodes.
 type knowledgeDoc struct {
 	Base  Vector
 	Extra map[ReplicaID][]uint64
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler via a deterministic
-// document form so Knowledge can travel inside gob-encoded sync requests.
+// document form (snapshots and WAL records carry knowledge this way).
 func (k *Knowledge) MarshalBinary() ([]byte, error) {
 	return k.AppendBinary(nil)
 }

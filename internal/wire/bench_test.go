@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"replidtn/internal/item"
@@ -10,7 +9,7 @@ import (
 	"replidtn/internal/vclock"
 )
 
-// benchResponse builds the representative sync payload both codecs encode: a
+// benchResponse builds the representative sync payload the codec encodes: a
 // 16-item batch of 1 KiB messages with per-copy transients plus the learned
 // knowledge — the shape one encounter leg ships when budgets allow a full
 // batch.
@@ -44,12 +43,9 @@ func benchResponse(tb testing.TB) *replica.SyncResponse {
 	}
 }
 
-// BenchmarkSyncResponseCodec compares the protocol-v3 binary frame body
-// against the v1/v2 gob stream for the same sync response — the before/after
-// BENCH_sync.json records for the frame envelope. The gob sub-benchmarks
-// rebuild the encoder/decoder per op because that is what each encounter
-// pays: gob streams are per-connection, and its type dictionary must be
-// retransmitted and re-learned every time.
+// BenchmarkSyncResponseCodec measures the frame body codec on the
+// representative sync response — the numbers BENCH_sync.json records for the
+// frame envelope.
 func BenchmarkSyncResponseCodec(b *testing.B) {
 	resp := benchResponse(b)
 
@@ -74,33 +70,6 @@ func BenchmarkSyncResponseCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := DecodeSyncResponse(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("gob-encode", func(b *testing.B) {
-		var buf bytes.Buffer
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(buf.Len()), "wireB/frame")
-	})
-
-	b.Run("gob-decode", func(b *testing.B) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-			b.Fatal(err)
-		}
-		data := buf.Bytes()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var out replica.SyncResponse
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -17,8 +17,9 @@ import (
 //
 // after changing the frame layout or the seed set, and commit the result.
 // The corpus pins one valid encoding per frame family (exact/digest/delta
-// requests, a response with items, done, a mutation batch) plus the boundary
-// shapes (truncation, bad codec version, empty input).
+// requests, PROPHET and MaxProp routing requests, a response with items,
+// done, a mutation batch) plus the boundary
+// shapes (truncation, bad codec version, an out-of-range probability, empty input).
 func TestWriteFuzzCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzWireDecode")
 	if err := os.MkdirAll(dir, 0o755); err != nil {

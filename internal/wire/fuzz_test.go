@@ -1,9 +1,9 @@
 package wire
 
-// FuzzWireDecode throws hostile bytes at every v3 frame-body decoder. These
-// are the transport's parse-hostile surface since protocol v3 — every byte
-// arrives from a peer — so the contract under fuzzing is: never panic, never
-// trust a forged count as an allocation size, and re-encode anything
+// FuzzWireDecode throws hostile bytes at every frame-body decoder. These are
+// the transport's parse-hostile surface — every byte arrives from a peer — so
+// the contract under fuzzing is: never panic, never trust a forged count as
+// an allocation size, and re-encode anything
 // accepted to a canonical fixed point (encoding a decoded value, then
 // decoding and encoding again, must reproduce the same bytes — the property
 // that makes the codec's output well-defined regardless of how degenerate
@@ -14,11 +14,14 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"replidtn/internal/filter"
 	"replidtn/internal/item"
 	"replidtn/internal/replica"
+	"replidtn/internal/routing/maxprop"
+	"replidtn/internal/routing/prophet"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 )
@@ -87,16 +90,45 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 		{Kind: replica.MutLearn, Versions: []vclock.Version{{Replica: "a", Seq: 9}}, Seq: 9},
 		{Kind: replica.MutIdentity, Own: []string{"user:1"}},
 	}))
+	prophetReq := must(AppendSyncRequest(nil, &replica.SyncRequest{
+		TargetID:  "t",
+		Knowledge: know,
+		Routing: &prophet.Request{
+			From: "t", OwnAddresses: []string{"user:1"},
+			Predictability: map[string]float64{"user:2": 0.75, "user:3": 0.1875},
+		},
+	}))
+	maxpropReq := must(AppendSyncRequest(nil, &replica.SyncRequest{
+		TargetID:  "t",
+		Knowledge: know,
+		Routing: &maxprop.Request{
+			From: "t", OwnAddresses: []string{"user:1"},
+			Table: map[vclock.ReplicaID]maxprop.Row{
+				"t": {Probabilities: map[vclock.ReplicaID]float64{"a": 0.5, "b": 0.5}, Updated: 100},
+			},
+			Homes: map[string]maxprop.Home{"user:1": {Node: "t", Updated: 100}},
+		},
+	}))
+	// The encoder does not validate, so it can mint the hostile shape the
+	// decoder must refuse: a predictability that is not a probability.
+	badProbReq := must(AppendSyncRequest(nil, &replica.SyncRequest{
+		TargetID:  "t",
+		Knowledge: know,
+		Routing:   &prophet.Request{Predictability: map[string]float64{"user:2": math.Inf(1)}},
+	}))
 	return map[string][]byte{
-		"exact-request":  exactReq,
-		"digest-request": digestReq,
-		"delta-request":  deltaReq,
-		"response":       resp,
-		"done":           AppendDone(nil, 42),
-		"mutations":      muts,
-		"truncated":      exactReq[:len(exactReq)/2],
-		"bad-version":    append([]byte{0xff}, exactReq[1:]...),
-		"empty":          nil,
+		"exact-request":   exactReq,
+		"prophet-request": prophetReq,
+		"maxprop-request": maxpropReq,
+		"bad-probability": badProbReq,
+		"digest-request":  digestReq,
+		"delta-request":   deltaReq,
+		"response":        resp,
+		"done":            AppendDone(nil, 42),
+		"mutations":       muts,
+		"truncated":       exactReq[:len(exactReq)/2],
+		"bad-version":     append([]byte{0xff}, exactReq[1:]...),
+		"empty":           nil,
 	}
 }
 
@@ -132,16 +164,7 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		refuzz(t, "sync request", data,
-			func(b []byte) (any, error) {
-				req, err := DecodeSyncRequest(b)
-				if err == nil && req.Routing != nil {
-					// The routing blob is nested gob, and gob's map encoding
-					// is not byte-deterministic — decoding hostile blobs is
-					// still exercised; the fixed point pins everything else.
-					req.Routing = nil
-				}
-				return req, err
-			},
+			func(b []byte) (any, error) { return DecodeSyncRequest(b) },
 			func(v any) ([]byte, error) { return AppendSyncRequest(nil, v.(*replica.SyncRequest)) })
 		refuzz(t, "sync response", data,
 			func(b []byte) (any, error) { return DecodeSyncResponse(b) },

@@ -6,9 +6,10 @@ import (
 	"replidtn/internal/item"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire/prim"
 )
 
-// Codecs for the item-layer values that ride inside WAL record bodies and v3
+// Codecs for the item-layer values that ride inside WAL record bodies and
 // transport frames. Decoded values copy every field out of the input buffer:
 // an *item.Item or EntrySnapshot escapes into the store and must not alias a
 // reusable read buffer.
@@ -27,8 +28,8 @@ func sortKeys(keys []string) {
 
 // AppendVersion appends replica ID + sequence.
 func AppendVersion(buf []byte, v vclock.Version) []byte {
-	buf = AppendString(buf, string(v.Replica))
-	return AppendUvarint(buf, v.Seq)
+	buf = prim.AppendString(buf, string(v.Replica))
+	return prim.AppendUvarint(buf, v.Seq)
 }
 
 // Version decodes a version.
@@ -41,7 +42,7 @@ func AppendVersions(buf []byte, vs []vclock.Version) []byte {
 	if vs == nil {
 		return append(buf, 0)
 	}
-	buf = AppendUvarint(buf, uint64(len(vs))+1)
+	buf = prim.AppendUvarint(buf, uint64(len(vs))+1)
 	for _, v := range vs {
 		buf = AppendVersion(buf, v)
 	}
@@ -57,14 +58,14 @@ func (d *Decoder) Versions() []vclock.Version {
 	n--
 	// Each version costs at least two bytes (ID length prefix + seq).
 	if n > uint64(d.Remaining()) {
-		d.fail(fmt.Errorf("wire: version count %d exceeds %d remaining bytes", n, d.Remaining()))
+		d.Fail(fmt.Errorf("wire: version count %d exceeds %d remaining bytes", n, d.Remaining()))
 		return nil
 	}
 	vs := make([]vclock.Version, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		vs = append(vs, d.Version())
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return nil
 	}
 	return vs
@@ -72,8 +73,8 @@ func (d *Decoder) Versions() []vclock.Version {
 
 // AppendItemID appends creator + number.
 func AppendItemID(buf []byte, id item.ID) []byte {
-	buf = AppendString(buf, string(id.Creator))
-	return AppendUvarint(buf, id.Num)
+	buf = prim.AppendString(buf, string(id.Creator))
+	return prim.AppendUvarint(buf, id.Num)
 }
 
 // ItemID decodes an item ID.
@@ -87,7 +88,7 @@ func AppendTransient(buf []byte, t item.Transient) []byte {
 	if t == nil {
 		return append(buf, 0)
 	}
-	buf = AppendUvarint(buf, uint64(len(t))+1)
+	buf = prim.AppendUvarint(buf, uint64(len(t))+1)
 	var arr [8]string
 	keys := arr[:0]
 	for k := range t {
@@ -95,8 +96,8 @@ func AppendTransient(buf []byte, t item.Transient) []byte {
 	}
 	sortKeys(keys)
 	for _, k := range keys {
-		buf = AppendString(buf, k)
-		buf = AppendFloat64(buf, t[k])
+		buf = prim.AppendString(buf, k)
+		buf = prim.AppendFloat64(buf, t[k])
 	}
 	return buf
 }
@@ -110,15 +111,15 @@ func (d *Decoder) Transient() item.Transient {
 	n--
 	// Each entry costs at least nine bytes (key prefix + fixed float64).
 	if n > uint64(d.Remaining())/9 {
-		d.fail(fmt.Errorf("wire: transient count %d exceeds %d remaining bytes", n, d.Remaining()))
+		d.Fail(fmt.Errorf("wire: transient count %d exceeds %d remaining bytes", n, d.Remaining()))
 		return nil
 	}
 	t := make(item.Transient, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		k := d.String()
 		t[k] = d.Float64()
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return nil
 	}
 	return t
@@ -129,7 +130,7 @@ func appendAttrs(buf []byte, attrs map[string]string) []byte {
 	if attrs == nil {
 		return append(buf, 0)
 	}
-	buf = AppendUvarint(buf, uint64(len(attrs))+1)
+	buf = prim.AppendUvarint(buf, uint64(len(attrs))+1)
 	var arr [8]string
 	keys := arr[:0]
 	for k := range attrs {
@@ -137,8 +138,8 @@ func appendAttrs(buf []byte, attrs map[string]string) []byte {
 	}
 	sortKeys(keys)
 	for _, k := range keys {
-		buf = AppendString(buf, k)
-		buf = AppendString(buf, attrs[k])
+		buf = prim.AppendString(buf, k)
+		buf = prim.AppendString(buf, attrs[k])
 	}
 	return buf
 }
@@ -152,15 +153,15 @@ func (d *Decoder) attrs() map[string]string {
 	n--
 	// Each entry costs at least two length prefixes.
 	if n > uint64(d.Remaining())/2 {
-		d.fail(fmt.Errorf("wire: attr count %d exceeds %d remaining bytes", n, d.Remaining()))
+		d.Fail(fmt.Errorf("wire: attr count %d exceeds %d remaining bytes", n, d.Remaining()))
 		return nil
 	}
 	attrs := make(map[string]string, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		k := d.String()
 		attrs[k] = d.String()
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return nil
 	}
 	return attrs
@@ -172,14 +173,14 @@ func AppendItem(buf []byte, it *item.Item) []byte {
 	buf = AppendItemID(buf, it.ID)
 	buf = AppendVersion(buf, it.Version)
 	buf = AppendVersions(buf, it.Prior)
-	buf = AppendBool(buf, it.Deleted)
-	buf = AppendString(buf, it.Meta.Source)
-	buf = AppendStrings(buf, it.Meta.Destinations)
-	buf = AppendString(buf, it.Meta.Kind)
-	buf = AppendVarint(buf, it.Meta.Created)
-	buf = AppendVarint(buf, it.Meta.Expires)
+	buf = prim.AppendBool(buf, it.Deleted)
+	buf = prim.AppendString(buf, it.Meta.Source)
+	buf = prim.AppendStrings(buf, it.Meta.Destinations)
+	buf = prim.AppendString(buf, it.Meta.Kind)
+	buf = prim.AppendVarint(buf, it.Meta.Created)
+	buf = prim.AppendVarint(buf, it.Meta.Expires)
 	buf = appendAttrs(buf, it.Meta.Attrs)
-	return AppendBytes(buf, it.Payload)
+	return prim.AppendBytes(buf, it.Payload)
 }
 
 // Item decodes a full item. Every field, including the payload, is copied
@@ -198,7 +199,7 @@ func (d *Decoder) Item() *item.Item {
 	it.Meta.Expires = d.Varint()
 	it.Meta.Attrs = d.attrs()
 	it.Payload = d.BytesCopy()
-	if d.err != nil {
+	if d.Err() != nil {
 		return nil
 	}
 	return it
@@ -209,9 +210,9 @@ func (d *Decoder) Item() *item.Item {
 func AppendEntrySnapshot(buf []byte, e *store.EntrySnapshot) []byte {
 	buf = AppendItem(buf, e.Item)
 	buf = AppendTransient(buf, e.Transient) //lint:allow transientleak -- the snapshot codec's own crossing: EntrySnapshot deliberately carries per-copy state, and each caller (WAL persistence, the sync batch's transmit copy) annotates its sanctioned use
-	buf = AppendBool(buf, e.Relay)
-	buf = AppendBool(buf, e.Local)
-	return AppendUvarint(buf, e.Arrival)
+	buf = prim.AppendBool(buf, e.Relay)
+	buf = prim.AppendBool(buf, e.Local)
+	return prim.AppendUvarint(buf, e.Arrival)
 }
 
 // EntrySnapshot decodes a stored-entry snapshot.
@@ -223,7 +224,7 @@ func (d *Decoder) EntrySnapshot() *store.EntrySnapshot {
 		Local:     d.Bool(),
 		Arrival:   d.Uvarint(),
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return nil
 	}
 	return e

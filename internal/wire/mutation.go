@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"replidtn/internal/replica"
+	"replidtn/internal/wire/prim"
 )
 
 // Codec for journaled mutation batches — the body of a WAL live-log batch
@@ -15,7 +16,7 @@ import (
 // each mutation as a kind byte plus its kind's fields.
 func AppendMutations(buf []byte, muts []replica.Mutation) ([]byte, error) {
 	buf = append(buf, CodecVersion)
-	buf = AppendUvarint(buf, uint64(len(muts)))
+	buf = prim.AppendUvarint(buf, uint64(len(muts)))
 	for i := range muts {
 		m := &muts[i]
 		buf = append(buf, byte(m.Kind))
@@ -26,23 +27,23 @@ func AppendMutations(buf []byte, muts []replica.Mutation) ([]byte, error) {
 			}
 			//lint:allow transientleak -- WAL records restore the same host after a crash, so per-copy transient state (spray allowances, hop budgets) legitimately survives; nothing here crosses to another replica
 			buf = AppendEntrySnapshot(buf, m.Entry)
-			buf = AppendUvarint(buf, m.NextArrival)
+			buf = prim.AppendUvarint(buf, m.NextArrival)
 		case replica.MutRemove:
 			buf = AppendItemID(buf, m.ID)
-			buf = AppendUvarint(buf, m.NextArrival)
+			buf = prim.AppendUvarint(buf, m.NextArrival)
 		case replica.MutLearn:
 			buf = AppendVersions(buf, m.Versions)
-			buf = AppendUvarint(buf, m.Seq)
+			buf = prim.AppendUvarint(buf, m.Seq)
 		case replica.MutMerge:
 			// A nil Knowledge is the journal's poison marker for a marshal
 			// failure at the source; the nil-aware encoding preserves it so
 			// recovery still refuses to replay past the broken merge.
-			buf = AppendBytes(buf, m.Knowledge)
+			buf = prim.AppendBytes(buf, m.Knowledge)
 		case replica.MutIdentity:
-			buf = AppendStrings(buf, m.Own)
+			buf = prim.AppendStrings(buf, m.Own)
 			// Nil FilterAddrs means "the filter is not an address filter",
 			// distinct from an empty address filter — nil must round-trip.
-			buf = AppendStrings(buf, m.FilterAddrs)
+			buf = prim.AppendStrings(buf, m.FilterAddrs)
 		default:
 			return nil, fmt.Errorf("wire: unknown mutation kind %d", m.Kind)
 		}
@@ -54,7 +55,7 @@ func AppendMutations(buf []byte, muts []replica.Mutation) ([]byte, error) {
 // copied out of data.
 func DecodeMutations(data []byte) ([]replica.Mutation, error) {
 	d := NewDecoder(data)
-	if ver := d.Byte(); d.err == nil && ver != CodecVersion {
+	if ver := d.Byte(); d.Err() == nil && ver != CodecVersion {
 		return nil, fmt.Errorf("wire: mutation batch codec version %d, want %d", ver, CodecVersion)
 	}
 	n := d.Uvarint()
@@ -63,7 +64,7 @@ func DecodeMutations(data []byte) ([]replica.Mutation, error) {
 		return nil, fmt.Errorf("wire: mutation count %d exceeds %d remaining bytes", n, d.Remaining())
 	}
 	muts := make([]replica.Mutation, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		m := replica.Mutation{Kind: replica.MutKind(d.Byte())}
 		switch m.Kind {
 		case replica.MutPut:
@@ -81,7 +82,7 @@ func DecodeMutations(data []byte) ([]replica.Mutation, error) {
 			m.Own = d.Strings()
 			m.FilterAddrs = d.Strings()
 		default:
-			if d.err == nil {
+			if d.Err() == nil {
 				return nil, fmt.Errorf("wire: unknown mutation kind %d", m.Kind)
 			}
 		}

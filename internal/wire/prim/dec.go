@@ -1,10 +1,17 @@
-package wire
+package prim
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrTruncated reports input that ended before the message did.
+var ErrTruncated = errors.New("wire: truncated input")
+
+// ErrTrailing reports input that continued after the message ended.
+var ErrTrailing = errors.New("wire: trailing bytes after message")
 
 // A Decoder walks one encoded message. Errors are sticky: after the first
 // failure every accessor returns a zero value and Err/Finish report the
@@ -12,7 +19,7 @@ import (
 // error checks. The input slice is never written; view accessors (Bytes,
 // String via unsafe-free conversion) alias it, so a caller that reuses its
 // read buffer must copy anything that outlives the buffer (BytesCopy, or the
-// message decoders in this package, which copy every field that escapes).
+// message decoders of package wire, which copy every field that escapes).
 type Decoder struct {
 	data []byte
 	pos  int
@@ -41,8 +48,8 @@ func (d *Decoder) Finish() error {
 	return nil
 }
 
-// fail records the first error.
-func (d *Decoder) fail(err error) {
+// Fail records err as the decoder's error unless one is already set.
+func (d *Decoder) Fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
@@ -55,7 +62,7 @@ func (d *Decoder) Uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(d.data[d.pos:])
 	if n <= 0 {
-		d.fail(fmt.Errorf("%w: bad uvarint at offset %d", ErrTruncated, d.pos))
+		d.Fail(fmt.Errorf("%w: bad uvarint at offset %d", ErrTruncated, d.pos))
 		return 0
 	}
 	d.pos += n
@@ -69,7 +76,7 @@ func (d *Decoder) Varint() int64 {
 	}
 	v, n := binary.Varint(d.data[d.pos:])
 	if n <= 0 {
-		d.fail(fmt.Errorf("%w: bad varint at offset %d", ErrTruncated, d.pos))
+		d.Fail(fmt.Errorf("%w: bad varint at offset %d", ErrTruncated, d.pos))
 		return 0
 	}
 	d.pos += n
@@ -82,7 +89,7 @@ func (d *Decoder) Varint() int64 {
 func (d *Decoder) Int() int {
 	v := d.Uvarint()
 	if d.err == nil && v > math.MaxInt64 {
-		d.fail(fmt.Errorf("wire: value %d overflows int", v))
+		d.Fail(fmt.Errorf("wire: value %d overflows int", v))
 		return 0
 	}
 	return int(v)
@@ -94,7 +101,7 @@ func (d *Decoder) Byte() byte {
 		return 0
 	}
 	if d.pos >= len(d.data) {
-		d.fail(fmt.Errorf("%w: byte at offset %d", ErrTruncated, d.pos))
+		d.Fail(fmt.Errorf("%w: byte at offset %d", ErrTruncated, d.pos))
 		return 0
 	}
 	b := d.data[d.pos]
@@ -107,7 +114,7 @@ func (d *Decoder) Byte() byte {
 func (d *Decoder) Bool() bool {
 	b := d.Byte()
 	if d.err == nil && b > 1 {
-		d.fail(fmt.Errorf("wire: bool byte 0x%02x at offset %d", b, d.pos-1))
+		d.Fail(fmt.Errorf("wire: bool byte 0x%02x at offset %d", b, d.pos-1))
 		return false
 	}
 	return b == 1
@@ -119,7 +126,7 @@ func (d *Decoder) Uint32() uint32 {
 		return 0
 	}
 	if len(d.data)-d.pos < 4 {
-		d.fail(fmt.Errorf("%w: uint32 at offset %d", ErrTruncated, d.pos))
+		d.Fail(fmt.Errorf("%w: uint32 at offset %d", ErrTruncated, d.pos))
 		return 0
 	}
 	v := binary.LittleEndian.Uint32(d.data[d.pos:])
@@ -133,7 +140,7 @@ func (d *Decoder) Uint64() uint64 {
 		return 0
 	}
 	if len(d.data)-d.pos < 8 {
-		d.fail(fmt.Errorf("%w: uint64 at offset %d", ErrTruncated, d.pos))
+		d.Fail(fmt.Errorf("%w: uint64 at offset %d", ErrTruncated, d.pos))
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.data[d.pos:])
@@ -146,13 +153,13 @@ func (d *Decoder) Float64() float64 {
 	return math.Float64frombits(d.Uint64())
 }
 
-// view returns n bytes of the input without copying, or nil on truncation.
-func (d *Decoder) view(n uint64) []byte {
+// View returns n bytes of the input without copying, or nil on truncation.
+func (d *Decoder) View(n uint64) []byte {
 	if d.err != nil {
 		return nil
 	}
 	if uint64(len(d.data)-d.pos) < n {
-		d.fail(fmt.Errorf("%w: %d bytes at offset %d, %d remain", ErrTruncated, n, d.pos, len(d.data)-d.pos))
+		d.Fail(fmt.Errorf("%w: %d bytes at offset %d, %d remain", ErrTruncated, n, d.pos, len(d.data)-d.pos))
 		return nil
 	}
 	b := d.data[d.pos : d.pos+int(n) : d.pos+int(n)]
@@ -163,7 +170,7 @@ func (d *Decoder) view(n uint64) []byte {
 // String decodes a length-prefixed string (always a copy — Go strings are
 // immutable, so this is the only safe materialization).
 func (d *Decoder) String() string {
-	return string(d.view(d.Uvarint()))
+	return string(d.View(d.Uvarint()))
 }
 
 // Bytes decodes a nil-aware byte slice as a zero-copy view into the input.
@@ -174,7 +181,7 @@ func (d *Decoder) Bytes() []byte {
 	if n == 0 {
 		return nil
 	}
-	return d.view(n - 1)
+	return d.View(n - 1)
 }
 
 // BytesCopy decodes a nil-aware byte slice into fresh storage.
@@ -196,7 +203,7 @@ func (d *Decoder) Strings() []string {
 	// Each string costs at least its one-byte length prefix, so a count
 	// beyond the remaining input is forged — reject before allocating.
 	if n > uint64(d.Remaining()) {
-		d.fail(fmt.Errorf("wire: string count %d exceeds %d remaining bytes", n, d.Remaining()))
+		d.Fail(fmt.Errorf("wire: string count %d exceeds %d remaining bytes", n, d.Remaining()))
 		return nil
 	}
 	ss := make([]string, 0, n)
@@ -207,4 +214,42 @@ func (d *Decoder) Strings() []string {
 		return nil
 	}
 	return ss
+}
+
+// Prob decodes a float64 that must be a probability. Anything outside
+// [0, 1] — NaN and ±Inf included — is rejected: a peer's probabilities are
+// multiplied into local routing tables, where one out-of-range value would
+// stick forever.
+func (d *Decoder) Prob() float64 {
+	v := d.Float64()
+	if d.err == nil && !(v >= 0 && v <= 1) {
+		d.Fail(fmt.Errorf("wire: probability %v outside [0, 1]", v))
+		return 0
+	}
+	return v
+}
+
+// ReadMap decodes a map written by AppendMap, reading each value with value.
+// The result is never nil. Keys must be strictly ascending: a map has exactly
+// one encoding, so unsorted or repeated keys are rejected rather than
+// silently collapsed.
+func ReadMap[K ~string, V any](d *Decoder, value func() V) map[K]V {
+	m := make(map[K]V)
+	n := d.Uvarint()
+	// Each entry costs at least its key's one-byte length prefix.
+	if n > uint64(d.Remaining()) {
+		d.Fail(fmt.Errorf("wire: map count %d exceeds %d remaining bytes", n, d.Remaining()))
+		return m
+	}
+	var prev K
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		k := K(d.String())
+		if i > 0 && k <= prev {
+			d.Fail(fmt.Errorf("wire: map key %q not after %q", k, prev))
+			break
+		}
+		prev = k
+		m[k] = value()
+	}
+	return m
 }

@@ -1,0 +1,141 @@
+package prim
+
+import (
+	"errors"
+	"math"
+	"reflect"
+	"testing"
+)
+
+func TestPrimitivesRoundTrip(t *testing.T) {
+	var buf []byte
+	buf = AppendUvarint(buf, 0)
+	buf = AppendUvarint(buf, math.MaxUint64)
+	buf = AppendVarint(buf, -1)
+	buf = AppendVarint(buf, math.MinInt64)
+	buf = AppendBool(buf, true)
+	buf = AppendBool(buf, false)
+	buf = AppendUint32(buf, 0xdeadbeef)
+	buf = AppendUint64(buf, 0xfeedfacecafebeef)
+	buf = AppendFloat64(buf, -3.25)
+	buf = AppendString(buf, "héllo")
+	buf = AppendString(buf, "")
+
+	d := NewDecoder(buf)
+	if got := d.Uvarint(); got != 0 {
+		t.Errorf("uvarint = %d, want 0", got)
+	}
+	if got := d.Uvarint(); got != math.MaxUint64 {
+		t.Errorf("uvarint = %d, want max", got)
+	}
+	if got := d.Varint(); got != -1 {
+		t.Errorf("varint = %d, want -1", got)
+	}
+	if got := d.Varint(); got != math.MinInt64 {
+		t.Errorf("varint = %d, want min", got)
+	}
+	if !d.Bool() || d.Bool() {
+		t.Error("bools did not round-trip")
+	}
+	if got := d.Uint32(); got != 0xdeadbeef {
+		t.Errorf("uint32 = %#x", got)
+	}
+	if got := d.Uint64(); got != 0xfeedfacecafebeef {
+		t.Errorf("uint64 = %#x", got)
+	}
+	if got := d.Float64(); got != -3.25 {
+		t.Errorf("float64 = %v", got)
+	}
+	if got := d.String(); got != "héllo" {
+		t.Errorf("string = %q", got)
+	}
+	if got := d.String(); got != "" {
+		t.Errorf("string = %q, want empty", got)
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+}
+
+func TestNilAwareRoundTrip(t *testing.T) {
+	var buf []byte
+	buf = AppendBytes(buf, nil)
+	buf = AppendBytes(buf, []byte{})
+	buf = AppendBytes(buf, []byte("abc"))
+	buf = AppendStrings(buf, nil)
+	buf = AppendStrings(buf, []string{})
+	buf = AppendStrings(buf, []string{"x", ""})
+
+	d := NewDecoder(buf)
+	if got := d.Bytes(); got != nil {
+		t.Errorf("nil bytes decoded as %v", got)
+	}
+	if got := d.Bytes(); got == nil || len(got) != 0 {
+		t.Errorf("empty bytes decoded as %v", got)
+	}
+	if got := d.BytesCopy(); string(got) != "abc" {
+		t.Errorf("bytes = %q", got)
+	}
+	if got := d.Strings(); got != nil {
+		t.Errorf("nil strings decoded as %v", got)
+	}
+	if got := d.Strings(); got == nil || len(got) != 0 {
+		t.Errorf("empty strings decoded as %v", got)
+	}
+	if got := d.Strings(); !reflect.DeepEqual(got, []string{"x", ""}) {
+		t.Errorf("strings = %v", got)
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+}
+
+func TestDecoderHostileInput(t *testing.T) {
+	t.Run("truncated", func(t *testing.T) {
+		d := NewDecoder([]byte{0x80}) // unterminated varint
+		d.Uvarint()
+		if !errors.Is(d.Err(), ErrTruncated) {
+			t.Errorf("err = %v, want ErrTruncated", d.Err())
+		}
+	})
+	t.Run("trailing", func(t *testing.T) {
+		d := NewDecoder([]byte{1, 2, 3})
+		d.Byte()
+		if err := d.Finish(); !errors.Is(err, ErrTrailing) {
+			t.Errorf("Finish = %v, want ErrTrailing", err)
+		}
+	})
+	t.Run("bad bool", func(t *testing.T) {
+		d := NewDecoder([]byte{7})
+		d.Bool()
+		if d.Err() == nil {
+			t.Error("bool byte 7 accepted")
+		}
+	})
+	t.Run("forged string count", func(t *testing.T) {
+		// Claims 2^40 strings with 2 bytes of input: must fail before any
+		// allocation sized from the count.
+		buf := AppendUvarint(nil, 1<<40+1)
+		d := NewDecoder(buf)
+		if got := d.Strings(); got != nil || d.Err() == nil {
+			t.Errorf("forged count decoded: %v, err %v", got, d.Err())
+		}
+	})
+	t.Run("forged bytes length", func(t *testing.T) {
+		buf := AppendUvarint(nil, 1<<40)
+		d := NewDecoder(buf)
+		if got := d.Bytes(); got != nil || !errors.Is(d.Err(), ErrTruncated) {
+			t.Errorf("forged length decoded: %v, err %v", got, d.Err())
+		}
+	})
+	t.Run("sticky error", func(t *testing.T) {
+		d := NewDecoder(nil)
+		d.Byte()
+		first := d.Err()
+		d.Uint64()
+		_ = d.String()
+		if d.Err() != first {
+			t.Errorf("error not sticky: %v then %v", first, d.Err())
+		}
+	})
+}

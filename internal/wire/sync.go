@@ -1,24 +1,25 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"replidtn/internal/filter"
 	"replidtn/internal/replica"
 	"replidtn/internal/routing"
+	"replidtn/internal/routing/maxprop"
+	"replidtn/internal/routing/prophet"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire/prim"
 )
 
-// Codecs for the transport's protocol-v3 frame bodies. Each body starts with
+// Codecs for the transport's frame bodies. Each body starts with
 // the one-byte codec version; the frame length prefix and message-type byte
 // around it belong to the transport (see internal/transport).
 
 // Filter type tags. The filter set is closed (package filter defines exactly
-// these implementations), so an explicit tag per concrete type replaces gob's
-// registered-name machinery.
+// these implementations), so each concrete type has an explicit tag.
 const (
 	filterNil       = 0
 	filterAll       = 1
@@ -52,10 +53,10 @@ func appendFilter(buf []byte, f filter.Filter, depth int) ([]byte, error) {
 		return append(buf, filterNone), nil
 	case *filter.Addresses:
 		buf = append(buf, filterAddresses)
-		return AppendStrings(buf, f.List()), nil
+		return prim.AppendStrings(buf, f.List()), nil
 	case *filter.Or:
 		buf = append(buf, filterOr)
-		buf = AppendUvarint(buf, uint64(len(f.Members)))
+		buf = prim.AppendUvarint(buf, uint64(len(f.Members)))
 		var err error
 		for _, m := range f.Members {
 			if buf, err = appendFilter(buf, m, depth+1); err != nil {
@@ -65,7 +66,7 @@ func appendFilter(buf []byte, f filter.Filter, depth int) ([]byte, error) {
 		return buf, nil
 	case filter.Kind:
 		buf = append(buf, filterKind)
-		return AppendString(buf, f.Name), nil
+		return prim.AppendString(buf, f.Name), nil
 	default:
 		return nil, fmt.Errorf("wire: unencodable filter type %T", f)
 	}
@@ -78,7 +79,7 @@ func (d *Decoder) Filter() filter.Filter {
 
 func (d *Decoder) filter(depth int) filter.Filter {
 	if depth > maxFilterDepth {
-		d.fail(fmt.Errorf("wire: filter nesting exceeds %d", maxFilterDepth))
+		d.Fail(fmt.Errorf("wire: filter nesting exceeds %d", maxFilterDepth))
 		return nil
 	}
 	switch tag := d.Byte(); tag {
@@ -94,66 +95,85 @@ func (d *Decoder) filter(depth int) filter.Filter {
 		n := d.Uvarint()
 		// Each member costs at least its one tag byte.
 		if n > uint64(d.Remaining()) {
-			d.fail(fmt.Errorf("wire: filter member count %d exceeds %d remaining bytes", n, d.Remaining()))
+			d.Fail(fmt.Errorf("wire: filter member count %d exceeds %d remaining bytes", n, d.Remaining()))
 			return nil
 		}
 		members := make([]filter.Filter, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			members = append(members, d.filter(depth+1))
 		}
 		return filter.NewOr(members...)
 	case filterKind:
 		return filter.Kind{Name: d.String()}
 	default:
-		if d.err == nil {
-			d.fail(fmt.Errorf("wire: unknown filter tag %d", tag))
+		if d.Err() == nil {
+			d.Fail(fmt.Errorf("wire: unknown filter tag %d", tag))
 		}
 		return nil
 	}
 }
 
-// Routing-policy requests are interface-typed and open-ended (custom
-// policies register their own types via transport.RegisterRequestType), so
-// they cross the wire as a nested gob blob: a tag byte for nil, then a
-// length-prefixed gob stream of the interface value. The blob is small and
-// present only when a stateful policy (PROPHET, MaxProp) is attached, so
-// gob's allocations here do not touch the per-item hot path.
+// Routing-request type tags. Like the filter set, the set of policies with
+// wire-visible routing state is closed (PROPHET and MaxProp; the other
+// policies keep their state in per-item transients), so each gets a tag. The
+// body is the policy's own binary marshal behind a fixed uint32 length,
+// back-patched so the marshal appends straight into buf.
+const (
+	routingNil     = 0
+	routingProphet = 1
+	routingMaxProp = 2
+)
 
-// AppendRouting appends a routing request as a nil tag or a gob blob.
+// AppendRouting appends a routing request as a type tag plus the policy's
+// length-prefixed encoding. A nil request encodes as a tag of its own.
 func AppendRouting(buf []byte, req routing.Request) ([]byte, error) {
-	if req == nil {
-		return append(buf, 0), nil
+	switch req := req.(type) {
+	case nil:
+		return append(buf, routingNil), nil
+	case *prophet.Request:
+		return appendRoutingBody(buf, routingProphet, req), nil
+	case *maxprop.Request:
+		return appendRoutingBody(buf, routingMaxProp, req), nil
+	default:
+		return nil, fmt.Errorf("wire: unencodable routing request type %T", req)
 	}
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(&req); err != nil {
-		return nil, fmt.Errorf("wire: encode routing request: %w", err)
-	}
-	buf = append(buf, 1)
-	return AppendBytes(buf, blob.Bytes()), nil
 }
 
-// Routing decodes a routing request written by AppendRouting.
+func appendRoutingBody(buf []byte, tag byte, req interface{ AppendBinary([]byte) []byte }) []byte {
+	buf = append(buf, tag, 0, 0, 0, 0)
+	start := len(buf)
+	buf = req.AppendBinary(buf)
+	binary.LittleEndian.PutUint32(buf[start-4:], uint32(len(buf)-start))
+	return buf
+}
+
+// Routing decodes a routing request written by AppendRouting. The policies'
+// decoders validate what they read (probabilities in range, counts bounded
+// by the input), so a request that decodes is safe to hand to ProcessReq.
 func (d *Decoder) Routing() routing.Request {
-	switch tag := d.Byte(); tag {
-	case 0:
-		return nil
-	case 1:
-		blob := d.Bytes()
-		if d.err != nil {
-			return nil
-		}
-		var req routing.Request
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&req); err != nil {
-			d.fail(fmt.Errorf("wire: decode routing request: %w", err))
-			return nil
-		}
-		return req
-	default:
-		if d.err == nil {
-			d.fail(fmt.Errorf("wire: unknown routing tag %d", tag))
-		}
+	tag := d.Byte()
+	if tag == routingNil || d.Err() != nil {
 		return nil
 	}
+	body := d.View(uint64(d.Uint32()))
+	if d.Err() != nil {
+		return nil
+	}
+	var req routing.Request
+	var err error
+	switch tag {
+	case routingProphet:
+		req, err = prophet.DecodeRequest(body)
+	case routingMaxProp:
+		req, err = maxprop.DecodeRequest(body)
+	default:
+		err = fmt.Errorf("wire: unknown routing tag %d", tag)
+	}
+	if err != nil {
+		d.Fail(err)
+		return nil
+	}
+	return req
 }
 
 // Knowledge-frame tags: the request's summary-mode alternatives and the
@@ -187,15 +207,15 @@ func appendKnowledgeFrame(buf []byte, k *vclock.Knowledge, dg *vclock.Digest, dl
 	switch {
 	case k != nil:
 		buf = append(buf, knowExact)
-		buf = AppendUvarint(buf, uint64(k.WireSize()))
+		buf = prim.AppendUvarint(buf, uint64(k.WireSize()))
 		buf, err = k.AppendBinary(buf)
 	case dg != nil:
 		buf = append(buf, knowDigest)
-		buf = AppendUvarint(buf, uint64(dg.WireSize()))
+		buf = prim.AppendUvarint(buf, uint64(dg.WireSize()))
 		buf, err = dg.AppendBinary(buf)
 	case dl != nil:
 		buf = append(buf, knowDelta)
-		buf = AppendUvarint(buf, uint64(dl.WireSize()))
+		buf = prim.AppendUvarint(buf, uint64(dl.WireSize()))
 		buf, err = dl.AppendBinary(buf)
 	default:
 		return append(buf, knowNone), nil
@@ -211,64 +231,64 @@ func appendKnowledgeFrame(buf []byte, k *vclock.Knowledge, dg *vclock.Digest, dl
 // never alias the input.
 func (d *Decoder) knowledgeFrame() (*vclock.Knowledge, *vclock.Digest, *vclock.Delta) {
 	tag := d.Byte()
-	if tag == knowNone || d.err != nil {
+	if tag == knowNone || d.Err() != nil {
 		return nil, nil, nil
 	}
 	n := d.Uvarint()
-	body := d.view(n)
-	if d.err != nil {
+	body := d.View(n)
+	if d.Err() != nil {
 		return nil, nil, nil
 	}
 	switch tag {
 	case knowExact:
 		k := vclock.NewKnowledge()
 		if err := k.UnmarshalBinary(body); err != nil {
-			d.fail(err)
+			d.Fail(err)
 			return nil, nil, nil
 		}
 		return k, nil, nil
 	case knowDigest:
 		dg := new(vclock.Digest)
 		if err := dg.UnmarshalBinary(body); err != nil {
-			d.fail(err)
+			d.Fail(err)
 			return nil, nil, nil
 		}
 		return nil, dg, nil
 	case knowDelta:
 		dl := new(vclock.Delta)
 		if err := dl.UnmarshalBinary(body); err != nil {
-			d.fail(err)
+			d.Fail(err)
 			return nil, nil, nil
 		}
 		return nil, nil, dl
 	default:
-		d.fail(fmt.Errorf("wire: unknown knowledge tag %d", tag))
+		d.Fail(fmt.Errorf("wire: unknown knowledge tag %d", tag))
 		return nil, nil, nil
 	}
 }
 
-// AppendSyncRequest appends a complete v3 sync-request body: codec version,
+// AppendSyncRequest appends a complete sync-request body: codec version,
 // target ID, knowledge frame, delta tags, filter, routing blob, budgets.
 // Budgets travel as zigzag varints so an (invalid) negative survives to the
 // transport validator instead of wrapping into a huge positive.
 func AppendSyncRequest(buf []byte, req *replica.SyncRequest) ([]byte, error) {
 	buf = append(buf, CodecVersion)
-	buf = AppendString(buf, string(req.TargetID))
+	buf = prim.AppendString(buf, string(req.TargetID))
 	buf, err := appendKnowledgeFrame(buf, req.Knowledge, req.Digest, req.Delta)
 	if err != nil {
 		return nil, err
 	}
-	buf = AppendUvarint(buf, req.Epoch)
-	buf = AppendUvarint(buf, req.Gen)
+	buf = prim.AppendUvarint(buf, req.Epoch)
+	buf = prim.AppendUvarint(buf, req.Gen)
 	if buf, err = AppendFilter(buf, req.Filter); err != nil {
 		return nil, err
 	}
 	if buf, err = AppendRouting(buf, req.Routing); err != nil {
 		return nil, err
 	}
-	buf = AppendVarint(buf, int64(req.MaxItems))
-	buf = AppendVarint(buf, req.MaxBytes)
-	return AppendBool(buf, req.StrictBytes), nil
+	buf = prim.AppendVarint(buf, int64(req.MaxItems))
+	buf = prim.AppendVarint(buf, req.MaxBytes)
+	return prim.AppendBool(buf, req.StrictBytes), nil
 }
 
 // DecodeSyncRequest decodes a body written by AppendSyncRequest. Structural
@@ -276,7 +296,7 @@ func AppendSyncRequest(buf []byte, req *replica.SyncRequest) ([]byte, error) {
 // with the transport validator; this only enforces the layout.
 func DecodeSyncRequest(data []byte) (*replica.SyncRequest, error) {
 	d := NewDecoder(data)
-	if ver := d.Byte(); d.err == nil && ver != CodecVersion {
+	if ver := d.Byte(); d.Err() == nil && ver != CodecVersion {
 		return nil, fmt.Errorf("wire: sync request codec version %d, want %d", ver, CodecVersion)
 	}
 	req := &replica.SyncRequest{TargetID: vclock.ReplicaID(d.String())}
@@ -294,13 +314,13 @@ func DecodeSyncRequest(data []byte) (*replica.SyncRequest, error) {
 	return req, nil
 }
 
-// AppendSyncResponse appends a complete v3 sync-response body: codec
+// AppendSyncResponse appends a complete sync-response body: codec
 // version, source ID, the prioritized batch, flags, and the optional learned
 // knowledge.
 func AppendSyncResponse(buf []byte, resp *replica.SyncResponse) ([]byte, error) {
 	buf = append(buf, CodecVersion)
-	buf = AppendString(buf, string(resp.SourceID))
-	buf = AppendUvarint(buf, uint64(len(resp.Items)))
+	buf = prim.AppendString(buf, string(resp.SourceID))
+	buf = prim.AppendUvarint(buf, uint64(len(resp.Items)))
 	for i := range resp.Items {
 		bi := &resp.Items[i]
 		if bi.Item == nil {
@@ -309,11 +329,11 @@ func AppendSyncResponse(buf []byte, resp *replica.SyncResponse) ([]byte, error) 
 		buf = AppendItem(buf, bi.Item)
 		//lint:allow transientleak -- BatchItem.Transient is the policy-mediated transmit copy (e.g. a halved spray allowance): an explicit field of the wire protocol, not a leak of host-local state
 		buf = AppendTransient(buf, bi.Transient)
-		buf = AppendVarint(buf, int64(bi.Priority.Class))
-		buf = AppendFloat64(buf, bi.Priority.Cost)
+		buf = prim.AppendVarint(buf, int64(bi.Priority.Class))
+		buf = prim.AppendFloat64(buf, bi.Priority.Cost)
 	}
-	buf = AppendBool(buf, resp.Truncated)
-	buf = AppendBool(buf, resp.NeedKnowledge)
+	buf = prim.AppendBool(buf, resp.Truncated)
+	buf = prim.AppendBool(buf, resp.NeedKnowledge)
 	return appendKnowledgeFrame(buf, resp.LearnedKnowledge, nil, nil)
 }
 
@@ -321,7 +341,7 @@ func AppendSyncResponse(buf []byte, resp *replica.SyncResponse) ([]byte, error) 
 // item is copied out of data, so the caller may reuse its read buffer.
 func DecodeSyncResponse(data []byte) (*replica.SyncResponse, error) {
 	d := NewDecoder(data)
-	if ver := d.Byte(); d.err == nil && ver != CodecVersion {
+	if ver := d.Byte(); d.Err() == nil && ver != CodecVersion {
 		return nil, fmt.Errorf("wire: sync response codec version %d, want %d", ver, CodecVersion)
 	}
 	resp := &replica.SyncResponse{SourceID: vclock.ReplicaID(d.String())}
@@ -334,7 +354,7 @@ func DecodeSyncResponse(data []byte) (*replica.SyncResponse, error) {
 	if n > 0 {
 		resp.Items = make([]replica.BatchItem, 0, n)
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		bi := replica.BatchItem{Item: d.Item(), Transient: d.Transient()}
 		bi.Priority.Class = routing.Class(d.Varint())
 		bi.Priority.Cost = d.Float64()
@@ -345,7 +365,7 @@ func DecodeSyncResponse(data []byte) (*replica.SyncResponse, error) {
 	var dg *vclock.Digest
 	var dl *vclock.Delta
 	resp.LearnedKnowledge, dg, dl = d.knowledgeFrame()
-	if d.err == nil && (dg != nil || dl != nil) {
+	if d.Err() == nil && (dg != nil || dl != nil) {
 		return nil, errors.New("wire: sync response carries a summary knowledge frame")
 	}
 	if err := d.Finish(); err != nil {
@@ -357,13 +377,13 @@ func DecodeSyncResponse(data []byte) (*replica.SyncResponse, error) {
 // AppendDone appends the encounter-closing acknowledgement body.
 func AppendDone(buf []byte, applied int) []byte {
 	buf = append(buf, CodecVersion)
-	return AppendVarint(buf, int64(applied))
+	return prim.AppendVarint(buf, int64(applied))
 }
 
 // DecodeDone decodes a body written by AppendDone.
 func DecodeDone(data []byte) (int, error) {
 	d := NewDecoder(data)
-	if ver := d.Byte(); d.err == nil && ver != CodecVersion {
+	if ver := d.Byte(); d.Err() == nil && ver != CodecVersion {
 		return 0, fmt.Errorf("wire: done codec version %d, want %d", ver, CodecVersion)
 	}
 	applied := int(d.Varint())

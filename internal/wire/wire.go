@@ -1,9 +1,12 @@
 // Package wire is the versioned, length-prefixed binary codec shared by the
-// WAL persistence backend (record bodies, internal/persist/wal) and the TCP
-// transport (protocol v3 frames, internal/transport). It replaces gob on both
-// hot paths: encoding appends into a caller-supplied buffer so a steady-state
-// writer allocates nothing, and decoding walks a byte slice with zero-copy
-// views, materializing only the values that outlive the input.
+// WAL persistence backend (record bodies and the manifest,
+// internal/persist/wal) and the TCP transport (frame bodies,
+// internal/transport) — the only encoding either has. Encoding appends into a
+// caller-supplied buffer so a steady-state writer allocates nothing, and
+// decoding walks a byte slice with zero-copy views, materializing only the
+// values that outlive the input. The primitives live in the leaf package
+// internal/wire/prim, which the routing policies share for their requests
+// and persisted state.
 //
 // Layout conventions, shared by every message:
 //
@@ -22,16 +25,18 @@
 // hostile frame cannot turn a forged count into memory pressure.
 package wire
 
-import "errors"
+import "replidtn/internal/wire/prim"
 
 // CodecVersion is the current layout version written as the first byte of
-// every top-level message (WAL record bodies, v3 transport frame bodies).
+// every top-level message (WAL record bodies, transport frame bodies).
 // Decoders accept exactly the versions they know; an unknown version is a
 // decode error, never a guess.
 const CodecVersion = 1
 
-// ErrTruncated reports input that ended before the message did.
-var ErrTruncated = errors.New("wire: truncated input")
+// A Decoder walks one encoded message: the primitive decoder (sticky errors,
+// zero-copy views, forged-count checks) plus this package's methods for the
+// item, filter, routing and knowledge layers.
+type Decoder struct{ prim.Decoder }
 
-// ErrTrailing reports input that continued after the message ended.
-var ErrTrailing = errors.New("wire: trailing bytes after message")
+// NewDecoder returns a decoder over data.
+func NewDecoder(data []byte) *Decoder { return &Decoder{*prim.NewDecoder(data)} }

@@ -2,8 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
-	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -12,143 +10,12 @@ import (
 	"replidtn/internal/item"
 	"replidtn/internal/replica"
 	"replidtn/internal/routing"
+	"replidtn/internal/routing/maxprop"
 	"replidtn/internal/routing/prophet"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire/prim"
 )
-
-func TestPrimitivesRoundTrip(t *testing.T) {
-	var buf []byte
-	buf = AppendUvarint(buf, 0)
-	buf = AppendUvarint(buf, math.MaxUint64)
-	buf = AppendVarint(buf, -1)
-	buf = AppendVarint(buf, math.MinInt64)
-	buf = AppendBool(buf, true)
-	buf = AppendBool(buf, false)
-	buf = AppendUint32(buf, 0xdeadbeef)
-	buf = AppendUint64(buf, 0xfeedfacecafebeef)
-	buf = AppendFloat64(buf, -3.25)
-	buf = AppendString(buf, "héllo")
-	buf = AppendString(buf, "")
-
-	d := NewDecoder(buf)
-	if got := d.Uvarint(); got != 0 {
-		t.Errorf("uvarint = %d, want 0", got)
-	}
-	if got := d.Uvarint(); got != math.MaxUint64 {
-		t.Errorf("uvarint = %d, want max", got)
-	}
-	if got := d.Varint(); got != -1 {
-		t.Errorf("varint = %d, want -1", got)
-	}
-	if got := d.Varint(); got != math.MinInt64 {
-		t.Errorf("varint = %d, want min", got)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Error("bools did not round-trip")
-	}
-	if got := d.Uint32(); got != 0xdeadbeef {
-		t.Errorf("uint32 = %#x", got)
-	}
-	if got := d.Uint64(); got != 0xfeedfacecafebeef {
-		t.Errorf("uint64 = %#x", got)
-	}
-	if got := d.Float64(); got != -3.25 {
-		t.Errorf("float64 = %v", got)
-	}
-	if got := d.String(); got != "héllo" {
-		t.Errorf("string = %q", got)
-	}
-	if got := d.String(); got != "" {
-		t.Errorf("string = %q, want empty", got)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-}
-
-func TestNilAwareRoundTrip(t *testing.T) {
-	var buf []byte
-	buf = AppendBytes(buf, nil)
-	buf = AppendBytes(buf, []byte{})
-	buf = AppendBytes(buf, []byte("abc"))
-	buf = AppendStrings(buf, nil)
-	buf = AppendStrings(buf, []string{})
-	buf = AppendStrings(buf, []string{"x", ""})
-
-	d := NewDecoder(buf)
-	if got := d.Bytes(); got != nil {
-		t.Errorf("nil bytes decoded as %v", got)
-	}
-	if got := d.Bytes(); got == nil || len(got) != 0 {
-		t.Errorf("empty bytes decoded as %v", got)
-	}
-	if got := d.BytesCopy(); string(got) != "abc" {
-		t.Errorf("bytes = %q", got)
-	}
-	if got := d.Strings(); got != nil {
-		t.Errorf("nil strings decoded as %v", got)
-	}
-	if got := d.Strings(); got == nil || len(got) != 0 {
-		t.Errorf("empty strings decoded as %v", got)
-	}
-	if got := d.Strings(); !reflect.DeepEqual(got, []string{"x", ""}) {
-		t.Errorf("strings = %v", got)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-}
-
-func TestDecoderHostileInput(t *testing.T) {
-	t.Run("truncated", func(t *testing.T) {
-		d := NewDecoder([]byte{0x80}) // unterminated varint
-		d.Uvarint()
-		if !errors.Is(d.Err(), ErrTruncated) {
-			t.Errorf("err = %v, want ErrTruncated", d.Err())
-		}
-	})
-	t.Run("trailing", func(t *testing.T) {
-		d := NewDecoder([]byte{1, 2, 3})
-		d.Byte()
-		if err := d.Finish(); !errors.Is(err, ErrTrailing) {
-			t.Errorf("Finish = %v, want ErrTrailing", err)
-		}
-	})
-	t.Run("bad bool", func(t *testing.T) {
-		d := NewDecoder([]byte{7})
-		d.Bool()
-		if d.Err() == nil {
-			t.Error("bool byte 7 accepted")
-		}
-	})
-	t.Run("forged string count", func(t *testing.T) {
-		// Claims 2^40 strings with 2 bytes of input: must fail before any
-		// allocation sized from the count.
-		buf := AppendUvarint(nil, 1<<40+1)
-		d := NewDecoder(buf)
-		if got := d.Strings(); got != nil || d.Err() == nil {
-			t.Errorf("forged count decoded: %v, err %v", got, d.Err())
-		}
-	})
-	t.Run("forged bytes length", func(t *testing.T) {
-		buf := AppendUvarint(nil, 1<<40)
-		d := NewDecoder(buf)
-		if got := d.Bytes(); got != nil || !errors.Is(d.Err(), ErrTruncated) {
-			t.Errorf("forged length decoded: %v, err %v", got, d.Err())
-		}
-	})
-	t.Run("sticky error", func(t *testing.T) {
-		d := NewDecoder(nil)
-		d.Byte()
-		first := d.Err()
-		d.Uint64()
-		_ = d.String()
-		if d.Err() != first {
-			t.Errorf("error not sticky: %v then %v", first, d.Err())
-		}
-	})
-}
 
 func testItem() *item.Item {
 	return &item.Item{
@@ -315,7 +182,7 @@ func TestFilterDepthLimit(t *testing.T) {
 	var buf []byte
 	for i := 0; i < maxFilterDepth+2; i++ {
 		buf = append(buf, filterOr)
-		buf = AppendUvarint(buf, 1)
+		buf = prim.AppendUvarint(buf, 1)
 	}
 	buf = append(buf, filterAll)
 	d := NewDecoder(buf)
@@ -333,42 +200,84 @@ func TestFilterUnknownTag(t *testing.T) {
 }
 
 func TestRoutingRoundTrip(t *testing.T) {
-	gob.Register(&prophet.Request{})
-	t.Run("nil", func(t *testing.T) {
-		buf, err := AppendRouting(nil, nil)
-		if err != nil {
-			t.Fatalf("AppendRouting: %v", err)
-		}
-		d := NewDecoder(buf)
-		if got := d.Routing(); got != nil {
-			t.Errorf("nil routing decoded as %v", got)
-		}
-		if err := d.Finish(); err != nil {
-			t.Fatalf("Finish: %v", err)
-		}
-	})
-	t.Run("prophet", func(t *testing.T) {
-		req := &prophet.Request{From: "a", OwnAddresses: []string{"user:1"}, Predictability: map[string]float64{"user:2": 0.5}}
-		buf, err := AppendRouting(nil, routing.Request(req))
-		if err != nil {
-			t.Fatalf("AppendRouting: %v", err)
-		}
-		d := NewDecoder(buf)
-		got := d.Routing()
-		if err := d.Finish(); err != nil {
-			t.Fatalf("Finish: %v", err)
-		}
-		if !reflect.DeepEqual(got, routing.Request(req)) {
-			t.Errorf("round trip: got %#v, want %#v", got, req)
-		}
-	})
-	t.Run("hostile blob", func(t *testing.T) {
-		buf := append([]byte{1}, AppendBytes(nil, []byte("not gob"))...)
+	cases := map[string]routing.Request{
+		"nil": nil,
+		"prophet": &prophet.Request{
+			From: "a", OwnAddresses: []string{"user:1"},
+			Predictability: map[string]float64{"user:2": 0.5, "user:3": 1, "user:4": 0},
+		},
+		"prophet empty": &prophet.Request{Predictability: map[string]float64{}},
+		"maxprop": &maxprop.Request{
+			From: "a", OwnAddresses: []string{"user:1"},
+			Table: map[vclock.ReplicaID]maxprop.Row{
+				"a": {Probabilities: map[vclock.ReplicaID]float64{"b": 0.75, "c": 0.25}, Updated: 40},
+				"b": {Probabilities: map[vclock.ReplicaID]float64{}, Updated: -1},
+			},
+			Homes: map[string]maxprop.Home{"user:1": {Node: "a", Updated: 40}, "user:2": {Node: "b", Updated: 7}},
+		},
+	}
+	for name, req := range cases {
+		t.Run(name, func(t *testing.T) {
+			buf, err := AppendRouting(nil, req)
+			if err != nil {
+				t.Fatalf("AppendRouting: %v", err)
+			}
+			d := NewDecoder(buf)
+			got := d.Routing()
+			if err := d.Finish(); err != nil {
+				t.Fatalf("Finish: %v", err)
+			}
+			if !reflect.DeepEqual(got, req) {
+				t.Errorf("round trip: got %#v, want %#v", got, req)
+			}
+			// Sorted keys: the same value always encodes to the same bytes.
+			for i := 0; i < 20; i++ {
+				again, err := AppendRouting(nil, req)
+				if err != nil || !bytes.Equal(again, buf) {
+					t.Fatalf("encoding %d differs (err %v)", i, err)
+				}
+			}
+		})
+	}
+}
+
+// TestRoutingRejected: the routing tag set is closed, and the decoders trust
+// nothing — a type outside the set fails to encode; unknown tags, values that
+// are not probabilities, unsorted keys, forged counts and cut-off bodies fail
+// to decode.
+func TestRoutingRejected(t *testing.T) {
+	if _, err := AppendRouting(nil, struct{ P float64 }{0.5}); err == nil {
+		t.Error("a request type outside the tag set encoded")
+	}
+	framed := func(tag byte, body []byte) []byte {
+		return append(prim.AppendUint32([]byte{tag}, uint32(len(body))), body...)
+	}
+	vector := func(p float64) []byte {
+		return (&prophet.Request{Predictability: map[string]float64{"d": p}}).AppendBinary(nil)
+	}
+	row := (&maxprop.Request{Table: map[vclock.ReplicaID]maxprop.Row{
+		"a": {Probabilities: map[vclock.ReplicaID]float64{"b": 2}},
+	}}).AppendBinary(nil)
+	two := (&prophet.Request{Predictability: map[string]float64{"a": 0.5, "b": 0.5}}).AppendBinary(nil)
+	unsorted := bytes.Replace(bytes.Replace(two, []byte("\x01a"), []byte("\x01c"), 1), []byte("\x01b"), []byte("\x01a"), 1)
+	for name, buf := range map[string][]byte{
+		"unknown tag":          framed(9, vector(0.5)),
+		"+Inf":                 framed(routingProphet, vector(math.Inf(1))),
+		"NaN":                  framed(routingProphet, vector(math.NaN())),
+		"above one":            framed(routingProphet, vector(1e300)),
+		"negative":             framed(routingProphet, vector(-0.1)),
+		"maxprop row above 1":  framed(routingMaxProp, row),
+		"unsorted keys":        framed(routingProphet, unsorted),
+		"forged count":         framed(routingProphet, []byte{0, 0, 0xff, 0xff, 0x03}),
+		"trailing bytes":       framed(routingProphet, append(vector(0.5), 0)),
+		"body past the input":  framed(routingProphet, vector(0.5))[:8],
+		"wrong policy for tag": framed(routingMaxProp, vector(0.5)),
+	} {
 		d := NewDecoder(buf)
 		if got := d.Routing(); got != nil || d.Err() == nil {
-			t.Errorf("hostile blob decoded: %v, err %v", got, d.Err())
+			t.Errorf("%s: decoded %v, err %v", name, got, d.Err())
 		}
-	})
+	}
 }
 
 func sampleKnowledge(t *testing.T) *vclock.Knowledge {
@@ -501,8 +410,8 @@ func TestSyncResponseRoundTrip(t *testing.T) {
 func TestSyncResponseForgedCount(t *testing.T) {
 	var buf []byte
 	buf = append(buf, CodecVersion)
-	buf = AppendString(buf, "s")
-	buf = AppendUvarint(buf, 1<<50) // forged item count
+	buf = prim.AppendString(buf, "s")
+	buf = prim.AppendUvarint(buf, 1<<50) // forged item count
 	if _, err := DecodeSyncResponse(buf); err == nil {
 		t.Error("forged item count decoded")
 	}
@@ -574,7 +483,7 @@ func TestMutationsUnknownKind(t *testing.T) {
 	}
 	var buf []byte
 	buf = append(buf, CodecVersion)
-	buf = AppendUvarint(buf, 1)
+	buf = prim.AppendUvarint(buf, 1)
 	buf = append(buf, 99)
 	if _, err := DecodeMutations(buf); err == nil {
 		t.Error("unknown kind decoded")
@@ -590,43 +499,6 @@ func TestCodecVersionRejected(t *testing.T) {
 	buf[0] = CodecVersion + 1
 	if _, err := DecodeMutations(buf); err == nil {
 		t.Error("future codec version decoded")
-	}
-}
-
-// TestDifferentialGob proves the binary codec and the legacy gob encoding
-// describe the same values: gob round-trip and binary round-trip of the same
-// mutation batch yield deeply equal results.
-func TestDifferentialGob(t *testing.T) {
-	know, err := sampleKnowledge(t).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	muts := []replica.Mutation{
-		{Kind: replica.MutPut, Entry: &store.EntrySnapshot{Item: testItem(), Arrival: 1}, NextArrival: 2},
-		{Kind: replica.MutLearn, Versions: []vclock.Version{{Replica: "a", Seq: 9}, {Replica: "b", Seq: 2}}, Seq: 3},
-		{Kind: replica.MutMerge, Knowledge: know},
-	}
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(muts); err != nil {
-		t.Fatal(err)
-	}
-	var viaGob []replica.Mutation
-	if err := gob.NewDecoder(&gobBuf).Decode(&viaGob); err != nil {
-		t.Fatal(err)
-	}
-	binBuf, err := AppendMutations(nil, muts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBin, err := DecodeMutations(binBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaGob, viaBin) {
-		t.Errorf("gob and binary disagree:\n gob %+v\n bin %+v", viaGob, viaBin)
-	}
-	if len(binBuf) >= gobBuf.Cap() {
-		t.Logf("note: binary (%d B) not smaller than gob for this batch", len(binBuf))
 	}
 }
 
