@@ -45,23 +45,36 @@ func benchRequest(maxItems int) *SyncRequest {
 
 // BenchmarkHandleSyncRequest measures batch assembly on the sync hot path at
 // several store sizes, with the encounter budget both unconstrained and at
-// the paper's Fig. 9 bound of one item per sync.
+// the paper's Fig. 9 bound of one item per sync, for a target that knows
+// nothing (every entry is a candidate: the full-walk case) and one that knows
+// every version but the newest (the O(unknown) case: a peer that synced one
+// message ago).
 func BenchmarkHandleSyncRequest(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		for _, maxItems := range []int{0, 1} {
-			name := fmt.Sprintf("n=%d/maxItems=%d", n, maxItems)
-			b.Run(name, func(b *testing.B) {
-				src := newBenchSource(b, n)
-				req := benchRequest(maxItems)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					resp := src.HandleSyncRequest(req)
-					if len(resp.Items) == 0 {
-						b.Fatal("empty batch")
+			for _, known := range []string{"none", "all-but-1"} {
+				name := fmt.Sprintf("n=%d/maxItems=%d/known=%s", n, maxItems, known)
+				b.Run(name, func(b *testing.B) {
+					src := newBenchSource(b, n)
+					req := benchRequest(maxItems)
+					if known == "all-but-1" {
+						req.Knowledge = src.Knowledge()
+						src.CreateItem(item.Metadata{
+							Source:       "addr:src",
+							Destinations: []string{"addr:0"},
+							Kind:         "message",
+						}, []byte("payload"))
 					}
-				}
-			})
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						resp := src.HandleSyncRequest(req)
+						if len(resp.Items) == 0 {
+							b.Fatal("empty batch")
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"replidtn/internal/routing/epidemic"
 	"replidtn/internal/routing/prophet"
 	"replidtn/internal/routing/spraywait"
+	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 )
 
@@ -111,12 +112,27 @@ type diffScenario struct {
 	wideFilter  bool
 }
 
-// buildSource constructs a source replica populated per the scenario; called
-// twice with the same scenario it produces identical replicas, so policy
-// side effects (spray halving, TTL decrements) apply equally to both paths.
-func buildSource(sc diffScenario) (*Replica, *SyncRequest) {
+// buildScenario constructs, for real, the world one scenario describes — a
+// source replica, the target that will sync from it, and the exact-knowledge
+// request for that sync. Called twice with the same scenario it produces
+// identical worlds, so policy side effects (spray halving, TTL decrements)
+// apply equally to both paths under comparison.
+//
+// The source's store is what a relay's looks like, not a single writer's
+// log: items from several creators arrive in batches while their creators
+// keep updating and deleting them (so an item's Num differs from its
+// version's Seq, and an ingested update must take the replaced entry's old
+// version out of the source's index), the source itself rewrites items other
+// replicas created (version creator != ID creator), holds tombstones and
+// already-expired messages, and may hold one item whose version has seq 0,
+// which knowledge can never cover. The target's knowledge is earned the same
+// way — a prefix of each writer's versions, then a random scatter — so it is
+// a contiguous base plus exceptions plus gaps, and covers versions the
+// source never received.
+func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *SyncRequest) {
 	rng := rand.New(rand.NewSource(sc.seed))
 	var now int64 = 1000
+	clock := func() int64 { return now }
 	var pol routing.Policy
 	switch sc.policy {
 	case 1:
@@ -124,49 +140,92 @@ func buildSource(sc diffScenario) (*Replica, *SyncRequest) {
 	case 2:
 		pol = spraywait.New(8)
 	case 3:
-		pol = prophet.New(prophet.DefaultParams(), func() int64 { return now }, "addr:src")
+		pol = prophet.New(prophet.DefaultParams(), clock, "addr:src")
 	}
-	src := New(Config{
-		ID:           "src",
-		OwnAddresses: []string{"addr:src"},
-		Policy:       pol,
-		Now:          func() int64 { return now },
+	src = New(Config{
+		ID: "src", OwnAddresses: []string{"addr:src"}, Policy: pol, Now: clock,
+		SyncSummaries: summaries, SummaryDigestMin: 1,
 	})
-	targetKnow := vclock.NewKnowledge()
-	for i := 0; i < sc.items; i++ {
-		dst := fmt.Sprintf("addr:%d", rng.Intn(6))
-		expires := int64(0)
-		if rng.Intn(100) < sc.expireFrac {
-			expires = now - 1 // already past
-		}
-		payload := make([]byte, rng.Intn(200))
-		it := src.CreateItem(item.Metadata{
-			Source:       "addr:src",
-			Destinations: []string{dst},
-			Kind:         "message",
-			Expires:      expires,
-		}, payload)
-		if rng.Intn(100) < sc.tombFrac {
-			if _, err := src.DeleteItem(it.ID); err != nil {
-				panic(err)
-			}
-		}
-		if rng.Intn(100) < sc.knownFrac {
-			targetKnow.Add(it.Version)
-		}
-	}
 	var f filter.Filter = filter.NewAddresses("addr:0", "addr:1")
 	if sc.wideFilter {
 		f = filter.All{}
 	}
-	req := &SyncRequest{
+	tgt = New(Config{
+		ID: "tgt", OwnAddresses: []string{"addr:0", "addr:1"}, Filter: f, Now: clock,
+		SyncSummaries: summaries, SummaryDigestMin: 1,
+	})
+
+	// ingest hands dst the entries of from that pick selects, as one batch.
+	ingest := func(dst, from *Replica, pick func(*store.Entry) bool) {
+		resp := &SyncResponse{SourceID: from.ID()}
+		for _, e := range from.store.Entries() {
+			if pick(e) {
+				resp.Items = append(resp.Items, BatchItem{Item: e.Item, Transient: e.Transient.Clone()})
+			}
+		}
+		dst.ApplyBatch(resp)
+	}
+	writers := []*Replica{src}
+	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+		id := fmt.Sprintf("w%d", i)
+		writers = append(writers, New(Config{ID: vclock.ReplicaID(id), OwnAddresses: []string{"addr:" + id}, Now: clock}))
+	}
+	for i := 0; i < sc.items; i++ {
+		w := writers[rng.Intn(len(writers))]
+		held := w.store.Entries()
+		switch op := rng.Intn(100); {
+		case len(held) > 0 && op < sc.tombFrac:
+			if _, err := w.DeleteItem(held[rng.Intn(len(held))].Item.ID); err != nil {
+				panic(err)
+			}
+		case len(held) > 0 && op < sc.tombFrac+15:
+			// Any held item, the source's relayed ones included.
+			if _, err := w.UpdateItem(held[rng.Intn(len(held))].Item.ID, make([]byte, rng.Intn(200))); err != nil {
+				panic(err)
+			}
+		default:
+			expires := int64(0)
+			if rng.Intn(100) < sc.expireFrac {
+				expires = now - 1 // already past
+			}
+			w.CreateItem(item.Metadata{
+				Source:       "addr:" + string(w.ID()),
+				Destinations: []string{fmt.Sprintf("addr:%d", rng.Intn(6))},
+				Kind:         "message",
+				Expires:      expires,
+			}, make([]byte, rng.Intn(200)))
+		}
+		if rng.Intn(4) == 0 {
+			ingest(src, writers[rng.Intn(len(writers))], func(*store.Entry) bool { return rng.Intn(3) > 0 })
+		}
+	}
+	if rng.Intn(2) == 0 {
+		src.ApplyBatch(&SyncResponse{SourceID: "z", Items: []BatchItem{{Item: &item.Item{
+			ID:      item.ID{Creator: "z", Num: 1},
+			Version: vclock.Version{Replica: "z", Seq: 0},
+			Meta:    item.Metadata{Source: "addr:z", Destinations: []string{fmt.Sprintf("addr:%d", rng.Intn(6))}, Kind: "message"},
+		}}}})
+	}
+	for _, w := range writers {
+		prefix := uint64(rng.Intn(sc.items + 1))
+		ingest(tgt, w, func(e *store.Entry) bool {
+			return e.Item.Version.Seq <= prefix || rng.Intn(100) < sc.knownFrac
+		})
+	}
+	req = &SyncRequest{
 		TargetID:    "tgt",
-		Knowledge:   targetKnow,
+		Knowledge:   tgt.Knowledge(),
 		Filter:      f,
 		MaxItems:    sc.maxItems,
 		MaxBytes:    sc.maxBytes,
 		StrictBytes: sc.strictBytes,
 	}
+	return src, tgt, req
+}
+
+// buildSource is buildScenario for the tests that drive the source directly.
+func buildSource(sc diffScenario) (*Replica, *SyncRequest) {
+	src, _, req := buildScenario(sc, false)
 	return src, req
 }
 
@@ -210,13 +269,35 @@ func sameResponse(a, b *SyncResponse) error {
 	return nil
 }
 
+// sameStores compares two replicas' stores entry for entry: same items at the
+// same versions with the same transients, i.e. the same policy side effects.
+func sameStores(a, b *Replica) error {
+	x, y := a.store.Entries(), b.store.Entries()
+	if len(x) != len(y) {
+		return fmt.Errorf("store length %d vs %d", len(x), len(y))
+	}
+	for i := range x {
+		if x[i].Item.ID != y[i].Item.ID || x[i].Item.Version != y[i].Item.Version ||
+			fmt.Sprint(x[i].Transient) != fmt.Sprint(y[i].Transient) {
+			return fmt.Errorf("store entry %d: %s@%s %v vs %s@%s %v", i,
+				x[i].Item.ID, x[i].Item.Version, x[i].Transient, y[i].Item.ID, y[i].Item.Version, y[i].Transient)
+		}
+	}
+	return nil
+}
+
 // TestHandleSyncRequestDifferential is the property test pinning the
-// streaming selector to the old sort-everything path: across random stores,
-// policies, filters, and MaxItems/MaxBytes combinations, both paths must
-// emit byte-identical batches (same items, same order, same priorities, same
-// truncation and knowledge-merge flags).
+// streaming selector over the pruned version-index walk to the old
+// scan-and-sort-everything path: across random stores, policies, filters,
+// knowledge shapes and MaxItems/MaxBytes combinations, both paths must emit
+// byte-identical batches (same items, same order, same priorities, same
+// truncation and knowledge-merge flags) and leave identical stores behind.
+// With digest set the new path is asked in summary mode — a Bloom digest of
+// the same knowledge, then the exact retry if the source demands one — and
+// must still match the reference's answer to the exact request.
 func TestHandleSyncRequestDifferential(t *testing.T) {
-	check := func(seed int64, policy, items, maxItems uint8, maxBytes uint16, strict, wide bool, knownFrac, tombFrac, expireFrac uint8) bool {
+	var batches, multiCreator, aboveBase, served, fallbacks int
+	check := func(seed int64, policy, items, maxItems uint8, maxBytes uint16, strict, wide, digest bool, knownFrac, tombFrac, expireFrac uint8) bool {
 		sc := diffScenario{
 			seed:        seed,
 			policy:      int(policy % 4),
@@ -234,28 +315,56 @@ func TestHandleSyncRequestDifferential(t *testing.T) {
 		oldSrc, oldReq := buildSource(sc)
 		newSrc, newReq := buildSource(sc)
 		oldResp := oldSrc.handleSyncRequestReference(reqClone(oldReq))
-		newResp := newSrc.HandleSyncRequest(reqClone(newReq))
+		var newResp *SyncResponse
+		if digest {
+			summary := *newReq
+			summary.Knowledge, summary.Digest = nil, newReq.Knowledge.Digest(0.05)
+			if newResp = newSrc.HandleSyncRequest(&summary); newResp.NeedKnowledge {
+				fallbacks++
+				newResp = newSrc.HandleSyncRequest(reqClone(newReq))
+			} else {
+				served++
+			}
+		} else {
+			newResp = newSrc.HandleSyncRequest(reqClone(newReq))
+		}
 		if err := sameResponse(oldResp, newResp); err != nil {
-			t.Logf("scenario %+v: %v", sc, err)
+			t.Logf("scenario %+v digest=%v: %v", sc, digest, err)
 			return false
 		}
 		// The side effects must also agree: stores identical after assembly.
-		oldEntries, newEntries := oldSrc.store.Entries(), newSrc.store.Entries()
-		if len(oldEntries) != len(newEntries) {
-			t.Logf("scenario %+v: store length diverged", sc)
+		if err := sameStores(oldSrc, newSrc); err != nil {
+			t.Logf("scenario %+v digest=%v: %v", sc, digest, err)
 			return false
 		}
-		for i := range oldEntries {
-			if oldEntries[i].Item.ID != newEntries[i].Item.ID ||
-				fmt.Sprint(oldEntries[i].Transient) != fmt.Sprint(newEntries[i].Transient) {
-				t.Logf("scenario %+v: store entry %d diverged", sc, i)
-				return false
-			}
+		// What the corpus exercised, for the vacuity checks below.
+		if len(newResp.Items) > 0 {
+			batches++
+		}
+		creators := make(map[vclock.ReplicaID]bool)
+		for _, e := range newSrc.store.Entries() {
+			creators[e.Item.Version.Replica] = true
+		}
+		if len(creators) > 2 {
+			multiCreator++
+		}
+		if newReq.Knowledge.ExceptionCount() > 0 && len(newReq.Knowledge.Base()) > 0 {
+			aboveBase++
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)
+	}
+	t.Logf("non-empty batches %d, stores of 3+ version creators %d, knowledge with base and exceptions %d, digests served %d, fallbacks %d",
+		batches, multiCreator, aboveBase, served, fallbacks)
+	for name, n := range map[string]int{
+		"non-empty batches": batches, "multi-creator stores": multiCreator,
+		"knowledge with base and exceptions": aboveBase, "digests served": served, "digest fallbacks": fallbacks,
+	} {
+		if n < 20 {
+			t.Errorf("corpus too thin to mean anything: %s seen %d times", name, n)
+		}
 	}
 }
 

@@ -174,6 +174,7 @@ func (r *Replica) attachFullLocked(req *SyncRequest, peer vclock.ReplicaID) {
 	}
 	f.use = r.stampUseLocked()
 	f.gen++
+	r.know.WireSize() // as in MakeSyncRequest
 	f.know = r.know.Clone()
 	req.Knowledge = f.know.Clone()
 	req.Epoch = r.epoch
@@ -239,13 +240,9 @@ func (r *Replica) resolveKnowledgeLocked(req *SyncRequest) (know *vclock.Knowled
 // fallback leaves policy state untouched for the retry.
 func (r *Replica) digestAmbiguousLocked(d *vclock.Digest) bool {
 	ambiguous := false
-	r.store.Range(func(e *store.Entry) bool {
-		v := e.Item.Version
-		if !d.BaseIncludes(v) && d.MayHaveException(v) {
-			ambiguous = true
-			return false
-		}
-		return true
+	r.store.RangeAbove(d.BaseSeq, func(e *store.Entry) bool {
+		ambiguous = d.MayHaveException(e.Item.Version)
+		return !ambiguous
 	})
 	return ambiguous
 }

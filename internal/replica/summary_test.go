@@ -124,6 +124,56 @@ func TestQuickDigestSyncDeliversExactly(t *testing.T) {
 	if fallbacks == 0 {
 		t.Error("no run hit the exact-knowledge fallback round")
 	}
+
+	// The same property over the differential suite's relay-shaped worlds
+	// (buildScenario: several creators, updates, tombstones, a seq-0 version,
+	// knowledge with base, exceptions and gaps), under every policy and
+	// budget: two syncs — the second, after fresh traffic, on the delta path
+	// — must apply identically with summaries on and off and leave both
+	// replicas' stores, spray allowances included, the same.
+	digests, fallbacks = 0, 0
+	wide := func(seed int64, policy, items, maxItems uint8, maxBytes uint16, knownFrac, tombFrac uint8) bool {
+		sc := diffScenario{
+			seed: seed, policy: int(policy % 4), items: int(items%120) + 1,
+			maxItems: int(maxItems % 12), maxBytes: int64(maxBytes % 2048),
+			knownFrac: int(knownFrac % 101), tombFrac: int(tombFrac % 40),
+		}
+		run := func(summaries bool) (r1, r2 SyncResult, src, tgt *Replica) {
+			src, tgt, _ = buildScenario(sc, summaries)
+			budget := Budget{Items: sc.maxItems, Bytes: sc.maxBytes}
+			r1 = SyncBudget(src, tgt, budget)
+			src.CreateItem(item.Metadata{
+				Source: "addr:src", Destinations: []string{"addr:0"}, Kind: "message",
+			}, []byte("late"))
+			r2 = SyncBudget(src, tgt, budget)
+			return r1, r2, src, tgt
+		}
+		p1, p2, psrc, ptgt := run(false)
+		s1, s2, ssrc, stgt := run(true)
+		digests += stgt.Stats().KnowledgeDigests
+		fallbacks += stgt.Stats().SummaryFallbacks
+		if p1.Apply != s1.Apply || p2.Apply != s2.Apply || p1.Sent != s1.Sent || p2.Sent != s2.Sent {
+			t.Logf("scenario %+v: syncs diverged:\nv1 %+v / %+v\nv2 %+v / %+v", sc, p1, p2, s1, s2)
+			return false
+		}
+		if dup := s1.Apply.Duplicates + s2.Apply.Duplicates; dup != 0 {
+			t.Logf("scenario %+v: summary syncs produced %d duplicates", sc, dup)
+			return false
+		}
+		for name, pair := range map[string][2]*Replica{"source": {psrc, ssrc}, "target": {ptgt, stgt}} {
+			if err := sameStores(pair[0], pair[1]); err != nil {
+				t.Logf("scenario %+v: %s stores diverged: %v", sc, name, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(wide, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(12))}); err != nil {
+		t.Error(err)
+	}
+	if digests == 0 || fallbacks == 0 {
+		t.Errorf("relay-shaped corpus sent %d digests and hit %d fallbacks; want both", digests, fallbacks)
+	}
 }
 
 // TestDeltaRecurringPair walks a recurring pair through the delta upgrade

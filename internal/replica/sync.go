@@ -122,6 +122,9 @@ func (r *Replica) MakeSyncRequest(maxItems int) *SyncRequest {
 		r.metrics.SyncsInitiated.Inc()
 		r.metrics.KnowledgeSize.Set(int64(r.know.Size()))
 	}
+	// Sized on r.know, not on the clone, so the memo outlives the request:
+	// every consumer of a request asks for the frame's size.
+	r.know.WireSize()
 	req := &SyncRequest{
 		TargetID:  r.id,
 		Knowledge: r.know.Clone(),
@@ -163,7 +166,8 @@ func selectorLimit(req *SyncRequest) int {
 
 // HandleSyncRequest serves a synchronization request (acting as source): it
 // processes the request's routing state, then streams store entries off the
-// maintained index — skipping known and expired versions inline — and keeps
+// version-ordered index — never visiting what the target's base vector
+// covers, skipping known exceptions and expired versions inline — and keeps
 // only the top-K batch under the request's budgets in a bounded priority
 // heap. Tombstones and filter-matched items keep their priority-class
 // ordering; the full batch is materialized and sorted only when the request
@@ -198,12 +202,21 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	split, _ := r.policy.(routing.SplitSender)
 
 	sel := batchSelector{limit: selectorLimit(req)}
-	r.store.Range(func(e *store.Entry) bool {
-		if digest != nil {
-			if digest.BaseIncludes(e.Item.Version) {
-				return true
-			}
-		} else if know.Contains(e.Item.Version) {
+	// The walk yields versions above the target's base vector, one creator
+	// run at a time; view is that creator's share of know, loaded where the
+	// walk asks for the run's floor (a digest's base decides alone). Walking
+	// in version order, not the reference assembly's ID order, is unobservable:
+	// same offered set, per-entry policy calls, and candLess is total.
+	var view vclock.CreatorView
+	floor := func(c vclock.ReplicaID) uint64 {
+		view = know.View(c)
+		return view.Base
+	}
+	if digest != nil {
+		floor = digest.BaseSeq
+	}
+	r.store.RangeAbove(floor, func(e *store.Entry) bool {
+		if view.HasException(e.Item.Version.Seq) {
 			return true
 		}
 		if !e.Item.Deleted && r.expiredLocked(&e.Item.Meta) {

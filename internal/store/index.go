@@ -1,13 +1,14 @@
 package store
 
 import (
-	"sort"
+	"cmp"
+	"strings"
 
-	"replidtn/internal/item"
+	"replidtn/internal/vclock"
 )
 
-// entryIndex is an in-memory B-tree over store entries keyed by item ID. It
-// is maintained incrementally on every store mutation so that in-order
+// entryIndex is an in-memory B-tree over store entries under one entryOrder.
+// It is maintained incrementally on every store mutation so that in-order
 // iteration needs no per-call allocation or sorting — the sync hot path
 // iterates candidates straight off the index. DTN7 keeps its bundle store
 // behind maintained indexes for the same reason.
@@ -17,8 +18,34 @@ import (
 // split full nodes on the way down, and deletes grow underfull nodes by
 // stealing from or merging with a sibling on the way down.
 type entryIndex struct {
-	root *indexNode
-	size int
+	order entryOrder
+	root  *indexNode
+	size  int
+}
+
+// entryOrder is the three-way comparison an index is sorted by. Entries that
+// compare equal are the same key: inserting one replaces the other.
+type entryOrder func(a, b *Entry) int
+
+// orderByID sorts by item ID, the store's deterministic iteration order.
+func orderByID(a, b *Entry) int {
+	if c := strings.Compare(string(a.Item.ID.Creator), string(b.Item.ID.Creator)); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Item.ID.Num, b.Item.ID.Num)
+}
+
+// orderByVersion sorts by (Version.Replica, Version.Seq, ID): each creator's
+// versions form one ascending run (see aboveWalk). The ID tie-break keeps the
+// order total when a restored snapshot carries one version under two IDs.
+func orderByVersion(a, b *Entry) int {
+	if c := strings.Compare(string(a.Item.Version.Replica), string(b.Item.Version.Replica)); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Item.Version.Seq, b.Item.Version.Seq); c != 0 {
+		return c
+	}
+	return orderByID(a, b)
 }
 
 const (
@@ -34,39 +61,26 @@ type indexNode struct {
 	children []*indexNode
 }
 
-// find returns the position of id in n.entries, or the child index to
+// find returns the position of key in n.entries, or the child index to
 // descend into when absent.
-func (n *indexNode) find(id item.ID) (int, bool) {
-	i := sort.Search(len(n.entries), func(i int) bool {
-		return !lessID(n.entries[i].Item.ID, id)
-	})
-	if i < len(n.entries) && n.entries[i].Item.ID == id {
-		return i, true
-	}
-	return i, false
-}
-
-// len returns the number of indexed entries.
-func (ix *entryIndex) len() int { return ix.size }
-
-// get returns the entry for id, or nil.
-func (ix *entryIndex) get(id item.ID) *Entry {
-	n := ix.root
-	for n != nil {
-		i, found := n.find(id)
-		if found {
-			return n.entries[i]
+func (n *indexNode) find(order entryOrder, key *Entry) (int, bool) {
+	lo, hi := 0, len(n.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := order(n.entries[mid], key); {
+		case c == 0:
+			return mid, true
+		case c < 0:
+			lo = mid + 1
+		default:
+			hi = mid
 		}
-		if len(n.children) == 0 {
-			return nil
-		}
-		n = n.children[i]
 	}
-	return nil
+	return lo, false
 }
 
 // replaceOrInsert adds e to the index, returning the entry it replaced (nil
-// when the ID is new).
+// when the key is new).
 func (ix *entryIndex) replaceOrInsert(e *Entry) *Entry {
 	if ix.root == nil {
 		ix.root = &indexNode{entries: []*Entry{e}}
@@ -80,7 +94,7 @@ func (ix *entryIndex) replaceOrInsert(e *Entry) *Entry {
 			children: []*indexNode{ix.root, right},
 		}
 	}
-	prev := ix.root.insert(e)
+	prev := ix.root.insert(ix.order, e)
 	if prev == nil {
 		ix.size++
 	}
@@ -117,8 +131,8 @@ func (n *indexNode) maybeSplitChild(i int) bool {
 	return true
 }
 
-func (n *indexNode) insert(e *Entry) *Entry {
-	i, found := n.find(e.Item.ID)
+func (n *indexNode) insert(order entryOrder, e *Entry) *Entry {
+	i, found := n.find(order, e)
 	if found {
 		prev := n.entries[i]
 		n.entries[i] = e
@@ -133,32 +147,33 @@ func (n *indexNode) insert(e *Entry) *Entry {
 	if n.maybeSplitChild(i) {
 		// The promoted separator may be the key itself or may shift the
 		// descent one child to the right.
-		switch {
-		case n.entries[i].Item.ID == e.Item.ID:
+		switch c := order(n.entries[i], e); {
+		case c == 0:
 			prev := n.entries[i]
 			n.entries[i] = e
 			return prev
-		case lessID(n.entries[i].Item.ID, e.Item.ID):
+		case c < 0:
 			i++
 		}
 	}
-	return n.children[i].insert(e)
+	return n.children[i].insert(order, e)
 }
 
 // removeKind selects what (*indexNode).remove removes.
 type removeKind int
 
 const (
-	removeID  removeKind = iota // the entry with a given ID
+	removeKey removeKind = iota // the entry comparing equal to a given key
 	removeMax                   // the subtree's maximum entry
 )
 
-// delete removes and returns the entry for id (nil when absent).
-func (ix *entryIndex) delete(id item.ID) *Entry {
+// delete removes and returns the entry comparing equal to key (nil when
+// absent).
+func (ix *entryIndex) delete(key *Entry) *Entry {
 	if ix.root == nil || len(ix.root.entries) == 0 {
 		return nil
 	}
-	out := ix.root.remove(id, removeID)
+	out := ix.root.remove(ix.order, key, removeKey)
 	if len(ix.root.entries) == 0 && len(ix.root.children) > 0 {
 		ix.root = ix.root.children[0]
 	}
@@ -168,7 +183,7 @@ func (ix *entryIndex) delete(id item.ID) *Entry {
 	return out
 }
 
-func (n *indexNode) remove(id item.ID, kind removeKind) *Entry {
+func (n *indexNode) remove(order entryOrder, key *Entry, kind removeKind) *Entry {
 	var i int
 	var found bool
 	switch kind {
@@ -179,8 +194,8 @@ func (n *indexNode) remove(id item.ID, kind removeKind) *Entry {
 			return out
 		}
 		i = len(n.entries)
-	case removeID:
-		i, found = n.find(id)
+	case removeKey:
+		i, found = n.find(order, key)
 		if len(n.children) == 0 {
 			if !found {
 				return nil
@@ -192,21 +207,21 @@ func (n *indexNode) remove(id item.ID, kind removeKind) *Entry {
 		}
 	}
 	if len(n.children[i].entries) <= indexMinItems {
-		return n.growChildAndRemove(i, id, kind)
+		return n.growChildAndRemove(order, i, key, kind)
 	}
 	if found {
 		// Replace the separator with its in-order predecessor, pulled from
 		// the (sufficiently full) left subtree.
 		out := n.entries[i]
-		n.entries[i] = n.children[i].remove(item.ID{}, removeMax)
+		n.entries[i] = n.children[i].remove(order, nil, removeMax)
 		return out
 	}
-	return n.children[i].remove(id, kind)
+	return n.children[i].remove(order, key, kind)
 }
 
 // growChildAndRemove brings child i above the minimum occupancy — stealing
 // from a sibling or merging with one — then retries the removal from n.
-func (n *indexNode) growChildAndRemove(i int, id item.ID, kind removeKind) *Entry {
+func (n *indexNode) growChildAndRemove(order entryOrder, i int, key *Entry, kind removeKind) *Entry {
 	switch {
 	case i > 0 && len(n.children[i-1].entries) > indexMinItems:
 		// Steal the left sibling's last entry through the separator.
@@ -248,10 +263,10 @@ func (n *indexNode) growChildAndRemove(i int, id item.ID, kind removeKind) *Entr
 		copy(n.children[i+1:], n.children[i+2:])
 		n.children = n.children[:len(n.children)-1]
 	}
-	return n.remove(id, kind)
+	return n.remove(order, key, kind)
 }
 
-// ascend calls fn for every entry in ascending ID order until fn returns
+// ascend calls fn for every entry in ascending index order until fn returns
 // false, reporting whether the walk ran to completion.
 func (ix *entryIndex) ascend(fn func(*Entry) bool) bool {
 	if ix.root == nil {
@@ -272,6 +287,72 @@ func (n *indexNode) ascend(fn func(*Entry) bool) bool {
 	}
 	if internal {
 		return n.children[len(n.children)-1].ascend(fn)
+	}
+	return true
+}
+
+// aboveWalk walks a version-ordered index once, calling fn — until it returns
+// false — for exactly the entries floor does not cover (Seq == 0 or Seq >
+// floor(creator)). It never descends into a subtree whose two bounding
+// separators belong to one creator with the lower seq >= 1 and the upper seq
+// <= floor(creator): all of it is covered. With nothing covered that is
+// ascend plus one floor lookup per creator run; with everything covered, the
+// nodes along run boundaries, O(fan-out × height) per run. No seeks: many
+// short runs cost no descents.
+type aboveWalk struct {
+	floor func(vclock.ReplicaID) uint64
+	fn    func(*Entry) bool
+	// floor's answer for the creator run the walk is in (see floorOf).
+	creator  vclock.ReplicaID
+	base     uint64
+	cached   bool
+	examined int // entries looked at: the walk's whole cost, bounded by a test
+}
+
+// floorOf returns floor(c), asking floor only when c starts a new run: runs
+// come in ascending creator order, so floor runs once per creator.
+//
+//dtn:hotpath
+func (w *aboveWalk) floorOf(c vclock.ReplicaID) uint64 {
+	if !w.cached || c != w.creator {
+		w.creator, w.base, w.cached = c, w.floor(c), true
+	}
+	return w.base
+}
+
+// covered reports whether everything strictly between lo and hi (nil: the
+// open end) is under the floor. lo's creator is compared before floor is
+// consulted, so floorOf only ever moves forward.
+//
+//dtn:hotpath
+func (w *aboveWalk) covered(lo, hi *Entry) bool {
+	return lo != nil && hi != nil && lo.Item.Version.Seq >= 1 &&
+		lo.Item.Version.Replica == hi.Item.Version.Replica &&
+		hi.Item.Version.Seq <= w.floorOf(hi.Item.Version.Replica)
+}
+
+// walk visits n (nil: an empty index), whose entries lie strictly between lo
+// and hi, reporting whether the traversal should continue.
+//
+//dtn:hotpath
+func (w *aboveWalk) walk(n *indexNode, lo, hi *Entry) bool {
+	if n == nil {
+		return true
+	}
+	internal := len(n.children) > 0
+	for i, e := range n.entries {
+		if internal && !w.covered(lo, e) && !w.walk(n.children[i], lo, e) {
+			return false
+		}
+		w.examined++
+		v := &e.Item.Version
+		if base := w.floorOf(v.Replica); (v.Seq == 0 || v.Seq > base) && !w.fn(e) {
+			return false
+		}
+		lo = e
+	}
+	if internal && !w.covered(lo, hi) {
+		return w.walk(n.children[len(n.children)-1], lo, hi)
 	}
 	return true
 }

@@ -10,17 +10,27 @@ import (
 	"replidtn/internal/vclock"
 )
 
+// indexOrders are the two orderings the store instantiates the B-tree with;
+// every index test runs over both.
+var indexOrders = []struct {
+	name  string
+	order entryOrder
+}{
+	{"by-id", orderByID},
+	{"by-version", orderByVersion},
+}
+
 // checkIndexInvariants walks the tree verifying B-tree structure: key order,
-// node occupancy, and uniform leaf depth.
-func checkIndexInvariants(t *testing.T, ix *entryIndex) {
+// node occupancy, and uniform leaf depth. It returns the tree's height.
+func checkIndexInvariants(t *testing.T, ix *entryIndex) int {
 	t.Helper()
 	if ix.root == nil {
 		if ix.size != 0 {
 			t.Fatalf("nil root with size %d", ix.size)
 		}
-		return
+		return 0
 	}
-	var prev *item.ID
+	var prev *Entry
 	counted := 0
 	leafDepth := -1
 	var walk func(n *indexNode, depth int)
@@ -46,11 +56,10 @@ func checkIndexInvariants(t *testing.T, ix *entryIndex) {
 			if internal {
 				walk(n.children[i], depth+1)
 			}
-			if prev != nil && !lessID(*prev, e.Item.ID) {
-				t.Fatalf("order violation: %s !< %s", *prev, e.Item.ID)
+			if prev != nil && ix.order(prev, e) >= 0 {
+				t.Fatalf("order violation: %s@%s !< %s@%s", prev.Item.ID, prev.Item.Version, e.Item.ID, e.Item.Version)
 			}
-			id := e.Item.ID
-			prev = &id
+			prev = e
 			counted++
 		}
 		if internal {
@@ -61,86 +70,103 @@ func checkIndexInvariants(t *testing.T, ix *entryIndex) {
 	if counted != ix.size {
 		t.Fatalf("walk found %d entries, size says %d", counted, ix.size)
 	}
+	return leafDepth + 1
+}
+
+// refKey identifies an entry under either ordering: the version fields stay
+// zero for the ID order, whose key is the ID alone.
+type refKey struct {
+	version vclock.Version
+	id      item.ID
 }
 
 // TestIndexDifferential drives the B-tree and a map-based reference with the
-// same random operation stream and demands identical contents throughout.
+// same random operation stream and demands identical contents throughout,
+// under both orderings. Versions are drawn independently of IDs (and collide
+// across IDs), so the two orders disagree and the version order needs its ID
+// tie-break.
 func TestIndexDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var ix entryIndex
-	ref := make(map[item.ID]*Entry)
+	for _, tc := range indexOrders {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			ix := entryIndex{order: tc.order}
+			ref := make(map[refKey]*Entry)
 
-	randomID := func() item.ID {
-		return item.ID{
-			Creator: vclock.ReplicaID(fmt.Sprintf("r%d", rng.Intn(20))),
-			Num:     uint64(rng.Intn(200) + 1),
-		}
-	}
-	for op := 0; op < 20000; op++ {
-		id := randomID()
-		switch rng.Intn(3) {
-		case 0, 1: // insert or replace
-			e := &Entry{Item: &item.Item{ID: id}}
-			prev := ix.replaceOrInsert(e)
-			if prev != ref[id] {
-				t.Fatalf("op %d: replaceOrInsert(%s) returned %v, ref had %v", op, id, prev, ref[id])
+			randomEntry := func() (*Entry, refKey) {
+				it := mkItem(fmt.Sprintf("r%d", rng.Intn(20)), uint64(rng.Intn(200)+1))
+				it.Version = vclock.Version{
+					Replica: vclock.ReplicaID(fmt.Sprintf("v%d", rng.Intn(6))),
+					Seq:     uint64(rng.Intn(40)),
+				}
+				key := refKey{id: it.ID}
+				if tc.name == "by-version" {
+					key.version = it.Version
+				}
+				return &Entry{Item: it}, key
 			}
-			ref[id] = e
-		case 2: // delete
-			got := ix.delete(id)
-			if got != ref[id] {
-				t.Fatalf("op %d: delete(%s) returned %v, ref had %v", op, id, got, ref[id])
+			for op := 0; op < 20000; op++ {
+				e, key := randomEntry()
+				switch rng.Intn(3) {
+				case 0, 1: // insert or replace
+					prev := ix.replaceOrInsert(e)
+					if prev != ref[key] {
+						t.Fatalf("op %d: replaceOrInsert(%+v) returned %v, ref had %v", op, key, prev, ref[key])
+					}
+					ref[key] = e
+				case 2: // delete
+					got := ix.delete(e)
+					if got != ref[key] {
+						t.Fatalf("op %d: delete(%+v) returned %v, ref had %v", op, key, got, ref[key])
+					}
+					delete(ref, key)
+				}
+				if ix.size != len(ref) {
+					t.Fatalf("op %d: len %d != ref %d", op, ix.size, len(ref))
+				}
+				if op%500 == 0 {
+					checkIndexInvariants(t, &ix)
+					assertSameOrder(t, &ix, ref)
+				}
 			}
-			delete(ref, id)
-		}
-		if ix.len() != len(ref) {
-			t.Fatalf("op %d: len %d != ref %d", op, ix.len(), len(ref))
-		}
-		if e := ix.get(id); e != ref[id] {
-			t.Fatalf("op %d: get(%s) = %v, ref %v", op, id, e, ref[id])
-		}
-		if op%500 == 0 {
 			checkIndexInvariants(t, &ix)
 			assertSameOrder(t, &ix, ref)
-		}
-	}
-	checkIndexInvariants(t, &ix)
-	assertSameOrder(t, &ix, ref)
 
-	// Drain completely to exercise every delete rebalancing path.
-	ids := make([]item.ID, 0, len(ref))
-	for id := range ref {
-		ids = append(ids, id)
+			// Drain completely to exercise every delete rebalancing path.
+			rest := make([]*Entry, 0, len(ref))
+			for _, e := range ref {
+				rest = append(rest, e)
+			}
+			sort.Slice(rest, func(i, j int) bool { return tc.order(rest[i], rest[j]) < 0 })
+			rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+			for _, e := range rest {
+				if ix.delete(e) != e {
+					t.Fatalf("drain: delete(%s@%s) did not find the entry", e.Item.ID, e.Item.Version)
+				}
+			}
+			if ix.size != 0 {
+				t.Fatalf("drained index has %d entries", ix.size)
+			}
+			checkIndexInvariants(t, &ix)
+		})
 	}
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	for _, id := range ids {
-		if ix.delete(id) == nil {
-			t.Fatalf("drain: delete(%s) found nothing", id)
-		}
-		delete(ref, id)
-	}
-	if ix.len() != 0 {
-		t.Fatalf("drained index has %d entries", ix.len())
-	}
-	checkIndexInvariants(t, &ix)
 }
 
 // assertSameOrder checks that ascend yields exactly the reference contents in
-// ascending ID order.
-func assertSameOrder(t *testing.T, ix *entryIndex, ref map[item.ID]*Entry) {
+// the index's order.
+func assertSameOrder(t *testing.T, ix *entryIndex, ref map[refKey]*Entry) {
 	t.Helper()
-	want := make([]item.ID, 0, len(ref))
-	for id := range ref {
-		want = append(want, id)
+	want := make([]*Entry, 0, len(ref))
+	for _, e := range ref {
+		want = append(want, e)
 	}
-	sort.Slice(want, func(i, j int) bool { return lessID(want[i], want[j]) })
+	sort.Slice(want, func(i, j int) bool { return ix.order(want[i], want[j]) < 0 })
 	i := 0
 	ix.ascend(func(e *Entry) bool {
 		if i >= len(want) {
 			t.Fatalf("ascend yielded extra entry %s", e.Item.ID)
 		}
-		if e.Item.ID != want[i] {
-			t.Fatalf("ascend[%d] = %s, want %s", i, e.Item.ID, want[i])
+		if e != want[i] {
+			t.Fatalf("ascend[%d] = %s@%s, want %s@%s", i, e.Item.ID, e.Item.Version, want[i].Item.ID, want[i].Item.Version)
 		}
 		i++
 		return true
@@ -152,26 +178,31 @@ func assertSameOrder(t *testing.T, ix *entryIndex, ref map[item.ID]*Entry) {
 
 // TestIndexAscendEarlyStop verifies the walk halts when fn returns false.
 func TestIndexAscendEarlyStop(t *testing.T) {
-	var ix entryIndex
-	for i := 1; i <= 100; i++ {
-		ix.replaceOrInsert(&Entry{Item: mkItem("a", uint64(i))})
-	}
-	n := 0
-	ix.ascend(func(*Entry) bool {
-		n++
-		return n < 7
-	})
-	if n != 7 {
-		t.Fatalf("early stop visited %d entries, want 7", n)
+	for _, tc := range indexOrders {
+		ix := entryIndex{order: tc.order}
+		for i := 1; i <= 100; i++ {
+			ix.replaceOrInsert(&Entry{Item: mkItem("a", uint64(i))})
+		}
+		n := 0
+		ix.ascend(func(*Entry) bool {
+			n++
+			return n < 7
+		})
+		if n != 7 {
+			t.Fatalf("%s: early stop visited %d entries, want 7", tc.name, n)
+		}
 	}
 }
 
 // TestIndexReset verifies reset empties the tree.
 func TestIndexReset(t *testing.T) {
-	var ix entryIndex
-	ix.replaceOrInsert(&Entry{Item: mkItem("a", 1)})
-	ix.reset()
-	if ix.len() != 0 || ix.get(item.ID{Creator: "a", Num: 1}) != nil {
-		t.Fatal("reset left entries behind")
+	for _, tc := range indexOrders {
+		ix := entryIndex{order: tc.order}
+		e := &Entry{Item: mkItem("a", 1)}
+		ix.replaceOrInsert(e)
+		ix.reset()
+		if ix.size != 0 || ix.delete(e) != nil {
+			t.Fatalf("%s: reset left entries behind", tc.name)
+		}
 	}
 }

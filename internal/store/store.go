@@ -11,12 +11,12 @@
 // experiments, which exempt messages for which the node is the sender or a
 // destination.
 //
-// The store keeps three incremental indexes so its read paths are cheap on
-// the synchronization hot path: an ordered B-tree over entries (iteration in
-// ID order without per-call allocation or sorting), live/relay counters
-// (LiveLen and RelayLen are O(1)), and — for arrival-ordered eviction
-// strategies — a lazy min-heap over relay entries so enforcing the relay
-// capacity never rescans the store.
+// The store keeps incremental indexes so its read paths are cheap on the
+// synchronization hot path: an ordered B-tree over entries by item ID
+// (iteration in ID order without per-call allocation or sorting) and another
+// by version (RangeAbove), live/relay counters (LiveLen and RelayLen are
+// O(1)), and — for arrival-ordered eviction strategies — a lazy min-heap over
+// relay entries so enforcing the relay capacity never rescans the store.
 package store
 
 import (
@@ -24,6 +24,7 @@ import (
 
 	"replidtn/internal/item"
 	"replidtn/internal/obs"
+	"replidtn/internal/vclock"
 )
 
 // Entry is one stored copy of an item plus its host-local state.
@@ -114,8 +115,9 @@ func (e EvictByCost) Less(a, b *Entry) bool {
 // Store is not safe for concurrent use; the owning replica serializes access.
 type Store struct {
 	entries map[item.ID]*Entry
-	// index orders entries by item ID, maintained on every mutation.
-	index entryIndex
+	// index (by item ID) and byVersion are maintained on every mutation.
+	index     entryIndex
+	byVersion entryIndex
 	// relayCapacity bounds the number of live (non-tombstone) relay entries;
 	// <= 0 means unlimited.
 	relayCapacity int
@@ -216,6 +218,8 @@ func NewWithEviction(relayCapacity int, eviction EvictionStrategy) *Store {
 	ao, ok := eviction.(ArrivalOrdered)
 	return &Store{
 		entries:       make(map[item.ID]*Entry),
+		index:         entryIndex{order: orderByID},
+		byVersion:     entryIndex{order: orderByVersion},
 		relayCapacity: relayCapacity,
 		eviction:      eviction,
 		useHeap:       relayCapacity > 0 && ok && ao.ArrivalOrdered(),
@@ -257,12 +261,14 @@ func (s *Store) Put(it *item.Item, transient item.Transient, relay, local bool) 
 		// entry does not move to the back of the FIFO queue.
 		e.arrival = prev.arrival
 		s.uncount(prev)
+		s.byVersion.delete(prev)
 	} else {
 		s.nextArrival++
 		e.arrival = s.nextArrival
 	}
 	s.entries[it.ID] = e
 	s.index.replaceOrInsert(e)
+	s.byVersion.replaceOrInsert(e)
 	s.count(e)
 	if s.onJournal != nil {
 		snap := snapshotEntry(e)
@@ -276,14 +282,21 @@ func (s *Store) Put(it *item.Item, transient item.Transient, relay, local bool) 
 func (s *Store) Remove(id item.ID) *Entry {
 	e := s.entries[id]
 	if e != nil {
-		delete(s.entries, id)
-		s.index.delete(id)
-		s.uncount(e)
-		if s.onJournal != nil {
-			s.onJournal(JournalOp{Remove: id, NextArrival: s.nextArrival})
-		}
+		s.drop(e)
 	}
 	return e
+}
+
+// drop takes a current entry out of the map, both indexes and the counters,
+// and journals its removal.
+func (s *Store) drop(e *Entry) {
+	delete(s.entries, e.Item.ID)
+	s.index.delete(e)
+	s.byVersion.delete(e)
+	s.uncount(e)
+	if s.onJournal != nil {
+		s.onJournal(JournalOp{Remove: e.Item.ID, NextArrival: s.nextArrival})
+	}
 }
 
 // count folds a newly current entry into the maintained counters and, when
@@ -351,12 +364,7 @@ func (s *Store) evictOverflow() []*Entry {
 	if s.useHeap {
 		for len(evicted) < over {
 			e := s.heapPop()
-			delete(s.entries, e.Item.ID)
-			s.index.delete(e.Item.ID)
-			s.uncount(e)
-			if s.onJournal != nil {
-				s.onJournal(JournalOp{Remove: e.Item.ID, NextArrival: s.nextArrival})
-			}
+			s.drop(e)
 			evicted = append(evicted, e)
 		}
 		return evicted
@@ -369,12 +377,7 @@ func (s *Store) evictOverflow() []*Entry {
 	}
 	sort.Slice(relays, func(i, j int) bool { return s.eviction.Less(relays[i], relays[j]) })
 	for _, e := range relays[:over] {
-		delete(s.entries, e.Item.ID)
-		s.index.delete(e.Item.ID)
-		s.uncount(e)
-		if s.onJournal != nil {
-			s.onJournal(JournalOp{Remove: e.Item.ID, NextArrival: s.nextArrival})
-		}
+		s.drop(e)
 		evicted = append(evicted, e)
 	}
 	return evicted
@@ -464,10 +467,12 @@ func (s *Store) rebuildIndexes() {
 	s.onLive = nil
 	defer func() { s.onLive = notify }()
 	s.index.reset()
+	s.byVersion.reset()
 	s.liveCount, s.relayCount = 0, 0
 	s.evictHeap = s.evictHeap[:0]
 	for _, e := range s.entries {
 		s.index.replaceOrInsert(e)
+		s.byVersion.replaceOrInsert(e)
 		s.count(e)
 	}
 }
@@ -492,9 +497,16 @@ func (s *Store) Range(fn func(*Entry) bool) {
 	s.index.ascend(fn)
 }
 
-func lessID(a, b item.ID) bool {
-	if a.Creator != b.Creator {
-		return a.Creator < b.Creator
-	}
-	return a.Num < b.Num
+// RangeAbove calls fn, until it returns false, for exactly the entries whose
+// version the vector floor does not cover — Version.Seq == 0 or Version.Seq >
+// floor(Version.Replica) — in (creator, seq, ID) order of their versions. It
+// skips whole subtrees floor covers (see aboveWalk), so its cost follows the
+// entries yielded, not the store's size. Like Range it allocates nothing and
+// fn must not change the store's membership.
+//
+// floor is asked once per creator, in ascending order, before fn sees that
+// creator's run: a caller may load per-creator state in floor for fn to use.
+func (s *Store) RangeAbove(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) {
+	w := aboveWalk{floor: floor, fn: fn}
+	w.walk(s.byVersion.root, nil, nil)
 }

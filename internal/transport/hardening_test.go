@@ -321,3 +321,132 @@ func TestHostileRoutingStateRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestUnrealVersionBatchRejected: a batch item whose version — or a version
+// in its Prior list — has seq 0 or no creator can be stored but never becomes
+// known (Knowledge.Add ignores it, Contains never reports it), so every
+// holder would re-send it at every later encounter. Both legs must refuse the
+// whole response as a validation error with nothing applied: the server when
+// a hostile dialer answers its pull, the dialer when a hostile listener
+// answers its own.
+func TestUnrealVersionBatchRejected(t *testing.T) {
+	hostile := func(version vclock.Version, prior ...vclock.Version) []byte {
+		body, err := wire.AppendSyncResponse(nil, &replica.SyncResponse{
+			SourceID: "evil",
+			Items: []replica.BatchItem{
+				{Item: &item.Item{
+					ID: item.ID{Creator: "evil", Num: 1}, Version: vclock.Version{Replica: "evil", Seq: 1},
+					Meta: item.Metadata{Source: "addr:evil", Destinations: []string{"addr:a"}, Kind: "message"},
+				}},
+				{Item: &item.Item{
+					ID: item.ID{Creator: "evil", Num: 2}, Version: version, Prior: prior,
+					Meta: item.Metadata{Source: "addr:evil", Destinations: []string{"addr:a"}, Kind: "message"},
+				}},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rawFrame(frameSyncResponse, body)
+	}
+	cases := map[string][]byte{
+		"seq 0":           hostile(vclock.Version{Replica: "evil", Seq: 0}),
+		"no creator":      hostile(vclock.Version{Seq: 7}),
+		"zero prior":      hostile(vclock.Version{Replica: "evil", Seq: 2}, vclock.Version{}),
+		"seq 0 in prior":  hostile(vclock.Version{Replica: "evil", Seq: 2}, vclock.Version{Replica: "evil", Seq: 1}, vclock.Version{Replica: "x"}),
+		"creatorless old": hostile(vclock.Version{Replica: "evil", Seq: 2}, vclock.Version{Seq: 1}),
+	}
+	untouched := func(t *testing.T, a *replica.Replica, before *vclock.Knowledge) {
+		t.Helper()
+		if total, _, _ := a.StoreLen(); total != 0 {
+			t.Errorf("rejected batch left %d items in the store", total)
+		}
+		if !a.Knowledge().Equal(before) {
+			t.Errorf("rejected batch perturbed knowledge: %s", a.Knowledge())
+		}
+	}
+	for name, frame := range cases {
+		t.Run("serve/"+name, func(t *testing.T) {
+			a := node(t, "a", "addr:a")
+			before := a.Knowledge()
+			srv := NewServer(a, 0)
+			srv.Metrics = &obs.TransportMetrics{}
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := openHostile(addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.conn.Close()
+			// Leg 1, honestly: pull an (empty) batch from the server.
+			if err := w.writeRequest(&replica.SyncRequest{TargetID: "evil", Knowledge: vclock.NewKnowledge()}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.readResponse(); err != nil {
+				t.Fatal(err)
+			}
+			// Leg 2: answer the server's pull with the forged batch.
+			if _, err := w.readRequest(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := expectClosed(w.conn); err != nil {
+				t.Error(err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if snap := srv.Metrics.Snapshot(); snap.ValidationRejected != 1 || snap.EncountersServed != 0 {
+				t.Errorf("counters after forged batch: %+v", snap)
+			}
+			untouched(t, a, before)
+		})
+		t.Run("dial/"+name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			served := make(chan error, 1)
+			go func() {
+				served <- func() error {
+					conn, err := ln.Accept()
+					if err != nil {
+						return err
+					}
+					defer conn.Close()
+					w := newWireIO(conn, 0)
+					if _, err := w.readHello(); err != nil {
+						return err
+					}
+					if err := w.writeHello("evil"); err != nil {
+						return err
+					}
+					if _, err := w.readRequest(); err != nil {
+						return err
+					}
+					_, err = conn.Write(frame)
+					return err
+				}()
+			}()
+			a := node(t, "a", "addr:a")
+			before := a.Knowledge()
+			m := &obs.TransportMetrics{}
+			_, err = EncounterOpts(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{Metrics: m})
+			if err == nil || errClass(err) != "validation" {
+				t.Errorf("forged batch: dialer returned %v, want a validation error", err)
+			}
+			if err := <-served; err != nil {
+				t.Fatalf("fake listener: %v", err)
+			}
+			if got := m.ValidationRejected.Value(); got != 1 {
+				t.Errorf("ValidationRejected = %d, want 1", got)
+			}
+			untouched(t, a, before)
+		})
+	}
+}

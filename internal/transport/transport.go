@@ -164,12 +164,25 @@ func validateRequest(req *replica.SyncRequest) error {
 }
 
 // validateResponse rejects structurally malformed sync responses before
-// ApplyBatch: a NeedKnowledge demand carries no items by contract. (Every
-// decoded batch item has its item — the wire decoder fails the frame
+// ApplyBatch: a NeedKnowledge demand carries no items by contract, and every
+// version a batch item names — its own and those in Prior — has a creator and
+// a seq >= 1: knowledge cannot record any other, so the item would be stored,
+// never become known, and be re-sent by every holder at every encounter.
+// (Every decoded batch item has its item — the wire decoder fails the frame
 // otherwise.)
 func validateResponse(resp *replica.SyncResponse) error {
 	if resp.NeedKnowledge && len(resp.Items) > 0 {
 		return &validationError{fmt.Errorf("knowledge demand carrying %d items", len(resp.Items))}
+	}
+	unreal := func(v vclock.Version) bool { return v.Replica == "" || v.Seq == 0 }
+	for i, bi := range resp.Items {
+		bad := unreal(bi.Item.Version)
+		for _, v := range bi.Item.Prior {
+			bad = bad || unreal(v)
+		}
+		if bad {
+			return &validationError{fmt.Errorf("batch item %d (%s, version %q) names a version no replica creates", i, bi.Item.ID, bi.Item.Version.String())}
+		}
 	}
 	return nil
 }

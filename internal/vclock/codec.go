@@ -159,8 +159,12 @@ func vectorWireSize(v Vector) int {
 }
 
 // WireSize returns the exact MarshalBinary length of the knowledge without
-// building the encoding, so sync byte accounting stays allocation-free.
+// building the encoding, so sync byte accounting stays allocation-free; the
+// walk over every exception runs once per mutation, not once per call.
 func (k *Knowledge) WireSize() int {
+	if k.wireSize != 0 {
+		return k.wireSize
+	}
 	n := vectorWireSize(k.base)
 	n += uvarintLen(uint64(len(k.extra)))
 	for r, ex := range k.extra {
@@ -169,6 +173,7 @@ func (k *Knowledge) WireSize() int {
 			n += uvarintLen(s)
 		}
 	}
+	k.wireSize = n
 	return n
 }
 

@@ -85,8 +85,8 @@ func (d *Digest) Base() Vector { return d.base.Clone() }
 // ExceptionCount returns the number of exceptions summarized by the filter.
 func (d *Digest) ExceptionCount() uint64 { return d.count }
 
-// BaseIncludes reports whether the exact base vector covers v.
-func (d *Digest) BaseIncludes(v Version) bool { return d.base.Includes(v) }
+// BaseSeq returns the exact base vector's entry for replica r (0 when none).
+func (d *Digest) BaseSeq(r ReplicaID) uint64 { return d.base[r] }
 
 // MayHaveException reports whether v may be one of the summarized
 // exceptions. True exceptions always answer true (no false negatives);

@@ -31,6 +31,8 @@ type Knowledge struct {
 	// shared marks base/extra as possibly referenced by another Knowledge
 	// value; any mutation must unshare first.
 	shared bool
+	// wireSize memoises WireSize (0: not computed); mutations reset it.
+	wireSize int
 }
 
 // NewKnowledge returns empty knowledge.
@@ -52,6 +54,30 @@ func (k *Knowledge) Contains(v Version) bool {
 		return true
 	}
 	_, ok := k.extra[v.Replica][v.Seq]
+	return ok
+}
+
+// CreatorView is one creator's share of a Knowledge, looked up once so that
+// a caller walking a run of that creator's versions (store.RangeAbove) pays
+// no lookup by replica ID per version. Valid until the knowledge mutates.
+type CreatorView struct {
+	// Base is the seq up to which every version of the creator is known.
+	Base  uint64
+	extra map[uint64]struct{}
+}
+
+// View returns creator r's share of the knowledge.
+//
+//dtn:hotpath
+func (k *Knowledge) View(r ReplicaID) CreatorView {
+	return CreatorView{Base: k.base[r], extra: k.extra[r]}
+}
+
+// HasException reports whether seq is known beyond the base.
+//
+//dtn:hotpath
+func (v CreatorView) HasException(seq uint64) bool {
+	_, ok := v.extra[seq]
 	return ok
 }
 
@@ -82,6 +108,7 @@ func (k *Knowledge) Add(v Version) bool {
 		return false
 	}
 	k.unshare()
+	k.wireSize = 0
 	if k.base[v.Replica]+1 == v.Seq {
 		k.base[v.Replica] = v.Seq
 		k.compact(v.Replica)
@@ -124,6 +151,7 @@ func (k *Knowledge) Merge(other *Knowledge) {
 		return
 	}
 	k.unshare()
+	k.wireSize = 0
 	for r, s := range other.base {
 		// Everything up to other's base is known; anything in k.extra at or
 		// below that base becomes redundant after raising k.base.
@@ -189,7 +217,7 @@ func (k *Knowledge) Count() uint64 {
 //dtn:hotpath
 func (k *Knowledge) Clone() *Knowledge {
 	k.shared = true
-	return &Knowledge{base: k.base, extra: k.extra, shared: true}
+	return &Knowledge{base: k.base, extra: k.extra, shared: true, wireSize: k.wireSize}
 }
 
 // Equal reports whether two knowledge values contain the same version set.
@@ -298,6 +326,7 @@ func (k *Knowledge) UnmarshalBinary(data []byte) error {
 	}
 	// The decoded maps are freshly built, so any previous sharing ends here.
 	k.shared = false
+	k.wireSize = 0
 	k.extra = make(map[ReplicaID]map[uint64]struct{}, len(doc.Extra))
 	for r, seqs := range doc.Extra {
 		ex := make(map[uint64]struct{}, len(seqs))

@@ -1,6 +1,8 @@
 package vclock
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -123,5 +125,58 @@ func TestUnmarshalClearsSharing(t *testing.T) {
 	c.Add(Version{Replica: "z", Seq: 10})
 	if k.Contains(Version{Replica: "z", Seq: 9}) || k.Contains(Version{Replica: "z", Seq: 10}) {
 		t.Fatal("decoded clone leaked into source")
+	}
+}
+
+// TestWireSizeMemoStaysExact drives a family of knowledge values through a
+// random Add / Merge / Clone / decode / DiffSince sequence and demands after
+// every step that every live value's WireSize equals the length of its
+// encoding — so every mutation lands on a warm memo, its own or inherited.
+func TestWireSizeMemoStaysExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	randomVersion := func() Version {
+		return Version{
+			Replica: ReplicaID(fmt.Sprintf("r%d", rng.Intn(5))),
+			Seq:     uint64(rng.Intn(300)), // 0 included: Add ignores it
+		}
+	}
+	live := []*Knowledge{NewKnowledge()}
+	pick := func() *Knowledge { return live[rng.Intn(len(live))] }
+	for step := 0; step < 4000; step++ {
+		k := pick()
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3, 4:
+			k.Add(randomVersion())
+		case 5:
+			k.Merge(pick())
+		case 6, 7:
+			live = append(live, k.Clone())
+		case 8:
+			data, err := k.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pick().UnmarshalBinary(data); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if old := pick(); old != k {
+				older := old.Clone()
+				old.Merge(k) // old ⊆ old∪k, as DiffSince requires
+				live = append(live, old.DiffSince(older))
+			}
+		}
+		if len(live) > 12 {
+			live = live[len(live)-8:]
+		}
+		for i, k := range live {
+			data, err := k.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := k.WireSize(); got != len(data) {
+				t.Fatalf("step %d: live[%d] WireSize() = %d, encoding is %d bytes (%s)", step, i, got, len(data), k)
+			}
+		}
 	}
 }
