@@ -368,10 +368,13 @@ func (r *Replica) ApplyBatch(resp *SyncResponse) ApplyStats {
 			r.stats.Duplicates++
 			continue
 		}
-		for _, v := range incoming.AllVersions() {
+		r.know.Add(incoming.Version)
+		for _, v := range incoming.Prior {
 			r.know.Add(v)
 		}
-		r.journalLearnLocked(incoming.AllVersions()...)
+		if r.hasJournal.Load() { // AllVersions allocates; only a journal wants the slice
+			r.journalLearnLocked(incoming.AllVersions()...)
+		}
 		r.stats.ItemsReceived++
 
 		existing := r.store.Get(incoming.ID)

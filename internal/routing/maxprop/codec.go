@@ -2,6 +2,7 @@ package maxprop
 
 import (
 	"fmt"
+	"math"
 
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire/prim"
@@ -73,18 +74,28 @@ func (p *Policy) SnapshotState() ([]byte, error) {
 	return prim.AppendMap(buf, p.homes, appendHome), nil
 }
 
-// RestoreState implements routing.Persistent.
+// RestoreState implements routing.Persistent. Our own row is rebuilt from the
+// restored weights (keeping its stamp), so the table never depends on the
+// snapshot's row agreeing with them.
 func (p *Policy) RestoreState(data []byte) error {
 	d := prim.NewDecoder(data)
 	if v := d.Byte(); d.Err() == nil && v != stateVersion {
 		d.Fail(fmt.Errorf("state version %d, want %d", v, stateVersion))
 	}
 	weights := prim.ReadMap[vclock.ReplicaID](d, d.Float64)
+	for id, w := range weights {
+		// Our row is weights normalized: a negative or non-finite count
+		// would put a probability outside [0, 1] behind readTable's back.
+		if !(w >= 0) || math.IsInf(w, 1) {
+			d.Fail(fmt.Errorf("meeting weight %v for %q", w, id))
+		}
+	}
 	table := readTable(d)
 	homes := readHomes(d)
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("maxprop: restore state: %w", err)
 	}
 	p.weights, p.table, p.homes = weights, table, homes
+	p.rebuildOwn(table[p.self].Updated)
 	return nil
 }

@@ -1,0 +1,190 @@
+package maxprop
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"replidtn/internal/routing"
+	"replidtn/internal/store"
+	"replidtn/internal/vclock"
+)
+
+// fleet builds n policies on one ticking clock; each node meets its next width
+// ring neighbours, then two laps of gossip carry every row to every node.
+func fleet(n, width int) []*Policy {
+	clk := &simClock{}
+	ps := make([]*Policy, n)
+	for i := range ps {
+		ps[i] = New(nodeID(i), DefaultHopThreshold, clk.now, fmt.Sprintf("addr:%02d", i))
+	}
+	meet := func(i, j int) {
+		ps[i].ProcessReq(ps[j].self, ps[j].GenerateReq())
+		ps[j].ProcessReq(ps[i].self, ps[i].GenerateReq())
+	}
+	for k := 1; k <= width; k++ {
+		for i := range ps {
+			meet(i, (i+k)%n)
+		}
+	}
+	for lap := 0; lap < 2; lap++ {
+		for i := range ps {
+			meet(i, (i+1)%n)
+		}
+	}
+	return ps
+}
+
+// candidates returns count entries above the hop threshold whose destinations
+// cycle over the fleet's addresses.
+func candidates(n, count int) []*store.Entry {
+	out := make([]*store.Entry, count)
+	for i := range out {
+		out[i] = entryWith(DefaultHopThreshold+i%3, fmt.Sprintf("addr:%02d", i%n))
+	}
+	return out
+}
+
+// TestServingLeavesStateUntouched: ToSend and PathCost are decisions, not
+// updates — serving a scan changes nothing SnapshotState serializes, even on
+// a clock that moves with every reading.
+func TestServingLeavesStateUntouched(t *testing.T) {
+	ps := fleet(8, 3)
+	p := ps[0]
+	before, err := p.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range candidates(len(ps), 1000) {
+		p.ToSend(e, routing.Target{ID: ps[1].self})
+	}
+	p.PathCost("addr:nowhere")
+	after, err := p.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("serving 1000 candidates changed the policy's persisted state")
+	}
+}
+
+// TestPublishedRequestImmutable: nothing reachable from a request changes
+// once GenerateReq has returned, whatever sender and receiver go on to do.
+func TestPublishedRequestImmutable(t *testing.T) {
+	ps := fleet(8, 3)
+	sender, receiver := ps[0], ps[1]
+	req := reqFrom(sender)
+	published := req.AppendBinary(nil)
+	receiver.ProcessReq(sender.self, req)
+	for round := 0; round < 3; round++ {
+		for _, other := range ps[2:] {
+			for _, p := range []*Policy{sender, receiver} {
+				p.ProcessReq(other.self, other.GenerateReq())
+				other.ProcessReq(p.self, p.GenerateReq())
+			}
+		}
+		sender.ProcessReq(receiver.self, receiver.GenerateReq())
+		receiver.ProcessReq(sender.self, sender.GenerateReq())
+	}
+	if !bytes.Equal(published, req.AppendBinary(nil)) {
+		t.Error("a published request changed after GenerateReq returned")
+	}
+}
+
+// TestShortestPathsOncePerStateVersion: one tree serves every candidate of
+// every sync until the next ProcessReq, and serving from it allocates
+// nothing.
+func TestShortestPathsOncePerStateVersion(t *testing.T) {
+	const n = 64
+	ps := fleet(n, 4)
+	p := ps[0]
+	cands := candidates(n, 1000)
+	if p.dist != nil {
+		t.Fatal("ProcessReq should leave the tree unbuilt")
+	}
+	p.ToSend(cands[1], routing.Target{})
+	tree := p.dist
+	if len(tree) != n {
+		t.Fatalf("tree spans %d nodes, want %d", len(tree), n)
+	}
+	for sync := 0; sync < 3; sync++ {
+		p.GenerateReq() // the sync's other leg re-stamps our row; costs do not move
+		for _, e := range cands {
+			p.ToSend(e, routing.Target{})
+		}
+	}
+	if reflect.ValueOf(p.dist).Pointer() != reflect.ValueOf(tree).Pointer() {
+		t.Error("the tree was rebuilt with no intervening ProcessReq")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, e := range cands {
+			p.ToSend(e, routing.Target{})
+		}
+	}); allocs != 0 {
+		t.Errorf("serving from a built tree allocates %v times per 1000 candidates, want 0", allocs)
+	}
+	p.ProcessReq(ps[1].self, ps[1].GenerateReq())
+	if p.dist != nil {
+		t.Error("ProcessReq must drop the tree")
+	}
+}
+
+// TestGenerateReqAllocsIndependentOfRowWidth: a request shares rows, so its
+// cost follows the number of rows, not their width.
+func TestGenerateReqAllocsIndependentOfRowWidth(t *testing.T) {
+	narrow := fleet(64, 2)
+	wide := fleet(64, 24)
+	allocs := func(p *Policy) float64 {
+		return testing.AllocsPerRun(20, func() { p.GenerateReq() })
+	}
+	if a, b := allocs(narrow[0]), allocs(wide[0]); a != b {
+		t.Errorf("GenerateReq allocates %v times over narrow rows, %v over wide ones", a, b)
+	}
+}
+
+// TestRestoreRebuildsOwnRowFromWeights: a persisted own row that disagrees
+// with the persisted weights loses — path costs follow the weights, as they
+// did when the row was rebuilt on every query.
+func TestRestoreRebuildsOwnRowFromWeights(t *testing.T) {
+	state := (&refPolicy{
+		weights: map[vclock.ReplicaID]float64{"b": 1},
+		table:   map[vclock.ReplicaID]Row{"a": {Probabilities: map[vclock.ReplicaID]float64{"c": 1}, Updated: 7}},
+		homes:   map[string]Home{"addr:b": {Node: "b"}, "addr:c": {Node: "c"}},
+	}).SnapshotState()
+	p := New("a", 3, (&simClock{}).now)
+	if err := p.RestoreState(state); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.PathCost("addr:b"); got != 0 {
+		t.Errorf("cost to the only node ever met = %v, want 0", got)
+	}
+	if got := p.PathCost("addr:c"); !math.IsInf(got, 1) {
+		t.Errorf("cost through a stale persisted row = %v, want +Inf", got)
+	}
+	if p.table["a"].Updated != 7 {
+		t.Error("restore should keep the own row's stamp")
+	}
+}
+
+// BenchmarkMaxPropServe is one served sync: the partner's routing state
+// arrives (ProcessReq), then 1000 candidates above the hop threshold are
+// scored.
+func BenchmarkMaxPropServe(b *testing.B) {
+	for _, n := range []int{40, 400} {
+		b.Run(fmt.Sprintf("nodes=%d/candidates=1000", n), func(b *testing.B) {
+			ps := fleet(n, 8)
+			p, req := ps[0], ps[1].GenerateReq()
+			cands := candidates(n, 1000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.ProcessReq(ps[1].self, req)
+				for _, e := range cands {
+					p.ToSend(e, routing.Target{})
+				}
+			}
+		})
+	}
+}

@@ -35,7 +35,9 @@ import (
 const DefaultHopThreshold = 3
 
 // Row is one node's next-encounter probability distribution together with the
-// time it was produced, used for freshest-wins merging.
+// time it was produced, used for freshest-wins merging. Probabilities is never
+// written after the Row is built: policies, requests in flight and decoded
+// frames share one map by reference (the routing.Request contract).
 type Row struct {
 	Probabilities map[vclock.ReplicaID]float64
 	Updated       int64
@@ -67,11 +69,15 @@ type Policy struct {
 	// weights are this node's raw meeting counts; the probability row is
 	// weights normalized to sum to 1.
 	weights map[vclock.ReplicaID]float64
-	// table holds the freshest known probability row per node (including our
-	// own, refreshed on demand).
+	// table holds the freshest known probability row per node. Our own row
+	// is rebuilt whenever weights change and re-stamped by GenerateReq.
 	table map[vclock.ReplicaID]Row
 	// homes maps endpoint address → freshest known homing node.
 	homes map[string]Home
+	// dist is the shortest-path tree from self over table — lowest path cost
+	// per reachable node — built by the first PathCost after table or
+	// weights changed; nil when stale. Homes do not enter it.
+	dist map[vclock.ReplicaID]float64
 }
 
 // New creates a MaxProp policy for the given replica. hopThreshold <= 0
@@ -117,22 +123,21 @@ func (p *Policy) OwnRow() map[vclock.ReplicaID]float64 {
 }
 
 // GenerateReq implements routing.Policy: ship identity, homed addresses, the
-// full freshest-rows table, and address homes.
+// full freshest-rows table, and address homes. Only the outer table is copied;
+// the rows travel by reference.
 func (p *Policy) GenerateReq() routing.Request {
-	p.refreshOwn()
+	now := p.now()
+	own := p.table[p.self]
+	own.Updated = now
+	p.table[p.self] = own
 	table := make(map[vclock.ReplicaID]Row, len(p.table))
 	for id, row := range p.table {
-		cp := make(map[vclock.ReplicaID]float64, len(row.Probabilities))
-		for k, v := range row.Probabilities {
-			cp[k] = v
-		}
-		table[id] = Row{Probabilities: cp, Updated: row.Updated}
+		table[id] = row
 	}
 	homes := make(map[string]Home, len(p.homes)+len(p.ownAddresses))
 	for a, h := range p.homes {
 		homes[a] = h
 	}
-	now := p.now()
 	for _, a := range p.ownAddresses {
 		homes[a] = Home{Node: p.self, Updated: now}
 	}
@@ -153,19 +158,15 @@ func (p *Policy) ProcessReq(from vclock.ReplicaID, req routing.Request) {
 	if !ok || r == nil {
 		return
 	}
+	now := p.now()
 	p.weights[from]++
-	p.refreshOwn()
+	p.rebuildOwn(now)
 	for id, row := range r.Table {
 		if id == p.self {
 			continue // nobody else's view of us beats our own
 		}
-		cur, exists := p.table[id]
-		if !exists || row.Updated > cur.Updated {
-			cp := make(map[vclock.ReplicaID]float64, len(row.Probabilities))
-			for k, v := range row.Probabilities {
-				cp[k] = v
-			}
-			p.table[id] = Row{Probabilities: cp, Updated: row.Updated}
+		if cur, exists := p.table[id]; !exists || row.Updated > cur.Updated {
+			p.table[id] = row
 		}
 	}
 	for addr, h := range r.Homes {
@@ -173,21 +174,25 @@ func (p *Policy) ProcessReq(from vclock.ReplicaID, req routing.Request) {
 			p.homes[addr] = h
 		}
 	}
-	now := p.now()
 	for _, addr := range r.OwnAddresses {
 		p.homes[addr] = Home{Node: from, Updated: now}
 	}
 }
 
-// refreshOwn rewrites our own row in the table from current weights.
-func (p *Policy) refreshOwn() {
-	p.table[p.self] = Row{Probabilities: p.OwnRow(), Updated: p.now()}
+// rebuildOwn replaces our own row with a fresh one normalized from the
+// current weights and drops the path tree. It runs wherever weights or the
+// table change — never on a decision path.
+func (p *Policy) rebuildOwn(updated int64) {
+	p.table[p.self] = Row{Probabilities: p.OwnRow(), Updated: updated}
+	p.dist = nil
 }
 
 // ToSend implements routing.Policy: MaxProp floods — every item is eligible —
 // but the priority encodes the protocol's transmission order. Copies under
 // the hop threshold form a high class ordered by hop count; the rest are
 // ordered by ascending lowest path cost to the destination.
+//
+//dtn:hotpath
 func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
 	hops := e.Transient.GetInt(item.FieldHops)
 	if hops < p.hopThreshold {
@@ -205,7 +210,10 @@ func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, ite
 // PathCost returns the lowest-cost path score from this node to the node
 // currently homing the destination address: the modified Dijkstra search with
 // edge cost 1 − f_x(y). It returns +Inf when the destination's home is
-// unknown or unreachable through the learned table.
+// unknown or unreachable through the learned table. It writes no state that
+// SnapshotState serializes.
+//
+//dtn:hotpath
 func (p *Policy) PathCost(destAddr string) float64 {
 	home, ok := p.homes[destAddr]
 	if !ok {
@@ -214,28 +222,29 @@ func (p *Policy) PathCost(destAddr string) float64 {
 	if home.Node == p.self {
 		return 0
 	}
-	p.refreshOwn()
-	return dijkstra(p.table, p.self, home.Node)
+	if p.dist == nil {
+		p.dist = shortestPaths(p.table, p.self)
+	}
+	if c, ok := p.dist[home.Node]; ok {
+		return c
+	}
+	return math.Inf(1)
 }
 
-// dijkstra computes the minimum sum of (1 − f_x(y)) over paths from src to
-// dst in the learned probability table.
-func dijkstra(table map[vclock.ReplicaID]Row, src, dst vclock.ReplicaID) float64 {
+// shortestPaths computes, for every node reachable from src in the learned
+// probability table, the minimum sum of (1 − f_x(y)) over paths from src.
+// Edge costs are never negative (probabilities lie in [0, 1]), so a node's
+// settled distance is the cost a search stopping at that node would return,
+// and the strict < relaxation means equal-cost paths cannot change it.
+func shortestPaths(table map[vclock.ReplicaID]Row, src vclock.ReplicaID) map[vclock.ReplicaID]float64 {
 	dist := map[vclock.ReplicaID]float64{src: 0}
 	pq := &costHeap{{node: src, cost: 0}}
 	for pq.Len() > 0 {
 		cur := heap.Pop(pq).(costEntry)
-		if cur.node == dst {
-			return cur.cost
-		}
 		if cur.cost > dist[cur.node] {
 			continue
 		}
-		row, ok := table[cur.node]
-		if !ok {
-			continue
-		}
-		for next, prob := range row.Probabilities {
+		for next, prob := range table[cur.node].Probabilities {
 			if prob <= 0 {
 				continue
 			}
@@ -246,7 +255,7 @@ func dijkstra(table map[vclock.ReplicaID]Row, src, dst vclock.ReplicaID) float64
 			}
 		}
 	}
-	return math.Inf(1)
+	return dist
 }
 
 type costEntry struct {

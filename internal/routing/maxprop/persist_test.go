@@ -6,6 +6,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"replidtn/internal/vclock"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -75,12 +77,16 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A negative meeting count would normalize to a probability above 1 —
+	// a negative edge, on which the path search need not terminate.
+	negative := (&refPolicy{weights: map[vclock.ReplicaID]float64{"b": 3, "c": -1}}).SnapshotState()
 	for name, data := range map[string][]byte{
-		"garbage":        {0x01, 0x02},
-		"empty":          nil,
-		"future version": append([]byte{stateVersion + 1}, good[1:]...),
-		"cut":            good[:len(good)-3],
-		"trailing":       append(append([]byte(nil), good...), 0),
+		"negative weight": negative,
+		"garbage":         {0x01, 0x02},
+		"empty":           nil,
+		"future version":  append([]byte{stateVersion + 1}, good[1:]...),
+		"cut":             good[:len(good)-3],
+		"trailing":        append(append([]byte(nil), good...), 0),
 	} {
 		p := New("a", 3, clk.now)
 		if err := p.RestoreState(data); err == nil {

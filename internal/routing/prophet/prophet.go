@@ -216,18 +216,16 @@ type partnerCache struct {
 	order []vclock.ReplicaID
 }
 
+// store adopts vec by reference: it arrived in a request, so nobody writes it
+// again (the routing.Request contract).
 func (c *partnerCache) store(id vclock.ReplicaID, vec map[string]float64) {
 	if c.vectors == nil {
 		c.vectors = make(map[vclock.ReplicaID]map[string]float64)
 	}
-	cp := make(map[string]float64, len(vec))
-	for d, v := range vec {
-		cp[d] = v
-	}
 	if _, known := c.vectors[id]; !known {
 		c.order = append(c.order, id)
 	}
-	c.vectors[id] = cp
+	c.vectors[id] = vec
 	c.evictOldest()
 }
 
@@ -248,6 +246,8 @@ func (c *partnerCache) get(id vclock.ReplicaID) map[string]float64 {
 // delivery predictability for any of the message's destinations exceeds ours
 // (the GRTR predicate), with queue order given by the configured strategy —
 // the cost is negated so stronger candidates transmit earlier in the class.
+//
+//dtn:hotpath
 func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority, item.Transient) {
 	vec := p.partners.get(target.ID)
 	if vec == nil {

@@ -1,8 +1,10 @@
 package prophet
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -279,5 +281,38 @@ func TestGRTRUsesNoOrdering(t *testing.T) {
 	pr, _ := src.ToSend(msgEntry("addr:dst"), routing.Target{ID: "tgt"})
 	if pr.Cost != 0 {
 		t.Errorf("GRTR should not assign costs, got %v", pr.Cost)
+	}
+}
+
+// TestPublishedRequestImmutable: nothing reachable from a request changes
+// once GenerateReq has returned (the routing.Request contract) — the sender
+// ages and updates a vector of its own, the receiver keeps the published one
+// by reference and only reads it.
+func TestPublishedRequestImmutable(t *testing.T) {
+	clk := &simClock{}
+	sender := newPolicy(clk, "addr:s")
+	receiver := newPolicy(clk, "addr:r")
+	others := []*Policy{newPolicy(clk, "addr:x"), newPolicy(clk, "addr:y")}
+	sender.ProcessReq("x", reqFrom(others[0]))
+	req := reqFrom(sender)
+	published := req.AppendBinary(nil)
+	receiver.ProcessReq("s", req)
+	if reflect.ValueOf(receiver.partners.get("s")).Pointer() != reflect.ValueOf(req.Predictability).Pointer() {
+		t.Error("the partner cache should adopt the published vector, not copy it")
+	}
+	for round := 0; round < 3; round++ {
+		clk.t += 7 * DefaultParams().AgingUnit
+		for i, o := range others {
+			id := vclock.ReplicaID(rune('x' + i))
+			sender.ProcessReq(id, reqFrom(o))
+			receiver.ProcessReq(id, reqFrom(o))
+			o.ProcessReq("s", reqFrom(sender))
+			o.ProcessReq("r", reqFrom(receiver))
+		}
+		receiver.ToSend(msgEntry("addr:x"), routing.Target{ID: "s"})
+		sender.ProcessReq("r", reqFrom(receiver))
+	}
+	if !bytes.Equal(published, req.AppendBinary(nil)) {
+		t.Error("a published request changed after GenerateReq returned")
 	}
 }

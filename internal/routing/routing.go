@@ -80,6 +80,13 @@ type Target struct {
 // synchronization request — e.g. PROPHET's delivery-predictability vector or
 // MaxProp's meeting-probability table. A nil Request is valid and means the
 // policy has nothing to say.
+//
+// Everything reachable from a Request is immutable once GenerateReq returns,
+// and ProcessReq may retain it: the sender never writes through a map or slice
+// it published, and the receiver adopts them by reference, never writing
+// either. That holds however the request travels — handed over by pointer in
+// the emulator (possibly to a policy running on another goroutine), decoded
+// into fresh values off TCP, or replayed for a sync's fallback round.
 type Request any
 
 // Policy is a pluggable DTN forwarding policy attached to one replica. The
@@ -91,13 +98,17 @@ type Policy interface {
 	// Name identifies the policy (e.g. "epidemic").
 	Name() string
 	// GenerateReq is called when this replica initiates a synchronization
-	// (acts as target); its return value travels in the request.
+	// (acts as target); its return value travels in the request and is
+	// immutable from then on (see Request): state the policy goes on
+	// mutating in place must be copied into it, state it only ever replaces
+	// may be shared.
 	GenerateReq() Request
 	// ProcessReq is called when this replica receives a synchronization
 	// request (acts as source), with the requesting replica's ID and the
 	// routing state it sent. Policies typically fold the state into their
 	// local tables here; since each encounter performs one sync in each
-	// direction, ProcessReq fires exactly once per replica per encounter.
+	// direction, ProcessReq fires exactly once per replica per encounter. It
+	// may keep references into req but must not write through them.
 	ProcessReq(from vclock.ReplicaID, req Request)
 	// ToSend decides whether to forward a stored item that does NOT match
 	// the target's filter, returning its transmission priority (Skip to
