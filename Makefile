@@ -79,8 +79,8 @@ cover:
 
 ## fuzz-smoke runs each native fuzz target briefly against the
 ## parse-hostile surfaces — the transport's frame stream, the frame bodies
-## (internal/wire), the vclock knowledge codec, and the WAL's crash-recovery
-## readers — complementing the static dtnlint pass with
+## and routing deltas (internal/wire), the vclock knowledge codec, and the
+## WAL's crash-recovery readers — complementing the static dtnlint pass with
 ## dynamic checking. Seed corpora live under each package's testdata/fuzz
 ## (regenerate with `go test -tags corpusgen -run WriteFuzzCorpus`; for the
 ## WAL, `WAL_GEN_CORPUS=1 go test -run TestGenerateFuzzCorpus
@@ -93,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/vclock/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzRoutingDeltaDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/persist/wal/
 
 ## bench runs the hot-path microbenchmarks (store mutation, sync batch

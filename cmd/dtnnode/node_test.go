@@ -177,6 +177,46 @@ func TestTwoNodeEncounterObservability(t *testing.T) {
 	}
 }
 
+// TestMetricsShowRoutingFrames: a PROPHET pair with -summaries meets twice;
+// /metrics reports the first request's routing state as a full frame and the
+// second's as a delta, with their bytes.
+func TestMetricsShowRoutingFrames(t *testing.T) {
+	start := func(id string) *node {
+		n, err := newNode(options{
+			id: id, addr: "user:" + id, listen: "127.0.0.1:0", policy: "prophet",
+			summaries: true, debugAddr: "127.0.0.1:0", out: io.Discard,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.close)
+		return n
+	}
+	alice, bob := start("alice"), start("bob")
+	for i := 0; i < 2; i++ {
+		if _, err := alice.encounter(bob.bound.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bob.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*node{alice, bob} {
+		var snap obs.NodeSnapshot
+		getJSON(t, fmt.Sprintf("http://%s/metrics", n.debug.addr), &snap)
+		r := snap.Replica
+		if r.RoutingFullFrames != 1 || r.RoutingDeltaFrames != 1 || r.RoutingFullBytes <= 0 || r.RoutingDeltaBytes <= 0 {
+			t.Errorf("%s: routing frames full/delta %d/%d, bytes %d/%d; want 1/1 and bytes for both",
+				n.opts.id, r.RoutingFullFrames, r.RoutingDeltaFrames, r.RoutingFullBytes, r.RoutingDeltaBytes)
+		}
+		// The routing delta rode a knowledge delta.
+		if r.KnowledgeFullFrames != 1 || r.KnowledgeDeltaFrames != 1 || r.KnowledgeFullBytes <= 0 || r.KnowledgeDeltaBytes <= 0 {
+			t.Errorf("%s: knowledge frames full/delta %d/%d, bytes %d/%d; want 1/1 and bytes for both",
+				n.opts.id, r.KnowledgeFullFrames, r.KnowledgeDeltaFrames, r.KnowledgeFullBytes, r.KnowledgeDeltaBytes)
+		}
+	}
+}
+
 // TestExpvarRepublishSafe: rebuilding a node with the same id in one process
 // must not panic expvar's duplicate-name check.
 func TestExpvarRepublishSafe(t *testing.T) {

@@ -108,6 +108,14 @@ type ReplicaMetrics struct {
 	KnowledgeFullBytes    Counter
 	KnowledgeDigestBytes  Counter
 	KnowledgeDeltaBytes   Counter
+	// Routing-state accounting for the same syncs: whether the policy's
+	// request traveled whole or as a delta against the one last sent to the
+	// peer (only ever beside a knowledge delta), and the encoded bytes.
+	// Requests without routing state count nowhere.
+	RoutingFullFrames  Counter
+	RoutingDeltaFrames Counter
+	RoutingFullBytes   Counter
+	RoutingDeltaBytes  Counter
 }
 
 // ReplicaSnapshot is ReplicaMetrics at one instant.
@@ -136,6 +144,11 @@ type ReplicaSnapshot struct {
 	KnowledgeFullBytes    int64 `json:"knowledge_full_bytes"`
 	KnowledgeDigestBytes  int64 `json:"knowledge_digest_bytes"`
 	KnowledgeDeltaBytes   int64 `json:"knowledge_delta_bytes"`
+
+	RoutingFullFrames  int64 `json:"routing_full_frames"`
+	RoutingDeltaFrames int64 `json:"routing_delta_frames"`
+	RoutingFullBytes   int64 `json:"routing_full_bytes"`
+	RoutingDeltaBytes  int64 `json:"routing_delta_bytes"`
 }
 
 // Snapshot captures the counters. Nil-safe.
@@ -168,6 +181,11 @@ func (m *ReplicaMetrics) Snapshot() ReplicaSnapshot {
 		KnowledgeFullBytes:    m.KnowledgeFullBytes.Value(),
 		KnowledgeDigestBytes:  m.KnowledgeDigestBytes.Value(),
 		KnowledgeDeltaBytes:   m.KnowledgeDeltaBytes.Value(),
+
+		RoutingFullFrames:  m.RoutingFullFrames.Value(),
+		RoutingDeltaFrames: m.RoutingDeltaFrames.Value(),
+		RoutingFullBytes:   m.RoutingFullBytes.Value(),
+		RoutingDeltaBytes:  m.RoutingDeltaBytes.Value(),
 	}
 }
 

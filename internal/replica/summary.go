@@ -29,28 +29,38 @@ import (
 // Either way the served batch is provably identical to the one an exact
 // knowledge frame would have produced, which is what lets the differential
 // suite require bit-identical delivery results with summaries on and off.
+//
+// The per-peer state behind delta knowledge is the one record of "what this
+// peer last saw from me", so the policy's routing state rides it too: a
+// request that travels as a knowledge delta carries its routing state as a
+// delta against the previous frame's, when the policy's request type opts in
+// (routing.DeltaRequest), under the same tag check and the same fallback.
 
-// peerFrontier is target-side state: the knowledge this replica last shipped
-// to a given source, and the generation number of that frame within the
-// current epoch. The next frame to the same source is the diff against know.
-// use is the replica's useTick at the last touch, for LRU eviction.
+// peerFrontier is target-side state: the knowledge and the routing request
+// this replica last shipped to a given source, and the generation number of
+// that frame within the current epoch. The next frame to the same source is
+// the diff against know and routing (retained by reference: a published
+// request is immutable). use is the replica's useTick at the last touch, for
+// LRU eviction.
 type peerFrontier struct {
-	use  uint64
-	gen  uint64
-	know *vclock.Knowledge
+	use     uint64
+	gen     uint64
+	know    *vclock.Knowledge
+	routing routing.Request
 }
 
 func (f *peerFrontier) lastUse() uint64 { return f.use }
 
-// peerBaseline is source-side state: the exact knowledge a given target last
-// established here (via a tagged full frame), advanced by each delta frame
-// whose (epoch, gen) tags match strictly. use is the replica's useTick at
-// the last touch, for LRU eviction.
+// peerBaseline is source-side state: the exact knowledge and routing request
+// a given target last established here (via a tagged full frame), advanced by
+// each delta frame whose (epoch, gen) tags match strictly. use is the
+// replica's useTick at the last touch, for LRU eviction.
 type peerBaseline struct {
-	use   uint64
-	epoch uint64
-	gen   uint64
-	know  *vclock.Knowledge
+	use     uint64
+	epoch   uint64
+	gen     uint64
+	know    *vclock.Knowledge
+	routing routing.Request
 }
 
 func (b *peerBaseline) lastUse() uint64 { return b.use }
@@ -122,10 +132,15 @@ func (r *Replica) MakeSummaryRequest(peer vclock.ReplicaID, maxItems int) *SyncR
 		f.gen++
 		f.know = r.know.Clone()
 		req.Delta = vclock.NewDelta(r.epoch, f.gen, changes)
+		if cur, ok := req.Routing.(routing.DeltaRequest); ok {
+			req.RoutingDelta = cur.DeltaSince(f.routing)
+		}
+		f.routing = req.Routing
 		r.stats.KnowledgeDeltas++
 		if r.metrics != nil {
 			r.metrics.KnowledgeDeltaFrames.Inc()
 			r.metrics.KnowledgeDeltaBytes.Add(int64(req.Delta.WireSize()))
+			r.countRoutingLocked(req)
 		}
 	case r.know.ExceptionCount() >= r.digestMin:
 		req.Digest = r.know.Digest(r.fpRate)
@@ -133,6 +148,7 @@ func (r *Replica) MakeSummaryRequest(peer vclock.ReplicaID, maxItems int) *SyncR
 		if r.metrics != nil {
 			r.metrics.KnowledgeDigestFrames.Inc()
 			r.metrics.KnowledgeDigestBytes.Add(int64(req.Digest.WireSize()))
+			r.countRoutingLocked(req)
 		}
 	default:
 		r.attachFullLocked(req, peer)
@@ -163,19 +179,25 @@ func (r *Replica) MakeFallbackRequest(peer vclock.ReplicaID, maxItems int, rt ro
 }
 
 // attachFullLocked puts an epoch/gen-tagged exact knowledge frame on req and
-// records it as the new frontier for peer. The tag tells the source this
-// frame may be cached as the delta baseline for this pair.
+// records it, with req's routing state, as the new frontier for peer. The tag
+// tells the source this frame may be cached as the delta baseline for this
+// pair.
 func (r *Replica) attachFullLocked(req *SyncRequest, peer vclock.ReplicaID) {
 	f := r.frontiers[peer]
 	if f == nil {
 		evictOldestLocked(r.frontiers, r.peerCap)
-		f = &peerFrontier{}
+		// Generations restart above every one this epoch has used (each frame
+		// advances useTick at least as far as its frontier's gen): the peer
+		// may still hold the baseline of a frontier evicted here, and a
+		// frame lost now must not let a later delta match that one's tag.
+		f = &peerFrontier{gen: r.useTick}
 		r.frontiers[peer] = f
 	}
 	f.use = r.stampUseLocked()
 	f.gen++
 	r.know.WireSize() // as in MakeSyncRequest
 	f.know = r.know.Clone()
+	f.routing = req.Routing
 	req.Knowledge = f.know.Clone()
 	req.Epoch = r.epoch
 	req.Gen = f.gen
@@ -183,20 +205,35 @@ func (r *Replica) attachFullLocked(req *SyncRequest, peer vclock.ReplicaID) {
 	if r.metrics != nil {
 		r.metrics.KnowledgeFullFrames.Inc()
 		r.metrics.KnowledgeFullBytes.Add(int64(req.Knowledge.WireSize()))
+		r.countRoutingLocked(req)
 	}
 }
 
-// resolveKnowledgeLocked recovers the target's knowledge from whichever
-// representation the request carries, acting as source.
+// countRoutingLocked mirrors the form req's routing state travels in, and
+// its encoded size, into the metrics sink. r.metrics is non-nil.
+func (r *Replica) countRoutingLocked(req *SyncRequest) {
+	if req.RoutingDelta != nil {
+		r.metrics.RoutingDeltaFrames.Inc()
+		r.metrics.RoutingDeltaBytes.Add(int64(req.RoutingDelta.WireSize()))
+	} else if full, ok := req.Routing.(routing.DeltaRequest); ok {
+		r.metrics.RoutingFullFrames.Inc()
+		r.metrics.RoutingFullBytes.Add(int64(full.WireSize()))
+	}
+}
+
+// resolveKnowledgeLocked recovers the target's knowledge and routing state
+// from whichever representation the request carries, acting as source.
 //
 // It returns exactly one of know (exact knowledge — given directly or
-// reconstructed from a delta against the cached baseline) or digest, or
-// ok=false when the source must answer NeedKnowledge: a delta whose
-// (epoch, gen) tags do not extend the cached baseline strictly — cache
-// missing (we restarted, or never saw the baseline), wrong epoch (the
-// target restarted), or a generation gap (a frame was lost) — is refused
-// rather than merged onto a possibly-stale baseline.
-func (r *Replica) resolveKnowledgeLocked(req *SyncRequest) (know *vclock.Knowledge, digest *vclock.Digest, ok bool) {
+// reconstructed from a delta against the cached baseline) or digest, with
+// the routing request to process (nil for none), or ok=false when the source
+// must answer NeedKnowledge: a delta whose (epoch, gen) tags do not extend
+// the cached baseline strictly — cache missing (we restarted, or never saw
+// the baseline), wrong epoch (the target restarted), or a generation gap (a
+// frame was lost) — is refused rather than merged onto a possibly-stale
+// baseline, and so is a routing delta that does not fit the cached request.
+// A refusal leaves the baseline as it was; the retry replaces it whole.
+func (r *Replica) resolveKnowledgeLocked(req *SyncRequest) (know *vclock.Knowledge, digest *vclock.Digest, rt routing.Request, ok bool) {
 	switch {
 	case req.Knowledge != nil:
 		if req.Epoch != 0 {
@@ -204,29 +241,40 @@ func (r *Replica) resolveKnowledgeLocked(req *SyncRequest) (know *vclock.Knowled
 				evictOldestLocked(r.peerKnow, r.peerCap)
 			}
 			r.peerKnow[req.TargetID] = &peerBaseline{
-				use:   r.stampUseLocked(),
-				epoch: req.Epoch,
-				gen:   req.Gen,
-				know:  req.Knowledge.Clone(),
+				use:     r.stampUseLocked(),
+				epoch:   req.Epoch,
+				gen:     req.Gen,
+				know:    req.Knowledge.Clone(),
+				routing: req.Routing,
 			}
 		}
-		return req.Knowledge, nil, true
+		return req.Knowledge, nil, req.Routing, true
 	case req.Delta != nil:
 		c := r.peerKnow[req.TargetID]
 		if c == nil || c.epoch != req.Delta.Epoch() || c.gen+1 != req.Delta.Gen() {
-			return nil, nil, false
+			return nil, nil, nil, false
+		}
+		// In process the full request arrives beside its delta and serves
+		// as is; off the wire only the delta does.
+		rt = req.Routing
+		if rt == nil && req.RoutingDelta != nil {
+			var err error
+			if rt, err = req.RoutingDelta.Apply(c.routing); err != nil {
+				return nil, nil, nil, false
+			}
 		}
 		c.use = r.stampUseLocked()
 		c.know.Merge(req.Delta.Changes())
 		c.gen = req.Delta.Gen()
-		return c.know, nil, true
+		c.routing = rt
+		return c.know, nil, rt, true
 	case req.Digest != nil:
-		return nil, req.Digest, true
+		return nil, req.Digest, req.Routing, true
 	default:
 		// A v1 frame with no knowledge at all; the transport rejects this
 		// before it reaches us, and in-process callers always attach one.
 		// Serve against empty knowledge rather than crash on hostile input.
-		return vclock.NewKnowledge(), nil, true
+		return vclock.NewKnowledge(), nil, req.Routing, true
 	}
 }
 

@@ -356,3 +356,30 @@ func TestSummaryPeerCapBoundsState(t *testing.T) {
 		t.Errorf("re-establishing frame counted %d fulls, want %d", got, fulls+1)
 	}
 }
+
+// TestEvictedFrontierNeverReusesGenerations: a frontier evicted at
+// SummaryPeerCap used to restart its generations at 1, so when the frame that
+// re-established it was lost, the next delta (gen 2) matched the baseline the
+// peer still held from the evicted frontier's first frame (gen 1) — and was
+// merged onto knowledge older than the one it was diffed against. Here that
+// stale knowledge lacks a version the peer stores, which came back as a
+// duplicate. Generations now restart above every one the epoch has used, so
+// the peer refuses the delta and the pair pays one fallback round instead.
+func TestEvictedFrontierNeverReusesGenerations(t *testing.T) {
+	a := New(Config{ID: "a", OwnAddresses: []string{"addr:a"}, SyncSummaries: true, SummaryPeerCap: 1})
+	b := New(Config{ID: "b", OwnAddresses: []string{"addr:b"}, Policy: epidemic.New(10)})
+	c := New(Config{ID: "c", OwnAddresses: []string{"addr:c"}})
+
+	Sync(b, a, 0)                // b caches a's first frame: (epoch 1, gen 1)
+	send(a, "addr:a", "addr:b")  // a learns a version ...
+	Sync(a, b, 0)                // ... which b comes to store
+	Sync(c, a, 0)                // a's frontier for b is evicted
+	a.MakeSummaryRequest("b", 0) // re-established, but the frame is lost
+	res := Sync(b, a, 0)
+	if !res.Fallback {
+		t.Error("a delta diffed against a frontier the source never saw was served")
+	}
+	if res.Apply.Duplicates != 0 || a.Stats().Duplicates != 0 {
+		t.Errorf("the source re-sent %d known versions", res.Apply.Duplicates)
+	}
+}

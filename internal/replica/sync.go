@@ -36,8 +36,15 @@ type SyncRequest struct {
 	// included and transmitted first.
 	Filter filter.Filter
 	// Routing carries policy-specific state (e.g. a PROPHET predictability
-	// vector) produced by the target's policy GenerateReq.
+	// vector) produced by the target's policy GenerateReq. On a decoded
+	// request that carried RoutingDelta instead, it is nil.
 	Routing routing.Request
+	// RoutingDelta, set only beside Delta, is Routing as a difference from
+	// the routing state of this target's previous frame to the source, and
+	// what travels in Routing's place. The source reconstructs Routing from
+	// the copy it cached beside the knowledge baseline, under the same tag
+	// check; the target keeps Routing set for the fallback round to replay.
+	RoutingDelta routing.Delta
 	// MaxItems bounds the batch size (0 = unlimited), modeling constrained
 	// encounter bandwidth.
 	MaxItems int
@@ -138,6 +145,7 @@ func (r *Replica) MakeSyncRequest(maxItems int) *SyncRequest {
 	if r.metrics != nil {
 		r.metrics.KnowledgeFullFrames.Inc()
 		r.metrics.KnowledgeFullBytes.Add(int64(req.Knowledge.WireSize()))
+		r.countRoutingLocked(req)
 	}
 	return req
 }
@@ -181,7 +189,7 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	// digest or an unmatchable delta — answer NeedKnowledge without counting
 	// the sync or processing routing state, so the exact-knowledge retry
 	// runs as if it were the first and only round.
-	know, digest, ok := r.resolveKnowledgeLocked(req)
+	know, digest, rt, ok := r.resolveKnowledgeLocked(req)
 	if !ok {
 		return &SyncResponse{SourceID: r.id, NeedKnowledge: true}
 	}
@@ -195,8 +203,8 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 		// would for every stored version.
 	}
 	r.stats.SyncsServed++
-	if r.policy != nil && req.Routing != nil {
-		r.policy.ProcessReq(req.TargetID, req.Routing)
+	if r.policy != nil && rt != nil {
+		r.policy.ProcessReq(req.TargetID, rt)
 	}
 	target := routing.Target{ID: req.TargetID, Filter: req.Filter}
 	split, _ := r.policy.(routing.SplitSender)

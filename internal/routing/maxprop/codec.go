@@ -39,10 +39,9 @@ func readHomes(d *prim.Decoder) map[string]Home {
 	})
 }
 
-// AppendBinary appends the request: From, OwnAddresses, the table, then the
+// AppendBinary appends the request: OwnAddresses, the table, then the
 // address homes.
 func (r *Request) AppendBinary(buf []byte) []byte {
-	buf = prim.AppendString(buf, string(r.From))
 	buf = prim.AppendStrings(buf, r.OwnAddresses)
 	buf = prim.AppendMap(buf, r.Table, appendRow)
 	return prim.AppendMap(buf, r.Homes, appendHome)
@@ -52,7 +51,6 @@ func (r *Request) AppendBinary(buf []byte) []byte {
 func DecodeRequest(data []byte) (*Request, error) {
 	d := prim.NewDecoder(data)
 	req := &Request{
-		From:         vclock.ReplicaID(d.String()),
 		OwnAddresses: d.Strings(),
 		Table:        readTable(d),
 		Homes:        readHomes(d),

@@ -1,0 +1,177 @@
+package maxprop
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+
+	"replidtn/internal/routing"
+	"replidtn/internal/vclock"
+	"replidtn/internal/wire/prim"
+)
+
+// Delta is a Request encoded against an earlier one of the same policy: the
+// rows and homes that were replaced or added since. Tables and homes only
+// grow between two requests of one policy, so there is no way to say
+// "removed" — DeltaSince declines when something was.
+type Delta struct {
+	// OwnChanged says OwnAddresses replaces the base's.
+	OwnChanged   bool
+	OwnAddresses []string
+	// Rows and Homes hold the entries that differ from the base's; the
+	// totals are the table's and the home map's entry counts, which pin
+	// what the delta leaves unsaid: every other entry is one the base holds.
+	Rows       map[vclock.ReplicaID]Row
+	TotalRows  int
+	Homes      map[string]Home
+	TotalHomes int
+}
+
+// sameRow reports whether two rows are one row: rows are never written once
+// built, so the same map under the same stamp is the same content, and
+// comparing identities keeps a 64-row diff from reading 64 × 64 cells.
+func sameRow(a, b Row) bool {
+	return a.Updated == b.Updated && reflect.ValueOf(a.Probabilities).Pointer() == reflect.ValueOf(b.Probabilities).Pointer()
+}
+
+// changed returns the entries of cur that base lacks or holds differently,
+// and whether cur holds every key of base.
+func changed[K comparable, V any](base, cur map[K]V, same func(a, b V) bool) (map[K]V, bool) {
+	out := make(map[K]V)
+	kept := 0
+	for k, v := range cur {
+		old, ok := base[k]
+		if ok {
+			kept++
+		}
+		if !ok || !same(old, v) {
+			out[k] = v
+		}
+	}
+	return out, kept == len(base)
+}
+
+// DeltaSince implements routing.DeltaRequest. It returns nil when base is
+// not this policy's or holds a row or home r lacks.
+func (r *Request) DeltaSince(base routing.Request) routing.Delta {
+	b, ok := base.(*Request)
+	if !ok || b == nil {
+		return nil
+	}
+	d := &Delta{TotalRows: len(r.Table), TotalHomes: len(r.Homes)}
+	var rowsOK, homesOK bool
+	d.Rows, rowsOK = changed(b.Table, r.Table, sameRow)
+	d.Homes, homesOK = changed(b.Homes, r.Homes, func(a, b Home) bool { return a == b })
+	if !rowsOK || !homesOK {
+		return nil
+	}
+	if !slices.Equal(b.OwnAddresses, r.OwnAddresses) || (b.OwnAddresses == nil) != (r.OwnAddresses == nil) {
+		d.OwnChanged, d.OwnAddresses = true, r.OwnAddresses
+	}
+	return d
+}
+
+// overlay returns base with set laid over it, or an error when the result
+// does not have total entries.
+func overlay[K comparable, V any](what string, base, set map[K]V, total int) (map[K]V, error) {
+	if total > len(base)+len(set) {
+		return nil, fmt.Errorf("maxprop: delta declares %d %s, base and delta hold %d", total, what, len(base)+len(set))
+	}
+	out := make(map[K]V, total)
+	for k, v := range base {
+		out[k] = v
+	}
+	for k, v := range set {
+		out[k] = v
+	}
+	if len(out) != total {
+		return nil, fmt.Errorf("maxprop: delta yields %d %s, declares %d", len(out), what, total)
+	}
+	return out, nil
+}
+
+// Apply implements routing.Delta.
+func (d *Delta) Apply(base routing.Request) (routing.Request, error) {
+	b, ok := base.(*Request)
+	if !ok || b == nil {
+		return nil, fmt.Errorf("maxprop: delta against a %T", base)
+	}
+	req := &Request{OwnAddresses: b.OwnAddresses}
+	if d.OwnChanged {
+		req.OwnAddresses = d.OwnAddresses
+	}
+	var err error
+	if req.Table, err = overlay("rows", b.Table, d.Rows, d.TotalRows); err != nil {
+		return nil, err
+	}
+	if req.Homes, err = overlay("homes", b.Homes, d.Homes, d.TotalHomes); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// AppendBinary appends the delta: the own-address change if any, then the
+// changed rows and homes, each sorted by key and followed by its total.
+func (d *Delta) AppendBinary(buf []byte) []byte {
+	buf = prim.AppendBool(buf, d.OwnChanged)
+	if d.OwnChanged {
+		buf = prim.AppendStrings(buf, d.OwnAddresses)
+	}
+	buf = prim.AppendMap(buf, d.Rows, appendRow)
+	buf = prim.AppendUvarint(buf, uint64(d.TotalRows))
+	buf = prim.AppendMap(buf, d.Homes, appendHome)
+	return prim.AppendUvarint(buf, uint64(d.TotalHomes))
+}
+
+// DecodeDelta decodes a delta written by AppendBinary, holding rows and
+// homes to the full request's rules: probabilities in [0, 1], keys strictly
+// ascending.
+func DecodeDelta(data []byte) (*Delta, error) {
+	d := prim.NewDecoder(data)
+	delta := &Delta{}
+	if delta.OwnChanged = d.Bool(); delta.OwnChanged {
+		delta.OwnAddresses = d.Strings()
+	}
+	delta.Rows = readTable(d)
+	delta.TotalRows = d.Int()
+	delta.Homes = readHomes(d)
+	delta.TotalHomes = d.Int()
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("maxprop: decode delta: %w", err)
+	}
+	return delta, nil
+}
+
+func sizeTable(table map[vclock.ReplicaID]Row) int {
+	n := prim.SizeUvarint(uint64(len(table)))
+	for id, row := range table {
+		n += prim.SizeString(string(id)) + prim.SizeUvarint(uint64(len(row.Probabilities))) + prim.SizeVarint(row.Updated)
+		for peer := range row.Probabilities {
+			n += prim.SizeString(string(peer)) + 8
+		}
+	}
+	return n
+}
+
+func sizeHomes(homes map[string]Home) int {
+	n := prim.SizeUvarint(uint64(len(homes)))
+	for addr, h := range homes {
+		n += prim.SizeString(addr) + prim.SizeString(string(h.Node)) + prim.SizeVarint(h.Updated)
+	}
+	return n
+}
+
+// WireSize implements routing.DeltaRequest: the length of AppendBinary's
+// output, without building it.
+func (r *Request) WireSize() int {
+	return prim.SizeStrings(r.OwnAddresses) + sizeTable(r.Table) + sizeHomes(r.Homes)
+}
+
+// WireSize implements routing.Delta.
+func (d *Delta) WireSize() int {
+	n := 1 + sizeTable(d.Rows) + prim.SizeUvarint(uint64(d.TotalRows)) + sizeHomes(d.Homes) + prim.SizeUvarint(uint64(d.TotalHomes))
+	if d.OwnChanged {
+		n += prim.SizeStrings(d.OwnAddresses)
+	}
+	return n
+}

@@ -50,10 +50,9 @@ type Home struct {
 }
 
 // Request is the routing state piggybacked on sync requests: the requester's
-// identity and homed addresses, its meeting-probability table (its own row
-// plus learned rows), and its address-home beliefs.
+// homed addresses, its meeting-probability table (its own row plus learned
+// rows), and its address-home beliefs.
 type Request struct {
-	From         vclock.ReplicaID
 	OwnAddresses []string
 	Table        map[vclock.ReplicaID]Row
 	Homes        map[string]Home
@@ -122,8 +121,8 @@ func (p *Policy) OwnRow() map[vclock.ReplicaID]float64 {
 	return out
 }
 
-// GenerateReq implements routing.Policy: ship identity, homed addresses, the
-// full freshest-rows table, and address homes. Only the outer table is copied;
+// GenerateReq implements routing.Policy: ship homed addresses, the full
+// freshest-rows table, and address homes. Only the outer table is copied;
 // the rows travel by reference.
 func (p *Policy) GenerateReq() routing.Request {
 	now := p.now()
@@ -142,7 +141,6 @@ func (p *Policy) GenerateReq() routing.Request {
 		homes[a] = Home{Node: p.self, Updated: now}
 	}
 	return &Request{
-		From:         p.self,
 		OwnAddresses: append([]string(nil), p.ownAddresses...),
 		Table:        table,
 		Homes:        homes,

@@ -118,7 +118,6 @@ func (p *refPolicy) GenerateReq() *Request {
 		homes[a] = Home{Node: p.self, Updated: now}
 	}
 	return &Request{
-		From:         p.self,
 		OwnAddresses: append([]string(nil), p.ownAddresses...),
 		Table:        table,
 		Homes:        homes,
@@ -268,7 +267,6 @@ func (l *lockstep) forged(from int) *Request {
 		table[nodeID(l.rng.Intn(n))] = Row{Probabilities: probs, Updated: l.clock + int64(l.rng.Intn(3))}
 	}
 	return &Request{
-		From:  nodeID(from),
 		Table: table,
 		Homes: map[string]Home{"addr:ghost": {Node: "offline", Updated: l.clock}},
 	}

@@ -2,6 +2,7 @@ package prophet
 
 import (
 	"fmt"
+	"slices"
 
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire/prim"
@@ -21,19 +22,27 @@ func readVector(d *prim.Decoder) map[string]float64 {
 	return prim.ReadMap[string](d, d.Prob)
 }
 
-// AppendBinary appends the request: From, OwnAddresses, then the
-// predictability vector.
+// AppendBinary appends the request: OwnAddresses, then the predictability
+// vector.
 func (r *Request) AppendBinary(buf []byte) []byte {
-	buf = prim.AppendString(buf, string(r.From))
 	buf = prim.AppendStrings(buf, r.OwnAddresses)
 	return appendVector(buf, r.Predictability)
+}
+
+// WireSize implements routing.DeltaRequest: the length of AppendBinary's
+// output, without building it.
+func (r *Request) WireSize() int {
+	n := prim.SizeStrings(r.OwnAddresses) + prim.SizeUvarint(uint64(len(r.Predictability)))
+	for dest := range r.Predictability {
+		n += prim.SizeString(dest) + 8
+	}
+	return n
 }
 
 // DecodeRequest decodes a request written by AppendBinary.
 func DecodeRequest(data []byte) (*Request, error) {
 	d := prim.NewDecoder(data)
 	req := &Request{
-		From:           vclock.ReplicaID(d.String()),
 		OwnAddresses:   d.Strings(),
 		Predictability: readVector(d),
 	}
@@ -73,6 +82,14 @@ func (p *Policy) RestoreState(data []byte) error {
 	if now := p.now(); p.lastAged > now {
 		p.lastAged = now
 	}
-	p.partners = partnerCache{vectors: partners}
+	// Restored partners are evictable like any other: with no insertion
+	// order to recover, sorted IDs make one every restore agrees on.
+	order := make([]vclock.ReplicaID, 0, len(partners))
+	for id := range partners {
+		order = append(order, id)
+	}
+	slices.Sort(order)
+	p.partners = partnerCache{vectors: partners, order: order}
+	p.partners.evictOldest()
 	return nil
 }

@@ -82,13 +82,17 @@ func DefaultParams() Params {
 // delivery-predictability vector, keyed by destination address, plus the
 // addresses the target identifies as (the endpoints homed on it).
 type Request struct {
-	// From is the requesting node.
-	From vclock.ReplicaID
 	// OwnAddresses are the endpoint addresses homed on the requester; the
 	// receiver boosts its direct predictability for them.
 	OwnAddresses []string
 	// Predictability maps destination address → P(requester, destination).
 	Predictability map[string]float64
+	// aging is the generating policy's aging log and aged its pass count
+	// when the request was published; DeltaSince reads the passes between
+	// two requests off them. Neither travels: a decoded or reconstructed
+	// request is only ever the base of a delta, never its subject.
+	aging []float64
+	aged  uint64
 }
 
 // Policy is the PROPHET policy attached to one replica. The owning replica
@@ -103,6 +107,12 @@ type Policy struct {
 	p map[string]float64
 	// lastAged is the time of the most recent aging pass.
 	lastAged int64
+	// aging holds the factors of the latest aging passes, oldest first, at
+	// most maxAgingLog of them; aged counts every pass ever run. Elements are
+	// never rewritten — published requests share the array — so trimming
+	// copies the tail into a fresh one.
+	aging []float64
+	aged  uint64
 	// partners caches the latest vector received from each sync partner.
 	partners partnerCache
 }
@@ -150,9 +160,12 @@ func (p *Policy) Vector() map[string]float64 {
 // GenerateReq implements routing.Policy: ship the aged predictability vector
 // and our homed addresses.
 func (p *Policy) GenerateReq() routing.Request {
+	vec := p.Vector() // ages first, so the log below covers this vector
 	return &Request{
 		OwnAddresses:   append([]string(nil), p.ownAddresses...),
-		Predictability: p.Vector(),
+		Predictability: vec,
+		aging:          p.aging,
+		aged:           p.aged,
 	}
 }
 
@@ -293,14 +306,32 @@ func (p *Policy) age() {
 	k := elapsed / p.params.AgingUnit
 	factor := math.Pow(p.params.Gamma, float64(k))
 	for d, v := range p.p {
-		nv := v * factor
-		if nv < 1e-9 {
+		nv, alive := decay(v, factor)
+		if !alive {
 			delete(p.p, d)
 			continue
 		}
 		p.p[d] = nv
 	}
 	p.lastAged += k * p.params.AgingUnit
+	if len(p.aging) >= maxAgingLog {
+		p.aging = append(make([]float64, 0, maxAgingLog), p.aging[maxAgingLog/2:]...)
+	}
+	p.aging = append(p.aging, factor)
+	p.aged++
+}
+
+// maxAgingLog bounds the aging log, and with it the factors a delta may
+// carry. A pair whose sender aged more often than this between two of their
+// encounters ships the full vector once.
+const maxAgingLog = 64
+
+// decay is one aging pass over one predictability: the product, and whether
+// the entry survives (values below 1e-9 are dropped). age and the delta
+// replay share it, so both sides of a delta run the same arithmetic.
+func decay(v, factor float64) (float64, bool) {
+	nv := v * factor
+	return nv, !(nv < 1e-9)
 }
 
 // DestinationsKnown returns the aged vector's destinations in sorted order

@@ -86,8 +86,39 @@ type Target struct {
 // it published, and the receiver adopts them by reference, never writing
 // either. That holds however the request travels — handed over by pointer in
 // the emulator (possibly to a policy running on another goroutine), decoded
-// into fresh values off TCP, or replayed for a sync's fallback round.
+// into fresh values off TCP, replayed for a sync's fallback round, or
+// rebuilt from a delta against the previous request (DeltaRequest), when it
+// shares what did not change with that one.
 type Request any
+
+// DeltaRequest is what a policy's request type implements, beside its codec,
+// to opt in to routing-state deltas: a recurring pair in summary mode then
+// ships each request as its difference from the one this policy last
+// published to that peer, on the tags of the knowledge delta it rides with
+// (DESIGN.md §12). The contract is exactness, not approximation — for any
+// non-nil d := cur.DeltaSince(base), d.Apply(base) encodes byte-for-byte
+// like cur — so the receiving policy cannot tell which form travelled.
+// Requests that do not implement it always travel whole.
+type DeltaRequest interface {
+	// DeltaSince returns this request as a delta against base, an earlier
+	// request of the same policy, or nil when it cannot form one (a base of
+	// another type, state the delta form cannot express); the full request
+	// travels then. Neither request is written.
+	DeltaSince(base Request) Delta
+	// WireSize returns the length of the request's full encoding.
+	WireSize() int
+}
+
+// Delta is a routing request encoded against an earlier one.
+type Delta interface {
+	// Apply reconstructs the request the delta was taken from, given the
+	// base it was taken against. It shares what did not change with base and
+	// writes neither. An error means the delta does not fit this base; the
+	// caller keeps the base and asks for the full request.
+	Apply(base Request) (Request, error)
+	// WireSize returns the length of the delta's encoding.
+	WireSize() int
+}
 
 // Policy is a pluggable DTN forwarding policy attached to one replica. The
 // substrate invokes it at the three points of the extended sync protocol
@@ -101,7 +132,8 @@ type Policy interface {
 	// (acts as target); its return value travels in the request and is
 	// immutable from then on (see Request): state the policy goes on
 	// mutating in place must be copied into it, state it only ever replaces
-	// may be shared.
+	// may be shared. The replica retains the latest one per peer as the base
+	// of the next delta when the type implements DeltaRequest.
 	GenerateReq() Request
 	// ProcessReq is called when this replica receives a synchronization
 	// request (acts as source), with the requesting replica's ID and the

@@ -255,17 +255,17 @@ func TestHostileRoutingStateRejected(t *testing.T) {
 	newMaxProp := func() routing.Policy { return maxprop.New("a", 3, now, "addr:a") }
 	prophetReq := func(p float64) *prophet.Request {
 		return &prophet.Request{
-			From: "evil", OwnAddresses: []string{"addr:evil"},
+			OwnAddresses:   []string{"addr:evil"},
 			Predictability: map[string]float64{"addr:z": p},
 		}
 	}
 	maxpropReq := func(p float64) *maxprop.Request {
-		return &maxprop.Request{From: "evil", Table: map[vclock.ReplicaID]maxprop.Row{
+		return &maxprop.Request{Table: map[vclock.ReplicaID]maxprop.Row{
 			"evil": {Probabilities: map[vclock.ReplicaID]float64{"z": p}, Updated: 1},
 		}}
 	}
 	// A PROPHET body claiming 2^21 vector entries with none behind the count.
-	forgedCount := append(prim.AppendStrings(prim.AppendString(nil, "evil"), nil), 0x80, 0x80, 0x80, 0x01)
+	forgedCount := append(prim.AppendStrings(nil, nil), 0x80, 0x80, 0x80, 0x01)
 	cases := []struct {
 		name    string
 		policy  func() routing.Policy

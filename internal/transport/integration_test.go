@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -20,7 +21,9 @@ import (
 // encounter schedule twice — once through the in-process sync engine and
 // once over real TCP loopback connections — and checks that deliveries,
 // duplicates, and store contents come out identical. This pins the wire
-// protocol to the reference semantics.
+// protocol to the reference semantics. A third replay, over TCP with summary
+// request modes on, pins the delta frames — knowledge and routing state both
+// — to the same outcome.
 func TestTraceDrivenOverTCPMatchesInProcess(t *testing.T) {
 	dn := trace.DefaultDieselNet()
 	dn.Days = 2
@@ -36,32 +39,51 @@ func TestTraceDrivenOverTCPMatchesInProcess(t *testing.T) {
 	for _, policyName := range []string{"epidemic", "spray", "prophet", "maxprop"} {
 		policyName := policyName
 		t.Run(policyName, func(t *testing.T) {
-			local := runSchedule(t, buses, encounters, policyName, false)
-			networked := runSchedule(t, buses, encounters, policyName, true)
+			local := runSchedule(t, buses, encounters, policyName, false, false)
+			compareSchedules(t, buses, local, runSchedule(t, buses, encounters, policyName, true, false))
+			summarized := runSchedule(t, buses, encounters, policyName, true, true)
+			compareSchedules(t, buses, local, summarized)
+			deltas := 0
 			for _, bus := range buses {
-				ls, ns := local[bus].Stats(), networked[bus].Stats()
-				if ls.Delivered != ns.Delivered {
-					t.Errorf("%s: delivered %d locally vs %d over TCP", bus, ls.Delivered, ns.Delivered)
-				}
-				if ns.Duplicates != 0 {
-					t.Errorf("%s: %d duplicates over TCP", bus, ns.Duplicates)
-				}
-				lt, ll, _ := local[bus].StoreLen()
-				nt, nl, _ := networked[bus].StoreLen()
-				if lt != nt || ll != nl {
-					t.Errorf("%s: store %d/%d locally vs %d/%d over TCP", bus, lt, ll, nt, nl)
-				}
-				if !local[bus].Knowledge().Equal(networked[bus].Knowledge()) {
-					t.Errorf("%s: knowledge diverged between local and TCP runs", bus)
-				}
+				deltas += summarized[bus].Stats().KnowledgeDeltas
+			}
+			if deltas == 0 {
+				t.Error("the summaries-on replay never sent a delta frame")
 			}
 		})
 	}
 }
 
+// compareSchedules checks that two replays of one schedule ended alike.
+func compareSchedules(t *testing.T, buses []string, local, networked map[string]*replica.Replica) {
+	t.Helper()
+	for _, bus := range buses {
+		ls, ns := local[bus].Stats(), networked[bus].Stats()
+		if ls.Delivered != ns.Delivered {
+			t.Errorf("%s: delivered %d locally vs %d over TCP", bus, ls.Delivered, ns.Delivered)
+		}
+		if ns.Duplicates != 0 {
+			t.Errorf("%s: %d duplicates over TCP", bus, ns.Duplicates)
+		}
+		lt, ll, _ := local[bus].StoreLen()
+		nt, nl, _ := networked[bus].StoreLen()
+		if lt != nt || ll != nl {
+			t.Errorf("%s: store %d/%d locally vs %d/%d over TCP", bus, lt, ll, nt, nl)
+		}
+		if !local[bus].Knowledge().Equal(networked[bus].Knowledge()) {
+			t.Errorf("%s: knowledge diverged between local and TCP runs", bus)
+		}
+		lp, _ := local[bus].PolicyState()
+		np, _ := networked[bus].PolicyState()
+		if !bytes.Equal(lp, np) {
+			t.Errorf("%s: routing state diverged between local and TCP runs", bus)
+		}
+	}
+}
+
 // runSchedule replays the encounter schedule with each bus sending one
 // message to the next bus, either in-process or over TCP.
-func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, policyName string, overTCP bool) map[string]*replica.Replica {
+func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, policyName string, overTCP, summaries bool) map[string]*replica.Replica {
 	t.Helper()
 	var now int64
 	clock := func() int64 { return now }
@@ -83,9 +105,10 @@ func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, pol
 			t.Fatalf("unknown policy %q", policyName)
 		}
 		nodes[bus] = replica.New(replica.Config{
-			ID:           vclock.ReplicaID(bus),
-			OwnAddresses: []string{bus},
-			Policy:       pol,
+			ID:            vclock.ReplicaID(bus),
+			OwnAddresses:  []string{bus},
+			Policy:        pol,
+			SyncSummaries: summaries,
 		})
 		if overTCP {
 			srv := NewServer(nodes[bus], 0)

@@ -29,9 +29,10 @@ import (
 )
 
 // protocolVersion is the one protocol this build speaks, carried as a single
-// byte in the hello. Versions 1–3 were the retired gob-hello generations; a
-// mismatch is refused, never negotiated.
-const protocolVersion = 4
+// byte in the hello. Versions 1–3 were the retired gob-hello generations and
+// 4 the binary frames before routing deltas (and with a From field in every
+// routing request); a mismatch is refused, never negotiated.
+const protocolVersion = 5
 
 // helloMagic opens every hello body, so a stray connection from some other
 // protocol is refused on its first frame.
@@ -152,10 +153,14 @@ var errVersionMismatch = errors.New("protocol version mismatch")
 // budgets) must not be enforceable by a hostile peer's byte stream: a missing
 // knowledge frame would panic HandleSyncRequest, and a negative MaxItems
 // would bypass the server's batch clamp. (The wire layout tags one knowledge
-// form per request, so "none" is the only miscount a frame can express.)
+// form per request, so "none" is the only miscount a frame can express.) A
+// routing delta rides a knowledge delta's tags and means nothing without.
 func validateRequest(req *replica.SyncRequest) error {
 	if req.Knowledge == nil && req.Digest == nil && req.Delta == nil {
 		return &validationError{errors.New("sync request without a knowledge frame")}
+	}
+	if req.RoutingDelta != nil && req.Delta == nil {
+		return &validationError{errors.New("routing delta without a knowledge delta")}
 	}
 	if req.MaxItems < 0 || req.MaxBytes < 0 {
 		return &validationError{fmt.Errorf("sync request with negative budget (items %d, bytes %d)", req.MaxItems, req.MaxBytes)}

@@ -17,18 +17,23 @@ import (
 //
 // after changing the frame layout or the seed set, and commit the result.
 // The corpus pins one valid encoding per frame family (exact/digest/delta
-// requests, PROPHET and MaxProp routing requests, a response with items,
-// done, a mutation batch) plus the boundary
+// requests, PROPHET and MaxProp routing requests and routing deltas, a
+// response with items, done, a mutation batch) plus the boundary
 // shapes (truncation, bad codec version, an out-of-range probability, empty input).
 func TestWriteFuzzCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzWireDecode")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, seed := range wireFuzzSeeds(t) {
-		content := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
-		if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(content), 0o644); err != nil {
+	for target, seeds := range map[string]map[string][]byte{
+		"FuzzWireDecode":         wireFuzzSeeds(t),
+		"FuzzRoutingDeltaDecode": routingDeltaFuzzSeeds(t),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for name, seed := range seeds {
+			content := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
+			if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

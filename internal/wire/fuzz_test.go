@@ -14,12 +14,14 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
 	"replidtn/internal/filter"
 	"replidtn/internal/item"
 	"replidtn/internal/replica"
+	"replidtn/internal/routing"
 	"replidtn/internal/routing/maxprop"
 	"replidtn/internal/routing/prophet"
 	"replidtn/internal/store"
@@ -94,7 +96,7 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 		TargetID:  "t",
 		Knowledge: know,
 		Routing: &prophet.Request{
-			From: "t", OwnAddresses: []string{"user:1"},
+			OwnAddresses:   []string{"user:1"},
 			Predictability: map[string]float64{"user:2": 0.75, "user:3": 0.1875},
 		},
 	}))
@@ -102,7 +104,7 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 		TargetID:  "t",
 		Knowledge: know,
 		Routing: &maxprop.Request{
-			From: "t", OwnAddresses: []string{"user:1"},
+			OwnAddresses: []string{"user:1"},
 			Table: map[vclock.ReplicaID]maxprop.Row{
 				"t": {Probabilities: map[vclock.ReplicaID]float64{"a": 0.5, "b": 0.5}, Updated: 100},
 			},
@@ -116,6 +118,13 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 		Knowledge: know,
 		Routing:   &prophet.Request{Predictability: map[string]float64{"user:2": math.Inf(1)}},
 	}))
+	// Recurring-pair frames: a knowledge delta with the routing state as a
+	// delta beside it.
+	routingDeltaReq := func(d routing.Delta) []byte {
+		return must(AppendSyncRequest(nil, &replica.SyncRequest{
+			TargetID: "t", Delta: vclock.NewDelta(2, 6, nil), RoutingDelta: d,
+		}))
+	}
 	return map[string][]byte{
 		"exact-request":   exactReq,
 		"prophet-request": prophetReq,
@@ -123,11 +132,80 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 		"bad-probability": badProbReq,
 		"digest-request":  digestReq,
 		"delta-request":   deltaReq,
+		"prophet-delta":   routingDeltaReq(sampleProphetDelta()),
+		"maxprop-delta":   routingDeltaReq(sampleMaxPropDelta()),
 		"response":        resp,
 		"done":            AppendDone(nil, 42),
 		"mutations":       muts,
 		"truncated":       exactReq[:len(exactReq)/2],
 		"bad-version":     append([]byte{0xff}, exactReq[1:]...),
+		"empty":           nil,
+	}
+}
+
+func sampleProphetDelta() *prophet.Delta {
+	return &prophet.Delta{
+		Factors:    []float64{0.98, 0.5},
+		OwnChanged: true, OwnAddresses: []string{"user:1", "user:9"},
+		Set:   map[string]float64{"user:2": 0.75, "user:4": 0.1875},
+		Total: 3,
+	}
+}
+
+func sampleMaxPropDelta() *maxprop.Delta {
+	return &maxprop.Delta{
+		Rows: map[vclock.ReplicaID]maxprop.Row{
+			"t": {Probabilities: map[vclock.ReplicaID]float64{"a": 0.25, "b": 0.75}, Updated: 130},
+		},
+		TotalRows:  2,
+		Homes:      map[string]maxprop.Home{"user:1": {Node: "t", Updated: 130}},
+		TotalHomes: 2,
+	}
+}
+
+// Bases the sample deltas apply to.
+var (
+	prophetFuzzBase = &prophet.Request{
+		OwnAddresses:   []string{"user:1"},
+		Predictability: map[string]float64{"user:2": 0.5, "user:3": 0.25},
+	}
+	maxpropFuzzBase = &maxprop.Request{
+		Table: map[vclock.ReplicaID]maxprop.Row{
+			"t": {Probabilities: map[vclock.ReplicaID]float64{"a": 1}, Updated: 100},
+			"a": {Probabilities: map[vclock.ReplicaID]float64{"t": 1}, Updated: 90},
+		},
+		Homes: map[string]maxprop.Home{"user:1": {Node: "t", Updated: 100}, "user:2": {Node: "a", Updated: 90}},
+	}
+)
+
+// routingDeltaFuzzSeeds are routing frames as they sit in a sync request:
+// tag, length, body.
+func routingDeltaFuzzSeeds(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	frame := func(req routing.Request, d routing.Delta) []byte {
+		buf, err := appendRoutingFrame(nil, req, d)
+		if err != nil {
+			tb.Fatalf("build seed: %v", err)
+		}
+		return buf
+	}
+	badFactor := sampleProphetDelta()
+	badFactor.Factors[0] = math.NaN()
+	badValue := sampleProphetDelta()
+	badValue.Set["user:2"] = 1.5
+	forgedTotal := sampleMaxPropDelta()
+	forgedTotal.TotalRows = 1 << 40
+	prophetDelta := frame(nil, sampleProphetDelta())
+	return map[string][]byte{
+		"prophet-delta":   prophetDelta,
+		"maxprop-delta":   frame(nil, sampleMaxPropDelta()),
+		"prophet-request": frame(prophetFuzzBase, nil),
+		"maxprop-request": frame(maxpropFuzzBase, nil),
+		"bad-factor":      frame(nil, badFactor),
+		"bad-value":       frame(nil, badValue),
+		"forged-total":    frame(nil, forgedTotal),
+		"wrong-policy":    append([]byte{routingMaxPropDelta}, prophetDelta[1:]...),
+		"truncated":       prophetDelta[:len(prophetDelta)/2],
 		"empty":           nil,
 	}
 }
@@ -181,5 +259,58 @@ func FuzzWireDecode(f *testing.F) {
 				//lint:allow transientleak -- fuzz round-trip: re-encoding the batch the decoder just produced, not leaking host state
 				return AppendMutations(nil, v.([]replica.Mutation))
 			})
+	})
+}
+
+// FuzzRoutingDeltaDecode throws hostile bytes at the routing frame of a sync
+// request, where a recurring peer's routing delta arrives. A delta that
+// decodes must re-encode to a fixed point, size itself exactly, and be safe
+// to apply: against a base of its policy, Apply either refuses — leaving the
+// base as it was — or yields a request the full-frame decoder accepts, so
+// nothing a delta can carry reaches ProcessReq that a full frame could not.
+func FuzzRoutingDeltaDecode(f *testing.F) {
+	for _, seed := range routingDeltaFuzzSeeds(f) {
+		f.Add(seed)
+	}
+	decode := func(b []byte) (any, error) {
+		d := NewDecoder(b)
+		_, delta := d.routingFrame()
+		if err := d.Finish(); err != nil {
+			return nil, err
+		}
+		if delta == nil {
+			return nil, errors.New("not a delta frame")
+		}
+		return delta, nil
+	}
+	encode := func(v any) ([]byte, error) { return appendRoutingFrame(nil, nil, v.(routing.Delta)) }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		refuzz(t, "routing delta", data, decode, encode)
+		v, err := decode(data)
+		if err != nil {
+			return
+		}
+		delta := v.(routing.Delta)
+		if enc, _ := encode(delta); delta.WireSize() != len(enc)-5 {
+			t.Fatalf("delta WireSize %d, body encodes to %d bytes", delta.WireSize(), len(enc)-5)
+		}
+		for _, base := range []routing.Request{prophetFuzzBase, maxpropFuzzBase} {
+			before, _ := AppendRouting(nil, base)
+			got, err := delta.Apply(base)
+			if after, _ := AppendRouting(nil, base); !bytes.Equal(before, after) {
+				t.Fatal("Apply wrote its base")
+			}
+			if err != nil {
+				continue
+			}
+			enc, err := AppendRouting(nil, got)
+			if err != nil {
+				t.Fatalf("reconstructed request does not encode: %v", err)
+			}
+			d := NewDecoder(enc)
+			if d.routingFrame(); d.Finish() != nil {
+				t.Fatalf("reconstructed request is one the full-frame decoder refuses: %v", d.Err())
+			}
+		}
 	})
 }

@@ -101,3 +101,37 @@ func AppendMap[K ~string, V any](buf []byte, m map[K]V, value func([]byte, V) []
 	}
 	return buf
 }
+
+// The size functions return the length of what the append function of the
+// same name writes, for callers that account bytes without encoding.
+
+// SizeUvarint returns the length of AppendUvarint's output.
+func SizeUvarint(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// SizeVarint returns the length of AppendVarint's output.
+func SizeVarint(v int64) int {
+	return SizeUvarint(uint64(v<<1) ^ uint64(v>>63))
+}
+
+// SizeString returns the length of AppendString's output.
+func SizeString(s string) int {
+	return SizeUvarint(uint64(len(s))) + len(s)
+}
+
+// SizeStrings returns the length of AppendStrings' output.
+func SizeStrings(ss []string) int {
+	if ss == nil {
+		return 1
+	}
+	n := SizeUvarint(uint64(len(ss)) + 1)
+	for _, s := range ss {
+		n += SizeString(s)
+	}
+	return n
+}

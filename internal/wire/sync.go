@@ -113,15 +113,19 @@ func (d *Decoder) filter(depth int) filter.Filter {
 	}
 }
 
-// Routing-request type tags. Like the filter set, the set of policies with
+// Routing-frame type tags. Like the filter set, the set of policies with
 // wire-visible routing state is closed (PROPHET and MaxProp; the other
-// policies keep their state in per-item transients), so each gets a tag. The
-// body is the policy's own binary marshal behind a fixed uint32 length,
-// back-patched so the marshal appends straight into buf.
+// policies keep their state in per-item transients), so each gets a tag for
+// its request and one for its delta against the request the receiver holds
+// from the sender's previous frame (DESIGN.md §12). The body is the policy's
+// own binary marshal behind a fixed uint32 length, back-patched so the
+// marshal appends straight into buf.
 const (
-	routingNil     = 0
-	routingProphet = 1
-	routingMaxProp = 2
+	routingNil          = 0
+	routingProphet      = 1
+	routingMaxProp      = 2
+	routingProphetDelta = 3
+	routingMaxPropDelta = 4
 )
 
 // AppendRouting appends a routing request as a type tag plus the policy's
@@ -139,6 +143,21 @@ func AppendRouting(buf []byte, req routing.Request) ([]byte, error) {
 	}
 }
 
+// appendRoutingFrame appends the routing part of a sync request: the delta
+// when the request carries one, the full state otherwise.
+func appendRoutingFrame(buf []byte, req routing.Request, delta routing.Delta) ([]byte, error) {
+	switch delta := delta.(type) {
+	case nil:
+		return AppendRouting(buf, req)
+	case *prophet.Delta:
+		return appendRoutingBody(buf, routingProphetDelta, delta), nil
+	case *maxprop.Delta:
+		return appendRoutingBody(buf, routingMaxPropDelta, delta), nil
+	default:
+		return nil, fmt.Errorf("wire: unencodable routing delta type %T", delta)
+	}
+}
+
 func appendRoutingBody(buf []byte, tag byte, req interface{ AppendBinary([]byte) []byte }) []byte {
 	buf = append(buf, tag, 0, 0, 0, 0)
 	start := len(buf)
@@ -147,33 +166,40 @@ func appendRoutingBody(buf []byte, tag byte, req interface{ AppendBinary([]byte)
 	return buf
 }
 
-// Routing decodes a routing request written by AppendRouting. The policies'
-// decoders validate what they read (probabilities in range, counts bounded
-// by the input), so a request that decodes is safe to hand to ProcessReq.
-func (d *Decoder) Routing() routing.Request {
+// routingFrame decodes a frame written by appendRoutingFrame into whichever
+// of the two forms the tag names. The policies' decoders validate what they
+// read (probabilities and aging factors in range, counts bounded by the
+// input), so a request that decodes is safe to hand to ProcessReq and a
+// delta that decodes is safe to apply.
+func (d *Decoder) routingFrame() (routing.Request, routing.Delta) {
 	tag := d.Byte()
 	if tag == routingNil || d.Err() != nil {
-		return nil
+		return nil, nil
 	}
 	body := d.View(uint64(d.Uint32()))
 	if d.Err() != nil {
-		return nil
+		return nil, nil
 	}
 	var req routing.Request
+	var delta routing.Delta
 	var err error
 	switch tag {
 	case routingProphet:
 		req, err = prophet.DecodeRequest(body)
 	case routingMaxProp:
 		req, err = maxprop.DecodeRequest(body)
+	case routingProphetDelta:
+		delta, err = prophet.DecodeDelta(body)
+	case routingMaxPropDelta:
+		delta, err = maxprop.DecodeDelta(body)
 	default:
 		err = fmt.Errorf("wire: unknown routing tag %d", tag)
 	}
 	if err != nil {
 		d.Fail(err)
-		return nil
+		return nil, nil
 	}
-	return req
+	return req, delta
 }
 
 // Knowledge-frame tags: the request's summary-mode alternatives and the
@@ -268,7 +294,9 @@ func (d *Decoder) knowledgeFrame() (*vclock.Knowledge, *vclock.Digest, *vclock.D
 }
 
 // AppendSyncRequest appends a complete sync-request body: codec version,
-// target ID, knowledge frame, delta tags, filter, routing blob, budgets.
+// target ID, knowledge frame, delta tags, filter, routing frame (the delta
+// when the request has one — Routing stays behind for the fallback round),
+// budgets.
 // Budgets travel as zigzag varints so an (invalid) negative survives to the
 // transport validator instead of wrapping into a huge positive.
 func AppendSyncRequest(buf []byte, req *replica.SyncRequest) ([]byte, error) {
@@ -283,7 +311,7 @@ func AppendSyncRequest(buf []byte, req *replica.SyncRequest) ([]byte, error) {
 	if buf, err = AppendFilter(buf, req.Filter); err != nil {
 		return nil, err
 	}
-	if buf, err = AppendRouting(buf, req.Routing); err != nil {
+	if buf, err = appendRoutingFrame(buf, req.Routing, req.RoutingDelta); err != nil {
 		return nil, err
 	}
 	buf = prim.AppendVarint(buf, int64(req.MaxItems))
@@ -304,7 +332,7 @@ func DecodeSyncRequest(data []byte) (*replica.SyncRequest, error) {
 	req.Epoch = d.Uvarint()
 	req.Gen = d.Uvarint()
 	req.Filter = d.Filter()
-	req.Routing = d.Routing()
+	req.Routing, req.RoutingDelta = d.routingFrame()
 	req.MaxItems = int(d.Varint())
 	req.MaxBytes = d.Varint()
 	req.StrictBytes = d.Bool()

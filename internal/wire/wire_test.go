@@ -203,12 +203,12 @@ func TestRoutingRoundTrip(t *testing.T) {
 	cases := map[string]routing.Request{
 		"nil": nil,
 		"prophet": &prophet.Request{
-			From: "a", OwnAddresses: []string{"user:1"},
+			OwnAddresses:   []string{"user:1"},
 			Predictability: map[string]float64{"user:2": 0.5, "user:3": 1, "user:4": 0},
 		},
 		"prophet empty": &prophet.Request{Predictability: map[string]float64{}},
 		"maxprop": &maxprop.Request{
-			From: "a", OwnAddresses: []string{"user:1"},
+			OwnAddresses: []string{"user:1"},
 			Table: map[vclock.ReplicaID]maxprop.Row{
 				"a": {Probabilities: map[vclock.ReplicaID]float64{"b": 0.75, "c": 0.25}, Updated: 40},
 				"b": {Probabilities: map[vclock.ReplicaID]float64{}, Updated: -1},
@@ -223,7 +223,7 @@ func TestRoutingRoundTrip(t *testing.T) {
 				t.Fatalf("AppendRouting: %v", err)
 			}
 			d := NewDecoder(buf)
-			got := d.Routing()
+			got, _ := d.routingFrame()
 			if err := d.Finish(); err != nil {
 				t.Fatalf("Finish: %v", err)
 			}
@@ -268,13 +268,13 @@ func TestRoutingRejected(t *testing.T) {
 		"negative":             framed(routingProphet, vector(-0.1)),
 		"maxprop row above 1":  framed(routingMaxProp, row),
 		"unsorted keys":        framed(routingProphet, unsorted),
-		"forged count":         framed(routingProphet, []byte{0, 0, 0xff, 0xff, 0x03}),
+		"forged count":         framed(routingProphet, []byte{0, 0xff, 0xff, 0x03}),
 		"trailing bytes":       framed(routingProphet, append(vector(0.5), 0)),
 		"body past the input":  framed(routingProphet, vector(0.5))[:8],
 		"wrong policy for tag": framed(routingMaxProp, vector(0.5)),
 	} {
 		d := NewDecoder(buf)
-		if got := d.Routing(); got != nil || d.Err() == nil {
+		if got, delta := d.routingFrame(); got != nil || delta != nil || d.Err() == nil {
 			t.Errorf("%s: decoded %v, err %v", name, got, d.Err())
 		}
 	}
@@ -354,6 +354,34 @@ func TestSyncRequestRoundTrip(t *testing.T) {
 				t.Errorf("filter: got %v, want %v", got.Filter, req.Filter)
 			}
 		})
+	}
+}
+
+// TestSyncRequestCarriesRoutingDelta: a request holding its routing state
+// both whole and as a delta — as MakeSummaryRequest leaves it, Routing kept
+// for the fallback round — puts only the delta on the wire, and the decoded
+// request holds only the delta.
+func TestSyncRequestCarriesRoutingDelta(t *testing.T) {
+	for name, delta := range map[string]routing.Delta{"prophet": sampleProphetDelta(), "maxprop": sampleMaxPropDelta()} {
+		req := &replica.SyncRequest{
+			TargetID: "t", Delta: vclock.NewDelta(2, 6, nil),
+			Routing: prophetFuzzBase, RoutingDelta: delta,
+		}
+		buf, err := AppendSyncRequest(nil, req)
+		if err != nil {
+			t.Fatalf("%s: AppendSyncRequest: %v", name, err)
+		}
+		got, err := DecodeSyncRequest(buf)
+		if err != nil {
+			t.Fatalf("%s: DecodeSyncRequest: %v", name, err)
+		}
+		if got.Routing != nil || !reflect.DeepEqual(got.RoutingDelta, delta) {
+			t.Errorf("%s: decoded routing %v, delta %#v; want only the delta %#v", name, got.Routing, got.RoutingDelta, delta)
+		}
+	}
+	type foreign struct{ routing.Delta }
+	if _, err := AppendSyncRequest(nil, &replica.SyncRequest{Delta: vclock.NewDelta(1, 2, nil), RoutingDelta: foreign{}}); err == nil {
+		t.Error("a delta type outside the tag set encoded")
 	}
 }
 
