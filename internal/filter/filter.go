@@ -63,21 +63,33 @@ func (None) String() string { return "none" }
 // addresses to enlist the host as a forwarder for them.
 type Addresses struct {
 	addrs map[string]struct{}
+	// few lists the same addresses while there are at most fewAddrs of them
+	// (nil beyond), for Contains to compare against instead of hashing.
+	few []string
 }
+
+// fewAddrs is the set size up to which Contains — and so Match, per
+// destination — compares with each address in turn: one string comparison
+// per address is cheaper than one hash while the set is this small (a
+// messaging host's own filter holds one address; the two cross near eight),
+// and the serve walk matches every candidate it scans.
+const fewAddrs = 8
 
 // NewAddresses builds an address filter over the given destination addresses.
 func NewAddresses(addrs ...string) *Addresses {
 	f := &Addresses{addrs: make(map[string]struct{}, len(addrs))}
 	for _, a := range addrs {
-		f.addrs[a] = struct{}{}
+		f.Add(a)
 	}
 	return f
 }
 
 // Match implements Filter.
+//
+//dtn:hotpath
 func (f *Addresses) Match(it *item.Item) bool {
 	for _, d := range it.Meta.Destinations {
-		if _, ok := f.addrs[d]; ok {
+		if f.Contains(d) {
 			return true
 		}
 	}
@@ -103,17 +115,35 @@ func (f *Addresses) Covers(other Filter) bool {
 }
 
 // Contains reports whether the filter includes the given address.
+//
+//dtn:hotpath
 func (f *Addresses) Contains(addr string) bool {
-	_, ok := f.addrs[addr]
-	return ok
+	if len(f.addrs) > fewAddrs {
+		_, ok := f.addrs[addr]
+		return ok
+	}
+	for _, a := range f.few {
+		if a == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // Add inserts an address into the filter.
 func (f *Addresses) Add(addr string) {
+	if f.Contains(addr) {
+		return
+	}
 	if f.addrs == nil {
 		f.addrs = make(map[string]struct{})
 	}
 	f.addrs[addr] = struct{}{}
+	if len(f.addrs) <= fewAddrs {
+		f.few = append(f.few, addr)
+	} else {
+		f.few = nil
+	}
 }
 
 // List returns the addresses in sorted order.

@@ -1,7 +1,10 @@
 package filter
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -164,5 +167,71 @@ func TestPropCoversImpliesMatchContainment(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAddressesAgainstPlainMap drives Addresses and a plain set with the same
+// random operations, across the size where Match changes from comparing to
+// hashing, and holds every read method to the set's answer.
+func TestAddressesAgainstPlainMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	addr := func() string { return fmt.Sprintf("user:%d", rng.Intn(80)) }
+	for round := 0; round < 300; round++ {
+		size := rng.Intn(65)
+		var initial []string
+		for i := rng.Intn(size + 1); i > 0; i-- {
+			initial = append(initial, addr()) // duplicates included
+		}
+		f := NewAddresses(initial...)
+		if rng.Intn(8) == 0 {
+			f, initial = &Addresses{}, nil // the zero value is a usable empty filter
+		}
+		want := make(map[string]struct{})
+		for _, a := range initial {
+			want[a] = struct{}{}
+		}
+		for len(want) < size {
+			a := addr()
+			f.Add(a)
+			want[a] = struct{}{}
+		}
+		list := make([]string, 0, len(want))
+		for a := range want {
+			list = append(list, a)
+		}
+		sort.Strings(list)
+		if got := f.List(); !reflect.DeepEqual(got, list) || f.Len() != len(want) {
+			t.Fatalf("round %d: List = %v (Len %d), want %v", round, got, f.Len(), list)
+		}
+		for i := 0; i < 200; i++ {
+			dests := make([]string, rng.Intn(4))
+			hit := false
+			for j := range dests {
+				dests[j] = addr()
+				_, ok := want[dests[j]]
+				hit = hit || ok
+			}
+			if got := f.Match(msgTo(dests...)); got != hit {
+				t.Fatalf("round %d (%d addresses): Match(%v) = %v, want %v", round, len(want), dests, got, hit)
+			}
+			a := addr()
+			if _, ok := want[a]; f.Contains(a) != ok {
+				t.Fatalf("round %d: Contains(%q) = %v, want %v", round, a, !ok, ok)
+			}
+		}
+		// Covers is subset-of: against a random subset, and against one with a
+		// stranger added.
+		var subset []string
+		for _, a := range list {
+			if rng.Intn(2) == 0 {
+				subset = append(subset, a)
+			}
+		}
+		if !f.Covers(NewAddresses(subset...)) || !f.Covers(None{}) {
+			t.Fatalf("round %d: %v does not cover its subset %v", round, list, subset)
+		}
+		if f.Covers(NewAddresses(append(subset, "user:stranger")...)) || f.Covers(All{}) {
+			t.Fatalf("round %d: %v covers a filter with an address it lacks", round, list)
+		}
 	}
 }

@@ -7,6 +7,16 @@
 // whose mutation never creates a new version. This separation is what allows
 // DTN routing policies to adjust per-copy state (e.g. halving spray copies)
 // without the adjusted item appearing as an update that must be re-sent.
+//
+// One rule makes items cheap to move: a stored *Item is never written after
+// it is stored. Everything reachable from it — Prior, the destination list,
+// Attrs, the payload bytes — is fixed from the moment a replica's store takes
+// it; an update or a delete clones it into a new version first. So a sync
+// batch may carry the very pointer the source has stored, the target may
+// store that pointer too, and replicas in one process share one Item per
+// version; whoever hands bytes to a replica from outside (an application's
+// send buffer) copies them at that boundary. Transient is the opposite: each
+// stored copy owns its map, and a batch carries a map of its own.
 package item
 
 import (
@@ -83,7 +93,8 @@ func cloneMetadata(m Metadata) Metadata {
 
 // Item is one replicated data item: a version of the logical item identified
 // by ID. Prior lists the versions this one supersedes, so a receiver can mark
-// obsolete versions as known and never accept them later.
+// obsolete versions as known and never accept them later. Once stored it is
+// immutable and may be shared (see the package comment); Clone before writing.
 type Item struct {
 	ID      ID
 	Version vclock.Version

@@ -13,6 +13,7 @@
 package messaging
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -171,7 +172,9 @@ func (ep *Endpoint) Addresses() []string {
 	return append([]string(nil), ep.addresses...)
 }
 
-// Send creates and injects a message from the given local address.
+// Send creates and injects a message from the given local address. The
+// endpoint keeps copies of to and body, so the caller may reuse both; the
+// returned Message describes what was sent and holds the caller's own slices.
 func (ep *Endpoint) Send(from string, to []string, body []byte) (Message, error) {
 	return ep.send(from, to, body, 0)
 }
@@ -196,8 +199,12 @@ func (ep *Endpoint) send(from string, to []string, body []byte, expires int64) (
 		Created:      ep.now(),
 		Expires:      expires,
 	}
-	it := ep.replica.CreateItem(meta, body)
-	return toMessage(it), nil
+	// The replica stores what it is given, and a stored item is never written
+	// again (package item) — so the stored message gets its own copies of the
+	// recipient list and the body here, at the boundary, and the caller gets
+	// its own slices back rather than a second copy.
+	it := ep.replica.CreateItem(meta, bytes.Clone(body))
+	return Message{ID: it.ID, From: from, To: to, SentAt: meta.Created, Body: body}, nil
 }
 
 // PurgeExpired drops expired relayed messages from the local store.

@@ -320,7 +320,9 @@ func (r *Replica) Items() []*item.Item {
 
 // CreateItem inserts a new item into the local replica with the next local
 // version. The creator always keeps its items (they are exempt from relay
-// eviction), matching the paper's sender-copy semantics.
+// eviction), matching the paper's sender-copy semantics. The replica keeps
+// meta and payload as given and they are immutable from here on (package
+// item): a caller that goes on using either buffer passes copies.
 func (r *Replica) CreateItem(meta item.Metadata, payload []byte) *item.Item {
 	defer r.emitJournal() // deferred before the unlock, so it runs after it
 	r.mu.Lock()
@@ -339,7 +341,8 @@ func (r *Replica) CreateItem(meta item.Metadata, payload []byte) *item.Item {
 	return it
 }
 
-// UpdateItem replaces the payload of a stored item with a new version.
+// UpdateItem replaces the payload of a stored item with a new version. Like
+// CreateItem it keeps payload as given.
 func (r *Replica) UpdateItem(id item.ID, payload []byte) (*item.Item, error) {
 	return r.mutate(id, func(next *item.Item) { next.Payload = payload })
 }

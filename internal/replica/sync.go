@@ -60,7 +60,9 @@ type SyncRequest struct {
 
 // BatchItem is one transmitted item copy: the replicated item plus the
 // transient (host-specific) metadata the source chose to attach, and the
-// priority it was assigned.
+// priority it was assigned. Item may be the very *item.Item the source has
+// stored (stored items are immutable — see package item); Transient is the
+// batch's own map, never the source's stored one.
 type BatchItem struct {
 	Item      *item.Item
 	Transient item.Transient
@@ -364,6 +366,14 @@ func transmitTransient(e *store.Entry, policySet item.Transient) item.Transient 
 // composes the same way: internal/persist snapshots are taken between syncs,
 // so a crash never persists a half-applied batch, and a batch replayed after
 // a restart is rejected item-by-item through the restored knowledge.
+//
+// The response is consumed: each new item and its transient map are stored as
+// they are, not copied, and the copy's hop count is bumped in the batch's own
+// map. The caller must not write anything reachable from resp afterwards, nor
+// hand the same response to a second replica. Nothing reachable from the
+// source's store is written — items are immutable once stored, and a batch's
+// transients are its own — so an in-process fleet shares one *item.Item per
+// version and a TCP receiver keeps the decoder's copy.
 func (r *Replica) ApplyBatch(resp *SyncResponse) ApplyStats {
 	defer r.emitJournal() // deferred before the unlock, so it runs after it
 	r.mu.Lock()
@@ -398,29 +408,27 @@ func (r *Replica) ApplyBatch(resp *SyncResponse) ApplyStats {
 		}
 
 		// The copy's hop count is host-specific: it grows by one on arrival.
-		tr := bi.Transient.Clone()
-		tr = tr.Set(item.FieldHops, float64(tr.GetInt(item.FieldHops)+1))
+		tr := bi.Transient.Set(item.FieldHops, float64(bi.Transient.GetInt(item.FieldHops)+1))
 
-		stored := incoming.Clone()
-		relay := !r.filter.Match(stored)
+		relay := !r.filter.Match(incoming)
 		local := existing != nil && existing.Local
-		evicted := r.store.Put(stored, tr, relay, local)
+		evicted := r.store.Put(incoming, tr, relay, local)
 		st.Evicted += len(evicted)
 		r.stats.Evicted += len(evicted)
 
 		switch {
-		case stored.Deleted:
+		case incoming.Deleted:
 			st.Tombstones++
 		case relay:
 			st.Relayed++
 		default:
 			st.Stored++
 		}
-		if !stored.Deleted && r.addressedLocally(stored) && r.store.Get(stored.ID) != nil {
+		if !incoming.Deleted && r.addressedLocally(incoming) && r.store.Get(incoming.ID) != nil {
 			wasAddressed := existing != nil && !existing.Item.Deleted && r.addressedLocally(existing.Item)
 			if !wasAddressed {
 				st.Delivered++
-				r.deliverLocked(stored)
+				r.deliverLocked(incoming)
 			}
 		}
 	}

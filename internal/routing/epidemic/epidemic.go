@@ -55,12 +55,18 @@ func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority
 }
 
 // Decide implements routing.SplitSender: the forwarding decision half of
-// ToSend, including its TTL-stamping side effect.
+// ToSend, including its TTL-stamping side effect — the one write on the
+// decision path, and only the first time a copy is considered. The TTL is
+// read once: the serve walk calls this for every candidate.
+//
+//dtn:hotpath
 func (p *Policy) Decide(e *store.Entry, _ routing.Target) routing.Priority {
-	if !e.Transient.Has(item.FieldTTL) {
-		e.Transient = e.Transient.Set(item.FieldTTL, float64(p.initialTTL))
+	ttl, ok := e.Transient.Get(item.FieldTTL)
+	if !ok {
+		ttl = float64(p.initialTTL)
+		e.Transient = e.Transient.Set(item.FieldTTL, ttl)
 	}
-	if e.Transient.GetInt(item.FieldTTL) <= 0 {
+	if int(ttl) <= 0 {
 		return routing.Skip
 	}
 	return routing.Priority{Class: routing.ClassNormal}

@@ -147,7 +147,12 @@ type Policy interface {
 	// withhold) and the transient metadata to attach to the transmitted
 	// copy; returning a nil Transient transmits a clone of the stored one.
 	// ToSend may mutate the entry's stored transient state (e.g. halve a
-	// copy allowance) — such mutations never create new item versions.
+	// copy allowance) — such mutations never create new item versions — but
+	// never e.Item, which is immutable and may be stored at other replicas
+	// too. The returned Transient must be a map of its own, not e.Transient:
+	// the receiver stores it as is and counts the hop in it. The serve walk
+	// calls ToSend for every candidate it scans, so read each transient field
+	// once.
 	ToSend(e *store.Entry, target Target) (Priority, item.Transient)
 }
 

@@ -51,12 +51,17 @@ func (*Policy) ProcessReq(vclock.ReplicaID, routing.Request) {}
 
 // ToSend implements routing.Policy: forward an item only while this replica
 // holds at least two copies, halving the allowance on both the transmitted
-// and the locally stored copy.
+// and the locally stored copy. The allowance is read once: the serve walk
+// calls this for every candidate.
+//
+//dtn:hotpath
 func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
-	if !e.Transient.Has(item.FieldCopies) {
-		e.Transient = e.Transient.Set(item.FieldCopies, float64(p.initialCopies))
+	stored, ok := e.Transient.Get(item.FieldCopies)
+	if !ok {
+		stored = float64(p.initialCopies)
+		e.Transient = e.Transient.Set(item.FieldCopies, stored)
 	}
-	copies := e.Transient.GetInt(item.FieldCopies)
+	copies := int(stored)
 	if copies < 2 {
 		return routing.Skip, nil
 	}

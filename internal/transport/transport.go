@@ -208,10 +208,12 @@ func (c countingReader) Read(p []byte) (int, error) {
 // Frame layout, for every message of a connection: a uint32 little-endian
 // length (covering the type byte and body, so always >= 1), a message-type
 // byte, and the body. The hello body is magic, version byte, replica ID; the
-// others are internal/wire encodings. The length is checked against the
-// frame's cap before any body allocation on the read side and after assembly
-// on the write side, so an oversized frame is rejected by both the producer
-// and the consumer.
+// others are internal/wire encodings. A sync request or response is sized
+// before it is encoded (wire.SyncRequestSize, wire.SyncResponseSize): the
+// length is checked against the frame's cap before any body allocation on
+// either side — so an oversized frame is rejected by both the producer and
+// the consumer, neither having paid for it — and the writer reserves the
+// whole frame once, so encoding a large batch never regrows its buffer.
 const (
 	frameSyncRequest  = 1
 	frameSyncResponse = 2
@@ -246,18 +248,29 @@ func newWireIO(conn net.Conn, limit int64) *wireIO {
 	return w
 }
 
-// beginFrame starts a frame of the given type in the reusable scratch
-// buffer; the body is appended to the returned slice and handed to
-// writeFrame.
-func (w *wireIO) beginFrame(msgType byte) []byte {
-	return append(w.wbuf[:0], 0, 0, 0, 0, msgType)
+// beginFrame starts a frame of the given type in the reusable scratch buffer,
+// reserving room for a body of bodySize bytes so encoding it never regrows
+// the buffer; the body is appended to the returned slice and handed to
+// writeFrame. A body too large for limit fails the encounter here, before a
+// byte of it is allocated or encoded, instead of feeding the peer a frame it
+// is bound to reject.
+func (w *wireIO) beginFrame(msgType byte, bodySize int, limit int64) ([]byte, error) {
+	if length := int64(bodySize) + 1; length > limit {
+		return nil, oversizeError(length, limit)
+	}
+	if need := 5 + bodySize; cap(w.wbuf) < need {
+		w.wbuf = make([]byte, 0, need)
+	}
+	return append(w.wbuf[:0], 0, 0, 0, 0, msgType), nil
+}
+
+func oversizeError(length, limit int64) error {
+	return fmt.Errorf("transport: outgoing frame of %d bytes exceeds the %d-byte wire limit", length, limit)
 }
 
 // writeFrame back-patches the length of a frame begun with beginFrame and
-// writes it in a single Write. The cap is checked after assembly, before
-// anything reaches the connection: a local batch too large for the limit
-// fails the encounter cleanly instead of feeding the peer a frame it is
-// bound to reject.
+// writes it in a single Write. The cap is checked again on the assembled
+// frame, before anything reaches the connection.
 func (w *wireIO) writeFrame(buf []byte, limit int64) error {
 	w.wbuf = buf
 	if cap(w.wbuf) > maxFrameScratch {
@@ -265,7 +278,7 @@ func (w *wireIO) writeFrame(buf []byte, limit int64) error {
 	}
 	length := len(buf) - 4
 	if int64(length) > limit {
-		return fmt.Errorf("transport: outgoing frame of %d bytes exceeds the %d-byte wire limit", length, limit)
+		return oversizeError(int64(length), limit)
 	}
 	binary.LittleEndian.PutUint32(buf[:4], uint32(length))
 	n, err := w.conn.Write(buf)
@@ -312,8 +325,11 @@ func (w *wireIO) readFrame(want byte, limit int64) ([]byte, error) {
 
 // writeHello opens our side of the connection.
 func (w *wireIO) writeHello(id vclock.ReplicaID) error {
-	buf := append(w.beginFrame(frameHello), helloMagic...)
-	buf = append(buf, protocolVersion)
+	buf, err := w.beginFrame(frameHello, len(helloMagic)+1+prim.SizeString(string(id)), maxHelloFrame)
+	if err != nil {
+		return err
+	}
+	buf = append(append(buf, helloMagic...), protocolVersion)
 	return w.writeFrame(prim.AppendString(buf, string(id)), maxHelloFrame)
 }
 
@@ -340,24 +356,34 @@ func (w *wireIO) readHello() (vclock.ReplicaID, error) {
 }
 
 func (w *wireIO) writeRequest(req *replica.SyncRequest) error {
-	buf, err := wire.AppendSyncRequest(w.beginFrame(frameSyncRequest), req)
+	buf, err := w.beginFrame(frameSyncRequest, wire.SyncRequestSize(req), w.limit)
 	if err != nil {
+		return err
+	}
+	if buf, err = wire.AppendSyncRequest(buf, req); err != nil {
 		return err
 	}
 	return w.writeFrame(buf, w.limit)
 }
 
 func (w *wireIO) writeResponse(resp *replica.SyncResponse) error {
-	//lint:allow transientleak -- BatchItem.Transient is the policy-mediated transmit copy built by transmitTransient (e.g. a halved spray allowance): an explicit field of the wire protocol, not a leak of host-local state
-	buf, err := wire.AppendSyncResponse(w.beginFrame(frameSyncResponse), resp)
+	buf, err := w.beginFrame(frameSyncResponse, wire.SyncResponseSize(resp), w.limit)
 	if err != nil {
+		return err
+	}
+	//lint:allow transientleak -- BatchItem.Transient is the policy-mediated transmit copy built by transmitTransient (e.g. a halved spray allowance): an explicit field of the wire protocol, not a leak of host-local state
+	if buf, err = wire.AppendSyncResponse(buf, resp); err != nil {
 		return err
 	}
 	return w.writeFrame(buf, w.limit)
 }
 
 func (w *wireIO) writeDone(applied int) error {
-	return w.writeFrame(wire.AppendDone(w.beginFrame(frameDone), applied), w.limit)
+	buf, err := w.beginFrame(frameDone, 1+prim.SizeVarint(int64(applied)), w.limit)
+	if err != nil {
+		return err
+	}
+	return w.writeFrame(wire.AppendDone(buf, applied), w.limit)
 }
 
 // readMessage reads one frame of the wanted type, decodes its body and

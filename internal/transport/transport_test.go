@@ -30,7 +30,7 @@ func sendMsg(r *replica.Replica, from, to string) *item.Item {
 	}, []byte("over tcp"))
 }
 
-func serve(t *testing.T, r *replica.Replica, maxItems int) (string, *Server) {
+func serve(t testing.TB, r *replica.Replica, maxItems int) (string, *Server) {
 	t.Helper()
 	srv := NewServer(r, maxItems)
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -10,13 +10,13 @@ import (
 )
 
 // benchResponse builds the representative sync payload the codec encodes: a
-// 16-item batch of 1 KiB messages with per-copy transients plus the learned
+// batch of n 1 KiB messages with per-copy transients plus the learned
 // knowledge — the shape one encounter leg ships when budgets allow a full
 // batch.
-func benchResponse(tb testing.TB) *replica.SyncResponse {
+func benchResponse(tb testing.TB, n int) *replica.SyncResponse {
 	tb.Helper()
 	know := vclock.NewKnowledge()
-	items := make([]replica.BatchItem, 16)
+	items := make([]replica.BatchItem, n)
 	for i := range items {
 		it := &item.Item{
 			ID:      item.ID{Creator: "bus042", Num: uint64(i + 1)},
@@ -45,15 +45,23 @@ func benchResponse(tb testing.TB) *replica.SyncResponse {
 
 // BenchmarkSyncResponseCodec measures the frame body codec on the
 // representative sync response — the numbers BENCH_sync.json records for the
-// frame envelope.
+// frame envelope — and on dtnbench's bulk-first-contact batch, 256 × 1 KiB
+// (the bulk-* cases): there the encode goes into a frame reserved from the
+// size pass, as the transport's does, so B/op is the frame and nothing else.
 func BenchmarkSyncResponseCodec(b *testing.B) {
-	resp := benchResponse(b)
+	benchCodec(b, "binary-", benchResponse(b, 16), false)
+	benchCodec(b, "bulk-", benchResponse(b, 256), true)
+}
 
-	b.Run("binary-encode", func(b *testing.B) {
+func benchCodec(b *testing.B, prefix string, resp *replica.SyncResponse, fresh bool) {
+	b.Run(prefix+"encode", func(b *testing.B) {
 		var buf []byte
 		var err error
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			if fresh {
+				buf = make([]byte, 0, SyncResponseSize(resp)) //lint:allow transientleak -- benchmark fixture batch, not host state
+			}
 			buf, err = AppendSyncResponse(buf[:0], resp) //lint:allow transientleak -- benchmark fixture batch, not host state
 			if err != nil {
 				b.Fatal(err)
@@ -62,7 +70,7 @@ func BenchmarkSyncResponseCodec(b *testing.B) {
 		b.ReportMetric(float64(len(buf)), "wireB/frame")
 	})
 
-	b.Run("binary-decode", func(b *testing.B) {
+	b.Run(prefix+"decode", func(b *testing.B) {
 		data, err := AppendSyncResponse(nil, resp) //lint:allow transientleak -- benchmark fixture batch, not host state
 		if err != nil {
 			b.Fatal(err)

@@ -135,6 +135,7 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 		"prophet-delta":   routingDeltaReq(sampleProphetDelta()),
 		"maxprop-delta":   routingDeltaReq(sampleMaxPropDelta()),
 		"response":        resp,
+		"string-flood":    must(AppendSyncResponse(nil, stringFloodResponse())),
 		"done":            AppendDone(nil, 42),
 		"mutations":       muts,
 		"truncated":       exactReq[:len(exactReq)/2],
@@ -241,14 +242,26 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// sized holds the size pass to every encoding the fuzzer reaches: a
+		// frame is reserved from it, so it may never fall short.
+		sized := func(enc []byte, err error, size int) ([]byte, error) {
+			if err == nil && size != len(enc) {
+				t.Fatalf("size pass says %d, encoding is %d bytes", size, len(enc))
+			}
+			return enc, err
+		}
 		refuzz(t, "sync request", data,
 			func(b []byte) (any, error) { return DecodeSyncRequest(b) },
-			func(v any) ([]byte, error) { return AppendSyncRequest(nil, v.(*replica.SyncRequest)) })
+			func(v any) ([]byte, error) {
+				enc, err := AppendSyncRequest(nil, v.(*replica.SyncRequest))
+				return sized(enc, err, SyncRequestSize(v.(*replica.SyncRequest)))
+			})
 		refuzz(t, "sync response", data,
 			func(b []byte) (any, error) { return DecodeSyncResponse(b) },
 			func(v any) ([]byte, error) {
 				//lint:allow transientleak -- fuzz round-trip: re-encoding the batch the decoder just produced, not leaking host state
-				return AppendSyncResponse(nil, v.(*replica.SyncResponse))
+				enc, err := AppendSyncResponse(nil, v.(*replica.SyncResponse))
+				return sized(enc, err, SyncResponseSize(v.(*replica.SyncResponse))) //lint:allow transientleak -- sizing that same batch
 			})
 		refuzz(t, "done", data,
 			func(b []byte) (any, error) { return DecodeDone(b) },

@@ -12,7 +12,12 @@ import (
 // Codecs for the item-layer values that ride inside WAL record bodies and
 // transport frames. Decoded values copy every field out of the input buffer:
 // an *item.Item or EntrySnapshot escapes into the store and must not alias a
-// reusable read buffer.
+// reusable read buffer — nor a frame read for it alone: one kept 100-byte
+// item would pin the whole frame it arrived in.
+//
+// Each appender has a size function returning exactly the length it writes,
+// so a frame can be reserved once — or refused, if it is over the wire limit
+// — before a byte of it is encoded.
 
 // sortKeys sorts a small key slice in place. Map fields here (Transient,
 // Metadata.Attrs) hold a handful of entries, so an insertion sort over a
@@ -30,6 +35,10 @@ func sortKeys(keys []string) {
 func AppendVersion(buf []byte, v vclock.Version) []byte {
 	buf = prim.AppendString(buf, string(v.Replica))
 	return prim.AppendUvarint(buf, v.Seq)
+}
+
+func sizeVersion(v vclock.Version) int {
+	return prim.SizeString(string(v.Replica)) + prim.SizeUvarint(v.Seq)
 }
 
 // Version decodes a version.
@@ -102,6 +111,31 @@ func AppendTransient(buf []byte, t item.Transient) []byte {
 	return buf
 }
 
+func sizeTransient(t item.Transient) int {
+	if t == nil {
+		return 1
+	}
+	n := prim.SizeUvarint(uint64(len(t)) + 1)
+	for k := range t {
+		n += prim.SizeString(k) + 8
+	}
+	return n
+}
+
+// transientKey materializes a transient field name: the bundled policies'
+// fields come back as the item.Field constants, costing nothing.
+func transientKey(b []byte) string {
+	switch string(b) {
+	case item.FieldTTL:
+		return item.FieldTTL
+	case item.FieldCopies:
+		return item.FieldCopies
+	case item.FieldHops:
+		return item.FieldHops
+	}
+	return string(b)
+}
+
 // Transient decodes a nil-aware transient map.
 func (d *Decoder) Transient() item.Transient {
 	n := d.Uvarint()
@@ -116,7 +150,7 @@ func (d *Decoder) Transient() item.Transient {
 	}
 	t := make(item.Transient, n)
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		k := d.String()
+		k := transientKey(d.View(d.Uvarint()))
 		t[k] = d.Float64()
 	}
 	if d.Err() != nil {
@@ -181,6 +215,32 @@ func AppendItem(buf []byte, it *item.Item) []byte {
 	buf = prim.AppendVarint(buf, it.Meta.Expires)
 	buf = appendAttrs(buf, it.Meta.Attrs)
 	return prim.AppendBytes(buf, it.Payload)
+}
+
+// sizeItem returns the length of AppendItem's output.
+//
+//dtn:hotpath
+func sizeItem(it *item.Item) int {
+	n := prim.SizeString(string(it.ID.Creator)) + prim.SizeUvarint(it.ID.Num) + sizeVersion(it.Version)
+	if it.Prior == nil {
+		n++
+	} else {
+		n += prim.SizeUvarint(uint64(len(it.Prior)) + 1)
+		for _, v := range it.Prior {
+			n += sizeVersion(v)
+		}
+	}
+	n += 1 + prim.SizeString(it.Meta.Source) + prim.SizeStrings(it.Meta.Destinations) + prim.SizeString(it.Meta.Kind)
+	n += prim.SizeVarint(it.Meta.Created) + prim.SizeVarint(it.Meta.Expires)
+	if it.Meta.Attrs == nil {
+		n++
+	} else {
+		n += prim.SizeUvarint(uint64(len(it.Meta.Attrs)) + 1)
+		for k, v := range it.Meta.Attrs {
+			n += prim.SizeString(k) + prim.SizeString(v)
+		}
+	}
+	return n + prim.SizeBytes(it.Payload)
 }
 
 // Item decodes a full item. Every field, including the payload, is copied

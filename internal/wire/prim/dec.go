@@ -24,7 +24,18 @@ type Decoder struct {
 	data []byte
 	pos  int
 	err  error
+	// shared, when set, is a direct-mapped cache of the short strings this
+	// message has already materialized (see ShareStrings).
+	shared *[sharedSlots]string
 }
+
+// sharedSlots and sharedMaxLen bound a decoder's string cache: at most
+// sharedSlots strings of at most sharedMaxLen bytes each, whatever the input
+// says.
+const (
+	sharedSlots  = 128
+	sharedMaxLen = 64
+)
 
 // NewDecoder returns a decoder over data.
 func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
@@ -167,10 +178,30 @@ func (d *Decoder) View(n uint64) []byte {
 	return b
 }
 
+// ShareStrings makes String hand out the copy it already made when the
+// message repeats a short string. A batch names the same few replica IDs,
+// addresses and kinds in every item; sharing them saves the allocations and
+// keeps a received store from holding a private copy per item. A colliding
+// string takes the slot over, so the cache is bounded by construction and a
+// hostile message can only make it miss.
+func (d *Decoder) ShareStrings() { d.shared = new([sharedSlots]string) }
+
 // String decodes a length-prefixed string (always a copy — Go strings are
 // immutable, so this is the only safe materialization).
 func (d *Decoder) String() string {
-	return string(d.View(d.Uvarint()))
+	b := d.View(d.Uvarint())
+	if d.shared == nil || len(b) == 0 || len(b) > sharedMaxLen {
+		return string(b)
+	}
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	slot := &d.shared[h%sharedSlots]
+	if *slot != string(b) {
+		*slot = string(b)
+	}
+	return *slot
 }
 
 // Bytes decodes a nil-aware byte slice as a zero-copy view into the input.

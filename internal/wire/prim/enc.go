@@ -135,3 +135,11 @@ func SizeStrings(ss []string) int {
 	}
 	return n
 }
+
+// SizeBytes returns the length of AppendBytes' output.
+func SizeBytes(b []byte) int {
+	if b == nil {
+		return 1
+	}
+	return SizeUvarint(uint64(len(b))+1) + len(b)
+}

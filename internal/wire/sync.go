@@ -72,6 +72,27 @@ func appendFilter(buf []byte, f filter.Filter, depth int) ([]byte, error) {
 	}
 }
 
+// sizeFilter returns the length of appendFilter's output (anything, for a
+// filter appendFilter refuses).
+func sizeFilter(f filter.Filter, depth int) int {
+	switch f := f.(type) {
+	case *filter.Addresses:
+		return 1 + prim.SizeStrings(f.List())
+	case *filter.Or:
+		n := 1 + prim.SizeUvarint(uint64(len(f.Members)))
+		for _, m := range f.Members {
+			if depth < maxFilterDepth {
+				n += sizeFilter(m, depth+1)
+			}
+		}
+		return n
+	case filter.Kind:
+		return 1 + prim.SizeString(f.Name)
+	default:
+		return 1
+	}
+}
+
 // Filter decodes a filter written by AppendFilter.
 func (d *Decoder) Filter() filter.Filter {
 	return d.filter(0)
@@ -166,6 +187,18 @@ func appendRoutingBody(buf []byte, tag byte, req interface{ AppendBinary([]byte)
 	return buf
 }
 
+// sizeRoutingFrame returns the length of appendRoutingFrame's output. Every
+// type it encodes knows its own encoded size.
+func sizeRoutingFrame(req routing.Request, delta routing.Delta) int {
+	if delta != nil {
+		return 5 + delta.WireSize()
+	}
+	if sized, ok := req.(interface{ WireSize() int }); ok {
+		return 5 + sized.WireSize()
+	}
+	return 1
+}
+
 // routingFrame decodes a frame written by appendRoutingFrame into whichever
 // of the two forms the tag names. The policies' decoders validate what they
 // read (probabilities and aging factors in range, counts bounded by the
@@ -212,44 +245,55 @@ const (
 	knowDelta  = 3
 )
 
+// knowledgeBody is what the three summary forms share: an encoding that
+// appends straight into the frame and knows its exact length beforehand.
+type knowledgeBody interface {
+	WireSize() int
+	AppendBinary([]byte) ([]byte, error)
+}
+
+// pickKnowledge returns the tag and body of whichever summary form is set
+// (knowNone and nil when none is), and how many are.
+func pickKnowledge(k *vclock.Knowledge, dg *vclock.Digest, dl *vclock.Delta) (tag byte, body knowledgeBody, set int) {
+	if dl != nil {
+		tag, body, set = knowDelta, dl, set+1
+	}
+	if dg != nil {
+		tag, body, set = knowDigest, dg, set+1
+	}
+	if k != nil {
+		tag, body, set = knowExact, k, set+1
+	}
+	return tag, body, set
+}
+
 // appendKnowledgeFrame appends exactly one of the three summary forms (or
 // the none tag). The vclock marshals append straight into buf — WireSize
 // gives the exact length prefix without building the encoding twice.
 func appendKnowledgeFrame(buf []byte, k *vclock.Knowledge, dg *vclock.Digest, dl *vclock.Delta) ([]byte, error) {
-	set := 0
-	if k != nil {
-		set++
-	}
-	if dg != nil {
-		set++
-	}
-	if dl != nil {
-		set++
-	}
+	tag, body, set := pickKnowledge(k, dg, dl)
 	if set > 1 {
 		return nil, errors.New("wire: multiple knowledge frames set")
 	}
-	var err error
-	switch {
-	case k != nil:
-		buf = append(buf, knowExact)
-		buf = prim.AppendUvarint(buf, uint64(k.WireSize()))
-		buf, err = k.AppendBinary(buf)
-	case dg != nil:
-		buf = append(buf, knowDigest)
-		buf = prim.AppendUvarint(buf, uint64(dg.WireSize()))
-		buf, err = dg.AppendBinary(buf)
-	case dl != nil:
-		buf = append(buf, knowDelta)
-		buf = prim.AppendUvarint(buf, uint64(dl.WireSize()))
-		buf, err = dl.AppendBinary(buf)
-	default:
-		return append(buf, knowNone), nil
+	buf = append(buf, tag)
+	if body == nil {
+		return buf, nil
 	}
+	buf, err := body.AppendBinary(prim.AppendUvarint(buf, uint64(body.WireSize())))
 	if err != nil {
 		return nil, fmt.Errorf("wire: encode knowledge frame: %w", err)
 	}
 	return buf, nil
+}
+
+// sizeKnowledgeFrame returns the length of appendKnowledgeFrame's output.
+func sizeKnowledgeFrame(k *vclock.Knowledge, dg *vclock.Digest, dl *vclock.Delta) int {
+	_, body, _ := pickKnowledge(k, dg, dl)
+	if body == nil {
+		return 1
+	}
+	n := body.WireSize()
+	return 1 + prim.SizeUvarint(uint64(n)) + n
 }
 
 // knowledgeFrame decodes one frame into whichever of the three forms the tag
@@ -319,6 +363,17 @@ func AppendSyncRequest(buf []byte, req *replica.SyncRequest) ([]byte, error) {
 	return prim.AppendBool(buf, req.StrictBytes), nil
 }
 
+// SyncRequestSize returns the length of the body AppendSyncRequest writes for
+// req, without encoding it.
+func SyncRequestSize(req *replica.SyncRequest) int {
+	return 1 + prim.SizeString(string(req.TargetID)) +
+		sizeKnowledgeFrame(req.Knowledge, req.Digest, req.Delta) +
+		prim.SizeUvarint(req.Epoch) + prim.SizeUvarint(req.Gen) +
+		sizeFilter(req.Filter, 0) +
+		sizeRoutingFrame(req.Routing, req.RoutingDelta) +
+		prim.SizeVarint(int64(req.MaxItems)) + prim.SizeVarint(req.MaxBytes) + 1
+}
+
 // DecodeSyncRequest decodes a body written by AppendSyncRequest. Structural
 // protocol rules (exactly one knowledge frame, non-negative budgets) stay
 // with the transport validator; this only enforces the layout.
@@ -365,8 +420,36 @@ func AppendSyncResponse(buf []byte, resp *replica.SyncResponse) ([]byte, error) 
 	return appendKnowledgeFrame(buf, resp.LearnedKnowledge, nil, nil)
 }
 
+// SyncResponseSize returns the length of the body AppendSyncResponse writes
+// for resp, without encoding it: the payloads are not touched, the learned
+// knowledge's size is memoized.
+//
+//dtn:hotpath
+func SyncResponseSize(resp *replica.SyncResponse) int {
+	n := 1 + prim.SizeString(string(resp.SourceID)) + prim.SizeUvarint(uint64(len(resp.Items)))
+	for i := range resp.Items {
+		bi := &resp.Items[i]
+		if bi.Item == nil {
+			continue // AppendSyncResponse refuses the batch
+		}
+		//lint:allow transientleak -- sizing the transmit copy AppendSyncResponse is about to encode
+		n += sizeItem(bi.Item) + sizeTransient(bi.Transient)
+		n += prim.SizeVarint(int64(bi.Priority.Class)) + 8
+	}
+	return n + 2 + sizeKnowledgeFrame(resp.LearnedKnowledge, nil, nil)
+}
+
+// shareStringsFrom is the batch size from which the response decoder shares
+// repeated strings: the cache is a 2 KiB allocation, an item names about five
+// short strings of 16–32 bytes, so below some sixteen items it costs more
+// than it can save (a recurring pair's one-item batches would pay for it on
+// every encounter).
+const shareStringsFrom = 16
+
 // DecodeSyncResponse decodes a body written by AppendSyncResponse. Every
-// item is copied out of data, so the caller may reuse its read buffer.
+// item is copied out of data, so the caller may reuse its read buffer; the
+// short strings a large batch repeats in every item (replica IDs, addresses,
+// kinds) are materialized once and shared.
 func DecodeSyncResponse(data []byte) (*replica.SyncResponse, error) {
 	d := NewDecoder(data)
 	if ver := d.Byte(); d.Err() == nil && ver != CodecVersion {
@@ -374,6 +457,9 @@ func DecodeSyncResponse(data []byte) (*replica.SyncResponse, error) {
 	}
 	resp := &replica.SyncResponse{SourceID: vclock.ReplicaID(d.String())}
 	n := d.Uvarint()
+	if n >= shareStringsFrom {
+		d.ShareStrings()
+	}
 	// Each batch item costs well over one byte; one is enough to unmask a
 	// forged count before it sizes the allocation.
 	if n > uint64(d.Remaining()) {
