@@ -98,8 +98,9 @@ fuzz-smoke:
 
 ## bench runs the hot-path microbenchmarks (store mutation, sync batch
 ## assembly, whole emulation runs, one MaxProp-served sync, one bulk pull over
-## loopback — B/op is the number to watch there — and the observability hooks'
-## disabled-path overhead) with allocation stats, for before/after comparisons.
+## loopback — B/op is the number to watch there — one WAL segment merge, and
+## the observability hooks' disabled-path overhead) with allocation stats, for
+## before/after comparisons.
 ## The alloc budget test turns the //dtn:hotpath functions' measured allocs/op
 ## into a hard assertion (it must run without -race; the race runtime inflates
 ## allocation counts).
@@ -110,6 +111,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkEmuRun|BenchmarkPartition' -benchmem ./internal/emu/
 	$(GO) test -run xxx -bench 'BenchmarkMaxPropServe' -benchmem ./internal/routing/maxprop/
 	$(GO) test -run xxx -bench 'BenchmarkPullBatch' -benchmem ./internal/transport/
+	$(GO) test -run xxx -bench 'BenchmarkCompaction' -benchmem ./internal/persist/wal/
 	$(GO) test -run xxx -bench 'BenchmarkSyncHooks' -benchmem .
 
 ## bench-scale drives the region-sharded engine across seeded random-waypoint

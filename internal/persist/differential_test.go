@@ -6,7 +6,7 @@ package persist
 // captured from the live replica at the same instant. The snapshot path is
 // the reference implementation — a direct, whole-state serialization with
 // years fewer moving parts — so any divergence indicts the WAL's journal,
-// flush, compaction, or replay logic.
+// flush, merge, or replay logic.
 //
 // The crash is a real one (MemFS drops unsynced bytes): this checks not just
 // that replay composes mutations correctly, but that every mutating call's
@@ -109,12 +109,9 @@ func walMatchesSnapshot(t *testing.T, seed int64) bool {
 		Filter:       filter.NewAddresses("alice", "bob", "carol", "dave"),
 	})
 
-	// Random WAL shape too: tiny flush/compaction thresholds make short op
-	// sequences cross segment and compaction boundaries.
-	opts := wal.Options{
-		FlushEvery: []int{1, 2, 3, 256}[rng.Intn(4)],
-		CompactAt:  []int{2, 4}[rng.Intn(2)],
-	}
+	// Random WAL shape too: tiny flush cadences make short op sequences
+	// cross segment boundaries and both full and partial merges.
+	opts := wal.Options{FlushEvery: []int{1, 2, 3, 256}[rng.Intn(4)]}
 	fsys := wal.NewMemFS()
 	db, err := wal.Open(fsys, opts)
 	if err != nil {

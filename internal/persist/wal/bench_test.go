@@ -5,6 +5,7 @@ package wal
 // continuous durability versus the snapshot backend's free mutations — and
 // recovery time as a function of how much history sits in the live log,
 // which is what the FlushEvery knob trades against write amplification.
+// BenchmarkCompaction, one segment merge, runs under `make bench`.
 
 import (
 	"errors"
@@ -54,8 +55,8 @@ func BenchmarkWALAppend(b *testing.B) {
 	})
 	b.Run("flush256", func(b *testing.B) {
 		// The default shape: a memtable flush into a segment every 256
-		// batches, compaction bounding the segment count. Amortized cost of
-		// durability including the background maintenance.
+		// batches, size-tiered merges bounding the segment count. Amortized
+		// cost of durability including the merges.
 		r, db, _ := benchReplica(b, Options{})
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -67,6 +68,55 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkCompaction measures one merge of four segments of 1024 puts (100
+// payload bytes each), every segment overwriting half of the previous one's
+// IDs: read, k-way merge of the ID-sorted frames, write + fsync, manifest
+// commit, input removal — the work a flush that triggers a merge adds. The
+// bytes per op are the input segments' size; B/op is the number to watch.
+func BenchmarkCompaction(b *testing.B) {
+	const perSeg = 1024
+	var segs [][]byte
+	var names []string
+	var sizes []int
+	total := 0
+	for s := 0; s < mergeWidth; s++ {
+		var frames [][]byte
+		for j := 0; j < perSeg; j++ {
+			frames = append(frames, putFrame(b, uint64(s*perSeg/2+j), string(make([]byte, 100))))
+		}
+		seg := segment(b, frames...)
+		segs, names, sizes = append(segs, seg), append(names, segName(uint64(s))), append(sizes, len(seg))
+		total += len(seg)
+	}
+	fsys := NewMemFS()
+	db, err := Open(fsys, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(total))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i > 0 {
+			if err := fsys.Remove(db.man.Segments[0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for k, name := range names {
+			if err := rewrite(fsys, name, segs[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		db.man = manifest{Segments: names, Log: logName(0)}
+		db.segSizes = append(db.segSizes[:0], sizes...)
+		b.StartTimer()
+		if err := db.mergeLocked(0); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkWALRecovery measures Open+Load against a log holding n mutation

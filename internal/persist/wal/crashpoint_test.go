@@ -2,7 +2,7 @@ package wal
 
 // The crash-point matrix: kill the WAL at EVERY filesystem durability
 // operation it ever issues — mid-record writes, post-record/pre-sync,
-// mid-flush, mid-compaction, mid-manifest-swap — under all three unsynced-
+// mid-flush, mid-merge, mid-manifest-swap — under all three unsynced-
 // tail behaviors, and prove recovery always lands exactly on a state the
 // workload actually passed through, never behind the durable prefix and
 // never past the crashed operation.
@@ -32,20 +32,21 @@ import (
 	"replidtn/internal/replica"
 )
 
-// crashScriptOpts stresses every boundary: flush every 2 batches, compact
-// at 2 segments, so the op sweep crosses record appends, flushes, manifest
-// swaps, and compactions many times within one script.
-var crashScriptOpts = Options{FlushEvery: 2, CompactAt: 2}
+// crashScriptOpts stresses every boundary: a flush after every batch, so the
+// op sweep crosses record appends, flushes, manifest swaps, and full and
+// partial merges many times within one script.
+var crashScriptOpts = Options{FlushEvery: 1}
 
 // countingRun executes the full script uninjected and returns the total FS
-// op count and the reference snapshots: refs[i] is the state after step i-1
-// (refs[0] is the fresh pre-attach state).
-func countingRun(t *testing.T) (totalOps int, refs []*replica.Snapshot) {
+// op count, the reference snapshots — refs[i] is the state after step i-1
+// (refs[0] is the fresh pre-attach state) — and the merges the run made.
+func countingRun(t *testing.T) (totalOps int, refs []*replica.Snapshot, merges *mergeRecorder) {
 	t.Helper()
 	fsys := NewMemFS()
+	merges = &mergeRecorder{FS: fsys}
 	env := newScriptEnv(t)
 	refs = append(refs, mustSnapshot(t, env.r))
-	db, _ := openAttached(t, fsys, crashScriptOpts, func() *replica.Replica { return env.r })
+	db, _ := openAttached(t, merges, crashScriptOpts, func() *replica.Replica { return env.r })
 	for i := 0; i < scriptSteps; i++ {
 		env.step(i)
 		refs = append(refs, mustSnapshot(t, env.r))
@@ -53,14 +54,20 @@ func countingRun(t *testing.T) (totalOps int, refs []*replica.Snapshot) {
 	if err := db.Err(); err != nil {
 		t.Fatalf("counting run poisoned: %v", err)
 	}
-	return fsys.Ops(), refs
+	return fsys.Ops(), refs, merges
 }
 
 func TestCrashPointMatrix(t *testing.T) {
-	totalOps, refs := countingRun(t)
+	totalOps, refs, merges := countingRun(t)
 	if totalOps < scriptSteps {
 		t.Fatalf("suspicious op count %d", totalOps)
 	}
+	// The sweep crashes at every op, so it crashes inside every merge the
+	// counting run made: both kinds must be among them.
+	if merges.full == 0 || merges.partial == 0 {
+		t.Fatalf("script made %d full and %d partial merges; the matrix must cross both", merges.full, merges.partial)
+	}
+	t.Logf("%d ops, %d full and %d partial merges", totalOps, merges.full, merges.partial)
 	for _, mode := range []struct {
 		name string
 		mode CrashMode
@@ -138,7 +145,7 @@ func runCrashPoint(t *testing.T, k int, mode CrashMode, refs []*replica.Snapshot
 // recover-from-a-recovery path (fresh log generation over inherited
 // segments) that single-crash sweeps never exercise.
 func TestCrashPointDoubleCrash(t *testing.T) {
-	totalOps, _ := countingRun(t)
+	totalOps, _, _ := countingRun(t)
 	// Sample a spread of first-crash points; sweeping the full cross
 	// product would be quadratic in ops for little extra coverage.
 	for k := 3; k < totalOps; k += 7 {

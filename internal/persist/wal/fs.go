@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -158,12 +159,17 @@ type memFile struct {
 // every one after it) fails with an injected error, and a Write that fails
 // first applies a partial prefix — a torn in-flight write.
 //
+// Both directory mappings reference file objects directly: a name removed or
+// re-created since the last SyncDir still maps to its old object in the
+// durable one. A file object lives exactly as long as either mapping
+// references it, so a crash-free run holds only the files it could still
+// read or recover, however many it has created and removed.
+//
 // All methods are safe for concurrent use.
 type MemFS struct {
 	mu      sync.Mutex
-	live    map[string]*memFile
-	durable map[string]string // durable dir entry -> key into files at last SyncDir
-	files   map[string]*memFile
+	live    map[string]*memFile // the directory as the running process sees it
+	durable map[string]*memFile // the directory as of the last SyncDir
 	mode    CrashMode
 
 	ops     int // total durability operations issued
@@ -174,7 +180,6 @@ type MemFS struct {
 func NewMemFS() *MemFS {
 	return &MemFS{
 		live:    make(map[string]*memFile),
-		files:   make(map[string]*memFile),
 		opsLeft: -1,
 	}
 }
@@ -225,12 +230,7 @@ func (m *MemFS) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fresh := make(map[string]*memFile, len(m.durable))
-	files := make(map[string]*memFile, len(m.durable))
-	for name, key := range m.durable {
-		f := m.files[key]
-		if f == nil {
-			continue
-		}
+	for name, f := range m.durable {
 		keep := f.synced
 		switch m.mode {
 		case KeepUnsynced:
@@ -241,14 +241,9 @@ func (m *MemFS) Crash() {
 		nf := &memFile{data: append([]byte(nil), f.data[:keep]...)}
 		nf.synced = len(nf.data)
 		fresh[name] = nf
-		files[name] = nf
 	}
 	m.live = fresh
-	m.files = files
-	m.durable = make(map[string]string, len(fresh))
-	for name := range fresh {
-		m.durable[name] = name
-	}
+	m.durable = maps.Clone(fresh)
 	m.opsLeft = -1
 }
 
@@ -261,21 +256,7 @@ func (m *MemFS) Create(name string) (File, error) {
 	}
 	f := &memFile{}
 	m.live[name] = f
-	m.files[m.fileKey(name)] = f
 	return &memHandle{fs: m, f: f}, nil
-}
-
-// fileKey returns an unused key for a new file object under name. Live names
-// can be reused (create after remove) while the durable mapping still
-// references the old object, so keys are disambiguated with a generation.
-func (m *MemFS) fileKey(name string) string {
-	key := name
-	for i := 0; ; i++ {
-		if _, taken := m.files[key]; !taken {
-			return key
-		}
-		key = fmt.Sprintf("%s#%d", name, i)
-	}
 }
 
 // ReadFile implements FS.
@@ -323,15 +304,7 @@ func (m *MemFS) SyncDir() error {
 	if !m.step() {
 		return fmt.Errorf("wal: sync dir: %w", errInjected)
 	}
-	m.durable = make(map[string]string, len(m.live))
-	for name, f := range m.live {
-		for key, cand := range m.files {
-			if cand == f {
-				m.durable[name] = key
-				break
-			}
-		}
-	}
+	m.durable = maps.Clone(m.live)
 	return nil
 }
 

@@ -5,8 +5,9 @@ package wal
 // can hand it literally anything the filesystem kept — so the contract under
 // fuzzing is: never panic, never over-allocate on a hostile length field, and
 // keep the readers' personalities straight (the log reader truncates
-// unverifiable tails, the segment and manifest readers fail loudly). Seeds
-// cover the interesting boundaries: a real multi-record log, torn tails at
+// unverifiable tails, the segment and manifest readers and the merge cursor
+// fail loudly). Seeds cover the interesting boundaries: a real multi-record
+// log and a real merged segment, torn tails at
 // every kind of cut, bit-flipped CRCs, an oversized length prefix (the PR 7
 // digest lesson), CRC-valid frames with a malformed body or a retired record
 // kind, and a manifest, whole and damaged. The checked-in corpus
@@ -54,6 +55,31 @@ func buildLogBytes(tb testing.TB) []byte {
 	return data
 }
 
+// buildSegmentBytes runs the scripted workload flushing after every batch
+// and returns the newest manifest segment, which merges have written — a
+// real ID-sorted run of put and remove records.
+func buildSegmentBytes(tb testing.TB) []byte {
+	tb.Helper()
+	fsys := NewMemFS()
+	env := newScriptEnv(tb)
+	db, err := Open(fsys, Options{FlushEvery: 1})
+	if err != nil {
+		tb.Fatalf("open: %v", err)
+	}
+	if _, err := db.Load(); !errors.Is(err, ErrNoState) {
+		tb.Fatalf("load: %v", err)
+	}
+	if err := db.Attach(env.r); err != nil {
+		tb.Fatalf("attach: %v", err)
+	}
+	env.runScript(0, scriptSteps)
+	data, err := fsys.ReadFile(db.man.Segments[len(db.man.Segments)-1])
+	if err != nil {
+		tb.Fatalf("read segment: %v", err)
+	}
+	return data
+}
+
 // fuzzSeeds returns the seed inputs, shared by the fuzz target and the
 // corpus generator so the checked-in files never drift from f.Add.
 func fuzzSeeds(tb testing.TB) map[string][]byte {
@@ -87,6 +113,7 @@ func fuzzSeeds(tb testing.TB) map[string][]byte {
 	damagedMan[len(damagedMan)-1] ^= 0x01
 	return map[string][]byte{
 		"valid":            valid,
+		"segment":          buildSegmentBytes(tb),
 		"flip-crc":         flipCRC,
 		"mid-record":       midRecord,
 		"mid-header":       midHeader,
@@ -119,6 +146,13 @@ func FuzzWALReplay(f *testing.F) {
 		// the only acceptable outcome besides success is an error.
 		st2 := newRecState()
 		_ = st2.replaySegment(data) //lint:allow errdiscard -- the fuzz property on hostile input is "errors, never panics"; the error value itself carries no invariant
+		// The merge cursor reads the same segment bytes without decoding
+		// past item IDs: it must stop with an error or at the end, never panic.
+		if rec, next, ok := readRecord(data, 0); ok && rec.kind == recMeta {
+			c := segCursor{data: data, off: next}
+			for err := c.next(); err == nil && c.frame != nil; err = c.next() {
+			}
+		}
 		// The manifest reader: exactly one valid manifest record or an error.
 		_, _ = decodeManifest(data) //lint:allow errdiscard -- same property: errors, never panics
 	})

@@ -252,6 +252,23 @@ func decodePut(rec record) (store.EntrySnapshot, error) {
 	return *es, nil
 }
 
+// recordItemID returns the item ID a put or remove body leads with (the
+// wire.AppendItemID layout), the creator viewed in place: merges order
+// records by it without decoding, or allocating for, anything else.
+func recordItemID(rec record) (creator []byte, num uint64, err error) {
+	body, err := checkCodecVersion(rec.payload)
+	if err != nil {
+		return nil, 0, err
+	}
+	d := prim.NewDecoder(body)
+	creator = d.View(d.Uvarint())
+	num = d.Uvarint()
+	if err := d.Err(); err != nil {
+		return nil, 0, fmt.Errorf("%w: item ID: %v", errCorrupt, err)
+	}
+	return creator, num, nil
+}
+
 func decodeRemove(rec record) (item.ID, error) {
 	body, err := checkCodecVersion(rec.payload)
 	if err != nil {

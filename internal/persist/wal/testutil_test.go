@@ -31,6 +31,41 @@ func frameRecord(kind uint8, payload []byte) ([]byte, error) {
 	return finishRecord(append(buf, payload...), start)
 }
 
+// mergeRecorder wraps an FS and classifies each manifest commit that keeps
+// the live log — a merge; a flush rotates the log — as full (the merge took
+// in the oldest segment, so one segment is left) or partial, summing the
+// bytes of the segments merges wrote.
+type mergeRecorder struct {
+	FS
+	log           string
+	full, partial int
+	bytes         int
+}
+
+func (m *mergeRecorder) Rename(oldname, newname string) error {
+	if err := m.FS.Rename(oldname, newname); err != nil || newname != manifestName {
+		return err
+	}
+	man, _, err := readManifest(m.FS)
+	if err != nil {
+		return err
+	}
+	if man.Log == m.log {
+		if len(man.Segments) == 1 {
+			m.full++
+		} else {
+			m.partial++
+		}
+		data, err := m.FS.ReadFile(man.Segments[len(man.Segments)-1])
+		if err != nil {
+			return err
+		}
+		m.bytes += len(data)
+	}
+	m.log = man.Log
+	return nil
+}
+
 // scriptEnv is the deterministic workload harness: a journaled replica under
 // test plus a peer that feeds it sync batches, so the script covers every
 // mutation kind — creates, updates, tombstones, batch application with

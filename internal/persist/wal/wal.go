@@ -14,9 +14,11 @@
 //   - Every FlushEvery batches the memtable is flushed: its delta becomes an
 //     immutable segment file, the manifest atomically adopts the segment and
 //     a fresh log generation, and the old log is deleted.
-//   - When the manifest accumulates more than CompactAt segments they are
-//     merged into one (replay, rewrite, swap) — reads stay bounded without
-//     touching the live log.
+//   - Segments are size-tiered: whenever the newest mergeWidth segments are
+//     within mergeRatio of each other in size they are merged into one by
+//     copying their ID-sorted record frames, never decoding them — so each
+//     byte is rewritten O(log n) times and the manifest holds O(log n)
+//     segments, without touching the live log.
 //
 // Recovery is replay(manifest segments, in order) + replay(log tail): the
 // segments rebuild the flushed state, the log replays everything since. A
@@ -35,6 +37,8 @@
 package wal
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -60,10 +64,20 @@ type Options struct {
 	// flush (0 selects 256; negative disables automatic flushing — only
 	// Checkpoint and Close flush).
 	FlushEvery int
-	// CompactAt is the segment count above which a flush triggers
-	// compaction (0 selects 4).
-	CompactAt int
 }
+
+// The merge rule (DESIGN.md §13). After every flush, while the manifest's
+// newest mergeWidth segments hold an oldest one at most mergeRatio times the
+// newest one's size, those segments are merged into one. Merges thus combine
+// segments of similar size, so a byte is rewritten about once per size tier,
+// O(log₄ n) times over n flushes, and since any mergeWidth consecutive
+// segments then shrink more than mergeRatio× the manifest holds O(log n).
+// The rule is fixed rather than an option because every setting keeps those
+// bounds and only moves constants.
+const (
+	mergeWidth = 4
+	mergeRatio = 4
+)
 
 // DB is one replica's WAL-backed durable state, rooted in a flat directory
 // on an FS. Typical lifecycle:
@@ -83,7 +97,6 @@ type DB struct {
 	fsys       FS
 	metrics    *obs.WALMetrics
 	flushEvery int
-	compactAt  int
 
 	mu      sync.Mutex
 	man     manifest
@@ -100,6 +113,10 @@ type DB struct {
 	// binary record codec appends into it, so a steady-state append allocates
 	// nothing. Shrunk after unusually large batches (see maxScratchBytes).
 	buf []byte
+
+	// segSizes[i] is the byte size of man.Segments[i], which the merge rule
+	// reads; known from Attach on, because Attach writes the only segment.
+	segSizes []int
 }
 
 // maxScratchBytes caps the capacity db.buf retains between appends: one
@@ -114,13 +131,9 @@ func Open(fsys FS, opts Options) (*DB, error) {
 		fsys:       fsys,
 		metrics:    opts.Metrics,
 		flushEvery: opts.FlushEvery,
-		compactAt:  opts.CompactAt,
 	}
 	if db.flushEvery == 0 {
 		db.flushEvery = 256
-	}
-	if db.compactAt <= 0 {
-		db.compactAt = 4
 	}
 	man, ok, err := readManifest(fsys)
 	if err != nil {
@@ -358,11 +371,11 @@ func (db *DB) append(muts []replica.Mutation) {
 }
 
 // checkpointLocked flushes the memtable delta: segment out, log rotated,
-// manifest swapped, old files deleted, compaction when due. When full is
-// set the delta is the whole state (the attach checkpoint), so the new
-// segment replaces every older one. On failure the DB state is poisoned by
-// callers; the manifest swap's atomicity means the directory itself is
-// never in between states.
+// manifest swapped, old files deleted, merges when due. When full is set the
+// delta is the whole state (the attach checkpoint), so the new segment
+// replaces every older one and every file it does not name is reclaimed. On
+// failure the DB state is poisoned by callers; the manifest swap's atomicity
+// means the directory itself is never in between states.
 func (db *DB) checkpointLocked(policyState []byte, full bool) error {
 	mem := db.mem
 	mem.policyState = policyState
@@ -372,23 +385,26 @@ func (db *DB) checkpointLocked(policyState []byte, full bool) error {
 		return err
 	}
 
-	// 1. Segment: meta + delta, in deterministic order, fsynced. Frames are
+	// 1. Segment: meta, then the delta's puts and removes as one run in
+	// ascending item-ID order (the order merges rely on), fsynced. Frames are
 	// appended straight into the segment buffer — no per-record slices.
 	seg := segName(db.segSeq)
 	segBuf := append([]byte(nil), metaFrame...)
-	for _, id := range sortedIDs(mem.puts) {
-		e := mem.puts[id]
-		if segBuf, err = appendPutRecord(segBuf, &e); err != nil {
-			return err
-		}
+	ids := make([]item.ID, 0, len(mem.puts)+len(mem.removes))
+	for id := range mem.puts {
+		ids = append(ids, id)
 	}
-	removed := make([]item.ID, 0, len(mem.removes))
 	for id := range mem.removes {
-		removed = append(removed, id)
+		ids = append(ids, id)
 	}
-	sort.Slice(removed, func(i, j int) bool { return lessID(removed[i], removed[j]) })
-	for _, id := range removed {
-		if segBuf, err = appendRemoveRecord(segBuf, id); err != nil {
+	sort.Slice(ids, func(i, j int) bool { return lessID(ids[i], ids[j]) })
+	for _, id := range ids {
+		if e, ok := mem.puts[id]; ok {
+			segBuf, err = appendPutRecord(segBuf, &e)
+		} else {
+			segBuf, err = appendRemoveRecord(segBuf, id)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -423,7 +439,6 @@ func (db *DB) checkpointLocked(policyState []byte, full bool) error {
 		return err
 	}
 	oldLog := db.curLog
-	oldSegments := db.man.Segments
 	if db.log != nil {
 		if err := db.log.Close(); err != nil {
 			return fmt.Errorf("wal: close %s: %w", oldLog, err)
@@ -431,6 +446,10 @@ func (db *DB) checkpointLocked(policyState []byte, full bool) error {
 	}
 	db.log, db.curLog = nl, newLog
 	db.man, db.haveMan = man, true
+	if full {
+		db.segSizes = db.segSizes[:0]
+	}
+	db.segSizes = append(db.segSizes, len(segBuf))
 	db.segSeq++
 	db.logSeq++
 	mem.resetDelta()
@@ -441,73 +460,174 @@ func (db *DB) checkpointLocked(policyState []byte, full bool) error {
 		db.metrics.Segments.Set(int64(len(man.Segments)))
 	}
 
-	// 4. Cleanup: the old log — and, after a full checkpoint, the replaced
-	// segments — are unreferenced now. Deletion durability rides on the next
-	// commit's dir sync; recovery ignores unreferenced files.
+	// 4. Cleanup: the old log is unreferenced now — and, after a full
+	// checkpoint, so is every other file but the new segment and log.
+	// Deletion durability rides on the next commit's dir sync; recovery
+	// ignores unreferenced files.
 	if oldLog != "" {
 		if err := db.fsys.Remove(oldLog); err != nil {
 			return fmt.Errorf("wal: remove %s: %w", oldLog, err)
 		}
 	}
 	if full {
-		for _, old := range oldSegments {
-			if err := db.fsys.Remove(old); err != nil {
-				return fmt.Errorf("wal: remove %s: %w", old, err)
-			}
+		return db.removeUnreferenced()
+	}
+	// The merge rule; one merge can make the next due.
+	for {
+		n := len(db.segSizes)
+		if n < mergeWidth || db.segSizes[n-mergeWidth] > mergeRatio*db.segSizes[n-1] {
+			return nil
+		}
+		if err := db.mergeLocked(n - mergeWidth); err != nil {
+			return err
 		}
 	}
-	if len(db.man.Segments) > db.compactAt {
-		return db.compactLocked()
+}
+
+// removeUnreferenced deletes every DB file the manifest does not name: the
+// segments a full checkpoint replaced, and strays a crash mid-flush or
+// mid-merge left behind (Open has already numbered past them).
+func (db *DB) removeUnreferenced() error {
+	names, err := db.fsys.List()
+	if err != nil {
+		return fmt.Errorf("wal: list dir: %w", err)
+	}
+	keep := map[string]bool{manifestName: true, db.man.Log: true}
+	for _, seg := range db.man.Segments {
+		keep[seg] = true
+	}
+	for _, name := range names {
+		if walFileName(name) && !keep[name] {
+			if err := db.fsys.Remove(name); err != nil {
+				return fmt.Errorf("wal: remove %s: %w", name, err)
+			}
+		}
 	}
 	return nil
 }
 
-// compactLocked merges every manifest segment into one and swaps the
-// manifest to reference only the merged segment (same log). Recovery
-// equivalence is by construction: the merged segment replays to exactly the
-// state the originals replayed to.
-func (db *DB) compactLocked() error {
-	st := newRecState()
-	for _, seg := range db.man.Segments {
-		data, err := db.fsys.ReadFile(seg)
+// mergeLocked replaces the manifest segments from index from on with one
+// segment (same log). It copies record frames, never decoding past an item
+// ID: the inputs' ID-sorted runs are merged with the newest input's record
+// winning each ID, under the newest input's meta frame — exactly what
+// replaying the inputs in order would leave. A winning remove is kept unless
+// the merge includes the oldest segment: an older, unmerged segment may
+// still hold a put it masks.
+func (db *DB) mergeLocked(from int) error {
+	inputs := db.man.Segments[from:]
+	curs := make([]segCursor, len(inputs))
+	var meta []byte
+	size := 0
+	for i, name := range inputs {
+		data, err := db.fsys.ReadFile(name)
 		if err != nil {
-			return fmt.Errorf("wal: compact read %s: %w", seg, err)
+			return fmt.Errorf("wal: merge read %s: %w", name, err)
 		}
-		if err := st.replaySegment(data); err != nil {
-			return fmt.Errorf("wal: compact %s: %w", seg, err)
+		rec, next, ok := readRecord(data, 0)
+		if !ok || rec.kind != recMeta {
+			return fmt.Errorf("wal: merge %s: %w: segment does not start with a meta record", name, errCorrupt)
+		}
+		meta = data[:next]
+		curs[i] = segCursor{name: name, data: data, off: next}
+		if err := curs[i].next(); err != nil {
+			return err
+		}
+		size += len(data)
+	}
+	buf := append(make([]byte, 0, size), meta...)
+	for {
+		// The smallest current ID; iterating oldest → newest, a tie goes to
+		// the newer input.
+		win := -1
+		for i := range curs {
+			if curs[i].frame != nil && (win < 0 || curs[i].compare(&curs[win]) <= 0) {
+				win = i
+			}
+		}
+		if win < 0 {
+			break
+		}
+		w := curs[win]
+		// With from == 0 nothing older is left for a remove to mask.
+		if w.kind == recPut || from > 0 {
+			buf = append(buf, w.frame...)
+		}
+		for i := range curs {
+			if curs[i].frame != nil && curs[i].compare(&w) == 0 {
+				if err := curs[i].next(); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	merged := segName(db.segSeq)
-	buf, err := appendMetaRecord(nil, st.meta)
-	if err != nil {
-		return err
-	}
-	for _, id := range sortedIDs(st.entries) {
-		e := st.entries[id]
-		if buf, err = appendPutRecord(buf, &e); err != nil {
-			return err
-		}
-	}
 	if err := writeFile(db.fsys, merged, buf); err != nil {
 		return err
 	}
-	man := manifest{Segments: []string{merged}, Log: db.man.Log}
+	man := manifest{Segments: append(db.man.Segments[:from:from], merged), Log: db.man.Log}
 	if err := commitManifest(db.fsys, man); err != nil {
 		return err
 	}
-	old := db.man.Segments
 	db.man = man
+	db.segSizes = append(db.segSizes[:from], len(buf))
 	db.segSeq++
-	for _, seg := range old {
+	for _, seg := range inputs {
 		if err := db.fsys.Remove(seg); err != nil {
 			return fmt.Errorf("wal: remove %s: %w", seg, err)
 		}
 	}
 	if db.metrics != nil {
 		db.metrics.Compactions.Inc()
-		db.metrics.Segments.Set(1)
+		db.metrics.Segments.Set(int64(len(man.Segments)))
 	}
 	return nil
+}
+
+// segCursor walks the ID-ordered put and remove records of one segment being
+// merged.
+type segCursor struct {
+	name    string
+	data    []byte
+	off     int
+	frame   []byte // the current record's whole frame; nil once exhausted
+	kind    uint8
+	creator []byte // the current record's item ID, viewed in data
+	num     uint64
+}
+
+// next advances to the following record, checking its frame (CRC), codec
+// version, kind, and that item IDs strictly ascend.
+func (c *segCursor) next() error {
+	if c.off == len(c.data) {
+		c.frame = nil
+		return nil
+	}
+	rec, next, ok := readRecord(c.data, c.off)
+	if !ok {
+		return fmt.Errorf("wal: merge %s: %w: segment damaged at offset %d", c.name, errCorrupt, c.off)
+	}
+	if rec.kind != recPut && rec.kind != recRemove {
+		return fmt.Errorf("wal: merge %s: %w: unexpected record kind %d in segment", c.name, errCorrupt, rec.kind)
+	}
+	creator, num, err := recordItemID(rec)
+	if err != nil {
+		return fmt.Errorf("wal: merge %s: %w", c.name, err)
+	}
+	prev := *c
+	c.frame, c.kind, c.creator, c.num = c.data[c.off:next], rec.kind, creator, num
+	if prev.frame != nil && prev.compare(c) >= 0 {
+		return fmt.Errorf("wal: merge %s: %w: item IDs out of order at offset %d", c.name, errCorrupt, c.off)
+	}
+	c.off = next
+	return nil
+}
+
+// compare orders two cursors' current records by item ID, as lessID does.
+func (c *segCursor) compare(o *segCursor) int {
+	if d := bytes.Compare(c.creator, o.creator); d != 0 {
+		return d
+	}
+	return cmp.Compare(c.num, o.num)
 }
 
 // writeFile creates name, writes data, and fsyncs it. The name's directory

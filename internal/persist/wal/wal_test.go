@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,7 +78,7 @@ func TestRoundTripAfterCrash(t *testing.T) {
 	}{
 		{"no-auto-flush", Options{FlushEvery: -1}},
 		{"flush-every-3", Options{FlushEvery: 3}},
-		{"flush-and-compact", Options{FlushEvery: 2, CompactAt: 2}},
+		{"flush-and-compact", Options{FlushEvery: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fsys := NewMemFS()
@@ -110,7 +111,7 @@ func TestRoundTripAfterCrash(t *testing.T) {
 // again, and recover the extended state.
 func TestRecoveredReplicaKeepsWorking(t *testing.T) {
 	fsys := NewMemFS()
-	opts := Options{FlushEvery: 3, CompactAt: 2}
+	opts := Options{FlushEvery: 1}
 	env := newScriptEnv(t)
 	_, _ = openAttached(t, fsys, opts, func() *replica.Replica { return env.r })
 	env.runScript(0, scriptSteps/2)
@@ -274,9 +275,10 @@ func TestSegmentCorruptionFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestUnreferencedFilesIgnored: strays from interrupted flushes (files not
-// named by the manifest) do not confuse recovery, and generation numbering
-// skips past them.
+// TestUnreferencedFilesIgnored: strays from interrupted flushes and merges
+// (files not named by the manifest) do not confuse recovery, generation
+// numbering skips past them, and Attach's full checkpoint reclaims them —
+// but nothing that is not a DB file.
 func TestUnreferencedFilesIgnored(t *testing.T) {
 	fsys := NewMemFS()
 	env := newScriptEnv(t)
@@ -286,11 +288,11 @@ func TestUnreferencedFilesIgnored(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := rewrite(fsys, segName(90), []byte("stray")); err != nil {
-		t.Fatalf("stray: %v", err)
-	}
-	if err := rewrite(fsys, logName(91), []byte("stray")); err != nil {
-		t.Fatalf("stray: %v", err)
+	strays := []string{segName(90), logName(91)}
+	for _, name := range append(strays, "notes.txt") {
+		if err := rewrite(fsys, name, []byte("stray")); err != nil {
+			t.Fatalf("stray: %v", err)
+		}
 	}
 
 	db2, err := Open(fsys, Options{})
@@ -307,25 +309,44 @@ func TestUnreferencedFilesIgnored(t *testing.T) {
 	if db2.segSeq != 91 || db2.logSeq != 92 {
 		t.Fatalf("generation numbering segSeq=%d logSeq=%d, want 91/92", db2.segSeq, db2.logSeq)
 	}
+
+	if err := db2.Attach(env.r); err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	names, err := fsys.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNames := []string{manifestName, segName(91), logName(92), "notes.txt"}
+	slices.Sort(wantNames)
+	if !slices.Equal(names, wantNames) {
+		t.Fatalf("after Attach the directory holds %v, want %v", names, wantNames)
+	}
 }
 
-// TestCompactionBoundsSegments: a long run with aggressive flushing keeps
-// the manifest at or below the compaction bound, and removed entries stay
+// TestCompactionBoundsSegments: a long run with aggressive flushing merges,
+// keeps the manifest within the tiering bound, and removed entries stay
 // removed through merges.
 func TestCompactionBoundsSegments(t *testing.T) {
 	fsys := NewMemFS()
 	m := &obs.WALMetrics{}
 	env := newScriptEnv(t)
-	db, _ := openAttached(t, fsys, Options{FlushEvery: 1, CompactAt: 2, Metrics: m}, func() *replica.Replica { return env.r })
-	env.runScript(0, scriptSteps)
+	db, _ := openAttached(t, fsys, Options{FlushEvery: 1, Metrics: m}, func() *replica.Replica { return env.r })
+	maxSegs := 0
+	for i := 0; i < scriptSteps; i++ {
+		env.step(i)
+		maxSegs = max(maxSegs, len(db.man.Segments))
+	}
 	if err := db.Err(); err != nil {
 		t.Fatalf("db poisoned: %v", err)
 	}
-	if n := len(db.man.Segments); n > 3 {
-		t.Fatalf("manifest holds %d segments, want <= 3 under CompactAt=2", n)
+	// At most mergeWidth-1 segments per size tier; a few dozen flushes of
+	// similar size span at most three tiers.
+	if maxSegs > 3*(mergeWidth-1) {
+		t.Fatalf("manifest reached %d segments, want <= %d", maxSegs, 3*(mergeWidth-1))
 	}
 	if m.Compactions.Value() == 0 {
-		t.Fatal("no compactions under FlushEvery=1, CompactAt=2")
+		t.Fatal("no merges under FlushEvery=1")
 	}
 	want := mustSnapshot(t, env.r)
 
@@ -351,7 +372,7 @@ func TestOSFSRoundTrip(t *testing.T) {
 		t.Fatalf("osfs: %v", err)
 	}
 	env := newScriptEnv(t)
-	db, _ := openAttached(t, fsys, Options{FlushEvery: 4, CompactAt: 2}, func() *replica.Replica { return env.r })
+	db, _ := openAttached(t, fsys, Options{FlushEvery: 1}, func() *replica.Replica { return env.r })
 	env.runScript(0, scriptSteps)
 	want := mustSnapshot(t, env.r)
 	if err := db.Close(); err != nil {
