@@ -19,12 +19,10 @@ FUZZ_SMOKE_TIME ?= 10s
 ## `make loc` reports their size separately.
 GOB_FREE := internal/transport internal/wire internal/persist/wal internal/filter internal/routing
 
-.PHONY: check build vet lint loc test test-differential cover fuzz-smoke bench bench-scale bench-sync bench-wal scale-smoke
+.PHONY: check build vet lint loc test cover fuzz-smoke bench bench-sync bench-wal
 
 ## check is the tier-1 verification gate: every PR must leave it green.
-## test-differential re-runs the engine-equivalence tests on their own so a
-## parallel-engine regression is named explicitly in the failure output.
-check: build vet lint test test-differential
+check: build vet lint test
 
 build:
 	$(GO) build ./...
@@ -61,13 +59,6 @@ loc:
 
 test:
 	$(GO) test -race ./...
-
-## test-differential proves the parallel emulation engine is bit-identical to
-## the sequential reference across every policy and constraint mode — with
-## faults off (including the faults-disabled equivalence smoke) and with a
-## seeded fault schedule on.
-test-differential:
-	$(GO) test -race -run 'Differential|FaultsDisabled' ./internal/emu/
 
 ## cover fails if total statement coverage drops below COVER_FLOOR.
 cover:
@@ -108,18 +99,11 @@ bench:
 	$(GO) test -run 'TestSyncAllocBudget' -count=1 ./internal/replica/
 	$(GO) test -run xxx -bench 'BenchmarkStorePut' -benchmem ./internal/store/
 	$(GO) test -run xxx -bench 'BenchmarkHandleSyncRequest|BenchmarkMakeSyncRequest' -benchmem ./internal/replica/
-	$(GO) test -run xxx -bench 'BenchmarkEmuRun|BenchmarkPartition' -benchmem ./internal/emu/
+	$(GO) test -run xxx -bench 'BenchmarkEmuRun' -benchmem ./internal/emu/
 	$(GO) test -run xxx -bench 'BenchmarkMaxPropServe' -benchmem ./internal/routing/maxprop/
 	$(GO) test -run xxx -bench 'BenchmarkPullBatch' -benchmem ./internal/transport/
 	$(GO) test -run xxx -bench 'BenchmarkCompaction' -benchmem ./internal/persist/wal/
 	$(GO) test -run xxx -bench 'BenchmarkSyncHooks' -benchmem .
-
-## bench-scale drives the region-sharded engine across seeded random-waypoint
-## fleets up to 100k nodes (sequential baseline at each size the schedule
-## keeps tractable). Results are recorded in BENCH_scale.json — refresh the
-## file when the engine's scaling behavior changes.
-bench-scale:
-	$(GO) test -run xxx -bench 'BenchmarkScale' -benchtime 3x -timeout 30m -benchmem ./internal/emu/
 
 ## bench-sync measures the knowledge-frame bytes each sync request mode
 ## ships at 10k+ known versions — exact frame, Bloom digest, and
@@ -139,10 +123,3 @@ bench-sync:
 ## flush policy, or recovery path changes.
 bench-wal:
 	$(GO) test -run xxx -bench 'BenchmarkWAL' -benchmem ./internal/persist/wal/
-
-## scale-smoke is the scale gate CI runs on every push: a 10k-node
-## random-waypoint scenario through the sequential and the sharded engine
-## under -race, asserting bit-identical results and event logs. Opt-in via
-## the env var because tier-1 `make test` should stay fast.
-scale-smoke:
-	DTN_SCALE_SMOKE=1 $(GO) test -race -run 'TestScaleSmoke' -v ./internal/emu/

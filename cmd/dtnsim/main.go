@@ -9,20 +9,18 @@
 //	dtnsim -experiment fig5 -seed 7   # different trace seed
 //	dtnsim -experiment fig7a -trace ./traces   # run on an external CSV trace
 //	dtnsim -experiment fig7a -scenario rwp:n=1000,seed=7   # seeded mobility scenario
-//	dtnsim -experiment all -workers 0          # sequential reference engine
-//	dtnsim -experiment scale-sweep             # engine throughput, 1k-100k nodes
 //	dtnsim -experiment fig7a -cpuprofile cpu.out   # profile the run
 //
-// The engine runs region-sharded with one worker per CPU by default; output
-// is bit-identical at any worker count, and -workers 0 selects the
-// sequential reference engine.
+// Each experiment's emulation runs are independent and deterministic; they
+// execute concurrently, one per CPU, and the output does not depend on how
+// many CPUs there are.
 //
 // Scenario specs (see internal/mobility): dieselnet, rwp, community,
 // corridor, dir:PATH — e.g. "rwp:n=100000,seed=7" or
 // "community:n=500,cells=3,bias=0.7".
 //
 // Experiments: table1, table2, fig5, fig6, fig7a, fig7b, fig8, fig9, fig10,
-// all, summary, fault-sweep, scale-sweep; ablations: ablation-ttl,
+// all, summary, fault-sweep; ablations: ablation-ttl,
 // ablation-copies, ablation-threshold, ablation-bandwidth, ablation-bytes,
 // ablation-storage, ablation-lifetime, ablation-eviction.
 //
@@ -38,9 +36,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 	"runtime/pprof"
 
 	"replidtn/internal/emu"
@@ -54,12 +50,11 @@ import (
 
 func main() {
 	var (
-		name       = flag.String("experiment", "all", "experiment to run (table1, table2, fig5..fig10, fault-sweep, scale-sweep, all)")
+		name       = flag.String("experiment", "all", "experiment to run (table1, table2, fig5..fig10, summary, fault-sweep, ablation-*, all)")
 		small      = flag.Bool("small", false, "use the scaled-down trace (fast)")
 		seed       = flag.Int64("seed", 1, "trace generator seed")
 		traceDir   = flag.String("trace", "", "load the trace from a directory of CSVs instead of generating it")
 		scenario   = flag.String("scenario", "", `generate the trace from a mobility scenario spec, e.g. "rwp:n=1000,seed=7" (dieselnet, rwp, community, corridor, dir:PATH)`)
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "emulation worker goroutines (0 = sequential reference engine; output is identical)")
 		faultSpec  = flag.String("faults", "", `fault injection spec, e.g. "drop=0.3,cutoff=0.25,cutoff-items=2,crash=0.01" ("" or "off" disables)`)
 		faultSeed  = flag.Int64("fault-seed", 1, "fault schedule seed (same seed = same faults)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -90,7 +85,7 @@ func main() {
 	if *obsDump {
 		nm = &obs.NodeMetrics{}
 	}
-	if err := run(*name, *small, *seed, *traceDir, *scenario, *workers, faults, nm, *summaries); err != nil {
+	if err := run(*name, *small, *seed, *traceDir, *scenario, faults, nm, *summaries); err != nil {
 		pprof.StopCPUProfile()
 		fmt.Fprintf(os.Stderr, "dtnsim: %v\n", err)
 		os.Exit(1)
@@ -111,18 +106,12 @@ func dumpObs(w *os.File, nm *obs.NodeMetrics) {
 	fmt.Fprintf(w, "== observability counters (aggregated over all nodes and runs) ==\n%s\n", out)
 }
 
-func run(name string, small bool, seed int64, traceDir, scenario string, workers int, faults fault.Config, nm *obs.NodeMetrics, summaries bool) error {
-	if name == "scale-sweep" {
-		// The sweep materializes its own scenarios (one per rung of the
-		// ladder); -scenario narrows it to a single spec.
-		return runScaleSweep(os.Stdout, small, scenario, workers, faults, nm)
-	}
+func run(name string, small bool, seed int64, traceDir, scenario string, faults fault.Config, nm *obs.NodeMetrics, summaries bool) error {
 	tr, err := buildTrace(small, seed, traceDir, scenario)
 	if err != nil {
 		return err
 	}
 	params := emu.DefaultParams()
-	ww := experiment.WithWorkers(workers)
 	wf := experiment.WithFaults(faults)
 	wo := experiment.WithObs(nm)
 	ws := experiment.WithSyncSummaries(summaries)
@@ -136,14 +125,14 @@ func run(name string, small bool, seed int64, traceDir, scenario string, workers
 
 	switch name {
 	case "all":
-		suite := &experiment.Suite{Trace: tr, Params: params, Workers: workers, Faults: faults, Obs: nm, Summaries: summaries}
+		suite := &experiment.Suite{Trace: tr, Params: params, Faults: faults, Obs: nm, Summaries: summaries}
 		return suite.RunAll(out)
 	case "table1":
 		fmt.Fprint(out, experiment.FormatTable1(experiment.Table1()))
 	case "table2":
 		fmt.Fprint(out, experiment.FormatTable2(params))
 	case "fig5", "fig6":
-		fs, err := experiment.RunFilterSweep(tr, nil, ww, wf, wo, ws)
+		fs, err := experiment.RunFilterSweep(tr, nil, wf, wo, ws)
 		if err != nil {
 			return err
 		}
@@ -155,7 +144,7 @@ func run(name string, small bool, seed int64, traceDir, scenario string, workers
 				metrics.FormatTable("k", fs.Fig6()))
 		}
 	case "fig7a", "fig7b", "fig8":
-		ps, err := experiment.RunPolicySweep(tr, params, 0, 0, ww, wf, wo, ws)
+		ps, err := experiment.RunPolicySweep(tr, params, 0, 0, wf, wo, ws)
 		if err != nil {
 			return err
 		}
@@ -171,21 +160,21 @@ func run(name string, small bool, seed int64, traceDir, scenario string, workers
 				experiment.FormatFig8(ps.Fig8()))
 		}
 	case "fig9":
-		ps, err := experiment.RunPolicySweep(tr, params, 1, 0, ww, wf, wo, ws)
+		ps, err := experiment.RunPolicySweep(tr, params, 1, 0, wf, wo, ws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "Fig. 9: delay CDF under bandwidth constraint (1 msg/encounter)\n%s",
 			metrics.FormatTable("hours", ps.CDFHours(12)))
 	case "fig10":
-		ps, err := experiment.RunPolicySweep(tr, params, 0, 2, ww, wf, wo, ws)
+		ps, err := experiment.RunPolicySweep(tr, params, 0, 2, wf, wo, ws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "Fig. 10: delay CDF under storage constraint (2 relayed msgs/node)\n%s",
 			metrics.FormatTable("hours", ps.CDFHours(12)))
 	case "summary":
-		ps, err := experiment.RunPolicySweep(tr, params, 0, 0, ww, wf, wo, ws)
+		ps, err := experiment.RunPolicySweep(tr, params, 0, 0, wf, wo, ws)
 		if err != nil {
 			return err
 		}
@@ -194,56 +183,56 @@ func run(name string, small bool, seed int64, traceDir, scenario string, workers
 	case "fault-sweep":
 		// The sweep injects its own fault grid; -faults selects nothing here,
 		// but -fault-seed still picks the schedule.
-		rows, err := experiment.RunFaultSweep(tr, faults.Seed, nil, nil, ww, wo, ws)
+		rows, err := experiment.RunFaultSweep(tr, faults.Seed, nil, nil, wo, ws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "Fault sweep: delivery vs encounter drop probability and cutoff budget (seed %d)\n%s",
 			faults.Seed, experiment.FormatFaultSweep(rows))
 	case "ablation-ttl":
-		rows, err := experiment.AblationEpidemicTTL(tr, nil, ww, wf, wo, ws)
+		rows, err := experiment.AblationEpidemicTTL(tr, nil, wf, wo, ws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, experiment.FormatAblation("Ablation: epidemic TTL", rows))
 	case "ablation-copies":
-		rows, err := experiment.AblationSprayCopies(tr, nil, ww, wf, wo, ws)
+		rows, err := experiment.AblationSprayCopies(tr, nil, wf, wo, ws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, experiment.FormatAblation("Ablation: spray copy allowance", rows))
 	case "ablation-threshold":
-		rows, err := experiment.AblationMaxPropThreshold(tr, nil, ww, wf, wo, ws)
+		rows, err := experiment.AblationMaxPropThreshold(tr, nil, wf, wo, ws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, experiment.FormatAblation("Ablation: MaxProp hop threshold (1 msg/encounter)", rows))
 	case "ablation-bandwidth":
-		rows, err := experiment.AblationBandwidth(tr, nil, ww, wf, wo, ws)
+		rows, err := experiment.AblationBandwidth(tr, nil, wf, wo, ws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, experiment.FormatAblation("Ablation: per-encounter budget (epidemic)", rows))
 	case "ablation-storage":
-		rows, err := experiment.AblationStorage(tr, nil, ww, wf, wo, ws)
+		rows, err := experiment.AblationStorage(tr, nil, wf, wo, ws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, experiment.FormatAblation("Ablation: relay capacity (epidemic)", rows))
 	case "ablation-bytes":
-		rows, err := experiment.AblationByteBudget(tr, nil, ww, wf, wo, ws)
+		rows, err := experiment.AblationByteBudget(tr, nil, wf, wo, ws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, experiment.FormatAblation("Ablation: per-encounter byte budget (epidemic, 1KiB msgs)", rows))
 	case "ablation-lifetime":
-		rows, err := experiment.AblationLifetime(tr, nil, ww, wf, wo, ws)
+		rows, err := experiment.AblationLifetime(tr, nil, wf, wo, ws)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, experiment.FormatAblation("Ablation: bounded message lifetime (epidemic)", rows))
 	case "ablation-eviction":
-		rows, err := experiment.AblationEviction(tr, ww, wf, wo, ws)
+		rows, err := experiment.AblationEviction(tr, wf, wo, ws)
 		if err != nil {
 			return err
 		}
@@ -251,32 +240,6 @@ func run(name string, small bool, seed int64, traceDir, scenario string, workers
 	default:
 		return fmt.Errorf("unknown experiment %q", name)
 	}
-	return nil
-}
-
-// runScaleSweep drives the engine-throughput ladder: each rung materializes
-// a seeded mobility scenario and runs it on the sequential reference engine
-// and the sharded engine, reporting wall-clock throughput and partition
-// statistics.
-func runScaleSweep(out io.Writer, small bool, scenario string, workers int, faults fault.Config, nm *obs.NodeMetrics) error {
-	specs := experiment.DefaultScaleSpecs
-	if small {
-		specs = experiment.SmallScaleSpecs
-	}
-	if scenario != "" {
-		specs = []string{scenario}
-	}
-	counts := []int{0, workers}
-	if workers < 1 {
-		counts = []int{0}
-	}
-	rows, err := experiment.RunScaleSweep(specs, counts, emu.PolicySpray,
-		experiment.WithFaults(faults), experiment.WithObs(nm))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "Scale sweep: engine throughput vs fleet size (spray policy)\n%s",
-		experiment.FormatScaleSweep(rows))
 	return nil
 }
 

@@ -9,17 +9,20 @@ import (
 	"replidtn/internal/obs"
 )
 
+// TestRunKnownExperiments runs every experiment the package doc lists on the
+// scaled-down trace, alternating the summary protocol, and checks that each
+// one that emulates actually synced.
 func TestRunKnownExperiments(t *testing.T) {
-	// The cheap experiments run on the scaled-down trace; the full figure
-	// sweeps are covered by the experiment package and the benchmarks.
-	// Alternating worker counts also smoke-tests the parallel engine path.
-	for i, name := range []string{"table1", "table2", "fig8", "ablation-eviction", "fault-sweep"} {
-		name := name
-		workers := (i % 2) * 4
+	for i, name := range []string{
+		"table1", "table2", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9", "fig10",
+		"all", "summary", "fault-sweep",
+		"ablation-ttl", "ablation-copies", "ablation-threshold", "ablation-bandwidth",
+		"ablation-bytes", "ablation-storage", "ablation-lifetime", "ablation-eviction",
+	} {
 		emulates := name != "table1" && name != "table2"
 		t.Run(name, func(t *testing.T) {
 			nm := &obs.NodeMetrics{}
-			if err := run(name, true, 1, "", "", workers, fault.Config{}, nm, i%2 == 0); err != nil {
+			if err := run(name, true, 1, "", "", fault.Config{}, nm, i%2 == 0); err != nil {
 				t.Fatalf("run(%q): %v", name, err)
 			}
 			if synced := nm.Replica.SyncsInitiated.Value() > 0; synced != emulates {
@@ -49,7 +52,7 @@ func TestDumpObs(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("fig99", true, 1, "", "", 0, fault.Config{}, nil, false); err == nil {
+	if err := run("fig99", true, 1, "", "", fault.Config{}, nil, false); err == nil {
 		t.Error("unknown experiment should fail")
 	}
 }
@@ -80,7 +83,7 @@ func TestRunWithFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Seed = 7
-	if err := run("fig8", true, 1, "", "", 2, cfg, nil, true); err != nil {
+	if err := run("fig8", true, 1, "", "", cfg, nil, true); err != nil {
 		t.Fatalf("faulted run: %v", err)
 	}
 }
@@ -105,34 +108,10 @@ func TestRunScenarioExperiment(t *testing.T) {
 	// -scenario replaces the generated trace for any experiment.
 	nm := &obs.NodeMetrics{}
 	spec := "community:n=30,seed=5,users=8,msgs=20,active=3600,cells=2,bias=0.8"
-	if err := run("summary", false, 1, "", spec, 4, fault.Config{}, nm, false); err != nil {
+	if err := run("summary", false, 1, "", spec, fault.Config{}, nm, false); err != nil {
 		t.Fatalf("run(summary, %q): %v", spec, err)
 	}
 	if nm.Replica.SyncsInitiated.Value() == 0 {
 		t.Error("scenario run performed no syncs")
-	}
-}
-
-func TestRunScaleSweepExperiment(t *testing.T) {
-	var out strings.Builder
-	if err := runScaleSweep(&out, false, "rwp:n=30,seed=5,users=8,msgs=20,active=3600", 4, fault.Config{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Scale sweep", "workers", "rwp:n=30"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("sweep output missing %q:\n%s", want, out.String())
-		}
-	}
-	// Each spec runs on both engines: header + 2 rows.
-	if lines := strings.Count(strings.TrimRight(out.String(), "\n"), "\n") + 1; lines != 4 {
-		t.Errorf("sweep printed %d lines, want 4:\n%s", lines, out.String())
-	}
-	// workers < 1 drops to the sequential engine only.
-	out.Reset()
-	if err := runScaleSweep(&out, false, "rwp:n=30,seed=5,users=8,msgs=20,active=3600", 0, fault.Config{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(strings.TrimRight(out.String(), "\n"), "\n") + 1; lines != 3 {
-		t.Errorf("sequential-only sweep printed %d lines, want 3:\n%s", lines, out.String())
 	}
 }

@@ -4,7 +4,7 @@
 // messaging.Config.OnReceive — while a sync.Mutex or sync.RWMutex belonging
 // to the same object is held.
 //
-// The O(1) copy-accounting chain introduced with the parallel engine
+// The emulator's O(1) copy-accounting chain
 // (store live-transition hook → replica OnCopies → messaging OnCopies) runs
 // user-supplied code from deep inside the replica; a callback that calls
 // back into the locked object deadlocks (sync.Mutex is not reentrant), and

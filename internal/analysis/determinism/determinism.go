@@ -1,10 +1,10 @@
 // Package determinism implements the dtnlint analyzer that keeps
 // wall-clock time, ambient randomness, environment lookups, and unordered
 // map iteration out of the packages whose behavior must be bit-identical
-// across runs and engine configurations (DESIGN.md §8, §10).
+// across runs (DESIGN.md §8, §10).
 //
-// The parallel emulation engine and the seeded fault plan both promise
-// byte-identical output for a given seed; that promise only holds while
+// The emulator and the seeded fault plan both promise byte-identical output
+// for a given seed, however many runs execute at once; that promise only holds while
 // every input is explicit (injected clocks, seeded rand.New sources) and
 // every committed effect is produced in a deterministic order. This
 // analyzer mechanizes those rules:
@@ -17,9 +17,9 @@
 //   - no map iteration whose body feeds an order-sensitive sink (appends to
 //     an outer slice, writes to an outer writer or logger, sends on an
 //     outer channel) unless the appended slice is sorted immediately after
-//     the loop — the exact bug shape the engine differential tests exist
-//     to catch, found late and expensively; this analyzer finds it at
-//     make-check time with a file:line.
+//     the loop — the bug shape a repeated-run differential test catches
+//     only late and expensively; this analyzer finds it at make-check time
+//     with a file:line.
 package determinism
 
 import (

@@ -1,7 +1,6 @@
 package emu
 
 import (
-	"fmt"
 	"testing"
 
 	"replidtn/internal/trace"
@@ -40,37 +39,28 @@ func benchTrace(b *testing.B, full bool) *trace.Trace {
 }
 
 // BenchmarkEmuRun measures one full emulation run under epidemic routing —
-// the heaviest policy — on the scaled-down and the paper-calibrated trace,
-// comparing the sequential reference engine (workers=0) against the parallel
-// engine at increasing worker counts. Allocation stats expose the O(1) copy
-// accounting: the sequential engine no longer scans every endpoint store per
-// delivery or per message at the end of the run.
+// the heaviest policy — on the scaled-down and the paper-calibrated trace.
+// Allocation stats expose the O(1) copy accounting: a run never scans every
+// endpoint store per delivery or per message at the end of the run.
 func BenchmarkEmuRun(b *testing.B) {
-	for _, full := range []bool{false, true} {
-		size := "small"
-		if full {
-			size = "full"
-		}
-		for _, workers := range []int{0, 1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("trace=%s/workers=%d", size, workers), func(b *testing.B) {
-				tr := benchTrace(b, full)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := Run(Config{
-						Trace:   tr,
-						Policy:  Factory(PolicyEpidemic, DefaultParams()),
-						Workers: workers,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Summary.DeliveredCount() == 0 {
-						b.Fatal("run delivered nothing")
-					}
+	for _, size := range []string{"small", "full"} {
+		b.Run("trace="+size, func(b *testing.B) {
+			tr := benchTrace(b, size == "full")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(Config{
+					Trace:  tr,
+					Policy: Factory(PolicyEpidemic, DefaultParams()),
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if res.Summary.DeliveredCount() == 0 {
+					b.Fatal("run delivered nothing")
+				}
+			}
+		})
 	}
 }
 
@@ -79,40 +69,15 @@ func BenchmarkEmuRun(b *testing.B) {
 // store) differs markedly from the unconstrained run.
 func BenchmarkEmuRunConstrained(b *testing.B) {
 	tr := benchTrace(b, false)
-	for _, workers := range []int{0, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(Config{
-					Trace:                   tr,
-					Policy:                  Factory(PolicyMaxProp, DefaultParams()),
-					MaxMessagesPerEncounter: 1,
-					Workers:                 workers,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPartition isolates the region sharder: union-find partitioning
-// the full paper trace's ~16k events into epochs must stay a negligible
-// fraction of a run, and steady-state epochs must not allocate beyond the
-// shard index slices.
-func BenchmarkPartition(b *testing.B) {
-	tr := benchTrace(b, true)
-	r := newRunner(Config{Trace: tr}, tr)
-	se := newShardEngine(r, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < len(r.events); lo += defaultEpochEvents {
-			shards := se.partition(lo, min(lo+defaultEpochEvents, len(r.events)))
-			if len(shards) == 0 {
-				b.Fatal("no shards")
-			}
+		if _, err := Run(Config{
+			Trace:                   tr,
+			Policy:                  Factory(PolicyMaxProp, DefaultParams()),
+			MaxMessagesPerEncounter: 1,
+		}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -14,16 +14,9 @@
 // delivered message (sender bus, destination bus), and a message can miss its
 // 12-hour deadline simply because the two buses never meet that day.
 //
-// Two execution engines share one event model. The sequential reference
-// engine replays the time-ordered schedule one event at a time. The parallel
-// engine (Config.Workers >= 1) cuts the same schedule into epochs and, per
-// epoch, into region shards — connected components of the conflict graph,
-// where two events conflict iff they touch a common bus. Shards execute
-// concurrently, per-item effects are folded concurrently, and a sequential
-// merge commits aggregate counters and the event log strictly in schedule
-// order. The two engines are bit-identical: every endpoint observes the
-// sequential event order, so replica state, policy state, and every recorded
-// number match (see DESIGN.md §8 and the differential test).
+// One run replays the time-ordered schedule one event at a time. A run owns
+// all of its state, so independent runs may execute concurrently; the
+// experiment drivers parallelise across runs, not inside one (DESIGN.md §8).
 package emu
 
 import (
@@ -82,31 +75,13 @@ type Config struct {
 	// lifetime in seconds: expired messages stop being forwarded or
 	// delivered, modeling deadline-bound DTN workloads.
 	MessageLifetime int64
-	// Workers selects the execution engine. 0 (the default) runs the
-	// sequential reference engine. n >= 1 runs the deterministic sharded
-	// parallel engine with n workers over region/epoch shards; its output
-	// is bit-identical to the sequential engine's, so the choice is purely
-	// a wall-clock matter.
-	Workers int
-	// EpochEvents bounds the number of schedule events per epoch in the
-	// sharded engine (0 = a tuned default). Smaller epochs commit effects
-	// sooner but expose less parallelism per barrier; the output is
-	// bit-identical at any setting, so this too is purely a wall-clock
-	// knob (the differential tests sweep it).
-	EpochEvents int
-	// Engine, when set, records sharded-engine scheduling metrics: shard
-	// counts and widths per epoch, and the wall time spent in the execute,
-	// fold, and merge stages. Durations are wall-clock and feed only these
-	// histograms — the Result and event log stay bit-identical to an
-	// uninstrumented run. Nil (the default) disables collection.
-	Engine *obs.EngineMetrics
 	// Faults configures deterministic fault injection over the encounter
 	// schedule: dropped contacts, mid-sync link cutoffs (aborted
 	// transactionally), and node crash-restarts that reload state through the
 	// internal/persist codec. Decisions are pure functions of
-	// (Faults.Seed, encounter index), so faulted runs are reproducible and
-	// engine-independent. The zero value disables every fault and leaves the
-	// run byte-identical to a fault-free build.
+	// (Faults.Seed, encounter index), so faulted runs are reproducible. The
+	// zero value disables every fault and leaves the run byte-identical to a
+	// fault-free build.
 	Faults fault.Config
 	// DataBackend selects the persistence model crash-restarts exercise:
 	// "snapshot" (also "", the default) ships the dying node's state through
@@ -127,7 +102,7 @@ type Config struct {
 	EventLog io.Writer
 	// Metrics, when set, aggregates replica-level sync/apply counters across
 	// every emulated node into one obs.ReplicaMetrics. All counters are
-	// atomic, so the parallel engine feeds them safely; nil (the default)
+	// atomic, so concurrent runs may share one sink; nil (the default)
 	// skips instrumentation entirely, keeping the run byte-identical to an
 	// uninstrumented build. The emulation Result is unaffected either way.
 	Metrics *obs.ReplicaMetrics
@@ -194,8 +169,7 @@ type Result struct {
 
 // clock is one endpoint's view of the simulation time. Each endpoint owns a
 // clock set to the event time just before the endpoint participates in an
-// event, so events on disjoint endpoints may execute concurrently while each
-// replica and policy still reads exactly the sequential engine's timestamps.
+// event, so a replica and its policy read the time of the event they are in.
 type clock struct{ t int64 }
 
 func (c *clock) now() int64 { return c.t }
@@ -216,8 +190,7 @@ type copyDelta struct {
 }
 
 // eventRec captures everything an event execution produces that must be
-// folded into run-global state. Execution fills it (possibly on a worker
-// goroutine); commit consumes it in schedule order on the coordinator.
+// folded into run-global state. Execution fills it; commit consumes it.
 type eventRec struct {
 	err       error
 	moved     int   // encounter: items moved across both syncs
@@ -238,15 +211,11 @@ type eventRec struct {
 	wastedBytes int64
 
 	// deltas are the live-copy transitions the event caused, in occurrence
-	// order; replaying them in schedule order maintains the exact copy count
-	// the sequential engine would observe after each event.
+	// order; replaying them in schedule order maintains the exact live-copy
+	// count after each event.
 	deltas []copyDelta
 	// deliveries are first-time message receipts, in occurrence order.
 	deliveries []item.ID
-	// resolved, in the sharded engine, is the fold phase's verdict on each
-	// entry of deliveries: the message and delay to log for a first
-	// receipt, or an unset slot for a repeat. The merge only reads it.
-	resolved []delivery
 }
 
 func (rec *eventRec) reset() {
@@ -259,28 +228,23 @@ func (rec *eventRec) reset() {
 	rec.aborted, rec.wastedItems, rec.wastedBytes = 0, 0, 0
 	rec.deltas = rec.deltas[:0]
 	rec.deliveries = rec.deliveries[:0]
-	rec.resolved = rec.resolved[:0]
 }
 
-// epState is one endpoint plus its engine-side execution state.
+// epState is one endpoint plus its execution state.
 type epState struct {
 	ep *messaging.Endpoint
 	// wal and walFS are the endpoint's write-ahead log and its in-memory
-	// filesystem, set only under Config.DataBackend "wal". They are endpoint-
-	// private, so the sharded engine's conflict-free rounds cover them the
-	// same way they cover the replica itself.
+	// filesystem, set only under Config.DataBackend "wal".
 	wal   *wal.DB
 	walFS *wal.MemFS
 	// clk is the endpoint's simulation clock (see clock).
 	clk clock
 	// rec points at the recorder of the event currently executing on this
-	// endpoint. Delivery and copy-count callbacks append to it. Only the
-	// worker running that event touches it — conflict-free rounds guarantee
-	// no two concurrent events share an endpoint.
+	// endpoint. Delivery and copy-count callbacks append to it.
 	rec *eventRec
 }
 
-// runner holds one run's state, shared by both engines.
+// runner holds one run's state.
 type runner struct {
 	cfg    Config
 	tr     *trace.Trace
@@ -296,16 +260,12 @@ type runner struct {
 	// states holds per-message tracking, indexed like Trace.Messages.
 	states []*msgState
 	// byItem resolves delivered item IDs to message states; written and read
-	// only during commit, which is single-threaded in both engines.
+	// only during commit.
 	byItem map[item.ID]*msgState
 	// copies is the network-wide live-copy count per item, maintained
 	// incrementally from committed copy deltas — the O(1) replacement for
 	// scanning every endpoint store per delivery.
 	copies map[item.ID]int
-
-	// engine is the sharded engine's scheduling and fold state; nil when
-	// the sequential reference engine runs.
-	engine *shardEngine
 
 	log *bufio.Writer // buffered EventLog; nil when unset
 	res *Result
@@ -328,12 +288,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.EventLog != nil {
 		r.log = bufio.NewWriterSize(cfg.EventLog, 64<<10)
 	}
-	var err error
-	if cfg.Workers >= 1 {
-		err = r.runSharded(cfg.Workers)
-	} else {
-		err = r.runSequential()
-	}
+	err := r.run()
 	if r.log != nil {
 		r.log.Flush()
 	}
@@ -387,9 +342,9 @@ func (r *runner) newEndpoint(bus string, es *epState) *messaging.Endpoint {
 		SyncSummaries:        r.cfg.SyncSummaries,
 		SummaryFPRate:        r.cfg.SummaryFPRate,
 		SummaryDigestMin:     r.cfg.SummaryDigestMin,
-		// Both callbacks fire with the replica lock held, on the worker
-		// executing this endpoint's current event; they only note what
-		// happened, and commit folds it into run-global state in order.
+		// Both callbacks fire with the replica lock held, while this
+		// endpoint's current event executes; they only note what happened,
+		// and commit folds it into run-global state in order.
 		OnReceive: func(rcv messaging.Received) {
 			es.rec.deliveries = append(es.rec.deliveries, rcv.Message.ID)
 		},
@@ -399,9 +354,9 @@ func (r *runner) newEndpoint(bus string, es *epState) *messaging.Endpoint {
 	})
 }
 
-// runSequential is the reference engine: execute and commit one event at a
-// time in schedule order, reusing a single recorder.
-func (r *runner) runSequential() error {
+// run executes and commits one event at a time in schedule order, reusing a
+// single recorder.
+func (r *runner) run() error {
 	var rec eventRec
 	for i := range r.events {
 		rec.reset()
@@ -414,8 +369,7 @@ func (r *runner) runSequential() error {
 }
 
 // exec performs one event against its endpoints, recording every observable
-// effect into rec. It touches only the event's endpoints (plus rec), which is
-// what makes events on disjoint endpoints safe to run concurrently.
+// effect into rec. It touches only the event's endpoints (plus rec).
 func (r *runner) exec(ev *event, rec *eventRec) {
 	switch ev.kind {
 	case evInject:
@@ -593,9 +547,6 @@ func (r *runner) crashRestart(bus string, es *epState) error {
 
 // commit folds one executed event into run-global state: the copy-count
 // table, the result counters, message delivery states, and the event log.
-// Both engines call it in schedule order from a single goroutine, which is
-// what keeps copy accounting and the log bit-identical to the sequential
-// engine regardless of execution interleaving.
 func (r *runner) commit(ev *event, rec *eventRec) error {
 	if rec.err != nil {
 		return rec.err
@@ -669,9 +620,7 @@ func (r *runner) commit(ev *event, rec *eventRec) error {
 	return nil
 }
 
-// The event-log line formats, shared verbatim by the sequential commit and
-// the sharded merge so the differential tests compare engines against one
-// source of truth.
+// The event-log line formats.
 
 func logInject(w io.Writer, t int64, id, from, to string) {
 	fmt.Fprintf(w, "%d,inject,%s,%s,%s\n", t, id, from, to)
@@ -708,7 +657,7 @@ func (r *runner) finalize() *Result {
 			SentAt:           st.sentAt,
 			DeliveredAt:      st.deliveredAt,
 			CopiesAtDelivery: st.copiesAtDel,
-			CopiesAtEnd:      r.copiesAt(st.itemID),
+			CopiesAtEnd:      r.copies[st.itemID],
 		}
 	}
 	r.res.Summary = metrics.NewSummary(deliveries)
@@ -763,8 +712,8 @@ type crashEvent struct {
 
 // buildEvents merges injections, encounters, and any fault-plan crash events
 // into one time-ordered schedule. Crash events derive deterministically from
-// the plan's per-encounter decisions, so both engines — and repeated runs —
-// build the identical schedule.
+// the plan's per-encounter decisions, so repeated runs build the identical
+// schedule.
 func buildEvents(tr *trace.Trace, plan *fault.Plan) ([]event, []crashEvent) {
 	events := make([]event, 0, len(tr.Messages)+len(tr.Encounters))
 	for i, m := range tr.Messages {

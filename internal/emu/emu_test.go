@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -37,6 +38,43 @@ func runPolicy(t *testing.T, tr *trace.Trace, name PolicyName, cfgMod func(*Conf
 		t.Fatal(err)
 	}
 	return res
+}
+
+// assertIdenticalResults fails unless two runs agree on every result counter
+// and on the full delivery list, delays and copy counts included.
+func assertIdenticalResults(t *testing.T, want, got *Result) {
+	t.Helper()
+	if counters(want) != counters(got) {
+		t.Errorf("counters differ: want %+v, got %+v", counters(want), counters(got))
+	}
+	dw, dg := want.Summary.Deliveries(), got.Summary.Deliveries()
+	if len(dw) != len(dg) {
+		t.Fatalf("%d deliveries, want %d", len(dg), len(dw))
+	}
+	for i := range dw {
+		if dw[i] != dg[i] {
+			t.Errorf("delivery %d differs: want %+v, got %+v", i, dw[i], dg[i])
+		}
+	}
+}
+
+func counters(r *Result) [13]int64 {
+	return [13]int64{int64(r.Encounters), int64(r.Syncs), int64(r.ItemsTransferred),
+		r.BytesTransferred, int64(r.Duplicates), int64(r.MeanKnowledgeEntries * 1000),
+		int64(r.EncountersDropped), int64(r.SyncsAborted),
+		int64(r.ItemsWasted), r.BytesWasted, int64(r.Crashes),
+		r.KnowledgeBytes, int64(r.SummaryFallbacks)}
+}
+
+// firstLogDiff renders the first differing line of two event logs.
+func firstLogDiff(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if la[i] != lb[i] {
+			return fmt.Sprintf("line %d:\n  a: %q\n  b: %q", i+1, la[i], lb[i])
+		}
+	}
+	return fmt.Sprintf("length differs: %d vs %d lines", len(la), len(lb))
 }
 
 func TestRunRequiresTrace(t *testing.T) {

@@ -16,8 +16,7 @@ func testFaults(seed int64) fault.Config {
 // TestFaultsDisabledIsByteIdentical: the zero fault config must leave the run
 // indistinguishable from one that never heard of faults — all fault counters
 // zero and no fault lines in the event log. (The fault-free code path is the
-// exact pre-fault-layer code, so this also pins the byte-identity the
-// differential engine tests rely on.)
+// exact pre-fault-layer code.)
 func TestFaultsDisabledIsByteIdentical(t *testing.T) {
 	tr := miniTrace(t)
 	var log strings.Builder
@@ -36,60 +35,25 @@ func TestFaultsDisabledIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestDifferentialFaultedEngines extends the determinism gate to faulted
-// runs: for every policy, the parallel engine must reproduce the sequential
-// engine bit for bit even when the schedule contains dropped encounters,
-// aborted transfers, and crash-restart events. `make check` runs this under
-// -race, auditing that crash events never race the crashing bus's encounters.
-func TestDifferentialFaultedEngines(t *testing.T) {
-	tr := miniTrace(t)
-	for _, name := range AllPolicies {
-		t.Run(string(name), func(t *testing.T) {
-			var seqLog strings.Builder
-			seq := runPolicy(t, tr, name, func(c *Config) {
-				c.Faults = testFaults(7)
-				c.EventLog = &seqLog
-			})
-			if seq.EncountersDropped == 0 || seq.SyncsAborted == 0 || seq.Crashes == 0 {
-				t.Fatalf("fault mix too tame to test anything: %+v", counters(seq))
-			}
-			for _, workers := range []int{1, 2, 8} {
-				var parLog strings.Builder
-				par := runPolicy(t, tr, name, func(c *Config) {
-					c.Faults = testFaults(7)
-					c.Workers = workers
-					c.EventLog = &parLog
-				})
-				assertIdenticalResults(t, workers, seq, par)
-				if seqLog.String() != parLog.String() {
-					t.Errorf("workers=%d: event log differs from sequential engine\n%s",
-						workers, firstLogDiff(seqLog.String(), parLog.String()))
-				}
-			}
-		})
-	}
-}
-
 // TestDifferentialFaultSeed: a fixed fault seed makes faulted runs exactly
 // repeatable, and changing the seed changes the fault schedule.
 func TestDifferentialFaultSeed(t *testing.T) {
 	tr := miniTrace(t)
-	run := func(seed int64, workers int) (*Result, string) {
+	run := func(seed int64) (*Result, string) {
 		var log strings.Builder
 		res := runPolicy(t, tr, PolicyEpidemic, func(c *Config) {
 			c.Faults = testFaults(seed)
-			c.Workers = workers
 			c.EventLog = &log
 		})
 		return res, log.String()
 	}
-	res1, log1 := run(42, 0)
-	res2, log2 := run(42, 4)
-	assertIdenticalResults(t, 4, res1, res2)
+	res1, log1 := run(42)
+	res2, log2 := run(42)
+	assertIdenticalResults(t, res1, res2)
 	if log1 != log2 {
 		t.Errorf("same fault seed, different logs:\n%s", firstLogDiff(log1, log2))
 	}
-	res3, log3 := run(43, 0)
+	res3, log3 := run(43)
 	if counters(res1) == counters(res3) && log1 == log3 {
 		t.Error("different fault seeds produced identical runs")
 	}

@@ -52,23 +52,35 @@ func FormatAblation(title string, rows []AblationRow) string {
 	return b.String()
 }
 
+// ablate runs one ablation sweep's jobs on the run pool and turns each result
+// into a row labelled with its job's setting.
+func (o options) ablate(jobs []job) ([]AblationRow, error) {
+	results, err := o.runAll("ablation", jobs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AblationRow, len(jobs))
+	for i, res := range results {
+		rows[i] = rowFrom(jobs[i].label, res)
+	}
+	return rows, nil
+}
+
 // AblationEpidemicTTL sweeps the epidemic hop budget.
 func AblationEpidemicTTL(tr *trace.Trace, ttls []int, opts ...Option) ([]AblationRow, error) {
 	o := buildOptions(opts)
 	if len(ttls) == 0 {
 		ttls = []int{1, 2, 4, 10, 20}
 	}
-	rows := make([]AblationRow, 0, len(ttls))
-	for _, ttl := range ttls {
+	jobs := make([]job, len(ttls))
+	for i, ttl := range ttls {
 		params := emu.DefaultParams()
 		params.EpidemicTTL = float64(ttl)
-		res, err := emu.Run(o.instrument(emu.Config{Trace: tr, Policy: emu.Factory(emu.PolicyEpidemic, params), Workers: o.workers, Faults: o.faults}))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: ablation ttl=%d: %w", ttl, err)
-		}
-		rows = append(rows, rowFrom(fmt.Sprintf("ttl=%d", ttl), res))
+		jobs[i] = job{fmt.Sprintf("ttl=%d", ttl), emu.Config{
+			Trace: tr, Policy: emu.Factory(emu.PolicyEpidemic, params), Faults: o.faults,
+		}}
 	}
-	return rows, nil
+	return o.ablate(jobs)
 }
 
 // AblationSprayCopies sweeps the spray allowance.
@@ -77,17 +89,15 @@ func AblationSprayCopies(tr *trace.Trace, copies []int, opts ...Option) ([]Ablat
 	if len(copies) == 0 {
 		copies = []int{2, 4, 8, 16, 32}
 	}
-	rows := make([]AblationRow, 0, len(copies))
-	for _, c := range copies {
+	jobs := make([]job, len(copies))
+	for i, c := range copies {
 		params := emu.DefaultParams()
 		params.SprayCopies = c
-		res, err := emu.Run(o.instrument(emu.Config{Trace: tr, Policy: emu.Factory(emu.PolicySpray, params), Workers: o.workers, Faults: o.faults}))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: ablation copies=%d: %w", c, err)
-		}
-		rows = append(rows, rowFrom(fmt.Sprintf("copies=%d", c), res))
+		jobs[i] = job{fmt.Sprintf("copies=%d", c), emu.Config{
+			Trace: tr, Policy: emu.Factory(emu.PolicySpray, params), Faults: o.faults,
+		}}
 	}
-	return rows, nil
+	return o.ablate(jobs)
 }
 
 // AblationMaxPropThreshold sweeps the hop-count priority threshold under the
@@ -98,23 +108,18 @@ func AblationMaxPropThreshold(tr *trace.Trace, thresholds []int, opts ...Option)
 	if len(thresholds) == 0 {
 		thresholds = []int{1, 3, 5, 10}
 	}
-	rows := make([]AblationRow, 0, len(thresholds))
-	for _, th := range thresholds {
+	jobs := make([]job, len(thresholds))
+	for i, th := range thresholds {
 		params := emu.DefaultParams()
 		params.MaxPropHopThreshold = th
-		res, err := emu.Run(o.instrument(emu.Config{
+		jobs[i] = job{fmt.Sprintf("threshold=%d", th), emu.Config{
 			Trace:                   tr,
 			Policy:                  emu.Factory(emu.PolicyMaxProp, params),
 			MaxMessagesPerEncounter: 1,
-			Workers:                 o.workers,
 			Faults:                  o.faults,
-		}))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: ablation threshold=%d: %w", th, err)
-		}
-		rows = append(rows, rowFrom(fmt.Sprintf("threshold=%d", th), res))
+		}}
 	}
-	return rows, nil
+	return o.ablate(jobs)
 }
 
 // AblationBandwidth sweeps the per-encounter message budget for epidemic
@@ -125,25 +130,20 @@ func AblationBandwidth(tr *trace.Trace, budgets []int, opts ...Option) ([]Ablati
 	if len(budgets) == 0 {
 		budgets = []int{1, 2, 4, 8, 0}
 	}
-	rows := make([]AblationRow, 0, len(budgets))
-	for _, budget := range budgets {
-		res, err := emu.Run(o.instrument(emu.Config{
-			Trace:                   tr,
-			Policy:                  emu.Factory(emu.PolicyEpidemic, emu.DefaultParams()),
-			MaxMessagesPerEncounter: budget,
-			Workers:                 o.workers,
-			Faults:                  o.faults,
-		}))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: ablation budget=%d: %w", budget, err)
-		}
+	jobs := make([]job, len(budgets))
+	for i, budget := range budgets {
 		setting := fmt.Sprintf("budget=%d", budget)
 		if budget == 0 {
 			setting = "budget=inf"
 		}
-		rows = append(rows, rowFrom(setting, res))
+		jobs[i] = job{setting, emu.Config{
+			Trace:                   tr,
+			Policy:                  emu.Factory(emu.PolicyEpidemic, emu.DefaultParams()),
+			MaxMessagesPerEncounter: budget,
+			Faults:                  o.faults,
+		}}
 	}
-	return rows, nil
+	return o.ablate(jobs)
 }
 
 // AblationStorage sweeps the relay capacity for epidemic routing (0 =
@@ -153,25 +153,20 @@ func AblationStorage(tr *trace.Trace, caps []int, opts ...Option) ([]AblationRow
 	if len(caps) == 0 {
 		caps = []int{1, 2, 4, 8, 0}
 	}
-	rows := make([]AblationRow, 0, len(caps))
-	for _, capacity := range caps {
-		res, err := emu.Run(o.instrument(emu.Config{
-			Trace:         tr,
-			Policy:        emu.Factory(emu.PolicyEpidemic, emu.DefaultParams()),
-			RelayCapacity: capacity,
-			Workers:       o.workers,
-			Faults:        o.faults,
-		}))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: ablation capacity=%d: %w", capacity, err)
-		}
+	jobs := make([]job, len(caps))
+	for i, capacity := range caps {
 		setting := fmt.Sprintf("capacity=%d", capacity)
 		if capacity == 0 {
 			setting = "capacity=inf"
 		}
-		rows = append(rows, rowFrom(setting, res))
+		jobs[i] = job{setting, emu.Config{
+			Trace:         tr,
+			Policy:        emu.Factory(emu.PolicyEpidemic, emu.DefaultParams()),
+			RelayCapacity: capacity,
+			Faults:        o.faults,
+		}}
 	}
-	return rows, nil
+	return o.ablate(jobs)
 }
 
 // AblationByteBudget sweeps a byte-granular per-encounter bandwidth budget
@@ -183,26 +178,21 @@ func AblationByteBudget(tr *trace.Trace, budgets []int64, opts ...Option) ([]Abl
 		budgets = []int64{2 << 10, 8 << 10, 32 << 10, 0}
 	}
 	const messageSize = 1 << 10
-	rows := make([]AblationRow, 0, len(budgets))
-	for _, budget := range budgets {
-		res, err := emu.Run(o.instrument(emu.Config{
-			Trace:                tr,
-			Policy:               emu.Factory(emu.PolicyEpidemic, emu.DefaultParams()),
-			MaxBytesPerEncounter: budget,
-			MessageSize:          messageSize,
-			Workers:              o.workers,
-			Faults:               o.faults,
-		}))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: ablation bytes=%d: %w", budget, err)
-		}
+	jobs := make([]job, len(budgets))
+	for i, budget := range budgets {
 		setting := fmt.Sprintf("bytes=%dKiB", budget>>10)
 		if budget == 0 {
 			setting = "bytes=inf"
 		}
-		rows = append(rows, rowFrom(setting, res))
+		jobs[i] = job{setting, emu.Config{
+			Trace:                tr,
+			Policy:               emu.Factory(emu.PolicyEpidemic, emu.DefaultParams()),
+			MaxBytesPerEncounter: budget,
+			MessageSize:          messageSize,
+			Faults:               o.faults,
+		}}
 	}
-	return rows, nil
+	return o.ablate(jobs)
 }
 
 // AblationLifetime sweeps bounded message lifetimes for epidemic routing
@@ -213,25 +203,20 @@ func AblationLifetime(tr *trace.Trace, lifetimes []int64, opts ...Option) ([]Abl
 	if len(lifetimes) == 0 {
 		lifetimes = []int64{6 * 3600, 12 * 3600, 24 * 3600, 0}
 	}
-	rows := make([]AblationRow, 0, len(lifetimes))
-	for _, lt := range lifetimes {
-		res, err := emu.Run(o.instrument(emu.Config{
-			Trace:           tr,
-			Policy:          emu.Factory(emu.PolicyEpidemic, emu.DefaultParams()),
-			MessageLifetime: lt,
-			Workers:         o.workers,
-			Faults:          o.faults,
-		}))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: ablation lifetime=%d: %w", lt, err)
-		}
+	jobs := make([]job, len(lifetimes))
+	for i, lt := range lifetimes {
 		setting := fmt.Sprintf("lifetime=%dh", lt/3600)
 		if lt == 0 {
 			setting = "lifetime=inf"
 		}
-		rows = append(rows, rowFrom(setting, res))
+		jobs[i] = job{setting, emu.Config{
+			Trace:           tr,
+			Policy:          emu.Factory(emu.PolicyEpidemic, emu.DefaultParams()),
+			MessageLifetime: lt,
+			Faults:          o.faults,
+		}}
 	}
-	return rows, nil
+	return o.ablate(jobs)
 }
 
 // AblationEviction compares relay-eviction strategies under the Fig. 10
@@ -243,22 +228,17 @@ func AblationEviction(tr *trace.Trace, opts ...Option) ([]AblationRow, error) {
 		store.FIFO{},
 		store.EvictByCost{Field: item.FieldHops},
 	}
-	var rows []AblationRow
+	var jobs []job
 	for _, name := range []emu.PolicyName{emu.PolicyEpidemic, emu.PolicyMaxProp} {
 		for _, ev := range strategies {
-			res, err := emu.Run(o.instrument(emu.Config{
+			jobs = append(jobs, job{fmt.Sprintf("%s/%s", name, ev.Name()), emu.Config{
 				Trace:         tr,
 				Policy:        emu.Factory(name, emu.DefaultParams()),
 				RelayCapacity: 2,
 				Eviction:      ev,
-				Workers:       o.workers,
 				Faults:        o.faults,
-			}))
-			if err != nil {
-				return nil, fmt.Errorf("experiment: ablation eviction %s/%s: %w", name, ev.Name(), err)
-			}
-			rows = append(rows, rowFrom(fmt.Sprintf("%s/%s", name, ev.Name()), res))
+			}})
 		}
 	}
-	return rows, nil
+	return o.ablate(jobs)
 }

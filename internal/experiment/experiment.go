@@ -17,7 +17,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"replidtn/internal/emu"
 	"replidtn/internal/metrics"
@@ -41,70 +40,40 @@ type FilterSweep struct {
 }
 
 // RunFilterSweep executes the multi-address filter experiments on the basic
-// substrate. The per-(strategy, k) runs are independent and deterministic, so
-// they execute concurrently; the k = 0 run is shared between the strategies.
+// substrate, one run per (strategy, k) on the run pool; the k = 0 run is
+// shared between the strategies.
 func RunFilterSweep(tr *trace.Trace, ks []int, opts ...Option) (*FilterSweep, error) {
 	o := buildOptions(opts)
 	if len(ks) == 0 {
 		ks = FilterKs
+	}
+	var jobs []job
+	for _, k := range ks {
+		jobs = append(jobs, job{fmt.Sprintf("random k=%d", k), emu.Config{
+			Trace: tr, ExtraBuses: emu.RandomExtraBuses(tr, k, 11), Faults: o.faults,
+		}})
+		if k != 0 {
+			jobs = append(jobs, job{fmt.Sprintf("selected k=%d", k), emu.Config{
+				Trace: tr, ExtraBuses: emu.SelectedExtraBuses(tr, k), Faults: o.faults,
+			}})
+		}
+	}
+	results, err := o.runAll("filters", jobs)
+	if err != nil {
+		return nil, err
 	}
 	fs := &FilterSweep{
 		Ks:       ks,
 		Random:   make(map[int]*emu.Result, len(ks)),
 		Selected: make(map[int]*emu.Result, len(ks)),
 	}
-	type job struct {
-		strategy string
-		k        int
-	}
-	jobs := make([]job, 0, 2*len(ks))
 	for _, k := range ks {
-		jobs = append(jobs, job{"random", k})
+		// k = 0 is the basic substrate: one run serves both strategies.
+		fs.Random[k], fs.Selected[k] = results[0], results[0]
+		results = results[1:]
 		if k != 0 {
-			jobs = append(jobs, job{"selected", k})
+			fs.Selected[k], results = results[0], results[1:]
 		}
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, j := range jobs {
-		j := j
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			extra := emu.SelectedExtraBuses(tr, j.k)
-			if j.strategy == "random" {
-				extra = emu.RandomExtraBuses(tr, j.k, 11)
-			}
-			res, err := emu.Run(o.instrument(emu.Config{
-				Trace:      tr,
-				ExtraBuses: extra,
-				Workers:    o.workers,
-				Faults:     o.faults,
-			}))
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiment: filters %s k=%d: %w", j.strategy, j.k, err)
-				}
-				return
-			}
-			if j.strategy == "random" {
-				fs.Random[j.k] = res
-			} else {
-				fs.Selected[j.k] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if res, ok := fs.Random[0]; ok {
-		fs.Selected[0] = res
 	}
 	return fs, nil
 }
@@ -172,47 +141,31 @@ type PolicySweep struct {
 	Results                 map[emu.PolicyName]*emu.Result
 }
 
-// RunPolicySweep executes one emulation per routing configuration. The runs
-// are independent and deterministic, so they execute concurrently.
+// RunPolicySweep executes one emulation per routing configuration on the run
+// pool.
 func RunPolicySweep(tr *trace.Trace, params emu.Params, maxPerEncounter, relayCapacity int, opts ...Option) (*PolicySweep, error) {
 	o := buildOptions(opts)
+	jobs := make([]job, len(emu.AllPolicies))
+	for i, name := range emu.AllPolicies {
+		jobs[i] = job{string(name), emu.Config{
+			Trace:                   tr,
+			Policy:                  emu.Factory(name, params),
+			MaxMessagesPerEncounter: maxPerEncounter,
+			RelayCapacity:           relayCapacity,
+			Faults:                  o.faults,
+		}}
+	}
+	results, err := o.runAll("policy", jobs)
+	if err != nil {
+		return nil, err
+	}
 	ps := &PolicySweep{
 		MaxMessagesPerEncounter: maxPerEncounter,
 		RelayCapacity:           relayCapacity,
 		Results:                 make(map[emu.PolicyName]*emu.Result, len(emu.AllPolicies)),
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, name := range emu.AllPolicies {
-		name := name
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := emu.Run(o.instrument(emu.Config{
-				Trace:                   tr,
-				Policy:                  emu.Factory(name, params),
-				MaxMessagesPerEncounter: maxPerEncounter,
-				RelayCapacity:           relayCapacity,
-				Workers:                 o.workers,
-				Faults:                  o.faults,
-			}))
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiment: policy %s: %w", name, err)
-				}
-				return
-			}
-			ps.Results[name] = res
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, name := range emu.AllPolicies {
+		ps.Results[name] = results[i]
 	}
 	return ps, nil
 }

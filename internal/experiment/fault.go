@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"replidtn/internal/emu"
 	"replidtn/internal/fault"
@@ -53,9 +52,8 @@ type FaultRow struct {
 
 // RunFaultSweep reruns every routing policy under swept encounter-drop
 // probabilities and mid-sync cutoff budgets, all driven by one fault seed.
-// Nil drops/cutoffs select the defaults. The runs are independent and
-// deterministic, so they execute concurrently; rows come back grouped by
-// policy, drops before cutoffs, in sweep order.
+// Nil drops/cutoffs select the defaults. The runs go through the run pool;
+// rows come back grouped by policy, drops before cutoffs, in sweep order.
 func RunFaultSweep(tr *trace.Trace, seed int64, drops []float64, cutoffs []int, opts ...Option) ([]FaultRow, error) {
 	o := buildOptions(opts)
 	if drops == nil {
@@ -64,63 +62,38 @@ func RunFaultSweep(tr *trace.Trace, seed int64, drops []float64, cutoffs []int, 
 	if cutoffs == nil {
 		cutoffs = DefaultFaultCutoffs
 	}
-	type job struct {
-		policy  emu.PolicyName
-		setting string
-		cfg     fault.Config
-	}
+	var rows []FaultRow
 	var jobs []job
+	add := func(name emu.PolicyName, setting string, faults fault.Config) {
+		rows = append(rows, FaultRow{Policy: name, Setting: setting})
+		jobs = append(jobs, job{fmt.Sprintf("%s %s", name, setting), emu.Config{
+			Trace:  tr,
+			Policy: emu.Factory(name, emu.DefaultParams()),
+			Faults: faults,
+		}})
+	}
 	for _, name := range emu.AllPolicies {
 		for _, p := range drops {
-			jobs = append(jobs, job{name, fmt.Sprintf("drop=%.2f", p),
-				fault.Config{Seed: seed, Drop: p}})
+			add(name, fmt.Sprintf("drop=%.2f", p), fault.Config{Seed: seed, Drop: p})
 		}
 		for _, n := range cutoffs {
-			jobs = append(jobs, job{name, fmt.Sprintf("cutoff<=%d", n),
-				fault.Config{Seed: seed, Cutoff: faultCutoffProb, CutoffItems: n}})
+			add(name, fmt.Sprintf("cutoff<=%d", n),
+				fault.Config{Seed: seed, Cutoff: faultCutoffProb, CutoffItems: n})
 		}
 	}
-	rows := make([]FaultRow, len(jobs))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i, j := range jobs {
-		i, j := i, j
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := emu.Run(o.instrument(emu.Config{
-				Trace:   tr,
-				Policy:  emu.Factory(j.policy, emu.DefaultParams()),
-				Workers: o.workers,
-				Faults:  j.cfg,
-			}))
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiment: fault sweep %s %s: %w", j.policy, j.setting, err)
-				}
-				return
-			}
-			rows[i] = FaultRow{
-				Policy:               j.policy,
-				Setting:              j.setting,
-				Delivered:            float64(res.Summary.DeliveredCount()) / float64(res.Summary.Total()),
-				Delivered12h:         res.Summary.DeliveredWithin(Deadline12h),
-				MeanDelayHours:       res.Summary.MeanDelayHours(),
-				EncountersDropped:    res.EncountersDropped,
-				SyncsAborted:         res.SyncsAborted,
-				ItemsWasted:          res.ItemsWasted,
-				KnowledgeBytesPerEnc: knowledgePerEncounter(res),
-			}
-		}()
+	results, err := o.runAll("fault sweep", jobs)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, res := range results {
+		r := &rows[i]
+		r.Delivered = res.Summary.DeliveryRate()
+		r.Delivered12h = res.Summary.DeliveredWithin(Deadline12h)
+		r.MeanDelayHours = res.Summary.MeanDelayHours()
+		r.EncountersDropped = res.EncountersDropped
+		r.SyncsAborted = res.SyncsAborted
+		r.ItemsWasted = res.ItemsWasted
+		r.KnowledgeBytesPerEnc = knowledgePerEncounter(res)
 	}
 	return rows, nil
 }

@@ -6,6 +6,8 @@ import (
 
 	"replidtn/internal/emu"
 	"replidtn/internal/fault"
+	"replidtn/internal/mobility"
+	"replidtn/internal/trace"
 )
 
 // TestAcceptanceEpidemicSurvivesDrops is the PR's headline acceptance
@@ -18,13 +20,12 @@ func TestAcceptanceEpidemicSurvivesDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) (*emu.Result, string) {
+	run := func() (*emu.Result, string) {
 		var log strings.Builder
 		res, err := emu.Run(emu.Config{
 			Trace:    tr,
 			Policy:   emu.Factory(emu.PolicyEpidemic, emu.DefaultParams()),
 			Faults:   fault.Config{Seed: 1, Drop: 0.3},
-			Workers:  workers,
 			EventLog: &log,
 		})
 		if err != nil {
@@ -32,7 +33,7 @@ func TestAcceptanceEpidemicSurvivesDrops(t *testing.T) {
 		}
 		return res, log.String()
 	}
-	res, log := run(0)
+	res, log := run()
 	if res.EncountersDropped == 0 {
 		t.Fatal("drop=0.3 dropped no encounters — faults not active")
 	}
@@ -42,19 +43,16 @@ func TestAcceptanceEpidemicSurvivesDrops(t *testing.T) {
 	if res.Duplicates != 0 {
 		t.Errorf("at-most-once violated under faults: %d duplicates", res.Duplicates)
 	}
-	// Determinism: the same seed reproduces the run bit for bit, on both
-	// engines.
-	for _, workers := range []int{0, 4} {
-		res2, log2 := run(workers)
-		if res.Summary.DeliveredCount() != res2.Summary.DeliveredCount() ||
-			res.EncountersDropped != res2.EncountersDropped ||
-			res.ItemsTransferred != res2.ItemsTransferred ||
-			res.BytesTransferred != res2.BytesTransferred {
-			t.Errorf("workers=%d: faulted rerun diverged", workers)
-		}
-		if log != log2 {
-			t.Errorf("workers=%d: faulted rerun produced a different event log", workers)
-		}
+	// Determinism: the same seed reproduces the run bit for bit.
+	res2, log2 := run()
+	if res.Summary.DeliveredCount() != res2.Summary.DeliveredCount() ||
+		res.EncountersDropped != res2.EncountersDropped ||
+		res.ItemsTransferred != res2.ItemsTransferred ||
+		res.BytesTransferred != res2.BytesTransferred {
+		t.Error("faulted rerun diverged")
+	}
+	if log != log2 {
+		t.Error("faulted rerun produced a different event log")
 	}
 }
 
@@ -69,7 +67,7 @@ func TestRunFaultSweep(t *testing.T) {
 	}
 	drops := []float64{0, 0.3}
 	cutoffs := []int{2}
-	rows, err := RunFaultSweep(tr, 1, drops, cutoffs, WithWorkers(2))
+	rows, err := RunFaultSweep(tr, 1, drops, cutoffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +111,34 @@ func TestRunFaultSweep(t *testing.T) {
 	}
 }
 
+// TestFaultSweepWithoutMessages: a trace with no messages (a mobility
+// scenario may legitimately have none) delivers 0%, not NaN%.
+func TestFaultSweepWithoutMessages(t *testing.T) {
+	cfg := mobility.Defaults()
+	cfg.Nodes = 10
+	cfg.Messages = 0
+	sc, err := mobility.NewRWP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Materialize(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := RunFaultSweep(tr, 1, []float64{0}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Delivered != 0 || r.Delivered12h != 0 {
+			t.Errorf("%s %s: delivered %v, 12h %v; want 0 of 0 messages", r.Policy, r.Setting, r.Delivered, r.Delivered12h)
+		}
+	}
+	if out := FormatFaultSweep(rows); strings.Contains(out, "NaN%") {
+		t.Errorf("formatted sweep prints NaN%%:\n%s", out)
+	}
+}
+
 // TestSweepSummariesAblation is the bytes-per-encounter ablation: rerunning
 // the fault sweep and the filter sweep with the compact summary protocol
 // enabled must leave every delivery number untouched while shrinking the
@@ -124,11 +150,11 @@ func TestSweepSummariesAblation(t *testing.T) {
 	}
 	drops := []float64{0, 0.3}
 	cutoffs := []int{2}
-	plain, err := RunFaultSweep(tr, 1, drops, cutoffs, WithWorkers(2))
+	plain, err := RunFaultSweep(tr, 1, drops, cutoffs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := RunFaultSweep(tr, 1, drops, cutoffs, WithWorkers(2), WithSyncSummaries(true))
+	sum, err := RunFaultSweep(tr, 1, drops, cutoffs, WithSyncSummaries(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +171,11 @@ func TestSweepSummariesAblation(t *testing.T) {
 	}
 
 	ks := []int{0, 2}
-	fsPlain, err := RunFilterSweep(tr, ks, WithWorkers(2))
+	fsPlain, err := RunFilterSweep(tr, ks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsSum, err := RunFilterSweep(tr, ks, WithWorkers(2), WithSyncSummaries(true))
+	fsSum, err := RunFilterSweep(tr, ks, WithSyncSummaries(true))
 	if err != nil {
 		t.Fatal(err)
 	}

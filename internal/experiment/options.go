@@ -1,34 +1,26 @@
 package experiment
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"replidtn/internal/emu"
 	"replidtn/internal/fault"
 	"replidtn/internal/obs"
 )
 
-// Option adjusts how experiment drivers execute their emulation runs. Most
-// options (WithWorkers) leave results bit-identical; WithFaults deliberately
-// perturbs the emulated network and therefore the results, but keeps them a
-// deterministic function of the fault config.
+// Option adjusts how experiment drivers execute their emulation runs.
+// WithObs and WithSyncSummaries leave delivery results bit-identical;
+// WithFaults deliberately perturbs the emulated network and therefore the
+// results, but keeps them a deterministic function of the fault config.
 type Option func(*options)
 
 type options struct {
-	workers   int
 	faults    fault.Config
 	obs       *obs.NodeMetrics
 	summaries bool
-}
-
-// WithWorkers routes every emulation run in the driver through the parallel
-// engine with n workers (n >= 1). n = 0 (the default) keeps the sequential
-// reference engine. Results are bit-identical either way; only wall-clock
-// changes.
-func WithWorkers(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.workers = n
-		}
-	}
 }
 
 // WithFaults injects deterministic encounter faults (dropped contacts,
@@ -81,4 +73,44 @@ func (o options) instrument(cfg emu.Config) emu.Config {
 		cfg.SyncSummaries = true
 	}
 	return cfg
+}
+
+// job is one emulation run a driver submits to runAll, with the label its
+// error is reported under.
+type job struct {
+	label string
+	cfg   emu.Config
+}
+
+// runAll is the run pool every driver goes through. Emulation runs are
+// independent and deterministic, so it executes them on
+// min(GOMAXPROCS, len(jobs)) goroutines that pull indexes from a shared
+// counter, and returns the results by index: output order never depends on
+// scheduling. If any run fails, the error is that of the lowest failing
+// index, labelled "experiment: <what> <label>".
+func (o options) runAll(what string, jobs []job) ([]*emu.Result, error) {
+	results := make([]*emu.Result, len(jobs))
+	errs := make([]error, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				results[i], errs[i] = emu.Run(o.instrument(jobs[i].cfg))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("experiment: %s %s: %w", what, jobs[i].label, err)
+		}
+	}
+	return results, nil
 }

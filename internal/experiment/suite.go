@@ -34,10 +34,6 @@ func SmallTrace(seed int64) (*trace.Trace, error) {
 type Suite struct {
 	Trace  *trace.Trace
 	Params emu.Params
-	// Workers, when >= 1, routes every emulation run through the parallel
-	// engine with that many workers; 0 keeps the sequential engine. Output is
-	// bit-identical either way.
-	Workers int
 	// Faults, when enabled, injects deterministic encounter faults into every
 	// emulation run; the zero value reproduces the fault-free evaluation.
 	Faults fault.Config
@@ -64,10 +60,11 @@ func NewSuite() (*Suite, error) {
 // RunAll executes every experiment and renders the paper's tables and
 // figures to w.
 func (s *Suite) RunAll(w io.Writer) error {
+	opts := []Option{WithFaults(s.Faults), WithObs(s.Obs), WithSyncSummaries(s.Summaries)}
 	fmt.Fprintf(w, "== Table I: DTN routing policies ==\n%s\n", FormatTable1(Table1()))
 	fmt.Fprintf(w, "== Table II: protocol parameters ==\n%s\n", FormatTable2(s.Params))
 
-	fs, err := RunFilterSweep(s.Trace, nil, WithWorkers(s.Workers), WithFaults(s.Faults), WithObs(s.Obs), WithSyncSummaries(s.Summaries))
+	fs, err := RunFilterSweep(s.Trace, nil, opts...)
 	if err != nil {
 		return err
 	}
@@ -78,7 +75,7 @@ func (s *Suite) RunAll(w io.Writer) error {
 	fmt.Fprintf(w, "== Sync overhead: knowledge bytes per encounter vs addresses in filter ==\n%s\n",
 		metrics.FormatTable("k", fs.KnowledgePerEncounter()))
 
-	unconstrained, err := RunPolicySweep(s.Trace, s.Params, 0, 0, WithWorkers(s.Workers), WithFaults(s.Faults), WithObs(s.Obs), WithSyncSummaries(s.Summaries))
+	unconstrained, err := RunPolicySweep(s.Trace, s.Params, 0, 0, opts...)
 	if err != nil {
 		return err
 	}
@@ -89,14 +86,14 @@ func (s *Suite) RunAll(w io.Writer) error {
 	fmt.Fprintf(w, "== Fig. 8: average stored copies per message ==\n%s\n",
 		FormatFig8(unconstrained.Fig8()))
 
-	bandwidth, err := RunPolicySweep(s.Trace, s.Params, 1, 0, WithWorkers(s.Workers), WithFaults(s.Faults), WithObs(s.Obs), WithSyncSummaries(s.Summaries))
+	bandwidth, err := RunPolicySweep(s.Trace, s.Params, 1, 0, opts...)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "== Fig. 9: delay CDF under bandwidth constraint (1 msg/encounter) ==\n%s\n",
 		metrics.FormatTable("hours", bandwidth.CDFHours(12)))
 
-	storage, err := RunPolicySweep(s.Trace, s.Params, 0, 2, WithWorkers(s.Workers), WithFaults(s.Faults), WithObs(s.Obs), WithSyncSummaries(s.Summaries))
+	storage, err := RunPolicySweep(s.Trace, s.Params, 0, 2, opts...)
 	if err != nil {
 		return err
 	}

@@ -6,9 +6,8 @@
 //
 // Every decision is a pure function of (seed, encounter index): it is derived
 // by hashing rather than by drawing from a shared sequential RNG. That makes
-// the fault plan independent of execution order, which is what lets the
-// parallel emulation engine execute faulted encounters concurrently and still
-// produce output bit-identical to the sequential reference engine.
+// the fault plan independent of execution order: a faulted run is
+// reproducible from its Config alone.
 package fault
 
 import (
