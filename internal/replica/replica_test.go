@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"replidtn/internal/filter"
 	"replidtn/internal/item"
@@ -442,5 +443,60 @@ func TestEncounterSharedByteBudget(t *testing.T) {
 	}
 	if res.AtoB.Sent != 1 || res.BtoA.Sent != 0 {
 		t.Errorf("expected only the first leg to fit: %+v", res)
+	}
+}
+
+// TestApplyBatchHostileShapesStayNearLinear hands a replica batches a peer
+// can send within one frame, shaped to make a careless knowledge or store
+// structure quadratic: 50k items from 50k distinct creators in descending
+// order (a new knowledge row and a new version run per item), one item whose
+// Prior names 50k creators in descending order, and one whose Prior names
+// 200k seqs of one creator in descending order (an exception each). Each
+// must be applied in under 2 s even under -race.
+func TestApplyBatchHostileShapesStayNearLinear(t *testing.T) {
+	msg := func(c vclock.ReplicaID, prior []vclock.Version) *item.Item {
+		return &item.Item{
+			ID:      item.ID{Creator: c, Num: 1},
+			Version: vclock.Version{Replica: c, Seq: 1},
+			Prior:   prior,
+			Meta:    item.Metadata{Source: "addr:" + string(c), Destinations: []string{"addr:nobody"}, Kind: "message"},
+		}
+	}
+	creators := func(n int) []vclock.ReplicaID {
+		out := make([]vclock.ReplicaID, n)
+		for i := range out {
+			out[i] = vclock.ReplicaID(fmt.Sprintf("c%06d", n-i))
+		}
+		return out
+	}
+	var manyItems []BatchItem
+	for _, c := range creators(50000) {
+		manyItems = append(manyItems, BatchItem{Item: msg(c, nil)})
+	}
+	var priorCreators, priorSeqs []vclock.Version
+	for _, c := range creators(50000) {
+		priorCreators = append(priorCreators, vclock.Version{Replica: c, Seq: 1})
+	}
+	for i := 200000; i > 0; i-- {
+		priorSeqs = append(priorSeqs, vclock.Version{Replica: "a", Seq: uint64(1 + 2*i)})
+	}
+	for _, tc := range []struct {
+		name    string
+		items   []BatchItem
+		learned uint64
+	}{
+		{"50k items of 50k creators", manyItems, 50000},
+		{"Prior of 50k creators", []BatchItem{{Item: msg("z", priorCreators)}}, 50001},
+		{"Prior of 200k descending seqs", []BatchItem{{Item: msg("z", priorSeqs)}}, 200001},
+	} {
+		r := fullReplica("hub")
+		start := time.Now()
+		st := r.ApplyBatch(&SyncResponse{SourceID: "peer", Items: tc.items})
+		if took := time.Since(start); took > 2*time.Second {
+			t.Errorf("%s: ApplyBatch took %v, want < 2s", tc.name, took)
+		}
+		if got := r.Knowledge().Count(); got != tc.learned || st.Relayed+st.Stored != len(tc.items) {
+			t.Errorf("%s: learned %d versions and stored %d items, want %d and %d", tc.name, got, st.Relayed+st.Stored, tc.learned, len(tc.items))
+		}
 	}
 }

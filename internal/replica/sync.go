@@ -176,7 +176,7 @@ func selectorLimit(req *SyncRequest) int {
 
 // HandleSyncRequest serves a synchronization request (acting as source): it
 // processes the request's routing state, then streams store entries off the
-// version-ordered index — never visiting what the target's base vector
+// per-creator version runs — never visiting what the target's base vector
 // covers, skipping known exceptions and expired versions inline — and keeps
 // only the top-K batch under the request's budgets in a bounded priority
 // heap. Tombstones and filter-matched items keep their priority-class

@@ -35,14 +35,18 @@ func orderByID(a, b *Entry) int {
 	return cmp.Compare(a.Item.ID.Num, b.Item.ID.Num)
 }
 
-// orderByVersion sorts by (Version.Replica, Version.Seq, ID): each creator's
-// versions form one ascending run (see aboveWalk). The ID tie-break keeps the
-// order total when a restored snapshot carries one version under two IDs.
-func orderByVersion(a, b *Entry) int {
-	if c := strings.Compare(string(a.Item.Version.Replica), string(b.Item.Version.Replica)); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Item.Version.Seq, b.Item.Version.Seq); c != 0 {
+// runKey places an entry in its creator's version run: Seq − 1, so Seq 0,
+// which no floor covers (Knowledge.Contains never reports it known), wraps to
+// the largest key. Floor f leaves e uncovered exactly when runKey(e) >= f.
+//
+//dtn:hotpath
+func runKey(e *Entry) uint64 { return e.Item.Version.Seq - 1 }
+
+// orderInRun sorts one creator's versions by (runKey, ID): ascending seq,
+// seq 0 last. The ID tie-break keeps the order total when a restored
+// snapshot carries one version under two IDs.
+func orderInRun(a, b *Entry) int {
+	if c := cmp.Compare(runKey(a), runKey(b)); c != 0 {
 		return c
 	}
 	return orderByID(a, b)
@@ -291,70 +295,56 @@ func (n *indexNode) ascend(fn func(*Entry) bool) bool {
 	return true
 }
 
-// aboveWalk walks a version-ordered index once, calling fn — until it returns
-// false — for exactly the entries floor does not cover (Seq == 0 or Seq >
-// floor(creator)). It never descends into a subtree whose two bounding
-// separators belong to one creator with the lower seq >= 1 and the upper seq
-// <= floor(creator): all of it is covered. With nothing covered that is
-// ascend plus one floor lookup per creator run; with everything covered, the
-// nodes along run boundaries, O(fan-out × height) per run. No seeks: many
-// short runs cost no descents.
-type aboveWalk struct {
-	floor func(vclock.ReplicaID) uint64
-	fn    func(*Entry) bool
-	// floor's answer for the creator run the walk is in (see floorOf).
-	creator  vclock.ReplicaID
-	base     uint64
-	cached   bool
-	examined int // entries looked at: the walk's whole cost, bounded by a test
-}
-
-// floorOf returns floor(c), asking floor only when c starts a new run: runs
-// come in ascending creator order, so floor runs once per creator.
+// ascendFrom calls fn, in order and until it returns false, for the entries
+// of n's subtree whose runKey is at least key, reporting whether fn never
+// stopped it. It adds every entry it looks at to *examined.
 //
 //dtn:hotpath
-func (w *aboveWalk) floorOf(c vclock.ReplicaID) uint64 {
-	if !w.cached || c != w.creator {
-		w.creator, w.base, w.cached = c, w.floor(c), true
+func (n *indexNode) ascendFrom(key uint64, fn func(*Entry) bool, examined *int) bool {
+	i, hi := 0, len(n.entries)
+	for key > 0 && i < hi {
+		mid := int(uint(i+hi) >> 1)
+		*examined++
+		if runKey(n.entries[mid]) < key {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return w.base
-}
-
-// covered reports whether everything strictly between lo and hi (nil: the
-// open end) is under the floor. lo's creator is compared before floor is
-// consulted, so floorOf only ever moves forward.
-//
-//dtn:hotpath
-func (w *aboveWalk) covered(lo, hi *Entry) bool {
-	return lo != nil && hi != nil && lo.Item.Version.Seq >= 1 &&
-		lo.Item.Version.Replica == hi.Item.Version.Replica &&
-		hi.Item.Version.Seq <= w.floorOf(hi.Item.Version.Replica)
-}
-
-// walk visits n (nil: an empty index), whose entries lie strictly between lo
-// and hi, reporting whether the traversal should continue.
-//
-//dtn:hotpath
-func (w *aboveWalk) walk(n *indexNode, lo, hi *Entry) bool {
-	if n == nil {
-		return true
-	}
-	internal := len(n.children) > 0
-	for i, e := range n.entries {
-		if internal && !w.covered(lo, e) && !w.walk(n.children[i], lo, e) {
+	for internal := len(n.children) > 0; ; i++ {
+		if internal && !n.children[i].ascendFrom(key, fn, examined) {
 			return false
 		}
-		w.examined++
-		v := &e.Item.Version
-		if base := w.floorOf(v.Replica); (v.Seq == 0 || v.Seq > base) && !w.fn(e) {
+		if i == len(n.entries) {
+			return true
+		}
+		*examined++
+		if !fn(n.entries[i]) {
 			return false
 		}
-		lo = e
+		key = 0 // everything after entry i is at least key
 	}
-	if internal && !w.covered(lo, hi) {
-		return w.walk(n.children[len(n.children)-1], lo, hi)
+}
+
+// last returns the largest entry of a non-empty index.
+func (ix *entryIndex) last() *Entry {
+	n := ix.root
+	for len(n.children) > 0 {
+		n = n.children[len(n.children)-1]
 	}
-	return true
+	return n.entries[len(n.entries)-1]
+}
+
+// versionRun is one creator's stored versions under orderInRun: the unit
+// RangeAbove skips or seeks in.
+type versionRun struct {
+	creator vclock.ReplicaID
+	entries entryIndex
+	// top is the run's largest runKey: floor f covers the whole run exactly
+	// when top < f, a test that touches no entry.
+	top uint64
+	// slot is the run's position in Store.runs.
+	slot int
 }
 
 // reset empties the index.

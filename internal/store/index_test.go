@@ -10,14 +10,15 @@ import (
 	"replidtn/internal/vclock"
 )
 
-// indexOrders are the two orderings the store instantiates the B-tree with;
-// every index test runs over both.
+// indexOrders are the two orderings the store instantiates the B-tree with —
+// the ID index and one creator's version run; every index test runs over
+// both.
 var indexOrders = []struct {
 	name  string
 	order entryOrder
 }{
 	{"by-id", orderByID},
-	{"by-version", orderByVersion},
+	{"by-version", orderInRun},
 }
 
 // checkIndexInvariants walks the tree verifying B-tree structure: key order,
@@ -82,9 +83,9 @@ type refKey struct {
 
 // TestIndexDifferential drives the B-tree and a map-based reference with the
 // same random operation stream and demands identical contents throughout,
-// under both orderings. Versions are drawn independently of IDs (and collide
-// across IDs), so the two orders disagree and the version order needs its ID
-// tie-break.
+// under both orderings. Versions are drawn from one creator (a version run)
+// independently of IDs, collide across IDs and include seq 0, so the two
+// orders disagree and the run order needs its ID tie-break.
 func TestIndexDifferential(t *testing.T) {
 	for _, tc := range indexOrders {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,10 +95,7 @@ func TestIndexDifferential(t *testing.T) {
 
 			randomEntry := func() (*Entry, refKey) {
 				it := mkItem(fmt.Sprintf("r%d", rng.Intn(20)), uint64(rng.Intn(200)+1))
-				it.Version = vclock.Version{
-					Replica: vclock.ReplicaID(fmt.Sprintf("v%d", rng.Intn(6))),
-					Seq:     uint64(rng.Intn(40)),
-				}
+				it.Version = vclock.Version{Replica: "v", Seq: uint64(rng.Intn(40))}
 				key := refKey{id: it.ID}
 				if tc.name == "by-version" {
 					key.version = it.Version

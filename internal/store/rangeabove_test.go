@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -8,10 +10,45 @@ import (
 	"replidtn/internal/vclock"
 )
 
+// checkRuns verifies the version runs against the store: one non-empty run
+// per creator, each at its slot and found through runOf, each a valid B-tree
+// holding exactly that creator's current entries under an accurate top, and
+// together every entry once. It returns the tallest run's height.
+func checkRuns(t *testing.T, s *Store) int {
+	t.Helper()
+	if len(s.runOf) != len(s.runs) {
+		t.Fatalf("%d runs listed, %d found by creator", len(s.runs), len(s.runOf))
+	}
+	height, total := 0, 0
+	for i, r := range s.runs {
+		if r.slot != i || s.runOf[r.creator] != r {
+			t.Fatalf("run %q listed at %d has slot %d (found by creator: %v)", r.creator, i, r.slot, s.runOf[r.creator] == r)
+		}
+		if r.entries.size == 0 {
+			t.Fatalf("empty run %q kept", r.creator)
+		}
+		height = max(height, checkIndexInvariants(t, &r.entries))
+		r.entries.ascend(func(e *Entry) bool {
+			if e.Item.Version.Replica != r.creator || s.entries[e.Item.ID] != e {
+				t.Fatalf("run %q holds %s@%s, which is not a current entry of that creator", r.creator, e.Item.ID, e.Item.Version)
+			}
+			return true
+		})
+		if want := runKey(r.entries.last()); r.top != want {
+			t.Fatalf("run %q: top %d, largest key %d", r.creator, r.top, want)
+		}
+		total += r.entries.size
+	}
+	if total != s.Len() {
+		t.Fatalf("runs hold %d entries, store holds %d", total, s.Len())
+	}
+	return height
+}
+
 // assertRangeAbove checks RangeAbove(floor) against its specification — the
-// entries of Range with Seq == 0 or Seq > floor(creator), in version order —
-// and the floor callback's contract: asked once per creator, in ascending
-// creator order, before fn sees that creator's first entry.
+// entries of Range with Seq == 0 or Seq > floor(creator), each creator's
+// together in run order — and the floor callback's contract: asked once per
+// creator, just before fn sees that creator's first entry.
 func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 	t.Helper()
 	want := make(map[*Entry]bool)
@@ -21,23 +58,24 @@ func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 		}
 		return true
 	})
-	var asked []vclock.ReplicaID
+	asked := make(map[vclock.ReplicaID]bool)
+	var last vclock.ReplicaID
 	var prev *Entry
 	got := 0
 	s.RangeAbove(func(c vclock.ReplicaID) uint64 {
-		if n := len(asked); n > 0 && asked[n-1] >= c {
-			t.Fatalf("floor(%q) asked after floor(%q)", c, asked[n-1])
+		if asked[c] {
+			t.Fatalf("floor(%q) asked twice", c)
 		}
-		asked = append(asked, c)
+		asked[c], last, prev = true, c, nil
 		return floor[c]
 	}, func(e *Entry) bool {
 		if !want[e] {
 			t.Fatalf("RangeAbove yielded %s@%s, which floor %s covers (or which is not stored)", e.Item.ID, e.Item.Version, floor)
 		}
-		if len(asked) == 0 || asked[len(asked)-1] != e.Item.Version.Replica {
-			t.Fatalf("fn saw %s@%s before floor(%q) was asked", e.Item.ID, e.Item.Version, e.Item.Version.Replica)
+		if e.Item.Version.Replica != last {
+			t.Fatalf("fn saw %s@%s, but the last floor asked was %q's", e.Item.ID, e.Item.Version, last)
 		}
-		if prev != nil && orderByVersion(prev, e) >= 0 {
+		if prev != nil && orderInRun(prev, e) >= 0 {
 			t.Fatalf("RangeAbove out of order: %s then %s", prev.Item.Version, e.Item.Version)
 		}
 		prev = e
@@ -53,8 +91,8 @@ func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 // inserts, version-changing replacements, removals, evictions and wholesale
 // restores — including a snapshot in which two IDs carry one version, which
 // only the ID tie-break keeps apart — and after every few steps demands that
-// both indexes hold exactly the store's entries and that RangeAbove agrees
-// with a filtered Range under random floors.
+// the ID index and the version runs hold exactly the store's entries and that
+// RangeAbove agrees with a filtered Range under random floors.
 func TestRangeAboveMatchesRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := New(300)
@@ -76,11 +114,11 @@ func TestRangeAboveMatchesRange(t *testing.T) {
 	}
 	check := func(step int) {
 		t.Helper()
-		if s.index.size != s.Len() || s.byVersion.size != s.Len() {
-			t.Fatalf("step %d: index sizes %d/%d, store holds %d", step, s.index.size, s.byVersion.size, s.Len())
+		if s.index.size != s.Len() {
+			t.Fatalf("step %d: ID index holds %d, store holds %d", step, s.index.size, s.Len())
 		}
 		checkIndexInvariants(t, &s.index)
-		checkIndexInvariants(t, &s.byVersion)
+		checkRuns(t, s)
 		for _, floor := range []vclock.Vector{{}, nil} {
 			assertRangeAbove(t, s, floor)
 		}
@@ -140,49 +178,49 @@ func TestRangeAboveEarlyStop(t *testing.T) {
 	}
 }
 
-// examinedAbove runs RangeAbove's walk and returns how many entries it
-// examined.
-func examinedAbove(s *Store, floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) int {
-	w := aboveWalk{floor: floor, fn: fn}
-	w.walk(s.byVersion.root, nil, nil)
-	return w.examined
-}
-
 // TestRangeAboveExaminesSublinear pins the walk's cost with a count, not a
-// clock: over a 50k-entry store whose target knows all but k versions, the
-// walk may examine the k unknown entries, the nodes holding them, and the
-// nodes along each creator run's two boundaries — O(k + fan-out × height) —
-// and nothing proportional to the store.
+// clock, on both store shapes that matter: a few long creator runs (5 × 10k,
+// a hub's) and many short ones (26 × 15, the paper trace's: 26 buses, ≈ 15
+// stored versions each). A run the target knows entirely costs no entry; any
+// other one descent — a binary search per level — plus what it yields. So
+// with everything known the walk examines at most runs × (height + 1)
+// entries, and never anything proportional to the store.
 func TestRangeAboveExaminesSublinear(t *testing.T) {
-	const perCreator = 10000
-	creators := []string{"a", "b", "c", "d", "e"}
-	s := New(0)
-	for _, c := range creators {
-		for i := uint64(1); i <= perCreator; i++ {
-			s.Put(mkItem(c, i), nil, false, false)
+	for _, shape := range []struct{ creators, perCreator int }{{5, 10000}, {26, 15}} {
+		s := New(0)
+		for c := 0; c < shape.creators; c++ {
+			for i := 1; i <= shape.perCreator; i++ {
+				s.Put(mkItem(fmt.Sprintf("c%02d", c), uint64(i)), nil, false, false)
+			}
 		}
-	}
-	height := checkIndexInvariants(t, &s.byVersion)
-	boundary := 2 * len(creators) * height * indexMaxItems
-	for _, k := range []uint64{0, 1, 10, 1000} {
-		floor := func(vclock.ReplicaID) uint64 { return perCreator - k }
-		yielded := 0
-		examined := examinedAbove(s, floor, func(*Entry) bool {
-			yielded++
-			return true
-		})
-		unknown := int(k) * len(creators)
-		if yielded != unknown {
-			t.Fatalf("k=%d: yielded %d entries, want %d", k, yielded, unknown)
+		height := checkRuns(t, s)
+		for _, k := range []int{0, 1, 10, 1000} {
+			if k > shape.perCreator {
+				continue
+			}
+			floor := func(vclock.ReplicaID) uint64 { return uint64(shape.perCreator - k) }
+			yielded := 0
+			examined := s.RangeAbove(floor, func(*Entry) bool {
+				yielded++
+				return true
+			})
+			unknown := k * shape.creators
+			if yielded != unknown {
+				t.Fatalf("%d×%d, k=%d: yielded %d entries, want %d", shape.creators, shape.perCreator, k, yielded, unknown)
+			}
+			limit := unknown + shape.creators*height*bits.Len(indexMaxItems)
+			if k == 0 {
+				limit = shape.creators * (height + 1)
+			}
+			if examined > limit {
+				t.Errorf("%d×%d, k=%d: examined %d of %d entries, want at most %d (height %d)",
+					shape.creators, shape.perCreator, k, examined, s.Len(), limit, height)
+			}
+			t.Logf("%d×%d, k=%d: yielded %d, examined %d of %d", shape.creators, shape.perCreator, k, yielded, examined, s.Len())
 		}
-		if limit := 2*unknown + boundary; examined > limit {
-			t.Errorf("k=%d: examined %d of %d entries, want at most %d (2·unknown + 2·runs·height·fan-out, height %d)",
-				k, examined, s.Len(), limit, height)
+		// With nothing known the walk is a full ascend: every entry once.
+		if examined := s.RangeAbove(func(vclock.ReplicaID) uint64 { return 0 }, func(*Entry) bool { return true }); examined != s.Len() {
+			t.Errorf("%d×%d, empty floor: examined %d entries, store holds %d", shape.creators, shape.perCreator, examined, s.Len())
 		}
-		t.Logf("k=%d: yielded %d, examined %d of %d", k, yielded, examined, s.Len())
-	}
-	// With nothing known the walk is a full ascend: every entry once.
-	if examined := examinedAbove(s, func(vclock.ReplicaID) uint64 { return 0 }, func(*Entry) bool { return true }); examined != s.Len() {
-		t.Errorf("empty floor: examined %d entries, store holds %d", examined, s.Len())
 	}
 }

@@ -40,10 +40,12 @@ func (s *Store) Snapshot() ([]EntrySnapshot, uint64) {
 }
 
 // Restore replaces the store's contents from a snapshot. It fails if the
-// snapshot violates the arrival counter or duplicates an item ID; on failure
-// the store is left unchanged.
+// snapshot violates the arrival counter, duplicates an item ID, or gives two
+// entries one arrival (a live store never does, and FIFO eviction would then
+// pick between them at random); on failure the store is left unchanged.
 func (s *Store) Restore(entries []EntrySnapshot, nextArrival uint64) error {
 	fresh := make(map[item.ID]*Entry, len(entries))
+	arrivals := make(map[uint64]item.ID, len(entries))
 	for _, es := range entries {
 		if es.Item == nil {
 			return fmt.Errorf("store: snapshot entry without item")
@@ -54,6 +56,10 @@ func (s *Store) Restore(entries []EntrySnapshot, nextArrival uint64) error {
 		if es.Arrival > nextArrival {
 			return fmt.Errorf("store: snapshot arrival %d beyond counter %d", es.Arrival, nextArrival)
 		}
+		if other, dup := arrivals[es.Arrival]; dup {
+			return fmt.Errorf("store: snapshot entries %s and %s share arrival %d", other, es.Item.ID, es.Arrival)
+		}
+		arrivals[es.Arrival] = es.Item.ID
 		relay := es.Relay
 		if es.Local {
 			relay = false

@@ -74,6 +74,12 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		{"nil item", []EntrySnapshot{{}}, 1},
 		{"duplicate id", append(append([]EntrySnapshot(nil), good...), good...), next},
 		{"arrival beyond counter", good, 0},
+		// Two entries of one arrival would leave FIFO eviction to pick
+		// between them in map order.
+		{"duplicate arrival", []EntrySnapshot{
+			{Item: mkItem("a", 1), Relay: true, Arrival: 1},
+			{Item: mkItem("b", 1), Relay: true, Arrival: 1},
+		}, 1},
 	}
 	for _, tc := range cases {
 		if err := s.Restore(tc.entries, tc.next); err == nil {

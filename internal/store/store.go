@@ -13,13 +13,17 @@
 //
 // The store keeps incremental indexes so its read paths are cheap on the
 // synchronization hot path: an ordered B-tree over entries by item ID
-// (iteration in ID order without per-call allocation or sorting) and another
-// by version (RangeAbove), live/relay counters (LiveLen and RelayLen are
-// O(1)), and — for arrival-ordered eviction strategies — a lazy min-heap over
-// relay entries so enforcing the relay capacity never rescans the store.
+// (iteration in ID order without per-call allocation or sorting), one
+// version run per creator — a B-tree over that creator's versions, so
+// RangeAbove skips a run the target knows in O(1) and seeks into any other —
+// live/relay counters (LiveLen and RelayLen are O(1)), and — for
+// arrival-ordered eviction strategies — a lazy min-heap over relay entries so
+// enforcing the relay capacity never rescans the store.
 package store
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"replidtn/internal/item"
@@ -115,9 +119,11 @@ func (e EvictByCost) Less(a, b *Entry) bool {
 // Store is not safe for concurrent use; the owning replica serializes access.
 type Store struct {
 	entries map[item.ID]*Entry
-	// index (by item ID) and byVersion are maintained on every mutation.
-	index     entryIndex
-	byVersion entryIndex
+	// index (by item ID) and runs — one version run per creator with a
+	// version stored, found through runOf — are maintained on every mutation.
+	index entryIndex
+	runs  []*versionRun
+	runOf map[vclock.ReplicaID]*versionRun
 	// relayCapacity bounds the number of live (non-tombstone) relay entries;
 	// <= 0 means unlimited.
 	relayCapacity int
@@ -219,7 +225,7 @@ func NewWithEviction(relayCapacity int, eviction EvictionStrategy) *Store {
 	return &Store{
 		entries:       make(map[item.ID]*Entry),
 		index:         entryIndex{order: orderByID},
-		byVersion:     entryIndex{order: orderByVersion},
+		runOf:         make(map[vclock.ReplicaID]*versionRun),
 		relayCapacity: relayCapacity,
 		eviction:      eviction,
 		useHeap:       relayCapacity > 0 && ok && ao.ArrivalOrdered(),
@@ -261,14 +267,14 @@ func (s *Store) Put(it *item.Item, transient item.Transient, relay, local bool) 
 		// entry does not move to the back of the FIFO queue.
 		e.arrival = prev.arrival
 		s.uncount(prev)
-		s.byVersion.delete(prev)
+		s.unfileVersion(prev)
 	} else {
 		s.nextArrival++
 		e.arrival = s.nextArrival
 	}
 	s.entries[it.ID] = e
 	s.index.replaceOrInsert(e)
-	s.byVersion.replaceOrInsert(e)
+	s.fileVersion(e)
 	s.count(e)
 	if s.onJournal != nil {
 		snap := snapshotEntry(e)
@@ -287,12 +293,43 @@ func (s *Store) Remove(id item.ID) *Entry {
 	return e
 }
 
+// fileVersion adds e to its creator's version run, opening the run if new.
+// A new run is appended, so filing costs the same however many runs exist.
+func (s *Store) fileVersion(e *Entry) {
+	c := e.Item.Version.Replica
+	r := s.runOf[c]
+	if r == nil {
+		r = &versionRun{creator: c, entries: entryIndex{order: orderInRun}, slot: len(s.runs)}
+		s.runs = append(s.runs, r)
+		s.runOf[c] = r
+	}
+	r.entries.replaceOrInsert(e)
+	r.top = max(r.top, runKey(e))
+}
+
+// unfileVersion takes e out of its creator's version run. An emptied run is
+// closed by moving the last run into its slot.
+func (s *Store) unfileVersion(e *Entry) {
+	r := s.runOf[e.Item.Version.Replica]
+	r.entries.delete(e)
+	switch {
+	case r.entries.size == 0:
+		last := s.runs[len(s.runs)-1]
+		s.runs[r.slot], last.slot = last, r.slot
+		s.runs[len(s.runs)-1] = nil
+		s.runs = s.runs[:len(s.runs)-1]
+		delete(s.runOf, r.creator)
+	case runKey(e) == r.top:
+		r.top = runKey(r.entries.last())
+	}
+}
+
 // drop takes a current entry out of the map, both indexes and the counters,
 // and journals its removal.
 func (s *Store) drop(e *Entry) {
 	delete(s.entries, e.Item.ID)
 	s.index.delete(e)
-	s.byVersion.delete(e)
+	s.unfileVersion(e)
 	s.uncount(e)
 	if s.onJournal != nil {
 		s.onJournal(JournalOp{Remove: e.Item.ID, NextArrival: s.nextArrival})
@@ -467,12 +504,19 @@ func (s *Store) rebuildIndexes() {
 	s.onLive = nil
 	defer func() { s.onLive = notify }()
 	s.index.reset()
-	s.byVersion.reset()
+	s.runs, s.runOf = nil, make(map[vclock.ReplicaID]*versionRun)
 	s.liveCount, s.relayCount = 0, 0
 	s.evictHeap = s.evictHeap[:0]
+	all := make([]*Entry, 0, len(s.entries))
 	for _, e := range s.entries {
+		all = append(all, e)
+	}
+	// Filed in arrival order (unique, see Restore), so the rebuilt run list
+	// and eviction heap do not depend on map order.
+	slices.SortFunc(all, func(a, b *Entry) int { return cmp.Compare(a.arrival, b.arrival) })
+	for _, e := range all {
 		s.index.replaceOrInsert(e)
-		s.byVersion.replaceOrInsert(e)
+		s.fileVersion(e)
 		s.count(e)
 	}
 }
@@ -499,14 +543,23 @@ func (s *Store) Range(fn func(*Entry) bool) {
 
 // RangeAbove calls fn, until it returns false, for exactly the entries whose
 // version the vector floor does not cover — Version.Seq == 0 or Version.Seq >
-// floor(Version.Replica) — in (creator, seq, ID) order of their versions. It
-// skips whole subtrees floor covers (see aboveWalk), so its cost follows the
-// entries yielded, not the store's size. Like Range it allocates nothing and
-// fn must not change the store's membership.
+// floor(Version.Replica) — run by run, each run one creator's entries by
+// ascending seq with seq 0 last. The order of the runs is unspecified (it
+// follows the store's history). A run floor covers entirely costs one
+// comparison, any other one descent, so the cost follows the entries yielded
+// and the number of creators, not the store's size. Like Range it allocates
+// nothing and fn must not change the store's membership. It returns how many
+// entries it examined, the walk's whole cost.
 //
-// floor is asked once per creator, in ascending order, before fn sees that
-// creator's run: a caller may load per-creator state in floor for fn to use.
-func (s *Store) RangeAbove(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) {
-	w := aboveWalk{floor: floor, fn: fn}
-	w.walk(s.byVersion.root, nil, nil)
+// floor is asked once per creator, just before fn sees that creator's run: a
+// caller may load per-creator state in floor for fn to use.
+//
+//dtn:hotpath
+func (s *Store) RangeAbove(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) (examined int) {
+	for _, r := range s.runs {
+		if f := floor(r.creator); r.top >= f && !r.entries.root.ascendFrom(f, fn, &examined) {
+			break
+		}
+	}
+	return examined
 }

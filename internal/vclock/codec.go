@@ -17,85 +17,84 @@ import (
 
 var errTruncated = errors.New("vclock: truncated knowledge encoding")
 
-func appendDoc(buf []byte, doc knowledgeDoc) ([]byte, error) {
-	baseIDs := sortedIDs(len(doc.Base))
-	for r := range doc.Base {
-		baseIDs = append(baseIDs, string(r))
+// AppendBinary implements encoding.BinaryAppender: it appends the exact
+// MarshalBinary encoding to buf and returns the extended slice, so callers
+// assembling larger frames (the internal/wire codec) reuse one buffer
+// instead of marshaling into a throwaway allocation.
+func (k *Knowledge) AppendBinary(buf []byte) ([]byte, error) {
+	rows := k.byCreator()
+	nBase, nExtra := 0, 0
+	for _, w := range rows {
+		if w.base > 0 {
+			nBase++
+		}
+		if len(w.extra) > 0 {
+			nExtra++
+		}
 	}
-	sort.Strings(baseIDs)
-	buf = binary.AppendUvarint(buf, uint64(len(baseIDs)))
-	for _, id := range baseIDs {
-		buf = appendString(buf, id)
-		buf = binary.AppendUvarint(buf, doc.Base[ReplicaID(id)])
+	buf = binary.AppendUvarint(buf, uint64(nBase))
+	for _, w := range rows {
+		if w.base > 0 {
+			buf = appendString(buf, string(w.creator))
+			buf = binary.AppendUvarint(buf, w.base)
+		}
 	}
-	extraIDs := sortedIDs(len(doc.Extra))
-	for r := range doc.Extra {
-		extraIDs = append(extraIDs, string(r))
-	}
-	sort.Strings(extraIDs)
-	buf = binary.AppendUvarint(buf, uint64(len(extraIDs)))
-	for _, id := range extraIDs {
-		buf = appendString(buf, id)
-		seqs := doc.Extra[ReplicaID(id)]
-		buf = binary.AppendUvarint(buf, uint64(len(seqs)))
-		for _, s := range seqs {
-			buf = binary.AppendUvarint(buf, s)
+	buf = binary.AppendUvarint(buf, uint64(nExtra))
+	var seqs []uint64
+	for _, w := range rows {
+		if len(w.extra) > 0 {
+			buf = appendString(buf, string(w.creator))
+			buf = binary.AppendUvarint(buf, uint64(len(w.extra)))
+			seqs = w.sortedExtra(seqs)
+			for _, s := range seqs {
+				buf = binary.AppendUvarint(buf, s)
+			}
 		}
 	}
 	return buf, nil
 }
 
-func decodeDoc(data []byte) (knowledgeDoc, error) {
-	doc := knowledgeDoc{Base: NewVector(), Extra: make(map[ReplicaID][]uint64)}
+// decode folds an encoding into k entry by entry — a creator named twice
+// shares one row — in time linear in its length whatever order the entries
+// and seqs come in. The base section comes first, so an exception at or
+// below its creator's base is dropped as it is read; UnmarshalBinary does
+// the rest of canonicalization.
+func (k *Knowledge) decode(data []byte) error {
 	pos := 0
-	nBase, err := readUvarint(data, &pos)
-	if err != nil {
-		return doc, err
-	}
-	for i := uint64(0); i < nBase; i++ {
-		id, err := readString(data, &pos)
+	for section := 0; section < 2; section++ { // base entries, then exceptions
+		n, err := readUvarint(data, &pos)
 		if err != nil {
-			return doc, err
+			return err
 		}
-		seq, err := readUvarint(data, &pos)
-		if err != nil {
-			return doc, err
-		}
-		doc.Base[ReplicaID(id)] = seq
-	}
-	nExtra, err := readUvarint(data, &pos)
-	if err != nil {
-		return doc, err
-	}
-	for i := uint64(0); i < nExtra; i++ {
-		id, err := readString(data, &pos)
-		if err != nil {
-			return doc, err
-		}
-		nSeqs, err := readUvarint(data, &pos)
-		if err != nil {
-			return doc, err
-		}
-		// Every sequence costs at least one byte, so a count exceeding the
-		// remaining input is forged — reject it before trusting it as an
-		// allocation size.
-		if nSeqs > uint64(len(data)-pos) {
-			return doc, errTruncated
-		}
-		seqs := make([]uint64, 0, nSeqs)
-		for j := uint64(0); j < nSeqs; j++ {
-			s, err := readUvarint(data, &pos)
+		for i := uint64(0); i < n; i++ {
+			id, err := readString(data, &pos)
 			if err != nil {
-				return doc, err
+				return err
 			}
-			seqs = append(seqs, s)
+			v, err := readUvarint(data, &pos) // the seq, or the count of seqs
+			if err != nil {
+				return err
+			}
+			w := k.edit(ReplicaID(id))
+			if section == 0 {
+				w.base = max(w.base, v)
+				continue
+			}
+			for j := uint64(0); j < v; j++ {
+				s, err := readUvarint(data, &pos)
+				if err != nil {
+					return err
+				}
+				if s > w.base {
+					w.insert(s)
+				}
+			}
 		}
-		doc.Extra[ReplicaID(id)] = seqs
 	}
 	if pos != len(data) {
-		return doc, fmt.Errorf("vclock: %d trailing bytes in knowledge encoding", len(data)-pos)
+		return fmt.Errorf("vclock: %d trailing bytes in knowledge encoding", len(data)-pos)
 	}
-	return doc, nil
+	return nil
 }
 
 // appendVector encodes a bare version vector with the same conventions as
@@ -165,16 +164,20 @@ func (k *Knowledge) WireSize() int {
 	if k.wireSize != 0 {
 		return k.wireSize
 	}
-	n := vectorWireSize(k.base)
-	n += uvarintLen(uint64(len(k.extra)))
-	for r, ex := range k.extra {
-		n += uvarintLen(uint64(len(r))) + len(r) + uvarintLen(uint64(len(ex)))
-		for s := range ex {
-			n += uvarintLen(s)
+	nBase, nExtra, n := 0, 0, 0
+	for _, w := range k.rows {
+		id := uvarintLen(uint64(len(w.creator))) + len(w.creator)
+		if w.base > 0 {
+			nBase++
+			n += id + uvarintLen(w.base)
+		}
+		if len(w.extra) > 0 {
+			nExtra++
+			n += id + uvarintLen(uint64(len(w.extra))) + w.extraSize
 		}
 	}
-	k.wireSize = n
-	return n
+	k.wireSize = n + uvarintLen(uint64(nBase)) + uvarintLen(uint64(nExtra))
+	return k.wireSize
 }
 
 func sortedIDs(capacity int) []string { return make([]string, 0, capacity) }

@@ -54,30 +54,29 @@ func (d *Delta) Changes() *Knowledge { return d.changes }
 // old does not already contain them.
 func (k *Knowledge) DiffSince(old *Knowledge) *Knowledge {
 	out := NewKnowledge()
-	for r, s := range k.base {
-		if s > old.base[r] {
-			out.base[r] = s
+	for _, w := range k.rows {
+		var o row
+		if i, ok := old.index[w.creator]; ok {
+			o = old.rows[i]
+		}
+		d := row{creator: w.creator}
+		if w.base > o.base {
+			d.base = w.base
+		}
+		for s := range w.extra {
+			if !o.has(s) {
+				d.insert(s)
+			}
+		}
+		// An exception of k whose base did not advance lands in d with a zero
+		// base, which may leave it contiguous from zero; fold for canonical
+		// form (set-preserving, exactly like decode).
+		d.compact()
+		if d.base > 0 || len(d.extra) > 0 {
+			out.rows = append(out.rows, d)
 		}
 	}
-	for r, ex := range k.extra {
-		for s := range ex {
-			if old.Contains(Version{Replica: r, Seq: s}) {
-				continue
-			}
-			m := out.extra[r]
-			if m == nil {
-				m = make(map[uint64]struct{})
-				out.extra[r] = m
-			}
-			m[s] = struct{}{}
-		}
-	}
-	// An exception of k whose base entry did not advance lands in out with a
-	// zero base, which may leave it contiguous from zero; fold for canonical
-	// form (set-preserving, exactly like decode).
-	for r := range out.extra {
-		out.compact(r)
-	}
+	out.reindex()
 	return out
 }
 

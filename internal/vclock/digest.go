@@ -54,7 +54,7 @@ func (k *Knowledge) Digest(fpRate float64) *Digest {
 	if !(fpRate > 0 && fpRate < 1) {
 		fpRate = DefaultDigestFPRate
 	}
-	d := &Digest{base: k.base.Clone()}
+	d := &Digest{base: k.Base()}
 	n := k.ExceptionCount()
 	if n == 0 {
 		return d
@@ -71,9 +71,9 @@ func (k *Knowledge) Digest(fpRate float64) *Digest {
 	}
 	d.bits = make([]uint64, words)
 	d.k = uint32(probes)
-	for r, ex := range k.extra {
-		for s := range ex {
-			d.add(Version{Replica: r, Seq: s})
+	for _, w := range k.rows {
+		for s := range w.extra {
+			d.add(Version{Replica: w.creator, Seq: s})
 		}
 	}
 	return d

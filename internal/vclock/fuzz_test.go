@@ -25,27 +25,33 @@ func decodeCanonical(t *testing.T, data []byte) (*Knowledge, bool) {
 	return k, true
 }
 
-// checkCanonical fails the test unless k is in canonical form: no zero base
-// entries, no exception at or below the base, no exception contiguous with
-// the base, no empty exception sets.
+// checkCanonical fails the test unless k is in canonical form: one row per
+// creator, which the index finds, no empty row, no exception at or below the
+// base or contiguous with it, and each row's recorded exception size exact.
 func checkCanonical(t *testing.T, k *Knowledge, what string) {
 	t.Helper()
-	for r, s := range k.base {
-		if s == 0 {
-			t.Fatalf("%s: zero base entry for %q", what, r)
-		}
+	if len(k.index) != len(k.rows) {
+		t.Fatalf("%s: %d rows, %d indexed creators", what, len(k.rows), len(k.index))
 	}
-	for r, ex := range k.extra {
-		if len(ex) == 0 {
-			t.Fatalf("%s: empty exception set for %q", what, r)
+	for i, w := range k.rows {
+		if j, ok := k.index[w.creator]; !ok || j != i {
+			t.Fatalf("%s: row %d (%q) indexed at %d, %v", what, i, w.creator, j, ok)
 		}
-		for s := range ex {
-			if s <= k.base[r] {
-				t.Fatalf("%s: exception %s:%d at or below base %d", what, r, s, k.base[r])
+		if w.base == 0 && len(w.extra) == 0 {
+			t.Fatalf("%s: empty row for %q", what, w.creator)
+		}
+		size := 0
+		for s := range w.extra {
+			size += uvarintLen(s)
+			if s <= w.base {
+				t.Fatalf("%s: exception %s:%d at or below base %d", what, w.creator, s, w.base)
 			}
-			if s == k.base[r]+1 {
-				t.Fatalf("%s: exception %s:%d contiguous with base %d (not compacted)", what, r, s, k.base[r])
+			if s == w.base+1 {
+				t.Fatalf("%s: exception %s:%d contiguous with base %d (not compacted)", what, w.creator, s, w.base)
 			}
+		}
+		if size != w.extraSize {
+			t.Fatalf("%s: exceptions of %q encode to %d bytes, row records %d", what, w.creator, size, w.extraSize)
 		}
 	}
 }
@@ -56,16 +62,15 @@ func checkCanonical(t *testing.T, k *Knowledge, what string) {
 // enumerate forever.
 func sampleVersions(k *Knowledge) []Version {
 	var vs []Version
-	for r, s := range k.base {
-		lo := uint64(1)
-		for q := lo; q <= s && q <= lo+8; q++ {
-			vs = append(vs, Version{Replica: r, Seq: q})
+	for _, w := range k.rows {
+		for q := uint64(1); q <= w.base && q <= 9; q++ {
+			vs = append(vs, Version{Replica: w.creator, Seq: q})
 		}
-		vs = append(vs, Version{Replica: r, Seq: s})
-	}
-	for r, ex := range k.extra {
-		for s := range ex {
-			vs = append(vs, Version{Replica: r, Seq: s})
+		if w.base > 0 {
+			vs = append(vs, Version{Replica: w.creator, Seq: w.base})
+		}
+		for s := range w.extra {
+			vs = append(vs, Version{Replica: w.creator, Seq: s})
 		}
 	}
 	return vs
@@ -75,6 +80,10 @@ func FuzzKnowledgeDecode(f *testing.F) {
 	for _, seed := range decodeSeeds() {
 		f.Add(seed)
 	}
+	// The hostile shapes, small enough to mutate quickly.
+	descending, manyCreators := hostileFrames(2000, 500)
+	f.Add(descending)
+	f.Add(manyCreators)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k, ok := decodeCanonical(t, data)
 		if !ok {
@@ -159,10 +168,10 @@ func FuzzKnowledgeMerge(f *testing.F) {
 		union.Merge(b.Base())
 		distinct := make(map[Version]struct{})
 		for _, k := range []*Knowledge{a, b} {
-			for r, ex := range k.extra {
-				for s := range ex {
-					if s > union[r] {
-						distinct[Version{Replica: r, Seq: s}] = struct{}{}
+			for _, w := range k.rows {
+				for s := range w.extra {
+					if s > union[w.creator] {
+						distinct[Version{Replica: w.creator, Seq: s}] = struct{}{}
 					}
 				}
 			}

@@ -2,15 +2,16 @@ package vclock
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
 // Knowledge is the set of versions a replica has learned about, represented
-// compactly as a base version vector (a contiguous prefix per creator) plus a
-// sparse set of exception versions beyond the base. Exceptions are compacted
-// into the base automatically as gaps fill in, keeping the structure
-// proportional to the number of replicas in steady state.
+// compactly as one row per creator: a base (every seq up to it is known) plus
+// a sparse set of exception seqs beyond it. Exceptions are compacted into the
+// base automatically as gaps fill in, keeping the structure proportional to
+// the number of replicas in steady state.
 //
 // Knowledge is exchanged during synchronization so the source can determine
 // exactly which of its stored versions the target has not yet seen; this is
@@ -22,25 +23,111 @@ import (
 // Clone is copy-on-write: clones share storage with their source until either
 // side mutates, so taking a clone is O(1). This is what lets a replica attach
 // its knowledge to every outgoing synchronization request without deep-copying
-// the whole structure per sync. Shared storage is never mutated in place — a
-// mutation first unshares — so a clone remains safe to read concurrently with
-// further mutation of its source (and vice versa).
+// the whole structure per sync. The first write after a clone copies the row
+// array, and only a row whose exceptions it changes has its exception set
+// copied. Shared storage is never mutated in place, so a clone remains safe
+// to read concurrently with further mutation of its source (and vice versa).
+//
+// Rows never move and exception sets are hash sets, so learning a version
+// costs O(1) expected time whatever order a peer's batch comes in.
 type Knowledge struct {
-	base  Vector
-	extra map[ReplicaID]map[uint64]struct{}
-	// shared marks base/extra as possibly referenced by another Knowledge
-	// value; any mutation must unshare first.
-	shared bool
+	// rows holds one row per creator with anything known, in the order the
+	// creators were first learned.
+	rows []row
+	// index maps each creator to its row's position.
+	index map[ReplicaID]int
+	// shared marks rows, and sharedIndex index, as possibly referenced by
+	// another Knowledge value: a mutation copies them first.
+	shared, sharedIndex bool
 	// wireSize memoises WireSize (0: not computed); mutations reset it.
 	wireSize int
 }
 
+// row is one creator's share of a Knowledge: every seq up to base, plus
+// extra, the known seqs above base+1. A row is never empty (base == 0 with no
+// extra).
+type row struct {
+	creator ReplicaID
+	base    uint64
+	extra   map[uint64]struct{}
+	// extraSize is the encoded size of extra's seqs, so WireSize never walks
+	// an exception set.
+	extraSize int
+	// owned reports that no other Knowledge value can reach extra, so it may
+	// be written in place. Copying a row array clears it.
+	owned bool
+}
+
+// has reports whether seq (>= 1) is known.
+//
+//dtn:hotpath
+func (w *row) has(seq uint64) bool {
+	if seq <= w.base {
+		return true
+	}
+	_, ok := w.extra[seq]
+	return ok
+}
+
+// own makes w's exception set writable, copying it when it may be shared.
+func (w *row) own() {
+	if !w.owned || w.extra == nil {
+		extra := make(map[uint64]struct{}, len(w.extra)+1)
+		maps.Copy(extra, w.extra)
+		w.extra, w.owned = extra, true
+	}
+}
+
+// insert adds exception s, copying a shared set first.
+func (w *row) insert(s uint64) {
+	w.own()
+	n := len(w.extra)
+	w.extra[s] = struct{}{}
+	if len(w.extra) > n {
+		w.extraSize += uvarintLen(s)
+	}
+}
+
+// compact folds the exceptions that have become contiguous with the base
+// into it.
+func (w *row) compact() {
+	if _, ok := w.extra[w.base+1]; !ok {
+		return
+	}
+	w.own()
+	for {
+		if _, ok := w.extra[w.base+1]; !ok {
+			return
+		}
+		delete(w.extra, w.base+1)
+		w.base++
+		w.extraSize -= uvarintLen(w.base)
+	}
+}
+
 // NewKnowledge returns empty knowledge.
 func NewKnowledge() *Knowledge {
-	return &Knowledge{
-		base:  NewVector(),
-		extra: make(map[ReplicaID]map[uint64]struct{}),
+	return &Knowledge{}
+}
+
+// reindex builds a fresh creator index after the row array was replaced.
+func (k *Knowledge) reindex() {
+	k.index = make(map[ReplicaID]int, len(k.rows))
+	for i, w := range k.rows {
+		k.index[w.creator] = i
 	}
+	k.sharedIndex = false
+}
+
+// byCreator returns the rows in creator order, the order the encoding and
+// String list them in.
+func (k *Knowledge) byCreator() []*row {
+	out := make([]*row, len(k.rows))
+	for i := range k.rows {
+		out[i] = &k.rows[i]
+	}
+	slices.SortFunc(out, func(a, b *row) int { return strings.Compare(string(a.creator), string(b.creator)) })
+	return out
 }
 
 // Contains reports whether version v has been learned.
@@ -50,11 +137,8 @@ func (k *Knowledge) Contains(v Version) bool {
 	if v.Seq == 0 {
 		return false
 	}
-	if k.base[v.Replica] >= v.Seq {
-		return true
-	}
-	_, ok := k.extra[v.Replica][v.Seq]
-	return ok
+	i, ok := k.index[v.Replica]
+	return ok && k.rows[i].has(v.Seq)
 }
 
 // CreatorView is one creator's share of a Knowledge, looked up once so that
@@ -70,7 +154,10 @@ type CreatorView struct {
 //
 //dtn:hotpath
 func (k *Knowledge) View(r ReplicaID) CreatorView {
-	return CreatorView{Base: k.base[r], extra: k.extra[r]}
+	if i, ok := k.index[r]; ok {
+		return CreatorView{Base: k.rows[i].base, extra: k.rows[i].extra}
+	}
+	return CreatorView{}
 }
 
 // HasException reports whether seq is known beyond the base.
@@ -81,22 +168,31 @@ func (v CreatorView) HasException(seq uint64) bool {
 	return ok
 }
 
-// unshare gives k exclusive storage before a mutation. Shared maps are
-// abandoned to their other referents, never written.
-func (k *Knowledge) unshare() {
-	if !k.shared {
-		return
-	}
-	base := k.base.Clone()
-	extra := make(map[ReplicaID]map[uint64]struct{}, len(k.extra))
-	for r, ex := range k.extra {
-		m := make(map[uint64]struct{}, len(ex))
-		for s := range ex {
-			m[s] = struct{}{}
+// edit returns creator c's row for writing, appending an empty row (for the
+// caller to fill) when c is new. Shared storage is copied first: the row
+// array on the first write after a clone, the index when a creator is added.
+func (k *Knowledge) edit(c ReplicaID) *row {
+	k.wireSize = 0
+	if k.shared {
+		rows := make([]row, len(k.rows), len(k.rows)+1)
+		copy(rows, k.rows)
+		for i := range rows {
+			rows[i].owned = false
 		}
-		extra[r] = m
+		k.rows, k.shared = rows, false
 	}
-	k.base, k.extra, k.shared = base, extra, false
+	i, ok := k.index[c]
+	if !ok {
+		if k.sharedIndex || k.index == nil {
+			index := make(map[ReplicaID]int, len(k.rows)+1)
+			maps.Copy(index, k.index)
+			k.index, k.sharedIndex = index, false
+		}
+		i = len(k.rows)
+		k.rows = append(k.rows, row{creator: c})
+		k.index[c] = i
+	}
+	return &k.rows[i]
 }
 
 // Add records version v as learned and compacts exceptions that have become
@@ -107,89 +203,59 @@ func (k *Knowledge) Add(v Version) bool {
 	if v.Seq == 0 || k.Contains(v) {
 		return false
 	}
-	k.unshare()
-	k.wireSize = 0
-	if k.base[v.Replica]+1 == v.Seq {
-		k.base[v.Replica] = v.Seq
-		k.compact(v.Replica)
-		return true
+	w := k.edit(v.Replica)
+	if w.base+1 == v.Seq {
+		w.base = v.Seq
+		w.compact()
+	} else {
+		w.insert(v.Seq)
 	}
-	ex := k.extra[v.Replica]
-	if ex == nil {
-		ex = make(map[uint64]struct{})
-		k.extra[v.Replica] = ex
-	}
-	ex[v.Seq] = struct{}{}
 	return true
 }
 
-// compact folds exceptions for replica r that are contiguous with the base
-// into the base vector.
-func (k *Knowledge) compact(r ReplicaID) {
-	ex := k.extra[r]
-	if ex == nil {
-		return
-	}
-	for {
-		next := k.base[r] + 1
-		if _, ok := ex[next]; !ok {
-			break
-		}
-		delete(ex, next)
-		k.base[r] = next
-	}
-	if len(ex) == 0 {
-		delete(k.extra, r)
-	}
-}
-
-// Merge folds all versions known to other into k.
+// Merge folds all versions known to other into k, one row at a time.
 //
 //dtn:hotpath
 func (k *Knowledge) Merge(other *Knowledge) {
-	if other == nil {
+	if other == nil || other == k {
 		return
 	}
-	k.unshare()
-	k.wireSize = 0
-	for r, s := range other.base {
-		// Everything up to other's base is known; anything in k.extra at or
-		// below that base becomes redundant after raising k.base.
-		if k.base[r] < s {
-			k.base[r] = s
-		}
-	}
-	for r, seqs := range other.extra {
-		for s := range seqs {
-			if k.base[r] < s {
-				ex := k.extra[r]
-				if ex == nil {
-					ex = make(map[uint64]struct{})
-					k.extra[r] = ex
-				}
-				ex[s] = struct{}{}
-			}
-		}
-	}
-	for r, ex := range k.extra {
-		for s := range ex {
-			if s <= k.base[r] {
-				delete(ex, s)
-			}
-		}
-		k.compact(r)
+	for j := range other.rows {
+		w := k.edit(other.rows[j].creator)
+		*w = union(w, &other.rows[j])
 	}
 }
 
+// union returns the row knowing everything a or b (one creator's) knows, in
+// an exception set of its own.
+func union(a, b *row) row {
+	out := row{creator: a.creator, base: max(a.base, b.base)}
+	for _, x := range [2]*row{a, b} {
+		for s := range x.extra {
+			if s > out.base {
+				out.insert(s)
+			}
+		}
+	}
+	out.compact()
+	return out
+}
+
 // Base returns a copy of the contiguous base vector.
-func (k *Knowledge) Base() Vector { return k.base.Clone() }
+func (k *Knowledge) Base() Vector {
+	v := NewVector()
+	for _, w := range k.rows {
+		v.Set(w.creator, w.base) // a zero base sets nothing
+	}
+	return v
+}
 
 // ExceptionCount returns the number of versions held outside the base vector.
 // It is a direct measure of metadata compactness.
 func (k *Knowledge) ExceptionCount() int {
 	n := 0
-	for _, ex := range k.extra {
-		n += len(ex)
+	for _, w := range k.rows {
+		n += len(w.extra)
 	}
 	return n
 }
@@ -197,49 +263,45 @@ func (k *Knowledge) ExceptionCount() int {
 // Size returns the total number of tracked entries: one per replica in the
 // base plus one per exception.
 func (k *Knowledge) Size() int {
-	return len(k.base) + k.ExceptionCount()
+	n := 0
+	for _, w := range k.rows {
+		if w.base > 0 {
+			n++
+		}
+		n += len(w.extra)
+	}
+	return n
 }
 
 // Count returns the total number of versions the knowledge contains.
 func (k *Knowledge) Count() uint64 {
 	var n uint64
-	for _, s := range k.base {
-		n += s
+	for _, w := range k.rows {
+		n += w.base + uint64(len(w.extra))
 	}
-	return n + uint64(k.ExceptionCount())
+	return n
 }
 
 // Clone returns a logically independent copy in O(1): the copy shares
 // storage with k until either side next mutates (copy-on-write). Reading the
 // clone is safe even while k keeps mutating, because mutation never writes
-// shared maps in place.
+// shared storage in place.
 //
 //dtn:hotpath
 func (k *Knowledge) Clone() *Knowledge {
-	k.shared = true
-	return &Knowledge{base: k.base, extra: k.extra, shared: true, wireSize: k.wireSize}
+	k.shared, k.sharedIndex = true, true
+	return &Knowledge{rows: k.rows, index: k.index, shared: true, sharedIndex: true, wireSize: k.wireSize}
 }
 
 // Equal reports whether two knowledge values contain the same version set.
 func (k *Knowledge) Equal(other *Knowledge) bool {
-	if other == nil {
+	if other == nil || len(k.rows) != len(other.rows) {
 		return false
 	}
-	if !k.base.Equal(other.base) {
-		return false
-	}
-	if len(k.extra) != len(other.extra) {
-		return false
-	}
-	for r, ex := range k.extra {
-		oex := other.extra[r]
-		if len(ex) != len(oex) {
+	for _, w := range k.rows {
+		i, ok := other.index[w.creator]
+		if !ok || other.rows[i].base != w.base || !maps.Equal(other.rows[i].extra, w.extra) {
 			return false
-		}
-		for s := range ex {
-			if _, ok := oex[s]; !ok {
-				return false
-			}
 		}
 	}
 	return true
@@ -248,100 +310,57 @@ func (k *Knowledge) Equal(other *Knowledge) bool {
 // String renders knowledge deterministically, e.g. "{a:3 b:7}+[b:9 b:12]".
 func (k *Knowledge) String() string {
 	var b strings.Builder
-	b.WriteString(k.base.String())
-	if k.ExceptionCount() > 0 {
-		versions := make([]Version, 0, k.ExceptionCount())
-		for r, ex := range k.extra {
-			for s := range ex {
-				versions = append(versions, Version{Replica: r, Seq: s})
-			}
+	b.WriteString(k.Base().String())
+	sep := "+["
+	for _, w := range k.byCreator() {
+		for _, s := range w.sortedExtra(nil) {
+			b.WriteString(sep)
+			b.WriteString(Version{Replica: w.creator, Seq: s}.String())
+			sep = " "
 		}
-		sort.Slice(versions, func(i, j int) bool {
-			if versions[i].Replica != versions[j].Replica {
-				return versions[i].Replica < versions[j].Replica
-			}
-			return versions[i].Seq < versions[j].Seq
-		})
-		b.WriteString("+[")
-		for i, v := range versions {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(v.String())
-		}
+	}
+	if sep == " " {
 		b.WriteByte(']')
 	}
 	return b.String()
 }
 
-// knowledgeDoc is the document form the binary codec (codec.go) encodes.
-type knowledgeDoc struct {
-	Base  Vector
-	Extra map[ReplicaID][]uint64
+// sortedExtra appends w's exceptions to buf[:0] in ascending order.
+func (w *row) sortedExtra(buf []uint64) []uint64 {
+	buf = buf[:0]
+	for s := range w.extra {
+		buf = append(buf, s)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler via a deterministic
-// document form (snapshots and WAL records carry knowledge this way).
+// MarshalBinary implements encoding.BinaryMarshaler (snapshots and WAL
+// records carry knowledge this way; see codec.go for the layout).
 func (k *Knowledge) MarshalBinary() ([]byte, error) {
 	return k.AppendBinary(nil)
 }
 
-// AppendBinary implements encoding.BinaryAppender: it appends the exact
-// MarshalBinary encoding to buf and returns the extended slice, so callers
-// assembling larger frames (the internal/wire codec) reuse one buffer
-// instead of marshaling into a throwaway allocation.
-func (k *Knowledge) AppendBinary(buf []byte) ([]byte, error) {
-	doc := knowledgeDoc{Base: k.base, Extra: make(map[ReplicaID][]uint64, len(k.extra))}
-	for r, ex := range k.extra {
-		seqs := make([]uint64, 0, len(ex))
-		for s := range ex {
-			seqs = append(seqs, s)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		doc.Extra[r] = seqs
-	}
-	return appendDoc(buf, doc)
-}
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Decoded knowledge
-// is canonicalized — zero base entries dropped, exceptions at or below the
-// base discarded, contiguous exceptions folded into the base — because the
-// bytes come from a peer: a malformed or adversarial encoding must not
-// produce a Knowledge whose Count double-counts versions or whose Equal
-// disagrees with set equality. Encodings produced by MarshalBinary are
-// already canonical, so for honest peers this is a no-op.
+// is canonicalized — duplicate creators folded together, zero base entries
+// dropped, exceptions at or below the base discarded, contiguous exceptions
+// folded into the base — because the bytes come from a peer: a malformed or
+// adversarial encoding must not produce a Knowledge whose Count
+// double-counts versions or whose Equal disagrees with set equality.
+// Encodings produced by MarshalBinary are already canonical, so for honest
+// peers this is a no-op.
 func (k *Knowledge) UnmarshalBinary(data []byte) error {
-	doc, err := decodeDoc(data)
-	if err != nil {
+	fresh := NewKnowledge()
+	if err := fresh.decode(data); err != nil {
 		return fmt.Errorf("vclock: decode knowledge: %w", err)
 	}
-	k.base = doc.Base
-	if k.base == nil {
-		k.base = NewVector()
-	}
-	for r, s := range k.base {
-		if s == 0 {
-			delete(k.base, r)
+	// The decoded rows are freshly built, so any previous sharing ends here.
+	k.rows, k.shared, k.wireSize = fresh.rows[:0], false, 0
+	for _, w := range fresh.rows {
+		if w.compact(); w.base > 0 || len(w.extra) > 0 {
+			k.rows = append(k.rows, w)
 		}
 	}
-	// The decoded maps are freshly built, so any previous sharing ends here.
-	k.shared = false
-	k.wireSize = 0
-	k.extra = make(map[ReplicaID]map[uint64]struct{}, len(doc.Extra))
-	for r, seqs := range doc.Extra {
-		ex := make(map[uint64]struct{}, len(seqs))
-		for _, s := range seqs {
-			if s == 0 || s <= k.base[r] {
-				continue
-			}
-			ex[s] = struct{}{}
-		}
-		if len(ex) > 0 {
-			k.extra[r] = ex
-		}
-	}
-	for r := range k.extra {
-		k.compact(r)
-	}
+	k.reindex()
 	return nil
 }

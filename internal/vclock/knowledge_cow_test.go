@@ -43,6 +43,18 @@ func TestCloneCopyOnWriteIndependence(t *testing.T) {
 	if k.Contains(Version{Replica: "d", Seq: 3}) {
 		t.Fatal("merge into clone leaked into source")
 	}
+
+	// A row Merge adopts from its argument must not alias the argument's
+	// exceptions: growing them in place afterwards must not reach k.
+	donor := NewKnowledge()
+	for _, s := range []uint64{3, 5, 9} {
+		donor.Add(Version{Replica: "e", Seq: s})
+	}
+	k.Merge(donor)
+	donor.Add(Version{Replica: "e", Seq: 7})
+	if k.Contains(Version{Replica: "e", Seq: 7}) || !k.Contains(Version{Replica: "e", Seq: 9}) {
+		t.Fatalf("the merged-from knowledge's later insert leaked into the merge: %s", k)
+	}
 }
 
 // TestCloneChainsShareUntilWrite exercises multiple live clones of the same
@@ -103,6 +115,42 @@ func TestCloneConcurrentReadDuringMutation(t *testing.T) {
 	wg.Wait()
 	if snap.Contains(Version{Replica: "a", Seq: 101}) {
 		t.Fatal("clone observed post-clone mutation")
+	}
+}
+
+// TestCloneFirstWriteCopiesOneRow pins copy-on-write's granularity with an
+// allocation count: the first Add after a Clone copies the row array and the
+// written row's exception set, not every creator's, so what it costs does not
+// grow with the exceptions the other creators hold. The shape is the paper
+// trace's fleet: 26 creators; the written one holds 5 exceptions, the other
+// 25 hold 5, 50 or 500 each.
+func TestCloneFirstWriteCopiesOneRow(t *testing.T) {
+	var counts []float64
+	for _, perCreator := range []int{5, 50, 500} {
+		k := NewKnowledge()
+		for c := 0; c < 26; c++ {
+			n := perCreator
+			if c == 7 {
+				n = 5
+			}
+			for i := 0; i < n; i++ {
+				// Odd seqs from 3: every one an exception, none contiguous.
+				k.Add(Version{Replica: ReplicaID(fmt.Sprintf("bus-%02d", c)), Seq: uint64(3 + 2*i)})
+			}
+		}
+		next := Version{Replica: "bus-07", Seq: 3 + 2*5}
+		allocs := testing.AllocsPerRun(100, func() {
+			c := k.Clone()
+			c.Add(next)
+		})
+		if allocs > 6 {
+			t.Errorf("%d exceptions per other creator: Clone + Add allocates %v times, want at most 6", perCreator, allocs)
+		}
+		counts = append(counts, allocs)
+	}
+	t.Logf("Clone + Add allocations at 5/50/500 exceptions per other creator: %v", counts)
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Errorf("Clone + Add allocations grow with other creators' exceptions: %v", counts)
 	}
 }
 

@@ -39,19 +39,19 @@ func buildKnowledge(vs versionList) *Knowledge {
 // it in).
 func checkCompact(t *testing.T, k *Knowledge) bool {
 	t.Helper()
-	for r, ex := range k.extra {
-		if len(ex) == 0 {
-			t.Logf("empty exception set retained for %s", r)
+	for _, w := range k.rows {
+		if w.base == 0 && len(w.extra) == 0 {
+			t.Logf("empty row retained for %s", w.creator)
 			return false
 		}
-		for s := range ex {
-			if s <= k.base[r] {
-				t.Logf("exception %s:%d at or below base %d", r, s, k.base[r])
+		for s := range w.extra {
+			if s <= w.base {
+				t.Logf("exception %s:%d at or below base %d", w.creator, s, w.base)
 				return false
 			}
 		}
-		if _, ok := ex[k.base[r]+1]; ok {
-			t.Logf("base %s:%d not maximal: %d is an exception", r, k.base[r], k.base[r]+1)
+		if _, ok := w.extra[w.base+1]; ok {
+			t.Logf("base %s:%d not maximal: %d is an exception", w.creator, w.base, w.base+1)
 			return false
 		}
 	}

@@ -30,16 +30,16 @@ func TestDigestNoFalseNegatives(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		k := randomKnowledge(rng)
 		d := k.Digest(0.01)
-		for r, ex := range k.extra {
-			for s := range ex {
-				v := Version{Replica: r, Seq: s}
+		for _, w := range k.rows {
+			for s := range w.extra {
+				v := Version{Replica: w.creator, Seq: s}
 				if !d.MayHaveException(v) {
 					t.Fatalf("trial %d: digest of %v lost exception %v", trial, k, v)
 				}
 			}
 		}
-		if !d.Base().Equal(k.base) {
-			t.Fatalf("trial %d: digest base %v != knowledge base %v", trial, d.Base(), k.base)
+		if !d.Base().Equal(k.Base()) {
+			t.Fatalf("trial %d: digest base %v != knowledge base %v", trial, d.Base(), k.Base())
 		}
 	}
 }
@@ -160,16 +160,16 @@ func TestDigestDecodeRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
-		"truncated header":   valid[:1],
-		"truncated filter":   valid[:len(valid)-1],
-		"trailing bytes":     append(append([]byte{}, valid...), 0xff),
-		"forged word count":  {0x00, 0x01, 0x01, 0x7f}, // count=1, k=1, nWords=127, no bytes
+		"truncated header":  valid[:1],
+		"truncated filter":  valid[:len(valid)-1],
+		"trailing bytes":    append(append([]byte{}, valid...), 0xff),
+		"forged word count": {0x00, 0x01, 0x01, 0x7f}, // count=1, k=1, nWords=127, no bytes
 		// nWords = 2^61: nWords*8 wraps to 0, matching the zero remaining
 		// bytes — the length check must not multiply.
 		"overflowing word count": {0x00, 0x01, 0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20},
-		"degenerate probes":  {0x00, 0x01, 0x7f, 0x00}, // k=127 > maxDigestProbes
-		"filter for nothing": {0x00, 0x00, 0x01, 0x00}, // count=0 but k=1
-		"empty filter":       {0x00, 0x01, 0x00, 0x00}, // count=1 but k=0, nWords=0
+		"degenerate probes":      {0x00, 0x01, 0x7f, 0x00}, // k=127 > maxDigestProbes
+		"filter for nothing":     {0x00, 0x00, 0x01, 0x00}, // count=0 but k=1
+		"empty filter":           {0x00, 0x01, 0x00, 0x00}, // count=1 but k=0, nWords=0
 	}
 	for name, data := range cases {
 		var bad Digest

@@ -4,9 +4,9 @@
 //
 // Every update in the system is identified by a Version: the Seq-th event
 // created by a given replica. A replica's knowledge is the set of versions it
-// has learned, stored as a contiguous base vector (per creator) plus a sparse
-// exception set, so its size is proportional to the number of replicas rather
-// than the number of items in steady state.
+// has learned, stored as one row per creator (a contiguous base plus a
+// sparse exception set), so its size is proportional to the number of replicas
+// rather than the number of items in steady state.
 package vclock
 
 import (

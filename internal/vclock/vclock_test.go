@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -155,6 +156,28 @@ func TestKnowledgeMerge(t *testing.T) {
 	}
 	if a.ExceptionCount() != 0 {
 		t.Errorf("merge should have compacted, %d exceptions left", a.ExceptionCount())
+	}
+}
+
+// TestViewMatchesContains checks a creator's view — the base and exception
+// set the serve walk loads once per version run — against Contains, for
+// known and unknown creators alike.
+func TestViewMatchesContains(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		k := NewKnowledge()
+		for i := 0; i < 40; i++ {
+			k.Add(Version{Replica: ReplicaID(fmt.Sprintf("c%02d", rng.Intn(12))), Seq: uint64(1 + rng.Intn(30))})
+		}
+		for c := 0; c < 14; c++ {
+			r := ReplicaID(fmt.Sprintf("c%02d", c))
+			view := k.View(r)
+			for s := uint64(1); s <= 31; s++ {
+				if got, want := s <= view.Base || view.HasException(s), k.Contains(Version{Replica: r, Seq: s}); got != want {
+					t.Fatalf("trial %d: view of %s answers %v for seq %d, Contains %v (%s)", trial, r, got, s, want, k)
+				}
+			}
+		}
 	}
 }
 
