@@ -88,10 +88,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/persist/wal/
 
 ## bench runs the hot-path microbenchmarks (store mutation, sync batch
-## assembly, whole emulation runs, one MaxProp-served sync, one bulk pull over
-## loopback — B/op is the number to watch there — one WAL segment merge, and
-## the observability hooks' disabled-path overhead) with allocation stats, for
-## before/after comparisons.
+## assembly, whole emulation runs, one MaxProp-served sync, one routing-state
+## exchange per PROPHET and MaxProp, one bulk pull over loopback — B/op is the
+## number to watch there — one WAL segment merge, and the observability hooks'
+## disabled-path overhead) with allocation stats, for before/after comparisons.
 ## The alloc budget test turns the //dtn:hotpath functions' measured allocs/op
 ## into a hard assertion (it must run without -race; the race runtime inflates
 ## allocation counts).
@@ -101,6 +101,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkHandleSyncRequest|BenchmarkMakeSyncRequest' -benchmem ./internal/replica/
 	$(GO) test -run xxx -bench 'BenchmarkEmuRun' -benchmem ./internal/emu/
 	$(GO) test -run xxx -bench 'BenchmarkMaxPropServe' -benchmem ./internal/routing/maxprop/
+	$(GO) test -run xxx -bench 'BenchmarkRoutingExchange' -benchmem ./internal/routing/
 	$(GO) test -run xxx -bench 'BenchmarkPullBatch' -benchmem ./internal/transport/
 	$(GO) test -run xxx -bench 'BenchmarkCompaction' -benchmem ./internal/persist/wal/
 	$(GO) test -run xxx -bench 'BenchmarkSyncHooks' -benchmem .

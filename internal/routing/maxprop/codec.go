@@ -4,25 +4,27 @@ import (
 	"fmt"
 	"math"
 
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire/prim"
 )
 
 // Requests and persisted state are written in the internal/wire layout (maps
-// sorted by key), so identical state always serializes to identical bytes.
+// sorted by key, as they are kept), so identical state always serializes to
+// identical bytes.
 
 func appendRow(buf []byte, row Row) []byte {
-	buf = prim.AppendMap(buf, row.Probabilities, prim.AppendFloat64)
+	buf = sorted.Append(buf, row.Probabilities, prim.AppendFloat64)
 	return prim.AppendVarint(buf, row.Updated)
 }
 
 // readTable decodes a meeting-probability table, rejecting row values
 // outside [0, 1]: path costs are sums of 1 − f, so a forged probability
 // above 1 would make a path through the forger look cheaper than free.
-func readTable(d *prim.Decoder) map[vclock.ReplicaID]Row {
-	return prim.ReadMap[vclock.ReplicaID](d, func() Row {
+func readTable(d *prim.Decoder) sorted.Map[vclock.ReplicaID, Row] {
+	return sorted.Read[vclock.ReplicaID](d, func() Row {
 		return Row{
-			Probabilities: prim.ReadMap[vclock.ReplicaID](d, d.Prob),
+			Probabilities: sorted.Read[vclock.ReplicaID](d, d.Prob),
 			Updated:       d.Varint(),
 		}
 	})
@@ -33,8 +35,8 @@ func appendHome(buf []byte, h Home) []byte {
 	return prim.AppendVarint(buf, h.Updated)
 }
 
-func readHomes(d *prim.Decoder) map[string]Home {
-	return prim.ReadMap[string](d, func() Home {
+func readHomes(d *prim.Decoder) sorted.Map[string, Home] {
+	return sorted.Read[string](d, func() Home {
 		return Home{Node: vclock.ReplicaID(d.String()), Updated: d.Varint()}
 	})
 }
@@ -43,8 +45,8 @@ func readHomes(d *prim.Decoder) map[string]Home {
 // address homes.
 func (r *Request) AppendBinary(buf []byte) []byte {
 	buf = prim.AppendStrings(buf, r.OwnAddresses)
-	buf = prim.AppendMap(buf, r.Table, appendRow)
-	return prim.AppendMap(buf, r.Homes, appendHome)
+	buf = sorted.Append(buf, r.Table, appendRow)
+	return sorted.Append(buf, r.Homes, appendHome)
 }
 
 // DecodeRequest decodes a request written by AppendBinary.
@@ -67,9 +69,9 @@ const stateVersion = 1
 // SnapshotState implements routing.Persistent: the raw meeting weights, the
 // learned probability table, and the address-home beliefs.
 func (p *Policy) SnapshotState() ([]byte, error) {
-	buf := prim.AppendMap([]byte{stateVersion}, p.weights, prim.AppendFloat64)
-	buf = prim.AppendMap(buf, p.table, appendRow)
-	return prim.AppendMap(buf, p.homes, appendHome), nil
+	buf := sorted.Append([]byte{stateVersion}, p.weights, prim.AppendFloat64)
+	buf = sorted.Append(buf, p.table, appendRow)
+	return sorted.Append(buf, p.homes, appendHome), nil
 }
 
 // RestoreState implements routing.Persistent. Our own row is rebuilt from the
@@ -80,12 +82,12 @@ func (p *Policy) RestoreState(data []byte) error {
 	if v := d.Byte(); d.Err() == nil && v != stateVersion {
 		d.Fail(fmt.Errorf("state version %d, want %d", v, stateVersion))
 	}
-	weights := prim.ReadMap[vclock.ReplicaID](d, d.Float64)
-	for id, w := range weights {
+	weights := sorted.Read[vclock.ReplicaID](d, d.Float64)
+	for _, w := range weights.Entries() {
 		// Our row is weights normalized: a negative or non-finite count
 		// would put a probability outside [0, 1] behind readTable's back.
-		if !(w >= 0) || math.IsInf(w, 1) {
-			d.Fail(fmt.Errorf("meeting weight %v for %q", w, id))
+		if !(w.Val >= 0) || math.IsInf(w.Val, 1) {
+			d.Fail(fmt.Errorf("meeting weight %v for %q", w.Val, w.Key))
 		}
 	}
 	table := readTable(d)
@@ -94,6 +96,7 @@ func (p *Policy) RestoreState(data []byte) error {
 		return fmt.Errorf("maxprop: restore state: %w", err)
 	}
 	p.weights, p.table, p.homes = weights, table, homes
-	p.rebuildOwn(table[p.self].Updated)
+	own, _ := table.Get(p.self)
+	p.rebuildOwn(own.Updated)
 	return nil
 }

@@ -71,13 +71,24 @@ func TestServingLeavesStateUntouched(t *testing.T) {
 }
 
 // TestPublishedRequestImmutable: nothing reachable from a request changes
-// once GenerateReq has returned, whatever sender and receiver go on to do.
+// once GenerateReq has returned, whatever sender and receiver go on to do —
+// although the request holds the sender's own table, not a copy.
 func TestPublishedRequestImmutable(t *testing.T) {
 	ps := fleet(8, 3)
 	sender, receiver := ps[0], ps[1]
 	req := reqFrom(sender)
-	published := req.AppendBinary(nil)
+	if &req.Table.Entries()[0] != &sender.table.Entries()[0] {
+		t.Error("GenerateReq should publish the policy's table, not copy it")
+	}
+	deep, err := DecodeRequest(req.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
 	receiver.ProcessReq(sender.self, req)
+	state, err := sender.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for round := 0; round < 3; round++ {
 		for _, other := range ps[2:] {
 			for _, p := range []*Policy{sender, receiver} {
@@ -87,8 +98,14 @@ func TestPublishedRequestImmutable(t *testing.T) {
 		}
 		sender.ProcessReq(receiver.self, receiver.GenerateReq())
 		receiver.ProcessReq(sender.self, sender.GenerateReq())
+		sender.SetOwnAddresses("addr:00", fmt.Sprintf("addr:moved-%d", round))
+		if err := sender.RestoreState(state); err != nil {
+			t.Fatal(err)
+		}
+		sender.GenerateReq()
+		sender.ToSend(entryWith(DefaultHopThreshold, "addr:03"), routing.Target{})
 	}
-	if !bytes.Equal(published, req.AppendBinary(nil)) {
+	if !bytes.Equal(deep.AppendBinary(nil), req.AppendBinary(nil)) {
 		t.Error("a published request changed after GenerateReq returned")
 	}
 }
@@ -131,16 +148,17 @@ func TestShortestPathsOncePerStateVersion(t *testing.T) {
 	}
 }
 
-// TestGenerateReqAllocsIndependentOfRowWidth: a request shares rows, so its
-// cost follows the number of rows, not their width.
+// TestGenerateReqAllocsIndependentOfRowWidth: a request shares the table and
+// its rows, so its allocations follow neither the number of rows nor their
+// width.
 func TestGenerateReqAllocsIndependentOfRowWidth(t *testing.T) {
-	narrow := fleet(64, 2)
-	wide := fleet(64, 24)
-	allocs := func(p *Policy) float64 {
-		return testing.AllocsPerRun(20, func() { p.GenerateReq() })
+	allocs := func(ps []*Policy) float64 {
+		return testing.AllocsPerRun(20, func() { ps[0].GenerateReq() })
 	}
-	if a, b := allocs(narrow[0]), allocs(wide[0]); a != b {
-		t.Errorf("GenerateReq allocates %v times over narrow rows, %v over wide ones", a, b)
+	narrow, wide := allocs(fleet(64, 2)), allocs(fleet(64, 24))
+	few, many := allocs(fleet(8, 2)), allocs(fleet(512, 2))
+	if narrow != wide || few != many || few != narrow {
+		t.Errorf("GenerateReq allocates %v/%v times over 64 narrow/wide rows, %v/%v over 8/512 rows", narrow, wide, few, many)
 	}
 }
 
@@ -150,7 +168,7 @@ func TestGenerateReqAllocsIndependentOfRowWidth(t *testing.T) {
 func TestRestoreRebuildsOwnRowFromWeights(t *testing.T) {
 	state := (&refPolicy{
 		weights: map[vclock.ReplicaID]float64{"b": 1},
-		table:   map[vclock.ReplicaID]Row{"a": {Probabilities: map[vclock.ReplicaID]float64{"c": 1}, Updated: 7}},
+		table:   map[vclock.ReplicaID]refRow{"a": {Probabilities: map[vclock.ReplicaID]float64{"c": 1}, Updated: 7}},
 		homes:   map[string]Home{"addr:b": {Node: "b"}, "addr:c": {Node: "c"}},
 	}).SnapshotState()
 	p := New("a", 3, (&simClock{}).now)
@@ -163,7 +181,7 @@ func TestRestoreRebuildsOwnRowFromWeights(t *testing.T) {
 	if got := p.PathCost("addr:c"); !math.IsInf(got, 1) {
 		t.Errorf("cost through a stale persisted row = %v, want +Inf", got)
 	}
-	if p.table["a"].Updated != 7 {
+	if own, _ := p.table.Get("a"); own.Updated != 7 {
 		t.Error("restore should keep the own row's stamp")
 	}
 }

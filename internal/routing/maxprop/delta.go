@@ -2,10 +2,10 @@ package maxprop
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 
 	"replidtn/internal/routing"
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire/prim"
 )
@@ -21,34 +21,32 @@ type Delta struct {
 	// Rows and Homes hold the entries that differ from the base's; the
 	// totals are the table's and the home map's entry counts, which pin
 	// what the delta leaves unsaid: every other entry is one the base holds.
-	Rows       map[vclock.ReplicaID]Row
+	Rows       sorted.Map[vclock.ReplicaID, Row]
 	TotalRows  int
-	Homes      map[string]Home
+	Homes      sorted.Map[string, Home]
 	TotalHomes int
 }
 
 // sameRow reports whether two rows are one row: rows are never written once
-// built, so the same map under the same stamp is the same content, and
+// built, so the same entries under the same stamp are the same content, and
 // comparing identities keeps a 64-row diff from reading 64 × 64 cells.
 func sameRow(a, b Row) bool {
-	return a.Updated == b.Updated && reflect.ValueOf(a.Probabilities).Pointer() == reflect.ValueOf(b.Probabilities).Pointer()
+	x, y := a.Probabilities.Entries(), b.Probabilities.Entries()
+	return a.Updated == b.Updated && len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
 }
 
 // changed returns the entries of cur that base lacks or holds differently,
 // and whether cur holds every key of base.
-func changed[K comparable, V any](base, cur map[K]V, same func(a, b V) bool) (map[K]V, bool) {
-	out := make(map[K]V)
-	kept := 0
-	for k, v := range cur {
-		old, ok := base[k]
-		if ok {
-			kept++
+func changed[K ~string, V any](base, cur sorted.Map[K, V], same func(a, b V) bool) (sorted.Map[K, V], bool) {
+	kept := true
+	out := sorted.Merge(base, cur, func(_ K, old, v *V) (V, bool) {
+		if v == nil {
+			kept = false
+			return *old, false
 		}
-		if !ok || !same(old, v) {
-			out[k] = v
-		}
-	}
-	return out, kept == len(base)
+		return *v, old == nil || !same(*old, *v)
+	})
+	return out, kept
 }
 
 // DeltaSince implements routing.DeltaRequest. It returns nil when base is
@@ -58,7 +56,7 @@ func (r *Request) DeltaSince(base routing.Request) routing.Delta {
 	if !ok || b == nil {
 		return nil
 	}
-	d := &Delta{TotalRows: len(r.Table), TotalHomes: len(r.Homes)}
+	d := &Delta{TotalRows: r.Table.Len(), TotalHomes: r.Homes.Len()}
 	var rowsOK, homesOK bool
 	d.Rows, rowsOK = changed(b.Table, r.Table, sameRow)
 	d.Homes, homesOK = changed(b.Homes, r.Homes, func(a, b Home) bool { return a == b })
@@ -73,19 +71,15 @@ func (r *Request) DeltaSince(base routing.Request) routing.Delta {
 
 // overlay returns base with set laid over it, or an error when the result
 // does not have total entries.
-func overlay[K comparable, V any](what string, base, set map[K]V, total int) (map[K]V, error) {
-	if total > len(base)+len(set) {
-		return nil, fmt.Errorf("maxprop: delta declares %d %s, base and delta hold %d", total, what, len(base)+len(set))
-	}
-	out := make(map[K]V, total)
-	for k, v := range base {
-		out[k] = v
-	}
-	for k, v := range set {
-		out[k] = v
-	}
-	if len(out) != total {
-		return nil, fmt.Errorf("maxprop: delta yields %d %s, declares %d", len(out), what, total)
+func overlay[K ~string, V any](what string, base, set sorted.Map[K, V], total int) (sorted.Map[K, V], error) {
+	out := sorted.Merge(base, set, func(_ K, old, v *V) (V, bool) {
+		if v != nil {
+			return *v, true
+		}
+		return *old, true
+	})
+	if out.Len() != total {
+		return out, fmt.Errorf("maxprop: delta yields %d %s, declares %d", out.Len(), what, total)
 	}
 	return out, nil
 }
@@ -117,9 +111,9 @@ func (d *Delta) AppendBinary(buf []byte) []byte {
 	if d.OwnChanged {
 		buf = prim.AppendStrings(buf, d.OwnAddresses)
 	}
-	buf = prim.AppendMap(buf, d.Rows, appendRow)
+	buf = sorted.Append(buf, d.Rows, appendRow)
 	buf = prim.AppendUvarint(buf, uint64(d.TotalRows))
-	buf = prim.AppendMap(buf, d.Homes, appendHome)
+	buf = sorted.Append(buf, d.Homes, appendHome)
 	return prim.AppendUvarint(buf, uint64(d.TotalHomes))
 }
 
@@ -142,23 +136,14 @@ func DecodeDelta(data []byte) (*Delta, error) {
 	return delta, nil
 }
 
-func sizeTable(table map[vclock.ReplicaID]Row) int {
-	n := prim.SizeUvarint(uint64(len(table)))
-	for id, row := range table {
-		n += prim.SizeString(string(id)) + prim.SizeUvarint(uint64(len(row.Probabilities))) + prim.SizeVarint(row.Updated)
-		for peer := range row.Probabilities {
-			n += prim.SizeString(string(peer)) + 8
-		}
-	}
-	return n
+func sizeTable(table sorted.Map[vclock.ReplicaID, Row]) int {
+	return sorted.Size(table, func(row Row) int {
+		return sorted.Size(row.Probabilities, func(float64) int { return 8 }) + prim.SizeVarint(row.Updated)
+	})
 }
 
-func sizeHomes(homes map[string]Home) int {
-	n := prim.SizeUvarint(uint64(len(homes)))
-	for addr, h := range homes {
-		n += prim.SizeString(addr) + prim.SizeString(string(h.Node)) + prim.SizeVarint(h.Updated)
-	}
-	return n
+func sizeHomes(homes sorted.Map[string, Home]) int {
+	return sorted.Size(homes, func(h Home) int { return prim.SizeString(string(h.Node)) + prim.SizeVarint(h.Updated) })
 }
 
 // WireSize implements routing.DeltaRequest: the length of AppendBinary's

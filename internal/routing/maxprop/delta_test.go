@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"replidtn/internal/routing"
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire/prim"
 )
@@ -47,8 +48,8 @@ func TestDeltaReconstructsExactly(t *testing.T) {
 		if d == nil {
 			t.Fatalf("round %d: no delta", round)
 		}
-		if got := len(d.(*Delta).Rows); got > learned {
-			t.Errorf("round %d: delta carries %d rows of %d, want <= %d", round, got, len(cur.Table), learned)
+		if got := d.(*Delta).Rows.Len(); got > learned {
+			t.Errorf("round %d: delta carries %d rows of %d, want <= %d", round, got, cur.Table.Len(), learned)
 		}
 		got, err := viaWire(t, d).Apply(held)
 		if err != nil {
@@ -72,10 +73,12 @@ func TestDeltaReconstructsExactly(t *testing.T) {
 // say what changed; DecodeDelta and Apply refuse what no sender emits, and a
 // refused delta leaves the base as it was.
 func TestDeltaDeclinesAndRefuses(t *testing.T) {
-	row := func(p float64) Row { return Row{Probabilities: map[vclock.ReplicaID]float64{"x": p}, Updated: 1} }
+	row := func(p float64) Row {
+		return Row{Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"x": p}), Updated: 1}
+	}
 	base := &Request{
-		Table: map[vclock.ReplicaID]Row{"a": row(0.5), "b": row(0.5)},
-		Homes: map[string]Home{"addr:a": {Node: "a", Updated: 1}},
+		Table: sorted.FromMap(map[vclock.ReplicaID]Row{"a": row(0.5), "b": row(0.5)}),
+		Homes: sorted.FromMap(map[string]Home{"addr:a": {Node: "a", Updated: 1}}),
 	}
 	before := base.AppendBinary(nil)
 
@@ -85,17 +88,18 @@ func TestDeltaDeclinesAndRefuses(t *testing.T) {
 	if d := base.DeltaSince("not a request"); d != nil {
 		t.Error("delta against a foreign base")
 	}
-	if d := (&Request{Table: map[vclock.ReplicaID]Row{"a": base.Table["a"]}, Homes: base.Homes}).DeltaSince(base); d != nil {
+	a, _ := base.Table.Get("a")
+	if d := (&Request{Table: sorted.FromMap(map[vclock.ReplicaID]Row{"a": a}), Homes: base.Homes}).DeltaSince(base); d != nil {
 		t.Error("delta dropping a row")
 	}
 	if d := (&Request{Table: base.Table}).DeltaSince(base); d != nil {
 		t.Error("delta dropping a home")
 	}
 
-	two := (&Delta{Homes: map[string]Home{"a": {}, "b": {}}}).AppendBinary(nil)
+	two := (&Delta{Homes: sorted.FromMap(map[string]Home{"a": {}, "b": {}})}).AppendBinary(nil)
 	swap := func(from, to string) []byte { return bytes.Replace(two, []byte("\x01"+from), []byte("\x01"+to), 1) }
 	for name, buf := range map[string][]byte{
-		"row above one":  (&Delta{Rows: map[vclock.ReplicaID]Row{"a": row(1.5)}}).AppendBinary(nil),
+		"row above one":  (&Delta{Rows: sorted.FromMap(map[vclock.ReplicaID]Row{"a": row(1.5)})}).AppendBinary(nil),
 		"unsorted keys":  swap("a", "c"),
 		"duplicate keys": swap("b", "a"),
 		"forged count":   append([]byte{0}, prim.AppendUvarint(nil, 1<<40)...),
@@ -109,7 +113,7 @@ func TestDeltaDeclinesAndRefuses(t *testing.T) {
 
 	for name, d := range map[string]*Delta{
 		// The base has no third row, no second home, to leave unchanged.
-		"absent row unchanged":  {Rows: map[vclock.ReplicaID]Row{"c": row(0.25)}, TotalRows: 4, TotalHomes: 1},
+		"absent row unchanged":  {Rows: sorted.FromMap(map[vclock.ReplicaID]Row{"c": row(0.25)}), TotalRows: 4, TotalHomes: 1},
 		"absent home unchanged": {TotalRows: 2, TotalHomes: 2},
 		"fewer rows than base":  {TotalRows: 1, TotalHomes: 1},
 		"forged total":          {TotalRows: 1 << 40, TotalHomes: 1},

@@ -21,11 +21,11 @@
 package maxprop
 
 import (
-	"container/heap"
 	"math"
 
 	"replidtn/internal/item"
 	"replidtn/internal/routing"
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 )
@@ -39,7 +39,7 @@ const DefaultHopThreshold = 3
 // written after the Row is built: policies, requests in flight and decoded
 // frames share one map by reference (the routing.Request contract).
 type Row struct {
-	Probabilities map[vclock.ReplicaID]float64
+	Probabilities sorted.Map[vclock.ReplicaID, float64]
 	Updated       int64
 }
 
@@ -54,8 +54,8 @@ type Home struct {
 // rows), and its address-home beliefs.
 type Request struct {
 	OwnAddresses []string
-	Table        map[vclock.ReplicaID]Row
-	Homes        map[string]Home
+	Table        sorted.Map[vclock.ReplicaID, Row]
+	Homes        sorted.Map[string, Home]
 }
 
 // Policy is the MaxProp policy attached to one replica.
@@ -67,12 +67,12 @@ type Policy struct {
 
 	// weights are this node's raw meeting counts; the probability row is
 	// weights normalized to sum to 1.
-	weights map[vclock.ReplicaID]float64
+	weights sorted.Map[vclock.ReplicaID, float64]
 	// table holds the freshest known probability row per node. Our own row
 	// is rebuilt whenever weights change and re-stamped by GenerateReq.
-	table map[vclock.ReplicaID]Row
+	table sorted.Map[vclock.ReplicaID, Row]
 	// homes maps endpoint address → freshest known homing node.
-	homes map[string]Home
+	homes sorted.Map[string, Home]
 	// dist is the shortest-path tree from self over table — lowest path cost
 	// per reachable node — built by the first PathCost after table or
 	// weights changed; nil when stale. Homes do not enter it.
@@ -91,9 +91,6 @@ func New(self vclock.ReplicaID, hopThreshold int, now func() int64, ownAddresses
 		hopThreshold: hopThreshold,
 		now:          now,
 		ownAddresses: append([]string(nil), ownAddresses...),
-		weights:      make(map[vclock.ReplicaID]float64),
-		table:        make(map[vclock.ReplicaID]Row),
-		homes:        make(map[string]Home),
 	}
 }
 
@@ -105,44 +102,33 @@ func (p *Policy) SetOwnAddresses(addrs ...string) {
 	p.ownAddresses = append(p.ownAddresses[:0], addrs...)
 }
 
-// OwnRow returns this node's normalized next-encounter distribution.
-func (p *Policy) OwnRow() map[vclock.ReplicaID]float64 {
+// OwnRow returns this node's normalized next-encounter distribution. The
+// weights are summed in key order, so one set of weights has one row.
+func (p *Policy) OwnRow() sorted.Map[vclock.ReplicaID, float64] {
 	total := 0.0
-	for _, w := range p.weights {
-		total += w
+	for _, e := range p.weights.Entries() {
+		total += e.Val
 	}
-	out := make(map[vclock.ReplicaID]float64, len(p.weights))
-	if total == 0 {
-		return out
-	}
-	for id, w := range p.weights {
-		out[id] = w / total
-	}
-	return out
+	return sorted.Merge(p.weights, sorted.Map[vclock.ReplicaID, float64]{}, func(_ vclock.ReplicaID, w, _ *float64) (float64, bool) {
+		return *w / total, total != 0
+	})
 }
 
 // GenerateReq implements routing.Policy: ship homed addresses, the full
-// freshest-rows table, and address homes. Only the outer table is copied;
-// the rows travel by reference.
+// freshest-rows table, and address homes. The table goes out as it stands;
+// homes is copied, to stamp our own addresses into.
 func (p *Policy) GenerateReq() routing.Request {
 	now := p.now()
-	own := p.table[p.self]
+	own, _ := p.table.Get(p.self)
 	own.Updated = now
-	p.table[p.self] = own
-	table := make(map[vclock.ReplicaID]Row, len(p.table))
-	for id, row := range p.table {
-		table[id] = row
-	}
-	homes := make(map[string]Home, len(p.homes)+len(p.ownAddresses))
-	for a, h := range p.homes {
-		homes[a] = h
-	}
+	p.table.Set(p.self, own)
+	homes := p.homes.Clone()
 	for _, a := range p.ownAddresses {
-		homes[a] = Home{Node: p.self, Updated: now}
+		homes.Set(a, Home{Node: p.self, Updated: now})
 	}
 	return &Request{
 		OwnAddresses: append([]string(nil), p.ownAddresses...),
-		Table:        table,
+		Table:        p.table.Share(),
 		Homes:        homes,
 	}
 }
@@ -157,23 +143,23 @@ func (p *Policy) ProcessReq(from vclock.ReplicaID, req routing.Request) {
 		return
 	}
 	now := p.now()
-	p.weights[from]++
-	p.rebuildOwn(now)
-	for id, row := range r.Table {
-		if id == p.self {
-			continue // nobody else's view of us beats our own
+	w, _ := p.weights.Get(from)
+	p.weights.Set(from, w+1)
+	p.table.Update(r.Table, func(_ vclock.ReplicaID, cur, row *Row) (Row, bool) {
+		if cur == nil || row != nil && row.Updated > cur.Updated {
+			cur = row
 		}
-		if cur, exists := p.table[id]; !exists || row.Updated > cur.Updated {
-			p.table[id] = row
+		return *cur, true
+	})
+	p.rebuildOwn(now) // after the merge: nobody else's view of us beats our own
+	p.homes.Update(r.Homes, func(_ string, cur, h *Home) (Home, bool) {
+		if cur == nil || h != nil && h.Updated > cur.Updated {
+			cur = h
 		}
-	}
-	for addr, h := range r.Homes {
-		if cur, exists := p.homes[addr]; !exists || h.Updated > cur.Updated {
-			p.homes[addr] = h
-		}
-	}
+		return *cur, true
+	})
 	for _, addr := range r.OwnAddresses {
-		p.homes[addr] = Home{Node: from, Updated: now}
+		p.homes.Set(addr, Home{Node: from, Updated: now})
 	}
 }
 
@@ -181,7 +167,7 @@ func (p *Policy) ProcessReq(from vclock.ReplicaID, req routing.Request) {
 // current weights and drops the path tree. It runs wherever weights or the
 // table change — never on a decision path.
 func (p *Policy) rebuildOwn(updated int64) {
-	p.table[p.self] = Row{Probabilities: p.OwnRow(), Updated: updated}
+	p.table.Set(p.self, Row{Probabilities: p.OwnRow(), Updated: updated})
 	p.dist = nil
 }
 
@@ -213,7 +199,7 @@ func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, ite
 //
 //dtn:hotpath
 func (p *Policy) PathCost(destAddr string) float64 {
-	home, ok := p.homes[destAddr]
+	home, ok := p.homes.Get(destAddr)
 	if !ok {
 		return math.Inf(1)
 	}
@@ -234,37 +220,56 @@ func (p *Policy) PathCost(destAddr string) float64 {
 // Edge costs are never negative (probabilities lie in [0, 1]), so a node's
 // settled distance is the cost a search stopping at that node would return,
 // and the strict < relaxation means equal-cost paths cannot change it.
-func shortestPaths(table map[vclock.ReplicaID]Row, src vclock.ReplicaID) map[vclock.ReplicaID]float64 {
+func shortestPaths(table sorted.Map[vclock.ReplicaID, Row], src vclock.ReplicaID) map[vclock.ReplicaID]float64 {
 	dist := map[vclock.ReplicaID]float64{src: 0}
-	pq := &costHeap{{node: src, cost: 0}}
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(costEntry)
+	for pq := (costHeap{{src, 0}}); len(pq) > 0; {
+		cur := pq.pop()
 		if cur.cost > dist[cur.node] {
 			continue
 		}
-		for next, prob := range table[cur.node].Probabilities {
-			if prob <= 0 {
+		row, _ := table.Get(cur.node)
+		for _, e := range row.Probabilities.Entries() {
+			if e.Val <= 0 {
 				continue
 			}
-			nc := cur.cost + (1 - prob)
-			if d, seen := dist[next]; !seen || nc < d {
-				dist[next] = nc
-				heap.Push(pq, costEntry{node: next, cost: nc})
+			nc := cur.cost + (1 - e.Val)
+			if d, seen := dist[e.Key]; !seen || nc < d {
+				dist[e.Key] = nc
+				pq.push(costEntry{e.Key, nc})
 			}
 		}
 	}
 	return dist
 }
 
+// costHeap is a binary min-heap of table indices on cost.
+type costHeap []costEntry
+
 type costEntry struct {
 	node vclock.ReplicaID
 	cost float64
 }
 
-type costHeap []costEntry
+func (h *costHeap) push(e costEntry) {
+	s := append(*h, e)
+	for i := len(s) - 1; i > 0 && s[i].cost < s[(i-1)/2].cost; i = (i - 1) / 2 {
+		s[i], s[(i-1)/2] = s[(i-1)/2], s[i]
+	}
+	*h = s
+}
 
-func (h costHeap) Len() int           { return len(h) }
-func (h costHeap) Less(i, j int) bool { return h[i].cost < h[j].cost }
-func (h costHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *costHeap) Push(x any)        { *h = append(*h, x.(costEntry)) }
-func (h *costHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h *costHeap) pop() costEntry {
+	s, top := *h, (*h)[0]
+	s[0], s = s[len(s)-1], s[:len(s)-1]
+	for i, c := 0, 1; c < len(s); i, c = c, 2*c+1 {
+		if c+1 < len(s) && s[c+1].cost < s[c].cost {
+			c++
+		}
+		if !(s[c].cost < s[i].cost) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+	}
+	*h = s
+	return top
+}

@@ -42,20 +42,22 @@ func TestOwnRowNormalized(t *testing.T) {
 	a.ProcessReq("c", reqFrom(c))
 	row := a.OwnRow()
 	sum := 0.0
-	for _, v := range row {
-		sum += v
+	for _, e := range row.Entries() {
+		sum += e.Val
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("row sums to %v, want 1", sum)
 	}
-	if math.Abs(row["b"]-2.0/3) > 1e-12 || math.Abs(row["c"]-1.0/3) > 1e-12 {
-		t.Errorf("row = %v, want b=2/3 c=1/3", row)
+	b2, _ := row.Get("b")
+	c1, _ := row.Get("c")
+	if math.Abs(b2-2.0/3) > 1e-12 || math.Abs(c1-1.0/3) > 1e-12 {
+		t.Errorf("row = %v, want b=2/3 c=1/3", row.Entries())
 	}
 }
 
 func TestEmptyOwnRow(t *testing.T) {
 	clk := &simClock{}
-	if len(New("a", 3, clk.now).OwnRow()) != 0 {
+	if New("a", 3, clk.now).OwnRow().Len() != 0 {
 		t.Error("fresh node should have an empty distribution")
 	}
 }
@@ -67,10 +69,10 @@ func TestHomesLearnedDirectAndTransitive(t *testing.T) {
 	c := New("c", 3, clk.now, "addr:c")
 	b.ProcessReq("c", reqFrom(c)) // b learns addr:c → c
 	a.ProcessReq("b", reqFrom(b)) // a learns addr:b → b directly, addr:c → c transitively
-	if h := a.homes["addr:b"]; h.Node != "b" {
+	if h, _ := a.homes.Get("addr:b"); h.Node != "b" {
 		t.Errorf("addr:b homed at %s, want b", h.Node)
 	}
-	if h := a.homes["addr:c"]; h.Node != "c" {
+	if h, _ := a.homes.Get("addr:c"); h.Node != "c" {
 		t.Errorf("addr:c homed at %s, want c", h.Node)
 	}
 }
@@ -84,13 +86,13 @@ func TestFreshestHomeWins(t *testing.T) {
 	b.SetOwnAddresses()
 	c := New("c", 3, clk.now, "user:1")
 	a.ProcessReq("c", reqFrom(c))
-	if h := a.homes["user:1"]; h.Node != "c" {
+	if h, _ := a.homes.Get("user:1"); h.Node != "c" {
 		t.Errorf("user:1 homed at %s, want c (freshest)", h.Node)
 	}
 }
 
 func TestDijkstraDirectAndTwoHop(t *testing.T) {
-	table := map[vclock.ReplicaID]Row{
+	table := map[vclock.ReplicaID]refRow{
 		"a": {Probabilities: map[vclock.ReplicaID]float64{"b": 0.5, "c": 0.1}},
 		"b": {Probabilities: map[vclock.ReplicaID]float64{"c": 0.9}},
 	}
@@ -120,10 +122,10 @@ func TestPathCostOwnAddress(t *testing.T) {
 	p := New("a", 3, clk.now, "addr:a")
 	p.ProcessReq("b", reqFrom(New("b", 3, clk.now, "addr:b")))
 	req := reqFrom(p)
-	if req.Homes["addr:a"].Node != "a" {
+	if h, _ := req.Homes.Get("addr:a"); h.Node != "a" {
 		t.Fatal("own address should be homed locally in requests")
 	}
-	p.homes["addr:a"] = Home{Node: "a", Updated: clk.now()}
+	p.homes.Set("addr:a", Home{Node: "a", Updated: clk.now()})
 	if got := p.PathCost("addr:a"); got != 0 {
 		t.Errorf("own address should cost 0, got %v", got)
 	}
@@ -195,7 +197,7 @@ func TestIgnoresForeignRequestTypes(t *testing.T) {
 	p := New("a", 3, clk.now)
 	p.ProcessReq("x", 42)
 	p.ProcessReq("x", nil)
-	if len(p.OwnRow()) != 0 {
+	if p.OwnRow().Len() != 0 {
 		t.Error("foreign requests must not count as encounters")
 	}
 }
@@ -221,16 +223,16 @@ func TestPropDistributionsAlwaysNormalized(t *testing.T) {
 			ps[j].ProcessReq(ps[i].self, reqFrom(ps[i]))
 		}
 		for _, p := range ps {
-			for _, row := range p.table {
-				if len(row.Probabilities) == 0 {
+			for _, row := range p.table.Entries() {
+				if row.Val.Probabilities.Len() == 0 {
 					continue
 				}
 				sum := 0.0
-				for _, v := range row.Probabilities {
-					if v < 0 || v > 1 {
+				for _, e := range row.Val.Probabilities.Entries() {
+					if e.Val < 0 || e.Val > 1 {
 						return false
 					}
-					sum += v
+					sum += e.Val
 				}
 				if math.Abs(sum-1) > 1e-9 {
 					return false

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"replidtn/internal/routing"
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire/prim"
 )
@@ -18,16 +20,94 @@ import (
 // published-immutable and path costs came from one tree per state version.
 // It deep-copies every row in GenerateReq and ProcessReq, rewrites its own row
 // on every request and every path query, and runs a fresh early-exit search
-// per query. TestDifferentialAgainstReference drives it in lockstep with
-// Policy; it is the oracle, not a second production path.
+// per query, and it keeps every map a hash map. TestDifferentialAgainstReference
+// drives it in lockstep with Policy; it is the oracle, not a second production
+// path.
+
+// refRow and refRequest are Row and Request as the reference keeps them.
+type refRow struct {
+	Probabilities map[vclock.ReplicaID]float64
+	Updated       int64
+}
+
+type refRequest struct {
+	OwnAddresses []string
+	Table        map[vclock.ReplicaID]refRow
+	Homes        map[string]Home
+}
+
+// toMap and fromMap convert between the representations.
+func toMap[K ~string, V any](m sorted.Map[K, V]) map[K]V {
+	out := make(map[K]V, m.Len())
+	for _, e := range m.Entries() {
+		out[e.Key] = e.Val
+	}
+	return out
+}
+
+func refTable(table sorted.Map[vclock.ReplicaID, Row]) map[vclock.ReplicaID]refRow {
+	out := make(map[vclock.ReplicaID]refRow, table.Len())
+	for _, e := range table.Entries() {
+		out[e.Key] = refRow{Probabilities: toMap(e.Val.Probabilities), Updated: e.Val.Updated}
+	}
+	return out
+}
+
+// request is r as Policy takes it.
+func (r *refRequest) request() *Request {
+	table := make(map[vclock.ReplicaID]Row, len(r.Table))
+	for id, row := range r.Table {
+		table[id] = Row{Probabilities: sorted.FromMap(row.Probabilities), Updated: row.Updated}
+	}
+	return &Request{OwnAddresses: r.OwnAddresses, Table: sorted.FromMap(table), Homes: sorted.FromMap(r.Homes)}
+}
+
+// appendMap is the map encoding the codec had before the tables were
+// sorted: a count, then the entries in ascending key order.
+func appendMap[K ~string, V any](buf []byte, m map[K]V, value func([]byte, V) []byte) []byte {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	buf = prim.AppendUvarint(buf, uint64(len(m)))
+	for _, k := range keys {
+		buf = value(prim.AppendString(buf, string(k)), m[k])
+	}
+	return buf
+}
+
+func appendRefRow(buf []byte, row refRow) []byte {
+	buf = appendMap(buf, row.Probabilities, prim.AppendFloat64)
+	return prim.AppendVarint(buf, row.Updated)
+}
+
+func (r *refRequest) AppendBinary(buf []byte) []byte {
+	buf = prim.AppendStrings(buf, r.OwnAddresses)
+	buf = appendMap(buf, r.Table, appendRefRow)
+	return appendMap(buf, r.Homes, appendHome)
+}
+
+type refEntry struct {
+	node vclock.ReplicaID
+	cost float64
+}
+
+type refHeap []refEntry
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].cost < h[j].cost }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(refEntry)) }
+func (h *refHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 // dijkstra computes the minimum sum of (1 − f_x(y)) over paths from src to
 // dst in the learned probability table, stopping when dst is settled.
-func dijkstra(table map[vclock.ReplicaID]Row, src, dst vclock.ReplicaID) float64 {
+func dijkstra(table map[vclock.ReplicaID]refRow, src, dst vclock.ReplicaID) float64 {
 	dist := map[vclock.ReplicaID]float64{src: 0}
-	pq := &costHeap{{node: src, cost: 0}}
+	pq := &refHeap{{node: src, cost: 0}}
 	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(costEntry)
+		cur := heap.Pop(pq).(refEntry)
 		if cur.node == dst {
 			return cur.cost
 		}
@@ -45,7 +125,7 @@ func dijkstra(table map[vclock.ReplicaID]Row, src, dst vclock.ReplicaID) float64
 			nc := cur.cost + (1 - prob)
 			if d, seen := dist[next]; !seen || nc < d {
 				dist[next] = nc
-				heap.Push(pq, costEntry{node: next, cost: nc})
+				heap.Push(pq, refEntry{node: next, cost: nc})
 			}
 		}
 	}
@@ -58,7 +138,7 @@ type refPolicy struct {
 	now          func() int64
 	ownAddresses []string
 	weights      map[vclock.ReplicaID]float64
-	table        map[vclock.ReplicaID]Row
+	table        map[vclock.ReplicaID]refRow
 	homes        map[string]Home
 }
 
@@ -67,7 +147,7 @@ func newRef(self vclock.ReplicaID, hopThreshold int, now func() int64, own ...st
 		self: self, hopThreshold: hopThreshold, now: now,
 		ownAddresses: append([]string(nil), own...),
 		weights:      map[vclock.ReplicaID]float64{},
-		table:        map[vclock.ReplicaID]Row{},
+		table:        map[vclock.ReplicaID]refRow{},
 		homes:        map[string]Home{},
 	}
 }
@@ -92,20 +172,20 @@ func (p *refPolicy) ownRow() map[vclock.ReplicaID]float64 {
 }
 
 func (p *refPolicy) refreshOwn() {
-	p.table[p.self] = Row{Probabilities: p.ownRow(), Updated: p.now()}
+	p.table[p.self] = refRow{Probabilities: p.ownRow(), Updated: p.now()}
 }
 
-func copyRow(row Row) Row {
+func copyRow(row refRow) refRow {
 	cp := make(map[vclock.ReplicaID]float64, len(row.Probabilities))
 	for k, v := range row.Probabilities {
 		cp[k] = v
 	}
-	return Row{Probabilities: cp, Updated: row.Updated}
+	return refRow{Probabilities: cp, Updated: row.Updated}
 }
 
-func (p *refPolicy) GenerateReq() *Request {
+func (p *refPolicy) GenerateReq() *refRequest {
 	p.refreshOwn()
-	table := make(map[vclock.ReplicaID]Row, len(p.table))
+	table := make(map[vclock.ReplicaID]refRow, len(p.table))
 	for id, row := range p.table {
 		table[id] = copyRow(row)
 	}
@@ -117,14 +197,14 @@ func (p *refPolicy) GenerateReq() *Request {
 	for _, a := range p.ownAddresses {
 		homes[a] = Home{Node: p.self, Updated: now}
 	}
-	return &Request{
+	return &refRequest{
 		OwnAddresses: append([]string(nil), p.ownAddresses...),
 		Table:        table,
 		Homes:        homes,
 	}
 }
 
-func (p *refPolicy) ProcessReq(from vclock.ReplicaID, r *Request) {
+func (p *refPolicy) ProcessReq(from vclock.ReplicaID, r *refRequest) {
 	p.weights[from]++
 	p.refreshOwn()
 	for id, row := range r.Table {
@@ -172,21 +252,21 @@ func (p *refPolicy) ToSend(hops int, dests []string) routing.Priority {
 }
 
 func (p *refPolicy) SnapshotState() []byte {
-	buf := prim.AppendMap([]byte{stateVersion}, p.weights, prim.AppendFloat64)
-	buf = prim.AppendMap(buf, p.table, appendRow)
-	return prim.AppendMap(buf, p.homes, appendHome)
+	buf := appendMap([]byte{stateVersion}, p.weights, prim.AppendFloat64)
+	buf = appendMap(buf, p.table, appendRefRow)
+	return appendMap(buf, p.homes, appendHome)
 }
 
 func (p *refPolicy) RestoreState(data []byte) error {
 	d := prim.NewDecoder(data)
 	d.Byte()
-	weights := prim.ReadMap[vclock.ReplicaID](d, d.Float64)
+	weights := sorted.Read[vclock.ReplicaID](d, d.Float64)
 	table := readTable(d)
 	homes := readHomes(d)
 	if err := d.Finish(); err != nil {
 		return err
 	}
-	p.weights, p.table, p.homes = weights, table, homes
+	p.weights, p.table, p.homes = toMap(weights), refTable(table), toMap(homes)
 	return nil
 }
 
@@ -237,7 +317,7 @@ func (l *lockstep) sync(to, from int) bool {
 	refReq := l.ref[from].GenerateReq()
 	gotReq := l.got[from].GenerateReq().(*Request)
 	refBytes, gotBytes := refReq.AppendBinary(nil), gotReq.AppendBinary(nil)
-	if !bytes.Equal(refBytes, gotBytes) {
+	if !bytes.Equal(refBytes, gotBytes) || gotReq.WireSize() != len(gotBytes) {
 		return false
 	}
 	if l.rng.Intn(2) == 0 {
@@ -255,18 +335,18 @@ func (l *lockstep) sync(to, from int) bool {
 // forged builds a request no honest node would send: rows over a coarse
 // probability grid — zero-probability edges, certain edges, and many
 // equal-cost paths — and a home on a node nobody has a row for.
-func (l *lockstep) forged(from int) *Request {
+func (l *lockstep) forged(from int) *refRequest {
 	grid := []float64{0, 0, 0.25, 0.5, 0.5, 0.75, 1}
 	n := len(l.ref)
-	table := map[vclock.ReplicaID]Row{}
+	table := map[vclock.ReplicaID]refRow{}
 	for k := 0; k < 1+l.rng.Intn(4); k++ {
 		probs := map[vclock.ReplicaID]float64{}
 		for j := 0; j < 1+l.rng.Intn(5); j++ {
 			probs[nodeID(l.rng.Intn(n))] = grid[l.rng.Intn(len(grid))]
 		}
-		table[nodeID(l.rng.Intn(n))] = Row{Probabilities: probs, Updated: l.clock + int64(l.rng.Intn(3))}
+		table[nodeID(l.rng.Intn(n))] = refRow{Probabilities: probs, Updated: l.clock + int64(l.rng.Intn(3))}
 	}
-	return &Request{
+	return &refRequest{
 		Table: table,
 		Homes: map[string]Home{"addr:ghost": {Node: "offline", Updated: l.clock}},
 	}
@@ -309,7 +389,7 @@ func (l *lockstep) step() bool {
 	default:
 		req := l.forged(j)
 		l.ref[i].ProcessReq(nodeID(j), req)
-		l.got[i].ProcessReq(nodeID(j), req)
+		l.got[i].ProcessReq(nodeID(j), req.request())
 	}
 	// The two nodes the step touched and one bystander must agree bit for
 	// bit on every path cost and on priorities either side of the threshold.
@@ -337,8 +417,8 @@ func (l *lockstep) step() bool {
 
 // TestDifferentialAgainstReference: over random encounter sequences the
 // policy's path costs, priorities and request bytes equal the reference's
-// exactly. Dropping the tree invalidation from ProcessReq or RestoreState
-// fails it.
+// exactly. Dropping the tree invalidation from ProcessReq or RestoreState,
+// or a table merge that keeps the older row, fails it.
 func TestDifferentialAgainstReference(t *testing.T) {
 	f := func(seed int64) bool {
 		l := newLockstep(rand.New(rand.NewSource(seed)))

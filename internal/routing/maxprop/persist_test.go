@@ -26,11 +26,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := restored.RestoreState(data); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.OwnRow(), restored.OwnRow()) {
-		t.Errorf("row mismatch: %v vs %v", a.OwnRow(), restored.OwnRow())
+	if !reflect.DeepEqual(a.OwnRow().Entries(), restored.OwnRow().Entries()) {
+		t.Errorf("row mismatch: %v vs %v", a.OwnRow().Entries(), restored.OwnRow().Entries())
 	}
-	if !reflect.DeepEqual(a.homes, restored.homes) {
-		t.Errorf("homes mismatch: %v vs %v", a.homes, restored.homes)
+	if !reflect.DeepEqual(a.homes.Entries(), restored.homes.Entries()) {
+		t.Errorf("homes mismatch: %v vs %v", a.homes.Entries(), restored.homes.Entries())
 	}
 	// Path costs computed from restored state match the original.
 	want := a.PathCost("addr:c")
@@ -92,7 +92,7 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		if err := p.RestoreState(data); err == nil {
 			t.Errorf("%s: restored", name)
 		}
-		if len(p.OwnRow()) != 0 || len(p.homes) != 0 {
+		if p.OwnRow().Len() != 0 || p.homes.Len() != 0 {
 			t.Errorf("%s: failed restore left state behind", name)
 		}
 	}
@@ -109,12 +109,40 @@ func TestRestoreEmptyState(t *testing.T) {
 	if err := restored.RestoreState(data); err != nil {
 		t.Fatal(err)
 	}
-	if len(restored.OwnRow()) != 0 || len(restored.homes) != 0 {
+	if restored.OwnRow().Len() != 0 || restored.homes.Len() != 0 {
 		t.Error("empty snapshot should restore to empty state")
 	}
 	// Maps must be usable (non-nil) after restoring an empty snapshot.
 	restored.ProcessReq("b", reqFrom(New("b", 3, clk.now, "addr:b")))
-	if len(restored.OwnRow()) != 1 {
+	if restored.OwnRow().Len() != 1 {
 		t.Error("restored policy unusable after empty snapshot")
+	}
+}
+
+// TestRestoreIsDeterministic: our own row is the weights normalized, and
+// float addition is not associative, so summing the weights in hash-map
+// order gave one snapshot several own rows — and with them different path
+// costs and state bytes on every restore. Sorted weights sum in one order.
+func TestRestoreIsDeterministic(t *testing.T) {
+	weights := map[vclock.ReplicaID]float64{}
+	for i, w := range []float64{0.1, 0.2, 0.3, 0.7, 1.1, 2.3, 0.05, 3.3} {
+		weights[nodeID(i+1)] = w
+	}
+	state := (&refPolicy{weights: weights}).SnapshotState()
+	var first []byte
+	for i := 0; i < 200; i++ {
+		p := New(nodeID(0), 3, (&simClock{}).now)
+		if err := p.RestoreState(state); err != nil {
+			t.Fatal(err)
+		}
+		again, err := p.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = again
+		} else if !bytes.Equal(first, again) {
+			t.Fatalf("restore %d of one snapshot re-serializes to different bytes", i)
+		}
 	}
 }

@@ -2,24 +2,27 @@ package prophet
 
 import (
 	"fmt"
-	"slices"
 
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire/prim"
 )
 
 // Requests and persisted state are written in the internal/wire layout (maps
-// sorted by key), so identical state always serializes to identical bytes.
+// sorted by key, as they are kept), so identical state always serializes to
+// identical bytes.
 
-func appendVector(buf []byte, vec map[string]float64) []byte {
-	return prim.AppendMap(buf, vec, prim.AppendFloat64)
+func appendVector(buf []byte, vec sorted.Map[string, float64]) []byte {
+	return sorted.Append(buf, vec, prim.AppendFloat64)
 }
+
+func eight(float64) int { return 8 }
 
 // readVector decodes a predictability vector, rejecting values outside
 // [0, 1]: ProcessReq folds a partner's P-values into ours by multiplication,
 // so a single +Inf would pin an entry forever.
-func readVector(d *prim.Decoder) map[string]float64 {
-	return prim.ReadMap[string](d, d.Prob)
+func readVector(d *prim.Decoder) sorted.Map[string, float64] {
+	return sorted.Read[string](d, d.Prob)
 }
 
 // AppendBinary appends the request: OwnAddresses, then the predictability
@@ -32,11 +35,7 @@ func (r *Request) AppendBinary(buf []byte) []byte {
 // WireSize implements routing.DeltaRequest: the length of AppendBinary's
 // output, without building it.
 func (r *Request) WireSize() int {
-	n := prim.SizeStrings(r.OwnAddresses) + prim.SizeUvarint(uint64(len(r.Predictability)))
-	for dest := range r.Predictability {
-		n += prim.SizeString(dest) + 8
-	}
-	return n
+	return prim.SizeStrings(r.OwnAddresses) + sorted.Size(r.Predictability, eight)
 }
 
 // DecodeRequest decodes a request written by AppendBinary.
@@ -61,7 +60,7 @@ func (p *Policy) SnapshotState() ([]byte, error) {
 	p.age()
 	buf := appendVector([]byte{stateVersion}, p.p)
 	buf = prim.AppendVarint(buf, p.lastAged)
-	return prim.AppendMap(buf, p.partners.vectors, appendVector), nil
+	return sorted.Append(buf, sorted.FromMap(p.partners.vectors), appendVector), nil
 }
 
 // RestoreState implements routing.Persistent.
@@ -72,7 +71,7 @@ func (p *Policy) RestoreState(data []byte) error {
 	}
 	vec := readVector(d)
 	lastAged := d.Varint()
-	partners := prim.ReadMap[vclock.ReplicaID](d, func() map[string]float64 { return readVector(d) })
+	partners := sorted.Read[vclock.ReplicaID](d, func() sorted.Map[string, float64] { return readVector(d) })
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("prophet: restore state: %w", err)
 	}
@@ -84,12 +83,13 @@ func (p *Policy) RestoreState(data []byte) error {
 	}
 	// Restored partners are evictable like any other: with no insertion
 	// order to recover, sorted IDs make one every restore agrees on.
-	order := make([]vclock.ReplicaID, 0, len(partners))
-	for id := range partners {
-		order = append(order, id)
+	vectors := make(map[vclock.ReplicaID]sorted.Map[string, float64], partners.Len())
+	order := make([]vclock.ReplicaID, 0, partners.Len())
+	for _, e := range partners.Entries() {
+		vectors[e.Key] = e.Val
+		order = append(order, e.Key)
 	}
-	slices.Sort(order)
-	p.partners = partnerCache{vectors: partners, order: order}
+	p.partners = partnerCache{vectors: vectors, order: order}
 	p.partners.evictOldest()
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"replidtn/internal/routing"
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/wire/prim"
 )
 
@@ -24,7 +25,7 @@ type Delta struct {
 	OwnChanged   bool
 	OwnAddresses []string
 	// Set holds the entries whose value is not the replayed base's.
-	Set map[string]float64
+	Set sorted.Map[string, float64]
 	// Total is the vector's entry count, which pins what the delta leaves
 	// unsaid: every other entry is one the replayed base holds.
 	Total int
@@ -57,8 +58,7 @@ func (r *Request) DeltaSince(base routing.Request) routing.Delta {
 	}
 	d := &Delta{
 		Factors: r.aging[len(r.aging)-int(passes):],
-		Set:     make(map[string]float64),
-		Total:   len(r.Predictability),
+		Total:   r.Predictability.Len(),
 	}
 	if slices.ContainsFunc(d.Factors, badFactor) {
 		return nil
@@ -66,32 +66,21 @@ func (r *Request) DeltaSince(base routing.Request) routing.Delta {
 	if !slices.Equal(b.OwnAddresses, r.OwnAddresses) || (b.OwnAddresses == nil) != (r.OwnAddresses == nil) {
 		d.OwnChanged, d.OwnAddresses = true, r.OwnAddresses
 	}
-	kept := 0
-	for dest, v := range b.Predictability {
-		v, alive := replay(v, d.Factors)
-		if !alive {
-			continue
+	lost := false
+	d.Set = sorted.Merge(b.Predictability, r.Predictability, func(_ string, old, cur *float64) (float64, bool) {
+		v, alive := 0.0, false
+		if old != nil {
+			v, alive = replay(*old, d.Factors)
 		}
-		cur, ok := r.Predictability[dest]
-		if !ok {
-			return nil
+		// An entry of the replayed base is overridden where it moved; any
+		// other is new, or aged out of the base's copy and learned again.
+		if lost = lost || alive && cur == nil; cur == nil {
+			return 0, false
 		}
-		kept++
-		if math.Float64bits(cur) != math.Float64bits(v) {
-			d.Set[dest] = cur
-		}
-	}
-	if kept < len(r.Predictability) {
-		// Entries the replayed base does not hold: new, or aged out of the
-		// base's copy and learned again since.
-		for dest, cur := range r.Predictability {
-			if v, ok := b.Predictability[dest]; ok {
-				if _, alive := replay(v, d.Factors); alive {
-					continue
-				}
-			}
-			d.Set[dest] = cur
-		}
+		return *cur, !alive || math.Float64bits(*cur) != math.Float64bits(v)
+	})
+	if lost {
+		return nil
 	}
 	return d
 }
@@ -102,20 +91,14 @@ func (d *Delta) Apply(base routing.Request) (routing.Request, error) {
 	if !ok || b == nil {
 		return nil, fmt.Errorf("prophet: delta against a %T", base)
 	}
-	if d.Total > len(b.Predictability)+len(d.Set) {
-		return nil, fmt.Errorf("prophet: delta declares %d entries, base and overrides hold %d", d.Total, len(b.Predictability)+len(d.Set))
-	}
-	vec := make(map[string]float64, d.Total)
-	for dest, v := range b.Predictability {
-		if v, alive := replay(v, d.Factors); alive {
-			vec[dest] = v
+	vec := sorted.Merge(b.Predictability, d.Set, func(_ string, old, set *float64) (float64, bool) {
+		if set != nil {
+			return *set, true
 		}
-	}
-	for dest, v := range d.Set {
-		vec[dest] = v
-	}
-	if len(vec) != d.Total {
-		return nil, fmt.Errorf("prophet: delta yields %d entries, declares %d", len(vec), d.Total)
+		return replay(*old, d.Factors)
+	})
+	if vec.Len() != d.Total {
+		return nil, fmt.Errorf("prophet: delta yields %d entries, declares %d", vec.Len(), d.Total)
 	}
 	req := &Request{OwnAddresses: b.OwnAddresses, Predictability: vec}
 	if d.OwnChanged {
@@ -145,11 +128,7 @@ func (d *Delta) WireSize() int {
 	if d.OwnChanged {
 		n += prim.SizeStrings(d.OwnAddresses)
 	}
-	n += prim.SizeUvarint(uint64(len(d.Set)))
-	for dest := range d.Set {
-		n += prim.SizeString(dest) + 8
-	}
-	return n + prim.SizeUvarint(uint64(d.Total))
+	return n + sorted.Size(d.Set, eight) + prim.SizeUvarint(uint64(d.Total))
 }
 
 // DecodeDelta decodes a delta written by AppendBinary, rejecting more

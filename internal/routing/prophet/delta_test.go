@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"replidtn/internal/routing"
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire/prim"
 )
@@ -91,8 +92,8 @@ func TestDeltaReconstructsExactly(t *testing.T) {
 		}
 		base, held = cur, got
 	}
-	if len(base.Predictability) != 1 {
-		t.Fatalf("scenario should end on the one re-learned entry, has %d", len(base.Predictability))
+	if base.Predictability.Len() != 1 {
+		t.Fatalf("scenario should end on the one re-learned entry, has %d", base.Predictability.Len())
 	}
 }
 
@@ -137,7 +138,7 @@ func TestDeltaDeclines(t *testing.T) {
 	}
 
 	// An entry the base holds and the subject lacks cannot be said.
-	holds := &Request{Predictability: map[string]float64{"addr:a": 0.5}}
+	holds := &Request{Predictability: sorted.FromMap(map[string]float64{"addr:a": 0.5})}
 	if d := (&Request{}).DeltaSince(holds); d != nil {
 		t.Error("delta dropping an entry")
 	}
@@ -147,15 +148,15 @@ func TestDeltaDeclines(t *testing.T) {
 // when only the base can tell — in Apply, which leaves the base untouched.
 func TestDeltaHostile(t *testing.T) {
 	honest := func() *Delta {
-		return &Delta{Factors: []float64{0.5}, Set: map[string]float64{"addr:x": 0.25}, Total: 2}
+		return &Delta{Factors: []float64{0.5}, Set: sorted.FromMap(map[string]float64{"addr:x": 0.25}), Total: 2}
 	}
 	factor := func(f float64) []byte { d := honest(); d.Factors[0] = f; return d.AppendBinary(nil) }
-	value := func(v float64) []byte { d := honest(); d.Set["addr:x"] = v; return d.AppendBinary(nil) }
+	value := func(v float64) []byte { d := honest(); d.Set.Set("addr:x", v); return d.AppendBinary(nil) }
 	tooMany := &Delta{Factors: make([]float64, maxAgingLog+1)}
 	for i := range tooMany.Factors {
 		tooMany.Factors[i] = 0.5
 	}
-	two := (&Delta{Set: map[string]float64{"a": 0.5, "b": 0.5}, Total: 2}).AppendBinary(nil)
+	two := (&Delta{Set: sorted.FromMap(map[string]float64{"a": 0.5, "b": 0.5}), Total: 2}).AppendBinary(nil)
 	swap := func(from, to string) []byte { return bytes.Replace(two, []byte("\x01"+from), []byte("\x01"+to), 1) }
 	for name, buf := range map[string][]byte{
 		"factor NaN":       factor(math.NaN()),
@@ -179,11 +180,11 @@ func TestDeltaHostile(t *testing.T) {
 		}
 	}
 
-	base := &Request{Predictability: map[string]float64{"addr:a": 0.5, "addr:b": 0.5}}
+	base := &Request{Predictability: sorted.FromMap(map[string]float64{"addr:a": 0.5, "addr:b": 0.5})}
 	before := base.AppendBinary(nil)
 	for name, d := range map[string]*Delta{
 		// The base has no addr:c to leave unchanged.
-		"absent key unchanged": {Set: map[string]float64{"addr:x": 0.1}, Total: 4},
+		"absent key unchanged": {Set: sorted.FromMap(map[string]float64{"addr:x": 0.1}), Total: 4},
 		"fewer than the base":  {Total: 1},
 		"forged total":         {Total: 1 << 40},
 	} {
@@ -205,7 +206,7 @@ func TestDeltaHostile(t *testing.T) {
 func TestRestoreKeepsPartnersEvictable(t *testing.T) {
 	clk := &simClock{}
 	full := newPolicy(clk, "addr:a")
-	vec := map[string]float64{"addr:dst": 0.5}
+	vec := sorted.FromMap(map[string]float64{"addr:dst": 0.5})
 	for i := 0; i < partnerCap; i++ {
 		full.partners.store(vclock.ReplicaID(fmt.Sprintf("peer-%05d", i)), vec)
 	}
@@ -228,7 +229,7 @@ func TestRestoreKeepsPartnersEvictable(t *testing.T) {
 	if len(p.partners.vectors) != partnerCap || len(p.partners.order) != partnerCap {
 		t.Errorf("cache holds %d vectors, %d order entries, want %d", len(p.partners.vectors), len(p.partners.order), partnerCap)
 	}
-	if p.partners.get("peer-00000") != nil {
+	if _, ok := p.partners.vectors["peer-00000"]; ok {
 		t.Error("restored partners should be evicted in sorted order, oldest first")
 	}
 }

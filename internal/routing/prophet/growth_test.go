@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/vclock"
 )
 
@@ -13,7 +14,7 @@ import (
 // now evicts in insertion order past partnerCap.
 func TestPartnerCacheBounded(t *testing.T) {
 	var c partnerCache
-	vec := map[string]float64{"dest": 0.5}
+	vec := sorted.FromMap(map[string]float64{"dest": 0.5})
 	for i := 0; i < partnerCap+100; i++ {
 		c.store(vclock.ReplicaID(fmt.Sprintf("peer-%05d", i)), vec)
 	}
@@ -21,10 +22,10 @@ func TestPartnerCacheBounded(t *testing.T) {
 		t.Fatalf("partner cache holds %d vectors, want <= %d", len(c.vectors), partnerCap)
 	}
 	// FIFO: the first 100 inserts are gone, the most recent survive.
-	if c.get("peer-00000") != nil {
+	if _, ok := c.vectors["peer-00000"]; ok {
 		t.Fatalf("oldest partner still cached after %d inserts", partnerCap+100)
 	}
-	if c.get(vclock.ReplicaID(fmt.Sprintf("peer-%05d", partnerCap+99))) == nil {
+	if _, ok := c.vectors[vclock.ReplicaID(fmt.Sprintf("peer-%05d", partnerCap+99))]; !ok {
 		t.Fatalf("newest partner missing from cache")
 	}
 	// Re-storing an existing partner must not duplicate its order entry.

@@ -24,11 +24,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := restored.RestoreState(data); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Vector(), restored.Vector()) {
-		t.Errorf("vector mismatch: %v vs %v", a.Vector(), restored.Vector())
+	if !reflect.DeepEqual(a.Vector().Entries(), restored.Vector().Entries()) {
+		t.Errorf("vector mismatch: %v vs %v", a.Vector().Entries(), restored.Vector().Entries())
 	}
 	// The cached partner vectors must survive too: ToSend works right away.
-	if got := restored.partners.get("b"); got == nil {
+	if _, ok := restored.partners.vectors["b"]; !ok {
 		t.Error("partner cache lost through snapshot")
 	}
 }
@@ -82,7 +82,7 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		if err := p.RestoreState(data); err == nil {
 			t.Errorf("%s: restored", name)
 		}
-		if len(p.Vector()) != 0 {
+		if p.Vector().Len() != 0 {
 			t.Errorf("%s: failed restore left state behind", name)
 		}
 	}
@@ -125,7 +125,7 @@ func TestRestoreEmptyState(t *testing.T) {
 	if err := restored.RestoreState(data); err != nil {
 		t.Fatal(err)
 	}
-	if len(restored.Vector()) != 0 {
+	if restored.Vector().Len() != 0 {
 		t.Error("empty snapshot should restore to empty state")
 	}
 }

@@ -17,10 +17,11 @@ package prophet
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"replidtn/internal/item"
 	"replidtn/internal/routing"
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 )
@@ -86,7 +87,7 @@ type Request struct {
 	// receiver boosts its direct predictability for them.
 	OwnAddresses []string
 	// Predictability maps destination address → P(requester, destination).
-	Predictability map[string]float64
+	Predictability sorted.Map[string, float64]
 	// aging is the generating policy's aging log and aged its pass count
 	// when the request was published; DeltaSince reads the passes between
 	// two requests off them. Neither travels: a decoded or reconstructed
@@ -103,8 +104,8 @@ type Policy struct {
 	// ownAddresses are the endpoint addresses homed on this node (kept
 	// current by the application as endpoints move).
 	ownAddresses []string
-	// p maps destination address → delivery predictability.
-	p map[string]float64
+	// p maps destination address → delivery predictability (see Vector).
+	p sorted.Map[string, float64]
 	// lastAged is the time of the most recent aging pass.
 	lastAged int64
 	// aging holds the factors of the latest aging passes, oldest first, at
@@ -128,7 +129,6 @@ func New(params Params, now func() int64, ownAddresses ...string) *Policy {
 		params:       params,
 		now:          now,
 		ownAddresses: append([]string(nil), ownAddresses...),
-		p:            make(map[string]float64),
 		lastAged:     now(),
 	}
 }
@@ -144,17 +144,14 @@ func (p *Policy) SetOwnAddresses(addrs ...string) {
 // Predictability returns P(self, dest) after aging.
 func (p *Policy) Predictability(dest string) float64 {
 	p.age()
-	return p.p[dest]
+	v, _ := p.p.Get(dest)
+	return v
 }
 
-// Vector returns a copy of the aged predictability vector.
-func (p *Policy) Vector() map[string]float64 {
+// Vector publishes the aged predictability vector: the next write copies it.
+func (p *Policy) Vector() sorted.Map[string, float64] {
 	p.age()
-	out := make(map[string]float64, len(p.p))
-	for d, v := range p.p {
-		out[d] = v
-	}
-	return out
+	return p.p.Share()
 }
 
 // GenerateReq implements routing.Policy: ship the aged predictability vector
@@ -181,37 +178,28 @@ func (p *Policy) ProcessReq(from vclock.ReplicaID, req routing.Request) {
 	}
 	p.age()
 	// Direct encounter boost: P(a,b) += (1 - P(a,b)) * P_init for every
-	// address homed on the encountered node.
-	for _, addr := range r.OwnAddresses {
-		old := p.p[addr]
-		p.p[addr] = old + (1-old)*p.params.PInit
-	}
-	// Transitivity: P(a,c) = max(P(a,c), P(a,b) * P(b,c) * beta), where b is
-	// the encountered node. P(a,b) is the maximum over b's homed addresses.
+	// address homed on the encountered node. P(a,b) for the transitive
+	// update below is the maximum over b's homed addresses.
 	pab := 0.0
 	for _, addr := range r.OwnAddresses {
-		if v := p.p[addr]; v > pab {
-			pab = v
-		}
+		old, _ := p.p.Get(addr)
+		v := old + (1-old)*p.params.PInit
+		p.p.Set(addr, v)
+		pab = max(pab, v)
 	}
-	for dest, pbc := range r.Predictability {
-		if p.ownAddress(dest) {
-			continue
+	// Transitivity: P(a,c) = max(P(a,c), P(a,b) * P(b,c) * beta), where b is
+	// the encountered node — one pass over both sorted vectors.
+	p.p.Update(r.Predictability, func(dest string, ours, pbc *float64) (float64, bool) {
+		v, cur := 0.0, 0.0
+		if pbc != nil && !slices.Contains(p.ownAddresses, dest) {
+			v = pab * *pbc * p.params.Beta
 		}
-		if v := pab * pbc * p.params.Beta; v > p.p[dest] {
-			p.p[dest] = v
+		if ours != nil {
+			cur = *ours
 		}
-	}
+		return max(v, cur), ours != nil || v > cur
+	})
 	p.partners.store(from, r.Predictability)
-}
-
-func (p *Policy) ownAddress(addr string) bool {
-	for _, a := range p.ownAddresses {
-		if a == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // partnerCap bounds the partner vector cache. A node roaming an open-ended
@@ -224,16 +212,16 @@ const partnerCap = 1024
 // partners caches the most recent predictability vector seen from each
 // encounter partner, consulted by ToSend.
 type partnerCache struct {
-	vectors map[vclock.ReplicaID]map[string]float64
+	vectors map[vclock.ReplicaID]sorted.Map[string, float64]
 	// order tracks first-insertion order for FIFO eviction.
 	order []vclock.ReplicaID
 }
 
 // store adopts vec by reference: it arrived in a request, so nobody writes it
 // again (the routing.Request contract).
-func (c *partnerCache) store(id vclock.ReplicaID, vec map[string]float64) {
+func (c *partnerCache) store(id vclock.ReplicaID, vec sorted.Map[string, float64]) {
 	if c.vectors == nil {
-		c.vectors = make(map[vclock.ReplicaID]map[string]float64)
+		c.vectors = make(map[vclock.ReplicaID]sorted.Map[string, float64])
 	}
 	if _, known := c.vectors[id]; !known {
 		c.order = append(c.order, id)
@@ -251,10 +239,6 @@ func (c *partnerCache) evictOldest() {
 	}
 }
 
-func (c *partnerCache) get(id vclock.ReplicaID) map[string]float64 {
-	return c.vectors[id]
-}
-
 // ToSend implements routing.Policy: forward a message when the target's
 // delivery predictability for any of the message's destinations exceeds ours
 // (the GRTR predicate), with queue order given by the configured strategy —
@@ -262,8 +246,8 @@ func (c *partnerCache) get(id vclock.ReplicaID) map[string]float64 {
 //
 //dtn:hotpath
 func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority, item.Transient) {
-	vec := p.partners.get(target.ID)
-	if vec == nil {
+	vec, ok := p.partners.vectors[target.ID]
+	if !ok {
 		return routing.Skip, nil
 	}
 	p.age()
@@ -271,7 +255,11 @@ func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority
 	bestTheirs := math.Inf(-1)
 	send := false
 	for _, dest := range e.Item.Meta.Destinations {
-		theirs, ours := vec[dest], p.p[dest]
+		theirs, known := vec.Get(dest)
+		if !known {
+			continue // theirs is 0, and ours is never below it
+		}
+		ours, _ := p.p.Get(dest)
 		if theirs > ours {
 			send = true
 			if margin := theirs - ours; margin > bestMargin {
@@ -296,7 +284,7 @@ func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority
 }
 
 // age applies exponential decay for the elapsed whole aging units:
-// P = P * gamma^k.
+// P = P * gamma^k — in place, unless the vector is published.
 func (p *Policy) age() {
 	now := p.now()
 	elapsed := now - p.lastAged
@@ -305,14 +293,7 @@ func (p *Policy) age() {
 	}
 	k := elapsed / p.params.AgingUnit
 	factor := math.Pow(p.params.Gamma, float64(k))
-	for d, v := range p.p {
-		nv, alive := decay(v, factor)
-		if !alive {
-			delete(p.p, d)
-			continue
-		}
-		p.p[d] = nv
-	}
+	p.p.Update(sorted.Map[string, float64]{}, func(_ string, v, _ *float64) (float64, bool) { return decay(*v, factor) })
 	p.lastAged += k * p.params.AgingUnit
 	if len(p.aging) >= maxAgingLog {
 		p.aging = append(make([]float64, 0, maxAgingLog), p.aging[maxAgingLog/2:]...)
@@ -338,10 +319,9 @@ func decay(v, factor float64) (float64, bool) {
 // (primarily for tests and debugging output).
 func (p *Policy) DestinationsKnown() []string {
 	p.age()
-	out := make([]string, 0, len(p.p))
-	for d := range p.p {
-		out = append(out, d)
+	out := make([]string, 0, p.p.Len())
+	for _, e := range p.p.Entries() {
+		out = append(out, e.Key)
 	}
-	sort.Strings(out)
 	return out
 }

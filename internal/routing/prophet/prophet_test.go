@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -103,7 +102,7 @@ func TestOwnAddressNotPolluted(t *testing.T) {
 	b := newPolicy(clk, "addr:b")
 	b.ProcessReq("a", reqFrom(a))
 	a.ProcessReq("b", reqFrom(b))
-	if _, ok := a.Vector()["addr:a"]; ok {
+	if _, ok := a.Vector().Get("addr:a"); ok {
 		t.Error("a node must not track predictability for its own address")
 	}
 }
@@ -169,7 +168,7 @@ func TestIgnoresForeignRequestTypes(t *testing.T) {
 	p := newPolicy(clk, "addr:a")
 	p.ProcessReq("x", 42)  // must not panic
 	p.ProcessReq("x", nil) // must not panic
-	if len(p.Vector()) != 0 {
+	if p.Vector().Len() != 0 {
 		t.Error("foreign requests must not mutate state")
 	}
 }
@@ -205,8 +204,8 @@ func TestPropPredictabilitiesStayInRange(t *testing.T) {
 			ps[j].ProcessReq(id(i), reqFrom(ps[i]))
 		}
 		for _, p := range ps {
-			for _, v := range p.Vector() {
-				if v < 0 || v > 1 {
+			for _, e := range p.Vector().Entries() {
+				if v := e.Val; v < 0 || v > 1 {
 					return false
 				}
 			}
@@ -285,23 +284,35 @@ func TestGRTRUsesNoOrdering(t *testing.T) {
 }
 
 // TestPublishedRequestImmutable: nothing reachable from a request changes
-// once GenerateReq has returned (the routing.Request contract) — the sender
-// ages and updates a vector of its own, the receiver keeps the published one
-// by reference and only reads it.
+// once GenerateReq has returned (the routing.Request contract) — although
+// the request holds the sender's own vector, not a copy: the sender ages,
+// updates, restores and re-homes a vector of its own from then on, and the
+// receiver keeps the published one by reference and only reads it.
 func TestPublishedRequestImmutable(t *testing.T) {
 	clk := &simClock{}
 	sender := newPolicy(clk, "addr:s")
 	receiver := newPolicy(clk, "addr:r")
 	others := []*Policy{newPolicy(clk, "addr:x"), newPolicy(clk, "addr:y")}
 	sender.ProcessReq("x", reqFrom(others[0]))
+	state, err := sender.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	req := reqFrom(sender)
-	published := req.AppendBinary(nil)
+	if &req.Predictability.Entries()[0] != &sender.p.Entries()[0] {
+		t.Error("GenerateReq should publish the policy's vector, not copy it")
+	}
+	deep, err := DecodeRequest(req.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
 	receiver.ProcessReq("s", req)
-	if reflect.ValueOf(receiver.partners.get("s")).Pointer() != reflect.ValueOf(req.Predictability).Pointer() {
+	if vec := receiver.partners.vectors["s"]; &vec.Entries()[0] != &req.Predictability.Entries()[0] {
 		t.Error("the partner cache should adopt the published vector, not copy it")
 	}
 	for round := 0; round < 3; round++ {
 		clk.t += 7 * DefaultParams().AgingUnit
+		sender.Predictability("addr:x") // an aging pass on its own
 		for i, o := range others {
 			id := vclock.ReplicaID(rune('x' + i))
 			sender.ProcessReq(id, reqFrom(o))
@@ -311,8 +322,32 @@ func TestPublishedRequestImmutable(t *testing.T) {
 		}
 		receiver.ToSend(msgEntry("addr:x"), routing.Target{ID: "s"})
 		sender.ProcessReq("r", reqFrom(receiver))
+		sender.SetOwnAddresses("addr:s", "addr:s2")
+		if err := sender.RestoreState(state); err != nil {
+			t.Fatal(err)
+		}
+		clk.t += DefaultParams().AgingUnit
+		reqFrom(sender)
 	}
-	if !bytes.Equal(published, req.AppendBinary(nil)) {
+	if !bytes.Equal(deep.AppendBinary(nil), req.AppendBinary(nil)) {
 		t.Error("a published request changed after GenerateReq returned")
+	}
+}
+
+// TestGenerateReqCopiesNothing: publishing the vector costs the same at 16
+// entries as at 1024 — the request and its address list, nothing sized by
+// the vector.
+func TestGenerateReqCopiesNothing(t *testing.T) {
+	allocs := func(n int) float64 {
+		clk := &simClock{}
+		p := newPolicy(clk, "addr:s")
+		history(p, clk, n)
+		if got := p.Vector().Len(); got != n {
+			t.Fatalf("vector holds %d entries, want %d", got, n)
+		}
+		return testing.AllocsPerRun(50, func() { p.GenerateReq() })
+	}
+	if small, large := allocs(16), allocs(1024); small != large || large > 2 {
+		t.Errorf("GenerateReq allocates %v times at 16 entries, %v at 1024; want equal and <= 2", small, large)
 	}
 }

@@ -1,0 +1,170 @@
+// Package sorted holds routing state as it travels and is persisted: a map
+// kept as entries in ascending key order, the internal/wire layout of a map.
+// Lookups are binary searches, merges one pass over two maps, and publishing
+// is copy-on-write: the owner's next write copies what Share handed out.
+package sorted
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"replidtn/internal/wire/prim"
+)
+
+// Entry is one key and its value.
+type Entry[K ~string, V any] struct {
+	Key K
+	Val V
+}
+
+// Map is a sorted map; the zero Map is empty. Copies of a Map share its
+// entries, so only its owner writes it, handing copies out through Share.
+type Map[K ~string, V any] struct {
+	e      []Entry[K, V]
+	shared bool // a copy of e is held elsewhere: the next write copies
+}
+
+// FromMap returns m's entries as a Map.
+func FromMap[K ~string, V any](m map[K]V) Map[K, V] {
+	e := make([]Entry[K, V], 0, len(m))
+	for k, v := range m {
+		e = append(e, Entry[K, V]{k, v})
+	}
+	slices.SortFunc(e, func(a, b Entry[K, V]) int { return strings.Compare(string(a.Key), string(b.Key)) })
+	return Map[K, V]{e: e}
+}
+
+// Len returns the number of entries.
+func (m Map[K, V]) Len() int { return len(m.e) }
+
+// Entries returns the entries in key order, for reading only.
+func (m Map[K, V]) Entries() []Entry[K, V] { return m.e }
+
+// Clone returns a copy of m, with room for one more entry, for its holder.
+func (m Map[K, V]) Clone() Map[K, V] {
+	return Map[K, V]{e: append(make([]Entry[K, V], 0, len(m.e)+1), m.e...)}
+}
+
+// Share returns m for publishing and marks m so that its next write copies.
+func (m *Map[K, V]) Share() Map[K, V] {
+	m.shared = true
+	return *m
+}
+
+// search returns where k is or would be inserted in e, and whether it is.
+func search[K ~string, V any](e []Entry[K, V], k K) (int, bool) {
+	i, j := 0, len(e)
+	for i < j {
+		if h := int(uint(i+j) >> 1); e[h].Key < k {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(e) && e[i].Key == k
+}
+
+// Get returns k's value and whether m holds it.
+//
+//dtn:hotpath
+func (m Map[K, V]) Get(k K) (v V, ok bool) {
+	if i, ok := search(m.e, k); ok {
+		return m.e[i].Val, true
+	}
+	return v, false
+}
+
+// Set sets k's value.
+func (m *Map[K, V]) Set(k K, v V) {
+	if m.shared {
+		*m = m.Clone()
+	}
+	if i, ok := search(m.e, k); ok {
+		m.e[i].Val = v
+	} else {
+		m.e = slices.Insert(m.e, i, Entry[K, V]{k, v})
+	}
+}
+
+// Update merges b into m as Merge does, in place unless m is shared or an
+// entry of b alone would overtake the walk through m.
+func (m *Map[K, V]) Update(b Map[K, V], f func(k K, cur, v *V) (V, bool)) {
+	m.e, m.shared = merge(m.e, !m.shared, b.e, f), false
+}
+
+// Merge walks a and b in key order and returns a new map of what f keeps: f
+// gets each key's value on each side (nil where absent) and returns its own.
+func Merge[K ~string, V any](a, b Map[K, V], f func(k K, av, bv *V) (V, bool)) Map[K, V] {
+	return Map[K, V]{e: merge(a.e, false, b.e, f)}
+}
+
+func merge[K ~string, V any](a []Entry[K, V], inPlace bool, b []Entry[K, V], f func(k K, av, bv *V) (V, bool)) []Entry[K, V] {
+	out := a[:0]
+	if !inPlace {
+		out = make([]Entry[K, V], 0, max(len(a), len(b)))
+	}
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		c := -1 // the next key is a's (< 0), b's (> 0) or both's
+		if i == len(a) {
+			c = 1
+		} else if j < len(b) {
+			c = strings.Compare(string(a[i].Key), string(b[j].Key))
+		}
+		var k K
+		var av, bv *V
+		if c <= 0 {
+			k, av, i = a[i].Key, &a[i].Val, i+1
+		}
+		if c >= 0 {
+			k, bv, j = b[j].Key, &b[j].Val, j+1
+		}
+		if v, keep := f(k, av, bv); keep {
+			if inPlace && len(out) == i { // about to overwrite a[i]
+				out, inPlace = append(make([]Entry[K, V], 0, len(out)+len(a)-i+len(b)-j+1), out...), false
+			}
+			out = append(out, Entry[K, V]{k, v})
+		}
+	}
+	if inPlace {
+		clear(a[len(out):])
+	}
+	return out
+}
+
+// Append appends m as a count, then each key and value (written by value).
+func Append[K ~string, V any](buf []byte, m Map[K, V], value func([]byte, V) []byte) []byte {
+	buf = prim.AppendUvarint(buf, uint64(len(m.e)))
+	for _, e := range m.e {
+		buf = value(prim.AppendString(buf, string(e.Key)), e.Val)
+	}
+	return buf
+}
+
+// Size returns the length of Append's output, given each value's.
+func Size[K ~string, V any](m Map[K, V], value func(V) int) int {
+	n := prim.SizeUvarint(uint64(len(m.e)))
+	for _, e := range m.e {
+		n += prim.SizeString(string(e.Key)) + value(e.Val)
+	}
+	return n
+}
+
+// Read decodes a map written by Append, reading each value with value. Keys
+// must be strictly ascending: a map has one encoding, so unsorted or repeated
+// keys are rejected rather than silently collapsed.
+func Read[K ~string, V any](d *prim.Decoder, value func() V) Map[K, V] {
+	n := d.Uvarint()
+	if n > uint64(d.Remaining()) { // each entry costs at least a key length
+		d.Fail(fmt.Errorf("wire: map count %d exceeds %d remaining bytes", n, d.Remaining()))
+	}
+	e := make([]Entry[K, V], 0, min(n, 256))
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		if k := K(d.String()); i == 0 || k > e[i-1].Key {
+			e = append(e, Entry[K, V]{k, value()})
+		} else {
+			d.Fail(fmt.Errorf("wire: map key %q not after %q", k, e[i-1].Key))
+		}
+	}
+	return Map[K, V]{e: e}
+}

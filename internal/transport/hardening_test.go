@@ -15,6 +15,7 @@ import (
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/maxprop"
 	"replidtn/internal/routing/prophet"
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire"
 	"replidtn/internal/wire/prim"
@@ -256,13 +257,13 @@ func TestHostileRoutingStateRejected(t *testing.T) {
 	prophetReq := func(p float64) *prophet.Request {
 		return &prophet.Request{
 			OwnAddresses:   []string{"addr:evil"},
-			Predictability: map[string]float64{"addr:z": p},
+			Predictability: sorted.FromMap(map[string]float64{"addr:z": p}),
 		}
 	}
 	maxpropReq := func(p float64) *maxprop.Request {
-		return &maxprop.Request{Table: map[vclock.ReplicaID]maxprop.Row{
-			"evil": {Probabilities: map[vclock.ReplicaID]float64{"z": p}, Updated: 1},
-		}}
+		return &maxprop.Request{Table: sorted.FromMap(map[vclock.ReplicaID]maxprop.Row{
+			"evil": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"z": p}), Updated: 1},
+		})}
 	}
 	// A PROPHET body claiming 2^21 vector entries with none behind the count.
 	forgedCount := append(prim.AppendStrings(nil, nil), 0x80, 0x80, 0x80, 0x01)

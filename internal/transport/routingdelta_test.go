@@ -16,6 +16,7 @@ import (
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/maxprop"
 	"replidtn/internal/routing/prophet"
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire"
 )
@@ -294,14 +295,14 @@ func TestMaxPropPairSendsChangedRowsOverTCP(t *testing.T) {
 			// The two widest rows of the table the node now publishes.
 			table := p.peer.r.Policy().GenerateReq().(*maxprop.Request).Table
 			var rows []int
-			for id, row := range table {
-				rows = append(rows, len((&maxprop.Request{Table: map[vclock.ReplicaID]maxprop.Row{id: row}}).AppendBinary(nil)))
+			for _, e := range table.Entries() {
+				rows = append(rows, len((&maxprop.Request{Table: sorted.FromMap(map[vclock.ReplicaID]maxprop.Row{e.Key: e.Val})}).AppendBinary(nil)))
 			}
 			sort.Sort(sort.Reverse(sort.IntSlice(rows)))
 			bound := int64(rows[0] + rows[1] + 64)
 			if p.got.deltaFrames != 1 || p.got.fullFrames != 0 || p.got.deltaBytes > bound {
 				t.Errorf("round %d, %s: %+v, want one routing delta of at most two rows' %d bytes (table: %d rows)",
-					round, p.peer.r.ID(), p.got, bound, len(table))
+					round, p.peer.r.ID(), p.got, bound, table.Len())
 			}
 		}
 	}
@@ -320,19 +321,19 @@ func TestHostileRoutingDeltaRejected(t *testing.T) {
 	now := func() int64 { return 0 }
 	baseVector := &prophet.Request{
 		OwnAddresses:   []string{"addr:evil"},
-		Predictability: map[string]float64{"addr:x": 0.5, "addr:y": 0.25},
+		Predictability: sorted.FromMap(map[string]float64{"addr:x": 0.5, "addr:y": 0.25}),
 	}
 	baseTable := &maxprop.Request{
-		Table: map[vclock.ReplicaID]maxprop.Row{"evil": {Probabilities: map[vclock.ReplicaID]float64{"x": 1}, Updated: 1}},
-		Homes: map[string]maxprop.Home{"addr:evil": {Node: "evil", Updated: 1}},
+		Table: sorted.FromMap(map[vclock.ReplicaID]maxprop.Row{"evil": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"x": 1}), Updated: 1}}),
+		Homes: sorted.FromMap(map[string]maxprop.Home{"addr:evil": {Node: "evil", Updated: 1}}),
 	}
-	honestVector := &prophet.Delta{Factors: []float64{0.5}, Set: map[string]float64{"addr:z": 0.75}, Total: 3}
+	honestVector := &prophet.Delta{Factors: []float64{0.5}, Set: sorted.FromMap(map[string]float64{"addr:z": 0.75}), Total: 3}
 	honestTable := &maxprop.Delta{
-		Rows:      map[vclock.ReplicaID]maxprop.Row{"z": {Probabilities: map[vclock.ReplicaID]float64{"evil": 1}, Updated: 2}},
+		Rows:      sorted.FromMap(map[vclock.ReplicaID]maxprop.Row{"z": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"evil": 1}), Updated: 2}}),
 		TotalRows: 2, TotalHomes: 1,
 	}
 	vector := func(edit func(*prophet.Delta)) routing.Delta {
-		d := &prophet.Delta{Factors: []float64{0.5}, Set: map[string]float64{"addr:y": 0.75, "addr:z": 0.75}, Total: 3}
+		d := &prophet.Delta{Factors: []float64{0.5}, Set: sorted.FromMap(map[string]float64{"addr:y": 0.75, "addr:z": 0.75}), Total: 3}
 		edit(d)
 		return d
 	}
@@ -362,15 +363,15 @@ func TestHostileRoutingDeltaRejected(t *testing.T) {
 		{name: "factor negative", req: request{gen: 2, epoch: epoch, delta: factor(-0.5)}, want: "validation"},
 		{name: "factor above one", req: request{gen: 2, epoch: epoch, delta: factor(1.5)}, want: "validation"},
 		{name: "value above one", req: request{gen: 2, epoch: epoch,
-			delta: vector(func(d *prophet.Delta) { d.Set["addr:z"] = 1.5 })}, want: "validation"},
+			delta: vector(func(d *prophet.Delta) { d.Set.Set("addr:z", 1.5) })}, want: "validation"},
 		{name: "value negative", req: request{gen: 2, epoch: epoch,
-			delta: vector(func(d *prophet.Delta) { d.Set["addr:z"] = -0.25 })}, want: "validation"},
+			delta: vector(func(d *prophet.Delta) { d.Set.Set("addr:z", -0.25) })}, want: "validation"},
 		{name: "unsorted keys", req: request{gen: 2, epoch: epoch,
 			delta: vector(func(*prophet.Delta) {}), mangle: rekey("addr:y", "addr:~")}, want: "validation"},
 		{name: "duplicate keys", req: request{gen: 2, epoch: epoch,
 			delta: vector(func(*prophet.Delta) {}), mangle: rekey("addr:y", "addr:z")}, want: "validation"},
 		{name: "maxprop row above one", maxprop: true, req: request{gen: 2, epoch: epoch, delta: &maxprop.Delta{
-			Rows:      map[vclock.ReplicaID]maxprop.Row{"z": {Probabilities: map[vclock.ReplicaID]float64{"evil": 1.5}}},
+			Rows:      sorted.FromMap(map[vclock.ReplicaID]maxprop.Row{"z": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"evil": 1.5})}}),
 			TotalRows: 2, TotalHomes: 1}}, want: "validation"},
 		{name: "no knowledge delta", req: request{delta: honestVector}, want: "validation"},
 

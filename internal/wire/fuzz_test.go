@@ -24,6 +24,7 @@ import (
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/maxprop"
 	"replidtn/internal/routing/prophet"
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 )
@@ -97,7 +98,7 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 		Knowledge: know,
 		Routing: &prophet.Request{
 			OwnAddresses:   []string{"user:1"},
-			Predictability: map[string]float64{"user:2": 0.75, "user:3": 0.1875},
+			Predictability: sorted.FromMap(map[string]float64{"user:2": 0.75, "user:3": 0.1875}),
 		},
 	}))
 	maxpropReq := must(AppendSyncRequest(nil, &replica.SyncRequest{
@@ -105,10 +106,10 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 		Knowledge: know,
 		Routing: &maxprop.Request{
 			OwnAddresses: []string{"user:1"},
-			Table: map[vclock.ReplicaID]maxprop.Row{
-				"t": {Probabilities: map[vclock.ReplicaID]float64{"a": 0.5, "b": 0.5}, Updated: 100},
-			},
-			Homes: map[string]maxprop.Home{"user:1": {Node: "t", Updated: 100}},
+			Table: sorted.FromMap(map[vclock.ReplicaID]maxprop.Row{
+				"t": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"a": 0.5, "b": 0.5}), Updated: 100},
+			}),
+			Homes: sorted.FromMap(map[string]maxprop.Home{"user:1": {Node: "t", Updated: 100}}),
 		},
 	}))
 	// The encoder does not validate, so it can mint the hostile shape the
@@ -116,7 +117,7 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 	badProbReq := must(AppendSyncRequest(nil, &replica.SyncRequest{
 		TargetID:  "t",
 		Knowledge: know,
-		Routing:   &prophet.Request{Predictability: map[string]float64{"user:2": math.Inf(1)}},
+		Routing:   &prophet.Request{Predictability: sorted.FromMap(map[string]float64{"user:2": math.Inf(1)})},
 	}))
 	// Recurring-pair frames: a knowledge delta with the routing state as a
 	// delta beside it.
@@ -148,18 +149,18 @@ func sampleProphetDelta() *prophet.Delta {
 	return &prophet.Delta{
 		Factors:    []float64{0.98, 0.5},
 		OwnChanged: true, OwnAddresses: []string{"user:1", "user:9"},
-		Set:   map[string]float64{"user:2": 0.75, "user:4": 0.1875},
+		Set:   sorted.FromMap(map[string]float64{"user:2": 0.75, "user:4": 0.1875}),
 		Total: 3,
 	}
 }
 
 func sampleMaxPropDelta() *maxprop.Delta {
 	return &maxprop.Delta{
-		Rows: map[vclock.ReplicaID]maxprop.Row{
-			"t": {Probabilities: map[vclock.ReplicaID]float64{"a": 0.25, "b": 0.75}, Updated: 130},
-		},
+		Rows: sorted.FromMap(map[vclock.ReplicaID]maxprop.Row{
+			"t": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"a": 0.25, "b": 0.75}), Updated: 130},
+		}),
 		TotalRows:  2,
-		Homes:      map[string]maxprop.Home{"user:1": {Node: "t", Updated: 130}},
+		Homes:      sorted.FromMap(map[string]maxprop.Home{"user:1": {Node: "t", Updated: 130}}),
 		TotalHomes: 2,
 	}
 }
@@ -168,14 +169,14 @@ func sampleMaxPropDelta() *maxprop.Delta {
 var (
 	prophetFuzzBase = &prophet.Request{
 		OwnAddresses:   []string{"user:1"},
-		Predictability: map[string]float64{"user:2": 0.5, "user:3": 0.25},
+		Predictability: sorted.FromMap(map[string]float64{"user:2": 0.5, "user:3": 0.25}),
 	}
 	maxpropFuzzBase = &maxprop.Request{
-		Table: map[vclock.ReplicaID]maxprop.Row{
-			"t": {Probabilities: map[vclock.ReplicaID]float64{"a": 1}, Updated: 100},
-			"a": {Probabilities: map[vclock.ReplicaID]float64{"t": 1}, Updated: 90},
-		},
-		Homes: map[string]maxprop.Home{"user:1": {Node: "t", Updated: 100}, "user:2": {Node: "a", Updated: 90}},
+		Table: sorted.FromMap(map[vclock.ReplicaID]maxprop.Row{
+			"t": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"a": 1}), Updated: 100},
+			"a": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"t": 1}), Updated: 90},
+		}),
+		Homes: sorted.FromMap(map[string]maxprop.Home{"user:1": {Node: "t", Updated: 100}, "user:2": {Node: "a", Updated: 90}}),
 	}
 )
 
@@ -193,7 +194,7 @@ func routingDeltaFuzzSeeds(tb testing.TB) map[string][]byte {
 	badFactor := sampleProphetDelta()
 	badFactor.Factors[0] = math.NaN()
 	badValue := sampleProphetDelta()
-	badValue.Set["user:2"] = 1.5
+	badValue.Set.Set("user:2", 1.5)
 	forgedTotal := sampleMaxPropDelta()
 	forgedTotal.TotalRows = 1 << 40
 	prophetDelta := frame(nil, sampleProphetDelta())

@@ -259,28 +259,3 @@ func (d *Decoder) Prob() float64 {
 	}
 	return v
 }
-
-// ReadMap decodes a map written by AppendMap, reading each value with value.
-// The result is never nil. Keys must be strictly ascending: a map has exactly
-// one encoding, so unsorted or repeated keys are rejected rather than
-// silently collapsed.
-func ReadMap[K ~string, V any](d *Decoder, value func() V) map[K]V {
-	m := make(map[K]V)
-	n := d.Uvarint()
-	// Each entry costs at least its key's one-byte length prefix.
-	if n > uint64(d.Remaining()) {
-		d.Fail(fmt.Errorf("wire: map count %d exceeds %d remaining bytes", n, d.Remaining()))
-		return m
-	}
-	var prev K
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		k := K(d.String())
-		if i > 0 && k <= prev {
-			d.Fail(fmt.Errorf("wire: map key %q not after %q", k, prev))
-			break
-		}
-		prev = k
-		m[k] = value()
-	}
-	return m
-}

@@ -1,16 +1,15 @@
 // Package prim holds the primitive layer of the internal/wire binary codec:
 // append-style encoders and a sticky-error Decoder for varints, fixed-width
-// integers, floats, strings, byte slices and sorted maps. It is a leaf — it
-// imports nothing from this module — so packages that internal/wire itself
-// imports (the routing policies, whose request types wire names in its
-// closed tag set) can share the one layout instead of growing their own.
-// The conventions are documented on package wire.
+// integers, floats, strings and byte slices. It is a leaf — it imports
+// nothing from this module — so packages that internal/wire itself imports
+// (the routing policies, whose request types wire names in its closed tag
+// set) can share the one layout instead of growing their own. The
+// conventions are documented on package wire.
 package prim
 
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 )
 
 // The append functions mirror encoding/binary's AppendX shape: each appends
@@ -82,22 +81,6 @@ func AppendStrings(buf []byte, ss []string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ss))+1)
 	for _, s := range ss {
 		buf = AppendString(buf, s)
-	}
-	return buf
-}
-
-// AppendMap appends a string-keyed map as a count followed by its entries in
-// ascending key order — so equal maps produce equal bytes — each a key
-// string and the value as value encodes it.
-func AppendMap[K ~string, V any](buf []byte, m map[K]V, value func([]byte, V) []byte) []byte {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	buf = binary.AppendUvarint(buf, uint64(len(m)))
-	for _, k := range keys {
-		buf = value(AppendString(buf, string(k)), m[k])
 	}
 	return buf
 }

@@ -12,6 +12,7 @@ import (
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/maxprop"
 	"replidtn/internal/routing/prophet"
+	"replidtn/internal/routing/sorted"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire/prim"
@@ -204,16 +205,16 @@ func TestRoutingRoundTrip(t *testing.T) {
 		"nil": nil,
 		"prophet": &prophet.Request{
 			OwnAddresses:   []string{"user:1"},
-			Predictability: map[string]float64{"user:2": 0.5, "user:3": 1, "user:4": 0},
+			Predictability: sorted.FromMap(map[string]float64{"user:2": 0.5, "user:3": 1, "user:4": 0}),
 		},
-		"prophet empty": &prophet.Request{Predictability: map[string]float64{}},
+		"prophet empty": &prophet.Request{Predictability: sorted.FromMap(map[string]float64{})},
 		"maxprop": &maxprop.Request{
 			OwnAddresses: []string{"user:1"},
-			Table: map[vclock.ReplicaID]maxprop.Row{
-				"a": {Probabilities: map[vclock.ReplicaID]float64{"b": 0.75, "c": 0.25}, Updated: 40},
-				"b": {Probabilities: map[vclock.ReplicaID]float64{}, Updated: -1},
-			},
-			Homes: map[string]maxprop.Home{"user:1": {Node: "a", Updated: 40}, "user:2": {Node: "b", Updated: 7}},
+			Table: sorted.FromMap(map[vclock.ReplicaID]maxprop.Row{
+				"a": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"b": 0.75, "c": 0.25}), Updated: 40},
+				"b": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{}), Updated: -1},
+			}),
+			Homes: sorted.FromMap(map[string]maxprop.Home{"user:1": {Node: "a", Updated: 40}, "user:2": {Node: "b", Updated: 7}}),
 		},
 	}
 	for name, req := range cases {
@@ -253,12 +254,12 @@ func TestRoutingRejected(t *testing.T) {
 		return append(prim.AppendUint32([]byte{tag}, uint32(len(body))), body...)
 	}
 	vector := func(p float64) []byte {
-		return (&prophet.Request{Predictability: map[string]float64{"d": p}}).AppendBinary(nil)
+		return (&prophet.Request{Predictability: sorted.FromMap(map[string]float64{"d": p})}).AppendBinary(nil)
 	}
-	row := (&maxprop.Request{Table: map[vclock.ReplicaID]maxprop.Row{
-		"a": {Probabilities: map[vclock.ReplicaID]float64{"b": 2}},
-	}}).AppendBinary(nil)
-	two := (&prophet.Request{Predictability: map[string]float64{"a": 0.5, "b": 0.5}}).AppendBinary(nil)
+	row := (&maxprop.Request{Table: sorted.FromMap(map[vclock.ReplicaID]maxprop.Row{
+		"a": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"b": 2})},
+	})}).AppendBinary(nil)
+	two := (&prophet.Request{Predictability: sorted.FromMap(map[string]float64{"a": 0.5, "b": 0.5})}).AppendBinary(nil)
 	unsorted := bytes.Replace(bytes.Replace(two, []byte("\x01a"), []byte("\x01c"), 1), []byte("\x01b"), []byte("\x01a"), 1)
 	for name, buf := range map[string][]byte{
 		"unknown tag":          framed(9, vector(0.5)),
