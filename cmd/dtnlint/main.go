@@ -5,18 +5,14 @@
 //
 // Usage:
 //
-//	dtnlint [-json] [-cache dir] [-workers n] [packages]
+//	dtnlint [-json] [packages]
 //
 // With no arguments it checks ./... relative to the current directory.
 // Diagnostics print as file:line:col: analyzer: message, one per line, and
 // any diagnostic makes the exit status 1 — `make lint` wires this into the
 // tier-1 `make check` gate. With -json, output is instead one JSON document
-// ({"diagnostics": [{file,line,col,analyzer,message}], "packages", "cached"})
-// for CI annotation tooling. -cache names a directory for the per-package
-// result cache: packages whose sources, dependency cone, toolchain, and
-// analyzer set are unchanged are served from disk without re-type-checking,
-// making warm runs sub-second. -workers bounds parallel package analysis
-// (default GOMAXPROCS). Suppress a deliberate violation with a justified
+// ({"diagnostics": [{file,line,col,analyzer,message}], "packages"}) for CI
+// annotation tooling. Suppress a deliberate violation with a justified
 // //lint:allow comment (see internal/analysis/lintcore).
 package main
 
@@ -31,10 +27,8 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON document")
-	cacheDir := flag.String("cache", "", "directory for the per-package result cache (empty disables caching)")
-	workers := flag.Int("workers", 0, "max concurrent package analyses (0 = GOMAXPROCS)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: dtnlint [-json] [-cache dir] [-workers n] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: dtnlint [-json] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Flags:\n")
 		flag.PrintDefaults()
 		fmt.Fprintf(flag.CommandLine.Output(), "\nAnalyzers:\n")
@@ -47,7 +41,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	res, err := check(patterns, *cacheDir, *workers)
+	res, err := check(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dtnlint:", err)
 		os.Exit(2)
@@ -68,21 +62,7 @@ func main() {
 	}
 }
 
-func check(patterns []string, cacheDir string, workers int) (*lintcore.Result, error) {
-	return lintcore.Check(lintcore.Config{
-		Patterns:  patterns,
-		Analyzers: analysis.All(),
-		CacheDir:  cacheDir,
-		Workers:   workers,
-	})
-}
-
-// run is the uncached sequential path kept for tests that want plain
-// diagnostics for a pattern list.
-func run(patterns []string) ([]lintcore.Diagnostic, error) {
-	res, err := check(patterns, "", 0)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
+// check runs every analyzer over the packages matching patterns.
+func check(patterns []string) (*lintcore.Result, error) {
+	return lintcore.Check(lintcore.Config{Patterns: patterns, Analyzers: analysis.All()})
 }

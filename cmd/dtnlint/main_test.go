@@ -11,14 +11,14 @@ func TestLintedPackagesStayClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks packages from source; skipped in -short runs")
 	}
-	diags, err := run([]string{
+	res, err := check([]string{
 		"replidtn/internal/discovery",
 		"replidtn/internal/vclock",
 	})
 	if err != nil {
 		t.Fatalf("dtnlint run: %v", err)
 	}
-	for _, d := range diags {
+	for _, d := range res.Diagnostics {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
 }

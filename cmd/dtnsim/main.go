@@ -16,8 +16,7 @@
 // many CPUs there are.
 //
 // Scenario specs (see internal/mobility): dieselnet, rwp, community,
-// corridor, dir:PATH — e.g. "rwp:n=100000,seed=7" or
-// "community:n=500,cells=3,bias=0.7".
+// dir:PATH — e.g. "rwp:n=1000,seed=7" or "community:n=500,cells=3,bias=0.7".
 //
 // Experiments: table1, table2, fig5, fig6, fig7a, fig7b, fig8, fig9, fig10,
 // all, summary, fault-sweep; ablations: ablation-ttl,
@@ -54,7 +53,7 @@ func main() {
 		small      = flag.Bool("small", false, "use the scaled-down trace (fast)")
 		seed       = flag.Int64("seed", 1, "trace generator seed")
 		traceDir   = flag.String("trace", "", "load the trace from a directory of CSVs instead of generating it")
-		scenario   = flag.String("scenario", "", `generate the trace from a mobility scenario spec, e.g. "rwp:n=1000,seed=7" (dieselnet, rwp, community, corridor, dir:PATH)`)
+		scenario   = flag.String("scenario", "", `generate the trace from a mobility scenario spec, e.g. "rwp:n=1000,seed=7" (dieselnet, rwp, community, dir:PATH)`)
 		faultSpec  = flag.String("faults", "", `fault injection spec, e.g. "drop=0.3,cutoff=0.25,cutoff-items=2,crash=0.01" ("" or "off" disables)`)
 		faultSeed  = flag.Int64("fault-seed", 1, "fault schedule seed (same seed = same faults)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -248,11 +247,7 @@ func buildTrace(small bool, seed int64, traceDir, scenario string) (*trace.Trace
 		return trace.LoadDir(traceDir)
 	}
 	if scenario != "" {
-		sc, err := mobility.Parse(scenario)
-		if err != nil {
-			return nil, err
-		}
-		return trace.Materialize(sc)
+		return mobility.Parse(scenario)
 	}
 	if small {
 		return experiment.SmallTrace(seed)

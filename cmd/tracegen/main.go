@@ -13,9 +13,9 @@
 //	tracegen -out ./traces -scenario community:n=200,cells=3,bias=0.7
 //
 // Scenario specs (see internal/mobility): dieselnet, rwp, community,
-// corridor, dir:PATH. The written directory round-trips: dtnsim
-// -trace DIR (or trace.LoadDir) reconstructs the identical trace,
-// silent nodes included via nodes.csv.
+// dir:PATH. The written directory round-trips: dtnsim -trace DIR (or
+// trace.LoadDir) reconstructs the identical trace, silent nodes included
+// via nodes.csv.
 package main
 
 import (
@@ -85,15 +85,11 @@ func run(out string, seed int64, days int, scenario string) error {
 
 func buildTrace(seed int64, days int, scenario string) (*trace.Trace, error) {
 	if scenario != "" {
-		sc, err := mobility.Parse(scenario)
-		if err != nil {
-			return nil, err
-		}
 		if days > 0 {
 			return nil, fmt.Errorf("-days does not apply to -scenario; set days in the spec (e.g. %q)",
 				fmt.Sprintf("%s,days=%d", scenario, days))
 		}
-		return trace.Materialize(sc)
+		return mobility.Parse(scenario)
 	}
 	dn := trace.DefaultDieselNet()
 	dn.Seed = seed

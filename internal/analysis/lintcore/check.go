@@ -1,11 +1,5 @@
 package lintcore
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
-
 // Config parameterizes one Check run.
 type Config struct {
 	// Dir is the directory patterns are resolved from (the module root for
@@ -15,12 +9,6 @@ type Config struct {
 	Patterns []string
 	// Analyzers is the enabled analyzer set.
 	Analyzers []*Analyzer
-	// CacheDir, when non-empty, enables the on-disk result cache: packages
-	// whose content hash (own sources + dependency cone + analyzer set +
-	// toolchain) is unchanged are not re-loaded or re-analyzed.
-	CacheDir string
-	// Workers bounds concurrent package analysis; <= 0 means GOMAXPROCS.
-	Workers int
 }
 
 // Result is the outcome of one Check run.
@@ -30,214 +18,24 @@ type Result struct {
 	Diagnostics []Diagnostic
 	// Packages is the number of matched target packages.
 	Packages int
-	// Reused is how many of those were served from the result cache.
-	Reused int
 }
 
-// Check is the production driver entry point: resolve patterns, hash the
-// dependency graph, serve unchanged packages from the cache, and type-check
-// plus analyze the rest in parallel, in dependency order so cross-package
-// facts flow to importers. Load+Run remain as the simpler sequential path
-// used by the golden-fixture harness.
+// Check is the driver entry point: resolve patterns, type-check the matched
+// packages, and analyze them one at a time in dependency order so
+// cross-package facts flow to importers. It is Load followed by Run, the
+// same path the golden-fixture harness drives.
 func Check(cfg Config) (*Result, error) {
 	dir := cfg.Dir
 	if dir == "" {
 		dir = "."
 	}
-	metas, order, targets, err := golist(dir, cfg.Patterns)
+	pkgs, err := Load(dir, cfg.Patterns...)
 	if err != nil {
 		return nil, err
 	}
-	hashes, err := packageHashes(metas, order, fingerprint(cfg.Analyzers))
+	diags, err := Run(pkgs, cfg.Analyzers)
 	if err != nil {
 		return nil, err
 	}
-	cache, err := openResultCache(cfg.CacheDir)
-	if err != nil {
-		return nil, err
-	}
-
-	targetSet := make(map[string]bool, len(targets))
-	for _, t := range targets {
-		targetSet[t] = true
-	}
-	deps := transitiveTargetDeps(metas, targets, targetSet)
-
-	facts := newFactStore()
-	var all []Diagnostic
-	var misses []string
-	reused := 0
-	for _, path := range targets {
-		if entry, ok := cache.load(path, hashes[path]); ok {
-			reused++
-			facts.add(path, entry.Facts)
-			all = append(all, entry.Diagnostics...)
-			continue
-		}
-		misses = append(misses, path)
-	}
-
-	if len(misses) > 0 {
-		missed, err := analyzeMisses(cfg, metas, misses, targetSet, deps, hashes, cache, facts)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, missed...)
-	}
-	sortDiagnostics(all)
-	return &Result{Diagnostics: all, Packages: len(targets), Reused: reused}, nil
-}
-
-// transitiveTargetDeps precomputes, for every target, its transitive
-// dependencies restricted to the target set — the packages whose facts it
-// must see and (when they also missed the cache) must be analyzed first.
-func transitiveTargetDeps(metas map[string]*listPkg, targets []string, targetSet map[string]bool) map[string][]string {
-	deps := make(map[string][]string, len(targets))
-	for _, t := range targets {
-		seen := make(map[string]bool)
-		stack := []string{t}
-		for len(stack) > 0 {
-			path := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			meta := metas[path]
-			if meta == nil {
-				continue
-			}
-			for _, imp := range meta.Imports {
-				if mapped, ok := meta.ImportMap[imp]; ok {
-					imp = mapped
-				}
-				if seen[imp] || !targetSet[imp] {
-					continue
-				}
-				seen[imp] = true
-				stack = append(stack, imp)
-			}
-		}
-		list := make([]string, 0, len(seen))
-		for imp := range seen {
-			list = append(list, imp)
-		}
-		deps[t] = list
-	}
-	return deps
-}
-
-// analyzeMisses type-checks and analyzes the cache-miss targets on a worker
-// pool scheduled over the miss-to-miss dependency DAG: a package becomes
-// ready once every missed target it (transitively) imports has been
-// analyzed, so its fact view is complete when its turn comes. Cache-hit
-// dependencies need no ordering — their facts were preloaded.
-func analyzeMisses(cfg Config, metas map[string]*listPkg, misses []string, targetSet map[string]bool,
-	deps map[string][]string, hashes map[string]string, cache *resultCache, facts *factStore) ([]Diagnostic, error) {
-
-	missSet := make(map[string]bool, len(misses))
-	for _, m := range misses {
-		missSet[m] = true
-	}
-	indeg := make(map[string]int, len(misses))
-	dependents := make(map[string][]string)
-	for _, m := range misses {
-		for _, d := range deps[m] {
-			if missSet[d] {
-				indeg[m]++
-				dependents[d] = append(dependents[d], m)
-			}
-		}
-	}
-
-	ld := newLoader(metas)
-	ready := make(chan string, len(misses))
-	var (
-		mu       sync.Mutex
-		all      []Diagnostic
-		firstErr error
-		finished int
-	)
-	// finish records a task's completion: it surfaces the first error,
-	// unblocks dependents whose last missing dependency this was, and closes
-	// the ready queue once every miss has passed through — including after
-	// an error, so blocked workers always drain and exit.
-	finish := func(path string, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		for _, d := range dependents[path] {
-			indeg[d]--
-			if indeg[d] == 0 {
-				ready <- d
-			}
-		}
-		finished++
-		if finished == len(misses) {
-			close(ready)
-		}
-	}
-	for _, m := range misses {
-		if indeg[m] == 0 {
-			ready <- m
-		}
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(misses) {
-		workers = len(misses)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for path := range ready {
-				mu.Lock()
-				bail := firstErr != nil
-				mu.Unlock()
-				if bail {
-					finish(path, nil)
-					continue
-				}
-				diags, err := analyzeOne(ld, metas[path], cfg.Analyzers, facts, deps[path], hashes[path], cache)
-				if err != nil {
-					finish(path, err)
-					continue
-				}
-				mu.Lock()
-				all = append(all, diags...)
-				mu.Unlock()
-				finish(path, nil)
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return all, nil
-}
-
-// analyzeOne runs the full per-package pipeline: type-check, analyze with
-// the dependency fact view, publish facts, persist the cache entry.
-func analyzeOne(ld *loader, meta *listPkg, analyzers []*Analyzer, facts *factStore,
-	deps []string, hash string, cache *resultCache) ([]Diagnostic, error) {
-	if meta == nil {
-		return nil, fmt.Errorf("lintcore: target missing from go list metadata")
-	}
-	pkg, err := ld.checkTarget(meta)
-	if err != nil {
-		return nil, err
-	}
-	diags, exported, err := analyzePackage(pkg, analyzers, facts.view(deps))
-	if err != nil {
-		return nil, err
-	}
-	facts.add(pkg.ImportPath, exported)
-	if err := cache.store(pkg.ImportPath, &cacheEntry{Hash: hash, Diagnostics: diags, Facts: exported}); err != nil {
-		return nil, err
-	}
-	return diags, nil
+	return &Result{Diagnostics: diags, Packages: len(pkgs)}, nil
 }

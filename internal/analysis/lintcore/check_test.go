@@ -3,6 +3,7 @@ package lintcore
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -22,12 +23,10 @@ func writeTree(t *testing.T, dir string, files map[string]string) {
 
 const checkGoMod = "module tmpfixture\n\ngo 1.22\n"
 
-// TestCheckCacheRoundTrip drives the cached parallel driver end to end: a
-// cold run analyzes every package and populates the cache, a warm run
-// reuses every entry and reproduces the identical diagnostics, and editing
-// a dependency invalidates it and its importer while leaving the
-// untouched sibling cached.
-func TestCheckCacheRoundTrip(t *testing.T) {
+// TestCheckEndToEnd drives Check over a throwaway module: every matched
+// package is analyzed, and a second run over the same tree reproduces the
+// same diagnostics in the same order.
+func TestCheckEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	writeTree(t, dir, map[string]string{
 		"go.mod": checkGoMod,
@@ -48,104 +47,37 @@ func Call() int { return base.Ping() }
 func Quiet() int { return 2 }
 `,
 	})
-	cache := filepath.Join(dir, "lintcache")
-	cfg := Config{
-		Dir:       dir,
-		Patterns:  []string{"./..."},
-		Analyzers: []*Analyzer{dummyAnalyzer},
-		CacheDir:  cache,
-	}
+	cfg := Config{Dir: dir, Patterns: []string{"./..."}, Analyzers: []*Analyzer{dummyAnalyzer}}
 
-	cold, err := Check(cfg)
+	first, err := Check(cfg)
 	if err != nil {
-		t.Fatalf("cold run: %v", err)
+		t.Fatalf("first run: %v", err)
 	}
-	if cold.Packages != 3 {
-		t.Fatalf("cold run analyzed %d packages, want 3", cold.Packages)
-	}
-	if cold.Reused != 0 {
-		t.Fatalf("cold run reused %d cache entries, want 0", cold.Reused)
+	if first.Packages != 3 {
+		t.Fatalf("first run analyzed %d packages, want 3", first.Packages)
 	}
 	// base.Ping calls pong, top.Call calls base.Ping: two call sites total.
-	if len(cold.Diagnostics) != 2 {
-		t.Fatalf("cold run produced %d diagnostics, want 2: %v", len(cold.Diagnostics), cold.Diagnostics)
+	if len(first.Diagnostics) != 2 {
+		t.Fatalf("first run produced %d diagnostics, want 2: %v", len(first.Diagnostics), first.Diagnostics)
 	}
 
-	warm, err := Check(cfg)
+	again, err := Check(cfg)
 	if err != nil {
-		t.Fatalf("warm run: %v", err)
+		t.Fatalf("second run: %v", err)
 	}
-	if warm.Reused != 3 {
-		t.Fatalf("warm run reused %d cache entries, want 3", warm.Reused)
+	if len(again.Diagnostics) != len(first.Diagnostics) {
+		t.Fatalf("second run produced %d diagnostics, want %d", len(again.Diagnostics), len(first.Diagnostics))
 	}
-	if len(warm.Diagnostics) != len(cold.Diagnostics) {
-		t.Fatalf("warm run produced %d diagnostics, want %d", len(warm.Diagnostics), len(cold.Diagnostics))
-	}
-	for i := range warm.Diagnostics {
-		if warm.Diagnostics[i] != cold.Diagnostics[i] {
-			t.Fatalf("warm diagnostic %d = %v, want %v (cache must replay verbatim)", i, warm.Diagnostics[i], cold.Diagnostics[i])
+	for i := range again.Diagnostics {
+		if again.Diagnostics[i] != first.Diagnostics[i] {
+			t.Fatalf("second run diagnostic %d = %v, want %v", i, again.Diagnostics[i], first.Diagnostics[i])
 		}
 	}
-
-	// Edit the dependency: base and its importer top must re-analyze; side
-	// stays cached. The extra call site surfaces as a third diagnostic.
-	writeTree(t, dir, map[string]string{
-		"base/base.go": `package base
-
-func Ping() int { return pong() + pong() }
-
-func pong() int { return 1 }
-`,
-	})
-	edited, err := Check(cfg)
-	if err != nil {
-		t.Fatalf("post-edit run: %v", err)
-	}
-	if edited.Reused != 1 {
-		t.Fatalf("post-edit run reused %d cache entries, want 1 (only the untouched sibling)", edited.Reused)
-	}
-	if len(edited.Diagnostics) != 3 {
-		t.Fatalf("post-edit run produced %d diagnostics, want 3: %v", len(edited.Diagnostics), edited.Diagnostics)
-	}
 }
 
-// TestCheckCacheKeyedByAnalyzers verifies the cache fingerprint covers the
-// analyzer set: entries written under one set must not satisfy a run with
-// another, which would replay the wrong diagnostics.
-func TestCheckCacheKeyedByAnalyzers(t *testing.T) {
-	dir := t.TempDir()
-	writeTree(t, dir, map[string]string{
-		"go.mod": checkGoMod,
-		"pkg/pkg.go": `package pkg
-
-func F() int { return g() }
-
-func g() int { return 1 }
-`,
-	})
-	cache := filepath.Join(dir, "lintcache")
-	cfg := Config{Dir: dir, Patterns: []string{"./..."}, Analyzers: []*Analyzer{dummyAnalyzer}, CacheDir: cache}
-	if _, err := Check(cfg); err != nil {
-		t.Fatalf("seed run: %v", err)
-	}
-
-	silent := &Analyzer{Name: "silent", Doc: "report nothing", Run: func(*Pass) error { return nil }}
-	other := cfg
-	other.Analyzers = []*Analyzer{silent}
-	res, err := Check(other)
-	if err != nil {
-		t.Fatalf("other-analyzer run: %v", err)
-	}
-	if res.Reused != 0 {
-		t.Fatalf("run with a different analyzer set reused %d entries, want 0", res.Reused)
-	}
-	if len(res.Diagnostics) != 0 {
-		t.Fatalf("silent analyzer produced %d diagnostics, want 0: %v", len(res.Diagnostics), res.Diagnostics)
-	}
-}
-
-// TestCheckWithoutCacheDir runs the parallel driver with caching disabled:
-// every run analyzes everything and reuses nothing.
+// TestCheckWithoutCacheDir checks that Check keeps no state between runs:
+// each run over an unchanged tree analyzes every package afresh and reports
+// the same diagnostic.
 func TestCheckWithoutCacheDir(t *testing.T) {
 	dir := t.TempDir()
 	writeTree(t, dir, map[string]string{
@@ -163,8 +95,8 @@ func g() int { return 1 }
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		if res.Reused != 0 {
-			t.Fatalf("run %d without a cache dir reused %d entries, want 0", run, res.Reused)
+		if res.Packages != 1 {
+			t.Fatalf("run %d analyzed %d packages, want 1", run, res.Packages)
 		}
 		if len(res.Diagnostics) != 1 {
 			t.Fatalf("run %d produced %d diagnostics, want 1", run, len(res.Diagnostics))
@@ -172,10 +104,10 @@ func g() int { return 1 }
 	}
 }
 
-// TestCheckFactsAcrossCache verifies dependency facts survive the cache: a
-// fact-consuming analyzer sees the same dependency facts whether the
-// dependency was analyzed live or replayed from disk.
-func TestCheckFactsAcrossCache(t *testing.T) {
+// TestCheckFactsFlowToImporters verifies the fact plumbing: a package sees
+// the facts its dependencies exported, and a package that imports nothing
+// sees none.
+func TestCheckFactsFlowToImporters(t *testing.T) {
 	exporter := &Analyzer{
 		Name: "facts",
 		Doc:  "export one fact per package, report when a dependency exported one",
@@ -200,36 +132,20 @@ import "tmpfixture/base"
 
 func Call() int { return base.Ping() }
 `,
-	})
-	cache := filepath.Join(dir, "lintcache")
-	cfg := Config{Dir: dir, Patterns: []string{"./..."}, Analyzers: []*Analyzer{exporter}, CacheDir: cache}
+		"side/side.go": `package side
 
-	cold, err := Check(cfg)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	if len(cold.Diagnostics) != 1 {
-		t.Fatalf("cold run produced %d diagnostics, want 1 (top sees base's fact): %v", len(cold.Diagnostics), cold.Diagnostics)
-	}
-
-	// Invalidate only the importer: its re-analysis must read base's fact
-	// out of the cache entry, not silently see an empty fact store.
-	writeTree(t, dir, map[string]string{
-		"top/top.go": `package top
-
-import "tmpfixture/base"
-
-func Call() int { return base.Ping() + 1 }
+func Quiet() int { return 2 }
 `,
 	})
-	edited, err := Check(cfg)
+	res, err := Check(Config{Dir: dir, Patterns: []string{"./..."}, Analyzers: []*Analyzer{exporter}})
 	if err != nil {
-		t.Fatalf("post-edit run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	if edited.Reused != 1 {
-		t.Fatalf("post-edit run reused %d entries, want 1 (base only)", edited.Reused)
+	if len(res.Diagnostics) != 1 {
+		t.Fatalf("run produced %d diagnostics, want 1 (top sees base's fact, side sees none): %v", len(res.Diagnostics), res.Diagnostics)
 	}
-	if len(edited.Diagnostics) != 1 {
-		t.Fatalf("post-edit run produced %d diagnostics, want 1: %v", len(edited.Diagnostics), edited.Diagnostics)
+	d := res.Diagnostics[0]
+	if !strings.HasSuffix(d.Pos.Filename, filepath.Join("top", "top.go")) || !strings.Contains(d.Message, "tmpfixture/base") {
+		t.Errorf("diagnostic = %v, want top.go seeing tmpfixture/base's fact", d)
 	}
 }

@@ -22,7 +22,6 @@ type jsonDiagnostic struct {
 type jsonReport struct {
 	Diagnostics []jsonDiagnostic `json:"diagnostics"`
 	Packages    int              `json:"packages"`
-	Cached      int              `json:"cached"`
 }
 
 // WriteJSON renders a Check result as one JSON document. File paths are
@@ -33,7 +32,6 @@ func WriteJSON(w io.Writer, res *Result) error {
 	report := jsonReport{
 		Diagnostics: make([]jsonDiagnostic, 0, len(res.Diagnostics)),
 		Packages:    res.Packages,
-		Cached:      res.Reused,
 	}
 	for _, d := range res.Diagnostics {
 		file := d.Pos.Filename

@@ -10,9 +10,9 @@ import (
 )
 
 // TestWriteJSON pins the machine-readable report shape CI consumes:
-// one object with diagnostics (file/line/col/analyzer/message), the
-// package count, and the cache-hit count — file paths rewritten relative
-// to the working directory so GitHub annotations resolve.
+// one object with diagnostics (file/line/col/analyzer/message) and the
+// package count — file paths rewritten relative to the working directory so
+// GitHub annotations resolve.
 func TestWriteJSON(t *testing.T) {
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -32,7 +32,6 @@ func TestWriteJSON(t *testing.T) {
 			},
 		},
 		Packages: 7,
-		Reused:   5,
 	}
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, res); err != nil {
@@ -48,13 +47,12 @@ func TestWriteJSON(t *testing.T) {
 			Message  string `json:"message"`
 		} `json:"diagnostics"`
 		Packages int `json:"packages"`
-		Cached   int `json:"cached"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
 		t.Fatalf("report is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if report.Packages != 7 || report.Cached != 5 {
-		t.Errorf("packages/cached = %d/%d, want 7/5", report.Packages, report.Cached)
+	if report.Packages != 7 {
+		t.Errorf("packages = %d, want 7", report.Packages)
 	}
 	if len(report.Diagnostics) != 2 {
 		t.Fatalf("report carries %d diagnostics, want 2", len(report.Diagnostics))
@@ -77,7 +75,7 @@ func TestWriteJSON(t *testing.T) {
 // empty array, not null, so jq pipelines in CI need no null guards.
 func TestWriteJSONEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, &Result{Packages: 2, Reused: 2}); err != nil {
+	if err := WriteJSON(&buf, &Result{Packages: 2}); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	var report map[string]json.RawMessage

@@ -24,7 +24,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Analyzer is one invariant checker: a name (used in diagnostics and in
@@ -39,11 +38,11 @@ type Analyzer struct {
 // Diagnostic is one reported violation.
 type Diagnostic struct {
 	// Pos locates the violation.
-	Pos token.Position `json:"pos"`
+	Pos token.Position
 	// Analyzer is the reporting analyzer's name.
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// Message describes the violation.
-	Message string `json:"message"`
+	Message string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -54,25 +53,24 @@ func (d Diagnostic) String() string {
 // Fact is one exported piece of cross-package knowledge: an analyzer
 // observation about a function (or other object) of one package, made
 // available to the same analyzer when it later runs over packages that
-// import it. Facts are plain strings so they serialize into the on-disk
-// result cache unchanged; each analyzer defines its own Kind/Detail
-// vocabulary (e.g. lockorder exports {Kind: "acquires", Detail: lock key}
-// facts keyed by the qualified function name).
+// import it. Each analyzer defines its own Kind/Detail vocabulary (e.g.
+// lockorder exports {Kind: "acquires", Detail: lock key} facts keyed by the
+// qualified function name).
 type Fact struct {
 	// Analyzer names the exporting analyzer; facts are only visible to the
 	// analyzer that exported them, mirroring x/tools fact scoping.
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// Key identifies the object the fact describes, conventionally the
 	// types.Func FullName (e.g. "(*replidtn/internal/store.Store).Put").
-	Key string `json:"key"`
+	Key string
 	// Kind is the analyzer-defined fact class.
-	Kind string `json:"kind"`
+	Kind string
 	// Detail is the analyzer-defined payload.
-	Detail string `json:"detail,omitempty"`
+	Detail string
 }
 
 // FuncKey returns the canonical fact key for a function or method: its
-// fully qualified name, stable across packages and cache round-trips.
+// fully qualified name, stable across packages.
 func FuncKey(fn *types.Func) string { return fn.FullName() }
 
 // Pass carries one analyzer's view of one type-checked package, mirroring
@@ -102,8 +100,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ExportFact publishes a fact about an object of this package, visible to
-// this analyzer when it runs over packages importing this one (and
-// persisted in the result cache alongside diagnostics).
+// this analyzer when it runs over packages importing this one.
 func (p *Pass) ExportFact(key, kind, detail string) {
 	if p.facts == nil {
 		return
@@ -274,9 +271,8 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer, depFacts func(analyzer 
 }
 
 // factStore accumulates each analyzed package's exported facts, for lookup
-// by later (importing) packages. Safe for concurrent use.
+// by later (importing) packages.
 type factStore struct {
-	mu    sync.RWMutex
 	byPkg map[string][]Fact
 }
 
@@ -285,15 +281,12 @@ func newFactStore() *factStore {
 }
 
 func (s *factStore) add(importPath string, facts []Fact) {
-	s.mu.Lock()
 	s.byPkg[importPath] = facts
-	s.mu.Unlock()
 }
 
 // view builds the per-analyzer dependency-fact lookup for a package whose
 // transitive in-module dependencies are deps.
 func (s *factStore) view(deps []string) func(analyzer string) map[string][]Fact {
-	s.mu.RLock()
 	merged := make(map[string]map[string][]Fact) // analyzer → key → facts
 	for _, dep := range deps {
 		for _, f := range s.byPkg[dep] {
@@ -305,7 +298,6 @@ func (s *factStore) view(deps []string) func(analyzer string) map[string][]Fact 
 			byKey[f.Key] = append(byKey[f.Key], f)
 		}
 	}
-	s.mu.RUnlock()
 	return func(analyzer string) map[string][]Fact { return merged[analyzer] }
 }
 

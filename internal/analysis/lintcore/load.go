@@ -13,7 +13,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"sync"
 )
 
 // Package is one loaded, type-checked target package ready for analysis.
@@ -37,7 +36,6 @@ type listPkg struct {
 	GoFiles    []string
 	Imports    []string
 	ImportMap  map[string]string
-	Standard   bool
 	DepOnly    bool
 	Error      *listError
 }
@@ -48,14 +46,14 @@ type listError struct {
 
 // golist resolves patterns relative to dir with one `go list -deps -json`
 // call. It returns every package in the dependency closure keyed by import
-// path, the closure in dependency order (dependencies before dependents,
-// which is the order go list emits), and the matched target import paths.
-// CGO is disabled for file selection so the pure-Go fallbacks of net/os are
-// chosen and every compiled file is parseable Go source.
-func golist(dir string, patterns []string) (metas map[string]*listPkg, order, targets []string, err error) {
+// path and the matched target import paths in dependency order (dependencies
+// before dependents, which is the order go list emits). CGO is disabled for
+// file selection so the pure-Go fallbacks of net/os are chosen and every
+// compiled file is parseable Go source.
+func golist(dir string, patterns []string) (metas map[string]*listPkg, targets []string, err error) {
 	args := append([]string{
 		"list", "-e", "-deps",
-		"-json=ImportPath,Dir,Name,GoFiles,Imports,ImportMap,Standard,DepOnly,Error",
+		"-json=ImportPath,Dir,Name,GoFiles,Imports,ImportMap,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -64,7 +62,7 @@ func golist(dir string, patterns []string) (metas map[string]*listPkg, order, ta
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("lintcore: go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, nil, fmt.Errorf("lintcore: go list %v: %v\n%s", patterns, err, stderr.String())
 	}
 	metas = make(map[string]*listPkg)
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -73,27 +71,18 @@ func golist(dir string, patterns []string) (metas map[string]*listPkg, order, ta
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, nil, nil, fmt.Errorf("lintcore: decode go list output: %w", err)
+			return nil, nil, fmt.Errorf("lintcore: decode go list output: %w", err)
 		}
 		if p.Error != nil {
-			return nil, nil, nil, fmt.Errorf("lintcore: %s: %s", p.ImportPath, p.Error.Err)
+			return nil, nil, fmt.Errorf("lintcore: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		meta := p
 		metas[meta.ImportPath] = &meta
-		order = append(order, meta.ImportPath)
 		if !meta.DepOnly && len(meta.GoFiles) > 0 {
 			targets = append(targets, meta.ImportPath)
 		}
 	}
-	return metas, order, targets, nil
-}
-
-// pkgSlot deduplicates concurrent type-checks of one dependency: the first
-// goroutine to need the package checks it, everyone else waits on the once.
-type pkgSlot struct {
-	once sync.Once
-	pkg  *types.Package
-	err  error
+	return metas, targets, nil
 }
 
 // loader type-checks packages from source. Dependencies (including the
@@ -103,19 +92,16 @@ type pkgSlot struct {
 // export-data machinery: one `go list -deps -json` call supplies the file
 // sets and import resolution, and go/types does the rest.
 //
-// The loader is safe for concurrent use: the shared token.FileSet is
-// internally synchronized, the slot map serializes the first check of each
-// dependency, and fully checked target packages are published into their
-// slots so dependents loaded later (the driver schedules targets in
-// dependency order) resolve them without a second check.
+// pkgs holds every package checked so far. A fully checked target is
+// recorded there so dependents checked later (Load goes in dependency order)
+// resolve it without a shape-only re-check; the first check of a path wins,
+// so every importer sees one *types.Package per path.
 type loader struct {
 	fset  *token.FileSet
 	metas map[string]*listPkg
 	byDir map[string]*listPkg
 	sizes types.Sizes
-
-	mu    sync.Mutex
-	slots map[string]*pkgSlot
+	pkgs  map[string]*types.Package
 }
 
 func newLoader(metas map[string]*listPkg) *loader {
@@ -124,7 +110,7 @@ func newLoader(metas map[string]*listPkg) *loader {
 		metas: metas,
 		byDir: make(map[string]*listPkg, len(metas)),
 		sizes: types.SizesFor("gc", runtime.GOARCH),
-		slots: make(map[string]*pkgSlot),
+		pkgs:  make(map[string]*types.Package),
 	}
 	for _, m := range metas {
 		ld.byDir[m.Dir] = m
@@ -135,14 +121,14 @@ func newLoader(metas map[string]*listPkg) *loader {
 // Load resolves patterns (e.g. "./...") relative to dir, type-checks the
 // matched packages and every dependency, and returns the matched packages.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	metas, _, targets, err := golist(dir, patterns)
+	metas, targets, err := golist(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
 	ld := newLoader(metas)
 	var pkgs []*Package
-	// go list emits dependencies before dependents, so each full check can
-	// publish its result for the targets that import it.
+	// go list emits dependencies before dependents, so each full check is
+	// recorded before the targets that import it are checked.
 	for _, path := range targets {
 		pkg, err := ld.checkTarget(ld.metas[path])
 		if err != nil {
@@ -172,20 +158,8 @@ func (ld *loader) parseFiles(meta *listPkg, withComments bool) ([]*ast.File, err
 	return files, nil
 }
 
-// slot returns the (created-on-demand) slot for an import path.
-func (ld *loader) slot(path string) *pkgSlot {
-	ld.mu.Lock()
-	s := ld.slots[path]
-	if s == nil {
-		s = &pkgSlot{}
-		ld.slots[path] = s
-	}
-	ld.mu.Unlock()
-	return s
-}
-
-// checkTarget fully type-checks a matched package and publishes the result
-// so importing targets resolve it without a shape-only re-check.
+// checkTarget fully type-checks a matched package and records the result so
+// importing targets resolve it without a shape-only re-check.
 func (ld *loader) checkTarget(meta *listPkg) (*Package, error) {
 	files, err := ld.parseFiles(meta, true)
 	if err != nil {
@@ -210,8 +184,9 @@ func (ld *loader) checkTarget(meta *listPkg) (*Package, error) {
 	if len(checkErrs) > 0 {
 		return nil, fmt.Errorf("lintcore: type-check %s: %v", meta.ImportPath, checkErrs[0])
 	}
-	slot := ld.slot(meta.ImportPath)
-	slot.once.Do(func() { slot.pkg = tpkg })
+	if _, ok := ld.pkgs[meta.ImportPath]; !ok {
+		ld.pkgs[meta.ImportPath] = tpkg
+	}
 	return &Package{
 		ImportPath: meta.ImportPath,
 		Dir:        meta.Dir,
@@ -235,12 +210,18 @@ func (ld *loader) resolvedImports(meta *listPkg) []string {
 	return imports
 }
 
-// shape type-checks a dependency's exported shape (IgnoreFuncBodies),
-// deduplicated through the package's slot.
+// shape returns a dependency's exported shape, type-checking it
+// (IgnoreFuncBodies) on first use.
 func (ld *loader) shape(path string) (*types.Package, error) {
-	slot := ld.slot(path)
-	slot.once.Do(func() { slot.pkg, slot.err = ld.shapeCheck(path) })
-	return slot.pkg, slot.err
+	if pkg, ok := ld.pkgs[path]; ok {
+		return pkg, nil
+	}
+	pkg, err := ld.shapeCheck(path)
+	if err != nil {
+		return nil, err
+	}
+	ld.pkgs[path] = pkg
+	return pkg, nil
 }
 
 func (ld *loader) shapeCheck(path string) (*types.Package, error) {

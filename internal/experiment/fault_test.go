@@ -7,7 +7,6 @@ import (
 	"replidtn/internal/emu"
 	"replidtn/internal/fault"
 	"replidtn/internal/mobility"
-	"replidtn/internal/trace"
 )
 
 // TestAcceptanceEpidemicSurvivesDrops is the PR's headline acceptance
@@ -117,11 +116,7 @@ func TestFaultSweepWithoutMessages(t *testing.T) {
 	cfg := mobility.Defaults()
 	cfg.Nodes = 10
 	cfg.Messages = 0
-	sc, err := mobility.NewRWP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Materialize(sc)
+	tr, err := mobility.RWP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,25 +6,15 @@ import (
 	"replidtn/internal/trace"
 )
 
-// Community is a home-cell mobility model: the playground is divided into
-// Cells×Cells districts, each node is anchored to one of them, and with
-// probability HomeBias a waypoint is drawn inside the home district rather
+// Community generates a home-cell mobility trace: the playground is divided
+// into cells×cells districts, each node is anchored to one of them, and with
+// probability homeBias a waypoint is drawn inside the home district rather
 // than anywhere. The result is the clustered, recurrent contact structure of
 // human mobility — nodes meet their neighbors often and strangers rarely —
 // which is where community-aware forwarding differs most from uniform
 // mixing.
-type Community struct {
-	base
-	Cells    int
-	HomeBias float64
-	home     []int
-}
-
-// NewCommunity validates the configuration and assigns home districts from
-// the scenario seed.
-func NewCommunity(cfg Common, cells int, homeBias float64) (*Community, error) {
-	b, err := newBase(cfg)
-	if err != nil {
+func Community(cfg Common, cells int, homeBias float64) (*trace.Trace, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cells < 1 {
@@ -33,27 +23,25 @@ func NewCommunity(cfg Common, cells int, homeBias float64) (*Community, error) {
 	if homeBias < 0 || homeBias > 1 {
 		return nil, fmt.Errorf("mobility: home bias %v outside [0, 1]", homeBias)
 	}
-	s := &Community{base: b, Cells: cells, HomeBias: homeBias}
-	rng := seedStream(cfg.Seed, homeStream)
-	s.home = make([]int, cfg.Nodes)
-	for i := range s.home {
-		s.home[i] = intRand(&rng, cells*cells)
-	}
-	return s, nil
-}
-
-func (s *Community) Name() string { return "community" }
-
-func (s *Community) Encounters(yield func(trace.Encounter) bool) {
-	side := s.cfg.side()
-	cell := side / float64(s.Cells)
-	w := newWaypointSim(s.cfg, func(rng *uint64, i int) (float64, float64) {
-		if unitRand(rng) < s.HomeBias {
-			h := s.home[i]
-			hx, hy := float64(h%s.Cells), float64(h/s.Cells)
+	home := homes(cfg, cells)
+	side := cfg.side()
+	cell := side / float64(cells)
+	return generate("community", cfg, newWaypointSim(cfg, func(rng *uint64, i int) (float64, float64) {
+		if unitRand(rng) < homeBias {
+			h := home[i]
+			hx, hy := float64(h%cells), float64(h/cells)
 			return (hx + unitRand(rng)) * cell, (hy + unitRand(rng)) * cell
 		}
 		return unitRand(rng) * side, unitRand(rng) * side
-	})
-	streamContacts(s.cfg, s.nodes, w, yield)
+	}))
+}
+
+// homes assigns each node its home district, drawn from the scenario seed.
+func homes(cfg Common, cells int) []int {
+	rng := seedStream(cfg.Seed, homeStream)
+	home := make([]int, cfg.Nodes)
+	for i := range home {
+		home[i] = intRand(&rng, cells*cells)
+	}
+	return home
 }

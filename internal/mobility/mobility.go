@@ -1,11 +1,8 @@
 // Package mobility provides deterministic synthetic mobility scenarios for
-// the emulation engine: random-waypoint, community (home-cell), and
-// geographic-corridor models. Each model simulates node movement on a square
-// area in discrete ticks, detects radio contacts with a uniform grid, and
-// streams contact-start events as trace.Encounters — the schedule is never
-// materialized by the generator itself, so scenarios far larger than memory
-// can be exported tick by tick (trace.Materialize collects them when the
-// in-memory engine needs random access).
+// the emulation engine: random-waypoint and community (home-cell) models.
+// Each model simulates node movement on a square area in discrete ticks,
+// detects radio contacts with a uniform grid, and returns the contact starts
+// and a message workload as one validated *trace.Trace.
 //
 // Determinism is a hard requirement (differential tests replay scenarios and
 // compare engine output byte for byte), so every draw comes from per-node
@@ -178,87 +175,76 @@ func userNames(n int) []string {
 	return out
 }
 
-// base provides the model-independent Scenario methods. The three models
-// embed it and supply only their movement simulation.
-type base struct {
-	cfg   Common
-	nodes []string
-	users []string
-}
-
-func newBase(cfg Common) (base, error) {
-	if err := cfg.validate(); err != nil {
-		return base{}, err
+// generate runs one movement model and assembles its trace. Synthetic
+// fleets have no DieselNet-style duty rotation, so every node is rostered
+// every day, and user i rides node i mod Nodes for the whole experiment.
+func generate(name string, cfg Common, w *waypointSim) (*trace.Trace, error) {
+	nodes, users := nodeNames(cfg.Nodes), userNames(cfg.Users)
+	tr := &trace.Trace{
+		Days:       cfg.Days,
+		Buses:      nodes,
+		Users:      users,
+		Encounters: contacts(cfg, nodes, w),
+		Messages:   messages(cfg, users),
+		Roster:     make([][]string, cfg.Days),
+		Assignment: make([]map[string]string, cfg.Days),
 	}
-	return base{cfg: cfg, nodes: nodeNames(cfg.Nodes), users: userNames(cfg.Users)}, nil
-}
-
-func (b *base) Days() int       { return b.cfg.Days }
-func (b *base) Nodes() []string { return b.nodes }
-func (b *base) Users() []string { return b.users }
-
-// Roster reports every node active every day: synthetic fleets have no
-// DieselNet-style duty rotation.
-func (b *base) Roster(day int) []string { return b.nodes }
-
-// Assignment pins user i to node i mod Nodes for the whole experiment.
-func (b *base) Assignment(day int) map[string]string {
-	asg := make(map[string]string, len(b.users))
-	for i, u := range b.users {
-		asg[u] = b.nodes[i%len(b.nodes)]
+	for d := range tr.Roster {
+		tr.Roster[d] = nodes
+		asg := make(map[string]string, len(users))
+		for i, u := range users {
+			asg[u] = nodes[i%len(nodes)]
+		}
+		tr.Assignment[d] = asg
 	}
-	return asg
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("mobility: %s: %w", name, err)
+	}
+	return tr, nil
 }
 
-// Messages streams the injection schedule: times uniform over the daily
+// messages draws the injection schedule: times uniform over the daily
 // operating windows of the first InjectDays days, sorted, with endpoints
 // drawn per message.
-func (b *base) Messages(yield func(trace.Message) bool) {
-	rng := seedStream(b.cfg.Seed, workloadStream)
-	times := make([]int64, b.cfg.Messages)
+func messages(cfg Common, users []string) []trace.Message {
+	rng := seedStream(cfg.Seed, workloadStream)
+	times := make([]int64, cfg.Messages)
 	for i := range times {
-		day := int64(intRand(&rng, b.cfg.InjectDays))
-		times[i] = day*trace.SecondsPerDay + int64(nextRand(&rng)%uint64(b.cfg.ActiveSeconds))
+		day := int64(intRand(&rng, cfg.InjectDays))
+		times[i] = day*trace.SecondsPerDay + int64(nextRand(&rng)%uint64(cfg.ActiveSeconds))
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	width := len(fmt.Sprint(b.cfg.Messages))
+	width := len(fmt.Sprint(cfg.Messages))
 	if width < 4 {
 		width = 4
 	}
+	var out []trace.Message
 	for i, t := range times {
-		from := intRand(&rng, len(b.users))
-		to := intRand(&rng, len(b.users)-1)
+		from := intRand(&rng, len(users))
+		to := intRand(&rng, len(users)-1)
 		if to >= from {
 			to++
 		}
-		m := trace.Message{
+		out = append(out, trace.Message{
 			ID:   fmt.Sprintf("m%0*d", width, i+1),
 			Time: t,
-			From: b.users[from],
-			To:   b.users[to],
-		}
-		if !yield(m) {
-			return
-		}
+			From: users[from],
+			To:   users[to],
+		})
 	}
+	return out
 }
 
-// mover is one movement model: a fresh instance is built per enumeration so
-// that streaming a scenario twice replays identical state.
-type mover interface {
-	// step advances node i across dt seconds and reports its new position.
-	step(i int, dt float64) (x, y float64)
-}
-
-// streamContacts runs the discrete-time simulation and yields contact-start
+// contacts runs the discrete-time simulation and returns contact-start
 // events in (time, A, B) order. A uniform hash grid with cell size equal to
 // the radio range bounds the pair search to the 3×3 neighborhood, keeping
 // each tick O(nodes) regardless of area.
-func streamContacts(cfg Common, names []string, m mover, yield func(trace.Encounter) bool) {
+func contacts(cfg Common, names []string, w *waypointSim) []trace.Encounter {
 	g := newGrid(cfg.Nodes, cfg.side(), cfg.Range)
 	dt := float64(cfg.TickSeconds)
 	lastSeen := make(map[uint64]int64)
 	var pairs []uint64
+	var out []trace.Encounter
 	tick := int64(0)
 	for day := 0; day < cfg.Days; day++ {
 		for off := int64(0); off < cfg.ActiveSeconds; off += cfg.TickSeconds {
@@ -266,7 +252,7 @@ func streamContacts(cfg Common, names []string, m mover, yield func(trace.Encoun
 			now := int64(day)*trace.SecondsPerDay + off
 			g.reset()
 			for i := 0; i < cfg.Nodes; i++ {
-				x, y := m.step(i, dt)
+				x, y := w.step(i, dt)
 				g.insert(int32(i), x, y)
 			}
 			pairs = g.collectPairs(pairs[:0])
@@ -280,13 +266,11 @@ func streamContacts(cfg Common, names []string, m mover, yield func(trace.Encoun
 				if ok && seen == tick-1 {
 					continue // contact continuing since last tick
 				}
-				e := trace.Encounter{Time: now, A: names[p>>32], B: names[uint32(p)]}
-				if !yield(e) {
-					return
-				}
+				out = append(out, trace.Encounter{Time: now, A: names[p>>32], B: names[uint32(p)]})
 			}
 		}
 	}
+	return out
 }
 
 // grid is an open-addressed hash table from occupied cell to a chain of

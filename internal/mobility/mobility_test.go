@@ -42,42 +42,69 @@ func testCommon() Common {
 	return cfg
 }
 
-func buildAll(t *testing.T, cfg Common) []trace.Scenario {
-	t.Helper()
-	rwp, err := NewRWP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	com, err := NewCommunity(cfg, 4, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cor, err := NewCorridor(cfg, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []trace.Scenario{rwp, com, cor}
+// generators are the movement models under test, by name.
+var generators = []struct {
+	name string
+	gen  func(Common) (*trace.Trace, error)
+}{
+	{"rwp", RWP},
+	{"community", func(cfg Common) (*trace.Trace, error) { return Community(cfg, 4, 0.8) }},
 }
 
 func TestGeneratorsMaterializeValidTraces(t *testing.T) {
-	for _, sc := range buildAll(t, testCommon()) {
-		tr, err := trace.Materialize(sc)
+	cfg := testCommon()
+	for _, g := range generators {
+		tr, err := g.gen(cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", sc.Name(), err)
+			t.Fatalf("%s: %v", g.name, err)
 		}
 		if len(tr.Encounters) == 0 {
-			t.Errorf("%s: no encounters generated", sc.Name())
+			t.Errorf("%s: no encounters generated", g.name)
 		}
-		if len(tr.Messages) != 50 {
-			t.Errorf("%s: %d messages, want 50", sc.Name(), len(tr.Messages))
+		if len(tr.Messages) != cfg.Messages {
+			t.Errorf("%s: %d messages, want %d", g.name, len(tr.Messages), cfg.Messages)
 		}
-		if len(tr.Buses) != 40 {
-			t.Errorf("%s: %d nodes, want 40", sc.Name(), len(tr.Buses))
+		if len(tr.Buses) != cfg.Nodes {
+			t.Errorf("%s: %d nodes, want %d", g.name, len(tr.Buses), cfg.Nodes)
 		}
 		for _, e := range tr.Encounters {
-			off := e.Time % trace.SecondsPerDay
-			if off >= testCommon().ActiveSeconds {
-				t.Fatalf("%s: encounter at day offset %d outside the active window", sc.Name(), off)
+			if off := e.Time % trace.SecondsPerDay; off >= cfg.ActiveSeconds {
+				t.Fatalf("%s: encounter at day offset %d outside the active window", g.name, off)
+			}
+		}
+	}
+}
+
+// TestScenarioInterfaceShape checks the roster side of a generated
+// scenario: the day count, a sorted fleet rostered whole every day, and a
+// daily assignment covering every user.
+func TestScenarioInterfaceShape(t *testing.T) {
+	cfg := testCommon()
+	for _, g := range generators {
+		tr, err := g.gen(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if tr.Days != cfg.Days {
+			t.Errorf("%s: days = %d, want %d", g.name, tr.Days, cfg.Days)
+		}
+		if !sortedStrings(tr.Buses) {
+			t.Errorf("%s: node roster not sorted", g.name)
+		}
+		if len(tr.Roster) != cfg.Days || len(tr.Assignment) != cfg.Days {
+			t.Fatalf("%s: %d roster days and %d assignment days, want %d", g.name, len(tr.Roster), len(tr.Assignment), cfg.Days)
+		}
+		for d := range tr.Roster {
+			if !reflect.DeepEqual(tr.Roster[d], tr.Buses) {
+				t.Errorf("%s: day %d does not roster the whole fleet", g.name, d)
+			}
+			if len(tr.Assignment[d]) != cfg.Users {
+				t.Errorf("%s: day %d assigns %d users, want %d", g.name, d, len(tr.Assignment[d]), cfg.Users)
+			}
+			for _, u := range tr.Users {
+				if _, ok := tr.Assignment[d][u]; !ok {
+					t.Errorf("%s: day %d leaves user %s unassigned", g.name, d, u)
+				}
 			}
 		}
 	}
@@ -85,39 +112,26 @@ func TestGeneratorsMaterializeValidTraces(t *testing.T) {
 
 func TestGeneratorsDeterministic(t *testing.T) {
 	cfg := testCommon()
-	for i, sc := range buildAll(t, cfg) {
-		t1, err := trace.Materialize(sc)
+	other := cfg
+	other.Seed++
+	for _, g := range generators {
+		t1, err := g.gen(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t2, err := trace.Materialize(sc)
+		t2, err := g.gen(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(t1, t2) {
-			t.Errorf("%s: two enumerations of the same scenario differ", sc.Name())
+			t.Errorf("%s: two generations of the same scenario differ", g.name)
 		}
-		other := cfg
-		other.Seed++
-		t3, err := trace.Materialize(buildAll(t, other)[i])
+		t3, err := g.gen(other)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if reflect.DeepEqual(t1.Encounters, t3.Encounters) {
-			t.Errorf("%s: different seeds produced identical schedules", sc.Name())
-		}
-	}
-}
-
-func TestEncounterStreamingStopsEarly(t *testing.T) {
-	for _, sc := range buildAll(t, testCommon()) {
-		var got int
-		sc.Encounters(func(trace.Encounter) bool {
-			got++
-			return got < 3
-		})
-		if got != 3 {
-			t.Errorf("%s: early stop visited %d encounters, want 3", sc.Name(), got)
+			t.Errorf("%s: different seeds produced identical schedules", g.name)
 		}
 	}
 }
@@ -126,92 +140,26 @@ func TestCommunityClustersContacts(t *testing.T) {
 	// With full home bias almost all contacts should be within-community;
 	// compare against the uniform RWP baseline on the same parameters.
 	cfg := testCommon()
-	com, err := NewCommunity(cfg, 4, 1.0)
+	tr, err := Community(cfg, 4, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	homeOf := func(name string) int {
-		for i, n := range com.Nodes() {
-			if n == name {
-				return com.home[i]
-			}
-		}
-		t.Fatalf("unknown node %s", name)
-		return -1
+	home := homes(cfg, 4)
+	homeOf := make(map[string]int, len(tr.Buses))
+	for i, n := range tr.Buses {
+		homeOf[n] = home[i]
 	}
-	same, total := 0, 0
-	com.Encounters(func(e trace.Encounter) bool {
-		total++
-		if homeOf(e.A) == homeOf(e.B) {
-			same++
-		}
-		return true
-	})
-	if total == 0 {
+	if len(tr.Encounters) == 0 {
 		t.Fatal("no community encounters")
 	}
-	if frac := float64(same) / float64(total); frac < 0.7 {
+	same := 0
+	for _, e := range tr.Encounters {
+		if homeOf[e.A] == homeOf[e.B] {
+			same++
+		}
+	}
+	if frac := float64(same) / float64(len(tr.Encounters)); frac < 0.7 {
 		t.Errorf("only %.0f%% of fully-biased community contacts are within-community", frac*100)
-	}
-}
-
-func TestCorridorContactsRespectLanes(t *testing.T) {
-	// Nodes on parallel lanes far apart can only meet at intersections
-	// with crossing lanes; same-lane passes must dominate with few lanes.
-	cfg := testCommon()
-	cor, err := NewCorridor(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	laneOf := func(name string) int {
-		for i, n := range cor.Nodes() {
-			if n == name {
-				return i % 4
-			}
-		}
-		t.Fatalf("unknown node %s", name)
-		return -1
-	}
-	total := 0
-	cor.Encounters(func(e trace.Encounter) bool {
-		total++
-		la, lb := laneOf(e.A), laneOf(e.B)
-		// Two distinct parallel lanes never come within radio range: lane
-		// separation is side/(lanes+1) >> range in this configuration.
-		if la != lb && la%2 == lb%2 {
-			t.Fatalf("contact between parallel lanes %d and %d", la, lb)
-		}
-		return true
-	})
-	if total == 0 {
-		t.Fatal("no corridor encounters")
-	}
-}
-
-func TestScenarioInterfaceShape(t *testing.T) {
-	cfg := testCommon()
-	sc, err := NewRWP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Days() != cfg.Days {
-		t.Errorf("days = %d", sc.Days())
-	}
-	nodes := sc.Nodes()
-	if !sortedStrings(nodes) {
-		t.Error("node roster not sorted")
-	}
-	if got := sc.Roster(1); !reflect.DeepEqual(got, nodes) {
-		t.Error("all nodes should be rostered every day")
-	}
-	asg := sc.Assignment(0)
-	if len(asg) != cfg.Users {
-		t.Errorf("assignment covers %d users, want %d", len(asg), cfg.Users)
-	}
-	for _, u := range sc.Users() {
-		if _, ok := asg[u]; !ok {
-			t.Errorf("user %s unassigned", u)
-		}
 	}
 }
 
@@ -264,35 +212,36 @@ func TestGridMatchesBruteForce(t *testing.T) {
 }
 
 func TestEncountersSortedAndWellFormed(t *testing.T) {
-	for _, sc := range buildAll(t, testCommon()) {
-		var prev trace.Encounter
-		first := true
-		sc.Encounters(func(e trace.Encounter) bool {
-			if !first && e.Time < prev.Time {
-				t.Fatalf("%s: time went backwards: %d after %d", sc.Name(), e.Time, prev.Time)
-			}
-			if !first && e.Time == prev.Time && (e.A < prev.A || (e.A == prev.A && e.B < prev.B)) {
-				t.Fatalf("%s: same-tick pair order regressed", sc.Name())
+	for _, g := range generators {
+		tr, err := g.gen(testCommon())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range tr.Encounters {
+			if i > 0 {
+				prev := tr.Encounters[i-1]
+				if e.Time < prev.Time {
+					t.Fatalf("%s: time went backwards: %d after %d", g.name, e.Time, prev.Time)
+				}
+				if e.Time == prev.Time && (e.A < prev.A || (e.A == prev.A && e.B < prev.B)) {
+					t.Fatalf("%s: same-tick pair order regressed", g.name)
+				}
 			}
 			if e.A >= e.B {
-				t.Fatalf("%s: pair %q,%q not in name order", sc.Name(), e.A, e.B)
+				t.Fatalf("%s: pair %q,%q not in name order", g.name, e.A, e.B)
 			}
-			prev, first = e, false
-			return true
-		})
+		}
 	}
 }
 
 func TestMessagesWellFormed(t *testing.T) {
 	cfg := testCommon()
-	sc, err := NewRWP(cfg)
+	tr, err := RWP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var prev int64 = -1
-	count := 0
-	sc.Messages(func(m trace.Message) bool {
-		count++
+	for _, m := range tr.Messages {
 		if m.Time < prev {
 			t.Fatalf("message times regressed: %d after %d", m.Time, prev)
 		}
@@ -303,10 +252,9 @@ func TestMessagesWellFormed(t *testing.T) {
 			t.Fatalf("message %s injected on day %d", m.ID, trace.Day(m.Time))
 		}
 		prev = m.Time
-		return true
-	})
-	if count != cfg.Messages {
-		t.Errorf("streamed %d messages, want %d", count, cfg.Messages)
+	}
+	if len(tr.Messages) != cfg.Messages {
+		t.Errorf("generated %d messages, want %d", len(tr.Messages), cfg.Messages)
 	}
 }
 
@@ -321,25 +269,21 @@ func sortedStrings(s []string) bool {
 
 func TestParseSpecs(t *testing.T) {
 	for _, tc := range []struct {
-		spec string
-		name string
+		spec  string
+		nodes int
 	}{
-		{"rwp:n=30,seed=7,users=6,msgs=10,spacing=300", "rwp"},
-		{"community:n=30,cells=3,bias=0.9,users=6,msgs=10,spacing=300", "community"},
-		{"corridor:n=30,lanes=5,users=6,msgs=10,spacing=300", "corridor"},
-		{"rwp:n=30,speed=2-12,tick=30,active=7200,area=1500,users=4,msgs=5,days=2,injectdays=1", "rwp"},
-		{"dieselnet:seed=3,days=4,fleet=10,users=8,msgs=20", "dieselnet"},
-		{"dieselnet", "dieselnet"},
+		{"rwp:n=30,seed=7,users=6,msgs=10,spacing=300", 30},
+		{"community:n=30,cells=3,bias=0.9,users=6,msgs=10,spacing=300", 30},
+		{"rwp:n=30,speed=2-12,tick=30,active=7200,area=1500,users=4,msgs=5,days=2,injectdays=1", 30},
+		{"dieselnet:seed=3,days=4,fleet=10,users=8,msgs=20", 10},
+		{"dieselnet", trace.DefaultDieselNet().FleetSize},
 	} {
-		sc, err := Parse(tc.spec)
+		tr, err := Parse(tc.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.spec, err)
 		}
-		if sc.Name() != tc.name {
-			t.Errorf("%s: name = %q", tc.spec, sc.Name())
-		}
-		if _, err := trace.Materialize(sc); err != nil {
-			t.Errorf("%s: %v", tc.spec, err)
+		if len(tr.Buses) != tc.nodes {
+			t.Errorf("%s: %d nodes, want %d", tc.spec, len(tr.Buses), tc.nodes)
 		}
 	}
 }
@@ -357,11 +301,7 @@ func TestParseDirSpec(t *testing.T) {
 	if err := writeTraceDir(dir, tr); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := Parse("dir:" + dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.Materialize(sc)
+	back, err := Parse("dir:" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +319,8 @@ func TestParseErrors(t *testing.T) {
 		{"rwp:bogus=1", "unknown key"},
 		{"rwp:speed=5", "min-max band"},
 		{"rwp:n", "key=value"},
-		{"community:lanes=3", "only applies to corridor"},
-		{"corridor:bias=0.5", "only applies to community"},
+		{"rwp:bias=0.5", "only applies to community"},
+		{"corridor:n=10", "unknown scenario model"},
 		{"dieselnet:zipf=2", "unknown key"},
 		{"dir:", "needs a path"},
 	} {

@@ -6,35 +6,22 @@ import (
 	"replidtn/internal/trace"
 )
 
-// RWP is the classic random-waypoint model: each node repeatedly picks a
+// RWP generates a random-waypoint trace: each node repeatedly picks a
 // uniform destination in the playground and walks there at a per-leg
 // uniform speed. It produces spatially homogeneous, memoryless contacts —
-// the baseline against which the clustered models are compared.
-type RWP struct {
-	base
-}
-
-// NewRWP validates the configuration and builds a random-waypoint scenario.
-func NewRWP(cfg Common) (*RWP, error) {
-	b, err := newBase(cfg)
-	if err != nil {
+// the baseline against which the clustered community model is compared.
+func RWP(cfg Common) (*trace.Trace, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &RWP{base: b}, nil
-}
-
-func (s *RWP) Name() string { return "rwp" }
-
-func (s *RWP) Encounters(yield func(trace.Encounter) bool) {
-	side := s.cfg.side()
-	w := newWaypointSim(s.cfg, func(rng *uint64, i int) (float64, float64) {
+	side := cfg.side()
+	return generate("rwp", cfg, newWaypointSim(cfg, func(rng *uint64, i int) (float64, float64) {
 		return unitRand(rng) * side, unitRand(rng) * side
-	})
-	streamContacts(s.cfg, s.nodes, w, yield)
+	}))
 }
 
-// waypointSim is the walk-to-target engine shared by the random-waypoint
-// and community models; pick supplies the model-specific next destination.
+// waypointSim is the walk-to-target engine both models run; pick supplies
+// the model-specific next destination.
 type waypointSim struct {
 	cfg   Common
 	pick  func(rng *uint64, i int) (float64, float64)
@@ -69,6 +56,7 @@ func (w *waypointSim) retarget(i int) {
 	w.speed[i] = spanRand(&w.rng[i], w.cfg.SpeedMin, w.cfg.SpeedMax)
 }
 
+// step advances node i across dt seconds and reports its new position.
 func (w *waypointSim) step(i int, dt float64) (float64, float64) {
 	dx, dy := w.tx[i]-w.x[i], w.ty[i]-w.y[i]
 	distSq := dx*dx + dy*dy

@@ -8,42 +8,37 @@ import (
 	"replidtn/internal/trace"
 )
 
-// Parse turns a compact scenario spec string into a trace.Scenario. The
+// Parse builds the trace a compact scenario spec string describes. The
 // format is model:key=value,... — for example:
 //
-//	rwp:n=100000,seed=7
+//	rwp:n=1000,seed=7
 //	community:n=500,days=3,cells=6,bias=0.9
-//	corridor:n=1000,lanes=16,range=150
 //	dieselnet:seed=3,days=17
 //	dir:/path/to/trace
 //
-// Shared keys for the mobility models (rwp, community, corridor): n (node
-// count), days, seed, area (meters; 0 auto-scales), spacing, range, speed
-// (min-max band, e.g. speed=2-12), tick, active (daily window seconds),
-// users, msgs, injectdays. dieselnet accepts seed, days, fleet, users,
-// msgs. dir takes a trace directory path instead of key=value pairs.
-func Parse(spec string) (trace.Scenario, error) {
+// Shared keys for the mobility models (rwp, community): n (node count),
+// days, seed, area (meters; 0 auto-scales), spacing, range, speed (min-max
+// band, e.g. speed=2-12), tick, active (daily window seconds), users, msgs,
+// injectdays. dieselnet accepts seed, days, fleet, users, msgs. dir takes a
+// trace directory path instead of key=value pairs.
+func Parse(spec string) (*trace.Trace, error) {
 	model, rest, _ := strings.Cut(spec, ":")
 	switch model {
 	case "dir":
 		if rest == "" {
 			return nil, fmt.Errorf("mobility: dir spec needs a path, e.g. dir:/data/trace")
 		}
-		tr, err := trace.LoadDir(rest)
-		if err != nil {
-			return nil, err
-		}
-		return trace.FromTrace(spec, tr), nil
+		return trace.LoadDir(rest)
 	case "dieselnet":
 		return parseDieselNet(rest)
-	case "rwp", "community", "corridor":
+	case "rwp", "community":
 		return parseMobility(model, rest)
 	default:
-		return nil, fmt.Errorf("mobility: unknown scenario model %q (want rwp, community, corridor, dieselnet, or dir)", model)
+		return nil, fmt.Errorf("mobility: unknown scenario model %q (want rwp, community, dieselnet, or dir)", model)
 	}
 }
 
-func parseDieselNet(rest string) (trace.Scenario, error) {
+func parseDieselNet(rest string) (*trace.Trace, error) {
 	dn := trace.DefaultDieselNet()
 	wl := trace.DefaultWorkload()
 	err := eachKV(rest, func(key, val string) error {
@@ -92,16 +87,12 @@ func parseDieselNet(rest string) (trace.Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := trace.Generate(dn, wl, dn.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return trace.FromTrace("dieselnet", tr), nil
+	return trace.Generate(dn, wl, dn.Seed)
 }
 
-func parseMobility(model, rest string) (trace.Scenario, error) {
+func parseMobility(model, rest string) (*trace.Trace, error) {
 	cfg := Defaults()
-	cells, bias, lanes := 4, 0.8, 8
+	cells, bias := 4, 0.8
 	err := eachKV(rest, func(key, val string) error {
 		var err error
 		switch key {
@@ -153,11 +144,6 @@ func parseMobility(model, rest string) (trace.Scenario, error) {
 				return fmt.Errorf("mobility: key %q only applies to community", key)
 			}
 			bias, err = parseFloat(key, val)
-		case "lanes":
-			if model != "corridor" {
-				return fmt.Errorf("mobility: key %q only applies to corridor", key)
-			}
-			lanes, err = parsePosInt(key, val)
 		default:
 			return fmt.Errorf("mobility: %s: unknown key %q (want n, days, seed, area, spacing, range, speed, tick, active, users, msgs, injectdays%s)",
 				model, key, modelKeys(model))
@@ -167,22 +153,15 @@ func parseMobility(model, rest string) (trace.Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch model {
-	case "rwp":
-		return NewRWP(cfg)
-	case "community":
-		return NewCommunity(cfg, cells, bias)
-	default:
-		return NewCorridor(cfg, lanes)
+	if model == "rwp" {
+		return RWP(cfg)
 	}
+	return Community(cfg, cells, bias)
 }
 
 func modelKeys(model string) string {
-	switch model {
-	case "community":
+	if model == "community" {
 		return ", cells, bias"
-	case "corridor":
-		return ", lanes"
 	}
 	return ""
 }

@@ -7,7 +7,7 @@ import (
 
 // A Delta carries the difference between a replica's current knowledge and
 // the frontier it last sent a specific peer, so recurring peer pairs — the
-// common case on community and corridor mobility — stop re-shipping a
+// common case on the bus trace and on community mobility — stop re-shipping a
 // knowledge frame that is overwhelmingly unchanged between encounters.
 //
 // Correctness rests on knowledge being set-monotone: a replica only ever
