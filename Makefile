@@ -13,12 +13,6 @@ COVER_FLOOR ?= 86.0
 ## enough to mutate past the seed corpus, short enough for every CI run.
 FUZZ_SMOKE_TIME ?= 10s
 
-## GOB_FREE are the package trees where every concept has exactly one
-## encoding, the internal/wire binary layout (DESIGN.md §14): `make lint`
-## fails if encoding/gob is imported anywhere under them, tests included, and
-## `make loc` reports their size separately.
-GOB_FREE := internal/transport internal/wire internal/persist/wal internal/filter internal/routing
-
 .PHONY: check build vet lint loc test cover fuzz-smoke bench bench-sync bench-wal
 
 ## check is the tier-1 verification gate: every PR must leave it green.
@@ -43,19 +37,22 @@ vet:
 ##
 ## The binary lands in bin/. Packages are analyzed one at a time in
 ## dependency order; the whole repository takes about a second.
+##
+## Every concept has exactly one encoding, the internal/wire binary layout
+## (DESIGN.md §14): lint also fails if any Go file in the module — tests and
+## testdata included, tracked or not yet added — imports encoding/gob.
 lint:
 	$(GO) build -o bin/dtnlint ./cmd/dtnlint
 	./bin/dtnlint ./...
-	@if grep -rl --include='*.go' '"encoding/gob"' $(GOB_FREE); then \
-		echo 'lint: encoding/gob imported under a gob-free tree (files above; DESIGN.md §14)'; exit 1; fi
+	@if git ls-files --cached --others --exclude-standard '*.go' | xargs grep -l '"encoding/gob"'; then \
+		echo 'lint: encoding/gob imported (files above); every concept has one encoding (DESIGN.md §14)'; exit 1; fi
 
-## loc prints the Go line counts the ROADMAP tracks — non-test and test,
-## testdata excluded — for the single-encoding trees and for the whole repo.
+## loc prints the Go line counts the ROADMAP tracks for the whole repo —
+## non-test and test, testdata excluded.
 loc:
-	@count() { find $$1 -name '*.go' -not -path '*/testdata/*' $$2 -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
+	@count() { find . -name '*.go' -not -path '*/testdata/*' $$1 -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%-24s %8s %8s\n' tree non-test test; \
-	printf '%-24s %8d %8d\n' 'single-encoding trees' $$(count '$(GOB_FREE)' -not) $$(count '$(GOB_FREE)'); \
-	printf '%-24s %8d %8d\n' 'whole repo' $$(count . -not) $$(count .)
+	printf '%-24s %8d %8d\n' 'whole repo' $$(count -not) $$(count)
 
 test:
 	$(GO) test -race ./...
@@ -70,8 +67,8 @@ cover:
 
 ## fuzz-smoke runs each native fuzz target briefly against the
 ## parse-hostile surfaces — the transport's frame stream, the frame bodies
-## and routing deltas (internal/wire), the vclock knowledge codec, and the
-## WAL's crash-recovery readers — complementing the static dtnlint pass with
+## and routing deltas (internal/wire), the vclock knowledge codec, the WAL's
+## crash-recovery readers, and discovery beacons — complementing the static dtnlint pass with
 ## dynamic checking. Seed corpora live under each package's testdata/fuzz
 ## (regenerate with `go test -tags corpusgen -run WriteFuzzCorpus`; for the
 ## WAL, `WAL_GEN_CORPUS=1 go test -run TestGenerateFuzzCorpus
@@ -86,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzRoutingDeltaDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/persist/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzBeaconDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/discovery/
 
 ## bench runs the hot-path microbenchmarks (store mutation, sync batch
 ## assembly, whole emulation runs, one MaxProp-served sync, one routing-state

@@ -1,10 +1,9 @@
 package main
 
-// Restart tests for the -data/-data-backend pair: a node is built, fed
-// state, closed, and rebuilt over the same path; the rebuilt node must carry
-// the items and knowledge forward under both backends. For the wal backend
-// this drives the real OSFS recovery path end to end — manifest read,
-// segment replay, log replay.
+// Restart test for -data: a node is built, fed state, closed, and rebuilt
+// over the same write-ahead log directory; the rebuilt node must carry the
+// items and knowledge forward. This drives the real OSFS recovery path end
+// to end — manifest read, segment replay, log replay.
 
 import (
 	"io"
@@ -12,11 +11,11 @@ import (
 	"testing"
 )
 
-func restartNode(t *testing.T, backend, path string) {
+func restartNode(t *testing.T, path string) {
 	t.Helper()
 	opts := options{
 		id: "alice", addr: "user:alice", listen: "127.0.0.1:0",
-		policy: "epidemic", dataPath: path, dataBackend: backend,
+		policy: "epidemic", dataPath: path,
 		out: io.Discard,
 	}
 	n, err := newNode(opts)
@@ -53,25 +52,7 @@ func restartNode(t *testing.T, backend, path string) {
 }
 
 func TestNodeRestartBackends(t *testing.T) {
-	t.Run("snapshot", func(t *testing.T) {
-		restartNode(t, "snapshot", filepath.Join(t.TempDir(), "n.snap"))
-	})
 	t.Run("wal", func(t *testing.T) {
-		restartNode(t, "wal", filepath.Join(t.TempDir(), "waldir"))
+		restartNode(t, filepath.Join(t.TempDir(), "waldir"))
 	})
-	t.Run("default-empty", func(t *testing.T) {
-		// An empty backend string (zero options value) means snapshot.
-		restartNode(t, "", filepath.Join(t.TempDir(), "n.snap"))
-	})
-}
-
-func TestNodeUnknownBackend(t *testing.T) {
-	_, err := newNode(options{
-		id: "a", addr: "user:a", listen: "127.0.0.1:0", policy: "none",
-		dataPath: filepath.Join(t.TempDir(), "x"), dataBackend: "etcd",
-		out: io.Discard,
-	})
-	if err == nil {
-		t.Fatal("unknown data backend should fail node construction")
-	}
 }

@@ -6,7 +6,7 @@
 //
 //	dtnnode -id alice -addr user:alice -listen 127.0.0.1:7701 \
 //	        -peers 127.0.0.1:7702,127.0.0.1:7703 -policy epidemic \
-//	        -data alice.snap -debug-addr 127.0.0.1:8701
+//	        -data alice.wal -debug-addr 127.0.0.1:8701
 //
 // Console commands (stdin):
 //
@@ -18,8 +18,10 @@
 //
 // With -sync-every set, the node also encounters its peers periodically in
 // the background, making a small always-on gossip mesh. With -data set, the
-// replica state (items, knowledge, routing state) persists across restarts,
-// so a restarted node never re-accepts messages it already received.
+// replica state (items, knowledge, routing state) is journaled to a
+// write-ahead log in that directory as each mutation happens, so a restarted
+// node — even one that was killed — never re-accepts messages it already
+// received.
 //
 // With -debug-addr set, the node serves an HTTP observability endpoint:
 // /metrics (counters, gauges, histograms, and recent sync spans as JSON),
@@ -41,7 +43,7 @@ import (
 	"replidtn/internal/discovery"
 	"replidtn/internal/messaging"
 	"replidtn/internal/obs"
-	"replidtn/internal/persist"
+	"replidtn/internal/persist/wal"
 	"replidtn/internal/replica"
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/epidemic"
@@ -60,12 +62,11 @@ func main() {
 		peers      = flag.String("peers", "", "comma-separated peer TCP addresses")
 		policy     = flag.String("policy", "epidemic", "routing policy: none, epidemic, spray, prophet, maxprop")
 		syncEvery  = flag.Duration("sync-every", 0, "background encounter period (0 = manual only)")
-		dataPath   = flag.String("data", "", "durable state path: snapshot file or wal directory (empty = in-memory only)")
-		dataBack   = flag.String("data-backend", "snapshot", "durability backend for -data: "+persist.BackendKinds+" (wal journals every mutation and recovers by log replay)")
+		dataPath   = flag.String("data", "", "write-ahead log directory for durable state (empty = in-memory only)")
 		discListen = flag.String("discover-listen", "", "UDP address for peer discovery beacons (empty = disabled)")
 		discPeers  = flag.String("discover-peers", "", "comma-separated UDP beacon targets")
 		debugAddr  = flag.String("debug-addr", "", "HTTP address for /metrics, /healthz, /peers, /debug/* (empty = disabled)")
-		summaries  = flag.Bool("summaries", false, "enable the compact knowledge summary sync protocol (negotiated per peer; v1 peers keep exact knowledge)")
+		summaries  = flag.Bool("summaries", false, "enable the compact knowledge summary sync protocol (Bloom digests and recurring-pair deltas in place of exact knowledge)")
 	)
 	flag.Parse()
 	if *id == "" || *addr == "" {
@@ -74,7 +75,7 @@ func main() {
 	}
 	opts := options{
 		id: *id, addr: *addr, listen: *listen, peers: splitPeers(*peers),
-		policy: *policy, syncEvery: *syncEvery, dataPath: *dataPath, dataBackend: *dataBack,
+		policy: *policy, syncEvery: *syncEvery, dataPath: *dataPath,
 		discoverListen: *discListen, discoverPeers: splitPeers(*discPeers),
 		debugAddr: *debugAddr, syncOnDiscover: true,
 		summaries: *summaries,
@@ -124,9 +125,6 @@ type options struct {
 	policy           string
 	syncEvery        time.Duration
 	dataPath         string
-	// dataBackend selects the durability strategy for dataPath: "snapshot"
-	// (default; also "") or "wal". See persist.OpenBackend.
-	dataBackend string
 	discoverListen   string
 	discoverPeers    []string
 	debugAddr        string
@@ -150,7 +148,7 @@ type node struct {
 	bound   net.Addr
 	disc    *discovery.Discoverer
 	debug   *debugServer
-	backend persist.Backend
+	db      *wal.DB
 	save    func()
 	started time.Time
 	out     io.Writer
@@ -194,30 +192,30 @@ func newNode(opts options) (n *node, err error) {
 		},
 	})
 	if opts.dataPath != "" {
-		kind := opts.dataBackend
-		if kind == "" {
-			kind = "snapshot"
-		}
-		b, err := persist.OpenBackend(kind, opts.dataPath, &n.metrics.WAL)
+		fsys, err := wal.NewOSFS(opts.dataPath)
 		if err != nil {
 			return nil, err
 		}
-		n.backend = b
-		if snap, err := b.Load(); err == nil {
+		db, err := wal.Open(fsys, wal.Options{Metrics: &n.metrics.WAL})
+		if err != nil {
+			return nil, err
+		}
+		n.db = db
+		if snap, err := db.Load(); err == nil {
 			if err := n.ep.Replica().RestoreSnapshot(snap); err != nil {
 				return nil, fmt.Errorf("restore %s: %w", opts.dataPath, err)
 			}
-			fmt.Fprintf(n.out, "restored state from %s (%s backend)\n", opts.dataPath, kind)
-		} else if !errors.Is(err, persist.ErrNotExist) {
+			fmt.Fprintf(n.out, "restored state from %s\n", opts.dataPath)
+		} else if !errors.Is(err, wal.ErrNoState) {
 			return nil, err
 		}
-		// The wal backend journals every mutation from here on; the snapshot
-		// backend just remembers the replica for the explicit saves below.
-		if err := b.Attach(n.ep.Replica()); err != nil {
+		// Every mutation is journaled from here on; the checkpoints below
+		// only persist routing state and bound the next restart's replay.
+		if err := db.Attach(n.ep.Replica()); err != nil {
 			return nil, err
 		}
 		n.save = func() {
-			if err := b.Checkpoint(); err != nil {
+			if err := db.Checkpoint(); err != nil {
 				fmt.Fprintf(os.Stderr, "!! persist: %v\n", err)
 			}
 		}
@@ -273,8 +271,8 @@ func (n *node) close() {
 	if n.srv != nil {
 		n.srv.Close()
 	}
-	if n.backend != nil {
-		if err := n.backend.Close(); err != nil {
+	if n.db != nil {
+		if err := n.db.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "!! persist: %v\n", err)
 		}
 	}

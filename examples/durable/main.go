@@ -1,22 +1,52 @@
-// Durable: replica state survives a crash. A relay node receives a message,
-// snapshots itself to disk, "crashes", and restarts from the snapshot — its
-// knowledge is intact, so the sender does not re-transmit, and its stored
-// relay copy still reaches the destination.
+// Durable: replica state survives a crash. A relay node journals every
+// mutation to a write-ahead log, receives a message, is killed without a
+// clean shutdown, and restarts by replaying the log — its knowledge is
+// intact, so the sender does not re-transmit, and its stored relay copy
+// still reaches the destination.
 //
 // Run with: go run ./examples/durable
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"replidtn/internal/item"
-	"replidtn/internal/persist"
+	"replidtn/internal/persist/wal"
 	"replidtn/internal/replica"
 	"replidtn/internal/routing/epidemic"
 )
+
+// openRelay boots the relay from the log in dir: a fresh replica on first
+// boot, the replayed state otherwise. Every later mutation is journaled.
+func openRelay(dir string) (*replica.Replica, *wal.DB) {
+	fsys, err := wal.NewOSFS(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	db, err := wal.Open(fsys, wal.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	relay := replica.New(replica.Config{
+		ID: "relay", OwnAddresses: []string{"addr:relay"}, Policy: epidemic.New(10),
+	})
+	snap, err := db.Load()
+	switch {
+	case err == nil:
+		if err := relay.RestoreSnapshot(snap); err != nil {
+			log.Fatal(err)
+		}
+	case !errors.Is(err, wal.ErrNoState):
+		log.Fatal(err)
+	}
+	if err := db.Attach(relay); err != nil {
+		log.Fatal(err)
+	}
+	return relay, db
+}
 
 func main() {
 	dir, err := os.MkdirTemp("", "replidtn-durable")
@@ -24,15 +54,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	snapPath := filepath.Join(dir, "relay.snap")
 
 	alice := replica.New(replica.Config{
 		ID: "alice", OwnAddresses: []string{"addr:alice"}, Policy: epidemic.New(10),
 	})
-	relayCfg := replica.Config{
-		ID: "relay", OwnAddresses: []string{"addr:relay"}, Policy: epidemic.New(10),
-	}
-	relay := replica.New(relayCfg)
+	relay, _ := openRelay(dir)
 	bob := replica.New(replica.Config{
 		ID: "bob", OwnAddresses: []string{"addr:bob"},
 		OnDeliver: func(it *item.Item) { fmt.Printf("bob got %q\n", it.Payload) },
@@ -46,20 +72,12 @@ func main() {
 	replica.Encounter(alice, relay, 0)
 	fmt.Printf("relay carries the message: %v\n", relay.HasItem(msg.ID))
 
-	if err := persist.Save(snapPath, relay); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("relay state saved to %s\n", snapPath)
-
-	// The process "crashes": the in-memory relay is discarded and rebuilt
-	// from disk with a fresh policy instance.
+	// The process "crashes": the in-memory relay and its open log are
+	// abandoned without a checkpoint or Close, and the relay is rebuilt
+	// from what the log made durable, with a fresh policy instance.
 	relay = nil
-	restarted, err := persist.Load(snapPath, replica.Config{
-		ID: "relay", OwnAddresses: []string{"addr:relay"}, Policy: epidemic.New(10),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	restarted, db := openRelay(dir)
+	defer db.Close()
 	fmt.Printf("restarted relay still carries it: %v\n", restarted.HasItem(msg.ID))
 
 	// Alice meets the restarted relay: nothing to send — the knowledge

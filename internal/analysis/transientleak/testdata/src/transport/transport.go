@@ -3,8 +3,6 @@
 package transport
 
 import (
-	"encoding/gob"
-
 	"fixtures/item"
 	"fixtures/wire"
 )
@@ -22,40 +20,13 @@ type nested struct {
 }
 
 // cleanFrame only moves replicated state; the unexported transient field is
-// invisible to gob and deliberately host-local.
+// never serialized and deliberately host-local.
 type cleanFrame struct {
 	Item item.Item
 	hops item.Transient
 }
 
-// send ships a transient value directly.
-func send(enc *gob.Encoder, tr item.Transient) error {
-	return enc.Encode(tr) // want `transient host-specific metadata reaches gob.Encode`
-}
-
-// sendEntry ships a struct containing one.
-func sendEntry(enc *gob.Encoder, e item.Entry) error {
-	return enc.Encode(&e) // want `transient host-specific metadata reaches gob.Encode`
-}
-
-// sendClean ships only replicated state.
-func sendClean(enc *gob.Encoder, it item.Item) error {
-	return enc.Encode(it)
-}
-
-// register declares a transient-bearing type for the wire.
-func register() {
-	gob.Register(item.Entry{}) // want `transient host-specific metadata reaches gob.Register`
-}
-
-// sendAllowed is the sanctioned, justified crossing (the real transport's
-// policy-mediated transmit transient).
-func sendAllowed(enc *gob.Encoder, tr item.Transient) error {
-	return enc.Encode(tr) //lint:allow transientleak -- fixture: policy-mediated transmit transient, an explicit wire field of the sync protocol
-}
-
-// sendBinary ships a transient value through the binary codec: the v3 wire
-// path must be checked exactly like gob.
+// sendBinary ships a transient value through the binary codec.
 func sendBinary(buf []byte, tr item.Transient) []byte {
 	return wire.AppendTransient(buf, tr) // want `transient host-specific metadata reaches wire.AppendTransient`
 }

@@ -1,6 +1,6 @@
 // Package wire is a transientleak-analyzer fixture mimicking the binary
 // codec: any Append* function in a package with a "wire" import-path
-// segment is a serialization entry point, exactly like gob.Encode.
+// segment is a serialization entry point.
 package wire
 
 import "fixtures/item"

@@ -7,25 +7,21 @@
 // replicated state, which the differential and crash-restart tests would
 // only catch indirectly, if at all.
 //
-// The analyzer flags item.Transient (or any type containing it) at four
+// The analyzer flags item.Transient (or any type containing it) at two
 // serialization boundaries:
 //
-//   - arguments to (*encoding/gob.Encoder).Encode — the snapshot encoding
-//     the persist layer uses;
-//   - gob.Register / gob.RegisterName arguments — registering a
-//     transient-bearing type declares the intent to ship it;
 //   - arguments to the binary codec's Append* entry points (any package
 //     with a "wire" import-path segment) — the only way values reach
 //     transport frames and WAL records;
 //   - struct types declared in a transport package whose fields contain
 //     item.Transient — frame structs are the wire contract.
 //
-// The two sanctioned crossings are annotated with //lint:allow at the call
-// site and cataloged in DESIGN.md §10: the sync batch (replica.BatchItem
-// carries the policy-mediated transmit transient built by transmitTransient,
-// e.g. a halved spray allowance — an explicit wire field of the protocol,
-// not a leak) and the persist snapshot (a restart restores the same host,
-// so its own per-copy state legitimately survives).
+// The sanctioned crossings are annotated with //lint:allow at the call site
+// and cataloged in DESIGN.md §10: the sync batch (replica.BatchItem carries
+// the policy-mediated transmit transient built by transmitTransient, e.g. a
+// halved spray allowance — an explicit wire field of the protocol, not a
+// leak) and the WAL's entry records (a restart restores the same host, so
+// its own per-copy state legitimately survives).
 package transientleak
 
 import (
@@ -39,7 +35,7 @@ import (
 // Analyzer is the transient-metadata isolation checker.
 var Analyzer = &lintcore.Analyzer{
 	Name: "transientleak",
-	Doc:  "forbid host-specific transient item metadata from reaching gob encoding or transport frame structs",
+	Doc:  "forbid host-specific transient item metadata from reaching the binary codec or transport frame structs",
 	Run:  run,
 }
 
@@ -61,41 +57,22 @@ func run(pass *lintcore.Pass) error {
 	return nil
 }
 
-// checkEncode flags gob encoding/registration and binary-codec appends of
-// transient-bearing values.
+// checkEncode flags binary-codec appends of transient-bearing values: any
+// transient-bearing argument (the destination buffer never is) turns
+// host-local state into wire or WAL bytes.
 func checkEncode(pass *lintcore.Pass, call *ast.CallExpr) {
 	fn := lintcore.CalleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
+	if fn == nil || fn.Pkg() == nil || !lintcore.PathHasSegment(fn.Pkg().Path(), "wire") || !strings.HasPrefix(fn.Name(), "Append") {
 		return
 	}
-	switch {
-	case fn.Pkg().Path() == "encoding/gob":
-		switch fn.Name() {
-		case "Encode", "EncodeValue", "Register", "RegisterName":
-		default:
-			return
-		}
-		arg := call.Args[len(call.Args)-1]
+	for _, arg := range call.Args {
 		tv, ok := pass.TypesInfo.Types[arg]
 		if !ok {
-			return
+			continue
 		}
 		if path := transientPath(tv.Type, nil); path != "" {
-			pass.Reportf(call.Pos(), "transient host-specific metadata reaches gob.%s via %s (through %s); transient fields are never replicated — strip them or annotate the sanctioned crossing", fn.Name(), types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)), path)
-		}
-	case lintcore.PathHasSegment(fn.Pkg().Path(), "wire") && strings.HasPrefix(fn.Name(), "Append"):
-		// Binary-codec entry points serialize exactly like gob.Encode: any
-		// transient-bearing argument (the destination buffer never is) turns
-		// host-local state into wire or WAL bytes.
-		for _, arg := range call.Args {
-			tv, ok := pass.TypesInfo.Types[arg]
-			if !ok {
-				continue
-			}
-			if path := transientPath(tv.Type, nil); path != "" {
-				pass.Reportf(call.Pos(), "transient host-specific metadata reaches wire.%s via %s (through %s); transient fields are never replicated — strip them or annotate the sanctioned crossing", fn.Name(), types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)), path)
-				return
-			}
+			pass.Reportf(call.Pos(), "transient host-specific metadata reaches wire.%s via %s (through %s); transient fields are never replicated — strip them or annotate the sanctioned crossing", fn.Name(), types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)), path)
+			return
 		}
 	}
 }
@@ -107,8 +84,8 @@ func checkFrameStruct(pass *lintcore.Pass, spec *ast.TypeSpec) {
 		return
 	}
 	for _, field := range st.Fields.List {
-		// Unexported fields never serialize under gob; they are exactly
-		// where deliberately host-local state belongs.
+		// Unexported fields are never serialized; they are exactly where
+		// deliberately host-local state belongs.
 		exported := len(field.Names) == 0 // embedded: conservatively check
 		for _, name := range field.Names {
 			if name.IsExported() {
@@ -162,8 +139,8 @@ func transientPath(t types.Type, seen map[types.Type]bool) string {
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
 			f := u.Field(i)
-			// gob serializes exported fields only; an unexported transient
-			// field cannot cross the boundary.
+			// Unexported fields are host-local by convention (see
+			// checkFrameStruct); only exported ones are followed.
 			if !f.Exported() {
 				continue
 			}

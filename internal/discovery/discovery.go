@@ -5,14 +5,14 @@
 // deployment — the trace-driven emulations schedule encounters explicitly,
 // but live nodes (cmd/dtnnode) must notice each other first.
 //
-// Beacons are tiny gob frames sent to a configured set of targets (unicast
-// peers on loopback or a LAN broadcast address). Peers expire from the
-// registry when their beacons stop arriving, modeling the end of a contact.
+// Beacons are tiny binary frames sent to a configured set of targets
+// (unicast peers on loopback or a LAN broadcast address). Peers expire from
+// the registry when their beacons stop arriving, modeling the end of a
+// contact.
 package discovery
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -21,16 +21,51 @@ import (
 
 	"replidtn/internal/obs"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire/prim"
 )
 
-// beaconVersion guards the beacon wire format.
-const beaconVersion = 1
+// A beacon follows the transport hello's rule: beaconMagic, the
+// beaconVersion byte, then the replica ID and the TCP encounter address as
+// length-prefixed strings, with nothing after them. A datagram with another
+// magic or version is refused, never negotiated.
+const (
+	beaconMagic   = "RDTD"
+	beaconVersion = 1
+	// maxBeaconID caps the announced replica ID, as the hello caps its own.
+	maxBeaconID = 256
+)
 
 // beacon is the announcement frame.
 type beacon struct {
-	Version int
 	ID      vclock.ReplicaID
 	TCPAddr string
+}
+
+// appendBeacon appends b's frame to buf.
+func appendBeacon(buf []byte, b beacon) []byte {
+	buf = append(append(buf, beaconMagic...), beaconVersion)
+	buf = prim.AppendString(buf, string(b.ID))
+	return prim.AppendString(buf, b.TCPAddr)
+}
+
+// decodeBeacon parses one datagram. Wrong magic or version, an ID over
+// maxBeaconID bytes, truncation and trailing bytes are all errors.
+func decodeBeacon(frame []byte) (beacon, error) {
+	if len(frame) <= len(beaconMagic) || string(frame[:len(beaconMagic)]) != beaconMagic {
+		return beacon{}, errors.New("discovery: datagram without the beacon magic")
+	}
+	if ver := frame[len(beaconMagic)]; ver != beaconVersion {
+		return beacon{}, fmt.Errorf("discovery: beacon version %d, want %d", ver, beaconVersion)
+	}
+	d := prim.NewDecoder(frame[len(beaconMagic)+1:])
+	b := beacon{ID: vclock.ReplicaID(d.String()), TCPAddr: d.String()}
+	if err := d.Finish(); err != nil {
+		return beacon{}, fmt.Errorf("discovery: beacon: %w", err)
+	}
+	if len(b.ID) > maxBeaconID {
+		return beacon{}, fmt.Errorf("discovery: beacon ID of %d bytes, cap %d", len(b.ID), maxBeaconID)
+	}
+	return b, nil
 }
 
 // Peer is a recently seen node.
@@ -177,10 +212,7 @@ func (d *Discoverer) Addrs() []string {
 // beacon so discovery does not wait a full interval.
 func (d *Discoverer) sendLoop() {
 	defer d.wg.Done()
-	frame, err := d.encodeBeacon()
-	if err != nil {
-		return
-	}
+	frame := appendBeacon(nil, beacon{ID: d.cfg.Self, TCPAddr: d.cfg.TCPAddr})
 	ticker := time.NewTicker(d.cfg.Interval)
 	defer ticker.Stop()
 	for {
@@ -199,21 +231,7 @@ func (d *Discoverer) sendLoop() {
 	}
 }
 
-func (d *Discoverer) encodeBeacon() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(beacon{
-		Version: beaconVersion,
-		ID:      d.cfg.Self,
-		TCPAddr: d.cfg.TCPAddr,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("discovery: encode beacon: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// recvLoop ingests beacons until the socket closes. Malformed frames and
-// our own beacons are ignored.
+// recvLoop ingests beacons until the socket closes.
 func (d *Discoverer) recvLoop() {
 	defer d.wg.Done()
 	buf := make([]byte, 1024)
@@ -222,24 +240,25 @@ func (d *Discoverer) recvLoop() {
 		if err != nil {
 			return // socket closed by Stop
 		}
-		if d.cfg.Metrics != nil {
-			d.cfg.Metrics.BeaconsReceived.Inc()
-		}
-		var b beacon
-		if err := gob.NewDecoder(bytes.NewReader(buf[:n])).Decode(&b); err != nil {
-			if d.cfg.Metrics != nil {
-				d.cfg.Metrics.BeaconsRejected.Inc()
-			}
-			continue
-		}
-		if b.Version != beaconVersion || b.ID == d.cfg.Self || b.TCPAddr == "" {
-			if d.cfg.Metrics != nil {
-				d.cfg.Metrics.BeaconsRejected.Inc()
-			}
-			continue
-		}
-		d.observe(b)
+		d.ingest(buf[:n])
 	}
+}
+
+// ingest handles one received datagram. Malformed frames, our own beacons
+// and beacons without an address are counted as rejected and never reach
+// the registry.
+func (d *Discoverer) ingest(frame []byte) {
+	if d.cfg.Metrics != nil {
+		d.cfg.Metrics.BeaconsReceived.Inc()
+	}
+	b, err := decodeBeacon(frame)
+	if err != nil || b.ID == d.cfg.Self || b.TCPAddr == "" {
+		if d.cfg.Metrics != nil {
+			d.cfg.Metrics.BeaconsRejected.Inc()
+		}
+		return
+	}
+	d.observe(b)
 }
 
 func (d *Discoverer) observe(b beacon) {

@@ -160,13 +160,13 @@ func TestObserveWithInjectedClock(t *testing.T) {
 		OnPeer:   func(p Peer) { fired = append(fired, p) },
 		Clock:    clk.Now,
 	})
-	d.observe(beacon{Version: beaconVersion, ID: "peer", TCPAddr: "127.0.0.1:9300"})
+	d.observe(beacon{ID: "peer", TCPAddr: "127.0.0.1:9300"})
 	if len(d.Peers()) != 1 || len(fired) != 1 {
 		t.Fatalf("after first beacon: peers=%v fired=%v", d.Peers(), fired)
 	}
 	// A beacon within the TTL refreshes without re-firing OnPeer.
 	clk.Advance(2 * time.Second)
-	d.observe(beacon{Version: beaconVersion, ID: "peer", TCPAddr: "127.0.0.1:9300"})
+	d.observe(beacon{ID: "peer", TCPAddr: "127.0.0.1:9300"})
 	if len(fired) != 1 {
 		t.Fatalf("OnPeer re-fired within TTL: %v", fired)
 	}
@@ -176,7 +176,7 @@ func TestObserveWithInjectedClock(t *testing.T) {
 		t.Fatalf("peer should have expired, got %v", got)
 	}
 	// A re-appearance after expiry fires OnPeer again.
-	d.observe(beacon{Version: beaconVersion, ID: "peer", TCPAddr: "127.0.0.1:9300"})
+	d.observe(beacon{ID: "peer", TCPAddr: "127.0.0.1:9300"})
 	if len(fired) != 2 {
 		t.Fatalf("OnPeer should re-fire after expiry, fired=%v", fired)
 	}

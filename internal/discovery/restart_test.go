@@ -87,7 +87,7 @@ func TestDiscoveryMetrics(t *testing.T) {
 	}
 
 	// A real peer: seen once, live, then expired by the injected clock.
-	d.observe(beacon{Version: beaconVersion, ID: "peer", TCPAddr: "127.0.0.1:9300"})
+	d.observe(beacon{ID: "peer", TCPAddr: "127.0.0.1:9300"})
 	if m.PeersSeen.Value() != 1 || m.PeersLive.Value() != 1 {
 		t.Errorf("after peer beacon: seen=%d live=%d, want 1/1",
 			m.PeersSeen.Value(), m.PeersLive.Value())

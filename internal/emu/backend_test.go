@@ -9,13 +9,13 @@ import (
 
 // TestWALBackendDifferentialCrashRestart is the emulator-level differential
 // for the WAL persistence backend: the same faulted schedule — dropped
-// contacts, mid-sync cutoffs, and crash-restarts — run once over the default
-// snapshot codec and once over per-node write-ahead logs must produce
-// bit-identical results and event logs. The snapshot path serializes the
-// dying node's durable state directly; the WAL path hard-crashes the node's
-// filesystem (unsynced bytes lost) and recovers by segment + log replay, so
-// identity here means the WAL made every mutation durable the moment it
-// happened and replays it exactly.
+// contacts, mid-sync cutoffs, and crash-restarts — run once under the default
+// crash model and once over per-node write-ahead logs must produce
+// bit-identical results and event logs. The default model hands the dying
+// node's state, captured at the crash instant, straight to the rebooted
+// node; the WAL path hard-crashes the node's filesystem (unsynced bytes lost)
+// and recovers by segment + log replay, so identity here means the WAL made
+// every mutation durable the moment it happened and replays it exactly.
 //
 // The differential covers the substrate and the policies whose durable state
 // is entirely journaled (store entries, knowledge, identity). Policies that
@@ -25,8 +25,8 @@ import (
 // HandleSyncRequest (the explicit volatile class in the WAL's durability
 // contract) — are exercised by the invariants test below instead: a hard
 // mid-run crash legitimately rolls those hints back further than the
-// snapshot codec's crash-instant capture would, changing forwarding
-// efficiency but never correctness.
+// crash-instant capture would, changing forwarding efficiency but never
+// correctness.
 func TestWALBackendDifferentialCrashRestart(t *testing.T) {
 	tr := miniTrace(t)
 	for _, name := range []PolicyName{PolicyBasic, PolicyEpidemic} {
@@ -47,7 +47,7 @@ func TestWALBackendDifferentialCrashRestart(t *testing.T) {
 			})
 			assertIdenticalResults(t, snap, wal)
 			if snapLog.String() != walLog.String() {
-				t.Errorf("wal-backend event log differs from snapshot backend\n%s",
+				t.Errorf("wal-backend event log differs from the crash-instant model\n%s",
 					firstLogDiff(snapLog.String(), walLog.String()))
 			}
 		})
@@ -79,13 +79,15 @@ func TestWALBackendInvariants(t *testing.T) {
 	}
 }
 
-// TestUnknownDataBackendRejected: a typo'd backend name fails the run loudly
-// instead of silently running without persistence.
+// TestUnknownDataBackendRejected: a typo'd backend name — or the retired
+// "snapshot" — fails the run loudly instead of silently running without
+// persistence.
 func TestUnknownDataBackendRejected(t *testing.T) {
 	tr := miniTrace(t)
-	_, err := Run(Config{Trace: tr, DataBackend: "etcd"})
-	if err == nil {
-		t.Fatal("unknown data backend should fail Run")
+	for _, name := range []string{"etcd", "snapshot"} {
+		if _, err := Run(Config{Trace: tr, DataBackend: name}); err == nil {
+			t.Errorf("data backend %q should fail Run", name)
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ package emu
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -32,7 +31,6 @@ import (
 	"replidtn/internal/messaging"
 	"replidtn/internal/metrics"
 	"replidtn/internal/obs"
-	"replidtn/internal/persist"
 	"replidtn/internal/persist/wal"
 	"replidtn/internal/replica"
 	"replidtn/internal/routing"
@@ -77,20 +75,20 @@ type Config struct {
 	MessageLifetime int64
 	// Faults configures deterministic fault injection over the encounter
 	// schedule: dropped contacts, mid-sync link cutoffs (aborted
-	// transactionally), and node crash-restarts that reload state through the
-	// internal/persist codec. Decisions are pure functions of
+	// transactionally), and node crash-restarts that reboot the node from its
+	// durable state (see DataBackend). Decisions are pure functions of
 	// (Faults.Seed, encounter index), so faulted runs are reproducible. The
 	// zero value disables every fault and leaves the run byte-identical to a
 	// fault-free build.
 	Faults fault.Config
-	// DataBackend selects the persistence model crash-restarts exercise:
-	// "snapshot" (also "", the default) ships the dying node's state through
-	// the gob snapshot codec — durable state as persist.Save would write it.
+	// DataBackend selects the persistence model crash-restarts exercise.
+	// "" (the default) keeps all durable state across the crash instant: the
+	// dying node's snapshot is restored straight into the rebooted one.
 	// "wal" runs every node over an in-memory write-ahead log
 	// (internal/persist/wal) that journals each mutation as it happens; a
 	// crash then hard-kills the filesystem (unsynced bytes lost) and reboots
 	// by WAL replay. Because the WAL's recovery contract is exactness, both
-	// backends must produce bit-identical results and event logs — which the
+	// models must produce bit-identical results and event logs — which the
 	// emulator-level differential test pins.
 	DataBackend string
 	// EventLog, when set, receives one CSV line per emulation event
@@ -466,11 +464,11 @@ func recordSyncOverhead(rec *eventRec, er replica.EncounterResult) {
 // Config.DataBackend selects one, and rejects unknown backend names.
 func (r *runner) attachWALBackends() error {
 	switch r.cfg.DataBackend {
-	case "", "snapshot":
+	case "":
 		return nil
 	case "wal":
 	default:
-		return fmt.Errorf("emu: unknown data backend %q (have: %s)", r.cfg.DataBackend, persist.BackendKinds)
+		return fmt.Errorf("emu: unknown data backend %q (have: \"\", wal)", r.cfg.DataBackend)
 	}
 	for _, bus := range r.tr.Buses {
 		es := r.eps[bus]
@@ -492,10 +490,11 @@ func (r *runner) attachWALBackends() error {
 
 // crashRestart models a node dying and rebooting at the current instant.
 //
-// Under the default snapshot backend, the endpoint's durable state is shipped
-// through the persist codec — exactly the bytes persist.Save would put on
-// disk — a fresh endpoint is built the way a cold boot would build it, and
-// the snapshot is restored into it. Under the "wal" backend the crash is
+// By default all durable state survives the crash instant: the dying
+// endpoint's snapshot is taken, a fresh endpoint is built the way a cold
+// boot would build it, and the snapshot is restored into it. Both sides
+// clone every entry and transient, and the dying replica is never used
+// again, so the two share nothing. Under the "wal" backend the crash is
 // harder: the endpoint's in-memory filesystem drops everything not fsynced
 // and the reboot recovers by segment + log replay, exactly the dtnnode
 // restart path. Either way, volatile state (a non-persistent policy's
@@ -506,6 +505,7 @@ func (r *runner) attachWALBackends() error {
 // table stays exact.
 func (r *runner) crashRestart(bus string, es *epState) error {
 	var snap *replica.Snapshot
+	var err error
 	if es.wal != nil {
 		if err := es.wal.Err(); err != nil {
 			return err
@@ -519,15 +519,8 @@ func (r *runner) crashRestart(bus string, es *epState) error {
 			return err
 		}
 		es.wal = db
-	} else {
-		var buf bytes.Buffer
-		if err := persist.Encode(&buf, es.ep.Replica()); err != nil {
-			return err
-		}
-		var err error
-		if snap, err = persist.Decode(&buf); err != nil {
-			return err
-		}
+	} else if snap, err = es.ep.Replica().Snapshot(); err != nil {
+		return err
 	}
 	// The dying node's store contribution leaves the shared gauges before the
 	// rebuilt node's restore re-adds it.

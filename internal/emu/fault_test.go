@@ -106,8 +106,8 @@ func TestCutoffFaultsStayConsistent(t *testing.T) {
 }
 
 // TestCrashRestartPreservesOutcome is the crash-restart integration check:
-// with a stateless routing policy, every node's durable state round-trips the
-// persist codec on a crash, so a crash-only faulted run must reproduce the
+// with a stateless routing policy, every node's durable state survives the
+// crash instant whole, so a crash-only faulted run must reproduce the
 // fault-free run's deliveries and transfer counters exactly — no lost
 // messages, no duplicate deliveries, no perturbed copy accounting.
 func TestCrashRestartPreservesOutcome(t *testing.T) {
@@ -137,8 +137,8 @@ func TestCrashRestartPreservesOutcome(t *testing.T) {
 }
 
 // TestCrashRestartPersistentPolicy runs the crash mix under every policy —
-// including the persistent ones whose state must survive the codec round-trip
-// — and checks the substrate invariants hold for each.
+// including the persistent ones whose state must survive the restart — and
+// checks the substrate invariants hold for each.
 func TestCrashRestartPersistentPolicy(t *testing.T) {
 	tr := miniTrace(t)
 	for _, name := range AllPolicies {

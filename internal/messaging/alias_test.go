@@ -4,7 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"replidtn/internal/persist"
+	"replidtn/internal/persist/wal"
 	"replidtn/internal/replica"
 )
 
@@ -12,13 +12,16 @@ import (
 // unchanged version: the stored, versioned payload is the endpoint's own copy,
 // and with it every copy a peer or the journal takes later.
 func TestSendCopiesBodyAndRecipients(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	backend, err := persist.OpenBackend("wal", dir, nil)
+	fsys, err := wal.NewOSFS(filepath.Join(t.TempDir(), "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := wal.Open(fsys, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := NewEndpoint(Config{NodeID: "a", Addresses: []string{"user:alice"}})
-	if err := backend.Attach(a.Replica()); err != nil {
+	if err := db.Attach(a.Replica()); err != nil {
 		t.Fatal(err)
 	}
 	b := NewEndpoint(Config{NodeID: "b", Addresses: []string{"user:bob"}})
@@ -51,10 +54,10 @@ func TestSendCopiesBodyAndRecipients(t *testing.T) {
 		t.Errorf("peer received %+v", inbox)
 	}
 
-	if err := backend.Close(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := persist.OpenBackend("wal", dir, nil)
+	reopened, err := wal.Open(fsys, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,7 +228,7 @@ type DiscoveryMetrics struct {
 	BeaconsSent     Counter
 	BeaconsReceived Counter
 	// BeaconsRejected counts received frames dropped before the registry:
-	// malformed gob, version mismatch, our own beacon, missing TCP address.
+	// malformed frame, wrong magic or version, our own beacon, missing TCP address.
 	BeaconsRejected Counter
 	// PeersSeen counts first-sighting events: a peer appearing for the
 	// first time or re-appearing after expiry (the OnPeer trigger).

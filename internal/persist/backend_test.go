@@ -8,48 +8,37 @@ import (
 
 	"replidtn/internal/item"
 	"replidtn/internal/obs"
+	"replidtn/internal/persist/wal"
 	"replidtn/internal/replica"
 )
 
-// exerciseBackend runs the common Backend lifecycle against kind rooted at
-// path: first boot (ErrNotExist), attach, mutate, close, reopen, verify the
-// restored replica carries the items and continues its version counter.
-func exerciseBackend(t *testing.T, kind, path string) {
+// TestBackendLifecycle runs the whole lifecycle dtnnode runs over a real
+// directory: first boot (ErrNoState), attach, mutate, checkpoint, close,
+// reopen, and verify the restored replica carries the items and continues
+// its version counter.
+func TestBackendLifecycle(t *testing.T) {
+	t.Run("wal", func(t *testing.T) { exerciseLifecycle(t, osfs(t)) })
+}
+
+func exerciseLifecycle(t *testing.T, fsys wal.FS) {
 	t.Helper()
 	cfg := replica.Config{ID: "n", OwnAddresses: []string{"addr:n"}}
-
-	b, err := OpenBackend(kind, path, nil)
-	if err != nil {
-		t.Fatalf("open %s: %v", kind, err)
-	}
-	if _, err := b.Load(); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("first boot Load = %v, want ErrNotExist", err)
-	}
 	r := replica.New(cfg)
-	if err := b.Attach(r); err != nil {
-		t.Fatalf("attach: %v", err)
-	}
+	db := attach(t, fsys, r)
 	var ids []item.ID
 	for i := 0; i < 3; i++ {
 		it := r.CreateItem(item.Metadata{Source: "addr:n", Destinations: []string{"addr:m"}}, []byte(fmt.Sprintf("m-%d", i)))
 		ids = append(ids, it.ID)
 	}
-	if err := b.Checkpoint(); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	if err := b.Close(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 
-	b2, err := OpenBackend(kind, path, nil)
-	if err != nil {
-		t.Fatalf("reopen %s: %v", kind, err)
-	}
-	defer b2.Close() //lint:allow errdiscard -- read-only reopen in a test; Close failure cannot invalidate the assertions already made
-	snap, err := b2.Load()
-	if err != nil {
-		t.Fatalf("reload: %v", err)
-	}
+	db2, snap := recoverState(t, fsys)
+	defer db2.Close() //lint:allow errdiscard -- read-only reopen in a test; Close failure cannot invalidate the assertions already made
 	r2 := replica.New(cfg)
 	if err := r2.RestoreSnapshot(snap); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -62,41 +51,28 @@ func exerciseBackend(t *testing.T, kind, path string) {
 	next := r2.CreateItem(item.Metadata{Source: "addr:n", Destinations: []string{"addr:m"}}, []byte("post"))
 	for _, id := range ids {
 		if next.ID == id {
-			t.Error("version counter restarted after backend reload")
+			t.Error("version counter restarted after reload")
 		}
 	}
 }
 
-func TestBackendLifecycle(t *testing.T) {
-	t.Run("snapshot", func(t *testing.T) {
-		exerciseBackend(t, "snapshot", filepath.Join(t.TempDir(), "n.snap"))
-	})
-	t.Run("wal", func(t *testing.T) {
-		exerciseBackend(t, "wal", filepath.Join(t.TempDir(), "waldir"))
-	})
-}
-
-func TestOpenBackendUnknownKind(t *testing.T) {
-	if _, err := OpenBackend("etcd", t.TempDir(), nil); err == nil {
-		t.Error("unknown backend kind should fail")
-	}
-}
-
+// TestWALBackendReportsMetrics: the metrics a node hands the WAL count its
+// appends on a real directory.
 func TestWALBackendReportsMetrics(t *testing.T) {
 	var m obs.WALMetrics
-	b, err := OpenBackend("wal", filepath.Join(t.TempDir(), "w"), &m)
+	db, err := wal.Open(osfs(t), wal.Options{Metrics: &m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Load(); !errors.Is(err, ErrNotExist) {
+	if _, err := db.Load(); !errors.Is(err, wal.ErrNoState) {
 		t.Fatalf("load: %v", err)
 	}
 	r := replica.New(replica.Config{ID: "n", OwnAddresses: []string{"addr:n"}})
-	if err := b.Attach(r); err != nil {
+	if err := db.Attach(r); err != nil {
 		t.Fatal(err)
 	}
 	r.CreateItem(item.Metadata{Destinations: []string{"addr:m"}}, []byte("x"))
-	if err := b.Close(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
@@ -105,16 +81,16 @@ func TestWALBackendReportsMetrics(t *testing.T) {
 	}
 }
 
-// TestSyncDir pins the directory-fsync helper behind the Save commit:
-// success on a real directory, a loud error when the directory cannot be
-// opened. Regression test for Save renaming the snapshot into place without
-// ever syncing the parent directory — on a real filesystem that window lets
-// a crash roll the directory entry back even though Save reported success.
+// TestSyncDir pins the directory fsync behind every manifest commit: success
+// on a real directory, a loud error when the directory is gone. Without it a
+// crash shortly after a rename can roll the directory entry back on a real
+// filesystem, even though the commit reported success.
 func TestSyncDir(t *testing.T) {
-	if err := syncDir(t.TempDir()); err != nil {
-		t.Errorf("syncDir on real dir: %v", err)
+	if err := osfs(t).SyncDir(); err != nil {
+		t.Errorf("SyncDir on real dir: %v", err)
 	}
-	if err := syncDir(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("syncDir on missing dir should fail")
+	missing := &wal.OSFS{Dir: filepath.Join(t.TempDir(), "missing")}
+	if err := missing.SyncDir(); err == nil {
+		t.Error("SyncDir on missing dir should fail")
 	}
 }

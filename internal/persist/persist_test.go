@@ -1,14 +1,14 @@
 package persist
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"replidtn/internal/item"
+	"replidtn/internal/persist/wal"
 	"replidtn/internal/replica"
 	"replidtn/internal/routing/epidemic"
 	"replidtn/internal/routing/prophet"
@@ -21,18 +21,26 @@ func mkMsg(r *replica.Replica, from, to string) *item.Item {
 	}, []byte("persisted"))
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.snap")
-	cfg := replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}}
-	a := replica.New(cfg)
-	msg := mkMsg(a, "addr:a", "addr:b")
-	if err := Save(path, a); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Load(path, cfg)
+// osfs returns a WAL filesystem over a fresh directory.
+func osfs(t *testing.T) *wal.OSFS {
+	t.Helper()
+	fsys, err := wal.NewOSFS(filepath.Join(t.TempDir(), "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fsys
+}
+
+// TestSaveLoadRoundTrip: a mutation is durable once the call returns, with
+// no checkpoint — a hard crash right after it recovers the item, its
+// knowledge, and the version counter.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	fsys := wal.NewMemFS()
+	cfg := replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}}
+	a := replica.New(cfg)
+	attach(t, fsys, a)
+	msg := mkMsg(a, "addr:a", "addr:b")
+	restored := reboot(t, fsys, cfg)
 	if !restored.HasItem(msg.ID) {
 		t.Error("restored replica missing item")
 	}
@@ -47,68 +55,90 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadMissingFile: a directory without a manifest is a first boot, told
+// apart from corruption by wal.ErrNoState.
 func TestLoadMissingFile(t *testing.T) {
-	_, err := Load(filepath.Join(t.TempDir(), "nope.snap"), replica.Config{ID: "a"})
-	if !errors.Is(err, ErrNotExist) {
-		t.Errorf("err = %v, want ErrNotExist", err)
+	db, err := wal.Open(osfs(t), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Load(); !errors.Is(err, wal.ErrNoState) {
+		t.Errorf("err = %v, want ErrNoState", err)
 	}
 }
 
+// TestLoadRejectsCorruption: a garbage manifest or a truncated segment on
+// disk fails recovery loudly instead of restoring partial state.
 func TestLoadRejectsCorruption(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.snap")
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
+	fsys := osfs(t)
+	if err := os.WriteFile(filepath.Join(fsys.Dir, "MANIFEST"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, replica.Config{ID: "a"}); err == nil {
-		t.Error("garbage file should fail to load")
+	if _, err := wal.Open(fsys, wal.Options{}); err == nil {
+		t.Error("garbage manifest should fail to open")
 	}
-	// Truncated real snapshot.
+
+	fsys = osfs(t)
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
+	db := attach(t, fsys, a)
 	mkMsg(a, "addr:a", "addr:b")
-	if err := Save(path, a); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+	names, err := fsys.List()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path, replica.Config{ID: "a"}); err == nil {
-		t.Error("truncated snapshot should fail to load")
+	truncated := 0
+	for _, name := range names {
+		if !strings.HasPrefix(name, "seg-") {
+			continue
+		}
+		path := filepath.Join(fsys.Dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		truncated++
+	}
+	if truncated == 0 {
+		t.Fatal("close wrote no segment")
+	}
+	db, err = wal.Open(fsys, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Load(); err == nil {
+		t.Error("truncated segment should fail to load")
 	}
 }
 
 func TestLoadRejectsWrongReplica(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.snap")
-	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
-	if err := Save(path, a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, replica.Config{ID: "b"}); err == nil {
-		t.Error("snapshot for another replica should be rejected")
+	fsys := wal.NewMemFS()
+	attach(t, fsys, replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}}))
+	_, snap := recoverState(t, fsys)
+	if err := replica.New(replica.Config{ID: "b"}).RestoreSnapshot(snap); err == nil {
+		t.Error("state of another replica should be rejected")
 	}
 }
 
 func TestAtMostOncePersistsAcrossRestart(t *testing.T) {
-	// b receives a's message, persists, "crashes", restarts from disk, and
-	// meets a again: the message must not be re-accepted.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "b.snap")
+	// b receives a's message, crashes, restarts from its log, and meets a
+	// again: the message must not be re-accepted.
+	fsys := wal.NewMemFS()
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
 	cfgB := replica.Config{ID: "b", OwnAddresses: []string{"addr:b"}}
 	b := replica.New(cfgB)
+	attach(t, fsys, b)
 	mkMsg(a, "addr:a", "addr:b")
 	replica.Sync(a, b, 0)
 	if b.Stats().Delivered != 1 {
 		t.Fatal("setup: delivery failed")
 	}
-	if err := Save(path, b); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := Load(path, cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b2 := reboot(t, fsys, cfgB)
 	res := replica.Sync(a, b2, 0)
 	if res.Sent != 0 {
 		t.Errorf("restarted replica re-received %d items", res.Sent)
@@ -121,8 +151,7 @@ func TestAtMostOncePersistsAcrossRestart(t *testing.T) {
 func TestTransientStateSurvivesRestart(t *testing.T) {
 	// Epidemic TTLs are per-copy transients; they must survive restarts or
 	// restarted nodes would re-flood with a fresh hop budget.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "r.snap")
+	fsys := wal.NewMemFS()
 	a := replica.New(replica.Config{
 		ID: "a", OwnAddresses: []string{"addr:a"}, Policy: epidemic.New(3),
 	})
@@ -130,143 +159,107 @@ func TestTransientStateSurvivesRestart(t *testing.T) {
 		ID: "r", OwnAddresses: []string{"addr:r"}, Policy: epidemic.New(3),
 	}
 	rel := replica.New(cfgR)
+	attach(t, fsys, rel)
 	msg := mkMsg(a, "addr:a", "addr:z")
 	replica.Sync(a, rel, 0)
 	wantTTL := rel.Entry(msg.ID).Transient.GetInt(item.FieldTTL)
-	if err := Save(path, rel); err != nil {
-		t.Fatal(err)
-	}
-	rel2, err := Load(path, cfgR)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel2 := reboot(t, fsys, cfgR)
 	if got := rel2.Entry(msg.ID).Transient.GetInt(item.FieldTTL); got != wantTTL {
 		t.Errorf("TTL after restart = %d, want %d", got, wantTTL)
 	}
 }
 
-func TestProphetStateSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.snap")
+// prophetPair returns two PROPHET replicas after one encounter, a's policy
+// having learned about addr:b, and a's WAL on fsys checkpointed since.
+func prophetPair(t *testing.T, fsys wal.FS) (a *replica.Replica, want float64) {
+	t.Helper()
 	var now int64
 	clock := func() int64 { return now }
-	mk := func(id, addr string) (*replica.Replica, replica.Config) {
-		cfg := replica.Config{
+	mk := func(id, addr string) *replica.Replica {
+		return replica.New(replica.Config{
 			ID:           vclock.ReplicaID(id),
 			OwnAddresses: []string{addr},
 			Policy:       prophet.New(prophet.DefaultParams(), clock, addr),
-		}
-		return replica.New(cfg), cfg
+		})
 	}
-	a, _ := mk("a", "addr:a")
-	b, _ := mk("b", "addr:b")
-	replica.Encounter(a, b, 0) // a's policy learns about addr:b
-	pol := a.Policy().(*prophet.Policy)
-	want := pol.Predictability("addr:b")
+	a, b := mk("a", "addr:a"), mk("b", "addr:b")
+	db := attach(t, fsys, a)
+	replica.Encounter(a, b, 0)
+	want = a.Policy().(*prophet.Policy).Predictability("addr:b")
 	if want <= 0 {
 		t.Fatal("setup: no predictability learned")
 	}
-	if err := Save(path, a); err != nil {
+	// Routing state is checkpoint-grained (DESIGN §13): durable once a
+	// checkpoint has run, as dtnnode's does after every sync round.
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	return a, want
+}
+
+func TestProphetStateSurvivesRestart(t *testing.T) {
+	fsys := wal.NewMemFS()
+	_, want := prophetPair(t, fsys)
 	// Restart with a fresh policy instance; restore must repopulate it.
-	freshPolicy := prophet.New(prophet.DefaultParams(), clock, "addr:a")
-	a2, err := Load(path, replica.Config{
+	freshPolicy := prophet.New(prophet.DefaultParams(), func() int64 { return 0 }, "addr:a")
+	reboot(t, fsys, replica.Config{
 		ID: "a", OwnAddresses: []string{"addr:a"}, Policy: freshPolicy,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := freshPolicy.Predictability("addr:b"); got != want {
 		t.Errorf("predictability after restart = %v, want %v", got, want)
 	}
-	_ = a2
 }
 
 func TestSnapshotPolicyStateWithoutPersistentPolicy(t *testing.T) {
-	// Loading a snapshot that carries policy state into a config without a
+	// Recovering state that carries policy state into a config without a
 	// persistent policy must fail loudly rather than drop routing state.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.snap")
-	var now int64
-	clock := func() int64 { return now }
-	cfg := replica.Config{
-		ID:           "a",
-		OwnAddresses: []string{"addr:a"},
-		Policy:       prophet.New(prophet.DefaultParams(), clock, "addr:a"),
-	}
-	a := replica.New(cfg)
-	b := replica.New(replica.Config{
-		ID: "b", OwnAddresses: []string{"addr:b"},
-		Policy: prophet.New(prophet.DefaultParams(), clock, "addr:b"),
-	})
-	replica.Encounter(a, b, 0)
-	if err := Save(path, a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}}); err == nil {
+	fsys := wal.NewMemFS()
+	prophetPair(t, fsys)
+	fsys.Crash()
+	_, snap := recoverState(t, fsys)
+	r := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
+	if err := r.RestoreSnapshot(snap); err == nil {
 		t.Error("expected failure when dropping persistent policy state")
 	}
 }
 
+// TestSaveOverwritesAtomically: each checkpoint replaces the previous one
+// whole, and leaves behind only the files the manifest names.
 func TestSaveOverwritesAtomically(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.snap")
+	fsys := osfs(t)
 	cfg := replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}}
 	a := replica.New(cfg)
-	if err := Save(path, a); err != nil {
-		t.Fatal(err)
-	}
+	db := attach(t, fsys, a)
 	mkMsg(a, "addr:a", "addr:b")
-	if err := Save(path, a); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(path, cfg)
-	if err != nil {
+	mkMsg(a, "addr:a", "addr:c")
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if total, _, _ := restored.StoreLen(); total != 1 {
-		t.Errorf("restored store has %d entries, want 1", total)
+	_, snap := recoverState(t, fsys)
+	restored := replica.New(cfg)
+	if err := restored.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if total, _, _ := restored.StoreLen(); total != 2 {
+		t.Errorf("restored store has %d entries, want 2", total)
 	}
 	// No temp files left behind.
-	entries, err := os.ReadDir(filepath.Dir(path))
+	names, err := fsys.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		t.Errorf("directory has %d files, want 1", len(entries))
+	for _, name := range names {
+		if name != "MANIFEST" && !strings.HasPrefix(name, "seg-") && !strings.HasPrefix(name, "wal-") {
+			t.Errorf("stray file %s after checkpoints", name)
+		}
 	}
 }
 
 func TestSaveToUnwritableDirectory(t *testing.T) {
-	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
-	if err := Save("/dev/null/nope/a.snap", a); err == nil {
+	if _, err := wal.NewOSFS("/dev/null/nope"); err == nil {
 		t.Error("unwritable path should fail")
-	}
-}
-
-func TestLoadWrongMagicAndVersion(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.snap")
-	// A valid gob envelope with the wrong magic.
-	write := func(env envelope) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(envelope{Magic: "other", Version: formatVersion})
-	if _, err := LoadSnapshot(path); err == nil {
-		t.Error("wrong magic should fail")
-	}
-	write(envelope{Magic: magic, Version: formatVersion + 1})
-	if _, err := LoadSnapshot(path); err == nil {
-		t.Error("wrong version should fail")
-	}
-	write(envelope{Magic: magic, Version: formatVersion})
-	if _, err := LoadSnapshot(path); err == nil {
-		t.Error("missing snapshot payload should fail")
 	}
 }

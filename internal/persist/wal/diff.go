@@ -13,9 +13,8 @@ import (
 
 // DiffSnapshots reports the first semantic difference between two replica
 // snapshots, or "" when they are equivalent. It exists for the recovery
-// test suites (the crash-point matrix here, the WAL-vs-snapshot
-// differential in internal/persist, the emulator's backend differential):
-// raw gob bytes cannot be compared — map iteration order varies — and
+// test suites (the crash-point matrix and the hard-crash differential
+// against the live replica's own snapshot) and dtnbench's reopen check:
 // reflect.DeepEqual over-distinguishes nil from empty slices, so equality
 // is field-wise: entries as a set keyed by item ID, knowledge semantically,
 // address lists as sorted sets.

@@ -48,7 +48,7 @@ type File interface {
 
 // OSFS is the FS over a real directory. Its SyncDir fsyncs the directory
 // file descriptor, which is what actually commits renames on Linux
-// filesystems (see the persist.Save regression this package grew out of).
+// filesystems: without it a crash can roll a renamed manifest back.
 type OSFS struct {
 	Dir string
 }

@@ -3,7 +3,7 @@ package wal
 // Shared test machinery: a deterministic scripted workload that exercises
 // every journaled mutation kind, used by the round-trip tests, the
 // crash-point matrix, and the differential property test. Snapshot equality
-// lives in DiffSnapshots (diff.go), shared with the persist and emu suites.
+// lives in DiffSnapshots (diff.go), shared with dtnbench's reopen check.
 
 import (
 	"fmt"

@@ -1,6 +1,16 @@
-// Package wal is the incremental persistence backend: an append-only
-// write-ahead log of replica mutations with periodic memtable flushes into
-// immutable segment files, tied together by an atomically-replaced manifest.
+// Package wal stores replica state durably on disk, fulfilling the paper's
+// requirement that replicas and their routing policies keep "persistent data
+// structures which are serialized to disk and retrieved whenever a
+// synchronization operation is invoked" (§V.A). Persisting the knowledge is
+// what extends the substrate's at-most-once delivery guarantee across
+// process restarts: a restarted node never re-accepts versions it had
+// already learned.
+//
+// The store is an append-only write-ahead log of replica mutations with
+// periodic memtable flushes into immutable segment files, tied together by
+// an atomically-replaced manifest. The lifecycle is Open → Load (ErrNoState
+// on first boot; otherwise restore the snapshot into the replica) → Attach
+// → mutate freely → Checkpoint at will → Close.
 //
 // Shape (the classic log-structured design, cf. ROADMAP item 2):
 //

@@ -20,8 +20,8 @@ type SyncResult struct {
 	// is untouched, and Sent/SentBytes count only the wasted partial transfer.
 	Aborted bool
 	// KnowledgeBytes is the encoded size of the knowledge frame(s) the
-	// target shipped for this sync — the exact frame under v1, the summary
-	// frame (plus the exact retry, when a fallback round ran) under v2.
+	// target shipped for this sync — the exact frame, or the summary frame
+	// plus the exact retry when a fallback round ran.
 	// This is the cost the summary protocol exists to shrink.
 	KnowledgeBytes int64
 	// Fallback reports that a summary-mode sync needed the extra

@@ -21,9 +21,10 @@ import (
 // encounter schedule twice — once through the in-process sync engine and
 // once over real TCP loopback connections — and checks that deliveries,
 // duplicates, and store contents come out identical. This pins the wire
-// protocol to the reference semantics. A third replay, over TCP with summary
-// request modes on, pins the delta frames — knowledge and routing state both
-// — to the same outcome.
+// protocol to the reference semantics, down to the batch bytes each leg of
+// each encounter reports. A third replay, over TCP with summary request
+// modes on, pins the delta frames — knowledge and routing state both — to
+// the same outcome.
 func TestTraceDrivenOverTCPMatchesInProcess(t *testing.T) {
 	dn := trace.DefaultDieselNet()
 	dn.Days = 2
@@ -39,10 +40,13 @@ func TestTraceDrivenOverTCPMatchesInProcess(t *testing.T) {
 	for _, policyName := range []string{"epidemic", "spray", "prophet", "maxprop"} {
 		policyName := policyName
 		t.Run(policyName, func(t *testing.T) {
-			local := runSchedule(t, buses, encounters, policyName, false, false)
-			compareSchedules(t, buses, local, runSchedule(t, buses, encounters, policyName, true, false))
-			summarized := runSchedule(t, buses, encounters, policyName, true, true)
+			local, localLegs := runSchedule(t, buses, encounters, policyName, false, false)
+			tcp, tcpLegs := runSchedule(t, buses, encounters, policyName, true, false)
+			compareSchedules(t, buses, local, tcp)
+			compareLegs(t, localLegs, tcpLegs)
+			summarized, summarizedLegs := runSchedule(t, buses, encounters, policyName, true, true)
 			compareSchedules(t, buses, local, summarized)
+			compareLegs(t, localLegs, summarizedLegs)
 			deltas := 0
 			for _, bus := range buses {
 				deltas += summarized[bus].Stats().KnowledgeDeltas
@@ -81,9 +85,28 @@ func compareSchedules(t *testing.T, buses []string, local, networked map[string]
 	}
 }
 
+// leg is one directed sync's reported transfer.
+type leg struct {
+	sent      int
+	sentBytes int64
+}
+
+// compareLegs checks that every leg of every encounter reported the same
+// transfer in two replays of one schedule.
+func compareLegs(t *testing.T, local, networked [][2]leg) {
+	t.Helper()
+	for i := range local {
+		if local[i] != networked[i] {
+			t.Errorf("encounter %d: legs (sent, bytes) %v locally vs %v over TCP", i, local[i], networked[i])
+			return
+		}
+	}
+}
+
 // runSchedule replays the encounter schedule with each bus sending one
-// message to the next bus, either in-process or over TCP.
-func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, policyName string, overTCP, summaries bool) map[string]*replica.Replica {
+// message to the next bus, either in-process or over TCP. Besides the final
+// replicas it returns each encounter's two legs, A→B first.
+func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, policyName string, overTCP, summaries bool) (map[string]*replica.Replica, [][2]leg) {
 	t.Helper()
 	var now int64
 	clock := func() int64 { return now }
@@ -136,15 +159,22 @@ func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, pol
 			Kind:         "message",
 		}, []byte(fmt.Sprintf("m-%s", bus)))
 	}
+	legs := make([][2]leg, 0, len(encounters))
 	for _, e := range encounters {
 		now = e.Time
+		var aToB, bToA replica.SyncResult
 		if overTCP {
-			if _, err := Encounter(nodes[e.B], addrs[e.A], 0, 5*time.Second); err != nil {
+			// B dials A: the dialer's pull is the A→B leg.
+			res, err := Encounter(nodes[e.B], addrs[e.A], 0, 5*time.Second)
+			if err != nil {
 				t.Fatalf("encounter %s-%s: %v", e.A, e.B, err)
 			}
+			aToB, bToA = res.BtoA, res.AtoB
 		} else {
-			replica.Encounter(nodes[e.A], nodes[e.B], 0)
+			res := replica.Encounter(nodes[e.A], nodes[e.B], 0)
+			aToB, bToA = res.AtoB, res.BtoA
 		}
+		legs = append(legs, [2]leg{{aToB.Sent, aToB.SentBytes}, {bToA.Sent, bToA.SentBytes}})
 	}
-	return nodes
+	return nodes, legs
 }

@@ -685,6 +685,7 @@ func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.D
 	}
 	span.ItemsSent = len(resp.Items)
 	out.AtoB.Sent = len(resp.Items)
+	out.AtoB.SentBytes = replica.BatchBytes(resp)
 	out.AtoB.Truncated = resp.Truncated
 	if err := w.readDone(); err != nil {
 		return out, fmt.Errorf("transport: read done: %w", err)

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The knowledge codec is one of the two parse-hostile surfaces in the system
-// (the other is the transport's gob stream): every byte of a knowledge
+// The knowledge codec is one of the parse-hostile surfaces in the system
+// (beside the transport's frame stream): every byte of a knowledge
 // encoding arrives from a peer, so decoding must never panic, never trust a
 // forged count as an allocation size, and always yield a canonical structure
 // whose Merge/Equal/Count behave as set operations. These fuzz targets
