@@ -77,7 +77,6 @@ cover:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKnowledgeDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/vclock/
 	$(GO) test -run '^$$' -fuzz '^FuzzKnowledgeMerge$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/vclock/
-	$(GO) test -run '^$$' -fuzz '^FuzzDigestDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/vclock/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/vclock/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/wire/
@@ -105,10 +104,10 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkSyncHooks' -benchmem .
 
 ## bench-sync measures the knowledge-frame bytes each sync request mode
-## ships at 10k+ known versions — exact frame, Bloom digest, and
-## recurring-pair delta — plus the sync-response frame codec, with allocation
-## stats. Results are recorded in BENCH_sync.json; refresh the file when the knowledge
-## codec, digest sizing, delta protocol, or frame codec changes. The >=5x
+## ships at 10k+ known versions — exact frame and recurring-pair delta — plus
+## the sync-response frame codec, with allocation stats. Results are recorded
+## in BENCH_sync.json; refresh the file when the knowledge codec, delta
+## protocol, or frame codec changes. The >=5x
 ## reduction the file reports is pinned as a regular test by
 ## TestKnowledgeFrameReduction.
 bench-sync:

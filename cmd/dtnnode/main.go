@@ -66,7 +66,7 @@ func main() {
 		discListen = flag.String("discover-listen", "", "UDP address for peer discovery beacons (empty = disabled)")
 		discPeers  = flag.String("discover-peers", "", "comma-separated UDP beacon targets")
 		debugAddr  = flag.String("debug-addr", "", "HTTP address for /metrics, /healthz, /peers, /debug/* (empty = disabled)")
-		summaries  = flag.Bool("summaries", false, "enable the compact knowledge summary sync protocol (Bloom digests and recurring-pair deltas in place of exact knowledge)")
+		summaries  = flag.Bool("summaries", false, "enable the compact knowledge summary sync protocol (recurring-pair knowledge deltas in place of exact knowledge)")
 	)
 	flag.Parse()
 	if *id == "" || *addr == "" {

@@ -58,7 +58,7 @@ func main() {
 		faultSeed  = flag.Int64("fault-seed", 1, "fault schedule seed (same seed = same faults)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		obsDump    = flag.Bool("metrics", false, "dump aggregated replica/store observability counters as JSON to stderr at exit")
-		summaries  = flag.Bool("summaries", false, "enable the compact knowledge summary sync protocol (Bloom digests + delta knowledge); delivery results are identical, knowledge traffic shrinks")
+		summaries  = flag.Bool("summaries", false, "enable the compact knowledge summary sync protocol (delta knowledge for recurring peers); delivery results are identical, knowledge traffic shrinks")
 	)
 	flag.Parse()
 	faults, err := fault.Parse(*faultSpec)

@@ -2,9 +2,9 @@
 // and slice struct fields which only ever grow.
 //
 // The motivating bug is PR 7's summary caches: replica kept per-peer
-// Bloom-digest frontiers and delta-knowledge state in maps keyed by peer
-// ID, with inserts on every sync and no eviction — on a long-lived node
-// meeting an open-ended peer population, that is a slow memory leak, fixed
+// delta-knowledge frontiers and baselines in maps keyed by peer ID, with
+// inserts on every sync and no eviction — on a long-lived node meeting an
+// open-ended peer population, that is a slow memory leak, fixed
 // only later by SummaryPeerCap. The same shape (state keyed by peer or item
 // ID, populated on the hot path, freed never) recurs in routing tables,
 // dedup sets, and delivery buffers, so the rule is mechanized: inside the

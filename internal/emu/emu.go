@@ -107,19 +107,12 @@ type Config struct {
 	// StoreMetrics, when set, aggregates store occupancy gauges and the
 	// eviction counter across every emulated node. Nil disables it.
 	StoreMetrics *obs.StoreMetrics
-	// SyncSummaries enables the compact knowledge summary protocol on every
-	// emulated node (Bloom digests and delta knowledge; see
-	// replica.Config.SyncSummaries). Delivery results are unchanged — the
-	// summary protocol only shrinks the knowledge frames each sync ships,
-	// which Result.KnowledgeBytes accounts.
+	// SyncSummaries enables the compact knowledge summary protocol (delta
+	// knowledge for recurring peers; see replica.Config.SyncSummaries) on
+	// every emulated node. Delivery results are unchanged — the summary
+	// protocol only shrinks the knowledge frames each sync ships, which
+	// Result.KnowledgeBytes accounts.
 	SyncSummaries bool
-	// SummaryFPRate is the Bloom digest's target false-positive rate; 0
-	// selects the default. Only meaningful with SyncSummaries.
-	SummaryFPRate float64
-	// SummaryDigestMin is the exception-count threshold below which exact
-	// knowledge is sent instead of a digest; 0 selects the default. Only
-	// meaningful with SyncSummaries.
-	SummaryDigestMin int
 }
 
 // Result is the outcome of one emulation run.
@@ -154,13 +147,13 @@ type Result struct {
 	// faults).
 	Crashes int
 	// KnowledgeBytes is the encoded size of every knowledge frame shipped
-	// across all syncs — exact frames, digests, deltas, and fallback retries
+	// across all syncs — exact frames, deltas, and fallback retries
 	// alike. This is the per-encounter metadata cost the summary protocol
 	// (Config.SyncSummaries) exists to shrink; item payload volume is counted
 	// separately in BytesTransferred.
 	KnowledgeBytes int64
-	// SummaryFallbacks counts syncs whose summary frame could not be served
-	// exactly and needed the extra exact-knowledge round (zero unless
+	// SummaryFallbacks counts syncs whose knowledge delta the source refused
+	// and that needed the extra exact-knowledge round (zero unless
 	// SyncSummaries is enabled).
 	SummaryFallbacks int
 }
@@ -338,8 +331,6 @@ func (r *runner) newEndpoint(bus string, es *epState) *messaging.Endpoint {
 		Metrics:              r.cfg.Metrics,
 		StoreMetrics:         r.cfg.StoreMetrics,
 		SyncSummaries:        r.cfg.SyncSummaries,
-		SummaryFPRate:        r.cfg.SummaryFPRate,
-		SummaryDigestMin:     r.cfg.SummaryDigestMin,
 		// Both callbacks fire with the replica lock held, while this
 		// endpoint's current event executes; they only note what happened,
 		// and commit folds it into run-global state in order.

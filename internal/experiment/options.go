@@ -44,8 +44,8 @@ func WithObs(n *obs.NodeMetrics) Option {
 }
 
 // WithSyncSummaries(true) enables the compact knowledge summary protocol
-// (Bloom digests and delta knowledge) on every node of every emulation run in
-// the driver. Delivery results are bit-identical with or without it —
+// (delta knowledge for recurring peers) on every node of every emulation run
+// in the driver. Delivery results are bit-identical with or without it —
 // summaries only shrink the knowledge-frame traffic that the sweeps'
 // bytes/enc columns report.
 func WithSyncSummaries(on bool) Option {

@@ -110,17 +110,10 @@ type Config struct {
 	// StoreMetrics, when set, receives the backing store's occupancy gauges
 	// and eviction counter. Nil disables instrumentation.
 	StoreMetrics *obs.StoreMetrics
-	// SyncSummaries enables the compact knowledge summary protocol on the
-	// backing replica (Bloom digests and delta knowledge; see
-	// replica.Config.SyncSummaries). Takes effect only on encounters
-	// negotiated at protocol v2.
+	// SyncSummaries enables the compact knowledge summary protocol (delta
+	// knowledge for recurring peers) on the backing replica; see
+	// replica.Config.SyncSummaries.
 	SyncSummaries bool
-	// SummaryFPRate is the Bloom digest's target false-positive rate; 0
-	// selects the default (see replica.Config.SummaryFPRate).
-	SummaryFPRate float64
-	// SummaryDigestMin is the exception-count threshold below which exact
-	// knowledge is sent instead of a digest; 0 selects the default.
-	SummaryDigestMin int
 	// SeenCap bounds the delivery dedup set per generation; 0 selects
 	// DefaultSeenCap. Deliveries older than two generations may be
 	// surfaced again if the item recurs across an address epoch.
@@ -144,20 +137,18 @@ func NewEndpoint(cfg Config) *Endpoint {
 	}
 	filterAddrs := append(append([]string(nil), cfg.Addresses...), cfg.ExtraFilterAddresses...)
 	ep.replica = replica.New(replica.Config{
-		ID:               cfg.NodeID,
-		OwnAddresses:     cfg.Addresses,
-		Filter:           filter.NewAddresses(filterAddrs...),
-		RelayCapacity:    cfg.RelayCapacity,
-		Eviction:         cfg.Eviction,
-		Policy:           cfg.Policy,
-		OnDeliver:        ep.deliver,
-		OnCopies:         cfg.OnCopies,
-		Now:              ep.now,
-		Metrics:          cfg.Metrics,
-		StoreMetrics:     cfg.StoreMetrics,
-		SyncSummaries:    cfg.SyncSummaries,
-		SummaryFPRate:    cfg.SummaryFPRate,
-		SummaryDigestMin: cfg.SummaryDigestMin,
+		ID:            cfg.NodeID,
+		OwnAddresses:  cfg.Addresses,
+		Filter:        filter.NewAddresses(filterAddrs...),
+		RelayCapacity: cfg.RelayCapacity,
+		Eviction:      cfg.Eviction,
+		Policy:        cfg.Policy,
+		OnDeliver:     ep.deliver,
+		OnCopies:      cfg.OnCopies,
+		Now:           ep.now,
+		Metrics:       cfg.Metrics,
+		StoreMetrics:  cfg.StoreMetrics,
+		SyncSummaries: cfg.SyncSummaries,
 	})
 	return ep
 }

@@ -97,17 +97,15 @@ type ReplicaMetrics struct {
 	// BatchItems aggregates applied batch sizes.
 	BatchItems Histogram
 	// Knowledge-frame accounting for syncs this replica initiates: how its
-	// knowledge traveled (full/exact, Bloom digest, or delta against the
-	// frontier last sent to the peer — protocol v2 summary mode) and the
-	// encoded bytes each representation cost. SummaryFallbacks counts
-	// summary syncs that needed an extra exact-knowledge round.
-	KnowledgeFullFrames   Counter
-	KnowledgeDigestFrames Counter
-	KnowledgeDeltaFrames  Counter
-	SummaryFallbacks      Counter
-	KnowledgeFullBytes    Counter
-	KnowledgeDigestBytes  Counter
-	KnowledgeDeltaBytes   Counter
+	// knowledge traveled (full/exact, or in summary mode a delta against the
+	// frontier last sent to the peer) and the encoded bytes each
+	// representation cost. SummaryFallbacks counts summary syncs that needed
+	// an extra exact-knowledge round.
+	KnowledgeFullFrames  Counter
+	KnowledgeDeltaFrames Counter
+	SummaryFallbacks     Counter
+	KnowledgeFullBytes   Counter
+	KnowledgeDeltaBytes  Counter
 	// Routing-state accounting for the same syncs: whether the policy's
 	// request traveled whole or as a delta against the one last sent to the
 	// peer (only ever beside a knowledge delta), and the encoded bytes.
@@ -137,13 +135,11 @@ type ReplicaSnapshot struct {
 	KnowledgeSize  int64             `json:"knowledge_size"`
 	BatchItems     HistogramSnapshot `json:"batch_items"`
 
-	KnowledgeFullFrames   int64 `json:"knowledge_full_frames"`
-	KnowledgeDigestFrames int64 `json:"knowledge_digest_frames"`
-	KnowledgeDeltaFrames  int64 `json:"knowledge_delta_frames"`
-	SummaryFallbacks      int64 `json:"summary_fallbacks"`
-	KnowledgeFullBytes    int64 `json:"knowledge_full_bytes"`
-	KnowledgeDigestBytes  int64 `json:"knowledge_digest_bytes"`
-	KnowledgeDeltaBytes   int64 `json:"knowledge_delta_bytes"`
+	KnowledgeFullFrames  int64 `json:"knowledge_full_frames"`
+	KnowledgeDeltaFrames int64 `json:"knowledge_delta_frames"`
+	SummaryFallbacks     int64 `json:"summary_fallbacks"`
+	KnowledgeFullBytes   int64 `json:"knowledge_full_bytes"`
+	KnowledgeDeltaBytes  int64 `json:"knowledge_delta_bytes"`
 
 	RoutingFullFrames  int64 `json:"routing_full_frames"`
 	RoutingDeltaFrames int64 `json:"routing_delta_frames"`
@@ -174,13 +170,11 @@ func (m *ReplicaMetrics) Snapshot() ReplicaSnapshot {
 		KnowledgeSize:  m.KnowledgeSize.Value(),
 		BatchItems:     m.BatchItems.Snapshot(),
 
-		KnowledgeFullFrames:   m.KnowledgeFullFrames.Value(),
-		KnowledgeDigestFrames: m.KnowledgeDigestFrames.Value(),
-		KnowledgeDeltaFrames:  m.KnowledgeDeltaFrames.Value(),
-		SummaryFallbacks:      m.SummaryFallbacks.Value(),
-		KnowledgeFullBytes:    m.KnowledgeFullBytes.Value(),
-		KnowledgeDigestBytes:  m.KnowledgeDigestBytes.Value(),
-		KnowledgeDeltaBytes:   m.KnowledgeDeltaBytes.Value(),
+		KnowledgeFullFrames:  m.KnowledgeFullFrames.Value(),
+		KnowledgeDeltaFrames: m.KnowledgeDeltaFrames.Value(),
+		SummaryFallbacks:     m.SummaryFallbacks.Value(),
+		KnowledgeFullBytes:   m.KnowledgeFullBytes.Value(),
+		KnowledgeDeltaBytes:  m.KnowledgeDeltaBytes.Value(),
 
 		RoutingFullFrames:  m.RoutingFullFrames.Value(),
 		RoutingDeltaFrames: m.RoutingDeltaFrames.Value(),

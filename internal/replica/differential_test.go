@@ -144,7 +144,7 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 	}
 	src = New(Config{
 		ID: "src", OwnAddresses: []string{"addr:src"}, Policy: pol, Now: clock,
-		SyncSummaries: summaries, SummaryDigestMin: 1,
+		SyncSummaries: summaries,
 	})
 	var f filter.Filter = filter.NewAddresses("addr:0", "addr:1")
 	if sc.wideFilter {
@@ -152,7 +152,7 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 	}
 	tgt = New(Config{
 		ID: "tgt", OwnAddresses: []string{"addr:0", "addr:1"}, Filter: f, Now: clock,
-		SyncSummaries: summaries, SummaryDigestMin: 1,
+		SyncSummaries: summaries,
 	})
 
 	// ingest hands dst the entries of from that pick selects, as one batch.
@@ -292,12 +292,9 @@ func sameStores(a, b *Replica) error {
 // knowledge shapes and MaxItems/MaxBytes combinations, both paths must emit
 // byte-identical batches (same items, same order, same priorities, same
 // truncation and knowledge-merge flags) and leave identical stores behind.
-// With digest set the new path is asked in summary mode — a Bloom digest of
-// the same knowledge, then the exact retry if the source demands one — and
-// must still match the reference's answer to the exact request.
 func TestHandleSyncRequestDifferential(t *testing.T) {
-	var batches, multiCreator, aboveBase, served, fallbacks int
-	check := func(seed int64, policy, items, maxItems uint8, maxBytes uint16, strict, wide, digest bool, knownFrac, tombFrac, expireFrac uint8) bool {
+	var batches, multiCreator, aboveBase int
+	check := func(seed int64, policy, items, maxItems uint8, maxBytes uint16, strict, wide bool, knownFrac, tombFrac, expireFrac uint8) bool {
 		sc := diffScenario{
 			seed:        seed,
 			policy:      int(policy % 4),
@@ -315,26 +312,14 @@ func TestHandleSyncRequestDifferential(t *testing.T) {
 		oldSrc, oldReq := buildSource(sc)
 		newSrc, newReq := buildSource(sc)
 		oldResp := oldSrc.handleSyncRequestReference(reqClone(oldReq))
-		var newResp *SyncResponse
-		if digest {
-			summary := *newReq
-			summary.Knowledge, summary.Digest = nil, newReq.Knowledge.Digest(0.05)
-			if newResp = newSrc.HandleSyncRequest(&summary); newResp.NeedKnowledge {
-				fallbacks++
-				newResp = newSrc.HandleSyncRequest(reqClone(newReq))
-			} else {
-				served++
-			}
-		} else {
-			newResp = newSrc.HandleSyncRequest(reqClone(newReq))
-		}
+		newResp := newSrc.HandleSyncRequest(reqClone(newReq))
 		if err := sameResponse(oldResp, newResp); err != nil {
-			t.Logf("scenario %+v digest=%v: %v", sc, digest, err)
+			t.Logf("scenario %+v: %v", sc, err)
 			return false
 		}
 		// The side effects must also agree: stores identical after assembly.
 		if err := sameStores(oldSrc, newSrc); err != nil {
-			t.Logf("scenario %+v digest=%v: %v", sc, digest, err)
+			t.Logf("scenario %+v: %v", sc, err)
 			return false
 		}
 		// What the corpus exercised, for the vacuity checks below.
@@ -356,11 +341,11 @@ func TestHandleSyncRequestDifferential(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("non-empty batches %d, stores of 3+ version creators %d, knowledge with base and exceptions %d, digests served %d, fallbacks %d",
-		batches, multiCreator, aboveBase, served, fallbacks)
+	t.Logf("non-empty batches %d, stores of 3+ version creators %d, knowledge with base and exceptions %d",
+		batches, multiCreator, aboveBase)
 	for name, n := range map[string]int{
 		"non-empty batches": batches, "multi-creator stores": multiCreator,
-		"knowledge with base and exceptions": aboveBase, "digests served": served, "digest fallbacks": fallbacks,
+		"knowledge with base and exceptions": aboveBase,
 	} {
 		if n < 20 {
 			t.Errorf("corpus too thin to mean anything: %s seen %d times", name, n)

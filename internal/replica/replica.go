@@ -74,21 +74,13 @@ type Config struct {
 	// merge can claim versions the replica never stored, which a later,
 	// wider filter would then silently miss.
 	MergeKnowledge bool
-	// SyncSummaries enables the compact knowledge summary mode (protocol
-	// v2) for syncs this replica initiates: delta knowledge against the
-	// frontier last sent to a recurring peer, Bloom-digest frames for first
-	// contact with an already-large exception set, and an exact-knowledge
-	// fallback round whenever the source cannot serve a summary exactly.
+	// SyncSummaries enables the compact knowledge summary mode for syncs
+	// this replica initiates: delta knowledge against the frontier last sent
+	// to a recurring peer, a tagged exact frame on first contact, and an
+	// exact-knowledge fallback round whenever the source refuses a delta.
 	// Delivery results are identical to full-knowledge syncs by
 	// construction; only the knowledge-frame bytes change.
 	SyncSummaries bool
-	// SummaryFPRate is the Bloom digest's target false-positive rate; 0
-	// selects vclock.DefaultDigestFPRate (1%).
-	SummaryFPRate float64
-	// SummaryDigestMin is the exception count below which first-contact
-	// frames stay exact (a tiny exception set encodes smaller than any
-	// filter, and exact frames establish delta frontiers); 0 selects 64.
-	SummaryDigestMin int
 	// SummaryPeerCap bounds the per-peer summary caches: delta frontiers on
 	// the target side and knowledge baselines on the source side. Peer IDs
 	// arrive self-declared over the transport, so unbounded maps would let a
@@ -97,11 +89,6 @@ type Config struct {
 	// pair one full-frame or fallback round. 0 selects 1024.
 	SummaryPeerCap int
 }
-
-// defaultSummaryDigestMin is the SummaryDigestMin applied when the config
-// leaves it zero: below this many exceptions a digest saves little over the
-// exact encoding and would keep the pair off the delta upgrade path.
-const defaultSummaryDigestMin = 64
 
 // defaultSummaryPeerCap is the SummaryPeerCap applied when the config leaves
 // it zero: generous next to any real contact graph (PR 6's fleets average
@@ -130,14 +117,13 @@ type Stats struct {
 	Evicted int
 	// Delivered counts application deliveries.
 	Delivered int
-	// KnowledgeFulls / KnowledgeDigests / KnowledgeDeltas count the
-	// knowledge frames this replica sent as sync target, by representation
-	// (v1 requests always count as full frames).
-	KnowledgeFulls   int
-	KnowledgeDigests int
-	KnowledgeDeltas  int
+	// KnowledgeFulls / KnowledgeDeltas count the knowledge frames this
+	// replica sent as sync target, by representation (requests outside
+	// summary mode always count as full frames).
+	KnowledgeFulls  int
+	KnowledgeDeltas int
 	// SummaryFallbacks counts summary syncs that needed an extra
-	// exact-knowledge round (digest ambiguity or delta tag mismatch).
+	// exact-knowledge round because the source refused a delta.
 	SummaryFallbacks int
 }
 
@@ -168,12 +154,10 @@ type Replica struct {
 	emitMu     sync.Mutex
 	hasJournal atomic.Bool
 
-	// Summary-mode (protocol v2) state; see summary.go. epoch is this
-	// replica's incarnation (starts at 1, bumped by RestoreSnapshot);
-	// frontiers is target-side per-peer state, peerKnow source-side.
+	// Summary-mode state; see summary.go. epoch is this replica's
+	// incarnation (starts at 1, bumped by RestoreSnapshot); frontiers is
+	// target-side per-peer state, peerKnow source-side.
 	summaries bool
-	fpRate    float64
-	digestMin int
 	peerCap   int
 	epoch     uint64
 	// useTick is a logical clock stamping every frontier/baseline touch, so
@@ -188,10 +172,6 @@ func New(cfg Config) *Replica {
 	f := cfg.Filter
 	if f == nil {
 		f = filter.NewAddresses(cfg.OwnAddresses...)
-	}
-	digestMin := cfg.SummaryDigestMin
-	if digestMin <= 0 {
-		digestMin = defaultSummaryDigestMin
 	}
 	peerCap := cfg.SummaryPeerCap
 	if peerCap <= 0 {
@@ -209,8 +189,6 @@ func New(cfg Config) *Replica {
 		store:          store.NewWithEviction(cfg.RelayCapacity, cfg.Eviction),
 		metrics:        cfg.Metrics,
 		summaries:      cfg.SyncSummaries,
-		fpRate:         cfg.SummaryFPRate,
-		digestMin:      digestMin,
 		peerCap:        peerCap,
 		epoch:          1,
 		frontiers:      make(map[vclock.ReplicaID]*peerFrontier),

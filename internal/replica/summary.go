@@ -2,33 +2,22 @@ package replica
 
 import (
 	"replidtn/internal/routing"
-	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 )
 
 // This file implements the compact knowledge summary mode of the sync
-// protocol (protocol v2). The paper's Fig. 4 exchange opens every sync with
-// the target's full knowledge frame; at large replica counts that frame —
-// not the item batch — dominates per-encounter bytes. Summary mode replaces
-// it with one of two compact representations, both of which degrade to an
-// exact-knowledge fallback round rather than ever changing what the batch
-// delivers:
-//
-//   - Delta knowledge, for recurring peer pairs: the target remembers the
-//     knowledge frontier it last sent this source and ships only what it
-//     learned since, tagged with its (epoch, generation) so a restarted
-//     source — or any lost frame — is detected by strict tag matching and
-//     answered with a full resync demand instead of a stale baseline.
-//
-//   - Bloom digest, for first contact with an already-large knowledge: the
-//     base vector travels exactly, the exception set as a Bloom filter
-//     (sized per Marandi et al., see vclock.Digest). The source aborts to
-//     the fallback round on the first candidate the filter cannot decide,
-//     so a false positive can never suppress a transmission.
-//
-// Either way the served batch is provably identical to the one an exact
-// knowledge frame would have produced, which is what lets the differential
-// suite require bit-identical delivery results with summaries on and off.
+// protocol. The paper's Fig. 4 exchange opens every sync with the target's
+// full knowledge frame; at large replica counts that frame — not the item
+// batch — dominates per-encounter bytes. Summary mode sends a recurring
+// peer pair delta knowledge instead: the target remembers the knowledge
+// frontier it last sent this source and ships only what it learned since,
+// tagged with its (epoch, generation). First contact sends a tagged exact
+// frame, which establishes the frontier. A restarted source — or any lost
+// frame — is detected by strict tag matching and answered with a demand for
+// an exact-knowledge fallback round instead of a stale baseline, so the
+// served batch is provably identical to the one an exact knowledge frame
+// would have produced. That is what lets the differential suite require
+// bit-identical delivery results with summaries on and off.
 //
 // The per-peer state behind delta knowledge is the one record of "what this
 // peer last saw from me", so the policy's routing state rides it too: a
@@ -95,7 +84,7 @@ func (r *Replica) stampUseLocked() uint64 {
 
 // SummariesEnabled reports whether this replica initiates syncs in summary
 // mode. Fixed at construction; the in-process session drivers and the
-// transport's v2 encounters consult it to pick the request form.
+// transport's encounters consult it to pick the request form.
 func (r *Replica) SummariesEnabled() bool { return r.summaries }
 
 // Epoch returns the replica's incarnation number (1 for a fresh replica,
@@ -108,9 +97,8 @@ func (r *Replica) Epoch() uint64 {
 
 // MakeSummaryRequest builds the request this replica sends when initiating a
 // synchronization in summary mode (acting as target). The knowledge frame is
-// chosen per peer: a delta once a frontier exists for the peer, a Bloom
-// digest on first contact when the exception set is already large, and an
-// exact (epoch/gen-tagged) full frame otherwise — the tagged frame is what
+// chosen per peer: a delta once a frontier exists for the peer, and an exact
+// (epoch/gen-tagged) full frame otherwise — the tagged frame is what
 // establishes the frontier that upgrades the pair to deltas.
 func (r *Replica) MakeSummaryRequest(peer vclock.ReplicaID, maxItems int) *SyncRequest {
 	r.mu.Lock()
@@ -124,9 +112,7 @@ func (r *Replica) MakeSummaryRequest(peer vclock.ReplicaID, maxItems int) *SyncR
 	if r.policy != nil {
 		req.Routing = r.policy.GenerateReq()
 	}
-	switch {
-	case r.frontiers[peer] != nil:
-		f := r.frontiers[peer]
+	if f := r.frontiers[peer]; f != nil {
 		f.use = r.stampUseLocked()
 		changes := r.know.DiffSince(f.know)
 		f.gen++
@@ -142,15 +128,7 @@ func (r *Replica) MakeSummaryRequest(peer vclock.ReplicaID, maxItems int) *SyncR
 			r.metrics.KnowledgeDeltaBytes.Add(int64(req.Delta.WireSize()))
 			r.countRoutingLocked(req)
 		}
-	case r.know.ExceptionCount() >= r.digestMin:
-		req.Digest = r.know.Digest(r.fpRate)
-		r.stats.KnowledgeDigests++
-		if r.metrics != nil {
-			r.metrics.KnowledgeDigestFrames.Inc()
-			r.metrics.KnowledgeDigestBytes.Add(int64(req.Digest.WireSize()))
-			r.countRoutingLocked(req)
-		}
-	default:
+	} else {
 		r.attachFullLocked(req, peer)
 	}
 	return req
@@ -159,7 +137,7 @@ func (r *Replica) MakeSummaryRequest(peer vclock.ReplicaID, maxItems int) *SyncR
 // MakeFallbackRequest builds the exact-knowledge retry of a summary sync the
 // source answered with NeedKnowledge. It reuses the first round's routing
 // state verbatim — the source only processes routing when it serves a batch,
-// so the policy sees the exchange exactly once, like a v1 sync — and does
+// so the policy sees the exchange exactly once, like an exact sync — and does
 // not count as a new initiated sync. The tagged full frame it carries also
 // (re-)establishes the peer's frontier, so a pair that fell back resumes
 // delta mode on the next encounter.
@@ -224,16 +202,16 @@ func (r *Replica) countRoutingLocked(req *SyncRequest) {
 // resolveKnowledgeLocked recovers the target's knowledge and routing state
 // from whichever representation the request carries, acting as source.
 //
-// It returns exactly one of know (exact knowledge — given directly or
-// reconstructed from a delta against the cached baseline) or digest, with
-// the routing request to process (nil for none), or ok=false when the source
-// must answer NeedKnowledge: a delta whose (epoch, gen) tags do not extend
-// the cached baseline strictly — cache missing (we restarted, or never saw
-// the baseline), wrong epoch (the target restarted), or a generation gap (a
-// frame was lost) — is refused rather than merged onto a possibly-stale
-// baseline, and so is a routing delta that does not fit the cached request.
-// A refusal leaves the baseline as it was; the retry replaces it whole.
-func (r *Replica) resolveKnowledgeLocked(req *SyncRequest) (know *vclock.Knowledge, digest *vclock.Digest, rt routing.Request, ok bool) {
+// It returns the exact knowledge — given directly or reconstructed from a
+// delta against the cached baseline — with the routing request to process
+// (nil for none), or ok=false when the source must answer NeedKnowledge: a
+// delta whose (epoch, gen) tags do not extend the cached baseline strictly —
+// cache missing (we restarted, or never saw the baseline), wrong epoch (the
+// target restarted), or a generation gap (a frame was lost) — is refused
+// rather than merged onto a possibly-stale baseline, and so is a routing
+// delta that does not fit the cached request. A refusal leaves the baseline
+// as it was; the retry replaces it whole.
+func (r *Replica) resolveKnowledgeLocked(req *SyncRequest) (know *vclock.Knowledge, rt routing.Request, ok bool) {
 	switch {
 	case req.Knowledge != nil:
 		if req.Epoch != 0 {
@@ -248,11 +226,11 @@ func (r *Replica) resolveKnowledgeLocked(req *SyncRequest) (know *vclock.Knowled
 				routing: req.Routing,
 			}
 		}
-		return req.Knowledge, nil, req.Routing, true
+		return req.Knowledge, req.Routing, true
 	case req.Delta != nil:
 		c := r.peerKnow[req.TargetID]
 		if c == nil || c.epoch != req.Delta.Epoch() || c.gen+1 != req.Delta.Gen() {
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
 		// In process the full request arrives beside its delta and serves
 		// as is; off the wire only the delta does.
@@ -260,37 +238,18 @@ func (r *Replica) resolveKnowledgeLocked(req *SyncRequest) (know *vclock.Knowled
 		if rt == nil && req.RoutingDelta != nil {
 			var err error
 			if rt, err = req.RoutingDelta.Apply(c.routing); err != nil {
-				return nil, nil, nil, false
+				return nil, nil, false
 			}
 		}
 		c.use = r.stampUseLocked()
 		c.know.Merge(req.Delta.Changes())
 		c.gen = req.Delta.Gen()
 		c.routing = rt
-		return c.know, nil, rt, true
-	case req.Digest != nil:
-		return nil, req.Digest, req.Routing, true
+		return c.know, rt, true
 	default:
-		// A v1 frame with no knowledge at all; the transport rejects this
+		// A request with no knowledge at all; the transport rejects this
 		// before it reaches us, and in-process callers always attach one.
 		// Serve against empty knowledge rather than crash on hostile input.
-		return vclock.NewKnowledge(), nil, req.Routing, true
+		return vclock.NewKnowledge(), req.Routing, true
 	}
-}
-
-// digestAmbiguousLocked pre-scans the store for a candidate the digest
-// cannot decide: a version above the exact base that the Bloom filter
-// reports as maybe-known. The filter has no false negatives, so with no
-// such candidate, base inclusion alone answers "known?" exactly like full
-// knowledge would for every stored version; with one, only an exact frame
-// can keep the batch identical, so the source demands a fallback round.
-// The scan does only knowledge checks — no routing-policy calls — so a
-// fallback leaves policy state untouched for the retry.
-func (r *Replica) digestAmbiguousLocked(d *vclock.Digest) bool {
-	ambiguous := false
-	r.store.RangeAbove(d.BaseSeq, func(e *store.Entry) bool {
-		ambiguous = d.MayHaveException(e.Item.Version)
-		return !ambiguous
-	})
-	return ambiguous
 }

@@ -11,11 +11,11 @@ import (
 // newBenchTarget builds a summaries-capable replica whose knowledge spans
 // creators×perCreator versions plus excs exceptions — the ≥10k-version shape
 // where the knowledge frame, not the item batch, dominates encounter bytes.
-func newBenchTarget(b *testing.B, summaries bool, digestMin, creators, perCreator, excs int) *Replica {
+func newBenchTarget(b *testing.B, summaries bool, creators, perCreator, excs int) *Replica {
 	b.Helper()
 	r := New(Config{
 		ID: "tgt", OwnAddresses: []string{"addr:tgt"},
-		SyncSummaries: summaries, SummaryDigestMin: digestMin,
+		SyncSummaries: summaries,
 	})
 	for c := 0; c < creators; c++ {
 		id := vclock.ReplicaID(fmt.Sprintf("bus%03d", c))
@@ -33,9 +33,8 @@ func newBenchTarget(b *testing.B, summaries bool, digestMin, creators, perCreato
 }
 
 // BenchmarkKnowledgeFrame measures the per-sync knowledge frame each request
-// representation ships at 10k+ known versions: the exact v1 frame, the Bloom
-// digest a summaries-enabled replica sends on first contact, and the delta a
-// recurring pair settles into. wireB/frame is the encoded frame size the
+// representation ships at 10k+ known versions: the exact frame and the delta
+// a recurring pair settles into. wireB/frame is the encoded frame size the
 // transport pays per sync — the number BENCH_sync.json records and the ≥5×
 // reduction criterion reads.
 func BenchmarkKnowledgeFrame(b *testing.B) {
@@ -46,7 +45,7 @@ func BenchmarkKnowledgeFrame(b *testing.B) {
 	)
 
 	b.Run("full", func(b *testing.B) {
-		r := newBenchTarget(b, false, 0, creators, perCreator, excs)
+		r := newBenchTarget(b, false, creators, perCreator, excs)
 		var wire int64
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -57,62 +56,26 @@ func BenchmarkKnowledgeFrame(b *testing.B) {
 		b.ReportMetric(float64(wire)/float64(b.N), "wireB/frame")
 	})
 
-	b.Run("digest", func(b *testing.B) {
-		r := newBenchTarget(b, true, 0, creators, perCreator, excs)
-		var wire int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// A distinct peer per iteration keeps every request on the
-			// first-contact digest path rather than upgrading to deltas.
-			req := r.MakeSummaryRequest(vclock.ReplicaID(fmt.Sprintf("p%d", i)), 0)
-			if req.Digest == nil {
-				b.Fatal("expected a digest frame")
-			}
-			wire += req.KnowledgeWireBytes()
-		}
-		b.ReportMetric(float64(wire)/float64(b.N), "wireB/frame")
-	})
-
-	// The digest's win scales with how exception-dominated the knowledge is:
-	// the base vector travels exactly either way, but each exception costs a
-	// handful of exact bytes against ~1.2 Bloom bytes. full-excheavy is the
-	// exact baseline at the same exception-dominated shape.
+	// full-excheavy is the exact frame at an exception-dominated shape, where
+	// each exception costs its own delta-varint-packed bytes.
 	b.Run("full-excheavy", func(b *testing.B) {
-		r := newBenchTarget(b, false, 0, 20, perCreator, 9000)
+		r := newBenchTarget(b, false, 20, perCreator, 9000)
 		var wire int64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			req := r.MakeSyncRequest(0)
-			wire += req.KnowledgeWireBytes()
-		}
-		b.ReportMetric(float64(wire)/float64(b.N), "wireB/frame")
-	})
-
-	b.Run("digest-excheavy", func(b *testing.B) {
-		r := newBenchTarget(b, true, 0, 20, perCreator, 9000)
-		var wire int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			req := r.MakeSummaryRequest(vclock.ReplicaID(fmt.Sprintf("p%d", i)), 0)
-			if req.Digest == nil {
-				b.Fatal("expected a digest frame")
-			}
 			wire += req.KnowledgeWireBytes()
 		}
 		b.ReportMetric(float64(wire)/float64(b.N), "wireB/frame")
 	})
 
 	b.Run("delta", func(b *testing.B) {
-		// A digest-mode first contact leaves the source with no exact
-		// baseline, so digest pairs never upgrade to deltas; disabling the
-		// digest (huge SummaryDigestMin) makes first contact a tagged full
-		// frame, which establishes the frontier. Thereafter each sync ships
-		// only what the replica learned since — here one new own version per
-		// encounter, the steady state of a recurring pair.
-		r := newBenchTarget(b, true, 1<<30, creators, perCreator, excs)
+		// First contact is a tagged full frame, which establishes the
+		// frontier. Thereafter each sync ships only what the replica learned
+		// since — here one new own version per encounter, the steady state of
+		// a recurring pair.
+		r := newBenchTarget(b, true, creators, perCreator, excs)
 		r.MakeSummaryRequest("peer", 0)
 		var wire int64
 		b.ReportAllocs()
@@ -132,8 +95,8 @@ func BenchmarkKnowledgeFrame(b *testing.B) {
 }
 
 // TestKnowledgeFrameReduction pins the acceptance criterion outside the
-// benchmark loop: at 10k+ known versions, both compact representations must
-// shrink the knowledge frame at least 5× against the exact v1 encoding.
+// benchmark loop: at 10k+ known versions, the steady-state delta must shrink
+// the knowledge frame at least 5× against the exact encoding.
 func TestKnowledgeFrameReduction(t *testing.T) {
 	r := New(Config{ID: "tgt", OwnAddresses: []string{"addr:tgt"}, SyncSummaries: true})
 	for c := 0; c < 200; c++ {
@@ -146,25 +109,17 @@ func TestKnowledgeFrameReduction(t *testing.T) {
 		}
 	}
 	full := int64(r.know.WireSize())
-	digestReq := r.MakeSummaryRequest("first-contact", 0)
-	if digestReq.Digest == nil {
-		t.Fatal("expected digest on first contact")
-	}
 	// Deltas require an exact baseline at the source, which only a tagged
-	// full frame establishes — the fallback request is that frame.
-	r.MakeFallbackRequest("first-contact", 0, nil)
+	// full frame establishes — first contact sends that frame.
+	if first := r.MakeSummaryRequest("first-contact", 0); first.Knowledge == nil || first.Epoch == 0 {
+		t.Fatal("expected a tagged full frame on first contact")
+	}
 	r.CreateItem(item.Metadata{
 		Source: "addr:tgt", Destinations: []string{"addr:p"}, Kind: "message",
 	}, nil)
 	deltaReq := r.MakeSummaryRequest("first-contact", 0)
 	if deltaReq.Delta == nil {
 		t.Fatal("expected delta on second contact")
-	}
-	// The digest compresses only the exception part (the base vector must
-	// travel exactly), so its win at this base-heavy shape is modest; the
-	// steady-state delta is what carries the ≥5× acceptance criterion.
-	if dw := digestReq.KnowledgeWireBytes(); dw <= 0 || dw >= full {
-		t.Errorf("digest frame %dB did not shrink below full %dB", dw, full)
 	}
 	if dw := deltaReq.KnowledgeWireBytes(); dw <= 0 || dw*5 > full {
 		t.Errorf("delta frame %dB vs full %dB: reduction below 5×", dw, full)

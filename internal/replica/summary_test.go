@@ -19,11 +19,11 @@ func summaryScenario(seed int64, summaries bool) (a, b *Replica, toB []item.ID) 
 	a = New(Config{
 		ID: "a", OwnAddresses: []string{"addr:a"},
 		Policy:        epidemic.New(10),
-		SyncSummaries: summaries, SummaryDigestMin: 1,
+		SyncSummaries: summaries,
 	})
 	b = New(Config{
 		ID: "b", OwnAddresses: []string{"addr:b"},
-		SyncSummaries: summaries, SummaryDigestMin: 1,
+		SyncSummaries: summaries,
 	})
 	create := func(r *Replica, from string, dests []string) {
 		it := r.CreateItem(item.Metadata{
@@ -40,9 +40,7 @@ func summaryScenario(seed int64, summaries bool) (a, b *Replica, toB []item.ID) 
 	// b's view of the feeder, so b's exception set ranges from empty (no
 	// feeders, or to-b prefixes) to all-exception (to-a items first).
 	// Dual-addressed items reach both replicas through plain filter
-	// matching, which plants versions from b's exception set in a's store —
-	// candidates the Bloom digest can never decide (no false negatives), so
-	// the corpus deterministically exercises the fallback round too.
+	// matching, which plants versions from b's exception set in a's store.
 	feeders := rng.Intn(4)
 	for i := 0; i < feeders; i++ {
 		fid := fmt.Sprintf("f%d", i)
@@ -68,14 +66,30 @@ func summaryScenario(seed int64, summaries bool) (a, b *Replica, toB []item.ID) 
 	return a, b, toB
 }
 
-// TestQuickDigestSyncDeliversExactly is the property-test satellite: across
+// restartInPlace restarts r from its own snapshot, as a crashed node
+// recovering its durable state would: a new epoch, and no summary-mode
+// frontiers or baselines.
+func restartInPlace(t *testing.T, r *Replica) {
+	t.Helper()
+	snap, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickSummarySyncDeliversExactly is the property-test satellite: across
 // random knowledge/exception shapes — including empty knowledge and
-// all-exception knowledge — a digest-mode sync must deliver exactly what a
+// all-exception knowledge — a summary-mode sync must deliver exactly what a
 // full-knowledge sync delivers: never a duplicate, never a lost item, and
-// apply-stat-identical to the v1 twin.
-func TestQuickDigestSyncDeliversExactly(t *testing.T) {
-	var digests, fallbacks int
-	prop := func(seed int64) bool {
+// apply-stat-identical to the exact twin. On a seeded share of cases the
+// source restarts between the two syncs, so the target's delta meets no
+// baseline and the fallback round runs.
+func TestQuickSummarySyncDeliversExactly(t *testing.T) {
+	var deltas, fallbacks int
+	prop := func(seed int64, restart bool) bool {
 		run := func(summaries bool) (SyncResult, SyncResult, *Replica, []item.ID) {
 			a, b, toB := summaryScenario(seed, summaries)
 			r1 := Sync(a, b, 0)
@@ -85,28 +99,31 @@ func TestQuickDigestSyncDeliversExactly(t *testing.T) {
 				Source: "addr:a", Destinations: []string{"addr:b"}, Kind: "message",
 			}, []byte("late"))
 			toB = append(toB, extra.ID)
+			if restart {
+				restartInPlace(t, a)
+			}
 			r2 := Sync(a, b, 0)
 			return r1, r2, b, toB
 		}
 		p1, p2, pb, ids := run(false)
 		s1, s2, sb, _ := run(true)
-		digests += sb.Stats().KnowledgeDigests
+		deltas += sb.Stats().KnowledgeDeltas
 		fallbacks += sb.Stats().SummaryFallbacks
 		if p1.Apply != s1.Apply || p2.Apply != s2.Apply {
-			t.Logf("seed %d: apply stats diverged:\nv1 %+v / %+v\nv2 %+v / %+v", seed, p1.Apply, p2.Apply, s1.Apply, s2.Apply)
+			t.Logf("seed %d: apply stats diverged:\nexact %+v / %+v\nsummary %+v / %+v", seed, p1.Apply, p2.Apply, s1.Apply, s2.Apply)
 			return false
 		}
 		if sb.Stats().Duplicates != 0 {
-			t.Logf("seed %d: digest sync produced %d duplicates", seed, sb.Stats().Duplicates)
+			t.Logf("seed %d: summary sync produced %d duplicates", seed, sb.Stats().Duplicates)
 			return false
 		}
 		for _, id := range ids {
 			if !sb.HasItem(id) {
-				t.Logf("seed %d: digest sync lost item %s", seed, id)
+				t.Logf("seed %d: summary sync lost item %s", seed, id)
 				return false
 			}
 			if !pb.HasItem(id) {
-				t.Logf("seed %d: v1 twin lost item %s — scenario broken", seed, id)
+				t.Logf("seed %d: exact twin lost item %s — scenario broken", seed, id)
 				return false
 			}
 		}
@@ -117,9 +134,9 @@ func TestQuickDigestSyncDeliversExactly(t *testing.T) {
 		t.Error(err)
 	}
 	// The corpus must actually exercise the summary machinery, including the
-	// ambiguous-digest fallback, or the property is vacuous.
-	if digests == 0 {
-		t.Error("no run sent a Bloom digest")
+	// refused-delta fallback, or the property is vacuous.
+	if deltas == 0 {
+		t.Error("no run sent a knowledge delta")
 	}
 	if fallbacks == 0 {
 		t.Error("no run hit the exact-knowledge fallback round")
@@ -128,11 +145,12 @@ func TestQuickDigestSyncDeliversExactly(t *testing.T) {
 	// The same property over the differential suite's relay-shaped worlds
 	// (buildScenario: several creators, updates, tombstones, a seq-0 version,
 	// knowledge with base, exceptions and gaps), under every policy and
-	// budget: two syncs — the second, after fresh traffic, on the delta path
-	// — must apply identically with summaries on and off and leave both
-	// replicas' stores, spray allowances included, the same.
-	digests, fallbacks = 0, 0
-	wide := func(seed int64, policy, items, maxItems uint8, maxBytes uint16, knownFrac, tombFrac uint8) bool {
+	// budget: two syncs — the second, after fresh traffic and perhaps a
+	// source restart, on the delta path — must apply identically with
+	// summaries on and off and leave both replicas' stores, spray allowances
+	// included, the same.
+	deltas, fallbacks = 0, 0
+	wide := func(seed int64, policy, items, maxItems uint8, maxBytes uint16, knownFrac, tombFrac uint8, restart bool) bool {
 		sc := diffScenario{
 			seed: seed, policy: int(policy % 4), items: int(items%120) + 1,
 			maxItems: int(maxItems % 12), maxBytes: int64(maxBytes % 2048),
@@ -145,15 +163,18 @@ func TestQuickDigestSyncDeliversExactly(t *testing.T) {
 			src.CreateItem(item.Metadata{
 				Source: "addr:src", Destinations: []string{"addr:0"}, Kind: "message",
 			}, []byte("late"))
+			if restart {
+				restartInPlace(t, src)
+			}
 			r2 = SyncBudget(src, tgt, budget)
 			return r1, r2, src, tgt
 		}
 		p1, p2, psrc, ptgt := run(false)
 		s1, s2, ssrc, stgt := run(true)
-		digests += stgt.Stats().KnowledgeDigests
+		deltas += stgt.Stats().KnowledgeDeltas
 		fallbacks += stgt.Stats().SummaryFallbacks
 		if p1.Apply != s1.Apply || p2.Apply != s2.Apply || p1.Sent != s1.Sent || p2.Sent != s2.Sent {
-			t.Logf("scenario %+v: syncs diverged:\nv1 %+v / %+v\nv2 %+v / %+v", sc, p1, p2, s1, s2)
+			t.Logf("scenario %+v: syncs diverged:\nexact %+v / %+v\nsummary %+v / %+v", sc, p1, p2, s1, s2)
 			return false
 		}
 		if dup := s1.Apply.Duplicates + s2.Apply.Duplicates; dup != 0 {
@@ -171,8 +192,8 @@ func TestQuickDigestSyncDeliversExactly(t *testing.T) {
 	if err := quick.Check(wide, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(12))}); err != nil {
 		t.Error(err)
 	}
-	if digests == 0 || fallbacks == 0 {
-		t.Errorf("relay-shaped corpus sent %d digests and hit %d fallbacks; want both", digests, fallbacks)
+	if deltas == 0 || fallbacks == 0 {
+		t.Errorf("relay-shaped corpus sent %d deltas and hit %d fallbacks; want both", deltas, fallbacks)
 	}
 }
 

@@ -15,13 +15,8 @@ type SyncRequest struct {
 	TargetID vclock.ReplicaID
 	// Knowledge is the target's learned-version set; the source sends only
 	// versions outside it, which yields at-most-once delivery. In summary
-	// mode (protocol v2) exactly one of Knowledge, Digest, or Delta is set.
+	// mode exactly one of Knowledge or Delta is set.
 	Knowledge *vclock.Knowledge
-	// Digest is a compact knowledge summary: exact base vector plus a Bloom
-	// filter over the exceptions (see vclock.Digest). The source serves from
-	// it only when the filter decides every stored candidate; otherwise it
-	// answers NeedKnowledge and the target retries with exact knowledge.
-	Digest *vclock.Digest
 	// Delta ships only the knowledge learned since the frontier this target
 	// last sent the source, tagged with the target's (epoch, generation);
 	// the source reconstructs exact knowledge from its cached baseline, or
@@ -29,7 +24,7 @@ type SyncRequest struct {
 	Delta *vclock.Delta
 	// Epoch and Gen tag a full Knowledge frame sent in summary mode (Epoch
 	// is never 0 on such frames): they let the source cache the frame as
-	// the delta baseline for this pair. Untagged (v1) frames are not cached.
+	// the delta baseline for this pair. Untagged frames are not cached.
 	Epoch uint64
 	Gen   uint64
 	// Filter is the target's content-based filter; matching items are always
@@ -78,9 +73,8 @@ type SyncResponse struct {
 	Items     []BatchItem
 	Truncated bool
 	// NeedKnowledge demands an exact-knowledge retry of a summary-mode
-	// request: the source could not decide the batch from the digest (an
-	// ambiguous Bloom answer) or could not apply the delta (tag mismatch
-	// after a restart or lost frame). The response carries no items and the
+	// request: the source could not apply the delta (tag mismatch after a
+	// restart or lost frame). The response carries no items and the
 	// source has not processed the request's routing state, so the retry
 	// replays the same routing frame and the exchange counts once.
 	NeedKnowledge bool
@@ -187,22 +181,12 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// Summary mode: recover the target's knowledge before touching any other
-	// state. When the request cannot be served exactly — an undecidable
-	// digest or an unmatchable delta — answer NeedKnowledge without counting
-	// the sync or processing routing state, so the exact-knowledge retry
-	// runs as if it were the first and only round.
-	know, digest, rt, ok := r.resolveKnowledgeLocked(req)
+	// state. When a delta cannot be matched, answer NeedKnowledge without
+	// counting the sync or processing routing state, so the exact-knowledge
+	// retry runs as if it were the first and only round.
+	know, rt, ok := r.resolveKnowledgeLocked(req)
 	if !ok {
 		return &SyncResponse{SourceID: r.id, NeedKnowledge: true}
-	}
-	if digest != nil {
-		if r.digestAmbiguousLocked(digest) {
-			return &SyncResponse{SourceID: r.id, NeedKnowledge: true}
-		}
-		// No stored candidate above the exact base is Bloom-ambiguous, and
-		// the filter has no false negatives, so base inclusion now answers
-		// "does the target know this version?" exactly as full knowledge
-		// would for every stored version.
 	}
 	r.stats.SyncsServed++
 	if r.policy != nil && rt != nil {
@@ -214,16 +198,13 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	sel := batchSelector{limit: selectorLimit(req)}
 	// The walk yields versions above the target's base vector, one creator
 	// run at a time; view is that creator's share of know, loaded where the
-	// walk asks for the run's floor (a digest's base decides alone). Walking
-	// in version order, not the reference assembly's ID order, is unobservable:
-	// same offered set, per-entry policy calls, and candLess is total.
+	// walk asks for the run's floor. Walking in version order, not the
+	// reference assembly's ID order, is unobservable: same offered set,
+	// per-entry policy calls, and candLess is total.
 	var view vclock.CreatorView
 	floor := func(c vclock.ReplicaID) uint64 {
 		view = know.View(c)
 		return view.Base
-	}
-	if digest != nil {
-		floor = digest.BaseSeq
 	}
 	r.store.RangeAbove(floor, func(e *store.Entry) bool {
 		if view.HasException(e.Item.Version.Seq) {
@@ -482,13 +463,11 @@ func itemWireBytes(it *item.Item) int64 {
 }
 
 // KnowledgeWireBytes returns the encoded size of whichever knowledge frame
-// the request carries (exact, digest, or delta), for byte accounting.
+// the request carries (exact or delta), for byte accounting.
 func (req *SyncRequest) KnowledgeWireBytes() int64 {
 	switch {
 	case req.Knowledge != nil:
 		return int64(req.Knowledge.WireSize())
-	case req.Digest != nil:
-		return int64(req.Digest.WireSize())
 	case req.Delta != nil:
 		return int64(req.Delta.WireSize())
 	}

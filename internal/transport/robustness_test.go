@@ -204,6 +204,9 @@ func TestTruncatedBatchAppliesNothing(t *testing.T) {
 	if total, _, _ := a.StoreLen(); total != 0 {
 		t.Errorf("truncated batch left %d items in the store", total)
 	}
+	if got := a.Stats().SyncsAborted; got != 1 {
+		t.Errorf("truncated batch counted %d aborted syncs, want 1", got)
+	}
 	if a.Stats().Duplicates != 0 {
 		t.Error("duplicates after truncated batch")
 	}

@@ -1,12 +1,9 @@
 package transport
 
 import (
-	"fmt"
 	"testing"
 
-	"replidtn/internal/item"
 	"replidtn/internal/replica"
-	"replidtn/internal/routing/epidemic"
 	"replidtn/internal/vclock"
 )
 
@@ -37,21 +34,18 @@ func pair(res replica.EncounterResult) applyPair {
 }
 
 // TestSummaryModesDeliverIdentically runs the same two-encounter exchange
-// over real TCP with summary request modes on or off at each end. Digest,
-// delta and exact knowledge are request modes of the one protocol, each side
-// choosing its own, so the delivered results must be identical in every
-// combination; a summaries-enabled side of a recurring pair must move to
-// delta knowledge, and a disabled side must emit no summary frame.
+// over real TCP with summary request modes on or off at each end. Delta and
+// exact knowledge are request modes of the one protocol, each side choosing
+// its own, so the delivered results must be identical in every combination;
+// a summaries-enabled side of a recurring pair must move to delta knowledge,
+// and a disabled side must emit no summary frame.
 func TestSummaryModesDeliverIdentically(t *testing.T) {
 	type outcome struct {
 		first, second applyPair
 		delivered     int
 	}
-	modes := []struct{ server, dialer bool }{
-		{false, false}, {true, true}, {true, false}, {false, true},
-	}
 	var want outcome
-	for i, m := range modes {
+	for i, m := range summaryModes {
 		a := summaryNode("a", "addr:a", m.server)
 		b := summaryNode("b", "addr:b", m.dialer)
 		sendMsg(a, "addr:a", "addr:b")
@@ -89,87 +83,79 @@ func TestSummaryModesDeliverIdentically(t *testing.T) {
 			if side.summaries && st.KnowledgeDeltas == 0 {
 				t.Errorf("server=%v dialer=%v: %s did not upgrade to delta knowledge", m.server, m.dialer, side.r.ID())
 			}
-			if !side.summaries && st.KnowledgeDeltas+st.KnowledgeDigests != 0 {
+			if !side.summaries && st.KnowledgeDeltas != 0 {
 				t.Errorf("server=%v dialer=%v: %s emitted summary frames with summaries off", m.server, m.dialer, side.r.ID())
 			}
 		}
 	}
 }
 
-// TestDigestFallbackOverTCP drives an encounter whose request
-// carries a Bloom digest that is necessarily ambiguous — the server stores
-// items whose versions are in the target's exception set, and the filter has
-// no false negatives — so the exact-knowledge fallback round runs end to end
-// over TCP. The delivered batch must still match an exact-knowledge run.
+// summaryModes is every combination of summary request modes at the server
+// and the dialer; the first entry, exact knowledge at both ends, is the
+// reference the others must match.
+var summaryModes = []struct{ server, dialer bool }{
+	{false, false}, {true, true}, {true, false}, {false, true},
+}
+
+// TestDigestFallbackOverTCP runs the exact-knowledge fallback round end to
+// end over TCP. After two encounters the server restarts from its snapshot,
+// so a summaries-enabled dialer's next request carries delta knowledge
+// against a baseline the server no longer holds, and the server must ask for
+// exact knowledge instead. That third encounter must deliver exactly what
+// the exact-knowledge run delivers, re-send no known item, and record
+// exactly one fallback on a summaries-enabled dialer and none on the server.
 func TestDigestFallbackOverTCP(t *testing.T) {
-	build := func(summaries bool) (*replica.Replica, *replica.Replica) {
-		a := replica.New(replica.Config{
-			ID: "a", OwnAddresses: []string{"addr:a"},
-			Policy:        epidemic.New(10),
-			SyncSummaries: summaries, SummaryDigestMin: 1,
-		})
-		b := replica.New(replica.Config{
-			ID: "b", OwnAddresses: []string{"addr:b"},
-			SyncSummaries: summaries, SummaryDigestMin: 1,
-		})
-		// Each feeder creates three items addressed only to a before three
-		// addressed to both a and b, so b's knowledge of the feeder is pure
-		// exceptions above an empty base — and a, receiving the dual-addressed
-		// items through its own filter, holds versions inside b's exception
-		// set: candidates the Bloom digest can never decide (no false
-		// negatives), guaranteeing the fallback round.
-		for i := 0; i < 4; i++ {
-			fid := fmt.Sprintf("f%d", i)
-			f := replica.New(replica.Config{
-				ID: vclock.ReplicaID(fid), OwnAddresses: []string{"addr:" + fid},
-			})
-			for j := 0; j < 3; j++ {
-				sendMsg(f, "addr:"+fid, "addr:a")
-			}
-			for j := 0; j < 3; j++ {
-				f.CreateItem(item.Metadata{
-					Source:       "addr:" + fid,
-					Destinations: []string{"addr:a", "addr:b"},
-					Kind:         "message",
-				}, []byte("dual"))
-			}
-			replica.Encounter(f, b, 0)
-			replica.Encounter(f, a, 0)
-		}
-		for i := 0; i < 4; i++ {
+	type outcome struct {
+		third     applyPair
+		delivered int
+	}
+	var want outcome
+	for i, m := range summaryModes {
+		a := summaryNode("a", "addr:a", m.server)
+		b := summaryNode("b", "addr:b", m.dialer)
+		addr, _ := serve(t, a, 0)
+		for n := 0; n < 2; n++ {
 			sendMsg(a, "addr:a", "addr:b")
+			sendMsg(b, "addr:b", "addr:a")
+			if _, err := Encounter(b, addr, 0, testTimeout); err != nil {
+				t.Fatalf("server=%v dialer=%v encounter %d: %v", m.server, m.dialer, n+1, err)
+			}
 		}
-		return a, b
-	}
-
-	run := func(summaries bool) (applyPair, int, int, int) {
-		a, b := build(summaries)
-		srv := NewServer(a, 0)
-		addr, err := srv.Listen("127.0.0.1:0")
+		snap, err := a.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
-		res, err := EncounterOpts(b, addr.String(), 0, testTimeout, DialOptions{})
-		if err != nil {
+		if err := a.RestoreSnapshot(snap); err != nil {
 			t.Fatal(err)
 		}
-		return pair(res), b.Stats().Delivered, b.Stats().KnowledgeDigests, b.Stats().SummaryFallbacks
-	}
-
-	plain, plainDelivered, _, _ := run(false)
-	sum, sumDelivered, digests, fallbacks := run(true)
-	if plain != sum || plainDelivered != sumDelivered {
-		t.Errorf("digest-mode TCP encounter delivered differently than exact mode:\nexact  %+v (delivered %d)\ndigest %+v (delivered %d)",
-			plain, plainDelivered, sum, sumDelivered)
-	}
-	if digests == 0 {
-		t.Error("scenario never sent a Bloom digest — not exercising the summary path")
-	}
-	if fallbacks == 0 {
-		t.Error("guaranteed-ambiguous digest did not trigger the fallback round")
-	}
-	if sum.BtoA.Duplicates != 0 {
-		t.Errorf("fallback round re-sent known items: %d duplicates", sum.BtoA.Duplicates)
+		sendMsg(a, "addr:a", "addr:b")
+		sendMsg(b, "addr:b", "addr:a")
+		res, err := Encounter(b, addr, 0, testTimeout)
+		if err != nil {
+			t.Fatalf("server=%v dialer=%v encounter after restart: %v", m.server, m.dialer, err)
+		}
+		got := outcome{pair(res), a.Stats().Delivered + b.Stats().Delivered}
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("server=%v dialer=%v delivered differently than exact/exact after restart:\ngot  %+v\nwant %+v",
+				m.server, m.dialer, got, want)
+		}
+		if got.delivered != 6 {
+			t.Errorf("server=%v dialer=%v delivered %d of 6 messages", m.server, m.dialer, got.delivered)
+		}
+		if res.BtoA.Apply.Duplicates != 0 {
+			t.Errorf("server=%v dialer=%v: fallback round re-sent %d known items", m.server, m.dialer, res.BtoA.Apply.Duplicates)
+		}
+		wantFallbacks := 0
+		if m.dialer {
+			wantFallbacks = 1
+		}
+		if got := b.Stats().SummaryFallbacks; got != wantFallbacks {
+			t.Errorf("server=%v dialer=%v: dialer recorded %d fallbacks, want %d", m.server, m.dialer, got, wantFallbacks)
+		}
+		if got := a.Stats().SummaryFallbacks; got != 0 {
+			t.Errorf("server=%v dialer=%v: restarted server recorded %d fallbacks, want 0", m.server, m.dialer, got)
+		}
 	}
 }

@@ -29,10 +29,11 @@ import (
 )
 
 // protocolVersion is the one protocol this build speaks, carried as a single
-// byte in the hello. Versions 1–3 were the retired gob-hello generations and
-// 4 the binary frames before routing deltas (and with a From field in every
-// routing request); a mismatch is refused, never negotiated.
-const protocolVersion = 5
+// byte in the hello. Versions 1–3 were the retired gob-hello generations, 4
+// the binary frames before routing deltas (and with a From field in every
+// routing request), and 5 the frames that could still carry a Bloom-digest
+// knowledge summary; a mismatch is refused, never negotiated.
+const protocolVersion = 6
 
 // helloMagic opens every hello body, so a stray connection from some other
 // protocol is refused on its first frame.
@@ -156,7 +157,7 @@ var errVersionMismatch = errors.New("protocol version mismatch")
 // form per request, so "none" is the only miscount a frame can express.) A
 // routing delta rides a knowledge delta's tags and means nothing without.
 func validateRequest(req *replica.SyncRequest) error {
-	if req.Knowledge == nil && req.Digest == nil && req.Delta == nil {
+	if req.Knowledge == nil && req.Delta == nil {
 		return &validationError{errors.New("sync request without a knowledge frame")}
 	}
 	if req.RoutingDelta != nil && req.Delta == nil {
@@ -499,10 +500,12 @@ func serveBatch(w *wireIO, r *replica.Replica, maxItems int) (*replica.SyncRespo
 }
 
 // pullBatch runs one directed synchronization as the target side: send our
-// request (a digest or delta summary when the replica has summaries enabled,
-// exact knowledge otherwise), retry once with exact knowledge if the source
-// demands it, and apply the batch. The returned SyncResult carries
-// knowledge-frame byte accounting like the in-process session drivers'.
+// request (a summary when the replica has summaries enabled, exact knowledge
+// otherwise), retry once with exact knowledge if the source refuses the
+// delta, and apply the batch. A response that dies in transit after its
+// request was written counts as an aborted sync, as a cut in-process batch
+// does. The returned SyncResult carries knowledge-frame byte accounting like
+// the in-process session drivers'.
 func pullBatch(w *wireIO, r *replica.Replica, peer vclock.ReplicaID, maxItems int) (res replica.SyncResult, err error) {
 	var req *replica.SyncRequest
 	if r.SummariesEnabled() {
@@ -516,6 +519,7 @@ func pullBatch(w *wireIO, r *replica.Replica, peer vclock.ReplicaID, maxItems in
 	}
 	resp, err := w.readResponse()
 	if err != nil {
+		r.AbortSync()
 		return res, fmt.Errorf("read sync response: %w", err)
 	}
 	if resp.NeedKnowledge {
@@ -526,6 +530,7 @@ func pullBatch(w *wireIO, r *replica.Replica, peer vclock.ReplicaID, maxItems in
 			return res, fmt.Errorf("write fallback request: %w", err)
 		}
 		if resp, err = w.readResponse(); err != nil {
+			r.AbortSync()
 			return res, fmt.Errorf("read fallback response: %w", err)
 		}
 		if resp.NeedKnowledge {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // The knowledge wire format is a compact, deterministic varint encoding:
@@ -97,62 +96,12 @@ func (k *Knowledge) decode(data []byte) error {
 	return nil
 }
 
-// appendVector encodes a bare version vector with the same conventions as
-// the knowledge base section: uvarint count, then (id, seq) pairs sorted by
-// replica ID for deterministic bytes.
-func appendVector(buf []byte, v Vector) []byte {
-	ids := sortedIDs(len(v))
-	for r := range v {
-		ids = append(ids, string(r))
-	}
-	sort.Strings(ids)
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = appendString(buf, id)
-		buf = binary.AppendUvarint(buf, v[ReplicaID(id)])
-	}
-	return buf
-}
-
-// readVector decodes a vector written by appendVector, dropping zero entries
-// so decoded vectors are canonical regardless of what the peer sent.
-func readVector(data []byte, pos *int) (Vector, error) {
-	n, err := readUvarint(data, pos)
-	if err != nil {
-		return nil, err
-	}
-	v := NewVector()
-	for i := uint64(0); i < n; i++ {
-		id, err := readString(data, pos)
-		if err != nil {
-			return nil, err
-		}
-		seq, err := readUvarint(data, pos)
-		if err != nil {
-			return nil, err
-		}
-		if seq > 0 {
-			v[ReplicaID(id)] = seq
-		}
-	}
-	return v, nil
-}
-
 // uvarintLen returns the encoded length of v without encoding it.
 func uvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
 		v >>= 7
 		n++
-	}
-	return n
-}
-
-// vectorWireSize returns the appendVector length of v without allocating.
-func vectorWireSize(v Vector) int {
-	n := uvarintLen(uint64(len(v)))
-	for r, s := range v {
-		n += uvarintLen(uint64(len(r))) + len(r) + uvarintLen(s)
 	}
 	return n
 }
@@ -179,8 +128,6 @@ func (k *Knowledge) WireSize() int {
 	k.wireSize = n + uvarintLen(uint64(nBase)) + uvarintLen(uint64(nExtra))
 	return k.wireSize
 }
-
-func sortedIDs(capacity int) []string { return make([]string, 0, capacity) }
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))

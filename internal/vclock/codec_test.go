@@ -10,7 +10,7 @@ import (
 
 // TestKnowledgeCodecGolden pins the bytes of a fixed knowledge value —
 // several creators, rows with and without a base, exceptions above gaps, a
-// seq past 2^32 — and of its digest and of a delta against an earlier clone.
+// seq past 2^32 — and of a delta against an earlier clone.
 // The expected bytes were produced by the map-based representation this one
 // replaced: the in-memory form may change, the bytes in frames, snapshots and
 // WAL records may not.
@@ -39,7 +39,6 @@ func TestKnowledgeCodecGolden(t *testing.T) {
 		want string
 	}{
 		{"knowledge", k.MarshalBinary, "04016104066275732d303701016305027a7a010401610607090a0c8201c801066275732d30370404050609016401ac02027a7a0203808080808020"},
-		{"digest", k.Digest(0.01).MarshalBinary, "04016104066275732d303701016305027a7a010d0702d90535729ee36a59ba4dd72b5d75c4f5"},
 		{"delta", NewDelta(2, 5, k.DiffSince(old)).MarshalBinary, "020503016104066275732d303701027a7a01040161020c8201066275732d30370109016401ac02027a7a0203808080808020"},
 	} {
 		got, err := tc.enc()

@@ -36,18 +36,6 @@ func TestWriteFuzzCorpus(t *testing.T) {
 			seed, seeds[(i+1)%len(seeds)])
 	}
 
-	digestNames := []string{
-		"seed-empty", "seed-typical", "seed-truncated-filter",
-		"seed-degenerate-probes", "seed-overflow-words", "seed-trailing",
-	}
-	dSeeds := digestSeeds()
-	if len(digestNames) != len(dSeeds) {
-		t.Fatalf("have %d digest seed names for %d seeds", len(digestNames), len(dSeeds))
-	}
-	for i, seed := range dSeeds {
-		writeCorpusFile(t, "FuzzDigestDecode", digestNames[i], seed)
-	}
-
 	deltaNames := []string{
 		"seed-empty", "seed-typical", "seed-missing-body",
 		"seed-noncanonical", "seed-forged-count",

@@ -16,10 +16,11 @@ import (
 //	go test -tags corpusgen -run WriteFuzzCorpus ./internal/wire/
 //
 // after changing the frame layout or the seed set, and commit the result.
-// The corpus pins one valid encoding per frame family (exact/digest/delta
-// requests, PROPHET and MaxProp routing requests and routing deltas, a
-// response with items, done, a mutation batch) plus the boundary
-// shapes (truncation, bad codec version, an out-of-range probability, empty input).
+// The corpus pins one valid encoding per frame family (exact/delta requests,
+// PROPHET and MaxProp routing requests and routing deltas, a response with
+// items, done, a mutation batch) plus the boundary shapes (truncation, bad
+// codec version, an out-of-range probability, a request in the retired
+// digest form, empty input).
 func TestWriteFuzzCorpus(t *testing.T) {
 	for target, seeds := range map[string]map[string][]byte{
 		"FuzzWireDecode":         wireFuzzSeeds(t),

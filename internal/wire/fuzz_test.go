@@ -27,6 +27,7 @@ import (
 	"replidtn/internal/routing/sorted"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire/prim"
 )
 
 // wireFuzzSeeds builds the seed inputs, shared by the fuzz target and the
@@ -68,11 +69,6 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 		Filter:    filter.NewAddresses("user:1"),
 		MaxItems:  10,
 		MaxBytes:  1 << 20,
-	}))
-	digestReq := must(AppendSyncRequest(nil, &replica.SyncRequest{
-		TargetID: "t",
-		Digest:   know.Digest(0.01),
-		Filter:   filter.All{},
 	}))
 	deltaReq := must(AppendSyncRequest(nil, &replica.SyncRequest{
 		TargetID:    "t",
@@ -131,7 +127,7 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 		"prophet-request": prophetReq,
 		"maxprop-request": maxpropReq,
 		"bad-probability": badProbReq,
-		"digest-request":  digestReq,
+		"digest-request":  retagKnowledge(exactReq, "t", 2),
 		"delta-request":   deltaReq,
 		"prophet-delta":   routingDeltaReq(sampleProphetDelta()),
 		"maxprop-delta":   routingDeltaReq(sampleMaxPropDelta()),
@@ -143,6 +139,16 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 		"bad-version":     append([]byte{0xff}, exactReq[1:]...),
 		"empty":           nil,
 	}
+}
+
+// retagKnowledge returns a copy of an encoded sync request for target with
+// its knowledge frame's tag byte replaced, leaving the length and body after
+// it well-formed. Tag 2 is the retired Bloom-digest form: the decoder must
+// refuse it like any other tag it does not know.
+func retagKnowledge(req []byte, target string, tag byte) []byte {
+	out := append([]byte(nil), req...)
+	out[1+prim.SizeString(target)] = tag
+	return out
 }
 
 func sampleProphetDelta() *prophet.Delta {

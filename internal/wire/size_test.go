@@ -122,7 +122,7 @@ func TestSyncRequestSizeCoversEncoding(t *testing.T) {
 	}
 	for name, req := range map[string]*replica.SyncRequest{
 		"exact":   {TargetID: "t", Knowledge: know, Epoch: 3, Gen: 1 << 40, Filter: filter.NewAddresses("user:1", "user:2"), MaxItems: 10, MaxBytes: 1 << 33},
-		"digest":  {TargetID: "target", Digest: know.Digest(0.01), Filter: filter.All{}, MaxItems: -1, MaxBytes: -5, StrictBytes: true},
+		"budgets": {TargetID: "target", Knowledge: know, Filter: filter.All{}, MaxItems: -1, MaxBytes: -5, StrictBytes: true},
 		"delta":   {Delta: vclock.NewDelta(2, 5, know), Filter: filter.None{}, RoutingDelta: sampleProphetDelta()},
 		"nothing": {},
 		"prophet": {TargetID: "t", Knowledge: know, Routing: prophetFuzzBase, Filter: filter.NewOr(filter.Kind{Name: "message"}, filter.NewAddresses())},

@@ -237,15 +237,15 @@ func (d *Decoder) routingFrame() (routing.Request, routing.Delta) {
 
 // Knowledge-frame tags: the request's summary-mode alternatives and the
 // response's optional learned knowledge reuse one layout — a tag byte, then
-// a length-prefixed vclock binary marshal.
+// a length-prefixed vclock binary marshal. Tag 2 is retired (it carried a
+// Bloom digest) and decodes as unknown.
 const (
-	knowNone   = 0
-	knowExact  = 1
-	knowDigest = 2
-	knowDelta  = 3
+	knowNone  = 0
+	knowExact = 1
+	knowDelta = 3
 )
 
-// knowledgeBody is what the three summary forms share: an encoding that
+// knowledgeBody is what the two summary forms share: an encoding that
 // appends straight into the frame and knows its exact length beforehand.
 type knowledgeBody interface {
 	WireSize() int
@@ -254,12 +254,9 @@ type knowledgeBody interface {
 
 // pickKnowledge returns the tag and body of whichever summary form is set
 // (knowNone and nil when none is), and how many are.
-func pickKnowledge(k *vclock.Knowledge, dg *vclock.Digest, dl *vclock.Delta) (tag byte, body knowledgeBody, set int) {
+func pickKnowledge(k *vclock.Knowledge, dl *vclock.Delta) (tag byte, body knowledgeBody, set int) {
 	if dl != nil {
 		tag, body, set = knowDelta, dl, set+1
-	}
-	if dg != nil {
-		tag, body, set = knowDigest, dg, set+1
 	}
 	if k != nil {
 		tag, body, set = knowExact, k, set+1
@@ -267,11 +264,11 @@ func pickKnowledge(k *vclock.Knowledge, dg *vclock.Digest, dl *vclock.Delta) (ta
 	return tag, body, set
 }
 
-// appendKnowledgeFrame appends exactly one of the three summary forms (or
-// the none tag). The vclock marshals append straight into buf — WireSize
+// appendKnowledgeFrame appends exactly one of the two summary forms (or the
+// none tag). The vclock marshals append straight into buf — WireSize
 // gives the exact length prefix without building the encoding twice.
-func appendKnowledgeFrame(buf []byte, k *vclock.Knowledge, dg *vclock.Digest, dl *vclock.Delta) ([]byte, error) {
-	tag, body, set := pickKnowledge(k, dg, dl)
+func appendKnowledgeFrame(buf []byte, k *vclock.Knowledge, dl *vclock.Delta) ([]byte, error) {
+	tag, body, set := pickKnowledge(k, dl)
 	if set > 1 {
 		return nil, errors.New("wire: multiple knowledge frames set")
 	}
@@ -287,8 +284,8 @@ func appendKnowledgeFrame(buf []byte, k *vclock.Knowledge, dg *vclock.Digest, dl
 }
 
 // sizeKnowledgeFrame returns the length of appendKnowledgeFrame's output.
-func sizeKnowledgeFrame(k *vclock.Knowledge, dg *vclock.Digest, dl *vclock.Delta) int {
-	_, body, _ := pickKnowledge(k, dg, dl)
+func sizeKnowledgeFrame(k *vclock.Knowledge, dl *vclock.Delta) int {
+	_, body, _ := pickKnowledge(k, dl)
 	if body == nil {
 		return 1
 	}
@@ -296,44 +293,37 @@ func sizeKnowledgeFrame(k *vclock.Knowledge, dg *vclock.Digest, dl *vclock.Delta
 	return 1 + prim.SizeUvarint(uint64(n)) + n
 }
 
-// knowledgeFrame decodes one frame into whichever of the three forms the tag
+// knowledgeFrame decodes one frame into whichever of the two forms the tag
 // names. The vclock unmarshals copy and canonicalize, so the returned values
 // never alias the input.
-func (d *Decoder) knowledgeFrame() (*vclock.Knowledge, *vclock.Digest, *vclock.Delta) {
+func (d *Decoder) knowledgeFrame() (*vclock.Knowledge, *vclock.Delta) {
 	tag := d.Byte()
 	if tag == knowNone || d.Err() != nil {
-		return nil, nil, nil
+		return nil, nil
 	}
 	n := d.Uvarint()
 	body := d.View(n)
 	if d.Err() != nil {
-		return nil, nil, nil
+		return nil, nil
 	}
 	switch tag {
 	case knowExact:
 		k := vclock.NewKnowledge()
 		if err := k.UnmarshalBinary(body); err != nil {
 			d.Fail(err)
-			return nil, nil, nil
+			return nil, nil
 		}
-		return k, nil, nil
-	case knowDigest:
-		dg := new(vclock.Digest)
-		if err := dg.UnmarshalBinary(body); err != nil {
-			d.Fail(err)
-			return nil, nil, nil
-		}
-		return nil, dg, nil
+		return k, nil
 	case knowDelta:
 		dl := new(vclock.Delta)
 		if err := dl.UnmarshalBinary(body); err != nil {
 			d.Fail(err)
-			return nil, nil, nil
+			return nil, nil
 		}
-		return nil, nil, dl
+		return nil, dl
 	default:
 		d.Fail(fmt.Errorf("wire: unknown knowledge tag %d", tag))
-		return nil, nil, nil
+		return nil, nil
 	}
 }
 
@@ -346,7 +336,7 @@ func (d *Decoder) knowledgeFrame() (*vclock.Knowledge, *vclock.Digest, *vclock.D
 func AppendSyncRequest(buf []byte, req *replica.SyncRequest) ([]byte, error) {
 	buf = append(buf, CodecVersion)
 	buf = prim.AppendString(buf, string(req.TargetID))
-	buf, err := appendKnowledgeFrame(buf, req.Knowledge, req.Digest, req.Delta)
+	buf, err := appendKnowledgeFrame(buf, req.Knowledge, req.Delta)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +357,7 @@ func AppendSyncRequest(buf []byte, req *replica.SyncRequest) ([]byte, error) {
 // req, without encoding it.
 func SyncRequestSize(req *replica.SyncRequest) int {
 	return 1 + prim.SizeString(string(req.TargetID)) +
-		sizeKnowledgeFrame(req.Knowledge, req.Digest, req.Delta) +
+		sizeKnowledgeFrame(req.Knowledge, req.Delta) +
 		prim.SizeUvarint(req.Epoch) + prim.SizeUvarint(req.Gen) +
 		sizeFilter(req.Filter, 0) +
 		sizeRoutingFrame(req.Routing, req.RoutingDelta) +
@@ -383,7 +373,7 @@ func DecodeSyncRequest(data []byte) (*replica.SyncRequest, error) {
 		return nil, fmt.Errorf("wire: sync request codec version %d, want %d", ver, CodecVersion)
 	}
 	req := &replica.SyncRequest{TargetID: vclock.ReplicaID(d.String())}
-	req.Knowledge, req.Digest, req.Delta = d.knowledgeFrame()
+	req.Knowledge, req.Delta = d.knowledgeFrame()
 	req.Epoch = d.Uvarint()
 	req.Gen = d.Uvarint()
 	req.Filter = d.Filter()
@@ -417,7 +407,7 @@ func AppendSyncResponse(buf []byte, resp *replica.SyncResponse) ([]byte, error) 
 	}
 	buf = prim.AppendBool(buf, resp.Truncated)
 	buf = prim.AppendBool(buf, resp.NeedKnowledge)
-	return appendKnowledgeFrame(buf, resp.LearnedKnowledge, nil, nil)
+	return appendKnowledgeFrame(buf, resp.LearnedKnowledge, nil)
 }
 
 // SyncResponseSize returns the length of the body AppendSyncResponse writes
@@ -436,7 +426,7 @@ func SyncResponseSize(resp *replica.SyncResponse) int {
 		n += sizeItem(bi.Item) + sizeTransient(bi.Transient)
 		n += prim.SizeVarint(int64(bi.Priority.Class)) + 8
 	}
-	return n + 2 + sizeKnowledgeFrame(resp.LearnedKnowledge, nil, nil)
+	return n + 2 + sizeKnowledgeFrame(resp.LearnedKnowledge, nil)
 }
 
 // shareStringsFrom is the batch size from which the response decoder shares
@@ -476,10 +466,9 @@ func DecodeSyncResponse(data []byte) (*replica.SyncResponse, error) {
 	}
 	resp.Truncated = d.Bool()
 	resp.NeedKnowledge = d.Bool()
-	var dg *vclock.Digest
 	var dl *vclock.Delta
-	resp.LearnedKnowledge, dg, dl = d.knowledgeFrame()
-	if d.Err() == nil && (dg != nil || dl != nil) {
+	resp.LearnedKnowledge, dl = d.knowledgeFrame()
+	if d.Err() == nil && dl != nil {
 		return nil, errors.New("wire: sync response carries a summary knowledge frame")
 	}
 	if err := d.Finish(); err != nil {

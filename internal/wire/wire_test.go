@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"replidtn/internal/filter"
@@ -304,11 +306,6 @@ func TestSyncRequestRoundTrip(t *testing.T) {
 			MaxItems:  10,
 			MaxBytes:  1 << 20,
 		},
-		"digest": {
-			TargetID: "t",
-			Digest:   know.Digest(0.01),
-			Filter:   filter.All{},
-		},
 		"delta": {
 			TargetID:    "t",
 			Delta:       vclock.NewDelta(2, 5, know),
@@ -332,16 +329,6 @@ func TestSyncRequestRoundTrip(t *testing.T) {
 			if (req.Knowledge == nil) != (got.Knowledge == nil) ||
 				(req.Knowledge != nil && !got.Knowledge.Equal(req.Knowledge)) {
 				t.Errorf("knowledge: got %v, want %v", got.Knowledge, req.Knowledge)
-			}
-			if (req.Digest == nil) != (got.Digest == nil) {
-				t.Errorf("digest presence: got %v, want %v", got.Digest, req.Digest)
-			}
-			if req.Digest != nil {
-				w, _ := req.Digest.MarshalBinary()
-				g, _ := got.Digest.MarshalBinary()
-				if !bytes.Equal(w, g) {
-					t.Error("digest did not round-trip")
-				}
 			}
 			if (req.Delta == nil) != (got.Delta == nil) {
 				t.Errorf("delta presence: got %v, want %v", got.Delta, req.Delta)
@@ -388,9 +375,29 @@ func TestSyncRequestCarriesRoutingDelta(t *testing.T) {
 
 func TestSyncRequestMultipleFramesRejected(t *testing.T) {
 	know := sampleKnowledge(t)
-	req := &replica.SyncRequest{Knowledge: know, Digest: know.Digest(0.01)}
+	req := &replica.SyncRequest{Knowledge: know, Delta: vclock.NewDelta(1, 2, know)}
 	if _, err := AppendSyncRequest(nil, req); err == nil {
 		t.Error("request with two knowledge frames encoded")
+	}
+}
+
+// TestSyncRequestUnknownKnowledgeTagRejected: a knowledge frame whose tag is
+// not exact, delta or none fails to decode even when the length and body
+// after it are well-formed. Tag 2 carried the retired Bloom digest; an old
+// peer's digest request is hostile input like any other unknown tag.
+func TestSyncRequestUnknownKnowledgeTagRejected(t *testing.T) {
+	exact, err := AppendSyncRequest(nil, &replica.SyncRequest{TargetID: "t", Knowledge: sampleKnowledge(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSyncRequest(exact); err != nil {
+		t.Fatalf("untouched exact request: %v", err)
+	}
+	for _, tag := range []byte{2, 4, 255} {
+		_, err := DecodeSyncRequest(retagKnowledge(exact, "t", tag))
+		if want := fmt.Sprintf("unknown knowledge tag %d", tag); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("tag %d: decode error %v, want %q", tag, err, want)
+		}
 	}
 }
 
