@@ -54,8 +54,13 @@ loc:
 	printf '%-24s %8s %8s\n' tree non-test test; \
 	printf '%-24s %8d %8d\n' 'whole repo' $$(count -not) $$(count)
 
+## test runs every package under the race detector, then replica and
+## transport again without it: the race runtime inflates allocation counts,
+## so their allocation budgets (the `//go:build !race` alloc_test.go files)
+## compile only in the second pass.
 test:
 	$(GO) test -race ./...
+	$(GO) test -count=1 ./internal/replica/ ./internal/transport/
 
 ## cover fails if total statement coverage drops below COVER_FLOOR.
 cover:
@@ -91,7 +96,7 @@ fuzz-smoke:
 ## disabled-path overhead) with allocation stats, for before/after comparisons.
 ## The alloc budget test turns the //dtn:hotpath functions' measured allocs/op
 ## into a hard assertion (it must run without -race; the race runtime inflates
-## allocation counts).
+## allocation counts); `make test` runs it too.
 bench:
 	$(GO) test -run 'TestSyncAllocBudget' -count=1 ./internal/replica/
 	$(GO) test -run xxx -bench 'BenchmarkStorePut' -benchmem ./internal/store/

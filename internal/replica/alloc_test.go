@@ -45,3 +45,19 @@ func TestSyncAllocBudget(t *testing.T) {
 		t.Errorf("HandleSyncRequest(maxItems=1) allocates %.1f/op over a 1000-entry store, budget 20", handleAllocs)
 	}
 }
+
+// TestSelectorAllocatesOnce pins the bounded selector's retained set to one
+// allocation: at a 256-item budget over a 1000-entry store the heap is sized
+// on the first offer, not grown by append-doubling.
+func TestSelectorAllocatesOnce(t *testing.T) {
+	src := newBenchSource(t, 1000)
+	req := benchRequest(256)
+	allocs := testing.AllocsPerRun(100, func() {
+		if resp := src.HandleSyncRequest(req); len(resp.Items) != 256 {
+			t.Fatalf("batch of %d items, want 256", len(resp.Items))
+		}
+	})
+	if allocs > 15 {
+		t.Errorf("HandleSyncRequest(maxItems=256) allocates %.1f/op over a 1000-entry store, budget 15", allocs)
+	}
+}

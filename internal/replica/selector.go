@@ -43,6 +43,9 @@ type syncCandidate struct {
 // selector's output — the property the differential test pins down.
 type batchSelector struct {
 	limit int
+	// room is the bounded heap's capacity, allocated whole on the first
+	// offer: the limit, or the store's length when that is smaller.
+	room  int
 	cands []syncCandidate
 	total int
 }
@@ -69,6 +72,9 @@ func (sel *batchSelector) offer(c syncCandidate) {
 		return
 	}
 	if len(sel.cands) < sel.limit {
+		if sel.cands == nil {
+			sel.cands = make([]syncCandidate, 0, sel.room)
+		}
 		sel.cands = append(sel.cands, c)
 		sel.siftUp(len(sel.cands) - 1)
 		return

@@ -195,7 +195,8 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	target := routing.Target{ID: req.TargetID, Filter: req.Filter}
 	split, _ := r.policy.(routing.SplitSender)
 
-	sel := batchSelector{limit: selectorLimit(req)}
+	limit := selectorLimit(req)
+	sel := batchSelector{limit: limit, room: min(limit, r.store.Len())}
 	// The walk yields versions above the target's base vector, one creator
 	// run at a time; view is that creator's share of know, loaded where the
 	// walk asks for the run's floor. Walking in version order, not the

@@ -173,3 +173,30 @@ func TestDialEncodeSideFrameCap(t *testing.T) {
 		t.Errorf("server stored %d items from a failed encounter", total)
 	}
 }
+
+// Every frame fits its size class, wastes at most a quarter of it above the
+// 512-byte floor, and each class size maps back to its own pool — which is
+// how putFrame recognises the buffers getFrame hands out. Past
+// maxFrameScratch nothing is pooled.
+func TestFrameClasses(t *testing.T) {
+	sizes := map[*sync.Pool]int{}
+	for n := 1; n <= maxFrameScratch; n += 1 + n/97 {
+		size, pool := frameClass(n)
+		if size < n || (n > 1<<minFrameShift && 4*size > 5*n) {
+			t.Fatalf("a %d-byte frame gets a %d-byte class", n, size)
+		}
+		if again, p := frameClass(size); again != size || p != pool {
+			t.Fatalf("class %d rounds to %d", size, again)
+		}
+		if prev, ok := sizes[pool]; ok && prev != size {
+			t.Fatalf("classes %d and %d share a pool", prev, size)
+		}
+		sizes[pool] = size
+	}
+	if len(sizes) != len(framePools) {
+		t.Errorf("%d of the %d pools reached", len(sizes), len(framePools))
+	}
+	if size, pool := frameClass(maxFrameScratch + 1); pool != nil || size != maxFrameScratch+1 {
+		t.Errorf("a frame past maxFrameScratch gets class %d, pooled %v", size, pool != nil)
+	}
+}

@@ -86,3 +86,28 @@ func TestOversizedHelloRejected(t *testing.T) {
 		}
 	}
 }
+
+// readHello recycles the hello's frame before the caller uses the ID, so the
+// ID must be a copy: a view would change under the next frame any connection
+// reads into that buffer.
+func TestHelloIDDoesNotAliasFrame(t *testing.T) {
+	frame := rawHello(helloMagic, protocolVersion, "alice")
+	id, err := newWireIO(replay(frame), 0).readHello()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := make([]*frameBuf, 8) // the hello's buffer among them
+	for i := range reused {
+		reused[i] = getFrame(len(frame) - 4)
+		b := reused[i].b[:cap(reused[i].b)]
+		for j := range b {
+			b[j] = 0xa5
+		}
+	}
+	for _, f := range reused {
+		putFrame(f)
+	}
+	if id != "alice" {
+		t.Fatalf("hello ID read %q after its frame buffer was reused, want %q", id, "alice")
+	}
+}

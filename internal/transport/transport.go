@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"syscall"
@@ -193,19 +194,6 @@ func validateResponse(resp *replica.SyncResponse) error {
 	return nil
 }
 
-// countingReader counts bytes pulled through it into *n. One connection is
-// driven by one goroutine, so a plain int64 suffices.
-type countingReader struct {
-	r io.Reader
-	n *int64
-}
-
-func (c countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	*c.n += int64(n)
-	return n, err
-}
-
 // Frame layout, for every message of a connection: a uint32 little-endian
 // length (covering the type byte and body, so always >= 1), a message-type
 // byte, and the body. The hello body is magic, version byte, replica ID; the
@@ -222,20 +210,74 @@ const (
 	frameHello        = 4
 )
 
-// maxFrameScratch caps the encode/decode scratch buffers retained across
-// frames; a single giant batch must not pin its footprint for the rest of
-// the connection.
-const maxFrameScratch = 4 << 20
+// Frame buffers are recycled in size classes from 512 B (hellos, done
+// frames, small requests) up to maxFrameScratch. A larger frame gets a buffer
+// of exactly its size, dropped once the frame is written or decoded, so a
+// single giant batch never parks its footprint in a pool.
+const (
+	minFrameShift   = 9
+	maxFrameShift   = 22
+	maxFrameScratch = 1 << maxFrameShift
+)
+
+// frameBuf wraps a frame buffer so the pools hold a pointer: a warm
+// get/put pair allocates nothing, where putting a bare slice would box it.
+type frameBuf struct{ b []byte }
+
+// framePools recycles frame buffers process-wide, one pool per size class:
+// 512 B, then four classes per octave up to maxFrameScratch.
+var framePools [1 + 4*(maxFrameShift-minFrameShift)]sync.Pool
+
+// frameClass rounds an n-byte frame up to its size class — a multiple of an
+// eighth of the power of two at or above n, so a buffer wastes at most a
+// quarter of its frame — and returns the class's pool, nil past
+// maxFrameScratch.
+func frameClass(n int) (int, *sync.Pool) {
+	if n <= 1<<minFrameShift {
+		return 1 << minFrameShift, &framePools[0]
+	}
+	if n > maxFrameScratch {
+		return n, nil
+	}
+	e := bits.Len(uint(n - 1)) // 2^(e-1) < n <= 2^e
+	step := e - 3
+	eighths := (n + 1<<step - 1) >> step // 5..8
+	return eighths << step, &framePools[4*(e-minFrameShift-1)+eighths-4]
+}
+
+// getFrame returns an empty buffer with room for an n-byte frame.
+func getFrame(n int) *frameBuf {
+	size, pool := frameClass(n)
+	if pool != nil {
+		if f, ok := pool.Get().(*frameBuf); ok {
+			return f
+		}
+	}
+	return &frameBuf{b: make([]byte, 0, size)}
+}
+
+// putFrame recycles a buffer taken with getFrame. Nothing may alias it
+// afterwards: the next frame of any connection may overwrite it. A buffer
+// that is not exactly a class size (oversized, or regrown) is dropped.
+func putFrame(f *frameBuf) {
+	if size, pool := frameClass(cap(f.b)); pool != nil && size == cap(f.b) {
+		f.b = f.b[:0]
+		pool.Put(f)
+	}
+}
+
+// readerPool recycles the connections' buffered readers.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
 // wireIO frames one encounter connection's messages, enforcing the
 // MaxWireBytes cap per frame and keeping the frame/byte accounting the
-// metrics hooks report.
+// metrics hooks report. It holds no frame buffer between frames: each frame
+// takes one from framePools and gives it back when written or decoded.
 type wireIO struct {
 	conn  net.Conn
 	br    *bufio.Reader
 	limit int64 // the MaxWireBytes cap, applied to each frame
 
-	rbuf, wbuf          []byte
 	bytesIn, bytesOut   int64
 	framesIn, framesOut int64
 }
@@ -245,44 +287,56 @@ func newWireIO(conn net.Conn, limit int64) *wireIO {
 		limit = defaultMaxWireBytes
 	}
 	w := &wireIO{conn: conn, limit: limit}
-	w.br = bufio.NewReader(countingReader{r: conn, n: &w.bytesIn})
+	w.br = readerPool.Get().(*bufio.Reader)
+	w.br.Reset(w)
 	return w
 }
 
-// beginFrame starts a frame of the given type in the reusable scratch buffer,
-// reserving room for a body of bodySize bytes so encoding it never regrows
-// the buffer; the body is appended to the returned slice and handed to
-// writeFrame. A body too large for limit fails the encounter here, before a
-// byte of it is allocated or encoded, instead of feeding the peer a frame it
-// is bound to reject.
-func (w *wireIO) beginFrame(msgType byte, bodySize int, limit int64) ([]byte, error) {
+// Read is the buffered reader's source: the connection, counted into
+// bytesIn.
+func (w *wireIO) Read(p []byte) (int, error) {
+	n, err := w.conn.Read(p)
+	w.bytesIn += int64(n)
+	return n, err
+}
+
+// release returns the connection's reader to its pool; w reads nothing
+// afterwards.
+func (w *wireIO) release() {
+	w.br.Reset(nil)
+	readerPool.Put(w.br)
+	w.br = nil
+}
+
+// beginFrame starts a frame of the given type in a pooled buffer with room
+// for a body of bodySize bytes, so encoding it never regrows the buffer; the
+// body is appended to f.b and f handed to writeFrame. A body too large for
+// limit fails the encounter here, before a buffer is taken or a byte
+// encoded, instead of feeding the peer a frame it is bound to reject.
+func (w *wireIO) beginFrame(msgType byte, bodySize int, limit int64) (*frameBuf, error) {
 	if length := int64(bodySize) + 1; length > limit {
 		return nil, oversizeError(length, limit)
 	}
-	if need := 5 + bodySize; cap(w.wbuf) < need {
-		w.wbuf = make([]byte, 0, need)
-	}
-	return append(w.wbuf[:0], 0, 0, 0, 0, msgType), nil
+	f := getFrame(5 + bodySize)
+	f.b = append(f.b, 0, 0, 0, 0, msgType)
+	return f, nil
 }
 
 func oversizeError(length, limit int64) error {
 	return fmt.Errorf("transport: outgoing frame of %d bytes exceeds the %d-byte wire limit", length, limit)
 }
 
-// writeFrame back-patches the length of a frame begun with beginFrame and
-// writes it in a single Write. The cap is checked again on the assembled
-// frame, before anything reaches the connection.
-func (w *wireIO) writeFrame(buf []byte, limit int64) error {
-	w.wbuf = buf
-	if cap(w.wbuf) > maxFrameScratch {
-		w.wbuf = nil
-	}
-	length := len(buf) - 4
+// writeFrame back-patches the length of a frame begun with beginFrame,
+// writes it in a single Write and recycles its buffer. The cap is checked
+// again on the assembled frame, before anything reaches the connection.
+func (w *wireIO) writeFrame(f *frameBuf, limit int64) error {
+	defer putFrame(f)
+	length := len(f.b) - 4
 	if int64(length) > limit {
 		return oversizeError(int64(length), limit)
 	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(length))
-	n, err := w.conn.Write(buf)
+	binary.LittleEndian.PutUint32(f.b[:4], uint32(length))
+	n, err := w.conn.Write(f.b)
 	w.bytesOut += int64(n)
 	if err != nil {
 		return err
@@ -291,57 +345,55 @@ func (w *wireIO) writeFrame(buf []byte, limit int64) error {
 	return nil
 }
 
-// readFrame reads one frame of the wanted type and returns its body, which
-// aliases the scratch buffer until the next read. The length prefix is
-// validated against the cap before the body is buffered, so a hostile peer
-// cannot make this side allocate past it.
-func (w *wireIO) readFrame(want byte, limit int64) ([]byte, error) {
+// readFrame reads one frame of the wanted type and returns its body in a
+// pooled buffer, which the caller recycles with putFrame once nothing
+// aliases it. The length prefix is validated against the cap before a
+// buffer is taken, so a hostile peer cannot make this side allocate past it.
+func (w *wireIO) readFrame(want byte, limit int64) ([]byte, *frameBuf, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(w.br, hdr[:]); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	length := binary.LittleEndian.Uint32(hdr[:])
 	if length == 0 {
-		return nil, &validationError{errors.New("empty wire frame")}
+		return nil, nil, &validationError{errors.New("empty wire frame")}
 	}
 	if int64(length) > limit {
-		return nil, &validationError{fmt.Errorf("incoming frame of %d bytes exceeds the %d-byte wire limit", length, limit)}
+		return nil, nil, &validationError{fmt.Errorf("incoming frame of %d bytes exceeds the %d-byte wire limit", length, limit)}
 	}
-	if cap(w.rbuf) < int(length) {
-		w.rbuf = make([]byte, length)
+	f := getFrame(int(length))
+	buf := f.b[:length]
+	_, err := io.ReadFull(w.br, buf)
+	if err == nil && buf[0] != want {
+		err = &validationError{fmt.Errorf("frame type %d, want %d", buf[0], want)}
 	}
-	buf := w.rbuf[:length]
-	if cap(w.rbuf) > maxFrameScratch {
-		w.rbuf = nil
-	}
-	if _, err := io.ReadFull(w.br, buf); err != nil {
-		return nil, err
-	}
-	if buf[0] != want {
-		return nil, &validationError{fmt.Errorf("frame type %d, want %d", buf[0], want)}
+	if err != nil {
+		putFrame(f)
+		return nil, nil, err
 	}
 	w.framesIn++
-	return buf[1:], nil
+	return buf[1:], f, nil
 }
 
 // writeHello opens our side of the connection.
 func (w *wireIO) writeHello(id vclock.ReplicaID) error {
-	buf, err := w.beginFrame(frameHello, len(helloMagic)+1+prim.SizeString(string(id)), maxHelloFrame)
+	f, err := w.beginFrame(frameHello, len(helloMagic)+1+prim.SizeString(string(id)), maxHelloFrame)
 	if err != nil {
 		return err
 	}
-	buf = append(append(buf, helloMagic...), protocolVersion)
-	return w.writeFrame(prim.AppendString(buf, string(id)), maxHelloFrame)
+	f.b = prim.AppendString(append(append(f.b, helloMagic...), protocolVersion), string(id))
+	return w.writeFrame(f, maxHelloFrame)
 }
 
 // readHello reads the peer's hello and returns its replica ID. Wrong magic
 // or a different version byte is errVersionMismatch: there is nothing to
 // negotiate, the peer is refused.
 func (w *wireIO) readHello() (vclock.ReplicaID, error) {
-	body, err := w.readFrame(frameHello, maxHelloFrame)
+	body, f, err := w.readFrame(frameHello, maxHelloFrame)
 	if err != nil {
 		return "", err
 	}
+	defer putFrame(f)
 	if len(body) <= len(helloMagic) || string(body[:len(helloMagic)]) != helloMagic {
 		return "", fmt.Errorf("hello without the %q magic: %w", helloMagic, errVersionMismatch)
 	}
@@ -357,45 +409,50 @@ func (w *wireIO) readHello() (vclock.ReplicaID, error) {
 }
 
 func (w *wireIO) writeRequest(req *replica.SyncRequest) error {
-	buf, err := w.beginFrame(frameSyncRequest, wire.SyncRequestSize(req), w.limit)
+	f, err := w.beginFrame(frameSyncRequest, wire.SyncRequestSize(req), w.limit)
 	if err != nil {
 		return err
 	}
-	if buf, err = wire.AppendSyncRequest(buf, req); err != nil {
+	if f.b, err = wire.AppendSyncRequest(f.b, req); err != nil {
 		return err
 	}
-	return w.writeFrame(buf, w.limit)
+	return w.writeFrame(f, w.limit)
 }
 
 func (w *wireIO) writeResponse(resp *replica.SyncResponse) error {
-	buf, err := w.beginFrame(frameSyncResponse, wire.SyncResponseSize(resp), w.limit)
+	f, err := w.beginFrame(frameSyncResponse, wire.SyncResponseSize(resp), w.limit)
 	if err != nil {
 		return err
 	}
 	//lint:allow transientleak -- BatchItem.Transient is the policy-mediated transmit copy built by transmitTransient (e.g. a halved spray allowance): an explicit field of the wire protocol, not a leak of host-local state
-	if buf, err = wire.AppendSyncResponse(buf, resp); err != nil {
+	if f.b, err = wire.AppendSyncResponse(f.b, resp); err != nil {
 		return err
 	}
-	return w.writeFrame(buf, w.limit)
+	return w.writeFrame(f, w.limit)
 }
 
 func (w *wireIO) writeDone(applied int) error {
-	buf, err := w.beginFrame(frameDone, 1+prim.SizeVarint(int64(applied)), w.limit)
+	f, err := w.beginFrame(frameDone, 1+prim.SizeVarint(int64(applied)), w.limit)
 	if err != nil {
 		return err
 	}
-	return w.writeFrame(wire.AppendDone(buf, applied), w.limit)
+	f.b = wire.AppendDone(f.b, applied)
+	return w.writeFrame(f, w.limit)
 }
 
 // readMessage reads one frame of the wanted type, decodes its body and
 // applies the structural rules. A frame that arrives whole but fails either
 // is a validation error, counted with the other rejections of a hostile peer.
 func readMessage[T any](w *wireIO, want byte, decode func([]byte) (T, error), validate func(T) error) (msg T, err error) {
-	body, err := w.readFrame(want, w.limit)
+	body, f, err := w.readFrame(want, w.limit)
 	if err != nil {
 		return msg, err
 	}
-	if msg, err = decode(body); err != nil {
+	// The decoders copy everything that escapes the frame, so its buffer
+	// goes back to the pool before the message is served or applied.
+	msg, err = decode(body)
+	putFrame(f)
+	if err != nil {
 		return msg, &validationError{err}
 	}
 	return msg, validate(msg)
@@ -564,6 +621,7 @@ func (s *Server) serveConn(conn net.Conn) (err error) {
 	}
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	w := newWireIO(conn, s.MaxWireBytes)
+	defer w.release()
 
 	span := obs.SyncSpan{Peer: conn.RemoteAddr().String(), Role: obs.RoleServe}
 	if s.Metrics != nil {
@@ -659,6 +717,7 @@ func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.D
 	defer conn.Close() //lint:allow errdiscard -- teardown after the encounter committed or failed transactionally; the exchange's own errors are already returned to the caller
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	w := newWireIO(conn, opts.MaxWireBytes)
+	defer w.release()
 
 	span := obs.SyncSpan{Peer: addr, Role: obs.RoleDial}
 	if opts.Metrics != nil {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -202,6 +203,39 @@ func TestConcurrentEncounters(t *testing.T) {
 	if hub.Stats().Duplicates != 0 {
 		t.Error("duplicates under concurrency")
 	}
+}
+
+// Frame buffers are recycled process-wide: concurrent bulk pulls through one
+// server each receive every payload intact, whatever the other connections
+// write into the recycled buffers meanwhile.
+func TestConcurrentPullsKeepPayloads(t *testing.T) {
+	src := replica.New(replica.Config{ID: "src", OwnAddresses: []string{"addr:src"}, Policy: epidemic.New(0)})
+	want := map[item.ID][]byte{}
+	for i := 0; i < 64; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 1<<10)
+		it := src.CreateItem(item.Metadata{Source: "addr:src", Destinations: []string{fmt.Sprintf("addr:far%d", i)}, Kind: "message"}, payload)
+		want[it.ID] = payload
+	}
+	addr, _ := serve(t, src, 0)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d := replica.New(replica.Config{ID: vclock.ReplicaID(fmt.Sprintf("d%d", i)), OwnAddresses: []string{fmt.Sprintf("addr:d%d", i)}, Policy: epidemic.New(0)})
+			if _, err := Encounter(d, addr, 0, testTimeout); err != nil {
+				t.Error(err)
+				return
+			}
+			for id, payload := range want {
+				if e := d.Entry(id); e == nil || !bytes.Equal(e.Item.Payload, payload) {
+					t.Errorf("dialer %d: item %v missing or corrupted", i, id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCloseIsIdempotentAndBlocksListen(t *testing.T) {

@@ -111,7 +111,10 @@ func TestSyncResponseSizeCoversEncoding(t *testing.T) {
 	}
 }
 
-func TestSyncRequestSizeCoversEncoding(t *testing.T) {
+// requestShapes covers every branch of the request layout: exact and delta
+// knowledge, filters up to the depth cap, budgets, and the PROPHET/MaxProp
+// request and delta routing frames.
+func requestShapes() map[string]*replica.SyncRequest {
 	know := vclock.NewKnowledge()
 	for s := uint64(1); s <= 40; s += 3 {
 		know.Add(vclock.Version{Replica: "a", Seq: s})
@@ -120,7 +123,7 @@ func TestSyncRequestSizeCoversEncoding(t *testing.T) {
 	for i := 0; i < maxFilterDepth; i++ {
 		deep = filter.NewOr(deep, filter.NewAddresses("user:1", "user:22"))
 	}
-	for name, req := range map[string]*replica.SyncRequest{
+	return map[string]*replica.SyncRequest{
 		"exact":   {TargetID: "t", Knowledge: know, Epoch: 3, Gen: 1 << 40, Filter: filter.NewAddresses("user:1", "user:2"), MaxItems: 10, MaxBytes: 1 << 33},
 		"budgets": {TargetID: "target", Knowledge: know, Filter: filter.All{}, MaxItems: -1, MaxBytes: -5, StrictBytes: true},
 		"delta":   {Delta: vclock.NewDelta(2, 5, know), Filter: filter.None{}, RoutingDelta: sampleProphetDelta()},
@@ -128,13 +131,44 @@ func TestSyncRequestSizeCoversEncoding(t *testing.T) {
 		"prophet": {TargetID: "t", Knowledge: know, Routing: prophetFuzzBase, Filter: filter.NewOr(filter.Kind{Name: "message"}, filter.NewAddresses())},
 		"maxprop": {TargetID: "t", Knowledge: know, Routing: maxpropFuzzBase, Filter: deep},
 		"mpdelta": {TargetID: "t", Delta: vclock.NewDelta(2, 6, nil), Routing: maxpropFuzzBase, RoutingDelta: sampleMaxPropDelta()},
-	} {
+	}
+}
+
+func TestSyncRequestSizeCoversEncoding(t *testing.T) {
+	for name, req := range requestShapes() {
 		enc, err := AppendSyncRequest(nil, req)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got := SyncRequestSize(req); got != len(enc) {
 			t.Errorf("%s: size pass says %d, encoding is %d bytes", name, got, len(enc))
+		}
+	}
+}
+
+// The transport recycles a request's frame before the request is served, so
+// a concurrent connection may overwrite it while the source still reads the
+// decoded knowledge, filter and routing state.
+func TestDecodedRequestDoesNotAliasInput(t *testing.T) {
+	for name, req := range requestShapes() {
+		enc, err := AppendSyncRequest(nil, req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		input := bytes.Clone(enc)
+		got, err := DecodeSyncRequest(input)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range input {
+			input[i] = 0xa5
+		}
+		again, err := AppendSyncRequest(nil, got)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(again, enc) {
+			t.Errorf("%s: decoded request changed when its input was overwritten", name)
 		}
 	}
 }
