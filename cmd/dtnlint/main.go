@@ -1,7 +1,7 @@
 // Command dtnlint is the repository's invariant checker: a multichecker
-// running the eight dtnlint analyzers (determinism, callbackunderlock,
-// transientleak, errdiscard, lockorder, goroutineleak, unboundedgrowth,
-// hotpathalloc) over the packages matching the given patterns.
+// running the six dtnlint analyzers (determinism, callbackunderlock,
+// transientleak, errdiscard, lockorder, unboundedgrowth) over the packages
+// matching the given patterns.
 //
 // Usage:
 //

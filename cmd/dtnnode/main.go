@@ -308,15 +308,38 @@ func run(opts options) error {
 		opts.id, opts.addr, opts.policy, n.bound)
 
 	if opts.syncEvery > 0 {
-		ticker := time.NewTicker(opts.syncEvery)
-		defer ticker.Stop()
-		go func() {
-			for range ticker.C {
-				n.syncAll()
-			}
-		}()
+		// Deferred after n.close, so it runs first: the node is torn down
+		// only once no background sync is in flight.
+		stop := every(opts.syncEvery, n.syncAll)
+		defer stop()
 	}
 	return n.console(os.Stdin)
+}
+
+// every calls f once per period on a goroutine of its own until the returned
+// stop function is called. stop returns once that goroutine has exited, so no
+// call of f is in flight or still to come. (A ticker's channel is never
+// closed, so a range over it alone would never end.)
+func every(period time.Duration, f func()) (stop func()) {
+	ticker := time.NewTicker(period)
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			select {
+			case <-ticker.C:
+				f()
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		ticker.Stop()
+		close(done)
+		<-exited
+	}
 }
 
 // console runs the interactive command loop until quit or EOF.

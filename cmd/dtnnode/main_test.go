@@ -2,7 +2,9 @@ package main
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestSplitPeers(t *testing.T) {
@@ -41,5 +43,46 @@ func TestBuildPolicy(t *testing.T) {
 	}
 	if _, err := buildPolicy("bogus", "n", "a"); err == nil {
 		t.Error("unknown policy should fail")
+	}
+}
+
+// TestEveryStopJoinsTheLoop: stopping the background sync loop waits for a
+// sync in flight and leaves no loop goroutine behind. run closes the node's
+// WAL once stop returns, so a sync still running then would apply a batch
+// the journal never records.
+func TestEveryStopJoinsTheLoop(t *testing.T) {
+	before := runtime.NumGoroutine()
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	stop := every(time.Millisecond, func() {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+	})
+	<-entered
+	stopped := make(chan struct{})
+	go func() {
+		stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("stop returned while a sync was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stop did not return after the in-flight sync finished")
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("loop goroutine left running: %d goroutines before, %d after stop", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"replidtn/internal/analysis/callbackunderlock"
 	"replidtn/internal/analysis/determinism"
 	"replidtn/internal/analysis/errdiscard"
-	"replidtn/internal/analysis/goroutineleak"
-	"replidtn/internal/analysis/hotpathalloc"
 	"replidtn/internal/analysis/lintcore"
 	"replidtn/internal/analysis/lockorder"
 	"replidtn/internal/analysis/transientleak"
@@ -23,8 +21,6 @@ func All() []*lintcore.Analyzer {
 		transientleak.Analyzer,
 		errdiscard.Analyzer,
 		lockorder.Analyzer,
-		goroutineleak.Analyzer,
 		unboundedgrowth.Analyzer,
-		hotpathalloc.Analyzer,
 	}
 }

@@ -76,8 +76,8 @@ func FuncKey(fn *types.Func) string { return fn.FullName() }
 // Pass carries one analyzer's view of one type-checked package, mirroring
 // analysis.Pass, plus the lintcore fact surface: facts exported by the same
 // analyzer on the package's (transitive, in-module) dependencies are
-// visible through DepFacts, and ExportFact publishes facts about this
-// package's objects for future dependents.
+// visible through DepFactsOfKind and AllDepFacts, and ExportFact publishes
+// facts about this package's objects for future dependents.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
@@ -108,15 +108,11 @@ func (p *Pass) ExportFact(key, kind, detail string) {
 	*p.facts = append(*p.facts, Fact{Analyzer: p.Analyzer.Name, Key: key, Kind: kind, Detail: detail})
 }
 
-// DepFacts returns the facts this analyzer exported about key (a FuncKey)
-// when it analyzed the package's dependencies. Nil when the key's package
-// was outside the analysis set (the standard library, or a package not
-// matched by the lint patterns) — analyzers must degrade gracefully.
-func (p *Pass) DepFacts(key string) []Fact {
-	return p.depFacts[key]
-}
-
-// DepFactsOfKind filters DepFacts by fact kind.
+// DepFactsOfKind returns the facts of the given kind this analyzer exported
+// about key (a FuncKey) when it analyzed the package's dependencies. Nil when
+// the key's package was outside the analysis set (the standard library, or a
+// package not matched by the lint patterns) — analyzers must degrade
+// gracefully.
 func (p *Pass) DepFactsOfKind(key, kind string) []Fact {
 	var out []Fact
 	for _, f := range p.depFacts[key] {

@@ -1,0 +1,36 @@
+// Allocation budget for the host filter the serve walk applies to every
+// candidate it scans: counts, not clocks.
+//
+// Excluded under -race: the race runtime instruments allocations and
+// inflates the counts.
+
+//go:build !race
+
+package filter
+
+import (
+	"fmt"
+	"testing"
+)
+
+// TestAddressesMatchAllocs pins Addresses.Match at zero allocations in both
+// of Contains' forms: the compared list while the set is at most fewAddrs,
+// the map beyond.
+func TestAddressesMatchAllocs(t *testing.T) {
+	for _, n := range []int{1, fewAddrs, 4 * fewAddrs} {
+		f := NewAddresses()
+		for i := 0; i < n; i++ {
+			f.Add(fmt.Sprintf("user:%d", i))
+		}
+		hit := msgTo("user:x", fmt.Sprintf("user:%d", n-1))
+		miss := msgTo("user:x", "user:y")
+		allocs := testing.AllocsPerRun(100, func() {
+			if !f.Match(hit) || f.Match(miss) {
+				t.Fatal("Match answered wrong")
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%d addresses: Match allocates %.1f/op, budget 0", n, allocs)
+		}
+	}
+}

@@ -85,8 +85,6 @@ func NewAddresses(addrs ...string) *Addresses {
 }
 
 // Match implements Filter.
-//
-//dtn:hotpath
 func (f *Addresses) Match(it *item.Item) bool {
 	for _, d := range it.Meta.Destinations {
 		if f.Contains(d) {
@@ -115,8 +113,6 @@ func (f *Addresses) Covers(other Filter) bool {
 }
 
 // Contains reports whether the filter includes the given address.
-//
-//dtn:hotpath
 func (f *Addresses) Contains(addr string) bool {
 	if len(f.addrs) > fewAddrs {
 		_, ok := f.addrs[addr]

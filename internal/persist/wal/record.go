@@ -87,8 +87,6 @@ type walMeta struct {
 // beginRecord reserves a frame header plus kind byte on buf, so a binary
 // body can be appended in place — no intermediate payload slice. The caller
 // must finish the frame with finishRecord, passing the returned start offset.
-//
-//dtn:hotpath
 func beginRecord(buf []byte, kind uint8) ([]byte, int) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, kind)
@@ -98,8 +96,6 @@ func beginRecord(buf []byte, kind uint8) ([]byte, int) {
 // finishRecord back-patches the length and CRC of the frame opened at start.
 // An oversized body is rejected here, before the caller can write it: a
 // frame the reader would refuse must never reach the log.
-//
-//dtn:hotpath
 func finishRecord(buf []byte, start int) ([]byte, error) {
 	body := buf[start+recordHeaderLen:]
 	if uint64(len(body)) > uint64(maxRecordLen) {
@@ -112,8 +108,6 @@ func finishRecord(buf []byte, start int) ([]byte, error) {
 
 // appendBatchRecord frames one journaled mutation batch as a record,
 // appending straight into buf — the append hot path's zero-allocation writer.
-//
-//dtn:hotpath
 func appendBatchRecord(buf []byte, muts []replica.Mutation) ([]byte, error) {
 	buf, start := beginRecord(buf, recBatch)
 	buf, err := wire.AppendMutations(buf, muts) //lint:allow transientleak -- MutPut snapshots persist to this host's own WAL: a restart restores the same host, so its per-copy transient state legitimately survives (DESIGN.md §10)
@@ -175,8 +169,6 @@ type record struct {
 // readRecord parses the frame at data[off:]. ok is false when the bytes at
 // off cannot be a complete, checksum-valid frame — the caller decides
 // whether that is a truncatable tail (live log) or corruption (segment).
-//
-//dtn:hotpath
 func readRecord(data []byte, off int) (rec record, next int, ok bool) {
 	if off < 0 || len(data)-off < recordHeaderLen {
 		return record{}, 0, false

@@ -1,8 +1,8 @@
-// Allocation budgets for the //dtn:hotpath functions exercised by the sync
-// benchmarks. The hotpathalloc analyzer forbids the allocation *patterns*
-// statically; these budgets pin the measured *counts*, so a regression that
-// sneaks past the analyzer (a library call that starts allocating, an
-// escape-analysis change) still fails `make bench`.
+// Allocation budgets for the two sync entry points, measured over the
+// per-candidate functions they are built from (batch selection, request
+// assembly): counts, not clocks, so an allocation added on the paths they
+// exercise — a library call that starts allocating, an escape-analysis
+// change — fails `make test`.
 //
 // Excluded under -race: the race runtime instruments allocations and
 // inflates the counts.
@@ -15,8 +15,7 @@ import (
 	"testing"
 )
 
-// TestSyncAllocBudget pins allocs/op for the two sync entry points built
-// from //dtn:hotpath functions.
+// TestSyncAllocBudget pins allocs/op for the two sync entry points.
 func TestSyncAllocBudget(t *testing.T) {
 	src := newBenchSource(t, 1000)
 

@@ -53,8 +53,6 @@ type batchSelector struct {
 // candLess reports whether a transmits before b: priority order (class
 // descending, cost ascending), ties broken by item ID. Within one batch the
 // order is total because item IDs are unique.
-//
-//dtn:hotpath
 func candLess(a, b *syncCandidate) bool {
 	if a.priority != b.priority {
 		return a.priority.Before(b.priority)
@@ -63,8 +61,6 @@ func candLess(a, b *syncCandidate) bool {
 }
 
 // offer considers one candidate for the batch.
-//
-//dtn:hotpath
 func (sel *batchSelector) offer(c syncCandidate) {
 	sel.total++
 	if sel.limit <= 0 {
@@ -105,8 +101,6 @@ func (sel *batchSelector) finish() []syncCandidate {
 }
 
 // siftUp restores the heap property ("worst at root") after an append.
-//
-//dtn:hotpath
 func (sel *batchSelector) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -119,8 +113,6 @@ func (sel *batchSelector) siftUp(i int) {
 }
 
 // siftDown restores the heap property below i within cands[:n].
-//
-//dtn:hotpath
 func (sel *batchSelector) siftDown(i, n int) {
 	for {
 		left, right := 2*i+1, 2*i+2

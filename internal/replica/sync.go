@@ -115,8 +115,6 @@ type ApplyStats struct {
 // (0 = unlimited). The attached knowledge is a copy-on-write clone — taking
 // it is O(1), and it stays consistent even as this replica keeps learning
 // versions while the source reads it.
-//
-//dtn:hotpath
 func (r *Replica) MakeSyncRequest(maxItems int) *SyncRequest {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -152,8 +150,6 @@ func (r *Replica) MakeSyncRequest(maxItems int) *SyncRequest {
 // metadataOverhead wire bytes, so a byte budget implies an item budget). The
 // slack of 2 keeps the at-least-one exception and the cut boundary safely
 // inside the retained prefix. 0 means unbounded.
-//
-//dtn:hotpath
 func selectorLimit(req *SyncRequest) int {
 	limit := 0
 	if req.MaxItems > 0 {
@@ -319,8 +315,6 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 // for the in-flight copy; filter-matched transfers carry the stored one
 // unchanged. The copy's hop count always travels and is incremented by the
 // receiver.
-//
-//dtn:hotpath
 func transmitTransient(e *store.Entry, policySet item.Transient) item.Transient {
 	if policySet == nil {
 		return e.Transient.Clone()
@@ -457,8 +451,6 @@ const metadataOverhead = 96
 
 // itemWireBytes estimates an item's transfer cost: its payload plus a fixed
 // per-item metadata overhead.
-//
-//dtn:hotpath
 func itemWireBytes(it *item.Item) int64 {
 	return int64(len(it.Payload)) + metadataOverhead
 }

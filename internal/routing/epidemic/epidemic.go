@@ -58,8 +58,6 @@ func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority
 // ToSend, including its TTL-stamping side effect — the one write on the
 // decision path, and only the first time a copy is considered. The TTL is
 // read once: the serve walk calls this for every candidate.
-//
-//dtn:hotpath
 func (p *Policy) Decide(e *store.Entry, _ routing.Target) routing.Priority {
 	ttl, ok := e.Transient.Get(item.FieldTTL)
 	if !ok {

@@ -175,8 +175,6 @@ func (p *Policy) rebuildOwn(updated int64) {
 // but the priority encodes the protocol's transmission order. Copies under
 // the hop threshold form a high class ordered by hop count; the rest are
 // ordered by ascending lowest path cost to the destination.
-//
-//dtn:hotpath
 func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
 	hops := e.Transient.GetInt(item.FieldHops)
 	if hops < p.hopThreshold {
@@ -196,8 +194,6 @@ func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, ite
 // edge cost 1 − f_x(y). It returns +Inf when the destination's home is
 // unknown or unreachable through the learned table. It writes no state that
 // SnapshotState serializes.
-//
-//dtn:hotpath
 func (p *Policy) PathCost(destAddr string) float64 {
 	home, ok := p.homes.Get(destAddr)
 	if !ok {

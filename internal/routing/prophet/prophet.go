@@ -243,8 +243,6 @@ func (c *partnerCache) evictOldest() {
 // delivery predictability for any of the message's destinations exceeds ours
 // (the GRTR predicate), with queue order given by the configured strategy —
 // the cost is negated so stronger candidates transmit earlier in the class.
-//
-//dtn:hotpath
 func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority, item.Transient) {
 	vec, ok := p.partners.vectors[target.ID]
 	if !ok {

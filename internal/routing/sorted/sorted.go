@@ -66,8 +66,6 @@ func search[K ~string, V any](e []Entry[K, V], k K) (int, bool) {
 }
 
 // Get returns k's value and whether m holds it.
-//
-//dtn:hotpath
 func (m Map[K, V]) Get(k K) (v V, ok bool) {
 	if i, ok := search(m.e, k); ok {
 		return m.e[i].Val, true

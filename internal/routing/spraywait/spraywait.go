@@ -53,8 +53,6 @@ func (*Policy) ProcessReq(vclock.ReplicaID, routing.Request) {}
 // holds at least two copies, halving the allowance on both the transmitted
 // and the locally stored copy. The allowance is read once: the serve walk
 // calls this for every candidate.
-//
-//dtn:hotpath
 func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
 	stored, ok := e.Transient.Get(item.FieldCopies)
 	if !ok {

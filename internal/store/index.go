@@ -38,8 +38,6 @@ func orderByID(a, b *Entry) int {
 // runKey places an entry in its creator's version run: Seq − 1, so Seq 0,
 // which no floor covers (Knowledge.Contains never reports it known), wraps to
 // the largest key. Floor f leaves e uncovered exactly when runKey(e) >= f.
-//
-//dtn:hotpath
 func runKey(e *Entry) uint64 { return e.Item.Version.Seq - 1 }
 
 // orderInRun sorts one creator's versions by (runKey, ID): ascending seq,
@@ -298,8 +296,6 @@ func (n *indexNode) ascend(fn func(*Entry) bool) bool {
 // ascendFrom calls fn, in order and until it returns false, for the entries
 // of n's subtree whose runKey is at least key, reporting whether fn never
 // stopped it. It adds every entry it looks at to *examined.
-//
-//dtn:hotpath
 func (n *indexNode) ascendFrom(key uint64, fn func(*Entry) bool, examined *int) bool {
 	i, hi := 0, len(n.entries)
 	for key > 0 && i < hi {

@@ -553,8 +553,6 @@ func (s *Store) Range(fn func(*Entry) bool) {
 //
 // floor is asked once per creator, just before fn sees that creator's run: a
 // caller may load per-creator state in floor for fn to use.
-//
-//dtn:hotpath
 func (s *Store) RangeAbove(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) (examined int) {
 	for _, r := range s.runs {
 		if f := floor(r.creator); r.top >= f && !r.entries.root.ascendFrom(f, fn, &examined) {

@@ -59,8 +59,6 @@ type row struct {
 }
 
 // has reports whether seq (>= 1) is known.
-//
-//dtn:hotpath
 func (w *row) has(seq uint64) bool {
 	if seq <= w.base {
 		return true
@@ -131,8 +129,6 @@ func (k *Knowledge) byCreator() []*row {
 }
 
 // Contains reports whether version v has been learned.
-//
-//dtn:hotpath
 func (k *Knowledge) Contains(v Version) bool {
 	if v.Seq == 0 {
 		return false
@@ -151,8 +147,6 @@ type CreatorView struct {
 }
 
 // View returns creator r's share of the knowledge.
-//
-//dtn:hotpath
 func (k *Knowledge) View(r ReplicaID) CreatorView {
 	if i, ok := k.index[r]; ok {
 		return CreatorView{Base: k.rows[i].base, extra: k.rows[i].extra}
@@ -161,8 +155,6 @@ func (k *Knowledge) View(r ReplicaID) CreatorView {
 }
 
 // HasException reports whether seq is known beyond the base.
-//
-//dtn:hotpath
 func (v CreatorView) HasException(seq uint64) bool {
 	_, ok := v.extra[seq]
 	return ok
@@ -197,8 +189,6 @@ func (k *Knowledge) edit(c ReplicaID) *row {
 
 // Add records version v as learned and compacts exceptions that have become
 // contiguous with the base. It returns true if v was newly learned.
-//
-//dtn:hotpath
 func (k *Knowledge) Add(v Version) bool {
 	if v.Seq == 0 || k.Contains(v) {
 		return false
@@ -214,8 +204,6 @@ func (k *Knowledge) Add(v Version) bool {
 }
 
 // Merge folds all versions known to other into k, one row at a time.
-//
-//dtn:hotpath
 func (k *Knowledge) Merge(other *Knowledge) {
 	if other == nil || other == k {
 		return
@@ -286,8 +274,6 @@ func (k *Knowledge) Count() uint64 {
 // storage with k until either side next mutates (copy-on-write). Reading the
 // clone is safe even while k keeps mutating, because mutation never writes
 // shared storage in place.
-//
-//dtn:hotpath
 func (k *Knowledge) Clone() *Knowledge {
 	k.shared, k.sharedIndex = true, true
 	return &Knowledge{rows: k.rows, index: k.index, shared: true, sharedIndex: true, wireSize: k.wireSize}

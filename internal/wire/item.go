@@ -218,8 +218,6 @@ func AppendItem(buf []byte, it *item.Item) []byte {
 }
 
 // sizeItem returns the length of AppendItem's output.
-//
-//dtn:hotpath
 func sizeItem(it *item.Item) int {
 	n := prim.SizeString(string(it.ID.Creator)) + prim.SizeUvarint(it.ID.Num) + sizeVersion(it.Version)
 	if it.Prior == nil {

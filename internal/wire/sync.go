@@ -413,8 +413,6 @@ func AppendSyncResponse(buf []byte, resp *replica.SyncResponse) ([]byte, error) 
 // SyncResponseSize returns the length of the body AppendSyncResponse writes
 // for resp, without encoding it: the payloads are not touched, the learned
 // knowledge's size is memoized.
-//
-//dtn:hotpath
 func SyncResponseSize(resp *replica.SyncResponse) int {
 	n := 1 + prim.SizeString(string(resp.SourceID)) + prim.SizeUvarint(uint64(len(resp.Items)))
 	for i := range resp.Items {
