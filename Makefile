@@ -47,12 +47,16 @@ lint:
 	@if git ls-files --cached --others --exclude-standard '*.go' | xargs grep -l '"encoding/gob"'; then \
 		echo 'lint: encoding/gob imported (files above); every concept has one encoding (DESIGN.md §14)'; exit 1; fi
 
-## loc prints the Go line counts the ROADMAP tracks for the whole repo —
-## non-test and test, testdata excluded.
+## loc prints the Go line counts the ROADMAP tracks — non-test and test,
+## testdata excluded — for the whole repo, then for each internal/* and
+## cmd/* directory, subdirectories included.
 loc:
-	@count() { find . -name '*.go' -not -path '*/testdata/*' $$1 -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
+	@count() { find $$1 -name '*.go' -not -path '*/testdata/*' $$2 -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%-24s %8s %8s\n' tree non-test test; \
-	printf '%-24s %8d %8d\n' 'whole repo' $$(count -not) $$(count)
+	printf '%-24s %8d %8d\n' 'whole repo' $$(count . -not) $$(count .); \
+	for d in internal/*/ cmd/*/; do \
+		printf '%-24s %8d %8d\n' $${d%/} $$(count $$d -not) $$(count $$d); \
+	done
 
 ## test runs every package under the race detector, then again without it
 ## every package holding an alloc_test.go: the race runtime inflates

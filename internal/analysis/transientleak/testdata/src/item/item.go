@@ -4,7 +4,10 @@
 package item
 
 // Transient is host-specific, never-replicated per-copy metadata.
-type Transient map[string]float64
+type Transient struct {
+	v   [3]int32
+	has uint8
+}
 
 // Item is the replicated part.
 type Item struct {

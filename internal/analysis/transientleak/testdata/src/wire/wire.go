@@ -6,13 +6,9 @@ package wire
 import "fixtures/item"
 
 // AppendTransient mimics the codec's transient serializer — the entry point
-// itself; callers shipping transients through it annotate the sanctioned
-// crossings.
+// itself; the codecs that call it annotate the sanctioned crossings.
 func AppendTransient(buf []byte, tr item.Transient) []byte {
-	for k := range tr {
-		buf = append(buf, k...)
-	}
-	return buf
+	return append(buf, 0)
 }
 
 // AppendItem serializes replicated state only.
@@ -21,8 +17,13 @@ func AppendItem(buf []byte, it *item.Item) []byte {
 }
 
 // AppendEntry serializes a transient-bearing entry: the codec's own
-// internal crossing carries the justification.
+// crossing carries the justification, so its callers need none.
 func AppendEntry(buf []byte, e *item.Entry) []byte {
 	buf = AppendItem(buf, &e.Item)
-	return AppendTransient(buf, e.Transient) //lint:allow transientleak -- fixture: the entry codec's sanctioned internal crossing
+	return AppendTransient(buf, e.Transient) //lint:allow transientleak -- fixture: the entry codec's sanctioned crossing
+}
+
+// AppendLeak is a codec that ships a transient without saying why.
+func AppendLeak(buf []byte, e *item.Entry) []byte {
+	return AppendTransient(buf, e.Transient) // want `transient host-specific metadata reaches wire.AppendTransient`
 }

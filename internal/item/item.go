@@ -15,8 +15,10 @@
 // batch may carry the very pointer the source has stored, the target may
 // store that pointer too, and replicas in one process share one Item per
 // version; whoever hands bytes to a replica from outside (an application's
-// send buffer) copies them at that boundary. Transient is the opposite: each
-// stored copy owns its map, and a batch carries a map of its own.
+// send buffer) copies them at that boundary. Transient is the opposite: a
+// small value (three integer fields and a presence mask) held inside each
+// stored copy and copied into each batch item, so no two copies ever share
+// one and nothing allocates to pass it along.
 package item
 
 import (

@@ -1,6 +1,8 @@
 package item
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"replidtn/internal/vclock"
@@ -89,32 +91,56 @@ func TestItemAllVersions(t *testing.T) {
 
 func TestTransientSetGet(t *testing.T) {
 	var tr Transient
-	if _, ok := tr.Get(FieldTTL); ok {
-		t.Error("nil transient should have no fields")
+	if _, ok := tr.Get(FieldTTL); ok || tr.Len() != 0 {
+		t.Error("zero transient should have no fields")
 	}
-	tr = tr.Set(FieldTTL, 10)
+	tr.Set(FieldTTL, 10)
 	if v, ok := tr.Get(FieldTTL); !ok || v != 10 {
 		t.Errorf("Get = %v, %v", v, ok)
 	}
-	if tr.GetInt(FieldTTL) != 10 {
-		t.Error("GetInt mismatch")
+	if !tr.Has(FieldTTL) || tr.Has(FieldCopies) || tr.Len() != 1 {
+		t.Errorf("presence after one Set: %+v", tr)
 	}
-	if !tr.Has(FieldTTL) {
-		t.Error("Has should report the set field")
+	if v, ok := tr.Get(FieldCopies); ok || v != 0 {
+		t.Error("absent field should read 0")
 	}
-	if tr.GetInt(FieldCopies) != 0 {
-		t.Error("absent int field should read 0")
+	tr.Set(FieldHops, 1<<40)
+	tr.Set(FieldCopies, -1<<40)
+	if h, _ := tr.Get(FieldHops); h != math.MaxInt32 {
+		t.Errorf("Set saturates high: %d", h)
+	}
+	if c, _ := tr.Get(FieldCopies); c != math.MinInt32 {
+		t.Errorf("Set saturates low: %d", c)
+	}
+	if got := fmt.Sprint(FieldCopies, FieldHops, FieldTTL); got != "copies hops ttl" {
+		t.Errorf("field names %q", got)
 	}
 }
 
+// TestTransientClone pins value semantics: a copy is independent of its
+// original, and the persistence form round-trips.
 func TestTransientClone(t *testing.T) {
-	if Transient(nil).Clone() != nil {
-		t.Error("nil clone should stay nil")
-	}
-	tr := Transient{}.Set(FieldCopies, 8)
-	cp := tr.Clone()
+	var tr Transient
+	tr.Set(FieldCopies, 8)
+	cp := tr
 	cp.Set(FieldCopies, 4)
-	if tr.GetInt(FieldCopies) != 8 {
-		t.Error("clone shares storage with original")
+	if c, _ := tr.Get(FieldCopies); c != 8 {
+		t.Error("copy shares storage with original")
+	}
+	if (Transient{}).Map() != nil || TransientMap(nil).Clone() != nil {
+		t.Error("empty persistence form should be nil")
+	}
+	tr.Set(FieldHops, 3)
+	m := tr.Map()
+	if len(m) != 2 || !m.Has(FieldCopies) || m.Has(FieldTTL) || m.Transient() != tr {
+		t.Errorf("Map() = %v", m)
+	}
+	mc := m.Clone()
+	delete(mc, FieldCopies)
+	if !m.Has(FieldCopies) {
+		t.Error("map clone shares storage with original")
+	}
+	if got := (TransientMap{FieldHops: 3, NumFields + 1: 9}).Transient(); got.Len() != 1 {
+		t.Errorf("unknown keys should be ignored: %+v", got)
 	}
 }

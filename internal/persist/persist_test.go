@@ -162,9 +162,9 @@ func TestTransientStateSurvivesRestart(t *testing.T) {
 	attach(t, fsys, rel)
 	msg := mkMsg(a, "addr:a", "addr:z")
 	replica.Sync(a, rel, 0)
-	wantTTL := rel.Entry(msg.ID).Transient.GetInt(item.FieldTTL)
+	wantTTL := rel.Entry(msg.ID).Transient.Map()[item.FieldTTL]
 	rel2 := reboot(t, fsys, cfgR)
-	if got := rel2.Entry(msg.ID).Transient.GetInt(item.FieldTTL); got != wantTTL {
+	if got := rel2.Entry(msg.ID).Transient.Map()[item.FieldTTL]; got != wantTTL {
 		t.Errorf("TTL after restart = %d, want %d", got, wantTTL)
 	}
 }

@@ -25,7 +25,7 @@ func TestRecordFramingAllocs(t *testing.T) {
 		Version: vclock.Version{Replica: "a", Seq: 9},
 		Meta:    item.Metadata{Source: "user:1", Destinations: []string{"user:2"}},
 		Payload: []byte("payload bytes"),
-	}, Transient: item.Transient{"ttl": 1}, Arrival: 3}
+	}, Transient: item.TransientMap{item.FieldTTL: 1}, Arrival: 3}
 	muts := []replica.Mutation{
 		{Kind: replica.MutPut, Entry: e, NextArrival: 4},
 		{Kind: replica.MutLearn, Versions: []vclock.Version{e.Item.Version}, Seq: 4},

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 
@@ -87,7 +88,7 @@ func diffEntries(a, b store.EntrySnapshot) string {
 	if a.Relay != b.Relay || a.Local != b.Local || a.Arrival != b.Arrival {
 		return fmt.Sprintf("flags/arrival (%v,%v,%d) vs (%v,%v,%d)", a.Relay, a.Local, a.Arrival, b.Relay, b.Local, b.Arrival)
 	}
-	if !sameTransients(a.Transient, b.Transient) {
+	if !maps.Equal(a.Transient, b.Transient) {
 		return fmt.Sprintf("transient %v vs %v", a.Transient, b.Transient)
 	}
 	x, y := a.Item, b.Item
@@ -132,18 +133,6 @@ func sameStrings(a, b []string) bool {
 	sort.Strings(bs)
 	for i := range as {
 		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameTransients(a, b item.Transient) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
 			return false
 		}
 	}

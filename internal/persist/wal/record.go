@@ -110,7 +110,7 @@ func finishRecord(buf []byte, start int) ([]byte, error) {
 // appending straight into buf — the append hot path's zero-allocation writer.
 func appendBatchRecord(buf []byte, muts []replica.Mutation) ([]byte, error) {
 	buf, start := beginRecord(buf, recBatch)
-	buf, err := wire.AppendMutations(buf, muts) //lint:allow transientleak -- MutPut snapshots persist to this host's own WAL: a restart restores the same host, so its per-copy transient state legitimately survives (DESIGN.md §10)
+	buf, err := wire.AppendMutations(buf, muts)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,6 @@ func appendMetaRecord(buf []byte, m walMeta) ([]byte, error) {
 func appendPutRecord(buf []byte, e *store.EntrySnapshot) ([]byte, error) {
 	buf, start := beginRecord(buf, recPut)
 	buf = append(buf, wire.CodecVersion)
-	//lint:allow transientleak -- WAL records restore the same host after a crash, so per-copy transient state (spray allowances, hop budgets) legitimately survives; nothing here crosses to another replica
 	buf = wire.AppendEntrySnapshot(buf, e)
 	return finishRecord(buf, start)
 }

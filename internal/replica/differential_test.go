@@ -42,13 +42,13 @@ func (r *Replica) handleSyncRequestReference(req *SyncRequest) *SyncResponse {
 		case e.Item.Deleted:
 			batch = append(batch, BatchItem{
 				Item:      e.Item,
-				Transient: transmitTransient(e, nil),
+				Transient: transmitTransient(e, item.Transient{}),
 				Priority:  routing.Priority{Class: routing.ClassFilter},
 			})
 		case req.Filter != nil && req.Filter.Match(e.Item):
 			batch = append(batch, BatchItem{
 				Item:      e.Item,
-				Transient: transmitTransient(e, nil),
+				Transient: transmitTransient(e, item.Transient{}),
 				Priority:  routing.Priority{Class: routing.ClassFilter},
 			})
 		case r.policy != nil:
@@ -160,7 +160,7 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 		resp := &SyncResponse{SourceID: from.ID()}
 		for _, e := range from.store.Entries() {
 			if pick(e) {
-				resp.Items = append(resp.Items, BatchItem{Item: e.Item, Transient: e.Transient.Clone()})
+				resp.Items = append(resp.Items, BatchItem{Item: e.Item, Transient: e.Transient})
 			}
 		}
 		dst.ApplyBatch(resp)
@@ -262,8 +262,8 @@ func sameResponse(a, b *SyncResponse) error {
 		if x.Priority != y.Priority {
 			return fmt.Errorf("item %d: priority %+v vs %+v", i, x.Priority, y.Priority)
 		}
-		if fmt.Sprint(x.Transient) != fmt.Sprint(y.Transient) {
-			return fmt.Errorf("item %d: transient %v vs %v", i, x.Transient, y.Transient)
+		if x.Transient != y.Transient {
+			return fmt.Errorf("item %d: transient %v vs %v", i, x.Transient.Map(), y.Transient.Map())
 		}
 	}
 	return nil
@@ -278,9 +278,9 @@ func sameStores(a, b *Replica) error {
 	}
 	for i := range x {
 		if x[i].Item.ID != y[i].Item.ID || x[i].Item.Version != y[i].Item.Version ||
-			fmt.Sprint(x[i].Transient) != fmt.Sprint(y[i].Transient) {
+			x[i].Transient != y[i].Transient {
 			return fmt.Errorf("store entry %d: %s@%s %v vs %s@%s %v", i,
-				x[i].Item.ID, x[i].Item.Version, x[i].Transient, y[i].Item.ID, y[i].Item.Version, y[i].Transient)
+				x[i].Item.ID, x[i].Item.Version, x[i].Transient.Map(), y[i].Item.ID, y[i].Item.Version, y[i].Transient.Map())
 		}
 	}
 	return nil

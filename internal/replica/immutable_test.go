@@ -23,7 +23,7 @@ type frozen struct {
 	tr item.Transient
 }
 
-func freeze(e *store.Entry) frozen { return frozen{e.Item.Clone(), e.Transient.Clone()} }
+func freeze(e *store.Entry) frozen { return frozen{e.Item.Clone(), e.Transient} }
 
 func (f frozen) check(t *testing.T, what string, e *store.Entry) {
 	t.Helper()
@@ -33,8 +33,8 @@ func (f frozen) check(t *testing.T, what string, e *store.Entry) {
 	if !reflect.DeepEqual(e.Item, f.it) {
 		t.Errorf("%s: stored item changed:\n got %+v\nwant %+v", what, e.Item, f.it)
 	}
-	if !reflect.DeepEqual(e.Transient, f.tr) {
-		t.Errorf("%s: stored transient changed: got %v, want %v", what, e.Transient, f.tr)
+	if e.Transient != f.tr {
+		t.Errorf("%s: stored transient changed: got %v, want %v", what, e.Transient.Map(), f.tr.Map())
 	}
 }
 
@@ -84,10 +84,7 @@ func TestInProcessSyncSharesStoredItems(t *testing.T) {
 		if s.Item != d.Item {
 			t.Errorf("%s: target stores its own copy of the item, want the source's *item.Item", id)
 		}
-		if reflect.ValueOf(s.Transient).Pointer() == reflect.ValueOf(d.Transient).Pointer() {
-			t.Errorf("%s: target shares the source's transient map", id)
-		}
-		if hops := d.Transient.GetInt(item.FieldHops); hops != 1 {
+		if hops := d.Transient.Map()[item.FieldHops]; hops != 1 {
 			t.Errorf("%s: received copy has hops = %d, want 1", id, hops)
 		}
 	}
@@ -144,7 +141,7 @@ func TestApplyBatchConsumesResponse(t *testing.T) {
 			before := snapshotEntries(src)
 			wantHops := make([]int, len(resp.Items))
 			for i, bi := range resp.Items {
-				wantHops[i] = bi.Transient.GetInt(item.FieldHops) + 1
+				wantHops[i] = bi.Transient.Map()[item.FieldHops] + 1
 			}
 			dst.ApplyBatch(resp)
 
@@ -153,11 +150,8 @@ func TestApplyBatchConsumesResponse(t *testing.T) {
 				if e == nil || e.Item != bi.Item {
 					t.Fatalf("item %d: the batch's *item.Item was not adopted", i)
 				}
-				if got := e.Transient.GetInt(item.FieldHops); got != wantHops[i] {
+				if got := e.Transient.Map()[item.FieldHops]; got != wantHops[i] {
 					t.Errorf("item %d: stored hops = %d, want %d", i, got, wantHops[i])
-				}
-				if bi.Transient != nil && bi.Transient.GetInt(item.FieldHops) != wantHops[i] {
-					t.Errorf("item %d: hop count did not land in the batch's own transient", i)
 				}
 			}
 			for id, f := range before {

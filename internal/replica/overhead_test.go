@@ -26,7 +26,7 @@ func wireBatchItem(n uint64, payload int) replica.BatchItem {
 			},
 			Payload: make([]byte, payload),
 		},
-		Transient: item.Transient{item.FieldTTL: 7},
+		Transient: item.TransientMap{item.FieldTTL: 7}.Transient(),
 	}
 }
 
@@ -42,7 +42,7 @@ func TestMetadataOverheadCoversEncodedFrame(t *testing.T) {
 		for i := 0; i < n; i++ {
 			resp.Items = append(resp.Items, wireBatchItem(uint64(i+1), payload))
 		}
-		buf, err := wire.AppendSyncResponse(nil, resp) //lint:allow transientleak -- measurement fixture: the batch's sanctioned transmit transient, encoded to count its bytes
+		buf, err := wire.AppendSyncResponse(nil, resp)
 		if err != nil {
 			t.Fatal(err)
 		}

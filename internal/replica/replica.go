@@ -351,7 +351,7 @@ func (r *Replica) mutate(id item.ID, apply func(*item.Item)) (*item.Item, error)
 	apply(next)
 	r.know.Add(next.Version)
 	r.journalLearnLocked(next.Version)
-	r.store.Put(next, e.Transient, e.Relay, e.Local)
+	r.store.Put(next, &e.Transient, e.Relay, e.Local)
 	return next, nil
 }
 
@@ -384,7 +384,7 @@ func (r *Replica) SetIdentity(ownAddresses []string, f filter.Filter) []*item.It
 		}
 		relay := !r.filter.Match(e.Item)
 		if relay != e.Relay {
-			evicted := len(r.store.Put(e.Item, e.Transient, relay, e.Local))
+			evicted := len(r.store.Put(e.Item, &e.Transient, relay, e.Local))
 			r.stats.Evicted += evicted
 			if r.metrics != nil {
 				r.metrics.Evictions.Add(int64(evicted))

@@ -197,7 +197,7 @@ func (floodPolicy) Name() string                                 { return "flood
 func (floodPolicy) GenerateReq() routing.Request                 { return nil }
 func (floodPolicy) ProcessReq(vclock.ReplicaID, routing.Request) {}
 func (floodPolicy) ToSend(*store.Entry, routing.Target) (routing.Priority, item.Transient) {
-	return routing.Priority{Class: routing.ClassNormal}, nil
+	return routing.Priority{Class: routing.ClassNormal}, item.Transient{}
 }
 
 func TestPolicyForwardingStoresRelay(t *testing.T) {
@@ -224,10 +224,10 @@ func TestHopsIncrementPerHop(t *testing.T) {
 	msg := send(a, "addr:a", "addr:z")
 	Sync(a, r1, 0)
 	Sync(r1, r2, 0)
-	if got := r1.Entry(msg.ID).Transient.GetInt(item.FieldHops); got != 1 {
+	if got := r1.Entry(msg.ID).Transient.Map()[item.FieldHops]; got != 1 {
 		t.Errorf("hops at first relay = %d, want 1", got)
 	}
-	if got := r2.Entry(msg.ID).Transient.GetInt(item.FieldHops); got != 2 {
+	if got := r2.Entry(msg.ID).Transient.Map()[item.FieldHops]; got != 2 {
 		t.Errorf("hops at second relay = %d, want 2", got)
 	}
 }

@@ -150,7 +150,7 @@ func (f *deltaFleet) pull(target, source int, fault legFault) {
 	if fault == faultDropResponse {
 		return
 	}
-	frame, err := wire.AppendSyncResponse(nil, resp) //lint:allow transientleak -- the test mirrors the transport's response frame, where BatchItem.Transient is an explicit field of the wire protocol
+	frame, err := wire.AppendSyncResponse(nil, resp)
 	if err != nil {
 		f.t.Fatalf("encode response: %v", err)
 	}

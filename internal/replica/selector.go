@@ -15,8 +15,8 @@ import (
 type syncCandidate struct {
 	entry    *store.Entry
 	priority routing.Priority
-	// transient is the policy-built transient for eager ToSend policies; nil
-	// for substrate-class candidates (which transmit a clone of the stored
+	// transient is the policy-built transient for eager ToSend policies;
+	// zero for substrate-class candidates (which transmit the stored
 	// transient) and for split policies.
 	transient item.Transient
 	// materialize marks a candidate admitted via routing.SplitSender.Decide,

@@ -96,28 +96,28 @@ func TestItemsReturnsApplicationCollection(t *testing.T) {
 func TestTransmitTransientHopsMerge(t *testing.T) {
 	e := &store.Entry{
 		Item:      &item.Item{ID: item.ID{Creator: "a", Num: 1}},
-		Transient: item.Transient{}.Set(item.FieldHops, 3).Set(item.FieldTTL, 7),
+		Transient: item.TransientMap{item.FieldHops: 3, item.FieldTTL: 7}.Transient(),
 	}
 	// Policy returned a fresh transient without hops: hops must be merged in.
-	out := transmitTransient(e, item.Transient{}.Set(item.FieldCopies, 4))
-	if out.GetInt(item.FieldHops) != 3 || out.GetInt(item.FieldCopies) != 4 {
-		t.Errorf("merged transient = %v", out)
+	out := transmitTransient(e, item.TransientMap{item.FieldCopies: 4}.Transient())
+	if out.Map()[item.FieldHops] != 3 || out.Map()[item.FieldCopies] != 4 {
+		t.Errorf("merged transient = %v", out.Map())
 	}
 	if out.Has(item.FieldTTL) {
 		t.Error("policy-substituted transient must not inherit other fields")
 	}
 	// Policy returned a transient that already sets hops: keep it.
-	out = transmitTransient(e, item.Transient{}.Set(item.FieldHops, 9))
-	if out.GetInt(item.FieldHops) != 9 {
-		t.Errorf("explicit hops overridden: %v", out)
+	out = transmitTransient(e, item.TransientMap{item.FieldHops: 9}.Transient())
+	if out.Map()[item.FieldHops] != 9 {
+		t.Errorf("explicit hops overridden: %v", out.Map())
 	}
-	// No policy transient: the stored transient travels as a clone.
-	out = transmitTransient(e, nil)
-	if out.GetInt(item.FieldTTL) != 7 || out.GetInt(item.FieldHops) != 3 {
-		t.Errorf("cloned transient = %v", out)
+	// No policy transient: the stored transient travels, as a copy.
+	out = transmitTransient(e, item.Transient{})
+	if out != e.Transient {
+		t.Errorf("copied transient = %v", out.Map())
 	}
 	out.Set(item.FieldTTL, 1)
-	if e.Transient.GetInt(item.FieldTTL) != 7 {
+	if e.Transient.Map()[item.FieldTTL] != 7 {
 		t.Error("transmitted transient shares storage with the entry")
 	}
 }

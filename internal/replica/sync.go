@@ -56,8 +56,8 @@ type SyncRequest struct {
 // BatchItem is one transmitted item copy: the replicated item plus the
 // transient (host-specific) metadata the source chose to attach, and the
 // priority it was assigned. Item may be the very *item.Item the source has
-// stored (stored items are immutable — see package item); Transient is the
-// batch's own map, never the source's stored one.
+// stored (stored items are immutable — see package item); Transient is a
+// value, the batch's own copy.
 type BatchItem struct {
 	Item      *item.Item
 	Transient item.Transient
@@ -270,9 +270,8 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	}
 
 	// Materialize batch items only now, for the candidates that survived
-	// truncation: building a wire transient clones a map, and doing it per
-	// transmitted item instead of per scanned candidate is what keeps served
-	// syncs O(batch) in allocations rather than O(store).
+	// truncation: a split policy builds its transmit transient per
+	// transmitted item, not per scanned candidate.
 	resp := &SyncResponse{SourceID: r.id, Truncated: truncated}
 	if len(cands) > 0 {
 		resp.Items = make([]BatchItem, len(cands))
@@ -312,15 +311,15 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 // spray policy halves the allowance "for both the locally stored item and the
 // item in the synchronization batch"); only *updates* to them stay local and
 // never replicate as new versions. A policy may substitute its own transient
-// for the in-flight copy; filter-matched transfers carry the stored one
-// unchanged. The copy's hop count always travels and is incremented by the
-// receiver.
+// for the in-flight copy; the zero Transient (filter-matched transfers, and
+// policies that attach nothing) carries the stored one unchanged. The copy's
+// hop count always travels and is incremented by the receiver.
 func transmitTransient(e *store.Entry, policySet item.Transient) item.Transient {
-	if policySet == nil {
-		return e.Transient.Clone()
+	if policySet == (item.Transient{}) {
+		return e.Transient
 	}
 	if hops, ok := e.Transient.Get(item.FieldHops); ok && !policySet.Has(item.FieldHops) {
-		policySet = policySet.Set(item.FieldHops, hops)
+		policySet.Set(item.FieldHops, hops)
 	}
 	return policySet
 }
@@ -343,13 +342,12 @@ func transmitTransient(e *store.Entry, policySet item.Transient) item.Transient 
 // so a crash never persists a half-applied batch, and a batch replayed after
 // a restart is rejected item-by-item through the restored knowledge.
 //
-// The response is consumed: each new item and its transient map are stored as
-// they are, not copied, and the copy's hop count is bumped in the batch's own
-// map. The caller must not write anything reachable from resp afterwards, nor
+// The response is consumed: each new item is stored as it is, not copied.
+// The caller must not write anything reachable from resp afterwards, nor
 // hand the same response to a second replica. Nothing reachable from the
 // source's store is written — items are immutable once stored, and a batch's
-// transients are its own — so an in-process fleet shares one *item.Item per
-// version and a TCP receiver keeps the decoder's copy.
+// transients are values of its own — so an in-process fleet shares one
+// *item.Item per version and a TCP receiver keeps the decoder's copy.
 func (r *Replica) ApplyBatch(resp *SyncResponse) ApplyStats {
 	defer r.emitJournal() // deferred before the unlock, so it runs after it
 	r.mu.Lock()
@@ -384,11 +382,13 @@ func (r *Replica) ApplyBatch(resp *SyncResponse) ApplyStats {
 		}
 
 		// The copy's hop count is host-specific: it grows by one on arrival.
-		tr := bi.Transient.Set(item.FieldHops, float64(bi.Transient.GetInt(item.FieldHops)+1))
+		tr := bi.Transient
+		hops, _ := tr.Get(item.FieldHops)
+		tr.Set(item.FieldHops, hops+1)
 
 		relay := !r.filter.Match(incoming)
 		local := existing != nil && existing.Local
-		evicted := r.store.Put(incoming, tr, relay, local)
+		evicted := r.store.Put(incoming, &tr, relay, local)
 		st.Evicted += len(evicted)
 		r.stats.Evicted += len(evicted)
 

@@ -11,6 +11,7 @@ package epidemic
 import (
 	"testing"
 
+	"replidtn/internal/item"
 	"replidtn/internal/routing"
 )
 
@@ -26,5 +27,20 @@ func TestDecideAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("Decide allocates %.1f/op, budget 0", allocs)
+	}
+}
+
+// TestMaterializeAllocs pins Materialize at zero allocations: the in-flight
+// copy's transient is a value, built per transmitted item.
+func TestMaterializeAllocs(t *testing.T) {
+	p := New(10)
+	e := entryWithTTL(4, true)
+	allocs := testing.AllocsPerRun(100, func() {
+		if ttl, _ := p.Materialize(e, routing.Target{}).Get(item.FieldTTL); ttl != 3 {
+			t.Fatal("the in-flight TTL was not decremented")
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("Materialize allocates %.1f/op, budget 0", allocs)
 	}
 }

@@ -49,7 +49,7 @@ func (*Policy) ProcessReq(vclock.ReplicaID, routing.Request) {}
 func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority, item.Transient) {
 	pr := p.Decide(e, target)
 	if pr.Class == routing.ClassSkip {
-		return pr, nil
+		return pr, item.Transient{}
 	}
 	return pr, p.Materialize(e, target)
 }
@@ -61,10 +61,10 @@ func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority
 func (p *Policy) Decide(e *store.Entry, _ routing.Target) routing.Priority {
 	ttl, ok := e.Transient.Get(item.FieldTTL)
 	if !ok {
-		ttl = float64(p.initialTTL)
-		e.Transient = e.Transient.Set(item.FieldTTL, ttl)
+		ttl = p.initialTTL
+		e.Transient.Set(item.FieldTTL, ttl)
 	}
-	if int(ttl) <= 0 {
+	if ttl <= 0 {
 		return routing.Skip
 	}
 	return routing.Priority{Class: routing.ClassNormal}
@@ -74,6 +74,8 @@ func (p *Policy) Decide(e *store.Entry, _ routing.Target) routing.Priority {
 // transient — the stored transient with a decremented TTL. Pure; called only
 // for items that made the batch.
 func (p *Policy) Materialize(e *store.Entry, _ routing.Target) item.Transient {
-	out := e.Transient.Clone()
-	return out.Set(item.FieldTTL, float64(e.Transient.GetInt(item.FieldTTL)-1))
+	out := e.Transient
+	ttl, _ := out.Get(item.FieldTTL)
+	out.Set(item.FieldTTL, ttl-1)
+	return out
 }

@@ -18,7 +18,7 @@ func entryWithTTL(ttl int, has bool) *store.Entry {
 		Meta: item.Metadata{Destinations: []string{"addr:x"}},
 	}}
 	if has {
-		e.Transient = e.Transient.Set(item.FieldTTL, float64(ttl))
+		e.Transient.Set(item.FieldTTL, ttl)
 	}
 	return e
 }
@@ -42,10 +42,10 @@ func TestToSendStampsMissingTTL(t *testing.T) {
 	if pr.Class != routing.ClassNormal {
 		t.Fatalf("fresh item should be sent, got class %v", pr.Class)
 	}
-	if got := e.Transient.GetInt(item.FieldTTL); got != 10 {
+	if got := e.Transient.Map()[item.FieldTTL]; got != 10 {
 		t.Errorf("stored TTL = %d, want 10 (stamped)", got)
 	}
-	if got := tr.GetInt(item.FieldTTL); got != 9 {
+	if got := tr.Map()[item.FieldTTL]; got != 9 {
 		t.Errorf("transmitted TTL = %d, want 9", got)
 	}
 }
@@ -54,10 +54,10 @@ func TestToSendDecrementsOnlyInFlightCopy(t *testing.T) {
 	p := New(10)
 	e := entryWithTTL(4, true)
 	_, tr := p.ToSend(e, routing.Target{})
-	if got := e.Transient.GetInt(item.FieldTTL); got != 4 {
+	if got := e.Transient.Map()[item.FieldTTL]; got != 4 {
 		t.Errorf("stored TTL changed to %d; must stay 4", got)
 	}
-	if got := tr.GetInt(item.FieldTTL); got != 3 {
+	if got := tr.Map()[item.FieldTTL]; got != 3 {
 		t.Errorf("transmitted TTL = %d, want 3", got)
 	}
 }
@@ -127,7 +127,7 @@ func TestFilterMatchIgnoresTTL(t *testing.T) {
 		Source: "addr:a", Destinations: []string{"addr:b"}, Kind: "message",
 	}, nil)
 	replica.Sync(a, r, 0) // consumes the only policy hop
-	if got := r.Entry(msg.ID).Transient.GetInt(item.FieldTTL); got != 0 {
+	if got := r.Entry(msg.ID).Transient.Map()[item.FieldTTL]; got != 0 {
 		t.Fatalf("TTL at relay = %d, want 0", got)
 	}
 	res := replica.Sync(r, b, 0)

@@ -57,7 +57,7 @@ func BenchmarkRoutingExchange(b *testing.B) {
 							ID:   item.ID{Creator: "n000", Num: uint64(k + 1)},
 							Meta: item.Metadata{Destinations: []string{addr(rng.Intn(n))}},
 						},
-						Transient: item.Transient{}.Set(item.FieldHops, float64(maxprop.DefaultHopThreshold)),
+						Transient: item.TransientMap{item.FieldHops: maxprop.DefaultHopThreshold}.Transient(),
 					}
 				}
 				p, partner, target := ps[0], ps[1], routing.Target{ID: id(1)}

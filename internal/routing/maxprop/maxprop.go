@@ -176,9 +176,9 @@ func (p *Policy) rebuildOwn(updated int64) {
 // the hop threshold form a high class ordered by hop count; the rest are
 // ordered by ascending lowest path cost to the destination.
 func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
-	hops := e.Transient.GetInt(item.FieldHops)
+	hops, _ := e.Transient.Get(item.FieldHops)
 	if hops < p.hopThreshold {
-		return routing.Priority{Class: routing.ClassHigh, Cost: float64(hops)}, nil
+		return routing.Priority{Class: routing.ClassHigh, Cost: float64(hops)}, item.Transient{}
 	}
 	cost := math.Inf(1)
 	for _, dest := range e.Item.Meta.Destinations {
@@ -186,7 +186,7 @@ func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, ite
 			cost = c
 		}
 	}
-	return routing.Priority{Class: routing.ClassNormal, Cost: cost}, nil
+	return routing.Priority{Class: routing.ClassNormal, Cost: cost}, item.Transient{}
 }
 
 // PathCost returns the lowest-cost path score from this node to the node

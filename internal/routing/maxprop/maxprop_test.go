@@ -136,7 +136,7 @@ func entryWith(hops int, dest string) *store.Entry {
 		ID:   item.ID{Creator: "a", Num: 1},
 		Meta: item.Metadata{Destinations: []string{dest}},
 	}}
-	e.Transient = e.Transient.Set(item.FieldHops, float64(hops))
+	e.Transient.Set(item.FieldHops, hops)
 	return e
 }
 

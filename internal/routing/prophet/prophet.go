@@ -246,7 +246,7 @@ func (c *partnerCache) evictOldest() {
 func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority, item.Transient) {
 	vec, ok := p.partners.vectors[target.ID]
 	if !ok {
-		return routing.Skip, nil
+		return routing.Skip, item.Transient{}
 	}
 	p.age()
 	bestMargin := math.Inf(-1)
@@ -269,15 +269,15 @@ func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority
 		}
 	}
 	if !send {
-		return routing.Skip, nil
+		return routing.Skip, item.Transient{}
 	}
 	switch p.params.Strategy {
 	case GRTR:
-		return routing.Priority{Class: routing.ClassNormal}, nil
+		return routing.Priority{Class: routing.ClassNormal}, item.Transient{}
 	case GRTRMax:
-		return routing.Priority{Class: routing.ClassNormal, Cost: -bestTheirs}, nil
+		return routing.Priority{Class: routing.ClassNormal, Cost: -bestTheirs}, item.Transient{}
 	default: // GRTRSort
-		return routing.Priority{Class: routing.ClassNormal, Cost: -bestMargin}, nil
+		return routing.Priority{Class: routing.ClassNormal, Cost: -bestMargin}, item.Transient{}
 	}
 }
 

@@ -145,24 +145,23 @@ type Policy interface {
 	// ToSend decides whether to forward a stored item that does NOT match
 	// the target's filter, returning its transmission priority (Skip to
 	// withhold) and the transient metadata to attach to the transmitted
-	// copy; returning a nil Transient transmits a clone of the stored one.
-	// ToSend may mutate the entry's stored transient state (e.g. halve a
-	// copy allowance) — such mutations never create new item versions — but
-	// never e.Item, which is immutable and may be stored at other replicas
-	// too. The returned Transient must be a map of its own, not e.Transient:
-	// the receiver stores it as is and counts the hop in it. The serve walk
-	// calls ToSend for every candidate it scans, so read each transient field
-	// once.
+	// copy; returning the zero Transient (no field present) transmits the
+	// stored one. ToSend may mutate the entry's stored transient state (e.g.
+	// halve a copy allowance) — such mutations never create new item
+	// versions — but never e.Item, which is immutable and may be stored at
+	// other replicas too. Transient is a value, so the returned one is the
+	// batch's own whatever it was copied from: the receiver stores it and
+	// counts the hop in it, and nothing reaches back into e. The serve walk
+	// calls ToSend for every candidate it scans.
 	ToSend(e *store.Entry, target Target) (Priority, item.Transient)
 }
 
 // SplitSender is optionally implemented by policies that can separate the
 // forwarding decision from building the transmitted transient. When a policy
 // implements it, the substrate calls Decide while scanning candidates and
-// Materialize only for the entries that survive batch truncation — so a
-// policy that would allocate a fresh transient per candidate (e.g. Epidemic's
-// decremented-TTL copy) allocates only per transmitted item, keeping batch
-// assembly allocation-free per scanned entry.
+// Materialize only for the entries that survive batch truncation, so a
+// policy builds its transmit transient (e.g. Epidemic's decremented-TTL
+// copy) only per transmitted item, not per scanned entry.
 //
 // The contract mirrors ToSend split in two: Decide carries exactly the
 // stored-state side effects ToSend would have (e.g. stamping an initial TTL)
@@ -203,5 +202,5 @@ func (Nop) ProcessReq(vclock.ReplicaID, Request) {}
 
 // ToSend implements Policy.
 func (Nop) ToSend(*store.Entry, Target) (Priority, item.Transient) {
-	return Skip, nil
+	return Skip, item.Transient{}
 }

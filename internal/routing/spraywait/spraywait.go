@@ -13,8 +13,6 @@
 package spraywait
 
 import (
-	"math"
-
 	"replidtn/internal/item"
 	"replidtn/internal/routing"
 	"replidtn/internal/store"
@@ -54,18 +52,17 @@ func (*Policy) ProcessReq(vclock.ReplicaID, routing.Request) {}
 // and the locally stored copy. The allowance is read once: the serve walk
 // calls this for every candidate.
 func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
-	stored, ok := e.Transient.Get(item.FieldCopies)
+	copies, ok := e.Transient.Get(item.FieldCopies)
 	if !ok {
-		stored = float64(p.initialCopies)
-		e.Transient = e.Transient.Set(item.FieldCopies, stored)
+		copies = p.initialCopies
+		e.Transient.Set(item.FieldCopies, copies)
 	}
-	copies := int(stored)
 	if copies < 2 {
-		return routing.Skip, nil
+		return routing.Skip, item.Transient{}
 	}
-	half := int(math.Floor(float64(copies) / 2))
-	e.Transient.Set(item.FieldCopies, float64(copies-half))
-	out := e.Transient.Clone()
-	out = out.Set(item.FieldCopies, float64(half))
+	half := copies / 2
+	e.Transient.Set(item.FieldCopies, copies-half)
+	out := e.Transient
+	out.Set(item.FieldCopies, half)
 	return routing.Priority{Class: routing.ClassNormal}, out
 }

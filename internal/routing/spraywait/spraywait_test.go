@@ -19,7 +19,7 @@ func entryWithCopies(copies int, has bool) *store.Entry {
 		Meta: item.Metadata{Destinations: []string{"addr:x"}},
 	}}
 	if has {
-		e.Transient = e.Transient.Set(item.FieldCopies, float64(copies))
+		e.Transient.Set(item.FieldCopies, copies)
 	}
 	return e
 }
@@ -40,10 +40,10 @@ func TestBinarySprayHalvesBothSides(t *testing.T) {
 	if pr.Class != routing.ClassNormal {
 		t.Fatal("item with 8 copies must spray")
 	}
-	if got := e.Transient.GetInt(item.FieldCopies); got != 4 {
+	if got := e.Transient.Map()[item.FieldCopies]; got != 4 {
 		t.Errorf("stored copies = %d, want 4", got)
 	}
-	if got := tr.GetInt(item.FieldCopies); got != 4 {
+	if got := tr.Map()[item.FieldCopies]; got != 4 {
 		t.Errorf("transmitted copies = %d, want 4", got)
 	}
 }
@@ -52,10 +52,10 @@ func TestOddCopiesSplit(t *testing.T) {
 	p := New(8)
 	e := entryWithCopies(5, true)
 	_, tr := p.ToSend(e, routing.Target{})
-	if got := e.Transient.GetInt(item.FieldCopies); got != 3 {
+	if got := e.Transient.Map()[item.FieldCopies]; got != 3 {
 		t.Errorf("stored copies = %d, want 3 (keeps ceil)", got)
 	}
-	if got := tr.GetInt(item.FieldCopies); got != 2 {
+	if got := tr.Map()[item.FieldCopies]; got != 2 {
 		t.Errorf("transmitted copies = %d, want 2 (sends floor)", got)
 	}
 }
@@ -72,10 +72,10 @@ func TestStampsMissingAllowance(t *testing.T) {
 	p := New(6)
 	e := entryWithCopies(0, false)
 	_, tr := p.ToSend(e, routing.Target{})
-	if got := e.Transient.GetInt(item.FieldCopies); got != 3 {
+	if got := e.Transient.Map()[item.FieldCopies]; got != 3 {
 		t.Errorf("stored copies = %d, want 3 after stamping 6 and spraying", got)
 	}
-	if got := tr.GetInt(item.FieldCopies); got != 3 {
+	if got := tr.Map()[item.FieldCopies]; got != 3 {
 		t.Errorf("transmitted copies = %d, want 3", got)
 	}
 }
@@ -120,7 +120,7 @@ func TestPropTotalCopiesNeverExceedAllocation(t *testing.T) {
 			if e == nil {
 				continue
 			}
-			c := e.Transient.GetInt(item.FieldCopies)
+			c := e.Transient.Map()[item.FieldCopies]
 			if c < 1 {
 				return false
 			}

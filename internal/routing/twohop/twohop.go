@@ -35,7 +35,7 @@ func (*Policy) ProcessReq(vclock.ReplicaID, routing.Request) {}
 // (which the substrate serves via the filter class).
 func (*Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
 	if !e.Local {
-		return routing.Skip, nil
+		return routing.Skip, item.Transient{}
 	}
-	return routing.Priority{Class: routing.ClassNormal}, nil
+	return routing.Priority{Class: routing.ClassNormal}, item.Transient{}
 }

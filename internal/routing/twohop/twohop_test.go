@@ -98,7 +98,7 @@ func TestPropHopBound(t *testing.T) {
 			if e == nil {
 				continue
 			}
-			if hops := e.Transient.GetInt(item.FieldHops); hops > 2 {
+			if hops := e.Transient.Map()[item.FieldHops]; hops > 2 {
 				t.Fatalf("seed %d: node %d holds a %d-hop copy", seed, i, hops)
 			}
 		}

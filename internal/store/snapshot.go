@@ -7,10 +7,11 @@ import (
 )
 
 // EntrySnapshot is the serializable form of one stored entry, including the
-// arrival order that drives FIFO eviction.
+// arrival order that drives FIFO eviction. Its transient is the map form
+// (item.TransientMap), converted from and to the entry's value here.
 type EntrySnapshot struct {
 	Item      *item.Item
-	Transient item.Transient
+	Transient item.TransientMap
 	Relay     bool
 	Local     bool
 	Arrival   uint64
@@ -20,7 +21,7 @@ type EntrySnapshot struct {
 func snapshotEntry(e *Entry) EntrySnapshot {
 	return EntrySnapshot{
 		Item:      e.Item.Clone(),
-		Transient: e.Transient.Clone(),
+		Transient: e.Transient.Map(),
 		Relay:     e.Relay,
 		Local:     e.Local,
 		Arrival:   e.arrival,
@@ -66,7 +67,7 @@ func (s *Store) Restore(entries []EntrySnapshot, nextArrival uint64) error {
 		}
 		fresh[es.Item.ID] = &Entry{
 			Item:      es.Item.Clone(),
-			Transient: es.Transient.Clone(),
+			Transient: es.Transient.Transient(),
 			Relay:     relay,
 			Local:     es.Local,
 			arrival:   es.Arrival,

@@ -9,7 +9,7 @@ import (
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := New(3)
 	a, b := mkItem("x", 1), mkItem("y", 1)
-	s.Put(a, item.Transient{}.Set(item.FieldTTL, 5), true, false)
+	s.Put(a, with(item.FieldTTL, 5), true, false)
 	s.Put(b, nil, false, true)
 	dead := mkItem("z", 1)
 	dead.Deleted = true
@@ -28,7 +28,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Errorf("counts = %d/%d/%d", restored.Len(), restored.LiveLen(), restored.RelayLen())
 	}
 	ea := restored.Get(a.ID)
-	if ea == nil || !ea.Relay || ea.Transient.GetInt(item.FieldTTL) != 5 {
+	if ea == nil || !ea.Relay || ea.Transient.Map()[item.FieldTTL] != 5 {
 		t.Errorf("entry a mismatched: %+v", ea)
 	}
 	eb := restored.Get(b.ID)
@@ -50,11 +50,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	s := New(0)
 	it := mkItem("x", 1)
-	s.Put(it, item.Transient{}.Set(item.FieldTTL, 9), false, false)
+	s.Put(it, with(item.FieldTTL, 9), false, false)
 	entries, _ := s.Snapshot()
 	entries[0].Item.Payload = []byte("mutated")
-	entries[0].Transient.Set(item.FieldTTL, 1)
-	if got := s.Get(it.ID); got.Transient.GetInt(item.FieldTTL) != 9 || len(got.Item.Payload) != 0 {
+	entries[0].Transient[item.FieldTTL] = 1
+	if got := s.Get(it.ID); got.Transient.Map()[item.FieldTTL] != 9 || len(got.Item.Payload) != 0 {
 		t.Error("snapshot shares storage with the live store")
 	}
 }

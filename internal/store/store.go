@@ -35,8 +35,9 @@ import (
 type Entry struct {
 	// Item is the latest known version of the logical item.
 	Item *item.Item
-	// Transient is host-specific routing metadata for this copy; it never
-	// replicates and mutating it never changes the item's version.
+	// Transient is host-specific routing metadata for this copy, held by
+	// value; it never replicates and mutating it never changes the item's
+	// version.
 	Transient item.Transient
 	// Relay marks entries held only for forwarding (they do not match the
 	// replica's filter). Relay entries are subject to capacity eviction.
@@ -94,11 +95,11 @@ func (FIFO) ArrivalOrdered() bool { return true }
 // first.
 type EvictByCost struct {
 	// Field is the transient field holding the cost (higher = evict first).
-	Field string
+	Field item.Field
 }
 
 // Name implements EvictionStrategy.
-func (e EvictByCost) Name() string { return "cost(" + e.Field + ")" }
+func (e EvictByCost) Name() string { return "cost(" + e.Field.String() + ")" }
 
 // Less implements EvictionStrategy.
 func (e EvictByCost) Less(a, b *Entry) bool {
@@ -254,14 +255,18 @@ func (s *Store) TombstoneLen() int { return len(s.entries) - s.liveCount }
 // Put inserts or replaces the entry for it.ID and returns the entries evicted
 // to respect the relay capacity (possibly including the one just inserted,
 // though FIFO order makes that unlikely in practice). The item is stored as
-// given; callers pass clones when they need isolation. Local entries are
-// never treated as relay entries.
-func (s *Store) Put(it *item.Item, transient item.Transient, relay, local bool) []*Entry {
+// given; callers pass clones when they need isolation. The transient, when
+// not nil, is copied into the entry. Local entries are never treated as relay
+// entries.
+func (s *Store) Put(it *item.Item, transient *item.Transient, relay, local bool) []*Entry {
 	prev := s.entries[it.ID]
 	if local {
 		relay = false
 	}
-	e := &Entry{Item: it, Transient: transient, Relay: relay, Local: local}
+	e := &Entry{Item: it, Relay: relay, Local: local}
+	if transient != nil {
+		e.Transient = *transient
+	}
 	if prev != nil {
 		// Replacing a known item keeps its arrival slot: an updated relay
 		// entry does not move to the back of the FIFO queue.

@@ -170,10 +170,10 @@ func TestEvictByCostPrefersHighestCost(t *testing.T) {
 	s := NewWithEviction(2, EvictByCost{Field: item.FieldHops})
 	cheap := mkItem("a", 1)
 	costly := mkItem("a", 2)
-	s.Put(cheap, item.Transient{}.Set(item.FieldHops, 1), true, false)
-	s.Put(costly, item.Transient{}.Set(item.FieldHops, 9), true, false)
+	s.Put(cheap, with(item.FieldHops, 1), true, false)
+	s.Put(costly, with(item.FieldHops, 9), true, false)
 	third := mkItem("a", 3)
-	evicted := s.Put(third, item.Transient{}.Set(item.FieldHops, 2), true, false)
+	evicted := s.Put(third, with(item.FieldHops, 2), true, false)
 	if len(evicted) != 1 || evicted[0].Item.ID != costly.ID {
 		t.Fatalf("expected highest-cost eviction, got %v", evicted)
 	}
@@ -187,7 +187,7 @@ func TestEvictByCostMissingFieldStaysLongest(t *testing.T) {
 	unknown := mkItem("a", 1)
 	s.Put(unknown, nil, true, false)
 	known := mkItem("a", 2)
-	evicted := s.Put(known, item.Transient{}.Set(item.FieldHops, 1), true, false)
+	evicted := s.Put(known, with(item.FieldHops, 1), true, false)
 	if len(evicted) != 1 || evicted[0].Item.ID != known.ID {
 		t.Fatalf("costed entry should go before uncosted, got %v", evicted)
 	}
@@ -197,8 +197,8 @@ func TestEvictByCostTieBreaksFIFO(t *testing.T) {
 	s := NewWithEviction(1, EvictByCost{Field: item.FieldHops})
 	first := mkItem("a", 1)
 	second := mkItem("a", 2)
-	s.Put(first, item.Transient{}.Set(item.FieldHops, 3), true, false)
-	evicted := s.Put(second, item.Transient{}.Set(item.FieldHops, 3), true, false)
+	s.Put(first, with(item.FieldHops, 3), true, false)
+	evicted := s.Put(second, with(item.FieldHops, 3), true, false)
 	if len(evicted) != 1 || evicted[0].Item.ID != first.ID {
 		t.Fatalf("equal cost should evict FIFO, got %v", evicted)
 	}
@@ -208,7 +208,7 @@ func TestEvictionStrategyNames(t *testing.T) {
 	if (FIFO{}).Name() != "fifo" {
 		t.Error("FIFO name")
 	}
-	if (EvictByCost{Field: "hops"}).Name() != "cost(hops)" {
+	if (EvictByCost{Field: item.FieldHops}).Name() != "cost(hops)" {
 		t.Error("EvictByCost name")
 	}
 }
@@ -487,4 +487,11 @@ func TestLiveNotify(t *testing.T) {
 			t.Errorf("id %v: sum %d, live %v", id, n, live)
 		}
 	}
+}
+
+// with returns a transient holding one field, as Put takes it.
+func with(f item.Field, v int) *item.Transient {
+	var t item.Transient
+	t.Set(f, v)
+	return &t
 }

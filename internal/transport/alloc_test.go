@@ -149,8 +149,8 @@ func TestBulkPullAllocatesLittle(t *testing.T) {
 	// Both ends run in this process. The server's frame and the dialer's
 	// read buffer come warm from the pools; the dialer's copy of each
 	// payload is the one payload-sized cost left.
-	if spent, budget := pull(), uint64(5*bulkItems*bulkPayload/2); spent > budget {
-		t.Errorf("one %d × %d B pull allocated %d bytes in all, budget %d (2.5 × payload)", bulkItems, bulkPayload, spent, budget)
+	if spent, budget := pull(), uint64(2*bulkItems*bulkPayload); spent > budget {
+		t.Errorf("one %d × %d B pull allocated %d bytes in all, budget %d (2 × payload)", bulkItems, bulkPayload, spent, budget)
 	}
 }
 

@@ -116,11 +116,11 @@ func validClientTranscript(f testing.TB) []byte {
 		SourceID: "peer",
 		Items: []replica.BatchItem{{
 			Item:      it,
-			Transient: item.Transient{}.Set(item.FieldHops, 1),
+			Transient: item.TransientMap{item.FieldHops: 1}.Transient(),
 		}},
 		LearnedKnowledge: know,
 	}
-	respBody, err := wire.AppendSyncResponse(nil, resp) //lint:allow transientleak -- fuzz seed: the transcript reproduces the sync batch's sanctioned transmit transient
+	respBody, err := wire.AppendSyncResponse(nil, resp)
 	if err != nil {
 		f.Fatal(err)
 	}

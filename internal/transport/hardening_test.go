@@ -451,3 +451,93 @@ func TestUnrealVersionBatchRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestForgedTransientRejected: a batch item's transient fields — TTL, copy
+// allowance, hop count — are non-negative integers that replicas count down
+// or up. A forged one must not be stored: a hop count of -1e9 would put the
+// copy first in every MaxProp queue it reaches, and each relay would pass the
+// forged count on. The dialer refuses the whole response as a validation
+// error, applies nothing and counts the sync as aborted.
+func TestForgedTransientRejected(t *testing.T) {
+	honest, err := wire.AppendSyncResponse(nil, &replica.SyncResponse{
+		SourceID: "evil",
+		Items: []replica.BatchItem{{
+			Item: &item.Item{
+				ID: item.ID{Creator: "evil", Num: 1}, Version: vclock.Version{Replica: "evil", Seq: 1},
+				Meta: item.Metadata{Source: "addr:evil", Destinations: []string{"addr:far"}, Kind: "message"},
+			},
+			Transient: item.TransientMap{item.FieldHops: 7}.Transient(),
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The hop count's value sits right after its name; forge it in place.
+	name := prim.AppendString(nil, item.FieldHops.String())
+	at := bytes.Index(honest, append(name, prim.AppendFloat64(nil, 7)...))
+	if at < 0 {
+		t.Fatal("the hop count is not in the encoded batch")
+	}
+	at += len(name)
+	for label, v := range map[string]float64{
+		"negative":   -1e9,
+		"NaN":        math.NaN(),
+		"infinite":   math.Inf(1),
+		"fractional": 2.5,
+		"too large":  1e300,
+	} {
+		t.Run(label, func(t *testing.T) {
+			body := bytes.Clone(honest)
+			prim.AppendFloat64(body[:at], v)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			served := make(chan error, 1)
+			go func() {
+				served <- func() error {
+					conn, err := ln.Accept()
+					if err != nil {
+						return err
+					}
+					defer conn.Close()
+					w := newWireIO(conn, 0)
+					if _, err := w.readHello(); err != nil {
+						return err
+					}
+					if err := w.writeHello("evil"); err != nil {
+						return err
+					}
+					if _, err := w.readRequest(); err != nil {
+						return err
+					}
+					_, err = conn.Write(rawFrame(frameSyncResponse, body))
+					return err
+				}()
+			}()
+			a := node(t, "a", "addr:a")
+			before := a.Knowledge()
+			m := &obs.TransportMetrics{}
+			_, err = EncounterOpts(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{Metrics: m})
+			if err == nil || errClass(err) != "validation" {
+				t.Errorf("hops = %v: dialer returned %v, want a validation error", v, err)
+			}
+			if err := <-served; err != nil {
+				t.Fatalf("fake listener: %v", err)
+			}
+			if total, _, _ := a.StoreLen(); total != 0 {
+				t.Errorf("forged batch left %d items in the store", total)
+			}
+			if !a.Knowledge().Equal(before) {
+				t.Errorf("forged batch perturbed knowledge: %s", a.Knowledge())
+			}
+			if got := a.Stats().SyncsAborted; got != 1 {
+				t.Errorf("SyncsAborted = %d, want 1", got)
+			}
+			if got := m.ValidationRejected.Value(); got != 1 {
+				t.Errorf("ValidationRejected = %d, want 1", got)
+			}
+		})
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"syscall"
 	"time"
 
+	"replidtn/internal/item"
 	"replidtn/internal/obs"
 	"replidtn/internal/replica"
 	"replidtn/internal/vclock"
@@ -175,8 +176,11 @@ func validateRequest(req *replica.SyncRequest) error {
 // version a batch item names — its own and those in Prior — has a creator and
 // a seq >= 1: knowledge cannot record any other, so the item would be stored,
 // never become known, and be re-sent by every holder at every encounter.
-// (Every decoded batch item has its item — the wire decoder fails the frame
-// otherwise.)
+// No transient field is negative: a TTL, copy allowance or hop count below
+// zero is no state a replica produces, and a forged hop count of -1e9 would
+// put the copy first in every MaxProp queue it reaches. (Every decoded batch
+// item has its item, and its transient fields are 32-bit integers — the
+// wire decoder fails the frame otherwise.)
 func validateResponse(resp *replica.SyncResponse) error {
 	if resp.NeedKnowledge && len(resp.Items) > 0 {
 		return &validationError{fmt.Errorf("knowledge demand carrying %d items", len(resp.Items))}
@@ -189,6 +193,11 @@ func validateResponse(resp *replica.SyncResponse) error {
 		}
 		if bad {
 			return &validationError{fmt.Errorf("batch item %d (%s, version %q) names a version no replica creates", i, bi.Item.ID, bi.Item.Version.String())}
+		}
+		for f := range item.NumFields {
+			if v, _ := bi.Transient.Get(f); v < 0 {
+				return &validationError{fmt.Errorf("batch item %d (%s) carries %s = %d", i, bi.Item.ID, f, v)}
+			}
 		}
 	}
 	return nil
@@ -424,7 +433,6 @@ func (w *wireIO) writeResponse(resp *replica.SyncResponse) error {
 	if err != nil {
 		return err
 	}
-	//lint:allow transientleak -- BatchItem.Transient is the policy-mediated transmit copy built by transmitTransient (e.g. a halved spray allowance): an explicit field of the wire protocol, not a leak of host-local state
 	if f.b, err = wire.AppendSyncResponse(f.b, resp); err != nil {
 		return err
 	}

@@ -24,7 +24,7 @@ func TestSizeAllocs(t *testing.T) {
 	know.Add(vclock.Version{Replica: "a", Seq: 9})
 	resp := &replica.SyncResponse{SourceID: "a", LearnedKnowledge: know}
 	for i := 0; i < 16; i++ {
-		resp.Items = append(resp.Items, replica.BatchItem{Item: it, Transient: item.Transient{"ttl": 3}})
+		resp.Items = append(resp.Items, replica.BatchItem{Item: it, Transient: item.TransientMap{item.FieldTTL: 3}.Transient()})
 	}
 	for _, b := range []struct {
 		name string
@@ -44,5 +44,48 @@ func TestSizeAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, b.f); allocs > 0 {
 			t.Errorf("%s allocates %.1f/op, budget 0", b.name, allocs)
 		}
+	}
+}
+
+// bulkResponse is a 256-item batch shaped like a first-contact bulk pull:
+// one creator, one destination, 1 KiB payloads, each copy carrying a TTL and
+// a hop count.
+func bulkResponse() *replica.SyncResponse {
+	resp := &replica.SyncResponse{SourceID: "bulk-src"}
+	for i := uint64(1); i <= 256; i++ {
+		it := &item.Item{
+			ID:      item.ID{Creator: "bulk-src", Num: i},
+			Version: vclock.Version{Replica: "bulk-src", Seq: i},
+			Meta: item.Metadata{
+				Source:       "user:src",
+				Destinations: []string{"user:dst"},
+				Kind:         "message",
+				Created:      100,
+				Expires:      900,
+			},
+			Payload: make([]byte, 1024),
+		}
+		tr := item.TransientMap{item.FieldTTL: 9, item.FieldHops: 1}.Transient()
+		resp.Items = append(resp.Items, replica.BatchItem{Item: it, Transient: tr})
+	}
+	return resp
+}
+
+// TestDecodeResponseAllocs pins DecodeSyncResponse of bulkResponse at its
+// measured count. The transients decode into the batch items' own fields
+// and cost nothing; what is left is about three allocations per item (the
+// item, its destination list, its payload).
+func TestDecodeResponseAllocs(t *testing.T) {
+	data, err := AppendSyncResponse(nil, bulkResponse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeSyncResponse(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 776 {
+		t.Errorf("DecodeSyncResponse of 256 items allocates %.1f/op, budget 776", allocs)
 	}
 }

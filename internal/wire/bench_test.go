@@ -33,7 +33,7 @@ func benchResponse(tb testing.TB, n int) *replica.SyncResponse {
 		know.Add(it.Version)
 		items[i] = replica.BatchItem{
 			Item:      it,
-			Transient: item.Transient{}.Set(item.FieldHops, 2), //lint:allow transientleak -- benchmark fixture: the policy-mediated transmit transient is an explicit wire field
+			Transient: item.TransientMap{item.FieldHops: 2}.Transient(),
 		}
 	}
 	return &replica.SyncResponse{
@@ -60,9 +60,9 @@ func benchCodec(b *testing.B, prefix string, resp *replica.SyncResponse, fresh b
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if fresh {
-				buf = make([]byte, 0, SyncResponseSize(resp)) //lint:allow transientleak -- benchmark fixture batch, not host state
+				buf = make([]byte, 0, SyncResponseSize(resp))
 			}
-			buf, err = AppendSyncResponse(buf[:0], resp) //lint:allow transientleak -- benchmark fixture batch, not host state
+			buf, err = AppendSyncResponse(buf[:0], resp)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func benchCodec(b *testing.B, prefix string, resp *replica.SyncResponse, fresh b
 	})
 
 	b.Run(prefix+"decode", func(b *testing.B) {
-		data, err := AppendSyncResponse(nil, resp) //lint:allow transientleak -- benchmark fixture batch, not host state
+		data, err := AppendSyncResponse(nil, resp)
 		if err != nil {
 			b.Fatal(err)
 		}

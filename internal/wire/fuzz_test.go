@@ -78,7 +78,7 @@ func wireFuzzSeeds(tb testing.TB) map[string][]byte {
 	resp := must(AppendSyncResponse(nil, &replica.SyncResponse{
 		SourceID: "s",
 		Items: []replica.BatchItem{
-			{Item: it, Transient: item.Transient{"ttl": 2}}, //lint:allow transientleak -- fixture batch: the policy-mediated transmit transient is an explicit wire field
+			{Item: it, Transient: item.TransientMap{item.FieldTTL: 2}.Transient()},
 		},
 		Truncated:        true,
 		LearnedKnowledge: know,
@@ -266,9 +266,8 @@ func FuzzWireDecode(f *testing.F) {
 		refuzz(t, "sync response", data,
 			func(b []byte) (any, error) { return DecodeSyncResponse(b) },
 			func(v any) ([]byte, error) {
-				//lint:allow transientleak -- fuzz round-trip: re-encoding the batch the decoder just produced, not leaking host state
 				enc, err := AppendSyncResponse(nil, v.(*replica.SyncResponse))
-				return sized(enc, err, SyncResponseSize(v.(*replica.SyncResponse))) //lint:allow transientleak -- sizing that same batch
+				return sized(enc, err, SyncResponseSize(v.(*replica.SyncResponse)))
 			})
 		refuzz(t, "done", data,
 			func(b []byte) (any, error) { return DecodeDone(b) },
@@ -276,7 +275,6 @@ func FuzzWireDecode(f *testing.F) {
 		refuzz(t, "mutations", data,
 			func(b []byte) (any, error) { return DecodeMutations(b) },
 			func(v any) ([]byte, error) {
-				//lint:allow transientleak -- fuzz round-trip: re-encoding the batch the decoder just produced, not leaking host state
 				return AppendMutations(nil, v.([]replica.Mutation))
 			})
 	})

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 
 	"replidtn/internal/item"
 	"replidtn/internal/store"
@@ -19,10 +20,10 @@ import (
 // so a frame can be reserved once — or refused, if it is over the wire limit
 // — before a byte of it is encoded.
 
-// sortKeys sorts a small key slice in place. Map fields here (Transient,
-// Metadata.Attrs) hold a handful of entries, so an insertion sort over a
-// caller's stack-backed slice beats sort.Strings, which forces the slice to
-// escape through its interface argument.
+// sortKeys sorts a small key slice in place. Metadata.Attrs holds a handful
+// of entries, so an insertion sort over a caller's stack-backed slice beats
+// sort.Strings, which forces the slice to escape through its interface
+// argument.
 func sortKeys(keys []string) {
 	for i := 1; i < len(keys); i++ {
 		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
@@ -91,70 +92,60 @@ func (d *Decoder) ItemID() item.ID {
 	return item.ID{Creator: vclock.ReplicaID(d.String()), Num: d.Uvarint()}
 }
 
-// AppendTransient appends a nil-aware transient map, keys sorted for
-// deterministic bytes.
+// AppendTransient appends a transient as a sorted key/value map: the count
+// of present fields plus one (0 when none), then each field's name and value
+// as a float64, in name order.
 func AppendTransient(buf []byte, t item.Transient) []byte {
-	if t == nil {
+	if t.Len() == 0 {
 		return append(buf, 0)
 	}
-	buf = prim.AppendUvarint(buf, uint64(len(t))+1)
-	var arr [8]string
-	keys := arr[:0]
-	for k := range t {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	for _, k := range keys {
-		buf = prim.AppendString(buf, k)
-		buf = prim.AppendFloat64(buf, t[k])
+	buf = prim.AppendUvarint(buf, uint64(t.Len())+1)
+	for f := range item.NumFields {
+		if v, ok := t.Get(f); ok {
+			buf = prim.AppendString(buf, f.String())
+			buf = prim.AppendFloat64(buf, float64(v))
+		}
 	}
 	return buf
 }
 
 func sizeTransient(t item.Transient) int {
-	if t == nil {
-		return 1
-	}
-	n := prim.SizeUvarint(uint64(len(t)) + 1)
-	for k := range t {
-		n += prim.SizeString(k) + 8
+	n := 1
+	for f := range item.NumFields {
+		if t.Has(f) {
+			n += prim.SizeString(f.String()) + 8
+		}
 	}
 	return n
 }
 
-// transientKey materializes a transient field name: the bundled policies'
-// fields come back as the item.Field constants, costing nothing.
-func transientKey(b []byte) string {
-	switch string(b) {
-	case item.FieldTTL:
-		return item.FieldTTL
-	case item.FieldCopies:
-		return item.FieldCopies
-	case item.FieldHops:
-		return item.FieldHops
-	}
-	return string(b)
-}
-
-// Transient decodes a nil-aware transient map.
+// Transient decodes AppendTransient's layout, in any field order. It fails
+// on a name that is no field, a field named twice, and a value an int32
+// does not hold exactly (NaN, infinite, fractional or out of range).
 func (d *Decoder) Transient() item.Transient {
+	var t item.Transient
 	n := d.Uvarint()
-	if n == 0 {
-		return nil
-	}
-	n--
-	// Each entry costs at least nine bytes (key prefix + fixed float64).
-	if n > uint64(d.Remaining())/9 {
-		d.Fail(fmt.Errorf("wire: transient count %d exceeds %d remaining bytes", n, d.Remaining()))
-		return nil
-	}
-	t := make(item.Transient, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		k := transientKey(d.View(d.Uvarint()))
-		t[k] = d.Float64()
+	for i := uint64(1); i < n && d.Err() == nil; i++ {
+		name := d.View(d.Uvarint())
+		v := d.Float64()
+		f := item.Field(0)
+		for f < item.NumFields && string(name) != f.String() {
+			f++
+		}
+		switch {
+		case d.Err() != nil:
+		case f == item.NumFields:
+			d.Fail(fmt.Errorf("wire: unknown transient field %q", name))
+		case t.Has(f):
+			d.Fail(fmt.Errorf("wire: transient field %s repeated", f))
+		case v != math.Trunc(v) || v < math.MinInt32 || v > math.MaxInt32:
+			d.Fail(fmt.Errorf("wire: transient field %s = %v is not a 32-bit integer", f, v))
+		default:
+			t.Set(f, int(v))
+		}
 	}
 	if d.Err() != nil {
-		return nil
+		return item.Transient{}
 	}
 	return t
 }
@@ -267,7 +258,7 @@ func (d *Decoder) Item() *item.Item {
 // per-copy transient state, placement flags, and arrival stamp.
 func AppendEntrySnapshot(buf []byte, e *store.EntrySnapshot) []byte {
 	buf = AppendItem(buf, e.Item)
-	buf = AppendTransient(buf, e.Transient) //lint:allow transientleak -- the snapshot codec's own crossing: EntrySnapshot deliberately carries per-copy state, and each caller (WAL persistence, the sync batch's transmit copy) annotates its sanctioned use
+	buf = AppendTransient(buf, e.Transient.Transient()) //lint:allow transientleak -- the snapshot codec: a WAL record restores the same host, so its per-copy state legitimately survives
 	buf = prim.AppendBool(buf, e.Relay)
 	buf = prim.AppendBool(buf, e.Local)
 	return prim.AppendUvarint(buf, e.Arrival)
@@ -277,7 +268,7 @@ func AppendEntrySnapshot(buf []byte, e *store.EntrySnapshot) []byte {
 func (d *Decoder) EntrySnapshot() *store.EntrySnapshot {
 	e := &store.EntrySnapshot{
 		Item:      d.Item(),
-		Transient: d.Transient(),
+		Transient: d.Transient().Map(),
 		Relay:     d.Bool(),
 		Local:     d.Bool(),
 		Arrival:   d.Uvarint(),

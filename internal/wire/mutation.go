@@ -25,7 +25,6 @@ func AppendMutations(buf []byte, muts []replica.Mutation) ([]byte, error) {
 			if m.Entry == nil || m.Entry.Item == nil {
 				return nil, fmt.Errorf("wire: put mutation %d without entry", i)
 			}
-			//lint:allow transientleak -- WAL records restore the same host after a crash, so per-copy transient state (spray allowances, hop budgets) legitimately survives; nothing here crosses to another replica
 			buf = AppendEntrySnapshot(buf, m.Entry)
 			buf = prim.AppendUvarint(buf, m.NextArrival)
 		case replica.MutRemove:

@@ -72,11 +72,8 @@ func randomResponse(rng *rand.Rand) *replica.SyncResponse {
 			it.Payload = make([]byte, rng.Intn(2000))
 		}
 		bi := replica.BatchItem{Item: it, Priority: routing.Priority{Class: routing.Class(rng.Intn(200) - 100), Cost: rng.NormFloat64()}}
-		switch rng.Intn(3) {
-		case 1:
-			bi.Transient = item.Transient{}
-		case 2:
-			bi.Transient = item.Transient{item.FieldTTL: 9, item.FieldCopies: 4, str(5): rng.Float64()}
+		if rng.Intn(2) == 1 {
+			bi.Transient = item.TransientMap{item.FieldTTL: 9, item.FieldCopies: 4, item.FieldHops: rng.Intn(1 << 31)}.Transient()
 		}
 		resp.Items = append(resp.Items, bi)
 	}
@@ -95,12 +92,12 @@ func randomResponse(rng *rand.Rand) *replica.SyncResponse {
 func TestSyncResponseSizeCoversEncoding(t *testing.T) {
 	check := func(seed int64) bool {
 		resp := randomResponse(rand.New(rand.NewSource(seed)))
-		enc, err := AppendSyncResponse(nil, resp) //lint:allow transientleak -- fixture batch, not host state
+		enc, err := AppendSyncResponse(nil, resp)
 		if err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 			return false
 		}
-		if got := SyncResponseSize(resp); got != len(enc) { //lint:allow transientleak -- fixture batch, not host state
+		if got := SyncResponseSize(resp); got != len(enc) {
 			t.Errorf("seed %d: size pass says %d, encoding is %d bytes", seed, got, len(enc))
 			return false
 		}
@@ -178,7 +175,7 @@ func TestDecodedRequestDoesNotAliasInput(t *testing.T) {
 func TestDecodedResponseDoesNotAliasInput(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		resp := randomResponse(rand.New(rand.NewSource(seed)))
-		enc, err := AppendSyncResponse(nil, resp) //lint:allow transientleak -- fixture batch, not host state
+		enc, err := AppendSyncResponse(nil, resp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +187,7 @@ func TestDecodedResponseDoesNotAliasInput(t *testing.T) {
 		for i := range input {
 			input[i] = 0xa5
 		}
-		again, err := AppendSyncResponse(nil, got) //lint:allow transientleak -- re-encoding the batch the decoder produced
+		again, err := AppendSyncResponse(nil, got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +226,7 @@ func stringFloodResponse() *replica.SyncResponse {
 // and a repeated string really is one string.
 func TestSharedStringsAreBounded(t *testing.T) {
 	resp := stringFloodResponse()
-	enc, err := AppendSyncResponse(nil, resp) //lint:allow transientleak -- fixture batch, not host state
+	enc, err := AppendSyncResponse(nil, resp)
 	if err != nil {
 		t.Fatal(err)
 	}

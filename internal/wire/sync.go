@@ -420,7 +420,6 @@ func SyncResponseSize(resp *replica.SyncResponse) int {
 		if bi.Item == nil {
 			continue // AppendSyncResponse refuses the batch
 		}
-		//lint:allow transientleak -- sizing the transmit copy AppendSyncResponse is about to encode
 		n += sizeItem(bi.Item) + sizeTransient(bi.Transient)
 		n += prim.SizeVarint(int64(bi.Priority.Class)) + 8
 	}
