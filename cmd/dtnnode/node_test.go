@@ -217,6 +217,40 @@ func TestMetricsShowRoutingFrames(t *testing.T) {
 	}
 }
 
+// TestSyncEveryReusesOneSession: a node with -sync-every runs each periodic
+// encounter with its configured peer over the one TCP session the first
+// opened, so /metrics shows sessions_opened 1 on each side however many
+// encounters it has dialed.
+func TestSyncEveryReusesOneSession(t *testing.T) {
+	bob := startTestNode(t, "bob", "user:bob", "")
+	alice, err := newNode(options{
+		id: "alice", addr: "user:alice", listen: "127.0.0.1:0", policy: "epidemic",
+		peers: []string{bob.bound.String()}, debugAddr: "127.0.0.1:0", out: io.Discard,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(alice.close)
+	stop := every(5*time.Millisecond, alice.syncAll)
+	deadline := time.Now().Add(5 * time.Second)
+	for alice.metrics.Transport.EncountersDialed.Value() < 5 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop()
+	var aliceSnap, bobSnap obs.NodeSnapshot
+	getJSON(t, fmt.Sprintf("http://%s/metrics", alice.debug.addr), &aliceSnap)
+	getJSON(t, fmt.Sprintf("http://%s/metrics", bob.debug.addr), &bobSnap)
+	at, bt := aliceSnap.Transport, bobSnap.Transport
+	if at.EncountersDialed < 5 || at.EncounterErrors != 0 || bt.EncounterErrors != 0 {
+		t.Fatalf("alice dialed %d encounters with %d errors, bob %d errors; want at least 5 and none",
+			at.EncountersDialed, at.EncounterErrors, bt.EncounterErrors)
+	}
+	if at.SessionsOpened != 1 || bt.SessionsOpened != 1 {
+		t.Errorf("sessions opened: alice %d, bob %d after %d encounters; want 1 each",
+			at.SessionsOpened, bt.SessionsOpened, at.EncountersDialed)
+	}
+}
+
 // TestExpvarRepublishSafe: rebuilding a node with the same id in one process
 // must not panic expvar's duplicate-name check.
 func TestExpvarRepublishSafe(t *testing.T) {

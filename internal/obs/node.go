@@ -26,8 +26,8 @@ type TransportMetrics struct {
 	// ValidationRejected counts frames that decoded but failed structural
 	// validation (hostile or broken peers); version mismatches included.
 	ValidationRejected Counter
-	// DialRetries counts re-dial attempts after transient dial failures.
-	DialRetries Counter
+	// SessionsOpened counts completed hello exchanges (sessions), either role.
+	SessionsOpened Counter
 	// EncounterMicros aggregates completed-encounter wall durations.
 	EncounterMicros Histogram
 	// Spans retains the most recent encounter spans.
@@ -44,7 +44,7 @@ type TransportSnapshot struct {
 	BytesRead          int64             `json:"bytes_read"`
 	BytesWritten       int64             `json:"bytes_written"`
 	ValidationRejected int64             `json:"validation_rejected"`
-	DialRetries        int64             `json:"dial_retries"`
+	SessionsOpened     int64             `json:"sessions_opened"`
 	EncounterMicros    HistogramSnapshot `json:"encounter_us"`
 }
 
@@ -63,7 +63,7 @@ func (m *TransportMetrics) Snapshot() TransportSnapshot {
 		BytesRead:          m.BytesRead.Value(),
 		BytesWritten:       m.BytesWritten.Value(),
 		ValidationRejected: m.ValidationRejected.Value(),
-		DialRetries:        m.DialRetries.Value(),
+		SessionsOpened:     m.SessionsOpened.Value(),
 		EncounterMicros:    m.EncounterMicros.Snapshot(),
 	}
 }

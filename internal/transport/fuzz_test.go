@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"replidtn/internal/item"
+	"replidtn/internal/obs"
 	"replidtn/internal/replica"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire"
@@ -56,6 +57,9 @@ func serveConnSeeds(tb testing.TB) map[string][]byte {
 		"seed-version-mismatch": rawHello(helloMagic, protocolVersion+1, "peer"),
 		"seed-oversized-id":     rawHello(helloMagic, protocolVersion, strings.Repeat("x", 300)),
 		"seed-valid":            transcript,
+		"seed-two-encounters":   twoEncounterTranscript(tb),
+		"seed-hello-mid-session": append(transcript[:len(transcript):len(transcript)],
+			rawHello(helloMagic, protocolVersion, "peer")...),
 	}
 }
 
@@ -129,6 +133,56 @@ func validClientTranscript(f testing.TB) []byte {
 		rawFrame(frameSyncRequest, reqBody),
 		rawFrame(frameSyncResponse, respBody),
 	}, nil)
+}
+
+// twoEncounterTranscript is an honest dialer's byte stream for a session of
+// two encounters: validClientTranscript, then the second encounter's request
+// and reverse response from a peer that applied the first one's batch.
+func twoEncounterTranscript(tb testing.TB) []byte {
+	tb.Helper()
+	peer := replica.New(replica.Config{ID: "peer", OwnAddresses: []string{"addr:peer"}})
+	peer.CreateItem(item.Metadata{
+		Source: "addr:peer", Destinations: []string{"addr:srv"}, Kind: "message",
+	}, []byte("from peer"))
+	// FuzzServeConn's server, met once.
+	srv := replica.New(replica.Config{ID: "srv", OwnAddresses: []string{"addr:srv"}})
+	srv.CreateItem(item.Metadata{
+		Source: "addr:srv", Destinations: []string{"addr:peer"}, Kind: "message",
+	}, []byte("payload"))
+	replica.Encounter(peer, srv, 4)
+	reqBody, err := wire.AppendSyncRequest(nil, peer.MakeSyncRequest(4))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	respBody, err := wire.AppendSyncResponse(nil, peer.HandleSyncRequest(srv.MakeSyncRequest(4)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bytes.Join([][]byte{
+		validClientTranscript(tb),
+		rawFrame(frameSyncRequest, reqBody),
+		rawFrame(frameSyncResponse, respBody),
+	}, nil)
+}
+
+// The session seeds reach past the first encounter: two honest encounters
+// are both served, and a hello after the first fails validation once that
+// encounter is done.
+func TestServeConnSessionSeeds(t *testing.T) {
+	seeds := serveConnSeeds(t)
+	for name, want := range map[string]struct {
+		served int64
+		class  string
+	}{"seed-two-encounters": {2, ""}, "seed-hello-mid-session": {1, "validation"}} {
+		r := replica.New(replica.Config{ID: "srv", OwnAddresses: []string{"addr:srv"}})
+		srv := NewServer(r, 4)
+		m := &obs.TransportMetrics{}
+		srv.Metrics = m
+		err := srv.serveConn(replay(seeds[name]))
+		if got := m.EncountersServed.Value(); got != want.served || errClass(err) != want.class {
+			t.Errorf("%s: served %d, error %v; want %d served and class %q", name, got, err, want.served, want.class)
+		}
+	}
 }
 
 // TestServeConnRejectsMalformedFrames pins the validation layer the fuzzer

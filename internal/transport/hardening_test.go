@@ -88,32 +88,6 @@ func TestSecondListenRejected(t *testing.T) {
 	ln.Close()
 }
 
-// TestEncounterRetryBoundedByTimeout: the retry loop's backoff sleeps count
-// against the caller's timeout, so a generous retry budget against a dead
-// port still returns within (roughly) the deadline.
-func TestEncounterRetryBoundedByTimeout(t *testing.T) {
-	// Reserve a port, then free it so every dial is refused.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
-	const timeout = 250 * time.Millisecond
-	start := time.Now()
-	// Without deadline accounting this would sleep 100ms * (2^20 - 1).
-	_, err = EncounterRetry(a, addr, 0, timeout, DialOptions{Retries: 20, Backoff: 100 * time.Millisecond})
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("dialing a dead port should fail")
-	}
-	if elapsed > timeout+500*time.Millisecond {
-		t.Errorf("EncounterRetry blocked %v past its %v budget", elapsed, timeout)
-	}
-}
-
 // TestTransportMetricsMatchEncounterResult runs one instrumented encounter
 // and checks both sides' counters, byte accounting, and spans agree with the
 // EncounterResult and with each other.
@@ -217,31 +191,6 @@ func TestMetricsClassifyValidationRejections(t *testing.T) {
 	spans := m.Spans.Snapshot()
 	if len(spans) != 1 || spans[0].Err != "validation" {
 		t.Errorf("spans after malformed request: %+v", spans)
-	}
-}
-
-// TestMetricsCountDialRetries: each backoff retry increments the retry
-// counter.
-func TestMetricsCountDialRetries(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
-	m := &obs.TransportMetrics{}
-	_, err = EncounterRetry(a, addr, 0, 2*time.Second, DialOptions{
-		Retries: 2, Backoff: 10 * time.Millisecond, Metrics: m,
-	})
-	if err == nil {
-		t.Fatal("dead port should fail")
-	}
-	if got := m.DialRetries.Value(); got != 2 {
-		t.Errorf("DialRetries = %d, want 2", got)
-	}
-	if got := m.EncounterErrors.Value(); got != 3 {
-		t.Errorf("EncounterErrors = %d, want 3 (one per attempt)", got)
 	}
 }
 

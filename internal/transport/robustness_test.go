@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -330,74 +329,4 @@ func TestNoGoroutineLeaksAfterAbuse(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Errorf("goroutines leaked: %d before, %d after close", before, runtime.NumGoroutine())
-}
-
-// TestEncounterRetryRecoversFromRefused: a peer that is not yet listening
-// refuses the dial; bounded retry-with-backoff rides out the gap and the
-// encounter completes once the server comes up.
-func TestEncounterRetryRecoversFromRefused(t *testing.T) {
-	// Reserve a port, then free it so the first dials are refused.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
-	a.CreateItem(item.Metadata{
-		Source: "addr:a", Destinations: []string{"addr:b"}, Kind: "message",
-	}, []byte("late"))
-	srvUp := make(chan *Server, 1)
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		srv := NewServer(replica.New(replica.Config{ID: "b", OwnAddresses: []string{"addr:b"}}), 0)
-		if _, err := srv.Listen(addr); err != nil {
-			t.Error(err)
-		}
-		srvUp <- srv
-	}()
-	b := replica.New(replica.Config{ID: "c", OwnAddresses: []string{"addr:c"}})
-	res, err := EncounterRetry(b, addr, 0, 2*time.Second, DialOptions{Retries: 20, Backoff: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("retry never reached the late server: %v", err)
-	}
-	_ = res
-	(<-srvUp).Close()
-}
-
-// TestEncounterRetryNotOnProtocolError: failures after the dial — here a
-// version mismatch — are permanent for this encounter and must not be
-// retried.
-func TestEncounterRetryNotOnProtocolError(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var mu sync.Mutex
-	accepts := 0
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			accepts++
-			mu.Unlock()
-			conn.Write(rawHello(helloMagic, 99, "zeta"))
-			io.Copy(io.Discard, conn) // hold the line until the dialer hangs up
-			conn.Close()
-		}
-	}()
-	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
-	if _, err := EncounterRetry(a, ln.Addr().String(), 0, time.Second, DialOptions{Retries: 5, Backoff: 10 * time.Millisecond}); err == nil {
-		t.Fatal("version mismatch should fail the encounter")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if accepts != 1 {
-		t.Errorf("protocol error was retried: %d connection attempts", accepts)
-	}
 }

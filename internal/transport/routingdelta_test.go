@@ -36,6 +36,7 @@ type sniffedFrame struct {
 type frameSniffer struct {
 	mu     sync.Mutex
 	frames []sniffedFrame
+	conns  []net.Conn // both ends of every proxied session, cut at cleanup
 }
 
 // sniff starts a proxy for upstream and returns the address to dial instead.
@@ -49,6 +50,12 @@ func sniff(t *testing.T, upstream string) (string, *frameSniffer) {
 	var wg sync.WaitGroup
 	t.Cleanup(func() {
 		ln.Close()
+		// The dialer parks its session idle, so the proxy must cut it.
+		s.mu.Lock()
+		for _, c := range s.conns {
+			c.Close()
+		}
+		s.mu.Unlock()
 		wg.Wait()
 	})
 	wg.Add(1)
@@ -64,6 +71,9 @@ func sniff(t *testing.T, upstream string) (string, *frameSniffer) {
 				down.Close()
 				continue
 			}
+			s.mu.Lock()
+			s.conns = append(s.conns, down, up)
+			s.mu.Unlock()
 			wg.Add(2)
 			go func() { defer wg.Done(); s.forward(up, down, true) }()
 			go func() { defer wg.Done(); s.forward(down, up, false) }()

@@ -2,12 +2,13 @@
 // connections, so the same replica code that powers the trace-driven
 // emulations also operates as an actual distributed system.
 //
-// One connection carries one encounter, mirroring the emulated protocol: a
-// hello exchange, then two synchronizations with alternating source/target
-// roles. Every message, the hello included, is a length-prefixed binary frame
-// (bodies in the internal/wire encoding), and the wire-byte cap is enforced
-// per frame on both sides. There is one protocol: a peer whose hello carries
-// a different version byte is refused.
+// One connection carries one session: a hello exchange, then encounters one
+// at a time, each the emulated protocol's two syncs with alternating roles and
+// transactional. Any error ends a session; dialers park clean ones in a small
+// idle cache. Every message, the hello included, is a length-prefixed binary
+// frame (bodies in the internal/wire encoding), and the wire-byte cap is
+// enforced per frame on both sides. There is one protocol: a peer whose hello
+// carries a different version byte is refused.
 package transport
 
 import (
@@ -48,9 +49,9 @@ const helloMagic = "RDTN"
 // side allocate more than this.
 const maxHelloFrame = int64(1 + len(helloMagic) + 1 + 2 + 256)
 
-// defaultIOTimeout bounds one connection's total I/O when the server does not
-// configure its own limit: a peer that stalls (slow-loris, dead link) is cut
-// off rather than pinning a handler goroutine.
+// defaultIOTimeout bounds each encounter and idle gap of a session when the
+// server sets no limit of its own, so a stalled peer (slow-loris, dead link)
+// cannot pin a handler goroutine. Dialers drop sessions idle for half of it.
 const defaultIOTimeout = 30 * time.Second
 
 // defaultMaxWireBytes bounds each frame read from or written to a connection
@@ -67,8 +68,8 @@ type Server struct {
 	// OnError, when set before Listen, observes per-connection protocol
 	// errors (primarily for logging and tests).
 	OnError func(error)
-	// IOTimeout bounds each connection's total I/O time; 0 selects the
-	// 30-second default. Set before Listen.
+	// IOTimeout bounds each encounter and each idle gap between a session's
+	// encounters; 0 selects the 30-second default. Set before Listen.
 	IOTimeout time.Duration
 	// MaxWireBytes bounds each frame of a connection; 0 selects the 64 MiB
 	// default. A peer exceeding it is rejected on the frame's length prefix
@@ -81,13 +82,14 @@ type Server struct {
 	mu       sync.Mutex
 	listener net.Listener
 	closed   bool
+	sessions map[net.Conn]bool // open sessions; true while idle between encounters
 	wg       sync.WaitGroup
 }
 
 // NewServer wraps a replica. maxItems bounds each served synchronization
 // batch (0 = unlimited).
 func NewServer(r *replica.Replica, maxItems int) *Server {
-	return &Server{replica: r, maxItems: maxItems}
+	return &Server{replica: r, maxItems: maxItems, sessions: map[net.Conn]bool{}}
 }
 
 // Listen starts accepting encounters on addr (e.g. "127.0.0.1:0") and returns
@@ -121,11 +123,17 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
+		if errors.Is(err, net.ErrClosed) {
+			return
+		} else if err != nil { // transient (EMFILE): back off as net/http does
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			time.Sleep(backoff)
+			continue
 		}
+		backoff = 0
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -278,14 +286,16 @@ func putFrame(f *frameBuf) {
 // readerPool recycles the connections' buffered readers.
 var readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
-// wireIO frames one encounter connection's messages, enforcing the
-// MaxWireBytes cap per frame and keeping the frame/byte accounting the
-// metrics hooks report. It holds no frame buffer between frames: each frame
-// takes one from framePools and gives it back when written or decoded.
+// wireIO frames one session's messages, enforcing the MaxWireBytes cap per
+// frame and keeping the per-encounter frame/byte accounting the metrics hooks
+// report. It holds no frame buffer between frames: each frame takes one from
+// framePools and gives it back when written or decoded.
 type wireIO struct {
 	conn  net.Conn
 	br    *bufio.Reader
-	limit int64 // the MaxWireBytes cap, applied to each frame
+	limit int64            // the MaxWireBytes cap, applied to each frame
+	peer  vclock.ReplicaID // from the peer's hello; "" until then
+	idle  time.Time        // when a dialer parked the session
 
 	bytesIn, bytesOut   int64
 	framesIn, framesOut int64
@@ -315,6 +325,12 @@ func (w *wireIO) release() {
 	w.br.Reset(nil)
 	readerPool.Put(w.br)
 	w.br = nil
+}
+
+// close ends a dialed session and releases w.
+func (w *wireIO) close() {
+	w.conn.Close() //lint:allow errdiscard -- teardown after the session's encounters committed or failed transactionally; a close error cannot un-apply them, and their own errors were already reported
+	w.release()
 }
 
 // beginFrame starts a frame of the given type in a pooled buffer with room
@@ -617,34 +633,60 @@ func clampItems(req *replica.SyncRequest, maxItems int) {
 	}
 }
 
-// serveConn handles one encounter from the accepting side. Batch application
-// is transactional: every frame is fully decoded before any replica call, so
-// a peer dying mid-batch — truncated frame, slow-loris hitting the deadline,
-// oversized input hitting the wire limit — leaves the replica's store and
-// knowledge exactly as they were.
-func (s *Server) serveConn(conn net.Conn) (err error) {
+// serveConn serves one session, an encounter per arriving frame, until one
+// fails or, quietly, the peer leaves, an idle gap times out or Close cuts it.
+func (s *Server) serveConn(conn net.Conn) error {
 	timeout := s.IOTimeout
 	if timeout <= 0 {
 		timeout = defaultIOTimeout
 	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
 	w := newWireIO(conn, s.MaxWireBytes)
-	defer w.release()
+	defer w.release() // the caller closes conn once it has reported the error
+	defer func() { s.mu.Lock(); delete(s.sessions, conn); s.mu.Unlock() }()
+	for first := true; s.track(conn, true, timeout); first = false {
+		w.bytesIn, w.bytesOut, w.framesIn, w.framesOut = 0, 0, 0, 0 // before the peek buffers bytes
+		if _, err := w.br.Peek(1); err != nil || !s.track(conn, false, timeout) {
+			return nil
+		}
+		if err := s.serveEncounter(w, first); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	span := obs.SyncSpan{Peer: conn.RemoteAddr().String(), Role: obs.RoleServe}
+// track marks a session idle or busy, sets its deadline; false once closing.
+func (s *Server) track(conn net.Conn, idle bool, timeout time.Duration) bool {
+	_ = conn.SetDeadline(time.Now().Add(timeout))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sessions[conn] = idle
+	return !s.closed
+}
+
+// serveEncounter serves one encounter, the first of a session opening with
+// the hellos. Application is transactional: every frame is fully decoded
+// before any replica call, so a peer dying mid-batch (truncated frame,
+// deadline, wire limit) leaves the replica's store and knowledge as they were.
+func (s *Server) serveEncounter(w *wireIO, first bool) (err error) {
+	span := obs.SyncSpan{Peer: string(w.peer), Role: obs.RoleServe}
 	if s.Metrics != nil {
 		start := time.Now()
 		span.Start = start.UnixNano()
 		defer func() { record(s.Metrics, span, w, start, err) }()
 	}
-
-	peer, err := w.readHello()
-	if err != nil {
-		return fmt.Errorf("transport: read hello: %w", err)
-	}
-	span.Peer = string(peer)
-	if err := w.writeHello(s.replica.ID()); err != nil {
-		return fmt.Errorf("transport: write hello: %w", err)
+	if first {
+		span.Peer = w.conn.RemoteAddr().String()
+		if w.peer, err = w.readHello(); err != nil {
+			return fmt.Errorf("transport: read hello: %w", err)
+		}
+		span.Peer = string(w.peer)
+		if err := w.writeHello(s.replica.ID()); err != nil {
+			return fmt.Errorf("transport: write hello: %w", err)
+		}
+		if s.Metrics != nil {
+			s.Metrics.SessionsOpened.Inc()
+		}
 	}
 
 	// Leg 1: we are the source; the dialer pulls from us.
@@ -655,7 +697,7 @@ func (s *Server) serveConn(conn net.Conn) (err error) {
 	span.ItemsSent = len(resp.Items)
 
 	// Leg 2: roles alternate; we pull from the dialer.
-	res, err := pullBatch(w, s.replica, peer, s.maxItems)
+	res, err := pullBatch(w, s.replica, w.peer, s.maxItems)
 	if err != nil {
 		return fmt.Errorf("transport: %w", err)
 	}
@@ -666,12 +708,17 @@ func (s *Server) serveConn(conn net.Conn) (err error) {
 	return nil
 }
 
-// Close stops accepting and waits for in-flight encounters.
+// Close stops accepting, cuts idle sessions and waits for encounters in flight.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	ln := s.listener
 	s.listener = nil
+	for conn, idle := range s.sessions {
+		if idle {
+			conn.Close() //lint:allow errdiscard -- an idle session holds no encounter; its handler sees the close and ends the session
+		}
+	}
 	s.mu.Unlock()
 	var err error
 	if ln != nil {
@@ -683,13 +730,6 @@ func (s *Server) Close() error {
 
 // DialOptions configures the dialing side of an encounter.
 type DialOptions struct {
-	// Retries is the number of additional dial attempts after a transient
-	// failure; 0 means a single attempt (no retry). Only EncounterRetry
-	// retries.
-	Retries int
-	// Backoff is the wait before the first retry, doubling per attempt;
-	// 0 selects 50ms.
-	Backoff time.Duration
 	// MaxWireBytes bounds each frame of the connection, mirroring
 	// Server.MaxWireBytes on the dialing side; 0 selects the 64 MiB default.
 	// A listener exceeding it fails the encounter on the frame's length
@@ -708,24 +748,26 @@ func Encounter(r *replica.Replica, addr string, maxItems int, timeout time.Durat
 }
 
 // EncounterOpts is Encounter with explicit dial options (wire-byte cap,
-// metrics sink). The Retries/Backoff fields are ignored here; use
-// EncounterRetry for transient-failure retries.
+// metrics sink); it reuses r's sound idle session to addr if there is one.
 func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.Duration, opts DialOptions) (out replica.EncounterResult, err error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		if opts.Metrics != nil {
-			opts.Metrics.EncounterErrors.Inc()
-			opts.Metrics.Spans.Record(obs.SyncSpan{
-				Start: time.Now().UnixNano(), Peer: addr, Role: obs.RoleDial,
-				Err: errClass(err),
-			})
+	key := sessionKey{string(r.ID()), addr, opts.MaxWireBytes}
+	w := takeSession(key)
+	if w == nil {
+		conn, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil {
+			if opts.Metrics != nil {
+				opts.Metrics.EncounterErrors.Inc()
+				opts.Metrics.Spans.Record(obs.SyncSpan{
+					Start: time.Now().UnixNano(), Peer: addr, Role: obs.RoleDial,
+					Err: errClass(err),
+				})
+			}
+			return out, fmt.Errorf("transport: dial %s: %w", addr, err)
 		}
-		return out, fmt.Errorf("transport: dial %s: %w", addr, err)
+		w = newWireIO(conn, opts.MaxWireBytes)
 	}
-	defer conn.Close() //lint:allow errdiscard -- teardown after the encounter committed or failed transactionally; the exchange's own errors are already returned to the caller
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	w := newWireIO(conn, opts.MaxWireBytes)
-	defer w.release()
+	defer func() { parkSession(key, w, err) }()
+	_ = w.conn.SetDeadline(time.Now().Add(timeout))
 
 	span := obs.SyncSpan{Peer: addr, Role: obs.RoleDial}
 	if opts.Metrics != nil {
@@ -734,17 +776,21 @@ func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.D
 		defer func() { record(opts.Metrics, span, w, start, err) }()
 	}
 
-	if err := w.writeHello(r.ID()); err != nil {
-		return out, fmt.Errorf("transport: write hello: %w", err)
+	if w.peer == "" {
+		if err := w.writeHello(r.ID()); err != nil {
+			return out, fmt.Errorf("transport: write hello: %w", err)
+		}
+		if w.peer, err = w.readHello(); err != nil {
+			return out, fmt.Errorf("transport: read hello: %w", err)
+		}
+		if opts.Metrics != nil {
+			opts.Metrics.SessionsOpened.Inc()
+		}
 	}
-	peer, err := w.readHello()
-	if err != nil {
-		return out, fmt.Errorf("transport: read hello: %w", err)
-	}
-	span.Peer = string(peer)
+	span.Peer = string(w.peer)
 
 	// Leg 1: we are the target and pull from the listener.
-	out.BtoA, err = pullBatch(w, r, peer, maxItems)
+	out.BtoA, err = pullBatch(w, r, w.peer, maxItems)
 	if err != nil {
 		return out, fmt.Errorf("transport: %w", err)
 	}
@@ -765,51 +811,65 @@ func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.D
 	return out, nil
 }
 
-// EncounterRetry performs a full encounter like Encounter, retrying with
-// exponential backoff when the dial itself fails transiently (refused, reset,
-// or timed out — a peer that is rebooting or not yet listening). Failures
-// after the connection is up are never retried: the protocol is transactional
-// per encounter, so a broken exchange applies nothing and the caller simply
-// schedules a fresh encounter later.
-//
-// timeout budgets the whole call — attempts and backoff sleeps together.
-// Later attempts run under whatever remains of the budget, and retrying stops
-// once a backoff sleep would exhaust it, so the call never blocks
-// meaningfully past timeout no matter how many retries are allowed.
-func EncounterRetry(r *replica.Replica, addr string, maxItems int, timeout time.Duration, opts DialOptions) (replica.EncounterResult, error) {
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	deadline := time.Now().Add(timeout)
-	remaining := timeout
-	for attempt := 0; ; attempt++ {
-		out, err := EncounterOpts(r, addr, maxItems, remaining, opts)
-		if err == nil || attempt >= opts.Retries || !transientDialError(err) {
-			return out, err
-		}
-		if remaining = time.Until(deadline); remaining <= backoff {
-			// The budget cannot cover the sleep, let alone another attempt.
-			return out, err
-		}
-		if opts.Metrics != nil {
-			opts.Metrics.DialRetries.Inc()
-		}
-		time.Sleep(backoff)
-		remaining = time.Until(deadline)
-		backoff *= 2
-	}
+const maxIdleSessions = 64 // caps the process-wide idle-session cache
+
+// sessionKey names a dialer's reusable sessions; limit is MaxWireBytes.
+type sessionKey struct {
+	self, addr string
+	limit      int64
 }
 
-// transientDialError reports whether err is a dial-phase failure worth
-// retrying. Anything past the dial — protocol errors, mid-exchange
-// disconnects — is permanent from this encounter's point of view.
-func transientDialError(err error) bool {
-	var op *net.OpError
-	if !errors.As(err, &op) || op.Op != "dial" {
-		return false
+var idleMu sync.Mutex
+var idleSessions = map[sessionKey]*wireIO{} // parked between encounters, one per key
+
+// takeSession checks out key's idle session if it is sound — idle under half
+// the default IOTimeout, open, nothing waiting — else closes it (DESIGN §14).
+func takeSession(key sessionKey) *wireIO {
+	idleMu.Lock()
+	w := idleSessions[key]
+	delete(idleSessions, key)
+	idleMu.Unlock()
+	if w == nil || time.Since(w.idle) <= defaultIOTimeout/2 && quiet(w.conn) {
+		return w
 	}
-	return op.Timeout() ||
-		errors.Is(op.Err, syscall.ECONNREFUSED) ||
-		errors.Is(op.Err, syscall.ECONNRESET)
+	w.close()
+	return nil
+}
+
+// quiet reports whether a non-blocking peek finds conn open, nothing waiting.
+func quiet(conn net.Conn) bool {
+	var perr error
+	rc, err := conn.(syscall.Conn).SyscallConn()
+	if err == nil {
+		err = rc.Read(func(fd uintptr) bool {
+			_, _, perr = syscall.Recvfrom(int(fd), make([]byte, 1), syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+			return true
+		})
+	}
+	return err == nil && perr == syscall.EAGAIN
+}
+
+// parkSession caches a clean session, evicting the key's older one or, at
+// the cap, the one idle longest; a failed or overfed one is closed.
+func parkSession(key sessionKey, w *wireIO, err error) {
+	if err != nil || w.br.Buffered() > 0 {
+		w.close()
+		return
+	}
+	w.idle, w.bytesIn, w.bytesOut, w.framesIn, w.framesOut = time.Now(), 0, 0, 0, 0
+	idleMu.Lock()
+	defer idleMu.Unlock()
+	evict := key
+	if idleSessions[key] == nil && len(idleSessions) >= maxIdleSessions {
+		for k, c := range idleSessions {
+			if evict == key || c.idle.Before(idleSessions[evict].idle) {
+				evict = k
+			}
+		}
+	}
+	if old := idleSessions[evict]; old != nil {
+		old.close()
+		delete(idleSessions, evict)
+	}
+	idleSessions[key] = w
 }
