@@ -13,7 +13,7 @@ COVER_FLOOR ?= 86.0
 ## enough to mutate past the seed corpus, short enough for every CI run.
 FUZZ_SMOKE_TIME ?= 10s
 
-.PHONY: check build vet lint loc test cover fuzz-smoke bench bench-sync bench-wal
+.PHONY: check build vet lint loc digests test cover fuzz-smoke bench bench-sync bench-wal
 
 ## check is the tier-1 verification gate: every PR must leave it green.
 check: build vet lint test
@@ -56,6 +56,17 @@ loc:
 	printf '%-24s %8d %8d\n' 'whole repo' $$(count . -not) $$(count .); \
 	for d in internal/*/ cmd/*/; do \
 		printf '%-24s %8d %8d\n' $${d%/} $$(count $$d -not) $$(count $$d); \
+	done
+
+## digests prints the SHA-256 of `dtnsim -experiment all` and of
+## `-experiment fault-sweep`, the before/after check that a change leaves every
+## emulated table byte-identical (a few seconds each). The outputs stay in bin/
+## for a diff when a digest moves.
+digests:
+	$(GO) build -o bin/dtnsim ./cmd/dtnsim
+	@for e in all fault-sweep; do \
+		./bin/dtnsim -experiment $$e > bin/dtnsim-$$e.txt || exit 1; \
+		echo "$$(sha256sum < bin/dtnsim-$$e.txt | cut -d' ' -f1)  -experiment $$e"; \
 	done
 
 ## test runs every package under the race detector, then again without it

@@ -379,30 +379,14 @@ func (r *runner) exec(ev *event, rec *eventRec) {
 		}
 		st.itemID = sent.ID
 	case evEncounter:
-		if r.plan != nil {
-			dec := r.plan.Encounter(ev.index)
-			if dec.Drop {
-				// The contact never happens: neither endpoint observes it, so
-				// clocks and recorders stay untouched.
-				rec.dropped = true
-				return
-			}
-			if dec.Cutoff >= 0 {
-				r.execEncounterLink(ev, rec, dec.Cutoff)
-				return
-			}
+		dec := r.plan.Encounter(ev.index)
+		if dec.Drop {
+			// The contact never happens: neither endpoint observes it, so
+			// clocks and recorders stay untouched.
+			rec.dropped = true
+			return
 		}
-		e := r.tr.Encounters[ev.index]
-		ea, eb := r.eps[e.A], r.eps[e.B]
-		ea.clk.t, eb.clk.t = ev.time, ev.time
-		ea.rec, eb.rec = rec, rec
-		er := replica.EncounterBudget(ea.ep.Replica(), eb.ep.Replica(), replica.Budget{
-			Items: r.cfg.MaxMessagesPerEncounter,
-			Bytes: r.cfg.MaxBytesPerEncounter,
-		})
-		rec.moved = er.AtoB.Sent + er.BtoA.Sent
-		rec.bytes = er.AtoB.SentBytes + er.BtoA.SentBytes
-		recordSyncOverhead(rec, er)
+		r.execEncounter(ev, rec, dec.Cutoff)
 	case evCrash:
 		c := r.crashes[ev.index]
 		es := r.eps[c.bus]
@@ -414,12 +398,12 @@ func (r *runner) exec(ev *event, rec *eventRec) {
 	}
 }
 
-// execEncounterLink runs one encounter over a link the fault plan will sever
-// after cutoff crossed items. The aborted leg's partial transfer is recorded
-// as wasted; the transactional discard in replica.EncounterLink guarantees the
-// target's knowledge and store are untouched, so a later encounter resumes the
-// exchange from scratch.
-func (r *runner) execEncounterLink(ev *event, rec *eventRec, cutoff int) {
+// execEncounter runs one encounter over a link the fault plan severs after
+// cutoff crossed items (negative: a reliable link). An aborted leg's partial
+// transfer is recorded as wasted; the transactional discard in
+// replica.EncounterLink guarantees the target's knowledge and store are
+// untouched, so a later encounter resumes the exchange from scratch.
+func (r *runner) execEncounter(ev *event, rec *eventRec, cutoff int) {
 	e := r.tr.Encounters[ev.index]
 	ea, eb := r.eps[e.A], r.eps[e.B]
 	ea.clk.t, eb.clk.t = ev.time, ev.time

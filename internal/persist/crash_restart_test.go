@@ -94,7 +94,7 @@ func TestCrashRestartMidRun(t *testing.T) {
 
 	// The relay picks up half the messages and crashes: the in-memory
 	// replica is abandoned, and only what the WAL fsynced survives.
-	res := replica.EncounterBudget(a, relay, replica.Budget{Items: n / 2})
+	res := replica.Encounter(a, relay, n/2)
 	if res.AtoB.Sent != n/2 {
 		t.Fatalf("relay picked up %d messages, want %d", res.AtoB.Sent, n/2)
 	}
@@ -103,7 +103,7 @@ func TestCrashRestartMidRun(t *testing.T) {
 	// Reboot from the log. The restored relay must identify as the same
 	// node with the same knowledge, so the remaining sync moves only the rest.
 	relay2 := reboot(t, fsys, relayCfg)
-	res = replica.EncounterBudget(a, relay2, replica.Budget{})
+	res = replica.Encounter(a, relay2, 0)
 	if res.AtoB.Sent != n-n/2 {
 		t.Errorf("post-restart pickup moved %d messages, want %d (knowledge lost?)", res.AtoB.Sent, n-n/2)
 	}
@@ -112,7 +112,7 @@ func TestCrashRestartMidRun(t *testing.T) {
 	}
 
 	// The restarted relay delivers everything to b exactly once.
-	replica.EncounterBudget(relay2, b, replica.Budget{})
+	replica.Encounter(relay2, b, 0)
 	if len(delivered) != n {
 		t.Fatalf("delivered %d distinct messages, want %d", len(delivered), n)
 	}
@@ -128,7 +128,7 @@ func TestCrashRestartMidRun(t *testing.T) {
 	// A second crash-restart after delivery changes nothing: repeat
 	// encounters move nothing and deliver nothing new.
 	relay3 := reboot(t, fsys, relayCfg)
-	res = replica.EncounterBudget(relay3, b, replica.Budget{})
+	res = replica.Encounter(relay3, b, 0)
 	if res.AtoB.Sent != 0 || res.BtoA.Sent != 0 {
 		t.Errorf("steady-state encounter moved items: %+v", res)
 	}
@@ -158,15 +158,15 @@ func TestCrashBeforeSaveLosesOnlyVolatileProgress(t *testing.T) {
 			Source: "addr:a", Destinations: []string{"addr:b"}, Kind: "message",
 		}, []byte(fmt.Sprintf("v-%d", i)))
 	}
-	replica.EncounterBudget(a, relay, replica.Budget{})
+	replica.Encounter(a, relay, 0)
 
 	// Crash with nothing on disk: the relay reboots empty.
 	relay = replica.New(relayCfg)
-	res := replica.EncounterBudget(a, relay, replica.Budget{})
+	res := replica.Encounter(a, relay, 0)
 	if res.AtoB.Sent != 3 {
 		t.Errorf("fresh relay re-pulled %d messages, want 3", res.AtoB.Sent)
 	}
-	replica.EncounterBudget(relay, b, replica.Budget{})
+	replica.Encounter(relay, b, 0)
 	if delivered != 3 || b.Stats().Duplicates != 0 {
 		t.Errorf("delivered %d (want 3), duplicates %d (want 0)", delivered, b.Stats().Duplicates)
 	}

@@ -1,8 +1,8 @@
 // Allocation budgets for the two sync entry points, measured over the
 // per-candidate functions they are built from (batch selection, request
-// assembly): counts, not clocks, so an allocation added on the paths they
-// exercise — a library call that starts allocating, an escape-analysis
-// change — fails `make test`.
+// assembly), and for the in-process encounter that carries them: counts, not
+// clocks, so an allocation added on the paths they exercise — a library call
+// that starts allocating, an escape-analysis change — fails `make test`.
 //
 // Excluded under -race: the race runtime instruments allocations and
 // inflates the counts.
@@ -13,6 +13,8 @@ package replica
 
 import (
 	"testing"
+
+	"replidtn/internal/routing/epidemic"
 )
 
 // TestSyncAllocBudget pins allocs/op for the two sync entry points.
@@ -60,5 +62,32 @@ func TestSelectorAllocatesOnce(t *testing.T) {
 	})
 	if allocs > 3 {
 		t.Errorf("HandleSyncRequest(maxItems=256) allocates %.1f/op over a 1000-entry store, budget 3", allocs)
+	}
+}
+
+// TestEncounterAllocBudget pins the in-process exchange around the two sync
+// entry points: a steady-state encounter (each side already knows everything
+// the other holds) over a reliable link and over a link cut at zero items
+// allocates only the two requests, two responses and two knowledge clone
+// headers — the carrier closures that run each leg stay on the stack.
+func TestEncounterAllocBudget(t *testing.T) {
+	src := newBenchSource(t, 1000)
+	dst := New(Config{ID: "tgt", OwnAddresses: []string{"addr:0"}, Policy: epidemic.New(64)})
+	Encounter(src, dst, 0)
+	for _, tc := range []struct {
+		name string
+		run  func() EncounterResult
+	}{
+		{"reliable", func() EncounterResult { return Encounter(src, dst, 0) }},
+		{"cut at zero", func() EncounterResult { return EncounterLink(src, dst, Budget{}, Link{Cutoff: 0}) }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if res := tc.run(); res.AtoB.Sent+res.BtoA.Sent != 0 || res.AtoB.Aborted || res.BtoA.Aborted {
+				t.Fatalf("%s: steady-state encounter moved items: %+v", tc.name, res)
+			}
+		})
+		if allocs > 6 {
+			t.Errorf("%s steady-state encounter allocates %.1f/op over a 1000-entry store, budget 6", tc.name, allocs)
+		}
 	}
 }

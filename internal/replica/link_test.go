@@ -27,21 +27,32 @@ func seedMessages(r *Replica, from string, n int) []*item.Item {
 	return items
 }
 
-// TestEncounterLinkReliableMatchesBudget proves the reliable link is the
-// exact fault-free path: same results, same stats, no abort accounting.
-func TestEncounterLinkReliableMatchesBudget(t *testing.T) {
+// pullBudget is one in-process sync under a full budget over a reliable
+// link.
+func pullBudget(source, target *Replica, budget Budget) SyncResult {
+	res, _ := target.Pull(source.ID(), budget, false, (&Link{Cutoff: -1}).carry(source))
+	return res
+}
+
+// TestEncounterLinkUncutMatchesReliable proves a link that outlasts the
+// encounter is the exact fault-free path: same results, same stats, no abort
+// accounting.
+func TestEncounterLinkUncutMatchesReliable(t *testing.T) {
 	a1, b1 := newLinkedPair(t)
 	a2, b2 := newLinkedPair(t)
 	seedMessages(a1, "addr:a", 5)
 	seedMessages(a2, "addr:a", 5)
 
-	ref := EncounterBudget(a1, b1, Budget{Items: 3})
-	got := EncounterLink(a2, b2, Budget{Items: 3}, ReliableLink())
+	ref := EncounterLink(a1, b1, Budget{Items: 3}, Link{Cutoff: -1})
+	got := EncounterLink(a2, b2, Budget{Items: 3}, Link{Cutoff: 3})
 	if ref != got {
-		t.Errorf("reliable link diverged from EncounterBudget:\nref %+v\ngot %+v", ref, got)
+		t.Errorf("uncut link diverged from the reliable one:\nref %+v\ngot %+v", ref, got)
+	}
+	if b2.Stats() != b1.Stats() || a2.Stats() != a1.Stats() {
+		t.Errorf("uncut link changed stats:\nref %+v %+v\ngot %+v %+v", a1.Stats(), b1.Stats(), a2.Stats(), b2.Stats())
 	}
 	if b2.Stats().SyncsAborted != 0 || a2.Stats().SyncsAborted != 0 {
-		t.Error("reliable link recorded aborts")
+		t.Error("uncut link recorded aborts")
 	}
 }
 
@@ -104,7 +115,7 @@ func TestResumeAfterAbortDeliversExactlyOnce(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("aborted syncs delivered %d messages", delivered)
 	}
-	res := EncounterLink(a, b2, Budget{}, ReliableLink())
+	res := EncounterLink(a, b2, Budget{}, Link{Cutoff: -1})
 	if res.AtoB.Aborted || res.AtoB.Sent != len(msgs) {
 		t.Fatalf("clean encounter after aborts: %+v", res.AtoB)
 	}
@@ -115,7 +126,7 @@ func TestResumeAfterAbortDeliversExactlyOnce(t *testing.T) {
 		t.Errorf("at-most-once violated: %d duplicates", b2.Stats().Duplicates)
 	}
 	// A further encounter moves nothing: everything is known.
-	res = EncounterLink(a, b2, Budget{}, ReliableLink())
+	res = EncounterLink(a, b2, Budget{}, Link{Cutoff: -1})
 	if res.AtoB.Sent != 0 || b2.Stats().Duplicates != 0 {
 		t.Errorf("steady state perturbed: %+v, %d duplicates", res.AtoB, b2.Stats().Duplicates)
 	}

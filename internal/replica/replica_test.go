@@ -401,7 +401,7 @@ func TestByteBudgetTruncation(t *testing.T) {
 	}
 	// Each item costs 100 payload + 96 overhead = 196 bytes; 400 bytes admit
 	// two items.
-	res := SyncBudget(a, b, Budget{Bytes: 400})
+	res := pullBudget(a, b, Budget{Bytes: 400})
 	if res.Sent != 2 || !res.Truncated {
 		t.Fatalf("sent %d items (truncated=%v), want 2 truncated", res.Sent, res.Truncated)
 	}
@@ -409,7 +409,7 @@ func TestByteBudgetTruncation(t *testing.T) {
 		t.Errorf("SentBytes = %d, want 392", res.SentBytes)
 	}
 	// Remaining items arrive on later syncs; nothing is lost.
-	SyncBudget(a, b, Budget{Bytes: 400})
+	pullBudget(a, b, Budget{Bytes: 400})
 	if _, live, _ := b.StoreLen(); live != 4 {
 		t.Errorf("b holds %d items, want 4", live)
 	}
@@ -421,7 +421,7 @@ func TestByteBudgetAlwaysAdmitsOneItem(t *testing.T) {
 	a.CreateItem(item.Metadata{
 		Source: "addr:a", Destinations: []string{"addr:b"}, Kind: "message",
 	}, make([]byte, 10000))
-	res := SyncBudget(a, b, Budget{Bytes: 16})
+	res := pullBudget(a, b, Budget{Bytes: 16})
 	if res.Sent != 1 {
 		t.Errorf("a huge message must still cross a tiny-budget contact, sent %d", res.Sent)
 	}
@@ -436,7 +436,7 @@ func TestEncounterSharedByteBudget(t *testing.T) {
 	b.CreateItem(item.Metadata{
 		Source: "addr:b", Destinations: []string{"addr:a"}, Kind: "message",
 	}, make([]byte, 100))
-	res := EncounterBudget(a, b, Budget{Bytes: 200})
+	res := EncounterLink(a, b, Budget{Bytes: 200}, Link{Cutoff: -1})
 	total := res.AtoB.SentBytes + res.BtoA.SentBytes
 	if total > 200 && res.BtoA.Sent > 0 {
 		t.Errorf("shared byte budget exceeded: %d bytes", total)

@@ -2,6 +2,7 @@ package replica_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -126,39 +127,31 @@ func (f *deltaFleet) carry(req *replica.SyncRequest, source int) *replica.SyncRe
 	return resp
 }
 
-// pull runs one directed sync, target from source, as transport.pullBatch
-// and serveBatch do, losing the request or the response when told to.
+// errLost is the test carrier's failure: the frame never arrived.
+var errLost = errors.New("frame lost")
+
+// pull runs one directed sync, target from source, through Replica.Pull over
+// a carrier that takes both frames through the codec, losing the request or
+// the batch when told to.
 func (f *deltaFleet) pull(target, source int, fault legFault) {
 	f.t.Helper()
-	tr, peer := f.nodes[target], f.nodes[source].ID()
-	var req *replica.SyncRequest
-	if tr.SummariesEnabled() {
-		req = tr.MakeSummaryRequest(peer, 0)
-	} else {
-		req = tr.MakeSyncRequest(0)
-	}
-	if fault == faultDropRequest {
-		return
-	}
-	resp := f.carry(req, source)
-	if resp.NeedKnowledge {
-		resp = f.carry(tr.MakeFallbackRequest(peer, 0, req.Routing), source)
-		if resp.NeedKnowledge {
-			f.t.Fatal("knowledge demanded twice")
+	_, err := f.nodes[target].Pull(f.nodes[source].ID(), replica.Budget{}, false, func(req *replica.SyncRequest) (*replica.SyncResponse, error) {
+		if fault == faultDropRequest {
+			return nil, errLost
 		}
+		resp := f.carry(req, source)
+		if fault == faultDropResponse && !resp.NeedKnowledge {
+			return nil, errLost
+		}
+		frame, err := wire.AppendSyncResponse(nil, resp)
+		if err != nil {
+			f.t.Fatalf("encode response: %v", err)
+		}
+		return wire.DecodeSyncResponse(frame)
+	})
+	if err != nil && !errors.Is(err, errLost) {
+		f.t.Fatalf("pull: %v", err)
 	}
-	if fault == faultDropResponse {
-		return
-	}
-	frame, err := wire.AppendSyncResponse(nil, resp)
-	if err != nil {
-		f.t.Fatalf("encode response: %v", err)
-	}
-	back, err := wire.DecodeSyncResponse(frame)
-	if err != nil {
-		f.t.Fatalf("decode response: %v", err)
-	}
-	tr.ApplyBatch(back)
 }
 
 func (f *deltaFleet) setAddresses(i int, addrs []string) {

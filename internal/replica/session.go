@@ -1,14 +1,17 @@
 package replica
 
+import (
+	"errors"
+
+	"replidtn/internal/vclock"
+)
+
 // Budget bounds one synchronization or encounter: a maximum item count
 // and/or a maximum payload volume (zero fields mean unlimited).
 type Budget struct {
 	Items int
 	Bytes int64
 }
-
-// unlimited reports whether the budget imposes no bound at all.
-func (b Budget) unlimited() bool { return b.Items <= 0 && b.Bytes <= 0 }
 
 // SyncResult summarizes one directed synchronization.
 type SyncResult struct {
@@ -30,63 +33,66 @@ type SyncResult struct {
 	Apply    ApplyStats
 }
 
-// makeRequest builds the sync request for one directed in-process sync,
-// choosing summary mode when the target has it enabled.
-func makeRequest(source, target *Replica, budget Budget, strictBytes bool) *SyncRequest {
-	var req *SyncRequest
-	if target.SummariesEnabled() {
-		req = target.MakeSummaryRequest(source.ID(), budget.Items)
-	} else {
-		req = target.MakeSyncRequest(budget.Items)
-	}
-	req.MaxBytes = budget.Bytes
-	req.StrictBytes = strictBytes
-	return req
-}
+// Carrier moves one sync request from the target to the source and brings
+// the source's response back: in process, over a link that may die, or over
+// a TCP session. On an error the response, when not nil, holds the batch
+// items that crossed before the carrier failed.
+type Carrier func(*SyncRequest) (*SyncResponse, error)
 
-// fallbackRequest builds the exact-knowledge retry after a NeedKnowledge
-// response, reusing the first round's routing state and budgets.
-func fallbackRequest(source, target *Replica, first *SyncRequest) *SyncRequest {
-	req := target.MakeFallbackRequest(source.ID(), first.MaxItems, first.Routing)
-	req.MaxBytes = first.MaxBytes
-	req.StrictBytes = first.StrictBytes
-	return req
+// ErrStrayDemand refuses a NeedKnowledge response to a request that carried
+// no knowledge delta: an exact frame is always servable, so only a delta may
+// be answered with a demand, and only once per sync.
+var ErrStrayDemand = errors.New("knowledge demand for a request without a delta")
+
+// Pull runs one directed synchronization in which r, the target, pulls from
+// source over carry: it sends its knowledge and filter (a summary when
+// summaries are on), retries once with exact knowledge if the source demands
+// it, and applies the batch. budget bounds the batch; strictBytes makes its
+// byte bound a hard cap. Pull is the only code that builds a target request.
+//
+// Pull is transactional: on a carrier error or a stray demand it applies
+// nothing, counts the sync as aborted, and reports the items that crossed
+// before the failure as wasted transfer.
+func (r *Replica) Pull(source vclock.ReplicaID, budget Budget, strictBytes bool, carry Carrier) (res SyncResult, err error) {
+	var req *SyncRequest
+	if r.SummariesEnabled() {
+		req = r.MakeSummaryRequest(source, budget.Items)
+	} else {
+		req = r.MakeSyncRequest(budget.Items)
+	}
+	req.MaxBytes, req.StrictBytes = budget.Bytes, strictBytes
+	res.KnowledgeBytes = req.KnowledgeWireBytes()
+	resp, err := carry(req)
+	if err == nil && resp.NeedKnowledge && req.Delta != nil {
+		// The source could not resolve the delta; the exact retry reuses the
+		// first round's routing state and budgets.
+		res.Fallback = true
+		req = r.MakeFallbackRequest(source, budget.Items, req.Routing)
+		req.MaxBytes, req.StrictBytes = budget.Bytes, strictBytes
+		res.KnowledgeBytes += req.KnowledgeWireBytes()
+		resp, err = carry(req)
+	}
+	if err == nil && resp.NeedKnowledge {
+		resp, err = nil, ErrStrayDemand
+	}
+	if resp != nil {
+		res.Sent, res.SentBytes, res.Truncated = len(resp.Items), BatchBytes(resp), resp.Truncated
+	}
+	if err != nil {
+		r.AbortSync()
+		res.Aborted = true
+		return res, err
+	}
+	res.Apply = r.ApplyBatch(resp)
+	return res, nil
 }
 
 // Sync performs one in-process synchronization in which target pulls from
 // source: the target issues a request, the source assembles the batch, and
 // the target applies it. maxItems bounds the batch (0 = unlimited).
 func Sync(source, target *Replica, maxItems int) SyncResult {
-	return SyncBudget(source, target, Budget{Items: maxItems})
-}
-
-// SyncBudget is Sync with a full bandwidth budget (items and/or bytes).
-func SyncBudget(source, target *Replica, budget Budget) SyncResult {
-	return syncBudget(source, target, budget, false)
-}
-
-func syncBudget(source, target *Replica, budget Budget, strictBytes bool) SyncResult {
-	req := makeRequest(source, target, budget, strictBytes)
-	kbytes := req.KnowledgeWireBytes()
-	resp := source.HandleSyncRequest(req)
-	fallback := false
-	if resp.NeedKnowledge {
-		// The source could not serve the summary exactly; retry once with
-		// exact knowledge. The retry cannot be refused.
-		fallback = true
-		req = fallbackRequest(source, target, req)
-		kbytes += req.KnowledgeWireBytes()
-		resp = source.HandleSyncRequest(req)
-	}
-	apply := target.ApplyBatch(resp)
-	return SyncResult{
-		Sent:           len(resp.Items),
-		SentBytes:      BatchBytes(resp),
-		Truncated:      resp.Truncated,
-		KnowledgeBytes: kbytes,
-		Fallback:       fallback,
-		Apply:          apply,
-	}
+	res, _ := target.Pull(source.ID(), Budget{Items: maxItems}, false, (&Link{Cutoff: -1}).carry(source))
+	return res
 }
 
 // EncounterResult summarizes one encounter (two syncs with alternating
@@ -101,25 +107,7 @@ type EncounterResult struct {
 // maxItems, when positive, is a shared per-encounter transfer budget: items
 // sent in the first sync count against what the second may send.
 func Encounter(a, b *Replica, maxItems int) EncounterResult {
-	return EncounterBudget(a, b, Budget{Items: maxItems})
-}
-
-// EncounterBudget is Encounter with a full bandwidth budget shared across
-// both syncs: items and bytes consumed by the first leg reduce what the
-// second may use.
-func EncounterBudget(a, b *Replica, budget Budget) EncounterResult {
-	var res EncounterResult
-	res.AtoB = SyncBudget(a, b, budget)
-	if budget.unlimited() {
-		res.BtoA = SyncBudget(b, a, budget)
-		return res
-	}
-	second, strict, ok := secondLeg(budget, res.AtoB)
-	if !ok {
-		return res
-	}
-	res.BtoA = syncBudget(b, a, second, strict)
-	return res
+	return EncounterLink(a, b, Budget{Items: maxItems}, Link{Cutoff: -1})
 }
 
 // secondLeg derives the second synchronization's budget from the encounter
@@ -148,87 +136,47 @@ func secondLeg(budget Budget, first SyncResult) (second Budget, strict, ok bool)
 // Link models the radio contact an encounter runs over. A non-negative
 // Cutoff is a disrupted link: it delivers at most that many batch items
 // (across both synchronization legs) before dying. A negative Cutoff is a
-// reliable link — EncounterLink over a reliable link is exactly
-// EncounterBudget.
+// reliable link.
 type Link struct {
 	Cutoff int
 }
 
-// ReliableLink returns a link that never fails.
-func ReliableLink() Link { return Link{Cutoff: -1} }
+// errLinkCut is the in-process carrier's failure: the link died mid-batch.
+var errLinkCut = errors.New("link cut mid-batch")
 
-// EncounterLink is EncounterBudget over a possibly-disrupted link. When the
-// link dies mid-batch the interrupted synchronization aborts transactionally:
-// the target discards the partial batch without applying any of it, leaving
-// its knowledge untouched, so the next encounter re-offers exactly the
-// versions this one failed to deliver and at-most-once delivery is
-// preserved. The remainder of the encounter (including the second leg) is
-// skipped — the link is gone.
-func EncounterLink(a, b *Replica, budget Budget, link Link) EncounterResult {
-	if link.Cutoff < 0 {
-		return EncounterBudget(a, b, budget)
+// carry returns the in-process carrier to source over l. Each batch that
+// crosses spends l's item allowance; a batch larger than what is left dies
+// after the allowance, and only those items are handed back, with the error.
+// A knowledge demand carries no items, so it costs the link nothing.
+func (l *Link) carry(source *Replica) Carrier {
+	return func(req *SyncRequest) (*SyncResponse, error) {
+		resp := source.HandleSyncRequest(req)
+		if l.Cutoff < 0 {
+			return resp, nil
+		}
+		if len(resp.Items) > l.Cutoff {
+			return &SyncResponse{Items: resp.Items[:l.Cutoff], Truncated: true}, errLinkCut
+		}
+		l.Cutoff -= len(resp.Items)
+		return resp, nil
 	}
-	var res EncounterResult
-	var ok bool
-	res.AtoB, ok = syncLink(a, b, budget, false, &link)
-	if !ok {
-		return res
-	}
-	if budget.unlimited() {
-		res.BtoA, _ = syncLink(b, a, budget, false, &link)
-		return res
-	}
-	second, strict, open := secondLeg(budget, res.AtoB)
-	if !open {
-		return res
-	}
-	res.BtoA, _ = syncLink(b, a, second, strict, &link)
-	return res
 }
 
-// syncLink performs one directed synchronization over a disrupted link,
-// consuming the link's remaining item allowance. ok is false when the link
-// died mid-batch: the sync was aborted and nothing was applied.
-func syncLink(source, target *Replica, budget Budget, strictBytes bool, link *Link) (SyncResult, bool) {
-	req := makeRequest(source, target, budget, strictBytes)
-	kbytes := req.KnowledgeWireBytes()
-	resp := source.HandleSyncRequest(req)
-	fallback := false
-	if resp.NeedKnowledge {
-		// The fallback round exchanges knowledge frames only — no batch
-		// items cross — so it does not consume the link's item allowance.
-		fallback = true
-		req = fallbackRequest(source, target, req)
-		kbytes += req.KnowledgeWireBytes()
-		resp = source.HandleSyncRequest(req)
+// EncounterLink runs an encounter under a bandwidth budget shared across
+// both syncs (what the first leg consumes, the second may not use) over a
+// possibly-disrupted link. When the link dies mid-batch the interrupted
+// synchronization aborts transactionally: the target discards the partial
+// batch without applying any of it, leaving its knowledge untouched, so the
+// next encounter re-offers exactly the versions this one failed to deliver
+// and at-most-once delivery is preserved. The remainder of the encounter
+// (including the second leg) is skipped — the link is gone.
+func EncounterLink(a, b *Replica, budget Budget, link Link) (res EncounterResult) {
+	var err error
+	if res.AtoB, err = b.Pull(a.ID(), budget, false, link.carry(a)); err != nil {
+		return res
 	}
-	if len(resp.Items) > link.Cutoff {
-		// The link died after link.Cutoff items had crossed. The target never
-		// received a complete batch, so it applies nothing: a partial apply
-		// would fold partial knowledge and break resume-correctness.
-		crossed := resp.Items[:link.Cutoff]
-		target.AbortSync()
-		var wasted int64
-		for i := range crossed {
-			wasted += itemWireBytes(crossed[i].Item)
-		}
-		return SyncResult{
-			Sent:           len(crossed),
-			SentBytes:      wasted,
-			Truncated:      true,
-			Aborted:        true,
-			KnowledgeBytes: kbytes,
-			Fallback:       fallback,
-		}, false
+	if second, strict, ok := secondLeg(budget, res.AtoB); ok {
+		res.BtoA, _ = a.Pull(b.ID(), second, strict, link.carry(b))
 	}
-	link.Cutoff -= len(resp.Items)
-	apply := target.ApplyBatch(resp)
-	return SyncResult{
-		Sent:           len(resp.Items),
-		SentBytes:      BatchBytes(resp),
-		Truncated:      resp.Truncated,
-		KnowledgeBytes: kbytes,
-		Fallback:       fallback,
-		Apply:          apply,
-	}, true
+	return res
 }

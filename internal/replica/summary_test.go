@@ -159,14 +159,14 @@ func TestQuickSummarySyncDeliversExactly(t *testing.T) {
 		run := func(summaries bool) (r1, r2 SyncResult, src, tgt *Replica) {
 			src, tgt, _ = buildScenario(sc, summaries)
 			budget := Budget{Items: sc.maxItems, Bytes: sc.maxBytes}
-			r1 = SyncBudget(src, tgt, budget)
+			r1 = pullBudget(src, tgt, budget)
 			src.CreateItem(item.Metadata{
 				Source: "addr:src", Destinations: []string{"addr:0"}, Kind: "message",
 			}, []byte("late"))
 			if restart {
 				restartInPlace(t, src)
 			}
-			r2 = SyncBudget(src, tgt, budget)
+			r2 = pullBudget(src, tgt, budget)
 			return r1, r2, src, tgt
 		}
 		p1, p2, psrc, ptgt := run(false)

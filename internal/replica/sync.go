@@ -333,10 +333,10 @@ func transmitTransient(e *store.Entry, policySet item.Transient) item.Transient 
 // failure points — every item's knowledge fold and store mutation happen
 // together, and the optional wholesale knowledge merge runs only after every
 // item has been stored — so a caller-visible batch is always applied in full.
-// Callers that receive batches over an unreliable medium (the TCP transport,
-// the fault-injecting emulator) discard interrupted transfers before this
-// point (see AbortSync and EncounterLink): a partial batch must never reach
-// ApplyBatch, because folding a prefix of the batch's versions into knowledge
+// Pull, which hands every pulled batch to ApplyBatch, discards a transfer its
+// carrier reports interrupted (a TCP session, a link the fault-injecting
+// emulator cuts) before this point (see AbortSync): a partial batch must
+// never reach ApplyBatch, because folding a prefix of the batch's versions into knowledge
 // would permanently suppress re-transmission of the lost suffix. Durability
 // composes the same way: internal/persist snapshots are taken between syncs,
 // so a crash never persists a half-applied batch, and a batch replayed after

@@ -490,3 +490,78 @@ func TestForgedTransientRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestStrayKnowledgeDemandRefused: a listener may answer a request carrying a
+// knowledge delta with one demand for exact knowledge, and nothing else. A
+// demand answering an exact frame — the fallback retry, or the first request
+// of a summaries-off dialer — is refused as a validation error before any
+// further round: the dialer applies nothing and counts the sync as aborted.
+func TestStrayKnowledgeDemandRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		summaries bool // the dialer's first request carries a delta
+		fallbacks int  // exact retries the dialer sends
+	}{
+		{"second demand", true, 1},
+		{"demand for an exact frame", false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				w := newWireIO(conn, 0)
+				if _, err := w.readHello(); err != nil {
+					return
+				}
+				if err := w.writeHello("evil"); err != nil {
+					return
+				}
+				// Demand knowledge in answer to every request, twice at
+				// most, until the dialer hangs up.
+				for range 2 {
+					if _, err := w.readRequest(); err != nil {
+						return
+					}
+					if err := w.writeResponse(&replica.SyncResponse{SourceID: "evil", NeedKnowledge: true}); err != nil {
+						return
+					}
+				}
+			}()
+			a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}, SyncSummaries: tc.summaries})
+			if tc.summaries {
+				// A frontier for the listener makes the next request a delta.
+				a.MakeSummaryRequest("evil", 0)
+			}
+			before := a.Knowledge()
+			m := &obs.TransportMetrics{}
+			_, err = EncounterOpts(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{Metrics: m})
+			if errClass(err) != "validation" {
+				t.Errorf("dialer returned %v, want a validation error", err)
+			}
+			<-served
+			st := a.Stats()
+			if st.SyncsAborted != 1 {
+				t.Errorf("SyncsAborted = %d, want 1", st.SyncsAborted)
+			}
+			if st.SummaryFallbacks != tc.fallbacks {
+				t.Errorf("SummaryFallbacks = %d, want %d", st.SummaryFallbacks, tc.fallbacks)
+			}
+			if !a.Knowledge().Equal(before) {
+				t.Errorf("refused demand perturbed knowledge: %s", a.Knowledge())
+			}
+			if got := m.ValidationRejected.Value(); got != 1 {
+				t.Errorf("ValidationRejected = %d, want 1", got)
+			}
+		})
+	}
+}

@@ -21,10 +21,11 @@ import (
 // encounter schedule twice — once through the in-process sync engine and
 // once over real TCP loopback connections — and checks that deliveries,
 // duplicates, and store contents come out identical. This pins the wire
-// protocol to the reference semantics, down to the batch bytes each leg of
-// each encounter reports. A third replay, over TCP with summary request
-// modes on, pins the delta frames — knowledge and routing state both — to
-// the same outcome.
+// protocol to the reference semantics, down to everything the dialer's pull
+// reports (batch, knowledge-frame bytes, apply stats) and the batch bytes of
+// the reverse leg. Two more replays with summary request modes on, in
+// process and over TCP, pin the delta frames — knowledge and routing state
+// both — to the same outcome and to each other, leg by leg.
 func TestTraceDrivenOverTCPMatchesInProcess(t *testing.T) {
 	dn := trace.DefaultDieselNet()
 	dn.Days = 2
@@ -44,9 +45,10 @@ func TestTraceDrivenOverTCPMatchesInProcess(t *testing.T) {
 			tcp, tcpLegs := runSchedule(t, buses, encounters, policyName, true, false)
 			compareSchedules(t, buses, local, tcp)
 			compareLegs(t, localLegs, tcpLegs)
+			_, localSummarizedLegs := runSchedule(t, buses, encounters, policyName, false, true)
 			summarized, summarizedLegs := runSchedule(t, buses, encounters, policyName, true, true)
 			compareSchedules(t, buses, local, summarized)
-			compareLegs(t, localLegs, summarizedLegs)
+			compareLegs(t, localSummarizedLegs, summarizedLegs)
 			deltas := 0
 			for _, bus := range buses {
 				deltas += summarized[bus].Stats().KnowledgeDeltas
@@ -85,19 +87,21 @@ func compareSchedules(t *testing.T, buses []string, local, networked map[string]
 	}
 }
 
-// leg is one directed sync's reported transfer.
-type leg struct {
+// legs is what one encounter reports: the whole result of the A→B leg, which
+// the TCP dialer pulls, and the batch the B→A leg moved.
+type legs struct {
+	pulled    replica.SyncResult
 	sent      int
 	sentBytes int64
 }
 
-// compareLegs checks that every leg of every encounter reported the same
-// transfer in two replays of one schedule.
-func compareLegs(t *testing.T, local, networked [][2]leg) {
+// compareLegs checks that every encounter reported the same legs in two
+// replays of one schedule.
+func compareLegs(t *testing.T, local, networked []legs) {
 	t.Helper()
 	for i := range local {
 		if local[i] != networked[i] {
-			t.Errorf("encounter %d: legs (sent, bytes) %v locally vs %v over TCP", i, local[i], networked[i])
+			t.Errorf("encounter %d: legs %+v locally vs %+v over TCP", i, local[i], networked[i])
 			return
 		}
 	}
@@ -105,8 +109,8 @@ func compareLegs(t *testing.T, local, networked [][2]leg) {
 
 // runSchedule replays the encounter schedule with each bus sending one
 // message to the next bus, either in-process or over TCP. Besides the final
-// replicas it returns each encounter's two legs, A→B first.
-func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, policyName string, overTCP, summaries bool) (map[string]*replica.Replica, [][2]leg) {
+// replicas it returns each encounter's legs.
+func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, policyName string, overTCP, summaries bool) (map[string]*replica.Replica, []legs) {
 	t.Helper()
 	var now int64
 	clock := func() int64 { return now }
@@ -159,7 +163,7 @@ func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, pol
 			Kind:         "message",
 		}, []byte(fmt.Sprintf("m-%s", bus)))
 	}
-	legs := make([][2]leg, 0, len(encounters))
+	reported := make([]legs, 0, len(encounters))
 	for _, e := range encounters {
 		now = e.Time
 		var aToB, bToA replica.SyncResult
@@ -174,7 +178,7 @@ func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, pol
 			res := replica.Encounter(nodes[e.A], nodes[e.B], 0)
 			aToB, bToA = res.AtoB, res.BtoA
 		}
-		legs = append(legs, [2]leg{{aToB.Sent, aToB.SentBytes}, {bToA.Sent, bToA.SentBytes}})
+		reported = append(reported, legs{aToB, bToA.Sent, bToA.SentBytes})
 	}
-	return nodes, legs
+	return nodes, reported
 }

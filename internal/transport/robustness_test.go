@@ -191,8 +191,12 @@ func TestTruncatedBatchAppliesNothing(t *testing.T) {
 
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
 	knowBefore := a.Knowledge()
-	if _, err := Encounter(a, ln.Addr().String(), 0, 2*time.Second); err == nil {
+	res, err := Encounter(a, ln.Addr().String(), 0, 2*time.Second)
+	if err == nil {
 		t.Fatal("truncated batch should fail the encounter")
+	}
+	if !res.BtoA.Aborted {
+		t.Errorf("truncated pull not reported as aborted: %+v", res.BtoA)
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("fake peer: %v", err)

@@ -4,11 +4,14 @@
 //
 // One connection carries one session: a hello exchange, then encounters one
 // at a time, each the emulated protocol's two syncs with alternating roles and
-// transactional. Any error ends a session; dialers park clean ones in a small
-// idle cache. Every message, the hello included, is a length-prefixed binary
-// frame (bodies in the internal/wire encoding), and the wire-byte cap is
-// enforced per frame on both sides. There is one protocol: a peer whose hello
-// carries a different version byte is refused.
+// transactional. The target side of a sync is replica.Pull, the same code the
+// emulator runs, with the session as its carrier (one request frame out, one
+// response frame back); the source side is serveBatch. Any error ends a
+// session; dialers park clean ones in a small idle cache. Every message, the
+// hello included, is a length-prefixed binary frame (bodies in the
+// internal/wire encoding), and the wire-byte cap is enforced per frame on both
+// sides. There is one protocol: a peer whose hello carries a different version
+// byte is refused.
 package transport
 
 import (
@@ -495,6 +498,19 @@ func (w *wireIO) readDone() error {
 	return err
 }
 
+// carry is the session's replica.Carrier: one request frame out, one
+// response frame back.
+func (w *wireIO) carry(req *replica.SyncRequest) (*replica.SyncResponse, error) {
+	if err := w.writeRequest(req); err != nil {
+		return nil, fmt.Errorf("write sync request: %w", err)
+	}
+	resp, err := w.readResponse()
+	if err != nil {
+		return nil, fmt.Errorf("read sync response: %w", err)
+	}
+	return resp, nil
+}
+
 // errClass buckets an encounter error for spans and counters: "" (success),
 // timeout, refused, reset, truncated, validation, protocol, or io.
 func errClass(err error) string {
@@ -502,7 +518,7 @@ func errClass(err error) string {
 		return ""
 	}
 	var ve *validationError
-	if errors.As(err, &ve) {
+	if errors.As(err, &ve) || errors.Is(err, replica.ErrStrayDemand) {
 		return "validation"
 	}
 	if errors.Is(err, errVersionMismatch) {
@@ -580,52 +596,6 @@ func serveBatch(w *wireIO, r *replica.Replica, maxItems int) (*replica.SyncRespo
 	return resp, nil
 }
 
-// pullBatch runs one directed synchronization as the target side: send our
-// request (a summary when the replica has summaries enabled, exact knowledge
-// otherwise), retry once with exact knowledge if the source refuses the
-// delta, and apply the batch. A response that dies in transit after its
-// request was written counts as an aborted sync, as a cut in-process batch
-// does. The returned SyncResult carries knowledge-frame byte accounting like
-// the in-process session drivers'.
-func pullBatch(w *wireIO, r *replica.Replica, peer vclock.ReplicaID, maxItems int) (res replica.SyncResult, err error) {
-	var req *replica.SyncRequest
-	if r.SummariesEnabled() {
-		req = r.MakeSummaryRequest(peer, maxItems)
-	} else {
-		req = r.MakeSyncRequest(maxItems)
-	}
-	res.KnowledgeBytes = req.KnowledgeWireBytes()
-	if err := w.writeRequest(req); err != nil {
-		return res, fmt.Errorf("write sync request: %w", err)
-	}
-	resp, err := w.readResponse()
-	if err != nil {
-		r.AbortSync()
-		return res, fmt.Errorf("read sync response: %w", err)
-	}
-	if resp.NeedKnowledge {
-		res.Fallback = true
-		retry := r.MakeFallbackRequest(peer, maxItems, req.Routing)
-		res.KnowledgeBytes += retry.KnowledgeWireBytes()
-		if err := w.writeRequest(retry); err != nil {
-			return res, fmt.Errorf("write fallback request: %w", err)
-		}
-		if resp, err = w.readResponse(); err != nil {
-			r.AbortSync()
-			return res, fmt.Errorf("read fallback response: %w", err)
-		}
-		if resp.NeedKnowledge {
-			// An exact frame is always servable; a second demand is hostile.
-			return res, &validationError{errors.New("peer demanded knowledge twice")}
-		}
-	}
-	res.Sent = len(resp.Items)
-	res.SentBytes = replica.BatchBytes(resp)
-	res.Truncated = resp.Truncated
-	res.Apply = r.ApplyBatch(resp)
-	return res, nil
-}
-
 // clampItems applies the local per-batch bound to a decoded request.
 func clampItems(req *replica.SyncRequest, maxItems int) {
 	if maxItems > 0 && (req.MaxItems == 0 || req.MaxItems > maxItems) {
@@ -697,7 +667,7 @@ func (s *Server) serveEncounter(w *wireIO, first bool) (err error) {
 	span.ItemsSent = len(resp.Items)
 
 	// Leg 2: roles alternate; we pull from the dialer.
-	res, err := pullBatch(w, s.replica, w.peer, s.maxItems)
+	res, err := s.replica.Pull(w.peer, replica.Budget{Items: s.maxItems}, false, w.carry)
 	if err != nil {
 		return fmt.Errorf("transport: %w", err)
 	}
@@ -790,7 +760,7 @@ func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.D
 	span.Peer = string(w.peer)
 
 	// Leg 1: we are the target and pull from the listener.
-	out.BtoA, err = pullBatch(w, r, w.peer, maxItems)
+	out.BtoA, err = r.Pull(w.peer, replica.Budget{Items: maxItems}, false, w.carry)
 	if err != nil {
 		return out, fmt.Errorf("transport: %w", err)
 	}
