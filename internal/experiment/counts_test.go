@@ -1,0 +1,55 @@
+package experiment
+
+import (
+	"testing"
+
+	"replidtn/internal/emu"
+	"replidtn/internal/obs"
+)
+
+// TestServeCounts pins what the figures' serve walks cost, as exact counts
+// read through WithObs on the small trace dtnsim -small runs: the store
+// entries the walks examined, the candidates they offered, and the items
+// sent. The emulator is deterministic, so the counts repeat bit for bit, and
+// a change to the serve path states which one it moves and by how much. The
+// offered and sent counts are the figures' own — a change that moves them
+// moves a table. Each figure's counts sum over all of its runs; Fig. 5 and
+// Fig. 6 are one sweep.
+func TestServeCounts(t *testing.T) {
+	tr, err := SmallTrace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := emu.DefaultParams()
+	policySweep := func(maxPerContact, relayCapacity int) func(...Option) error {
+		return func(opts ...Option) error {
+			_, err := RunPolicySweep(tr, params, maxPerContact, relayCapacity, opts...)
+			return err
+		}
+	}
+	for _, fig := range []struct {
+		name                           string
+		run                            func(...Option) error
+		syncs, examined, offered, sent int64
+	}{
+		{"fig5/6", func(opts ...Option) error {
+			_, err := RunFilterSweep(tr, nil, opts...)
+			return err
+		}, 24728, 185165, 3071, 3071},
+		{"fig7a", policySweep(0, 0), 11240, 53293, 2387, 2387},
+		{"fig9", policySweep(1, 0), 10380, 60149, 15295, 1787},
+		{"fig10", policySweep(0, 2), 11240, 25123, 1718, 1718},
+	} {
+		nm := &obs.NodeMetrics{}
+		if err := fig.run(WithObs(nm)); err != nil {
+			t.Fatalf("%s: %v", fig.name, err)
+		}
+		got := nm.Replica.Snapshot()
+		if got.SyncsServed != fig.syncs || got.EntriesExamined != fig.examined ||
+			got.CandidatesOffered != fig.offered || got.ItemsSent != fig.sent {
+			t.Errorf("%s: %d syncs examined %d entries, offered %d and sent %d; want %d, %d, %d and %d",
+				fig.name, got.SyncsServed, got.EntriesExamined, got.CandidatesOffered, got.ItemsSent,
+				fig.syncs, fig.examined, fig.offered, fig.sent)
+		}
+	}
+}

@@ -34,3 +34,31 @@ func TestAddressesMatchAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestAddressesEachAllocs pins Addresses.Each — the serve walk's iteration
+// over a target's addresses — at zero allocations, on both sides of
+// fewAddrs and at 17, the widest filter of Fig. 5, and checks it visits
+// every address once.
+func TestAddressesEachAllocs(t *testing.T) {
+	for _, n := range []int{1, fewAddrs, 17} {
+		f := NewAddresses()
+		for i := 0; i < n; i++ {
+			f.Add(fmt.Sprintf("user:%d", i))
+		}
+		seen := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			seen = 0
+			f.Each(func(a string) {
+				if f.Contains(a) {
+					seen++
+				}
+			})
+		})
+		if seen != n {
+			t.Errorf("%d addresses: Each visited %d", n, seen)
+		}
+		if allocs > 0 {
+			t.Errorf("%d addresses: Each allocates %.1f/op, budget 0", n, allocs)
+		}
+	}
+}

@@ -63,9 +63,10 @@ func (None) String() string { return "none" }
 // addresses to enlist the host as a forwarder for them.
 type Addresses struct {
 	addrs map[string]struct{}
-	// few lists the same addresses while there are at most fewAddrs of them
-	// (nil beyond), for Contains to compare against instead of hashing.
-	few []string
+	// list holds the same addresses in the order they were added: Contains
+	// compares against it, instead of hashing, while there are at most
+	// fewAddrs, and Each walks it.
+	list []string
 }
 
 // fewAddrs is the set size up to which Contains — and so Match, per
@@ -118,12 +119,20 @@ func (f *Addresses) Contains(addr string) bool {
 		_, ok := f.addrs[addr]
 		return ok
 	}
-	for _, a := range f.few {
+	for _, a := range f.list {
 		if a == addr {
 			return true
 		}
 	}
 	return false
+}
+
+// Each calls fn for every address in the filter, in the order they were
+// added.
+func (f *Addresses) Each(fn func(string)) {
+	for _, a := range f.list {
+		fn(a)
+	}
 }
 
 // Add inserts an address into the filter.
@@ -135,19 +144,12 @@ func (f *Addresses) Add(addr string) {
 		f.addrs = make(map[string]struct{})
 	}
 	f.addrs[addr] = struct{}{}
-	if len(f.addrs) <= fewAddrs {
-		f.few = append(f.few, addr)
-	} else {
-		f.few = nil
-	}
+	f.list = append(f.list, addr)
 }
 
 // List returns the addresses in sorted order.
 func (f *Addresses) List() []string {
-	out := make([]string, 0, len(f.addrs))
-	for a := range f.addrs {
-		out = append(out, a)
-	}
+	out := append(make([]string, 0, len(f.list)), f.list...)
 	sort.Strings(out)
 	return out
 }

@@ -90,6 +90,9 @@ type ReplicaMetrics struct {
 	Expired    Counter
 	Delivered  Counter
 	Evictions  Counter
+	// Serve-walk cost: store entries examined, candidates offered to batches.
+	EntriesExamined   Counter
+	CandidatesOffered Counter
 	// KnowledgeSize is the latest knowledge size (base entries +
 	// exceptions) observed after a sync; with a shared set it is the last
 	// writer's value, so it is only meaningful per-node.
@@ -135,6 +138,9 @@ type ReplicaSnapshot struct {
 	KnowledgeSize  int64             `json:"knowledge_size"`
 	BatchItems     HistogramSnapshot `json:"batch_items"`
 
+	EntriesExamined   int64 `json:"entries_examined"`
+	CandidatesOffered int64 `json:"candidates_offered"`
+
 	KnowledgeFullFrames  int64 `json:"knowledge_full_frames"`
 	KnowledgeDeltaFrames int64 `json:"knowledge_delta_frames"`
 	SummaryFallbacks     int64 `json:"summary_fallbacks"`
@@ -169,6 +175,9 @@ func (m *ReplicaMetrics) Snapshot() ReplicaSnapshot {
 		Evictions:      m.Evictions.Value(),
 		KnowledgeSize:  m.KnowledgeSize.Value(),
 		BatchItems:     m.BatchItems.Snapshot(),
+
+		EntriesExamined:   m.EntriesExamined.Value(),
+		CandidatesOffered: m.CandidatesOffered.Value(),
 
 		KnowledgeFullFrames:  m.KnowledgeFullFrames.Value(),
 		KnowledgeDeltaFrames: m.KnowledgeDeltaFrames.Value(),

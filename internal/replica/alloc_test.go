@@ -12,9 +12,13 @@
 package replica
 
 import (
+	"fmt"
 	"testing"
 
+	"replidtn/internal/filter"
+	"replidtn/internal/item"
 	"replidtn/internal/routing/epidemic"
+	"replidtn/internal/routing/prophet"
 )
 
 // TestSyncAllocBudget pins allocs/op for the two sync entry points.
@@ -44,6 +48,47 @@ func TestSyncAllocBudget(t *testing.T) {
 	})
 	if handleAllocs > 3 {
 		t.Errorf("HandleSyncRequest(maxItems=1) allocates %.1f/op over a 1000-entry store, budget 3", handleAllocs)
+	}
+
+	// The same from a basic source, whose every entry is filed under its
+	// destination: the walk is the target's address lookup, which iterates
+	// the filter and takes its closures on the stack.
+	basic := New(Config{ID: "basic", OwnAddresses: []string{"addr:basic"}})
+	for i := 0; i < 1000; i++ {
+		basic.CreateItem(item.Metadata{
+			Source: "addr:basic", Destinations: []string{fmt.Sprintf("addr:%d", i%4)}, Kind: "message",
+		}, []byte("payload"))
+	}
+	basicAllocs := testing.AllocsPerRun(100, func() {
+		if resp := basic.HandleSyncRequest(req); len(resp.Items) != 1 {
+			t.Fatalf("batch of %d items, want 1", len(resp.Items))
+		}
+	})
+	if basicAllocs > 3 {
+		t.Errorf("basic HandleSyncRequest(maxItems=1) allocates %.1f/op over a 1000-entry store, budget 3", basicAllocs)
+	}
+	// A source whose policy withholds 750 of its 1000 entries at every serve
+	// (PROPHET, which knows nothing of the target): the buffer the walk keeps
+	// them in for refiling is reused, so it allocates nothing once warm.
+	withheld := New(Config{ID: "prophet", OwnAddresses: []string{"addr:p"}, Policy: prophet.New(prophet.DefaultParams(), func() int64 { return 0 }, "addr:p")})
+	for i := 0; i < 1000; i++ {
+		withheld.CreateItem(item.Metadata{
+			Source: "addr:p", Destinations: []string{fmt.Sprintf("addr:%d", i%4)}, Kind: "message",
+		}, []byte("payload"))
+	}
+	withheld.HandleSyncRequest(req)
+	if allocs := testing.AllocsPerRun(100, func() { withheld.HandleSyncRequest(req) }); allocs > 3 {
+		t.Errorf("HandleSyncRequest(maxItems=1) withholding 750 entries allocates %.1f/op, budget 3", allocs)
+	}
+	// And for a target whose filter holds 17 addresses, the widest of Fig. 5.
+	wide := *req
+	addrs := filter.NewAddresses("addr:0")
+	for i := 0; i < 16; i++ {
+		addrs.Add(fmt.Sprintf("addr:far%d", i))
+	}
+	wide.Filter = addrs
+	if allocs := testing.AllocsPerRun(100, func() { basic.HandleSyncRequest(&wide) }); allocs > 3 {
+		t.Errorf("basic HandleSyncRequest(maxItems=1) for a 17-address filter allocates %.1f/op, budget 3", allocs)
 	}
 }
 

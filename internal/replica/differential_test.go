@@ -13,6 +13,7 @@ import (
 	"replidtn/internal/routing/epidemic"
 	"replidtn/internal/routing/prophet"
 	"replidtn/internal/routing/spraywait"
+	"replidtn/internal/routing/twohop"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 )
@@ -101,7 +102,7 @@ func (r *Replica) handleSyncRequestReference(req *SyncRequest) *SyncResponse {
 // diffScenario is one randomized store + request configuration.
 type diffScenario struct {
 	seed        int64
-	policy      int // 0 none, 1 epidemic, 2 spray, 3 prophet
+	policy      int // 0 none, 1 epidemic, 2 spray, 3 prophet, 4 two-hop
 	items       int
 	maxItems    int
 	maxBytes    int64
@@ -109,8 +110,30 @@ type diffScenario struct {
 	knownFrac   int // percent of versions pre-learned by the target
 	tombFrac    int // percent of items deleted
 	expireFrac  int // percent of items already expired
-	wideFilter  bool
+	filter      int // index into diffFilters
 }
+
+// diffFilters are the target filters a scenario picks from: address sets of
+// 2, 1 and 9 addresses (9 is past the set size up to which Contains compares
+// one by one), then filters the destination lookup cannot serve — All, Kind,
+// an Or of an address set and a Kind — and no filter at all.
+var diffFilters = []func() filter.Filter{
+	func() filter.Filter { return filter.NewAddresses("addr:0", "addr:1") },
+	func() filter.Filter { return filter.All{} },
+	func() filter.Filter { return filter.NewAddresses("addr:0") },
+	func() filter.Filter {
+		return filter.NewAddresses("addr:1", "addr:2", "addr:3", "addr:4", "addr:5", "addr:6", "addr:7", "addr:8", "addr:9")
+	},
+	func() filter.Filter { return filter.Kind{Name: "message"} },
+	func() filter.Filter { return filter.NewOr(filter.NewAddresses("addr:2"), filter.Kind{Name: "note"}) },
+	func() filter.Filter { return nil },
+}
+
+const (
+	filterAll = 1 // diffFilters index of filter.All
+	filterOr  = 5 // diffFilters index of the Or
+	filterNil = 6 // diffFilters index of the missing filter
+)
 
 // buildScenario constructs, for real, the world one scenario describes — a
 // source replica, the target that will sync from it, and the exact-knowledge
@@ -125,7 +148,11 @@ type diffScenario struct {
 // version out of the source's index), the source itself rewrites items other
 // replicas created (version creator != ID creator), holds tombstones and
 // already-expired messages, and may hold one item whose version has seq 0,
-// which knowledge can never cover. The target's knowledge is earned the same
+// which knowledge can never cover. Items have one destination, two, or one
+// named twice, and the copies the source receives may arrive with one spray
+// allowance left or a spent hop budget: what the source's policy — or, with
+// none, the basic substrate — can offer only to a target whose filter
+// matches. The target's knowledge is earned the same
 // way — a prefix of each writer's versions, then a random scatter — so it is
 // a contiguous base plus exceptions plus gaps, and covers versions the
 // source never received.
@@ -141,26 +168,38 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 		pol = spraywait.New(8)
 	case 3:
 		pol = prophet.New(prophet.DefaultParams(), clock, "addr:src")
+	case 4:
+		pol = twohop.New()
 	}
 	src = New(Config{
 		ID: "src", OwnAddresses: []string{"addr:src"}, Policy: pol, Now: clock,
 		SyncSummaries: summaries,
 	})
-	var f filter.Filter = filter.NewAddresses("addr:0", "addr:1")
-	if sc.wideFilter {
-		f = filter.All{}
-	}
+	f := diffFilters[sc.filter]()
 	tgt = New(Config{
 		ID: "tgt", OwnAddresses: []string{"addr:0", "addr:1"}, Filter: f, Now: clock,
 		SyncSummaries: summaries,
 	})
 
 	// ingest hands dst the entries of from that pick selects, as one batch.
+	// Copies bound for the source may carry a last spray allowance, the one
+	// before it, or a spent hop budget.
 	ingest := func(dst, from *Replica, pick func(*store.Entry) bool) {
 		resp := &SyncResponse{SourceID: from.ID()}
 		for _, e := range from.store.Entries() {
 			if pick(e) {
-				resp.Items = append(resp.Items, BatchItem{Item: e.Item, Transient: e.Transient})
+				tr := e.Transient
+				if dst == src {
+					switch rng.Intn(4) {
+					case 0:
+						tr.Set(item.FieldCopies, 1)
+					case 1:
+						tr.Set(item.FieldCopies, 2) // one halving from the last
+					case 2:
+						tr.Set(item.FieldTTL, 0)
+					}
+				}
+				resp.Items = append(resp.Items, BatchItem{Item: e.Item, Transient: tr})
 			}
 		}
 		dst.ApplyBatch(resp)
@@ -188,9 +227,16 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 			if rng.Intn(100) < sc.expireFrac {
 				expires = now - 1 // already past
 			}
+			dests := []string{fmt.Sprintf("addr:%d", rng.Intn(10))}
+			switch rng.Intn(6) {
+			case 0:
+				dests = append(dests, fmt.Sprintf("addr:%d", rng.Intn(10)))
+			case 1:
+				dests = append(dests, dests[0])
+			}
 			w.CreateItem(item.Metadata{
 				Source:       "addr:" + string(w.ID()),
-				Destinations: []string{fmt.Sprintf("addr:%d", rng.Intn(6))},
+				Destinations: dests,
 				Kind:         "message",
 				Expires:      expires,
 			}, make([]byte, rng.Intn(200)))
@@ -203,11 +249,11 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 		src.ApplyBatch(&SyncResponse{SourceID: "z", Items: []BatchItem{{Item: &item.Item{
 			ID:      item.ID{Creator: "z", Num: 1},
 			Version: vclock.Version{Replica: "z", Seq: 0},
-			Meta:    item.Metadata{Source: "addr:z", Destinations: []string{fmt.Sprintf("addr:%d", rng.Intn(6))}, Kind: "message"},
+			Meta:    item.Metadata{Source: "addr:z", Destinations: []string{fmt.Sprintf("addr:%d", rng.Intn(10))}, Kind: "message"},
 		}}}})
 	}
 	for _, w := range writers {
-		prefix := uint64(rng.Intn(sc.items + 1))
+		prefix := uint64(rng.Intn(int(w.seq) + 1)) // a prefix of what w wrote
 		ingest(tgt, w, func(e *store.Entry) bool {
 			return e.Item.Version.Seq <= prefix || rng.Intn(100) < sc.knownFrac
 		})
@@ -286,18 +332,54 @@ func sameStores(a, b *Replica) error {
 	return nil
 }
 
+// destFiled counts the entries r's store files under their destinations.
+func destFiled(r *Replica) int {
+	n := 0
+	r.store.RangeAboveDestinations(func(vclock.ReplicaID) uint64 { return 0 }, func(*store.Entry) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+// serveTwice runs one scenario through the reference assembly and
+// HandleSyncRequest, each on its own identical source, twice over — the
+// second serve walks what the first refiled — and demands identical
+// batches and identical stores after each. It returns the streaming path's
+// source and its two responses.
+func serveTwice(sc diffScenario) (src *Replica, resps [2]*SyncResponse, err error) {
+	// Two identical sources: side-effecting policies (spray) mutate stored
+	// transients during assembly, so each path gets its own.
+	oldSrc, oldReq := buildSource(sc)
+	newSrc, newReq := buildSource(sc)
+	for round := range resps {
+		oldResp := oldSrc.handleSyncRequestReference(reqClone(oldReq))
+		resps[round] = newSrc.HandleSyncRequest(reqClone(newReq))
+		if err := sameResponse(oldResp, resps[round]); err != nil {
+			return nil, resps, fmt.Errorf("serve %d: %v", round+1, err)
+		}
+		// The side effects must also agree: stores identical after assembly.
+		if err := sameStores(oldSrc, newSrc); err != nil {
+			return nil, resps, fmt.Errorf("serve %d: %v", round+1, err)
+		}
+	}
+	return newSrc, resps, nil
+}
+
 // TestHandleSyncRequestDifferential is the property test pinning the
-// streaming selector over the pruned version-index walk to the old
-// scan-and-sort-everything path: across random stores, policies, filters,
-// knowledge shapes and MaxItems/MaxBytes combinations, both paths must emit
-// byte-identical batches (same items, same order, same priorities, same
-// truncation and knowledge-merge flags) and leave identical stores behind.
+// streaming selector over the pruned version-index walk and the destination
+// runs to the old scan-and-sort-everything path: across random stores,
+// policies, filters, knowledge shapes and MaxItems/MaxBytes combinations,
+// both paths must emit byte-identical batches (same items, same order, same
+// priorities, same truncation and knowledge-merge flags) and leave identical
+// stores behind, on a first serve and on a second one over the entries the
+// first refiled under their destinations.
 func TestHandleSyncRequestDifferential(t *testing.T) {
-	var batches, multiCreator, aboveBase int
-	check := func(seed int64, policy, items, maxItems uint8, maxBytes uint16, strict, wide bool, knownFrac, tombFrac, expireFrac uint8) bool {
+	var batches, multiCreator, aboveBase, byDest, refiled, unindexed int
+	check := func(seed int64, policy, items, maxItems uint8, maxBytes uint16, strict bool, filterKind, knownFrac, tombFrac, expireFrac uint8) bool {
 		sc := diffScenario{
 			seed:        seed,
-			policy:      int(policy % 4),
+			policy:      int(policy % 5),
 			items:       int(items%120) + 1,
 			maxItems:    int(maxItems % 12), // 0 = unlimited, often tiny
 			maxBytes:    int64(maxBytes % 2048),
@@ -305,25 +387,17 @@ func TestHandleSyncRequestDifferential(t *testing.T) {
 			knownFrac:   int(knownFrac % 101),
 			tombFrac:    int(tombFrac % 40),
 			expireFrac:  int(expireFrac % 30),
-			wideFilter:  wide,
+			filter:      int(filterKind) % len(diffFilters),
 		}
-		// Two identical sources: side-effecting policies (spray) mutate
-		// stored transients during assembly, so each path gets its own.
-		oldSrc, oldReq := buildSource(sc)
-		newSrc, newReq := buildSource(sc)
-		oldResp := oldSrc.handleSyncRequestReference(reqClone(oldReq))
-		newResp := newSrc.HandleSyncRequest(reqClone(newReq))
-		if err := sameResponse(oldResp, newResp); err != nil {
-			t.Logf("scenario %+v: %v", sc, err)
-			return false
-		}
-		// The side effects must also agree: stores identical after assembly.
-		if err := sameStores(oldSrc, newSrc); err != nil {
+		// An untouched third copy of the source, for what the serves refiled.
+		before, req := buildSource(sc)
+		newSrc, resps, err := serveTwice(sc)
+		if err != nil {
 			t.Logf("scenario %+v: %v", sc, err)
 			return false
 		}
 		// What the corpus exercised, for the vacuity checks below.
-		if len(newResp.Items) > 0 {
+		if len(resps[0].Items)+len(resps[1].Items) > 0 {
 			batches++
 		}
 		creators := make(map[vclock.ReplicaID]bool)
@@ -333,23 +407,40 @@ func TestHandleSyncRequestDifferential(t *testing.T) {
 		if len(creators) > 2 {
 			multiCreator++
 		}
-		if newReq.Knowledge.ExceptionCount() > 0 && len(newReq.Knowledge.Base()) > 0 {
+		if req.Knowledge.ExceptionCount() > 0 && len(req.Knowledge.Base()) > 0 {
 			aboveBase++
+		}
+		if n := destFiled(before); n > 0 {
+			byDest++
+			if _, lookup := req.Filter.(*filter.Addresses); !lookup {
+				unindexed++
+			}
+			if destFiled(newSrc) > n {
+				refiled++
+			}
 		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("non-empty batches %d, stores of 3+ version creators %d, knowledge with base and exceptions %d",
-		batches, multiCreator, aboveBase)
+	t.Logf("non-empty batches %d, stores of 3+ version creators %d, knowledge with base and exceptions %d, "+
+		"entries filed by destination %d (under filters the lookup cannot serve %d), refiled by a serve %d",
+		batches, multiCreator, aboveBase, byDest, unindexed, refiled)
 	for name, n := range map[string]int{
 		"non-empty batches": batches, "multi-creator stores": multiCreator,
 		"knowledge with base and exceptions": aboveBase,
+		"entries filed by destination":       byDest, "fallback walks": unindexed,
 	} {
 		if n < 20 {
 			t.Errorf("corpus too thin to mean anything: %s seen %d times", name, n)
 		}
+	}
+	// A refile needs a Spray copy at two allowances that the target neither
+	// knows nor matches; TestHandleSyncRequestDifferentialEdgeBudgets pins
+	// worlds full of them.
+	if refiled < 5 {
+		t.Errorf("corpus too thin to mean anything: refiles by a serve seen %d times", refiled)
 	}
 }
 
@@ -363,19 +454,26 @@ func TestHandleSyncRequestDifferentialEdgeBudgets(t *testing.T) {
 		{seed: 3, policy: 1, items: 50, maxBytes: 1, strictBytes: true},
 		{seed: 4, policy: 2, items: 80, maxItems: 1, maxBytes: 64},
 		{seed: 5, policy: 3, items: 80, maxItems: 3, maxBytes: 200, tombFrac: 20},
-		{seed: 6, policy: 0, items: 40, maxItems: 1, wideFilter: true},
+		{seed: 6, policy: 0, items: 40, maxItems: 1, filter: filterAll},
 		{seed: 7, policy: 1, items: 60, maxBytes: 63, strictBytes: true},
 		{seed: 8, policy: 2, items: 100, maxItems: 100},
-		{seed: 9, policy: 1, items: 30, maxItems: 30, wideFilter: true, knownFrac: 50},
+		{seed: 9, policy: 1, items: 30, maxItems: 30, filter: filterAll, knownFrac: 50},
 		{seed: 10, policy: 1, items: 1, maxItems: 1, maxBytes: 64},
+		{seed: 11, policy: 4, items: 60, maxItems: 2, filter: filterNil},
+		// Spray worlds whose first serve leaves copies at their last
+		// allowance, refiled before the second serve.
+		{seed: 12, policy: 2, items: 100, filter: filterNil},
+		{seed: 13, policy: 2, items: 100, maxItems: 1, filter: filterOr},
 	}
 	for _, sc := range cases {
-		oldSrc, oldReq := buildSource(sc)
-		newSrc, newReq := buildSource(sc)
-		oldResp := oldSrc.handleSyncRequestReference(reqClone(oldReq))
-		newResp := newSrc.HandleSyncRequest(reqClone(newReq))
-		if err := sameResponse(oldResp, newResp); err != nil {
+		before, _ := buildSource(sc)
+		src, _, err := serveTwice(sc)
+		if err != nil {
 			t.Errorf("scenario %+v: %v", sc, err)
+		}
+		if sc.seed >= 12 && err == nil && destFiled(src) <= destFiled(before) {
+			t.Errorf("scenario %+v: the serves refiled nothing (%d entries filed by destination before, %d after)",
+				sc, destFiled(before), destFiled(src))
 		}
 	}
 }

@@ -144,6 +144,8 @@ type Replica struct {
 	store   *store.Store
 	stats   Stats
 	metrics *obs.ReplicaMetrics
+	// skipped is the serve walks' reused buffer of withheld entries.
+	skipped []*store.Entry
 
 	// Mutation journal (see journal.go): journal receives batches, pending
 	// accumulates under mu, emitMu serializes emission so delivery order
@@ -196,6 +198,12 @@ func New(cfg Config) *Replica {
 	}
 	for _, a := range cfg.OwnAddresses {
 		r.own[a] = struct{}{}
+	}
+	switch p := cfg.Policy.(type) {
+	case nil: // basic replication offers a live item only on a filter match
+		r.store.DestinationOnly(func(*store.Entry) bool { return true })
+	case routing.DestinationOnly:
+		r.store.DestinationOnly(p.DestinationOnly)
 	}
 	if cfg.OnCopies != nil {
 		r.store.LiveNotify(cfg.OnCopies)

@@ -169,9 +169,11 @@ func selectorLimit(req *SyncRequest) int {
 // per-creator version runs — never visiting what the target's base vector
 // covers, skipping known exceptions and expired versions inline — and keeps
 // only the top-K batch under the request's budgets in a bounded priority
-// heap. Tombstones and filter-matched items keep their priority-class
-// ordering; the full batch is materialized and sorted only when the request
-// carries no budget at all. The emitted batch is identical, item for item,
+// heap. Entries only a filter match can send are walked, above the same
+// floors, in their destinations' runs: an address filter's own, or all.
+// Tombstones and filter-matched items keep their priority-class ordering;
+// the full batch is materialized and sorted only when the request carries
+// no budget at all. The emitted batch is identical, item for item,
 // to sorting every candidate and truncating afterwards.
 func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	r.mu.Lock()
@@ -203,7 +205,7 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 		view = know.View(c)
 		return view.Base
 	}
-	r.store.RangeAbove(floor, func(e *store.Entry) bool {
+	visit := func(e *store.Entry) bool {
 		if view.HasException(e.Item.Version.Seq) {
 			return true
 		}
@@ -212,33 +214,54 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 			return true
 		}
 		switch {
-		case e.Item.Deleted:
+		case e.Item.Deleted, req.Filter != nil && req.Filter.Match(e.Item):
 			// Tombstones always travel: they clear forwarders' copies and
 			// immunize the target against stale live versions.
-			sel.offer(syncCandidate{
-				entry:    e,
-				priority: routing.Priority{Class: routing.ClassFilter},
-			})
-		case req.Filter != nil && req.Filter.Match(e.Item):
-			sel.offer(syncCandidate{
-				entry:    e,
-				priority: routing.Priority{Class: routing.ClassFilter},
-			})
+			sel.offer(syncCandidate{entry: e, priority: routing.Priority{Class: routing.ClassFilter}})
 		case split != nil:
 			pr := split.Decide(e, target)
 			if pr.Class == routing.ClassSkip {
+				r.skipped = append(r.skipped, e)
 				return true
 			}
 			sel.offer(syncCandidate{entry: e, priority: pr, materialize: true})
 		case r.policy != nil:
 			pr, tr := r.policy.ToSend(e, target)
 			if pr.Class == routing.ClassSkip {
+				r.skipped = append(r.skipped, e)
 				return true
 			}
 			sel.offer(syncCandidate{entry: e, priority: pr, transient: tr})
 		}
 		return true
-	})
+	}
+	examined := r.store.RangeAbove(floor, visit)
+	switch f := req.Filter.(type) {
+	case nil: // nothing filed under a destination is offered without a match
+	case *filter.Addresses:
+		// Offer an entry under the first of its destinations f contains.
+		var to string
+		first := func(e *store.Entry) bool {
+			for _, d := range e.Item.Meta.Destinations {
+				if f.Contains(d) {
+					return d != to || visit(e)
+				}
+			}
+			return true
+		}
+		f.Each(func(a string) {
+			to = a
+			examined += r.store.RangeAboveTo(a, floor, first)
+		})
+	default:
+		examined += r.store.RangeAboveDestinations(floor, visit)
+	}
+	// Refile, after the walks, what they withheld for good (a spent copy).
+	for i, e := range r.skipped {
+		r.store.Refile(e)
+		r.skipped[i] = nil
+	}
+	r.skipped = r.skipped[:0]
 	cands := sel.finish()
 
 	truncated := false
@@ -301,6 +324,8 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	if r.metrics != nil {
 		r.metrics.SyncsServed.Inc()
 		r.metrics.ItemsSent.Add(int64(len(resp.Items)))
+		r.metrics.EntriesExamined.Add(int64(examined))
+		r.metrics.CandidatesOffered.Add(int64(sel.total))
 	}
 	return resp
 }

@@ -79,3 +79,9 @@ func (p *Policy) Materialize(e *store.Entry, _ routing.Target) item.Transient {
 	out.Set(item.FieldTTL, ttl-1)
 	return out
 }
+
+// DestinationOnly implements routing.DestinationOnly: a spent TTL waits.
+func (*Policy) DestinationOnly(e *store.Entry) bool {
+	ttl, ok := e.Transient.Get(item.FieldTTL)
+	return ok && ttl <= 0
+}

@@ -174,6 +174,15 @@ type SplitSender interface {
 	Materialize(e *store.Entry, target Target) item.Transient
 }
 
+// DestinationOnly is optionally implemented by policies whose ToSend
+// withholds some entries from every target for good; the store files them
+// under their destinations (store.Store.DestinationOnly).
+type DestinationOnly interface {
+	// DestinationOnly reports whether ToSend returns Skip for e, without
+	// writing it, from now on. It reads only fields ToSend has stamped.
+	DestinationOnly(e *store.Entry) bool
+}
+
 // Persistent is implemented by policies that keep durable routing state —
 // the paper's requirement that "DTN routing policies can define persistent
 // data structures which are serialized to disk and retrieved whenever a

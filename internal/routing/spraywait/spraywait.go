@@ -66,3 +66,9 @@ func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, ite
 	out.Set(item.FieldCopies, half)
 	return routing.Priority{Class: routing.ClassNormal}, out
 }
+
+// DestinationOnly implements routing.DestinationOnly: a last copy waits.
+func (*Policy) DestinationOnly(e *store.Entry) bool {
+	copies, ok := e.Transient.Get(item.FieldCopies)
+	return ok && copies < 2
+}

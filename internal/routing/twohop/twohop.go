@@ -39,3 +39,6 @@ func (*Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.
 	}
 	return routing.Priority{Class: routing.ClassNormal}, item.Transient{}
 }
+
+// DestinationOnly implements routing.DestinationOnly: a relayed copy waits.
+func (*Policy) DestinationOnly(e *store.Entry) bool { return !e.Local }

@@ -331,16 +331,66 @@ func (ix *entryIndex) last() *Entry {
 	return n.entries[len(n.entries)-1]
 }
 
-// versionRun is one creator's stored versions under orderInRun: the unit
-// RangeAbove skips or seeks in.
+// versionRun is one creator's versions in a runSet, under orderInRun: the
+// unit a walk skips or seeks in.
 type versionRun struct {
 	creator vclock.ReplicaID
 	entries entryIndex
 	// top is the run's largest runKey: floor f covers the whole run exactly
 	// when top < f, a test that touches no entry.
 	top uint64
-	// slot is the run's position in Store.runs.
+	// slot is the run's position in runSet.runs.
 	slot int
+}
+
+// runSet holds one version run per creator, found through runOf. A new run
+// is appended and an emptied one replaced by the last, so filing costs the
+// same however many runs exist. to is a destination's set's address.
+type runSet struct {
+	runs  []*versionRun
+	runOf map[vclock.ReplicaID]*versionRun
+	to    string
+}
+
+// file adds e to its creator's run, opening the run if new (never empty).
+func (rs *runSet) file(e *Entry) bool {
+	c := e.Item.Version.Replica
+	r := rs.runOf[c]
+	if r == nil {
+		r = &versionRun{creator: c, entries: entryIndex{order: orderInRun}, slot: len(rs.runs)}
+		rs.runs = append(rs.runs, r)
+		rs.runOf[c] = r
+	}
+	r.entries.replaceOrInsert(e)
+	r.top = max(r.top, runKey(e))
+	return false
+}
+
+// unfile takes e out of its creator's run, reporting whether the set emptied.
+func (rs *runSet) unfile(e *Entry) (empty bool) {
+	r := rs.runOf[e.Item.Version.Replica]
+	r.entries.delete(e)
+	switch {
+	case r.entries.size == 0:
+		last := rs.runs[len(rs.runs)-1]
+		rs.runs[r.slot], last.slot = last, r.slot
+		rs.runs[len(rs.runs)-1] = nil
+		rs.runs = rs.runs[:len(rs.runs)-1]
+		delete(rs.runOf, r.creator)
+	case runKey(e) == r.top:
+		r.top = runKey(r.entries.last())
+	}
+	return len(rs.runs) == 0
+}
+
+// rangeAbove walks the set for RangeAbove, reporting whether fn never stopped.
+func (rs *runSet) rangeAbove(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool, examined *int) bool {
+	for _, r := range rs.runs {
+		if f := floor(r.creator); r.top >= f && !r.entries.root.ascendFrom(f, fn, examined) {
+			return false
+		}
+	}
+	return true
 }
 
 // reset empties the index.

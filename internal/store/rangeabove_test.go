@@ -4,51 +4,108 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"replidtn/internal/item"
 	"replidtn/internal/vclock"
 )
 
-// checkRuns verifies the version runs against the store: one non-empty run
-// per creator, each at its slot and found through runOf, each a valid B-tree
-// holding exactly that creator's current entries under an accurate top, and
-// together every entry once. It returns the tallest run's height.
+// checkRuns verifies the version runs against the store: in the main set
+// and in every destination's, one non-empty run per creator, each at its
+// slot and found through runOf, each a valid B-tree holding only current
+// entries of that creator under an accurate top; the destinations' sets in
+// strictly ascending address order, none empty, each holding only entries
+// that name it. Together they file every current entry exactly once in its
+// creator's main run, or once under each of its distinct destinations —
+// never a tombstone, nor an entry the predicate rejects. It returns the
+// tallest run's height.
 func checkRuns(t *testing.T, s *Store) int {
 	t.Helper()
-	if len(s.runOf) != len(s.runs) {
-		t.Fatalf("%d runs listed, %d found by creator", len(s.runs), len(s.runOf))
+	filed := make(map[*Entry]int)
+	height := checkRunSet(t, s, &s.main, filed)
+	for i, rs := range s.destSets {
+		if i > 0 && s.destSets[i-1].to >= rs.to {
+			t.Fatalf("destination %q listed after %q", rs.to, s.destSets[i-1].to)
+		}
+		if j, ok := s.destSet(rs.to); !ok || j != i {
+			t.Fatalf("destination %q listed at %d, found at %d (%v)", rs.to, i, j, ok)
+		}
+		if len(rs.runs) == 0 {
+			t.Fatalf("empty destination set %q kept", rs.to)
+		}
+		height = max(height, checkRunSet(t, s, rs, filed))
 	}
-	height, total := 0, 0
-	for i, r := range s.runs {
-		if r.slot != i || s.runOf[r.creator] != r {
-			t.Fatalf("run %q listed at %d has slot %d (found by creator: %v)", r.creator, i, r.slot, s.runOf[r.creator] == r)
-		}
-		if r.entries.size == 0 {
-			t.Fatalf("empty run %q kept", r.creator)
-		}
-		height = max(height, checkIndexInvariants(t, &r.entries))
-		r.entries.ascend(func(e *Entry) bool {
-			if e.Item.Version.Replica != r.creator || s.entries[e.Item.ID] != e {
-				t.Fatalf("run %q holds %s@%s, which is not a current entry of that creator", r.creator, e.Item.ID, e.Item.Version)
+	if len(filed) != s.Len() {
+		t.Fatalf("runs hold %d distinct entries, store holds %d", len(filed), s.Len())
+	}
+	for e, n := range filed {
+		want := 1
+		if e.byDest {
+			want = 0
+			for i, d := range e.Item.Meta.Destinations {
+				if !slices.Contains(e.Item.Meta.Destinations[:i], d) {
+					want++
+				}
 			}
-			return true
-		})
-		if want := runKey(r.entries.last()); r.top != want {
-			t.Fatalf("run %q: top %d, largest key %d", r.creator, r.top, want)
 		}
-		total += r.entries.size
-	}
-	if total != s.Len() {
-		t.Fatalf("runs hold %d entries, store holds %d", total, s.Len())
+		if n != want {
+			t.Fatalf("%s@%s (by destination %v) filed %d times, want %d", e.Item.ID, e.Item.Version, e.byDest, n, want)
+		}
+		if e.byDest && (e.Item.Deleted || !s.destOnly(e)) {
+			t.Fatalf("%s@%s (deleted: %v) filed by destination, which the predicate rejects", e.Item.ID, e.Item.Version, e.Item.Deleted)
+		}
 	}
 	return height
 }
 
-// assertRangeAbove checks RangeAbove(floor) against its specification — the
-// entries of Range with Seq == 0 or Seq > floor(creator), each creator's
-// together in run order — and the floor callback's contract: asked once per
-// creator, just before fn sees that creator's first entry.
+// checkRunSet checks one set's runs for checkRuns, counting each entry it
+// holds into filed.
+func checkRunSet(t *testing.T, s *Store, rs *runSet, filed map[*Entry]int) int {
+	t.Helper()
+	if len(rs.runOf) != len(rs.runs) {
+		t.Fatalf("set %q: %d runs listed, %d found by creator", rs.to, len(rs.runs), len(rs.runOf))
+	}
+	height := 0
+	for i, r := range rs.runs {
+		if r.slot != i || rs.runOf[r.creator] != r {
+			t.Fatalf("set %q: run %q listed at %d has slot %d (found by creator: %v)", rs.to, r.creator, i, r.slot, rs.runOf[r.creator] == r)
+		}
+		if r.entries.size == 0 {
+			t.Fatalf("set %q: empty run %q kept", rs.to, r.creator)
+		}
+		height = max(height, checkIndexInvariants(t, &r.entries))
+		r.entries.ascend(func(e *Entry) bool {
+			if e.Item.Version.Replica != r.creator || s.entries[e.Item.ID] != e {
+				t.Fatalf("set %q: run %q holds %s@%s, which is not a current entry of that creator", rs.to, r.creator, e.Item.ID, e.Item.Version)
+			}
+			if e.byDest != (rs.to != "") || e.byDest && !slices.Contains(e.Item.Meta.Destinations, rs.to) {
+				t.Fatalf("set %q holds %s@%s, filed by destination %v to %v", rs.to, e.Item.ID, e.Item.Version, e.byDest, e.Item.Meta.Destinations)
+			}
+			filed[e]++
+			return true
+		})
+		if want := runKey(r.entries.last()); r.top != want {
+			t.Fatalf("set %q: run %q: top %d, largest key %d", rs.to, r.creator, r.top, want)
+		}
+	}
+	return height
+}
+
+// lastCopy is the destination predicate the store tests register: Spray's,
+// a copy with one allowance left.
+func lastCopy(e *Entry) bool {
+	c, ok := e.Transient.Get(item.FieldCopies)
+	return ok && c < 2
+}
+
+// assertRangeAbove checks the three walks against their specification under
+// floor. RangeAbove and RangeAboveDestinations together yield the entries of
+// Range with Seq == 0 or Seq > floor(creator), each once: the first those in
+// the main runs, the second those filed under their destinations, under the
+// first one. RangeAboveTo(d) yields those filed under d. Every walk goes run
+// by run in run order, asking floor just before fn sees a run's first entry;
+// RangeAbove asks once per creator.
 func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 	t.Helper()
 	want := make(map[*Entry]bool)
@@ -58,44 +115,71 @@ func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 		}
 		return true
 	})
-	asked := make(map[vclock.ReplicaID]bool)
-	var last vclock.ReplicaID
-	var prev *Entry
-	got := 0
-	s.RangeAbove(func(c vclock.ReplicaID) uint64 {
-		if asked[c] {
-			t.Fatalf("floor(%q) asked twice", c)
+	got := make(map[*Entry]int)
+	walk := func(name string, byDest bool, rangeAbove func(func(vclock.ReplicaID) uint64, func(*Entry) bool) int) {
+		t.Helper()
+		asked := make(map[vclock.ReplicaID]bool)
+		var last vclock.ReplicaID
+		var prev *Entry
+		rangeAbove(func(c vclock.ReplicaID) uint64 {
+			if asked[c] && !byDest {
+				t.Fatalf("%s: floor(%q) asked twice", name, c)
+			}
+			asked[c], last, prev = true, c, nil
+			return floor[c]
+		}, func(e *Entry) bool {
+			if !want[e] || e.byDest != byDest {
+				t.Fatalf("%s yielded %s@%s (filed by destination: %v), which floor %s covers (or which is not stored)",
+					name, e.Item.ID, e.Item.Version, e.byDest, floor)
+			}
+			if e.Item.Version.Replica != last {
+				t.Fatalf("%s: fn saw %s@%s, but the last floor asked was %q's", name, e.Item.ID, e.Item.Version, last)
+			}
+			if prev != nil && orderInRun(prev, e) >= 0 {
+				t.Fatalf("%s out of order: %s then %s", name, prev.Item.Version, e.Item.Version)
+			}
+			prev = e
+			got[e]++
+			return true
+		})
+	}
+	walk("RangeAbove", false, s.RangeAbove)
+	walk("RangeAboveDestinations", true, s.RangeAboveDestinations)
+	for e, n := range got {
+		if n != 1 {
+			t.Fatalf("%s@%s yielded %d times", e.Item.ID, e.Item.Version, n)
 		}
-		asked[c], last, prev = true, c, nil
-		return floor[c]
-	}, func(e *Entry) bool {
-		if !want[e] {
-			t.Fatalf("RangeAbove yielded %s@%s, which floor %s covers (or which is not stored)", e.Item.ID, e.Item.Version, floor)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("the walks yielded %d entries, want %d (floor %s)", len(got), len(want), floor)
+	}
+	for _, rs := range s.destSets {
+		to := rs.to
+		clear(got)
+		walk("RangeAboveTo("+to+")", true, func(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) int {
+			return s.RangeAboveTo(to, floor, fn)
+		})
+		for e := range want {
+			if named := e.byDest && slices.Contains(e.Item.Meta.Destinations, to); named != (got[e] == 1) {
+				t.Fatalf("RangeAboveTo(%s) yielded %s@%s (to %v) %d times", to, e.Item.ID, e.Item.Version, e.Item.Meta.Destinations, got[e])
+			}
 		}
-		if e.Item.Version.Replica != last {
-			t.Fatalf("fn saw %s@%s, but the last floor asked was %q's", e.Item.ID, e.Item.Version, last)
-		}
-		if prev != nil && orderInRun(prev, e) >= 0 {
-			t.Fatalf("RangeAbove out of order: %s then %s", prev.Item.Version, e.Item.Version)
-		}
-		prev = e
-		got++
-		return true
-	})
-	if got != len(want) {
-		t.Fatalf("RangeAbove yielded %d entries, want %d (floor %s)", got, len(want), floor)
 	}
 }
 
 // TestRangeAboveMatchesRange drives a capacity-bounded store through random
-// inserts, version-changing replacements, removals, evictions and wholesale
-// restores — including a snapshot in which two IDs carry one version, which
-// only the ID tie-break keeps apart — and after every few steps demands that
-// the ID index and the version runs hold exactly the store's entries and that
-// RangeAbove agrees with a filtered Range under random floors.
+// inserts, version-changing replacements, removals, evictions, refiles and
+// wholesale restores — including a snapshot in which two IDs carry one
+// version, which only the ID tie-break keeps apart — and after every few
+// steps demands that the ID index and the version runs, main and per
+// destination, hold exactly the store's entries and that the walks agree
+// with a filtered Range under random floors. Entries have no destination,
+// one, two, or one named twice; the ones at their last copy are filed under
+// their destinations, on insertion or by Refile.
 func TestRangeAboveMatchesRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := New(300)
+	s.DestinationOnly(lastCopy)
 	creators := []string{"a", "b", "c", "d", "e", "f", "g"}
 	seqs := make(map[string]uint64)
 	randomItem := func() *item.Item {
@@ -110,6 +194,12 @@ func TestRangeAboveMatchesRange(t *testing.T) {
 			it.Version.Seq = 0
 		}
 		it.Deleted = rng.Intn(10) == 0
+		for n := rng.Intn(3); n > 0; n-- {
+			it.Meta.Destinations = append(it.Meta.Destinations, "to:"+creators[rng.Intn(4)])
+		}
+		if rng.Intn(10) == 0 && len(it.Meta.Destinations) > 0 {
+			it.Meta.Destinations = append(it.Meta.Destinations, it.Meta.Destinations[0])
+		}
 		return it
 	}
 	check := func(step int) {
@@ -134,12 +224,36 @@ func TestRangeAboveMatchesRange(t *testing.T) {
 		}
 		assertRangeAbove(t, s, floor) // everything but seq 0 covered
 	}
+	refiled := 0
 	for step := 0; step < 6000; step++ {
 		switch op := rng.Intn(20); {
 		case op < 14:
-			s.Put(randomItem(), nil, rng.Intn(3) > 0, false)
-		case op < 19:
+			var tr *item.Transient
+			if rng.Intn(3) == 0 {
+				tr = &item.Transient{}
+				tr.Set(item.FieldCopies, 1+rng.Intn(2))
+			}
+			s.Put(randomItem(), tr, rng.Intn(3) > 0, false)
+		case op < 16:
 			s.Remove(item.ID{Creator: vclock.ReplicaID(creators[rng.Intn(len(creators))]), Num: uint64(rng.Intn(400) + 1)})
+		case op < 19:
+			// Spend a stored copy's last halving, as a serve does, and refile
+			// it — or refile one the predicate still rejects, which stays put.
+			e := s.Get(item.ID{Creator: vclock.ReplicaID(creators[rng.Intn(len(creators))]), Num: uint64(rng.Intn(400) + 1)})
+			if e == nil {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				e.Transient.Set(item.FieldCopies, 1)
+			}
+			was := e.byDest
+			s.Refile(e)
+			if e.byDest != (was || s.filesByDest(e)) {
+				t.Fatalf("step %d: %s@%s refiled: filed by destination %v, was %v", step, e.Item.ID, e.Item.Version, e.byDest, was)
+			}
+			if !was && e.byDest {
+				refiled++
+			}
 		default:
 			snap, next := s.Snapshot()
 			if len(snap) > 1 {
@@ -156,6 +270,9 @@ func TestRangeAboveMatchesRange(t *testing.T) {
 		}
 	}
 	check(6000)
+	if refiled < 40 || len(s.destSets) == 0 {
+		t.Fatalf("%d refiles, %d destination sets: the sequence did not exercise the destination runs", refiled, len(s.destSets))
+	}
 }
 
 // TestRangeAboveEarlyStop verifies the pruned walk halts when fn returns
@@ -222,5 +339,66 @@ func TestRangeAboveExaminesSublinear(t *testing.T) {
 		if examined := s.RangeAbove(func(vclock.ReplicaID) uint64 { return 0 }, func(*Entry) bool { return true }); examined != s.Len() {
 			t.Errorf("%d×%d, empty floor: examined %d entries, store holds %d", shape.creators, shape.perCreator, examined, s.Len())
 		}
+	}
+}
+
+// TestDestinationWalksExamineSublinear pins the destination walks' cost
+// with a count, as TestRangeAboveExaminesSublinear does the main walk's, on
+// a basic replica's store shape: every entry filed under its destination,
+// 26 creators × 60 versions spread over 17 destinations (the widest filter
+// of Fig. 5), so each destination holds a run of every creator. The
+// per-address lookup and the walk over every destination take the same
+// floors as the main walk: with everything known they examine nothing, and
+// with k versions per creator unknown, what they yield plus a descent per
+// run.
+func TestDestinationWalksExamineSublinear(t *testing.T) {
+	const creators, perCreator, dests = 26, 60, 17
+	s := New(0)
+	s.DestinationOnly(func(*Entry) bool { return true })
+	for c := 0; c < creators; c++ {
+		for i := 1; i <= perCreator; i++ {
+			it := mkItem(fmt.Sprintf("c%02d", c), uint64(i))
+			it.Meta.Destinations = []string{fmt.Sprintf("to:%02d", (c+i)%dests)}
+			s.Put(it, nil, false, false)
+		}
+	}
+	height := checkRuns(t, s)
+	runs := 0
+	for _, rs := range s.destSets {
+		runs += len(rs.runs)
+	}
+	if len(s.main.runs) != 0 || len(s.destSets) != dests {
+		t.Fatalf("%d main runs and %d destination sets, want 0 and %d", len(s.main.runs), len(s.destSets), dests)
+	}
+	for _, k := range []int{0, 1, 10, perCreator} {
+		floor := func(vclock.ReplicaID) uint64 { return uint64(perCreator - k) }
+		yielded := 0
+		count := func(*Entry) bool {
+			yielded++
+			return true
+		}
+		lookup := 0
+		for _, rs := range s.destSets {
+			lookup += s.RangeAboveTo(rs.to, floor, count)
+		}
+		byLookup := yielded
+		yielded = 0
+		fallback := s.RangeAboveDestinations(floor, count)
+		unknown := k * creators
+		if byLookup != unknown || yielded != unknown {
+			t.Fatalf("k=%d: the lookup yielded %d entries and the walk over every destination %d, want %d", k, byLookup, yielded, unknown)
+		}
+		limit := unknown + runs*height*bits.Len(indexMaxItems)
+		switch k {
+		case 0:
+			limit = 0
+		case perCreator:
+			limit = s.Len() // nothing known: every entry once, no descent
+		}
+		if lookup > limit || fallback > limit {
+			t.Errorf("k=%d: the lookup examined %d and the walk over every destination %d of %d entries, want at most %d",
+				k, lookup, fallback, s.Len(), limit)
+		}
+		t.Logf("k=%d: yielded %d, examined %d by lookup and %d by the walk over every destination, of %d", k, unknown, lookup, fallback, s.Len())
 	}
 }

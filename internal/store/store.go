@@ -19,12 +19,15 @@
 // live/relay counters (LiveLen and RelayLen are O(1)), and — for
 // arrival-ordered eviction strategies — a lazy min-heap over relay entries so
 // enforcing the relay capacity never rescans the store.
+// Entries only a filter-matching target can receive (DestinationOnly) are
+// filed under each of their destinations instead, in runs of the same shape.
 package store
 
 import (
 	"cmp"
 	"slices"
 	"sort"
+	"strings"
 
 	"replidtn/internal/item"
 	"replidtn/internal/obs"
@@ -48,6 +51,8 @@ type Entry struct {
 	Local bool
 	// arrival is the store-local arrival sequence used for FIFO eviction.
 	arrival uint64
+	// byDest marks an entry filed under its destinations.
+	byDest bool
 }
 
 // Arrival returns the entry's arrival order within the store (earlier is
@@ -120,11 +125,12 @@ func (e EvictByCost) Less(a, b *Entry) bool {
 // Store is not safe for concurrent use; the owning replica serializes access.
 type Store struct {
 	entries map[item.ID]*Entry
-	// index (by item ID) and runs — one version run per creator with a
-	// version stored, found through runOf — are maintained on every mutation.
-	index entryIndex
-	runs  []*versionRun
-	runOf map[vclock.ReplicaID]*versionRun
+	// index (by item ID), the main version runs and each destination's,
+	// sorted by address, are maintained on every mutation.
+	index    entryIndex
+	main     runSet
+	destSets []*runSet
+	destOnly func(*Entry) bool
 	// relayCapacity bounds the number of live (non-tombstone) relay entries;
 	// <= 0 means unlimited.
 	relayCapacity int
@@ -210,6 +216,11 @@ func (s *Store) Journal(fn func(JournalOp)) { s.onJournal = fn }
 // the store sees traffic.
 func (s *Store) LiveNotify(fn func(item.ID, int)) { s.onLive = fn }
 
+// DestinationOnly registers fn to select the live entries only a target whose
+// filter matches them can receive, filed under their destinations. Once fn
+// accepts an entry it must go on accepting it. Register before any traffic.
+func (s *Store) DestinationOnly(fn func(*Entry) bool) { s.destOnly = fn }
+
 // New creates an empty store. relayCapacity bounds the number of live relay
 // entries (<= 0 for unlimited); when the bound is exceeded the oldest relay
 // entry is evicted first (FIFO). Use NewWithEviction for other strategies.
@@ -226,7 +237,7 @@ func NewWithEviction(relayCapacity int, eviction EvictionStrategy) *Store {
 	return &Store{
 		entries:       make(map[item.ID]*Entry),
 		index:         entryIndex{order: orderByID},
-		runOf:         make(map[vclock.ReplicaID]*versionRun),
+		main:          runSet{runOf: make(map[vclock.ReplicaID]*versionRun)},
 		relayCapacity: relayCapacity,
 		eviction:      eviction,
 		useHeap:       relayCapacity > 0 && ok && ao.ArrivalOrdered(),
@@ -272,14 +283,14 @@ func (s *Store) Put(it *item.Item, transient *item.Transient, relay, local bool)
 		// entry does not move to the back of the FIFO queue.
 		e.arrival = prev.arrival
 		s.uncount(prev)
-		s.unfileVersion(prev)
+		s.unfile(prev)
 	} else {
 		s.nextArrival++
 		e.arrival = s.nextArrival
 	}
 	s.entries[it.ID] = e
 	s.index.replaceOrInsert(e)
-	s.fileVersion(e)
+	s.file(e)
 	s.count(e)
 	if s.onJournal != nil {
 		snap := snapshotEntry(e)
@@ -298,35 +309,46 @@ func (s *Store) Remove(id item.ID) *Entry {
 	return e
 }
 
-// fileVersion adds e to its creator's version run, opening the run if new.
-// A new run is appended, so filing costs the same however many runs exist.
-func (s *Store) fileVersion(e *Entry) {
-	c := e.Item.Version.Replica
-	r := s.runOf[c]
-	if r == nil {
-		r = &versionRun{creator: c, entries: entryIndex{order: orderInRun}, slot: len(s.runs)}
-		s.runs = append(s.runs, r)
-		s.runOf[c] = r
-	}
-	r.entries.replaceOrInsert(e)
-	r.top = max(r.top, runKey(e))
+// filesByDest reports whether e belongs under its destinations: never a
+// tombstone, which always travels.
+func (s *Store) filesByDest(e *Entry) bool {
+	return s.destOnly != nil && !e.Item.Deleted && len(e.Item.Meta.Destinations) > 0 && s.destOnly(e)
 }
 
-// unfileVersion takes e out of its creator's version run. An emptied run is
-// closed by moving the last run into its slot.
-func (s *Store) unfileVersion(e *Entry) {
-	r := s.runOf[e.Item.Version.Replica]
-	r.entries.delete(e)
-	switch {
-	case r.entries.size == 0:
-		last := s.runs[len(s.runs)-1]
-		s.runs[r.slot], last.slot = last, r.slot
-		s.runs[len(s.runs)-1] = nil
-		s.runs = s.runs[:len(s.runs)-1]
-		delete(s.runOf, r.creator)
-	case runKey(e) == r.top:
-		r.top = runKey(r.entries.last())
+// file adds e to its creator's run in the main set, or in the set of each
+// of its destinations.
+func (s *Store) file(e *Entry) {
+	e.byDest = s.filesByDest(e)
+	s.eachSet(e, (*runSet).file)
+}
+
+// unfile takes e out of the sets file put it in.
+func (s *Store) unfile(e *Entry) { s.eachSet(e, (*runSet).unfile) }
+
+// eachSet applies op to e in the main set, or in each of its destinations'
+// sets, opening a missing set and dropping one op reports empty.
+func (s *Store) eachSet(e *Entry, op func(*runSet, *Entry) (empty bool)) {
+	if !e.byDest {
+		op(&s.main, e)
+		return
 	}
+	for i, d := range e.Item.Meta.Destinations {
+		if slices.Contains(e.Item.Meta.Destinations[:i], d) {
+			continue
+		}
+		j, ok := s.destSet(d)
+		if !ok {
+			s.destSets = slices.Insert(s.destSets, j, &runSet{runOf: make(map[vclock.ReplicaID]*versionRun), to: d})
+		}
+		if op(s.destSets[j], e) {
+			s.destSets = slices.Delete(s.destSets, j, j+1)
+		}
+	}
+}
+
+// destSet finds destination to's set in destSets, or where it belongs.
+func (s *Store) destSet(to string) (int, bool) {
+	return slices.BinarySearchFunc(s.destSets, to, func(rs *runSet, to string) int { return strings.Compare(rs.to, to) })
 }
 
 // drop takes a current entry out of the map, both indexes and the counters,
@@ -334,7 +356,7 @@ func (s *Store) unfileVersion(e *Entry) {
 func (s *Store) drop(e *Entry) {
 	delete(s.entries, e.Item.ID)
 	s.index.delete(e)
-	s.unfileVersion(e)
+	s.unfile(e)
 	s.uncount(e)
 	if s.onJournal != nil {
 		s.onJournal(JournalOp{Remove: e.Item.ID, NextArrival: s.nextArrival})
@@ -509,7 +531,7 @@ func (s *Store) rebuildIndexes() {
 	s.onLive = nil
 	defer func() { s.onLive = notify }()
 	s.index.reset()
-	s.runs, s.runOf = nil, make(map[vclock.ReplicaID]*versionRun)
+	s.main, s.destSets = runSet{runOf: make(map[vclock.ReplicaID]*versionRun)}, nil
 	s.liveCount, s.relayCount = 0, 0
 	s.evictHeap = s.evictHeap[:0]
 	all := make([]*Entry, 0, len(s.entries))
@@ -521,7 +543,7 @@ func (s *Store) rebuildIndexes() {
 	slices.SortFunc(all, func(a, b *Entry) int { return cmp.Compare(a.arrival, b.arrival) })
 	for _, e := range all {
 		s.index.replaceOrInsert(e)
-		s.fileVersion(e)
+		s.file(e)
 		s.count(e)
 	}
 }
@@ -546,10 +568,11 @@ func (s *Store) Range(fn func(*Entry) bool) {
 	s.index.ascend(fn)
 }
 
-// RangeAbove calls fn, until it returns false, for exactly the entries whose
-// version the vector floor does not cover — Version.Seq == 0 or Version.Seq >
-// floor(Version.Replica) — run by run, each run one creator's entries by
-// ascending seq with seq 0 last. The order of the runs is unspecified (it
+// RangeAbove calls fn, until it returns false, for exactly the entries of
+// the main runs — every entry not filed under its destinations — whose
+// version the vector floor does not cover: Version.Seq == 0 or Version.Seq >
+// floor(Version.Replica). It goes run by run, each run one creator's entries
+// by ascending seq with seq 0 last. The order of the runs is unspecified (it
 // follows the store's history). A run floor covers entirely costs one
 // comparison, any other one descent, so the cost follows the entries yielded
 // and the number of creators, not the store's size. Like Range it allocates
@@ -559,8 +582,31 @@ func (s *Store) Range(fn func(*Entry) bool) {
 // floor is asked once per creator, just before fn sees that creator's run: a
 // caller may load per-creator state in floor for fn to use.
 func (s *Store) RangeAbove(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) (examined int) {
-	for _, r := range s.runs {
-		if f := floor(r.creator); r.top >= f && !r.entries.root.ascendFrom(f, fn, &examined) {
+	s.main.rangeAbove(floor, fn, &examined)
+	return examined
+}
+
+// Refile moves e under its destinations if the predicate now accepts it.
+func (s *Store) Refile(e *Entry) {
+	if !e.byDest && s.filesByDest(e) && s.entries[e.Item.ID] == e {
+		s.main.unfile(e)
+		s.file(e)
+	}
+}
+
+// RangeAboveTo is RangeAbove over the runs filed under destination to.
+func (s *Store) RangeAboveTo(to string, floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) (examined int) {
+	if i, ok := s.destSet(to); ok {
+		s.destSets[i].rangeAbove(floor, fn, &examined)
+	}
+	return examined
+}
+
+// RangeAboveDestinations is RangeAbove over every destination's runs, in
+// address order, yielding each entry under its first destination.
+func (s *Store) RangeAboveDestinations(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) (examined int) {
+	for _, rs := range s.destSets {
+		if !rs.rangeAbove(floor, func(e *Entry) bool { return e.Item.Meta.Destinations[0] != rs.to || fn(e) }, &examined) {
 			break
 		}
 	}

@@ -137,9 +137,10 @@ func (k *Knowledge) Contains(v Version) bool {
 	return ok && k.rows[i].has(v.Seq)
 }
 
-// CreatorView is one creator's share of a Knowledge, looked up once so that
-// a caller walking a run of that creator's versions (store.RangeAbove) pays
-// no lookup by replica ID per version. Valid until the knowledge mutates.
+// CreatorView is one creator's share of a Knowledge, looked up once per run
+// of that creator's versions a serve walks (store.RangeAbove, or a
+// destination's runs): no lookup by replica ID per version. Valid until the
+// knowledge mutates.
 type CreatorView struct {
 	// Base is the seq up to which every version of the creator is known.
 	Base  uint64
