@@ -69,14 +69,16 @@ digests:
 		echo "$$(sha256sum < bin/dtnsim-$$e.txt | cut -d' ' -f1)  -experiment $$e"; \
 	done
 
-## test runs every package under the race detector, then again without it
-## every package holding an alloc_test.go: the race runtime inflates
-## allocation counts, so the allocation budgets (the `//go:build !race`
-## alloc_test.go files) compile only in the second pass. The package list is
+## test runs every package under the race detector, in shuffled test order so
+## no test leans on state an earlier one left (the order's seed is printed for
+## a rerun with -shuffle=<seed>), then again without it every package holding
+## an alloc_test.go: the race runtime inflates allocation counts, so the
+## allocation budgets (the `//go:build !race` alloc_test.go files) compile
+## only in the second pass. The package list is
 ## derived from those files, tracked or not yet added, so a new budget file
 ## runs without touching this rule.
 test:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 	$(GO) test -count=1 $$(git ls-files --cached --others --exclude-standard '*alloc_test.go' | xargs -n1 dirname | sort -u | sed 's|^|./|')
 
 ## cover fails if total statement coverage drops below COVER_FLOOR.

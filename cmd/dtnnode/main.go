@@ -145,6 +145,7 @@ type node struct {
 	metrics *obs.NodeMetrics
 	ep      *messaging.Endpoint
 	srv     *transport.Server
+	dialer  transport.Dialer
 	bound   net.Addr
 	disc    *discovery.Discoverer
 	debug   *debugServer
@@ -271,6 +272,7 @@ func (n *node) close() {
 	if n.srv != nil {
 		n.srv.Close()
 	}
+	n.dialer.Close()
 	if n.db != nil {
 		if err := n.db.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "!! persist: %v\n", err)
@@ -280,7 +282,7 @@ func (n *node) close() {
 
 // encounter dials one peer with the node's transport metrics attached.
 func (n *node) encounter(addr string) (replica.EncounterResult, error) {
-	return transport.EncounterOpts(n.ep.Replica(), addr, 0, 5*time.Second,
+	return n.dialer.Encounter(n.ep.Replica(), addr, 0, 5*time.Second,
 		transport.DialOptions{Metrics: &n.metrics.Transport})
 }
 

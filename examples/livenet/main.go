@@ -54,8 +54,10 @@ func main() {
 	}, []byte("hello across the wire"))
 	fmt.Printf("\nnode0 sends %s to addr:%d; encounters run left to right:\n", msg.ID, nodeCount-1)
 
+	var dialer transport.Dialer
+	defer dialer.Close()
 	for i := 0; i+1 < nodeCount; i++ {
-		if _, err := transport.Encounter(nodes[i], addrs[i+1], 0, 5*time.Second); err != nil {
+		if _, err := dialer.Encounter(nodes[i], addrs[i+1], 0, 5*time.Second, transport.DialOptions{}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  node%d <-> node%d done; node%d holds the message: %v\n",

@@ -59,6 +59,8 @@ func main() {
 
 	// Start a TCP encounter server and a discoverer per node. Each node
 	// beacons to every known UDP address; whoever answers gets an encounter.
+	var dialer transport.Dialer
+	defer dialer.Close()
 	for i, node := range nodes {
 		node := node
 		srv := transport.NewServer(node, 0)
@@ -79,7 +81,7 @@ func main() {
 				// Encounter errors are expected during shutdown (peers close
 				// their servers as the example exits) and are simply skipped —
 				// a DTN retries at the next contact anyway.
-				_, _ = transport.Encounter(node, p.Addr, 0, 5*time.Second)
+				_, _ = dialer.Encounter(node, p.Addr, 0, 5*time.Second, transport.DialOptions{})
 			},
 		})
 		if _, err := disc.Start(); err != nil {

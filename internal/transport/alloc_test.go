@@ -118,12 +118,13 @@ func TestOversizedBatchRefusedBeforeEncoding(t *testing.T) {
 }
 
 func TestBulkPullAllocatesLittle(t *testing.T) {
+	dl := newDialer(t)
 	addr, _ := serve(t, bulkSource(t), 0)
 	pull := func() uint64 {
 		d := freshDialer()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := Encounter(d, addr, 0, testTimeout)
+		res, err := dl.Encounter(d, addr, 0, testTimeout, DialOptions{})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -157,12 +158,13 @@ func TestBulkPullAllocatesLittle(t *testing.T) {
 // BenchmarkPullBatch is one bulk first contact over loopback, both ends in
 // this process; B/op is the number to watch.
 func BenchmarkPullBatch(b *testing.B) {
+	dl := newDialer(b)
 	addr, _ := serve(b, bulkSource(b), 0)
 	b.ReportAllocs()
 	b.SetBytes(bulkItems * bulkPayload)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Encounter(freshDialer(), addr, 0, testTimeout); err != nil {
+		if _, err := dl.Encounter(freshDialer(), addr, 0, testTimeout, DialOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -64,6 +64,7 @@ func TestServeRejectsOversizedFrameHeader(t *testing.T) {
 // dialing side: a listener claiming an over-cap frame fails the encounter on
 // the prefix, classified as a validation rejection, with nothing applied.
 func TestDialerRejectsOversizedFrameHeader(t *testing.T) {
+	dl := newDialer(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestDialerRejectsOversizedFrameHeader(t *testing.T) {
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
 	knowBefore := a.Knowledge()
 	m := &obs.TransportMetrics{}
-	_, err = EncounterOpts(a, ln.Addr().String(), 0, 2*time.Second,
+	_, err = dl.Encounter(a, ln.Addr().String(), 0, 2*time.Second,
 		DialOptions{MaxWireBytes: 4 << 10, Metrics: m})
 	if err == nil {
 		t.Fatal("oversized frame header should fail the dialer")
@@ -117,6 +118,7 @@ func TestDialerRejectsOversizedFrameHeader(t *testing.T) {
 // fails the encounter at frame assembly — before a byte reaches the peer —
 // instead of shipping a frame the peer (symmetric cap) is bound to reject.
 func TestServeEncodeSideFrameCap(t *testing.T) {
+	dl := newDialer(t)
 	big := replica.New(replica.Config{ID: "big", OwnAddresses: []string{"addr:big"}})
 	big.CreateItem(item.Metadata{
 		Source: "addr:big", Destinations: []string{"addr:a"}, Kind: "message",
@@ -133,7 +135,7 @@ func TestServeEncodeSideFrameCap(t *testing.T) {
 	defer srv.Close()
 
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
-	if _, err := Encounter(a, addr.String(), 0, 2*time.Second); err == nil {
+	if _, err := dl.Encounter(a, addr.String(), 0, 2*time.Second, DialOptions{}); err == nil {
 		t.Fatal("over-cap response should fail the encounter")
 	}
 	if total, _, _ := a.StoreLen(); total != 0 {
@@ -150,6 +152,7 @@ func TestServeEncodeSideFrameCap(t *testing.T) {
 // TestDialEncodeSideFrameCap mirrors the encode-side cap on the dialing
 // side: the dialer's leg-2 batch exceeds its own cap and fails locally.
 func TestDialEncodeSideFrameCap(t *testing.T) {
+	dl := newDialer(t)
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
 	srv := NewServer(a, 0)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -162,7 +165,7 @@ func TestDialEncodeSideFrameCap(t *testing.T) {
 	big.CreateItem(item.Metadata{
 		Source: "addr:big", Destinations: []string{"addr:a"}, Kind: "message",
 	}, make([]byte, 64<<10))
-	_, err = EncounterOpts(big, addr.String(), 0, 2*time.Second, DialOptions{MaxWireBytes: 4 << 10})
+	_, err = dl.Encounter(big, addr.String(), 0, 2*time.Second, DialOptions{MaxWireBytes: 4 << 10})
 	if err == nil {
 		t.Fatal("over-cap batch should fail the dialer")
 	}

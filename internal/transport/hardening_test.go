@@ -26,6 +26,7 @@ import (
 // wire-byte cap fails the encounter on the frame's length prefix with nothing
 // applied.
 func TestDialerOversizedBatchRejected(t *testing.T) {
+	dl := newDialer(t)
 	big := replica.New(replica.Config{ID: "big", OwnAddresses: []string{"addr:big"}})
 	big.CreateItem(item.Metadata{
 		Source: "addr:big", Destinations: []string{"addr:a"}, Kind: "message",
@@ -39,7 +40,7 @@ func TestDialerOversizedBatchRejected(t *testing.T) {
 
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
 	knowBefore := a.Knowledge()
-	_, err = EncounterOpts(a, addr.String(), 0, 2*time.Second, DialOptions{MaxWireBytes: 4 << 10})
+	_, err = dl.Encounter(a, addr.String(), 0, 2*time.Second, DialOptions{MaxWireBytes: 4 << 10})
 	if err == nil {
 		t.Fatal("oversized batch should fail the dialer")
 	}
@@ -51,7 +52,7 @@ func TestDialerOversizedBatchRejected(t *testing.T) {
 	}
 
 	// With the default (generous) cap the same encounter succeeds.
-	if _, err := Encounter(a, addr.String(), 0, 2*time.Second); err != nil {
+	if _, err := dl.Encounter(a, addr.String(), 0, 2*time.Second, DialOptions{}); err != nil {
 		t.Fatalf("encounter under the default cap: %v", err)
 	}
 	if total, _, _ := a.StoreLen(); total != 1 {
@@ -63,6 +64,7 @@ func TestDialerOversizedBatchRejected(t *testing.T) {
 // Listen is rejected instead of silently leaking the first listener, and
 // Close reaps the active one.
 func TestSecondListenRejected(t *testing.T) {
+	dl := newDialer(t)
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
 	srv := NewServer(a, 0)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -74,7 +76,7 @@ func TestSecondListenRejected(t *testing.T) {
 	}
 	// The first listener still serves.
 	b := replica.New(replica.Config{ID: "b", OwnAddresses: []string{"addr:b"}})
-	if _, err := Encounter(b, addr.String(), 0, 2*time.Second); err != nil {
+	if _, err := dl.Encounter(b, addr.String(), 0, 2*time.Second, DialOptions{}); err != nil {
 		t.Fatalf("encounter after rejected Listen: %v", err)
 	}
 	if err := srv.Close(); err != nil {
@@ -92,6 +94,7 @@ func TestSecondListenRejected(t *testing.T) {
 // and checks both sides' counters, byte accounting, and spans agree with the
 // EncounterResult and with each other.
 func TestTransportMetricsMatchEncounterResult(t *testing.T) {
+	dl := newDialer(t)
 	a := node(t, "a", "addr:a")
 	b := node(t, "b", "addr:b")
 	sendMsg(a, "addr:a", "addr:b")
@@ -107,7 +110,7 @@ func TestTransportMetricsMatchEncounterResult(t *testing.T) {
 	defer srv.Close()
 
 	dialM := &obs.TransportMetrics{}
-	res, err := EncounterOpts(b, addr.String(), 0, testTimeout, DialOptions{Metrics: dialM})
+	res, err := dl.Encounter(b, addr.String(), 0, testTimeout, DialOptions{Metrics: dialM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +283,7 @@ func TestHostileRoutingStateRejected(t *testing.T) {
 // a hostile dialer answers its pull, the dialer when a hostile listener
 // answers its own.
 func TestUnrealVersionBatchRejected(t *testing.T) {
+	dl := newDialer(t)
 	hostile := func(version vclock.Version, prior ...vclock.Version) []byte {
 		body, err := wire.AppendSyncResponse(nil, &replica.SyncResponse{
 			SourceID: "evil",
@@ -386,7 +390,7 @@ func TestUnrealVersionBatchRejected(t *testing.T) {
 			a := node(t, "a", "addr:a")
 			before := a.Knowledge()
 			m := &obs.TransportMetrics{}
-			_, err = EncounterOpts(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{Metrics: m})
+			_, err = dl.Encounter(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{Metrics: m})
 			if err == nil || errClass(err) != "validation" {
 				t.Errorf("forged batch: dialer returned %v, want a validation error", err)
 			}
@@ -408,6 +412,7 @@ func TestUnrealVersionBatchRejected(t *testing.T) {
 // forged count on. The dialer refuses the whole response as a validation
 // error, applies nothing and counts the sync as aborted.
 func TestForgedTransientRejected(t *testing.T) {
+	dl := newDialer(t)
 	honest, err := wire.AppendSyncResponse(nil, &replica.SyncResponse{
 		SourceID: "evil",
 		Items: []replica.BatchItem{{
@@ -468,7 +473,7 @@ func TestForgedTransientRejected(t *testing.T) {
 			a := node(t, "a", "addr:a")
 			before := a.Knowledge()
 			m := &obs.TransportMetrics{}
-			_, err = EncounterOpts(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{Metrics: m})
+			_, err = dl.Encounter(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{Metrics: m})
 			if err == nil || errClass(err) != "validation" {
 				t.Errorf("hops = %v: dialer returned %v, want a validation error", v, err)
 			}
@@ -497,6 +502,7 @@ func TestForgedTransientRejected(t *testing.T) {
 // of a summaries-off dialer — is refused as a validation error before any
 // further round: the dialer applies nothing and counts the sync as aborted.
 func TestStrayKnowledgeDemandRefused(t *testing.T) {
+	dl := newDialer(t)
 	for _, tc := range []struct {
 		name      string
 		summaries bool // the dialer's first request carries a delta
@@ -544,7 +550,7 @@ func TestStrayKnowledgeDemandRefused(t *testing.T) {
 			}
 			before := a.Knowledge()
 			m := &obs.TransportMetrics{}
-			_, err = EncounterOpts(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{Metrics: m})
+			_, err = dl.Encounter(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{Metrics: m})
 			if errClass(err) != "validation" {
 				t.Errorf("dialer returned %v, want a validation error", err)
 			}

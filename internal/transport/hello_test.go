@@ -16,6 +16,7 @@ import (
 // — or is not ours at all — is refused, by the serving and by the dialing
 // side alike, classified "protocol", with the store and knowledge untouched.
 func TestIncompatibleHelloRefused(t *testing.T) {
+	dl := newDialer(t)
 	for name, helloFrame := range map[string][]byte{
 		"older version": rawHello(helloMagic, protocolVersion-1, "peer"),
 		"newer version": rawHello(helloMagic, protocolVersion+1, "peer"),
@@ -51,7 +52,7 @@ func TestIncompatibleHelloRefused(t *testing.T) {
 						conn.Write(helloFrame)
 						io.Copy(io.Discard, conn) // hold the line until the dialer hangs up
 					}()
-					_, err = EncounterOpts(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{Metrics: m})
+					_, err = dl.Encounter(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{Metrics: m})
 				}
 				if !errors.Is(err, errVersionMismatch) {
 					t.Errorf("err = %v, want errVersionMismatch", err)

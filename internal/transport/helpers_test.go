@@ -4,10 +4,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"testing"
 	"time"
 
 	"replidtn/internal/wire/prim"
 )
+
+// newDialer returns a Dialer of the test's own, closed when the test ends.
+func newDialer(tb testing.TB) *Dialer {
+	d := &Dialer{}
+	tb.Cleanup(d.Close)
+	return d
+}
 
 // netDial opens a raw TCP connection for protocol-abuse tests.
 func netDial(addr string) (net.Conn, error) {

@@ -111,6 +111,7 @@ func compareLegs(t *testing.T, local, networked []legs) {
 // message to the next bus, either in-process or over TCP. Besides the final
 // replicas it returns each encounter's legs.
 func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, policyName string, overTCP, summaries bool) (map[string]*replica.Replica, []legs) {
+	dl := newDialer(t)
 	t.Helper()
 	var now int64
 	clock := func() int64 { return now }
@@ -169,7 +170,7 @@ func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, pol
 		var aToB, bToA replica.SyncResult
 		if overTCP {
 			// B dials A: the dialer's pull is the A→B leg.
-			res, err := Encounter(nodes[e.B], addrs[e.A], 0, 5*time.Second)
+			res, err := dl.Encounter(nodes[e.B], addrs[e.A], 0, 5*time.Second, DialOptions{})
 			if err != nil {
 				t.Fatalf("encounter %s-%s: %v", e.A, e.B, err)
 			}

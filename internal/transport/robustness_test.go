@@ -19,6 +19,7 @@ import (
 // connections, and abrupt disconnects at a server and verifies it keeps
 // serving well-formed encounters afterwards with unchanged state.
 func TestServerSurvivesGarbageConnections(t *testing.T) {
+	dl := newDialer(t)
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
 	a.CreateItem(item.Metadata{
 		Source: "addr:a", Destinations: []string{"addr:b"}, Kind: "message",
@@ -58,7 +59,7 @@ func TestServerSurvivesGarbageConnections(t *testing.T) {
 
 	// The server must still complete a well-formed encounter.
 	b := replica.New(replica.Config{ID: "b", OwnAddresses: []string{"addr:b"}})
-	res, err := Encounter(b, addr.String(), 0, 5*time.Second)
+	res, err := dl.Encounter(b, addr.String(), 0, 5*time.Second, DialOptions{})
 	if err != nil {
 		t.Fatalf("encounter after abuse: %v", err)
 	}
@@ -145,6 +146,7 @@ var errTruncated = errors.New("link died mid-frame")
 // its batch must leave the dialer's replica untouched — knowledge and store
 // bit-identical — so the next encounter resumes the full exchange.
 func TestTruncatedBatchAppliesNothing(t *testing.T) {
+	dl := newDialer(t)
 	peer := replica.New(replica.Config{ID: "peer", OwnAddresses: []string{"addr:peer"}})
 	for i := 0; i < 5; i++ {
 		peer.CreateItem(item.Metadata{
@@ -191,7 +193,7 @@ func TestTruncatedBatchAppliesNothing(t *testing.T) {
 
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
 	knowBefore := a.Knowledge()
-	res, err := Encounter(a, ln.Addr().String(), 0, 2*time.Second)
+	res, err := dl.Encounter(a, ln.Addr().String(), 0, 2*time.Second, DialOptions{})
 	if err == nil {
 		t.Fatal("truncated batch should fail the encounter")
 	}
@@ -218,6 +220,7 @@ func TestTruncatedBatchAppliesNothing(t *testing.T) {
 // TestOversizedBatchRejected: a server with a small wire-byte budget cuts off
 // a peer shipping an oversized batch, applies nothing, and keeps serving.
 func TestOversizedBatchRejected(t *testing.T) {
+	dl := newDialer(t)
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
 	srv := NewServer(a, 0)
 	srv.MaxWireBytes = 4 << 10
@@ -234,7 +237,7 @@ func TestOversizedBatchRejected(t *testing.T) {
 	big.CreateItem(item.Metadata{
 		Source: "addr:big", Destinations: []string{"addr:a"}, Kind: "message",
 	}, make([]byte, 64<<10))
-	if _, err := Encounter(big, addr.String(), 0, 2*time.Second); err == nil {
+	if _, err := dl.Encounter(big, addr.String(), 0, 2*time.Second, DialOptions{}); err == nil {
 		t.Fatal("oversized batch should fail the encounter")
 	}
 	if total, _, _ := a.StoreLen(); total != 0 {
@@ -248,7 +251,7 @@ func TestOversizedBatchRejected(t *testing.T) {
 	}
 	// A reasonable peer still syncs fine afterwards.
 	small := replica.New(replica.Config{ID: "small", OwnAddresses: []string{"addr:small"}})
-	if _, err := Encounter(small, addr.String(), 0, 2*time.Second); err != nil {
+	if _, err := dl.Encounter(small, addr.String(), 0, 2*time.Second, DialOptions{}); err != nil {
 		t.Errorf("server unusable after oversized batch: %v", err)
 	}
 }
@@ -293,6 +296,7 @@ func TestSlowLorisCutOffByDeadline(t *testing.T) {
 // and clean encounters, closing the server returns the process to its
 // pre-test goroutine population.
 func TestNoGoroutineLeaksAfterAbuse(t *testing.T) {
+	dl := newDialer(t)
 	before := runtime.NumGoroutine()
 	a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}})
 	srv := NewServer(a, 0)
@@ -318,7 +322,7 @@ func TestNoGoroutineLeaksAfterAbuse(t *testing.T) {
 		}
 	}
 	b := replica.New(replica.Config{ID: "b", OwnAddresses: []string{"addr:b"}})
-	if _, err := Encounter(b, addr.String(), 0, 2*time.Second); err != nil {
+	if _, err := dl.Encounter(b, addr.String(), 0, 2*time.Second, DialOptions{}); err != nil {
 		t.Fatalf("clean encounter amid abuse: %v", err)
 	}
 	if err := srv.Close(); err != nil {

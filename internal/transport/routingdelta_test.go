@@ -146,9 +146,10 @@ func (c routingCounts) minus(o routingCounts) routingCounts {
 // meet runs one encounter, b dialing a through addr, and returns the bytes
 // b's transport counted for it.
 func meet(t *testing.T, b *deltaPeer, addr string) int64 {
+	dl := newDialer(t)
 	t.Helper()
 	before := b.tm.BytesRead.Value() + b.tm.BytesWritten.Value()
-	if _, err := EncounterOpts(b.r, addr, 0, testTimeout, DialOptions{Metrics: &b.tm}); err != nil {
+	if _, err := dl.Encounter(b.r, addr, 0, testTimeout, DialOptions{Metrics: &b.tm}); err != nil {
 		t.Fatalf("encounter: %v", err)
 	}
 	return b.tm.BytesRead.Value() + b.tm.BytesWritten.Value() - before

@@ -66,8 +66,9 @@ func listenVia(t *testing.T, srv *Server, fail int32, wrap func(n int32, c net.C
 // A transient Accept failure — the descriptor table full for a moment — must
 // not leave the server deaf: the next encounter is served.
 func TestAcceptSurvivesTransientError(t *testing.T) {
+	dl := newDialer(t)
 	addr, _ := listenVia(t, NewServer(node(t, "a", "addr:a"), 0), 1, nil)
-	if _, err := Encounter(node(t, "b", "addr:b"), addr, 0, 2*time.Second); err != nil {
+	if _, err := dl.Encounter(node(t, "b", "addr:b"), addr, 0, 2*time.Second, DialOptions{}); err != nil {
 		t.Fatalf("encounter after one failed Accept: %v", err)
 	}
 }
@@ -76,6 +77,7 @@ func TestAcceptSurvivesTransientError(t *testing.T) {
 // 7 frames on the first encounter, 5 on each later one. The pair ends exactly
 // as the same encounters run in process leave it.
 func TestSessionReuse(t *testing.T) {
+	dl := newDialer(t)
 	const n = 5
 	a, b := node(t, "a", "addr:a"), node(t, "b", "addr:b")
 	la, lb := node(t, "a", "addr:a"), node(t, "b", "addr:b")
@@ -91,7 +93,7 @@ func TestSessionReuse(t *testing.T) {
 			sendMsg(r, "addr:b", "addr:a")
 		}
 		before := dialM.FramesRead.Value() + dialM.FramesWritten.Value()
-		if _, err := EncounterOpts(b, addr, 0, testTimeout, DialOptions{Metrics: dialM}); err != nil {
+		if _, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{Metrics: dialM}); err != nil {
 			t.Fatalf("encounter %d: %v", i, err)
 		}
 		replica.Encounter(lb, la, 0)
@@ -124,16 +126,17 @@ func TestSessionReuse(t *testing.T) {
 // next, metered encounter to count: that one reports its own 5 frames and
 // exactly the bytes the server's span for it records.
 func TestUnmeteredEncounterLeavesNoCounts(t *testing.T) {
+	dl := newDialer(t)
 	srv := NewServer(node(t, "a", "addr:a"), 0)
 	srvM := &obs.TransportMetrics{}
 	srv.Metrics = srvM
 	addr, _ := listenVia(t, srv, 0, nil)
 	b := node(t, "b", "addr:b")
-	if _, err := Encounter(b, addr, 0, testTimeout); err != nil {
+	if _, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	m := &obs.TransportMetrics{}
-	if _, err := EncounterOpts(b, addr, 0, testTimeout, DialOptions{Metrics: m}); err != nil {
+	if _, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{Metrics: m}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -157,6 +160,7 @@ func TestUnmeteredEncounterLeavesNoCounts(t *testing.T) {
 // finds it before a request is built, so the next encounter runs on a fresh
 // session with no aborted sync and no fallback round.
 func TestListenerRestartDialsFresh(t *testing.T) {
+	dl := newDialer(t)
 	a, b := summaryNode("a", "addr:a", true), summaryNode("b", "addr:b", true)
 	srv := NewServer(a, 0)
 	bound, err := srv.Listen("127.0.0.1:0")
@@ -167,7 +171,7 @@ func TestListenerRestartDialsFresh(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		sendMsg(a, "addr:a", "addr:b")
 		sendMsg(b, "addr:b", "addr:a")
-		if _, err := Encounter(b, addr, 0, testTimeout); err != nil {
+		if _, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{}); err != nil {
 			t.Fatalf("encounter %d: %v", round, err)
 		}
 		if err := srv.Close(); err != nil {
@@ -189,6 +193,7 @@ func TestListenerRestartDialsFresh(t *testing.T) {
 // The server cuts a session idle past IOTimeout; the dialer's probe sees it
 // closed and the next encounter runs on a new session.
 func TestIdleSessionExpires(t *testing.T) {
+	dl := newDialer(t)
 	srv := NewServer(node(t, "a", "addr:a"), 0)
 	srv.IOTimeout = 100 * time.Millisecond
 	m := &obs.TransportMetrics{}
@@ -199,7 +204,7 @@ func TestIdleSessionExpires(t *testing.T) {
 		if i > 0 {
 			time.Sleep(300 * time.Millisecond)
 		}
-		if _, err := Encounter(b, addr, 0, testTimeout); err != nil {
+		if _, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{}); err != nil {
 			t.Fatalf("encounter %d: %v", i, err)
 		}
 	}
@@ -210,8 +215,9 @@ func TestIdleSessionExpires(t *testing.T) {
 
 // Close does not wait out an idle session's IOTimeout.
 func TestCloseCutsIdleSession(t *testing.T) {
+	dl := newDialer(t)
 	addr, srv := serve(t, node(t, "a", "addr:a"), 0)
-	if _, err := Encounter(node(t, "b", "addr:b"), addr, 0, testTimeout); err != nil {
+	if _, err := dl.Encounter(node(t, "b", "addr:b"), addr, 0, testTimeout, DialOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -226,6 +232,7 @@ func TestCloseCutsIdleSession(t *testing.T) {
 // Between encounters the server takes only a sync request: a dialer that
 // sends a second hello, or garbage, is refused with nothing applied.
 func TestMidSessionHelloOrGarbageRefused(t *testing.T) {
+	dl := newDialer(t)
 	for name, frame := range map[string][]byte{
 		"hello":   rawHello(helloMagic, protocolVersion, "b"),
 		"garbage": []byte("not a frame stream"),
@@ -243,10 +250,10 @@ func TestMidSessionHelloOrGarbageRefused(t *testing.T) {
 			addr := bound.String()
 			b := node(t, "b", "addr:b")
 			sendMsg(b, "addr:b", "addr:a")
-			if _, err := Encounter(b, addr, 0, testTimeout); err != nil {
+			if _, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			ds := takeSession(sessionKey{"b", addr, 0})
+			ds := dl.takeSession(sessionKey{"b", addr, 0}, time.Now())
 			if ds == nil {
 				t.Fatal("no idle session cached after a clean encounter")
 			}
@@ -274,37 +281,43 @@ func TestMidSessionHelloOrGarbageRefused(t *testing.T) {
 	}
 }
 
-// corruptConn replaces its nth write with a frame no honest peer sends.
-type corruptConn struct {
+// editConn passes its nth write through edit.
+type editConn struct {
 	net.Conn
 	writes, nth int
+	edit        func(p []byte) []byte
 }
 
-func (c *corruptConn) Write(p []byte) (int, error) {
+func (c *editConn) Write(p []byte) (int, error) {
 	if c.writes++; c.writes == c.nth {
-		return c.Conn.Write(rawFrame(frameSyncResponse, []byte{0xff}))
+		p = c.edit(p)
 	}
 	return c.Conn.Write(p)
 }
+
+// strayFrame is a frame no honest peer sends: a sync response that does not
+// decode.
+var strayFrame = rawFrame(frameSyncResponse, []byte{0xff})
 
 // A listener that answers a session's first encounter honestly and its
 // second with a malformed response fails that encounter with nothing
 // applied; the third encounter dials a fresh session and completes.
 func TestHostileListenerMidSession(t *testing.T) {
+	dl := newDialer(t)
 	a := node(t, "a", "addr:a")
 	srv := NewServer(a, 0)
 	// Encounter 1 writes hello, response, request, done; 5 is encounter 2's
 	// response.
 	addr, ln := listenVia(t, srv, 0, func(n int32, c net.Conn) net.Conn {
 		if n == 1 {
-			return &corruptConn{Conn: c, nth: 5}
+			return &editConn{Conn: c, nth: 5, edit: func([]byte) []byte { return strayFrame }}
 		}
 		return c
 	})
 	b := node(t, "b", "addr:b")
 	m := &obs.TransportMetrics{}
 	encounter := func() error {
-		_, err := EncounterOpts(b, addr, 0, testTimeout, DialOptions{Metrics: m})
+		_, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{Metrics: m})
 		return err
 	}
 	if err := encounter(); err != nil {
@@ -335,6 +348,7 @@ func TestHostileListenerMidSession(t *testing.T) {
 // version; ApplyBatch skips the second and counts it in Stats.Duplicates,
 // with fresh connections as with sessions, so that counter is not asserted.)
 func TestConcurrentSessions(t *testing.T) {
+	dl := newDialer(t)
 	const ids, perID, rounds, fromHub = 4, 2, 50, 10
 	hub := node(t, "hub", "addr:hub")
 	srv := NewServer(hub, 0)
@@ -355,7 +369,7 @@ func TestConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				sendMsg(r, string("addr:"+r.ID()), "addr:hub")
-				if _, err := Encounter(r, addr, 0, testTimeout); err != nil {
+				if _, err := dl.Encounter(r, addr, 0, testTimeout, DialOptions{}); err != nil {
 					errs <- err
 					return
 				}
@@ -370,7 +384,7 @@ func TestConcurrentSessions(t *testing.T) {
 	// Every message reaches the hub on some encounter after its creation;
 	// one last round collects the stragglers.
 	for _, r := range nodes {
-		if _, err := Encounter(r, addr, 0, testTimeout); err != nil {
+		if _, err := dl.Encounter(r, addr, 0, testTimeout, DialOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -383,13 +397,13 @@ func TestConcurrentSessions(t *testing.T) {
 			t.Errorf("%s: %d delivered, %d stored; want %d and %d", r.ID(), got, stored(r), fromHub, perID*rounds+fromHub)
 		}
 	}
-	idleMu.Lock()
+	dl.mu.Lock()
 	for _, r := range nodes {
-		if idleSessions[sessionKey{string(r.ID()), addr, 0}] == nil {
+		if dl.idle[sessionKey{string(r.ID()), addr, 0}] == nil {
 			t.Errorf("%s: no idle session cached", r.ID())
 		}
 	}
-	idleMu.Unlock()
+	dl.mu.Unlock()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		srv.mu.Lock()
@@ -427,10 +441,11 @@ func TestProbeRejectsUnsoundSessions(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer peer.Close()
+			d := newDialer(t)
 			key := sessionKey{"probe", ln.Addr().String(), 0}
 			w := newWireIO(conn, 0)
 			w.peer = "p"
-			parkSession(key, w, nil)
+			d.parkSession(key, w, nil, time.Now())
 			if err := spoil(peer); err != nil {
 				t.Fatal(err)
 			}
@@ -438,7 +453,7 @@ func TestProbeRejectsUnsoundSessions(t *testing.T) {
 			for deadline := time.Now().Add(2 * time.Second); quiet(conn) && time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond)
 			}
-			if ds := takeSession(key); ds != nil {
+			if ds := d.takeSession(key, time.Now()); ds != nil {
 				ds.close()
 				t.Fatal("an unsound session was handed out")
 			}
@@ -449,8 +464,9 @@ func TestProbeRejectsUnsoundSessions(t *testing.T) {
 	}
 }
 
-// The cache holds at most maxIdleSessions; parking one more closes the one
-// idle longest.
+// A Dialer holds at most maxIdleSessions; parking one more closes the one
+// idle longest. The sessions are parked a millisecond apart on the Dialer's
+// clock, the first the oldest.
 func TestIdleCacheEvictsOldest(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -466,6 +482,8 @@ func TestIdleCacheEvictsOldest(t *testing.T) {
 			defer c.Close()
 		}
 	}()
+	d := newDialer(t)
+	start := time.Unix(1e9, 0)
 	keys := make([]sessionKey, maxIdleSessions+1)
 	for i := range keys {
 		conn, err := netDial(ln.Addr().String())
@@ -475,23 +493,160 @@ func TestIdleCacheEvictsOldest(t *testing.T) {
 		keys[i] = sessionKey{fmt.Sprintf("evict%d", i), ln.Addr().String(), 0}
 		w := newWireIO(conn, 0)
 		w.peer = "p"
-		parkSession(keys[i], w, nil)
+		d.parkSession(keys[i], w, nil, start.Add(time.Duration(i)*time.Millisecond))
 	}
-	idleMu.Lock()
-	size := len(idleSessions)
-	idleMu.Unlock()
-	if size > maxIdleSessions {
-		t.Errorf("cache holds %d sessions, cap %d", size, maxIdleSessions)
+	if size := len(d.idle); size != maxIdleSessions {
+		t.Errorf("cache holds %d sessions, want the cap %d", size, maxIdleSessions)
 	}
-	if ds := takeSession(keys[0]); ds != nil {
+	now := start.Add(time.Second)
+	if ds := d.takeSession(keys[0], now); ds != nil {
 		ds.close()
 		t.Error("the oldest session survived an overfull cache")
 	}
 	for _, k := range keys[1:] {
-		if ds := takeSession(k); ds == nil {
+		if ds := d.takeSession(k, now); ds == nil {
 			t.Errorf("%s: evicted while younger than the oldest", k.self)
 		} else {
 			ds.close()
 		}
+	}
+}
+
+// A parked session idle for more than half the default IOTimeout on the
+// Dialer's clock is closed at checkout, with no wall-clock wait: the
+// encounter at exactly half reuses the session, the one a nanosecond past it
+// dials fresh.
+func TestIdleAgeDialsFresh(t *testing.T) {
+	srv := NewServer(node(t, "a", "addr:a"), 0)
+	addr, ln := listenVia(t, srv, 0, nil)
+	now := time.Unix(1e9, 0)
+	dl := newDialer(t)
+	dl.now = func() time.Time { return now }
+	b, m := node(t, "b", "addr:b"), &obs.TransportMetrics{}
+	for i, age := range []time.Duration{0, defaultIOTimeout / 2, defaultIOTimeout/2 + 1} {
+		now = now.Add(age)
+		if _, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{Metrics: m}); err != nil {
+			t.Fatalf("encounter %d: %v", i, err)
+		}
+		if want := int32(max(i, 1)); ln.accepts.Load() != want {
+			t.Errorf("after encounter %d (idle %v): %d accepts, want %d", i, age, ln.accepts.Load(), want)
+		}
+	}
+	if got := m.SessionsOpened.Value(); got != 2 {
+		t.Errorf("%d sessions opened, want 2", got)
+	}
+}
+
+// A listener whose done frame arrives with a stray frame behind it, in one
+// write, leaves bytes in the dialer's reader that the socket probe cannot
+// see: the dialer closes that session instead of parking it, and the next
+// encounter dials fresh and completes.
+func TestStrayBytesAfterDoneNotParked(t *testing.T) {
+	srv := NewServer(node(t, "a", "addr:a"), 0)
+	// Encounter 1 writes hello, response, request, done: 4 is the done frame.
+	addr, ln := listenVia(t, srv, 0, func(n int32, c net.Conn) net.Conn {
+		if n == 1 {
+			return &editConn{Conn: c, nth: 4, edit: func(p []byte) []byte { return append(p, strayFrame...) }}
+		}
+		return c
+	})
+	dl, b, m := newDialer(t), node(t, "b", "addr:b"), &obs.TransportMetrics{}
+	for i := 0; i < 2; i++ {
+		if _, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{Metrics: m}); err != nil {
+			t.Fatalf("encounter %d: %v", i, err)
+		}
+	}
+	if ln.accepts.Load() != 2 || m.SessionsOpened.Value() != 2 {
+		t.Errorf("%d accepts, %d sessions; want 2 and 2", ln.accepts.Load(), m.SessionsOpened.Value())
+	}
+}
+
+// A connection with no descriptor behind it (a net.Pipe) is never quiet, so
+// a Dialer whose dial function hands out such connections dials for every
+// encounter instead of panicking in the probe.
+func TestConnWithoutDescriptorDialsFresh(t *testing.T) {
+	c, s := net.Pipe()
+	defer c.Close()
+	defer s.Close()
+	if quiet(c) {
+		t.Error("a pipe probed quiet")
+	}
+	srv := NewServer(node(t, "a", "addr:a"), 0)
+	var served sync.WaitGroup
+	dials := 0
+	dl := &Dialer{dial: func(_, _ string, _ time.Duration) (net.Conn, error) {
+		dials++
+		c, s := net.Pipe()
+		served.Add(1)
+		go func() {
+			defer served.Done()
+			defer s.Close()
+			if err := srv.serveConn(s); err != nil {
+				t.Error(err)
+			}
+		}()
+		return c, nil
+	}}
+	b := node(t, "b", "addr:b")
+	for i := 0; i < 2; i++ {
+		if _, err := dl.Encounter(b, "pipe", 0, testTimeout, DialOptions{}); err != nil {
+			t.Fatalf("encounter %d: %v", i, err)
+		}
+	}
+	dl.Close()
+	served.Wait()
+	if dials != 2 {
+		t.Errorf("two encounters dialed %d times, want 2", dials)
+	}
+}
+
+// Close racing an encounter in flight: whichever of Close and the
+// encounter's end comes first, no session stays parked, and the listener
+// sees both of the Dialer's sessions (one parked before Close, one in flight)
+// end within 100 ms of Close.
+func TestDialerCloseRacesEncounter(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	srv := NewServer(node(t, "a", "addr:a"), 0)
+	// Session 2 holds its done frame (the fourth write) until release.
+	addr, _ := listenVia(t, srv, 0, func(n int32, c net.Conn) net.Conn {
+		if n == 2 {
+			return &editConn{Conn: c, nth: 4, edit: func(p []byte) []byte { close(held); <-release; return p }}
+		}
+		return c
+	})
+	dl := &Dialer{}
+	if _, err := dl.Encounter(node(t, "b", "addr:b"), addr, 0, testTimeout, DialOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	c := node(t, "c", "addr:c")
+	errc := make(chan error, 1)
+	go func() {
+		_, err := dl.Encounter(c, addr, 0, testTimeout, DialOptions{})
+		errc <- err
+	}()
+	<-held
+	close(release)
+	dl.Close()
+	closed := time.Now()
+	if err := <-errc; err != nil {
+		t.Fatalf("the encounter in flight: %v", err)
+	}
+	dl.mu.Lock()
+	parked := len(dl.idle)
+	dl.mu.Unlock()
+	if parked != 0 {
+		t.Errorf("%d sessions parked after Close", parked)
+	}
+	for {
+		srv.mu.Lock()
+		open := len(srv.sessions)
+		srv.mu.Unlock()
+		if open == 0 {
+			break
+		}
+		if time.Since(closed) > 100*time.Millisecond {
+			t.Fatalf("the listener still holds %d sessions 100 ms after Close", open)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

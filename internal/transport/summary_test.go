@@ -40,6 +40,7 @@ func pair(res replica.EncounterResult) applyPair {
 // a summaries-enabled side of a recurring pair must move to delta knowledge,
 // and a disabled side must emit no summary frame.
 func TestSummaryModesDeliverIdentically(t *testing.T) {
+	dl := newDialer(t)
 	type outcome struct {
 		first, second applyPair
 		delivered     int
@@ -53,7 +54,7 @@ func TestSummaryModesDeliverIdentically(t *testing.T) {
 		sendMsg(b, "addr:b", "addr:a")
 		addr, _ := serve(t, a, 0)
 
-		res1, err := Encounter(b, addr, 0, testTimeout)
+		res1, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{})
 		if err != nil {
 			t.Fatalf("server=%v dialer=%v first encounter: %v", m.server, m.dialer, err)
 		}
@@ -61,7 +62,7 @@ func TestSummaryModesDeliverIdentically(t *testing.T) {
 		// the recurring-pair path must move data, not just empty frames.
 		sendMsg(a, "addr:a", "addr:b")
 		sendMsg(b, "addr:b", "addr:a")
-		res2, err := Encounter(b, addr, 0, testTimeout)
+		res2, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{})
 		if err != nil {
 			t.Fatalf("server=%v dialer=%v second encounter: %v", m.server, m.dialer, err)
 		}
@@ -105,6 +106,7 @@ var summaryModes = []struct{ server, dialer bool }{
 // the exact-knowledge run delivers, re-send no known item, and record
 // exactly one fallback on a summaries-enabled dialer and none on the server.
 func TestDigestFallbackOverTCP(t *testing.T) {
+	dl := newDialer(t)
 	type outcome struct {
 		third     applyPair
 		delivered int
@@ -117,7 +119,7 @@ func TestDigestFallbackOverTCP(t *testing.T) {
 		for n := 0; n < 2; n++ {
 			sendMsg(a, "addr:a", "addr:b")
 			sendMsg(b, "addr:b", "addr:a")
-			if _, err := Encounter(b, addr, 0, testTimeout); err != nil {
+			if _, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{}); err != nil {
 				t.Fatalf("server=%v dialer=%v encounter %d: %v", m.server, m.dialer, n+1, err)
 			}
 		}
@@ -130,7 +132,7 @@ func TestDigestFallbackOverTCP(t *testing.T) {
 		}
 		sendMsg(a, "addr:a", "addr:b")
 		sendMsg(b, "addr:b", "addr:a")
-		res, err := Encounter(b, addr, 0, testTimeout)
+		res, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{})
 		if err != nil {
 			t.Fatalf("server=%v dialer=%v encounter after restart: %v", m.server, m.dialer, err)
 		}

@@ -7,11 +7,11 @@
 // transactional. The target side of a sync is replica.Pull, the same code the
 // emulator runs, with the session as its carrier (one request frame out, one
 // response frame back); the source side is serveBatch. Any error ends a
-// session; dialers park clean ones in a small idle cache. Every message, the
-// hello included, is a length-prefixed binary frame (bodies in the
-// internal/wire encoding), and the wire-byte cap is enforced per frame on both
-// sides. There is one protocol: a peer whose hello carries a different version
-// byte is refused.
+// session; a Dialer, which each node holds, parks clean ones in an idle cache
+// of its own. Every message, the hello included, is a length-prefixed binary
+// frame (bodies in the internal/wire encoding), and the wire-byte cap is
+// enforced per frame on both sides. There is one protocol: a peer whose hello
+// carries a different version byte is refused.
 package transport
 
 import (
@@ -710,20 +710,40 @@ type DialOptions struct {
 	Metrics *obs.TransportMetrics
 }
 
-// Encounter dials addr and performs a full encounter (two syncs with
-// alternating roles) on behalf of r. maxItems bounds each pulled batch
-// (0 = unlimited). timeout bounds the whole exchange.
-func Encounter(r *replica.Replica, addr string, maxItems int, timeout time.Duration) (replica.EncounterResult, error) {
-	return EncounterOpts(r, addr, maxItems, timeout, DialOptions{})
+// EncounterOpts runs an encounter on the package's shared default Dialer.
+func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.Duration, opts DialOptions) (replica.EncounterResult, error) {
+	return defaultDialer.Encounter(r, addr, maxItems, timeout, opts)
 }
 
-// EncounterOpts is Encounter with explicit dial options (wire-byte cap,
-// metrics sink); it reuses r's sound idle session to addr if there is one.
-func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.Duration, opts DialOptions) (out replica.EncounterResult, err error) {
+var defaultDialer Dialer // EncounterOpts's, never closed
+
+// Dialer runs the dialing side of encounters and parks each clean session for
+// its replica's next encounter with the same listener (DESIGN §14). The zero
+// value dials TCP; Close closes the parked sessions.
+type Dialer struct {
+	now  func() time.Time                                                    // nil = time.Now
+	dial func(network, addr string, timeout time.Duration) (net.Conn, error) // nil = net.DialTimeout
+
+	mu     sync.Mutex
+	idle   map[sessionKey]*wireIO // parked between encounters, one per key
+	closed bool
+}
+
+// Encounter runs a full encounter (two syncs with alternating roles) for r
+// with the listener at addr, on r's sound idle session to it if there is one.
+// maxItems bounds each pulled batch (0 = unlimited), timeout the exchange.
+func (d *Dialer) Encounter(r *replica.Replica, addr string, maxItems int, timeout time.Duration, opts DialOptions) (out replica.EncounterResult, err error) {
+	now, dial := time.Now, net.DialTimeout
+	if d.now != nil {
+		now = d.now
+	}
+	if d.dial != nil {
+		dial = d.dial
+	}
 	key := sessionKey{string(r.ID()), addr, opts.MaxWireBytes}
-	w := takeSession(key)
+	w := d.takeSession(key, now())
 	if w == nil {
-		conn, err := net.DialTimeout("tcp", addr, timeout)
+		conn, err := dial("tcp", addr, timeout)
 		if err != nil {
 			if opts.Metrics != nil {
 				opts.Metrics.EncounterErrors.Inc()
@@ -736,7 +756,7 @@ func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.D
 		}
 		w = newWireIO(conn, opts.MaxWireBytes)
 	}
-	defer func() { parkSession(key, w, err) }()
+	defer func() { d.parkSession(key, w, err, now()) }()
 	_ = w.conn.SetDeadline(time.Now().Add(timeout))
 
 	span := obs.SyncSpan{Peer: addr, Role: obs.RoleDial}
@@ -781,7 +801,7 @@ func EncounterOpts(r *replica.Replica, addr string, maxItems int, timeout time.D
 	return out, nil
 }
 
-const maxIdleSessions = 64 // caps the process-wide idle-session cache
+const maxIdleSessions = 64 // caps a Dialer's idle-session cache
 
 // sessionKey names a dialer's reusable sessions; limit is MaxWireBytes.
 type sessionKey struct {
@@ -789,17 +809,14 @@ type sessionKey struct {
 	limit      int64
 }
 
-var idleMu sync.Mutex
-var idleSessions = map[sessionKey]*wireIO{} // parked between encounters, one per key
-
 // takeSession checks out key's idle session if it is sound — idle under half
 // the default IOTimeout, open, nothing waiting — else closes it (DESIGN §14).
-func takeSession(key sessionKey) *wireIO {
-	idleMu.Lock()
-	w := idleSessions[key]
-	delete(idleSessions, key)
-	idleMu.Unlock()
-	if w == nil || time.Since(w.idle) <= defaultIOTimeout/2 && quiet(w.conn) {
+func (d *Dialer) takeSession(key sessionKey, now time.Time) *wireIO {
+	d.mu.Lock()
+	w := d.idle[key]
+	delete(d.idle, key)
+	d.mu.Unlock()
+	if w == nil || now.Sub(w.idle) <= defaultIOTimeout/2 && quiet(w.conn) {
 		return w
 	}
 	w.close()
@@ -808,8 +825,12 @@ func takeSession(key sessionKey) *wireIO {
 
 // quiet reports whether a non-blocking peek finds conn open, nothing waiting.
 func quiet(conn net.Conn) bool {
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		return false // no descriptor to peek at: dial fresh
+	}
 	var perr error
-	rc, err := conn.(syscall.Conn).SyscallConn()
+	rc, err := sc.SyscallConn()
 	if err == nil {
 		err = rc.Read(func(fd uintptr) bool {
 			_, _, perr = syscall.Recvfrom(int(fd), make([]byte, 1), syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
@@ -819,27 +840,43 @@ func quiet(conn net.Conn) bool {
 	return err == nil && perr == syscall.EAGAIN
 }
 
-// parkSession caches a clean session, evicting the key's older one or, at
-// the cap, the one idle longest; a failed or overfed one is closed.
-func parkSession(key sessionKey, w *wireIO, err error) {
-	if err != nil || w.br.Buffered() > 0 {
+// parkSession caches a clean session idle from now, evicting the key's older
+// one or, at the cap, the one idle longest; it closes a failed or overfed
+// one, or any once d is closed.
+func (d *Dialer) parkSession(key sessionKey, w *wireIO, err error, now time.Time) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err != nil || w.br.Buffered() > 0 || d.closed {
 		w.close()
 		return
 	}
-	w.idle, w.bytesIn, w.bytesOut, w.framesIn, w.framesOut = time.Now(), 0, 0, 0, 0
-	idleMu.Lock()
-	defer idleMu.Unlock()
+	w.idle, w.bytesIn, w.bytesOut, w.framesIn, w.framesOut = now, 0, 0, 0, 0
+	if d.idle == nil {
+		d.idle = map[sessionKey]*wireIO{}
+	}
 	evict := key
-	if idleSessions[key] == nil && len(idleSessions) >= maxIdleSessions {
-		for k, c := range idleSessions {
-			if evict == key || c.idle.Before(idleSessions[evict].idle) {
+	if d.idle[key] == nil && len(d.idle) >= maxIdleSessions {
+		for k, c := range d.idle {
+			if evict == key || c.idle.Before(d.idle[evict].idle) {
 				evict = k
 			}
 		}
 	}
-	if old := idleSessions[evict]; old != nil {
+	if old := d.idle[evict]; old != nil {
 		old.close()
-		delete(idleSessions, evict)
+		delete(d.idle, evict)
 	}
-	idleSessions[key] = w
+	d.idle[key] = w
+}
+
+// Close closes every parked session. A session whose encounter ends after
+// Close is closed, not parked; Encounter still dials.
+func (d *Dialer) Close() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.closed = true
+	for _, w := range d.idle {
+		w.close()
+	}
+	d.idle = nil
 }

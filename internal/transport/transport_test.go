@@ -43,13 +43,14 @@ func serve(t testing.TB, r *replica.Replica, maxItems int) (string, *Server) {
 }
 
 func TestEncounterDeliversBothDirections(t *testing.T) {
+	dl := newDialer(t)
 	a := node(t, "a", "addr:a")
 	b := node(t, "b", "addr:b")
 	ma := sendMsg(a, "addr:a", "addr:b")
 	mb := sendMsg(b, "addr:b", "addr:a")
 
 	addr, _ := serve(t, a, 0)
-	res, err := Encounter(b, addr, 0, testTimeout)
+	res, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +72,15 @@ func TestEncounterDeliversBothDirections(t *testing.T) {
 }
 
 func TestRepeatEncountersSendNothingNew(t *testing.T) {
+	dl := newDialer(t)
 	a := node(t, "a", "addr:a")
 	b := node(t, "b", "addr:b")
 	sendMsg(a, "addr:a", "addr:b")
 	addr, _ := serve(t, a, 0)
-	if _, err := Encounter(b, addr, 0, testTimeout); err != nil {
+	if _, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Encounter(b, addr, 0, testTimeout)
+	res, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +93,14 @@ func TestRepeatEncountersSendNothingNew(t *testing.T) {
 }
 
 func TestServerSideBandwidthCap(t *testing.T) {
+	dl := newDialer(t)
 	a := node(t, "a", "addr:a")
 	b := node(t, "b", "addr:b")
 	for i := 0; i < 5; i++ {
 		sendMsg(a, "addr:a", "addr:b")
 	}
 	addr, _ := serve(t, a, 2)
-	res, err := Encounter(b, addr, 0, testTimeout)
+	res, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +110,7 @@ func TestServerSideBandwidthCap(t *testing.T) {
 }
 
 func TestPolicyRequestsTravelOnTheWire(t *testing.T) {
+	dl := newDialer(t)
 	now := func() int64 { return 0 }
 	mk := func(id, addr string) *replica.Replica {
 		return replica.New(replica.Config{
@@ -123,17 +127,17 @@ func TestPolicyRequestsTravelOnTheWire(t *testing.T) {
 	// b meets c so b's predictability for addr:c rises, then a meets b and
 	// should hand over the message — all over TCP.
 	addrC, _ := serve(t, c, 0)
-	if _, err := Encounter(b, addrC, 0, testTimeout); err != nil {
+	if _, err := dl.Encounter(b, addrC, 0, testTimeout, DialOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	addrB, _ := serve(t, b, 0)
-	if _, err := Encounter(a, addrB, 0, testTimeout); err != nil {
+	if _, err := dl.Encounter(a, addrB, 0, testTimeout, DialOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !b.HasItem(msg.ID) {
 		t.Fatal("PROPHET did not forward over TCP")
 	}
-	if _, err := Encounter(b, addrC, 0, testTimeout); err != nil {
+	if _, err := dl.Encounter(b, addrC, 0, testTimeout, DialOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().Delivered != 1 {
@@ -142,6 +146,7 @@ func TestPolicyRequestsTravelOnTheWire(t *testing.T) {
 }
 
 func TestMaxPropRequestsTravel(t *testing.T) {
+	dl := newDialer(t)
 	now := func() int64 { return 0 }
 	mk := func(id, addr string) *replica.Replica {
 		return replica.New(replica.Config{
@@ -154,7 +159,7 @@ func TestMaxPropRequestsTravel(t *testing.T) {
 	b := mk("b", "addr:b")
 	msg := sendMsg(a, "addr:a", "addr:z")
 	addr, _ := serve(t, a, 0)
-	if _, err := Encounter(b, addr, 0, testTimeout); err != nil {
+	if _, err := dl.Encounter(b, addr, 0, testTimeout, DialOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !b.HasItem(msg.ID) {
@@ -163,6 +168,7 @@ func TestMaxPropRequestsTravel(t *testing.T) {
 }
 
 func TestConcurrentEncounters(t *testing.T) {
+	dl := newDialer(t)
 	hub := replica.New(replica.Config{
 		ID:           "hub",
 		OwnAddresses: []string{"addr:hub"},
@@ -187,7 +193,7 @@ func TestConcurrentEncounters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := Encounter(nd, addr, 0, testTimeout); err != nil {
+			if _, err := dl.Encounter(nd, addr, 0, testTimeout, DialOptions{}); err != nil {
 				errs <- err
 			}
 		}()
@@ -209,6 +215,7 @@ func TestConcurrentEncounters(t *testing.T) {
 // server each receive every payload intact, whatever the other connections
 // write into the recycled buffers meanwhile.
 func TestConcurrentPullsKeepPayloads(t *testing.T) {
+	dl := newDialer(t)
 	src := replica.New(replica.Config{ID: "src", OwnAddresses: []string{"addr:src"}, Policy: epidemic.New(0)})
 	want := map[item.ID][]byte{}
 	for i := 0; i < 64; i++ {
@@ -224,7 +231,7 @@ func TestConcurrentPullsKeepPayloads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			d := replica.New(replica.Config{ID: vclock.ReplicaID(fmt.Sprintf("d%d", i)), OwnAddresses: []string{fmt.Sprintf("addr:d%d", i)}, Policy: epidemic.New(0)})
-			if _, err := Encounter(d, addr, 0, testTimeout); err != nil {
+			if _, err := dl.Encounter(d, addr, 0, testTimeout, DialOptions{}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -256,8 +263,9 @@ func TestCloseIsIdempotentAndBlocksListen(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
+	dl := newDialer(t)
 	a := node(t, "a", "addr:a")
-	if _, err := Encounter(a, "127.0.0.1:1", 0, 200*time.Millisecond); err == nil {
+	if _, err := dl.Encounter(a, "127.0.0.1:1", 0, 200*time.Millisecond, DialOptions{}); err == nil {
 		t.Error("dialing a dead port should fail")
 	}
 }
