@@ -44,14 +44,15 @@ func benchRequest(maxItems int) *SyncRequest {
 }
 
 // BenchmarkHandleSyncRequest measures batch assembly on the sync hot path at
-// several store sizes, with the encounter budget both unconstrained and at
-// the paper's Fig. 9 bound of one item per sync, for a target that knows
+// several store sizes, with the encounter budget unconstrained, at the
+// paper's Fig. 9 bound of one item per sync and at bulk-first-contact's 256
+// (dtnbench), for a target that knows
 // nothing (every entry is a candidate: the full-walk case) and one that knows
 // every version but the newest (the O(unknown) case: a peer that synced one
 // message ago).
 func BenchmarkHandleSyncRequest(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
-		for _, maxItems := range []int{0, 1} {
+		for _, maxItems := range []int{0, 1, 256} {
 			for _, known := range []string{"none", "all-but-1"} {
 				name := fmt.Sprintf("n=%d/maxItems=%d/known=%s", n, maxItems, known)
 				b.Run(name, func(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 
 	"replidtn/internal/filter"
 	"replidtn/internal/item"
+	"replidtn/internal/obs"
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/epidemic"
 	"replidtn/internal/routing/prophet"
@@ -111,6 +112,11 @@ type diffScenario struct {
 	tombFrac    int // percent of items deleted
 	expireFrac  int // percent of items already expired
 	filter      int // index into diffFilters
+	// originals keeps every item an unmodified original — no update, no
+	// deletion, no seq-0 version — so the source's runs stay in ID order and
+	// a budgeted serve may stop early; some items name both of the target's
+	// own addresses, the second first.
+	originals bool
 }
 
 // diffFilters are the target filters a scenario picks from: address sets of
@@ -155,7 +161,8 @@ const (
 // matches. The target's knowledge is earned the same
 // way — a prefix of each writer's versions, then a random scatter — so it is
 // a contiguous base plus exceptions plus gaps, and covers versions the
-// source never received.
+// source never received. A scenario of originals leaves out every update,
+// deletion and the seq-0 version.
 func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *SyncRequest) {
 	rng := rand.New(rand.NewSource(sc.seed))
 	var now int64 = 1000
@@ -213,6 +220,12 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 		w := writers[rng.Intn(len(writers))]
 		held := w.store.Entries()
 		switch op := rng.Intn(100); {
+		case sc.originals:
+			dests := []string{fmt.Sprintf("addr:%d", rng.Intn(10))}
+			if rng.Intn(6) == 0 {
+				dests = []string{"addr:1", "addr:0"}
+			}
+			w.CreateItem(item.Metadata{Source: "addr:" + string(w.ID()), Destinations: dests, Kind: "message"}, make([]byte, rng.Intn(200)))
 		case len(held) > 0 && op < sc.tombFrac:
 			if _, err := w.DeleteItem(held[rng.Intn(len(held))].Item.ID); err != nil {
 				panic(err)
@@ -245,7 +258,7 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 			ingest(src, writers[rng.Intn(len(writers))], func(*store.Entry) bool { return rng.Intn(3) > 0 })
 		}
 	}
-	if rng.Intn(2) == 0 {
+	if rng.Intn(2) == 0 && !sc.originals {
 		src.ApplyBatch(&SyncResponse{SourceID: "z", Items: []BatchItem{{Item: &item.Item{
 			ID:      item.ID{Creator: "z", Num: 1},
 			Version: vclock.Version{Replica: "z", Seq: 0},
@@ -335,7 +348,7 @@ func sameStores(a, b *Replica) error {
 // destFiled counts the entries r's store files under their destinations.
 func destFiled(r *Replica) int {
 	n := 0
-	r.store.RangeAboveDestinations(func(vclock.ReplicaID) uint64 { return 0 }, func(*store.Entry) bool {
+	r.store.RangeAboveDestinations(func(vclock.ReplicaID, bool) uint64 { return 0 }, func(*store.Entry) bool {
 		n++
 		return true
 	})
@@ -346,12 +359,13 @@ func destFiled(r *Replica) int {
 // HandleSyncRequest, each on its own identical source, twice over — the
 // second serve walks what the first refiled — and demands identical
 // batches and identical stores after each. It returns the streaming path's
-// source and its two responses.
+// source, whose metrics count both serves, and its two responses.
 func serveTwice(sc diffScenario) (src *Replica, resps [2]*SyncResponse, err error) {
 	// Two identical sources: side-effecting policies (spray) mutate stored
 	// transients during assembly, so each path gets its own.
 	oldSrc, oldReq := buildSource(sc)
 	newSrc, newReq := buildSource(sc)
+	newSrc.metrics = &obs.ReplicaMetrics{}
 	for round := range resps {
 		oldResp := oldSrc.handleSyncRequestReference(reqClone(oldReq))
 		resps[round] = newSrc.HandleSyncRequest(reqClone(newReq))
@@ -474,6 +488,105 @@ func TestHandleSyncRequestDifferentialEdgeBudgets(t *testing.T) {
 		if sc.seed >= 12 && err == nil && destFiled(src) <= destFiled(before) {
 			t.Errorf("scenario %+v: the serves refiled nothing (%d entries filed by destination before, %d after)",
 				sc, destFiled(before), destFiled(src))
+		}
+	}
+}
+
+// TestHandleSyncRequestDifferentialStops pins the early stop of a budgeted
+// serve (DESIGN §4) to the reference on worlds of unmodified originals, where
+// runs stay in ID order and may stop: creators filed in whatever order their
+// first copies arrived, filter matches anywhere in a run, items naming both
+// of the target's addresses, a target knowledge of base plus exceptions.
+// Under Epidemic, two-hop and no policy, for a nil filter and address
+// filters, each world is served at one below, at and one above its
+// candidate count, where Truncated turns, and at one item and half the
+// count, then once without a budget over the entries the budgeted serves
+// filed under their destinations. A serve stopped early when it offered
+// fewer candidates than the reference collected; serves must have stopped
+// in at least 20 budgeted worlds, or the corpus shows nothing.
+func TestHandleSyncRequestDifferentialStops(t *testing.T) {
+	stopped, cases := 0, 0
+	for seed := int64(1); seed <= 30; seed++ {
+		for _, policy := range []int{0, 1, 4} {
+			for _, f := range []int{0, 2, 3, filterNil} {
+				sc := diffScenario{seed: seed, policy: policy, items: 80, knownFrac: 20, expireFrac: 5, filter: f, originals: true}
+				src, req := buildSource(sc)
+				all := *req
+				all.MaxItems = 0
+				cands := len(src.handleSyncRequestReference(&all).Items)
+				for _, budget := range []int{1, cands / 2, cands - 1, cands, cands + 1} {
+					if budget < 1 {
+						continue
+					}
+					sc.maxItems = budget
+					newSrc, _, err := serveTwice(sc)
+					if err == nil {
+						err = sameResponse(src.handleSyncRequestReference(reqClone(&all)), newSrc.HandleSyncRequest(reqClone(&all)))
+					}
+					if err != nil {
+						t.Fatalf("scenario %+v (%d candidates): %v", sc, cands, err)
+					}
+					cases++
+					if offered := newSrc.metrics.CandidatesOffered.Value(); offered < int64(3*cands) {
+						stopped++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("serves stopped early in %d of %d budgeted worlds", stopped, cases)
+	if stopped < 20 {
+		t.Errorf("corpus too thin to mean anything: serves stopped early in %d worlds", stopped)
+	}
+}
+
+// TestFirstContactServeExamines pins what a budgeted first contact walks,
+// as a count: a target that knows nothing pulls a batch from an Epidemic
+// store of one creator, whose entries are all unmodified originals. The serve
+// walks the target's destination run, then the main run up to the first
+// candidate the batch turns away, passing over the target's own entries it
+// has already offered, so it examines at most the budget, those entries and
+// a descent per run — not the store. (Each B-tree level costs a binary
+// search in a node of at most 31 entries; 16 000 entries fill at most four
+// levels of at least 16 children.) dtnbench's bulk-first-contact has the
+// first shape: 64 of 16 000 messages for the target, ahead of the rest.
+// The second is newBenchSource's, every fourth message for the target, at
+// the paper's one-item budget: the main run is passed over whole.
+func TestFirstContactServeExamines(t *testing.T) {
+	const n, runs, height, fanOut = 16000, 2, 4, 32
+	bulkSource := func() *Replica {
+		src := New(Config{ID: "server", OwnAddresses: []string{"addr:server"}, Policy: epidemic.New(0)})
+		for i := 0; i < n; i++ {
+			to := fmt.Sprintf("addr:far%d", i%97)
+			if i < 64 {
+				to = "addr:0"
+			}
+			src.CreateItem(item.Metadata{Source: "addr:server", Destinations: []string{to}, Kind: "message"}, nil)
+		}
+		return src
+	}
+	for _, tc := range []struct {
+		name            string
+		src             *Replica
+		budget, skipped int // skipped: entries the main run passes over as offered already
+	}{
+		{"bulk-first-contact", bulkSource(), 256, 64},
+		{"bench source", newBenchSource(t, n), 1, 0},
+	} {
+		m := &obs.ReplicaMetrics{}
+		tc.src.metrics = m
+		resp := tc.src.HandleSyncRequest(benchRequest(tc.budget))
+		if len(resp.Items) != tc.budget || !resp.Truncated {
+			t.Fatalf("%s: batch of %d items (truncated: %v), want %d of a larger one", tc.name, len(resp.Items), resp.Truncated, tc.budget)
+		}
+		if got := resp.Items[0].Priority.Class; got != routing.ClassFilter {
+			t.Fatalf("%s: the batch opens with a %v item, not one for the target", tc.name, got)
+		}
+		limit := int64(tc.budget + 1 + tc.skipped + 2*runs*height*fanOut)
+		if examined := m.EntriesExamined.Value(); examined > limit {
+			t.Errorf("%s: the serve examined %d of %d entries, want at most %d", tc.name, examined, n, limit)
+		} else {
+			t.Logf("%s: the serve examined %d of %d entries (bound %d), offered %d", tc.name, examined, n, limit, m.CandidatesOffered.Value())
 		}
 	}
 }

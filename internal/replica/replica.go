@@ -146,6 +146,8 @@ type Replica struct {
 	metrics *obs.ReplicaMetrics
 	// skipped is the serve walks' reused buffer of withheld entries.
 	skipped []*store.Entry
+	fixed   routing.Priority // the policy's routing.FixedPriority, else Skip
+	dual    bool             // the store files live entries by destination too
 
 	// Mutation journal (see journal.go): journal receives batches, pending
 	// accumulates under mu, emitMu serializes emission so delivery order
@@ -204,6 +206,9 @@ func New(cfg Config) *Replica {
 		r.store.DestinationOnly(func(*store.Entry) bool { return true })
 	case routing.DestinationOnly:
 		r.store.DestinationOnly(p.DestinationOnly)
+	}
+	if fp, ok := cfg.Policy.(routing.FixedPriority); ok {
+		r.fixed = fp.FixedPriority()
 	}
 	if cfg.OnCopies != nil {
 		r.store.LiveNotify(cfg.OnCopies)

@@ -8,21 +8,15 @@ import (
 	"replidtn/internal/store"
 )
 
-// syncCandidate is one store entry admitted to batch selection, before its
-// wire transient is materialized. Keeping candidates this small — and
-// deferring transient construction until after truncation — is what makes
-// batch assembly allocation-free per scanned entry.
+// syncCandidate is one store entry admitted to batch selection. It is a
+// value of a pointer, a priority and a 16-byte transient, so batch assembly
+// allocates nothing per scanned entry.
 type syncCandidate struct {
 	entry    *store.Entry
 	priority routing.Priority
-	// transient is the policy-built transient for eager ToSend policies;
-	// zero for substrate-class candidates (which transmit the stored
-	// transient) and for split policies.
+	// transient is the policy-built transient; zero for substrate-class
+	// candidates, which transmit the stored one.
 	transient item.Transient
-	// materialize marks a candidate admitted via routing.SplitSender.Decide,
-	// whose transient is produced by Materialize only if it survives
-	// truncation.
-	materialize bool
 }
 
 // batchSelector assembles a synchronization batch as a stream: candidates
@@ -35,7 +29,8 @@ type syncCandidate struct {
 // message.
 //
 // When limit <= 0 the batch is unbounded: candidates are collected and fully
-// sorted at finish, preserving the exact ordering of the unbounded path.
+// sorted at finish. A bounded set is a sorted list until a candidate arrives
+// out of transmission order.
 //
 // The retained set is always the first min(total, limit) items of the full
 // priority ordering, so any truncation rule that takes a prefix of that
@@ -48,38 +43,59 @@ type batchSelector struct {
 	room  int
 	cands []syncCandidate
 	total int
+	heap  bool // cands is a heap, not a sorted list
 }
 
 // candLess reports whether a transmits before b: priority order (class
 // descending, cost ascending), ties broken by item ID. Within one batch the
 // order is total because item IDs are unique.
-func candLess(a, b *syncCandidate) bool {
-	if a.priority != b.priority {
-		return a.priority.Before(b.priority)
+func candLess(a, b *syncCandidate) bool { return before(a.priority, a.entry.Item.ID, b) }
+
+// before reports whether a candidate (pr, id) transmits before b.
+func before(pr routing.Priority, id item.ID, b *syncCandidate) bool {
+	if pr != b.priority {
+		return pr.Before(b.priority)
 	}
-	return lessID(a.entry.Item.ID, b.entry.Item.ID)
+	return lessID(id, b.entry.Item.ID)
 }
 
-// offer considers one candidate for the batch.
-func (sel *batchSelector) offer(c syncCandidate) {
+// offer considers one candidate for the batch, reporting whether it was
+// retained.
+func (sel *batchSelector) offer(c syncCandidate) bool {
 	sel.total++
-	if sel.limit <= 0 {
-		sel.cands = append(sel.cands, c)
-		return
-	}
-	if len(sel.cands) < sel.limit {
+	n := len(sel.cands)
+	switch {
+	case !sel.admits(c.priority, c.entry.Item.ID):
+		return false // not better than the worst retained candidate
+	case sel.limit <= 0, !sel.heap && (n == 0 || candLess(&sel.cands[n-1], &c)):
 		if sel.cands == nil {
 			sel.cands = make([]syncCandidate, 0, sel.room)
 		}
 		sel.cands = append(sel.cands, c)
-		sel.siftUp(len(sel.cands) - 1)
-		return
+		return true
 	}
-	if !candLess(&c, &sel.cands[0]) {
-		return // not better than the worst retained candidate
+	for i := n/2 - 1; !sel.heap && i >= 0; i-- {
+		sel.siftDown(i, n)
 	}
-	sel.cands[0] = c
-	sel.siftDown(0, len(sel.cands))
+	sel.heap = true
+	if len(sel.cands) < sel.limit {
+		sel.cands = append(sel.cands, c)
+		sel.siftUp(n)
+	} else {
+		sel.cands[0] = c
+		sel.siftDown(0, n)
+	}
+	return true
+}
+
+// admits reports whether a candidate of priority pr and ID id would be
+// retained if offered now.
+func (sel *batchSelector) admits(pr routing.Priority, id item.ID) bool {
+	worst := len(sel.cands) - 1 // a sorted list's last, a heap's root
+	if sel.heap {
+		worst = 0
+	}
+	return sel.limit <= 0 || len(sel.cands) < sel.limit || before(pr, id, &sel.cands[worst])
 }
 
 // finish returns the retained candidates in transmission order. The selector
@@ -89,6 +105,9 @@ func (sel *batchSelector) finish() []syncCandidate {
 		sort.Slice(sel.cands, func(i, j int) bool {
 			return candLess(&sel.cands[i], &sel.cands[j])
 		})
+		return sel.cands
+	}
+	if !sel.heap {
 		return sel.cands
 	}
 	// Heapsort in place: repeatedly move the heap's worst element to the

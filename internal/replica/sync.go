@@ -170,7 +170,8 @@ func selectorLimit(req *SyncRequest) int {
 // covers, skipping known exceptions and expired versions inline — and keeps
 // only the top-K batch under the request's budgets in a bounded priority
 // heap. Entries only a filter match can send are walked, above the same
-// floors, in their destinations' runs: an address filter's own, or all.
+// floors, in their destinations' runs: an address filter's own, first, or
+// all. Under a budget a walk stops once its batch is decided (DESIGN §4).
 // Tombstones and filter-matched items keep their priority-class ordering;
 // the full batch is materialized and sorted only when the request carries
 // no budget at all. The emitted batch is identical, item for item,
@@ -191,18 +192,26 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 		r.policy.ProcessReq(req.TargetID, rt)
 	}
 	target := routing.Target{ID: req.TargetID, Filter: req.Filter}
-	split, _ := r.policy.(routing.SplitSender)
 
 	limit := selectorLimit(req)
 	sel := batchSelector{limit: limit, room: min(limit, r.store.Len())}
-	// The walk yields versions above the target's base vector, one creator
-	// run at a time; view is that creator's share of know, loaded where the
-	// walk asks for the run's floor. Walking in version order, not the
-	// reference assembly's ID order, is unobservable: same offered set,
-	// per-entry policy calls, and candLess is total.
+	if limit > 0 && r.store.Len() > limit && r.fixed != routing.Skip && !r.dual {
+		r.dual = true
+		r.store.AlsoByDestination() // so that this walk and later ones can stop
+	}
+	// The walks yield versions above the target's base vector, one creator
+	// run at a time; view is that creator's share of know, loaded with the
+	// run's floor. pri is what every candidate of an ordered run of this walk
+	// gets, Skip if none stops: the first the heap turns away ends the run,
+	// and then a run it cannot enter is passed over whole (DESIGN §4).
 	var view vclock.CreatorView
-	floor := func(c vclock.ReplicaID) uint64 {
+	pri, stop, pre := routing.Skip, false, false
+	floor := func(c vclock.ReplicaID, ordered bool) uint64 {
 		view = know.View(c)
+		stop = limit > 0 && ordered && pri != routing.Skip
+		if stop && sel.total > limit && !sel.admits(pri, item.ID{Creator: c, Num: view.Base + 1}) {
+			return ^uint64(0) // covers every seq of an ordered run
+		}
 		return view.Base
 	}
 	visit := func(e *store.Entry) bool {
@@ -213,31 +222,31 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 			// Dead messages are not worth encounter bandwidth.
 			return true
 		}
+		c := syncCandidate{entry: e, priority: routing.Priority{Class: routing.ClassFilter}}
 		switch {
-		case e.Item.Deleted, req.Filter != nil && req.Filter.Match(e.Item):
+		case e.Item.Deleted:
 			// Tombstones always travel: they clear forwarders' copies and
 			// immunize the target against stale live versions.
-			sel.offer(syncCandidate{entry: e, priority: routing.Priority{Class: routing.ClassFilter}})
-		case split != nil:
-			pr := split.Decide(e, target)
-			if pr.Class == routing.ClassSkip {
-				r.skipped = append(r.skipped, e)
-				return true
+		case req.Filter != nil && req.Filter.Match(e.Item):
+			if pre {
+				return true // offered from its destinations' runs
 			}
-			sel.offer(syncCandidate{entry: e, priority: pr, materialize: true})
 		case r.policy != nil:
 			pr, tr := r.policy.ToSend(e, target)
 			if pr.Class == routing.ClassSkip {
 				r.skipped = append(r.skipped, e)
 				return true
 			}
-			sel.offer(syncCandidate{entry: e, priority: pr, transient: tr})
+			c.priority, c.transient = pr, tr
+		default:
+			return true
 		}
-		return true
+		return sel.offer(c) || !stop
 	}
-	examined := r.store.RangeAbove(floor, visit)
+	var examined int
 	switch f := req.Filter.(type) {
-	case nil: // nothing filed under a destination is offered without a match
+	case nil: // nothing filed under a destination alone is offered without a match
+		pri = r.fixed
 	case *filter.Addresses:
 		// Offer an entry under the first of its destinations f contains.
 		var to string
@@ -249,13 +258,16 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 			}
 			return true
 		}
+		pri = routing.Priority{Class: routing.ClassFilter}
 		f.Each(func(a string) {
 			to = a
 			examined += r.store.RangeAboveTo(a, floor, first)
 		})
+		pri, pre = r.fixed, r.dual
 	default:
-		examined += r.store.RangeAboveDestinations(floor, visit)
+		examined = r.store.RangeAboveDestinations(floor, visit)
 	}
+	examined += r.store.RangeAbove(floor, visit)
 	// Refile, after the walks, what they withheld for good (a spent copy).
 	for i, e := range r.skipped {
 		r.store.Refile(e)
@@ -292,21 +304,14 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 		}
 	}
 
-	// Materialize batch items only now, for the candidates that survived
-	// truncation: a split policy builds its transmit transient per
-	// transmitted item, not per scanned candidate.
 	resp := &SyncResponse{SourceID: r.id, Truncated: truncated}
 	if len(cands) > 0 {
 		resp.Items = make([]BatchItem, len(cands))
 		for i := range cands {
 			c := &cands[i]
-			tr := c.transient
-			if c.materialize {
-				tr = split.Materialize(c.entry, target)
-			}
 			resp.Items[i] = BatchItem{
 				Item:      c.entry.Item,
-				Transient: transmitTransient(c.entry, tr),
+				Transient: transmitTransient(c.entry, c.transient),
 				Priority:  c.priority,
 			}
 		}

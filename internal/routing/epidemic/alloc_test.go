@@ -1,5 +1,5 @@
 // Allocation budget for the forwarding decision the serve walk asks for
-// every candidate it scans: counts, not clocks.
+// the candidates it reaches: counts, not clocks.
 //
 // Excluded under -race: the race runtime instruments allocations and
 // inflates the counts.
@@ -13,34 +13,42 @@ import (
 
 	"replidtn/internal/item"
 	"replidtn/internal/routing"
+	"replidtn/internal/store"
 )
 
-// TestDecideAllocs pins Decide at zero allocations once the copy's TTL is
-// stamped: only the first consideration of a copy writes its transient.
+// TestDecideAllocs pins the forwarding decision at zero allocations: ToSend's
+// priority and DestinationOnly read the stored TTL, or the initial budget for
+// a copy that carries none, and write nothing.
 func TestDecideAllocs(t *testing.T) {
 	p := New(10)
-	e := entryWithTTL(4, true)
-	allocs := testing.AllocsPerRun(100, func() {
-		if p.Decide(e, routing.Target{}).Class != routing.ClassNormal {
-			t.Fatal("a live copy was skipped")
+	for _, e := range []*store.Entry{entryWithTTL(4, true), entryWithTTL(0, false)} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if pr, _ := p.ToSend(e, routing.Target{}); pr != p.FixedPriority() || p.DestinationOnly(e) {
+				t.Fatal("a live copy was skipped")
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("the decision allocates %.1f/op, budget 0", allocs)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("Decide allocates %.1f/op, budget 0", allocs)
 	}
 }
 
-// TestMaterializeAllocs pins Materialize at zero allocations: the in-flight
-// copy's transient is a value, built per transmitted item.
+// TestMaterializeAllocs pins the in-flight copy at zero allocations: ToSend
+// returns its transient as a value, with the TTL decremented.
 func TestMaterializeAllocs(t *testing.T) {
 	p := New(10)
-	e := entryWithTTL(4, true)
-	allocs := testing.AllocsPerRun(100, func() {
-		if ttl, _ := p.Materialize(e, routing.Target{}).Get(item.FieldTTL); ttl != 3 {
-			t.Fatal("the in-flight TTL was not decremented")
+	for _, c := range []struct {
+		e    *store.Entry
+		want int
+	}{{entryWithTTL(4, true), 3}, {entryWithTTL(0, false), 9}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			_, tr := p.ToSend(c.e, routing.Target{})
+			if ttl, ok := tr.Get(item.FieldTTL); !ok || ttl != c.want {
+				t.Fatal("the in-flight TTL was not decremented")
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("the in-flight copy allocates %.1f/op, budget 0", allocs)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("Materialize allocates %.1f/op, budget 0", allocs)
 	}
 }

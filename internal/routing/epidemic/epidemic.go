@@ -42,46 +42,30 @@ func (*Policy) GenerateReq() routing.Request { return nil }
 func (*Policy) ProcessReq(vclock.ReplicaID, routing.Request) {}
 
 // ToSend implements routing.Policy: select every item whose TTL is positive,
-// transmitting a copy whose TTL is decremented by one. New locally created
-// items without a TTL field are stamped with the initial hop budget first.
-// Only the in-flight copy's TTL drops; the stored copy keeps its value, as
-// §V.C.1 of the paper specifies.
-func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority, item.Transient) {
-	pr := p.Decide(e, target)
-	if pr.Class == routing.ClassSkip {
-		return pr, item.Transient{}
-	}
-	return pr, p.Materialize(e, target)
-}
-
-// Decide implements routing.SplitSender: the forwarding decision half of
-// ToSend, including its TTL-stamping side effect — the one write on the
-// decision path, and only the first time a copy is considered. The TTL is
-// read once: the serve walk calls this for every candidate.
-func (p *Policy) Decide(e *store.Entry, _ routing.Target) routing.Priority {
-	ttl, ok := e.Transient.Get(item.FieldTTL)
-	if !ok {
-		ttl = p.initialTTL
-		e.Transient.Set(item.FieldTTL, ttl)
-	}
+// transmitting a copy whose TTL is decremented by one. A locally created
+// item carries no TTL field and reads as the initial hop budget. Only the
+// in-flight copy's TTL drops; the stored copy is not written, as §V.C.1 of
+// the paper specifies.
+func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
+	ttl := p.ttl(e)
 	if ttl <= 0 {
-		return routing.Skip
+		return routing.Skip, item.Transient{}
 	}
-	return routing.Priority{Class: routing.ClassNormal}
+	out := e.Transient
+	out.Set(item.FieldTTL, ttl-1)
+	return p.FixedPriority(), out
 }
 
-// Materialize implements routing.SplitSender: build the in-flight copy's
-// transient — the stored transient with a decremented TTL. Pure; called only
-// for items that made the batch.
-func (p *Policy) Materialize(e *store.Entry, _ routing.Target) item.Transient {
-	out := e.Transient
-	ttl, _ := out.Get(item.FieldTTL)
-	out.Set(item.FieldTTL, ttl-1)
-	return out
-}
+// FixedPriority implements routing.FixedPriority.
+func (*Policy) FixedPriority() routing.Priority { return routing.Priority{Class: routing.ClassNormal} }
 
 // DestinationOnly implements routing.DestinationOnly: a spent TTL waits.
-func (*Policy) DestinationOnly(e *store.Entry) bool {
-	ttl, ok := e.Transient.Get(item.FieldTTL)
-	return ok && ttl <= 0
+func (p *Policy) DestinationOnly(e *store.Entry) bool { return p.ttl(e) <= 0 }
+
+// ttl is e's remaining hop budget.
+func (p *Policy) ttl(e *store.Entry) int {
+	if ttl, ok := e.Transient.Get(item.FieldTTL); ok {
+		return ttl
+	}
+	return p.initialTTL
 }

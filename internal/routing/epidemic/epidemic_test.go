@@ -35,18 +35,24 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
-func TestToSendStampsMissingTTL(t *testing.T) {
+// TestToSendReadsMissingTTLAsInitial: a copy created here carries no TTL.
+// ToSend sends it with the initial budget less one and leaves the stored
+// transient untouched, as it must to declare a fixed priority.
+func TestToSendReadsMissingTTLAsInitial(t *testing.T) {
 	p := New(10)
 	e := entryWithTTL(0, false)
 	pr, tr := p.ToSend(e, routing.Target{})
-	if pr.Class != routing.ClassNormal {
-		t.Fatalf("fresh item should be sent, got class %v", pr.Class)
+	if pr != p.FixedPriority() {
+		t.Fatalf("fresh item sent at %+v, want the fixed priority %+v", pr, p.FixedPriority())
 	}
-	if got := e.Transient.Map()[item.FieldTTL]; got != 10 {
-		t.Errorf("stored TTL = %d, want 10 (stamped)", got)
+	if e.Transient != (item.Transient{}) {
+		t.Errorf("stored transient written: %v", e.Transient.Map())
 	}
 	if got := tr.Map()[item.FieldTTL]; got != 9 {
 		t.Errorf("transmitted TTL = %d, want 9", got)
+	}
+	if p.DestinationOnly(e) {
+		t.Error("a copy with the initial budget is destination-only")
 	}
 }
 

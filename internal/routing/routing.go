@@ -152,26 +152,16 @@ type Policy interface {
 	// other replicas too. Transient is a value, so the returned one is the
 	// batch's own whatever it was copied from: the receiver stores it and
 	// counts the hop in it, and nothing reaches back into e. The serve walk
-	// calls ToSend for every candidate it scans.
+	// asks ToSend about the candidates it reaches (see FixedPriority).
 	ToSend(e *store.Entry, target Target) (Priority, item.Transient)
 }
 
-// SplitSender is optionally implemented by policies that can separate the
-// forwarding decision from building the transmitted transient. When a policy
-// implements it, the substrate calls Decide while scanning candidates and
-// Materialize only for the entries that survive batch truncation, so a
-// policy builds its transmit transient (e.g. Epidemic's decremented-TTL
-// copy) only per transmitted item, not per scanned entry.
-//
-// The contract mirrors ToSend split in two: Decide carries exactly the
-// stored-state side effects ToSend would have (e.g. stamping an initial TTL)
-// and returns the same priority. Materialize must be pure — no stored-state
-// mutation — and return exactly the transient ToSend would have returned
-// alongside that priority. It is called at most once per Decide, only for
-// transmitted entries, after every Decide of the batch has run.
-type SplitSender interface {
-	Decide(e *store.Entry, target Target) Priority
-	Materialize(e *store.Entry, target Target) item.Transient
+// FixedPriority is optionally implemented by policies whose ToSend writes
+// nothing and gives every entry it does not skip the priority FixedPriority
+// returns: a budgeted serve then stops once the rest of its walk cannot
+// change the batch, so it does not ask about every candidate.
+type FixedPriority interface {
+	FixedPriority() Priority
 }
 
 // DestinationOnly is optionally implemented by policies whose ToSend
@@ -179,7 +169,7 @@ type SplitSender interface {
 // under their destinations (store.Store.DestinationOnly).
 type DestinationOnly interface {
 	// DestinationOnly reports whether ToSend returns Skip for e, without
-	// writing it, from now on. It reads only fields ToSend has stamped.
+	// writing it, from now on. It reads only e's stored fields.
 	DestinationOnly(e *store.Entry) bool
 }
 

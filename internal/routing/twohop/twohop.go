@@ -33,12 +33,15 @@ func (*Policy) ProcessReq(vclock.ReplicaID, routing.Request) {}
 // ToSend implements routing.Policy: only locally created messages are handed
 // to relays; everything a node merely carries waits for the destination
 // (which the substrate serves via the filter class).
-func (*Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
+func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
 	if !e.Local {
 		return routing.Skip, item.Transient{}
 	}
-	return routing.Priority{Class: routing.ClassNormal}, item.Transient{}
+	return p.FixedPriority(), item.Transient{}
 }
+
+// FixedPriority implements routing.FixedPriority.
+func (*Policy) FixedPriority() routing.Priority { return routing.Priority{Class: routing.ClassNormal} }
 
 // DestinationOnly implements routing.DestinationOnly: a relayed copy waits.
 func (*Policy) DestinationOnly(e *store.Entry) bool { return !e.Local }

@@ -32,7 +32,7 @@ func TestRangeAboveAllocs(t *testing.T) {
 			byDest.Put(it, nil, false, false)
 		}
 	}
-	floor := func(vclock.ReplicaID) uint64 { return 190 }
+	floor := func(vclock.ReplicaID, bool) uint64 { return 190 }
 	yielded := 0
 	fn := func(*Entry) bool {
 		yielded++

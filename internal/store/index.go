@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"strings"
 
+	"replidtn/internal/item"
 	"replidtn/internal/vclock"
 )
 
@@ -87,6 +88,12 @@ func (ix *entryIndex) replaceOrInsert(e *Entry) *Entry {
 	if ix.root == nil {
 		ix.root = &indexNode{entries: []*Entry{e}}
 		ix.size = 1
+		return nil
+	}
+	// A key above every other (a writer's next item) ends the rightmost leaf.
+	if n := ix.rightmost(); len(n.entries) > 0 && len(n.entries) < indexMaxItems && ix.order(n.entries[len(n.entries)-1], e) < 0 {
+		n.entries = append(n.entries, e)
+		ix.size++
 		return nil
 	}
 	if len(ix.root.entries) >= indexMaxItems {
@@ -322,13 +329,13 @@ func (n *indexNode) ascendFrom(key uint64, fn func(*Entry) bool, examined *int) 
 	}
 }
 
-// last returns the largest entry of a non-empty index.
-func (ix *entryIndex) last() *Entry {
+// rightmost returns the leaf holding the largest entries.
+func (ix *entryIndex) rightmost() *indexNode {
 	n := ix.root
 	for len(n.children) > 0 {
 		n = n.children[len(n.children)-1]
 	}
-	return n.entries[len(n.entries)-1]
+	return n
 }
 
 // versionRun is one creator's versions in a runSet, under orderInRun: the
@@ -338,9 +345,19 @@ type versionRun struct {
 	entries entryIndex
 	// top is the run's largest runKey: floor f covers the whole run exactly
 	// when top < f, a test that touches no entry.
-	top uint64
+	top      uint64
+	disorder int // how many of its entries break ID order (disorders)
 	// slot is the run's position in runSet.runs.
 	slot int
+}
+
+// disorders reports 1 unless e is an unmodified original — its item ID is
+// its version's (creator, seq) — filed under its destinations.
+func disorders(e *Entry) int {
+	if v := e.Item.Version; e.byDest && v.Seq > 0 && e.Item.ID == (item.ID{Creator: v.Replica, Num: v.Seq}) {
+		return 0
+	}
+	return 1
 }
 
 // runSet holds one version run per creator, found through runOf. A new run
@@ -363,6 +380,7 @@ func (rs *runSet) file(e *Entry) bool {
 	}
 	r.entries.replaceOrInsert(e)
 	r.top = max(r.top, runKey(e))
+	r.disorder += disorders(e)
 	return false
 }
 
@@ -370,6 +388,7 @@ func (rs *runSet) file(e *Entry) bool {
 func (rs *runSet) unfile(e *Entry) (empty bool) {
 	r := rs.runOf[e.Item.Version.Replica]
 	r.entries.delete(e)
+	r.disorder -= disorders(e)
 	switch {
 	case r.entries.size == 0:
 		last := rs.runs[len(rs.runs)-1]
@@ -378,19 +397,19 @@ func (rs *runSet) unfile(e *Entry) (empty bool) {
 		rs.runs = rs.runs[:len(rs.runs)-1]
 		delete(rs.runOf, r.creator)
 	case runKey(e) == r.top:
-		r.top = runKey(r.entries.last())
+		last := r.entries.rightmost().entries
+		r.top = runKey(last[len(last)-1])
 	}
 	return len(rs.runs) == 0
 }
 
-// rangeAbove walks the set for RangeAbove, reporting whether fn never stopped.
-func (rs *runSet) rangeAbove(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool, examined *int) bool {
+// rangeAbove walks the set for RangeAbove.
+func (rs *runSet) rangeAbove(floor func(vclock.ReplicaID, bool) uint64, fn func(*Entry) bool, examined *int) {
 	for _, r := range rs.runs {
-		if f := floor(r.creator); r.top >= f && !r.entries.root.ascendFrom(f, fn, examined) {
-			return false
+		if f := floor(r.creator, r.disorder == 0); r.top >= f {
+			r.entries.root.ascendFrom(f, fn, examined)
 		}
 	}
-	return true
 }
 
 // reset empties the index.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -16,10 +17,11 @@ import (
 // slot and found through runOf, each a valid B-tree holding only current
 // entries of that creator under an accurate top; the destinations' sets in
 // strictly ascending address order, none empty, each holding only entries
-// that name it. Together they file every current entry exactly once in its
-// creator's main run, or once under each of its distinct destinations —
-// never a tombstone, nor an entry the predicate rejects. It returns the
-// tallest run's height.
+// that name it; every run counting exactly its entries that break ID order.
+// Together they file every current entry once in its creator's main run
+// unless the predicate accepts it, and once under each of its distinct
+// destinations if the predicate accepts it or the store files every live
+// entry there too — never a tombstone. It returns the tallest run's height.
 func checkRuns(t *testing.T, s *Store) int {
 	t.Helper()
 	filed := make(map[*Entry]int)
@@ -28,21 +30,26 @@ func checkRuns(t *testing.T, s *Store) int {
 		if i > 0 && s.destSets[i-1].to >= rs.to {
 			t.Fatalf("destination %q listed after %q", rs.to, s.destSets[i-1].to)
 		}
-		if j, ok := s.destSet(rs.to); !ok || j != i {
-			t.Fatalf("destination %q listed at %d, found at %d (%v)", rs.to, i, j, ok)
+		if j := s.destSet(rs.to); j != i || s.destOf[rs.to] != rs {
+			t.Fatalf("destination %q listed at %d, found at %d, by address %v", rs.to, i, j, s.destOf[rs.to] == rs)
 		}
 		if len(rs.runs) == 0 {
 			t.Fatalf("empty destination set %q kept", rs.to)
 		}
 		height = max(height, checkRunSet(t, s, rs, filed))
 	}
+	if len(s.destOf) != len(s.destSets) {
+		t.Fatalf("%d destinations found by address, %d listed", len(s.destOf), len(s.destSets))
+	}
 	if len(filed) != s.Len() {
 		t.Fatalf("runs hold %d distinct entries, store holds %d", len(filed), s.Len())
 	}
 	for e, n := range filed {
-		want := 1
+		want := 0
+		if e.inMain {
+			want++
+		}
 		if e.byDest {
-			want = 0
 			for i, d := range e.Item.Meta.Destinations {
 				if !slices.Contains(e.Item.Meta.Destinations[:i], d) {
 					want++
@@ -50,10 +57,11 @@ func checkRuns(t *testing.T, s *Store) int {
 			}
 		}
 		if n != want {
-			t.Fatalf("%s@%s (by destination %v) filed %d times, want %d", e.Item.ID, e.Item.Version, e.byDest, n, want)
+			t.Fatalf("%s@%s (by destination %v, main %v) filed %d times, want %d", e.Item.ID, e.Item.Version, e.byDest, e.inMain, n, want)
 		}
-		if e.byDest && (e.Item.Deleted || !s.destOnly(e)) {
-			t.Fatalf("%s@%s (deleted: %v) filed by destination, which the predicate rejects", e.Item.ID, e.Item.Version, e.Item.Deleted)
+		only := s.filesByDest(e)
+		if e.inMain == only || e.byDest != (only || s.destToo && !e.Item.Deleted && len(e.Item.Meta.Destinations) > 0) {
+			t.Fatalf("%s@%s (deleted: %v) filed by destination %v, main %v; the predicate says %v", e.Item.ID, e.Item.Version, e.Item.Deleted, e.byDest, e.inMain, only)
 		}
 	}
 	return height
@@ -75,17 +83,25 @@ func checkRunSet(t *testing.T, s *Store, rs *runSet, filed map[*Entry]int) int {
 			t.Fatalf("set %q: empty run %q kept", rs.to, r.creator)
 		}
 		height = max(height, checkIndexInvariants(t, &r.entries))
+		disorder := 0
 		r.entries.ascend(func(e *Entry) bool {
 			if e.Item.Version.Replica != r.creator || s.entries[e.Item.ID] != e {
 				t.Fatalf("set %q: run %q holds %s@%s, which is not a current entry of that creator", rs.to, r.creator, e.Item.ID, e.Item.Version)
 			}
-			if e.byDest != (rs.to != "") || e.byDest && !slices.Contains(e.Item.Meta.Destinations, rs.to) {
-				t.Fatalf("set %q holds %s@%s, filed by destination %v to %v", rs.to, e.Item.ID, e.Item.Version, e.byDest, e.Item.Meta.Destinations)
+			if rs.to == "" && !e.inMain || rs.to != "" && (!e.byDest || !slices.Contains(e.Item.Meta.Destinations, rs.to)) {
+				t.Fatalf("set %q holds %s@%s, filed by destination %v to %v, main %v", rs.to, e.Item.ID, e.Item.Version, e.byDest, e.Item.Meta.Destinations, e.inMain)
+			}
+			if v := e.Item.Version; !e.byDest || v.Seq == 0 || e.Item.ID != (item.ID{Creator: v.Replica, Num: v.Seq}) {
+				disorder++
 			}
 			filed[e]++
 			return true
 		})
-		if want := runKey(r.entries.last()); r.top != want {
+		if r.disorder != disorder {
+			t.Fatalf("set %q: run %q counts %d entries out of ID order, holds %d", rs.to, r.creator, r.disorder, disorder)
+		}
+		last := r.entries.rightmost().entries
+		if want := runKey(last[len(last)-1]); r.top != want {
 			t.Fatalf("set %q: run %q: top %d, largest key %d", rs.to, r.creator, r.top, want)
 		}
 	}
@@ -102,10 +118,11 @@ func lastCopy(e *Entry) bool {
 // assertRangeAbove checks the three walks against their specification under
 // floor. RangeAbove and RangeAboveDestinations together yield the entries of
 // Range with Seq == 0 or Seq > floor(creator), each once: the first those in
-// the main runs, the second those filed under their destinations, under the
-// first one. RangeAboveTo(d) yields those filed under d. Every walk goes run
-// by run in run order, asking floor just before fn sees a run's first entry;
-// RangeAbove asks once per creator.
+// the main runs, the second those filed under their destinations alone,
+// under the first one. RangeAboveTo(d) yields those filed under d. Every
+// walk goes run by run in run order, asking floor just before fn sees a
+// run's first entry; RangeAbove asks once per creator. Along a run reported
+// ordered, item IDs rise.
 func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 	t.Helper()
 	want := make(map[*Entry]bool)
@@ -116,35 +133,36 @@ func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 		return true
 	})
 	got := make(map[*Entry]int)
-	walk := func(name string, byDest bool, rangeAbove func(func(vclock.ReplicaID) uint64, func(*Entry) bool) int) {
+	walk := func(name string, filed func(*Entry) bool, rangeAbove func(func(vclock.ReplicaID, bool) uint64, func(*Entry) bool) int) {
 		t.Helper()
 		asked := make(map[vclock.ReplicaID]bool)
 		var last vclock.ReplicaID
+		var ordered bool
 		var prev *Entry
-		rangeAbove(func(c vclock.ReplicaID) uint64 {
-			if asked[c] && !byDest {
+		rangeAbove(func(c vclock.ReplicaID, o bool) uint64 {
+			if asked[c] && name == "RangeAbove" {
 				t.Fatalf("%s: floor(%q) asked twice", name, c)
 			}
-			asked[c], last, prev = true, c, nil
+			asked[c], last, ordered, prev = true, c, o, nil
 			return floor[c]
 		}, func(e *Entry) bool {
-			if !want[e] || e.byDest != byDest {
-				t.Fatalf("%s yielded %s@%s (filed by destination: %v), which floor %s covers (or which is not stored)",
-					name, e.Item.ID, e.Item.Version, e.byDest, floor)
+			if !want[e] || !filed(e) {
+				t.Fatalf("%s yielded %s@%s (filed by destination: %v, main %v), which floor %s covers (or which is not stored)",
+					name, e.Item.ID, e.Item.Version, e.byDest, e.inMain, floor)
 			}
 			if e.Item.Version.Replica != last {
 				t.Fatalf("%s: fn saw %s@%s, but the last floor asked was %q's", name, e.Item.ID, e.Item.Version, last)
 			}
-			if prev != nil && orderInRun(prev, e) >= 0 {
-				t.Fatalf("%s out of order: %s then %s", name, prev.Item.Version, e.Item.Version)
+			if prev != nil && (orderInRun(prev, e) >= 0 || ordered && orderByID(prev, e) >= 0) {
+				t.Fatalf("%s out of order: %s@%s then %s@%s (ordered run: %v)", name, prev.Item.ID, prev.Item.Version, e.Item.ID, e.Item.Version, ordered)
 			}
 			prev = e
 			got[e]++
 			return true
 		})
 	}
-	walk("RangeAbove", false, s.RangeAbove)
-	walk("RangeAboveDestinations", true, s.RangeAboveDestinations)
+	walk("RangeAbove", func(e *Entry) bool { return e.inMain }, s.RangeAbove)
+	walk("RangeAboveDestinations", func(e *Entry) bool { return !e.inMain }, s.RangeAboveDestinations)
 	for e, n := range got {
 		if n != 1 {
 			t.Fatalf("%s@%s yielded %d times", e.Item.ID, e.Item.Version, n)
@@ -156,7 +174,7 @@ func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 	for _, rs := range s.destSets {
 		to := rs.to
 		clear(got)
-		walk("RangeAboveTo("+to+")", true, func(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) int {
+		walk("RangeAboveTo("+to+")", func(e *Entry) bool { return e.byDest }, func(floor func(vclock.ReplicaID, bool) uint64, fn func(*Entry) bool) int {
 			return s.RangeAboveTo(to, floor, fn)
 		})
 		for e := range want {
@@ -175,8 +193,18 @@ func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 // destination, hold exactly the store's entries and that the walks agree
 // with a filtered Range under random floors. Entries have no destination,
 // one, two, or one named twice; the ones at their last copy are filed under
-// their destinations, on insertion or by Refile.
+// their destinations, on insertion or by Refile, and in a second store every
+// other live one is filed both there and in the main runs from halfway on,
+// when AlsoByDestination refiles what the store holds. A third of the
+// entries are unmodified originals of one creator, so some runs stay in ID
+// order.
 func TestRangeAboveMatchesRange(t *testing.T) {
+	for _, also := range []bool{false, true} {
+		t.Run(fmt.Sprintf("also-by-destination=%v", also), func(t *testing.T) { rangeAboveMatchesRange(t, also) })
+	}
+}
+
+func rangeAboveMatchesRange(t *testing.T, also bool) {
 	rng := rand.New(rand.NewSource(7))
 	s := New(300)
 	s.DestinationOnly(lastCopy)
@@ -190,8 +218,11 @@ func TestRangeAboveMatchesRange(t *testing.T) {
 		w := creators[rng.Intn(len(creators))]
 		seqs[w]++
 		it.Version = vclock.Version{Replica: vclock.ReplicaID(w), Seq: seqs[w]}
-		if rng.Intn(40) == 0 {
+		switch rng.Intn(40) {
+		case 0:
 			it.Version.Seq = 0
+		case 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13:
+			it = mkItem("o", uint64(rng.Intn(400)+1)) // only ever an original
 		}
 		it.Deleted = rng.Intn(10) == 0
 		for n := rng.Intn(3); n > 0; n-- {
@@ -202,6 +233,7 @@ func TestRangeAboveMatchesRange(t *testing.T) {
 		}
 		return it
 	}
+	ordered := 0 // runs seen in ID order
 	check := func(step int) {
 		t.Helper()
 		if s.index.size != s.Len() {
@@ -209,6 +241,13 @@ func TestRangeAboveMatchesRange(t *testing.T) {
 		}
 		checkIndexInvariants(t, &s.index)
 		checkRuns(t, s)
+		for _, rs := range append([]*runSet{&s.main}, s.destSets...) {
+			for _, r := range rs.runs {
+				if r.disorder == 0 {
+					ordered++
+				}
+			}
+		}
 		for _, floor := range []vclock.Vector{{}, nil} {
 			assertRangeAbove(t, s, floor)
 		}
@@ -226,6 +265,10 @@ func TestRangeAboveMatchesRange(t *testing.T) {
 	}
 	refiled := 0
 	for step := 0; step < 6000; step++ {
+		if also && step == 3000 {
+			s.AlsoByDestination()
+			check(step)
+		}
 		switch op := rng.Intn(20); {
 		case op < 14:
 			var tr *item.Transient
@@ -246,12 +289,12 @@ func TestRangeAboveMatchesRange(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				e.Transient.Set(item.FieldCopies, 1)
 			}
-			was := e.byDest
+			was := e.inMain
 			s.Refile(e)
-			if e.byDest != (was || s.filesByDest(e)) {
-				t.Fatalf("step %d: %s@%s refiled: filed by destination %v, was %v", step, e.Item.ID, e.Item.Version, e.byDest, was)
+			if e.inMain != (was && !s.filesByDest(e)) {
+				t.Fatalf("step %d: %s@%s refiled: filed in the main runs %v, was %v", step, e.Item.ID, e.Item.Version, e.inMain, was)
 			}
-			if !was && e.byDest {
+			if was && !e.inMain {
 				refiled++
 			}
 		default:
@@ -273,25 +316,40 @@ func TestRangeAboveMatchesRange(t *testing.T) {
 	if refiled < 40 || len(s.destSets) == 0 {
 		t.Fatalf("%d refiles, %d destination sets: the sequence did not exercise the destination runs", refiled, len(s.destSets))
 	}
+	t.Logf("%d refiles; runs in ID order seen %d times", refiled, ordered)
+	if ordered < 20 {
+		t.Fatalf("runs in ID order seen %d times: the sequence did not exercise ordered runs", ordered)
+	}
 }
 
-// TestRangeAboveEarlyStop verifies the pruned walk halts when fn returns
-// false.
+// TestRangeAboveEarlyStop verifies fn returning false ends its run, and
+// only its run, and that a floor of math.MaxUint64 passes over an ordered
+// run whole.
 func TestRangeAboveEarlyStop(t *testing.T) {
 	s := New(0)
-	for i := uint64(1); i <= 2000; i++ {
-		s.Put(mkItem("a", i), nil, false, false)
+	for _, c := range []string{"a", "b", "c"} {
+		for i := uint64(1); i <= 2000; i++ {
+			s.Put(mkItem(c, i), nil, false, false)
+		}
 	}
-	n := 0
-	s.RangeAbove(func(vclock.ReplicaID) uint64 { return 1000 }, func(e *Entry) bool {
+	n := make(map[vclock.ReplicaID]int)
+	s.RangeAbove(func(c vclock.ReplicaID, ordered bool) uint64 {
+		if ordered {
+			t.Fatalf("run %q reported ordered with no entry filed by destination", c)
+		}
+		if c == "c" {
+			return math.MaxUint64 // covers every seq but 0, which c's run lacks
+		}
+		return 1000
+	}, func(e *Entry) bool {
 		if e.Item.Version.Seq <= 1000 {
 			t.Fatalf("yielded covered version %s", e.Item.Version)
 		}
-		n++
-		return n < 7
+		n[e.Item.Version.Replica]++
+		return n[e.Item.Version.Replica] < 7
 	})
-	if n != 7 {
-		t.Fatalf("early stop visited %d entries, want 7", n)
+	if n["a"] != 7 || n["b"] != 7 || n["c"] != 0 {
+		t.Fatalf("early stops visited %v entries, want 7 of a and b, none of c", n)
 	}
 }
 
@@ -315,7 +373,7 @@ func TestRangeAboveExaminesSublinear(t *testing.T) {
 			if k > shape.perCreator {
 				continue
 			}
-			floor := func(vclock.ReplicaID) uint64 { return uint64(shape.perCreator - k) }
+			floor := func(vclock.ReplicaID, bool) uint64 { return uint64(shape.perCreator - k) }
 			yielded := 0
 			examined := s.RangeAbove(floor, func(*Entry) bool {
 				yielded++
@@ -336,7 +394,7 @@ func TestRangeAboveExaminesSublinear(t *testing.T) {
 			t.Logf("%d×%d, k=%d: yielded %d, examined %d of %d", shape.creators, shape.perCreator, k, yielded, examined, s.Len())
 		}
 		// With nothing known the walk is a full ascend: every entry once.
-		if examined := s.RangeAbove(func(vclock.ReplicaID) uint64 { return 0 }, func(*Entry) bool { return true }); examined != s.Len() {
+		if examined := s.RangeAbove(func(vclock.ReplicaID, bool) uint64 { return 0 }, func(*Entry) bool { return true }); examined != s.Len() {
 			t.Errorf("%d×%d, empty floor: examined %d entries, store holds %d", shape.creators, shape.perCreator, examined, s.Len())
 		}
 	}
@@ -371,7 +429,7 @@ func TestDestinationWalksExamineSublinear(t *testing.T) {
 		t.Fatalf("%d main runs and %d destination sets, want 0 and %d", len(s.main.runs), len(s.destSets), dests)
 	}
 	for _, k := range []int{0, 1, 10, perCreator} {
-		floor := func(vclock.ReplicaID) uint64 { return uint64(perCreator - k) }
+		floor := func(vclock.ReplicaID, bool) uint64 { return uint64(perCreator - k) }
 		yielded := 0
 		count := func(*Entry) bool {
 			yielded++

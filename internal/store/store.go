@@ -51,8 +51,8 @@ type Entry struct {
 	Local bool
 	// arrival is the store-local arrival sequence used for FIFO eviction.
 	arrival uint64
-	// byDest marks an entry filed under its destinations.
-	byDest bool
+	// byDest and inMain mark where the entry is filed; it may be both.
+	byDest, inMain bool
 }
 
 // Arrival returns the entry's arrival order within the store (earlier is
@@ -125,12 +125,14 @@ func (e EvictByCost) Less(a, b *Entry) bool {
 // Store is not safe for concurrent use; the owning replica serializes access.
 type Store struct {
 	entries map[item.ID]*Entry
-	// index (by item ID), the main version runs and each destination's,
-	// sorted by address, are maintained on every mutation.
+	// index (by item ID), the main version runs and each destination's
+	// (sorted by address, found through destOf) are kept on every mutation.
 	index    entryIndex
 	main     runSet
 	destSets []*runSet
+	destOf   map[string]*runSet
 	destOnly func(*Entry) bool
+	destToo  bool // AlsoByDestination
 	// relayCapacity bounds the number of live (non-tombstone) relay entries;
 	// <= 0 means unlimited.
 	relayCapacity int
@@ -221,6 +223,23 @@ func (s *Store) LiveNotify(fn func(item.ID, int)) { s.onLive = fn }
 // accepts an entry it must go on accepting it. Register before any traffic.
 func (s *Store) DestinationOnly(fn func(*Entry) bool) { s.destOnly = fn }
 
+// AlsoByDestination files every live entry of the main runs under its
+// destinations as well, those held now and those to come. Call it once.
+func (s *Store) AlsoByDestination() {
+	s.destToo = true
+	dests := func(rs *runSet, e *Entry) bool { return rs != &s.main && rs.file(e) }
+	for _, r := range s.main.runs {
+		r.disorder = 0
+		r.entries.ascend(func(e *Entry) bool {
+			if e.byDest = !e.Item.Deleted && len(e.Item.Meta.Destinations) > 0; e.byDest {
+				s.eachSet(e, dests)
+			}
+			r.disorder += disorders(e)
+			return true
+		})
+	}
+}
+
 // New creates an empty store. relayCapacity bounds the number of live relay
 // entries (<= 0 for unlimited); when the bound is exceeded the oldest relay
 // entry is evicted first (FIFO). Use NewWithEviction for other strategies.
@@ -238,6 +257,7 @@ func NewWithEviction(relayCapacity int, eviction EvictionStrategy) *Store {
 		entries:       make(map[item.ID]*Entry),
 		index:         entryIndex{order: orderByID},
 		main:          runSet{runOf: make(map[vclock.ReplicaID]*versionRun)},
+		destOf:        make(map[string]*runSet),
 		relayCapacity: relayCapacity,
 		eviction:      eviction,
 		useHeap:       relayCapacity > 0 && ok && ao.ArrivalOrdered(),
@@ -315,40 +335,45 @@ func (s *Store) filesByDest(e *Entry) bool {
 	return s.destOnly != nil && !e.Item.Deleted && len(e.Item.Meta.Destinations) > 0 && s.destOnly(e)
 }
 
-// file adds e to its creator's run in the main set, or in the set of each
-// of its destinations.
+// file adds e to its creator's run in the main set, in the set of each of
+// its destinations, or in both.
 func (s *Store) file(e *Entry) {
-	e.byDest = s.filesByDest(e)
+	only := s.filesByDest(e)
+	e.byDest, e.inMain = only || s.destToo && !e.Item.Deleted && len(e.Item.Meta.Destinations) > 0, !only
 	s.eachSet(e, (*runSet).file)
 }
 
 // unfile takes e out of the sets file put it in.
 func (s *Store) unfile(e *Entry) { s.eachSet(e, (*runSet).unfile) }
 
-// eachSet applies op to e in the main set, or in each of its destinations'
-// sets, opening a missing set and dropping one op reports empty.
+// eachSet applies op to e in the main set and in each of its destinations'
+// sets, as filed, opening a missing set and dropping one op reports empty.
 func (s *Store) eachSet(e *Entry, op func(*runSet, *Entry) (empty bool)) {
-	if !e.byDest {
+	if e.inMain {
 		op(&s.main, e)
-		return
 	}
 	for i, d := range e.Item.Meta.Destinations {
-		if slices.Contains(e.Item.Meta.Destinations[:i], d) {
+		if !e.byDest || slices.Contains(e.Item.Meta.Destinations[:i], d) {
 			continue
 		}
-		j, ok := s.destSet(d)
-		if !ok {
-			s.destSets = slices.Insert(s.destSets, j, &runSet{runOf: make(map[vclock.ReplicaID]*versionRun), to: d})
+		rs := s.destOf[d]
+		if rs == nil {
+			rs = &runSet{runOf: make(map[vclock.ReplicaID]*versionRun), to: d}
+			s.destSets = slices.Insert(s.destSets, s.destSet(d), rs)
+			s.destOf[d] = rs
 		}
-		if op(s.destSets[j], e) {
+		if op(rs, e) {
+			j := s.destSet(d)
 			s.destSets = slices.Delete(s.destSets, j, j+1)
+			delete(s.destOf, d)
 		}
 	}
 }
 
-// destSet finds destination to's set in destSets, or where it belongs.
-func (s *Store) destSet(to string) (int, bool) {
-	return slices.BinarySearchFunc(s.destSets, to, func(rs *runSet, to string) int { return strings.Compare(rs.to, to) })
+// destSet finds destination to's place in destSets.
+func (s *Store) destSet(to string) int {
+	i, _ := slices.BinarySearchFunc(s.destSets, to, func(rs *runSet, to string) int { return strings.Compare(rs.to, to) })
+	return i
 }
 
 // drop takes a current entry out of the map, both indexes and the counters,
@@ -531,7 +556,7 @@ func (s *Store) rebuildIndexes() {
 	s.onLive = nil
 	defer func() { s.onLive = notify }()
 	s.index.reset()
-	s.main, s.destSets = runSet{runOf: make(map[vclock.ReplicaID]*versionRun)}, nil
+	s.main, s.destSets, s.destOf = runSet{runOf: make(map[vclock.ReplicaID]*versionRun)}, nil, make(map[string]*runSet)
 	s.liveCount, s.relayCount = 0, 0
 	s.evictHeap = s.evictHeap[:0]
 	all := make([]*Entry, 0, len(s.entries))
@@ -568,47 +593,48 @@ func (s *Store) Range(fn func(*Entry) bool) {
 	s.index.ascend(fn)
 }
 
-// RangeAbove calls fn, until it returns false, for exactly the entries of
-// the main runs — every entry not filed under its destinations — whose
-// version the vector floor does not cover: Version.Seq == 0 or Version.Seq >
+// RangeAbove calls fn for exactly the entries of the main runs — every
+// entry not filed under its destinations alone — whose version the vector
+// floor does not cover: Version.Seq == 0 or Version.Seq >
 // floor(Version.Replica). It goes run by run, each run one creator's entries
-// by ascending seq with seq 0 last. The order of the runs is unspecified (it
+// by ascending seq with seq 0 last; fn returning false ends the run, and the
+// walk goes on with the next. The order of the runs is unspecified (it
 // follows the store's history). A run floor covers entirely costs one
 // comparison, any other one descent, so the cost follows the entries yielded
 // and the number of creators, not the store's size. Like Range it allocates
 // nothing and fn must not change the store's membership. It returns how many
 // entries it examined, the walk's whole cost.
 //
-// floor is asked once per creator, just before fn sees that creator's run: a
-// caller may load per-creator state in floor for fn to use.
-func (s *Store) RangeAbove(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) (examined int) {
+// floor is asked once per run, just before fn sees it, with the run's
+// creator and whether the run is ordered, its item IDs rising with seq (see
+// disorders). A caller may load per-creator state in floor for fn to use; a
+// floor of math.MaxUint64 passes over an ordered run (no seq 0) whole.
+func (s *Store) RangeAbove(floor func(vclock.ReplicaID, bool) uint64, fn func(*Entry) bool) (examined int) {
 	s.main.rangeAbove(floor, fn, &examined)
 	return examined
 }
 
-// Refile moves e under its destinations if the predicate now accepts it.
+// Refile moves e under its destinations alone once the predicate accepts it.
 func (s *Store) Refile(e *Entry) {
-	if !e.byDest && s.filesByDest(e) && s.entries[e.Item.ID] == e {
-		s.main.unfile(e)
+	if e.inMain && s.filesByDest(e) && s.entries[e.Item.ID] == e {
+		s.unfile(e)
 		s.file(e)
 	}
 }
 
 // RangeAboveTo is RangeAbove over the runs filed under destination to.
-func (s *Store) RangeAboveTo(to string, floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) (examined int) {
-	if i, ok := s.destSet(to); ok {
-		s.destSets[i].rangeAbove(floor, fn, &examined)
+func (s *Store) RangeAboveTo(to string, floor func(vclock.ReplicaID, bool) uint64, fn func(*Entry) bool) (examined int) {
+	if rs := s.destOf[to]; rs != nil {
+		rs.rangeAbove(floor, fn, &examined)
 	}
 	return examined
 }
 
 // RangeAboveDestinations is RangeAbove over every destination's runs, in
-// address order, yielding each entry under its first destination.
-func (s *Store) RangeAboveDestinations(floor func(vclock.ReplicaID) uint64, fn func(*Entry) bool) (examined int) {
+// address order, yielding each entry filed there alone under its first one.
+func (s *Store) RangeAboveDestinations(floor func(vclock.ReplicaID, bool) uint64, fn func(*Entry) bool) (examined int) {
 	for _, rs := range s.destSets {
-		if !rs.rangeAbove(floor, func(e *Entry) bool { return e.Item.Meta.Destinations[0] != rs.to || fn(e) }, &examined) {
-			break
-		}
+		rs.rangeAbove(floor, func(e *Entry) bool { return e.inMain || e.Item.Meta.Destinations[0] != rs.to || fn(e) }, &examined)
 	}
 	return examined
 }

@@ -12,9 +12,11 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"replidtn/internal/item"
 	"replidtn/internal/replica"
@@ -28,7 +30,7 @@ const (
 )
 
 // bulkSource is dtnbench's bulk-first-contact server in small: an epidemic
-// node holding bulkItems 1 KiB messages for other people, TTLs stamped.
+// node holding bulkItems 1 KiB messages for other people.
 func bulkSource(tb testing.TB) *replica.Replica {
 	tb.Helper()
 	src := replica.New(replica.Config{ID: "server", OwnAddresses: []string{"user:server"}, Policy: epidemic.New(0)})
@@ -37,7 +39,6 @@ func bulkSource(tb testing.TB) *replica.Replica {
 			Source: "user:server", Destinations: []string{fmt.Sprintf("user:far%d", i%97)}, Kind: "message",
 		}, make([]byte, bulkPayload))
 	}
-	src.HandleSyncRequest(freshDialer().MakeSyncRequest(0)) // the first serve stamps every copy's TTL
 	return src
 }
 
@@ -84,6 +85,37 @@ func TestResponseFrameAllocatesOnce(t *testing.T) {
 	}
 	if large, bytes := largeAllocs(&before, &after), after.TotalAlloc-before.TotalAlloc; large != 1 || bytes > uint64(w.bytesOut)*5/4+1024 {
 		t.Errorf("a cold write of a %d-byte frame made %d large allocations, %d bytes in all; want one buffer of at most 1.25 × the frame", w.bytesOut, large, bytes)
+	}
+}
+
+// The probe takeSession runs before it reuses a parked session — a
+// non-blocking peek — allocates nothing once the session has been probed:
+// its callback, result and one-byte buffer live in the session.
+func TestQuietAllocs(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := netDial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	w := newWireIO(conn, 0)
+	newDialer(t).parkSession(sessionKey{"probe", ln.Addr().String(), 0}, w, nil, time.Now())
+	w.quiet()
+	allocs := testing.AllocsPerRun(100, func() {
+		if !w.quiet() {
+			t.Fatal("an open, idle loopback session probed unsound")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("probing a parked session allocates %.1f/op, budget 0", allocs)
 	}
 }
 

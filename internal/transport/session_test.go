@@ -450,7 +450,7 @@ func TestProbeRejectsUnsoundSessions(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Wait for loopback to deliver it.
-			for deadline := time.Now().Add(2 * time.Second); quiet(conn) && time.Now().Before(deadline); {
+			for deadline := time.Now().Add(2 * time.Second); w.quiet() && time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond)
 			}
 			if ds := d.takeSession(key, time.Now()); ds != nil {
@@ -568,7 +568,7 @@ func TestConnWithoutDescriptorDialsFresh(t *testing.T) {
 	c, s := net.Pipe()
 	defer c.Close()
 	defer s.Close()
-	if quiet(c) {
+	if newWireIO(c, 0).quiet() {
 		t.Error("a pipe probed quiet")
 	}
 	srv := NewServer(node(t, "a", "addr:a"), 0)

@@ -302,6 +302,11 @@ type wireIO struct {
 
 	bytesIn, bytesOut   int64
 	framesIn, framesOut int64
+
+	raw   syscall.RawConn // the idle probe's state (quiet), made on first use
+	probe func(fd uintptr) bool
+	perr  error
+	peek  [1]byte
 }
 
 func newWireIO(conn net.Conn, limit int64) *wireIO {
@@ -816,28 +821,31 @@ func (d *Dialer) takeSession(key sessionKey, now time.Time) *wireIO {
 	w := d.idle[key]
 	delete(d.idle, key)
 	d.mu.Unlock()
-	if w == nil || now.Sub(w.idle) <= defaultIOTimeout/2 && quiet(w.conn) {
+	if w == nil || now.Sub(w.idle) <= defaultIOTimeout/2 && w.quiet() {
 		return w
 	}
 	w.close()
 	return nil
 }
 
-// quiet reports whether a non-blocking peek finds conn open, nothing waiting.
-func quiet(conn net.Conn) bool {
-	sc, ok := conn.(syscall.Conn)
-	if !ok {
-		return false // no descriptor to peek at: dial fresh
-	}
-	var perr error
-	rc, err := sc.SyscallConn()
-	if err == nil {
-		err = rc.Read(func(fd uintptr) bool {
-			_, _, perr = syscall.Recvfrom(int(fd), make([]byte, 1), syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+// quiet reports whether a non-blocking peek finds w's connection open,
+// nothing waiting. Only a connection's first probe allocates.
+func (w *wireIO) quiet() bool {
+	if w.raw == nil {
+		sc, ok := w.conn.(syscall.Conn)
+		if !ok {
+			return false // no descriptor to peek at: dial fresh
+		}
+		raw, err := sc.SyscallConn()
+		if err != nil {
+			return false
+		}
+		w.raw, w.probe = raw, func(fd uintptr) bool {
+			_, _, w.perr = syscall.Recvfrom(int(fd), w.peek[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
 			return true
-		})
+		}
 	}
-	return err == nil && perr == syscall.EAGAIN
+	return w.raw.Read(w.probe) == nil && w.perr == syscall.EAGAIN
 }
 
 // parkSession caches a clean session idle from now, evicting the key's older
