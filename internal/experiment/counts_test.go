@@ -1,10 +1,17 @@
 package experiment
 
 import (
+	"slices"
 	"testing"
 
 	"replidtn/internal/emu"
+	"replidtn/internal/item"
+	"replidtn/internal/metrics"
 	"replidtn/internal/obs"
+	"replidtn/internal/routing"
+	"replidtn/internal/routing/maxprop"
+	"replidtn/internal/store"
+	"replidtn/internal/vclock"
 )
 
 // TestServeCounts pins what the figures' serve walks cost, as exact counts
@@ -54,4 +61,61 @@ func TestServeCounts(t *testing.T) {
 				fig.syncs, fig.examined, fig.offered, fig.sent)
 		}
 	}
+}
+
+// TestBoundedDecisionCounts pins how many forwarding decisions Fig. 9's
+// MaxProp run asks for on the small trace. A wrapper counts ToSend calls and
+// forwards routing.Bounded, so a budgeted serve prices no candidate the full
+// batch would turn away at its hop-class bound; a second run goes through a
+// wrapper that hides Bound, so every candidate is priced. The two runs must
+// move the same items and deliver the same messages at the same times.
+func TestBoundedDecisionCounts(t *testing.T) {
+	tr, err := SmallTrace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := emu.DefaultParams()
+	run := func(bounded bool) (int, *emu.Result) {
+		calls := 0
+		res, err := emu.Run(emu.Config{
+			Trace:                   tr,
+			MaxMessagesPerEncounter: 1,
+			Policy: func(node vclock.ReplicaID, now func() int64, own []string) routing.Policy {
+				p := maxprop.New(node, params.MaxPropHopThreshold, now, own...)
+				if bounded {
+					return boundedPolicy{countingPolicy{p, &calls}, p}
+				}
+				return countingPolicy{p, &calls}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return calls, res
+	}
+	with, got := run(true)
+	without, want := run(false)
+	if with != 1087 || without != 6590 {
+		t.Errorf("ToSend called %d times with the bound and %d without; want 1087 and 6590", with, without)
+	}
+	bounds := metrics.HourBounds(12)
+	if got.ItemsTransferred != want.ItemsTransferred || !slices.Equal(got.Summary.CDF(bounds), want.Summary.CDF(bounds)) {
+		t.Errorf("the bound moved the run: %d items, CDF %v; without it %d items, CDF %v",
+			got.ItemsTransferred, got.Summary.CDF(bounds), want.ItemsTransferred, want.Summary.CDF(bounds))
+	}
+}
+
+type countingPolicy struct {
+	routing.Policy
+	calls *int
+}
+
+func (c countingPolicy) ToSend(e *store.Entry, t routing.Target) (routing.Priority, item.Transient) {
+	*c.calls++
+	return c.Policy.ToSend(e, t)
+}
+
+type boundedPolicy struct {
+	countingPolicy
+	routing.Bounded
 }

@@ -62,3 +62,27 @@ func TestAddressesEachAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestAddressesCoversAllocs pins Addresses.Covers — asked at every serve
+// whether the source may offer its whole knowledge — at zero allocations,
+// on both sides of fewAddrs.
+func TestAddressesCoversAllocs(t *testing.T) {
+	for _, n := range []int{1, fewAddrs, 4 * fewAddrs} {
+		f, sub := NewAddresses(), NewAddresses()
+		for i := 0; i < n; i++ {
+			f.Add(fmt.Sprintf("user:%d", i))
+			if i%2 == 0 {
+				sub.Add(fmt.Sprintf("user:%d", i))
+			}
+		}
+		stranger := NewAddresses("user:0", "user:x")
+		allocs := testing.AllocsPerRun(100, func() {
+			if !f.Covers(sub) || f.Covers(stranger) {
+				t.Fatal("Covers answered wrong")
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%d addresses: Covers allocates %.1f/op, budget 0", n, allocs)
+		}
+	}
+}

@@ -102,8 +102,8 @@ func (f *Addresses) Covers(other Filter) bool {
 	case None:
 		return true
 	case *Addresses:
-		for a := range o.addrs {
-			if _, ok := f.addrs[a]; !ok {
+		for _, a := range o.list {
+			if !f.Contains(a) {
 				return false
 			}
 		}

@@ -235,3 +235,49 @@ func TestAddressesAgainstPlainMap(t *testing.T) {
 		}
 	}
 }
+
+// TestCoversIsSetInclusion: between two address filters, Covers is set
+// inclusion, for sets of 0 to 20 addresses on either side — across fewAddrs,
+// where Contains turns from comparing to hashing — drawn from a pool small
+// enough that inclusion holds often.
+func TestCoversIsSetInclusion(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draw := func() (*Addresses, map[string]bool) {
+		f, set := NewAddresses(), make(map[string]bool)
+		for n := rng.Intn(21); len(set) < n; {
+			a := fmt.Sprintf("user:%d", rng.Intn(24))
+			f.Add(a)
+			set[a] = true
+		}
+		return f, set
+	}
+	var held, failed int
+	for round := 0; round < 2000; round++ {
+		f, fset := draw()
+		o, oset := draw()
+		if rng.Intn(3) == 0 { // o drawn from f, so that inclusion holds
+			o, oset = NewAddresses(), make(map[string]bool)
+			for _, a := range f.list {
+				if rng.Intn(3) > 0 {
+					o.Add(a)
+					oset[a] = true
+				}
+			}
+		}
+		want := true
+		for a := range oset {
+			want = want && fset[a]
+		}
+		if got := f.Covers(o); got != want {
+			t.Fatalf("%v covers %v: %v, want %v", f, o, got, want)
+		}
+		if want && len(oset) > 1 {
+			held++
+		} else if !want {
+			failed++
+		}
+	}
+	if held < 100 || failed < 100 {
+		t.Errorf("corpus too thin: inclusion of 2+ addresses held %d times, failed %d", held, failed)
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"replidtn/internal/obs"
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/epidemic"
+	"replidtn/internal/routing/maxprop"
 	"replidtn/internal/routing/prophet"
 	"replidtn/internal/routing/spraywait"
 	"replidtn/internal/routing/twohop"
@@ -103,7 +104,7 @@ func (r *Replica) handleSyncRequestReference(req *SyncRequest) *SyncResponse {
 // diffScenario is one randomized store + request configuration.
 type diffScenario struct {
 	seed        int64
-	policy      int // 0 none, 1 epidemic, 2 spray, 3 prophet, 4 two-hop
+	policy      int // 0 none, 1 epidemic, 2 spray, 3 prophet, 4 two-hop, 5 MaxProp
 	items       int
 	maxItems    int
 	maxBytes    int64
@@ -117,6 +118,8 @@ type diffScenario struct {
 	// a budgeted serve may stop early; some items name both of the target's
 	// own addresses, the second first.
 	originals bool
+	// wrap, when set, stands between the source and its policy.
+	wrap func(routing.Policy) routing.Policy
 }
 
 // diffFilters are the target filters a scenario picks from: address sets of
@@ -177,6 +180,11 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 		pol = prophet.New(prophet.DefaultParams(), clock, "addr:src")
 	case 4:
 		pol = twohop.New()
+	case 5:
+		pol = learnedMaxProp(rng, &now)
+	}
+	if sc.wrap != nil {
+		pol = sc.wrap(pol)
 	}
 	src = New(Config{
 		ID: "src", OwnAddresses: []string{"addr:src"}, Policy: pol, Now: clock,
@@ -196,7 +204,9 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 		for _, e := range from.store.Entries() {
 			if pick(e) {
 				tr := e.Transient
-				if dst == src {
+				if dst == src && sc.policy == 5 {
+					tr.Set(item.FieldHops, rng.Intn(2*maxprop.DefaultHopThreshold))
+				} else if dst == src {
 					switch rng.Intn(4) {
 					case 0:
 						tr.Set(item.FieldCopies, 1)
@@ -537,6 +547,112 @@ func TestHandleSyncRequestDifferentialStops(t *testing.T) {
 	t.Logf("serves stopped early in %d of %d budgeted worlds", stopped, cases)
 	if stopped < 20 {
 		t.Errorf("corpus too thin to mean anything: serves stopped early in %d worlds", stopped)
+	}
+}
+
+// learnedMaxProp returns the MaxProp policy of replica "src" after random
+// encounters among it and six peers, the peer k homing addr:k: its table
+// holds learned rows and its homes learned addresses, so a path to addr:0–5
+// has a cost and one to addr:6–9, unknown, is +Inf.
+func learnedMaxProp(rng *rand.Rand, now *int64) *maxprop.Policy {
+	clock := func() int64 { return *now }
+	ids := []vclock.ReplicaID{"src"}
+	ps := []*maxprop.Policy{maxprop.New("src", maxprop.DefaultHopThreshold, clock, "addr:src")}
+	for k := 0; k < 6; k++ {
+		ids = append(ids, vclock.ReplicaID(fmt.Sprintf("p%d", k)))
+		ps = append(ps, maxprop.New(ids[k+1], maxprop.DefaultHopThreshold, clock, fmt.Sprintf("addr:%d", k)))
+	}
+	for n := 0; n < 60; n++ {
+		a, b := rng.Intn(len(ps)), rng.Intn(len(ps))
+		if a != b {
+			*now += 10
+			ps[b].ProcessReq(ids[a], ps[a].GenerateReq())
+			ps[a].ProcessReq(ids[b], ps[b].GenerateReq())
+		}
+	}
+	return ps[0]
+}
+
+// countToSend wraps a policy, counting its ToSend calls in *calls; with
+// bounded it forwards the policy's routing.Bounded too, without it hides it.
+func countToSend(calls *int, bounded bool) func(routing.Policy) routing.Policy {
+	return func(p routing.Policy) routing.Policy {
+		c := countingPolicy{p, calls}
+		if b, ok := p.(routing.Bounded); ok && bounded {
+			return boundedPolicy{c, b}
+		}
+		return c
+	}
+}
+
+type countingPolicy struct {
+	routing.Policy
+	calls *int
+}
+
+func (c countingPolicy) ToSend(e *store.Entry, t routing.Target) (routing.Priority, item.Transient) {
+	*c.calls++
+	return c.Policy.ToSend(e, t)
+}
+
+type boundedPolicy struct {
+	countingPolicy
+	routing.Bounded
+}
+
+// TestHandleSyncRequestDifferentialBound pins the bounded serve
+// (routing.Bounded) to the reference on MaxProp sources whose routing state
+// was learned in random encounters and whose relayed copies have hop counts
+// on both sides of the threshold, so candidates are priced by hop class,
+// by a path and at +Inf. For address filters and no filter, each world is
+// served with the bound and through a wrapper that hides it, without a
+// budget and at one item, half, one below, at and one above its candidate
+// count: both serves must give the reference's batch, Truncated and
+// LearnedKnowledge, and offer the same number of candidates. The bound
+// refused a candidate where the serve with it called ToSend less often; it
+// must have in at least 20 serves, or the corpus shows nothing.
+func TestHandleSyncRequestDifferentialBound(t *testing.T) {
+	refused, cases := 0, 0
+	for seed := int64(1); seed <= 30; seed++ {
+		for _, f := range []int{0, 2, 3, filterNil} {
+			sc := diffScenario{seed: seed, policy: 5, items: 80, knownFrac: 20, expireFrac: 5, tombFrac: 5, filter: f}
+			src, req := buildSource(sc)
+			req.MaxItems = 0
+			cands := len(src.handleSyncRequestReference(req).Items)
+			budgets := []int{0} // no budget
+			for _, b := range []int{1, cands / 2, cands - 1, cands, cands + 1} {
+				if b > 0 {
+					budgets = append(budgets, b)
+				}
+			}
+			for _, budget := range budgets {
+				sc.maxItems, sc.wrap = budget, nil
+				ref, refReq := buildSource(sc)
+				want := ref.handleSyncRequestReference(refReq)
+				var calls [2]int
+				var offered [2]int64
+				for k, bounded := range []bool{true, false} {
+					sc.wrap = countToSend(&calls[k], bounded)
+					s, r := buildSource(sc)
+					s.metrics = &obs.ReplicaMetrics{}
+					if err := sameResponse(want, s.HandleSyncRequest(r)); err != nil {
+						t.Fatalf("seed %d, filter %d, budget %d of %d, bound %v: %v", seed, f, budget, cands, bounded, err)
+					}
+					offered[k] = s.metrics.CandidatesOffered.Value()
+				}
+				if offered[0] != offered[1] {
+					t.Fatalf("seed %d, filter %d, budget %d: %d candidates offered with the bound, %d without", seed, f, budget, offered[0], offered[1])
+				}
+				cases++
+				if calls[0] < calls[1] {
+					refused++
+				}
+			}
+		}
+	}
+	t.Logf("the bound refused a candidate in %d of %d serves", refused, cases)
+	if refused < 20 {
+		t.Errorf("corpus too thin to mean anything: the bound refused a candidate in %d serves", refused)
 	}
 }
 

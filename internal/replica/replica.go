@@ -147,6 +147,7 @@ type Replica struct {
 	// skipped is the serve walks' reused buffer of withheld entries.
 	skipped []*store.Entry
 	fixed   routing.Priority // the policy's routing.FixedPriority, else Skip
+	bounded routing.Bounded  // the policy, when it implements routing.Bounded
 	dual    bool             // the store files live entries by destination too
 
 	// Mutation journal (see journal.go): journal receives batches, pending
@@ -210,6 +211,7 @@ func New(cfg Config) *Replica {
 	if fp, ok := cfg.Policy.(routing.FixedPriority); ok {
 		r.fixed = fp.FixedPriority()
 	}
+	r.bounded, _ = cfg.Policy.(routing.Bounded)
 	if cfg.OnCopies != nil {
 		r.store.LiveNotify(cfg.OnCopies)
 	}

@@ -232,6 +232,10 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 				return true // offered from its destinations' runs
 			}
 		case r.policy != nil:
+			if limit > 0 && r.bounded != nil && !sel.admits(r.bounded.Bound(e), e.Item.ID) {
+				sel.total++ // a candidate the full batch turns away, unpriced
+				return !stop
+			}
 			pr, tr := r.policy.ToSend(e, target)
 			if pr.Class == routing.ClassSkip {
 				r.skipped = append(r.skipped, e)

@@ -14,9 +14,14 @@ import (
 )
 
 // BenchmarkRoutingExchange is one encounter leg of each policy whose state
-// rides the sync request: the partner's GenerateReq, our ProcessReq, then
-// 50 ToSend decisions for that partner — on a fleet the size of the paper
-// trace's and on one ten times larger, each warmed by random encounters.
+// rides the sync request, on a fleet the size of the paper trace's and on
+// one ten times larger, each warmed by random encounters. Two nodes meet
+// over and over: each leg, one generates its request and the other processes
+// it, and the next leg swaps them, as an encounter's two syncs do, with the
+// clock moving on between encounters. Per policy and fleet, "exchange" is
+// the leg's GenerateReq and ProcessReq alone; "decisions=50" adds 50 ToSend
+// decisions by the processing node. For MaxProp, "path-tree" adds one
+// decision that prices a path, so one shortest-path tree build.
 func BenchmarkRoutingExchange(b *testing.B) {
 	policies := []struct {
 		name string
@@ -33,43 +38,57 @@ func BenchmarkRoutingExchange(b *testing.B) {
 	addr := func(i int) string { return fmt.Sprintf("addr:%03d", i) }
 	for _, pol := range policies {
 		for _, n := range []int{26, 256} {
-			b.Run(fmt.Sprintf("%s/nodes=%d", pol.name, n), func(b *testing.B) {
-				var clock int64
-				now := func() int64 { return clock }
-				ps := make([]routing.Policy, n)
-				for i := range ps {
-					ps[i] = pol.new(id(i), addr(i), now)
+			var clock int64
+			now := func() int64 { return clock }
+			ps := make([]routing.Policy, n)
+			for i := range ps {
+				ps[i] = pol.new(id(i), addr(i), now)
+			}
+			rng := rand.New(rand.NewSource(1))
+			for k := 0; k < 8*n; k++ {
+				i, j := rng.Intn(n), rng.Intn(n)
+				if i == j {
+					continue
 				}
-				rng := rand.New(rand.NewSource(1))
-				for k := 0; k < 8*n; k++ {
-					i, j := rng.Intn(n), rng.Intn(n)
-					if i == j {
-						continue
+				clock += 7
+				ps[i].ProcessReq(id(j), ps[j].GenerateReq())
+				ps[j].ProcessReq(id(i), ps[i].GenerateReq())
+			}
+			entries := make([]*store.Entry, 50)
+			for k := range entries {
+				entries[k] = &store.Entry{
+					Item: &item.Item{
+						ID: item.ID{Creator: "n000", Num: uint64(k + 1)},
+						// Homed on neither node of the pair: pricing it takes the tree.
+						Meta: item.Metadata{Destinations: []string{addr(2 + rng.Intn(n-2))}},
+					},
+					Transient: item.TransientMap{item.FieldHops: maxprop.DefaultHopThreshold}.Transient(),
+				}
+			}
+			ids := []vclock.ReplicaID{id(0), id(1)}
+			cases := []struct {
+				name      string
+				decisions []*store.Entry
+			}{{"exchange", nil}, {"decisions=50", entries}, {"path-tree", entries[:1]}}
+			if pol.name != "maxprop" {
+				cases = cases[:2] // no tree to build
+			}
+			for _, c := range cases {
+				b.Run(fmt.Sprintf("%s/nodes=%d/%s", pol.name, n, c.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if i%2 == 0 {
+							clock += 7 // a new encounter
+						}
+						gen, proc := i%2, 1-i%2
+						target := routing.Target{ID: ids[gen]}
+						ps[proc].ProcessReq(target.ID, ps[gen].GenerateReq())
+						for _, e := range c.decisions {
+							ps[proc].ToSend(e, target)
+						}
 					}
-					clock += 7
-					ps[i].ProcessReq(id(j), ps[j].GenerateReq())
-					ps[j].ProcessReq(id(i), ps[i].GenerateReq())
-				}
-				entries := make([]*store.Entry, 50)
-				for k := range entries {
-					entries[k] = &store.Entry{
-						Item: &item.Item{
-							ID:   item.ID{Creator: "n000", Num: uint64(k + 1)},
-							Meta: item.Metadata{Destinations: []string{addr(rng.Intn(n))}},
-						},
-						Transient: item.TransientMap{item.FieldHops: maxprop.DefaultHopThreshold}.Transient(),
-					}
-				}
-				p, partner, target := ps[0], ps[1], routing.Target{ID: id(1)}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.ProcessReq(target.ID, partner.GenerateReq())
-					for _, e := range entries {
-						p.ToSend(e, target)
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"replidtn/internal/routing"
@@ -111,20 +110,20 @@ func TestPublishedRequestImmutable(t *testing.T) {
 }
 
 // TestShortestPathsOncePerStateVersion: one tree serves every candidate of
-// every sync until the next ProcessReq, and serving from it allocates
-// nothing.
+// every sync until the next ProcessReq, which drops it; the next decision
+// that prices a path builds it again.
 func TestShortestPathsOncePerStateVersion(t *testing.T) {
 	const n = 64
 	ps := fleet(n, 4)
 	p := ps[0]
 	cands := candidates(n, 1000)
-	if p.dist != nil {
+	if len(p.dist) != 0 {
 		t.Fatal("ProcessReq should leave the tree unbuilt")
 	}
+	builds := p.builds
 	p.ToSend(cands[1], routing.Target{})
-	tree := p.dist
-	if len(tree) != n {
-		t.Fatalf("tree spans %d nodes, want %d", len(tree), n)
+	if len(p.dist) != n {
+		t.Fatalf("tree spans %d nodes, want %d", len(p.dist), n)
 	}
 	for sync := 0; sync < 3; sync++ {
 		p.GenerateReq() // the sync's other leg re-stamps our row; costs do not move
@@ -132,19 +131,16 @@ func TestShortestPathsOncePerStateVersion(t *testing.T) {
 			p.ToSend(e, routing.Target{})
 		}
 	}
-	if reflect.ValueOf(p.dist).Pointer() != reflect.ValueOf(tree).Pointer() {
-		t.Error("the tree was rebuilt with no intervening ProcessReq")
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		for _, e := range cands {
-			p.ToSend(e, routing.Target{})
-		}
-	}); allocs != 0 {
-		t.Errorf("serving from a built tree allocates %v times per 1000 candidates, want 0", allocs)
+	if got := p.builds - builds; got != 1 {
+		t.Errorf("%d trees built for one routing state, want 1", got)
 	}
 	p.ProcessReq(ps[1].self, ps[1].GenerateReq())
-	if p.dist != nil {
+	if len(p.dist) != 0 {
 		t.Error("ProcessReq must drop the tree")
+	}
+	p.ToSend(cands[1], routing.Target{})
+	if got := p.builds - builds; got != 2 {
+		t.Errorf("%d trees built over two routing states, want 2", got)
 	}
 }
 

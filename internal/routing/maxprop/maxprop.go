@@ -75,8 +75,11 @@ type Policy struct {
 	homes sorted.Map[string, Home]
 	// dist is the shortest-path tree from self over table — lowest path cost
 	// per reachable node — built by the first PathCost after table or
-	// weights changed; nil when stale. Homes do not enter it.
-	dist map[vclock.ReplicaID]float64
+	// weights changed; empty when stale. Homes do not enter it. It and the
+	// search heap pq keep their memory across builds.
+	dist   map[vclock.ReplicaID]float64
+	pq     costHeap
+	builds int // trees built, read by tests
 }
 
 // New creates a MaxProp policy for the given replica. hopThreshold <= 0
@@ -91,15 +94,16 @@ func New(self vclock.ReplicaID, hopThreshold int, now func() int64, ownAddresses
 		hopThreshold: hopThreshold,
 		now:          now,
 		ownAddresses: append([]string(nil), ownAddresses...),
+		dist:         make(map[vclock.ReplicaID]float64),
 	}
 }
 
 // Name implements routing.Policy.
 func (*Policy) Name() string { return "maxprop" }
 
-// SetOwnAddresses updates the endpoint addresses homed on this node.
+// SetOwnAddresses replaces the endpoint addresses homed on this node.
 func (p *Policy) SetOwnAddresses(addrs ...string) {
-	p.ownAddresses = append(p.ownAddresses[:0], addrs...)
+	p.ownAddresses = append([]string(nil), addrs...)
 }
 
 // OwnRow returns this node's normalized next-encounter distribution. The
@@ -109,14 +113,15 @@ func (p *Policy) OwnRow() sorted.Map[vclock.ReplicaID, float64] {
 	for _, e := range p.weights.Entries() {
 		total += e.Val
 	}
-	return sorted.Merge(p.weights, sorted.Map[vclock.ReplicaID, float64]{}, func(_ vclock.ReplicaID, w, _ *float64) (float64, bool) {
-		return *w / total, total != 0
-	})
+	if total == 0 {
+		return sorted.Map[vclock.ReplicaID, float64]{}
+	}
+	return sorted.Divide(p.weights, total)
 }
 
 // GenerateReq implements routing.Policy: ship homed addresses, the full
-// freshest-rows table, and address homes. The table goes out as it stands;
-// homes is copied, to stamp our own addresses into.
+// freshest-rows table, and address homes. The table and the addresses go
+// out as they stand; homes is copied, to stamp our own addresses into.
 func (p *Policy) GenerateReq() routing.Request {
 	now := p.now()
 	own, _ := p.table.Get(p.self)
@@ -127,7 +132,7 @@ func (p *Policy) GenerateReq() routing.Request {
 		homes.Set(a, Home{Node: p.self, Updated: now})
 	}
 	return &Request{
-		OwnAddresses: append([]string(nil), p.ownAddresses...),
+		OwnAddresses: p.ownAddresses,
 		Table:        p.table.Share(),
 		Homes:        homes,
 	}
@@ -145,30 +150,20 @@ func (p *Policy) ProcessReq(from vclock.ReplicaID, req routing.Request) {
 	now := p.now()
 	w, _ := p.weights.Get(from)
 	p.weights.Set(from, w+1)
-	p.table.Update(r.Table, func(_ vclock.ReplicaID, cur, row *Row) (Row, bool) {
-		if cur == nil || row != nil && row.Updated > cur.Updated {
-			cur = row
-		}
-		return *cur, true
-	})
+	p.table.Adopt(r.Table, func(row, cur *Row) bool { return row.Updated > cur.Updated })
 	p.rebuildOwn(now) // after the merge: nobody else's view of us beats our own
-	p.homes.Update(r.Homes, func(_ string, cur, h *Home) (Home, bool) {
-		if cur == nil || h != nil && h.Updated > cur.Updated {
-			cur = h
-		}
-		return *cur, true
-	})
+	p.homes.Adopt(r.Homes, func(h, cur *Home) bool { return h.Updated > cur.Updated })
 	for _, addr := range r.OwnAddresses {
 		p.homes.Set(addr, Home{Node: from, Updated: now})
 	}
 }
 
 // rebuildOwn replaces our own row with a fresh one normalized from the
-// current weights and drops the path tree. It runs wherever weights or the
+// current weights and empties the path tree. It runs wherever weights or the
 // table change — never on a decision path.
 func (p *Policy) rebuildOwn(updated int64) {
 	p.table.Set(p.self, Row{Probabilities: p.OwnRow(), Updated: updated})
-	p.dist = nil
+	clear(p.dist)
 }
 
 // ToSend implements routing.Policy: MaxProp floods — every item is eligible —
@@ -189,6 +184,16 @@ func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, ite
 	return routing.Priority{Class: routing.ClassNormal, Cost: cost}, item.Transient{}
 }
 
+// Bound implements routing.Bounded with the hop class: a copy under the hop
+// threshold gets its ToSend priority, any other one {Normal, 0}, since path
+// costs are sums of 1 − f ≥ 0.
+func (p *Policy) Bound(e *store.Entry) routing.Priority {
+	if hops, _ := e.Transient.Get(item.FieldHops); hops < p.hopThreshold {
+		return routing.Priority{Class: routing.ClassHigh, Cost: float64(hops)}
+	}
+	return routing.Priority{Class: routing.ClassNormal}
+}
+
 // PathCost returns the lowest-cost path score from this node to the node
 // currently homing the destination address: the modified Dijkstra search with
 // edge cost 1 − f_x(y). It returns +Inf when the destination's home is
@@ -202,8 +207,8 @@ func (p *Policy) PathCost(destAddr string) float64 {
 	if home.Node == p.self {
 		return 0
 	}
-	if p.dist == nil {
-		p.dist = shortestPaths(p.table, p.self)
+	if len(p.dist) == 0 { // a built tree holds self
+		p.buildTree()
 	}
 	if c, ok := p.dist[home.Node]; ok {
 		return c
@@ -211,19 +216,20 @@ func (p *Policy) PathCost(destAddr string) float64 {
 	return math.Inf(1)
 }
 
-// shortestPaths computes, for every node reachable from src in the learned
-// probability table, the minimum sum of (1 − f_x(y)) over paths from src.
-// Edge costs are never negative (probabilities lie in [0, 1]), so a node's
-// settled distance is the cost a search stopping at that node would return,
-// and the strict < relaxation means equal-cost paths cannot change it.
-func shortestPaths(table sorted.Map[vclock.ReplicaID, Row], src vclock.ReplicaID) map[vclock.ReplicaID]float64 {
-	dist := map[vclock.ReplicaID]float64{src: 0}
-	for pq := (costHeap{{src, 0}}); len(pq) > 0; {
-		cur := pq.pop()
+// buildTree fills the empty dist with the minimum sum of (1 − f_x(y)) over
+// paths from self of every node the learned table reaches. Edge costs are
+// never negative (probabilities lie in [0, 1]), so a node's settled distance
+// is the cost a search stopping at that node would return, and the strict <
+// relaxation means equal-cost paths cannot change it.
+func (p *Policy) buildTree() {
+	dist := p.dist
+	dist[p.self] = 0
+	for p.pq = append(p.pq[:0], costEntry{p.self, 0}); len(p.pq) > 0; {
+		cur := p.pq.pop()
 		if cur.cost > dist[cur.node] {
 			continue
 		}
-		row, _ := table.Get(cur.node)
+		row, _ := p.table.Get(cur.node)
 		for _, e := range row.Probabilities.Entries() {
 			if e.Val <= 0 {
 				continue
@@ -231,11 +237,11 @@ func shortestPaths(table sorted.Map[vclock.ReplicaID, Row], src vclock.ReplicaID
 			nc := cur.cost + (1 - e.Val)
 			if d, seen := dist[e.Key]; !seen || nc < d {
 				dist[e.Key] = nc
-				pq.push(costEntry{e.Key, nc})
+				p.pq.push(costEntry{e.Key, nc})
 			}
 		}
 	}
-	return dist
+	p.builds++
 }
 
 // costHeap is a binary min-heap of table indices on cost.

@@ -152,7 +152,7 @@ type Policy interface {
 	// other replicas too. Transient is a value, so the returned one is the
 	// batch's own whatever it was copied from: the receiver stores it and
 	// counts the hop in it, and nothing reaches back into e. The serve walk
-	// asks ToSend about the candidates it reaches (see FixedPriority).
+	// asks ToSend about the candidates it reaches (FixedPriority, Bounded).
 	ToSend(e *store.Entry, target Target) (Priority, item.Transient)
 }
 
@@ -162,6 +162,15 @@ type Policy interface {
 // change the batch, so it does not ask about every candidate.
 type FixedPriority interface {
 	FixedPriority() Priority
+}
+
+// Bounded is optionally implemented by policies whose ToSend(e, t) never
+// skips and never transmits e before Bound(e), which reads only e's stored
+// fields and writes nothing. A budgeted serve does not ask ToSend about an
+// entry the full batch turns away at its bound, and counts it as a refused
+// candidate: a ToSend that could skip or write would make that count wrong.
+type Bounded interface {
+	Bound(e *store.Entry) Priority
 }
 
 // DestinationOnly is optionally implemented by policies whose ToSend
@@ -184,22 +193,4 @@ type Persistent interface {
 	SnapshotState() ([]byte, error)
 	// RestoreState replaces the policy's routing state from a snapshot.
 	RestoreState(data []byte) error
-}
-
-// Nop is the no-op policy: it forwards nothing, reducing the substrate to
-// basic filtered replication (messages travel only sender→destination).
-type Nop struct{}
-
-// Name implements Policy.
-func (Nop) Name() string { return "none" }
-
-// GenerateReq implements Policy.
-func (Nop) GenerateReq() Request { return nil }
-
-// ProcessReq implements Policy.
-func (Nop) ProcessReq(vclock.ReplicaID, Request) {}
-
-// ToSend implements Policy.
-func (Nop) ToSend(*store.Entry, Target) (Priority, item.Transient) {
-	return Skip, item.Transient{}
 }

@@ -42,18 +42,3 @@ func TestClassString(t *testing.T) {
 		}
 	}
 }
-
-func TestNopPolicy(t *testing.T) {
-	var p Nop
-	if p.Name() != "none" {
-		t.Error("wrong name")
-	}
-	if p.GenerateReq() != nil {
-		t.Error("nop should generate nothing")
-	}
-	p.ProcessReq("x", nil)
-	pr, tr := p.ToSend(nil, Target{})
-	if pr.Class != ClassSkip || tr.Len() != 0 {
-		t.Error("nop must skip everything")
-	}
-}

@@ -91,6 +91,40 @@ func (m *Map[K, V]) Update(b Map[K, V], f func(k K, cur, v *V) (V, bool)) {
 	m.e, m.shared = merge(m.e, !m.shared, b.e, f), false
 }
 
+// Adopt merges b into m, keeping for each key m's entry, or b's where m has
+// none or newer(b's value, m's) holds. It writes only what changes, in place
+// unless m is shared or an entry of b alone would overtake the walk.
+func (m *Map[K, V]) Adopt(bm Map[K, V], newer func(v, cur *V) bool) {
+	a, b := m.e, bm.e
+	out, inPlace := a[:0], true // inPlace: out is a prefix of a
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		var e *Entry[K, V]
+		switch {
+		case i < len(a) && j < len(b) && a[i].Key == b[j].Key:
+			if e, i, j = &a[i], i+1, j+1; newer(&b[j-1].Val, &e.Val) {
+				e = &b[j-1]
+			}
+		case j == len(b) || i < len(a) && a[i].Key < b[j].Key:
+			e, i = &a[i], i+1
+		default:
+			e, j = &b[j], j+1
+		}
+		switch {
+		case !inPlace:
+		case len(out) < i && e == &a[i-1]: // a's entry, where it stands
+			out = out[:i]
+			continue
+		case len(out) == i: // about to overwrite a[i]
+			out, inPlace = append(make([]Entry[K, V], 0, len(out)+len(a)-i+len(b)-j+1), out...), false
+		case m.shared: // copy m whole, then go on writing what changes
+			a, m.shared = append(make([]Entry[K, V], 0, len(a)), a...), false
+			out = a[:len(out)]
+		}
+		out = append(out, *e)
+	}
+	m.e, m.shared = out, m.shared && inPlace
+}
+
 // Merge walks a and b in key order and returns a new map of what f keeps: f
 // gets each key's value on each side (nil where absent) and returns its own.
 func Merge[K ~string, V any](a, b Map[K, V], f func(k K, av, bv *V) (V, bool)) Map[K, V] {
@@ -107,7 +141,11 @@ func merge[K ~string, V any](a []Entry[K, V], inPlace bool, b []Entry[K, V], f f
 		if i == len(a) {
 			c = 1
 		} else if j < len(b) {
-			c = strings.Compare(string(a[i].Key), string(b[j].Key))
+			if ka, kb := a[i].Key, b[j].Key; ka == kb { // the cheap test, and the usual case
+				c = 0
+			} else if kb < ka {
+				c = 1
+			}
 		}
 		var k K
 		var av, bv *V
@@ -128,6 +166,15 @@ func merge[K ~string, V any](a []Entry[K, V], inPlace bool, b []Entry[K, V], f f
 		clear(a[len(out):])
 	}
 	return out
+}
+
+// Divide returns a new map of m's keys, each value divided by d.
+func Divide[K ~string](m Map[K, float64], d float64) Map[K, float64] {
+	e := make([]Entry[K, float64], len(m.e))
+	for i, x := range m.e {
+		e[i] = Entry[K, float64]{x.Key, x.Val / d}
+	}
+	return Map[K, float64]{e: e}
 }
 
 // Append appends m as a count, then each key and value (written by value).

@@ -42,7 +42,7 @@ func (m model) clone() model {
 }
 
 // TestMapAgainstModel drives a Map and a Go map through random Sets, Gets,
-// in-place Updates and Merges, publishing copies along the way: the Map
+// in-place Updates, Adopts and Merges, publishing copies along the way: the Map
 // always holds what the Go map holds, in strictly ascending key order, and
 // every published copy keeps what it held when it was published.
 func TestMapAgainstModel(t *testing.T) {
@@ -57,7 +57,7 @@ func TestMapAgainstModel(t *testing.T) {
 		}
 		var pubs []published
 		for step := 0; step < 200; step++ {
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(11); {
 			case op < 4:
 				k, v := key(), rng.Intn(100)
 				m.Set(k, v)
@@ -96,9 +96,23 @@ func TestMapAgainstModel(t *testing.T) {
 						delete(want, k)
 					}
 				}
-			case op < 8:
+			case op < 8: // adopt another map's larger values
+				var b Map[string, int]
+				for n := rng.Intn(12); n > 0; n-- {
+					b.Set(key(), rng.Intn(100))
+				}
+				m.Adopt(b, func(v, cur *int) bool { return *v > *cur })
+				for _, e := range b.Entries() {
+					if cur, ok := want[e.Key]; !ok || e.Val > cur {
+						want[e.Key] = e.Val
+					}
+				}
+				if rng.Intn(2) == 0 {
+					pubs = append(pubs, published{m.Share(), want.clone()})
+				}
+			case op < 9:
 				pubs = append(pubs, published{m.Share(), want.clone()})
-			case op < 9: // a clone is its holder's: writing it leaves m alone
+			case op < 10: // a clone is its holder's: writing it leaves m alone
 				c := m.Clone()
 				c.Set(key(), -1)
 			default: // a new map from m and another
@@ -185,6 +199,39 @@ func TestUpdateInPlace(t *testing.T) {
 	// Keys of b alone overtake the walk: the result moves out of the way.
 	m.Update(FromMap(map[string]int{"0": 0, "aa": 0, "z": 0}), add)
 	if got := fmt.Sprint(m.Entries()); got != "[{0 0} {a 1} {aa 0} {b 442} {c 3} {z 0}]" {
+		t.Errorf("entries %s", got)
+	}
+}
+
+// TestAdoptWritesOnlyChanges: an owner's Adopt that changes nothing writes
+// nothing and allocates nothing, and a shared map is copied only at its
+// first change, the copy held elsewhere left as it was.
+func TestAdoptWritesOnlyChanges(t *testing.T) {
+	m := FromMap(map[string]int{"a": 1, "b": 2, "c": 3})
+	larger := func(v, cur *int) bool { return *v > *cur }
+	older := FromMap(map[string]int{"a": 0, "c": 3})
+	if allocs := testing.AllocsPerRun(20, func() { m.Adopt(older, larger) }); allocs != 0 {
+		t.Errorf("Adopt of nothing new allocates %v times", allocs)
+	}
+	held := m.Share()
+	m.Adopt(older, larger)
+	if &m.Entries()[0] != &held.Entries()[0] {
+		t.Error("a shared map was copied although nothing changed")
+	}
+	m.Adopt(FromMap(map[string]int{"c": 30}), larger)
+	if got := fmt.Sprint(held.Entries(), m.Entries()); got != "[{a 1} {b 2} {c 3}] [{a 1} {b 2} {c 30}]" {
+		t.Errorf("held, owner: %s", got)
+	}
+	bump := FromMap(map[string]int{"b": 20}) // one newer value per run
+	if allocs := testing.AllocsPerRun(20, func() {
+		v, _ := bump.Get("b")
+		bump.Set("b", v+1)
+		m.Adopt(bump, larger)
+	}); allocs != 0 {
+		t.Errorf("in-place Adopt of one change allocates %v times", allocs)
+	}
+	m.Adopt(FromMap(map[string]int{"0": 0, "aa": 0, "z": 0}), larger)
+	if got := fmt.Sprint(m.Entries()); got != "[{0 0} {a 1} {aa 0} {b 41} {c 30} {z 0}]" {
 		t.Errorf("entries %s", got)
 	}
 }
