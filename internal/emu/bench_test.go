@@ -66,18 +66,23 @@ func BenchmarkEmuRun(b *testing.B) {
 
 // BenchmarkEmuRunConstrained measures the Fig. 9 bandwidth-constrained
 // configuration, whose per-encounter work (top-1 selection over the whole
-// store) differs markedly from the unconstrained run.
+// store) differs markedly from the unconstrained run, for the two policies
+// whose budgeted serves price candidates: MaxProp (bounded by hop class) and
+// PROPHET (priced by destination).
 func BenchmarkEmuRunConstrained(b *testing.B) {
 	tr := benchTrace(b, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(Config{
-			Trace:                   tr,
-			Policy:                  Factory(PolicyMaxProp, DefaultParams()),
-			MaxMessagesPerEncounter: 1,
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, policy := range []PolicyName{PolicyMaxProp, PolicyProphet} {
+		b.Run("policy="+string(policy), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(Config{
+					Trace:                   tr,
+					Policy:                  Factory(policy, DefaultParams()),
+					MaxMessagesPerEncounter: 1,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"replidtn/internal/obs"
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/maxprop"
+	"replidtn/internal/routing/prophet"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 )
@@ -46,7 +47,7 @@ func TestServeCounts(t *testing.T) {
 			return err
 		}, 24728, 185165, 3071, 3071},
 		{"fig7a", policySweep(0, 0), 11240, 53293, 2387, 2387},
-		{"fig9", policySweep(1, 0), 10380, 54864, 10049, 1787},
+		{"fig9", policySweep(1, 0), 10380, 32716, 9260, 1787},
 		{"fig10", policySweep(0, 2), 11240, 25123, 1718, 1718},
 	} {
 		nm := &obs.NodeMetrics{}
@@ -103,6 +104,55 @@ func TestBoundedDecisionCounts(t *testing.T) {
 		t.Errorf("the bound moved the run: %d items, CDF %v; without it %d items, CDF %v",
 			got.ItemsTransferred, got.Summary.CDF(bounds), want.ItemsTransferred, want.Summary.CDF(bounds))
 	}
+}
+
+// TestDestinationDecisionCounts pins how many forwarding decisions Fig. 9's
+// PROPHET run asks for on the small trace. A wrapper counts ToSend calls and
+// forwards routing.ByDestination, so once a budget is smaller than a store
+// its serves walk the destinations PROPHET forwards to, at their prices, and
+// ask ToSend about no entry filed under one; a second run goes through a
+// wrapper that hides Destinations, so every candidate is priced. The two
+// runs must move the same items and deliver the same messages at the same
+// times.
+func TestDestinationDecisionCounts(t *testing.T) {
+	tr, err := SmallTrace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := emu.DefaultParams()
+	run := func(byDest bool) (int, *emu.Result) {
+		calls := 0
+		res, err := emu.Run(emu.Config{
+			Trace:                   tr,
+			MaxMessagesPerEncounter: 1,
+			Policy: func(_ vclock.ReplicaID, now func() int64, own []string) routing.Policy {
+				p := prophet.New(params.Prophet, now, own...)
+				if byDest {
+					return pricedPolicy{countingPolicy{p, &calls}, p}
+				}
+				return countingPolicy{p, &calls}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return calls, res
+	}
+	with, got := run(true)
+	without, want := run(false)
+	if with != 2 || without != 12583 {
+		t.Errorf("ToSend called %d times with the destinations priced and %d without; want 2 and 12583", with, without)
+	}
+	bounds := metrics.HourBounds(12)
+	if got.ItemsTransferred != want.ItemsTransferred || !slices.Equal(got.Summary.CDF(bounds), want.Summary.CDF(bounds)) {
+		t.Errorf("pricing destinations moved the run: %d items, CDF %v; without it %d items, CDF %v",
+			got.ItemsTransferred, got.Summary.CDF(bounds), want.ItemsTransferred, want.Summary.CDF(bounds))
+	}
+}
+
+type pricedPolicy struct {
+	countingPolicy
+	routing.ByDestination
 }
 
 type countingPolicy struct {

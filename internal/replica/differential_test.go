@@ -3,6 +3,7 @@ package replica
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -170,14 +171,14 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 	rng := rand.New(rand.NewSource(sc.seed))
 	var now int64 = 1000
 	clock := func() int64 { return now }
-	var pol routing.Policy
+	var pol, tgtPolicy routing.Policy
 	switch sc.policy {
 	case 1:
 		pol = epidemic.New(8)
 	case 2:
 		pol = spraywait.New(8)
 	case 3:
-		pol = prophet.New(prophet.DefaultParams(), clock, "addr:src")
+		pol, tgtPolicy = learnedProphet(rng, &now)
 	case 4:
 		pol = twohop.New()
 	case 5:
@@ -288,6 +289,9 @@ func buildScenario(sc diffScenario, summaries bool) (src, tgt *Replica, req *Syn
 		MaxItems:    sc.maxItems,
 		MaxBytes:    sc.maxBytes,
 		StrictBytes: sc.strictBytes,
+	}
+	if tgtPolicy != nil {
+		req.Routing = tgtPolicy.GenerateReq()
 	}
 	return src, tgt, req
 }
@@ -571,6 +575,153 @@ func learnedMaxProp(rng *rand.Rand, now *int64) *maxprop.Policy {
 		}
 	}
 	return ps[0]
+}
+
+// learnedProphet returns the PROPHET policies of replicas "src" and "tgt",
+// whose addresses are addr:0 and addr:1, after random encounters among them
+// and six peers, the peer k homing addr:k for k = 2–7, all under one random
+// strategy: the target predicts some destinations better than the source
+// does, so a serve forwards to some of addr:2–7 and never to addr:8 or 9.
+func learnedProphet(rng *rand.Rand, now *int64) (src, tgt *prophet.Policy) {
+	params := prophet.DefaultParams()
+	params.Strategy = prophet.Strategy(rng.Intn(3))
+	clock := func() int64 { return *now }
+	ids := []vclock.ReplicaID{"src", "tgt"}
+	ps := []*prophet.Policy{prophet.New(params, clock, "addr:src"), prophet.New(params, clock, "addr:0", "addr:1")}
+	for k := 2; k < 8; k++ {
+		ids = append(ids, vclock.ReplicaID(fmt.Sprintf("p%d", k)))
+		ps = append(ps, prophet.New(params, clock, fmt.Sprintf("addr:%d", k)))
+	}
+	for n := 0; n < 60; n++ {
+		a, b := rng.Intn(len(ps)), rng.Intn(len(ps))
+		if a != b {
+			*now += rng.Int63n(2 * params.AgingUnit)
+			ps[b].ProcessReq(ids[a], ps[a].GenerateReq())
+			ps[a].ProcessReq(ids[b], ps[b].GenerateReq())
+		}
+	}
+	return ps[0], ps[1]
+}
+
+// TestHandleSyncRequestDifferentialPriced pins the priced walk
+// (routing.ByDestination) to the reference on PROPHET sources whose routing
+// state was learned in random encounters with the target: for every filter
+// of diffFilters, on worlds of originals and on worlds of updates,
+// tombstones and seq-0 versions, each world is served twice without a
+// budget and at one item, two, half, one below, at and one above its
+// candidate count. The corpus must forward PROPHET items in at least 200
+// serves, break a walk before a priced destination the full batch turns
+// away in at least 20 (worked out from the reference's candidates, the
+// destinations PROPHET lists and the walk's rule), and send an entry with
+// two or more priced destinations at least 20 times.
+func TestHandleSyncRequestDifferentialPriced(t *testing.T) {
+	forwarded, broke, multi, cases := 0, 0, 0, 0
+	for seed := int64(1); seed <= 30; seed++ {
+		for f := range diffFilters {
+			for _, originals := range []bool{false, true} {
+				sc := diffScenario{seed: seed, policy: 3, items: 80, knownFrac: 20, expireFrac: 5, tombFrac: 5, filter: f, originals: originals}
+				src, req := buildSource(sc)
+				all := *req
+				all.MaxItems = 0
+				ref := src.handleSyncRequestReference(&all).Items
+				target := routing.Target{ID: req.TargetID, Filter: req.Filter}
+				priced := walkOrder(src.byDest.Destinations(nil, target), req.Filter)
+				budgets := []int{0} // no budget
+				for _, b := range []int{1, 2, len(ref) / 2, len(ref) - 1, len(ref), len(ref) + 1} {
+					if b > 0 {
+						budgets = append(budgets, b)
+					}
+				}
+				for _, budget := range budgets {
+					sc.maxItems = budget
+					newSrc, resps, err := serveTwice(sc)
+					if err != nil {
+						t.Fatalf("seed %d, filter %d, originals %v, budget %d of %d: %v", seed, f, originals, budget, len(ref), err)
+					}
+					cases++
+					for _, resp := range resps {
+						sent := false
+						for _, bi := range resp.Items {
+							if bi.Priority.Class == routing.ClassFilter {
+								continue
+							}
+							sent = true
+							if newSrc.pricing && pricedDests(bi.Item.Meta.Destinations, priced) > 1 {
+								multi++
+							}
+						}
+						if sent {
+							forwarded++
+						}
+					}
+					if budget > 0 && src.store.Len() > budget && breaks(ref, priced, budget) {
+						broke++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d scenarios: %d serves forwarded PROPHET items, %d first serves broke before a priced destination, "+
+		"%d items sent with two or more priced destinations", cases, forwarded, broke, multi)
+	if forwarded < 200 || broke < 20 || multi < 20 {
+		t.Errorf("corpus too thin to mean anything: %d forwarding serves, %d breaks, %d multi-destination items", forwarded, broke, multi)
+	}
+}
+
+// walkOrder is the order a serve for filter f walks priced destinations in:
+// best first, ties in address order, without an address filter's own; a
+// filter other than an address set is served without them.
+func walkOrder(priced []routing.Priced, f filter.Filter) []routing.Priced {
+	af, lookup := f.(*filter.Addresses)
+	if !lookup && f != nil {
+		return nil
+	}
+	sort.SliceStable(priced, func(i, j int) bool { return priced[i].Priority.Before(priced[j].Priority) })
+	if lookup {
+		priced = slices.DeleteFunc(priced, func(p routing.Priced) bool { return af.Contains(p.To) })
+	}
+	return priced
+}
+
+// pricedDests counts the distinct destinations of dests that are priced.
+func pricedDests(dests []string, priced []routing.Priced) int {
+	n := 0
+	for i, d := range dests {
+		if !slices.Contains(dests[:i], d) && slices.ContainsFunc(priced, func(p routing.Priced) bool { return p.To == d }) {
+			n++
+		}
+	}
+	return n
+}
+
+// breaks reports whether a serve at budget limit breaks off its walk of
+// priced before one of them, given ref, the unbudgeted batch of the same
+// serve in transmission order: it does before destination i when more than
+// limit candidates come first — the filter's matches, and the entries
+// priced under an earlier destination — and the limit-th of them transmits
+// before any entry priced at i could.
+func breaks(ref []BatchItem, priced []routing.Priced, limit int) bool {
+	first := func(it *item.Item) int {
+		i := len(priced)
+		for _, d := range it.Meta.Destinations {
+			if j := slices.IndexFunc(priced, func(p routing.Priced) bool { return p.To == d }); j >= 0 && j < i {
+				i = j
+			}
+		}
+		return i
+	}
+	for i, p := range priced {
+		var ahead []BatchItem
+		for _, bi := range ref {
+			if bi.Priority.Class == routing.ClassFilter && !bi.Item.Deleted || bi.Priority.Class != routing.ClassFilter && first(bi.Item) < i {
+				ahead = append(ahead, bi)
+			}
+		}
+		if len(ahead) > limit && ahead[limit-1].Priority.Before(p.Priority) {
+			return true
+		}
+	}
+	return false
 }
 
 // countToSend wraps a policy, counting its ToSend calls in *calls; with

@@ -149,6 +149,12 @@ type Replica struct {
 	fixed   routing.Priority // the policy's routing.FixedPriority, else Skip
 	bounded routing.Bounded  // the policy, when it implements routing.Bounded
 	dual    bool             // the store files live entries by destination too
+	// byDest is the policy, when it implements routing.ByDestination; once
+	// pricing, the store files live entries under their destinations alone
+	// and priced is the serve walks' reused buffer of what it lists.
+	byDest  routing.ByDestination
+	pricing bool
+	priced  []routing.Priced
 
 	// Mutation journal (see journal.go): journal receives batches, pending
 	// accumulates under mu, emitMu serializes emission so delivery order
@@ -207,6 +213,9 @@ func New(cfg Config) *Replica {
 		r.store.DestinationOnly(func(*store.Entry) bool { return true })
 	case routing.DestinationOnly:
 		r.store.DestinationOnly(p.DestinationOnly)
+	case routing.ByDestination:
+		r.byDest = p
+		r.store.DestinationOnly(func(*store.Entry) bool { return r.pricing })
 	}
 	if fp, ok := cfg.Policy.(routing.FixedPriority); ok {
 		r.fixed = fp.FixedPriority()

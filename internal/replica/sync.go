@@ -1,6 +1,9 @@
 package replica
 
 import (
+	"cmp"
+	"slices"
+
 	"replidtn/internal/filter"
 	"replidtn/internal/item"
 	"replidtn/internal/routing"
@@ -171,7 +174,10 @@ func selectorLimit(req *SyncRequest) int {
 // only the top-K batch under the request's budgets in a bounded priority
 // heap. Entries only a filter match can send are walked, above the same
 // floors, in their destinations' runs: an address filter's own, first, or
-// all. Under a budget a walk stops once its batch is decided (DESIGN §4).
+// all; so are, once a budget is smaller than the store, the entries of a
+// policy that prices destinations (routing.ByDestination), in the runs of
+// those it forwards to, best first. Under a budget a walk stops once its
+// batch is decided (DESIGN §4).
 // Tombstones and filter-matched items keep their priority-class ordering;
 // the full batch is materialized and sorted only when the request carries
 // no budget at all. The emitted batch is identical, item for item,
@@ -195,17 +201,25 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 
 	limit := selectorLimit(req)
 	sel := batchSelector{limit: limit, room: min(limit, r.store.Len())}
-	if limit > 0 && r.store.Len() > limit && r.fixed != routing.Skip && !r.dual {
-		r.dual = true
-		r.store.AlsoByDestination() // so that this walk and later ones can stop
+	if limit > 0 && r.store.Len() > limit { // so that this walk and later ones can stop
+		switch {
+		case r.fixed != routing.Skip && !r.dual:
+			r.dual = true
+			r.store.AlsoByDestination()
+		case r.byDest != nil && !r.pricing:
+			r.pricing = true // and what the store holds moves under its destinations
+			r.store.Range(func(e *store.Entry) bool { r.store.Refile(e); return true })
+		}
 	}
 	// The walks yield versions above the target's base vector, one creator
 	// run at a time; view is that creator's share of know, loaded with the
 	// run's floor. pri is what every candidate of an ordered run of this walk
 	// gets, Skip if none stops: the first the heap turns away ends the run,
 	// and then a run it cannot enter is passed over whole (DESIGN §4).
+	// at is the index in r.priced of the destination whose runs are walked,
+	// at its price, or -1.
 	var view vclock.CreatorView
-	pri, stop, pre := routing.Skip, false, false
+	pri, stop, pre, at := routing.Skip, false, false, -1
 	floor := func(c vclock.ReplicaID, ordered bool) uint64 {
 		view = know.View(c)
 		stop = limit > 0 && ordered && pri != routing.Skip
@@ -231,6 +245,11 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 			if pre {
 				return true // offered from its destinations' runs
 			}
+		case at >= 0:
+			if len(e.Item.Meta.Destinations) > 1 && r.pricedBefore(e, at) {
+				return true // offered under an earlier destination, at its price
+			}
+			c.priority = pri
 		case r.policy != nil:
 			if limit > 0 && r.bounded != nil && !sel.admits(r.bounded.Bound(e), e.Item.ID) {
 				sel.total++ // a candidate the full batch turns away, unpriced
@@ -248,10 +267,9 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 		return sel.offer(c) || !stop
 	}
 	var examined int
-	switch f := req.Filter.(type) {
-	case nil: // nothing filed under a destination alone is offered without a match
-		pri = r.fixed
-	case *filter.Addresses:
+	f, lookup := req.Filter.(*filter.Addresses)
+	switch {
+	case lookup:
 		// Offer an entry under the first of its destinations f contains.
 		var to string
 		first := func(e *store.Entry) bool {
@@ -267,9 +285,31 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 			to = a
 			examined += r.store.RangeAboveTo(a, floor, first)
 		})
-		pri, pre = r.fixed, r.dual
-	default:
+	case req.Filter != nil:
 		examined = r.store.RangeAboveDestinations(floor, visit)
+	}
+	if r.pricing && (lookup || req.Filter == nil) {
+		// The destinations the policy forwards to, best first, each at its
+		// price, until the full batch turns one away whatever its ID.
+		r.priced = r.byDest.Destinations(r.priced[:0], target)
+		slices.SortStableFunc(r.priced, func(a, b routing.Priced) int {
+			return cmp.Or(cmp.Compare(b.Priority.Class, a.Priority.Class), cmp.Compare(a.Priority.Cost, b.Priority.Cost))
+		})
+		pre = true
+		for i, d := range r.priced {
+			if lookup && f.Contains(d.To) {
+				continue // walked at ClassFilter above
+			}
+			if sel.total > limit && !sel.admits(d.Priority, item.ID{}) {
+				break
+			}
+			pri, at = d.Priority, i
+			examined += r.store.RangeAboveTo(d.To, floor, visit)
+		}
+		at = -1
+	}
+	if lookup || req.Filter == nil { // nothing else filed under a destination alone is offered
+		pri, pre = r.fixed, r.dual
 	}
 	examined += r.store.RangeAbove(floor, visit)
 	// Refile, after the walks, what they withheld for good (a spent copy).
@@ -337,6 +377,19 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 		r.metrics.CandidatesOffered.Add(int64(sel.total))
 	}
 	return resp
+}
+
+// pricedBefore reports whether one of e's destinations comes before
+// r.priced[i] in the walk, which offered e under it at its price.
+func (r *Replica) pricedBefore(e *store.Entry, i int) bool {
+	for _, d := range e.Item.Meta.Destinations {
+		for _, p := range r.priced[:i] {
+			if p.To == d {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // transmitTransient builds the host-specific metadata accompanying a

@@ -37,3 +37,24 @@ func TestToSendAllocs(t *testing.T) {
 		t.Errorf("ToSend allocates %.1f/op, budget 0", allocs)
 	}
 }
+
+// TestDestinationsAllocs pins Destinations into a warm slice at zero
+// allocations, against a partner vector of 16 entries it forwards to.
+func TestDestinationsAllocs(t *testing.T) {
+	clk := &simClock{}
+	src := newPolicy(clk, "addr:src")
+	tgt := newPolicy(clk, "addr:tgt")
+	history(tgt, clk, 16)
+	src.ProcessReq("tgt", reqFrom(tgt))
+	target := routing.Target{ID: "tgt"}
+	buf := src.Destinations(nil, target)
+	if len(buf) != 16 {
+		t.Fatalf("%d destinations listed, want 16", len(buf))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = src.Destinations(buf[:0], target)
+	})
+	if allocs > 0 {
+		t.Errorf("Destinations allocates %.1f/op, budget 0", allocs)
+	}
+}

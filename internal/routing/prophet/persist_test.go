@@ -130,7 +130,7 @@ func TestRestoreEmptyState(t *testing.T) {
 	}
 }
 
-func TestNameAndDestinationsKnown(t *testing.T) {
+func TestNameAndVectorOrder(t *testing.T) {
 	clk := &simClock{}
 	p := newPolicy(clk, "addr:a")
 	if p.Name() != "prophet" {
@@ -140,9 +140,9 @@ func TestNameAndDestinationsKnown(t *testing.T) {
 	c := newPolicy(clk, "addr:c")
 	p.ProcessReq("c", reqFrom(c))
 	p.ProcessReq("b", reqFrom(b))
-	got := p.DestinationsKnown()
-	if len(got) < 2 || got[0] > got[1] {
-		t.Errorf("DestinationsKnown = %v, want sorted destinations", got)
+	got := p.Vector().Entries()
+	if len(got) < 2 || got[0].Key > got[1].Key {
+		t.Errorf("Vector = %v, want sorted destinations", got)
 	}
 }
 

@@ -136,9 +136,9 @@ func New(params Params, now func() int64, ownAddresses ...string) *Policy {
 // Name implements routing.Policy.
 func (*Policy) Name() string { return "prophet" }
 
-// SetOwnAddresses updates the endpoint addresses homed on this node.
+// SetOwnAddresses replaces the endpoint addresses homed on this node.
 func (p *Policy) SetOwnAddresses(addrs ...string) {
-	p.ownAddresses = append(p.ownAddresses[:0], addrs...)
+	p.ownAddresses = append([]string(nil), addrs...)
 }
 
 // Predictability returns P(self, dest) after aging.
@@ -155,11 +155,11 @@ func (p *Policy) Vector() sorted.Map[string, float64] {
 }
 
 // GenerateReq implements routing.Policy: ship the aged predictability vector
-// and our homed addresses.
+// and our homed addresses, shared (SetOwnAddresses replaces them).
 func (p *Policy) GenerateReq() routing.Request {
 	vec := p.Vector() // ages first, so the log below covers this vector
 	return &Request{
-		OwnAddresses:   append([]string(nil), p.ownAddresses...),
+		OwnAddresses:   p.ownAddresses,
 		Predictability: vec,
 		aging:          p.aging,
 		aged:           p.aged,
@@ -241,43 +241,63 @@ func (c *partnerCache) evictOldest() {
 
 // ToSend implements routing.Policy: forward a message when the target's
 // delivery predictability for any of the message's destinations exceeds ours
-// (the GRTR predicate), with queue order given by the configured strategy —
-// the cost is negated so stronger candidates transmit earlier in the class.
+// (the GRTR predicate), at the earliest priority among those destinations.
 func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority, item.Transient) {
 	vec, ok := p.partners.vectors[target.ID]
 	if !ok {
 		return routing.Skip, item.Transient{}
 	}
 	p.age()
-	bestMargin := math.Inf(-1)
-	bestTheirs := math.Inf(-1)
-	send := false
+	best := routing.Skip
 	for _, dest := range e.Item.Meta.Destinations {
 		theirs, known := vec.Get(dest)
 		if !known {
 			continue // theirs is 0, and ours is never below it
 		}
-		ours, _ := p.p.Get(dest)
-		if theirs > ours {
-			send = true
-			if margin := theirs - ours; margin > bestMargin {
-				bestMargin = margin
-			}
-			if theirs > bestTheirs {
-				bestTheirs = theirs
+		if ours, _ := p.p.Get(dest); theirs > ours {
+			if pr := p.priority(theirs, ours); pr.Before(best) {
+				best = pr
 			}
 		}
 	}
-	if !send {
-		return routing.Skip, item.Transient{}
+	return best, item.Transient{}
+}
+
+// Destinations implements routing.ByDestination: one pass over the target's
+// vector and ours lists every destination the GRTR predicate forwards to it.
+func (p *Policy) Destinations(dst []routing.Priced, target routing.Target) []routing.Priced {
+	vec, ok := p.partners.vectors[target.ID]
+	if !ok {
+		return dst
 	}
+	p.age()
+	ours := p.p.Entries()
+	for _, th := range vec.Entries() {
+		for len(ours) > 0 && ours[0].Key < th.Key {
+			ours = ours[1:]
+		}
+		mine := 0.0
+		if len(ours) > 0 && ours[0].Key == th.Key {
+			mine = ours[0].Val
+		}
+		if th.Val > mine {
+			dst = append(dst, routing.Priced{To: th.Key, Priority: p.priority(th.Val, mine)})
+		}
+	}
+	return dst
+}
+
+// priority is the queue order of the configured strategy for a destination
+// the target predicts theirs and we predict ours; the cost is negated so
+// stronger candidates transmit earlier in the class.
+func (p *Policy) priority(theirs, ours float64) routing.Priority {
 	switch p.params.Strategy {
 	case GRTR:
-		return routing.Priority{Class: routing.ClassNormal}, item.Transient{}
+		return routing.Priority{Class: routing.ClassNormal}
 	case GRTRMax:
-		return routing.Priority{Class: routing.ClassNormal, Cost: -bestTheirs}, item.Transient{}
+		return routing.Priority{Class: routing.ClassNormal, Cost: -theirs}
 	default: // GRTRSort
-		return routing.Priority{Class: routing.ClassNormal, Cost: -bestMargin}, item.Transient{}
+		return routing.Priority{Class: routing.ClassNormal, Cost: -(theirs - ours)}
 	}
 }
 
@@ -311,15 +331,4 @@ const maxAgingLog = 64
 func decay(v, factor float64) (float64, bool) {
 	nv := v * factor
 	return nv, !(nv < 1e-9)
-}
-
-// DestinationsKnown returns the aged vector's destinations in sorted order
-// (primarily for tests and debugging output).
-func (p *Policy) DestinationsKnown() []string {
-	p.age()
-	out := make([]string, 0, p.p.Len())
-	for _, e := range p.p.Entries() {
-		out = append(out, e.Key)
-	}
-	return out
 }

@@ -335,8 +335,7 @@ func TestPublishedRequestImmutable(t *testing.T) {
 }
 
 // TestGenerateReqCopiesNothing: publishing the vector costs the same at 16
-// entries as at 1024 — the request and its address list, nothing sized by
-// the vector.
+// entries as at 1024 — the request, nothing sized by the vector.
 func TestGenerateReqCopiesNothing(t *testing.T) {
 	allocs := func(n int) float64 {
 		clk := &simClock{}

@@ -173,6 +173,25 @@ type Bounded interface {
 	Bound(e *store.Entry) Priority
 }
 
+// Priced is one destination a ByDestination policy forwards to a target,
+// with the priority of every entry it would forward for it.
+type Priced struct {
+	To       string
+	Priority Priority
+}
+
+// ByDestination is optionally implemented by policies whose decision depends
+// only on an entry's destinations. Destinations appends to dst, in address
+// order, each destination the policy forwards to t with its priority, and
+// writes no entry. For every entry e, ToSend(e, t) writes nothing, returns
+// the zero Transient and the earliest of the priorities listed for e's
+// destinations, or Skip when none is listed. Once a budget is smaller than
+// the store, a serve files entries under their destinations and walks only
+// the listed ones, best first, without asking ToSend (DESIGN §4).
+type ByDestination interface {
+	Destinations(dst []Priced, t Target) []Priced
+}
+
 // DestinationOnly is optionally implemented by policies whose ToSend
 // withholds some entries from every target for good; the store files them
 // under their destinations (store.Store.DestinationOnly).
