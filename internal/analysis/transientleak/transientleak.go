@@ -9,14 +9,16 @@
 // item.Transient is a value with one codec, so the analyzer watches the one
 // place it becomes bytes: it flags an item.Transient passed straight to the
 // binary codec's Append* entry points (any package with a "wire"
-// import-path segment). Structs that carry one (a sync batch item, a store
-// snapshot entry) are encoded by codecs that make exactly that call, so the
-// crossings are the calls themselves. There are two, each annotated with
-// //lint:allow and cataloged in DESIGN.md §10: the sync batch codec (the
-// policy-mediated transmit transient built by transmitTransient, e.g. a
-// halved spray allowance, is an explicit wire field of the protocol) and
-// the entry-snapshot codec (a WAL record restores the same host, so its own
-// per-copy state legitimately survives). A third call is a new crossing and
+// import-path segment: internal/wire and internal/wire/itemcodec). Structs
+// that carry one (a sync batch item, a store snapshot entry) are encoded by
+// codecs that make exactly that call, so the crossings are the calls
+// themselves. There are two, each annotated with //lint:allow and cataloged
+// in DESIGN.md §10: the sync batch codec (the policy-mediated transmit
+// transient built by transmitTransient, e.g. a halved spray allowance, is
+// an explicit wire field of the protocol) and the entry-snapshot codec (a
+// WAL record restores the same host, so its own per-copy state
+// legitimately survives). The batch-item layout's write of the transient
+// its caller passed is annotated too. A further call is a new crossing and
 // needs its own justification.
 package transientleak
 
@@ -57,7 +59,7 @@ func checkEncode(pass *lintcore.Pass, call *ast.CallExpr) {
 	}
 	for _, arg := range call.Args {
 		if tv, ok := pass.TypesInfo.Types[arg]; ok && isTransient(tv.Type) {
-			pass.Reportf(call.Pos(), "transient host-specific metadata reaches wire.%s; transient fields are never replicated — strip them or annotate the sanctioned crossing", fn.Name())
+			pass.Reportf(call.Pos(), "transient host-specific metadata reaches %s.%s; transient fields are never replicated — strip them or annotate the sanctioned crossing", fn.Pkg().Name(), fn.Name())
 			return
 		}
 	}

@@ -57,8 +57,8 @@ type Config struct {
 	// MaxMessagesPerEncounter bounds the items exchanged per encounter
 	// across both syncs (0 = unlimited) — the Fig. 9 bandwidth constraint.
 	MaxMessagesPerEncounter int
-	// MaxBytesPerEncounter bounds the payload volume per encounter across
-	// both syncs (0 = unlimited) — a byte-granular bandwidth model.
+	// MaxBytesPerEncounter bounds the encoded batch-item bytes per encounter
+	// across both syncs (0 = unlimited) — a byte-granular bandwidth model.
 	MaxBytesPerEncounter int64
 	// MessageSize pads every injected message's payload to this many bytes
 	// (0 = just the message ID), giving byte budgets something to meter.
@@ -125,7 +125,7 @@ type Result struct {
 	Syncs int
 	// ItemsTransferred counts batch items moved over all syncs.
 	ItemsTransferred int
-	// BytesTransferred estimates the payload volume moved over all syncs.
+	// BytesTransferred counts the encoded batch-item bytes of all syncs.
 	BytesTransferred int64
 	// Duplicates counts duplicate receipts (the substrate keeps this 0).
 	Duplicates int
@@ -149,7 +149,7 @@ type Result struct {
 	// KnowledgeBytes is the encoded size of every knowledge frame shipped
 	// across all syncs — exact frames, deltas, and fallback retries
 	// alike. This is the per-encounter metadata cost the summary protocol
-	// (Config.SyncSummaries) exists to shrink; item payload volume is counted
+	// (Config.SyncSummaries) exists to shrink; the batch items are counted
 	// separately in BytesTransferred.
 	KnowledgeBytes int64
 	// SummaryFallbacks counts syncs whose knowledge delta the source refused
@@ -185,7 +185,7 @@ type copyDelta struct {
 type eventRec struct {
 	err       error
 	moved     int   // encounter: items moved across both syncs
-	bytes     int64 // encounter: payload volume moved
+	bytes     int64 // encounter: encoded batch-item bytes moved
 	kbytes    int64 // encounter: knowledge-frame bytes shipped
 	fallbacks int   // encounter: summary syncs that needed the exact round
 

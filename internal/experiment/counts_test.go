@@ -45,10 +45,10 @@ func TestServeCounts(t *testing.T) {
 		{"fig5/6", func(opts ...Option) error {
 			_, err := RunFilterSweep(tr, nil, opts...)
 			return err
-		}, 24728, 185165, 3071, 3071},
-		{"fig7a", policySweep(0, 0), 11240, 53293, 2387, 2387},
-		{"fig9", policySweep(1, 0), 10380, 32716, 9260, 1787},
-		{"fig10", policySweep(0, 2), 11240, 25123, 1718, 1718},
+		}, 24728, 135456, 3071, 3071},
+		{"fig7a", policySweep(0, 0), 11240, 41843, 2387, 2387},
+		{"fig9", policySweep(1, 0), 10380, 22301, 9260, 1787},
+		{"fig10", policySweep(0, 2), 11240, 20924, 1718, 1718},
 	} {
 		nm := &obs.NodeMetrics{}
 		if err := fig.run(WithObs(nm)); err != nil {

@@ -90,7 +90,7 @@ type ReplicaMetrics struct {
 	Expired    Counter
 	Delivered  Counter
 	Evictions  Counter
-	// Serve-walk cost: store entries examined, candidates offered to batches.
+	// Serve-walk cost: store entries visited, candidates offered to batches.
 	EntriesExamined   Counter
 	CandidatesOffered Counter
 	// KnowledgeSize is the latest knowledge size (base entries +

@@ -17,6 +17,7 @@ import (
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire"
+	"replidtn/internal/wire/itemcodec"
 )
 
 // segID is the item ID of hand-built segment records.
@@ -186,7 +187,7 @@ func TestMergeKeepsRemovesUntilOldest(t *testing.T) {
 // reports the corruption instead of the record vanishing. A put whose ID
 // itself does not decode, or IDs out of order, fail the merge outright.
 func TestMergeNeverHidesCorruption(t *testing.T) {
-	badBody := append(wire.AppendItemID([]byte{wire.CodecVersion}, segID(2)), 0xff, 0xff)
+	badBody := append(itemcodec.AppendItemID([]byte{wire.CodecVersion}, segID(2)), 0xff, 0xff)
 	badPut, err := frameRecord(recPut, badBody)
 	if err != nil {
 		t.Fatal(err)

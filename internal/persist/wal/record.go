@@ -11,6 +11,7 @@ import (
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
 	"replidtn/internal/wire"
+	"replidtn/internal/wire/itemcodec"
 	"replidtn/internal/wire/prim"
 )
 
@@ -155,7 +156,7 @@ func appendPutRecord(buf []byte, e *store.EntrySnapshot) ([]byte, error) {
 func appendRemoveRecord(buf []byte, id item.ID) ([]byte, error) {
 	buf, start := beginRecord(buf, recRemove)
 	buf = append(buf, wire.CodecVersion)
-	buf = wire.AppendItemID(buf, id)
+	buf = itemcodec.AppendItemID(buf, id)
 	return finishRecord(buf, start)
 }
 
@@ -244,7 +245,7 @@ func decodePut(rec record) (store.EntrySnapshot, error) {
 }
 
 // recordItemID returns the item ID a put or remove body leads with (the
-// wire.AppendItemID layout), the creator viewed in place: merges order
+// itemcodec.AppendItemID layout), the creator viewed in place: merges order
 // records by it without decoding, or allocating for, anything else.
 func recordItemID(rec record) (creator []byte, num uint64, err error) {
 	body, err := checkCodecVersion(rec.payload)

@@ -19,6 +19,7 @@ import (
 	"replidtn/internal/routing/twohop"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire/itemcodec"
 )
 
 // handleSyncRequestReference is the pre-refactor batch assembly, kept
@@ -84,7 +85,7 @@ func (r *Replica) handleSyncRequestReference(req *SyncRequest) *SyncResponse {
 		var used int64
 		cut := len(resp.Items)
 		for i, bi := range resp.Items {
-			size := itemWireBytes(bi.Item)
+			size := int64(itemcodec.BatchItemSize(bi.Item, bi.Transient, int64(bi.Priority.Class)))
 			if used+size > req.MaxBytes && (i > 0 || req.StrictBytes) {
 				cut = i
 				break
@@ -503,6 +504,56 @@ func TestHandleSyncRequestDifferentialEdgeBudgets(t *testing.T) {
 			t.Errorf("scenario %+v: the serves refiled nothing (%d entries filed by destination before, %d after)",
 				sc, destFiled(before), destFiled(src))
 		}
+	}
+}
+
+// TestHandleSyncRequestDifferentialExactBytes serves byte budgets at the
+// exact cumulative encoded sizes of the reference batch's first k items, and
+// one byte either side, with StrictBytes on and off, under every policy:
+// k items' bytes send k items, one byte less k-1 (1 by the at-least-one
+// exception when not strict), one byte more k. A charge that leaves out an
+// item's transmit transient or its priority framing sends an item too many
+// one byte below a boundary, and fails against the reference.
+func TestHandleSyncRequestDifferentialExactBytes(t *testing.T) {
+	cases := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		for policy := 0; policy <= 5; policy++ {
+			sc := diffScenario{seed: seed, policy: policy, items: 60, knownFrac: 20, tombFrac: 5, filter: filterNil}
+			if policy == 0 {
+				sc.filter = 0 // with no policy, only filter matches travel
+			}
+			src, req := buildSource(sc)
+			ref := src.handleSyncRequestReference(req).Items
+			var cum int64
+			for k := 1; k <= min(len(ref), 6); k++ {
+				bi := &ref[k-1]
+				cum += int64(itemcodec.BatchItemSize(bi.Item, bi.Transient, int64(bi.Priority.Class)))
+				for _, budget := range []int64{cum - 1, cum, cum + 1} {
+					for _, strict := range []bool{false, true} {
+						sc.maxBytes, sc.strictBytes = budget, strict
+						_, resps, err := serveTwice(sc)
+						if err != nil {
+							t.Fatalf("scenario %+v (k=%d): %v", sc, k, err)
+						}
+						want := k
+						if budget < cum {
+							want = k - 1
+						}
+						if want == 0 && !strict {
+							want = 1
+						}
+						if got := len(resps[0].Items); got != want {
+							t.Errorf("scenario %+v: a budget of %d bytes (the first %d items take %d) sent %d items, want %d", sc, budget, k, cum, got, want)
+						}
+						cases++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d budgeted serves", cases)
+	if cases < 150 {
+		t.Errorf("corpus too thin to mean anything: %d budgeted serves", cases)
 	}
 }
 

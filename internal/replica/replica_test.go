@@ -399,19 +399,35 @@ func TestByteBudgetTruncation(t *testing.T) {
 			Source: "addr:a", Destinations: []string{"addr:b"}, Kind: "message",
 		}, make([]byte, 100))
 	}
-	// Each item costs 100 payload + 96 overhead = 196 bytes; 400 bytes admit
-	// two items.
+	// Each item encodes to 145 bytes (its 100-byte payload, 45 of metadata
+	// and batch-item framing); 400 bytes admit two items.
 	res := pullBudget(a, b, Budget{Bytes: 400})
 	if res.Sent != 2 || !res.Truncated {
 		t.Fatalf("sent %d items (truncated=%v), want 2 truncated", res.Sent, res.Truncated)
 	}
-	if res.SentBytes != 392 {
-		t.Errorf("SentBytes = %d, want 392", res.SentBytes)
+	if res.SentBytes != 290 {
+		t.Errorf("SentBytes = %d, want 290", res.SentBytes)
 	}
 	// Remaining items arrive on later syncs; nothing is lost.
 	pullBudget(a, b, Budget{Bytes: 400})
 	if _, live, _ := b.StoreLen(); live != 4 {
 		t.Errorf("b holds %d items, want 4", live)
+	}
+}
+
+// TestByteBudgetSendsSmallItems pulls 40 empty messages under a budget of
+// exactly their encoded bytes: all 40 must cross. A serve retains only as
+// many candidates as the budget pays for at the smallest batch item the wire
+// encodes, so a bound derived from a typical item's size would cut it short.
+func TestByteBudgetSendsSmallItems(t *testing.T) {
+	a := New(Config{ID: "a", OwnAddresses: []string{"addr:a"}, Policy: floodPolicy{}})
+	for i := 0; i < 40; i++ {
+		a.CreateItem(item.Metadata{Source: "addr:a", Destinations: []string{"addr:b"}, Kind: "message"}, nil)
+	}
+	all := pullBudget(a, newNode("c", "addr:c"), Budget{})
+	res := pullBudget(a, newNode("b", "addr:b"), Budget{Bytes: all.SentBytes})
+	if all.Sent != 40 || res.Sent != 40 || res.Truncated {
+		t.Errorf("a budget of %d bytes sent %d of %d items (truncated=%v), want all 40", all.SentBytes, res.Sent, all.Sent, res.Truncated)
 	}
 }
 

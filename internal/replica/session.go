@@ -7,7 +7,7 @@ import (
 )
 
 // Budget bounds one synchronization or encounter: a maximum item count
-// and/or a maximum payload volume (zero fields mean unlimited).
+// and/or a maximum of encoded batch-item bytes (zero fields mean unlimited).
 type Budget struct {
 	Items int
 	Bytes int64
@@ -16,7 +16,7 @@ type Budget struct {
 // SyncResult summarizes one directed synchronization.
 type SyncResult struct {
 	Sent      int
-	SentBytes int64
+	SentBytes int64 // encoded batch-item bytes (BatchBytes), on every carrier
 	Truncated bool
 	// Aborted reports that the transfer died mid-batch and the partial batch
 	// was discarded transactionally: the target applied nothing, its knowledge

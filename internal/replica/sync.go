@@ -9,6 +9,7 @@ import (
 	"replidtn/internal/routing"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire/itemcodec"
 )
 
 // SyncRequest is the target→source half of the sync protocol: the target's
@@ -46,10 +47,11 @@ type SyncRequest struct {
 	// MaxItems bounds the batch size (0 = unlimited), modeling constrained
 	// encounter bandwidth.
 	MaxItems int
-	// MaxBytes bounds the batch payload volume (0 = unlimited): items are
-	// taken in priority order until the next would exceed the budget. Unless
-	// StrictBytes is set, at least one item is always sent when anything is
-	// eligible, so a large message cannot deadlock a small-budget contact.
+	// MaxBytes bounds the batch's encoded batch-item bytes (0 = unlimited):
+	// items are taken in priority order until the next would exceed the
+	// budget. Unless StrictBytes is set, at least one item is always sent
+	// when anything is eligible, so a large message cannot deadlock a
+	// small-budget contact.
 	MaxBytes int64
 	// StrictBytes disables the at-least-one exception; used for the second
 	// leg of an encounter, whose budget is the remainder of a shared one.
@@ -149,17 +151,17 @@ func (r *Replica) MakeSyncRequest(maxItems int) *SyncRequest {
 
 // selectorLimit derives the number of candidates worth retaining from the
 // request's budgets: the item bound directly, and the byte bound via the
-// fixed per-item metadata overhead (every batch item costs at least
-// metadataOverhead wire bytes, so a byte budget implies an item budget). The
-// slack of 2 keeps the at-least-one exception and the cut boundary safely
-// inside the retained prefix. 0 means unbounded.
+// smallest batch item the wire encodes (every batch item costs at least
+// itemcodec.MinBatchItemSize bytes, so a byte budget implies an item
+// budget). The slack of 2 keeps the at-least-one exception and the cut
+// boundary safely inside the retained prefix. 0 means unbounded.
 func selectorLimit(req *SyncRequest) int {
 	limit := 0
 	if req.MaxItems > 0 {
 		limit = req.MaxItems
 	}
 	if req.MaxBytes > 0 {
-		byteLimit := int(req.MaxBytes/metadataOverhead) + 2
+		byteLimit := int(req.MaxBytes/int64(itemcodec.MinBatchItemSize)) + 2
 		if limit == 0 || byteLimit < limit {
 			limit = byteLimit
 		}
@@ -320,45 +322,29 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	r.skipped = r.skipped[:0]
 	cands := sel.finish()
 
-	truncated := false
+	resp := &SyncResponse{SourceID: r.id}
 	if req.MaxItems > 0 && sel.total > req.MaxItems {
-		n := req.MaxItems
-		if n > len(cands) {
-			// The byte budget bounded retention below MaxItems; the byte scan
-			// below always cuts inside the retained prefix.
-			n = len(cands)
-		}
-		cands = cands[:n]
-		truncated = true
+		// The byte budget may have bounded retention below MaxItems; the
+		// byte cut below always falls inside the retained prefix.
+		cands, resp.Truncated = cands[:min(req.MaxItems, len(cands))], true
 	}
-	if req.MaxBytes > 0 {
-		var used int64
-		cut := len(cands)
-		for i := range cands {
-			size := itemWireBytes(cands[i].entry.Item)
-			if used+size > req.MaxBytes && (i > 0 || req.StrictBytes) {
-				cut = i
-				break
-			}
-			used += size
-		}
-		if cut < len(cands) {
-			cands = cands[:cut]
-			truncated = true
-		}
-	}
-
-	resp := &SyncResponse{SourceID: r.id, Truncated: truncated}
 	if len(cands) > 0 {
 		resp.Items = make([]BatchItem, len(cands))
-		for i := range cands {
-			c := &cands[i]
-			resp.Items[i] = BatchItem{
-				Item:      c.entry.Item,
-				Transient: transmitTransient(c.entry, c.transient),
-				Priority:  c.priority,
+	}
+	// Each item is charged what the wire encodes for it, the transmit
+	// transient and the priority framing included.
+	var used int64
+	for i := range cands {
+		c := &cands[i]
+		bi := BatchItem{Item: c.entry.Item, Transient: transmitTransient(c.entry, c.transient), Priority: c.priority}
+		if req.MaxBytes > 0 {
+			used += int64(itemcodec.BatchItemSize(bi.Item, bi.Transient, int64(bi.Priority.Class)))
+			if used > req.MaxBytes && (i > 0 || req.StrictBytes) {
+				resp.Items, resp.Truncated = resp.Items[:i], true
+				break
 			}
 		}
+		resp.Items[i] = bi
 	}
 	// Offer wholesale knowledge when this replica provably sees everything
 	// the target's filter selects: the target can then compact its knowledge
@@ -524,24 +510,6 @@ func (r *Replica) recordApplyLocked(batchLen int, st ApplyStats) {
 	m.KnowledgeSize.Set(int64(r.know.Size()))
 }
 
-// metadataOverhead is the fixed per-item wire cost added to the payload
-// size. Because every batch item costs at least this much, a MaxBytes budget
-// implies an item budget of MaxBytes/metadataOverhead (+1 for the
-// at-least-one exception) — the bound selectorLimit uses to keep streaming
-// batch assembly O(candidates · log K). The value must not underestimate the
-// transport's real per-item framing or byte budgets overrun: the marginal
-// cost of one batch item with trace-realistic metadata in a sync-response
-// frame measures 71–72 bytes beyond its payload (see
-// TestMetadataOverheadCoversEncodedFrame), so 96 leaves headroom for an
-// extra destination or transient field.
-const metadataOverhead = 96
-
-// itemWireBytes estimates an item's transfer cost: its payload plus a fixed
-// per-item metadata overhead.
-func itemWireBytes(it *item.Item) int64 {
-	return int64(len(it.Payload)) + metadataOverhead
-}
-
 // KnowledgeWireBytes returns the encoded size of whichever knowledge frame
 // the request carries (exact or delta), for byte accounting.
 func (req *SyncRequest) KnowledgeWireBytes() int64 {
@@ -554,11 +522,13 @@ func (req *SyncRequest) KnowledgeWireBytes() int64 {
 	return 0
 }
 
-// BatchBytes sums the estimated wire size of a response's items.
+// BatchBytes sums the encoded batch-item bytes of a response's items: what
+// its item section takes on the wire, less the item count.
 func BatchBytes(resp *SyncResponse) int64 {
 	var total int64
-	for _, bi := range resp.Items {
-		total += itemWireBytes(bi.Item)
+	for i := range resp.Items {
+		bi := &resp.Items[i]
+		total += int64(itemcodec.BatchItemSize(bi.Item, bi.Transient, int64(bi.Priority.Class)))
 	}
 	return total
 }

@@ -302,12 +302,12 @@ func (n *indexNode) ascend(fn func(*Entry) bool) bool {
 
 // ascendFrom calls fn, in order and until it returns false, for the entries
 // of n's subtree whose runKey is at least key, reporting whether fn never
-// stopped it. It adds every entry it looks at to *examined.
+// stopped it. It adds every entry it hands fn to *examined; the binary
+// search that finds the first of them counts for nothing.
 func (n *indexNode) ascendFrom(key uint64, fn func(*Entry) bool, examined *int) bool {
 	i, hi := 0, len(n.entries)
 	for key > 0 && i < hi {
 		mid := int(uint(i+hi) >> 1)
-		*examined++
 		if runKey(n.entries[mid]) < key {
 			i = mid + 1
 		} else {

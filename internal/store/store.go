@@ -603,7 +603,8 @@ func (s *Store) Range(fn func(*Entry) bool) {
 // comparison, any other one descent, so the cost follows the entries yielded
 // and the number of creators, not the store's size. Like Range it allocates
 // nothing and fn must not change the store's membership. It returns how many
-// entries it examined, the walk's whole cost.
+// entries it visited, the calls of fn; the descents that find each run's
+// first are not counted.
 //
 // floor is asked once per run, just before fn sees it, with the run's
 // creator and whether the run is ordered, its item IDs rising with seq (see

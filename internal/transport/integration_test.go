@@ -15,6 +15,8 @@ import (
 	"replidtn/internal/routing/spraywait"
 	"replidtn/internal/trace"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire"
+	"replidtn/internal/wire/prim"
 )
 
 // TestTraceDrivenOverTCPMatchesInProcess replays the same generated
@@ -23,9 +25,11 @@ import (
 // duplicates, and store contents come out identical. This pins the wire
 // protocol to the reference semantics, down to everything the dialer's pull
 // reports (batch, knowledge-frame bytes, apply stats) and the batch bytes of
-// the reverse leg. Two more replays with summary request modes on, in
-// process and over TCP, pin the delta frames — knowledge and routing state
-// both — to the same outcome and to each other, leg by leg.
+// the reverse leg; over TCP, each leg's batch bytes are those of the items
+// in the response frame that crossed the wire. Two more replays with
+// summary request modes on, in process and over TCP, pin the delta frames —
+// knowledge and routing state both — to the same outcome and to each other,
+// leg by leg.
 func TestTraceDrivenOverTCPMatchesInProcess(t *testing.T) {
 	dn := trace.DefaultDieselNet()
 	dn.Days = 2
@@ -118,6 +122,7 @@ func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, pol
 	nodes := make(map[string]*replica.Replica, len(buses))
 	servers := make(map[string]*Server, len(buses))
 	addrs := make(map[string]string, len(buses))
+	sniffers := make(map[string]*frameSniffer, len(buses))
 	for _, bus := range buses {
 		var pol routing.Policy
 		switch policyName {
@@ -146,7 +151,7 @@ func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, pol
 				t.Fatal(err)
 			}
 			servers[bus] = srv
-			addrs[bus] = bound.String()
+			addrs[bus], sniffers[bus] = sniff(t, bound.String())
 		}
 	}
 	if overTCP {
@@ -175,6 +180,13 @@ func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, pol
 				t.Fatalf("encounter %s-%s: %v", e.A, e.B, err)
 			}
 			aToB, bToA = res.BtoA, res.AtoB
+			frames := sniffers[e.A].take()
+			if got := itemSection(t, frames, false); got != aToB.SentBytes {
+				t.Errorf("encounter %s-%s: the pull reports %d batch bytes, the frame A wrote carries %d", e.A, e.B, aToB.SentBytes, got)
+			}
+			if got := itemSection(t, frames, true); got != bToA.SentBytes {
+				t.Errorf("encounter %s-%s: the served leg reports %d batch bytes, the frame B wrote carries %d", e.A, e.B, bToA.SentBytes, got)
+			}
 		} else {
 			res := replica.Encounter(nodes[e.A], nodes[e.B], 0)
 			aToB, bToA = res.AtoB, res.BtoA
@@ -182,4 +194,29 @@ func runSchedule(t *testing.T, buses []string, encounters []trace.Encounter, pol
 		reported = append(reported, legs{aToB, bToA.Sent, bToA.SentBytes})
 	}
 	return nodes, reported
+}
+
+// itemSection returns the bytes the batch items take in the last sync
+// response frame among frames sent toward the server (toServer) or from it:
+// the body's length less that of the same response with no items, the item
+// count's varint growing from its one byte for zero.
+func itemSection(t *testing.T, frames []sniffedFrame, toServer bool) int64 {
+	t.Helper()
+	var body []byte
+	for _, f := range frames {
+		if f.toServer == toServer && f.msgType == frameSyncResponse {
+			body = f.body
+		}
+	}
+	resp, err := wire.DecodeSyncResponse(body)
+	if err != nil {
+		t.Fatalf("sniffed sync response: %v", err)
+	}
+	n := len(resp.Items)
+	resp.Items = nil
+	bare, err := wire.AppendSyncResponse(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(body) - len(bare) - (prim.SizeUvarint(uint64(n)) - 1))
 }

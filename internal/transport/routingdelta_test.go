@@ -28,7 +28,8 @@ import (
 type sniffedFrame struct {
 	toServer bool
 	msgType  byte
-	size     int // as the transport counts it: length prefix, type byte, body
+	size     int    // as the transport counts it: length prefix, type byte, body
+	body     []byte // what follows the type byte
 }
 
 // frameSniffer is a TCP proxy in front of a server that records every frame
@@ -97,7 +98,7 @@ func (s *frameSniffer) forward(dst, src net.Conn, toServer bool) {
 			return
 		}
 		s.mu.Lock()
-		s.frames = append(s.frames, sniffedFrame{toServer: toServer, msgType: frame[4], size: len(frame)})
+		s.frames = append(s.frames, sniffedFrame{toServer: toServer, msgType: frame[4], size: len(frame), body: frame[5:]})
 		s.mu.Unlock()
 		if _, err := dst.Write(frame); err != nil {
 			return

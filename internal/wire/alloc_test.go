@@ -15,24 +15,27 @@ import (
 	"replidtn/internal/item"
 	"replidtn/internal/replica"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire/itemcodec"
 )
 
-// TestSizeAllocs pins sizeItem and SyncResponseSize at zero allocations.
+// TestSizeAllocs pins itemcodec.BatchItemSize and SyncResponseSize at zero
+// allocations.
 func TestSizeAllocs(t *testing.T) {
 	it := testItem()
+	tr := item.TransientMap{item.FieldTTL: 3}.Transient()
 	know := vclock.NewKnowledge()
 	know.Add(vclock.Version{Replica: "a", Seq: 9})
 	resp := &replica.SyncResponse{SourceID: "a", LearnedKnowledge: know}
 	for i := 0; i < 16; i++ {
-		resp.Items = append(resp.Items, replica.BatchItem{Item: it, Transient: item.TransientMap{item.FieldTTL: 3}.Transient()})
+		resp.Items = append(resp.Items, replica.BatchItem{Item: it, Transient: tr})
 	}
 	for _, b := range []struct {
 		name string
 		f    func()
 	}{
-		{"sizeItem", func() {
-			if sizeItem(it) == 0 {
-				t.Fatal("sizeItem returned 0")
+		{"BatchItemSize", func() {
+			if itemcodec.BatchItemSize(it, tr, 0) == 0 {
+				t.Fatal("BatchItemSize returned 0")
 			}
 		}},
 		{"SyncResponseSize", func() {

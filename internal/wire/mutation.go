@@ -4,12 +4,15 @@ import (
 	"fmt"
 
 	"replidtn/internal/replica"
+	"replidtn/internal/store"
+	"replidtn/internal/wire/itemcodec"
 	"replidtn/internal/wire/prim"
 )
 
-// Codec for journaled mutation batches — the body of a WAL live-log batch
-// record (internal/persist/wal). Exactly the fields a Mutation's kind names
-// are encoded; the rest are zero by the journal's contract, so the layout is
+// Codecs for WAL record bodies (internal/persist/wal): journaled mutation
+// batches, the body of a live-log batch record, and the stored-entry
+// snapshot a put carries. Exactly the fields a Mutation's kind names are
+// encoded; the rest are zero by the journal's contract, so the layout is
 // per-kind rather than per-struct.
 
 // AppendMutations appends a complete batch body: codec version, count, then
@@ -28,10 +31,10 @@ func AppendMutations(buf []byte, muts []replica.Mutation) ([]byte, error) {
 			buf = AppendEntrySnapshot(buf, m.Entry)
 			buf = prim.AppendUvarint(buf, m.NextArrival)
 		case replica.MutRemove:
-			buf = AppendItemID(buf, m.ID)
+			buf = itemcodec.AppendItemID(buf, m.ID)
 			buf = prim.AppendUvarint(buf, m.NextArrival)
 		case replica.MutLearn:
-			buf = AppendVersions(buf, m.Versions)
+			buf = itemcodec.AppendVersions(buf, m.Versions)
 			buf = prim.AppendUvarint(buf, m.Seq)
 		case replica.MutMerge:
 			// A nil Knowledge is the journal's poison marker for a marshal
@@ -91,4 +94,29 @@ func DecodeMutations(data []byte) ([]replica.Mutation, error) {
 		return nil, err
 	}
 	return muts, nil
+}
+
+// AppendEntrySnapshot appends a stored-entry snapshot: the item plus its
+// per-copy transient state, placement flags, and arrival stamp.
+func AppendEntrySnapshot(buf []byte, e *store.EntrySnapshot) []byte {
+	buf = itemcodec.AppendItem(buf, e.Item)
+	buf = itemcodec.AppendTransient(buf, e.Transient.Transient()) //lint:allow transientleak -- the snapshot codec: a WAL record restores the same host, so its per-copy state legitimately survives
+	buf = prim.AppendBool(buf, e.Relay)
+	buf = prim.AppendBool(buf, e.Local)
+	return prim.AppendUvarint(buf, e.Arrival)
+}
+
+// EntrySnapshot decodes a stored-entry snapshot.
+func (d *Decoder) EntrySnapshot() *store.EntrySnapshot {
+	e := &store.EntrySnapshot{
+		Item:      d.Item(),
+		Transient: d.Transient().Map(),
+		Relay:     d.Bool(),
+		Local:     d.Bool(),
+		Arrival:   d.Uvarint(),
+	}
+	if d.Err() != nil {
+		return nil
+	}
+	return e
 }

@@ -14,6 +14,7 @@ import (
 	"replidtn/internal/replica"
 	"replidtn/internal/routing"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire/itemcodec"
 )
 
 // randomResponse draws a batch exercising every branch of the response
@@ -238,7 +239,7 @@ func TestSharedStringsAreBounded(t *testing.T) {
 		t.Fatal("string flood did not round-trip")
 	}
 
-	d := NewDecoder(AppendItem(AppendItem(nil, testItem()), testItem()))
+	d := NewDecoder(itemcodec.AppendItem(itemcodec.AppendItem(nil, testItem()), testItem()))
 	d.ShareStrings()
 	a, b := d.Item(), d.Item()
 	if err := d.Finish(); err != nil {

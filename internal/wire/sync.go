@@ -11,6 +11,7 @@ import (
 	"replidtn/internal/routing/maxprop"
 	"replidtn/internal/routing/prophet"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire/itemcodec"
 	"replidtn/internal/wire/prim"
 )
 
@@ -399,11 +400,8 @@ func AppendSyncResponse(buf []byte, resp *replica.SyncResponse) ([]byte, error) 
 		if bi.Item == nil {
 			return nil, fmt.Errorf("wire: batch item %d missing item", i)
 		}
-		buf = AppendItem(buf, bi.Item)
 		//lint:allow transientleak -- BatchItem.Transient is the policy-mediated transmit copy (e.g. a halved spray allowance): an explicit field of the wire protocol, not a leak of host-local state
-		buf = AppendTransient(buf, bi.Transient)
-		buf = prim.AppendVarint(buf, int64(bi.Priority.Class))
-		buf = prim.AppendFloat64(buf, bi.Priority.Cost)
+		buf = itemcodec.AppendBatchItem(buf, bi.Item, bi.Transient, int64(bi.Priority.Class), bi.Priority.Cost)
 	}
 	buf = prim.AppendBool(buf, resp.Truncated)
 	buf = prim.AppendBool(buf, resp.NeedKnowledge)
@@ -420,8 +418,7 @@ func SyncResponseSize(resp *replica.SyncResponse) int {
 		if bi.Item == nil {
 			continue // AppendSyncResponse refuses the batch
 		}
-		n += sizeItem(bi.Item) + sizeTransient(bi.Transient)
-		n += prim.SizeVarint(int64(bi.Priority.Class)) + 8
+		n += itemcodec.BatchItemSize(bi.Item, bi.Transient, int64(bi.Priority.Class))
 	}
 	return n + 2 + sizeKnowledgeFrame(resp.LearnedKnowledge, nil)
 }
@@ -456,10 +453,8 @@ func DecodeSyncResponse(data []byte) (*replica.SyncResponse, error) {
 		resp.Items = make([]replica.BatchItem, 0, n)
 	}
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		bi := replica.BatchItem{Item: d.Item(), Transient: d.Transient()}
-		bi.Priority.Class = routing.Class(d.Varint())
-		bi.Priority.Cost = d.Float64()
-		resp.Items = append(resp.Items, bi)
+		it, tr, class, cost := d.BatchItem()
+		resp.Items = append(resp.Items, replica.BatchItem{Item: it, Transient: tr, Priority: routing.Priority{Class: routing.Class(class), Cost: cost}})
 	}
 	resp.Truncated = d.Bool()
 	resp.NeedKnowledge = d.Bool()

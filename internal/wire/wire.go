@@ -6,7 +6,8 @@
 // decoding walks a byte slice with zero-copy views, materializing only the
 // values that outlive the input. The primitives live in the leaf package
 // internal/wire/prim, which the routing policies share for their requests
-// and persisted state.
+// and persisted state; the item layer lives in the leaf
+// internal/wire/itemcodec, which the replica imports for a batch's bytes.
 //
 // Layout conventions, shared by every message:
 //
@@ -25,7 +26,10 @@
 // hostile frame cannot turn a forged count into memory pressure.
 package wire
 
-import "replidtn/internal/wire/prim"
+import (
+	"replidtn/internal/wire/itemcodec"
+	"replidtn/internal/wire/prim"
+)
 
 // CodecVersion is the current layout version written as the first byte of
 // every top-level message (WAL record bodies, transport frame bodies).
@@ -34,9 +38,11 @@ import "replidtn/internal/wire/prim"
 const CodecVersion = 1
 
 // A Decoder walks one encoded message: the primitive decoder (sticky errors,
-// zero-copy views, forged-count checks) plus this package's methods for the
-// item, filter, routing and knowledge layers.
-type Decoder struct{ prim.Decoder }
+// zero-copy views, forged-count checks), the item layer's methods, and this
+// package's methods for the filter, routing and knowledge layers.
+type Decoder struct{ itemcodec.Decoder }
 
 // NewDecoder returns a decoder over data.
-func NewDecoder(data []byte) *Decoder { return &Decoder{*prim.NewDecoder(data)} }
+func NewDecoder(data []byte) *Decoder {
+	return &Decoder{itemcodec.Decoder{Decoder: *prim.NewDecoder(data)}}
+}

@@ -17,6 +17,7 @@ import (
 	"replidtn/internal/routing/sorted"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire/itemcodec"
 	"replidtn/internal/wire/prim"
 )
 
@@ -53,7 +54,7 @@ func TestItemRoundTrip(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			buf := AppendItem(nil, it)
+			buf := itemcodec.AppendItem(nil, it)
 			d := NewDecoder(buf)
 			got := d.Item()
 			if err := d.Finish(); err != nil {
@@ -68,7 +69,7 @@ func TestItemRoundTrip(t *testing.T) {
 
 func TestItemDecodeCopies(t *testing.T) {
 	it := testItem()
-	buf := AppendItem(nil, it)
+	buf := itemcodec.AppendItem(nil, it)
 	d := NewDecoder(buf)
 	got := d.Item()
 	for i := range buf {
@@ -94,7 +95,7 @@ func TestTransientRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			buf := c.in
 			if buf == nil {
-				buf = AppendTransient(nil, c.want)
+				buf = itemcodec.AppendTransient(nil, c.want)
 			}
 			d := NewDecoder(buf)
 			got := d.Transient()
@@ -130,9 +131,9 @@ func TestEntrySnapshotRoundTrip(t *testing.T) {
 func TestMapEncodingDeterministic(t *testing.T) {
 	// Map iteration order must not leak into the bytes.
 	it := testItem()
-	firstItem := AppendItem(nil, it)
+	firstItem := itemcodec.AppendItem(nil, it)
 	for i := 0; i < 32; i++ {
-		if got := AppendItem(nil, it); !bytes.Equal(got, firstItem) {
+		if got := itemcodec.AppendItem(nil, it); !bytes.Equal(got, firstItem) {
 			t.Fatal("item encoding depends on map order")
 		}
 	}
