@@ -37,6 +37,26 @@ type ID struct {
 // String renders the ID as "creator/num".
 func (id ID) String() string { return fmt.Sprintf("%s/%d", id.Creator, id.Num) }
 
+// Compare orders IDs by creator bytes, then number: the one item-ID order
+// (the store's iteration order, batch tie-breaks, and the WAL's segment
+// runs, whose merge compares the encoded creators bytewise). It tests the
+// creators for equality first and stays small enough to inline, as sorts
+// compare mostly one creator's items.
+func (id ID) Compare(o ID) int {
+	switch {
+	case id.Creator != o.Creator:
+		if id.Creator < o.Creator {
+			return -1
+		}
+		return 1
+	case id.Num < o.Num:
+		return -1
+	case id.Num > o.Num:
+		return 1
+	}
+	return 0
+}
+
 // IsZero reports whether the ID is the invalid sentinel.
 func (id ID) IsZero() bool { return id.Creator == "" && id.Num == 0 }
 

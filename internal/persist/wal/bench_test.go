@@ -4,7 +4,7 @@ package wal
 // the per-mutation append cost a journaled replica pays — the price of
 // continuous durability versus the snapshot backend's free mutations — and
 // recovery time as a function of how much history sits in the live log,
-// which is what the FlushEvery knob trades against write amplification.
+// which is what the flushEvery knob trades against write amplification.
 // BenchmarkCompaction, one segment merge, runs under `make bench`.
 
 import (
@@ -41,7 +41,7 @@ func benchReplica(b *testing.B, opts Options) (*replica.Replica, *DB, *MemFS) {
 func BenchmarkWALAppend(b *testing.B) {
 	payload := []byte("benchmark-payload-of-plausible-size-for-a-dtn-message")
 	b.Run("noflush", func(b *testing.B) {
-		r, db, _ := benchReplica(b, Options{FlushEvery: -1, Metrics: &obs.WALMetrics{}})
+		r, db, _ := benchReplica(b, Options{flushEvery: -1, Metrics: &obs.WALMetrics{}})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -120,11 +120,11 @@ func BenchmarkCompaction(b *testing.B) {
 }
 
 // BenchmarkWALRecovery measures Open+Load against a log holding n mutation
-// batches — the restart-latency side of the FlushEvery trade-off.
+// batches — the restart-latency side of the flushEvery trade-off.
 func BenchmarkWALRecovery(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("log=%d", n), func(b *testing.B) {
-			r, db, fsys := benchReplica(b, Options{FlushEvery: -1})
+			r, db, fsys := benchReplica(b, Options{flushEvery: -1})
 			for i := 0; i < n; i++ {
 				r.CreateItem(item.Metadata{Destinations: []string{"addr:x"}}, []byte("recovery-bench"))
 			}

@@ -1,18 +1,23 @@
 package wal
 
 // Tests for the record codec's edges: the encode-side framing limit (an
-// oversized record must fail the append, not poison recovery), and the
-// readers' treatment of CRC-valid records they must not accept — a
-// malformed body, a retired record kind, a damaged manifest.
+// oversized record must fail the append, not poison recovery), the readers'
+// treatment of CRC-valid records they must not accept — a malformed body, a
+// retired record kind, a damaged manifest — the meta record's coverage of
+// replica.Snapshot, and the item-ID order segments are written and merged in.
 
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"replidtn/internal/item"
 	"replidtn/internal/replica"
+	"replidtn/internal/vclock"
 )
 
 // withMaxRecordLen lowers the frame limit for the duration of the test so
@@ -34,7 +39,7 @@ func TestOversizedAppendFailsBeforeWrite(t *testing.T) {
 	withMaxRecordLen(t, 4<<10)
 	fsys := NewMemFS()
 	env := newScriptEnv(t)
-	db, err := Open(fsys, Options{FlushEvery: -1})
+	db, err := Open(fsys, Options{flushEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +85,7 @@ func TestOversizedAppendFailsBeforeWrite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery after oversized append: %v", err)
 	}
-	st := newRecState()
+	st := newState()
 	if truncated, err := st.replayLog(logAfter); err != nil || truncated {
 		t.Fatalf("log replay: truncated=%v err=%v", truncated, err)
 	}
@@ -93,7 +98,7 @@ func TestOversizedAppendFailsBeforeWrite(t *testing.T) {
 // one byte over fails, exactly at the limit passes.
 func TestEncodeRecordRejectsOversized(t *testing.T) {
 	withMaxRecordLen(t, 64)
-	if _, err := appendMetaRecord(nil, walMeta{ID: "x", PolicyState: make([]byte, 128)}); !errors.Is(err, errRecordTooLarge) {
+	if _, err := appendMetaRecord(nil, &replica.Snapshot{ID: "x", PolicyState: make([]byte, 128)}); !errors.Is(err, errRecordTooLarge) {
 		t.Errorf("appendMetaRecord: err = %v, want errRecordTooLarge", err)
 	}
 	if _, err := frameRecord(recBatch, make([]byte, 64)); !errors.Is(err, errRecordTooLarge) {
@@ -110,7 +115,7 @@ func TestEncodeRecordRejectsOversized(t *testing.T) {
 // any other kind they do not expect.
 func TestRetiredRecordKindIsCorruption(t *testing.T) {
 	log := buildLogBytes(t)
-	seg, err := appendMetaRecord(nil, walMeta{ID: "node-a"}) // a minimal valid segment
+	seg, err := appendMetaRecord(nil, &replica.Snapshot{ID: "node-a"}) // a minimal valid segment
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +124,10 @@ func TestRetiredRecordKindIsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := newRecState().replayLog(append(append([]byte(nil), log...), retired...)); !errors.Is(err, errCorrupt) {
+		if _, err := newState().replayLog(append(append([]byte(nil), log...), retired...)); !errors.Is(err, errCorrupt) {
 			t.Errorf("log reader on kind %d: err = %v, want errCorrupt", kind, err)
 		}
-		if err := newRecState().replaySegment(append(append([]byte(nil), seg...), retired...)); !errors.Is(err, errCorrupt) {
+		if err := newState().replaySegment(append(append([]byte(nil), seg...), retired...)); !errors.Is(err, errCorrupt) {
 			t.Errorf("segment reader on kind %d: err = %v, want errCorrupt", kind, err)
 		}
 	}
@@ -140,7 +145,7 @@ func TestDamagedManifestFailsOpen(t *testing.T) {
 	}
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-1] ^= 0x01
-	meta, err := appendMetaRecord(nil, walMeta{ID: "node-a"})
+	meta, err := appendMetaRecord(nil, &replica.Snapshot{ID: "node-a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +200,126 @@ func TestCorruptRecordBodyFailsLoudly(t *testing.T) {
 		t.Fatal("no batch record in scripted log")
 	}
 	bad := append(append([]byte(nil), valid...), badFrame...)
-	st := newRecState()
+	st := newState()
 	if _, err := st.replayLog(bad); err == nil {
 		t.Error("log reader replayed a malformed record")
 	} else if !strings.Contains(err.Error(), "corrupt") {
 		t.Errorf("log reader error not marked corrupt: %v", err)
+	}
+}
+
+// TestMetaRecordRoundTripsEverySnapshotField sets every replica.Snapshot
+// field but Entries (which segments carry as put records) to a non-zero
+// value through reflect, so a field added to Snapshot but not to the meta
+// record fails here instead of vanishing on restart, as Epoch once could.
+// FilterAddresses is also run nil and empty: nil keeps the configured
+// filter on restore, empty is an address filter matching nothing.
+func TestMetaRecordRoundTripsEverySnapshotField(t *testing.T) {
+	var full replica.Snapshot
+	v := reflect.ValueOf(&full).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch {
+		case name == "Entries":
+		case f.Kind() == reflect.String:
+			f.SetString("v-" + name)
+		case f.Kind() == reflect.Uint64:
+			f.SetUint(uint64(1000 + i))
+		case f.Type() == reflect.TypeOf([]string(nil)):
+			f.Set(reflect.ValueOf([]string{name + "-a", name + "-b"}))
+		case f.Type() == reflect.TypeOf([]byte(nil)):
+			f.SetBytes([]byte(name))
+		default:
+			t.Fatalf("Snapshot.%s has type %s, which this test cannot fill: teach it, and the meta record, the field", name, f.Type())
+		}
+	}
+	nilFilter, emptyFilter := full, full
+	nilFilter.FilterAddresses = nil
+	emptyFilter.FilterAddresses = []string{}
+	for name, want := range map[string]replica.Snapshot{"full": full, "nil-filter": nilFilter, "empty-filter": emptyFilter} {
+		buf, err := appendMetaRecord(nil, &want)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rec, next, ok := readRecord(buf, 0)
+		if !ok || next != len(buf) || rec.kind != recMeta {
+			t.Fatalf("%s: readRecord = kind %d, next %d of %d, ok %v", name, rec.kind, next, len(buf), ok)
+		}
+		got, err := decodeMeta(rec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: meta record round trip\n got %#v\nwant %#v", name, got, want)
+		}
+	}
+}
+
+// TestIDCompareIsTheSegmentOrder pins item.ID.Compare, the order segments
+// are written in, to the byte order the merge cursor reads them back in
+// (segCursor.compare over the encoded creators): were they to disagree, a
+// merge would refuse every segment a flush wrote as out of order. Creators
+// include non-ASCII runes and prefixes of one another.
+func TestIDCompareIsTheSegmentOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	stems := []string{"", "a", "ab", "abc", "b", "Z", "é", "éa", "日本", "日", "\x7f", "a\x00"}
+	ids := make([]item.ID, 200)
+	for i := range ids {
+		creator := stems[rng.Intn(len(stems))]
+		if rng.Intn(2) == 0 {
+			creator += stems[rng.Intn(len(stems))]
+		}
+		ids[i] = item.ID{Creator: vclock.ReplicaID(creator), Num: uint64(rng.Intn(3)) << uint(rng.Intn(40))}
+	}
+	cursor := func(id item.ID) segCursor {
+		buf, err := appendRemoveRecord(nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := segCursor{name: id.String(), data: buf}
+		if err := c.next(); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	curs := make([]segCursor, len(ids))
+	for i, id := range ids {
+		curs[i] = cursor(id)
+	}
+	sign := func(c int) int { return min(max(c, -1), 1) }
+	for i := range ids {
+		for j := range ids {
+			if got, want := sign(ids[i].Compare(ids[j])), sign(curs[i].compare(&curs[j])); got != want {
+				t.Fatalf("%q vs %q: Compare = %d, segment byte order = %d", ids[i], ids[j], got, want)
+			}
+		}
+	}
+	// A run sorted by Compare, duplicates dropped, reads back as a valid
+	// segment: the cursor accepts it as strictly ascending.
+	slices.SortFunc(ids, item.ID.Compare)
+	ids = slices.Compact(ids)
+	var frames [][]byte
+	for _, id := range ids {
+		buf, err := appendRemoveRecord(nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, buf)
+	}
+	data := segment(t, frames...)
+	rec, next, _ := readRecord(data, 0)
+	if rec.kind != recMeta {
+		t.Fatal("segment does not start with its meta record")
+	}
+	c := segCursor{name: "sorted", data: data, off: next}
+	n := 0
+	for err := c.next(); c.frame != nil; err = c.next() {
+		if err != nil {
+			t.Fatalf("after %d of %d IDs: %v", n, len(ids), err)
+		}
+		n++
+	}
+	if n != len(ids) {
+		t.Fatalf("cursor read %d of %d IDs", n, len(ids))
 	}
 }

@@ -35,7 +35,7 @@ import (
 // crashScriptOpts stresses every boundary: a flush after every batch, so the
 // op sweep crosses record appends, flushes, manifest swaps, and full and
 // partial merges many times within one script.
-var crashScriptOpts = Options{FlushEvery: 1}
+var crashScriptOpts = Options{flushEvery: 1}
 
 // countingRun executes the full script uninjected and returns the total FS
 // op count, the reference snapshots — refs[i] is the state after step i-1

@@ -107,7 +107,7 @@ func walMatchesSnapshot(t *testing.T, seed int64) bool {
 
 	// Random WAL shape too: tiny flush cadences make short op sequences
 	// cross segment boundaries and both full and partial merges.
-	opts := Options{FlushEvery: []int{1, 2, 3, 256}[rng.Intn(4)]}
+	opts := Options{flushEvery: []int{1, 2, 3, 256}[rng.Intn(4)]}
 	fsys := NewMemFS()
 	db, err := Open(fsys, opts)
 	if err != nil {

@@ -30,7 +30,7 @@ func buildLogBytes(tb testing.TB) []byte {
 	tb.Helper()
 	fsys := NewMemFS()
 	env := newScriptEnv(tb)
-	db, err := Open(fsys, Options{FlushEvery: -1})
+	db, err := Open(fsys, Options{flushEvery: -1})
 	if err != nil {
 		tb.Fatalf("open: %v", err)
 	}
@@ -62,7 +62,7 @@ func buildSegmentBytes(tb testing.TB) []byte {
 	tb.Helper()
 	fsys := NewMemFS()
 	env := newScriptEnv(tb)
-	db, err := Open(fsys, Options{FlushEvery: 1})
+	db, err := Open(fsys, Options{flushEvery: 1})
 	if err != nil {
 		tb.Fatalf("open: %v", err)
 	}
@@ -135,8 +135,8 @@ func FuzzWALReplay(f *testing.F) {
 		// The log reader: hostile bytes may truncate (torn tail) or error
 		// (decodable-but-malformed record), but must never panic, and a
 		// successful replay must yield a state snapshot() can serialize.
-		st := newRecState()
-		if _, err := st.replayLog(data); err == nil && st.haveMeta {
+		st := newState()
+		if _, err := st.replayLog(data); err == nil && st.know != nil {
 			if _, err := st.snapshot(); err != nil {
 				t.Fatalf("replayed log state does not snapshot: %v", err)
 			}
@@ -144,7 +144,7 @@ func FuzzWALReplay(f *testing.F) {
 		// The segment reader: same bytes, stricter contract — anything that
 		// is not a whole, valid, meta-led record sequence must error, and
 		// the only acceptable outcome besides success is an error.
-		st2 := newRecState()
+		st2 := newState()
 		_ = st2.replaySegment(data) //lint:allow errdiscard -- the fuzz property on hostile input is "errors, never panics"; the error value itself carries no invariant
 		// The merge cursor reads the same segment bytes without decoding
 		// past item IDs: it must stop with an error or at the end, never panic.
@@ -164,7 +164,7 @@ func FuzzWALReplay(f *testing.F) {
 // (which random junk cannot — it would need a matching CRC).
 func TestReplayLogPrefixStability(t *testing.T) {
 	valid := buildLogBytes(t)
-	st := newRecState()
+	st := newState()
 	if _, err := st.replayLog(valid); err != nil {
 		t.Fatalf("valid log: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestReplayLogPrefixStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, junk := range [][]byte{{0x00}, {0xff, 0xff, 0xff, 0xff}, make([]byte, 64)} {
-		st2 := newRecState()
+		st2 := newState()
 		truncated, err := st2.replayLog(append(append([]byte(nil), valid...), junk...))
 		if err != nil {
 			t.Fatalf("junk tail %x: %v", junk, err)

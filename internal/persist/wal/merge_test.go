@@ -55,7 +55,7 @@ func segment(tb testing.TB, frames ...[]byte) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	buf, err := appendMetaRecord(nil, walMeta{ID: "node-a", Knowledge: know})
+	buf, err := appendMetaRecord(nil, &replica.Snapshot{ID: "node-a", Knowledge: know})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestCompactionWriteAmplification(t *testing.T) {
 		return replica.New(replica.Config{ID: "amp", OwnAddresses: []string{"addr:amp"}})
 	}
 	merges := &mergeRecorder{FS: NewMemFS()}
-	db, r := openAttached(t, merges, Options{FlushEvery: 1}, newReplica)
+	db, r := openAttached(t, merges, Options{flushEvery: 1}, newReplica)
 	payload := make([]byte, 100)
 	maxSegs := 0
 	for i := 0; i < flushes; i++ {

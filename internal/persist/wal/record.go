@@ -33,8 +33,9 @@ import (
 // reassigned: a CRC-valid record of such a kind is corruption, like any
 // other kind its file does not expect.
 const (
-	// recMeta carries a walMeta: the replica-level durable state outside the
-	// store (identity, counters, knowledge, policy state).
+	// recMeta carries a replica.Snapshot's fields but its entries: the
+	// replica-level durable state outside the store (identity, counters,
+	// knowledge, policy state).
 	recMeta = 5
 	// recBatch carries one journaled []replica.Mutation batch (live log).
 	recBatch = 6
@@ -68,22 +69,6 @@ var errCorrupt = errors.New("wal: corrupt record")
 var errRecordTooLarge = errors.New("wal: record exceeds maximum frame length")
 
 var crcTable = crc32.MakeTable(crc32.IEEE)
-
-// walMeta is the replica state that lives outside the store: everything a
-// replica.Snapshot carries except the entries and, during normal appends,
-// the knowledge (which the log carries incrementally via MutLearn/MutMerge).
-// A meta record appears at the head of every log generation and segment,
-// wholesale-replacing the recovered meta state.
-type walMeta struct {
-	ID          vclock.ReplicaID
-	Seq         uint64
-	Own         []string
-	FilterAddrs []string
-	Knowledge   []byte
-	NextArrival uint64
-	PolicyState []byte
-	Epoch       uint64
-}
 
 // beginRecord reserves a frame header plus kind byte on buf, so a binary
 // body can be appended in place — no intermediate payload slice. The caller
@@ -125,17 +110,21 @@ func recordTooLargeError(kind uint8, payloadLen int) error {
 		errRecordTooLarge, kind, payloadLen, maxRecordLen-1)
 }
 
-// appendMetaRecord frames a walMeta as a record.
-func appendMetaRecord(buf []byte, m walMeta) ([]byte, error) {
+// appendMetaRecord frames a snapshot's replica-level state as a meta record,
+// which heads every log generation and segment and wholesale-replaces the
+// recovered meta state. The entries are left out: segments carry them as put
+// records, and the log as batches, which also carry the knowledge
+// incrementally (MutLearn/MutMerge) between meta records.
+func appendMetaRecord(buf []byte, m *replica.Snapshot) ([]byte, error) {
 	buf, start := beginRecord(buf, recMeta)
 	buf = append(buf, wire.CodecVersion)
 	buf = prim.AppendString(buf, string(m.ID))
 	buf = prim.AppendUvarint(buf, m.Seq)
-	buf = prim.AppendStrings(buf, m.Own)
-	// Nil FilterAddrs means "the filter is not an address filter and survives
-	// restarts via configuration" — distinct from an empty address filter, so
-	// the nil-aware encoding is load-bearing here.
-	buf = prim.AppendStrings(buf, m.FilterAddrs)
+	buf = prim.AppendStrings(buf, m.OwnAddresses)
+	// Nil FilterAddresses means "the filter is not an address filter and
+	// survives restarts via configuration" — distinct from an empty address
+	// filter, so the nil-aware encoding is load-bearing here.
+	buf = prim.AppendStrings(buf, m.FilterAddresses)
 	buf = prim.AppendBytes(buf, m.Knowledge)
 	buf = prim.AppendUvarint(buf, m.NextArrival)
 	buf = prim.AppendBytes(buf, m.PolicyState)
@@ -198,8 +187,8 @@ func checkCodecVersion(payload []byte) ([]byte, error) {
 }
 
 // decodeMeta, decodeBatch, decodePut, decodeRemove decode the typed bodies.
-func decodeMeta(rec record) (walMeta, error) {
-	var m walMeta
+func decodeMeta(rec record) (replica.Snapshot, error) {
+	var m replica.Snapshot
 	body, err := checkCodecVersion(rec.payload)
 	if err != nil {
 		return m, err
@@ -207,8 +196,8 @@ func decodeMeta(rec record) (walMeta, error) {
 	d := wire.NewDecoder(body)
 	m.ID = vclock.ReplicaID(d.String())
 	m.Seq = d.Uvarint()
-	m.Own = d.Strings()
-	m.FilterAddrs = d.Strings()
+	m.OwnAddresses = d.Strings()
+	m.FilterAddresses = d.Strings()
 	m.Knowledge = d.BytesCopy()
 	m.NextArrival = d.Uvarint()
 	m.PolicyState = d.BytesCopy()

@@ -7,10 +7,10 @@
 // already learned.
 //
 // The store is an append-only write-ahead log of replica mutations with
-// periodic memtable flushes into immutable segment files, tied together by
-// an atomically-replaced manifest. The lifecycle is Open → Load (ErrNoState
-// on first boot; otherwise restore the snapshot into the replica) → Attach
-// → mutate freely → Checkpoint at will → Close.
+// periodic flushes of the in-memory delta into immutable segment files, tied
+// together by an atomically-replaced manifest. The lifecycle is Open → Load
+// (ErrNoState on first boot; otherwise restore the snapshot into the
+// replica) → Attach → mutate freely → Checkpoint at will → Close.
 //
 // Shape (the classic log-structured design, cf. ROADMAP item 2):
 //
@@ -18,24 +18,29 @@
 //     and fsynced before the append returns — one record per batch, so a
 //     torn tail can never split a batch (operation atomicity survives any
 //     crash point).
-//   - The same batches fold into an in-memory memtable: the delta (changed
-//     entries, removed IDs, current knowledge and counters) since the last
-//     flush. Persisting a mutation costs O(mutation), never O(store).
-//   - Every FlushEvery batches the memtable is flushed: its delta becomes an
-//     immutable segment file, the manifest atomically adopts the segment and
-//     a fresh log generation, and the old log is deleted.
+//   - The same batches fold into one in-memory state in the shape of a
+//     replica.Snapshot: the current meta fields (identity, counters,
+//     knowledge, policy state) and, as entries, the delta (changed entries,
+//     removed IDs) since the last flush. Persisting a mutation costs
+//     O(mutation), never O(store).
+//   - Every flushEvery batches (256 by default) the delta is flushed: it
+//     becomes an immutable segment file headed by the meta fields, the
+//     manifest atomically adopts the segment and a fresh log generation, and
+//     the old log is deleted.
 //   - Segments are size-tiered: whenever the newest mergeWidth segments are
 //     within mergeRatio of each other in size they are merged into one by
 //     copying their ID-sorted record frames, never decoding them — so each
 //     byte is rewritten O(log n) times and the manifest holds O(log n)
 //     segments, without touching the live log.
 //
-// Recovery is replay(manifest segments, in order) + replay(log tail): the
-// segments rebuild the flushed state, the log replays everything since. A
-// torn or corrupt record at the log tail is truncated, not an error — it is
-// precisely the in-flight write the crash interrupted, and everything before
-// it was fsynced. The same damage inside a segment or before the log's last
-// valid record is real corruption and fails recovery loudly.
+// Recovery is replay(manifest segments, in order) + replay(log tail) into the
+// same state type, whose entries then hold every recovered entry: the
+// segments rebuild the flushed state, and the log's batches are folded by
+// the same function as on the append path. A torn or corrupt record at the
+// log tail is truncated, not an error — it is precisely the in-flight write
+// the crash interrupted, and everything before it was fsynced. The same
+// damage inside a segment or before the log's last valid record is real
+// corruption and fails recovery loudly.
 //
 // Durability contract: items, tombstones, knowledge, counters, and identity
 // are durable the moment the mutating call returns (per-record fsync).
@@ -52,7 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"sort"
+	"slices"
 	"sync"
 
 	"replidtn/internal/item"
@@ -70,10 +75,10 @@ var ErrNoState = errors.New("wal: no persisted state")
 type Options struct {
 	// Metrics mirrors WAL activity into observability counters; nil disables.
 	Metrics *obs.WALMetrics
-	// FlushEvery is the number of appended batches that triggers a memtable
-	// flush (0 selects 256; negative disables automatic flushing — only
-	// Checkpoint and Close flush).
-	FlushEvery int
+	// flushEvery is the number of appended batches that triggers a flush (0
+	// selects 256; negative disables automatic flushing — only Checkpoint and
+	// Close flush). The package's tests set it to force or suppress flushes.
+	flushEvery int
 }
 
 // The merge rule (DESIGN.md §13). After every flush, while the manifest's
@@ -115,7 +120,8 @@ type DB struct {
 	logSeq  uint64 // next log generation
 	log     File   // live log handle (nil until Attach)
 	curLog  string
-	mem     *memtable
+	st      *state // the running state; its entries are the unflushed delta
+	dirty   int    // batches appended since the last flush
 	r       *replica.Replica
 	loaded  bool
 	err     error // sticky poison
@@ -140,7 +146,7 @@ func Open(fsys FS, opts Options) (*DB, error) {
 	db := &DB{
 		fsys:       fsys,
 		metrics:    opts.Metrics,
-		flushEvery: opts.FlushEvery,
+		flushEvery: opts.flushEvery,
 	}
 	if db.flushEvery == 0 {
 		db.flushEvery = 256
@@ -188,7 +194,7 @@ func (db *DB) Load() (*replica.Snapshot, error) {
 		db.loaded = true
 		return nil, ErrNoState
 	}
-	st := newRecState()
+	st := newState()
 	for _, seg := range db.man.Segments {
 		data, err := db.fsys.ReadFile(seg)
 		if err != nil {
@@ -245,34 +251,29 @@ func (db *DB) Attach(r *replica.Replica) error {
 	if db.err != nil {
 		return db.err
 	}
-	mem, err := newMemtable(snap)
-	if err != nil {
+	// Adopting the snapshot seeds the delta with the full state, so the
+	// attach checkpoint writes everything r holds.
+	st := newState()
+	if err := st.adopt(snap); err != nil {
 		return fmt.Errorf("wal: attach: %w", err)
 	}
-	db.mem = mem
-	db.r = r
-	// Seed the memtable delta with the full state so the attach checkpoint
-	// writes everything r holds; checkpointLocked resets the delta after.
-	for i := range snap.Entries {
-		db.mem.puts[snap.Entries[i].Item.ID] = snap.Entries[i]
-	}
+	db.st, db.r = st, r
 	// A full checkpoint: the new segment alone carries the whole state, so
 	// it must also be the only one the manifest keeps — retaining older
 	// segments would resurrect entries they hold that were since removed
 	// (a full segment has no remove records to mask them).
 	if err := db.checkpointLocked(snap.PolicyState, true); err != nil {
 		db.err = err
-		db.r, db.mem = nil, nil
+		db.r, db.st = nil, nil
 		return err
 	}
 	r.Journal(db.append)
 	return nil
 }
 
-// Checkpoint forces a flush now: the memtable delta (plus fresh routing
-// policy state) becomes a segment, the manifest adopts it, and the log
-// rotates. Callers use it for clean shutdown points; steady-state flushing
-// is automatic.
+// Checkpoint forces a flush now: the delta (plus fresh routing policy state)
+// becomes a segment, the manifest adopts it, and the log rotates. Callers
+// use it for clean shutdown points; steady-state flushing is automatic.
 func (db *DB) Checkpoint() error {
 	db.mu.Lock()
 	r := db.r
@@ -333,7 +334,7 @@ func (db *DB) Close() error {
 }
 
 // append is the registered journal hook: frame the batch, append, fsync,
-// fold into the memtable, maybe flush. Any failure poisons the DB.
+// fold into the state, maybe flush. Any failure poisons the DB.
 func (db *DB) append(muts []replica.Mutation) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -364,59 +365,62 @@ func (db *DB) append(muts []replica.Mutation) {
 		db.metrics.Records.Inc()
 		db.metrics.Bytes.Add(int64(len(frame)))
 	}
-	if err := db.mem.apply(muts); err != nil {
-		db.err = err
+	if err := db.st.apply(muts); err != nil {
+		db.err = fmt.Errorf("wal: %w", err)
 		return
 	}
-	db.mem.dirty++
-	if db.flushEvery > 0 && db.mem.dirty >= db.flushEvery {
+	db.dirty++
+	if db.flushEvery > 0 && db.dirty >= db.flushEvery {
 		// Flush with the policy state from the last checkpoint boundary:
 		// reading fresh state here would need the replica lock, which a
 		// mutating caller may hold while this hook runs. Policy state is
 		// checkpoint-grained by contract either way.
-		if err := db.checkpointLocked(db.mem.policyState, false); err != nil {
+		if err := db.checkpointLocked(db.st.meta.PolicyState, false); err != nil {
 			db.err = err
 		}
 	}
 }
 
-// checkpointLocked flushes the memtable delta: segment out, log rotated,
-// manifest swapped, old files deleted, merges when due. When full is set the
-// delta is the whole state (the attach checkpoint), so the new segment
-// replaces every older one and every file it does not name is reclaimed. On
-// failure the DB state is poisoned by callers; the manifest swap's atomicity
-// means the directory itself is never in between states.
+// checkpointLocked flushes the delta: segment out, log rotated, manifest
+// swapped, old files deleted, merges when due. When full is set the delta is
+// the whole state (the attach checkpoint), so the new segment replaces every
+// older one and every file it does not name is reclaimed. On failure the DB
+// state is poisoned by callers; the manifest swap's atomicity means the
+// directory itself is never in between states.
 func (db *DB) checkpointLocked(policyState []byte, full bool) error {
-	mem := db.mem
-	mem.policyState = policyState
-	meta := mem.meta()
-	metaFrame, err := appendMetaRecord(nil, meta)
+	st := db.st
+	st.meta.PolicyState = policyState
+	snap, err := st.snapshot()
+	if err != nil {
+		return err
+	}
+	metaFrame, err := appendMetaRecord(nil, snap)
 	if err != nil {
 		return err
 	}
 
-	// 1. Segment: meta, then the delta's puts and removes as one run in
-	// ascending item-ID order (the order merges rely on), fsynced. Frames are
-	// appended straight into the segment buffer — no per-record slices.
+	// 1. Segment: meta, then the delta's puts (snap.Entries, ID-sorted) and
+	// removes merged into one run in ascending item-ID order (the order
+	// merges rely on), fsynced. Frames are appended straight into the
+	// segment buffer — no per-record slices.
 	seg := segName(db.segSeq)
 	segBuf := append([]byte(nil), metaFrame...)
-	ids := make([]item.ID, 0, len(mem.puts)+len(mem.removes))
-	for id := range mem.puts {
-		ids = append(ids, id)
+	removes := make([]item.ID, 0, len(st.removes))
+	for id := range st.removes {
+		removes = append(removes, id)
 	}
-	for id := range mem.removes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return lessID(ids[i], ids[j]) })
-	for _, id := range ids {
-		if e, ok := mem.puts[id]; ok {
-			segBuf, err = appendPutRecord(segBuf, &e)
+	slices.SortFunc(removes, item.ID.Compare)
+	for puts := snap.Entries; err == nil && len(puts)+len(removes) > 0; {
+		if len(removes) == 0 || len(puts) > 0 && puts[0].Item.ID.Compare(removes[0]) < 0 {
+			segBuf, err = appendPutRecord(segBuf, &puts[0])
+			puts = puts[1:]
 		} else {
-			segBuf, err = appendRemoveRecord(segBuf, id)
+			segBuf, err = appendRemoveRecord(segBuf, removes[0])
+			removes = removes[1:]
 		}
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	if err := writeFile(db.fsys, seg, segBuf); err != nil {
 		return err
@@ -462,7 +466,8 @@ func (db *DB) checkpointLocked(policyState []byte, full bool) error {
 	db.segSizes = append(db.segSizes, len(segBuf))
 	db.segSeq++
 	db.logSeq++
-	mem.resetDelta()
+	st.resetDelta()
+	db.dirty = 0
 	if db.metrics != nil {
 		db.metrics.Flushes.Inc()
 		db.metrics.Records.Inc() // the rotated log's head meta record
@@ -632,7 +637,8 @@ func (c *segCursor) next() error {
 	return nil
 }
 
-// compare orders two cursors' current records by item ID, as lessID does.
+// compare orders two cursors' current records by item ID, as item.ID.Compare
+// does.
 func (c *segCursor) compare(o *segCursor) int {
 	if d := bytes.Compare(c.creator, o.creator); d != 0 {
 		return d
@@ -661,141 +667,128 @@ func writeFile(fsys FS, name string, data []byte) error {
 	return nil
 }
 
-// memtable is the in-memory fold of everything journaled since the last
-// flush (the delta) plus the running meta state (which is always current).
-type memtable struct {
+// state is the WAL's one in-memory picture of a replica's durable state, in
+// the shape of a replica.Snapshot: meta holds every field but Knowledge and
+// Entries, know the knowledge decoded (nil until the first adopt), and
+// puts/removes the entries. On the append path puts/removes are the delta
+// since the last flush; during Load puts gathers every recovered entry.
+type state struct {
+	meta    replica.Snapshot
+	know    *vclock.Knowledge
 	puts    map[item.ID]store.EntrySnapshot
 	removes map[item.ID]struct{}
-	dirty   int // batches folded since the last flush
-
-	id          vclock.ReplicaID
-	seq         uint64
-	own         []string
-	filterAddrs []string
-	know        *vclock.Knowledge
-	nextArrival uint64
-	policyState []byte
-	epoch       uint64
 }
 
-// newMemtable seeds the running meta state from an attach-time snapshot.
-func newMemtable(snap *replica.Snapshot) (*memtable, error) {
+func newState() *state {
+	st := &state{}
+	st.resetDelta()
+	return st
+}
+
+// resetDelta clears the flushed delta; the meta fields carry over.
+func (st *state) resetDelta() {
+	st.puts = make(map[item.ID]store.EntrySnapshot)
+	st.removes = make(map[item.ID]struct{})
+}
+
+// adopt takes a snapshot (at Attach) or a decoded meta record (during Load)
+// wholesale: its meta fields, its knowledge, and its entries as puts. It
+// refuses a replica ID other than the one adopted before.
+func (st *state) adopt(snap *replica.Snapshot) error {
 	know := vclock.NewKnowledge()
 	if err := know.UnmarshalBinary(snap.Knowledge); err != nil {
-		return nil, fmt.Errorf("wal: attach knowledge: %w", err)
+		return fmt.Errorf("knowledge: %w", err)
 	}
-	return &memtable{
-		puts:        make(map[item.ID]store.EntrySnapshot),
-		removes:     make(map[item.ID]struct{}),
-		id:          snap.ID,
-		seq:         snap.Seq,
-		own:         snap.OwnAddresses,
-		filterAddrs: snap.FilterAddresses,
-		know:        know,
-		nextArrival: snap.NextArrival,
-		policyState: snap.PolicyState,
-		epoch:       snap.Epoch,
-	}, nil
+	if st.know != nil && st.meta.ID != snap.ID {
+		return fmt.Errorf("replica ID changed from %s to %s", st.meta.ID, snap.ID)
+	}
+	st.meta, st.know = *snap, know
+	st.meta.Knowledge, st.meta.Entries = nil, nil
+	for i := range snap.Entries {
+		st.puts[snap.Entries[i].Item.ID] = snap.Entries[i]
+	}
+	return nil
 }
 
-// apply folds one journaled batch into the memtable.
-func (mt *memtable) apply(muts []replica.Mutation) error {
+// apply folds one journaled batch, on the append path and in recovery alike.
+func (st *state) apply(muts []replica.Mutation) error {
+	if st.know == nil {
+		return errors.New("batch before any meta record")
+	}
 	for i := range muts {
 		m := &muts[i]
 		switch m.Kind {
 		case replica.MutPut:
 			if m.Entry == nil || m.Entry.Item == nil {
-				return fmt.Errorf("wal: put mutation without entry")
+				return errors.New("put mutation without entry")
 			}
-			mt.puts[m.Entry.Item.ID] = *m.Entry
-			delete(mt.removes, m.Entry.Item.ID)
-			mt.nextArrival = m.NextArrival
+			st.puts[m.Entry.Item.ID] = *m.Entry
+			delete(st.removes, m.Entry.Item.ID)
+			st.meta.NextArrival = m.NextArrival
 		case replica.MutRemove:
 			// Record the remove even when the put also happened since the
 			// last flush: an older segment may hold a previous version.
-			delete(mt.puts, m.ID)
-			mt.removes[m.ID] = struct{}{}
-			mt.nextArrival = m.NextArrival
+			delete(st.puts, m.ID)
+			st.removes[m.ID] = struct{}{}
+			st.meta.NextArrival = m.NextArrival
 		case replica.MutLearn:
 			for _, v := range m.Versions {
-				mt.know.Add(v)
+				st.know.Add(v)
 			}
-			mt.seq = m.Seq
+			st.meta.Seq = m.Seq
 		case replica.MutMerge:
 			if m.Knowledge == nil {
-				return fmt.Errorf("wal: merge mutation lost its knowledge (marshal failure at the source)")
+				return errors.New("merge mutation without knowledge (marshal failure at the source)")
 			}
 			know := vclock.NewKnowledge()
 			if err := know.UnmarshalBinary(m.Knowledge); err != nil {
-				return fmt.Errorf("wal: merge mutation: %w", err)
+				return fmt.Errorf("merge mutation: %w", err)
 			}
-			mt.know = know
+			st.know = know
 		case replica.MutIdentity:
-			mt.own = m.Own
-			mt.filterAddrs = m.FilterAddrs
+			st.meta.OwnAddresses, st.meta.FilterAddresses = m.Own, m.FilterAddrs
 		default:
-			return fmt.Errorf("wal: unknown mutation kind %d", m.Kind)
+			return fmt.Errorf("unknown mutation kind %d", m.Kind)
 		}
 	}
 	return nil
 }
 
-// meta captures the running meta state as a record body.
-func (mt *memtable) meta() walMeta {
-	know, err := mt.know.MarshalBinary()
+// snapshot returns the state as a replica.Snapshot, the knowledge marshaled
+// and puts as the entries in item-ID order: Load's result, and the body of
+// every meta record (which leaves the entries out).
+func (st *state) snapshot() (*replica.Snapshot, error) {
+	if st.know == nil {
+		return nil, fmt.Errorf("%w: no meta record recovered", errCorrupt)
+	}
+	know, err := st.know.MarshalBinary()
 	if err != nil {
-		// Knowledge marshaling has no failure modes today; guard regardless.
-		know = nil
+		return nil, fmt.Errorf("wal: marshal knowledge: %w", err)
 	}
-	return walMeta{
-		ID:          mt.id,
-		Seq:         mt.seq,
-		Own:         mt.own,
-		FilterAddrs: mt.filterAddrs,
-		Knowledge:   know,
-		NextArrival: mt.nextArrival,
-		PolicyState: mt.policyState,
-		Epoch:       mt.epoch,
+	snap := st.meta
+	snap.Knowledge = know
+	for _, e := range st.puts {
+		snap.Entries = append(snap.Entries, e)
 	}
+	slices.SortFunc(snap.Entries, func(a, b store.EntrySnapshot) int { return a.Item.ID.Compare(b.Item.ID) })
+	return &snap, nil
 }
 
-// resetDelta clears the flushed delta; the running meta state carries over.
-func (mt *memtable) resetDelta() {
-	mt.puts = make(map[item.ID]store.EntrySnapshot)
-	mt.removes = make(map[item.ID]struct{})
-	mt.dirty = 0
-}
-
-// recState is recovery's accumulator: the full state replayed so far.
-type recState struct {
-	meta     walMeta
-	haveMeta bool
-	entries  map[item.ID]store.EntrySnapshot
-	know     *vclock.Knowledge
-}
-
-func newRecState() *recState {
-	return &recState{entries: make(map[item.ID]store.EntrySnapshot)}
-}
-
-// setMeta wholesale-adopts a meta record, including its knowledge.
-func (st *recState) setMeta(m walMeta) error {
-	know := vclock.NewKnowledge()
-	if err := know.UnmarshalBinary(m.Knowledge); err != nil {
-		return fmt.Errorf("%w: meta knowledge: %v", errCorrupt, err)
+// adoptRecord adopts a meta record read during recovery.
+func (st *state) adoptRecord(rec record) error {
+	m, err := decodeMeta(rec)
+	if err != nil {
+		return err
 	}
-	if st.haveMeta && st.meta.ID != m.ID {
-		return fmt.Errorf("%w: replica ID changed from %s to %s", errCorrupt, st.meta.ID, m.ID)
+	if err := st.adopt(&m); err != nil {
+		return fmt.Errorf("%w: meta: %v", errCorrupt, err)
 	}
-	st.meta = m
-	st.know = know
-	st.haveMeta = true
 	return nil
 }
 
 // replaySegment applies one segment file. Segments are immutable and were
 // fsynced before any manifest referenced them: every record must check out.
-func (st *recState) replaySegment(data []byte) error {
+func (st *state) replaySegment(data []byte) error {
 	off := 0
 	first := true
 	for off < len(data) {
@@ -809,11 +802,7 @@ func (st *recState) replaySegment(data []byte) error {
 		first = false
 		switch rec.kind {
 		case recMeta:
-			m, err := decodeMeta(rec)
-			if err != nil {
-				return err
-			}
-			if err := st.setMeta(m); err != nil {
+			if err := st.adoptRecord(rec); err != nil {
 				return err
 			}
 		case recPut:
@@ -821,13 +810,13 @@ func (st *recState) replaySegment(data []byte) error {
 			if err != nil {
 				return err
 			}
-			st.entries[e.Item.ID] = e
+			st.puts[e.Item.ID] = e
 		case recRemove:
 			id, err := decodeRemove(rec)
 			if err != nil {
 				return err
 			}
-			delete(st.entries, id)
+			delete(st.puts, id)
 		default:
 			return fmt.Errorf("%w: unexpected record kind %d in segment", errCorrupt, rec.kind)
 		}
@@ -846,7 +835,7 @@ func (st *recState) replaySegment(data []byte) error {
 // length-prefixed framing the two are indistinguishable, so the rule is:
 // the first invalid frame ends replay, and it is corruption only if the
 // decodable records themselves are malformed.
-func (st *recState) replayLog(data []byte) (truncated bool, err error) {
+func (st *state) replayLog(data []byte) (truncated bool, err error) {
 	off := 0
 	for off < len(data) {
 		rec, next, ok := readRecord(data, off)
@@ -855,20 +844,16 @@ func (st *recState) replayLog(data []byte) (truncated bool, err error) {
 		}
 		switch rec.kind {
 		case recMeta:
-			m, derr := decodeMeta(rec)
-			if derr != nil {
-				return false, derr
-			}
-			if derr := st.setMeta(m); derr != nil {
-				return false, derr
+			if err := st.adoptRecord(rec); err != nil {
+				return false, err
 			}
 		case recBatch:
-			muts, derr := decodeBatch(rec)
-			if derr != nil {
-				return false, derr
+			muts, err := decodeBatch(rec)
+			if err != nil {
+				return false, err
 			}
-			if derr := st.applyBatch(muts); derr != nil {
-				return false, derr
+			if err := st.apply(muts); err != nil {
+				return false, fmt.Errorf("%w: %v", errCorrupt, err)
 			}
 		default:
 			return false, fmt.Errorf("%w: unexpected record kind %d in log", errCorrupt, rec.kind)
@@ -876,88 +861,4 @@ func (st *recState) replayLog(data []byte) (truncated bool, err error) {
 		off = next
 	}
 	return false, nil
-}
-
-// applyBatch replays one journaled batch onto the recovered state.
-func (st *recState) applyBatch(muts []replica.Mutation) error {
-	if !st.haveMeta {
-		return fmt.Errorf("%w: batch before any meta record", errCorrupt)
-	}
-	for i := range muts {
-		m := &muts[i]
-		switch m.Kind {
-		case replica.MutPut:
-			if m.Entry == nil || m.Entry.Item == nil {
-				return fmt.Errorf("%w: put mutation without entry", errCorrupt)
-			}
-			st.entries[m.Entry.Item.ID] = *m.Entry
-			st.meta.NextArrival = m.NextArrival
-		case replica.MutRemove:
-			delete(st.entries, m.ID)
-			st.meta.NextArrival = m.NextArrival
-		case replica.MutLearn:
-			for _, v := range m.Versions {
-				st.know.Add(v)
-			}
-			st.meta.Seq = m.Seq
-		case replica.MutMerge:
-			if m.Knowledge == nil {
-				return fmt.Errorf("%w: merge mutation without knowledge", errCorrupt)
-			}
-			know := vclock.NewKnowledge()
-			if err := know.UnmarshalBinary(m.Knowledge); err != nil {
-				return fmt.Errorf("%w: merge mutation: %v", errCorrupt, err)
-			}
-			st.know = know
-		case replica.MutIdentity:
-			st.meta.Own = m.Own
-			st.meta.FilterAddrs = m.FilterAddrs
-		default:
-			return fmt.Errorf("%w: unknown mutation kind %d", errCorrupt, m.Kind)
-		}
-	}
-	return nil
-}
-
-// snapshot materializes the recovered state.
-func (st *recState) snapshot() (*replica.Snapshot, error) {
-	if !st.haveMeta {
-		return nil, fmt.Errorf("%w: no meta record recovered", errCorrupt)
-	}
-	know, err := st.know.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("wal: marshal recovered knowledge: %w", err)
-	}
-	snap := &replica.Snapshot{
-		ID:              st.meta.ID,
-		Seq:             st.meta.Seq,
-		OwnAddresses:    st.meta.Own,
-		FilterAddresses: st.meta.FilterAddrs,
-		Knowledge:       know,
-		NextArrival:     st.meta.NextArrival,
-		PolicyState:     st.meta.PolicyState,
-		Epoch:           st.meta.Epoch,
-	}
-	for _, id := range sortedIDs(st.entries) {
-		snap.Entries = append(snap.Entries, st.entries[id])
-	}
-	return snap, nil
-}
-
-// sortedIDs returns the map's keys in deterministic order.
-func sortedIDs(m map[item.ID]store.EntrySnapshot) []item.ID {
-	ids := make([]item.ID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return lessID(ids[i], ids[j]) })
-	return ids
-}
-
-// lessID orders item IDs deterministically.
-func lessID(a, b item.ID) bool {
-	if a.Creator != b.Creator {
-		return a.Creator < b.Creator
-	}
-	return a.Num < b.Num
 }

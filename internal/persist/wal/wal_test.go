@@ -76,9 +76,9 @@ func TestRoundTripAfterCrash(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"no-auto-flush", Options{FlushEvery: -1}},
-		{"flush-every-3", Options{FlushEvery: 3}},
-		{"flush-and-compact", Options{FlushEvery: 1}},
+		{"no-auto-flush", Options{flushEvery: -1}},
+		{"flush-every-3", Options{flushEvery: 3}},
+		{"flush-and-compact", Options{flushEvery: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fsys := NewMemFS()
@@ -111,7 +111,7 @@ func TestRoundTripAfterCrash(t *testing.T) {
 // again, and recover the extended state.
 func TestRecoveredReplicaKeepsWorking(t *testing.T) {
 	fsys := NewMemFS()
-	opts := Options{FlushEvery: 1}
+	opts := Options{flushEvery: 1}
 	env := newScriptEnv(t)
 	_, _ = openAttached(t, fsys, opts, func() *replica.Replica { return env.r })
 	env.runScript(0, scriptSteps/2)
@@ -144,7 +144,7 @@ func TestRecoveredReplicaKeepsWorking(t *testing.T) {
 func TestCleanCloseRecovers(t *testing.T) {
 	fsys := NewMemFS()
 	env := newScriptEnv(t)
-	db, _ := openAttached(t, fsys, Options{FlushEvery: -1}, func() *replica.Replica { return env.r })
+	db, _ := openAttached(t, fsys, Options{flushEvery: -1}, func() *replica.Replica { return env.r })
 	env.runScript(0, 10)
 	want := mustSnapshot(t, env.r)
 	if err := db.Close(); err != nil {
@@ -211,7 +211,7 @@ func TestTornTailTruncated(t *testing.T) {
 	fsys := NewMemFS()
 	fsys.SetCrashMode(KeepHalfTail)
 	env := newScriptEnv(t)
-	db, _ := openAttached(t, fsys, Options{FlushEvery: -1}, func() *replica.Replica { return env.r })
+	db, _ := openAttached(t, fsys, Options{flushEvery: -1}, func() *replica.Replica { return env.r })
 	env.runScript(0, 6)
 	want := mustSnapshot(t, env.r)
 
@@ -246,7 +246,7 @@ func TestTornTailTruncated(t *testing.T) {
 func TestSegmentCorruptionFailsLoudly(t *testing.T) {
 	fsys := NewMemFS()
 	env := newScriptEnv(t)
-	db, _ := openAttached(t, fsys, Options{FlushEvery: 2}, func() *replica.Replica { return env.r })
+	db, _ := openAttached(t, fsys, Options{flushEvery: 2}, func() *replica.Replica { return env.r })
 	env.runScript(0, 8)
 	if err := db.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -282,7 +282,7 @@ func TestSegmentCorruptionFailsLoudly(t *testing.T) {
 func TestUnreferencedFilesIgnored(t *testing.T) {
 	fsys := NewMemFS()
 	env := newScriptEnv(t)
-	db, _ := openAttached(t, fsys, Options{FlushEvery: -1}, func() *replica.Replica { return env.r })
+	db, _ := openAttached(t, fsys, Options{flushEvery: -1}, func() *replica.Replica { return env.r })
 	env.runScript(0, 6)
 	want := mustSnapshot(t, env.r)
 	if err := db.Close(); err != nil {
@@ -331,7 +331,7 @@ func TestCompactionBoundsSegments(t *testing.T) {
 	fsys := NewMemFS()
 	m := &obs.WALMetrics{}
 	env := newScriptEnv(t)
-	db, _ := openAttached(t, fsys, Options{FlushEvery: 1, Metrics: m}, func() *replica.Replica { return env.r })
+	db, _ := openAttached(t, fsys, Options{flushEvery: 1, Metrics: m}, func() *replica.Replica { return env.r })
 	maxSegs := 0
 	for i := 0; i < scriptSteps; i++ {
 		env.step(i)
@@ -346,7 +346,7 @@ func TestCompactionBoundsSegments(t *testing.T) {
 		t.Fatalf("manifest reached %d segments, want <= %d", maxSegs, 3*(mergeWidth-1))
 	}
 	if m.Compactions.Value() == 0 {
-		t.Fatal("no merges under FlushEvery=1")
+		t.Fatal("no merges under flushEvery=1")
 	}
 	want := mustSnapshot(t, env.r)
 
@@ -372,7 +372,7 @@ func TestOSFSRoundTrip(t *testing.T) {
 		t.Fatalf("osfs: %v", err)
 	}
 	env := newScriptEnv(t)
-	db, _ := openAttached(t, fsys, Options{FlushEvery: 1}, func() *replica.Replica { return env.r })
+	db, _ := openAttached(t, fsys, Options{flushEvery: 1}, func() *replica.Replica { return env.r })
 	env.runScript(0, scriptSteps)
 	want := mustSnapshot(t, env.r)
 	if err := db.Close(); err != nil {
@@ -401,7 +401,7 @@ func TestAppendMetrics(t *testing.T) {
 	fsys := NewMemFS()
 	m := &obs.WALMetrics{}
 	env := newScriptEnv(t)
-	_, _ = openAttached(t, fsys, Options{FlushEvery: 4, Metrics: m}, func() *replica.Replica { return env.r })
+	_, _ = openAttached(t, fsys, Options{flushEvery: 4, Metrics: m}, func() *replica.Replica { return env.r })
 	env.runScript(0, scriptSteps)
 	if m.Records.Value() == 0 || m.Bytes.Value() == 0 {
 		t.Fatalf("no records/bytes counted: %+v", m.Snapshot())

@@ -73,7 +73,7 @@ func (r *Replica) handleSyncRequestReference(req *SyncRequest) *SyncResponse {
 		if batch[i].Priority != batch[j].Priority {
 			return batch[i].Priority.Before(batch[j].Priority)
 		}
-		return lessID(batch[i].Item.ID, batch[j].Item.ID)
+		return batch[i].Item.ID.Compare(batch[j].Item.ID) < 0
 	})
 
 	resp := &SyncResponse{SourceID: r.id, Items: batch}

@@ -81,20 +81,16 @@ type Config struct {
 	// Delivery results are identical to full-knowledge syncs by
 	// construction; only the knowledge-frame bytes change.
 	SyncSummaries bool
-	// SummaryPeerCap bounds the per-peer summary caches: delta frontiers on
-	// the target side and knowledge baselines on the source side. Peer IDs
-	// arrive self-declared over the transport, so unbounded maps would let a
-	// hostile dialer pin a knowledge clone per invented identity; past the
-	// cap the least-recently-used pair is evicted, which only costs that
-	// pair one full-frame or fallback round. 0 selects 1024.
-	SummaryPeerCap int
 }
 
-// defaultSummaryPeerCap is the SummaryPeerCap applied when the config leaves
-// it zero: generous next to any real contact graph (PR 6's fleets average
-// far fewer recurring peers per node) while keeping the worst-case pinned
-// state a few thousand knowledge clones, not one per identity a hostile
-// dialer invents.
+// defaultSummaryPeerCap bounds the per-peer summary caches: delta frontiers
+// on the target side and knowledge baselines on the source side. Peer IDs
+// arrive self-declared over the transport, so unbounded maps would let a
+// hostile dialer pin a knowledge clone per invented identity; past the cap
+// the least-recently-used pair is evicted, which only costs that pair one
+// full-frame or fallback round. 1024 is generous next to any real contact
+// graph (PR 6's fleets average far fewer recurring peers per node) while
+// keeping the worst-case pinned state a few thousand knowledge clones.
 const defaultSummaryPeerCap = 1024
 
 // Stats counts a replica's synchronization activity.
@@ -184,10 +180,6 @@ func New(cfg Config) *Replica {
 	if f == nil {
 		f = filter.NewAddresses(cfg.OwnAddresses...)
 	}
-	peerCap := cfg.SummaryPeerCap
-	if peerCap <= 0 {
-		peerCap = defaultSummaryPeerCap
-	}
 	r := &Replica{
 		id:             cfg.ID,
 		own:            make(map[string]struct{}, len(cfg.OwnAddresses)),
@@ -200,7 +192,7 @@ func New(cfg Config) *Replica {
 		store:          store.NewWithEviction(cfg.RelayCapacity, cfg.Eviction),
 		metrics:        cfg.Metrics,
 		summaries:      cfg.SyncSummaries,
-		peerCap:        peerCap,
+		peerCap:        defaultSummaryPeerCap,
 		epoch:          1,
 		frontiers:      make(map[vclock.ReplicaID]*peerFrontier),
 		peerKnow:       make(map[vclock.ReplicaID]*peerBaseline),

@@ -75,8 +75,9 @@ func (f *deltaFleet) build(i int) {
 	f.spies[i] = &spyPolicy{Policy: p}
 	f.nodes[i] = replica.New(replica.Config{
 		ID: id, OwnAddresses: []string{nodeAddr(i)}, Policy: f.spies[i], Now: clock,
-		SyncSummaries: f.summaries, SummaryPeerCap: 2, Metrics: f.metrics,
+		SyncSummaries: f.summaries, Metrics: f.metrics,
 	})
+	replica.SetSummaryPeerCap(f.nodes[i], 2)
 }
 
 func newDeltaFleet(t *testing.T, policy string, summaries bool, now *int64) *deltaFleet {

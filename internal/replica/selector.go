@@ -56,7 +56,7 @@ func before(pr routing.Priority, id item.ID, b *syncCandidate) bool {
 	if pr != b.priority {
 		return pr.Before(b.priority)
 	}
-	return lessID(id, b.entry.Item.ID)
+	return id.Compare(b.entry.Item.ID) < 0
 }
 
 // offer considers one candidate for the batch, reporting whether it was

@@ -326,14 +326,15 @@ func TestTargetRestartBumpsEpoch(t *testing.T) {
 // at both sides of the summary state. Without the cap every identity pins a
 // knowledge clone (a baseline on the source side, a frontier on the target
 // side), handing a hostile dialer unbounded server memory; with it the maps
-// stay at SummaryPeerCap with least-recently-used pairs evicted, and an
+// stay at the cap with least-recently-used pairs evicted, and an
 // evicted pair degrades to a NeedKnowledge fallback round, never to wrong
 // knowledge.
 func TestSummaryPeerCapBoundsState(t *testing.T) {
 	const limit = 4
 
 	// Source side: tagged full frames under ever-fresh TargetIDs.
-	src := New(Config{ID: "src", OwnAddresses: []string{"addr:src"}, SummaryPeerCap: limit})
+	src := New(Config{ID: "src", OwnAddresses: []string{"addr:src"}})
+	src.peerCap = limit
 	know := vclock.NewKnowledge()
 	know.Add(vclock.Version{Replica: "x", Seq: 1})
 	for i := 0; i < 10*limit; i++ {
@@ -360,8 +361,8 @@ func TestSummaryPeerCapBoundsState(t *testing.T) {
 	}
 
 	// Target side: initiating against ever-fresh peers.
-	tgt := New(Config{ID: "tgt", OwnAddresses: []string{"addr:tgt"},
-		SyncSummaries: true, SummaryPeerCap: limit})
+	tgt := New(Config{ID: "tgt", OwnAddresses: []string{"addr:tgt"}, SyncSummaries: true})
+	tgt.peerCap = limit
 	for i := 0; i < 10*limit; i++ {
 		tgt.MakeSummaryRequest(vclock.ReplicaID(fmt.Sprintf("p%d", i)), 0)
 	}
@@ -379,7 +380,7 @@ func TestSummaryPeerCapBoundsState(t *testing.T) {
 }
 
 // TestEvictedFrontierNeverReusesGenerations: a frontier evicted at
-// SummaryPeerCap used to restart its generations at 1, so when the frame that
+// the summary peer cap used to restart its generations at 1, so when the frame that
 // re-established it was lost, the next delta (gen 2) matched the baseline the
 // peer still held from the evicted frontier's first frame (gen 1) — and was
 // merged onto knowledge older than the one it was diffed against. Here that
@@ -387,7 +388,8 @@ func TestSummaryPeerCapBoundsState(t *testing.T) {
 // duplicate. Generations now restart above every one the epoch has used, so
 // the peer refuses the delta and the pair pays one fallback round instead.
 func TestEvictedFrontierNeverReusesGenerations(t *testing.T) {
-	a := New(Config{ID: "a", OwnAddresses: []string{"addr:a"}, SyncSummaries: true, SummaryPeerCap: 1})
+	a := New(Config{ID: "a", OwnAddresses: []string{"addr:a"}, SyncSummaries: true})
+	a.peerCap = 1
 	b := New(Config{ID: "b", OwnAddresses: []string{"addr:b"}, Policy: epidemic.New(10)})
 	c := New(Config{ID: "c", OwnAddresses: []string{"addr:c"}})
 

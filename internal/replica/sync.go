@@ -532,11 +532,3 @@ func BatchBytes(resp *SyncResponse) int64 {
 	}
 	return total
 }
-
-// lessID orders item IDs deterministically.
-func lessID(a, b item.ID) bool {
-	if a.Creator != b.Creator {
-		return a.Creator < b.Creator
-	}
-	return a.Num < b.Num
-}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"cmp"
-	"strings"
 
 	"replidtn/internal/item"
 	"replidtn/internal/vclock"
@@ -29,12 +28,7 @@ type entryIndex struct {
 type entryOrder func(a, b *Entry) int
 
 // orderByID sorts by item ID, the store's deterministic iteration order.
-func orderByID(a, b *Entry) int {
-	if c := strings.Compare(string(a.Item.ID.Creator), string(b.Item.ID.Creator)); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Item.ID.Num, b.Item.ID.Num)
-}
+func orderByID(a, b *Entry) int { return a.Item.ID.Compare(b.Item.ID) }
 
 // runKey places an entry in its creator's version run: Seq − 1, so Seq 0,
 // which no floor covers (Knowledge.Contains never reports it known), wraps to

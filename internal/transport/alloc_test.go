@@ -63,7 +63,7 @@ func TestResponseFrameAllocatesOnce(t *testing.T) {
 	resp := bulkResponse(t)
 	w := newWireIO(replay(nil), 0)
 	if allocs := testing.AllocsPerRun(20, func() {
-		if err := w.writeResponse(resp); err != nil {
+		if _, err := w.writeResponse(resp); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -75,7 +75,7 @@ func TestResponseFrameAllocatesOnce(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := w.writeResponse(resp)
+	_, err := w.writeResponse(resp)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestOversizedBatchRefusedBeforeEncoding(t *testing.T) {
 	var err error
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = w.writeResponse(resp)
+	_, err = w.writeResponse(resp)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "outgoing frame") {
 		t.Fatalf("a 256 KiB batch under a 64 KiB limit: %v, want the encode-side cap", err)
@@ -171,7 +171,8 @@ func TestBulkPullAllocatesLittle(t *testing.T) {
 	// and two to spare, so neither end misses while the other holds one,
 	// whichever Ps the scheduler runs them on (a P's private slot is
 	// invisible to the others).
-	frame := 5 + wire.SyncResponseSize(bulkResponse(t))
+	bulk := bulkResponse(t)
+	frame := 5 + wire.SyncResponseSize(bulk, replica.BatchBytes(bulk))
 	spare := make([]*frameBuf, runtime.GOMAXPROCS(0)+2)
 	for i := range spare {
 		spare[i] = getFrame(frame)

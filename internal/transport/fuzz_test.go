@@ -245,7 +245,7 @@ func TestServeConnRejectsMalformedFrames(t *testing.T) {
 				if _, err := w.readRequest(); err != nil {
 					t.Fatal(err)
 				}
-				if err := w.writeResponse(tc.resp); err != nil {
+				if _, err := w.writeResponse(tc.resp); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -538,7 +538,7 @@ func TestStrayKnowledgeDemandRefused(t *testing.T) {
 					if _, err := w.readRequest(); err != nil {
 						return
 					}
-					if err := w.writeResponse(&replica.SyncResponse{SourceID: "evil", NeedKnowledge: true}); err != nil {
+					if _, err := w.writeResponse(&replica.SyncResponse{SourceID: "evil", NeedKnowledge: true}); err != nil {
 						return
 					}
 				}

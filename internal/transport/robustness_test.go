@@ -184,7 +184,7 @@ func TestTruncatedBatchAppliesNothing(t *testing.T) {
 		}
 		resp := peer.HandleSyncRequest(req)
 		cc.limit = 20 // the batch frame is cut after 20 bytes
-		if err := w.writeResponse(resp); err != errTruncated {
+		if _, err := w.writeResponse(resp); err != errTruncated {
 			served <- fmt.Errorf("expected truncation, got %v", err)
 			return
 		}

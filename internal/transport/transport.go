@@ -452,15 +452,18 @@ func (w *wireIO) writeRequest(req *replica.SyncRequest) error {
 	return w.writeFrame(f, w.limit)
 }
 
-func (w *wireIO) writeResponse(resp *replica.SyncResponse) error {
-	f, err := w.beginFrame(frameSyncResponse, wire.SyncResponseSize(resp), w.limit)
+// writeResponse writes resp's frame and returns its item-section bytes
+// (replica.BatchBytes), summed once to size the frame and the served leg.
+func (w *wireIO) writeResponse(resp *replica.SyncResponse) (int64, error) {
+	items := replica.BatchBytes(resp)
+	f, err := w.beginFrame(frameSyncResponse, wire.SyncResponseSize(resp, items), w.limit)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if f.b, err = wire.AppendSyncResponse(f.b, resp); err != nil {
-		return err
+		return 0, err
 	}
-	return w.writeFrame(f, w.limit)
+	return items, w.writeFrame(f, w.limit)
 }
 
 func (w *wireIO) writeDone(applied int) error {
@@ -571,34 +574,36 @@ func record(m *obs.TransportMetrics, span obs.SyncSpan, w *wireIO, start time.Ti
 // serveBatch runs one directed synchronization as the source side: read the
 // peer's request, serve it, and — when the replica demands exact knowledge
 // for an unservable summary frame — run the single fallback round before
-// shipping the batch. Both encounter roles serve one leg with it.
-func serveBatch(w *wireIO, r *replica.Replica, maxItems int) (*replica.SyncResponse, error) {
+// shipping the batch. Both encounter roles serve one leg with it. It returns
+// the batch and its item-section bytes.
+func serveBatch(w *wireIO, r *replica.Replica, maxItems int) (*replica.SyncResponse, int64, error) {
 	req, err := w.readRequest()
 	if err != nil {
-		return nil, fmt.Errorf("read sync request: %w", err)
+		return nil, 0, fmt.Errorf("read sync request: %w", err)
 	}
 	clampItems(req, maxItems)
 	resp := r.HandleSyncRequest(req)
 	if resp.NeedKnowledge {
-		if err := w.writeResponse(resp); err != nil {
-			return nil, fmt.Errorf("write knowledge demand: %w", err)
+		if _, err := w.writeResponse(resp); err != nil {
+			return nil, 0, fmt.Errorf("write knowledge demand: %w", err)
 		}
 		retry, err := w.readRequest()
 		if err != nil {
-			return nil, fmt.Errorf("read fallback request: %w", err)
+			return nil, 0, fmt.Errorf("read fallback request: %w", err)
 		}
 		if retry.Knowledge == nil {
 			// One fallback round, maximum: the retry must be exact. A peer
 			// looping summary frames would otherwise pin this handler.
-			return nil, &validationError{errors.New("fallback request without exact knowledge")}
+			return nil, 0, &validationError{errors.New("fallback request without exact knowledge")}
 		}
 		clampItems(retry, maxItems)
 		resp = r.HandleSyncRequest(retry)
 	}
-	if err := w.writeResponse(resp); err != nil {
-		return nil, fmt.Errorf("write sync response: %w", err)
+	items, err := w.writeResponse(resp)
+	if err != nil {
+		return nil, 0, fmt.Errorf("write sync response: %w", err)
 	}
-	return resp, nil
+	return resp, items, nil
 }
 
 // clampItems applies the local per-batch bound to a decoded request.
@@ -665,7 +670,7 @@ func (s *Server) serveEncounter(w *wireIO, first bool) (err error) {
 	}
 
 	// Leg 1: we are the source; the dialer pulls from us.
-	resp, err := serveBatch(w, s.replica, s.maxItems)
+	resp, _, err := serveBatch(w, s.replica, s.maxItems)
 	if err != nil {
 		return fmt.Errorf("transport: %w", err)
 	}
@@ -792,13 +797,13 @@ func (d *Dialer) Encounter(r *replica.Replica, addr string, maxItems int, timeou
 	span.ItemsApplied = out.BtoA.Apply.Stored + out.BtoA.Apply.Relayed + out.BtoA.Apply.Tombstones
 
 	// Leg 2: serve the listener's pull.
-	resp, err := serveBatch(w, r, maxItems)
+	resp, sentBytes, err := serveBatch(w, r, maxItems)
 	if err != nil {
 		return out, fmt.Errorf("transport: %w", err)
 	}
 	span.ItemsSent = len(resp.Items)
 	out.AtoB.Sent = len(resp.Items)
-	out.AtoB.SentBytes = replica.BatchBytes(resp)
+	out.AtoB.SentBytes = sentBytes
 	out.AtoB.Truncated = resp.Truncated
 	if err := w.readDone(); err != nil {
 		return out, fmt.Errorf("transport: read done: %w", err)

@@ -39,7 +39,7 @@ func TestSizeAllocs(t *testing.T) {
 			}
 		}},
 		{"SyncResponseSize", func() {
-			if SyncResponseSize(resp) == 0 {
+			if SyncResponseSize(resp, replica.BatchBytes(resp)) == 0 {
 				t.Fatal("SyncResponseSize returned 0")
 			}
 		}},

@@ -60,7 +60,7 @@ func benchCodec(b *testing.B, prefix string, resp *replica.SyncResponse, fresh b
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if fresh {
-				buf = make([]byte, 0, SyncResponseSize(resp))
+				buf = make([]byte, 0, SyncResponseSize(resp, replica.BatchBytes(resp)))
 			}
 			buf, err = AppendSyncResponse(buf[:0], resp)
 			if err != nil {

@@ -266,8 +266,9 @@ func FuzzWireDecode(f *testing.F) {
 		refuzz(t, "sync response", data,
 			func(b []byte) (any, error) { return DecodeSyncResponse(b) },
 			func(v any) ([]byte, error) {
-				enc, err := AppendSyncResponse(nil, v.(*replica.SyncResponse))
-				return sized(enc, err, SyncResponseSize(v.(*replica.SyncResponse)))
+				resp := v.(*replica.SyncResponse)
+				enc, err := AppendSyncResponse(nil, resp)
+				return sized(enc, err, SyncResponseSize(resp, replica.BatchBytes(resp)))
 			})
 		refuzz(t, "done", data,
 			func(b []byte) (any, error) { return DecodeDone(b) },

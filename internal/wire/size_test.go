@@ -98,7 +98,7 @@ func TestSyncResponseSizeCoversEncoding(t *testing.T) {
 			t.Errorf("seed %d: %v", seed, err)
 			return false
 		}
-		if got := SyncResponseSize(resp); got != len(enc) {
+		if got := SyncResponseSize(resp, replica.BatchBytes(resp)); got != len(enc) {
 			t.Errorf("seed %d: size pass says %d, encoding is %d bytes", seed, got, len(enc))
 			return false
 		}

@@ -410,16 +410,11 @@ func AppendSyncResponse(buf []byte, resp *replica.SyncResponse) ([]byte, error) 
 
 // SyncResponseSize returns the length of the body AppendSyncResponse writes
 // for resp, without encoding it: the payloads are not touched, the learned
-// knowledge's size is memoized.
-func SyncResponseSize(resp *replica.SyncResponse) int {
-	n := 1 + prim.SizeString(string(resp.SourceID)) + prim.SizeUvarint(uint64(len(resp.Items)))
-	for i := range resp.Items {
-		bi := &resp.Items[i]
-		if bi.Item == nil {
-			continue // AppendSyncResponse refuses the batch
-		}
-		n += itemcodec.BatchItemSize(bi.Item, bi.Transient, int64(bi.Priority.Class))
-	}
+// knowledge's size is memoized. items must be replica.BatchBytes(resp), the
+// item section less its count, which the caller takes once and may report
+// too (the transport's served leg does).
+func SyncResponseSize(resp *replica.SyncResponse, items int64) int {
+	n := 1 + prim.SizeString(string(resp.SourceID)) + prim.SizeUvarint(uint64(len(resp.Items))) + int(items)
 	return n + 2 + sizeKnowledgeFrame(resp.LearnedKnowledge, nil)
 }
 
