@@ -92,7 +92,9 @@ cover:
 ## fuzz-smoke runs each native fuzz target briefly against the
 ## parse-hostile surfaces — the transport's frame stream, the frame bodies
 ## and routing deltas (internal/wire), the vclock knowledge codec, the WAL's
-## crash-recovery readers, and discovery beacons — complementing the static dtnlint pass with
+## crash-recovery readers, and discovery beacons — and against the serve,
+## whose batches and stores an op sequence of puts, updates, deletes, serves
+## and restores holds to its reference, complementing the static dtnlint pass with
 ## dynamic checking. Seed corpora live under each package's testdata/fuzz
 ## (regenerate with `go test -tags corpusgen -run WriteFuzzCorpus`; for the
 ## WAL, `WAL_GEN_CORPUS=1 go test -run TestGenerateFuzzCorpus
@@ -107,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoutingDeltaDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/persist/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzBeaconDecode$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/discovery/
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleSyncRequest$$' -fuzztime $(FUZZ_SMOKE_TIME) ./internal/replica/
 
 ## bench runs the hot-path microbenchmarks (store mutation, sync batch
 ## assembly, whole emulation runs, one MaxProp-served sync, one routing-state

@@ -66,9 +66,9 @@ func TestServeCounts(t *testing.T) {
 
 // TestBoundedDecisionCounts pins how many forwarding decisions Fig. 9's
 // MaxProp run asks for on the small trace. A wrapper counts ToSend calls and
-// forwards routing.Bounded, so a budgeted serve prices no candidate the full
+// forwards routing.Planner, so a budgeted serve prices no candidate the full
 // batch would turn away at its hop-class bound; a second run goes through a
-// wrapper that hides Bound, so every candidate is priced. The two runs must
+// wrapper that hides the plan, so every candidate is priced. The two runs must
 // move the same items and deliver the same messages at the same times.
 func TestBoundedDecisionCounts(t *testing.T) {
 	tr, err := SmallTrace(1)
@@ -108,10 +108,10 @@ func TestBoundedDecisionCounts(t *testing.T) {
 
 // TestDestinationDecisionCounts pins how many forwarding decisions Fig. 9's
 // PROPHET run asks for on the small trace. A wrapper counts ToSend calls and
-// forwards routing.ByDestination, so once a budget is smaller than a store
+// forwards routing.Planner, so once a budget is smaller than a store
 // its serves walk the destinations PROPHET forwards to, at their prices, and
 // ask ToSend about no entry filed under one; a second run goes through a
-// wrapper that hides Destinations, so every candidate is priced. The two
+// wrapper that hides the plan, so every candidate is priced. The two
 // runs must move the same items and deliver the same messages at the same
 // times.
 func TestDestinationDecisionCounts(t *testing.T) {
@@ -152,7 +152,7 @@ func TestDestinationDecisionCounts(t *testing.T) {
 
 type pricedPolicy struct {
 	countingPolicy
-	routing.ByDestination
+	routing.Planner
 }
 
 type countingPolicy struct {
@@ -167,5 +167,5 @@ func (c countingPolicy) ToSend(e *store.Entry, t routing.Target) (routing.Priori
 
 type boundedPolicy struct {
 	countingPolicy
-	routing.Bounded
+	routing.Planner
 }

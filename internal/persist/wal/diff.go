@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
-	"sort"
+	"slices"
 
 	"replidtn/internal/item"
 	"replidtn/internal/replica"
@@ -13,67 +13,66 @@ import (
 )
 
 // DiffSnapshots reports the first semantic difference between two replica
-// snapshots, or "" when they are equivalent. It exists for the recovery
-// test suites (the crash-point matrix and the hard-crash differential
-// against the live replica's own snapshot) and dtnbench's reopen check:
-// reflect.DeepEqual over-distinguishes nil from empty slices, so equality
-// is field-wise: entries as a set keyed by item ID, knowledge semantically,
-// address lists as sorted sets.
+// snapshots, naming the field, or "" when they are equivalent. It exists for
+// the recovery test suites (the crash-point matrix and the hard-crash
+// differential against the live replica's own snapshot) and dtnbench's
+// reopen check. It walks every field of replica.Snapshot, so a field added
+// later is compared too: with reflect.DeepEqual, unless snapshotFieldDiffs
+// compares it by meaning — DeepEqual over-distinguishes nil from empty.
 func DiffSnapshots(a, b *replica.Snapshot) string {
-	if a.ID != b.ID {
-		return fmt.Sprintf("ID %q vs %q", a.ID, b.ID)
-	}
-	if a.Seq != b.Seq {
-		return fmt.Sprintf("Seq %d vs %d", a.Seq, b.Seq)
-	}
-	if a.NextArrival != b.NextArrival {
-		return fmt.Sprintf("NextArrival %d vs %d", a.NextArrival, b.NextArrival)
-	}
-	if a.Epoch != b.Epoch {
-		return fmt.Sprintf("Epoch %d vs %d", a.Epoch, b.Epoch)
-	}
-	if !sameStrings(a.OwnAddresses, b.OwnAddresses) {
-		return fmt.Sprintf("OwnAddresses %v vs %v", a.OwnAddresses, b.OwnAddresses)
-	}
-	if !sameStrings(a.FilterAddresses, b.FilterAddresses) {
-		return fmt.Sprintf("FilterAddresses %v vs %v", a.FilterAddresses, b.FilterAddresses)
-	}
-	ka, err := knowledgeOf(a.Knowledge)
-	if err != nil {
-		return fmt.Sprintf("left knowledge: %v", err)
-	}
-	kb, err := knowledgeOf(b.Knowledge)
-	if err != nil {
-		return fmt.Sprintf("right knowledge: %v", err)
-	}
-	if !ka.Equal(kb) {
-		return fmt.Sprintf("Knowledge %s vs %s", ka, kb)
-	}
-	if len(a.PolicyState) != len(b.PolicyState) || string(a.PolicyState) != string(b.PolicyState) {
-		return fmt.Sprintf("PolicyState %d bytes vs %d bytes", len(a.PolicyState), len(b.PolicyState))
-	}
-	ea, eb := entryMap(a.Entries), entryMap(b.Entries)
-	if len(ea) != len(eb) {
-		return fmt.Sprintf("entry count %d vs %d", len(ea), len(eb))
-	}
-	for id, x := range ea {
-		y, ok := eb[id]
-		if !ok {
-			return fmt.Sprintf("entry %s missing on one side", id)
-		}
-		if d := diffEntries(x, y); d != "" {
-			return fmt.Sprintf("entry %s: %s", id, d)
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := range va.NumField() {
+		name := va.Type().Field(i).Name
+		if diff, ok := snapshotFieldDiffs[name]; ok {
+			if d := diff(a, b); d != "" {
+				return name + " " + d
+			}
+		} else if x, y := va.Field(i).Interface(), vb.Field(i).Interface(); !reflect.DeepEqual(x, y) {
+			return fmt.Sprintf("%s %v vs %v", name, x, y)
 		}
 	}
 	return ""
 }
 
-func knowledgeOf(b []byte) (*vclock.Knowledge, error) {
-	k := vclock.NewKnowledge()
-	if err := k.UnmarshalBinary(b); err != nil {
-		return nil, err
-	}
-	return k, nil
+// snapshotFieldDiffs compares the fields DiffSnapshots does not leave to
+// reflect.DeepEqual: knowledge semantically, entries as a set keyed by item
+// ID, address lists as sets and the policy state byte for byte, nil and
+// empty alike.
+var snapshotFieldDiffs = map[string]func(a, b *replica.Snapshot) string{
+	"Knowledge": func(a, b *replica.Snapshot) string {
+		ka, kb := vclock.NewKnowledge(), vclock.NewKnowledge()
+		if errA, errB := ka.UnmarshalBinary(a.Knowledge), kb.UnmarshalBinary(b.Knowledge); errA != nil || errB != nil {
+			return fmt.Sprintf("undecodable: %v; %v", errA, errB)
+		}
+		if !ka.Equal(kb) {
+			return fmt.Sprintf("%s vs %s", ka, kb)
+		}
+		return ""
+	},
+	"Entries": func(a, b *replica.Snapshot) string {
+		ea, eb := entryMap(a.Entries), entryMap(b.Entries)
+		if len(ea) != len(eb) {
+			return fmt.Sprintf("count %d vs %d", len(ea), len(eb))
+		}
+		for id, x := range ea {
+			y, ok := eb[id]
+			if !ok {
+				return fmt.Sprintf("%s missing on one side", id)
+			}
+			if d := diffEntries(x, y); d != "" {
+				return fmt.Sprintf("%s: %s", id, d)
+			}
+		}
+		return ""
+	},
+	"OwnAddresses":    func(a, b *replica.Snapshot) string { return diffStrings(a.OwnAddresses, b.OwnAddresses) },
+	"FilterAddresses": func(a, b *replica.Snapshot) string { return diffStrings(a.FilterAddresses, b.FilterAddresses) },
+	"PolicyState": func(a, b *replica.Snapshot) string {
+		if string(a.PolicyState) != string(b.PolicyState) {
+			return fmt.Sprintf("%d bytes vs %d bytes", len(a.PolicyState), len(b.PolicyState))
+		}
+		return ""
+	},
 }
 
 func entryMap(entries []store.EntrySnapshot) map[item.ID]store.EntrySnapshot {
@@ -122,19 +121,13 @@ func normalizeMeta(m item.Metadata) item.Metadata {
 	return m
 }
 
-// sameStrings compares string slices as sets, treating nil and empty alike.
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// diffStrings compares string slices as sets, treating nil and empty alike.
+func diffStrings(a, b []string) string {
+	as, bs := slices.Clone(a), slices.Clone(b)
+	slices.Sort(as)
+	slices.Sort(bs)
+	if !slices.Equal(as, bs) {
+		return fmt.Sprintf("%v vs %v", a, b)
 	}
-	as := append([]string(nil), a...)
-	bs := append([]string(nil), b...)
-	sort.Strings(as)
-	sort.Strings(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
+	return ""
 }

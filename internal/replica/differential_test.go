@@ -655,7 +655,7 @@ func learnedProphet(rng *rand.Rand, now *int64) (src, tgt *prophet.Policy) {
 }
 
 // TestHandleSyncRequestDifferentialPriced pins the priced walk
-// (routing.ByDestination) to the reference on PROPHET sources whose routing
+// (routing.Planner) to the reference on PROPHET sources whose routing
 // state was learned in random encounters with the target: for every filter
 // of diffFilters, on worlds of originals and on worlds of updates,
 // tombstones and seq-0 versions, each world is served twice without a
@@ -676,7 +676,7 @@ func TestHandleSyncRequestDifferentialPriced(t *testing.T) {
 				all.MaxItems = 0
 				ref := src.handleSyncRequestReference(&all).Items
 				target := routing.Target{ID: req.TargetID, Filter: req.Filter}
-				priced := walkOrder(src.byDest.Destinations(nil, target), req.Filter)
+				priced := walkOrder(src.policy.(*prophet.Policy).Plan(nil, target), req.Filter)
 				budgets := []int{0} // no budget
 				for _, b := range []int{1, 2, len(ref) / 2, len(ref) - 1, len(ref), len(ref) + 1} {
 					if b > 0 {
@@ -697,7 +697,7 @@ func TestHandleSyncRequestDifferentialPriced(t *testing.T) {
 								continue
 							}
 							sent = true
-							if newSrc.pricing && pricedDests(bi.Item.Meta.Destinations, priced) > 1 {
+							if newSrc.planned && pricedDests(bi.Item.Meta.Destinations, priced) > 1 {
 								multi++
 							}
 						}
@@ -722,23 +722,23 @@ func TestHandleSyncRequestDifferentialPriced(t *testing.T) {
 // walkOrder is the order a serve for filter f walks priced destinations in:
 // best first, ties in address order, without an address filter's own; a
 // filter other than an address set is served without them.
-func walkOrder(priced []routing.Priced, f filter.Filter) []routing.Priced {
+func walkOrder(priced []routing.Segment, f filter.Filter) []routing.Segment {
 	af, lookup := f.(*filter.Addresses)
 	if !lookup && f != nil {
 		return nil
 	}
 	sort.SliceStable(priced, func(i, j int) bool { return priced[i].Priority.Before(priced[j].Priority) })
 	if lookup {
-		priced = slices.DeleteFunc(priced, func(p routing.Priced) bool { return af.Contains(p.To) })
+		priced = slices.DeleteFunc(priced, func(p routing.Segment) bool { return af.Contains(p.To) })
 	}
 	return priced
 }
 
 // pricedDests counts the distinct destinations of dests that are priced.
-func pricedDests(dests []string, priced []routing.Priced) int {
+func pricedDests(dests []string, priced []routing.Segment) int {
 	n := 0
 	for i, d := range dests {
-		if !slices.Contains(dests[:i], d) && slices.ContainsFunc(priced, func(p routing.Priced) bool { return p.To == d }) {
+		if !slices.Contains(dests[:i], d) && slices.ContainsFunc(priced, func(p routing.Segment) bool { return p.To == d }) {
 			n++
 		}
 	}
@@ -751,11 +751,11 @@ func pricedDests(dests []string, priced []routing.Priced) int {
 // limit candidates come first — the filter's matches, and the entries
 // priced under an earlier destination — and the limit-th of them transmits
 // before any entry priced at i could.
-func breaks(ref []BatchItem, priced []routing.Priced, limit int) bool {
+func breaks(ref []BatchItem, priced []routing.Segment, limit int) bool {
 	first := func(it *item.Item) int {
 		i := len(priced)
 		for _, d := range it.Meta.Destinations {
-			if j := slices.IndexFunc(priced, func(p routing.Priced) bool { return p.To == d }); j >= 0 && j < i {
+			if j := slices.IndexFunc(priced, func(p routing.Segment) bool { return p.To == d }); j >= 0 && j < i {
 				i = j
 			}
 		}
@@ -776,11 +776,11 @@ func breaks(ref []BatchItem, priced []routing.Priced, limit int) bool {
 }
 
 // countToSend wraps a policy, counting its ToSend calls in *calls; with
-// bounded it forwards the policy's routing.Bounded too, without it hides it.
+// bounded it forwards the policy's routing.Planner too, without it hides it.
 func countToSend(calls *int, bounded bool) func(routing.Policy) routing.Policy {
 	return func(p routing.Policy) routing.Policy {
 		c := countingPolicy{p, calls}
-		if b, ok := p.(routing.Bounded); ok && bounded {
+		if b, ok := p.(routing.Planner); ok && bounded {
 			return boundedPolicy{c, b}
 		}
 		return c
@@ -799,11 +799,11 @@ func (c countingPolicy) ToSend(e *store.Entry, t routing.Target) (routing.Priori
 
 type boundedPolicy struct {
 	countingPolicy
-	routing.Bounded
+	routing.Planner
 }
 
 // TestHandleSyncRequestDifferentialBound pins the bounded serve
-// (routing.Bounded) to the reference on MaxProp sources whose routing state
+// (routing.Segment.Bound) to the reference on MaxProp sources whose routing state
 // was learned in random encounters and whose relayed copies have hop counts
 // on both sides of the threshold, so candidates are priced by hop class,
 // by a path and at +Inf. For address filters and no filter, each world is

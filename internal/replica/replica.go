@@ -140,17 +140,12 @@ type Replica struct {
 	store   *store.Store
 	stats   Stats
 	metrics *obs.ReplicaMetrics
-	// skipped is the serve walks' reused buffer of withheld entries.
+	// skipped and plan are the serve's reused buffers of withheld entries
+	// and of its plan (DESIGN §4); planned is set by the first serve whose
+	// budget is smaller than the store, which files it for the policy's plan.
 	skipped []*store.Entry
-	fixed   routing.Priority // the policy's routing.FixedPriority, else Skip
-	bounded routing.Bounded  // the policy, when it implements routing.Bounded
-	dual    bool             // the store files live entries by destination too
-	// byDest is the policy, when it implements routing.ByDestination; once
-	// pricing, the store files live entries under their destinations alone
-	// and priced is the serve walks' reused buffer of what it lists.
-	byDest  routing.ByDestination
-	pricing bool
-	priced  []routing.Priced
+	plan    []routing.Segment
+	planned bool
 
 	// Mutation journal (see journal.go): journal receives batches, pending
 	// accumulates under mu, emitMu serializes emission so delivery order
@@ -205,14 +200,7 @@ func New(cfg Config) *Replica {
 		r.store.DestinationOnly(func(*store.Entry) bool { return true })
 	case routing.DestinationOnly:
 		r.store.DestinationOnly(p.DestinationOnly)
-	case routing.ByDestination:
-		r.byDest = p
-		r.store.DestinationOnly(func(*store.Entry) bool { return r.pricing })
 	}
-	if fp, ok := cfg.Policy.(routing.FixedPriority); ok {
-		r.fixed = fp.FixedPriority()
-	}
-	r.bounded, _ = cfg.Policy.(routing.Bounded)
 	if cfg.OnCopies != nil {
 		r.store.LiveNotify(cfg.OnCopies)
 	}

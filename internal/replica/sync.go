@@ -174,12 +174,8 @@ func selectorLimit(req *SyncRequest) int {
 // per-creator version runs — never visiting what the target's base vector
 // covers, skipping known exceptions and expired versions inline — and keeps
 // only the top-K batch under the request's budgets in a bounded priority
-// heap. Entries only a filter match can send are walked, above the same
-// floors, in their destinations' runs: an address filter's own, first, or
-// all; so are, once a budget is smaller than the store, the entries of a
-// policy that prices destinations (routing.ByDestination), in the runs of
-// those it forwards to, best first. Under a budget a walk stops once its
-// batch is decided (DESIGN §4).
+// heap. It walks the runs in the order of its plan (planLocked), and
+// under a budget stops once its batch is decided (DESIGN §4).
 // Tombstones and filter-matched items keep their priority-class ordering;
 // the full batch is materialized and sorted only when the request carries
 // no budget at all. The emitted batch is identical, item for item,
@@ -203,57 +199,40 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 
 	limit := selectorLimit(req)
 	sel := batchSelector{limit: limit, room: min(limit, r.store.Len())}
-	if limit > 0 && r.store.Len() > limit { // so that this walk and later ones can stop
-		switch {
-		case r.fixed != routing.Skip && !r.dual:
-			r.dual = true
-			r.store.AlsoByDestination()
-		case r.byDest != nil && !r.pricing:
-			r.pricing = true // and what the store holds moves under its destinations
-			r.store.Range(func(e *store.Entry) bool { r.store.Refile(e); return true })
-		}
-	}
-	// The walks yield versions above the target's base vector, one creator
-	// run at a time; view is that creator's share of know, loaded with the
-	// run's floor. pri is what every candidate of an ordered run of this walk
-	// gets, Skip if none stops: the first the heap turns away ends the run,
-	// and then a run it cannot enter is passed over whole (DESIGN §4).
-	// at is the index in r.priced of the destination whose runs are walked,
-	// at its price, or -1.
+	r.planLocked(target, limit)
+	// One loop walks the plan's segments, each one creator run at a time
+	// above the target's base vector; view is that creator's share of know,
+	// loaded with the run's floor. In an ordered run of a segment at a fixed
+	// price the first candidate the heap turns away ends the run, and then a
+	// run it cannot enter is passed over whole, as is a destination's.
 	var view vclock.CreatorView
-	pri, stop, pre, at := routing.Skip, false, false, -1
+	var seg *routing.Segment
+	i, stop := 0, false
 	floor := func(c vclock.ReplicaID, ordered bool) uint64 {
 		view = know.View(c)
-		stop = limit > 0 && ordered && pri != routing.Skip
-		if stop && sel.total > limit && !sel.admits(pri, item.ID{Creator: c, Num: view.Base + 1}) {
+		stop = limit > 0 && ordered && seg.Priority != routing.Skip
+		if stop && sel.total > limit && !sel.admits(seg.Priority, item.ID{Creator: c, Num: view.Base + 1}) {
 			return ^uint64(0) // covers every seq of an ordered run
 		}
 		return view.Base
 	}
 	visit := func(e *store.Entry) bool {
-		if view.HasException(e.Item.Version.Seq) {
+		if view.HasException(e.Item.Version.Seq) || e.UnderDestinations() && r.filedBefore(e, i) {
 			return true
 		}
 		if !e.Item.Deleted && r.expiredLocked(&e.Item.Meta) {
 			// Dead messages are not worth encounter bandwidth.
 			return true
 		}
-		c := syncCandidate{entry: e, priority: routing.Priority{Class: routing.ClassFilter}}
+		c := syncCandidate{entry: e, priority: seg.Priority}
 		switch {
-		case e.Item.Deleted:
+		case seg.Runs == routing.DestRuns:
+		case e.Item.Deleted, req.Filter != nil && req.Filter.Match(e.Item):
 			// Tombstones always travel: they clear forwarders' copies and
 			// immunize the target against stale live versions.
-		case req.Filter != nil && req.Filter.Match(e.Item):
-			if pre {
-				return true // offered from its destinations' runs
-			}
-		case at >= 0:
-			if len(e.Item.Meta.Destinations) > 1 && r.pricedBefore(e, at) {
-				return true // offered under an earlier destination, at its price
-			}
-			c.priority = pri
+			c.priority = routing.Priority{Class: routing.ClassFilter}
 		case r.policy != nil:
-			if limit > 0 && r.bounded != nil && !sel.admits(r.bounded.Bound(e), e.Item.ID) {
+			if limit > 0 && seg.Bound != nil && !sel.admits(seg.Bound(e), e.Item.ID) {
 				sel.total++ // a candidate the full batch turns away, unpriced
 				return !stop
 			}
@@ -269,51 +248,18 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 		return sel.offer(c) || !stop
 	}
 	var examined int
-	f, lookup := req.Filter.(*filter.Addresses)
-	switch {
-	case lookup:
-		// Offer an entry under the first of its destinations f contains.
-		var to string
-		first := func(e *store.Entry) bool {
-			for _, d := range e.Item.Meta.Destinations {
-				if f.Contains(d) {
-					return d != to || visit(e)
-				}
+	for i = range r.plan {
+		switch seg = &r.plan[i]; seg.Runs {
+		case routing.MainRuns:
+			examined += r.store.RangeAbove(floor, visit)
+		case routing.AllDestRuns:
+			examined += r.store.RangeAboveDestinations(floor, visit)
+		default:
+			if sel.total <= limit || sel.admits(seg.Priority, item.ID{}) {
+				examined += r.store.RangeAboveTo(seg.To, floor, visit)
 			}
-			return true
 		}
-		pri = routing.Priority{Class: routing.ClassFilter}
-		f.Each(func(a string) {
-			to = a
-			examined += r.store.RangeAboveTo(a, floor, first)
-		})
-	case req.Filter != nil:
-		examined = r.store.RangeAboveDestinations(floor, visit)
 	}
-	if r.pricing && (lookup || req.Filter == nil) {
-		// The destinations the policy forwards to, best first, each at its
-		// price, until the full batch turns one away whatever its ID.
-		r.priced = r.byDest.Destinations(r.priced[:0], target)
-		slices.SortStableFunc(r.priced, func(a, b routing.Priced) int {
-			return cmp.Or(cmp.Compare(b.Priority.Class, a.Priority.Class), cmp.Compare(a.Priority.Cost, b.Priority.Cost))
-		})
-		pre = true
-		for i, d := range r.priced {
-			if lookup && f.Contains(d.To) {
-				continue // walked at ClassFilter above
-			}
-			if sel.total > limit && !sel.admits(d.Priority, item.ID{}) {
-				break
-			}
-			pri, at = d.Priority, i
-			examined += r.store.RangeAboveTo(d.To, floor, visit)
-		}
-		at = -1
-	}
-	if lookup || req.Filter == nil { // nothing else filed under a destination alone is offered
-		pri, pre = r.fixed, r.dual
-	}
-	examined += r.store.RangeAbove(floor, visit)
 	// Refile, after the walks, what they withheld for good (a spent copy).
 	for i, e := range r.skipped {
 		r.store.Refile(e)
@@ -365,17 +311,53 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	return resp
 }
 
-// pricedBefore reports whether one of e's destinations comes before
-// r.priced[i] in the walk, which offered e under it at its price.
-func (r *Replica) pricedBefore(e *store.Entry, i int) bool {
-	for _, d := range e.Item.Meta.Destinations {
-		for _, p := range r.priced[:i] {
-			if p.To == d {
-				return true
-			}
-		}
+// planLocked builds the serve's plan in r.plan (DESIGN §4): the target's
+// address runs at the filter class, or under another filter every
+// destination's runs; once the store is filed for it, the policy's other
+// destinations, best first; the main runs, at the policy's price. The first
+// serve whose budget is smaller than the store files it. Under a filter that
+// is not an address set a match may sit in any run: only the bound is kept.
+func (r *Replica) planLocked(t routing.Target, limit int) {
+	r.plan = r.plan[:0]
+	f, lookup := t.Filter.(*filter.Addresses)
+	if lookup {
+		f.Each(func(a string) {
+			r.plan = append(r.plan, routing.Segment{Runs: routing.DestRuns, To: a, Priority: routing.Priority{Class: routing.ClassFilter}})
+		})
+	} else if t.Filter != nil {
+		r.plan = append(r.plan, routing.Segment{Runs: routing.AllDestRuns})
 	}
-	return false
+	n, main := len(r.plan), routing.Segment{}
+	if p, ok := r.policy.(routing.Planner); ok && (r.planned || limit > 0 && r.store.Len() > limit) {
+		r.plan = p.Plan(r.plan, t)
+		walksMain := len(r.plan) > n && r.plan[len(r.plan)-1].Runs == routing.MainRuns
+		if walksMain {
+			main, r.plan = r.plan[len(r.plan)-1], r.plan[:len(r.plan)-1]
+		}
+		if !r.planned && (!walksMain || main.Priority != routing.Skip) {
+			r.store.FileUnderDestinations(!walksMain)
+		}
+		r.planned = true
+		if lookup { // without the target's own addresses, walked already
+			r.plan = r.plan[:n+len(slices.DeleteFunc(r.plan[n:], func(s routing.Segment) bool { return f.Contains(s.To) }))]
+		} else if t.Filter != nil {
+			r.plan, main.Priority = r.plan[:n], routing.Skip
+		}
+		slices.SortStableFunc(r.plan[n:], func(a, b routing.Segment) int {
+			return cmp.Or(cmp.Compare(b.Priority.Class, a.Priority.Class), cmp.Compare(a.Priority.Cost, b.Priority.Cost))
+		})
+	}
+	r.plan = append(r.plan, main)
+}
+
+// filedBefore reports whether a segment of the plan before the i-th walks a
+// destination's runs that file e, which is filed under its destinations: e
+// was offered there, or turned away at no worse a price. The plan names a
+// destination once, so its own runs file its entries of one destination first.
+func (r *Replica) filedBefore(e *store.Entry, i int) bool {
+	dests := e.Item.Meta.Destinations
+	return (r.plan[i].Runs != routing.DestRuns || len(dests) > 1) &&
+		slices.ContainsFunc(r.plan[:i], func(s routing.Segment) bool { return s.Runs == routing.DestRuns && slices.Contains(dests, s.To) })
 }
 
 // transmitTransient builds the host-specific metadata accompanying a

@@ -23,7 +23,7 @@ func TestDecideAllocs(t *testing.T) {
 	p := New(10)
 	for _, e := range []*store.Entry{entryWithTTL(4, true), entryWithTTL(0, false)} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if pr, _ := p.ToSend(e, routing.Target{}); pr != p.FixedPriority() || p.DestinationOnly(e) {
+			if pr, _ := p.ToSend(e, routing.Target{}); pr != forward.Priority || p.DestinationOnly(e) {
 				t.Fatal("a live copy was skipped")
 			}
 		})

@@ -53,11 +53,16 @@ func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, ite
 	}
 	out := e.Transient
 	out.Set(item.FieldTTL, ttl-1)
-	return p.FixedPriority(), out
+	return forward.Priority, out
 }
 
-// FixedPriority implements routing.FixedPriority.
-func (*Policy) FixedPriority() routing.Priority { return routing.Priority{Class: routing.ClassNormal} }
+// forward is Epidemic's plan: the main runs, every copy at one price.
+var forward = routing.Segment{Priority: routing.Priority{Class: routing.ClassNormal}}
+
+// Plan implements routing.Planner.
+func (*Policy) Plan(dst []routing.Segment, _ routing.Target) []routing.Segment {
+	return append(dst, forward)
+}
 
 // DestinationOnly implements routing.DestinationOnly: a spent TTL waits.
 func (p *Policy) DestinationOnly(e *store.Entry) bool { return p.ttl(e) <= 0 }

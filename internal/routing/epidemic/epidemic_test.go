@@ -42,8 +42,8 @@ func TestToSendReadsMissingTTLAsInitial(t *testing.T) {
 	p := New(10)
 	e := entryWithTTL(0, false)
 	pr, tr := p.ToSend(e, routing.Target{})
-	if pr != p.FixedPriority() {
-		t.Fatalf("fresh item sent at %+v, want the fixed priority %+v", pr, p.FixedPriority())
+	if want := p.Plan(nil, routing.Target{})[0].Priority; pr != want {
+		t.Fatalf("fresh item sent at %+v, want the plan's fixed priority %+v", pr, want)
 	}
 	if e.Transient != (item.Transient{}) {
 		t.Errorf("stored transient written: %v", e.Transient.Map())

@@ -79,7 +79,8 @@ type Policy struct {
 	// search heap pq keep their memory across builds.
 	dist   map[vclock.ReplicaID]float64
 	pq     costHeap
-	builds int // trees built, read by tests
+	builds int             // trees built, read by tests
+	plan   routing.Segment // every serve's: the main runs, under bound
 }
 
 // New creates a MaxProp policy for the given replica. hopThreshold <= 0
@@ -89,13 +90,15 @@ func New(self vclock.ReplicaID, hopThreshold int, now func() int64, ownAddresses
 	if hopThreshold <= 0 {
 		hopThreshold = DefaultHopThreshold
 	}
-	return &Policy{
+	p := &Policy{
 		self:         self,
 		hopThreshold: hopThreshold,
 		now:          now,
 		ownAddresses: append([]string(nil), ownAddresses...),
 		dist:         make(map[vclock.ReplicaID]float64),
 	}
+	p.plan = routing.Segment{Bound: p.bound}
+	return p
 }
 
 // Name implements routing.Policy.
@@ -141,7 +144,7 @@ func (p *Policy) GenerateReq() routing.Request {
 // ProcessReq implements routing.Policy: count the encounter (incrementing the
 // partner's meeting weight and re-normalizing, per the protocol), then merge
 // the partner's table rows and address homes freshest-first. Fires once per
-// encounter per node because each encounter syncs once in each direction.
+// sync that runs (see routing.Policy).
 func (p *Policy) ProcessReq(from vclock.ReplicaID, req routing.Request) {
 	r, ok := req.(*Request)
 	if !ok || r == nil {
@@ -184,10 +187,14 @@ func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, ite
 	return routing.Priority{Class: routing.ClassNormal, Cost: cost}, item.Transient{}
 }
 
-// Bound implements routing.Bounded with the hop class: a copy under the hop
-// threshold gets its ToSend priority, any other one {Normal, 0}, since path
-// costs are sums of 1 − f ≥ 0.
-func (p *Policy) Bound(e *store.Entry) routing.Priority {
+// Plan implements routing.Planner.
+func (p *Policy) Plan(dst []routing.Segment, _ routing.Target) []routing.Segment {
+	return append(dst, p.plan)
+}
+
+// bound is the hop class: a copy under the hop threshold gets its ToSend
+// priority, any other one {Normal, 0}, since path costs are sums of 1 − f ≥ 0.
+func (p *Policy) bound(e *store.Entry) routing.Priority {
 	if hops, _ := e.Transient.Get(item.FieldHops); hops < p.hopThreshold {
 		return routing.Priority{Class: routing.ClassHigh, Cost: float64(hops)}
 	}

@@ -38,7 +38,7 @@ func TestToSendAllocs(t *testing.T) {
 	}
 }
 
-// TestDestinationsAllocs pins Destinations into a warm slice at zero
+// TestDestinationsAllocs pins Plan into a warm slice at zero
 // allocations, against a partner vector of 16 entries it forwards to.
 func TestDestinationsAllocs(t *testing.T) {
 	clk := &simClock{}
@@ -47,14 +47,14 @@ func TestDestinationsAllocs(t *testing.T) {
 	history(tgt, clk, 16)
 	src.ProcessReq("tgt", reqFrom(tgt))
 	target := routing.Target{ID: "tgt"}
-	buf := src.Destinations(nil, target)
+	buf := src.Plan(nil, target)
 	if len(buf) != 16 {
 		t.Fatalf("%d destinations listed, want 16", len(buf))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = src.Destinations(buf[:0], target)
+		buf = src.Plan(buf[:0], target)
 	})
 	if allocs > 0 {
-		t.Errorf("Destinations allocates %.1f/op, budget 0", allocs)
+		t.Errorf("Plan allocates %.1f/op, budget 0", allocs)
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"replidtn/internal/store"
 )
 
-// TestDestinationsPriceToSend pins the routing.ByDestination contract on
+// TestDestinationsPriceToSend pins the routing.Planner contract on
 // states learned in random encounters among eight nodes, node i homing
-// addr(i), under all three strategies: Destinations lists addresses in
+// addr(i), under all three strategies: Plan lists addresses in
 // strictly ascending order, and for entries of one to three destinations
 // out of ten, one named twice among them, ToSend gives the earliest priority
 // listed for them, or Skip when none is listed, and the zero Transient. An
@@ -42,7 +42,7 @@ func TestDestinationsPriceToSend(t *testing.T) {
 			for j := 1; j < len(nodes); j++ {
 				target := routing.Target{ID: id(j)}
 				src.ProcessReq(target.ID, reqFrom(nodes[j]))
-				priced := src.Destinations(nil, target)
+				priced := src.Plan(nil, target)
 				listed += len(priced)
 				for k := 1; k < len(priced); k++ {
 					if priced[k-1].To >= priced[k].To {
@@ -65,7 +65,7 @@ func TestDestinationsPriceToSend(t *testing.T) {
 					}
 				}
 			}
-			if got := src.Destinations(nil, routing.Target{ID: "nobody"}); len(got) != 0 {
+			if got := src.Plan(nil, routing.Target{ID: "nobody"}); len(got) != 0 {
 				t.Fatalf("%v: an unknown partner is listed %+v", st, got)
 			}
 		}
@@ -75,7 +75,7 @@ func TestDestinationsPriceToSend(t *testing.T) {
 		src.ProcessReq("dst", reqFrom(dst))
 		tgt.ProcessReq("dst", reqFrom(dst))
 		src.ProcessReq("tgt", reqFrom(tgt))
-		for _, p := range src.Destinations(nil, routing.Target{ID: "tgt"}) {
+		for _, p := range src.Plan(nil, routing.Target{ID: "tgt"}) {
 			if p.To == "addr:dst" {
 				t.Errorf("%v: a destination both sides predict alike is listed at %+v", st, p.Priority)
 			}

@@ -263,9 +263,10 @@ func (p *Policy) ToSend(e *store.Entry, target routing.Target) (routing.Priority
 	return best, item.Transient{}
 }
 
-// Destinations implements routing.ByDestination: one pass over the target's
-// vector and ours lists every destination the GRTR predicate forwards to it.
-func (p *Policy) Destinations(dst []routing.Priced, target routing.Target) []routing.Priced {
+// Plan implements routing.Planner: one pass over the target's vector and
+// ours lists, in address order, the runs of every destination the GRTR
+// predicate forwards to it, at its price.
+func (p *Policy) Plan(dst []routing.Segment, target routing.Target) []routing.Segment {
 	vec, ok := p.partners.vectors[target.ID]
 	if !ok {
 		return dst
@@ -281,7 +282,7 @@ func (p *Policy) Destinations(dst []routing.Priced, target routing.Target) []rou
 			mine = ours[0].Val
 		}
 		if th.Val > mine {
-			dst = append(dst, routing.Priced{To: th.Key, Priority: p.priority(th.Val, mine)})
+			dst = append(dst, routing.Segment{Runs: routing.DestRuns, To: th.Key, Priority: p.priority(th.Val, mine)})
 		}
 	}
 	return dst

@@ -138,9 +138,10 @@ type Policy interface {
 	// ProcessReq is called when this replica receives a synchronization
 	// request (acts as source), with the requesting replica's ID and the
 	// routing state it sent. Policies typically fold the state into their
-	// local tables here; since each encounter performs one sync in each
-	// direction, ProcessReq fires exactly once per replica per encounter. It
-	// may keep references into req but must not write through them.
+	// local tables here. It fires once per sync that runs: a first leg that
+	// spends an encounter's shared budget leaves the second unrequested
+	// (ROADMAP item 1: 29 % of Fig. 9's encounters). It may keep references
+	// into req but must not write through them.
 	ProcessReq(from vclock.ReplicaID, req Request)
 	// ToSend decides whether to forward a stored item that does NOT match
 	// the target's filter, returning its transmission priority (Skip to
@@ -152,44 +153,46 @@ type Policy interface {
 	// other replicas too. Transient is a value, so the returned one is the
 	// batch's own whatever it was copied from: the receiver stores it and
 	// counts the hop in it, and nothing reaches back into e. The serve walk
-	// asks ToSend about the candidates it reaches (FixedPriority, Bounded).
+	// asks ToSend about the candidates it reaches (Planner).
 	ToSend(e *store.Entry, target Target) (Priority, item.Transient)
 }
 
-// FixedPriority is optionally implemented by policies whose ToSend writes
-// nothing and gives every entry it does not skip the priority FixedPriority
-// returns: a budgeted serve then stops once the rest of its walk cannot
-// change the batch, so it does not ask about every candidate.
-type FixedPriority interface {
-	FixedPriority() Priority
-}
-
-// Bounded is optionally implemented by policies whose ToSend(e, t) never
-// skips and never transmits e before Bound(e), which reads only e's stored
-// fields and writes nothing. A budgeted serve does not ask ToSend about an
-// entry the full batch turns away at its bound, and counts it as a refused
-// candidate: a ToSend that could skip or write would make that count wrong.
-type Bounded interface {
-	Bound(e *store.Entry) Priority
-}
-
-// Priced is one destination a ByDestination policy forwards to a target,
-// with the priority of every entry it would forward for it.
-type Priced struct {
-	To       string
+// Segment is one step of a serve's plan (DESIGN §4): a run set the serve
+// walks above the target's knowledge, and the price of what it offers there
+// for the policy. An entry is offered in the first segment that files it.
+type Segment struct {
+	Runs Runs
+	To   string // the destination of DestRuns
+	// In a destination's runs an entry is offered at Priority without asking
+	// ToSend, which would write nothing and give Priority and the zero
+	// Transient. Elsewhere ToSend is asked; a Priority other than Skip is
+	// what it gives every entry it does not skip.
 	Priority Priority
+	// Bound, if set, reads only e's stored fields, and ToSend neither skips
+	// e nor transmits it before Bound(e): a budgeted serve counts an entry
+	// the full batch turns away at its bound as refused, without ToSend.
+	Bound func(e *store.Entry) Priority
 }
 
-// ByDestination is optionally implemented by policies whose decision depends
-// only on an entry's destinations. Destinations appends to dst, in address
-// order, each destination the policy forwards to t with its priority, and
-// writes no entry. For every entry e, ToSend(e, t) writes nothing, returns
-// the zero Transient and the earliest of the priorities listed for e's
-// destinations, or Skip when none is listed. Once a budget is smaller than
-// the store, a serve files entries under their destinations and walks only
-// the listed ones, best first, without asking ToSend (DESIGN §4).
-type ByDestination interface {
-	Destinations(dst []Priced, t Target) []Priced
+// Runs names a segment's run set.
+type Runs uint8
+
+const (
+	MainRuns    Runs = iota // of the entries not filed under their destinations alone
+	DestRuns                // of the entries filed under Segment.To
+	AllDestRuns             // every destination's, each entry filed there alone once
+)
+
+// Planner is optionally implemented by policies that tell a budgeted serve
+// where their candidates are and what they cost, so it stops once its batch
+// is decided. Plan appends the segments a serve to t walks, each
+// destination once and the main runs last, and writes no entry; the serve
+// walks destinations best first. Whether a plan walks the main runs, and at
+// a fixed price, does not depend on t: once a budget is smaller than the
+// store, the store files entries under their destinations, alone for a
+// plan without main runs, too for one that prices them (DESIGN §4).
+type Planner interface {
+	Plan(dst []Segment, t Target) []Segment
 }
 
 // DestinationOnly is optionally implemented by policies whose ToSend

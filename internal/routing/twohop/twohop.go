@@ -33,15 +33,20 @@ func (*Policy) ProcessReq(vclock.ReplicaID, routing.Request) {}
 // ToSend implements routing.Policy: only locally created messages are handed
 // to relays; everything a node merely carries waits for the destination
 // (which the substrate serves via the filter class).
-func (p *Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
+func (*Policy) ToSend(e *store.Entry, _ routing.Target) (routing.Priority, item.Transient) {
 	if !e.Local {
 		return routing.Skip, item.Transient{}
 	}
-	return p.FixedPriority(), item.Transient{}
+	return forward.Priority, item.Transient{}
 }
 
-// FixedPriority implements routing.FixedPriority.
-func (*Policy) FixedPriority() routing.Priority { return routing.Priority{Class: routing.ClassNormal} }
+// forward is two-hop relaying's plan: the main runs, every copy at one price.
+var forward = routing.Segment{Priority: routing.Priority{Class: routing.ClassNormal}}
+
+// Plan implements routing.Planner.
+func (*Policy) Plan(dst []routing.Segment, _ routing.Target) []routing.Segment {
+	return append(dst, forward)
+}
 
 // DestinationOnly implements routing.DestinationOnly: a relayed copy waits.
 func (*Policy) DestinationOnly(e *store.Entry) bool { return !e.Local }

@@ -194,7 +194,7 @@ func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 // one, two, or one named twice; the ones at their last copy are filed under
 // their destinations, on insertion or by Refile, and in a second store every
 // other live one is filed both there and in the main runs from halfway on,
-// when AlsoByDestination refiles what the store holds. A third of the
+// when FileUnderDestinations refiles what the store holds. A third of the
 // entries are unmodified originals of one creator, so some runs stay in ID
 // order.
 func TestRangeAboveMatchesRange(t *testing.T) {
@@ -265,7 +265,7 @@ func rangeAboveMatchesRange(t *testing.T, also bool) {
 	refiled := 0
 	for step := 0; step < 6000; step++ {
 		if also && step == 3000 {
-			s.AlsoByDestination()
+			s.FileUnderDestinations(false)
 			check(step)
 		}
 		switch op := rng.Intn(20); {

@@ -59,6 +59,9 @@ type Entry struct {
 // smaller).
 func (e *Entry) Arrival() uint64 { return e.arrival }
 
+// UnderDestinations reports whether the entry is filed under its destinations.
+func (e *Entry) UnderDestinations() bool { return e.byDest }
+
 // relayLive reports whether the entry counts toward the relay capacity.
 func (e *Entry) relayLive() bool { return e.Relay && !e.Item.Deleted }
 
@@ -132,7 +135,7 @@ type Store struct {
 	destSets []*runSet
 	destOf   map[string]*runSet
 	destOnly func(*Entry) bool
-	destToo  bool // AlsoByDestination
+	destToo  bool // FileUnderDestinations, beside the main runs
 	// relayCapacity bounds the number of live (non-tombstone) relay entries;
 	// <= 0 means unlimited.
 	relayCapacity int
@@ -223,17 +226,25 @@ func (s *Store) LiveNotify(fn func(item.ID, int)) { s.onLive = fn }
 // accepts an entry it must go on accepting it. Register before any traffic.
 func (s *Store) DestinationOnly(fn func(*Entry) bool) { s.destOnly = fn }
 
-// AlsoByDestination files every live entry of the main runs under its
-// destinations as well, those held now and those to come. Call it once.
-func (s *Store) AlsoByDestination() {
-	s.destToo = true
-	dests := func(rs *runSet, e *Entry) bool { return rs != &s.main && rs.file(e) }
-	for _, r := range s.main.runs {
+// FileUnderDestinations files every live entry that has destinations under
+// each of them, those held now and those to come: alone, out of the main
+// runs (whatever the DestinationOnly predicate says), or beside them. The
+// main runs keep their order. Call it once.
+func (s *Store) FileUnderDestinations(alone bool) {
+	if s.destToo = !alone; alone {
+		s.destOnly = func(*Entry) bool { return true }
+	}
+	main := s.main.runs
+	if alone { // what stays is filed again
+		s.main = runSet{runOf: make(map[vclock.ReplicaID]*versionRun)}
+	}
+	file := func(rs *runSet, e *Entry) bool { return (alone || rs != &s.main) && rs.file(e) }
+	for _, r := range main {
 		r.disorder = 0
 		r.entries.ascend(func(e *Entry) bool {
-			if e.byDest = !e.Item.Deleted && len(e.Item.Meta.Destinations) > 0; e.byDest {
-				s.eachSet(e, dests)
-			}
+			e.byDest = hasDests(e)
+			e.inMain = !alone || !e.byDest
+			s.eachSet(e, file)
 			r.disorder += disorders(e)
 			return true
 		})
@@ -329,17 +340,18 @@ func (s *Store) Remove(id item.ID) *Entry {
 	return e
 }
 
-// filesByDest reports whether e belongs under its destinations: never a
-// tombstone, which always travels.
-func (s *Store) filesByDest(e *Entry) bool {
-	return s.destOnly != nil && !e.Item.Deleted && len(e.Item.Meta.Destinations) > 0 && s.destOnly(e)
-}
+// hasDests reports whether e may be filed under its destinations: a live
+// entry that has some; never a tombstone, which always travels.
+func hasDests(e *Entry) bool { return !e.Item.Deleted && len(e.Item.Meta.Destinations) > 0 }
+
+// filesByDest reports whether e belongs under its destinations alone.
+func (s *Store) filesByDest(e *Entry) bool { return s.destOnly != nil && hasDests(e) && s.destOnly(e) }
 
 // file adds e to its creator's run in the main set, in the set of each of
 // its destinations, or in both.
 func (s *Store) file(e *Entry) {
 	only := s.filesByDest(e)
-	e.byDest, e.inMain = only || s.destToo && !e.Item.Deleted && len(e.Item.Meta.Destinations) > 0, !only
+	e.byDest, e.inMain = only || s.destToo && hasDests(e), !only
 	s.eachSet(e, (*runSet).file)
 }
 
