@@ -13,12 +13,15 @@ package replica
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"replidtn/internal/filter"
 	"replidtn/internal/item"
 	"replidtn/internal/routing/epidemic"
+	"replidtn/internal/routing/maxprop"
 	"replidtn/internal/routing/prophet"
+	"replidtn/internal/vclock"
 )
 
 // TestSyncAllocBudget pins allocs/op for the two sync entry points.
@@ -134,5 +137,51 @@ func TestEncounterAllocBudget(t *testing.T) {
 		if allocs > 6 {
 			t.Errorf("%s steady-state encounter allocates %.1f/op over a 1000-entry store, budget 6", tc.name, allocs)
 		}
+	}
+}
+
+// TestMaxPropEncounterAllocBudget pins a steady-state MaxProp encounter with
+// summaries off. Each pull gives its request back when its sync ends, so the
+// next request re-stamps the table in place and shares the home map, and the
+// partner's state merges into both in place: no whole-table or whole-homes
+// copy. The encounter allocates as often on a 256-node table as on a 26-node
+// one — 10 times: per pull the request, its knowledge clone header and
+// MaxProp state, the response, and the source's new own row — and fewer
+// bytes than one copy of the larger table (56 B a row).
+func TestMaxPropEncounterAllocBudget(t *testing.T) {
+	measure := func(n int) (allocs float64, bytes uint64) {
+		var clock int64
+		now := func() int64 { return clock }
+		id := func(i int) vclock.ReplicaID { return vclock.ReplicaID(fmt.Sprintf("n%03d", i)) }
+		ps := make([]*maxprop.Policy, n)
+		for i := range ps {
+			ps[i] = maxprop.New(id(i), 0, now, fmt.Sprintf("addr:%03d", i))
+		}
+		for k := 0; k < 4*n; k++ { // each node meets the next four
+			i, j := k%n, (k%n+1+k/n)%n
+			clock++
+			ps[j].ProcessReq(id(i), ps[i].GenerateReq())
+			ps[i].ProcessReq(id(j), ps[j].GenerateReq())
+		}
+		a := New(Config{ID: id(0), OwnAddresses: []string{"addr:000"}, Policy: ps[0]})
+		b := New(Config{ID: id(1), OwnAddresses: []string{"addr:001"}, Policy: ps[1]})
+		step := func() {
+			clock++
+			Encounter(a, b, 0)
+		}
+		step()
+		allocs = testing.AllocsPerRun(20, step)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 20
+	}
+	small, _ := measure(26)
+	large, bytes := measure(256)
+	if small != large || large > 10 || bytes >= 56*256 {
+		t.Errorf("a steady-state MaxProp encounter allocates %v times at 26 nodes and %v (%d B) at 256; want equal, <= 10, and < %d B", small, large, bytes, 56*256)
 	}
 }

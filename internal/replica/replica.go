@@ -230,15 +230,17 @@ func (r *Replica) Stats() Stats {
 	return r.stats
 }
 
-// AbortSync records that a synchronization this replica initiated was
-// interrupted mid-transfer and its partial batch discarded. Nothing else
-// changes: the knowledge and store are exactly as they were before the sync
-// began, which is what lets the next encounter resume precisely where this
-// one failed. (Transactional sync: a batch applies atomically via ApplyBatch
-// or, on an interrupted transfer, not at all.)
-func (r *Replica) AbortSync() {
+// abortSync records that a synchronization this replica initiated was
+// interrupted mid-transfer and its partial batch discarded, after
+// releaseLocked(done). Nothing else changes: the knowledge and store are
+// exactly as they were before the sync began, which is what lets the next
+// encounter resume precisely where this one failed. (Transactional sync: a
+// batch applies atomically via ApplyBatch or, on an interrupted transfer,
+// not at all.)
+func (r *Replica) abortSync(done *SyncRequest) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.releaseLocked(done)
 	r.stats.SyncsAborted++
 	if r.metrics != nil {
 		r.metrics.SyncsAborted.Inc()

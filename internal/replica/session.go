@@ -36,7 +36,8 @@ type SyncResult struct {
 // Carrier moves one sync request from the target to the source and brings
 // the source's response back: in process, over a link that may die, or over
 // a TCP session. On an error the response, when not nil, holds the batch
-// items that crossed before the carrier failed.
+// items that crossed before the carrier failed. Once a carrier returns,
+// nothing it started reads the request any more.
 type Carrier func(*SyncRequest) (*SyncResponse, error)
 
 // ErrStrayDemand refuses a NeedKnowledge response to a request that carried
@@ -53,12 +54,15 @@ var ErrStrayDemand = errors.New("knowledge demand for a request without a delta"
 // Pull is transactional: on a carrier error or a stray demand it applies
 // nothing, counts the sync as aborted, and reports the items that crossed
 // before the failure as wasted transfer.
+// Carriers are synchronous, so once the last carry returns an exact request
+// is read no more: Pull releases it, whatever the outcome (DESIGN §4).
 func (r *Replica) Pull(source vclock.ReplicaID, budget Budget, strictBytes bool, carry Carrier) (res SyncResult, err error) {
-	var req *SyncRequest
+	var req, done *SyncRequest
 	if r.SummariesEnabled() {
 		req = r.MakeSummaryRequest(source, budget.Items)
 	} else {
 		req = r.MakeSyncRequest(budget.Items)
+		done = req
 	}
 	req.MaxBytes, req.StrictBytes = budget.Bytes, strictBytes
 	res.KnowledgeBytes = req.KnowledgeWireBytes()
@@ -79,11 +83,11 @@ func (r *Replica) Pull(source vclock.ReplicaID, budget Budget, strictBytes bool,
 		res.Sent, res.SentBytes, res.Truncated = len(resp.Items), BatchBytes(resp), resp.Truncated
 	}
 	if err != nil {
-		r.AbortSync()
+		r.abortSync(done)
 		res.Aborted = true
 		return res, err
 	}
-	res.Apply = r.ApplyBatch(resp)
+	res.Apply = r.applyBatch(resp, done)
 	return res, nil
 }
 

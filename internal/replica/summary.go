@@ -103,15 +103,7 @@ func (r *Replica) Epoch() uint64 {
 func (r *Replica) MakeSummaryRequest(peer vclock.ReplicaID, maxItems int) *SyncRequest {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.stats.SyncsInitiated++
-	if r.metrics != nil {
-		r.metrics.SyncsInitiated.Inc()
-		r.metrics.KnowledgeSize.Set(int64(r.know.Size()))
-	}
-	req := &SyncRequest{TargetID: r.id, Filter: r.filter, MaxItems: maxItems}
-	if r.policy != nil {
-		req.Routing = r.policy.GenerateReq()
-	}
+	req := r.newRequestLocked(maxItems)
 	if f := r.frontiers[peer]; f != nil {
 		f.use = r.stampUseLocked()
 		changes := r.know.DiffSince(f.know)
@@ -148,10 +140,7 @@ func (r *Replica) MakeFallbackRequest(peer vclock.ReplicaID, maxItems int, rt ro
 	if r.metrics != nil {
 		r.metrics.SummaryFallbacks.Inc()
 	}
-	req := &SyncRequest{TargetID: r.id, Filter: r.filter, MaxItems: maxItems}
-	if rt != nil {
-		req.Routing = rt
-	}
+	req := &SyncRequest{TargetID: r.id, Filter: r.filter, MaxItems: maxItems, Routing: rt}
 	r.attachFullLocked(req, peer)
 	return req
 }
@@ -179,12 +168,7 @@ func (r *Replica) attachFullLocked(req *SyncRequest, peer vclock.ReplicaID) {
 	req.Knowledge = f.know.Clone()
 	req.Epoch = r.epoch
 	req.Gen = f.gen
-	r.stats.KnowledgeFulls++
-	if r.metrics != nil {
-		r.metrics.KnowledgeFullFrames.Inc()
-		r.metrics.KnowledgeFullBytes.Add(int64(req.Knowledge.WireSize()))
-		r.countRoutingLocked(req)
-	}
+	r.countFullLocked(req)
 }
 
 // countRoutingLocked mirrors the form req's routing state travels in, and

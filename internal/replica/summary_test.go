@@ -7,7 +7,9 @@ import (
 	"testing/quick"
 
 	"replidtn/internal/item"
+	"replidtn/internal/routing"
 	"replidtn/internal/routing/epidemic"
+	"replidtn/internal/routing/maxprop"
 	"replidtn/internal/vclock"
 )
 
@@ -226,6 +228,57 @@ func TestDeltaRecurringPair(t *testing.T) {
 	}
 	if got := b.Stats().SummaryFallbacks; got != 0 {
 		t.Errorf("healthy recurring pair hit %d fallbacks", got)
+	}
+}
+
+// TestSummaryBasesOutliveLaterWrites: a summary-mode request is kept on both
+// sides as the base of the next delta, so Pull gives none of its shares
+// back. The routing state and knowledge the requester keeps for its next
+// delta to the source, and the baseline the source keeps, read the same
+// bytes however both replicas' policies and knowledge change afterwards.
+func TestSummaryBasesOutliveLaterWrites(t *testing.T) {
+	var clock int64
+	now := func() int64 { return clock }
+	node := func(id vclock.ReplicaID) *Replica {
+		return New(Config{
+			ID: id, OwnAddresses: []string{"addr:" + string(id)}, Now: now, SyncSummaries: true,
+			Policy: maxprop.New(id, 0, now, "addr:"+string(id)),
+		})
+	}
+	a, b, c := node("a"), node("b"), node("c")
+	for _, r := range []*Replica{a, b, c} {
+		send(r, "addr:"+string(r.ID()), "addr:x")
+	}
+	Encounter(a, c, 0)
+	Encounter(b, c, 0)
+	Encounter(a, b, 0) // every table, home map and knowledge holds every node
+	clock++
+	Sync(b, a, 0) // a pulls from b
+	kept := func() string {
+		var out []byte
+		for _, x := range []struct {
+			rt   routing.Request
+			know *vclock.Knowledge
+		}{{a.frontiers["b"].routing, a.frontiers["b"].know}, {b.peerKnow["a"].routing, b.peerKnow["a"].know}} {
+			out = x.rt.(*maxprop.Request).AppendBinary(out)
+			k, err := x.know.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, k...)
+		}
+		return string(out)
+	}
+	want := kept()
+	for i := 0; i < 3; i++ {
+		clock++
+		send(a, "addr:a", "addr:c")
+		send(c, "addr:c", "addr:a")
+		Encounter(a, c, 0) // a's table, homes and knowledge all change
+		Encounter(b, c, 0)
+	}
+	if kept() != want {
+		t.Error("a kept delta base or baseline changed after later writes")
 	}
 }
 

@@ -123,30 +123,50 @@ type ApplyStats struct {
 func (r *Replica) MakeSyncRequest(maxItems int) *SyncRequest {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	req := r.newRequestLocked(maxItems)
+	// Sized on r.know, not on the clone, so the memo outlives the request:
+	// every consumer of a request asks for the frame's size.
+	r.know.WireSize()
+	req.Knowledge = r.know.Clone()
+	r.countFullLocked(req)
+	return req
+}
+
+// newRequestLocked counts an initiated sync and returns its request, with
+// the routing state and without a knowledge frame.
+func (r *Replica) newRequestLocked(maxItems int) *SyncRequest {
 	r.stats.SyncsInitiated++
 	if r.metrics != nil {
 		r.metrics.SyncsInitiated.Inc()
 		r.metrics.KnowledgeSize.Set(int64(r.know.Size()))
 	}
-	// Sized on r.know, not on the clone, so the memo outlives the request:
-	// every consumer of a request asks for the frame's size.
-	r.know.WireSize()
-	req := &SyncRequest{
-		TargetID:  r.id,
-		Knowledge: r.know.Clone(),
-		Filter:    r.filter,
-		MaxItems:  maxItems,
-	}
+	req := &SyncRequest{TargetID: r.id, Filter: r.filter, MaxItems: maxItems}
 	if r.policy != nil {
 		req.Routing = r.policy.GenerateReq()
 	}
+	return req
+}
+
+// countFullLocked counts req's exact knowledge frame and its routing state.
+func (r *Replica) countFullLocked(req *SyncRequest) {
 	r.stats.KnowledgeFulls++
 	if r.metrics != nil {
 		r.metrics.KnowledgeFullFrames.Inc()
 		r.metrics.KnowledgeFullBytes.Add(int64(req.Knowledge.WireSize()))
 		r.countRoutingLocked(req)
 	}
-	return req
+}
+
+// releaseLocked gives back the shares of done, a finished exact request of
+// this replica's (nil: none): its knowledge clone, and its routing state.
+func (r *Replica) releaseLocked(done *SyncRequest) {
+	if done == nil {
+		return
+	}
+	r.know.Release(done.Knowledge)
+	if rel, ok := r.policy.(routing.Releaser); ok {
+		rel.Release(done.Routing)
+	}
 }
 
 // selectorLimit derives the number of candidates worth retaining from the
@@ -390,7 +410,7 @@ func transmitTransient(e *store.Entry, policySet item.Transient) item.Transient 
 // item has been stored — so a caller-visible batch is always applied in full.
 // Pull, which hands every pulled batch to ApplyBatch, discards a transfer its
 // carrier reports interrupted (a TCP session, a link the fault-injecting
-// emulator cuts) before this point (see AbortSync): a partial batch must
+// emulator cuts) before this point (see abortSync): a partial batch must
 // never reach ApplyBatch, because folding a prefix of the batch's versions into knowledge
 // would permanently suppress re-transmission of the lost suffix. Durability
 // composes the same way: internal/persist snapshots are taken between syncs,
@@ -403,10 +423,14 @@ func transmitTransient(e *store.Entry, policySet item.Transient) item.Transient 
 // source's store is written — items are immutable once stored, and a batch's
 // transients are values of its own — so an in-process fleet shares one
 // *item.Item per version and a TCP receiver keeps the decoder's copy.
-func (r *Replica) ApplyBatch(resp *SyncResponse) ApplyStats {
+func (r *Replica) ApplyBatch(resp *SyncResponse) ApplyStats { return r.applyBatch(resp, nil) }
+
+// applyBatch is ApplyBatch after releaseLocked(done), under the same lock.
+func (r *Replica) applyBatch(resp *SyncResponse, done *SyncRequest) ApplyStats {
 	defer r.emitJournal() // deferred before the unlock, so it runs after it
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.releaseLocked(done)
 	var st ApplyStats
 	for _, bi := range resp.Items {
 		incoming := bi.Item

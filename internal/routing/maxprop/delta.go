@@ -56,10 +56,11 @@ func (r *Request) DeltaSince(base routing.Request) routing.Delta {
 	if !ok || b == nil {
 		return nil
 	}
-	d := &Delta{TotalRows: r.Table.Len(), TotalHomes: r.Homes.Len()}
+	homes := r.wireHomes()
+	d := &Delta{TotalRows: r.Table.Len(), TotalHomes: homes.Len()}
 	var rowsOK, homesOK bool
 	d.Rows, rowsOK = changed(b.Table, r.Table, sameRow)
-	d.Homes, homesOK = changed(b.Homes, r.Homes, func(a, b Home) bool { return a == b })
+	d.Homes, homesOK = changed(b.wireHomes(), homes, func(a, b Home) bool { return a == b })
 	if !rowsOK || !homesOK {
 		return nil
 	}
@@ -98,7 +99,7 @@ func (d *Delta) Apply(base routing.Request) (routing.Request, error) {
 	if req.Table, err = overlay("rows", b.Table, d.Rows, d.TotalRows); err != nil {
 		return nil, err
 	}
-	if req.Homes, err = overlay("homes", b.Homes, d.Homes, d.TotalHomes); err != nil {
+	if req.Homes, err = overlay("homes", b.wireHomes(), d.Homes, d.TotalHomes); err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -149,7 +150,7 @@ func sizeHomes(homes sorted.Map[string, Home]) int {
 // WireSize implements routing.DeltaRequest: the length of AppendBinary's
 // output, without building it.
 func (r *Request) WireSize() int {
-	return prim.SizeStrings(r.OwnAddresses) + sizeTable(r.Table) + sizeHomes(r.Homes)
+	return prim.SizeStrings(r.OwnAddresses) + sizeTable(r.Table) + sizeHomes(r.wireHomes())
 }
 
 // WireSize implements routing.Delta.

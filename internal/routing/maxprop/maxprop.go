@@ -51,11 +51,28 @@ type Home struct {
 
 // Request is the routing state piggybacked on sync requests: the requester's
 // homed addresses, its meeting-probability table (its own row plus learned
-// rows), and its address-home beliefs.
+// rows), and its address-home beliefs. GenerateReq's request shares the
+// policy's table and homes, and carries the stamps on its own addresses
+// apart, in self and stamp (wireHomes).
 type Request struct {
 	OwnAddresses []string
 	Table        sorted.Map[vclock.ReplicaID, Row]
 	Homes        sorted.Map[string, Home]
+	self         vclock.ReplicaID
+	stamp        int64
+}
+
+// wireHomes returns the homes the wire carries: Homes, OwnAddresses homed on
+// self at stamp laid over it in a copy when self is set.
+func (r *Request) wireHomes() sorted.Map[string, Home] {
+	if r.self == "" {
+		return r.Homes
+	}
+	homes := r.Homes.Clone()
+	for _, a := range r.OwnAddresses {
+		homes.Set(a, Home{Node: r.self, Updated: r.stamp})
+	}
+	return homes
 }
 
 // Policy is the MaxProp policy attached to one replica.
@@ -74,11 +91,16 @@ type Policy struct {
 	// homes maps endpoint address → freshest known homing node.
 	homes sorted.Map[string, Home]
 	// dist is the shortest-path tree from self over table — lowest path cost
-	// per reachable node — built by the first PathCost after table or
-	// weights changed; empty when stale. Homes do not enter it. It and the
-	// search heap pq keep their memory across builds.
-	dist   map[vclock.ReplicaID]float64
-	pq     costHeap
+	// by table position, +Inf where unreached — built by the first PathCost
+	// after table or weights changed; short of the table when stale. Homes do
+	// not enter it. hops[i] holds the positions of row i's nodes (-1: no row)
+	// while hopsOf[i] is its first entry (rows are never written). They keep
+	// their memory across builds, as does open, the search's distances of
+	// the nodes it has reached and not settled (+Inf for the others).
+	dist   []float64
+	open   []float64
+	hops   [][]int
+	hopsOf []*sorted.Entry[vclock.ReplicaID, float64]
 	builds int             // trees built, read by tests
 	plan   routing.Segment // every serve's: the main runs, under bound
 }
@@ -95,7 +117,6 @@ func New(self vclock.ReplicaID, hopThreshold int, now func() int64, ownAddresses
 		hopThreshold: hopThreshold,
 		now:          now,
 		ownAddresses: append([]string(nil), ownAddresses...),
-		dist:         make(map[vclock.ReplicaID]float64),
 	}
 	p.plan = routing.Segment{Bound: p.bound}
 	return p
@@ -122,22 +143,28 @@ func (p *Policy) OwnRow() sorted.Map[vclock.ReplicaID, float64] {
 	return sorted.Divide(p.weights, total)
 }
 
-// GenerateReq implements routing.Policy: ship homed addresses, the full
-// freshest-rows table, and address homes. The table and the addresses go
-// out as they stand; homes is copied, to stamp our own addresses into.
+// GenerateReq implements routing.Policy: share homed addresses, the full
+// freshest-rows table, and address homes, our addresses stamped apart.
 func (p *Policy) GenerateReq() routing.Request {
 	now := p.now()
 	own, _ := p.table.Get(p.self)
 	own.Updated = now
 	p.table.Set(p.self, own)
-	homes := p.homes.Clone()
-	for _, a := range p.ownAddresses {
-		homes.Set(a, Home{Node: p.self, Updated: now})
-	}
 	return &Request{
 		OwnAddresses: p.ownAddresses,
 		Table:        p.table.Share(),
-		Homes:        homes,
+		Homes:        p.homes.Share(),
+		self:         p.self,
+		stamp:        now,
+	}
+}
+
+// Release implements routing.Releaser: ProcessReq copies entries out of a
+// partner's table and homes, sharing only rows, which nobody writes.
+func (p *Policy) Release(req routing.Request) {
+	if r, ok := req.(*Request); ok && r != nil {
+		p.table.Release(r.Table)
+		p.homes.Release(r.Homes)
 	}
 }
 
@@ -166,7 +193,7 @@ func (p *Policy) ProcessReq(from vclock.ReplicaID, req routing.Request) {
 // table change — never on a decision path.
 func (p *Policy) rebuildOwn(updated int64) {
 	p.table.Set(p.self, Row{Probabilities: p.OwnRow(), Updated: updated})
-	clear(p.dist)
+	p.dist = p.dist[:0]
 }
 
 // ToSend implements routing.Policy: MaxProp floods — every item is eligible —
@@ -214,71 +241,70 @@ func (p *Policy) PathCost(destAddr string) float64 {
 	if home.Node == p.self {
 		return 0
 	}
-	if len(p.dist) == 0 { // a built tree holds self
+	if len(p.dist) != p.table.Len() { // a row was added, or rebuildOwn ran
 		p.buildTree()
 	}
-	if c, ok := p.dist[home.Node]; ok {
-		return c
+	rows := p.table.Entries()
+	if i, ok := sorted.Search(rows, home.Node); ok {
+		return p.dist[i]
 	}
-	return math.Inf(1)
+	// A node without a row is on no path: its cost is its cheapest last hop.
+	cost := math.Inf(1)
+	for i, row := range rows {
+		if f, _ := row.Val.Probabilities.Get(home.Node); f > 0 {
+			cost = min(cost, p.dist[i]+(1-f))
+		}
+	}
+	return cost
 }
 
-// buildTree fills the empty dist with the minimum sum of (1 − f_x(y)) over
-// paths from self of every node the learned table reaches. Edge costs are
-// never negative (probabilities lie in [0, 1]), so a node's settled distance
-// is the cost a search stopping at that node would return, and the strict <
-// relaxation means equal-cost paths cannot change it.
+// buildTree fills dist with the minimum sum of (1 − f_x(y)) over paths from
+// self of every node of the table, +Inf for one the table does not reach:
+// Dijkstra's search, finding the closest open node by a scan, as tables are
+// dense (a row may name every node). Edge costs are never negative (probabilities lie in
+// [0, 1]), so a node's settled distance is the cost a search stopping at
+// that node would return, and the strict < relaxation means equal-cost paths
+// cannot change it.
 func (p *Policy) buildTree() {
-	dist := p.dist
-	dist[p.self] = 0
-	for p.pq = append(p.pq[:0], costEntry{p.self, 0}); len(p.pq) > 0; {
-		cur := p.pq.pop()
-		if cur.cost > dist[cur.node] {
-			continue
-		}
-		row, _ := p.table.Get(cur.node)
-		for _, e := range row.Probabilities.Entries() {
-			if e.Val <= 0 {
-				continue
+	rows := p.table.Entries()
+	if len(p.hops) != len(rows) { // positions moved
+		p.hops, p.hopsOf = make([][]int, len(rows)), make([]*sorted.Entry[vclock.ReplicaID, float64], len(rows))
+	}
+	p.dist, p.open = p.dist[:0], p.open[:0]
+	for range rows {
+		p.dist, p.open = append(p.dist, math.Inf(1)), append(p.open, math.Inf(1))
+	}
+	if s, ok := sorted.Search(rows, p.self); ok {
+		p.dist[s], p.open[s] = 0, 0
+	}
+	for {
+		x, best := -1, math.Inf(1)
+		for i, d := range p.open {
+			if d < best {
+				x, best = i, d
 			}
-			nc := cur.cost + (1 - e.Val)
-			if d, seen := dist[e.Key]; !seen || nc < d {
-				dist[e.Key] = nc
-				p.pq.push(costEntry{e.Key, nc})
+		}
+		if x < 0 {
+			break
+		}
+		p.open[x] = math.Inf(1)
+		row := rows[x].Val.Probabilities.Entries()
+		if len(row) > 0 && p.hopsOf[x] != &row[0] { // find the row's nodes, in ascending order
+			pos, lo := p.hops[x][:0], 0
+			for _, e := range row {
+				j, ok := sorted.Search(rows[lo:], e.Key)
+				lo += j
+				if pos = append(pos, lo); !ok {
+					pos[len(pos)-1] = -1
+				}
+			}
+			p.hops[x], p.hopsOf[x] = pos, &row[0]
+		}
+		for k, y := range p.hops[x][:len(row)] {
+			if nc := p.dist[x] + (1 - row[k].Val); y >= 0 && row[k].Val > 0 && nc < p.dist[y] {
+				p.dist[y], p.open[y] = nc, nc
 			}
 		}
 	}
 	p.builds++
-}
-
-// costHeap is a binary min-heap of table indices on cost.
-type costHeap []costEntry
-
-type costEntry struct {
-	node vclock.ReplicaID
-	cost float64
-}
-
-func (h *costHeap) push(e costEntry) {
-	s := append(*h, e)
-	for i := len(s) - 1; i > 0 && s[i].cost < s[(i-1)/2].cost; i = (i - 1) / 2 {
-		s[i], s[(i-1)/2] = s[(i-1)/2], s[i]
-	}
-	*h = s
-}
-
-func (h *costHeap) pop() costEntry {
-	s, top := *h, (*h)[0]
-	s[0], s = s[len(s)-1], s[:len(s)-1]
-	for i, c := 0, 1; c < len(s); i, c = c, 2*c+1 {
-		if c+1 < len(s) && s[c+1].cost < s[c].cost {
-			c++
-		}
-		if !(s[c].cost < s[i].cost) {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-	}
-	*h = s
-	return top
 }

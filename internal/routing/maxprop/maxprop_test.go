@@ -121,7 +121,11 @@ func TestPathCostOwnAddress(t *testing.T) {
 	clk := &simClock{}
 	p := New("a", 3, clk.now, "addr:a")
 	p.ProcessReq("b", reqFrom(New("b", 3, clk.now, "addr:b")))
-	req := reqFrom(p)
+	// The stamp travels beside the shared homes; the wire form carries it.
+	req, err := DecodeRequest(reqFrom(p).AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if h, _ := req.Homes.Get("addr:a"); h.Node != "a" {
 		t.Fatal("own address should be homed locally in requests")
 	}

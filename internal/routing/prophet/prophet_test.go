@@ -287,7 +287,8 @@ func TestGRTRUsesNoOrdering(t *testing.T) {
 // once GenerateReq has returned (the routing.Request contract) — although
 // the request holds the sender's own vector, not a copy: the sender ages,
 // updates, restores and re-homes a vector of its own from then on, and the
-// receiver keeps the published one by reference and only reads it.
+// receiver keeps the published one by reference and only reads it, so the
+// policy gives no request back (routing.Releaser).
 func TestPublishedRequestImmutable(t *testing.T) {
 	clk := &simClock{}
 	sender := newPolicy(clk, "addr:s")
@@ -309,6 +310,11 @@ func TestPublishedRequestImmutable(t *testing.T) {
 	receiver.ProcessReq("s", req)
 	if vec := receiver.partners.vectors["s"]; &vec.Entries()[0] != &req.Predictability.Entries()[0] {
 		t.Error("the partner cache should adopt the published vector, not copy it")
+	}
+	// A replica hands an exact-mode request back to a routing.Releaser once
+	// its sync is over; the partner cache still reads this one.
+	if rel, ok := routing.Policy(sender).(routing.Releaser); ok {
+		rel.Release(req)
 	}
 	for round := 0; round < 3; round++ {
 		clk.t += 7 * DefaultParams().AgingUnit

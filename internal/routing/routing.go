@@ -88,7 +88,8 @@ type Target struct {
 // the emulator (possibly to a policy running on another goroutine), decoded
 // into fresh values off TCP, replayed for a sync's fallback round, or
 // rebuilt from a delta against the previous request (DeltaRequest), when it
-// shares what did not change with that one.
+// shares what did not change with that one. A Releaser's request is the
+// exception: it holds only until the replica releases it.
 type Request any
 
 // DeltaRequest is what a policy's request type implements, beside its codec,
@@ -131,9 +132,10 @@ type Policy interface {
 	// GenerateReq is called when this replica initiates a synchronization
 	// (acts as target); its return value travels in the request and is
 	// immutable from then on (see Request): state the policy goes on
-	// mutating in place must be copied into it, state it only ever replaces
-	// may be shared. The replica retains the latest one per peer as the base
-	// of the next delta when the type implements DeltaRequest.
+	// mutating in place must be copied into it or shared copy-on-write,
+	// state it only ever replaces may be shared. The replica retains the
+	// latest one per peer as the base of the next delta in summary mode, and
+	// hands any other back to a Releaser once its sync is over.
 	GenerateReq() Request
 	// ProcessReq is called when this replica receives a synchronization
 	// request (acts as source), with the requesting replica's ID and the
@@ -141,7 +143,7 @@ type Policy interface {
 	// local tables here. It fires once per sync that runs: a first leg that
 	// spends an encounter's shared budget leaves the second unrequested
 	// (ROADMAP item 1: 29 % of Fig. 9's encounters). It may keep references
-	// into req but must not write through them.
+	// into req (then the policy is no Releaser) but not write through them.
 	ProcessReq(from vclock.ReplicaID, req Request)
 	// ToSend decides whether to forward a stored item that does NOT match
 	// the target's filter, returning its transmission priority (Skip to
@@ -202,6 +204,15 @@ type DestinationOnly interface {
 	// DestinationOnly reports whether ToSend returns Skip for e, without
 	// writing it, from now on. It reads only e's stored fields.
 	DestinationOnly(e *store.Entry) bool
+}
+
+// Releaser is optionally implemented by policies whose requests share state
+// copy-on-write and whose ProcessReq, the one that reads their requests,
+// keeps no reference into one. Release(req) says that req, from this
+// policy's GenerateReq, is read no more, so what it shares may be written in
+// place again (DESIGN §4).
+type Releaser interface {
+	Release(req Request)
 }
 
 // Persistent is implemented by policies that keep durable routing state —

@@ -1,7 +1,8 @@
 // Package sorted holds routing state as it travels and is persisted: a map
 // kept as entries in ascending key order, the internal/wire layout of a map.
 // Lookups are binary searches, merges one pass over two maps, and publishing
-// is copy-on-write: the owner's next write copies what Share handed out.
+// is copy-on-write: the owner's writes copy while what Share handed out is
+// not all given back (Release).
 package sorted
 
 import (
@@ -22,7 +23,7 @@ type Entry[K ~string, V any] struct {
 // entries, so only its owner writes it, handing copies out through Share.
 type Map[K ~string, V any] struct {
 	e      []Entry[K, V]
-	shared bool // a copy of e is held elsewhere: the next write copies
+	shares int // copies of e held elsewhere: writes copy e, and reset it, while any is out
 }
 
 // FromMap returns m's entries as a Map.
@@ -46,14 +47,22 @@ func (m Map[K, V]) Clone() Map[K, V] {
 	return Map[K, V]{e: append(make([]Entry[K, V], 0, len(m.e)+1), m.e...)}
 }
 
-// Share returns m for publishing and marks m so that its next write copies.
+// Share returns m for publishing, counting the share.
 func (m *Map[K, V]) Share() Map[K, V] {
-	m.shared = true
-	return *m
+	m.shares++
+	return Map[K, V]{e: m.e, shares: 1}
 }
 
-// search returns where k is or would be inserted in e, and whether it is.
-func search[K ~string, V any](e []Entry[K, V], k K) (int, bool) {
+// Release gives back v, a share of m read no more, unless m has copied its
+// entries since or v was itself shared.
+func (m *Map[K, V]) Release(v Map[K, V]) {
+	if m.shares > 0 && v.shares == 1 && cap(m.e) > 0 && cap(v.e) > 0 && &m.e[:1][0] == &v.e[:1][0] {
+		m.shares--
+	}
+}
+
+// Search returns where k is or would be inserted in e, and whether it is.
+func Search[K ~string, V any](e []Entry[K, V], k K) (int, bool) {
 	i, j := 0, len(e)
 	for i < j {
 		if h := int(uint(i+j) >> 1); e[h].Key < k {
@@ -67,7 +76,7 @@ func search[K ~string, V any](e []Entry[K, V], k K) (int, bool) {
 
 // Get returns k's value and whether m holds it.
 func (m Map[K, V]) Get(k K) (v V, ok bool) {
-	if i, ok := search(m.e, k); ok {
+	if i, ok := Search(m.e, k); ok {
 		return m.e[i].Val, true
 	}
 	return v, false
@@ -75,10 +84,10 @@ func (m Map[K, V]) Get(k K) (v V, ok bool) {
 
 // Set sets k's value.
 func (m *Map[K, V]) Set(k K, v V) {
-	if m.shared {
+	if m.shares > 0 {
 		*m = m.Clone()
 	}
-	if i, ok := search(m.e, k); ok {
+	if i, ok := Search(m.e, k); ok {
 		m.e[i].Val = v
 	} else {
 		m.e = slices.Insert(m.e, i, Entry[K, V]{k, v})
@@ -88,7 +97,7 @@ func (m *Map[K, V]) Set(k K, v V) {
 // Update merges b into m as Merge does, in place unless m is shared or an
 // entry of b alone would overtake the walk through m.
 func (m *Map[K, V]) Update(b Map[K, V], f func(k K, cur, v *V) (V, bool)) {
-	m.e, m.shared = merge(m.e, !m.shared, b.e, f), false
+	m.e, m.shares = merge(m.e, m.shares == 0, b.e, f), 0
 }
 
 // Adopt merges b into m, keeping for each key m's entry, or b's where m has
@@ -115,14 +124,14 @@ func (m *Map[K, V]) Adopt(bm Map[K, V], newer func(v, cur *V) bool) {
 			out = out[:i]
 			continue
 		case len(out) == i: // about to overwrite a[i]
-			out, inPlace = append(make([]Entry[K, V], 0, len(out)+len(a)-i+len(b)-j+1), out...), false
-		case m.shared: // copy m whole, then go on writing what changes
-			a, m.shared = append(make([]Entry[K, V], 0, len(a)), a...), false
+			out, inPlace, m.shares = append(make([]Entry[K, V], 0, len(out)+len(a)-i+len(b)-j+1), out...), false, 0
+		case m.shares > 0: // copy m whole, then go on writing what changes
+			a, m.shares = append(make([]Entry[K, V], 0, len(a)), a...), 0
 			out = a[:len(out)]
 		}
 		out = append(out, *e)
 	}
-	m.e, m.shared = out, m.shared && inPlace
+	m.e = out
 }
 
 // Merge walks a and b in key order and returns a new map of what f keeps: f

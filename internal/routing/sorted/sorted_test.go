@@ -163,8 +163,8 @@ func TestSearch(t *testing.T) {
 			if want < 0 {
 				want = n
 			}
-			if i, ok := search(m.Entries(), k); i != want || ok != (want < n && m.Entries()[want].Key == k) {
-				t.Fatalf("%d entries: search(%q) = %d, %v; want %d", n, k, i, ok, want)
+			if i, ok := Search(m.Entries(), k); i != want || ok != (want < n && m.Entries()[want].Key == k) {
+				t.Fatalf("%d entries: Search(%q) = %d, %v; want %d", n, k, i, ok, want)
 			}
 		}
 	}
@@ -233,6 +233,38 @@ func TestAdoptWritesOnlyChanges(t *testing.T) {
 	m.Adopt(FromMap(map[string]int{"0": 0, "aa": 0, "z": 0}), larger)
 	if got := fmt.Sprint(m.Entries()); got != "[{0 0} {a 1} {aa 0} {b 41} {c 30} {z 0}]" {
 		t.Errorf("entries %s", got)
+	}
+}
+
+// TestReleaseCountsShares: a write copies while any share is out, so with
+// two outstanding, giving one back still copies; once both are back, writes
+// land in place. Giving back a share of entries the owner has since copied,
+// or a share that was itself shared, gives back nothing.
+func TestReleaseCountsShares(t *testing.T) {
+	m := FromMap(map[string]int{"a": 1, "b": 2})
+	one, two := m.Share(), m.Share()
+	m.Release(one)
+	m.Set("a", 10)
+	if v, _ := two.Get("a"); v != 1 {
+		t.Fatalf("a share still out reads a = %d after the owner's write", v)
+	}
+	m.Release(one) // of the entries m copied away from: nothing back
+	three := m.Share()
+	m.Release(two)
+	m.Set("b", 20)
+	if v, _ := three.Get("b"); v != 2 {
+		t.Fatalf("a released stale share gave back the live one: b = %d", v)
+	}
+	m.Release(three)
+	if allocs := testing.AllocsPerRun(10, func() { m.Set("b", 21) }); allocs != 0 {
+		t.Errorf("with every share back, a write allocates %v times", allocs)
+	}
+	four := m.Share()
+	held := four.Share() // four's holder shares it on
+	m.Release(four)
+	m.Set("a", 11)
+	if v, _ := held.Get("a"); v != 10 {
+		t.Errorf("a share of a share reads a = %d after the owner's write", v)
 	}
 }
 

@@ -211,6 +211,56 @@ func TestConcurrentEncounters(t *testing.T) {
 	}
 }
 
+// TestConcurrentMaxPropPulls: a MaxProp hub pulls from several peers at once
+// while they pull from it. Each exact-mode pull gives its request's shares
+// back when its sync ends, so the hub writes its table, homes and knowledge
+// in place only once no pull still encoding a request reads them; under
+// -race a share given back while another is out is a reported race.
+func TestConcurrentMaxPropPulls(t *testing.T) {
+	dl := newDialer(t)
+	now := func() int64 { return 1 }
+	mk := func(id string) *replica.Replica {
+		return replica.New(replica.Config{
+			ID: vclock.ReplicaID(id), OwnAddresses: []string{"addr:" + id},
+			Policy: maxprop.New(vclock.ReplicaID(id), 3, now, "addr:"+id),
+		})
+	}
+	hub := mk("hub")
+	hubAddr, _ := serve(t, hub, 0)
+	const n, rounds = 4, 10
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("p%d", i)
+		peer := mk(id)
+		peerAddr, _ := serve(t, peer, 0)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				sendMsg(peer, "addr:"+id, "addr:hub")
+				if _, err := dl.Encounter(peer, hubAddr, 0, testTimeout, DialOptions{}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				sendMsg(hub, "addr:hub", "addr:"+id)
+				if _, err := dl.Encounter(hub, peerAddr, 0, testTimeout, DialOptions{}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Duplicates are not checked: a pull's knowledge is taken when its
+	// request is, so concurrent pulls may fetch one relayed copy twice.
+	if got := hub.Stats().Delivered; got != n*rounds {
+		t.Errorf("hub delivered %d of %d messages", got, n*rounds)
+	}
+}
+
 // Frame buffers are recycled process-wide: concurrent bulk pulls through one
 // server each receive every payload intact, whatever the other connections
 // write into the recycled buffers meanwhile.

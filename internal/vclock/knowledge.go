@@ -3,6 +3,7 @@ package vclock
 import (
 	"fmt"
 	"maps"
+	"reflect"
 	"slices"
 	"strings"
 )
@@ -27,6 +28,7 @@ import (
 // array, and only a row whose exceptions it changes has its exception set
 // copied. Shared storage is never mutated in place, so a clone remains safe
 // to read concurrently with further mutation of its source (and vice versa).
+// Once every clone is given back (Release), the source writes in place again.
 //
 // Rows never move and exception sets are hash sets, so learning a version
 // costs O(1) expected time whatever order a peer's batch comes in.
@@ -36,9 +38,9 @@ type Knowledge struct {
 	rows []row
 	// index maps each creator to its row's position.
 	index map[ReplicaID]int
-	// shared marks rows, and sharedIndex index, as possibly referenced by
-	// another Knowledge value: a mutation copies them first.
-	shared, sharedIndex bool
+	// shares and indexShares count the clones rows and index are shared
+	// with: a mutation copies what is shared first, resetting its count.
+	shares, indexShares int
 	// wireSize memoises WireSize (0: not computed); mutations reset it.
 	wireSize int
 }
@@ -114,7 +116,7 @@ func (k *Knowledge) reindex() {
 	for i, w := range k.rows {
 		k.index[w.creator] = i
 	}
-	k.sharedIndex = false
+	k.indexShares = 0
 }
 
 // byCreator returns the rows in creator order, the order the encoding and
@@ -166,20 +168,20 @@ func (v CreatorView) HasException(seq uint64) bool {
 // array on the first write after a clone, the index when a creator is added.
 func (k *Knowledge) edit(c ReplicaID) *row {
 	k.wireSize = 0
-	if k.shared {
+	if k.shares > 0 {
 		rows := make([]row, len(k.rows), len(k.rows)+1)
 		copy(rows, k.rows)
 		for i := range rows {
 			rows[i].owned = false
 		}
-		k.rows, k.shared = rows, false
+		k.rows, k.shares = rows, 0
 	}
 	i, ok := k.index[c]
 	if !ok {
-		if k.sharedIndex || k.index == nil {
+		if k.indexShares > 0 || k.index == nil {
 			index := make(map[ReplicaID]int, len(k.rows)+1)
 			maps.Copy(index, k.index)
-			k.index, k.sharedIndex = index, false
+			k.index, k.indexShares = index, 0
 		}
 		i = len(k.rows)
 		k.rows = append(k.rows, row{creator: c})
@@ -276,8 +278,19 @@ func (k *Knowledge) Count() uint64 {
 // clone is safe even while k keeps mutating, because mutation never writes
 // shared storage in place.
 func (k *Knowledge) Clone() *Knowledge {
-	k.shared, k.sharedIndex = true, true
-	return &Knowledge{rows: k.rows, index: k.index, shared: true, sharedIndex: true, wireSize: k.wireSize}
+	k.shares, k.indexShares = k.shares+1, k.indexShares+1
+	return &Knowledge{rows: k.rows, index: k.index, shares: 1, indexShares: 1, wireSize: k.wireSize}
+}
+
+// Release gives back c, a clone of k read no more: what c still shares with
+// k, unless c was itself cloned.
+func (k *Knowledge) Release(c *Knowledge) {
+	if k.shares > 0 && c.shares == 1 && cap(k.rows) > 0 && cap(c.rows) > 0 && &k.rows[:1][0] == &c.rows[:1][0] {
+		k.shares--
+	}
+	if k.indexShares > 0 && c.indexShares == 1 && reflect.ValueOf(k.index).UnsafePointer() == reflect.ValueOf(c.index).UnsafePointer() {
+		k.indexShares--
+	}
 }
 
 // Equal reports whether two knowledge values contain the same version set.
@@ -342,7 +355,7 @@ func (k *Knowledge) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("vclock: decode knowledge: %w", err)
 	}
 	// The decoded rows are freshly built, so any previous sharing ends here.
-	k.rows, k.shared, k.wireSize = fresh.rows[:0], false, 0
+	k.rows, k.shares, k.wireSize = fresh.rows[:0], 0, 0
 	for _, w := range fresh.rows {
 		if w.compact(); w.base > 0 || len(w.extra) > 0 {
 			k.rows = append(k.rows, w)

@@ -3,6 +3,7 @@ package vclock
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -226,5 +227,35 @@ func TestWireSizeMemoStaysExact(t *testing.T) {
 				t.Fatalf("step %d: live[%d] WireSize() = %d, encoding is %d bytes (%s)", step, i, got, len(data), k)
 			}
 		}
+	}
+}
+
+// TestReleaseCountsClones: the source copies on write while any clone is
+// out, so giving back one of two still copies; the creator index keeps its
+// own count, so a clone given back after the source copied its rows still
+// returns the index; and a clone that was itself cloned is never given back.
+func TestReleaseCountsClones(t *testing.T) {
+	k := NewKnowledge()
+	k.Add(Version{Replica: "a", Seq: 1})
+	one, two := k.Clone(), k.Clone()
+	k.Release(one)
+	k.Add(Version{Replica: "a", Seq: 2}) // copies the rows, not the index
+	if two.Contains(Version{Replica: "a", Seq: 2}) {
+		t.Fatal("with two clones out, giving one back let the source write the other in place")
+	}
+	k.Release(two)
+	index := reflect.ValueOf(k.index).UnsafePointer()
+	k.Add(Version{Replica: "b", Seq: 1})
+	if k.shares != 0 || k.indexShares != 0 || reflect.ValueOf(k.index).UnsafePointer() != index {
+		t.Errorf("the index given back was copied for a new creator (shares %d, index shares %d)", k.shares, k.indexShares)
+	}
+
+	c := k.Clone()
+	held := c.Clone()
+	k.Release(c)
+	k.Add(Version{Replica: "a", Seq: 3})
+	k.Add(Version{Replica: "c", Seq: 1})
+	if held.Contains(Version{Replica: "a", Seq: 3}) || held.Contains(Version{Replica: "c", Seq: 1}) {
+		t.Fatal("a clone of a clone saw the source's writes after the first clone was given back")
 	}
 }
