@@ -1,8 +1,10 @@
 package replica
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"replidtn/internal/filter"
@@ -11,6 +13,7 @@ import (
 	"replidtn/internal/routing/epidemic"
 	"replidtn/internal/routing/spraywait"
 	"replidtn/internal/store"
+	"replidtn/internal/vclock"
 )
 
 // The rule of package item, executable: a stored *item.Item is never written
@@ -165,4 +168,74 @@ func TestApplyBatchConsumesResponse(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestServeReusesOnlyPulledResponses: a replica's serve fills the shell of a
+// response it consumed in Pull, and no other — not a response handed to the
+// exported ApplyBatch, whose caller keeps it, and not a cut link's partial
+// response, which stays the carrier's and shares the source's item array.
+func TestServeReusesOnlyPulledResponses(t *testing.T) {
+	pair := func() (src, dst *Replica) {
+		src = New(Config{ID: "src", OwnAddresses: []string{"addr:src"}, Policy: epidemic.New(0)})
+		dst = New(Config{ID: "dst", OwnAddresses: []string{"addr:dst"}, Policy: epidemic.New(0)})
+		for i := 0; i < 4; i++ {
+			send(src, "addr:src", fmt.Sprintf("addr:far%d", i))
+		}
+		send(dst, "addr:dst", "addr:far")
+		return src, dst
+	}
+	// serve has r serve fresh targets, each sent everything r holds, and
+	// returns the first response.
+	serve := func(r *Replica) (first *SyncResponse) {
+		for i := 0; i < 3; i++ {
+			resp := r.HandleSyncRequest(New(Config{ID: vclock.ReplicaID(fmt.Sprintf("next%d", i))}).MakeSyncRequest(0))
+			if len(resp.Items) == 0 {
+				t.Fatal("the later serve sent nothing")
+			}
+			first = cmp.Or(first, resp)
+		}
+		return first
+	}
+	hold := func(resp *SyncResponse) SyncResponse {
+		c := *resp
+		c.Items = slices.Clone(resp.Items)
+		return c
+	}
+	check := func(what string, resp *SyncResponse, want SyncResponse) {
+		t.Helper()
+		if !reflect.DeepEqual(*resp, want) {
+			t.Errorf("%s changed under the target's later serves:\n got %+v\nwant %+v", what, *resp, want)
+		}
+	}
+
+	src, dst := pair()
+	var pulled *SyncResponse
+	dst.Pull(src.ID(), Budget{}, false, func(req *SyncRequest) (*SyncResponse, error) {
+		pulled = src.HandleSyncRequest(req)
+		return pulled, nil
+	})
+	if serve(dst) != pulled {
+		t.Error("the target's serves after a pull did not reuse the pull's response")
+	}
+
+	src, dst = pair()
+	resp := src.HandleSyncRequest(dst.MakeSyncRequest(0))
+	want := hold(resp)
+	dst.ApplyBatch(resp)
+	serve(dst)
+	check("a response applied through ApplyBatch", resp, want)
+
+	src, dst = pair()
+	var partial *SyncResponse
+	carry := (&Link{Cutoff: 2}).carry(src)
+	_, err := dst.Pull(src.ID(), Budget{}, false, func(req *SyncRequest) (*SyncResponse, error) {
+		resp, err := carry(req)
+		partial, want = resp, hold(resp)
+		return resp, err
+	})
+	if err == nil || len(want.Items) != 2 {
+		t.Fatalf("the cut pull returned %v after %d items, want a cut after 2", err, len(want.Items))
+	}
+	serve(dst)
+	check("a cut link's partial response", partial, want)
 }

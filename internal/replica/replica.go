@@ -146,6 +146,9 @@ type Replica struct {
 	skipped []*store.Entry
 	plan    []routing.Segment
 	planned bool
+	// A finished exact pull's shells, for the next request and serve (DESIGN §4).
+	spareReq  *SyncRequest
+	spareResp *SyncResponse
 
 	// Mutation journal (see journal.go): journal receives batches, pending
 	// accumulates under mu, emitMu serializes emission so delivery order

@@ -36,7 +36,8 @@ type SyncResult struct {
 // Carrier moves one sync request from the target to the source and brings
 // the source's response back: in process, over a link that may die, or over
 // a TCP session. On an error the response, when not nil, holds the batch
-// items that crossed before the carrier failed. Once a carrier returns,
+// items that crossed before the carrier failed and stays the carrier's;
+// without one it is Pull's, reused once applied. Once a carrier returns,
 // nothing it started reads the request any more.
 type Carrier func(*SyncRequest) (*SyncResponse, error)
 
@@ -55,7 +56,7 @@ var ErrStrayDemand = errors.New("knowledge demand for a request without a delta"
 // nothing, counts the sync as aborted, and reports the items that crossed
 // before the failure as wasted transfer.
 // Carriers are synchronous, so once the last carry returns an exact request
-// is read no more: Pull releases it, whatever the outcome (DESIGN §4).
+// is read no more: Pull releases and reuses it, whatever the outcome (DESIGN §4).
 func (r *Replica) Pull(source vclock.ReplicaID, budget Budget, strictBytes bool, carry Carrier) (res SyncResult, err error) {
 	var req, done *SyncRequest
 	if r.SummariesEnabled() {

@@ -165,7 +165,7 @@ func (r *Replica) attachFullLocked(req *SyncRequest, peer vclock.ReplicaID) {
 	r.know.WireSize() // as in MakeSyncRequest
 	f.know = r.know.Clone()
 	f.routing = req.Routing
-	req.Knowledge = f.know.Clone()
+	req.Knowledge = f.know.CloneInto(&req.know)
 	req.Epoch = r.epoch
 	req.Gen = f.gen
 	r.countFullLocked(req)

@@ -282,6 +282,63 @@ func TestSummaryBasesOutliveLaterWrites(t *testing.T) {
 	}
 }
 
+// TestSummaryBasesHoldWhatWasSent: a summary-mode request is the base of the
+// pair's next delta on both sides, so Pull never gives it back to be reused
+// or written. After a first contact (a tagged exact frame) and after each
+// delta, the target's frontier and the source's baseline hold the routing
+// state the request carried and the knowledge it stood for, through the
+// target's later writes and requests.
+func TestSummaryBasesHoldWhatWasSent(t *testing.T) {
+	var clock int64
+	now := func() int64 { return clock }
+	node := func(id vclock.ReplicaID) *Replica {
+		return New(Config{
+			ID: id, OwnAddresses: []string{"addr:" + string(id)}, Now: now, SyncSummaries: true,
+			Policy: maxprop.New(id, 0, now, "addr:"+string(id)),
+		})
+	}
+	a, b, c := node("a"), node("b"), node("c")
+	encode := func(rt routing.Request, know *vclock.Knowledge) string {
+		k, err := know.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(append(rt.(*maxprop.Request).AppendBinary(nil), k...))
+	}
+	for round := 0; round < 3; round++ {
+		clock++
+		send(a, "addr:a", "addr:c") // a write just before the request
+		var sent string
+		if _, err := a.Pull(b.ID(), Budget{}, false, func(req *SyncRequest) (*SyncResponse, error) {
+			sent = encode(req.Routing, a.know) // not a.Knowledge(): a clone kept would pin a's rows
+			// The source decodes a frame's knowledge, as off the wire, so no
+			// clone of its own keeps a's rows shared.
+			fwd := *req
+			if req.Knowledge != nil {
+				k, _ := req.Knowledge.MarshalBinary()
+				fwd.Knowledge = vclock.NewKnowledge()
+				if err := fwd.Knowledge.UnmarshalBinary(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return b.HandleSyncRequest(&fwd), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		clock++
+		send(a, "addr:a", "addr:c")
+		Encounter(a, c, 0) // a's table, homes and knowledge change, and it requests again
+		for side, kept := range map[string]string{
+			"target's frontier": encode(a.frontiers["b"].routing, a.frontiers["b"].know),
+			"source's baseline": encode(b.peerKnow["a"].routing, b.peerKnow["a"].know),
+		} {
+			if kept != sent {
+				t.Errorf("round %d: the %s is not what the request sent", round, side)
+			}
+		}
+	}
+}
+
 // TestSourceRestartForcesDeltaResync crash-restarts the source via
 // snapshot/restore: its cached delta baseline is gone, so the target's next
 // delta frame must be refused and resolved by one exact-knowledge fallback

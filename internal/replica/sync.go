@@ -56,6 +56,8 @@ type SyncRequest struct {
 	// StrictBytes disables the at-least-one exception; used for the second
 	// leg of an encounter, whose budget is the remainder of a shared one.
 	StrictBytes bool
+	// know holds Knowledge when it is this replica's clone, in one allocation.
+	know vclock.Knowledge
 }
 
 // BatchItem is one transmitted item copy: the replicated item plus the
@@ -127,20 +129,25 @@ func (r *Replica) MakeSyncRequest(maxItems int) *SyncRequest {
 	// Sized on r.know, not on the clone, so the memo outlives the request:
 	// every consumer of a request asks for the frame's size.
 	r.know.WireSize()
-	req.Knowledge = r.know.Clone()
+	req.Knowledge = r.know.CloneInto(&req.know)
 	r.countFullLocked(req)
 	return req
 }
 
 // newRequestLocked counts an initiated sync and returns its request, with
-// the routing state and without a knowledge frame.
+// the routing state and without a knowledge frame, in the shell a finished
+// pull left when there is one.
 func (r *Replica) newRequestLocked(maxItems int) *SyncRequest {
 	r.stats.SyncsInitiated++
 	if r.metrics != nil {
 		r.metrics.SyncsInitiated.Inc()
 		r.metrics.KnowledgeSize.Set(int64(r.know.Size()))
 	}
-	req := &SyncRequest{TargetID: r.id, Filter: r.filter, MaxItems: maxItems}
+	req := r.spareReq
+	if r.spareReq = nil; req == nil {
+		req = new(SyncRequest)
+	}
+	*req = SyncRequest{TargetID: r.id, Filter: r.filter, MaxItems: maxItems}
 	if r.policy != nil {
 		req.Routing = r.policy.GenerateReq()
 	}
@@ -158,7 +165,8 @@ func (r *Replica) countFullLocked(req *SyncRequest) {
 }
 
 // releaseLocked gives back the shares of done, a finished exact request of
-// this replica's (nil: none): its knowledge clone, and its routing state.
+// this replica's (nil: none) — its knowledge clone, and its routing state —
+// and keeps its shell for the next request.
 func (r *Replica) releaseLocked(done *SyncRequest) {
 	if done == nil {
 		return
@@ -167,6 +175,7 @@ func (r *Replica) releaseLocked(done *SyncRequest) {
 	if rel, ok := r.policy.(routing.Releaser); ok {
 		rel.Release(done.Routing)
 	}
+	*done, r.spareReq = SyncRequest{}, done
 }
 
 // selectorLimit derives the number of candidates worth retaining from the
@@ -199,7 +208,8 @@ func selectorLimit(req *SyncRequest) int {
 // Tombstones and filter-matched items keep their priority-class ordering;
 // the full batch is materialized and sorted only when the request carries
 // no budget at all. The emitted batch is identical, item for item,
-// to sorting every candidate and truncating afterwards.
+// to sorting every candidate and truncating afterwards. The response is the
+// caller's, in the shell of one this replica's Pull applied, when left.
 func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -288,14 +298,18 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	r.skipped = r.skipped[:0]
 	cands := sel.finish()
 
-	resp := &SyncResponse{SourceID: r.id}
+	resp := r.spareResp
+	if r.spareResp = nil; resp == nil {
+		resp = new(SyncResponse)
+	}
+	resp.SourceID = r.id
 	if req.MaxItems > 0 && sel.total > req.MaxItems {
 		// The byte budget may have bounded retention below MaxItems; the
 		// byte cut below always falls inside the retained prefix.
 		cands, resp.Truncated = cands[:min(req.MaxItems, len(cands))], true
 	}
 	if len(cands) > 0 {
-		resp.Items = make([]BatchItem, len(cands))
+		resp.Items = slices.Grow(resp.Items, len(cands))[:len(cands)]
 	}
 	// Each item is charged what the wire encodes for it, the transmit
 	// transient and the priority framing included.
@@ -419,13 +433,17 @@ func transmitTransient(e *store.Entry, policySet item.Transient) item.Transient 
 //
 // The response is consumed: each new item is stored as it is, not copied.
 // The caller must not write anything reachable from resp afterwards, nor
-// hand the same response to a second replica. Nothing reachable from the
-// source's store is written — items are immutable once stored, and a batch's
-// transients are values of its own — so an in-process fleet shares one
-// *item.Item per version and a TCP receiver keeps the decoder's copy.
+// hand the same response to a second replica. resp itself stays the
+// caller's: a replica reuses a response's shell only when its own Pull
+// received it (DESIGN §4). Nothing reachable from the source's store is
+// written — items are immutable once stored, and a batch's transients are
+// values of its own — so an in-process fleet shares one *item.Item per
+// version and a TCP receiver keeps the decoder's copy.
 func (r *Replica) ApplyBatch(resp *SyncResponse) ApplyStats { return r.applyBatch(resp, nil) }
 
 // applyBatch is ApplyBatch after releaseLocked(done), under the same lock.
+// With done set, resp is Pull's: once applied it is this replica's next
+// serve's shell, its items cleared and their array kept.
 func (r *Replica) applyBatch(resp *SyncResponse, done *SyncRequest) ApplyStats {
 	defer r.emitJournal() // deferred before the unlock, so it runs after it
 	r.mu.Lock()
@@ -495,6 +513,10 @@ func (r *Replica) applyBatch(resp *SyncResponse, done *SyncRequest) ApplyStats {
 	}
 	if r.metrics != nil {
 		r.recordApplyLocked(len(resp.Items), st)
+	}
+	if done != nil {
+		clear(resp.Items)
+		*resp, r.spareResp = SyncResponse{Items: resp.Items[:0]}, resp
 	}
 	return st
 }

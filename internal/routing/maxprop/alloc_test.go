@@ -46,15 +46,15 @@ func TestServeFromBuiltTreeAllocs(t *testing.T) {
 
 // TestGenerateReqAllocs: once the replica gives a request back, the table
 // and homes are unshared again, so the next GenerateReq re-stamps the table
-// in place and shares both: it allocates the request alone, on a 256-node
-// table as on a 26-node one.
+// in place, shares both and fills the request given back: it allocates
+// nothing, on a 256-node table as on a 26-node one.
 func TestGenerateReqAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
 		p := fleet(n, 4)[0]
 		p.Release(p.GenerateReq())
 		return testing.AllocsPerRun(20, func() { p.Release(p.GenerateReq()) })
 	}
-	if small, large := allocs(26), allocs(256); small != 1 || large != 1 {
-		t.Errorf("GenerateReq allocates %v times at 26 nodes, %v at 256; want 1", small, large)
+	if small, large := allocs(26), allocs(256); small != 0 || large != 0 {
+		t.Errorf("GenerateReq allocates %v times at 26 nodes, %v at 256; want 0", small, large)
 	}
 }

@@ -103,6 +103,7 @@ type Policy struct {
 	hopsOf []*sorted.Entry[vclock.ReplicaID, float64]
 	builds int             // trees built, read by tests
 	plan   routing.Segment // every serve's: the main runs, under bound
+	spare  *Request        // the last request given back, for GenerateReq to fill
 }
 
 // New creates a MaxProp policy for the given replica. hopThreshold <= 0
@@ -150,21 +151,28 @@ func (p *Policy) GenerateReq() routing.Request {
 	own, _ := p.table.Get(p.self)
 	own.Updated = now
 	p.table.Set(p.self, own)
-	return &Request{
+	r := p.spare
+	if p.spare = nil; r == nil {
+		r = new(Request)
+	}
+	*r = Request{
 		OwnAddresses: p.ownAddresses,
 		Table:        p.table.Share(),
 		Homes:        p.homes.Share(),
 		self:         p.self,
 		stamp:        now,
 	}
+	return r
 }
 
 // Release implements routing.Releaser: ProcessReq copies entries out of a
-// partner's table and homes, sharing only rows, which nobody writes.
+// partner's table and homes, sharing only rows, which nobody writes. req is
+// the next GenerateReq's.
 func (p *Policy) Release(req routing.Request) {
 	if r, ok := req.(*Request); ok && r != nil {
 		p.table.Release(r.Table)
 		p.homes.Release(r.Homes)
+		*r, p.spare = Request{}, r
 	}
 }
 

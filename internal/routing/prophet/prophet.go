@@ -116,6 +116,7 @@ type Policy struct {
 	aged  uint64
 	// partners caches the latest vector received from each sync partner.
 	partners partnerCache
+	spare    *Request // the last request given back, for GenerateReq to fill
 }
 
 // New creates a PROPHET policy. now supplies the current time in seconds
@@ -158,11 +159,24 @@ func (p *Policy) Vector() sorted.Map[string, float64] {
 // and our homed addresses, shared (SetOwnAddresses replaces them).
 func (p *Policy) GenerateReq() routing.Request {
 	vec := p.Vector() // ages first, so the log below covers this vector
-	return &Request{
+	r := p.spare
+	if p.spare = nil; r == nil {
+		r = new(Request)
+	}
+	*r = Request{
 		OwnAddresses:   p.ownAddresses,
 		Predictability: vec,
 		aging:          p.aging,
 		aged:           p.aged,
+	}
+	return r
+}
+
+// Release implements routing.Releaser: ProcessReq copies a partner's vector.
+func (p *Policy) Release(req routing.Request) {
+	if r, ok := req.(*Request); ok && r != nil {
+		p.p.Release(r.Predictability)
+		*r, p.spare = Request{}, r
 	}
 }
 
@@ -217,16 +231,18 @@ type partnerCache struct {
 	order []vclock.ReplicaID
 }
 
-// store adopts vec by reference: it arrived in a request, so nobody writes it
-// again (the routing.Request contract).
+// store copies vec into id's own array, reused when big enough: the sender
+// writes vec again once its request is given back (routing.Releaser).
 func (c *partnerCache) store(id vclock.ReplicaID, vec sorted.Map[string, float64]) {
 	if c.vectors == nil {
 		c.vectors = make(map[vclock.ReplicaID]sorted.Map[string, float64])
 	}
-	if _, known := c.vectors[id]; !known {
+	own, known := c.vectors[id]
+	if !known {
 		c.order = append(c.order, id)
 	}
-	c.vectors[id] = vec
+	own.Assign(vec)
+	c.vectors[id] = own
 	c.evictOldest()
 }
 

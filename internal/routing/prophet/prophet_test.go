@@ -284,11 +284,12 @@ func TestGRTRUsesNoOrdering(t *testing.T) {
 }
 
 // TestPublishedRequestImmutable: nothing reachable from a request changes
-// once GenerateReq has returned (the routing.Request contract) — although
-// the request holds the sender's own vector, not a copy: the sender ages,
-// updates, restores and re-homes a vector of its own from then on, and the
-// receiver keeps the published one by reference and only reads it, so the
-// policy gives no request back (routing.Releaser).
+// once GenerateReq has returned (the routing.Request contract) until it is
+// given back — although the request holds the sender's own vector, not a
+// copy: the sender ages, updates, restores and re-homes a vector of its own
+// from then on. The receiver's partner cache holds a copy, so once the
+// request is given back (routing.Releaser) and the sender writes that vector
+// in place, what the receiver reads stays as it was received.
 func TestPublishedRequestImmutable(t *testing.T) {
 	clk := &simClock{}
 	sender := newPolicy(clk, "addr:s")
@@ -299,6 +300,32 @@ func TestPublishedRequestImmutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	writes := func() { // by the sender, and by others to both sides
+		for round := 0; round < 3; round++ {
+			clk.t += 7 * DefaultParams().AgingUnit
+			sender.Predictability("addr:x") // an aging pass on its own
+			for i, o := range others {
+				id := vclock.ReplicaID(rune('x' + i))
+				sender.ProcessReq(id, reqFrom(o))
+				receiver.ProcessReq(id, reqFrom(o))
+				o.ProcessReq("s", reqFrom(sender))
+				o.ProcessReq("r", reqFrom(receiver))
+			}
+			receiver.ToSend(msgEntry("addr:x"), routing.Target{ID: "s"})
+			sender.ProcessReq("r", reqFrom(receiver))
+			sender.SetOwnAddresses("addr:s", "addr:s2")
+			if err := sender.RestoreState(state); err != nil {
+				t.Fatal(err)
+			}
+			clk.t += DefaultParams().AgingUnit
+			reqFrom(sender)
+		}
+	}
+	cached := func() []byte {
+		return (&Request{Predictability: receiver.partners.vectors["s"]}).AppendBinary(nil)
+	}
+
+	// Kept: the request itself stays as published.
 	req := reqFrom(sender)
 	if &req.Predictability.Entries()[0] != &sender.p.Entries()[0] {
 		t.Error("GenerateReq should publish the policy's vector, not copy it")
@@ -308,35 +335,33 @@ func TestPublishedRequestImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	receiver.ProcessReq("s", req)
-	if vec := receiver.partners.vectors["s"]; &vec.Entries()[0] != &req.Predictability.Entries()[0] {
-		t.Error("the partner cache should adopt the published vector, not copy it")
+	if vec := receiver.partners.vectors["s"]; &vec.Entries()[0] == &req.Predictability.Entries()[0] {
+		t.Error("the partner cache should hold a copy of the received vector, not the sender's")
 	}
-	// A replica hands an exact-mode request back to a routing.Releaser once
-	// its sync is over; the partner cache still reads this one.
-	if rel, ok := routing.Policy(sender).(routing.Releaser); ok {
-		rel.Release(req)
+	if want := (&Request{Predictability: req.Predictability}).AppendBinary(nil); !bytes.Equal(cached(), want) {
+		t.Error("the partner cache holds another vector than the one received")
 	}
-	for round := 0; round < 3; round++ {
-		clk.t += 7 * DefaultParams().AgingUnit
-		sender.Predictability("addr:x") // an aging pass on its own
-		for i, o := range others {
-			id := vclock.ReplicaID(rune('x' + i))
-			sender.ProcessReq(id, reqFrom(o))
-			receiver.ProcessReq(id, reqFrom(o))
-			o.ProcessReq("s", reqFrom(sender))
-			o.ProcessReq("r", reqFrom(receiver))
-		}
-		receiver.ToSend(msgEntry("addr:x"), routing.Target{ID: "s"})
-		sender.ProcessReq("r", reqFrom(receiver))
-		sender.SetOwnAddresses("addr:s", "addr:s2")
-		if err := sender.RestoreState(state); err != nil {
-			t.Fatal(err)
-		}
-		clk.t += DefaultParams().AgingUnit
-		reqFrom(sender)
-	}
+	writes()
 	if !bytes.Equal(deep.AppendBinary(nil), req.AppendBinary(nil)) {
 		t.Error("a published request changed after GenerateReq returned")
+	}
+
+	// Given back: the sender writes its vector in place, the receiver's copy
+	// stays. (An aging pass first copies the vector the requests above kept.)
+	clk.t += DefaultParams().AgingUnit
+	sender.Predictability("addr:x")
+	req = reqFrom(sender)
+	receiver.ProcessReq("s", req)
+	want := cached()
+	published := &req.Predictability.Entries()[0]
+	sender.Release(req)
+	clk.t += DefaultParams().AgingUnit
+	if sender.Predictability("addr:x"); &sender.p.Entries()[0] != published {
+		t.Error("the sender copied its vector to age it after the request was given back")
+	}
+	writes()
+	if !bytes.Equal(cached(), want) {
+		t.Error("the receiver's cached vector changed after the sender's request was given back")
 	}
 }
 

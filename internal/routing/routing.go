@@ -89,7 +89,7 @@ type Target struct {
 // into fresh values off TCP, replayed for a sync's fallback round, or
 // rebuilt from a delta against the previous request (DeltaRequest), when it
 // shares what did not change with that one. A Releaser's request is the
-// exception: it holds only until the replica releases it.
+// exception: it holds until released, so a receiver copies what it keeps.
 type Request any
 
 // DeltaRequest is what a policy's request type implements, beside its codec,
@@ -209,8 +209,8 @@ type DestinationOnly interface {
 // Releaser is optionally implemented by policies whose requests share state
 // copy-on-write and whose ProcessReq, the one that reads their requests,
 // keeps no reference into one. Release(req) says that req, from this
-// policy's GenerateReq, is read no more, so what it shares may be written in
-// place again (DESIGN §4).
+// policy's GenerateReq, is read no more: what it shares may be written in
+// place again, and req refilled by a later GenerateReq (DESIGN §4).
 type Releaser interface {
 	Release(req Request)
 }

@@ -47,6 +47,10 @@ func (m Map[K, V]) Clone() Map[K, V] {
 	return Map[K, V]{e: append(make([]Entry[K, V], 0, len(m.e)+1), m.e...)}
 }
 
+// Assign makes m, which is not shared, a copy of b, in m's own array when it
+// is big enough: for a holder that keeps what it is handed.
+func (m *Map[K, V]) Assign(b Map[K, V]) { m.e = append(m.e[:0], b.e...) }
+
 // Share returns m for publishing, counting the share.
 func (m *Map[K, V]) Share() Map[K, V] {
 	m.shares++

@@ -277,9 +277,14 @@ func (k *Knowledge) Count() uint64 {
 // storage with k until either side next mutates (copy-on-write). Reading the
 // clone is safe even while k keeps mutating, because mutation never writes
 // shared storage in place.
-func (k *Knowledge) Clone() *Knowledge {
+func (k *Knowledge) Clone() *Knowledge { return k.CloneInto(new(Knowledge)) }
+
+// CloneInto is Clone into dst, a value nothing reads any more, and returns
+// dst: a holder that keeps its clone's storage reuses it.
+func (k *Knowledge) CloneInto(dst *Knowledge) *Knowledge {
 	k.shares, k.indexShares = k.shares+1, k.indexShares+1
-	return &Knowledge{rows: k.rows, index: k.index, shares: 1, indexShares: 1, wireSize: k.wireSize}
+	*dst = Knowledge{rows: k.rows, index: k.index, shares: 1, indexShares: 1, wireSize: k.wireSize}
+	return dst
 }
 
 // Release gives back c, a clone of k read no more: what c still shares with
