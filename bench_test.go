@@ -62,7 +62,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	tr := getBenchTrace(b)
 	for i := 0; i < b.N; i++ {
-		fs, err := experiment.RunFilterSweep(tr, []int{0, 2, 8})
+		fs, err := experiment.RunFilterSweep(tr, []int{0, 2, 8}, experiment.Settings{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	tr := getBenchTrace(b)
 	for i := 0; i < b.N; i++ {
-		fs, err := experiment.RunFilterSweep(tr, []int{0, 2, 8})
+		fs, err := experiment.RunFilterSweep(tr, []int{0, 2, 8}, experiment.Settings{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig7(b *testing.B) {
 	tr := getBenchTrace(b)
 	for i := 0; i < b.N; i++ {
-		ps, err := experiment.RunPolicySweep(tr, emu.DefaultParams(), 0, 0)
+		ps, err := experiment.RunPolicySweep(tr, emu.DefaultParams(), 0, 0, experiment.Settings{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func BenchmarkFig7(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	tr := getBenchTrace(b)
 	for i := 0; i < b.N; i++ {
-		ps, err := experiment.RunPolicySweep(tr, emu.DefaultParams(), 0, 0)
+		ps, err := experiment.RunPolicySweep(tr, emu.DefaultParams(), 0, 0, experiment.Settings{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	tr := getBenchTrace(b)
 	for i := 0; i < b.N; i++ {
-		ps, err := experiment.RunPolicySweep(tr, emu.DefaultParams(), 1, 0)
+		ps, err := experiment.RunPolicySweep(tr, emu.DefaultParams(), 1, 0, experiment.Settings{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkFig10(b *testing.B) {
 	tr := getBenchTrace(b)
 	for i := 0; i < b.N; i++ {
-		ps, err := experiment.RunPolicySweep(tr, emu.DefaultParams(), 0, 2)
+		ps, err := experiment.RunPolicySweep(tr, emu.DefaultParams(), 0, 2, experiment.Settings{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkAblationTTL(b *testing.B) {
 	tr := getBenchTrace(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.AblationEpidemicTTL(tr, []int{2, 10}); err != nil {
+		if _, err := experiment.RunAblation(tr, experiment.Ablations[0], []int64{2, 10}, experiment.Settings{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func BenchmarkAblationTTL(b *testing.B) {
 func BenchmarkAblationSprayCopies(b *testing.B) {
 	tr := getBenchTrace(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.AblationSprayCopies(tr, []int{4, 16}); err != nil {
+		if _, err := experiment.RunAblation(tr, experiment.Ablations[1], []int64{4, 16}, experiment.Settings{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func BenchmarkAblationSprayCopies(b *testing.B) {
 func BenchmarkAblationEviction(b *testing.B) {
 	tr := getBenchTrace(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.AblationEviction(tr); err != nil {
+		if _, err := experiment.RunAblation(tr, experiment.Ablations[7], nil, experiment.Settings{}); err != nil {
 			b.Fatal(err)
 		}
 	}

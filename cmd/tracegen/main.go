@@ -13,7 +13,7 @@
 //	tracegen -out ./traces -scenario community:n=200,cells=3,bias=0.7
 //
 // Scenario specs (see internal/mobility): dieselnet, rwp, community,
-// dir:PATH. The written directory round-trips: dtnsim -trace DIR (or
+// dir:PATH. The written directory round-trips: dtnsim -scenario dir:DIR (or
 // trace.LoadDir) reconstructs the identical trace, silent nodes included
 // via nodes.csv.
 package main

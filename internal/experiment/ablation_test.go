@@ -5,9 +5,21 @@ import (
 	"testing"
 )
 
+// ablation returns the named row of the ablation table.
+func ablation(t *testing.T, name string) Ablation {
+	t.Helper()
+	for _, a := range Ablations {
+		if a.Name == name {
+			return a
+		}
+	}
+	t.Fatalf("no ablation %q", name)
+	return Ablation{}
+}
+
 func TestAblationEpidemicTTLMonotone(t *testing.T) {
 	tr := smallTrace(t)
-	rows, err := AblationEpidemicTTL(tr, []int{1, 4, 12})
+	rows, err := RunAblation(tr, ablation(t, "ablation-ttl"), []int64{1, 4, 12}, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +41,7 @@ func TestAblationEpidemicTTLMonotone(t *testing.T) {
 
 func TestAblationSprayCopiesTradeoff(t *testing.T) {
 	tr := smallTrace(t)
-	rows, err := AblationSprayCopies(tr, []int{2, 16})
+	rows, err := RunAblation(tr, ablation(t, "ablation-copies"), []int64{2, 16}, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +56,7 @@ func TestAblationSprayCopiesTradeoff(t *testing.T) {
 
 func TestAblationMaxPropThreshold(t *testing.T) {
 	tr := smallTrace(t)
-	rows, err := AblationMaxPropThreshold(tr, []int{1, 5})
+	rows, err := RunAblation(tr, ablation(t, "ablation-threshold"), []int64{1, 5}, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +69,7 @@ func TestAblationMaxPropThreshold(t *testing.T) {
 
 func TestAblationBandwidthMonotoneTraffic(t *testing.T) {
 	tr := smallTrace(t)
-	rows, err := AblationBandwidth(tr, []int{1, 4, 0})
+	rows, err := RunAblation(tr, ablation(t, "ablation-bandwidth"), []int64{1, 4, 0}, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +85,7 @@ func TestAblationBandwidthMonotoneTraffic(t *testing.T) {
 
 func TestAblationStorageMonotoneFootprint(t *testing.T) {
 	tr := smallTrace(t)
-	rows, err := AblationStorage(tr, []int{1, 0})
+	rows, err := RunAblation(tr, ablation(t, "ablation-storage"), []int64{1, 0}, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +100,7 @@ func TestAblationStorageMonotoneFootprint(t *testing.T) {
 
 func TestAblationEviction(t *testing.T) {
 	tr := smallTrace(t)
-	rows, err := AblationEviction(tr)
+	rows, err := RunAblation(tr, ablation(t, "ablation-eviction"), nil, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +112,7 @@ func TestAblationEviction(t *testing.T) {
 			t.Errorf("%s delivered nothing", r.Setting)
 		}
 	}
-	out := FormatAblation("eviction", rows)
+	out := FormatAblation(rows)
 	if !strings.Contains(out, "fifo") || !strings.Contains(out, "cost(hops)") {
 		t.Errorf("missing strategy labels in:\n%s", out)
 	}
@@ -108,7 +120,7 @@ func TestAblationEviction(t *testing.T) {
 
 func TestAblationByteBudget(t *testing.T) {
 	tr := smallTrace(t)
-	rows, err := AblationByteBudget(tr, []int64{2 << 10, 0})
+	rows, err := RunAblation(tr, ablation(t, "ablation-bytes"), []int64{2 << 10, 0}, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +138,7 @@ func TestAblationByteBudget(t *testing.T) {
 
 func TestAblationLifetime(t *testing.T) {
 	tr := smallTrace(t)
-	rows, err := AblationLifetime(tr, []int64{6 * 3600, 0})
+	rows, err := RunAblation(tr, ablation(t, "ablation-lifetime"), []int64{6 * 3600, 0}, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +161,11 @@ func TestAblationLifetime(t *testing.T) {
 }
 
 func TestFormatAblation(t *testing.T) {
-	out := FormatAblation("title", []AblationRow{{
+	out := FormatAblation([]AblationRow{{
 		Setting: "x=1", Delivered12h: 0.5, MeanDelayHours: 2.25,
 		CopiesAtEnd: 3.5, ItemsTransferred: 42,
 	}})
-	for _, want := range []string{"title", "x=1", "50.0%", "2.2h", "3.50", "42"} {
+	for _, want := range []string{"setting", "x=1", "50.0%", "2.2h", "3.50", "42"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}

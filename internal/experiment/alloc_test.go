@@ -18,10 +18,11 @@ import (
 // TestEmuAllocsPerEncounter pins the heap allocations of emu.Run, per
 // encounter, for every policy under the Fig. 7(a), 9 and 10 settings on the
 // small trace: set-up, injection and the 1 124 encounters, each two syncs.
-// The budgets are the counts measured when each finished sync began leaving
-// its request and response shells to the next (the counts before are in the
-// comment beside each), plus a margin of half an allocation per encounter
-// for allocations the Go runtime may add or remove between releases.
+// The budgets are the counts measured when each serve began keeping its
+// candidate buffer for the next and sorting it without boxing (the counts
+// before are in the comment beside each), plus a margin of half an
+// allocation per encounter for allocations the Go runtime may add or remove
+// between releases.
 func TestEmuAllocsPerEncounter(t *testing.T) {
 	const margin = 0.5
 	tr, err := SmallTrace(1)
@@ -34,13 +35,13 @@ func TestEmuAllocsPerEncounter(t *testing.T) {
 		measured                     map[emu.PolicyName]float64
 	}{
 		{"fig7a", 0, 0, map[emu.PolicyName]float64{
-			emu.PolicyBasic: 1.66, emu.PolicyProphet: 3.77, emu.PolicySpray: 4.13, emu.PolicyEpidemic: 3.12, emu.PolicyMaxProp: 5.81, // 7.52, 13.51, 10.02, 8.99, 13.67
+			emu.PolicyBasic: 1.61, emu.PolicyProphet: 3.25, emu.PolicySpray: 3.74, emu.PolicyEpidemic: 2.81, emu.PolicyMaxProp: 5.50, // 1.66, 3.77, 4.13, 3.12, 5.81
 		}},
 		{"fig9", 1, 0, map[emu.PolicyName]float64{
-			emu.PolicyBasic: 1.61, emu.PolicyProphet: 4.34, emu.PolicySpray: 2.50, emu.PolicyEpidemic: 5.78, emu.PolicyMaxProp: 6.24, // 7.44, 13.17, 8.23, 10.91, 13.08
+			emu.PolicyBasic: 1.59, emu.PolicyProphet: 4.04, emu.PolicySpray: 2.41, emu.PolicyEpidemic: 5.22, emu.PolicyMaxProp: 5.68, // 1.61, 4.34, 2.50, 5.78, 6.24
 		}},
 		{"fig10", 0, 2, map[emu.PolicyName]float64{
-			emu.PolicyBasic: 1.66, emu.PolicyProphet: 3.68, emu.PolicySpray: 3.31, emu.PolicyEpidemic: 3.46, emu.PolicyMaxProp: 6.02, // 7.52, 13.42, 9.20, 9.37, 13.93
+			emu.PolicyBasic: 1.61, emu.PolicyProphet: 3.22, emu.PolicySpray: 3.01, emu.PolicyEpidemic: 2.93, emu.PolicyMaxProp: 5.50, // 1.66, 3.68, 3.31, 3.46, 6.02
 		}},
 	} {
 		for _, policy := range emu.AllPolicies {

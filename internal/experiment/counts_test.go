@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"io"
 	"slices"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 )
 
 // TestServeCounts pins what the figures' serve walks cost, as exact counts
-// read through WithObs on the small trace dtnsim -small runs: the store
+// read through Settings.Obs on the small trace dtnsim -small runs: the store
 // entries the walks examined, the candidates they offered, and the items
 // sent. The emulator is deterministic, so the counts repeat bit for bit, and
 // a change to the serve path states which one it moves and by how much. The
@@ -24,34 +25,36 @@ import (
 // The offered counts are the candidates the walks reached: a budgeted serve
 // that stops once its batch is decided moves them without moving a table.
 // Each figure's counts sum over all of its runs; Fig. 5 and Fig. 6 are one
-// sweep.
+// sweep. "all" runs each of the four sweeps once, so its counts are their
+// sums.
 func TestServeCounts(t *testing.T) {
 	tr, err := SmallTrace(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := emu.DefaultParams()
-	policySweep := func(maxPerContact, relayCapacity int) func(...Option) error {
-		return func(opts ...Option) error {
-			_, err := RunPolicySweep(tr, params, maxPerContact, relayCapacity, opts...)
+	policySweep := func(maxPerContact, relayCapacity int) func(Settings) error {
+		return func(s Settings) error {
+			_, err := RunPolicySweep(tr, params, maxPerContact, relayCapacity, s)
 			return err
 		}
 	}
 	for _, fig := range []struct {
 		name                           string
-		run                            func(...Option) error
+		run                            func(Settings) error
 		syncs, examined, offered, sent int64
 	}{
-		{"fig5/6", func(opts ...Option) error {
-			_, err := RunFilterSweep(tr, nil, opts...)
+		{"fig5/6", func(s Settings) error {
+			_, err := RunFilterSweep(tr, nil, s)
 			return err
 		}, 24728, 135456, 3071, 3071},
 		{"fig7a", policySweep(0, 0), 11240, 41843, 2387, 2387},
 		{"fig9", policySweep(1, 0), 10380, 22301, 9260, 1787},
 		{"fig10", policySweep(0, 2), 11240, 20924, 1718, 1718},
+		{"all", func(s Settings) error { return Run(io.Discard, "all", tr, s) }, 57588, 220524, 16436, 8963},
 	} {
 		nm := &obs.NodeMetrics{}
-		if err := fig.run(WithObs(nm)); err != nil {
+		if err := fig.run(Settings{Obs: nm}); err != nil {
 			t.Fatalf("%s: %v", fig.name, err)
 		}
 		got := nm.Replica.Snapshot()

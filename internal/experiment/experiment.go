@@ -1,17 +1,10 @@
-// Package experiment reproduces the paper's evaluation (§VI): every figure
-// and table has a driver that runs the corresponding emulations and renders
-// the same rows or series the paper plots.
-//
-// The experiment index is:
-//
-//	Table I  — qualitative summary of the four routing policies
-//	Table II — protocol parameters
-//	Fig. 5   — mean delivery delay vs. filter size (random / selected)
-//	Fig. 6   — % delivered within 12 h vs. filter size
-//	Fig. 7   — delay CDFs per policy (a: 0–12 h, b: 1–10 days)
-//	Fig. 8   — stored copies per message (at delivery / at end)
-//	Fig. 9   — delay CDFs under a bandwidth constraint (1 msg/encounter)
-//	Fig. 10  — delay CDFs under a storage constraint (2 relayed msgs/node)
+// Package experiment reproduces the paper's evaluation (§VI). Its index
+// (index.go) is the one list of experiments: each entry names the sweep of
+// emulation runs it reads, its title and how it renders, and Run renders one
+// entry by name, or with "all" the paper's tables and figures in order, each
+// sweep run once. The eight ablations are rows of one table (Ablations),
+// run by RunAblation. Settings carry the run settings — faults, the
+// observability sink and the summary protocol — to every run.
 package experiment
 
 import (
@@ -42,23 +35,22 @@ type FilterSweep struct {
 // RunFilterSweep executes the multi-address filter experiments on the basic
 // substrate, one run per (strategy, k) on the run pool; the k = 0 run is
 // shared between the strategies.
-func RunFilterSweep(tr *trace.Trace, ks []int, opts ...Option) (*FilterSweep, error) {
-	o := buildOptions(opts)
+func RunFilterSweep(tr *trace.Trace, ks []int, s Settings) (*FilterSweep, error) {
 	if len(ks) == 0 {
 		ks = FilterKs
 	}
 	var jobs []job
 	for _, k := range ks {
 		jobs = append(jobs, job{fmt.Sprintf("random k=%d", k), emu.Config{
-			Trace: tr, ExtraBuses: emu.RandomExtraBuses(tr, k, 11), Faults: o.faults,
+			Trace: tr, ExtraBuses: emu.RandomExtraBuses(tr, k, 11),
 		}})
 		if k != 0 {
 			jobs = append(jobs, job{fmt.Sprintf("selected k=%d", k), emu.Config{
-				Trace: tr, ExtraBuses: emu.SelectedExtraBuses(tr, k), Faults: o.faults,
+				Trace: tr, ExtraBuses: emu.SelectedExtraBuses(tr, k),
 			}})
 		}
 	}
-	results, err := o.runAll("filters", jobs)
+	results, err := s.runAll("filters", jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -78,58 +70,42 @@ func RunFilterSweep(tr *trace.Trace, ks []int, opts ...Option) (*FilterSweep, er
 	return fs, nil
 }
 
-// Fig5 returns the mean message delay (hours) for each strategy and filter
-// size.
-func (fs *FilterSweep) Fig5() []metrics.Series {
+// series returns the random and the selected strategy's y over the swept
+// filter sizes.
+func (fs *FilterSweep) series(y func(*emu.Result) float64) []metrics.Series {
 	xs := make([]float64, len(fs.Ks))
 	random := make([]float64, len(fs.Ks))
 	selected := make([]float64, len(fs.Ks))
 	for i, k := range fs.Ks {
 		xs[i] = float64(k)
-		random[i] = fs.Random[k].Summary.MeanDelayHours()
-		selected[i] = fs.Selected[k].Summary.MeanDelayHours()
+		random[i] = y(fs.Random[k])
+		selected[i] = y(fs.Selected[k])
 	}
 	return []metrics.Series{
 		{Label: "random", X: xs, Y: random},
 		{Label: "selected", X: xs, Y: selected},
 	}
+}
+
+// Fig5 returns the mean message delay (hours) for each strategy and filter
+// size.
+func (fs *FilterSweep) Fig5() []metrics.Series {
+	return fs.series(func(r *emu.Result) float64 { return r.Summary.MeanDelayHours() })
 }
 
 // Fig6 returns the percentage of messages delivered within 12 hours for each
 // strategy and filter size.
 func (fs *FilterSweep) Fig6() []metrics.Series {
-	xs := make([]float64, len(fs.Ks))
-	random := make([]float64, len(fs.Ks))
-	selected := make([]float64, len(fs.Ks))
-	for i, k := range fs.Ks {
-		xs[i] = float64(k)
-		random[i] = fs.Random[k].Summary.DeliveredWithin(Deadline12h) * 100
-		selected[i] = fs.Selected[k].Summary.DeliveredWithin(Deadline12h) * 100
-	}
-	return []metrics.Series{
-		{Label: "random", X: xs, Y: random},
-		{Label: "selected", X: xs, Y: selected},
-	}
+	return fs.series(func(r *emu.Result) float64 { return r.Summary.DeliveredWithin(Deadline12h) * 100 })
 }
 
 // KnowledgePerEncounter returns the mean knowledge-frame bytes shipped per
 // encounter for each strategy and filter size — the sync-metadata overhead
-// the compact summary protocol (WithSyncSummaries) shrinks. Comparing this
+// the compact summary protocol (Settings.Summaries) shrinks. Comparing this
 // series between a plain and a summaries-enabled sweep is the filter-sweep
 // bytes-per-encounter ablation.
 func (fs *FilterSweep) KnowledgePerEncounter() []metrics.Series {
-	xs := make([]float64, len(fs.Ks))
-	random := make([]float64, len(fs.Ks))
-	selected := make([]float64, len(fs.Ks))
-	for i, k := range fs.Ks {
-		xs[i] = float64(k)
-		random[i] = knowledgePerEncounter(fs.Random[k])
-		selected[i] = knowledgePerEncounter(fs.Selected[k])
-	}
-	return []metrics.Series{
-		{Label: "random", X: xs, Y: random},
-		{Label: "selected", X: xs, Y: selected},
-	}
+	return fs.series(knowledgePerEncounter)
 }
 
 // PolicySweep holds one emulation result per routing configuration under a
@@ -143,8 +119,7 @@ type PolicySweep struct {
 
 // RunPolicySweep executes one emulation per routing configuration on the run
 // pool.
-func RunPolicySweep(tr *trace.Trace, params emu.Params, maxPerEncounter, relayCapacity int, opts ...Option) (*PolicySweep, error) {
-	o := buildOptions(opts)
+func RunPolicySweep(tr *trace.Trace, params emu.Params, maxPerEncounter, relayCapacity int, s Settings) (*PolicySweep, error) {
 	jobs := make([]job, len(emu.AllPolicies))
 	for i, name := range emu.AllPolicies {
 		jobs[i] = job{string(name), emu.Config{
@@ -152,10 +127,9 @@ func RunPolicySweep(tr *trace.Trace, params emu.Params, maxPerEncounter, relayCa
 			Policy:                  emu.Factory(name, params),
 			MaxMessagesPerEncounter: maxPerEncounter,
 			RelayCapacity:           relayCapacity,
-			Faults:                  o.faults,
 		}}
 	}
-	results, err := o.runAll("policy", jobs)
+	results, err := s.runAll("policy", jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -173,29 +147,21 @@ func RunPolicySweep(tr *trace.Trace, params emu.Params, maxPerEncounter, relayCa
 // CDFHours returns per-policy delay CDFs over hourly bounds 1..hours — the
 // Fig. 7(a), Fig. 9, and Fig. 10 series.
 func (ps *PolicySweep) CDFHours(hours int) []metrics.Series {
-	bounds := metrics.HourBounds(hours)
-	xs := make([]float64, len(bounds))
-	for i, b := range bounds {
-		xs[i] = float64(b) / 3600
-	}
-	out := make([]metrics.Series, 0, len(emu.AllPolicies))
-	for _, name := range emu.AllPolicies {
-		out = append(out, metrics.Series{
-			Label: string(name),
-			X:     xs,
-			Y:     ps.Results[name].Summary.CDF(bounds),
-		})
-	}
-	return out
+	return ps.cdf(metrics.HourBounds(hours), 3600)
 }
 
 // CDFDays returns per-policy delay CDFs over daily bounds 1..days — the
 // Fig. 7(b) series.
 func (ps *PolicySweep) CDFDays(days int) []metrics.Series {
-	bounds := metrics.DayBounds(days)
+	return ps.cdf(metrics.DayBounds(days), 24*3600)
+}
+
+// cdf returns per-policy delay CDFs at bounds, in seconds, plotted in units
+// of unit seconds.
+func (ps *PolicySweep) cdf(bounds []int64, unit float64) []metrics.Series {
 	xs := make([]float64, len(bounds))
 	for i, b := range bounds {
-		xs[i] = float64(b) / (24 * 3600)
+		xs[i] = float64(b) / unit
 	}
 	out := make([]metrics.Series, 0, len(emu.AllPolicies))
 	for _, name := range emu.AllPolicies {

@@ -19,7 +19,7 @@ func smallTrace(t *testing.T) *trace.Trace {
 
 func TestFilterSweepShape(t *testing.T) {
 	tr := smallTrace(t)
-	fs, err := RunFilterSweep(tr, []int{0, 2, 4})
+	fs, err := RunFilterSweep(tr, []int{0, 2, 4}, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestFilterSweepShape(t *testing.T) {
 
 func TestFilterSweepDefaultsKs(t *testing.T) {
 	tr := smallTrace(t)
-	fs, err := RunFilterSweep(tr, nil)
+	fs, err := RunFilterSweep(tr, nil, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFilterSweepDefaultsKs(t *testing.T) {
 
 func TestPolicySweepFigures(t *testing.T) {
 	tr := smallTrace(t)
-	ps, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0)
+	ps, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPolicySweepFigures(t *testing.T) {
 
 func TestFig8Accounting(t *testing.T) {
 	tr := smallTrace(t)
-	ps, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0)
+	ps, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +122,15 @@ func TestFig8Accounting(t *testing.T) {
 
 func TestConstrainedSweeps(t *testing.T) {
 	tr := smallTrace(t)
-	free, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0)
+	free, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw, err := RunPolicySweep(tr, emu.DefaultParams(), 1, 0)
+	bw, err := RunPolicySweep(tr, emu.DefaultParams(), 1, 0, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 2)
+	st, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 2, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +191,8 @@ func TestSuiteRunAllSmall(t *testing.T) {
 		t.Skip("full suite run in -short mode")
 	}
 	tr := smallTrace(t)
-	s := &Suite{Trace: tr, Params: emu.DefaultParams()}
 	var b strings.Builder
-	if err := s.RunAll(&b); err != nil {
+	if err := Run(&b, "all", tr, Settings{}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -211,7 +210,7 @@ func TestSuiteRunAllSmall(t *testing.T) {
 
 func TestSummaryRows(t *testing.T) {
 	tr := smallTrace(t)
-	ps, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0)
+	ps, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}

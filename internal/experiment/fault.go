@@ -46,22 +46,24 @@ type FaultRow struct {
 	ItemsWasted       int
 	// KnowledgeBytesPerEnc is the mean knowledge-frame volume shipped per
 	// encounter — the sync-metadata cost the summary protocol
-	// (WithSyncSummaries) shrinks.
+	// (Settings.Summaries) shrinks.
 	KnowledgeBytesPerEnc float64
 }
 
 // RunFaultSweep reruns every routing policy under swept encounter-drop
-// probabilities and mid-sync cutoff budgets, all driven by one fault seed.
-// Nil drops/cutoffs select the defaults. The runs go through the run pool;
-// rows come back grouped by policy, drops before cutoffs, in sweep order.
-func RunFaultSweep(tr *trace.Trace, seed int64, drops []float64, cutoffs []int, opts ...Option) ([]FaultRow, error) {
-	o := buildOptions(opts)
+// probabilities and mid-sync cutoff budgets. The grid replaces s.Faults, all
+// of it driven by s.Faults.Seed. Nil drops/cutoffs select the defaults. The
+// runs go through the run pool; rows come back grouped by policy, drops
+// before cutoffs, in sweep order.
+func RunFaultSweep(tr *trace.Trace, drops []float64, cutoffs []int, s Settings) ([]FaultRow, error) {
 	if drops == nil {
 		drops = DefaultFaultDrops
 	}
 	if cutoffs == nil {
 		cutoffs = DefaultFaultCutoffs
 	}
+	seed := s.Faults.Seed
+	s.Faults = fault.Config{}
 	var rows []FaultRow
 	var jobs []job
 	add := func(name emu.PolicyName, setting string, faults fault.Config) {
@@ -81,7 +83,7 @@ func RunFaultSweep(tr *trace.Trace, seed int64, drops []float64, cutoffs []int, 
 				fault.Config{Seed: seed, Cutoff: faultCutoffProb, CutoffItems: n})
 		}
 	}
-	results, err := o.runAll("fault sweep", jobs)
+	results, err := s.runAll("fault sweep", jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,9 @@ import (
 	"replidtn/internal/mobility"
 )
 
+// seed1 runs the fault sweep's grid on fault seed 1.
+var seed1 = Settings{Faults: fault.Config{Seed: 1}}
+
 // TestAcceptanceEpidemicSurvivesDrops is the PR's headline acceptance
 // criterion: with 30% of encounters dropped under a fixed fault seed,
 // epidemic routing still delivers every message eventually on the small
@@ -66,7 +69,7 @@ func TestRunFaultSweep(t *testing.T) {
 	}
 	drops := []float64{0, 0.3}
 	cutoffs := []int{2}
-	rows, err := RunFaultSweep(tr, 1, drops, cutoffs)
+	rows, err := RunFaultSweep(tr, drops, cutoffs, seed1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestRunFaultSweep(t *testing.T) {
 			}
 		}
 	}
-	again, err := RunFaultSweep(tr, 1, drops, cutoffs)
+	again, err := RunFaultSweep(tr, drops, cutoffs, seed1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +123,7 @@ func TestFaultSweepWithoutMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunFaultSweep(tr, 1, []float64{0}, []int{1})
+	rows, err := RunFaultSweep(tr, []float64{0}, []int{1}, seed1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +148,11 @@ func TestSweepSummariesAblation(t *testing.T) {
 	}
 	drops := []float64{0, 0.3}
 	cutoffs := []int{2}
-	plain, err := RunFaultSweep(tr, 1, drops, cutoffs)
+	plain, err := RunFaultSweep(tr, drops, cutoffs, seed1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := RunFaultSweep(tr, 1, drops, cutoffs, WithSyncSummaries(true))
+	sum, err := RunFaultSweep(tr, drops, cutoffs, Settings{Faults: fault.Config{Seed: 1}, Summaries: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +169,11 @@ func TestSweepSummariesAblation(t *testing.T) {
 	}
 
 	ks := []int{0, 2}
-	fsPlain, err := RunFilterSweep(tr, ks)
+	fsPlain, err := RunFilterSweep(tr, ks, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsSum, err := RunFilterSweep(tr, ks, WithSyncSummaries(true))
+	fsSum, err := RunFilterSweep(tr, ks, Settings{Summaries: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // must produce byte-identical delivery records.
 func TestEpidemicEqualsMaxPropUnconstrained(t *testing.T) {
 	tr := smallTrace(t)
-	ps, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0)
+	ps, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestEpidemicEqualsMaxPropUnconstrained(t *testing.T) {
 	}
 	// Under a tight bandwidth constraint they are allowed to (and typically
 	// do) diverge — that is where MaxProp's ordering matters.
-	bw, err := RunPolicySweep(tr, emu.DefaultParams(), 1, 0)
+	bw, err := RunPolicySweep(tr, emu.DefaultParams(), 1, 0, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestEpidemicEqualsMaxPropUnconstrained(t *testing.T) {
 // not the message count, for every policy.
 func TestKnowledgeStaysCompact(t *testing.T) {
 	tr := smallTrace(t)
-	ps, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0)
+	ps, err := RunPolicySweep(tr, emu.DefaultParams(), 0, 0, Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,15 +26,13 @@ func TestRunPoolMatchesSerial(t *testing.T) {
 	run := func(procs int) (string, obs.NodeSnapshot) {
 		runtime.GOMAXPROCS(procs)
 		nm := &obs.NodeMetrics{}
-		s := &Suite{
-			Trace:     tr,
-			Params:    emu.DefaultParams(),
+		s := Settings{
 			Faults:    fault.Config{Seed: 3, Drop: 0.1, Cutoff: 0.2, CutoffItems: 2, Crash: 0.02},
 			Obs:       nm,
 			Summaries: true,
 		}
 		var b strings.Builder
-		if err := s.RunAll(&b); err != nil {
+		if err := Run(&b, "all", tr, s); err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		snap := nm.Snapshot()
@@ -68,7 +66,7 @@ func TestRunPoolReportsLowestFailingIndex(t *testing.T) {
 	jobs[1].cfg.DataBackend = "bogus"
 	jobs[3].cfg.DataBackend = "bogus"
 	for n := 0; n < 20; n++ {
-		res, err := options{}.runAll("pool", jobs)
+		res, err := Settings{}.runAll("pool", jobs)
 		if err == nil || res != nil {
 			t.Fatalf("two failing runs: results %v, error %v", res, err)
 		}

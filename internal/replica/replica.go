@@ -140,11 +140,13 @@ type Replica struct {
 	store   *store.Store
 	stats   Stats
 	metrics *obs.ReplicaMetrics
-	// skipped and plan are the serve's reused buffers of withheld entries
-	// and of its plan (DESIGN §4); planned is set by the first serve whose
-	// budget is smaller than the store, which files it for the policy's plan.
+	// skipped, plan and cands are the serve's reused buffers of withheld
+	// entries, of its plan and of its batch candidates, cleared after each
+	// serve (DESIGN §4); planned is set by the first serve whose budget is
+	// smaller than the store, which files it for the policy's plan.
 	skipped []*store.Entry
 	plan    []routing.Segment
+	cands   []syncCandidate
 	planned bool
 	// A finished exact pull's shells, for the next request and serve (DESIGN §4).
 	spareReq  *SyncRequest

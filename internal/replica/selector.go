@@ -1,7 +1,7 @@
 package replica
 
 import (
-	"sort"
+	"slices"
 
 	"replidtn/internal/item"
 	"replidtn/internal/routing"
@@ -39,12 +39,20 @@ type syncCandidate struct {
 type batchSelector struct {
 	limit int
 	// room is the bounded heap's capacity, allocated whole on the first
-	// offer: the limit, or the store's length when that is smaller.
+	// offer unless cands, the serve's reused buffer, already has it: the
+	// limit, or the store's length when that is smaller.
 	room  int
 	cands []syncCandidate
 	total int
 	heap  bool // cands is a heap, not a sorted list
 }
+
+// keptCands bounds the candidate buffer a replica keeps between serves, at
+// 40 KiB. A serve on the paper's full trace offers at most 307 candidates;
+// only a bulk pull, such as a first contact with a large store, grows the
+// buffer past the bound, and keeping it would hold that size for the
+// replica's life.
+const keptCands = 1024
 
 // candLess reports whether a transmits before b: priority order (class
 // descending, cost ascending), ties broken by item ID. Within one batch the
@@ -68,7 +76,7 @@ func (sel *batchSelector) offer(c syncCandidate) bool {
 	case !sel.admits(c.priority, c.entry.Item.ID):
 		return false // not better than the worst retained candidate
 	case sel.limit <= 0, !sel.heap && (n == 0 || candLess(&sel.cands[n-1], &c)):
-		if sel.cands == nil {
+		if cap(sel.cands) < sel.room {
 			sel.cands = make([]syncCandidate, 0, sel.room)
 		}
 		sel.cands = append(sel.cands, c)
@@ -102,8 +110,14 @@ func (sel *batchSelector) admits(pr routing.Priority, id item.ID) bool {
 // must not be used afterwards.
 func (sel *batchSelector) finish() []syncCandidate {
 	if sel.limit <= 0 {
-		sort.Slice(sel.cands, func(i, j int) bool {
-			return candLess(&sel.cands[i], &sel.cands[j])
+		slices.SortFunc(sel.cands, func(a, b syncCandidate) int {
+			if candLess(&a, &b) {
+				return -1
+			}
+			if candLess(&b, &a) {
+				return 1
+			}
+			return 0
 		})
 		return sel.cands
 	}

@@ -228,7 +228,7 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 	target := routing.Target{ID: req.TargetID, Filter: req.Filter}
 
 	limit := selectorLimit(req)
-	sel := batchSelector{limit: limit, room: min(limit, r.store.Len())}
+	sel := batchSelector{limit: limit, room: min(limit, r.store.Len()), cands: r.cands[:0]}
 	r.planLocked(target, limit)
 	// One loop walks the plan's segments, each one creator run at a time
 	// above the target's base vector; view is that creator's share of know,
@@ -325,6 +325,10 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 			}
 		}
 		resp.Items[i] = bi
+	}
+	clear(sel.cands) // the buffer kept for the next serve pins no entry
+	if r.cands = sel.cands[:0]; cap(r.cands) > keptCands {
+		r.cands = nil
 	}
 	// Offer wholesale knowledge when this replica provably sees everything
 	// the target's filter selects: the target can then compact its knowledge

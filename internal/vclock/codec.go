@@ -1,10 +1,6 @@
 package vclock
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
+import "replidtn/internal/wire/prim"
 
 // The knowledge wire format is a compact, deterministic varint encoding:
 //
@@ -12,9 +8,8 @@ import (
 //	uvarint nExtra   { uvarint len(id), id bytes, uvarint nSeqs, uvarint seq* } * nExtra
 //
 // Entries are sorted by replica ID so equal knowledge always encodes to equal
-// bytes, which keeps wire-level tests and caching deterministic.
-
-var errTruncated = errors.New("vclock: truncated knowledge encoding")
+// bytes, which keeps wire-level tests and caching deterministic. The
+// primitives are internal/wire/prim's, the one varint layer.
 
 // AppendBinary implements encoding.BinaryAppender: it appends the exact
 // MarshalBinary encoding to buf and returns the extended slice, so callers
@@ -31,22 +26,22 @@ func (k *Knowledge) AppendBinary(buf []byte) ([]byte, error) {
 			nExtra++
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(nBase))
+	buf = prim.AppendUvarint(buf, uint64(nBase))
 	for _, w := range rows {
 		if w.base > 0 {
-			buf = appendString(buf, string(w.creator))
-			buf = binary.AppendUvarint(buf, w.base)
+			buf = prim.AppendString(buf, string(w.creator))
+			buf = prim.AppendUvarint(buf, w.base)
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(nExtra))
+	buf = prim.AppendUvarint(buf, uint64(nExtra))
 	var seqs []uint64
 	for _, w := range rows {
 		if len(w.extra) > 0 {
-			buf = appendString(buf, string(w.creator))
-			buf = binary.AppendUvarint(buf, uint64(len(w.extra)))
+			buf = prim.AppendString(buf, string(w.creator))
+			buf = prim.AppendUvarint(buf, uint64(len(w.extra)))
 			seqs = w.sortedExtra(seqs)
 			for _, s := range seqs {
-				buf = binary.AppendUvarint(buf, s)
+				buf = prim.AppendUvarint(buf, s)
 			}
 		}
 	}
@@ -59,51 +54,28 @@ func (k *Knowledge) AppendBinary(buf []byte) ([]byte, error) {
 // below its creator's base is dropped as it is read; UnmarshalBinary does
 // the rest of canonicalization.
 func (k *Knowledge) decode(data []byte) error {
-	pos := 0
+	d := prim.NewDecoder(data)
 	for section := 0; section < 2; section++ { // base entries, then exceptions
-		n, err := readUvarint(data, &pos)
-		if err != nil {
-			return err
-		}
-		for i := uint64(0); i < n; i++ {
-			id, err := readString(data, &pos)
-			if err != nil {
-				return err
+		n := d.Uvarint()
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			id := ReplicaID(d.String())
+			v := d.Uvarint() // the seq, or the count of seqs
+			if d.Err() != nil {
+				break
 			}
-			v, err := readUvarint(data, &pos) // the seq, or the count of seqs
-			if err != nil {
-				return err
-			}
-			w := k.edit(ReplicaID(id))
+			w := k.edit(id)
 			if section == 0 {
 				w.base = max(w.base, v)
 				continue
 			}
-			for j := uint64(0); j < v; j++ {
-				s, err := readUvarint(data, &pos)
-				if err != nil {
-					return err
-				}
-				if s > w.base {
+			for j := uint64(0); j < v && d.Err() == nil; j++ {
+				if s := d.Uvarint(); s > w.base {
 					w.insert(s)
 				}
 			}
 		}
 	}
-	if pos != len(data) {
-		return fmt.Errorf("vclock: %d trailing bytes in knowledge encoding", len(data)-pos)
-	}
-	return nil
-}
-
-// uvarintLen returns the encoded length of v without encoding it.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return d.Finish()
 }
 
 // WireSize returns the exact MarshalBinary length of the knowledge without
@@ -115,43 +87,16 @@ func (k *Knowledge) WireSize() int {
 	}
 	nBase, nExtra, n := 0, 0, 0
 	for _, w := range k.rows {
-		id := uvarintLen(uint64(len(w.creator))) + len(w.creator)
+		id := prim.SizeUvarint(uint64(len(w.creator))) + len(w.creator)
 		if w.base > 0 {
 			nBase++
-			n += id + uvarintLen(w.base)
+			n += id + prim.SizeUvarint(w.base)
 		}
 		if len(w.extra) > 0 {
 			nExtra++
-			n += id + uvarintLen(uint64(len(w.extra))) + w.extraSize
+			n += id + prim.SizeUvarint(uint64(len(w.extra))) + w.extraSize
 		}
 	}
-	k.wireSize = n + uvarintLen(uint64(nBase)) + uvarintLen(uint64(nExtra))
+	k.wireSize = n + prim.SizeUvarint(uint64(nBase)) + prim.SizeUvarint(uint64(nExtra))
 	return k.wireSize
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readUvarint(data []byte, pos *int) (uint64, error) {
-	v, n := binary.Uvarint(data[*pos:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	*pos += n
-	return v, nil
-}
-
-func readString(data []byte, pos *int) (string, error) {
-	n, err := readUvarint(data, pos)
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(data)-*pos) < n {
-		return "", errTruncated
-	}
-	s := string(data[*pos : *pos+int(n)])
-	*pos += int(n)
-	return s, nil
 }

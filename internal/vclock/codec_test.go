@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"replidtn/internal/wire/prim"
 )
 
 // TestKnowledgeCodecGolden pins the bytes of a fixed knowledge value —
@@ -61,14 +63,14 @@ func TestKnowledgeCodecGolden(t *testing.T) {
 func hostileFrames(exceptions, creators int) (descending, manyCreators []byte) {
 	descending = binary.AppendUvarint(nil, 0) // no base entries
 	descending = binary.AppendUvarint(descending, 1)
-	descending = appendString(descending, "a")
+	descending = prim.AppendString(descending, "a")
 	descending = binary.AppendUvarint(descending, uint64(exceptions))
 	for i := exceptions; i > 0; i-- {
 		descending = binary.AppendUvarint(descending, uint64(1+2*i)) // odd: never contiguous
 	}
 	manyCreators = binary.AppendUvarint(nil, uint64(creators))
 	for i := creators; i > 0; i-- {
-		manyCreators = appendString(manyCreators, fmt.Sprintf("c%06d", i))
+		manyCreators = prim.AppendString(manyCreators, fmt.Sprintf("c%06d", i))
 		manyCreators = binary.AppendUvarint(manyCreators, 1)
 	}
 	manyCreators = binary.AppendUvarint(manyCreators, 0) // no exception entries

@@ -1,8 +1,9 @@
 package vclock
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"replidtn/internal/wire/prim"
 )
 
 // A Delta carries the difference between a replica's current knowledge and
@@ -91,8 +92,8 @@ func (d *Delta) MarshalBinary() ([]byte, error) {
 
 // AppendBinary implements encoding.BinaryAppender (see Knowledge.AppendBinary).
 func (d *Delta) AppendBinary(buf []byte) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, d.epoch)
-	buf = binary.AppendUvarint(buf, d.gen)
+	buf = prim.AppendUvarint(buf, d.epoch)
+	buf = prim.AppendUvarint(buf, d.gen)
 	return d.changes.AppendBinary(buf)
 }
 
@@ -100,17 +101,14 @@ func (d *Delta) AppendBinary(buf []byte) ([]byte, error) {
 // knowledge decode canonicalizes and rejects forged counts, so a hostile
 // delta is no more dangerous than a hostile knowledge frame.
 func (d *Delta) UnmarshalBinary(data []byte) error {
-	pos := 0
-	epoch, err := readUvarint(data, &pos)
-	if err != nil {
-		return fmt.Errorf("vclock: decode delta: %w", err)
-	}
-	gen, err := readUvarint(data, &pos)
-	if err != nil {
-		return fmt.Errorf("vclock: decode delta: %w", err)
-	}
+	dec := prim.NewDecoder(data)
+	epoch, gen := dec.Uvarint(), dec.Uvarint()
 	changes := NewKnowledge()
-	if err := changes.UnmarshalBinary(data[pos:]); err != nil {
+	err := dec.Err()
+	if err == nil {
+		err = changes.UnmarshalBinary(data[len(data)-dec.Remaining():])
+	}
+	if err != nil {
 		return fmt.Errorf("vclock: decode delta: %w", err)
 	}
 	d.epoch, d.gen, d.changes = epoch, gen, changes
@@ -119,5 +117,5 @@ func (d *Delta) UnmarshalBinary(data []byte) error {
 
 // WireSize returns the exact MarshalBinary length without allocating.
 func (d *Delta) WireSize() int {
-	return uvarintLen(d.epoch) + uvarintLen(d.gen) + d.changes.WireSize()
+	return prim.SizeUvarint(d.epoch) + prim.SizeUvarint(d.gen) + d.changes.WireSize()
 }

@@ -3,6 +3,8 @@ package vclock
 import (
 	"bytes"
 	"testing"
+
+	"replidtn/internal/wire/prim"
 )
 
 // The knowledge codec is one of the parse-hostile surfaces in the system
@@ -42,7 +44,7 @@ func checkCanonical(t *testing.T, k *Knowledge, what string) {
 		}
 		size := 0
 		for s := range w.extra {
-			size += uvarintLen(s)
+			size += prim.SizeUvarint(s)
 			if s <= w.base {
 				t.Fatalf("%s: exception %s:%d at or below base %d", what, w.creator, s, w.base)
 			}

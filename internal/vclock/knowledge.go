@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+
+	"replidtn/internal/wire/prim"
 )
 
 // Knowledge is the set of versions a replica has learned about, represented
@@ -84,7 +86,7 @@ func (w *row) insert(s uint64) {
 	n := len(w.extra)
 	w.extra[s] = struct{}{}
 	if len(w.extra) > n {
-		w.extraSize += uvarintLen(s)
+		w.extraSize += prim.SizeUvarint(s)
 	}
 }
 
@@ -101,7 +103,7 @@ func (w *row) compact() {
 		}
 		delete(w.extra, w.base+1)
 		w.base++
-		w.extraSize -= uvarintLen(w.base)
+		w.extraSize -= prim.SizeUvarint(w.base)
 	}
 }
 
