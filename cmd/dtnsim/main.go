@@ -107,12 +107,6 @@ func run(w io.Writer, name string, small bool, seed int64, scenario string, s ex
 	if err != nil {
 		return err
 	}
-	if s.Summaries {
-		fmt.Fprintln(w, "[sync summaries: on]")
-	}
-	if s.Faults.Enabled() {
-		fmt.Fprintf(w, "[faults: %s]\n", s.Faults)
-	}
 	return experiment.Run(w, name, tr, s)
 }
 

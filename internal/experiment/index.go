@@ -39,6 +39,9 @@ type entry struct {
 	// paper entries are the ones "all" renders; bare ones print no title
 	// alone.
 	paper, bare bool
+	// static entries run no emulation, and ownFaults ones inject their own
+	// faults: Run heads neither with the settings they do not run under.
+	static, ownFaults bool
 	// render runs the sweep the entry reads, if the runner has not yet, and
 	// renders the entry's body.
 	render func(*runner) (string, error)
@@ -47,8 +50,8 @@ type entry struct {
 // index is the one list of experiments, in the order "all" renders the
 // paper's tables and figures (§VI: Tables I–II, Figs. 5–10).
 var index = append([]entry{
-	{name: "table1", title: "Table I: DTN routing policies", paper: true, bare: true, render: text(func() string { return FormatTable1(Table1()) })},
-	{name: "table2", title: "Table II: protocol parameters", paper: true, bare: true, render: text(func() string { return FormatTable2(emu.DefaultParams()) })},
+	{name: "table1", title: "Table I: DTN routing policies", paper: true, bare: true, static: true, render: text(func() string { return FormatTable1(Table1()) })},
+	{name: "table2", title: "Table II: protocol parameters", paper: true, bare: true, static: true, render: text(func() string { return FormatTable2(emu.DefaultParams()) })},
 	{name: "fig5", title: "Fig. 5: average message delay (hours) vs addresses in filter", paper: true, render: filterTable((*FilterSweep).Fig5)},
 	{name: "fig6", title: "Fig. 6: % delivered within 12 hours vs addresses in filter", paper: true, render: filterTable((*FilterSweep).Fig6)},
 	{title: "Sync overhead: knowledge bytes per encounter vs addresses in filter", paper: true, render: filterTable((*FilterSweep).KnowledgePerEncounter)},
@@ -65,7 +68,7 @@ var index = append([]entry{
 		return FormatSummary(ps.SummaryRows())
 	})},
 	// The fault sweep's title names the fault seed, so its body carries it.
-	{name: "fault-sweep", bare: true, render: func(r *runner) (string, error) {
+	{name: "fault-sweep", bare: true, ownFaults: true, render: func(r *runner) (string, error) {
 		rows, err := RunFaultSweep(r.tr, nil, nil, r.s)
 		return fmt.Sprintf("Fault sweep: delivery vs encounter drop probability and cutoff budget (seed %d)\n%s",
 			r.s.Faults.Seed, FormatFaultSweep(rows)), err
@@ -126,6 +129,20 @@ func policyTable(maxPerEncounter, relayCapacity int, render func(*PolicySweep) s
 	}
 }
 
+// head prints a line for each setting that is not the default and that
+// e's runs get.
+func (s Settings) head(w io.Writer, e entry) {
+	if e.static {
+		return
+	}
+	if s.Summaries {
+		fmt.Fprintln(w, "[sync summaries: on]")
+	}
+	if s.Faults.Enabled() && !e.ownFaults {
+		fmt.Fprintf(w, "[faults: %s]\n", s.Faults)
+	}
+}
+
 func hoursCDF(ps *PolicySweep) string { return metrics.FormatTable("hours", ps.CDFHours(12)) }
 
 // Names lists the experiments Run renders: "all", then the index's names in
@@ -141,13 +158,20 @@ func Names() []string {
 }
 
 // Run renders the named experiment of the index on tr to w, or with "all"
-// every paper entry in index order, each sweep run once.
+// every paper entry in index order, each sweep run once, headed by a line
+// for each setting of s its runs get.
 func Run(w io.Writer, name string, tr *trace.Trace, s Settings) error {
 	r := &runner{tr: tr, s: s, policies: map[[2]int]*PolicySweep{}}
+	if name == "all" {
+		s.head(w, entry{})
+	}
 	for _, e := range index {
 		all := name == "all" && e.paper
 		if !all && (name != e.name || e.name == "") {
 			continue
+		}
+		if !all {
+			s.head(w, e)
 		}
 		body, err := e.render(r)
 		if err != nil {

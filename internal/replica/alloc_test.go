@@ -143,39 +143,60 @@ func TestEncounterAllocBudget(t *testing.T) {
 
 // TestMaxPropEncounterAllocBudget pins a steady-state MaxProp encounter with
 // summaries off. Each pull gives its request back when its sync ends, so the
-// next request re-stamps the table in place and shares the home map, and the
-// partner's state merges into both in place: no whole-table or whole-homes
-// copy. The request shells, MaxProp's among them, and the responses are
-// reused. The encounter allocates as often on a 256-node table as on a
-// 26-node one — twice: each source's new own row (sorted.Divide; peers that
-// adopted the old row share it by reference) — and fewer bytes than one
-// copy of the larger table (56 B a row).
+// next request re-stamps the table in place and shares it, copies the homes
+// into the array of the request given back, and the partner's state merges
+// into both in place: no whole-table copy. The request shells, MaxProp's
+// among them, and the responses are reused. The encounter allocates as
+// often on a 256-node table as on a 26-node one — twice: each source's new
+// own row (sorted.Divide; peers that adopted the old row share it by
+// reference) — and fewer bytes than one copy of the larger table (56 B a
+// row).
 func TestMaxPropEncounterAllocBudget(t *testing.T) {
-	measure := func(n int) (allocs float64, bytes uint64) {
-		var clock int64
-		now := func() int64 { return clock }
-		id := func(i int) vclock.ReplicaID { return vclock.ReplicaID(fmt.Sprintf("n%03d", i)) }
-		ps := make([]*maxprop.Policy, n)
-		for i := range ps {
-			ps[i] = maxprop.New(id(i), 0, now, fmt.Sprintf("addr:%03d", i))
-		}
-		for k := 0; k < 4*n; k++ { // each node meets the next four
-			i, j := k%n, (k%n+1+k/n)%n
-			clock++
-			ps[j].ProcessReq(id(i), ps[i].GenerateReq())
-			ps[i].ProcessReq(id(j), ps[j].GenerateReq())
-		}
-		a := New(Config{ID: id(0), OwnAddresses: []string{"addr:000"}, Policy: ps[0]})
-		b := New(Config{ID: id(1), OwnAddresses: []string{"addr:001"}, Policy: ps[1]})
-		return steadyCost(func() {
-			clock++
-			Encounter(a, b, 0)
-		})
-	}
-	small, _ := measure(26)
-	large, bytes := measure(256)
+	small, _ := steadyCost(maxpropEncounter(26, false))
+	large, bytes := steadyCost(maxpropEncounter(256, false))
 	if small != large || large > 2 || bytes >= 56*256 {
 		t.Errorf("a steady-state MaxProp encounter allocates %v times at 26 nodes and %v (%d B) at 256; want equal, <= 2, and < %d B", small, large, bytes, 56*256)
+	}
+}
+
+// TestMaxPropSummaryEncounterAllocBudget is its twin with summaries on. The
+// requests travel as deltas in process, and Pull gives them back as in exact
+// mode: the target's frontier and the source's baseline keep copies of the
+// table and homes in arrays of their own, reused at every sync, and the delta
+// grows only as changed rows and homes are kept. So it allocates as often at
+// 256 nodes as at 26 — the own rows, each delta and its few changed entries,
+// and the knowledge frames — and fewer bytes than one copy of the table.
+func TestMaxPropSummaryEncounterAllocBudget(t *testing.T) {
+	small, _ := steadyCost(maxpropEncounter(26, true))
+	large, bytes := steadyCost(maxpropEncounter(256, true))
+	if small != large || large > 20 || bytes >= 56*256 {
+		t.Errorf("a steady-state MaxProp summary encounter allocates %v times at 26 nodes and %v (%d B) at 256; want equal, <= 20, and < %d B", small, large, bytes, 56*256)
+	}
+}
+
+// maxpropEncounter returns one steady-state encounter between two nodes of an
+// n-node MaxProp fleet in which each node has met the next four, so every
+// table holds n rows.
+func maxpropEncounter(n int, summaries bool) func() {
+	var clock int64
+	now := func() int64 { return clock }
+	id := func(i int) vclock.ReplicaID { return vclock.ReplicaID(fmt.Sprintf("n%03d", i)) }
+	ps := make([]*maxprop.Policy, n)
+	for i := range ps {
+		ps[i] = maxprop.New(id(i), 0, now, fmt.Sprintf("addr:%03d", i))
+	}
+	for k := 0; k < 4*n; k++ { // each node meets the next four
+		i, j := k%n, (k%n+1+k/n)%n
+		clock++
+		ps[j].ProcessReq(id(i), ps[i].GenerateReq())
+		ps[i].ProcessReq(id(j), ps[j].GenerateReq())
+	}
+	a := New(Config{ID: id(0), OwnAddresses: []string{"addr:000"}, Policy: ps[0], SyncSummaries: summaries})
+	b := New(Config{ID: id(1), OwnAddresses: []string{"addr:001"}, Policy: ps[1], SyncSummaries: summaries})
+	Encounter(a, b, 0) // first contact
+	return func() {
+		clock++
+		Encounter(a, b, 0)
 	}
 }
 
@@ -187,33 +208,52 @@ func TestMaxPropEncounterAllocBudget(t *testing.T) {
 // allocates as often at 256 destinations as at 26, and fewer bytes than one
 // copy of the larger vector (24 B an entry).
 func TestProphetEncounterAllocBudget(t *testing.T) {
-	measure := func(n int) (allocs float64, bytes uint64) {
-		clock := int64(0)
-		now := func() int64 { return clock }
-		params := prophet.DefaultParams()
-		a := prophet.New(params, now, "addr:a")
-		b := prophet.New(params, now, "addr:b")
-		for i := 0; i < n; i++ { // both have met every destination
-			peer := prophet.New(params, now, fmt.Sprintf("addr:%03d", i))
-			id := vclock.ReplicaID(fmt.Sprintf("n%03d", i))
-			a.ProcessReq(id, peer.GenerateReq())
-			b.ProcessReq(id, peer.GenerateReq())
-		}
-		ra := New(Config{ID: "a", OwnAddresses: []string{"addr:a"}, Policy: a})
-		rb := New(Config{ID: "b", OwnAddresses: []string{"addr:b"}, Policy: b})
-		allocs, bytes = steadyCost(func() {
-			clock += params.AgingUnit // one aging pass per encounter
-			Encounter(ra, rb, 0)
-		})
-		if got := a.Vector().Len(); got != n+1 {
-			t.Fatalf("a's vector holds %d destinations, want %d", got, n+1)
-		}
-		return allocs, bytes
-	}
-	small, _ := measure(26)
-	large, bytes := measure(256)
+	small, _ := steadyCost(prophetEncounter(t, 26, false))
+	large, bytes := steadyCost(prophetEncounter(t, 256, false))
 	if small != large || large > 0 || bytes >= 24*256 {
 		t.Errorf("a steady-state PROPHET encounter allocates %v times at 26 destinations and %v (%d B) at 256; want equal, 0, and < %d B", small, large, bytes, 24*256)
+	}
+}
+
+// TestProphetSummaryEncounterAllocBudget is its twin with summaries on:
+// the frontier and the baseline copy the vector into arrays of their own, so
+// Pull gives the request back and the vector is written in place as in
+// exact mode, and each delta grows only as its overrides are kept. It
+// allocates as often at 256 destinations as at 26 — each delta and its
+// overrides, and the knowledge frames — and fewer bytes than one copy of the
+// vector.
+func TestProphetSummaryEncounterAllocBudget(t *testing.T) {
+	small, _ := steadyCost(prophetEncounter(t, 26, true))
+	large, bytes := steadyCost(prophetEncounter(t, 256, true))
+	if small != large || large > 12 || bytes >= 24*256 {
+		t.Errorf("a steady-state PROPHET summary encounter allocates %v times at 26 destinations and %v (%d B) at 256; want equal, <= 12, and < %d B", small, large, bytes, 24*256)
+	}
+}
+
+// prophetEncounter returns one steady-state encounter, one aging pass
+// apart from the last, between two PROPHET nodes that have both met every
+// one of n destinations.
+func prophetEncounter(t *testing.T, n int, summaries bool) func() {
+	clock := int64(0)
+	now := func() int64 { return clock }
+	params := prophet.DefaultParams()
+	a := prophet.New(params, now, "addr:a")
+	b := prophet.New(params, now, "addr:b")
+	for i := 0; i < n; i++ { // both have met every destination
+		peer := prophet.New(params, now, fmt.Sprintf("addr:%03d", i))
+		id := vclock.ReplicaID(fmt.Sprintf("n%03d", i))
+		a.ProcessReq(id, peer.GenerateReq())
+		b.ProcessReq(id, peer.GenerateReq())
+	}
+	if got := a.Vector().Len(); got != n {
+		t.Fatalf("a's vector holds %d destinations, want %d", got, n)
+	}
+	ra := New(Config{ID: "a", OwnAddresses: []string{"addr:a"}, Policy: a, SyncSummaries: summaries})
+	rb := New(Config{ID: "b", OwnAddresses: []string{"addr:b"}, Policy: b, SyncSummaries: summaries})
+	Encounter(ra, rb, 0) // first contact, which copies the vector Vector shared
+	return func() {
+		clock += params.AgingUnit // one aging pass per encounter
+		Encounter(ra, rb, 0)
 	}
 }
 

@@ -55,15 +55,15 @@ var ErrStrayDemand = errors.New("knowledge demand for a request without a delta"
 // Pull is transactional: on a carrier error or a stray demand it applies
 // nothing, counts the sync as aborted, and reports the items that crossed
 // before the failure as wasted transfer.
-// Carriers are synchronous, so once the last carry returns an exact request
-// is read no more: Pull releases and reuses it, whatever the outcome (DESIGN §4).
+// Carriers are synchronous, so once the last carry returns the request is
+// read no more — the summary-mode delta bases on both sides hold copies —
+// and Pull releases and reuses it, whatever the outcome (DESIGN §4).
 func (r *Replica) Pull(source vclock.ReplicaID, budget Budget, strictBytes bool, carry Carrier) (res SyncResult, err error) {
-	var req, done *SyncRequest
+	var req *SyncRequest
 	if r.SummariesEnabled() {
 		req = r.MakeSummaryRequest(source, budget.Items)
 	} else {
 		req = r.MakeSyncRequest(budget.Items)
-		done = req
 	}
 	req.MaxBytes, req.StrictBytes = budget.Bytes, strictBytes
 	res.KnowledgeBytes = req.KnowledgeWireBytes()
@@ -84,11 +84,11 @@ func (r *Replica) Pull(source vclock.ReplicaID, budget Budget, strictBytes bool,
 		res.Sent, res.SentBytes, res.Truncated = len(resp.Items), BatchBytes(resp), resp.Truncated
 	}
 	if err != nil {
-		r.abortSync(done)
+		r.abortSync(req)
 		res.Aborted = true
 		return res, err
 	}
-	res.Apply = r.applyBatch(resp, done)
+	res.Apply = r.applyBatch(resp, req)
 	return res, nil
 }
 

@@ -28,9 +28,9 @@ import (
 // peerFrontier is target-side state: the knowledge and the routing request
 // this replica last shipped to a given source, and the generation number of
 // that frame within the current epoch. The next frame to the same source is
-// the diff against know and routing (retained by reference: a published
-// request is immutable). use is the replica's useTick at the last touch, for
-// LRU eviction.
+// the diff against know and routing, a copy of the request's routing state
+// in the frontier's own storage (see keepRouting). use is the replica's
+// useTick at the last touch, for LRU eviction.
 type peerFrontier struct {
 	use     uint64
 	gen     uint64
@@ -42,14 +42,16 @@ func (f *peerFrontier) lastUse() uint64 { return f.use }
 
 // peerBaseline is source-side state: the exact knowledge and routing request
 // a given target last established here (via a tagged full frame), advanced by
-// each delta frame whose (epoch, gen) tags match strictly. use is the
-// replica's useTick at the last touch, for LRU eviction.
+// each delta frame whose (epoch, gen) tags match strictly. routing is the
+// baseline's own copy; a routing delta is applied into spare, the copy before
+// it, and the two swap once it fits. use is the replica's useTick at the last
+// touch, for LRU eviction.
 type peerBaseline struct {
-	use     uint64
-	epoch   uint64
-	gen     uint64
-	know    *vclock.Knowledge
-	routing routing.Request
+	use            uint64
+	epoch          uint64
+	gen            uint64
+	know           *vclock.Knowledge
+	routing, spare routing.Request
 }
 
 func (b *peerBaseline) lastUse() uint64 { return b.use }
@@ -113,7 +115,7 @@ func (r *Replica) MakeSummaryRequest(peer vclock.ReplicaID, maxItems int) *SyncR
 		if cur, ok := req.Routing.(routing.DeltaRequest); ok {
 			req.RoutingDelta = cur.DeltaSince(f.routing)
 		}
-		f.routing = req.Routing
+		f.routing = keepRouting(f.routing, req.Routing)
 		r.stats.KnowledgeDeltas++
 		if r.metrics != nil {
 			r.metrics.KnowledgeDeltaFrames.Inc()
@@ -164,11 +166,22 @@ func (r *Replica) attachFullLocked(req *SyncRequest, peer vclock.ReplicaID) {
 	f.gen++
 	r.know.WireSize() // as in MakeSyncRequest
 	f.know = r.know.Clone()
-	f.routing = req.Routing
-	req.Knowledge = f.know.CloneInto(&req.know)
+	f.routing = keepRouting(f.routing, req.Routing)
+	req.Knowledge = r.know.CloneInto(&req.know) // a share of r.know, as Pull releases it
 	req.Epoch = r.epoch
 	req.Gen = f.gen
 	r.countFullLocked(req)
+}
+
+// keepRouting returns rt as a per-peer record keeps it, in kept's storage:
+// a copy, for the request is given back to its policy once its sync is over
+// and the sender writes what it shares (routing.Releaser); nil when rt's
+// policy sends no deltas, as nothing reads it then.
+func keepRouting(kept, rt routing.Request) routing.Request {
+	if cur, ok := rt.(routing.DeltaRequest); ok {
+		return cur.CopyInto(kept)
+	}
+	return nil
 }
 
 // countRoutingLocked mirrors the form req's routing state travels in, and
@@ -199,16 +212,15 @@ func (r *Replica) resolveKnowledgeLocked(req *SyncRequest) (know *vclock.Knowled
 	switch {
 	case req.Knowledge != nil:
 		if req.Epoch != 0 {
-			if r.peerKnow[req.TargetID] == nil {
+			c := r.peerKnow[req.TargetID]
+			if c == nil {
 				evictOldestLocked(r.peerKnow, r.peerCap)
+				c = new(peerBaseline)
+				r.peerKnow[req.TargetID] = c
 			}
-			r.peerKnow[req.TargetID] = &peerBaseline{
-				use:     r.stampUseLocked(),
-				epoch:   req.Epoch,
-				gen:     req.Gen,
-				know:    req.Knowledge.Clone(),
-				routing: req.Routing,
-			}
+			c.use, c.epoch, c.gen = r.stampUseLocked(), req.Epoch, req.Gen
+			c.know = req.Knowledge.Clone()
+			c.routing = keepRouting(c.routing, req.Routing)
 		}
 		return req.Knowledge, req.Routing, true
 	case req.Delta != nil:
@@ -217,18 +229,20 @@ func (r *Replica) resolveKnowledgeLocked(req *SyncRequest) (know *vclock.Knowled
 			return nil, nil, false
 		}
 		// In process the full request arrives beside its delta and serves
-		// as is; off the wire only the delta does.
-		rt = req.Routing
-		if rt == nil && req.RoutingDelta != nil {
-			var err error
-			if rt, err = req.RoutingDelta.Apply(c.routing); err != nil {
+		// as is; off the wire only the delta does, and is applied into the
+		// spare copy, so a delta that does not fit leaves the baseline whole.
+		if rt = req.Routing; rt != nil || req.RoutingDelta == nil {
+			c.routing = keepRouting(c.routing, rt)
+		} else {
+			next, err := req.RoutingDelta.Apply(c.routing, c.spare)
+			if err != nil {
 				return nil, nil, false
 			}
+			rt, c.routing, c.spare = next, next, c.routing
 		}
 		c.use = r.stampUseLocked()
 		c.know.Merge(req.Delta.Changes())
 		c.gen = req.Delta.Gen()
-		c.routing = rt
 		return c.know, rt, true
 	default:
 		// A request with no knowledge at all; the transport rejects this

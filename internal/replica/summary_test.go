@@ -10,6 +10,7 @@ import (
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/epidemic"
 	"replidtn/internal/routing/maxprop"
+	"replidtn/internal/routing/prophet"
 	"replidtn/internal/vclock"
 )
 
@@ -231,11 +232,12 @@ func TestDeltaRecurringPair(t *testing.T) {
 	}
 }
 
-// TestSummaryBasesOutliveLaterWrites: a summary-mode request is kept on both
-// sides as the base of the next delta, so Pull gives none of its shares
-// back. The routing state and knowledge the requester keeps for its next
-// delta to the source, and the baseline the source keeps, read the same
-// bytes however both replicas' policies and knowledge change afterwards.
+// TestSummaryBasesOutliveLaterWrites: both sides keep a summary-mode
+// request as the base of the next delta, in copies of their own, and Pull
+// gives the request back. The routing state and knowledge the requester
+// keeps for its next delta to the source, and the baseline the source
+// keeps, read the same bytes however both replicas' policies and knowledge
+// change afterwards.
 func TestSummaryBasesOutliveLaterWrites(t *testing.T) {
 	var clock int64
 	now := func() int64 { return clock }
@@ -283,36 +285,28 @@ func TestSummaryBasesOutliveLaterWrites(t *testing.T) {
 }
 
 // TestSummaryBasesHoldWhatWasSent: a summary-mode request is the base of the
-// pair's next delta on both sides, so Pull never gives it back to be reused
-// or written. After a first contact (a tagged exact frame) and after each
-// delta, the target's frontier and the source's baseline hold the routing
-// state the request carried and the knowledge it stood for, through the
-// target's later writes and requests.
+// pair's next delta on both sides, and Pull gives it back to its policy once
+// its sync is over, so both sides keep copies of their own. After a first
+// contact (a tagged exact frame) and after each delta, the target's frontier
+// and the source's baseline hold the routing state the request carried and
+// the knowledge it stood for, through the target's later writes and
+// requests — which, the request given back, write the policy's vector,
+// table and request shell in place. It runs for both delta policies, and
+// with the source reading the request itself, as in process, or its
+// knowledge decoded, as off the wire.
 func TestSummaryBasesHoldWhatWasSent(t *testing.T) {
-	var clock int64
-	now := func() int64 { return clock }
-	node := func(id vclock.ReplicaID) *Replica {
-		return New(Config{
-			ID: id, OwnAddresses: []string{"addr:" + string(id)}, Now: now, SyncSummaries: true,
-			Policy: maxprop.New(id, 0, now, "addr:"+string(id)),
-		})
+	policies := map[string]func(id vclock.ReplicaID, now func() int64) routing.Policy{
+		"maxprop": func(id vclock.ReplicaID, now func() int64) routing.Policy {
+			return maxprop.New(id, 0, now, "addr:"+string(id))
+		},
+		"prophet": func(id vclock.ReplicaID, now func() int64) routing.Policy {
+			return prophet.New(prophet.DefaultParams(), now, "addr:"+string(id))
+		},
 	}
-	a, b, c := node("a"), node("b"), node("c")
-	encode := func(rt routing.Request, know *vclock.Knowledge) string {
-		k, err := know.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(append(rt.(*maxprop.Request).AppendBinary(nil), k...))
-	}
-	for round := 0; round < 3; round++ {
-		clock++
-		send(a, "addr:a", "addr:c") // a write just before the request
-		var sent string
-		if _, err := a.Pull(b.ID(), Budget{}, false, func(req *SyncRequest) (*SyncResponse, error) {
-			sent = encode(req.Routing, a.know) // not a.Knowledge(): a clone kept would pin a's rows
-			// The source decodes a frame's knowledge, as off the wire, so no
-			// clone of its own keeps a's rows shared.
+	forwards := map[string]func(t *testing.T, req *SyncRequest) *SyncRequest{
+		"request itself": func(_ *testing.T, req *SyncRequest) *SyncRequest { return req },
+		// No clone of the source's own then keeps a's rows shared.
+		"knowledge decoded": func(t *testing.T, req *SyncRequest) *SyncRequest {
 			fwd := *req
 			if req.Knowledge != nil {
 				k, _ := req.Knowledge.MarshalBinary()
@@ -321,20 +315,51 @@ func TestSummaryBasesHoldWhatWasSent(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			return b.HandleSyncRequest(&fwd), nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		clock++
-		send(a, "addr:a", "addr:c")
-		Encounter(a, c, 0) // a's table, homes and knowledge change, and it requests again
-		for side, kept := range map[string]string{
-			"target's frontier": encode(a.frontiers["b"].routing, a.frontiers["b"].know),
-			"source's baseline": encode(b.peerKnow["a"].routing, b.peerKnow["a"].know),
-		} {
-			if kept != sent {
-				t.Errorf("round %d: the %s is not what the request sent", round, side)
-			}
+			return &fwd
+		},
+	}
+	for pname, policy := range policies {
+		for fname, forward := range forwards {
+			t.Run(pname+"/"+fname, func(t *testing.T) {
+				var clock int64
+				now := func() int64 { return clock }
+				node := func(id vclock.ReplicaID) *Replica {
+					return New(Config{
+						ID: id, OwnAddresses: []string{"addr:" + string(id)}, Now: now, SyncSummaries: true,
+						Policy: policy(id, now),
+					})
+				}
+				a, b, c := node("a"), node("b"), node("c")
+				encode := func(rt routing.Request, know *vclock.Knowledge) string {
+					k, err := know.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return string(append(rt.(interface{ AppendBinary([]byte) []byte }).AppendBinary(nil), k...))
+				}
+				for round := 0; round < 3; round++ {
+					clock++
+					send(a, "addr:a", "addr:c") // a write just before the request
+					var sent string
+					if _, err := a.Pull(b.ID(), Budget{}, false, func(req *SyncRequest) (*SyncResponse, error) {
+						sent = encode(req.Routing, a.know) // not a.Knowledge(): a clone kept would pin a's rows
+						return b.HandleSyncRequest(forward(t, req)), nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					clock++
+					send(a, "addr:a", "addr:c")
+					Encounter(a, c, 0) // a's state and knowledge change, and it requests again
+					for side, kept := range map[string]string{
+						"target's frontier": encode(a.frontiers["b"].routing, a.frontiers["b"].know),
+						"source's baseline": encode(b.peerKnow["a"].routing, b.peerKnow["a"].know),
+					} {
+						if kept != sent {
+							t.Errorf("round %d: the %s is not what the request sent", round, side)
+						}
+					}
+				}
+			})
 		}
 	}
 }

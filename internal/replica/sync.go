@@ -164,14 +164,16 @@ func (r *Replica) countFullLocked(req *SyncRequest) {
 	}
 }
 
-// releaseLocked gives back the shares of done, a finished exact request of
-// this replica's (nil: none) — its knowledge clone, and its routing state —
-// and keeps its shell for the next request.
+// releaseLocked gives back the shares of done, a finished request of this
+// replica's (nil: none) — its knowledge clone, if it carried one, and its
+// routing state — and keeps its shell for the next request.
 func (r *Replica) releaseLocked(done *SyncRequest) {
 	if done == nil {
 		return
 	}
-	r.know.Release(done.Knowledge)
+	if done.Knowledge != nil {
+		r.know.Release(done.Knowledge)
+	}
 	if rel, ok := r.policy.(routing.Releaser); ok {
 		rel.Release(done.Routing)
 	}

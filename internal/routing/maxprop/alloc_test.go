@@ -45,9 +45,10 @@ func TestServeFromBuiltTreeAllocs(t *testing.T) {
 }
 
 // TestGenerateReqAllocs: once the replica gives a request back, the table
-// and homes are unshared again, so the next GenerateReq re-stamps the table
-// in place, shares both and fills the request given back: it allocates
-// nothing, on a 256-node table as on a 26-node one.
+// is unshared again, so the next GenerateReq re-stamps it in place, shares
+// it and fills the request given back, copying the homes into that
+// request's array: it allocates nothing, on a 256-node table as on a
+// 26-node one.
 func TestGenerateReqAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
 		p := fleet(n, 4)[0]

@@ -46,7 +46,7 @@ func readHomes(d *prim.Decoder) sorted.Map[string, Home] {
 func (r *Request) AppendBinary(buf []byte) []byte {
 	buf = prim.AppendStrings(buf, r.OwnAddresses)
 	buf = sorted.Append(buf, r.Table, appendRow)
-	return sorted.Append(buf, r.wireHomes(), appendHome)
+	return sorted.Append(buf, r.Homes, appendHome)
 }
 
 // DecodeRequest decodes a request written by AppendBinary.

@@ -35,18 +35,18 @@ func sameRow(a, b Row) bool {
 	return a.Updated == b.Updated && len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
 }
 
-// changed returns the entries of cur that base lacks or holds differently,
-// and whether cur holds every key of base.
-func changed[K ~string, V any](base, cur sorted.Map[K, V], same func(a, b V) bool) (sorted.Map[K, V], bool) {
+// changed sets out to the entries of cur that base lacks or holds
+// differently, and reports whether cur holds every key of base.
+func changed[K ~string, V any](out *sorted.Map[K, V], base, cur sorted.Map[K, V], same func(a, b V) bool) bool {
 	kept := true
-	out := sorted.Merge(base, cur, func(_ K, old, v *V) (V, bool) {
+	out.Merge(base, cur, func(_ K, old, v *V) (V, bool) {
 		if v == nil {
 			kept = false
 			return *old, false
 		}
 		return *v, old == nil || !same(*old, *v)
 	})
-	return out, kept
+	return kept
 }
 
 // DeltaSince implements routing.DeltaRequest. It returns nil when base is
@@ -56,12 +56,8 @@ func (r *Request) DeltaSince(base routing.Request) routing.Delta {
 	if !ok || b == nil {
 		return nil
 	}
-	homes := r.wireHomes()
-	d := &Delta{TotalRows: r.Table.Len(), TotalHomes: homes.Len()}
-	var rowsOK, homesOK bool
-	d.Rows, rowsOK = changed(b.Table, r.Table, sameRow)
-	d.Homes, homesOK = changed(b.wireHomes(), homes, func(a, b Home) bool { return a == b })
-	if !rowsOK || !homesOK {
+	d := &Delta{TotalRows: r.Table.Len(), TotalHomes: r.Homes.Len()}
+	if !changed(&d.Rows, b.Table, r.Table, sameRow) || !changed(&d.Homes, b.Homes, r.Homes, func(a, b Home) bool { return a == b }) {
 		return nil
 	}
 	if !slices.Equal(b.OwnAddresses, r.OwnAddresses) || (b.OwnAddresses == nil) != (r.OwnAddresses == nil) {
@@ -70,36 +66,52 @@ func (r *Request) DeltaSince(base routing.Request) routing.Delta {
 	return d
 }
 
-// overlay returns base with set laid over it, or an error when the result
-// does not have total entries.
-func overlay[K ~string, V any](what string, base, set sorted.Map[K, V], total int) (sorted.Map[K, V], error) {
-	out := sorted.Merge(base, set, func(_ K, old, v *V) (V, bool) {
+// CopyInto implements routing.DeltaRequest: the table and homes are
+// copied, rows and the address list shared, as nobody writes them.
+func (r *Request) CopyInto(kept routing.Request) routing.Request {
+	k, _ := kept.(*Request)
+	if k == nil {
+		k = new(Request)
+	}
+	k.OwnAddresses = r.OwnAddresses
+	k.Table.Assign(r.Table)
+	k.Homes.Assign(r.Homes)
+	return k
+}
+
+// overlay sets out to base with set laid over it, or returns an error when
+// the result does not have total entries.
+func overlay[K ~string, V any](out *sorted.Map[K, V], what string, base, set sorted.Map[K, V], total int) error {
+	out.Merge(base, set, func(_ K, old, v *V) (V, bool) {
 		if v != nil {
 			return *v, true
 		}
 		return *old, true
 	})
 	if out.Len() != total {
-		return out, fmt.Errorf("maxprop: delta yields %d %s, declares %d", out.Len(), what, total)
+		return fmt.Errorf("maxprop: delta yields %d %s, declares %d", out.Len(), what, total)
 	}
-	return out, nil
+	return nil
 }
 
 // Apply implements routing.Delta.
-func (d *Delta) Apply(base routing.Request) (routing.Request, error) {
+func (d *Delta) Apply(base, dst routing.Request) (routing.Request, error) {
 	b, ok := base.(*Request)
 	if !ok || b == nil {
 		return nil, fmt.Errorf("maxprop: delta against a %T", base)
 	}
-	req := &Request{OwnAddresses: b.OwnAddresses}
+	req, _ := dst.(*Request)
+	if req == nil {
+		req = new(Request)
+	}
+	req.OwnAddresses = b.OwnAddresses
 	if d.OwnChanged {
 		req.OwnAddresses = d.OwnAddresses
 	}
-	var err error
-	if req.Table, err = overlay("rows", b.Table, d.Rows, d.TotalRows); err != nil {
+	if err := overlay(&req.Table, "rows", b.Table, d.Rows, d.TotalRows); err != nil {
 		return nil, err
 	}
-	if req.Homes, err = overlay("homes", b.wireHomes(), d.Homes, d.TotalHomes); err != nil {
+	if err := overlay(&req.Homes, "homes", b.Homes, d.Homes, d.TotalHomes); err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -150,7 +162,7 @@ func sizeHomes(homes sorted.Map[string, Home]) int {
 // WireSize implements routing.DeltaRequest: the length of AppendBinary's
 // output, without building it.
 func (r *Request) WireSize() int {
-	return prim.SizeStrings(r.OwnAddresses) + sizeTable(r.Table) + sizeHomes(r.wireHomes())
+	return prim.SizeStrings(r.OwnAddresses) + sizeTable(r.Table) + sizeHomes(r.Homes)
 }
 
 // WireSize implements routing.Delta.

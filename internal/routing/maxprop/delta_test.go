@@ -28,12 +28,14 @@ func viaWire(t *testing.T, d routing.Delta) *Delta {
 // neighbour, now and then another; each request reaches the neighbour as a
 // delta and reconstructs byte for byte, carrying only the rows that were
 // replaced — the sender's own, re-stamped by every GenerateReq, and whatever
-// it learned in between.
+// it learned in between. Both sides keep what they hold as a replica does:
+// the sender a copy of its last request, the receiver two buffers it applies
+// into in turn.
 func TestDeltaReconstructsExactly(t *testing.T) {
 	ps := fleet(64, 3)
 	sender, other := ps[0], ps[7]
-	base := reqFrom(sender)
-	var held routing.Request = base
+	base := reqFrom(sender).CopyInto(nil)
+	held, spare := base.(*Request).CopyInto(nil), routing.Request(nil)
 	for round := 0; round < 6; round++ {
 		learned := 1 // the own row
 		if round%2 == 1 {
@@ -51,7 +53,7 @@ func TestDeltaReconstructsExactly(t *testing.T) {
 		if got := d.(*Delta).Rows.Len(); got > learned {
 			t.Errorf("round %d: delta carries %d rows of %d, want <= %d", round, got, cur.Table.Len(), learned)
 		}
-		got, err := viaWire(t, d).Apply(held)
+		got, err := viaWire(t, d).Apply(held, spare)
 		if err != nil {
 			t.Fatalf("round %d: Apply: %v", round, err)
 		}
@@ -65,7 +67,7 @@ func TestDeltaReconstructsExactly(t *testing.T) {
 		if d.WireSize()*8 > len(want) {
 			t.Errorf("round %d: delta is %d bytes of a %d-byte request", round, d.WireSize(), len(want))
 		}
-		base, held = cur, got
+		base, held, spare = cur.CopyInto(base), got, held
 	}
 }
 
@@ -118,11 +120,11 @@ func TestDeltaDeclinesAndRefuses(t *testing.T) {
 		"fewer rows than base":  {TotalRows: 1, TotalHomes: 1},
 		"forged total":          {TotalRows: 1 << 40, TotalHomes: 1},
 	} {
-		if got, err := viaWire(t, d).Apply(base); err == nil {
+		if got, err := viaWire(t, d).Apply(base, nil); err == nil {
 			t.Errorf("%s: applied to %+v", name, got)
 		}
 	}
-	if _, err := (&Delta{}).Apply("not a request"); err == nil {
+	if _, err := (&Delta{}).Apply("not a request", nil); err == nil {
 		t.Error("delta applied to a foreign base")
 	}
 	if !bytes.Equal(before, base.AppendBinary(nil)) {

@@ -52,27 +52,12 @@ type Home struct {
 // Request is the routing state piggybacked on sync requests: the requester's
 // homed addresses, its meeting-probability table (its own row plus learned
 // rows), and its address-home beliefs. GenerateReq's request shares the
-// policy's table and homes, and carries the stamps on its own addresses
-// apart, in self and stamp (wireHomes).
+// policy's table and holds its own copy of the homes, with our addresses
+// stamped as homed here.
 type Request struct {
 	OwnAddresses []string
 	Table        sorted.Map[vclock.ReplicaID, Row]
 	Homes        sorted.Map[string, Home]
-	self         vclock.ReplicaID
-	stamp        int64
-}
-
-// wireHomes returns the homes the wire carries: Homes, OwnAddresses homed on
-// self at stamp laid over it in a copy when self is set.
-func (r *Request) wireHomes() sorted.Map[string, Home] {
-	if r.self == "" {
-		return r.Homes
-	}
-	homes := r.Homes.Clone()
-	for _, a := range r.OwnAddresses {
-		homes.Set(a, Home{Node: r.self, Updated: r.stamp})
-	}
-	return homes
 }
 
 // Policy is the MaxProp policy attached to one replica.
@@ -144,8 +129,10 @@ func (p *Policy) OwnRow() sorted.Map[vclock.ReplicaID, float64] {
 	return sorted.Divide(p.weights, total)
 }
 
-// GenerateReq implements routing.Policy: share homed addresses, the full
-// freshest-rows table, and address homes, our addresses stamped apart.
+// GenerateReq implements routing.Policy: share homed addresses and the full
+// freshest-rows table, and copy the address homes, our addresses stamped.
+// The copy goes into the array of the request last given back: stamping
+// the policy's own homes would move PathCost for our addresses.
 func (p *Policy) GenerateReq() routing.Request {
 	now := p.now()
 	own, _ := p.table.Get(p.self)
@@ -155,24 +142,21 @@ func (p *Policy) GenerateReq() routing.Request {
 	if p.spare = nil; r == nil {
 		r = new(Request)
 	}
-	*r = Request{
-		OwnAddresses: p.ownAddresses,
-		Table:        p.table.Share(),
-		Homes:        p.homes.Share(),
-		self:         p.self,
-		stamp:        now,
+	r.OwnAddresses, r.Table = p.ownAddresses, p.table.Share()
+	r.Homes.Assign(p.homes)
+	for _, a := range p.ownAddresses {
+		r.Homes.Set(a, Home{Node: p.self, Updated: now})
 	}
 	return r
 }
 
 // Release implements routing.Releaser: ProcessReq copies entries out of a
 // partner's table and homes, sharing only rows, which nobody writes. req is
-// the next GenerateReq's.
+// the next GenerateReq's, its homes array kept.
 func (p *Policy) Release(req routing.Request) {
 	if r, ok := req.(*Request); ok && r != nil {
 		p.table.Release(r.Table)
-		p.homes.Release(r.Homes)
-		*r, p.spare = Request{}, r
+		r.OwnAddresses, r.Table, p.spare = nil, sorted.Map[vclock.ReplicaID, Row]{}, r
 	}
 }
 

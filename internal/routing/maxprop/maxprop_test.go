@@ -121,7 +121,7 @@ func TestPathCostOwnAddress(t *testing.T) {
 	clk := &simClock{}
 	p := New("a", 3, clk.now, "addr:a")
 	p.ProcessReq("b", reqFrom(New("b", 3, clk.now, "addr:b")))
-	// The stamp travels beside the shared homes; the wire form carries it.
+	// The request's own homes carry the stamp; the policy's do not.
 	req, err := DecodeRequest(reqFrom(p).AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func (r *Request) DeltaSince(base routing.Request) routing.Delta {
 		d.OwnChanged, d.OwnAddresses = true, r.OwnAddresses
 	}
 	lost := false
-	d.Set = sorted.Merge(b.Predictability, r.Predictability, func(_ string, old, cur *float64) (float64, bool) {
+	d.Set.Merge(b.Predictability, r.Predictability, func(_ string, old, cur *float64) (float64, bool) {
 		v, alive := 0.0, false
 		if old != nil {
 			v, alive = replay(*old, d.Factors)
@@ -85,22 +85,39 @@ func (r *Request) DeltaSince(base routing.Request) routing.Delta {
 	return d
 }
 
+// CopyInto implements routing.DeltaRequest: the vector is copied (the
+// sender ages it in place once the request is given back), the rest shared,
+// as the policy only ever replaces its address list and appends to its log.
+func (r *Request) CopyInto(kept routing.Request) routing.Request {
+	k, _ := kept.(*Request)
+	if k == nil {
+		k = new(Request)
+	}
+	k.OwnAddresses, k.aging, k.aged = r.OwnAddresses, r.aging, r.aged
+	k.Predictability.Assign(r.Predictability)
+	return k
+}
+
 // Apply implements routing.Delta.
-func (d *Delta) Apply(base routing.Request) (routing.Request, error) {
+func (d *Delta) Apply(base, dst routing.Request) (routing.Request, error) {
 	b, ok := base.(*Request)
 	if !ok || b == nil {
 		return nil, fmt.Errorf("prophet: delta against a %T", base)
 	}
-	vec := sorted.Merge(b.Predictability, d.Set, func(_ string, old, set *float64) (float64, bool) {
+	req, _ := dst.(*Request)
+	if req == nil {
+		req = new(Request)
+	}
+	req.Predictability.Merge(b.Predictability, d.Set, func(_ string, old, set *float64) (float64, bool) {
 		if set != nil {
 			return *set, true
 		}
 		return replay(*old, d.Factors)
 	})
-	if vec.Len() != d.Total {
-		return nil, fmt.Errorf("prophet: delta yields %d entries, declares %d", vec.Len(), d.Total)
+	if n := req.Predictability.Len(); n != d.Total {
+		return nil, fmt.Errorf("prophet: delta yields %d entries, declares %d", n, d.Total)
 	}
-	req := &Request{OwnAddresses: b.OwnAddresses, Predictability: vec}
+	req.OwnAddresses, req.aging, req.aged = b.OwnAddresses, nil, 0
 	if d.OwnChanged {
 		req.OwnAddresses = d.OwnAddresses
 	}

@@ -40,7 +40,9 @@ func history(p *Policy, clk *simClock, n int) {
 // aged out, entries boosted between passes, an entry aged out and learned
 // again, addresses re-homed — and checks after each that the receiver's
 // reconstruction encodes byte for byte like the full request, at a fraction
-// of its size.
+// of its size. Both sides keep what they hold as a replica does: the sender
+// a copy of its last request, the receiver two buffers it applies into in
+// turn.
 func TestDeltaReconstructsExactly(t *testing.T) {
 	clk := &simClock{}
 	sender := newPolicy(clk, "addr:s")
@@ -48,8 +50,8 @@ func TestDeltaReconstructsExactly(t *testing.T) {
 	unit := DefaultParams().AgingUnit
 	peer := newPolicy(clk, "addr:p")
 
-	base := reqFrom(sender)
-	var held routing.Request = base // the receiver's copy
+	base := reqFrom(sender).CopyInto(nil)
+	held, spare := base.(*Request).CopyInto(nil), routing.Request(nil) // the receiver's copy
 	steps := []struct {
 		name     string
 		do       func()
@@ -76,7 +78,7 @@ func TestDeltaReconstructsExactly(t *testing.T) {
 		if d == nil {
 			t.Fatalf("%s: no delta", st.name)
 		}
-		got, err := viaWire(t, d).Apply(held)
+		got, err := viaWire(t, d).Apply(held, spare)
 		if err != nil {
 			t.Fatalf("%s: Apply: %v", st.name, err)
 		}
@@ -90,10 +92,10 @@ func TestDeltaReconstructsExactly(t *testing.T) {
 		if st.maxBytes > 0 && d.WireSize() > st.maxBytes {
 			t.Errorf("%s: delta is %d bytes (full %d), want <= %d", st.name, d.WireSize(), len(want), st.maxBytes)
 		}
-		base, held = cur, got
+		base, held, spare = cur.CopyInto(base), got, held
 	}
-	if base.Predictability.Len() != 1 {
-		t.Fatalf("scenario should end on the one re-learned entry, has %d", base.Predictability.Len())
+	if n := base.(*Request).Predictability.Len(); n != 1 {
+		t.Fatalf("scenario should end on the one re-learned entry, has %d", n)
 	}
 }
 
@@ -188,11 +190,11 @@ func TestDeltaHostile(t *testing.T) {
 		"fewer than the base":  {Total: 1},
 		"forged total":         {Total: 1 << 40},
 	} {
-		if got, err := viaWire(t, d).Apply(base); err == nil {
+		if got, err := viaWire(t, d).Apply(base, nil); err == nil {
 			t.Errorf("%s: applied to %+v", name, got)
 		}
 	}
-	if _, err := honest().Apply("not a request"); err == nil {
+	if _, err := honest().Apply("not a request", nil); err == nil {
 		t.Error("delta applied to a foreign base")
 	}
 	if !bytes.Equal(before, base.AppendBinary(nil)) {

@@ -82,14 +82,15 @@ type Target struct {
 // policy has nothing to say.
 //
 // Everything reachable from a Request is immutable once GenerateReq returns,
-// and ProcessReq may retain it: the sender never writes through a map or slice
-// it published, and the receiver adopts them by reference, never writing
-// either. That holds however the request travels — handed over by pointer in
-// the emulator (possibly to a policy running on another goroutine), decoded
-// into fresh values off TCP, replayed for a sync's fallback round, or
-// rebuilt from a delta against the previous request (DeltaRequest), when it
-// shares what did not change with that one. A Releaser's request is the
-// exception: it holds until released, so a receiver copies what it keeps.
+// and the receiver never writes through it. That holds however the request
+// travels — handed over by pointer in the emulator (possibly to a policy
+// running on another goroutine), decoded into fresh values off TCP,
+// replayed for a sync's fallback round, or rebuilt from a delta against the
+// previous request (DeltaRequest). A request holds until its sync is over:
+// the replica then hands it back to a Releaser, whose state it shares, so
+// whatever outlives the sync — a policy's table, a replica's delta base —
+// copies what it keeps of a Releaser's request, sharing only what nobody
+// writes (MaxProp's rows).
 type Request any
 
 // DeltaRequest is what a policy's request type implements, beside its codec,
@@ -97,15 +98,23 @@ type Request any
 // ships each request as its difference from the one this policy last
 // published to that peer, on the tags of the knowledge delta it rides with
 // (DESIGN.md §12). The contract is exactness, not approximation — for any
-// non-nil d := cur.DeltaSince(base), d.Apply(base) encodes byte-for-byte
-// like cur — so the receiving policy cannot tell which form travelled.
-// Requests that do not implement it always travel whole.
+// non-nil d := cur.DeltaSince(base), d.Apply(base, dst) encodes
+// byte-for-byte like cur — so the receiving policy cannot tell which form
+// travelled. A policy whose request type implements it keeps no reference
+// into a request in ProcessReq: the replica that handed it over rewrites
+// the request's storage at its next sync. Requests that do not implement it
+// always travel whole.
 type DeltaRequest interface {
 	// DeltaSince returns this request as a delta against base, an earlier
 	// request of the same policy, or nil when it cannot form one (a base of
 	// another type, state the delta form cannot express); the full request
 	// travels then. Neither request is written.
 	DeltaSince(base Request) Delta
+	// CopyInto returns a copy of this request for a holder that keeps it —
+	// the replica's per-peer delta bases — sharing nothing its sender goes
+	// on writing. It is built in kept's storage, reused, when kept is an
+	// earlier copy of the same type that nothing reads any more (nil: none).
+	CopyInto(kept Request) Request
 	// WireSize returns the length of the request's full encoding.
 	WireSize() int
 }
@@ -113,10 +122,13 @@ type DeltaRequest interface {
 // Delta is a routing request encoded against an earlier one.
 type Delta interface {
 	// Apply reconstructs the request the delta was taken from, given the
-	// base it was taken against. It shares what did not change with base and
-	// writes neither. An error means the delta does not fit this base; the
-	// caller keeps the base and asks for the full request.
-	Apply(base Request) (Request, error)
+	// base it was taken against, in dst's storage: dst is a request nothing
+	// reads any more (nil: none), reused when it is of base's type, and
+	// shares no storage with base. It writes nothing of base's, and the
+	// result shares with base only what nobody writes. An error means the
+	// delta does not fit this base; dst is then garbage, and the caller
+	// keeps the base and asks for the full request.
+	Apply(base, dst Request) (Request, error)
 	// WireSize returns the length of the delta's encoding.
 	WireSize() int
 }
@@ -133,17 +145,20 @@ type Policy interface {
 	// (acts as target); its return value travels in the request and is
 	// immutable from then on (see Request): state the policy goes on
 	// mutating in place must be copied into it or shared copy-on-write,
-	// state it only ever replaces may be shared. The replica retains the
-	// latest one per peer as the base of the next delta in summary mode, and
-	// hands any other back to a Releaser once its sync is over.
+	// state it only ever replaces may be shared. The replica hands it back
+	// to a Releaser once its sync is over, in either request mode; in
+	// summary mode it first keeps a copy as the base of the peer's next
+	// delta (DeltaRequest.CopyInto).
 	GenerateReq() Request
 	// ProcessReq is called when this replica receives a synchronization
 	// request (acts as source), with the requesting replica's ID and the
 	// routing state it sent. Policies typically fold the state into their
 	// local tables here. It fires once per sync that runs: a first leg that
 	// spends an encounter's shared budget leaves the second unrequested
-	// (ROADMAP item 1: 29 % of Fig. 9's encounters). It may keep references
-	// into req (then the policy is no Releaser) but not write through them.
+	// (ROADMAP item 1: 29 % of Fig. 9's encounters). It never writes
+	// through req. It may keep references into req only if the policy is
+	// neither a Releaser nor a DeltaRequest's: in summary mode req may be
+	// the replica's own delta base, rewritten at the peer's next sync.
 	ProcessReq(from vclock.ReplicaID, req Request)
 	// ToSend decides whether to forward a stored item that does NOT match
 	// the target's filter, returning its transmission priority (Skip to

@@ -1,8 +1,8 @@
 // Package sorted holds routing state as it travels and is persisted: a map
 // kept as entries in ascending key order, the internal/wire layout of a map.
-// Lookups are binary searches, merges one pass over two maps, and publishing
-// is copy-on-write: the owner's writes copy while what Share handed out is
-// not all given back (Release).
+// Lookups are binary searches, merges one pass over two maps, in place or
+// into a third map's array, and publishing is copy-on-write: the owner's
+// writes copy while what Share handed out is not all given back (Release).
 package sorted
 
 import (
@@ -101,7 +101,11 @@ func (m *Map[K, V]) Set(k K, v V) {
 // Update merges b into m as Merge does, in place unless m is shared or an
 // entry of b alone would overtake the walk through m.
 func (m *Map[K, V]) Update(b Map[K, V], f func(k K, cur, v *V) (V, bool)) {
-	m.e, m.shares = merge(m.e, m.shares == 0, b.e, f), 0
+	out := m.e[:0]
+	if m.shares > 0 {
+		out = make([]Entry[K, V], 0, max(len(m.e), len(b.e)))
+	}
+	m.e, m.shares = merge(out, m.e, b.e, f), 0
 }
 
 // Adopt merges b into m, keeping for each key m's entry, or b's where m has
@@ -138,17 +142,19 @@ func (m *Map[K, V]) Adopt(bm Map[K, V], newer func(v, cur *V) bool) {
 	m.e = out
 }
 
-// Merge walks a and b in key order and returns a new map of what f keeps: f
-// gets each key's value on each side (nil where absent) and returns its own.
-func Merge[K ~string, V any](a, b Map[K, V], f func(k K, av, bv *V) (V, bool)) Map[K, V] {
-	return Map[K, V]{e: merge(a.e, false, b.e, f)}
+// Merge makes m, which is not shared and shares no array with b, what f
+// keeps of a and b: it walks them in key order, and f gets each key's value
+// on each side (nil where absent) and returns its own. m is written in its
+// own array, grown only as f keeps entries; a's array is m's when m is a.
+func (m *Map[K, V]) Merge(a, b Map[K, V], f func(k K, av, bv *V) (V, bool)) {
+	m.e = merge(m.e[:0], a.e, b.e, f)
 }
 
-func merge[K ~string, V any](a []Entry[K, V], inPlace bool, b []Entry[K, V], f func(k K, av, bv *V) (V, bool)) []Entry[K, V] {
-	out := a[:0]
-	if !inPlace {
-		out = make([]Entry[K, V], 0, max(len(a), len(b)))
-	}
+// merge appends to out, an empty slice of a's array or of one of its own,
+// what f keeps of a and b. In a's array it writes behind the walk, and copies
+// what it has written into a new array before overtaking it.
+func merge[K ~string, V any](out, a, b []Entry[K, V], f func(k K, av, bv *V) (V, bool)) []Entry[K, V] {
+	inPlace := cap(out) > 0 && cap(a) > 0 && &out[:1][0] == &a[:1][0]
 	for i, j := 0, 0; i < len(a) || j < len(b); {
 		c := -1 // the next key is a's (< 0), b's (> 0) or both's
 		if i == len(a) {

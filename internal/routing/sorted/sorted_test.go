@@ -56,6 +56,7 @@ func TestMapAgainstModel(t *testing.T) {
 			want model
 		}
 		var pubs []published
+		var merged Map[string, int] // Merge's destination, refilled each time
 		for step := 0; step < 200; step++ {
 			switch op := rng.Intn(11); {
 			case op < 4:
@@ -115,19 +116,19 @@ func TestMapAgainstModel(t *testing.T) {
 			case op < 10: // a clone is its holder's: writing it leaves m alone
 				c := m.Clone()
 				c.Set(key(), -1)
-			default: // a new map from m and another
+			default: // m and another merged into a map of their own
 				b := FromMap(map[string]int{key(): 1, key(): 2})
-				got := Merge(m, b, func(_ string, cur, v *int) (int, bool) {
+				merged.Merge(m, b, func(_ string, cur, v *int) (int, bool) {
 					if v != nil {
 						return *v, true
 					}
 					return *cur, true
 				})
-				merged := want.clone()
+				w := want.clone()
 				for _, e := range b.Entries() {
-					merged[e.Key] = e.Val
+					w[e.Key] = e.Val
 				}
-				if !merged.check(t, got) {
+				if !w.check(t, merged) {
 					return false
 				}
 			}

@@ -399,18 +399,25 @@ func TestHostileRoutingDeltaRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var policy routing.Policy = prophet.New(prophet.DefaultParams(), now, "addr:a")
 			var base routing.Request = baseVector
 			var honest routing.Delta = honestVector
 			if tc.maxprop {
-				policy, base, honest = maxprop.New("a", 3, now, "addr:a"), baseTable, honestTable
+				base, honest = baseTable, honestTable
 			}
-			a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}, Policy: policy})
-			srv := NewServer(a, 0)
-			srv.Metrics = &obs.TransportMetrics{}
-			// send plays one connection from "evil" carrying one request and
-			// returns the server's verdict on it.
-			send := func(r request) error {
+			node := func() (*replica.Replica, *Server) {
+				var policy routing.Policy = prophet.New(prophet.DefaultParams(), now, "addr:a")
+				if tc.maxprop {
+					policy = maxprop.New("a", 3, now, "addr:a")
+				}
+				a := replica.New(replica.Config{ID: "a", OwnAddresses: []string{"addr:a"}, Policy: policy})
+				srv := NewServer(a, 0)
+				srv.Metrics = &obs.TransportMetrics{}
+				return a, srv
+			}
+			a, srv := node()
+			// send plays one connection from "evil" carrying one request to
+			// srv and returns the server's verdict on it.
+			send := func(srv *Server, r request) error {
 				req := &replica.SyncRequest{TargetID: "evil", RoutingDelta: r.delta}
 				if r.gen == 0 {
 					req.Knowledge = vclock.NewKnowledge()
@@ -437,7 +444,10 @@ func TestHostileRoutingDeltaRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv.serveConn(replay(append(rawHello(helloMagic, protocolVersion, "evil"), rawFrame(frameSyncRequest, established)...))) //lint:allow errdiscard -- the transcript ends after leg 1, which is all this needs
+			establish := func(srv *Server) {
+				srv.serveConn(replay(append(rawHello(helloMagic, protocolVersion, "evil"), rawFrame(frameSyncRequest, established)...))) //lint:allow errdiscard -- the transcript ends after leg 1, which is all this needs
+			}
+			establish(srv)
 			if a.Stats().SyncsServed != 1 {
 				t.Fatal("baseline frame was not served")
 			}
@@ -446,7 +456,7 @@ func TestHostileRoutingDeltaRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			err = send(tc.req)
+			err = send(srv, tc.req)
 			if got := errClass(err); (got == "validation") != (tc.want == "validation") {
 				t.Errorf("server error %v is class %q, want %s", err, got, tc.want)
 			}
@@ -465,13 +475,21 @@ func TestHostileRoutingDeltaRejected(t *testing.T) {
 			}
 
 			// The baseline is where the honest frame left it: generation 2
-			// still extends it, and its routing delta still fits.
-			send(request{gen: 2, epoch: epoch, delta: honest}) //lint:allow errdiscard -- the transcript ends after leg 1, which is all this needs
+			// still extends it, and its routing delta still fits and hands
+			// the policy what it hands one that never saw the hostile frame.
+			send(srv, request{gen: 2, epoch: epoch, delta: honest}) //lint:allow errdiscard -- the transcript ends after leg 1, which is all this needs
 			if a.Stats().SyncsServed != 2 {
 				t.Error("the honest delta after the hostile one was not served: the baseline moved")
 			}
-			if after, _ := a.PolicyState(); bytes.Equal(before, after) {
+			after, _ = a.PolicyState()
+			if bytes.Equal(before, after) {
 				t.Error("the honest delta's routing state never reached the policy")
+			}
+			control, controlSrv := node()
+			establish(controlSrv)
+			send(controlSrv, request{gen: 2, epoch: epoch, delta: honest}) //lint:allow errdiscard -- as above
+			if want, _ := control.PolicyState(); !bytes.Equal(after, want) {
+				t.Error("the honest delta after the hostile one applied to a baseline the hostile one wrote")
 			}
 		})
 	}

@@ -184,6 +184,20 @@ var (
 		}),
 		Homes: sorted.FromMap(map[string]maxprop.Home{"user:1": {Node: "t", Updated: 100}, "user:2": {Node: "a", Updated: 90}}),
 	}
+	// Second bases, larger than the first, to apply into.
+	prophetFuzzOther = &prophet.Request{
+		OwnAddresses:   []string{"user:7", "user:8"},
+		Predictability: sorted.FromMap(map[string]float64{"user:0": 0.125, "user:2": 0.75, "user:4": 1, "user:9": 0.5}),
+	}
+	maxpropFuzzOther = &maxprop.Request{
+		OwnAddresses: []string{"user:3"},
+		Table: sorted.FromMap(map[vclock.ReplicaID]maxprop.Row{
+			"a": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"b": 0.5, "t": 0.5}), Updated: 95},
+			"b": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"a": 1}), Updated: 80},
+			"t": {Probabilities: sorted.FromMap(map[vclock.ReplicaID]float64{"a": 0.25, "b": 0.75}), Updated: 120},
+		}),
+		Homes: sorted.FromMap(map[string]maxprop.Home{"user:0": {Node: "b", Updated: 70}, "user:1": {Node: "a", Updated: 110}, "user:3": {Node: "b", Updated: 80}}),
+	}
 )
 
 // routingDeltaFuzzSeeds are routing frames as they sit in a sync request:
@@ -287,6 +301,9 @@ func FuzzWireDecode(f *testing.F) {
 // to apply: against a base of its policy, Apply either refuses — leaving the
 // base as it was — or yields a request the full-frame decoder accepts, so
 // nothing a delta can carry reaches ProcessReq that a full frame could not.
+// Applied into a dirty destination — a copy of the other base of the same
+// policy, as a replica's spare baseline holds its last request — it must
+// refuse alike or yield the same bytes as into a fresh one.
 func FuzzRoutingDeltaDecode(f *testing.F) {
 	for _, seed := range routingDeltaFuzzSeeds(f) {
 		f.Add(seed)
@@ -313,11 +330,19 @@ func FuzzRoutingDeltaDecode(f *testing.F) {
 		if enc, _ := encode(delta); delta.WireSize() != len(enc)-5 {
 			t.Fatalf("delta WireSize %d, body encodes to %d bytes", delta.WireSize(), len(enc)-5)
 		}
-		for _, base := range []routing.Request{prophetFuzzBase, maxpropFuzzBase} {
+		for _, bases := range [][2]routing.DeltaRequest{
+			{prophetFuzzBase, prophetFuzzOther}, {prophetFuzzOther, prophetFuzzBase},
+			{maxpropFuzzBase, maxpropFuzzOther}, {maxpropFuzzOther, maxpropFuzzBase},
+		} {
+			base := bases[0]
 			before, _ := AppendRouting(nil, base)
-			got, err := delta.Apply(base)
+			got, err := delta.Apply(base, nil)
 			if after, _ := AppendRouting(nil, base); !bytes.Equal(before, after) {
 				t.Fatal("Apply wrote its base")
+			}
+			dirty, dirtyErr := delta.Apply(base, bases[1].CopyInto(nil))
+			if (err == nil) != (dirtyErr == nil) {
+				t.Fatalf("Apply into a fresh destination: %v; into a dirty one: %v", err, dirtyErr)
 			}
 			if err != nil {
 				continue
@@ -325,6 +350,9 @@ func FuzzRoutingDeltaDecode(f *testing.F) {
 			enc, err := AppendRouting(nil, got)
 			if err != nil {
 				t.Fatalf("reconstructed request does not encode: %v", err)
+			}
+			if dirtyEnc, _ := AppendRouting(nil, dirty); !bytes.Equal(dirtyEnc, enc) {
+				t.Fatal("Apply into a dirty destination differs from one into a fresh one")
 			}
 			d := NewDecoder(enc)
 			if d.routingFrame(); d.Finish() != nil {
