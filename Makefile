@@ -58,13 +58,15 @@ loc:
 		printf '%-24s %8d %8d\n' $${d%/} $$(count $$d -not) $$(count $$d); \
 	done
 
-## digests prints the SHA-256 of `dtnsim -experiment all` and of
-## `-experiment fault-sweep`, the before/after check that a change leaves every
-## emulated table byte-identical (a few seconds each). The outputs stay in bin/
-## for a diff when a digest moves.
+## digests prints the SHA-256 of `dtnsim -experiment all`, of
+## `-experiment fault-sweep` and of `-experiment summary`, the before/after
+## check that a change leaves every emulated table byte-identical (a few
+## seconds each); the byte columns (fault-sweep's `know B/enc`, all's sync
+## overhead table) move with the knowledge layout alone. The outputs stay in
+## bin/ for a diff when a digest moves.
 digests:
 	$(GO) build -o bin/dtnsim ./cmd/dtnsim
-	@for e in all fault-sweep; do \
+	@for e in all fault-sweep summary; do \
 		./bin/dtnsim -experiment $$e > bin/dtnsim-$$e.txt || exit 1; \
 		echo "$$(sha256sum < bin/dtnsim-$$e.txt | cut -d' ' -f1)  -experiment $$e"; \
 	done

@@ -121,7 +121,8 @@ type Result struct {
 	Summary *metrics.Summary
 	// Encounters is the number of encounters processed.
 	Encounters int
-	// Syncs is the number of synchronizations performed.
+	// Syncs is the number of synchronizations performed: one per encounter
+	// that was not dropped, plus its second leg when that leg ran.
 	Syncs int
 	// ItemsTransferred counts batch items moved over all syncs.
 	ItemsTransferred int
@@ -185,6 +186,7 @@ type copyDelta struct {
 type eventRec struct {
 	err       error
 	moved     int   // encounter: items moved across both syncs
+	syncs     int   // encounter: synchronizations issued (replica.EncounterResult.Legs)
 	bytes     int64 // encounter: encoded batch-item bytes moved
 	kbytes    int64 // encounter: knowledge-frame bytes shipped
 	fallbacks int   // encounter: summary syncs that needed the exact round
@@ -211,7 +213,7 @@ type eventRec struct {
 
 func (rec *eventRec) reset() {
 	rec.err = nil
-	rec.moved, rec.bytes = 0, 0
+	rec.moved, rec.bytes, rec.syncs = 0, 0, 0
 	rec.kbytes, rec.fallbacks = 0, 0
 	rec.st = nil
 	rec.from, rec.to = "", ""
@@ -412,7 +414,7 @@ func (r *runner) execEncounter(ev *event, rec *eventRec, cutoff int) {
 		Items: r.cfg.MaxMessagesPerEncounter,
 		Bytes: r.cfg.MaxBytesPerEncounter,
 	}, replica.Link{Cutoff: cutoff})
-	rec.moved = er.AtoB.Sent + er.BtoA.Sent
+	rec.moved, rec.syncs = er.AtoB.Sent+er.BtoA.Sent, er.Legs
 	rec.bytes = er.AtoB.SentBytes + er.BtoA.SentBytes
 	recordSyncOverhead(rec, er)
 	for _, sr := range [2]replica.SyncResult{er.AtoB, er.BtoA} {
@@ -550,7 +552,7 @@ func (r *runner) commit(ev *event, rec *eventRec) error {
 			}
 			break
 		}
-		r.res.Syncs += 2
+		r.res.Syncs += rec.syncs
 		r.res.ItemsTransferred += rec.moved
 		r.res.BytesTransferred += rec.bytes
 		r.res.KnowledgeBytes += rec.kbytes

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"replidtn/internal/fault"
+	"replidtn/internal/obs"
 )
 
 // testFaults is a fault mix exercising every dimension at once: dropped
@@ -60,7 +61,8 @@ func TestDifferentialFaultSeed(t *testing.T) {
 }
 
 // TestDroppedEncountersAccounting: a dropped contact is counted but performs
-// no synchronization, so Syncs tracks only the encounters that happened.
+// no synchronization, so Syncs tracks only the encounters that happened, and
+// of those only the legs that ran.
 func TestDroppedEncountersAccounting(t *testing.T) {
 	tr := miniTrace(t)
 	res := runPolicy(t, tr, PolicyEpidemic, func(c *Config) {
@@ -73,7 +75,20 @@ func TestDroppedEncountersAccounting(t *testing.T) {
 		t.Fatal("drop probability 0.3 dropped nothing")
 	}
 	if want := 2 * (res.Encounters - res.EncountersDropped); res.Syncs != want {
-		t.Errorf("Syncs = %d, want %d (two per surviving encounter)", res.Syncs, want)
+		t.Errorf("Syncs = %d, want %d (unconstrained: both legs of every surviving encounter)", res.Syncs, want)
+	}
+	// Under a one-item budget, a first leg that spends it leaves no second
+	// leg to count: Syncs is the pulls the replicas issued.
+	rm := &obs.ReplicaMetrics{}
+	budgeted := runPolicy(t, tr, PolicyEpidemic, func(c *Config) {
+		c.Faults = fault.Config{Seed: 1, Drop: 0.3}
+		c.MaxMessagesPerEncounter = 1
+		c.Metrics = rm
+	})
+	surviving := budgeted.Encounters - budgeted.EncountersDropped
+	if int64(budgeted.Syncs) != rm.SyncsInitiated.Value() || budgeted.Syncs <= surviving || budgeted.Syncs >= 2*surviving {
+		t.Errorf("one-item budget: Syncs = %d, replicas initiated %d; want that many, between %d and %d",
+			budgeted.Syncs, rm.SyncsInitiated.Value(), surviving, 2*surviving)
 	}
 	clean := runPolicy(t, tr, PolicyEpidemic, nil)
 	if res.Summary.DeliveredCount() > clean.Summary.DeliveredCount() {

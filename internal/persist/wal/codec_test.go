@@ -9,6 +9,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -18,6 +19,7 @@ import (
 	"replidtn/internal/item"
 	"replidtn/internal/replica"
 	"replidtn/internal/vclock"
+	"replidtn/internal/wire"
 )
 
 // withMaxRecordLen lowers the frame limit for the duration of the test so
@@ -129,6 +131,39 @@ func TestRetiredRecordKindIsCorruption(t *testing.T) {
 		}
 		if err := newState().replaySegment(append(append([]byte(nil), seg...), retired...)); !errors.Is(err, errCorrupt) {
 			t.Errorf("segment reader on kind %d: err = %v, want errCorrupt", kind, err)
+		}
+	}
+}
+
+// TestOldCodecVersionIsRefused: every record a codec-version-1 build wrote
+// (the knowledge layout before one front-coded row per creator) is a
+// version mismatch for both readers, never decoded under the current
+// layout; there is no reader for the old one.
+func TestOldCodecVersionIsRefused(t *testing.T) {
+	replayLog := func(data []byte) error { _, err := newState().replayLog(data); return err }
+	for _, tc := range []struct {
+		name string
+		data []byte
+		read func([]byte) error
+	}{
+		{"log", buildLogBytes(t), replayLog},
+		{"segment", segment(t, putFrame(t, 1, "one")), newState().replaySegment},
+	} {
+		var old []byte
+		for off := 0; off < len(tc.data); {
+			rec, next, ok := readRecord(tc.data, off)
+			if !ok {
+				t.Fatalf("%s: invalid record at offset %d", tc.name, off)
+			}
+			framed, err := frameRecord(rec.kind, append([]byte{1}, rec.payload[1:]...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, off = append(old, framed...), next
+		}
+		want := fmt.Sprintf("codec version 1, want %d", wire.CodecVersion)
+		if err := tc.read(old); !errors.Is(err, errCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s written by version 1: err = %v, want errCorrupt with %q", tc.name, err, want)
 		}
 	}
 }

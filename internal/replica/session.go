@@ -105,6 +105,9 @@ func Sync(source, target *Replica, maxItems int) SyncResult {
 type EncounterResult struct {
 	AtoB SyncResult // b pulls from a
 	BtoA SyncResult // a pulls from b
+	// Legs counts the pulls EncounterLink issued: 1, or 2 when the first
+	// left the second a budget and did not fail.
+	Legs int
 }
 
 // Encounter models a contact between two replicas as the paper's emulation
@@ -177,10 +180,12 @@ func (l *Link) carry(source *Replica) Carrier {
 // (including the second leg) is skipped — the link is gone.
 func EncounterLink(a, b *Replica, budget Budget, link Link) (res EncounterResult) {
 	var err error
+	res.Legs = 1
 	if res.AtoB, err = b.Pull(a.ID(), budget, false, link.carry(a)); err != nil {
 		return res
 	}
 	if second, strict, ok := secondLeg(budget, res.AtoB); ok {
+		res.Legs = 2
 		res.BtoA, _ = a.Pull(b.ID(), second, strict, link.carry(b))
 	}
 	return res

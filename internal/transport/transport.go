@@ -37,9 +37,10 @@ import (
 // protocolVersion is the one protocol this build speaks, carried as a single
 // byte in the hello. Versions 1–3 were the retired gob-hello generations, 4
 // the binary frames before routing deltas (and with a From field in every
-// routing request), and 5 the frames that could still carry a Bloom-digest
-// knowledge summary; a mismatch is refused, never negotiated.
-const protocolVersion = 6
+// routing request), 5 the frames that could still carry a Bloom-digest
+// knowledge summary, and 6 the knowledge layout of codec version 1; a
+// mismatch is refused, never negotiated.
+const protocolVersion = 7
 
 // helloMagic opens every hello body, so a stray connection from some other
 // protocol is refused on its first frame.

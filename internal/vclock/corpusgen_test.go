@@ -17,35 +17,22 @@ import (
 //
 // after changing the wire format or the seed set, and commit the result. The
 // corpus pins the shapes the fuzzers must keep exploring: canonical
-// encodings, non-canonical ones the decoder must normalize, truncations, and
-// forged counts.
+// encodings and one frame per rule the decoder enforces (order, prefix and
+// length bounds, overflow, forged counts, truncation). Each target's
+// directory is rewritten whole, so a renamed seed leaves no stale file.
 func TestWriteFuzzCorpus(t *testing.T) {
+	for _, target := range []string{"FuzzKnowledgeDecode", "FuzzKnowledgeMerge", "FuzzDeltaDecode"} {
+		if err := os.RemoveAll(filepath.Join("testdata", "fuzz", target)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	seeds := decodeSeeds()
-	names := []string{
-		"seed-empty", "seed-typical", "seed-noncanonical",
-		"seed-truncated", "seed-forged-count", "seed-trailing",
-	}
-	if len(names) != len(seeds) {
-		t.Fatalf("have %d seed names for %d seeds", len(names), len(seeds))
-	}
 	for i, seed := range seeds {
-		writeCorpusFile(t, "FuzzKnowledgeDecode", names[i], seed)
+		writeCorpusFile(t, "FuzzKnowledgeDecode", "seed-"+seed.name, seed.data)
+		writeCorpusFile(t, "FuzzKnowledgeMerge", "seed-"+seed.name, seed.data, seeds[(i+1)%len(seeds)].data)
 	}
-	for i, seed := range seeds {
-		writeCorpusFile(t, "FuzzKnowledgeMerge", names[i],
-			seed, seeds[(i+1)%len(seeds)])
-	}
-
-	deltaNames := []string{
-		"seed-empty", "seed-typical", "seed-missing-body",
-		"seed-noncanonical", "seed-forged-count",
-	}
-	dlSeeds := deltaSeeds()
-	if len(deltaNames) != len(dlSeeds) {
-		t.Fatalf("have %d delta seed names for %d seeds", len(deltaNames), len(dlSeeds))
-	}
-	for i, seed := range dlSeeds {
-		writeCorpusFile(t, "FuzzDeltaDecode", deltaNames[i], seed)
+	for _, seed := range deltaSeeds() {
+		writeCorpusFile(t, "FuzzDeltaDecode", "seed-"+seed.name, seed.data)
 	}
 }
 

@@ -78,6 +78,7 @@ func (k *Knowledge) DiffSince(old *Knowledge) *Knowledge {
 		}
 	}
 	out.reindex()
+	out.unsorted = k.unsorted
 	return out
 }
 

@@ -9,7 +9,7 @@ import "testing"
 
 func FuzzDeltaDecode(f *testing.F) {
 	for _, seed := range deltaSeeds() {
-		f.Add(seed)
+		f.Add(seed.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d Delta
@@ -49,8 +49,10 @@ func FuzzDeltaDecode(f *testing.F) {
 	})
 }
 
-// deltaSeeds returns the in-code seed corpus for FuzzDeltaDecode.
-func deltaSeeds() [][]byte {
+// deltaSeeds returns the in-code seed corpus for FuzzDeltaDecode, by name:
+// canonical deltas, a missing body, and each rejected knowledge frame behind
+// a delta's two tags.
+func deltaSeeds() []namedFrame {
 	emptyDelta, _ := NewDelta(1, 1, nil).MarshalBinary()
 
 	k := NewKnowledge()
@@ -60,14 +62,13 @@ func deltaSeeds() [][]byte {
 	k.Add(Version{Replica: "b", Seq: 7})
 	typical, _ := NewDelta(2, 19, k).MarshalBinary()
 
-	return [][]byte{
-		emptyDelta,
-		typical,
-		// Tags only, knowledge body missing entirely.
-		[]byte("\x01\x01"),
-		// Non-canonical embedded knowledge (exception below base).
-		[]byte("\x01\x02\x01\x01a\x05\x01\x01a\x02\x02\x06"),
-		// Forged exception count inside the embedded knowledge.
-		[]byte("\x01\x01\x00\x01\x01a\x80\x80\x80\x80\x08"),
+	seeds := []namedFrame{
+		{"empty", emptyDelta},
+		{"typical", typical},
+		{"missing-body", []byte("\x01\x01")}, // tags only
 	}
+	for _, f := range rejectedFrames() {
+		seeds = append(seeds, namedFrame{f.name, append([]byte{1, 2}, f.data...)})
+	}
+	return seeds
 }

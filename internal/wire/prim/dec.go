@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // ErrTruncated reports input that ended before the message did.
@@ -202,6 +203,25 @@ func (d *Decoder) String() string {
 		*slot = string(b)
 	}
 	return *slot
+}
+
+// FrontCoded decodes a name AppendFrontCoded wrote against prev, rejecting a
+// shared prefix longer than prev. The caller checks the list's order.
+func (d *Decoder) FrontCoded(prev string) string {
+	h := d.Uvarint()
+	shared := h & maxFrontShared
+	if d.err == nil && shared > uint64(len(prev)) {
+		d.Fail(fmt.Errorf("wire: name shares %d bytes with the %d-byte name before it", shared, len(prev)))
+	}
+	suffix := d.View(h >> 3)
+	if d.err != nil {
+		return ""
+	}
+	var b strings.Builder
+	b.Grow(int(shared) + len(suffix))
+	b.WriteString(prev[:shared])
+	b.Write(suffix)
+	return b.String()
 }
 
 // Bytes decodes a nil-aware byte slice as a zero-copy view into the input.

@@ -85,6 +85,29 @@ func AppendStrings(buf []byte, ss []string) []byte {
 	return buf
 }
 
+// maxFrontShared is the longest prefix a front-coded name shares with the
+// name before it. Front coding writes a sorted list of names as LevelDB
+// writes a block's keys: each name against its predecessor ("" for the
+// first), behind one uvarint that packs the shared-prefix length under the
+// suffix length (suffix<<3 | shared), so a suffix under 16 bytes costs one
+// header byte, as AppendString's length does.
+const maxFrontShared = 7
+
+// frontHeader returns the header of s written against prev and the length
+// of the prefix it shares.
+func frontHeader(prev, s string) (h uint64, shared int) {
+	for shared < min(len(prev), len(s), maxFrontShared) && prev[shared] == s[shared] {
+		shared++
+	}
+	return uint64(len(s)-shared)<<3 | uint64(shared), shared
+}
+
+// AppendFrontCoded appends s front-coded against prev.
+func AppendFrontCoded(buf []byte, prev, s string) []byte {
+	h, shared := frontHeader(prev, s)
+	return append(binary.AppendUvarint(buf, h), s[shared:]...)
+}
+
 // The size functions return the length of what the append function of the
 // same name writes, for callers that account bytes without encoding.
 
@@ -105,6 +128,12 @@ func SizeVarint(v int64) int {
 // SizeString returns the length of AppendString's output.
 func SizeString(s string) int {
 	return SizeUvarint(uint64(len(s))) + len(s)
+}
+
+// SizeFrontCoded returns the length of AppendFrontCoded's output.
+func SizeFrontCoded(prev, s string) int {
+	h, shared := frontHeader(prev, s)
+	return SizeUvarint(h) + len(s) - shared
 }
 
 // SizeStrings returns the length of AppendStrings' output.

@@ -139,3 +139,58 @@ func TestDecoderHostileInput(t *testing.T) {
 		}
 	})
 }
+
+// TestFrontCodedList round-trips a sorted name list through the front
+// coder, checks the sizer against every name's encoding, and pins the
+// bytes of the trace's neighbours: "bus08" after "bus07" is one header byte
+// and its one new byte.
+func TestFrontCodedList(t *testing.T) {
+	names := []string{"", "a", "bus07", "bus08", "bus08x", "dtn://node/alpha", "dtn://node/beta", "dtn://nodes", "z"}
+	var buf []byte
+	prev := ""
+	for _, s := range names {
+		n := len(buf)
+		buf = AppendFrontCoded(buf, prev, s)
+		if got := len(buf) - n; got != SizeFrontCoded(prev, s) {
+			t.Errorf("SizeFrontCoded(%q, %q) = %d, encoding is %d bytes", prev, s, SizeFrontCoded(prev, s), got)
+		}
+		if _, shared := frontHeader(prev, s); len(s)-shared < 16 && len(buf)-n > SizeString(s) {
+			t.Errorf("%q after %q costs %d bytes, more than AppendString's %d", s, prev, len(buf)-n, SizeString(s))
+		}
+		prev = s
+	}
+	d := NewDecoder(buf)
+	prev = ""
+	for _, want := range names {
+		got := d.FrontCoded(prev)
+		if got != want {
+			t.Fatalf("decoded %q after %q, want %q", got, prev, want)
+		}
+		prev = got
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got := AppendFrontCoded(nil, "bus07", "bus08"); !reflect.DeepEqual(got, []byte{1<<3 | 4, '8'}) {
+		t.Errorf("bus08 after bus07 encodes to %x", got)
+	}
+}
+
+// TestFrontCodedHostile rejects a shared prefix longer than the previous
+// name and a suffix longer than the input left.
+func TestFrontCodedHostile(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prev string
+		data []byte
+	}{
+		{"prefix past the previous name", "ab", []byte{0<<3 | 3}},
+		{"suffix past the input", "", []byte{5 << 3, 'a', 'b'}},
+		{"huge suffix length", "", AppendUvarint(nil, math.MaxUint64)},
+	} {
+		d := NewDecoder(tc.data)
+		if got := d.FrontCoded(tc.prev); d.Err() == nil {
+			t.Errorf("%s: decoded %q, want an error", tc.name, got)
+		}
+	}
+}

@@ -24,14 +24,14 @@ func TestTransientBytesGolden(t *testing.T) {
 	it := &item.Item{ID: item.ID{Creator: "a", Num: 1}, Version: vclock.Version{Replica: "a", Seq: 1}, Meta: item.Metadata{Kind: "m"}}
 	values := item.TransientMap{item.FieldCopies: 4, item.FieldHops: 2, item.FieldTTL: 9}
 	golden := []struct{ fields, batch, snapshot string }{
-		{"", "0101730101610101610100000000016d0000000000000000000000000000000000", "01610101610100000000016d0000000000000003"},
-		{"copies", "0101730101610101610100000000016d000000000206636f706965730000000000001040000000000000000000000000", "01610101610100000000016d000000000206636f706965730000000000001040000003"},
-		{"hops", "0101730101610101610100000000016d000000000204686f70730000000000000040000000000000000000000000", "01610101610100000000016d000000000204686f70730000000000000040000003"},
-		{"copies hops", "0101730101610101610100000000016d000000000306636f70696573000000000000104004686f70730000000000000040000000000000000000000000", "01610101610100000000016d000000000306636f70696573000000000000104004686f70730000000000000040000003"},
-		{"ttl", "0101730101610101610100000000016d00000000020374746c0000000000002240000000000000000000000000", "01610101610100000000016d00000000020374746c0000000000002240000003"},
-		{"copies ttl", "0101730101610101610100000000016d000000000306636f7069657300000000000010400374746c0000000000002240000000000000000000000000", "01610101610100000000016d000000000306636f7069657300000000000010400374746c0000000000002240000003"},
-		{"hops ttl", "0101730101610101610100000000016d000000000304686f707300000000000000400374746c0000000000002240000000000000000000000000", "01610101610100000000016d000000000304686f707300000000000000400374746c0000000000002240000003"},
-		{"copies hops ttl", "0101730101610101610100000000016d000000000406636f70696573000000000000104004686f707300000000000000400374746c0000000000002240000000000000000000000000", "01610101610100000000016d000000000406636f70696573000000000000104004686f707300000000000000400374746c0000000000002240000003"},
+		{"", "0201730101610101610100000000016d0000000000000000000000000000000000", "01610101610100000000016d0000000000000003"},
+		{"copies", "0201730101610101610100000000016d000000000206636f706965730000000000001040000000000000000000000000", "01610101610100000000016d000000000206636f706965730000000000001040000003"},
+		{"hops", "0201730101610101610100000000016d000000000204686f70730000000000000040000000000000000000000000", "01610101610100000000016d000000000204686f70730000000000000040000003"},
+		{"copies hops", "0201730101610101610100000000016d000000000306636f70696573000000000000104004686f70730000000000000040000000000000000000000000", "01610101610100000000016d000000000306636f70696573000000000000104004686f70730000000000000040000003"},
+		{"ttl", "0201730101610101610100000000016d00000000020374746c0000000000002240000000000000000000000000", "01610101610100000000016d00000000020374746c0000000000002240000003"},
+		{"copies ttl", "0201730101610101610100000000016d000000000306636f7069657300000000000010400374746c0000000000002240000000000000000000000000", "01610101610100000000016d000000000306636f7069657300000000000010400374746c0000000000002240000003"},
+		{"hops ttl", "0201730101610101610100000000016d000000000304686f707300000000000000400374746c0000000000002240000000000000000000000000", "01610101610100000000016d000000000304686f707300000000000000400374746c0000000000002240000003"},
+		{"copies hops ttl", "0201730101610101610100000000016d000000000406636f70696573000000000000104004686f707300000000000000400374746c0000000000002240000000000000000000000000", "01610101610100000000016d000000000406636f70696573000000000000104004686f707300000000000000400374746c0000000000002240000003"},
 	}
 	for _, g := range golden {
 		var tr item.Transient

@@ -34,8 +34,10 @@ import (
 // CodecVersion is the current layout version written as the first byte of
 // every top-level message (WAL record bodies, transport frame bodies).
 // Decoders accept exactly the versions they know; an unknown version is a
-// decode error, never a guess.
-const CodecVersion = 1
+// decode error, never a guess. Version 2 writes knowledge as one
+// front-coded row per creator (internal/vclock's codec.go); version 1's base
+// and exception sections have no reader.
+const CodecVersion = 2
 
 // A Decoder walks one encoded message: the primitive decoder (sticky errors,
 // zero-copy views, forged-count checks), the item layer's methods, and this
