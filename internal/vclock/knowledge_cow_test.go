@@ -181,7 +181,21 @@ func TestUnmarshalClearsSharing(t *testing.T) {
 // random Add / Merge / Clone / decode / DiffSince sequence and demands after
 // every step that every live value's WireSize equals the length of its
 // encoding — so every mutation lands on a warm memo, its own or inherited.
+// First, two fixed cases move a base by one under a warm memo while no
+// exception folds into it, which shrinks the exceptions' encoding: a
+// bitmap over 3..10 loses a byte, and a gap of 128 becomes 127.
 func TestWireSizeMemoStaysExact(t *testing.T) {
+	for _, seqs := range [][]uint64{{3, 4, 5, 6, 7, 8, 9, 10}, {130}} {
+		k := NewKnowledge()
+		for _, s := range seqs {
+			k.Add(Version{Replica: "a", Seq: s})
+		}
+		before := k.WireSize()
+		k.Add(Version{Replica: "a", Seq: 1})
+		if data, _ := k.MarshalBinary(); k.WireSize() != len(data) || len(data) != before-1 {
+			t.Fatalf("%v, then a:1: WireSize() = %d, encoding is %d bytes, %d before", seqs, k.WireSize(), len(data), before)
+		}
+	}
 	rng := rand.New(rand.NewSource(11))
 	randomVersion := func() Version {
 		return Version{
