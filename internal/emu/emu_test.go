@@ -228,6 +228,46 @@ func TestCopiesAccountingSane(t *testing.T) {
 	}
 }
 
+// TestCopiesAtDeliveryCountsWholeEncounter pins when a delivery's copy count
+// is read: after both legs of the encounter, not as the message arrives. Relay
+// R carries m1 from S to D; in leg R→D, D receives m1 (three live copies: S,
+// R, D), and in leg D→R, R takes D's m2 into its one relay slot and evicts
+// m1. m1 is delivered with the two copies left after the encounter. m3 moves
+// between two users on bus Y, an immediate one-copy delivery at injection.
+func TestCopiesAtDeliveryCountsWholeEncounter(t *testing.T) {
+	tr := &trace.Trace{
+		Days:  1,
+		Buses: []string{"D", "R", "S", "Y"},
+		Users: []string{"alice", "bob", "dave", "erin"},
+		Encounters: []trace.Encounter{
+			{Time: 100, A: "S", B: "R"},
+			{Time: 200, A: "R", B: "D"},
+		},
+		Messages: []trace.Message{
+			{ID: "m1", Time: 10, From: "alice", To: "bob"},
+			{ID: "m2", Time: 11, From: "bob", To: "dave"},
+			{ID: "m3", Time: 12, From: "dave", To: "erin"},
+		},
+		Roster:     [][]string{{"D", "R", "S", "Y"}},
+		Assignment: []map[string]string{{"alice": "S", "bob": "D", "dave": "Y", "erin": "Y"}},
+	}
+	res := runPolicy(t, tr, PolicyEpidemic, func(c *Config) { c.RelayCapacity = 1 })
+	want := map[string]struct {
+		at     int64
+		copies int
+	}{"m1": {200, 2}, "m2": {-1, 0}, "m3": {12, 1}}
+	for _, d := range res.Summary.Deliveries() {
+		w := want[d.MsgID]
+		if d.DeliveredAt != w.at || d.CopiesAtDelivery != w.copies {
+			t.Errorf("%s delivered at %d with %d copies, want at %d with %d",
+				d.MsgID, d.DeliveredAt, d.CopiesAtDelivery, w.at, w.copies)
+		}
+	}
+	if m1 := res.Summary.Deliveries()[0]; m1.CopiesAtEnd != 2 {
+		t.Errorf("m1 ends with %d copies, want 2 (S and D)", m1.CopiesAtEnd)
+	}
+}
+
 func TestRandomExtraBuses(t *testing.T) {
 	tr := miniTrace(t)
 	m := RandomExtraBuses(tr, 3, 7)

@@ -436,7 +436,7 @@ func TestHandleSyncRequestDifferential(t *testing.T) {
 		if len(creators) > 2 {
 			multiCreator++
 		}
-		if req.Knowledge.ExceptionCount() > 0 && len(req.Knowledge.Base()) > 0 {
+		if req.Knowledge.ExceptionCount() > 0 && req.Knowledge.Size() > req.Knowledge.ExceptionCount() {
 			aboveBase++
 		}
 		if n := destFiled(before); n > 0 {

@@ -122,7 +122,7 @@ func lastCopy(e *Entry) bool {
 // walk goes run by run in run order, asking floor just before fn sees a
 // run's first entry; RangeAbove asks once per creator. Along a run reported
 // ordered, item IDs rise.
-func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
+func assertRangeAbove(t *testing.T, s *Store, floor map[vclock.ReplicaID]uint64) {
 	t.Helper()
 	want := make(map[*Entry]bool)
 	s.Range(func(e *Entry) bool {
@@ -146,7 +146,7 @@ func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 			return floor[c]
 		}, func(e *Entry) bool {
 			if !want[e] || !filed(e) {
-				t.Fatalf("%s yielded %s@%s (filed by destination: %v, main %v), which floor %s covers (or which is not stored)",
+				t.Fatalf("%s yielded %s@%s (filed by destination: %v, main %v), which floor %v covers (or which is not stored)",
 					name, e.Item.ID, e.Item.Version, e.byDest, e.inMain, floor)
 			}
 			if e.Item.Version.Replica != last {
@@ -168,7 +168,7 @@ func assertRangeAbove(t *testing.T, s *Store, floor vclock.Vector) {
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("the walks yielded %d entries, want %d (floor %s)", len(got), len(want), floor)
+		t.Fatalf("the walks yielded %d entries, want %d (floor %v)", len(got), len(want), floor)
 	}
 	for _, rs := range s.destSets {
 		to := rs.to
@@ -247,10 +247,10 @@ func rangeAboveMatchesRange(t *testing.T, also bool) {
 				}
 			}
 		}
-		for _, floor := range []vclock.Vector{{}, nil} {
+		for _, floor := range []map[vclock.ReplicaID]uint64{{}, nil} {
 			assertRangeAbove(t, s, floor)
 		}
-		floor := vclock.Vector{}
+		floor := map[vclock.ReplicaID]uint64{}
 		for _, c := range creators {
 			if rng.Intn(4) > 0 {
 				floor[vclock.ReplicaID(c)] = uint64(rng.Int63n(int64(seqs[c]) + 2))

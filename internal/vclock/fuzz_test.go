@@ -168,8 +168,12 @@ func FuzzKnowledgeMerge(f *testing.F) {
 		// exceptions above that joint base. Exception folding during Merge
 		// must preserve this (each fold trades one exception for one base
 		// increment).
-		union := a.Base()
-		union.Merge(b.Base())
+		union := make(map[ReplicaID]uint64)
+		for _, k := range []*Knowledge{a, b} {
+			for _, w := range k.rows {
+				union[w.creator] = max(union[w.creator], w.base)
+			}
+		}
 		distinct := make(map[Version]struct{})
 		for _, k := range []*Knowledge{a, b} {
 			for _, w := range k.rows {

@@ -248,16 +248,7 @@ func union(a, b *row) row {
 	return out
 }
 
-// Base returns a copy of the contiguous base vector.
-func (k *Knowledge) Base() Vector {
-	v := NewVector()
-	for _, w := range k.rows {
-		v.Set(w.creator, w.base) // a zero base sets nothing
-	}
-	return v
-}
-
-// ExceptionCount returns the number of versions held outside the base vector.
+// ExceptionCount returns the number of versions held outside the rows' bases.
 // It is a direct measure of metadata compactness.
 func (k *Knowledge) ExceptionCount() int {
 	n := 0
@@ -328,12 +319,21 @@ func (k *Knowledge) Equal(other *Knowledge) bool {
 	return true
 }
 
-// String renders knowledge deterministically, e.g. "{a:3 b:7}+[b:9 b:12]".
+// String renders knowledge deterministically, e.g. "{a:3 b:7}+[b:9 b:12]":
+// the nonzero bases, then the exceptions, both in creator order.
 func (k *Knowledge) String() string {
 	var b strings.Builder
-	b.WriteString(k.Base().String())
-	sep := "+["
 	k.sortRows()
+	b.WriteByte('{')
+	sep := ""
+	for _, w := range k.rows {
+		if w.base > 0 {
+			fmt.Fprintf(&b, "%s%s:%d", sep, w.creator, w.base)
+			sep = " "
+		}
+	}
+	b.WriteByte('}')
+	sep = "+["
 	for _, w := range k.rows {
 		for _, s := range w.sortedExtra(nil) {
 			b.WriteString(sep)

@@ -1,5 +1,5 @@
-// Package vclock provides version identifiers, version vectors, and the
-// compact "knowledge" structure used by the replication substrate as a
+// Package vclock provides version identifiers and the compact "knowledge"
+// structure used by the replication substrate as a
 // vector-based acknowledgement scheme.
 //
 // Every update in the system is identified by a Version: the Seq-th event
@@ -9,11 +9,7 @@
 // rather than the number of items in steady state.
 package vclock
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // ReplicaID uniquely identifies a replica (a node hosting a replica of the
 // collection).
@@ -61,88 +57,4 @@ func (v Version) Compare(other Version) int {
 	default:
 		return 1
 	}
-}
-
-// Vector is a classic version vector: for each replica, the highest
-// contiguous sequence number known. A Vector v "includes" version (r, s) when
-// v[r] >= s.
-type Vector map[ReplicaID]uint64
-
-// NewVector returns an empty vector.
-func NewVector() Vector { return make(Vector) }
-
-// Get returns the highest contiguous sequence known for replica r (0 when
-// none).
-func (vec Vector) Get(r ReplicaID) uint64 { return vec[r] }
-
-// Set records that all of replica r's versions up to and including seq are
-// known. Lowering an existing entry is ignored: vectors are monotone.
-func (vec Vector) Set(r ReplicaID, seq uint64) {
-	if vec[r] < seq {
-		vec[r] = seq
-	}
-}
-
-// Includes reports whether the vector covers version v.
-func (vec Vector) Includes(v Version) bool { return v.Seq != 0 && vec[v.Replica] >= v.Seq }
-
-// Merge folds other into vec, taking the element-wise maximum.
-func (vec Vector) Merge(other Vector) {
-	for r, s := range other {
-		vec.Set(r, s)
-	}
-}
-
-// Clone returns a deep copy of the vector.
-func (vec Vector) Clone() Vector {
-	out := make(Vector, len(vec))
-	for r, s := range vec {
-		out[r] = s
-	}
-	return out
-}
-
-// Equal reports whether two vectors contain identical entries (zero entries
-// are ignored).
-func (vec Vector) Equal(other Vector) bool {
-	for r, s := range vec {
-		if s != 0 && other[r] != s {
-			return false
-		}
-	}
-	for r, s := range other {
-		if s != 0 && vec[r] != s {
-			return false
-		}
-	}
-	return true
-}
-
-// Dominates reports whether vec includes every version that other includes.
-func (vec Vector) Dominates(other Vector) bool {
-	for r, s := range other {
-		if vec[r] < s {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the vector deterministically, e.g. "{a:3 b:7}".
-func (vec Vector) String() string {
-	ids := make([]string, 0, len(vec))
-	for r := range vec {
-		ids = append(ids, string(r))
-	}
-	sort.Strings(ids)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s:%d", id, vec[ReplicaID(id)])
-	}
-	b.WriteByte('}')
-	return b.String()
 }

@@ -52,49 +52,6 @@ func TestVersionCompareConcurrentDeterministic(t *testing.T) {
 	}
 }
 
-func TestVectorSetMonotone(t *testing.T) {
-	vec := NewVector()
-	vec.Set("a", 5)
-	vec.Set("a", 3)
-	if vec.Get("a") != 5 {
-		t.Errorf("Set must never lower a vector entry, got %d", vec.Get("a"))
-	}
-}
-
-func TestVectorIncludes(t *testing.T) {
-	vec := NewVector()
-	vec.Set("a", 3)
-	if !vec.Includes(Version{Replica: "a", Seq: 3}) {
-		t.Error("vector should include a:3")
-	}
-	if vec.Includes(Version{Replica: "a", Seq: 4}) {
-		t.Error("vector should not include a:4")
-	}
-	if vec.Includes(Version{}) {
-		t.Error("vector should never include the zero version")
-	}
-}
-
-func TestVectorMergeDominates(t *testing.T) {
-	a := Vector{"x": 3, "y": 1}
-	b := Vector{"x": 1, "z": 7}
-	a.Merge(b)
-	want := Vector{"x": 3, "y": 1, "z": 7}
-	if !a.Equal(want) {
-		t.Errorf("merge = %v, want %v", a, want)
-	}
-	if !a.Dominates(b) {
-		t.Error("merged vector must dominate both inputs")
-	}
-}
-
-func TestVectorString(t *testing.T) {
-	vec := Vector{"b": 2, "a": 1}
-	if got := vec.String(); got != "{a:1 b:2}" {
-		t.Errorf("String() = %q", got)
-	}
-}
-
 func TestKnowledgeAddContains(t *testing.T) {
 	k := NewKnowledge()
 	v := Version{Replica: "a", Seq: 1}
@@ -125,7 +82,7 @@ func TestKnowledgeCompaction(t *testing.T) {
 	if k.ExceptionCount() != 0 {
 		t.Errorf("exceptions should compact into base, %d left", k.ExceptionCount())
 	}
-	if got := k.Base().Get("a"); got != 3 {
+	if got := k.View("a").Base; got != 3 {
 		t.Errorf("base = %d, want 3", got)
 	}
 }
@@ -375,7 +332,7 @@ func TestPropCompactionBoundsExceptions(t *testing.T) {
 		for _, p := range perm {
 			k.Add(Version{Replica: "solo", Seq: uint64(p + 1)})
 		}
-		return k.ExceptionCount() == 0 && k.Base().Get("solo") == 50
+		return k.ExceptionCount() == 0 && k.View("solo").Base == 50
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
