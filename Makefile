@@ -59,17 +59,21 @@ loc:
 	done
 
 ## digests prints the SHA-256 of `dtnsim -experiment all`, of
-## `-experiment fault-sweep` and of `-experiment summary`, the before/after
-## check that a change leaves every emulated table byte-identical (a few
-## seconds each); the byte columns (fault-sweep's `know B/enc`, all's sync
-## overhead table) move with the knowledge layout alone. The outputs stay in
-## bin/ for a diff when a digest moves.
+## `-experiment fault-sweep` and of `-experiment summary` on the full trace
+## (a few seconds each) and fails unless they match the lines pinned in
+## cmd/dtnsim/testdata/full.sha256: every emulated table stays byte-identical
+## unless a change says which one it moves and updates that file. The byte
+## columns (fault-sweep's `know B/enc`, all's sync overhead table) move with
+## the knowledge layout alone. The outputs stay in bin/ for a diff when a
+## digest moves.
 digests:
 	$(GO) build -o bin/dtnsim ./cmd/dtnsim
 	@for e in all fault-sweep summary; do \
 		./bin/dtnsim -experiment $$e > bin/dtnsim-$$e.txt || exit 1; \
 		echo "$$(sha256sum < bin/dtnsim-$$e.txt | cut -d' ' -f1)  -experiment $$e"; \
-	done
+	done | tee bin/digests.txt
+	@diff -u cmd/dtnsim/testdata/full.sha256 bin/digests.txt || \
+		{ echo 'digests: the outputs above differ from cmd/dtnsim/testdata/full.sha256'; exit 1; }
 
 ## test runs every package under the race detector, in shuffled test order so
 ## no test leans on state an earlier one left (the order's seed is printed for
@@ -116,8 +120,8 @@ fuzz-smoke:
 ## bench runs the hot-path microbenchmarks (store mutation, sync batch
 ## assembly, whole emulation runs, one MaxProp-served sync, one routing-state
 ## exchange per PROPHET and MaxProp, one bulk pull over loopback — B/op is the
-## number to watch there — one WAL segment merge, and the observability hooks'
-## disabled-path overhead) with allocation stats, for before/after comparisons.
+## number to watch there — and one WAL segment merge) with allocation stats,
+## for before/after comparisons.
 ## The alloc budget test turns the sync entry points' measured allocs/op
 ## into a hard assertion (it must run without -race; the race runtime inflates
 ## allocation counts); `make test` runs it and every other alloc_test.go too.
@@ -130,7 +134,6 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkRoutingExchange' -benchmem ./internal/routing/
 	$(GO) test -run xxx -bench 'BenchmarkPullBatch' -benchmem ./internal/transport/
 	$(GO) test -run xxx -bench 'BenchmarkCompaction' -benchmem ./internal/persist/wal/
-	$(GO) test -run xxx -bench 'BenchmarkSyncHooks' -benchmem .
 
 ## bench-sync measures the knowledge-frame bytes each sync request mode
 ## ships at 10k+ known versions — exact frame and recurring-pair delta — plus

@@ -16,7 +16,6 @@ import (
 	"replidtn/internal/emu"
 	"replidtn/internal/experiment"
 	"replidtn/internal/item"
-	"replidtn/internal/obs"
 	"replidtn/internal/replica"
 	"replidtn/internal/routing/epidemic"
 	"replidtn/internal/trace"
@@ -226,45 +225,6 @@ func BenchmarkSyncPairConstrained(b *testing.B) {
 		if len(resp.Items) != 1 {
 			b.Fatalf("want 1 item, got %d", len(resp.Items))
 		}
-	}
-}
-
-// BenchmarkSyncHooks measures the observability hooks' cost on the
-// synchronization hot path. "off" is the nil-sink default every emulation
-// runs with — its per-op cost must be indistinguishable from a build without
-// the hooks, which is the "disabled means free" contract in DESIGN.md §11.
-// "on" attaches a live ReplicaMetrics sink for the instrumented comparison.
-func BenchmarkSyncHooks(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		m    *obs.ReplicaMetrics
-	}{{"off", nil}, {"on", &obs.ReplicaMetrics{}}} {
-		b.Run(mode.name, func(b *testing.B) {
-			src := replica.New(replica.Config{
-				ID: "src", OwnAddresses: []string{"addr:src"},
-				Policy: epidemic.New(10), Metrics: mode.m,
-			})
-			for i := 0; i < 5000; i++ {
-				src.CreateItem(item.Metadata{
-					Source:       "addr:src",
-					Destinations: []string{fmt.Sprintf("addr:%d", i%20)},
-					Kind:         "message",
-				}, nil)
-			}
-			dst := replica.New(replica.Config{
-				ID: "dst", OwnAddresses: []string{"addr:none"},
-				Policy: epidemic.New(10), Metrics: mode.m,
-			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				req := dst.MakeSyncRequest(16)
-				resp := src.HandleSyncRequest(req)
-				if len(resp.Items) != 16 {
-					b.Fatalf("want 16 items, got %d", len(resp.Items))
-				}
-			}
-		})
 	}
 }
 

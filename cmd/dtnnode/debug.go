@@ -2,10 +2,10 @@
 //
 // Routes:
 //
-//	/metrics      obs.NodeSnapshot as JSON: {"transport": {...}, "replica":
-//	              {...}, "store": {...}, "discovery": {...}, "spans": [...]}
-//	              — counters, gauges, power-of-two histograms, and the most
-//	              recent sync spans.
+//	/metrics      metricsDoc as JSON: {"transport": {...}, "replica":
+//	              {...}, "store": {...}, "discovery": {...}, "wal": {...},
+//	              "spans": [...]} — counters, gauges, power-of-two
+//	              histograms, and the most recent sync spans.
 //	/healthz      {"status": "ok", "id": ..., "listen": ..., "uptime_s": ...}
 //	/peers        {"configured": [...], "discovered": [{"id", "addr",
 //	              "last_seen"}, ...]} — discovered is empty without -discover-listen.
@@ -27,6 +27,8 @@ import (
 	"time"
 
 	"replidtn/internal/discovery"
+	"replidtn/internal/obs"
+	"replidtn/internal/replica"
 )
 
 // debugServer is the node's HTTP observability listener.
@@ -44,7 +46,7 @@ func startDebug(addr string, n *node) (*debugServer, error) {
 	publishExpvar(n)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, n.metrics.Snapshot())
+		writeJSON(w, n.metricsDoc())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{
@@ -87,8 +89,20 @@ func publishExpvar(n *node) {
 	if expvar.Get(name) != nil {
 		return
 	}
-	m := n.metrics
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
+	expvar.Publish(name, expvar.Func(func() any { return n.metricsDoc() }))
+}
+
+// metricsDoc is the /metrics document: the node's sinks, and the replica and
+// store sections read from its replica's ledger.
+type metricsDoc struct {
+	obs.NodeSnapshot
+	Replica replica.Stats      `json:"replica"`
+	Store   replica.StoreStats `json:"store"`
+}
+
+func (n *node) metricsDoc() metricsDoc {
+	st := n.ep.Replica().Stats()
+	return metricsDoc{NodeSnapshot: n.metrics.Snapshot(), Replica: st, Store: st.Store()}
 }
 
 // peersView renders the node's view of its neighborhood: statically

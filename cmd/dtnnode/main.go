@@ -185,8 +185,6 @@ func newNode(opts options) (n *node, err error) {
 		Addresses:     []string{opts.addr},
 		Policy:        pol,
 		Now:           func() int64 { return time.Now().Unix() },
-		Metrics:       &n.metrics.Replica,
-		StoreMetrics:  &n.metrics.Store,
 		SyncSummaries: opts.summaries,
 		OnReceive: func(r messaging.Received) {
 			fmt.Fprintf(n.out, "<< message from %s: %s\n", r.Message.From, r.Message.Body)

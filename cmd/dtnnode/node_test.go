@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -100,7 +101,7 @@ func TestTwoNodeEncounterObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var aliceSnap, bobSnap obs.NodeSnapshot
+	var aliceSnap, bobSnap metricsDoc
 	getJSON(t, fmt.Sprintf("http://%s/metrics", alice.debug.addr), &aliceSnap)
 	getJSON(t, fmt.Sprintf("http://%s/metrics", bob.debug.addr), &bobSnap)
 
@@ -134,7 +135,7 @@ func TestTwoNodeEncounterObservability(t *testing.T) {
 	if aliceSnap.Replica.SyncsInitiated != 1 || aliceSnap.Replica.SyncsServed != 1 {
 		t.Errorf("alice replica: %+v", aliceSnap.Replica)
 	}
-	if aliceSnap.Replica.ItemsApplied != int64(applied) {
+	if aliceSnap.Replica.ItemsApplied != applied {
 		t.Errorf("alice ItemsApplied = %d, result %d", aliceSnap.Replica.ItemsApplied, applied)
 	}
 	if aliceSnap.Store.Live != 2 { // own message + bob's, both live on alice
@@ -202,7 +203,7 @@ func TestMetricsShowRoutingFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []*node{alice, bob} {
-		var snap obs.NodeSnapshot
+		var snap metricsDoc
 		getJSON(t, fmt.Sprintf("http://%s/metrics", n.debug.addr), &snap)
 		r := snap.Replica
 		if r.RoutingFullFrames != 1 || r.RoutingDeltaFrames != 1 || r.RoutingFullBytes <= 0 || r.RoutingDeltaBytes <= 0 {
@@ -237,7 +238,7 @@ func TestSyncEveryReusesOneSession(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	stop()
-	var aliceSnap, bobSnap obs.NodeSnapshot
+	var aliceSnap, bobSnap metricsDoc
 	getJSON(t, fmt.Sprintf("http://%s/metrics", alice.debug.addr), &aliceSnap)
 	getJSON(t, fmt.Sprintf("http://%s/metrics", bob.debug.addr), &bobSnap)
 	at, bt := aliceSnap.Transport, bobSnap.Transport
@@ -256,9 +257,75 @@ func TestSyncEveryReusesOneSession(t *testing.T) {
 func TestExpvarRepublishSafe(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		n := startTestNode(t, "repeat", "user:repeat", "")
-		var snap obs.NodeSnapshot
+		var snap metricsDoc
 		getJSON(t, fmt.Sprintf("http://%s/metrics", n.debug.addr), &snap)
 		n.close()
+	}
+}
+
+// TestMetricsKeySet pins every key path of a /metrics document after an
+// encounter (a[] marks an array's elements) to the schema README.md
+// documents: the replica and store sections come from the replica's Stats,
+// the rest from the node's sinks, and a key moving is a schema change.
+func TestMetricsKeySet(t *testing.T) {
+	alice := startTestNode(t, "alice", "user:alice", "")
+	bob := startTestNode(t, "bob", "user:bob", "")
+	if _, err := bob.ep.Send("user:bob", []string{"user:alice"}, []byte("hi")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.encounter(bob.bound.String()); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	getJSON(t, fmt.Sprintf("http://%s/metrics", alice.debug.addr), &doc)
+	var got []string
+	var walk func(prefix string, v any)
+	walk = func(prefix string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				got = append(got, prefix+k)
+				walk(prefix+k+".", e)
+			}
+		case []any:
+			for _, e := range v[:min(len(v), 1)] {
+				walk(strings.TrimSuffix(prefix, ".")+"[].", e)
+			}
+		}
+	}
+	walk("", doc)
+	slices.Sort(got)
+	got = slices.Compact(got)
+	want := []string{
+		"discovery", "discovery.beacons_received", "discovery.beacons_rejected",
+		"discovery.beacons_sent", "discovery.peer_expiries", "discovery.peers_live",
+		"discovery.peers_seen", "replica", "replica.batch_items",
+		"replica.batch_items.buckets", "replica.batch_items.buckets[].count",
+		"replica.batch_items.buckets[].le", "replica.batch_items.count",
+		"replica.batch_items.sum", "replica.batches_applied", "replica.candidates_offered",
+		"replica.delivered", "replica.duplicates", "replica.entries_examined",
+		"replica.evictions", "replica.expired", "replica.items_applied", "replica.items_sent",
+		"replica.knowledge_delta_bytes", "replica.knowledge_delta_frames",
+		"replica.knowledge_full_bytes", "replica.knowledge_full_frames",
+		"replica.knowledge_size", "replica.relayed", "replica.routing_delta_bytes",
+		"replica.routing_delta_frames", "replica.routing_full_bytes",
+		"replica.routing_full_frames", "replica.stored", "replica.summary_fallbacks",
+		"replica.superseded", "replica.syncs_aborted", "replica.syncs_initiated",
+		"replica.syncs_served", "replica.tombstones", "spans", "spans[].bytes_in",
+		"spans[].bytes_out", "spans[].duration_us", "spans[].items_applied",
+		"spans[].items_sent", "spans[].peer", "spans[].role", "spans[].start_unix_ns", "store",
+		"store.evictions", "store.live", "store.relay", "store.tombstones", "transport",
+		"transport.bytes_read", "transport.bytes_written", "transport.encounter_errors",
+		"transport.encounter_us", "transport.encounter_us.buckets",
+		"transport.encounter_us.buckets[].count", "transport.encounter_us.buckets[].le",
+		"transport.encounter_us.count", "transport.encounter_us.sum",
+		"transport.encounters_dialed", "transport.encounters_served", "transport.frames_read",
+		"transport.frames_written", "transport.sessions_opened",
+		"transport.validation_rejected", "wal", "wal.bytes", "wal.compactions", "wal.flushes",
+		"wal.records", "wal.recoveries", "wal.segments", "wal.truncated_tails",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("/metrics key paths:\n%q\nwant\n%q", got, want)
 	}
 }
 

@@ -41,7 +41,7 @@ import (
 	"replidtn/internal/experiment"
 	"replidtn/internal/fault"
 	"replidtn/internal/mobility"
-	"replidtn/internal/obs"
+	"replidtn/internal/replica"
 	"replidtn/internal/trace"
 )
 
@@ -79,7 +79,7 @@ func main() {
 	}
 	s := experiment.Settings{Faults: faults, Summaries: *summaries}
 	if *obsDump {
-		s.Obs = &obs.NodeMetrics{}
+		s.Obs = &replica.Stats{}
 	}
 	if err := run(os.Stdout, *name, *small, *seed, *scenario, s); err != nil {
 		pprof.StopCPUProfile()
@@ -91,10 +91,11 @@ func main() {
 	}
 }
 
-// dumpObs renders the aggregated counters as indented JSON. The dump goes to
-// stderr so experiment tables on stdout stay byte-comparable across runs.
-func dumpObs(w *os.File, nm *obs.NodeMetrics) {
-	out, err := json.MarshalIndent(nm.Snapshot(), "", "  ")
+// dumpObs renders the summed replica ledger as indented JSON, in the replica
+// and store sections of dtnnode's /metrics. The dump goes to stderr so
+// experiment tables on stdout stay byte-comparable across runs.
+func dumpObs(w *os.File, st *replica.Stats) {
+	out, err := json.MarshalIndent(map[string]any{"replica": st, "store": st.Store()}, "", "  ")
 	if err != nil {
 		fmt.Fprintf(w, "dtnsim: metrics dump: %v\n", err)
 		return

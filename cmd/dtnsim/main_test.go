@@ -13,7 +13,7 @@ import (
 
 	"replidtn/internal/experiment"
 	"replidtn/internal/fault"
-	"replidtn/internal/obs"
+	"replidtn/internal/replica"
 	"replidtn/internal/trace"
 )
 
@@ -51,8 +51,8 @@ func TestRunKnownExperiments(t *testing.T) {
 		emulates := name != "table1" && name != "table2"
 		t.Run(name, func(t *testing.T) {
 			for _, c := range cases {
-				nm := &obs.NodeMetrics{}
-				c.s.Obs = nm
+				st := &replica.Stats{}
+				c.s.Obs = st
 				var b bytes.Buffer
 				if err := run(&b, name, true, 1, "", c.s); err != nil {
 					t.Fatalf("run(%q): %v", name, err)
@@ -61,9 +61,9 @@ func TestRunKnownExperiments(t *testing.T) {
 				if sum := sha256.Sum256(b.Bytes()); hex.EncodeToString(sum[:]) != golden[key] {
 					t.Errorf("%s: output moved; its digest line is now\n%x  %s", key, sum, key)
 				}
-				if synced := nm.Replica.SyncsInitiated.Value() > 0; synced != emulates {
+				if synced := st.SyncsInitiated > 0; synced != emulates {
 					t.Errorf("%s synced=%v, want %v (SyncsInitiated=%d)",
-						key, synced, emulates, nm.Replica.SyncsInitiated.Value())
+						key, synced, emulates, st.SyncsInitiated)
 				}
 			}
 		})
@@ -75,15 +75,13 @@ func TestDumpObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm := &obs.NodeMetrics{}
-	nm.Replica.SyncsInitiated.Add(3)
-	dumpObs(f, nm)
+	dumpObs(f, &replica.Stats{SyncsInitiated: 3, Live: 2})
 	out, err := os.ReadFile(f.Name())
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), `"syncs_initiated": 3`) {
+	if !strings.Contains(string(out), `"syncs_initiated": 3`) || !strings.Contains(string(out), `"live": 2`) {
 		t.Errorf("dump missing counter:\n%s", out)
 	}
 }
@@ -169,12 +167,12 @@ func TestBuildTraceScenario(t *testing.T) {
 
 func TestRunScenarioExperiment(t *testing.T) {
 	// -scenario replaces the generated trace for any experiment.
-	nm := &obs.NodeMetrics{}
+	st := &replica.Stats{}
 	spec := "community:n=30,seed=5,users=8,msgs=20,active=3600,cells=2,bias=0.8"
-	if err := run(io.Discard, "summary", false, 1, spec, experiment.Settings{Obs: nm}); err != nil {
+	if err := run(io.Discard, "summary", false, 1, spec, experiment.Settings{Obs: st}); err != nil {
 		t.Fatalf("run(summary, %q): %v", spec, err)
 	}
-	if nm.Replica.SyncsInitiated.Value() == 0 {
+	if st.SyncsInitiated == 0 {
 		t.Error("scenario run performed no syncs")
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"replidtn/internal/item"
 	"replidtn/internal/messaging"
 	"replidtn/internal/metrics"
-	"replidtn/internal/obs"
 	"replidtn/internal/persist/wal"
 	"replidtn/internal/replica"
 	"replidtn/internal/routing"
@@ -100,15 +99,6 @@ type Config struct {
 	//
 	// Writes are buffered for the duration of the run and flushed on return.
 	EventLog io.Writer
-	// Metrics, when set, aggregates replica-level sync/apply counters across
-	// every emulated node into one obs.ReplicaMetrics. All counters are
-	// atomic, so concurrent runs may share one sink; nil (the default)
-	// skips instrumentation entirely, keeping the run byte-identical to an
-	// uninstrumented build. The emulation Result is unaffected either way.
-	Metrics *obs.ReplicaMetrics
-	// StoreMetrics, when set, aggregates store occupancy gauges and the
-	// eviction counter across every emulated node. Nil disables it.
-	StoreMetrics *obs.StoreMetrics
 	// SyncSummaries enables the compact knowledge summary protocol (delta
 	// knowledge for recurring peers; see replica.Config.SyncSummaries) on
 	// every emulated node. Delivery results are unchanged — the summary
@@ -130,7 +120,8 @@ type Result struct {
 	ItemsTransferred int
 	// BytesTransferred counts the encoded batch-item bytes of all syncs.
 	BytesTransferred int64
-	// Duplicates counts duplicate receipts (the substrate keeps this 0).
+	// Duplicates counts duplicate receipts (the substrate keeps this 0):
+	// Stats.Duplicates.
 	Duplicates int
 	// MeanKnowledgeEntries is the average knowledge size (base entries +
 	// exceptions) across nodes at the end — the metadata-compactness check.
@@ -159,6 +150,11 @@ type Result struct {
 	// and that needed the extra exact-knowledge round (zero unless
 	// SyncSummaries is enabled).
 	SummaryFallbacks int
+	// Stats sums the ledger of every replica the run built: each node's
+	// incarnations before a crash-restart as they retire, with no occupancy
+	// (their successors hold the same state), and the last ones at the end,
+	// occupancy included.
+	Stats replica.Stats
 }
 
 // msgState tracks one workload message through the run.
@@ -281,8 +277,6 @@ func (r *runner) newEndpoint(bus string) *messaging.Endpoint {
 		RelayCapacity:        r.cfg.RelayCapacity,
 		Eviction:             r.cfg.Eviction,
 		Now:                  r.now,
-		Metrics:              r.cfg.Metrics,
-		StoreMetrics:         r.cfg.StoreMetrics,
 		SyncSummaries:        r.cfg.SyncSummaries,
 		// Both callbacks fire with the replica lock held, in mutation order.
 		OnReceive: func(rcv messaging.Received) {
@@ -466,9 +460,9 @@ func (r *runner) crashRestart(bus string) error {
 	} else if snap, err = es.ep.Replica().Snapshot(); err != nil {
 		return err
 	}
-	// The dying node's store contribution leaves the shared gauges before the
-	// rebuilt node's restore re-adds it.
-	es.ep.Replica().DetachStoreMetrics()
+	retired := es.ep.Replica().Stats()
+	retired.KnowledgeSize, retired.Live, retired.Relay, retired.StoredTombstones = 0, 0, 0, 0
+	r.res.Stats.Add(retired)
 	ep := r.newEndpoint(bus)
 	if err := ep.Replica().RestoreSnapshot(snap); err != nil {
 		return err
@@ -524,15 +518,12 @@ func (r *runner) finalize() *Result {
 	}
 	r.res.Summary = metrics.NewSummary(deliveries)
 
-	totalKnow := 0
 	for _, bus := range r.tr.Buses {
-		ep := r.eps[bus].ep
-		stats := ep.Replica().Stats()
-		r.res.Duplicates += stats.Duplicates
-		totalKnow += ep.Replica().Knowledge().Size()
+		r.res.Stats.Add(r.eps[bus].ep.Replica().Stats())
 	}
+	r.res.Duplicates = r.res.Stats.Duplicates
 	if len(r.tr.Buses) > 0 {
-		r.res.MeanKnowledgeEntries = float64(totalKnow) / float64(len(r.tr.Buses))
+		r.res.MeanKnowledgeEntries = float64(r.res.Stats.KnowledgeSize) / float64(len(r.tr.Buses))
 	}
 	return r.res
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"replidtn/internal/fault"
-	"replidtn/internal/obs"
 )
 
 // testFaults is a fault mix exercising every dimension at once: dropped
@@ -79,16 +78,14 @@ func TestDroppedEncountersAccounting(t *testing.T) {
 	}
 	// Under a one-item budget, a first leg that spends it leaves no second
 	// leg to count: Syncs is the pulls the replicas issued.
-	rm := &obs.ReplicaMetrics{}
 	budgeted := runPolicy(t, tr, PolicyEpidemic, func(c *Config) {
 		c.Faults = fault.Config{Seed: 1, Drop: 0.3}
 		c.MaxMessagesPerEncounter = 1
-		c.Metrics = rm
 	})
 	surviving := budgeted.Encounters - budgeted.EncountersDropped
-	if int64(budgeted.Syncs) != rm.SyncsInitiated.Value() || budgeted.Syncs <= surviving || budgeted.Syncs >= 2*surviving {
+	if budgeted.Syncs != budgeted.Stats.SyncsInitiated || budgeted.Syncs <= surviving || budgeted.Syncs >= 2*surviving {
 		t.Errorf("one-item budget: Syncs = %d, replicas initiated %d; want that many, between %d and %d",
-			budgeted.Syncs, rm.SyncsInitiated.Value(), surviving, 2*surviving)
+			budgeted.Syncs, budgeted.Stats.SyncsInitiated, surviving, 2*surviving)
 	}
 	clean := runPolicy(t, tr, PolicyEpidemic, nil)
 	if res.Summary.DeliveredCount() > clean.Summary.DeliveredCount() {

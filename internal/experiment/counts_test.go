@@ -8,7 +8,7 @@ import (
 	"replidtn/internal/emu"
 	"replidtn/internal/item"
 	"replidtn/internal/metrics"
-	"replidtn/internal/obs"
+	"replidtn/internal/replica"
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/maxprop"
 	"replidtn/internal/routing/prophet"
@@ -43,7 +43,7 @@ func TestServeCounts(t *testing.T) {
 	for _, fig := range []struct {
 		name                           string
 		run                            func(Settings) error
-		syncs, examined, offered, sent int64
+		syncs, examined, offered, sent int
 		knowBytes                      int64
 	}{
 		{"fig5/6", func(s Settings) error {
@@ -55,11 +55,10 @@ func TestServeCounts(t *testing.T) {
 		{"fig10", policySweep(0, 2), 11240, 20924, 1718, 1718, 323814},
 		{"all", func(s Settings) error { return Run(io.Discard, "all", tr, s) }, 57588, 220524, 16436, 8963, 1650019},
 	} {
-		nm := &obs.NodeMetrics{}
-		if err := fig.run(Settings{Obs: nm}); err != nil {
+		got := &replica.Stats{}
+		if err := fig.run(Settings{Obs: got}); err != nil {
 			t.Fatalf("%s: %v", fig.name, err)
 		}
-		got := nm.Replica.Snapshot()
 		if got.SyncsServed != fig.syncs || got.EntriesExamined != fig.examined ||
 			got.CandidatesOffered != fig.offered || got.ItemsSent != fig.sent || got.KnowledgeFullBytes != fig.knowBytes {
 			t.Errorf("%s: %d syncs examined %d entries, offered %d and sent %d, carrying %d knowledge bytes; want %d, %d, %d, %d and %d",

@@ -3,8 +3,8 @@
 // emulation runs it reads, its title and how it renders, and Run renders one
 // entry by name, or with "all" the paper's tables and figures in order, each
 // sweep run once. The eight ablations are rows of one table (Ablations),
-// run by RunAblation. Settings carry the run settings — faults, the
-// observability sink and the summary protocol — to every run.
+// run by RunAblation. Settings carry the run settings — faults and the
+// summary protocol — to every run, and add up the runs' replica ledgers.
 package experiment
 
 import (

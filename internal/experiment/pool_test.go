@@ -9,7 +9,7 @@ import (
 
 	"replidtn/internal/emu"
 	"replidtn/internal/fault"
-	"replidtn/internal/obs"
+	"replidtn/internal/replica"
 )
 
 // TestRunPoolMatchesSerial: the run pool's width must not show in the output.
@@ -23,23 +23,19 @@ func TestRunPoolMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	run := func(procs int) (string, obs.NodeSnapshot) {
+	run := func(procs int) (string, replica.Stats) {
 		runtime.GOMAXPROCS(procs)
-		nm := &obs.NodeMetrics{}
+		st := &replica.Stats{}
 		s := Settings{
 			Faults:    fault.Config{Seed: 3, Drop: 0.1, Cutoff: 0.2, CutoffItems: 2, Crash: 0.02},
-			Obs:       nm,
+			Obs:       st,
 			Summaries: true,
 		}
 		var b strings.Builder
 		if err := Run(&b, "all", tr, s); err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		snap := nm.Snapshot()
-		// KnowledgeSize is a last-writer gauge (obs.ReplicaMetrics): shared
-		// across concurrent runs it reports whichever sync finished last.
-		snap.Replica.KnowledgeSize = 0
-		return b.String(), snap
+		return b.String(), *st
 	}
 	serialOut, serialObs := run(1)
 	poolOut, poolObs := run(8)
@@ -49,8 +45,8 @@ func TestRunPoolMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serialObs, poolObs) {
 		t.Errorf("observability counters differ between GOMAXPROCS 1 and 8:\n%+v\n%+v", serialObs, poolObs)
 	}
-	if serialObs.Replica.SyncsInitiated == 0 || serialObs.Replica.SyncsAborted == 0 {
-		t.Errorf("suite exercised too little: %+v", serialObs.Replica)
+	if serialObs.SyncsInitiated == 0 || serialObs.SyncsAborted == 0 {
+		t.Errorf("suite exercised too little: %+v", serialObs)
 	}
 }
 

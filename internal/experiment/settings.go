@@ -8,11 +8,11 @@ import (
 
 	"replidtn/internal/emu"
 	"replidtn/internal/fault"
-	"replidtn/internal/obs"
+	"replidtn/internal/replica"
 )
 
 // Settings are the run settings every emulation run of an experiment gets.
-// The zero value runs the fault-free, uninstrumented evaluation. Obs and
+// The zero value runs the fault-free evaluation and keeps no sum. Obs and
 // Summaries leave delivery results bit-identical; Faults deliberately
 // perturbs the emulated network and therefore the results, but keeps them a
 // deterministic function of the fault config.
@@ -21,11 +21,9 @@ type Settings struct {
 	// mid-sync cutoffs, crash-restarts) into every run. The fault sweep
 	// injects its own grid instead and takes only the Seed from here.
 	Faults fault.Config
-	// Obs, when set, aggregates replica and store observability counters
-	// from every node of every run into its Replica and Store sections (see
-	// emu.Config.Metrics). Counter updates are atomic, so instrumented runs
-	// stay bit-identical in their results.
-	Obs *obs.NodeMetrics
+	// Obs, when set, adds up the summed replica ledger (emu.Result.Stats)
+	// of every run. Reading it changes no result.
+	Obs *replica.Stats
 	// Summaries enables the compact knowledge summary protocol (delta
 	// knowledge for recurring peers) on every node of every run. It only
 	// shrinks the knowledge-frame traffic that the bytes/enc columns report.
@@ -37,10 +35,6 @@ type Settings struct {
 func (s Settings) apply(cfg emu.Config) emu.Config {
 	if s.Faults.Enabled() {
 		cfg.Faults = s.Faults
-	}
-	if s.Obs != nil {
-		cfg.Metrics = &s.Obs.Replica
-		cfg.StoreMetrics = &s.Obs.Store
 	}
 	if s.Summaries {
 		cfg.SyncSummaries = true
@@ -83,6 +77,11 @@ func (s Settings) runAll(what string, jobs []job) ([]*emu.Result, error) {
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s %s: %w", what, jobs[i].label, err)
+		}
+	}
+	if s.Obs != nil {
+		for _, res := range results {
+			s.Obs.Add(res.Stats)
 		}
 	}
 	return results, nil

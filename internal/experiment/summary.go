@@ -48,11 +48,12 @@ func (ps *PolicySweep) SummaryRows() []SummaryRow {
 	return out
 }
 
-// FormatSummary renders the overview table.
+// FormatSummary renders the overview table. traffic counts items and know#
+// the mean knowledge entries per node, not bytes.
 func FormatSummary(rows []SummaryRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-11s%10s%8s%8s%8s%8s%8s%8s%9s%7s%5s\n",
-		"policy", "delivered", "12h%", "mean", "median", "p90", "max", "copies", "traffic", "know", "dup")
+		"policy", "delivered", "12h%", "mean", "median", "p90", "max", "copies", "traffic", "know#", "dup")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-11s%5d/%-4d%7.1f%%%7.1fh%7.1fh%7.1fh%7.1fh%8.1f%9d%7.0f%5d\n",
 			r.Policy, r.Delivered, r.Total, r.Within12h*100,

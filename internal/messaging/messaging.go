@@ -19,7 +19,6 @@ import (
 
 	"replidtn/internal/filter"
 	"replidtn/internal/item"
-	"replidtn/internal/obs"
 	"replidtn/internal/replica"
 	"replidtn/internal/routing"
 	"replidtn/internal/store"
@@ -103,13 +102,6 @@ type Config struct {
 	// Now supplies time in seconds; defaults to a zero clock (useful only
 	// for tests — emulations always supply the simulation clock).
 	Now func() int64
-	// Metrics, when set, receives the backing replica's sync/apply counters.
-	// The same instance may back several endpoints to aggregate across an
-	// emulated fleet. Nil (the default) disables instrumentation entirely.
-	Metrics *obs.ReplicaMetrics
-	// StoreMetrics, when set, receives the backing store's occupancy gauges
-	// and eviction counter. Nil disables instrumentation.
-	StoreMetrics *obs.StoreMetrics
 	// SyncSummaries enables the compact knowledge summary protocol (delta
 	// knowledge for recurring peers) on the backing replica; see
 	// replica.Config.SyncSummaries.
@@ -146,8 +138,6 @@ func NewEndpoint(cfg Config) *Endpoint {
 		OnDeliver:     ep.deliver,
 		OnCopies:      cfg.OnCopies,
 		Now:           ep.now,
-		Metrics:       cfg.Metrics,
-		StoreMetrics:  cfg.StoreMetrics,
 		SyncSummaries: cfg.SyncSummaries,
 	})
 	return ep

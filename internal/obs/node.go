@@ -1,11 +1,12 @@
 package obs
 
 // This file defines the per-subsystem metric sets a node exposes. Each
-// instrumented package (transport, replica, store, discovery) takes an
-// optional pointer to its set; nil disables instrumentation entirely. The
-// structs are plain field bundles — instrumented code addresses fields
-// directly under its own nil guard — and each has a typed Snapshot whose
-// JSON encoding is the /metrics wire schema (documented in README.md).
+// instrumented package (transport, discovery, the WAL) takes an optional
+// pointer to its set; nil disables instrumentation entirely. The structs are
+// plain field bundles — instrumented code addresses fields directly under its
+// own nil guard — and each has a typed Snapshot whose JSON encoding is its
+// section of the /metrics wire schema (documented in README.md). The replica
+// and store sections come from replica.Stats, which cmd/dtnnode reads.
 
 // TransportMetrics counts the TCP encounter path (internal/transport), on
 // both the serving and dialing side of one node.
@@ -68,164 +69,6 @@ func (m *TransportMetrics) Snapshot() TransportSnapshot {
 	}
 }
 
-// ReplicaMetrics counts the replication substrate (internal/replica). In the
-// emulation harness one set may be shared by every endpoint, aggregating
-// network-wide totals; counters are atomic so sharing is safe.
-type ReplicaMetrics struct {
-	SyncsInitiated Counter
-	SyncsServed    Counter
-	SyncsAborted   Counter
-	// ItemsSent counts batch items transmitted as source; BatchesApplied
-	// and ItemsApplied count target-side work.
-	ItemsSent      Counter
-	BatchesApplied Counter
-	ItemsApplied   Counter
-	// Stored / Relayed / Tombstones split applied items by disposition.
-	Stored     Counter
-	Relayed    Counter
-	Tombstones Counter
-	// Duplicates must stay 0 under the substrate's at-most-once guarantee.
-	Duplicates Counter
-	Superseded Counter
-	Expired    Counter
-	Delivered  Counter
-	Evictions  Counter
-	// Serve-walk cost: store entries visited, candidates offered to batches.
-	EntriesExamined   Counter
-	CandidatesOffered Counter
-	// KnowledgeSize is the latest knowledge size (base entries +
-	// exceptions) observed after a sync; with a shared set it is the last
-	// writer's value, so it is only meaningful per-node.
-	KnowledgeSize Gauge
-	// BatchItems aggregates applied batch sizes.
-	BatchItems Histogram
-	// Knowledge-frame accounting for syncs this replica initiates: how its
-	// knowledge traveled (full/exact, or in summary mode a delta against the
-	// frontier last sent to the peer) and the encoded bytes each
-	// representation cost. SummaryFallbacks counts summary syncs that needed
-	// an extra exact-knowledge round.
-	KnowledgeFullFrames  Counter
-	KnowledgeDeltaFrames Counter
-	SummaryFallbacks     Counter
-	KnowledgeFullBytes   Counter
-	KnowledgeDeltaBytes  Counter
-	// Routing-state accounting for the same syncs: whether the policy's
-	// request traveled whole or as a delta against the one last sent to the
-	// peer (only ever beside a knowledge delta), and the encoded bytes.
-	// Requests without routing state count nowhere.
-	RoutingFullFrames  Counter
-	RoutingDeltaFrames Counter
-	RoutingFullBytes   Counter
-	RoutingDeltaBytes  Counter
-}
-
-// ReplicaSnapshot is ReplicaMetrics at one instant.
-type ReplicaSnapshot struct {
-	SyncsInitiated int64             `json:"syncs_initiated"`
-	SyncsServed    int64             `json:"syncs_served"`
-	SyncsAborted   int64             `json:"syncs_aborted"`
-	ItemsSent      int64             `json:"items_sent"`
-	BatchesApplied int64             `json:"batches_applied"`
-	ItemsApplied   int64             `json:"items_applied"`
-	Stored         int64             `json:"stored"`
-	Relayed        int64             `json:"relayed"`
-	Tombstones     int64             `json:"tombstones"`
-	Duplicates     int64             `json:"duplicates"`
-	Superseded     int64             `json:"superseded"`
-	Expired        int64             `json:"expired"`
-	Delivered      int64             `json:"delivered"`
-	Evictions      int64             `json:"evictions"`
-	KnowledgeSize  int64             `json:"knowledge_size"`
-	BatchItems     HistogramSnapshot `json:"batch_items"`
-
-	EntriesExamined   int64 `json:"entries_examined"`
-	CandidatesOffered int64 `json:"candidates_offered"`
-
-	KnowledgeFullFrames  int64 `json:"knowledge_full_frames"`
-	KnowledgeDeltaFrames int64 `json:"knowledge_delta_frames"`
-	SummaryFallbacks     int64 `json:"summary_fallbacks"`
-	KnowledgeFullBytes   int64 `json:"knowledge_full_bytes"`
-	KnowledgeDeltaBytes  int64 `json:"knowledge_delta_bytes"`
-
-	RoutingFullFrames  int64 `json:"routing_full_frames"`
-	RoutingDeltaFrames int64 `json:"routing_delta_frames"`
-	RoutingFullBytes   int64 `json:"routing_full_bytes"`
-	RoutingDeltaBytes  int64 `json:"routing_delta_bytes"`
-}
-
-// Snapshot captures the counters. Nil-safe.
-func (m *ReplicaMetrics) Snapshot() ReplicaSnapshot {
-	if m == nil {
-		return ReplicaSnapshot{}
-	}
-	return ReplicaSnapshot{
-		SyncsInitiated: m.SyncsInitiated.Value(),
-		SyncsServed:    m.SyncsServed.Value(),
-		SyncsAborted:   m.SyncsAborted.Value(),
-		ItemsSent:      m.ItemsSent.Value(),
-		BatchesApplied: m.BatchesApplied.Value(),
-		ItemsApplied:   m.ItemsApplied.Value(),
-		Stored:         m.Stored.Value(),
-		Relayed:        m.Relayed.Value(),
-		Tombstones:     m.Tombstones.Value(),
-		Duplicates:     m.Duplicates.Value(),
-		Superseded:     m.Superseded.Value(),
-		Expired:        m.Expired.Value(),
-		Delivered:      m.Delivered.Value(),
-		Evictions:      m.Evictions.Value(),
-		KnowledgeSize:  m.KnowledgeSize.Value(),
-		BatchItems:     m.BatchItems.Snapshot(),
-
-		EntriesExamined:   m.EntriesExamined.Value(),
-		CandidatesOffered: m.CandidatesOffered.Value(),
-
-		KnowledgeFullFrames:  m.KnowledgeFullFrames.Value(),
-		KnowledgeDeltaFrames: m.KnowledgeDeltaFrames.Value(),
-		SummaryFallbacks:     m.SummaryFallbacks.Value(),
-		KnowledgeFullBytes:   m.KnowledgeFullBytes.Value(),
-		KnowledgeDeltaBytes:  m.KnowledgeDeltaBytes.Value(),
-
-		RoutingFullFrames:  m.RoutingFullFrames.Value(),
-		RoutingDeltaFrames: m.RoutingDeltaFrames.Value(),
-		RoutingFullBytes:   m.RoutingFullBytes.Value(),
-		RoutingDeltaBytes:  m.RoutingDeltaBytes.Value(),
-	}
-}
-
-// StoreMetrics tracks one store's partition populations (internal/store).
-// The gauges move by deltas on every mutation, so they are exact for a
-// single store; Restore re-counts in place (subtract old, add restored).
-type StoreMetrics struct {
-	// Live / Relay / Tombstones gauge the partition populations: live
-	// (non-tombstone) entries, live relay entries, and tombstones.
-	Live       Gauge
-	Relay      Gauge
-	Tombstones Gauge
-	// Evictions counts relay entries expelled by storage pressure.
-	Evictions Counter
-}
-
-// StoreSnapshot is StoreMetrics at one instant.
-type StoreSnapshot struct {
-	Live       int64 `json:"live"`
-	Relay      int64 `json:"relay"`
-	Tombstones int64 `json:"tombstones"`
-	Evictions  int64 `json:"evictions"`
-}
-
-// Snapshot captures the gauges. Nil-safe.
-func (m *StoreMetrics) Snapshot() StoreSnapshot {
-	if m == nil {
-		return StoreSnapshot{}
-	}
-	return StoreSnapshot{
-		Live:       m.Live.Value(),
-		Relay:      m.Relay.Value(),
-		Tombstones: m.Tombstones.Value(),
-		Evictions:  m.Evictions.Value(),
-	}
-}
-
 // DiscoveryMetrics counts the UDP beacon path (internal/discovery).
 type DiscoveryMetrics struct {
 	BeaconsSent     Counter
@@ -267,21 +110,17 @@ func (m *DiscoveryMetrics) Snapshot() DiscoverySnapshot {
 	}
 }
 
-// NodeMetrics bundles one live node's full metric set — what cmd/dtnnode
-// wires into its subsystems and serves at /metrics.
+// NodeMetrics bundles the sinks one live node wires into its subsystems —
+// what cmd/dtnnode serves at /metrics beside its replica's Stats.
 type NodeMetrics struct {
 	Transport TransportMetrics
-	Replica   ReplicaMetrics
-	Store     StoreMetrics
 	Discovery DiscoveryMetrics
 	WAL       WALMetrics
 }
 
-// NodeSnapshot is the /metrics JSON document.
+// NodeSnapshot is the sinks' part of the /metrics JSON document.
 type NodeSnapshot struct {
 	Transport TransportSnapshot `json:"transport"`
-	Replica   ReplicaSnapshot   `json:"replica"`
-	Store     StoreSnapshot     `json:"store"`
 	Discovery DiscoverySnapshot `json:"discovery"`
 	WAL       WALSnapshot       `json:"wal"`
 	Spans     []SyncSpan        `json:"spans,omitempty"`
@@ -294,8 +133,6 @@ func (n *NodeMetrics) Snapshot() NodeSnapshot {
 	}
 	return NodeSnapshot{
 		Transport: n.Transport.Snapshot(),
-		Replica:   n.Replica.Snapshot(),
-		Store:     n.Store.Snapshot(),
 		Discovery: n.Discovery.Snapshot(),
 		WAL:       n.WAL.Snapshot(),
 		Spans:     n.Transport.Spans.Snapshot(),

@@ -1,18 +1,16 @@
 // Package obs is the node observability subsystem: atomic counters, gauges,
 // and histograms with a snapshot API, plus lightweight sync-span tracing for
 // live encounters. It exists so the live path (cmd/dtnnode, transport,
-// discovery) and the emulation harness can be inspected while running —
-// operational DTN implementations treat node introspection as table stakes.
+// discovery, the WAL) can be inspected while running — operational DTN
+// implementations treat node introspection as table stakes.
 //
 // Design constraints, in priority order:
 //
-//   - Disabled means free. Every instrumented package takes an optional
-//     metrics pointer; a nil pointer is a no-op, and the individual metric
-//     types are additionally safe to use through nil receivers. The
-//     deterministic emulation engine runs with hooks disabled by default and
-//     stays bit-identical (the differential tests guard this); the root
-//     BenchmarkSyncHooks benchmark proves the disabled-path overhead is a
-//     single nil check.
+//   - Disabled means free. Only transport, discovery and the WAL take a
+//     metrics sink; each takes an optional pointer, a nil pointer is a
+//     no-op, and the individual metric types are additionally safe to use
+//     through nil receivers. A replica keeps no sink: its one ledger is
+//     replica.Stats, counted under its own lock and read on demand.
 //   - Deterministic core stays deterministic. obs itself is part of the
 //     dtnlint determinism scope: it never reads the wall clock, ambient
 //     randomness, or the environment. Anything time-shaped (span start
@@ -20,14 +18,16 @@
 //     deterministic core (transport, cmd/dtnnode) read their own clocks.
 //   - Stdlib only, like the rest of the module (DESIGN.md §10).
 //
-// Concurrency: all metric types are safe for concurrent use. Counters,
-// gauges, and histograms are lock-free atomics; the span log takes a short
-// mutex per record. Snapshots are consistent per metric, not across metrics
-// (a snapshot taken mid-encounter may show the bytes counter ahead of the
-// encounter counter), which is the usual contract for runtime introspection.
+// Concurrency: all metric types but Tally are safe for concurrent use.
+// Counters, gauges, and histograms are lock-free atomics; the span log takes
+// a short mutex per record; a Tally is a plain value its owner guards.
+// Snapshots are consistent per metric, not across metrics (a snapshot taken
+// mid-encounter may show the bytes counter ahead of the encounter counter),
+// which is the usual contract for runtime introspection.
 package obs
 
 import (
+	"encoding/json"
 	"math/bits"
 	"sync/atomic"
 )
@@ -115,11 +115,12 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.count.Add(1)
 	h.sum.Add(v)
-	b := bits.Len64(uint64(v))
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	h.buckets[b].Add(1)
+	h.buckets[bucket(v)].Add(1)
+}
+
+// bucket returns the bucket a non-negative value falls in.
+func bucket(v int64) int {
+	return min(bits.Len64(uint64(v)), histBuckets-1)
 }
 
 // Count returns the number of observations (0 on a nil receiver).
@@ -158,9 +159,34 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	snap := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
-	for b := 0; b < histBuckets; b++ {
-		n := h.buckets[b].Load()
+	t := Tally{Count: h.count.Load(), Sum: h.sum.Load()}
+	for b := range t.Buckets {
+		t.Buckets[b] = h.buckets[b].Load()
+	}
+	return t.Snapshot()
+}
+
+// Tally is a Histogram as a plain value, for a ledger its owner guards with
+// its own lock: the same buckets, no atomics, and copied whole by assignment.
+// It encodes to JSON as its Snapshot.
+type Tally struct {
+	Count   int64
+	Sum     int64
+	Buckets [histBuckets]int64
+}
+
+// Observe records one value. Negative values are clamped to 0.
+func (t *Tally) Observe(v int64) {
+	v = max(v, 0)
+	t.Count++
+	t.Sum += v
+	t.Buckets[bucket(v)]++
+}
+
+// Snapshot lists the non-empty buckets in ascending bound order.
+func (t *Tally) Snapshot() HistogramSnapshot {
+	snap := HistogramSnapshot{Count: t.Count, Sum: t.Sum}
+	for b, n := range t.Buckets {
 		if n == 0 {
 			continue
 		}
@@ -171,4 +197,20 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		snap.Buckets = append(snap.Buckets, HistogramBucket{Le: le, Count: n})
 	}
 	return snap
+}
+
+// MarshalJSON encodes the tally as its Snapshot.
+func (t Tally) MarshalJSON() ([]byte, error) { return json.Marshal(t.Snapshot()) }
+
+// UnmarshalJSON decodes what MarshalJSON encodes.
+func (t *Tally) UnmarshalJSON(data []byte) error {
+	var snap HistogramSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return err
+	}
+	*t = Tally{Count: snap.Count, Sum: snap.Sum}
+	for _, b := range snap.Buckets {
+		t.Buckets[bucket(b.Le)] += b.Count
+	}
+	return nil
 }

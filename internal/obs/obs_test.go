@@ -54,23 +54,15 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	}
 
 	var tm *TransportMetrics
-	var rm *ReplicaMetrics
-	var sm *StoreMetrics
 	var dm *DiscoveryMetrics
 	var nm *NodeMetrics
 	if snap := tm.Snapshot(); snap.EncountersServed != 0 || snap.EncounterMicros.Count != 0 {
 		t.Fatal("nil TransportMetrics snapshot should be zero")
 	}
-	if snap := rm.Snapshot(); snap.SyncsServed != 0 || snap.BatchItems.Count != 0 {
-		t.Fatal("nil ReplicaMetrics snapshot should be zero")
-	}
-	if snap := sm.Snapshot(); snap != (StoreSnapshot{}) {
-		t.Fatal("nil StoreMetrics snapshot should be zero")
-	}
 	if snap := dm.Snapshot(); snap != (DiscoverySnapshot{}) {
 		t.Fatal("nil DiscoveryMetrics snapshot should be zero")
 	}
-	if snap := nm.Snapshot(); snap.Spans != nil || snap.Store != (StoreSnapshot{}) {
+	if snap := nm.Snapshot(); snap.Spans != nil || snap.WAL != (WALSnapshot{}) {
 		t.Fatal("nil NodeMetrics snapshot should be zero")
 	}
 }
@@ -101,6 +93,29 @@ func TestHistogramBucketing(t *testing.T) {
 		if b != want[i] {
 			t.Fatalf("Buckets[%d] = %+v, want %+v", i, b, want[i])
 		}
+	}
+}
+
+// TestTallyMatchesHistogram: a Tally buckets as a Histogram does, and its
+// JSON is the histogram snapshot's, decoding back to the same tally.
+func TestTallyMatchesHistogram(t *testing.T) {
+	var h Histogram
+	var tally Tally
+	for _, v := range []int64{0, -5, 1, 2, 3, 4, 7, 1 << 62} {
+		h.Observe(v)
+		tally.Observe(v)
+	}
+	data, err := json.Marshal(tally)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(h.Snapshot())
+	if string(data) != string(want) {
+		t.Fatalf("tally encodes as %s, histogram as %s", data, want)
+	}
+	var back Tally
+	if err := json.Unmarshal(data, &back); err != nil || back != tally {
+		t.Fatalf("round trip: %+v (%v), want %+v", back, err, tally)
 	}
 }
 
@@ -162,9 +177,9 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				n.Transport.BytesRead.Add(2)
-				n.Replica.ItemsApplied.Inc()
-				n.Store.Live.Add(1)
-				n.Replica.BatchItems.Observe(int64(i))
+				n.WAL.Records.Inc()
+				n.Discovery.PeersLive.Add(1)
+				n.Transport.EncounterMicros.Observe(int64(i))
 				n.Transport.Spans.Record(SyncSpan{ItemsSent: i})
 				_ = n.Snapshot()
 			}
@@ -175,14 +190,14 @@ func TestConcurrentUse(t *testing.T) {
 	if snap.Transport.BytesRead != workers*perWorker*2 {
 		t.Fatalf("BytesRead = %d, want %d", snap.Transport.BytesRead, workers*perWorker*2)
 	}
-	if snap.Replica.ItemsApplied != workers*perWorker {
-		t.Fatalf("ItemsApplied = %d, want %d", snap.Replica.ItemsApplied, workers*perWorker)
+	if snap.WAL.Records != workers*perWorker {
+		t.Fatalf("WAL.Records = %d, want %d", snap.WAL.Records, workers*perWorker)
 	}
-	if snap.Store.Live != workers*perWorker {
-		t.Fatalf("Store.Live = %d, want %d", snap.Store.Live, workers*perWorker)
+	if snap.Discovery.PeersLive != workers*perWorker {
+		t.Fatalf("Discovery.PeersLive = %d, want %d", snap.Discovery.PeersLive, workers*perWorker)
 	}
-	if snap.Replica.BatchItems.Count != workers*perWorker {
-		t.Fatalf("BatchItems.Count = %d, want %d", snap.Replica.BatchItems.Count, workers*perWorker)
+	if snap.Transport.EncounterMicros.Count != workers*perWorker {
+		t.Fatalf("EncounterMicros.Count = %d, want %d", snap.Transport.EncounterMicros.Count, workers*perWorker)
 	}
 	if got := n.Transport.Spans.Total(); got != workers*perWorker {
 		t.Fatalf("Spans.Total = %d, want %d", got, workers*perWorker)
@@ -192,8 +207,7 @@ func TestConcurrentUse(t *testing.T) {
 func TestNodeSnapshotJSON(t *testing.T) {
 	var n NodeMetrics
 	n.Transport.EncountersDialed.Inc()
-	n.Replica.Stored.Add(3)
-	n.Store.Tombstones.Set(2)
+	n.WAL.Records.Add(3)
 	n.Discovery.PeersLive.Set(1)
 	n.Transport.Spans.Record(SyncSpan{
 		Peer: "peer-1", Role: RoleDial, ItemsSent: 4, BytesOut: 128,
@@ -211,19 +225,20 @@ func TestNodeSnapshotJSON(t *testing.T) {
 	if decoded.Transport.EncountersDialed != 1 {
 		t.Fatalf("round-trip EncountersDialed = %d, want 1", decoded.Transport.EncountersDialed)
 	}
-	if decoded.Replica.Stored != 3 {
-		t.Fatalf("round-trip Stored = %d, want 3", decoded.Replica.Stored)
+	if decoded.WAL.Records != 3 {
+		t.Fatalf("round-trip Records = %d, want 3", decoded.WAL.Records)
 	}
 	if len(decoded.Spans) != 1 || decoded.Spans[0].Peer != "peer-1" {
 		t.Fatalf("round-trip Spans = %+v, want one span for peer-1", decoded.Spans)
 	}
 
-	// Key stability: the JSON schema is documented in README.md.
+	// Key stability: the JSON schema is documented in README.md; the
+	// replica and store sections are cmd/dtnnode's (TestMetricsKeySet).
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatalf("unmarshal raw: %v", err)
 	}
-	for _, key := range []string{"transport", "replica", "store", "discovery", "spans"} {
+	for _, key := range []string{"transport", "discovery", "wal", "spans"} {
 		if _, ok := raw[key]; !ok {
 			t.Fatalf("snapshot JSON missing %q key: %s", key, data)
 		}

@@ -10,7 +10,6 @@ import (
 
 	"replidtn/internal/filter"
 	"replidtn/internal/item"
-	"replidtn/internal/obs"
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/epidemic"
 	"replidtn/internal/routing/maxprop"
@@ -374,13 +373,12 @@ func destFiled(r *Replica) int {
 // HandleSyncRequest, each on its own identical source, twice over — the
 // second serve walks what the first refiled — and demands identical
 // batches and identical stores after each. It returns the streaming path's
-// source, whose metrics count both serves, and its two responses.
+// source, whose Stats count both serves, and its two responses.
 func serveTwice(sc diffScenario) (src *Replica, resps [2]*SyncResponse, err error) {
 	// Two identical sources: side-effecting policies (spray) mutate stored
 	// transients during assembly, so each path gets its own.
 	oldSrc, oldReq := buildSource(sc)
 	newSrc, newReq := buildSource(sc)
-	newSrc.metrics = &obs.ReplicaMetrics{}
 	for round := range resps {
 		oldResp := oldSrc.handleSyncRequestReference(reqClone(oldReq))
 		resps[round] = newSrc.HandleSyncRequest(reqClone(newReq))
@@ -592,7 +590,7 @@ func TestHandleSyncRequestDifferentialStops(t *testing.T) {
 						t.Fatalf("scenario %+v (%d candidates): %v", sc, cands, err)
 					}
 					cases++
-					if offered := newSrc.metrics.CandidatesOffered.Value(); offered < int64(3*cands) {
+					if offered := newSrc.Stats().CandidatesOffered; offered < 3*cands {
 						stopped++
 					}
 				}
@@ -832,15 +830,14 @@ func TestHandleSyncRequestDifferentialBound(t *testing.T) {
 				ref, refReq := buildSource(sc)
 				want := ref.handleSyncRequestReference(refReq)
 				var calls [2]int
-				var offered [2]int64
+				var offered [2]int
 				for k, bounded := range []bool{true, false} {
 					sc.wrap = countToSend(&calls[k], bounded)
 					s, r := buildSource(sc)
-					s.metrics = &obs.ReplicaMetrics{}
 					if err := sameResponse(want, s.HandleSyncRequest(r)); err != nil {
 						t.Fatalf("seed %d, filter %d, budget %d of %d, bound %v: %v", seed, f, budget, cands, bounded, err)
 					}
-					offered[k] = s.metrics.CandidatesOffered.Value()
+					offered[k] = s.Stats().CandidatesOffered
 				}
 				if offered[0] != offered[1] {
 					t.Fatalf("seed %d, filter %d, budget %d: %d candidates offered with the bound, %d without", seed, f, budget, offered[0], offered[1])
@@ -891,20 +888,19 @@ func TestFirstContactServeExamines(t *testing.T) {
 		{"bulk-first-contact", bulkSource(), 256, 64},
 		{"bench source", newBenchSource(t, n), 1, 0},
 	} {
-		m := &obs.ReplicaMetrics{}
-		tc.src.metrics = m
 		resp := tc.src.HandleSyncRequest(benchRequest(tc.budget))
+		m := tc.src.Stats()
 		if len(resp.Items) != tc.budget || !resp.Truncated {
 			t.Fatalf("%s: batch of %d items (truncated: %v), want %d of a larger one", tc.name, len(resp.Items), resp.Truncated, tc.budget)
 		}
 		if got := resp.Items[0].Priority.Class; got != routing.ClassFilter {
 			t.Fatalf("%s: the batch opens with a %v item, not one for the target", tc.name, got)
 		}
-		limit := int64(tc.budget + 1 + tc.skipped + 2*runs*height*fanOut)
-		if examined := m.EntriesExamined.Value(); examined > limit {
+		limit := tc.budget + 1 + tc.skipped + 2*runs*height*fanOut
+		if examined := m.EntriesExamined; examined > limit {
 			t.Errorf("%s: the serve examined %d of %d entries, want at most %d", tc.name, examined, n, limit)
 		} else {
-			t.Logf("%s: the serve examined %d of %d entries (bound %d), offered %d", tc.name, examined, n, limit, m.CandidatesOffered.Value())
+			t.Logf("%s: the serve examined %d of %d entries (bound %d), offered %d", tc.name, examined, n, limit, m.CandidatesOffered)
 		}
 	}
 }

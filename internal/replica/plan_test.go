@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"replidtn/internal/item"
-	"replidtn/internal/obs"
 	"replidtn/internal/routing"
 	"replidtn/internal/store"
 	"replidtn/internal/vclock"
@@ -60,11 +59,10 @@ func TestPlanPassesOverADestinationTheBatchTurnsAway(t *testing.T) {
 		return &SyncRequest{TargetID: "tgt", Knowledge: vclock.NewKnowledge(), MaxItems: 1}
 	}
 	src, ref := build(), build()
-	src.metrics = &obs.ReplicaMetrics{}
 	if err := sameResponse(ref.handleSyncRequestReference(req()), src.HandleSyncRequest(req())); err != nil {
 		t.Fatal(err)
 	}
-	if examined, offered := src.metrics.EntriesExamined.Value(), src.metrics.CandidatesOffered.Value(); examined != 3 || offered != 3 {
-		t.Errorf("the serve examined %d entries and offered %d; want addr:a's 3 of each, and addr:b's passed over", examined, offered)
+	if st := src.Stats(); st.EntriesExamined != 3 || st.CandidatesOffered != 3 {
+		t.Errorf("the serve examined %d entries and offered %d; want addr:a's 3 of each, and addr:b's passed over", st.EntriesExamined, st.CandidatesOffered)
 	}
 }

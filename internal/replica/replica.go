@@ -15,6 +15,7 @@ package replica
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -59,14 +60,6 @@ type Config struct {
 	// Now supplies the current time in seconds for message-lifetime checks;
 	// nil disables expiry (items never expire).
 	Now func() int64
-	// Metrics, when set, mirrors sync activity into observability counters
-	// (see obs.ReplicaMetrics). Nil — the default, and what the deterministic
-	// emulation uses unless asked — disables the hooks at the cost of one nil
-	// check per sync. A single set may be shared across replicas to aggregate.
-	Metrics *obs.ReplicaMetrics
-	// StoreMetrics, when set, is handed to the underlying store (see
-	// store.SetMetrics); its gauges are only exact when not shared.
-	StoreMetrics *obs.StoreMetrics
 	// MergeKnowledge enables the Cimbiosys knowledge-merge optimization:
 	// when a sync source proves its filter covers ours, adopt its whole
 	// knowledge, keeping ours a compact vector. Leave it off for replicas
@@ -93,34 +86,104 @@ type Config struct {
 // keeping the worst-case pinned state a few thousand knowledge clones.
 const defaultSummaryPeerCap = 1024
 
-// Stats counts a replica's synchronization activity.
+// Stats is a replica's one cumulative ledger: every counter has one
+// increment site, under the replica lock, and the occupancy fields are read
+// from the store and the knowledge when Stats is called. Its JSON encoding is
+// the replica section of a node's /metrics document (README.md); StoreStats
+// gives the store section. Every field is a count, so ledgers add up (Add).
 type Stats struct {
 	// SyncsInitiated counts syncs where this replica was the target.
-	SyncsInitiated int
+	SyncsInitiated int `json:"syncs_initiated"`
 	// SyncsServed counts syncs where this replica was the source.
-	SyncsServed int
+	SyncsServed int `json:"syncs_served"`
 	// SyncsAborted counts syncs this replica initiated whose transfer died
 	// mid-batch; the partial batch was discarded without applying anything.
-	SyncsAborted int
+	SyncsAborted int `json:"syncs_aborted"`
 	// ItemsSent counts batch items transmitted as source.
-	ItemsSent int
-	// ItemsReceived counts batch items accepted as target.
-	ItemsReceived int
+	ItemsSent int `json:"items_sent"`
+	// ItemsReceived counts batch items accepted as target: every version it
+	// did not know, whatever became of the item.
+	ItemsReceived int `json:"-"`
+	// BatchesApplied counts applied batches, BatchItems their sizes, and
+	// ItemsApplied the items they stored: Stored, Relayed and Tombstones.
+	BatchesApplied int       `json:"batches_applied"`
+	BatchItems     obs.Tally `json:"batch_items"`
+	ItemsApplied   int       `json:"items_applied"`
+	Stored         int       `json:"stored"`
+	Relayed        int       `json:"relayed"`
+	Tombstones     int       `json:"tombstones"`
 	// Duplicates counts received items whose version was already known; the
 	// substrate guarantees this stays zero.
-	Duplicates int
-	// Evicted counts relay entries dropped by storage pressure.
-	Evicted int
+	Duplicates int `json:"duplicates"`
+	// Superseded counts received versions older than the stored one, and
+	// Expired received items already past their lifetime.
+	Superseded int `json:"superseded"`
+	Expired    int `json:"expired"`
 	// Delivered counts application deliveries.
-	Delivered int
-	// KnowledgeFulls / KnowledgeDeltas count the knowledge frames this
-	// replica sent as sync target, by representation (requests outside
-	// summary mode always count as full frames).
-	KnowledgeFulls  int
-	KnowledgeDeltas int
-	// SummaryFallbacks counts summary syncs that needed an extra
-	// exact-knowledge round because the source refused a delta.
-	SummaryFallbacks int
+	Delivered int `json:"delivered"`
+	// Evicted counts relay entries the store dropped under storage pressure.
+	Evicted int `json:"evictions"`
+	// EntriesExamined and CandidatesOffered are the serve walks' cost: the
+	// store entries they visited and the candidates offered to batches.
+	EntriesExamined   int `json:"entries_examined"`
+	CandidatesOffered int `json:"candidates_offered"`
+	// The knowledge frames this replica sent as sync target, by
+	// representation (requests outside summary mode always count as full
+	// frames), and their encoded bytes. SummaryFallbacks counts summary syncs
+	// that needed an extra exact-knowledge round because the source refused
+	// a delta.
+	KnowledgeFullFrames  int   `json:"knowledge_full_frames"`
+	KnowledgeDeltaFrames int   `json:"knowledge_delta_frames"`
+	SummaryFallbacks     int   `json:"summary_fallbacks"`
+	KnowledgeFullBytes   int64 `json:"knowledge_full_bytes"`
+	KnowledgeDeltaBytes  int64 `json:"knowledge_delta_bytes"`
+	// The routing state of the same requests: whether the policy's request
+	// traveled whole or as a delta against the one last sent to the peer
+	// (only ever beside a knowledge delta), and its encoded bytes. Requests
+	// without routing state, or whose policy sends no deltas, count nowhere.
+	RoutingFullFrames  int   `json:"routing_full_frames"`
+	RoutingDeltaFrames int   `json:"routing_delta_frames"`
+	RoutingFullBytes   int64 `json:"routing_full_bytes"`
+	RoutingDeltaBytes  int64 `json:"routing_delta_bytes"`
+
+	// Occupancy when Stats was read: the knowledge size (base entries plus
+	// exceptions), and the store's live entries, live relay entries and
+	// tombstones.
+	KnowledgeSize    int `json:"knowledge_size"`
+	Live             int `json:"-"`
+	Relay            int `json:"-"`
+	StoredTombstones int `json:"-"`
+}
+
+// StoreStats is the store section of a node's /metrics document.
+type StoreStats struct {
+	Live       int `json:"live"`
+	Relay      int `json:"relay"`
+	Tombstones int `json:"tombstones"`
+	Evictions  int `json:"evictions"`
+}
+
+// Store returns s's store section.
+func (s Stats) Store() StoreStats {
+	return StoreStats{Live: s.Live, Relay: s.Relay, Tombstones: s.StoredTombstones, Evictions: s.Evicted}
+}
+
+// Add sums o into s, field by field, the batch-size buckets included.
+func (s *Stats) Add(o Stats) { addCounts(reflect.ValueOf(s).Elem(), reflect.ValueOf(o)) }
+
+func addCounts(dst, src reflect.Value) {
+	switch dst.Kind() {
+	case reflect.Int, reflect.Int64:
+		dst.SetInt(dst.Int() + src.Int())
+	case reflect.Struct:
+		for i := range dst.NumField() {
+			addCounts(dst.Field(i), src.Field(i))
+		}
+	case reflect.Array:
+		for i := range dst.Len() {
+			addCounts(dst.Index(i), src.Index(i))
+		}
+	}
 }
 
 // Replica is one node's replica of the collection. All methods are safe for
@@ -135,11 +198,10 @@ type Replica struct {
 	now            func() int64
 	mergeKnowledge bool
 
-	seq     uint64
-	know    *vclock.Knowledge
-	store   *store.Store
-	stats   Stats
-	metrics *obs.ReplicaMetrics
+	seq   uint64
+	know  *vclock.Knowledge
+	store *store.Store
+	stats Stats
 	// skipped, plan and cands are the serve's reused buffers of withheld
 	// entries, of its plan and of its batch candidates, cleared after each
 	// serve (DESIGN §4); planned is set by the first serve whose budget is
@@ -190,7 +252,6 @@ func New(cfg Config) *Replica {
 		mergeKnowledge: cfg.MergeKnowledge,
 		know:           vclock.NewKnowledge(),
 		store:          store.NewWithEviction(cfg.RelayCapacity, cfg.Eviction),
-		metrics:        cfg.Metrics,
 		summaries:      cfg.SyncSummaries,
 		peerCap:        defaultSummaryPeerCap,
 		epoch:          1,
@@ -209,9 +270,6 @@ func New(cfg Config) *Replica {
 	if cfg.OnCopies != nil {
 		r.store.LiveNotify(cfg.OnCopies)
 	}
-	if cfg.StoreMetrics != nil {
-		r.store.SetMetrics(cfg.StoreMetrics)
-	}
 	return r
 }
 
@@ -228,11 +286,15 @@ func (r *Replica) Filter() filter.Filter {
 	return r.filter
 }
 
-// Stats returns a snapshot of the replica's counters.
+// Stats returns the replica's ledger, its occupancy read now.
 func (r *Replica) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stats
+	st := r.stats
+	st.Evicted = r.store.Evicted()
+	st.KnowledgeSize = r.know.Size()
+	st.Live, st.Relay, st.StoredTombstones = r.store.LiveLen(), r.store.RelayLen(), r.store.TombstoneLen()
+	return st
 }
 
 // abortSync records that a synchronization this replica initiated was
@@ -247,9 +309,6 @@ func (r *Replica) abortSync(done *SyncRequest) {
 	defer r.mu.Unlock()
 	r.releaseLocked(done)
 	r.stats.SyncsAborted++
-	if r.metrics != nil {
-		r.metrics.SyncsAborted.Inc()
-	}
 }
 
 // Knowledge returns a copy of the replica's knowledge.
@@ -257,16 +316,6 @@ func (r *Replica) Knowledge() *vclock.Knowledge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.know.Clone()
-}
-
-// DetachStoreMetrics withdraws this replica's store contribution from a
-// shared obs.StoreMetrics sink and unregisters it (no-op when none is set).
-// Call it before discarding a replica whose state is restored into a
-// successor sharing the same sink, so gauges are not double-counted.
-func (r *Replica) DetachStoreMetrics() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.store.DetachMetrics()
 }
 
 // StoreLen returns (total, live, relay) entry counts.
@@ -395,11 +444,7 @@ func (r *Replica) SetIdentity(ownAddresses []string, f filter.Filter) []*item.It
 		}
 		relay := !r.filter.Match(e.Item)
 		if relay != e.Relay {
-			evicted := len(r.store.Put(e.Item, &e.Transient, relay, e.Local))
-			r.stats.Evicted += evicted
-			if r.metrics != nil {
-				r.metrics.Evictions.Add(int64(evicted))
-			}
+			r.store.Put(e.Item, &e.Transient, relay, e.Local)
 		}
 		newlyAddressed := r.addressedLocally(e.Item) && !addressedBy(prevOwn, e.Item)
 		if !e.Item.Deleted && newlyAddressed && r.store.Get(e.Item.ID) != nil {

@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"replidtn/internal/item"
-	"replidtn/internal/obs"
 	"replidtn/internal/replica"
 	"replidtn/internal/routing"
 	"replidtn/internal/routing/maxprop"
@@ -53,7 +52,7 @@ type deltaFleet struct {
 	policy    string
 	summaries bool
 	now       *int64
-	metrics   *obs.ReplicaMetrics
+	retired   replica.Stats // the ledgers of the nodes restart replaced
 	nodes     []*replica.Replica
 	spies     []*spyPolicy
 	addrs     [][]string
@@ -75,14 +74,14 @@ func (f *deltaFleet) build(i int) {
 	f.spies[i] = &spyPolicy{Policy: p}
 	f.nodes[i] = replica.New(replica.Config{
 		ID: id, OwnAddresses: []string{nodeAddr(i)}, Policy: f.spies[i], Now: clock,
-		SyncSummaries: f.summaries, Metrics: f.metrics,
+		SyncSummaries: f.summaries,
 	})
 	replica.SetSummaryPeerCap(f.nodes[i], 2)
 }
 
 func newDeltaFleet(t *testing.T, policy string, summaries bool, now *int64) *deltaFleet {
 	f := &deltaFleet{
-		t: t, policy: policy, summaries: summaries, now: now, metrics: &obs.ReplicaMetrics{},
+		t: t, policy: policy, summaries: summaries, now: now,
 		nodes: make([]*replica.Replica, deltaFleetSize), spies: make([]*spyPolicy, deltaFleetSize),
 		addrs: make([][]string, deltaFleetSize),
 	}
@@ -167,10 +166,20 @@ func (f *deltaFleet) restart(i int) {
 	if err != nil {
 		f.t.Fatal(err)
 	}
+	f.retired.Add(f.nodes[i].Stats())
 	f.build(i)
 	if err := f.nodes[i].RestoreSnapshot(snap); err != nil {
 		f.t.Fatal(err)
 	}
+}
+
+// stats sums the fleet's ledgers, the nodes restart replaced included.
+func (f *deltaFleet) stats() replica.Stats {
+	sum := f.retired
+	for _, n := range f.nodes {
+		sum.Add(n.Stats())
+	}
+	return sum
 }
 
 // touch makes node i's policy look at the clock, as any sync would.
@@ -186,7 +195,7 @@ func (f *deltaFleet) send(i int, dest string) {
 
 // runDeltaScript drives both fleets through one random script and reports
 // whether they stayed equal. Failures inside a step are fatal on t.
-func runDeltaScript(t *testing.T, policy string, seed int64, totals *obs.ReplicaMetrics) bool {
+func runDeltaScript(t *testing.T, policy string, seed int64, totals *replica.Stats) bool {
 	rng := rand.New(rand.NewSource(seed))
 	var now int64
 	fleets := []*deltaFleet{newDeltaFleet(t, policy, true, &now), newDeltaFleet(t, policy, false, &now)}
@@ -255,11 +264,11 @@ func runDeltaScript(t *testing.T, policy string, seed int64, totals *obs.Replica
 			}
 		}
 	}
-	m := fleets[0].metrics
-	totals.RoutingDeltaFrames.Add(m.RoutingDeltaFrames.Value())
-	totals.RoutingFullFrames.Add(m.RoutingFullFrames.Value())
-	totals.SummaryFallbacks.Add(m.SummaryFallbacks.Value())
-	if got := fleets[1].metrics.RoutingDeltaFrames.Value(); got != 0 {
+	m := fleets[0].stats()
+	totals.RoutingDeltaFrames += m.RoutingDeltaFrames
+	totals.RoutingFullFrames += m.RoutingFullFrames
+	totals.SummaryFallbacks += m.SummaryFallbacks
+	if got := fleets[1].stats().RoutingDeltaFrames; got != 0 {
 		t.Errorf("the full-fed fleet sent %d routing deltas", got)
 	}
 	return true
@@ -268,14 +277,14 @@ func runDeltaScript(t *testing.T, policy string, seed int64, totals *obs.Replica
 func TestQuickRoutingDeltasAreExact(t *testing.T) {
 	for _, policy := range []string{"prophet", "maxprop"} {
 		t.Run(policy, func(t *testing.T) {
-			var totals obs.ReplicaMetrics
+			var totals replica.Stats
 			check := func(seed int64) bool { return runDeltaScript(t, policy, seed, &totals) }
 			if err := quick.Check(check, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(23))}); err != nil {
 				t.Fatal(err)
 			}
 			// The scripts must have exercised what they claim to: deltas,
 			// full frames beside them, and fallback rounds.
-			deltas, fulls, fallbacks := totals.RoutingDeltaFrames.Value(), totals.RoutingFullFrames.Value(), totals.SummaryFallbacks.Value()
+			deltas, fulls, fallbacks := totals.RoutingDeltaFrames, totals.RoutingFullFrames, totals.SummaryFallbacks
 			if deltas < 100 || fulls < 100 || fallbacks < 25 {
 				t.Errorf("scripts sent %d routing deltas, %d full frames and ran %d fallback rounds; too few to prove anything", deltas, fulls, fallbacks)
 			}

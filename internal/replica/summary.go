@@ -116,12 +116,9 @@ func (r *Replica) MakeSummaryRequest(peer vclock.ReplicaID, maxItems int) *SyncR
 			req.RoutingDelta = cur.DeltaSince(f.routing)
 		}
 		f.routing = keepRouting(f.routing, req.Routing)
-		r.stats.KnowledgeDeltas++
-		if r.metrics != nil {
-			r.metrics.KnowledgeDeltaFrames.Inc()
-			r.metrics.KnowledgeDeltaBytes.Add(int64(req.Delta.WireSize()))
-			r.countRoutingLocked(req)
-		}
+		r.stats.KnowledgeDeltaFrames++
+		r.stats.KnowledgeDeltaBytes += int64(req.Delta.WireSize())
+		r.countRoutingLocked(req)
 	} else {
 		r.attachFullLocked(req, peer)
 	}
@@ -139,9 +136,6 @@ func (r *Replica) MakeFallbackRequest(peer vclock.ReplicaID, maxItems int, rt ro
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.stats.SummaryFallbacks++
-	if r.metrics != nil {
-		r.metrics.SummaryFallbacks.Inc()
-	}
 	req := &SyncRequest{TargetID: r.id, Filter: r.filter, MaxItems: maxItems, Routing: rt}
 	r.attachFullLocked(req, peer)
 	return req
@@ -184,15 +178,15 @@ func keepRouting(kept, rt routing.Request) routing.Request {
 	return nil
 }
 
-// countRoutingLocked mirrors the form req's routing state travels in, and
-// its encoded size, into the metrics sink. r.metrics is non-nil.
+// countRoutingLocked counts the form req's routing state travels in, and
+// its encoded size.
 func (r *Replica) countRoutingLocked(req *SyncRequest) {
 	if req.RoutingDelta != nil {
-		r.metrics.RoutingDeltaFrames.Inc()
-		r.metrics.RoutingDeltaBytes.Add(int64(req.RoutingDelta.WireSize()))
+		r.stats.RoutingDeltaFrames++
+		r.stats.RoutingDeltaBytes += int64(req.RoutingDelta.WireSize())
 	} else if full, ok := req.Routing.(routing.DeltaRequest); ok {
-		r.metrics.RoutingFullFrames.Inc()
-		r.metrics.RoutingFullBytes.Add(int64(full.WireSize()))
+		r.stats.RoutingFullFrames++
+		r.stats.RoutingFullBytes += int64(full.WireSize())
 	}
 }
 

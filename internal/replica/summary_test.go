@@ -110,7 +110,7 @@ func TestQuickSummarySyncDeliversExactly(t *testing.T) {
 		}
 		p1, p2, pb, ids := run(false)
 		s1, s2, sb, _ := run(true)
-		deltas += sb.Stats().KnowledgeDeltas
+		deltas += sb.Stats().KnowledgeDeltaFrames
 		fallbacks += sb.Stats().SummaryFallbacks
 		if p1.Apply != s1.Apply || p2.Apply != s2.Apply {
 			t.Logf("seed %d: apply stats diverged:\nexact %+v / %+v\nsummary %+v / %+v", seed, p1.Apply, p2.Apply, s1.Apply, s2.Apply)
@@ -174,7 +174,7 @@ func TestQuickSummarySyncDeliversExactly(t *testing.T) {
 		}
 		p1, p2, psrc, ptgt := run(false)
 		s1, s2, ssrc, stgt := run(true)
-		deltas += stgt.Stats().KnowledgeDeltas
+		deltas += stgt.Stats().KnowledgeDeltaFrames
 		fallbacks += stgt.Stats().SummaryFallbacks
 		if p1.Apply != s1.Apply || p2.Apply != s2.Apply || p1.Sent != s1.Sent || p2.Sent != s2.Sent {
 			t.Logf("scenario %+v: syncs diverged:\nexact %+v / %+v\nsummary %+v / %+v", sc, p1, p2, s1, s2)
@@ -211,7 +211,7 @@ func TestDeltaRecurringPair(t *testing.T) {
 	if r1.Apply.Delivered != 1 || r1.Fallback {
 		t.Fatalf("first sync: %+v", r1)
 	}
-	if got := b.Stats().KnowledgeFulls; got != 1 {
+	if got := b.Stats().KnowledgeFullFrames; got != 1 {
 		t.Errorf("first contact sent %d full frames, want 1 (tagged, frontier-establishing)", got)
 	}
 	for i := 0; i < 3; i++ {
@@ -223,7 +223,7 @@ func TestDeltaRecurringPair(t *testing.T) {
 		if r.KnowledgeBytes <= 0 {
 			t.Errorf("delta sync %d: no knowledge bytes accounted", i)
 		}
-		if got, want := b.Stats().KnowledgeDeltas, i+1; got != want {
+		if got, want := b.Stats().KnowledgeDeltaFrames, i+1; got != want {
 			t.Errorf("after delta sync %d: %d delta frames, want %d", i, got, want)
 		}
 	}
@@ -400,11 +400,11 @@ func TestSourceRestartForcesDeltaResync(t *testing.T) {
 	// The fallback's tagged full frame re-established the frontier: the pair
 	// is back on deltas.
 	send(a2, "addr:a", "addr:b")
-	deltas := b.Stats().KnowledgeDeltas
+	deltas := b.Stats().KnowledgeDeltaFrames
 	if r := Sync(a2, b, 0); r.Fallback || r.Apply.Delivered != 1 {
 		t.Fatalf("post-recovery delta sync: %+v", r)
 	}
-	if got := b.Stats().KnowledgeDeltas; got != deltas+1 {
+	if got := b.Stats().KnowledgeDeltaFrames; got != deltas+1 {
 		t.Errorf("pair did not resume delta mode after fallback: %d deltas, want %d", got, deltas+1)
 	}
 }
@@ -435,7 +435,7 @@ func TestTargetRestartBumpsEpoch(t *testing.T) {
 	if got := b2.Epoch(); got != 2 {
 		t.Errorf("restored epoch %d, want 2", got)
 	}
-	fulls := b2.Stats().KnowledgeFulls
+	fulls := b2.Stats().KnowledgeFullFrames
 	send(a, "addr:a", "addr:b")
 	r := Sync(a, b2, 0)
 	if r.Fallback {
@@ -444,7 +444,7 @@ func TestTargetRestartBumpsEpoch(t *testing.T) {
 	if r.Apply.Delivered != 1 || r.Apply.Duplicates != 0 {
 		t.Errorf("post-restart sync: %+v", r.Apply)
 	}
-	if got := b2.Stats().KnowledgeFulls; got != fulls+1 {
+	if got := b2.Stats().KnowledgeFullFrames; got != fulls+1 {
 		t.Errorf("restarted target sent %d full frames, want %d", got, fulls+1)
 	}
 	// And the new-epoch baseline supports deltas again.
@@ -452,7 +452,7 @@ func TestTargetRestartBumpsEpoch(t *testing.T) {
 	if r := Sync(a, b2, 0); r.Fallback || r.Apply.Delivered != 1 {
 		t.Fatalf("new-epoch delta sync: %+v", r)
 	}
-	if got := b2.Stats().KnowledgeDeltas; got != 1 {
+	if got := b2.Stats().KnowledgeDeltaFrames; got != 1 {
 		t.Errorf("new incarnation sent %d deltas, want 1", got)
 	}
 }
@@ -505,11 +505,11 @@ func TestSummaryPeerCapBoundsState(t *testing.T) {
 		t.Errorf("frontiers holds %d entries after peer spray, cap %d", n, limit)
 	}
 	// An evicted frontier just re-establishes with a tagged full frame.
-	fulls := tgt.Stats().KnowledgeFulls
+	fulls := tgt.Stats().KnowledgeFullFrames
 	if req := tgt.MakeSummaryRequest("p0", 0); req.Knowledge == nil || req.Epoch == 0 {
 		t.Error("evicted pair must restart with a tagged full frame")
 	}
-	if got := tgt.Stats().KnowledgeFulls; got != fulls+1 {
+	if got := tgt.Stats().KnowledgeFullFrames; got != fulls+1 {
 		t.Errorf("re-establishing frame counted %d fulls, want %d", got, fulls+1)
 	}
 }

@@ -139,10 +139,6 @@ func (r *Replica) MakeSyncRequest(maxItems int) *SyncRequest {
 // pull left when there is one.
 func (r *Replica) newRequestLocked(maxItems int) *SyncRequest {
 	r.stats.SyncsInitiated++
-	if r.metrics != nil {
-		r.metrics.SyncsInitiated.Inc()
-		r.metrics.KnowledgeSize.Set(int64(r.know.Size()))
-	}
 	req := r.spareReq
 	if r.spareReq = nil; req == nil {
 		req = new(SyncRequest)
@@ -156,12 +152,9 @@ func (r *Replica) newRequestLocked(maxItems int) *SyncRequest {
 
 // countFullLocked counts req's exact knowledge frame and its routing state.
 func (r *Replica) countFullLocked(req *SyncRequest) {
-	r.stats.KnowledgeFulls++
-	if r.metrics != nil {
-		r.metrics.KnowledgeFullFrames.Inc()
-		r.metrics.KnowledgeFullBytes.Add(int64(req.Knowledge.WireSize()))
-		r.countRoutingLocked(req)
-	}
+	r.stats.KnowledgeFullFrames++
+	r.stats.KnowledgeFullBytes += int64(req.Knowledge.WireSize())
+	r.countRoutingLocked(req)
 }
 
 // releaseLocked gives back the shares of done, a finished request of this
@@ -342,12 +335,8 @@ func (r *Replica) HandleSyncRequest(req *SyncRequest) *SyncResponse {
 		resp.LearnedKnowledge = r.know.Clone()
 	}
 	r.stats.ItemsSent += len(resp.Items)
-	if r.metrics != nil {
-		r.metrics.SyncsServed.Inc()
-		r.metrics.ItemsSent.Add(int64(len(resp.Items)))
-		r.metrics.EntriesExamined.Add(int64(examined))
-		r.metrics.CandidatesOffered.Add(int64(sel.total))
-	}
+	r.stats.EntriesExamined += examined
+	r.stats.CandidatesOffered += sel.total
 	return resp
 }
 
@@ -460,7 +449,6 @@ func (r *Replica) applyBatch(resp *SyncResponse, done *SyncRequest) ApplyStats {
 		incoming := bi.Item
 		if r.know.Contains(incoming.Version) {
 			st.Duplicates++
-			r.stats.Duplicates++
 			continue
 		}
 		r.know.Add(incoming.Version)
@@ -470,7 +458,6 @@ func (r *Replica) applyBatch(resp *SyncResponse, done *SyncRequest) ApplyStats {
 		if r.hasJournal.Load() { // AllVersions allocates; only a journal wants the slice
 			r.journalLearnLocked(incoming.AllVersions()...)
 		}
-		r.stats.ItemsReceived++
 
 		existing := r.store.Get(incoming.ID)
 		if existing != nil && !incoming.Supersedes(existing.Item) {
@@ -491,9 +478,7 @@ func (r *Replica) applyBatch(resp *SyncResponse, done *SyncRequest) ApplyStats {
 
 		relay := !r.filter.Match(incoming)
 		local := existing != nil && existing.Local
-		evicted := r.store.Put(incoming, &tr, relay, local)
-		st.Evicted += len(evicted)
-		r.stats.Evicted += len(evicted)
+		st.Evicted += len(r.store.Put(incoming, &tr, relay, local))
 
 		switch {
 		case incoming.Deleted:
@@ -517,9 +502,7 @@ func (r *Replica) applyBatch(resp *SyncResponse, done *SyncRequest) ApplyStats {
 		r.journalMergeLocked()
 		st.KnowledgeMerged = true
 	}
-	if r.metrics != nil {
-		r.recordApplyLocked(len(resp.Items), st)
-	}
+	r.countApplyLocked(len(resp.Items), st)
 	if done != nil {
 		clear(resp.Items)
 		*resp, r.spareResp = SyncResponse{Items: resp.Items[:0]}, resp
@@ -527,21 +510,19 @@ func (r *Replica) applyBatch(resp *SyncResponse, done *SyncRequest) ApplyStats {
 	return st
 }
 
-// recordApplyLocked mirrors one ApplyBatch outcome into the metrics sink.
-func (r *Replica) recordApplyLocked(batchLen int, st ApplyStats) {
-	m := r.metrics
-	m.BatchesApplied.Inc()
-	m.BatchItems.Observe(int64(batchLen))
-	m.ItemsApplied.Add(int64(st.Stored + st.Relayed + st.Tombstones))
-	m.Stored.Add(int64(st.Stored))
-	m.Relayed.Add(int64(st.Relayed))
-	m.Tombstones.Add(int64(st.Tombstones))
-	m.Duplicates.Add(int64(st.Duplicates))
-	m.Superseded.Add(int64(st.Superseded))
-	m.Expired.Add(int64(st.Expired))
-	m.Delivered.Add(int64(st.Delivered))
-	m.Evictions.Add(int64(st.Evicted))
-	m.KnowledgeSize.Set(int64(r.know.Size()))
+// countApplyLocked counts one applied batch of n items and its outcome.
+func (r *Replica) countApplyLocked(n int, st ApplyStats) {
+	c := &r.stats
+	c.BatchesApplied++
+	c.BatchItems.Observe(int64(n))
+	c.ItemsReceived += n - st.Duplicates
+	c.ItemsApplied += st.Stored + st.Relayed + st.Tombstones
+	c.Stored += st.Stored
+	c.Relayed += st.Relayed
+	c.Tombstones += st.Tombstones
+	c.Duplicates += st.Duplicates
+	c.Superseded += st.Superseded
+	c.Expired += st.Expired
 }
 
 // KnowledgeWireBytes returns the encoded size of whichever knowledge frame

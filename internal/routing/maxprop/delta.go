@@ -149,14 +149,32 @@ func DecodeDelta(data []byte) (*Delta, error) {
 	return delta, nil
 }
 
+func sizeProbs(probs sorted.Map[vclock.ReplicaID, float64]) int {
+	return sorted.Size(probs, func(float64) int { return 8 })
+}
+
+// sizeTable sizes each row from its memo when it has one: the stamp is sized
+// fresh, as GenerateReq re-stamps our row without rebuilding it. It and
+// sizeHomes loop over the entries themselves, as every sync target runs
+// them: through sorted.Size's callback homes cost twice as much.
 func sizeTable(table sorted.Map[vclock.ReplicaID, Row]) int {
-	return sorted.Size(table, func(row Row) int {
-		return sorted.Size(row.Probabilities, func(float64) int { return 8 }) + prim.SizeVarint(row.Updated)
-	})
+	n := prim.SizeUvarint(uint64(table.Len()))
+	for _, e := range table.Entries() {
+		size := e.Val.size
+		if size == 0 {
+			size = sizeProbs(e.Val.Probabilities)
+		}
+		n += prim.SizeString(string(e.Key)) + size + prim.SizeVarint(e.Val.Updated)
+	}
+	return n
 }
 
 func sizeHomes(homes sorted.Map[string, Home]) int {
-	return sorted.Size(homes, func(h Home) int { return prim.SizeString(string(h.Node)) + prim.SizeVarint(h.Updated) })
+	n := prim.SizeUvarint(uint64(homes.Len()))
+	for _, e := range homes.Entries() {
+		n += prim.SizeString(e.Key) + prim.SizeString(string(e.Val.Node)) + prim.SizeVarint(e.Val.Updated)
+	}
+	return n
 }
 
 // WireSize implements routing.DeltaRequest: the length of AppendBinary's

@@ -41,6 +41,11 @@ const DefaultHopThreshold = 3
 type Row struct {
 	Probabilities sorted.Map[vclock.ReplicaID, float64]
 	Updated       int64
+	// size is Probabilities' encoded size, fixed where the policy builds a
+	// row (rebuildOwn) and copied with it into every peer's table, so sizing
+	// a request walks rows, not cells; 0 (sized by a walk) on a row built
+	// elsewhere, a decoded one included.
+	size int
 }
 
 // Home records where an endpoint address was last known to be homed.
@@ -184,7 +189,8 @@ func (p *Policy) ProcessReq(from vclock.ReplicaID, req routing.Request) {
 // current weights and empties the path tree. It runs wherever weights or the
 // table change — never on a decision path.
 func (p *Policy) rebuildOwn(updated int64) {
-	p.table.Set(p.self, Row{Probabilities: p.OwnRow(), Updated: updated})
+	probs := p.OwnRow()
+	p.table.Set(p.self, Row{Probabilities: probs, Updated: updated, size: sizeProbs(probs)})
 	p.dist = p.dist[:0]
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"replidtn/internal/item"
-	"replidtn/internal/obs"
 )
 
 func mkTombstone(creator string, num uint64) *item.Item {
@@ -13,54 +12,52 @@ func mkTombstone(creator string, num uint64) *item.Item {
 	return it
 }
 
-// checkGauges asserts the metric gauges mirror the store's own counters.
-func checkGauges(t *testing.T, s *Store, m *obs.StoreMetrics) {
+// checkGauges asserts the occupancy counters a replica's Stats reads agree
+// with a scan of the store.
+func checkGauges(t *testing.T, s *Store) {
 	t.Helper()
-	if got, want := m.Live.Value(), int64(s.LiveLen()); got != want {
-		t.Errorf("Live gauge = %d, store says %d", got, want)
+	live, relay := countByScan(s)
+	if got := s.LiveLen(); got != live {
+		t.Errorf("LiveLen = %d, scan says %d", got, live)
 	}
-	if got, want := m.Relay.Value(), int64(s.RelayLen()); got != want {
-		t.Errorf("Relay gauge = %d, store says %d", got, want)
+	if got := s.RelayLen(); got != relay {
+		t.Errorf("RelayLen = %d, scan says %d", got, relay)
 	}
-	if got, want := m.Tombstones.Value(), int64(s.TombstoneLen()); got != want {
-		t.Errorf("Tombstones gauge = %d, store says %d", got, want)
+	if got, want := s.TombstoneLen(), s.Len()-live; got != want {
+		t.Errorf("TombstoneLen = %d, scan says %d", got, want)
 	}
 }
 
 func TestMetricsGaugesTrackMutations(t *testing.T) {
 	s := New(2)
-	m := &obs.StoreMetrics{}
-	s.SetMetrics(m)
 
 	s.Put(mkItem("a", 1), nil, false, true) // local live
 	s.Put(mkItem("b", 1), nil, true, false) // relay
 	s.Put(mkItem("b", 2), nil, true, false) // relay
-	checkGauges(t, s, m)
+	checkGauges(t, s)
 
 	// Third relay entry evicts the oldest relay (b/1).
 	s.Put(mkItem("b", 3), nil, true, false)
-	checkGauges(t, s, m)
-	if got := m.Evictions.Value(); got != 1 {
+	checkGauges(t, s)
+	if got := s.Evicted(); got != 1 {
 		t.Errorf("Evictions = %d, want 1", got)
 	}
 
 	// Replacing a live entry with a tombstone moves live -> tombstone.
 	s.Put(mkTombstone("a", 1), nil, false, true)
-	checkGauges(t, s, m)
-	if m.Tombstones.Value() != 1 {
-		t.Errorf("Tombstones = %d, want 1", m.Tombstones.Value())
+	checkGauges(t, s)
+	if s.TombstoneLen() != 1 {
+		t.Errorf("Tombstones = %d, want 1", s.TombstoneLen())
 	}
 
 	// Remove drops whatever partition the entry was in.
 	s.Remove(item.ID{Creator: "a", Num: 1})
 	s.Remove(item.ID{Creator: "b", Num: 2})
-	checkGauges(t, s, m)
+	checkGauges(t, s)
 }
 
 func TestMetricsGaugesSurviveRestore(t *testing.T) {
 	s := New(0)
-	m := &obs.StoreMetrics{}
-	s.SetMetrics(m)
 	s.Put(mkItem("a", 1), nil, false, true)
 	s.Put(mkItem("a", 2), nil, true, false)
 	s.Put(mkTombstone("a", 3), nil, false, false)
@@ -73,10 +70,10 @@ func TestMetricsGaugesSurviveRestore(t *testing.T) {
 	if err := s.Restore(snap, next); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	checkGauges(t, s, m)
-	if m.Live.Value() != 2 || m.Relay.Value() != 2 || m.Tombstones.Value() != 0 {
+	checkGauges(t, s)
+	if s.LiveLen() != 2 || s.RelayLen() != 2 || s.TombstoneLen() != 0 {
 		t.Errorf("post-restore gauges = %d/%d/%d, want 2/2/0",
-			m.Live.Value(), m.Relay.Value(), m.Tombstones.Value())
+			s.LiveLen(), s.RelayLen(), s.TombstoneLen())
 	}
 
 	// A failed restore must leave the gauges untouched.
@@ -84,16 +81,16 @@ func TestMetricsGaugesSurviveRestore(t *testing.T) {
 	if err := s.Restore(bad, next); err == nil {
 		t.Fatal("Restore with nil item should fail")
 	}
-	checkGauges(t, s, m)
+	checkGauges(t, s)
 }
 
+// TestMetricsNilIsNoOp: a store counts its evictions with nothing registered.
 func TestMetricsNilIsNoOp(t *testing.T) {
 	s := New(1)
-	s.SetMetrics(nil)
 	s.Put(mkItem("a", 1), nil, true, false)
 	s.Put(mkItem("a", 2), nil, true, false) // evicts
 	s.Remove(item.ID{Creator: "a", Num: 2})
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", s.Len())
+	if s.Len() != 0 || s.Evicted() != 1 {
+		t.Fatalf("Len = %d, evicted %d; want 0 and 1", s.Len(), s.Evicted())
 	}
 }

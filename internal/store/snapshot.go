@@ -73,13 +73,6 @@ func (s *Store) Restore(entries []EntrySnapshot, nextArrival uint64) error {
 			arrival:   es.Arrival,
 		}
 	}
-	// Wholesale replacement: back out the outgoing population's gauge
-	// contribution before rebuildIndexes recounts the restored one.
-	if s.metrics != nil {
-		s.metrics.Live.Add(-int64(s.liveCount))
-		s.metrics.Relay.Add(-int64(s.relayCount))
-		s.metrics.Tombstones.Add(-int64(s.TombstoneLen()))
-	}
 	s.entries = fresh
 	s.nextArrival = nextArrival
 	s.rebuildIndexes()

@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"replidtn/internal/item"
-	"replidtn/internal/obs"
 	"replidtn/internal/vclock"
 )
 
@@ -147,6 +146,8 @@ type Store struct {
 	// maintained on every mutation so LiveLen/RelayLen are O(1).
 	liveCount  int
 	relayCount int
+	// evicted counts the relay entries evictOverflow has dropped.
+	evicted int
 
 	// evictHeap is a min-heap over relay-live entries keyed by the eviction
 	// strategy's (arrival-only) order, with lazy invalidation: superseded or
@@ -160,32 +161,6 @@ type Store struct {
 
 	// onJournal observes every incremental mutation (see Journal).
 	onJournal func(JournalOp)
-
-	// metrics, when set, mirrors the partition counters into observability
-	// gauges (see SetMetrics). Nil disables the hooks entirely.
-	metrics *obs.StoreMetrics
-}
-
-// SetMetrics registers an observability sink: the Live/Relay/Tombstones
-// gauges track the partition populations by delta on every mutation, and
-// Evictions counts capacity evictions. A single sink may be shared by many
-// stores — deltas aggregate — as long as each store is detached before being
-// discarded. Nil (the default) disables the hooks; like LiveNotify, register
-// before the store sees traffic.
-func (s *Store) SetMetrics(m *obs.StoreMetrics) { s.metrics = m }
-
-// DetachMetrics withdraws this store's contribution from the shared gauges
-// and unregisters the sink. Call it before discarding a store whose contents
-// live on elsewhere (e.g. a crash-restart that rebuilds the node from a
-// snapshot), so the successor's recount does not double the population.
-func (s *Store) DetachMetrics() {
-	if s.metrics == nil {
-		return
-	}
-	s.metrics.Live.Add(-int64(s.liveCount))
-	s.metrics.Relay.Add(-int64(s.relayCount))
-	s.metrics.Tombstones.Add(-int64(s.TombstoneLen()))
-	s.metrics = nil
 }
 
 // JournalOp is one incremental store mutation as observed by a Journal hook:
@@ -293,6 +268,9 @@ func (s *Store) RelayLen() int { return s.relayCount }
 
 // TombstoneLen returns the number of tombstone entries in O(1).
 func (s *Store) TombstoneLen() int { return len(s.entries) - s.liveCount }
+
+// Evicted returns how many relay entries storage pressure has evicted.
+func (s *Store) Evicted() int { return s.evicted }
 
 // Put inserts or replaces the entry for it.ID and returns the entries evicted
 // to respect the relay capacity (possibly including the one just inserted,
@@ -408,17 +386,9 @@ func (s *Store) count(e *Entry) {
 		if s.onLive != nil {
 			s.onLive(e.Item.ID, 1)
 		}
-		if s.metrics != nil {
-			s.metrics.Live.Add(1)
-		}
-	} else if s.metrics != nil {
-		s.metrics.Tombstones.Add(1)
 	}
 	if e.relayLive() {
 		s.relayCount++
-		if s.metrics != nil {
-			s.metrics.Relay.Add(1)
-		}
 		if s.useHeap {
 			s.heapPush(e)
 		}
@@ -433,17 +403,9 @@ func (s *Store) uncount(e *Entry) {
 		if s.onLive != nil {
 			s.onLive(e.Item.ID, -1)
 		}
-		if s.metrics != nil {
-			s.metrics.Live.Add(-1)
-		}
-	} else if s.metrics != nil {
-		s.metrics.Tombstones.Add(-1)
 	}
 	if e.relayLive() {
 		s.relayCount--
-		if s.metrics != nil {
-			s.metrics.Relay.Add(-1)
-		}
 	}
 }
 
@@ -458,9 +420,7 @@ func (s *Store) evictOverflow() []*Entry {
 	if over <= 0 {
 		return nil
 	}
-	if s.metrics != nil {
-		s.metrics.Evictions.Add(int64(over))
-	}
+	s.evicted += over
 	evicted := make([]*Entry, 0, over)
 	if s.useHeap {
 		for len(evicted) < over {

@@ -55,7 +55,7 @@ func TestTraceDrivenOverTCPMatchesInProcess(t *testing.T) {
 			compareLegs(t, localSummarizedLegs, summarizedLegs)
 			deltas := 0
 			for _, bus := range buses {
-				deltas += summarized[bus].Stats().KnowledgeDeltas
+				deltas += summarized[bus].Stats().KnowledgeDeltaFrames
 			}
 			if deltas == 0 {
 				t.Error("the summaries-on replay never sent a delta frame")

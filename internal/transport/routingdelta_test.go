@@ -116,10 +116,9 @@ func (s *frameSniffer) take() []sniffedFrame {
 }
 
 // deltaPeer is one end of a recurring pair: a summaries-on replica under a
-// routing policy, with its metrics.
+// routing policy, with its transport metrics.
 type deltaPeer struct {
 	r  *replica.Replica
-	rm obs.ReplicaMetrics
 	tm obs.TransportMetrics
 }
 
@@ -127,16 +126,20 @@ func newDeltaPeer(id string, policy routing.Policy) *deltaPeer {
 	p := &deltaPeer{}
 	p.r = replica.New(replica.Config{
 		ID: vclock.ReplicaID(id), OwnAddresses: []string{"addr:" + id},
-		Policy: policy, SyncSummaries: true, Metrics: &p.rm,
+		Policy: policy, SyncSummaries: true,
 	})
 	return p
 }
 
 // routingCounts is the routing half of a replica's frame accounting.
-type routingCounts struct{ fullFrames, deltaFrames, fullBytes, deltaBytes, fallbacks int64 }
+type routingCounts struct {
+	fullFrames, deltaFrames int
+	fullBytes, deltaBytes   int64
+	fallbacks               int
+}
 
 func (p *deltaPeer) counts() routingCounts {
-	s := p.rm.Snapshot()
+	s := p.r.Stats()
 	return routingCounts{s.RoutingFullFrames, s.RoutingDeltaFrames, s.RoutingFullBytes, s.RoutingDeltaBytes, s.SummaryFallbacks}
 }
 

@@ -81,10 +81,10 @@ func TestSummaryModesDeliverIdentically(t *testing.T) {
 			summaries bool
 		}{{a, m.server}, {b, m.dialer}} {
 			st := side.r.Stats()
-			if side.summaries && st.KnowledgeDeltas == 0 {
+			if side.summaries && st.KnowledgeDeltaFrames == 0 {
 				t.Errorf("server=%v dialer=%v: %s did not upgrade to delta knowledge", m.server, m.dialer, side.r.ID())
 			}
-			if !side.summaries && st.KnowledgeDeltas != 0 {
+			if !side.summaries && st.KnowledgeDeltaFrames != 0 {
 				t.Errorf("server=%v dialer=%v: %s emitted summary frames with summaries off", m.server, m.dialer, side.r.ID())
 			}
 		}
